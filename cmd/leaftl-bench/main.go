@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"leaftl/internal/experiments"
+	"leaftl/internal/profile"
 )
 
 func main() {
@@ -76,7 +77,22 @@ func main() {
 	dieSweep := flag.Bool("diesweep", false, "die sweep mode: replay a timed workload across -dies × -planes flash geometries, with a budgeted arm measuring map-op/data-op overlap (skips figures)")
 	dieCounts := flag.String("dies", "", "-diesweep mode: comma-separated dies-per-channel counts (default 1,2,4)")
 	planes := flag.Int("planes", 0, "-diesweep mode: planes per die, applied to every row (default 2)")
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
+
+	// Profiles cover whichever mode runs; a run that exits on an error
+	// leaves them unwritten.
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "leaftl-bench: %v\n", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(os.Stderr, "leaftl-bench: %v\n", err)
+			os.Exit(1)
+		}
+	}()
 
 	scaleOf := func() experiments.Scale {
 		switch {

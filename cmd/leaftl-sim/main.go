@@ -21,6 +21,7 @@ import (
 	"leaftl/internal/ftl"
 	"leaftl/internal/leaftl"
 	"leaftl/internal/metrics"
+	"leaftl/internal/profile"
 	"leaftl/internal/sftl"
 	"leaftl/internal/ssd"
 	"leaftl/internal/trace"
@@ -33,9 +34,17 @@ func main() {
 	formatName := flag.String("format", "auto", "trace format: auto, native, msr, fiu (stdin defaults to native)")
 	blocksPerChan := flag.Int("blocks", 48, "flash blocks per channel")
 	dramMB := flag.Int64("dram", 16, "controller DRAM (MiB)")
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(*schemeName, *gamma, *traceFile, *formatName, *blocksPerChan, *dramMB); err != nil {
+	stopProfile, err := prof.Start()
+	if err == nil {
+		err = run(*schemeName, *gamma, *traceFile, *formatName, *blocksPerChan, *dramMB)
+		if perr := stopProfile(); err == nil {
+			err = perr
+		}
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "leaftl-sim: %v\n", err)
 		os.Exit(1)
 	}

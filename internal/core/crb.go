@@ -301,6 +301,24 @@ func (c *crb) removeSegment(start uint8) {
 	}
 }
 
+// reset empties the buffer ahead of a whole-group rebuild, keeping the
+// entry slice and the owner index for reuse.
+func (c *crb) reset() {
+	c.entries = c.entries[:0]
+	c.bytes = 0
+	for i := range c.owner {
+		c.owner[i] = ownerNone
+	}
+}
+
+// add appends an entry that owns lpas (sorted, not shared with any other
+// entry, and starting past every entry already present).
+func (c *crb) add(lpas []uint8) {
+	c.entries = append(c.entries, crbEntry{lpas: lpas})
+	c.bytes += len(lpas) + 1
+	c.reown(&c.entries[len(c.entries)-1], uint16(lpas[0]))
+}
+
 // sizeBytes is the flat encoding footprint: one byte per stored LPA plus a
 // one-byte null separator per segment (paper §3.4). Maintained
 // incrementally; O(1).

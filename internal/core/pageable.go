@@ -27,7 +27,7 @@ func (t *Table) GroupFootprint(id addr.GroupID) int {
 	if g == nil {
 		return 0
 	}
-	return g.segmentCount()*SegmentBytes + g.crb.sizeBytes()
+	return g.footprint()
 }
 
 // ResidentGroups returns the IDs of every resident group in ascending
@@ -80,6 +80,7 @@ func (t *Table) InstallGroup(data []byte) (addr.GroupID, error) {
 	dst.levels = g.levels
 	dst.crb = g.crb
 	dst.tune = g.tune
+	dst.rebuildAt, dst.touched = g.rebuildAt, false
 	t.noteLevels(dst, 0)
 	for li := range dst.levels {
 		for i := range dst.levels[li].segs {
@@ -98,7 +99,7 @@ func (t *Table) DropGroup(id addr.GroupID) (freed int, ok bool) {
 	if g == nil {
 		return 0, false
 	}
-	freed = g.segmentCount()*SegmentBytes + g.crb.sizeBytes()
+	freed = g.footprint()
 	for li := range g.levels {
 		for i := range g.levels[li].segs {
 			t.noteRemove(g.levels[li].segs[i])

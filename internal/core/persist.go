@@ -187,6 +187,10 @@ func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 	// recomputeStats sweep).
 	g.crb.normalize()
 	g.crb.recompute()
+	// The wire record carries no trigger state. Re-arm with no growth
+	// allowance: the first commit that adds to a loaded group re-derives
+	// it, so allowances cannot compound across page-out/page-in cycles.
+	g.rebuildAt = max(rebuildMinSegments, g.segmentCount())
 	return addr.GroupID(gid), g, nil
 }
 

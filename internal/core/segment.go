@@ -57,6 +57,23 @@ func (s *Segment) prime() {
 	s.primed = true
 }
 
+// cut narrows a primed segment to the offsets [first, last] of its group
+// (base), both LPAs it answers. K and I are untouched, so every surviving
+// prediction stands; only the anchor of the decoded cache moves, to what
+// prime would recompute (an accurate segment's predictions advance one
+// page per stride step).
+func (s *Segment) cut(base addr.LPA, first, last uint8) {
+	if d := uint32(first - s.Start()); d != 0 {
+		if s.Accurate() {
+			s.p0 += addr.PPA(d / s.stride)
+		} else {
+			s.p0 = s.predictApprox(first)
+		}
+		s.SLPA = base + addr.LPA(first)
+	}
+	s.L = last - first
+}
+
 // Accurate reports whether the segment guarantees exact translations.
 // Approximate segments may err by at most ±gamma (paper §3.2).
 func (s Segment) Accurate() bool { return !s.K.Flag() }

@@ -109,9 +109,9 @@ func (s *ShardedTable) Update(pairs []addr.Mapping) int {
 	return n
 }
 
-// Relearn re-fits groups from a GC relocation batch (see Table.Relearn).
-// pairs are split into maximal same-shard runs; group runs never cross
-// shard boundaries, so the refits are identical to the unsharded path.
+// Relearn commits a GC relocation batch (see Table.Relearn). pairs are
+// split into maximal same-shard runs; group runs never cross shard
+// boundaries, so the fits are identical to the unsharded path.
 func (s *ShardedTable) Relearn(pairs []addr.Mapping) (segs, groups int) {
 	for i := 0; i < len(pairs); {
 		sh := s.shardFor(addr.Group(pairs[i].LPA))
@@ -271,6 +271,20 @@ func (s *ShardedTable) AuditExactBits(truth func(addr.LPA) (addr.PPA, bool)) err
 	return nil
 }
 
+// CheckShape audits every shard's resident groups against the rebuild
+// triggers' shape bound (see Table.CheckShape).
+func (s *ShardedTable) CheckShape() error {
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		err := sh.tab.CheckShape()
+		sh.mu.RUnlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RetuneGamma runs one feedback round over every shard (see
 // Table.RetuneGamma) and returns the changed group IDs in ascending
 // order. Decisions are per group, so the outcome is bit-identical to a
@@ -348,7 +362,8 @@ func (s *ShardedTable) SnapshotWith(images map[addr.GroupID][]byte) ([]byte, err
 }
 
 // CompactChanged compacts every shard in parallel (like Compact) and
-// returns the restructured group IDs in ascending order.
+// returns the IDs of the groups whose encoding changed, in ascending
+// order (see Table.CompactChanged).
 func (s *ShardedTable) CompactChanged() []addr.GroupID {
 	var wg sync.WaitGroup
 	changed := make([][]addr.GroupID, len(s.shards))

@@ -61,6 +61,14 @@ type Table struct {
 	// insertion (a learnBuf's output is only valid until its next learn
 	// call, so the nested fits need their own scratch).
 	refitter learnBuf
+
+	// failed collects the pairs a fitted segment mispredicts: the
+	// verify-at-learn triage fills it per approximate segment, and
+	// refreshExactBits reuses it once the triage is done.
+	failed []addr.Mapping
+
+	// rb is the whole-group rebuild's scratch (rebuild.go).
+	rb rebuildBuf
 }
 
 // group is the per-256-LPA-group state: the level stack, the group's
@@ -70,6 +78,14 @@ type group struct {
 	levels []level
 	crb    crb
 	tune   groupTune
+
+	// Rebuild trigger state (rebuild.go), not part of the wire record:
+	// rebuildAt is the segment count past which the next mutation
+	// rebuilds the group, touched whether the group was mutated since
+	// its last rebuild attempt. Both are re-armed from the decoded shape
+	// when a group is installed from flash.
+	rebuildAt int
+	touched   bool
 }
 
 // level is one sorted, pairwise-disjoint run of segments. keys mirrors
@@ -215,35 +231,32 @@ func (t *Table) ExactBitmapEnabled() bool { return t.bitmapOn }
 // (GroupGamma) — the global bound unless the adaptive-γ controller has
 // retuned the group. Learning already splits per group internally, so
 // with every group at the global γ this is identical to a whole-batch
-// learn.
+// learn. A group whose shape trigger fires (rebuild.go) is rebuilt before
+// Update moves on, so the table's depth and size stay bounded by the
+// group, not by how much has been written.
 func (t *Table) Update(pairs []addr.Mapping) int {
-	n := 0
-	for i := 0; i < len(pairs); {
-		gid := addr.Group(pairs[i].LPA)
-		j := i + 1
-		for j < len(pairs) && addr.Group(pairs[j].LPA) == gid {
-			j++
-		}
-		learned := t.learner.learn(pairs[i:j], t.GroupGamma(gid))
-		n += t.insertRun(learned, pairs[i:j])
-		t.refreshExactBits(pairs[i:j])
-		i = j
-	}
-	return n
+	segs, _ := t.commit(pairs)
+	return segs
 }
 
-// Relearn re-fits groups from a GC relocation batch: the device moved
-// the surviving pages of a victim block in ascending-LPA order, so
-// pairs is a freshly sequential layout the learner can fit tightly at
-// each group's tuned γ. Unlike Update, every touched group is compacted
-// immediately — the new segments merge down and displace the stale
-// scattered claims relocation just rewrote, so GC churn *tightens* the
-// model instead of stacking levels — and the relocated slots' exactness
-// is re-verified into the bitmap (relocated runs usually learn at γ=0
-// strides, so relearned groups come out with their moved span fully
-// set). pairs must be sorted by LPA with unique LPAs, like Update. It
-// returns the segments created and the number of groups re-fitted.
+// Relearn commits a GC relocation batch: the device moved the surviving
+// pages of a victim block in ascending-LPA order, so pairs is a freshly
+// sequential layout the learner fits tightly at each group's tuned γ, and
+// the relocated slots' exactness is re-verified into the bitmap. It is
+// Update that also reports how many groups the batch touched; the stale
+// scattered claims relocation just rewrote are shed when a touched group's
+// rebuild trigger fires, not on every batch (a victim block touches on the
+// order of a hundred groups, and resolving all 256 slots of each would
+// cost more than the fit itself). pairs must be sorted by LPA with unique
+// LPAs, like Update.
 func (t *Table) Relearn(pairs []addr.Mapping) (segs, groups int) {
+	return t.commit(pairs)
+}
+
+// commit is the shared body of Update and Relearn: fit, insert and verify
+// one group run at a time, then rebuild the group if it outgrew its
+// trigger.
+func (t *Table) commit(pairs []addr.Mapping) (segs, groups int) {
 	for i := 0; i < len(pairs); {
 		gid := addr.Group(pairs[i].LPA)
 		j := i + 1
@@ -252,10 +265,8 @@ func (t *Table) Relearn(pairs []addr.Mapping) (segs, groups int) {
 		}
 		learned := t.learner.learn(pairs[i:j], t.GroupGamma(gid))
 		segs += t.insertRun(learned, pairs[i:j])
-		if g := t.lookupGroup(gid); g != nil {
-			t.compactGroup(g)
-		}
 		t.refreshExactBits(pairs[i:j])
+		t.maybeRebuild(gid)
 		groups++
 		i = j
 	}
@@ -265,17 +276,14 @@ func (t *Table) Relearn(pairs []addr.Mapping) (segs, groups int) {
 // insertRun inserts a freshly fitted run, returning the number of
 // segments placed. With the bitmap off it is a plain insert loop. With
 // the bitmap on, each approximate segment is triaged before it reaches
-// the table (exactify): segments whose predictions match every
-// committed pair are kept as-is (the γ slack went unused, the
-// compression is free); mispredicting ones are kept only when keeping
-// them is cheaper than replacing them with a γ=0 refit of their pairs.
-// The byte costs compared are keep = segment + CRB claims + the
-// accurate patches refreshExactBits will stack over the failures,
-// versus replace = one accurate segment per stride-clean run of the
-// whole point set. Without the triage, verify-at-learn would pay for
-// both encodings on every badly fitted segment (the 17%-over-γ=16
-// table the first bench run measured); with only the all-or-nothing
-// version, near-miss fits lose their approximate compression entirely.
+// the table (triage): segments whose predictions match every committed
+// pair are kept as-is (the γ slack went unused, the compression is free);
+// mispredicting ones are kept only when keeping them is cheaper than
+// replacing them with a γ=0 refit of their pairs. Without the triage,
+// verify-at-learn would pay for both encodings on every badly fitted
+// segment (the 17%-over-γ=16 table the first bench run measured); with
+// only the all-or-nothing version, near-miss fits lose their approximate
+// compression entirely.
 func (t *Table) insertRun(learned []Learned, run []addr.Mapping) int {
 	if !t.bitmapOn {
 		for k := range learned {
@@ -283,24 +291,14 @@ func (t *Table) insertRun(learned []Learned, run []addr.Mapping) int {
 		}
 		return len(learned)
 	}
-	n := 0
+	n, pos := 0, 0
 	for k := range learned {
 		ls := learned[k]
-		if ls.Seg.Accurate() {
-			t.insertLearned(ls)
-			n++
-			continue
-		}
-		sub := pairsFor(run, ls.LPAs)
-		var failed []addr.Mapping
-		for _, m := range sub {
-			if ls.Seg.Predict(m.LPA) != m.PPA {
-				failed = append(failed, m)
-			}
-		}
-		costKeep := SegmentBytes + len(sub) + SegmentBytes*strideRuns(failed)
-		costReplace := SegmentBytes * strideRuns(sub)
-		if len(failed) == 0 || costKeep <= costReplace {
+		// The learner's output walks the run in order, each segment
+		// covering the next len(LPAs) pairs.
+		sub := run[pos : pos+len(ls.LPAs)]
+		pos += len(sub)
+		if ls.Seg.Accurate() || t.triage(ls.Seg, sub) {
 			t.insertLearned(ls)
 			n++
 			continue
@@ -315,6 +313,24 @@ func (t *Table) insertRun(learned []Learned, run []addr.Mapping) int {
 		n += len(refit)
 	}
 	return n
+}
+
+// triage decides whether a freshly fitted approximate segment is worth
+// keeping, leaving the pairs it mispredicts in t.failed (sub is the
+// LPA-sorted pair set the segment was fitted from). The byte costs
+// compared are keep = segment + CRB claims + the accurate patches stacked
+// over the failures, versus replace = one accurate segment per
+// stride-clean run of the whole point set.
+func (t *Table) triage(seg Segment, sub []addr.Mapping) (keep bool) {
+	t.failed = t.failed[:0]
+	for _, m := range sub {
+		if seg.Predict(m.LPA) != m.PPA {
+			t.failed = append(t.failed, m)
+		}
+	}
+	costKeep := SegmentBytes + len(sub) + SegmentBytes*strideRuns(t.failed)
+	costReplace := SegmentBytes * strideRuns(sub)
+	return len(t.failed) == 0 || costKeep <= costReplace
 }
 
 // strideRuns counts the maximal stride-clean runs of an LPA-sorted pair
@@ -334,22 +350,6 @@ func strideRuns(pairs []addr.Mapping) int {
 		i = j
 	}
 	return runs
-}
-
-// pairsFor gathers the mappings of run whose LPAs appear in lpas
-// (both LPA-sorted).
-func pairsFor(run []addr.Mapping, lpas []addr.LPA) []addr.Mapping {
-	sub := make([]addr.Mapping, 0, len(lpas))
-	i := 0
-	for _, l := range lpas {
-		for i < len(run) && run[i].LPA < l {
-			i++
-		}
-		if i < len(run) && run[i].LPA == l {
-			sub = append(sub, run[i])
-		}
-	}
-	return sub
 }
 
 // refreshExactBits verifies the predicted-exact bit of every written
@@ -378,7 +378,7 @@ func (t *Table) refreshExactBits(pairs []addr.Mapping) {
 	if g == nil {
 		return
 	}
-	var failed []addr.Mapping
+	failed := t.failed[:0]
 	for i := range pairs {
 		ppa, _, ok := t.Lookup(pairs[i].LPA)
 		if ok && ppa == pairs[i].PPA {
@@ -387,6 +387,7 @@ func (t *Table) refreshExactBits(pairs []addr.Mapping) {
 			failed = append(failed, pairs[i])
 		}
 	}
+	t.failed = failed
 	if len(failed) == 0 {
 		return
 	}
@@ -398,11 +399,18 @@ func (t *Table) refreshExactBits(pairs []addr.Mapping) {
 		// Re-verify through the table: float32 intercepts quantize above
 		// 2^24, and a refit that does not answer exactly must not arm
 		// the bit (the read path would trust it blindly).
-		if got, _, ok := t.Lookup(failed[i].LPA); ok && got == failed[i].PPA {
-			g.tune.exact.set(addr.Offset(failed[i].LPA))
-		} else {
-			g.tune.exact.clear(addr.Offset(failed[i].LPA))
-		}
+		t.proveExact(g, failed[i])
+	}
+}
+
+// proveExact sets the predicted-exact bit of m's slot if the table now
+// answers m.LPA with exactly m.PPA — the ground truth — and clears it
+// otherwise.
+func (t *Table) proveExact(g *group, m addr.Mapping) {
+	if got, _, ok := t.Lookup(m.LPA); ok && got == m.PPA {
+		g.tune.exact.set(addr.Offset(m.LPA))
+	} else {
+		g.tune.exact.clear(addr.Offset(m.LPA))
 	}
 }
 
@@ -415,25 +423,22 @@ func (t *Table) refreshExactBits(pairs []addr.Mapping) {
 func (t *Table) Insert(ls Learned) {
 	ls.Seg.prime() // tolerate hand-built segments; resident ones are always primed
 	t.insertLearned(ls)
-	if !t.bitmapOn {
-		return
-	}
-	g := t.lookupGroup(ls.Seg.Group())
-	if g == nil {
-		return
-	}
-	for _, l := range ls.LPAs {
-		off := addr.Offset(l)
-		if !ls.Seg.Accurate() {
-			g.tune.exact.clear(off)
-			continue
-		}
-		if ppa, _, ok := t.Lookup(l); ok && ppa == ls.Seg.Predict(l) {
-			g.tune.exact.set(off)
-		} else {
-			g.tune.exact.clear(off)
+	if t.bitmapOn {
+		g := t.lookupGroup(ls.Seg.Group())
+		for _, l := range ls.LPAs {
+			off := addr.Offset(l)
+			if !ls.Seg.Accurate() {
+				g.tune.exact.clear(off)
+				continue
+			}
+			if ppa, _, ok := t.Lookup(l); ok && ppa == ls.Seg.Predict(l) {
+				g.tune.exact.set(off)
+			} else {
+				g.tune.exact.clear(off)
+			}
 		}
 	}
+	t.maybeRebuild(ls.Seg.Group())
 }
 
 func (t *Table) insertLearned(ls Learned) {
@@ -460,7 +465,7 @@ func (t *Table) group(id addr.GroupID) *group {
 	}
 	g := t.groups[id]
 	if g == nil {
-		g = &group{tune: groupTune{gamma: clampGamma(t.gamma)}}
+		g = &group{tune: groupTune{gamma: clampGamma(t.gamma)}, rebuildAt: rebuildMinSegments}
 		t.groups[id] = g
 		t.nGroups++
 		t.levelFreq[0]++
@@ -525,33 +530,14 @@ func (t *Table) stampLPAs(lpas []addr.LPA) {
 	}
 }
 
-// stampSegment stamps the LPA set of a segment already resident in the
-// table (compaction path): reconstructed from the stride for accurate
-// segments, from the CRB for approximate ones (Algorithm 2 get_bitmap) —
-// no slice is materialized.
-func (t *Table) stampSegment(g *group, s Segment) {
-	t.markGen++
-	if !s.Accurate() {
-		if e := g.crb.entryFor(s.Start()); e != nil {
-			for _, o := range e.lpas {
-				t.mark[o] = t.markGen
-			}
-		}
-		return
-	}
-	st := addr.LPA(s.Stride())
-	for l := s.SLPA; l <= s.End(); l += st {
-		t.mark[addr.Offset(l)] = t.markGen
-	}
-}
-
 // segUpdate implements Algorithm 1 lines 1–16: insert a segment into
 // level li of group g, resolve CRB bookkeeping, merge overlapped victims
 // and push still-overlapping victims down.
 func (t *Table) segUpdate(g *group, ls Learned, li int) {
+	g.touched = true
 	old := len(g.levels)
 	for len(g.levels) <= li {
-		g.levels = append(g.levels, level{})
+		g.openLevel(len(g.levels))
 	}
 	t.noteLevels(g, old)
 	seg := ls.Seg
@@ -582,8 +568,7 @@ func (t *Table) segUpdate(g *group, ls Learned, li int) {
 // to the right), and re-homes every victim that survives the merge: back
 // into this level if now disjoint, otherwise one level down (lines 9–16).
 // The caller must have stamped the incoming segment's LPA set into t.mark
-// (stampLPAs / stampSegment). Shared by segUpdate and compactInsert,
-// which used to duplicate this block.
+// (stampLPAs).
 func (t *Table) placeSegment(g *group, seg Segment, li int) {
 	lvl := &g.levels[li]
 	startOff := uint16(seg.Start())
@@ -628,14 +613,29 @@ func (t *Table) placeSegment(g *group, seg Segment, li int) {
 	}
 }
 
+// openLevel inserts an empty level at index at, shifting the levels from
+// there down by one. A rebuild leaves the levels it emptied behind the
+// stack's length; their backing arrays are taken up again here, so a
+// group that breathes between rebuilds stops allocating.
+func (g *group) openLevel(at int) *level {
+	var lvl level
+	if n := len(g.levels); n < cap(g.levels) {
+		lvl = g.levels[:n+1][n]
+		lvl.keys, lvl.segs = lvl.keys[:0], lvl.segs[:0]
+	}
+	g.levels = append(g.levels, level{})
+	copy(g.levels[at+1:], g.levels[at:])
+	g.levels[at] = lvl
+	return &g.levels[at]
+}
+
 // pushDown moves a displaced victim one level down, creating a dedicated
 // level when it would overlap segments already there.
 func (t *Table) pushDown(g *group, victim Segment, li int) {
 	ni := li + 1
 	if ni >= len(g.levels) {
 		old := len(g.levels)
-		g.levels = append(g.levels, level{})
-		g.levels[ni].insert(0, victim)
+		g.openLevel(ni).insert(0, victim)
 		t.noteLevels(g, old)
 		return
 	}
@@ -647,10 +647,7 @@ func (t *Table) pushDown(g *group, victim Segment, li int) {
 		// Insert a brand-new level between li and ni holding only the
 		// victim. Everything below keeps its relative (temporal) order.
 		old := len(g.levels)
-		g.levels = append(g.levels, level{})
-		copy(g.levels[ni+1:], g.levels[ni:])
-		g.levels[ni] = level{}
-		g.levels[ni].insert(0, victim)
+		g.openLevel(ni).insert(0, victim)
 		t.noteLevels(g, old)
 		return
 	}
@@ -677,9 +674,7 @@ func (t *Table) segMerge(g *group, victim Segment) (Segment, bool) {
 	if !any {
 		return Segment{}, true
 	}
-	victim.SLPA = first
-	victim.L = uint8(last - first)
-	victim.prime()
+	victim.cut(addr.GroupBase(victim.Group()), addr.Offset(first), addr.Offset(last))
 	return victim, false
 }
 
@@ -736,10 +731,7 @@ func (t *Table) applyEdits(g *group, edits []boundaryEdit) {
 			continue
 		}
 		seg := &g.levels[li].segs[idx]
-		base := addr.GroupBase(addr.Group(seg.SLPA))
-		seg.SLPA = base + addr.LPA(e.NewStart)
-		seg.L = e.NewLast - e.NewStart
-		seg.prime()
+		seg.cut(addr.GroupBase(seg.Group()), e.NewStart, e.NewLast)
 		g.levels[li].keys[idx] = e.NewStart
 	}
 }
@@ -821,65 +813,26 @@ func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 	return addr.InvalidPPA, res, false
 }
 
-// Compact merges segments downward until each group is a single level
-// (paper §3.7 "Segment Compaction", Algorithm 1 seg_compact). Upper-level
-// segments are re-inserted into the level below, trimming or removing the
-// stale segments they shadow.
+// Compact rebuilds every group mutated since its last rebuild (paper §3.7
+// "Segment Compaction", done a whole group at a time — rebuild.go). The
+// per-group triggers on the commit path keep depth and size bounded on
+// their own; this sweep is the backstop that also tightens groups still
+// under their thresholds.
 func (t *Table) Compact() { t.CompactChanged() }
 
 // CompactChanged compacts like Compact and returns the IDs of the groups
-// it restructured (those that entered with more than one level), in
-// ascending order. The demand-paging scheme marks exactly these groups
-// dirty so periodic persistence rewrites only reshaped translation pages.
+// whose encoding it changed, in ascending order. The demand-paging scheme
+// marks exactly these groups dirty so periodic persistence rewrites only
+// reshaped translation pages; a group the sweep left as it was (or did not
+// need to look at) is not reported.
 func (t *Table) CompactChanged() []addr.GroupID {
 	var out []addr.GroupID
 	t.eachGroup(func(id addr.GroupID, g *group) {
-		if len(g.levels) > 1 {
+		if t.compactGroup(id, g) {
 			out = append(out, id)
 		}
-		t.compactGroup(g)
 	})
 	return out
-}
-
-func (t *Table) compactGroup(g *group) {
-	// Each pass pops the top level and re-plays its segments one level
-	// down, shedding stale claims. An accurate segment cannot represent
-	// the loss of an *interior* stride LPA (only boundary trims persist),
-	// so groups with such interleavings legitimately keep more than one
-	// level — the loop stops at the first pass that makes no progress.
-	for len(g.levels) > 1 {
-		beforeLevels := len(g.levels)
-		beforeSegs := g.segmentCount()
-
-		top := g.levels[0]
-		old := len(g.levels)
-		g.levels = g.levels[1:]
-		t.noteLevels(g, old)
-		for _, seg := range top.segs {
-			t.noteRemove(seg)
-		}
-		for _, seg := range top.segs {
-			t.compactInsert(g, seg)
-		}
-		// Drop any levels emptied by merging.
-		old = len(g.levels)
-		kept := g.levels[:0]
-		for _, lvl := range g.levels {
-			if lvl.len() > 0 {
-				kept = append(kept, lvl)
-			}
-		}
-		g.levels = kept
-		t.noteLevels(g, old)
-
-		if len(g.levels) >= beforeLevels && g.segmentCount() >= beforeSegs {
-			break
-		}
-	}
-	if len(g.levels) == 0 {
-		g.levels = nil
-	}
 }
 
 func (g *group) segmentCount() int {
@@ -890,16 +843,10 @@ func (g *group) segmentCount() int {
 	return n
 }
 
-// compactInsert is segUpdate for a segment that is *already* registered
-// in the CRB: no re-registration or dedup is needed (the CRB is globally
-// consistent), only the level insert and victim handling.
-func (t *Table) compactInsert(g *group, seg Segment) {
-	if len(g.levels) == 0 {
-		g.levels = append(g.levels, level{})
-		t.noteLevels(g, 0)
-	}
-	t.stampSegment(g, seg)
-	t.placeSegment(g, seg, 0)
+// footprint is the group's share of SizeBytes: encoded segments plus the
+// flat CRB.
+func (g *group) footprint() int {
+	return g.segmentCount()*SegmentBytes + g.crb.sizeBytes()
 }
 
 // Stats summarizes the table for the paper's memory and structure

@@ -71,13 +71,20 @@ func TestTableOverwriteTakesLatest(t *testing.T) {
 }
 
 func TestTableFigure13Scenario(t *testing.T) {
-	// Replays the timeline of paper Figure 13 with concrete PPAs.
+	// Replays the timeline of paper Figure 13 with concrete PPAs. What is
+	// pinned is what every step translates to and that the group stays
+	// inside the shape bound — not which level a segment rests on, which
+	// the rebuild is free to choose.
 	tb := NewTable(4)
 	m := model{}
 	step := func(pairs []addr.Mapping) {
+		t.Helper()
 		tb.Update(pairs)
 		m.apply(pairs)
 		verify(t, tb, m, 4)
+		if err := tb.CheckShape(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	step(mappings(0, 1, 100, 64))   // T0: [0,63]
 	step(mappings(200, 1, 400, 56)) // T1: [200,255]
@@ -95,6 +102,18 @@ func TestTableFigure13Scenario(t *testing.T) {
 	step(mappings(32, 1, 900, 59)) // T7: [32,90]
 	tb.Compact()                   // T8
 	verify(t, tb, m, 4)
+	if _, _, ok := tb.Lookup(95); ok {
+		t.Error("Lookup(95): never written, yet mapped after compaction")
+	}
+	if err := checkStructure(tb); err != nil {
+		t.Fatal(err)
+	}
+	// T7 overwrote T3 and T4 whole and the tail of T0: compaction sheds
+	// them and leaves the four runs that still answer something (the head
+	// of T0, T2, T7, T1), side by side.
+	if st := tb.Stats(); st.Segments != 4 || st.MaxLevels != 1 {
+		t.Errorf("after compaction: %d segments on %d levels, want 4 on 1", st.Segments, st.MaxLevels)
+	}
 }
 
 func TestTableCRBRedirect(t *testing.T) {
@@ -147,11 +166,19 @@ func TestTableCompactReducesLevels(t *testing.T) {
 	tb.Compact()
 	after := tb.Stats()
 	verify(t, tb, m, 0)
-	if after.Segments > before.Segments {
-		t.Errorf("compaction grew segments: %d → %d", before.Segments, after.Segments)
+	if after.Segments > before.Segments || after.MaxLevels > before.MaxLevels {
+		t.Errorf("compaction grew the table: %d segments on %d levels → %d on %d",
+			before.Segments, before.MaxLevels, after.Segments, after.MaxLevels)
 	}
-	if after.MaxLevels > before.MaxLevels {
-		t.Errorf("compaction grew levels: %d → %d", before.MaxLevels, after.MaxLevels)
+	// Every surviving segment answers for at least one LPA.
+	if after.Segments > len(m) {
+		t.Errorf("%d segments for %d mapped LPAs", after.Segments, len(m))
+	}
+	if err := tb.CheckShape(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkStructure(tb); err != nil {
+		t.Fatal(err)
 	}
 }
 

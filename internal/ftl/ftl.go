@@ -138,8 +138,9 @@ type GroupPaged interface {
 	RestoreGroups(images map[addr.GroupID][]byte) error
 
 	// CheckMapping audits the scheme's directory/cache bookkeeping and
-	// returns the first inconsistency (the mapping-side leg of the
-	// device's CheckInvariants).
+	// the shape bounds of its resident mapping state, and returns the
+	// first inconsistency (the mapping-side leg of the device's
+	// CheckInvariants).
 	CheckMapping() error
 }
 

@@ -12,11 +12,12 @@
 // DFTL's cached mapping table — which makes DRAM-budget comparisons
 // between the schemes honest.
 //
-// The scheme's periodic maintenance performs segment compaction (every
-// CompactEvery host page writes, §3.7) and persists the table to flash
-// translation blocks for recovery (§3.8), charging the corresponding
-// translation-page writes; under a budget only the groups whose images
-// went stale are rewritten.
+// The table compacts itself as it is written (core's per-group rebuild
+// triggers, §3.7). The scheme's periodic maintenance (every CompactEvery
+// host page writes) sweeps the groups still under their triggers as a
+// backstop and persists the table to flash translation blocks for
+// recovery (§3.8), charging the corresponding translation-page writes;
+// under a budget only the groups whose images went stale are rewritten.
 package leaftl
 
 import (
@@ -28,8 +29,9 @@ import (
 // Option configures a Scheme.
 type Option func(*Scheme)
 
-// WithCompactEvery overrides the compaction interval, in host page
-// writes. The paper's default is one million (§3.7).
+// WithCompactEvery overrides the maintenance interval (backstop
+// compaction sweep plus table persistence), in host page writes. The
+// paper's default is one million (§3.7).
 func WithCompactEvery(n uint64) Option {
 	return func(s *Scheme) { s.compactEvery = n }
 }
@@ -265,11 +267,13 @@ func (s *Scheme) FullSizeBytes() int {
 }
 
 // Maintain implements ftl.Scheme: every compactEvery host page writes,
-// run the adaptive-γ feedback round (when enabled), compact the
-// log-structured table (§3.7) and persist it to translation blocks
-// (§3.8). Unbudgeted, persistence charges ⌈table/pageSize⌉
-// translation-page writes; under a budget, only dirty groups (updated,
-// reshaped, or γ-retuned since their last image) are rewritten.
+// run the adaptive-γ feedback round (when enabled), sweep the groups
+// written since their last rebuild (§3.7; the commit path already rebuilt
+// the ones that outgrew their triggers) and persist the table to
+// translation blocks (§3.8). Unbudgeted, persistence charges
+// ⌈table/pageSize⌉ translation-page writes; under a budget, only dirty
+// groups (updated, γ-retuned, or actually reshaped by the sweep since
+// their last image) are rewritten.
 func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 	if hostPageWrites < s.lastCompact {
 		// The device's host counters were reset (warmup/steady-state
@@ -372,12 +376,11 @@ func (s *Scheme) NoteExact(lpa addr.LPA) ftl.Cost {
 }
 
 // CommitGC implements ftl.GCRelearner: GC relocation batches re-fit
-// their groups from the freshly sequential layout (Table.Relearn) —
-// each touched group is compacted on the spot and its moved slots'
-// exactness re-verified, so GC churn tightens the model instead of
-// stacking levels. With the bitmap off it is exactly Commit: no
-// relearning, no behavioral difference from a scheme without the
-// feature.
+// their groups from the freshly sequential layout (Table.Relearn), the
+// moved slots' exactness is re-verified, and a touched group that has
+// outgrown its rebuild trigger sheds the stale claims relocation just
+// rewrote. With the bitmap off it is exactly Commit: no relearning, no
+// behavioral difference from a scheme without the feature.
 func (s *Scheme) CommitGC(pairs []addr.Mapping) (ftl.Cost, int) {
 	if !s.bitmap {
 		return s.Commit(pairs), 0
@@ -462,8 +465,15 @@ func (s *Scheme) RestoreGroups(images map[addr.GroupID][]byte) error {
 	return s.pager.RestoreGroups(images)
 }
 
-// CheckMapping implements ftl.GroupPaged.
-func (s *Scheme) CheckMapping() error { return s.pager.Check() }
+// CheckMapping implements ftl.GroupPaged: the GMD bookkeeping, and the
+// shape bound the table's rebuild triggers maintain on every resident
+// group (core.Table.CheckShape).
+func (s *Scheme) CheckMapping() error {
+	if err := s.pager.Check(); err != nil {
+		return err
+	}
+	return s.table.CheckShape()
+}
 
 // PagingStats exposes the pager's fault/eviction counters (the
 // MemorySweep miss-ratio source).

@@ -253,3 +253,66 @@ func TestShardedPagedConcurrentTranslate(t *testing.T) {
 		t.Fatal("resident exceeds full size")
 	}
 }
+
+// TestIdleMaintainPersistsNothing pins Maintain's dirty-marking: the
+// compaction sweep dirties only the groups whose encoding it changed, so
+// with nothing written in between, a second and a third maintenance
+// round rewrite no translation page and append nothing to the journal —
+// even for groups that rest more than one level deep, which the sweep
+// used to report as changed every round (the full-image path rewrote
+// them every interval; the journal only hid it by dropping identical
+// images).
+func TestIdleMaintainPersistsNothing(t *testing.T) {
+	type scheme interface {
+		pagedScheme
+		ftl.Journaled
+	}
+	for _, flavor := range []string{"plain", "sharded"} {
+		for _, journal := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/journal=%v", flavor, journal), func(t *testing.T) {
+				opts := []Option{WithCompactEvery(1)}
+				if journal {
+					opts = append(opts, WithJournal())
+				}
+				var s scheme
+				if flavor == "plain" {
+					s = New(4, 4096, opts...)
+				} else {
+					s = NewSharded(4, 4096, 4, opts...)
+				}
+				s.ConfigureJournal(64, 4096)
+				// Sequential groups under partial overwrites: every group
+				// ends up layered (a long run below, short runs above),
+				// which is exactly what a sweep leaves as it is.
+				ppa := addr.PPA(0)
+				for b := 0; b < 8; b++ {
+					s.Commit(seq(addr.LPA(b*256), ppa, 256))
+					ppa += 256
+				}
+				for b := 0; b < 8; b++ {
+					for _, off := range []int{10, 90, 170} {
+						s.Commit(seq(addr.LPA(b*256+off), ppa, 20))
+						ppa += 20
+					}
+				}
+				s.SetBudget(s.MemoryBytes() * 3 / 4) // binds: paging on
+				first := s.Maintain(10)
+				before := s.JournalStats()
+				if first.MetaWrites == 0 && before.Appends+before.Bases == 0 {
+					t.Fatal("first pressured round persisted nothing")
+				}
+				for round, writes := range []uint64{20, 30} {
+					cost := s.Maintain(writes)
+					after := s.JournalStats()
+					if cost.MetaWrites != 0 || after.Appends != before.Appends || after.Bases != before.Bases {
+						t.Fatalf("idle round %d: %d translation-page writes, journal appends %d -> %d, bases %d -> %d",
+							round, cost.MetaWrites, before.Appends, after.Appends, before.Bases, after.Bases)
+					}
+				}
+				if err := s.CheckMapping(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}

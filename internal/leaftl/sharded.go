@@ -219,8 +219,8 @@ func (s *Sharded) FullSizeBytes() int {
 	return s.table.SizeBytes()
 }
 
-// Maintain implements ftl.Scheme: periodic compaction (parallel across
-// shards) and table persistence, as in Scheme.Maintain.
+// Maintain implements ftl.Scheme: the backstop compaction sweep (parallel
+// across shards) and table persistence, as in Scheme.Maintain.
 func (s *Sharded) Maintain(hostPageWrites uint64) ftl.Cost {
 	if hostPageWrites < s.lastCompact {
 		s.lastCompact = hostPageWrites
@@ -356,11 +356,14 @@ func (s *Sharded) RestoreGroups(images map[addr.GroupID][]byte) error {
 	return err
 }
 
-// CheckMapping implements ftl.GroupPaged.
+// CheckMapping implements ftl.GroupPaged (see Scheme.CheckMapping).
 func (s *Sharded) CheckMapping() error {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	return s.pager.Check()
+	if err := s.pager.Check(); err != nil {
+		return err
+	}
+	return s.table.CheckShape()
 }
 
 // JournalEnabled implements ftl.Journaled.

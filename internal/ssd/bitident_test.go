@@ -60,6 +60,16 @@ func TestBitmapOffBitIdentity(t *testing.T) {
 	st := d.Stats()
 	// Goldens captured at PR 8 HEAD (commit 2c54d81), before the bitmap
 	// landed. Any drift here means bitmap-off changed device behavior.
+	// The digest, the host page counts, the GC counters and the
+	// misprediction split do not depend on the learned table's shape and
+	// still read as they did then. Four counters do, through the table's
+	// size, and were re-captured at PR 18 (whole-group rebuild, the commit
+	// after aea29d3): MetaWrites is the periodic whole-table persistence,
+	// ⌈table/pageSize⌉ pages a round, and the table is now smaller
+	// (10.8 KB against 24.5 KB when the run ends, 62 page writes against
+	// 77); the data cache gets the DRAM the table gives back, so two
+	// reads that missed now hit, and one of them had been translated by an
+	// approximate segment.
 	if got := d.StateDigest(); got != 0xf8e894966d11e254 {
 		t.Errorf("state digest %#x, want 0xf8e894966d11e254", got)
 	}
@@ -77,12 +87,12 @@ func TestBitmapOffBitIdentity(t *testing.T) {
 		{"Mispredictions", st.Mispredictions, 336},
 		{"MissHintResolved", st.MissHintResolved, 68},
 		{"MissFallbacks", st.MissFallbacks, 268},
-		{"ApproxReads", st.ApproxReads, 548},
+		{"ApproxReads", st.ApproxReads, 547},
 		{"OOBFallbacks", st.OOBFallbacks, 0},
 		{"MetaReads", st.MetaReads, 0},
-		{"MetaWrites", st.MetaWrites, 77},
-		{"CacheHits", st.CacheHits, 2933},
-		{"CacheMisses", st.CacheMisses, 2936},
+		{"MetaWrites", st.MetaWrites, 62},
+		{"CacheHits", st.CacheHits, 2935},
+		{"CacheMisses", st.CacheMisses, 2934},
 	} {
 		if g.got != g.want {
 			t.Errorf("%s = %d, want %d", g.name, g.got, g.want)

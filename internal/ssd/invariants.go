@@ -35,6 +35,10 @@ import (
 //   - Demand-paged mapping: the scheme's GMD bookkeeping is internally
 //     consistent, its resident state fits the mapping budget, and its
 //     translation-block footprint fits the over-provisioned capacity.
+//   - Learned-table shape (through the same CheckMapping hook): every
+//     resident group is at most L levels deep and its footprint is
+//     bounded by its live LPAs, not by how often it was written — the
+//     constants live beside the rebuild triggers in internal/core.
 //   - Adaptive γ: no group's effective error bound exceeds the global
 //     bound the OOB reverse-mapping window was sized for.
 //   - Predicted-exact bitmaps: every set bit's prediction lands on the

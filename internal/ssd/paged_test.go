@@ -239,3 +239,81 @@ func TestBudgetedShardedRunMatchesPlain(t *testing.T) {
 		}
 	}
 }
+
+// TestAgedRandWriteMapBounded ages a full-feature LeaFTL device with
+// random overwrites — the workload whose learned table used to grow with
+// every page written — and holds the whole mapping to the size of an
+// 8 B/LPA page map after one and after three logical overwrites: the
+// table's size follows what is mapped, not how long the device has run.
+// The rebuilt groups then go through a binding mapping budget and the
+// delta journal, and must come back from a crash: Recover, the invariant
+// audit (shape bound included) and a verified read of every page.
+func TestAgedRandWriteMapBounded(t *testing.T) {
+	cfg := testConfig()
+	mk := func() *leaftl.Scheme {
+		return leaftl.New(4, cfg.Flash.PageSize, leaftl.WithJournal(), leaftl.WithExactBitmap(),
+			leaftl.WithAutoTune(0), leaftl.WithCompactEvery(2000))
+	}
+	d := newTestDevice(t, cfg, mk())
+	logical := d.LogicalPages()
+	for lpa := 0; lpa+8 <= logical; lpa += 8 {
+		if _, err := d.Write(addr.LPA(lpa), 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mapped := logical / 8 * 8
+	rng := seededRand(t, 1801)
+	hot := logical / 5
+	overwrite := func(pages int) {
+		t.Helper()
+		for written := 0; written < pages; {
+			lpa, n := rng.Intn(logical-8), 1+rng.Intn(4)
+			if rng.Intn(2) == 0 {
+				lpa = rng.Intn(hot)
+			}
+			if _, err := d.Write(addr.LPA(lpa), n); err != nil {
+				t.Fatal(err)
+			}
+			written += n
+		}
+	}
+	for _, passes := range []int{1, 2} { // cumulative: 1× and 3×
+		overwrite(passes * logical)
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if got, limit := d.Scheme().FullSizeBytes(), 8*mapped; got > limit {
+			t.Fatalf("map is %d B for %d mapped LPAs; an 8 B/LPA page map is %d B", got, mapped, limit)
+		}
+	}
+	if d.Stats().GCRuns == 0 {
+		t.Fatal("aging never ran GC")
+	}
+
+	d.SetMappingBudget(d.Scheme().FullSizeBytes() / 4)
+	overwrite(logical)
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if js := d.Scheme().(ftl.Journaled).JournalStats(); js.Appends == 0 {
+		t.Fatal("no journal deltas before the crash; the budget never bound")
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := d.Recover(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GroupsRestored == 0 {
+		t.Fatalf("recovery restored no journaled groups: %+v", rep)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatalf("after recovery: %v", err)
+	}
+	for lpa := 0; lpa < mapped; lpa++ {
+		if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
+			t.Fatalf("post-recovery read of LPA %d: %v", lpa, err)
+		}
+	}
+}
