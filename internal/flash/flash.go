@@ -183,10 +183,13 @@ func (c Config) BlockOf(ppa addr.PPA) BlockID {
 	return BlockID(uint32(ppa) / uint32(c.PagesPerBlock))
 }
 
-// ChannelOf returns the channel serving ppa.
-func (c Config) ChannelOf(ppa addr.PPA) int {
-	return int(uint32(c.BlockOf(ppa)) % uint32(c.Channels))
+// ChannelOfBlock returns the channel serving block b.
+func (c Config) ChannelOfBlock(b BlockID) int {
+	return int(uint32(b) % uint32(c.Channels))
 }
+
+// ChannelOf returns the channel serving ppa.
+func (c Config) ChannelOf(ppa addr.PPA) int { return c.ChannelOfBlock(c.BlockOf(ppa)) }
 
 // PageOf returns ppa's page index within its block.
 func (c Config) PageOf(ppa addr.PPA) int {
@@ -251,6 +254,12 @@ type Array struct {
 	// the unit to drain, and even behind a later program a read can start
 	// no earlier than the erase's completion (serveRead).
 	eraseDone []time.Duration
+	// readBusy is the completion time of the most recent read served on
+	// each die unit. Reads that preempt a program backlog start ahead of
+	// busy[u], so busy alone cannot order them among themselves: the die
+	// still senses one page at a time, and a suspended read queues behind
+	// the suspended reads before it (readBusy[u] ≤ busy[u] always).
+	readBusy []time.Duration
 	// busBusy is the per-channel bus-transfer horizon; only used when the
 	// geometry is die-aware.
 	busBusy []time.Duration
@@ -265,6 +274,10 @@ type Array struct {
 	blockReads []uint32
 	progAt     []time.Duration
 	fault      *faultModel
+
+	// observe, when set, sees the cell window of every data-block program
+	// and erase (see Observe).
+	observe func(b BlockID, erase bool, start, done time.Duration)
 }
 
 // NewArray allocates a fully-erased flash array.
@@ -283,6 +296,7 @@ func NewArray(cfg Config) (*Array, error) {
 		erases:     make([]uint32, cfg.Blocks()),
 		busy:       make([]time.Duration, cfg.Units()),
 		eraseDone:  make([]time.Duration, cfg.Units()),
+		readBusy:   make([]time.Duration, cfg.Units()),
 		busBusy:    make([]time.Duration, cfg.Channels),
 		progWin:    make([]progWindow, cfg.Units()),
 		blockReads: make([]uint32, cfg.Blocks()),
@@ -296,6 +310,16 @@ func (a *Array) Config() Config { return a.cfg }
 
 // Stats returns operation counters.
 func (a *Array) Stats() Stats { return a.stats }
+
+// Observe installs fn to be called with the die-occupancy window
+// [start, done) of every data-block page program (erase=false) and block
+// erase (erase=true), failed ones included. Tests audit NAND ordering
+// across overlapping background traffic with it — no page of a block may
+// start programming before that block's latest erase has completed; nil
+// (the default) disables.
+func (a *Array) Observe(fn func(b BlockID, erase bool, start, done time.Duration)) {
+	a.observe = fn
+}
 
 // EraseCount returns how many times block b has been erased.
 func (a *Array) EraseCount(b BlockID) uint32 { return a.erases[b] }
@@ -327,7 +351,9 @@ func (a *Array) serve(u int, now, latency time.Duration, erase bool) time.Durati
 // serveRead charges a read's cell time with program suspension: modern
 // NAND lets a read preempt a queued program burst, so a read waits for
 // at most one in-flight program operation rather than the die's whole
-// write backlog. The read still occupies the die for its own latency.
+// write backlog. The read still occupies the die for its own latency,
+// so reads that jump the same backlog queue behind each other: k reads
+// issued together finish tR apart, not all at once.
 //
 // The suspension shortcut applies only to program bursts. When the tail
 // of the unit's backlog is a block *erase*, the read waits for the unit
@@ -347,7 +373,11 @@ func (a *Array) serveRead(u int, now time.Duration) time.Duration {
 		}
 		start = now + wait
 	}
+	if a.readBusy[u] > start {
+		start = a.readBusy[u]
+	}
 	done := start + a.cfg.ReadLatency
+	a.readBusy[u] = done
 	// The preempting read delays the outstanding program queue.
 	if a.busy[u] > start {
 		a.busy[u] += a.cfg.ReadLatency
@@ -374,6 +404,7 @@ func (a *Array) chargeRetries(u int, done time.Duration, retries int) time.Durat
 	} else {
 		a.busy[u] = done + extra
 	}
+	a.readBusy[u] = done + extra
 	a.progWin[u] = progWindow{}
 	return done + extra
 }
@@ -534,6 +565,9 @@ func (a *Array) Write(ppa addr.PPA, lpa addr.LPA, token uint64, now time.Duratio
 	a.written[ppa] = true
 	a.progAt[ppa] = now
 	done := a.serveWrite(ppa, now)
+	if a.observe != nil {
+		a.observe(b, false, done-a.cfg.WriteLatency, done)
+	}
 	if a.fault != nil && a.fault.opFails(a.fault.cfg.ProgramFailBase, a.fault.cfg.ProgramFailWear, a.erases[b]) {
 		a.token[ppa] = 0
 		a.reverse[ppa] = addr.InvalidLPA
@@ -554,6 +588,9 @@ func (a *Array) Write(ppa addr.PPA, lpa addr.LPA, token uint64, now time.Duratio
 // keeps its stale contents and must be retired by the layer above.
 func (a *Array) Erase(b BlockID, now time.Duration) (time.Duration, error) {
 	done := a.serve(a.cfg.UnitOfBlock(b), now, a.cfg.EraseLatency, true)
+	if a.observe != nil {
+		a.observe(b, true, done-a.cfg.EraseLatency, done)
+	}
 	if a.fault != nil && a.fault.opFails(a.fault.cfg.EraseFailBase, a.fault.cfg.EraseFailWear, a.erases[b]) {
 		a.stats.EraseFails++
 		a.erases[b]++ // the cycle was attempted; it wears the block

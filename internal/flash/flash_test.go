@@ -241,3 +241,71 @@ func TestReadBehindProgramThenErase(t *testing.T) {
 		t.Errorf("read behind program+erase done at %v, want %v", done, want)
 	}
 }
+
+// TestSuspendedReadsSerialize is the regression for the read-horizon
+// bug: reads that preempt one program backlog used to all start at
+// now + tPROG and all finish at now + tPROG + tR, as if the die could
+// sense N pages at once (a 199-page GC copy-out "completed" in 220µs).
+// They must queue behind each other — read i finishes i·tR after the
+// first one starts — and each still pushes the program queue back.
+func TestSuspendedReadsSerialize(t *testing.T) {
+	a, _ := NewArray(testCfg())
+	cfg := a.Config()
+	// A program burst on unit 0 (block 0), long enough to stay a backlog.
+	for i := 0; i < cfg.PagesPerBlock; i++ {
+		a.Write(addr.PPA(i), addr.LPA(i), 0, 0)
+	}
+	backlog := a.BusyUntil(0)
+	const n = 6
+	firstStart := cfg.WriteLatency // the in-flight program finishes first
+	for i := 1; i <= n; i++ {
+		// Block 2 shares unit 0; reads of its erased pages still sense.
+		_, _, done, _ := a.Read(16, 0)
+		if want := firstStart + time.Duration(i)*cfg.ReadLatency; done != want {
+			t.Fatalf("suspended read %d done at %v, want %v", i, done, want)
+		}
+	}
+	if want := backlog + n*cfg.ReadLatency; a.BusyUntil(0) != want {
+		t.Errorf("program queue ends at %v after %d preempting reads, want %v", a.BusyUntil(0), n, want)
+	}
+	// A read issued after the suspended ones drained owes them nothing.
+	now := firstStart + (n+3)*cfg.ReadLatency
+	_, _, done, _ := a.Read(16, now)
+	if want := now + cfg.WriteLatency + cfg.ReadLatency; done != want {
+		t.Errorf("later read done at %v, want %v", done, want)
+	}
+}
+
+// TestObserveProgramsAndErases pins what the Observe hook reports: the
+// cell window of each program and erase, in issue order, with queued
+// operations starting where their predecessor on the die ended.
+func TestObserveProgramsAndErases(t *testing.T) {
+	a, _ := NewArray(testCfg())
+	cfg := a.Config()
+	type op struct {
+		b           BlockID
+		erase       bool
+		start, done time.Duration
+	}
+	var got []op
+	a.Observe(func(b BlockID, erase bool, start, done time.Duration) {
+		got = append(got, op{b, erase, start, done})
+	})
+	a.Write(0, 0, 0, 0)
+	a.Erase(0, 0)
+	a.Write(0, 1, 1, 0) // issued at 0, but the die is busy until the erase ends
+	tw, te := cfg.WriteLatency, cfg.EraseLatency
+	want := []op{
+		{0, false, 0, tw},
+		{0, true, tw, tw + te},
+		{0, false, tw + te, 2*tw + te},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("observed %d ops, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("op %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/ftl"
 	"leaftl/internal/leaftl"
 )
 
@@ -44,58 +45,98 @@ func churnBitIdentity(t *testing.T, d *Device) {
 	}
 }
 
-// TestBitmapOffBitIdentity pins the exact device state and counter
-// values this scenario produced before the exactness bitmap existed
-// (PR 8 HEAD). With the bitmap disabled — the default — the learned
-// read path, feedback controller, and GC must reproduce them
-// bit-identically: the feature off is the feature absent.
+// The off-state identity tests below are relational: each runs its
+// scenario twice in the same process — once with the option off, once on
+// a device that cannot reach the option's code at all — and demands
+// identical state, counters and latencies. "Off" is thereby pinned to
+// "absent" by construction rather than to a digest captured at some past
+// commit, which every intended change to placement or timing would
+// otherwise have to re-capture by hand.
+
+// feedbackGate and journalHook name the two capability probes the device
+// makes through anonymous interfaces, so the views below can forward them.
+type (
+	feedbackGate interface{ FeedbackEnabled() bool }
+	journalHook  interface{ SetJournalCrashHook(func(string)) }
+)
+
+// sansBitmap is a LeaFTL scheme as the device saw it before the
+// predicted-exact bitmap existed: every capability except the two the
+// bitmap added, GC-time relearning (ftl.GCRelearner) and the bitmap
+// audit (ftl.ExactAuditor). The device type-asserts for those, so behind
+// this view it falls back to plain Commit and skips the audit.
+type sansBitmap struct {
+	ftl.Journaled // Scheme + GroupPaged + the journal
+	ftl.AdaptiveGamma
+	ftl.MissReporter
+	feedbackGate
+	journalHook
+}
+
+// sansJournal is a LeaFTL scheme as the device saw it before the
+// mapping-delta journal existed: demand paging (ftl.GroupPaged) without
+// ftl.Journaled or the journal crash hook.
+type sansJournal struct {
+	ftl.GroupPaged // Scheme + paging
+	ftl.AdaptiveGamma
+	ftl.MissReporter
+	ftl.GCRelearner
+	ftl.ExactAuditor
+	feedbackGate
+}
+
+// requireSameDevice fails unless a and b ended in bit-identical state
+// with identical counters (simulated durations included: both runs share
+// one clock) and identical latency distributions.
+func requireSameDevice(t *testing.T, what string, a, b *Device) {
+	t.Helper()
+	if ga, gb := a.StateDigest(), b.StateDigest(); ga != gb {
+		t.Errorf("%s: state digest %#x != %#x", what, ga, gb)
+	}
+	if sa, sb := a.Stats(), b.Stats(); sa != sb {
+		t.Errorf("%s: counters diverged:\n  %+v\n  %+v", what, sa, sb)
+	}
+	if fa, fb := a.FlashStats(), b.FlashStats(); fa != fb {
+		t.Errorf("%s: flash counters diverged: %+v vs %+v", what, fa, fb)
+	}
+	if ra, rb := a.ReadLatency().Summary(), b.ReadLatency().Summary(); ra != rb {
+		t.Errorf("%s: read latency diverged:\n  %+v\n  %+v", what, ra, rb)
+	}
+	if wa, wb := a.WriteLatency().Summary(), b.WriteLatency().Summary(); wa != wb {
+		t.Errorf("%s: write latency diverged:\n  %+v\n  %+v", what, wa, wb)
+	}
+	if a.Now() != b.Now() {
+		t.Errorf("%s: clocks diverged: %v vs %v", what, a.Now(), b.Now())
+	}
+}
+
+// TestBitmapOffBitIdentity: with the exactness bitmap disabled — the
+// default — the learned read path, the feedback controller and GC must
+// behave as if the feature did not exist. The same autotune churn runs
+// on the scheme as built and behind sansBitmap, which hides the bitmap's
+// device-facing capabilities; the two devices must match bit for bit,
+// and the off run must show none of the feature's counters moving.
 func TestBitmapOffBitIdentity(t *testing.T) {
 	cfg := testConfig()
-	d := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize,
-		leaftl.WithAutoTune(0.02), leaftl.WithCompactEvery(400)))
-	churnBitIdentity(t, d)
-	if err := d.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	mk := func() *leaftl.Scheme {
+		return leaftl.New(8, cfg.Flash.PageSize, leaftl.WithAutoTune(0.02), leaftl.WithCompactEvery(400))
 	}
-	st := d.Stats()
-	// Goldens captured at PR 8 HEAD (commit 2c54d81), before the bitmap
-	// landed. Any drift here means bitmap-off changed device behavior.
-	// The digest, the host page counts, the GC counters and the
-	// misprediction split do not depend on the learned table's shape and
-	// still read as they did then. Four counters do, through the table's
-	// size, and were re-captured at PR 18 (whole-group rebuild, the commit
-	// after aea29d3): MetaWrites is the periodic whole-table persistence,
-	// ⌈table/pageSize⌉ pages a round, and the table is now smaller
-	// (10.8 KB against 24.5 KB when the run ends, 62 page writes against
-	// 77); the data cache gets the DRAM the table gives back, so two
-	// reads that missed now hit, and one of them had been translated by an
-	// approximate segment.
-	if got := d.StateDigest(); got != 0xf8e894966d11e254 {
-		t.Errorf("state digest %#x, want 0xf8e894966d11e254", got)
-	}
-	type golden struct {
-		name string
-		got  uint64
-		want uint64
-	}
-	for _, g := range []golden{
-		{"HostPagesRead", st.HostPagesRead, 5971},
-		{"HostPagesWrite", st.HostPagesWrite, 11136},
-		{"GCRuns", st.GCRuns, 17},
-		{"GCPagesMoved", st.GCPagesMoved, 1132},
-		{"GCErases", st.GCErases, 137},
-		{"Mispredictions", st.Mispredictions, 336},
-		{"MissHintResolved", st.MissHintResolved, 68},
-		{"MissFallbacks", st.MissFallbacks, 268},
-		{"ApproxReads", st.ApproxReads, 547},
-		{"OOBFallbacks", st.OOBFallbacks, 0},
-		{"MetaReads", st.MetaReads, 0},
-		{"MetaWrites", st.MetaWrites, 62},
-		{"CacheHits", st.CacheHits, 2935},
-		{"CacheMisses", st.CacheMisses, 2934},
-	} {
-		if g.got != g.want {
-			t.Errorf("%s = %d, want %d", g.name, g.got, g.want)
+	off := newTestDevice(t, cfg, mk())
+	s := mk()
+	absent := newTestDevice(t, cfg, sansBitmap{s, s, s, s, s})
+	for _, d := range []*Device{off, absent} {
+		churnBitIdentity(t, d)
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
+	}
+	requireSameDevice(t, "bitmap off vs bitmap absent", off, absent)
+
+	st := off.Stats()
+	if st.GCPagesMoved == 0 || st.Mispredictions == 0 || st.ApproxReads == 0 {
+		t.Fatalf("scenario too shallow to pin anything: %+v", st)
+	}
+	if st.ExactBitHits != 0 || st.Relearns != 0 {
+		t.Errorf("bitmap off, yet ExactBitHits = %d and Relearns = %d", st.ExactBitHits, st.Relearns)
 	}
 }

@@ -40,9 +40,12 @@ type Device struct {
 	truth []addr.PPA
 	token []uint64 // expected payload per LPA
 
-	valid    []bool // PVT: per-PPA validity bitmap (Figure 3 structure 4)
-	bvc      []int  // BVC: per-block valid-page count (structure 3)
+	valid []bool // PVT: per-PPA validity bitmap (Figure 3 structure 4)
+	bvc   []int  // BVC: per-block valid-page count (structure 3)
+	// free is the free pool in the order blocks were freed (oldest first);
+	// nextChan[die] is the channel takeFree tries first for that die.
 	free     []flash.BlockID
+	nextChan []int
 	isFree   []bool
 	blockSeq []uint64 // allocation sequence per block, for recovery order
 	nextSeq  uint64
@@ -95,10 +98,15 @@ type Device struct {
 	// flushDone is when the last flush's slowest program completes; the
 	// next flush stalls behind it (write back-pressure: the host cannot
 	// outrun the flash's program bandwidth indefinitely). gcHorizon is
-	// the same horizon for GC traffic, kept separate so stalls can be
-	// attributed to GC in the stats.
+	// the same horizon for background relocation (relocate is its only
+	// writer), kept separate so stalls can be attributed to GC in the
+	// stats.
 	flushDone time.Duration
 	gcHorizon time.Duration
+	// reclaimHook, set by tests only, observes every relocated block:
+	// when it was issued, when its last relocation program completed and
+	// when its erase (or retirement) did.
+	reclaimHook func(b flash.BlockID, issued, programmed, done time.Duration)
 
 	now   time.Duration
 	stats Stats
@@ -145,6 +153,7 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 		token:        make([]uint64, cfg.LogicalPages()),
 		valid:        make([]bool, cfg.Flash.TotalPages()),
 		bvc:          make([]int, cfg.Flash.Blocks()),
+		nextChan:     make([]int, cfg.Flash.Dies()),
 		isFree:       make([]bool, cfg.Flash.Blocks()),
 		blockSeq:     make([]uint64, cfg.Flash.Blocks()),
 		buffer:       make(map[addr.LPA]uint64, cfg.BufferPages),
@@ -171,7 +180,7 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 	for i := range d.truth {
 		d.truth[i] = addr.InvalidPPA
 	}
-	for b := cfg.Flash.Blocks() - 1; b >= 0; b-- {
+	for b := 0; b < cfg.Flash.Blocks(); b++ {
 		d.free = append(d.free, flash.BlockID(b))
 		d.isFree[b] = true
 	}
@@ -361,9 +370,8 @@ func (d *Device) readPage(lpa addr.LPA, t time.Duration) (time.Duration, error) 
 		d.stats.HostUECCs++
 		return 0, &UECCError{LPA: lpa, PPA: addr.InvalidPPA}
 	}
-	if tok, ok := d.buffer[lpa]; ok {
+	if _, ok := d.buffer[lpa]; ok {
 		d.stats.BufferHits++
-		_ = tok
 		return t + d.cfg.CacheHitLatency, nil
 	}
 	if tok, ok := d.cache.Get(lpa); ok {
@@ -901,41 +909,66 @@ func (d *Device) invalidate(lpa addr.LPA) {
 	d.victims.note(b, d.writeStamp)
 }
 
-// allocBlock takes a free block, garbage-collecting first if the pool is
-// empty.
-func (d *Device) allocBlock(t time.Duration) (flash.BlockID, error) {
-	return d.allocBlockOn(-1, t)
-}
-
-// allocBlockOn takes a free block living on the given die, scanning the
-// free LIFO from the top so a die-matched block is still the youngest
-// available. die < 0, a single-die geometry, or a die with no free
-// blocks falls back to the plain top-of-stack pop (the legacy order).
+// allocBlockOn takes a free block on the given die for a flush lane,
+// garbage-collecting first if the pool is empty.
 func (d *Device) allocBlockOn(die int, t time.Duration) (flash.BlockID, error) {
 	if len(d.free) == 0 {
 		if err := d.runGC(t, 1, false); err != nil {
 			return 0, err
 		}
 	}
-	if len(d.free) == 0 {
+	b, ok := d.takeFree(die)
+	if !ok {
 		return 0, fmt.Errorf("ssd: out of flash blocks (logical space overcommitted)")
 	}
-	idx := len(d.free) - 1
-	if die >= 0 && d.dieLanes > 1 {
-		for i := len(d.free) - 1; i >= 0; i-- {
-			if d.cfg.Flash.DieOfBlock(d.free[i]) == die {
-				idx = i
+	d.crashPoint("alloc")
+	return b, nil
+}
+
+// takeFree allocates the next destination block for a flush or GC lane
+// on the given die: the oldest free block on the next channel in
+// rotation. nextChan[die] is where the rotation stands; channels are
+// tried from there in ascending order (wrapping), the first one holding a
+// free block of the die wins, and among that channel's free blocks the
+// one freed longest ago is taken. Consecutive destinations therefore
+// land on different channels — their program bursts run side by side —
+// and a block erased an instant ago, whose erase may still be in flight
+// under a channel-parallel GC run, goes to the back of the queue instead
+// of straight back out. A die with no free block left falls back to the
+// oldest free block of any die.
+//
+// The choice is a function of device state alone (free order and the
+// cursor, both folded into StateDigest), never of flash busy horizons:
+// ReadAt's contract is that state depends on apply order only, and a
+// chooser that looked at clocks would tie the physical layout to how
+// request times interleave.
+func (d *Device) takeFree(die int) (flash.BlockID, bool) {
+	if len(d.free) == 0 {
+		return 0, false
+	}
+	fc := d.cfg.Flash
+	idx, best := 0, fc.Channels
+	for i, b := range d.free {
+		if fc.DieOfBlock(b) != die {
+			continue
+		}
+		// Distance from the cursor in rotation order; the scan runs oldest
+		// first, so a tie keeps the older block.
+		dist := (fc.ChannelOfBlock(b) - d.nextChan[die] + fc.Channels) % fc.Channels
+		if dist < best {
+			idx, best = i, dist
+			if dist == 0 {
 				break
 			}
 		}
 	}
 	b := d.free[idx]
 	d.free = append(d.free[:idx], d.free[idx+1:]...)
+	d.nextChan[die] = (fc.ChannelOfBlock(b) + 1) % fc.Channels
 	d.isFree[b] = false
 	d.nextSeq++
 	d.blockSeq[b] = d.nextSeq
-	d.crashPoint("alloc")
-	return b, nil
+	return b, true
 }
 
 // metaID resolves the identity of the i-th charged meta operation: the

@@ -3,8 +3,8 @@ package ssd
 import "hash/fnv"
 
 // StateDigest folds every piece of order-dependent device state — host
-// ground truth, PVT/BVC bitmaps, free-pool and allocation order, the
-// write buffer with its flush order, GC streams, and reliability marks —
+// ground truth, PVT/BVC bitmaps, free-pool order, the allocator's
+// channel cursors and allocation sequence, the write buffer with its flush order, GC streams, and reliability marks —
 // into one FNV-1a hash. Two devices with equal digests hold bit-identical
 // firmware state: the same data at the same physical addresses with the
 // same bookkeeping.
@@ -48,6 +48,9 @@ func (d *Device) StateDigest() uint64 {
 	w64(uint64(len(d.free)))
 	for _, b := range d.free {
 		w64(uint64(b))
+	}
+	for _, ch := range d.nextChan {
+		w64(uint64(ch))
 	}
 	w64(uint64(len(d.scrubPend)))
 	for _, b := range d.scrubPend {

@@ -34,7 +34,7 @@ func (d *Device) maybeGC(t time.Duration) error {
 	// Watermark-driven reclaim is best-effort: when the policy refuses
 	// (every candidate fully valid), the drive simply runs below its
 	// high watermark until churn invalidates pages — only allocation
-	// with an empty pool is a hard failure (allocBlock's runGC call).
+	// with an empty pool is a hard failure (allocBlockOn's runGC call).
 	if err := d.runGC(t, high, true); err != nil {
 		return err
 	}
@@ -48,13 +48,27 @@ func (d *Device) maybeGC(t time.Duration) error {
 // their valid pages are read, re-sorted by LPA, packed into the
 // per-stream destination blocks and re-learned by the scheme.
 //
-// GC's flash traffic completes at d.gcHorizon; the next flush stalls
-// behind it (and behind its own program backlog), which is how GC time
-// surfaces in per-request service time instead of vanishing.
+// The run uses the array's parallelism: up to Flash.Units() victims are
+// in flight at once. Victim k is issued when victim k − Units() has
+// finished programming, so the pages staged in controller DRAM between
+// copy-out and copy-in never exceed one block per die. Each victim
+// still does reads → programs → erase in that order (reclaimBlock), and
+// the per-die busy horizons in internal/flash serialize whatever truly
+// shares a die; with takeFree rotating destinations over the channels,
+// the victims' program bursts land on different dies and overlap.
+// Victim choice and order, and the bookkeeping each victim leaves
+// behind, are those of a one-at-a-time run — only the timestamps move.
+//
+// GC's flash traffic completes at d.gcHorizon, the latest completion of
+// the run; the next flush stalls behind it (and behind its own program
+// backlog), which is how GC time surfaces in per-request service time
+// instead of vanishing.
 func (d *Device) runGC(t time.Duration, minFree int, bestEffort bool) error {
 	d.stats.GCRuns++
-	start := t
-	for len(d.free) < minFree {
+	// window[k%Units()] is when the victim last issued in that slot
+	// finished programming; the slot's next victim may start then.
+	window := make([]time.Duration, d.cfg.Flash.Units())
+	for k := 0; len(d.free) < minFree; k++ {
 		victim, ok := d.pickVictim()
 		if !ok {
 			if bestEffort {
@@ -63,17 +77,39 @@ func (d *Device) runGC(t time.Duration, minFree int, bestEffort bool) error {
 			return fmt.Errorf("ssd: GC policy %s found no victim that frees space (free=%d)",
 				d.policy.Name(), len(d.free))
 		}
-		done, err := d.reclaimBlock(victim, t, false)
+		slot := k % len(window)
+		programmed, _, err := d.relocate(victim, max(t, window[slot]), false)
 		if err != nil {
 			return err
 		}
-		t = done
+		window[slot] = programmed
 	}
-	if t > d.gcHorizon {
-		d.gcHorizon = t
-	}
-	d.stats.GCTime += t - start
 	return nil
+}
+
+// relocate is the one entry point of background relocation — GC, wear
+// leveling, scrubbing and retirement all move blocks through it. It
+// reclaims b starting at t and books the flash time: the GC horizon
+// rises to the block's completion, and GCTime grows by the part of
+// [t, done] the horizon did not already cover. Overlapping relocations
+// thus add up to the span they occupy together (a GC run: its latest
+// completion minus its start) instead of being counted once each, and
+// since a flush only ever stalls below gcHorizon, GCStall ≤ GCTime holds
+// whichever background move caused the wait. Returns when the last
+// relocation program and the final erase completed.
+func (d *Device) relocate(b flash.BlockID, t time.Duration, retire bool) (programmed, done time.Duration, err error) {
+	programmed, done, err = d.reclaimBlock(b, t, retire)
+	if err != nil {
+		return 0, 0, err
+	}
+	if done > d.gcHorizon {
+		d.stats.GCTime += done - max(t, d.gcHorizon)
+		d.gcHorizon = done
+	}
+	if d.reclaimHook != nil {
+		d.reclaimHook(b, t, programmed, done)
+	}
+	return programmed, done, nil
 }
 
 // pickVictim asks the configured policy for the next victim.
@@ -89,7 +125,9 @@ func (d *Device) pickVictim() (flash.BlockID, bool) {
 // reads occupy their channels, the copy-in programs start only once the
 // last read has returned (the pages must be in the controller's DRAM
 // before they can be written back), and the erase follows the last
-// program.
+// program. It returns when the last relocation program completed
+// (programmed: the staged pages have left controller DRAM) and when the
+// erase did (finished; equal to programmed for a block retired unerased).
 //
 // Copy-out reads run under the fault model. A data UECC destroys the
 // page's payload: if the newest copy lives in the write buffer only the
@@ -98,7 +136,7 @@ func (d *Device) pickVictim() (flash.BlockID, bool) {
 // payload intact but the reverse mapping unreadable; it is rebuilt from
 // a sibling's OOB window, falling back to the simulator's oracle as a
 // stand-in for the per-block P2L journal real controllers keep.
-func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool) (time.Duration, error) {
+func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool) (programmed, finished time.Duration, _ error) {
 	retire = retire || d.bad[victim]
 	d.victims.remove(victim)
 	first := d.cfg.Flash.FirstPPA(victim)
@@ -144,7 +182,7 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 				}
 				lpa = rev
 			default:
-				return 0, err
+				return 0, 0, err
 			}
 		}
 		pages = append(pages, moved{lpa: lpa, tok: tok, stream: d.streamOf(lpa)})
@@ -194,7 +232,7 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 			for {
 				ppa, fresh, err := d.gcDest(s, lane)
 				if err != nil {
-					return 0, err
+					return 0, 0, err
 				}
 				if fresh {
 					// Destination block changed: PPAs would jump backwards or
@@ -210,7 +248,7 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 					// run it holds, and retry on a fresh stream block.
 					attempts++
 					if attempts >= maxProgramAttempts {
-						return 0, fmt.Errorf("ssd: GC relocation of LPA %d failed to program on %d consecutive blocks: %w",
+						return 0, 0, fmt.Errorf("ssd: GC relocation of LPA %d failed to program on %d consecutive blocks: %w",
 							pg.lpa, attempts, werr)
 					}
 					flushPairs(lane)
@@ -236,6 +274,7 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 		}
 	}
 	d.crashPoint("gc.programmed")
+	programmed, finished = lastDone, lastDone
 
 	if !retire {
 		eraseDone, err := d.arr.Erase(victim, lastDone)
@@ -246,10 +285,10 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 			d.isFree[victim] = true
 			d.stats.GCErases++
 			d.crashPoint("gc.erased")
-			return eraseDone, nil
+			return programmed, eraseDone, nil
 		}
 		if !errors.Is(err, flash.ErrEraseFail) {
-			return 0, err
+			return 0, 0, err
 		}
 		// The erase failed: fall through and retire the block instead.
 		// Its pages are all stale (just relocated), so nothing is lost —
@@ -258,7 +297,7 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 			d.bad[victim] = true
 			d.stats.RetiredBlocks++
 		}
-		lastDone = eraseDone
+		finished = eraseDone
 	}
 	// Retirement: the block keeps its stale contents (never erased) and
 	// drops out of every structure — not free, no allocation sequence,
@@ -270,7 +309,7 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 	d.bvc[victim] = 0
 	d.blockSeq[victim] = 0
 	d.crashPoint("gc.retired")
-	return lastDone, nil
+	return programmed, finished, nil
 }
 
 // streamOf classifies an LPA into a GC destination stream by update
@@ -307,30 +346,18 @@ func (d *Device) stream(s, lane int) *gcStream {
 }
 
 // gcDest returns the next destination PPA for a GC move on the given
-// stream lane, opening a new block when the lane has none — preferring
-// a free block on the lane's own die so relocation programs fan out.
+// stream lane, opening a new block when the lane has none: takeFree's
+// next block in channel rotation on the lane's own die, so relocation
+// programs fan out over dies and successive destinations over channels.
 // fresh reports a block switch.
 func (d *Device) gcDest(stream, lane int) (addr.PPA, bool, error) {
 	st := d.stream(stream, lane)
 	fresh := false
 	if !st.open {
-		if len(d.free) == 0 {
+		b, ok := d.takeFree(lane)
+		if !ok {
 			return 0, false, fmt.Errorf("ssd: GC needs a destination block but none are free")
 		}
-		idx := len(d.free) - 1
-		if d.dieLanes > 1 {
-			for i := len(d.free) - 1; i >= 0; i-- {
-				if d.cfg.Flash.DieOfBlock(d.free[i]) == lane {
-					idx = i
-					break
-				}
-			}
-		}
-		b := d.free[idx]
-		d.free = append(d.free[:idx], d.free[idx+1:]...)
-		d.isFree[b] = false
-		d.nextSeq++
-		d.blockSeq[b] = d.nextSeq
 		*st = gcStream{open: true, block: b}
 		fresh = true
 	}
@@ -410,16 +437,6 @@ func (d *Device) maybeWearLevel(t time.Duration) error {
 		return nil // defer; GC will free space first
 	}
 	d.stats.WearMoves++
-	done, err := d.reclaimBlock(coldest, t, false)
-	if err != nil {
-		return err
-	}
-	if done > d.gcHorizon {
-		d.gcHorizon = done
-	}
-	// Wear moves ride the same relocation machinery and the same stall
-	// horizon, so their time accrues to GCTime too — keeping
-	// GCStall ≤ GCTime whichever background move caused the wait.
-	d.stats.GCTime += done - t
-	return nil
+	_, _, err := d.relocate(coldest, t, false)
+	return err
 }

@@ -220,8 +220,9 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	}
 
 	// Rebuild the free pool, allocation sequence and victim index. Fully
-	// erased healthy blocks are free; every programmed block is sealed
-	// (streams reset closed) and re-enters the victim index — including
+	// erased healthy blocks are free, queued in block order with the
+	// allocator's channel rotation restarted; every programmed block is
+	// sealed (streams reset closed) and re-enters the victim index — including
 	// bad ones, which the next retireSweep pulls back out. Allocation
 	// order is re-derived from each block's newest write sequence.
 	type blockOrder struct {
@@ -230,6 +231,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	}
 	var order []blockOrder
 	d.free = d.free[:0]
+	clear(d.nextChan)
 	for b := 0; b < cfg.Blocks(); b++ {
 		d.blockSeq[b] = 0
 		d.isFree[b] = false

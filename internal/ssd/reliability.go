@@ -192,15 +192,11 @@ func (d *Device) drainScrub(t time.Duration) error {
 		}
 		d.scrubSet[b] = false
 		d.crashPoint("scrub.begin")
-		done, err := d.reclaimBlock(b, t, false)
+		_, done, err := d.relocate(b, t, false)
 		if err != nil {
 			return err
 		}
 		d.stats.ScrubRelocations++
-		if done > d.gcHorizon {
-			d.gcHorizon = done
-		}
-		d.stats.GCTime += done - t
 		t = done
 	}
 	d.scrubPend = d.scrubPend[:n]
@@ -231,14 +227,10 @@ func (d *Device) retireSweep(t time.Duration) error {
 		if len(d.free) == 0 {
 			return nil
 		}
-		done, err := d.reclaimBlock(id, t, true)
+		_, done, err := d.relocate(id, t, true)
 		if err != nil {
 			return err
 		}
-		if done > d.gcHorizon {
-			d.gcHorizon = done
-		}
-		d.stats.GCTime += done - t
 		t = done
 	}
 	return nil

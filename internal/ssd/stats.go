@@ -69,9 +69,11 @@ type Stats struct {
 	RetiredBlocks    uint64
 	GCDataLoss       uint64
 
-	// GC timing. GCTime is total simulated time spent relocating blocks
-	// in the background (GC reclaim and wear-leveling moves, copy-out
-	// reads through the victim erase); GCStall is the share of
+	// GC timing. GCTime is the simulated time during which background
+	// relocation was in flight (GC reclaim, wear-leveling, scrub and
+	// retirement moves, copy-out reads through the victim erase):
+	// overlapping victims of one channel-parallel run count the span
+	// they cover together, not once each. GCStall is the share of
 	// host-visible flush stalls attributable to waiting on that
 	// in-flight work — the quantity behind GC-induced p99/p999 spikes
 	// in open-loop replay. GCStall never exceeds GCTime.
