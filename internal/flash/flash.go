@@ -3,14 +3,32 @@
 // erase counting, and the out-of-band (OOB) metadata area LeaFTL uses to
 // store reverse mappings (paper §2, §3.5, Table 1).
 //
-// The model is deliberately first-order: each die (channel × die) is an
-// independent service timeline, every cell operation occupies its die
-// for the operation's nominal latency, and requests issued to a busy die
-// queue behind it. With DiesPerChan or PlanesPerDie above one, the
-// channel bus becomes a separate, shorter transfer-occupancy resource
-// (BusXfer per page), programs to distinct planes of one die can join a
-// multi-plane window, and completions across dies are naturally out of
-// order. With one die and one plane per channel the arithmetic reduces
+// The model is deliberately first-order: each die (channel × die) is a
+// timeline of busy spans (timeline.go), and every cell operation occupies
+// its die for the operation's nominal latency. A program or erase takes
+// the earliest idle gap at or after its issue time that fits it; with
+// nothing booked ahead that is the plain queue behind the die's backlog.
+// Work booked for a future time (GC erases and copies) keeps its slot
+// and leaves the die idle until then: a 20µs read runs in front of it, a
+// 200µs program that does not fit before it goes after it. A read waits
+// out an erase or another read, suspends a program run after at most one
+// tPROG, and slides whatever is booked behind it later by tR.
+//
+// Queue order no longer orders a block's own operations, so the array
+// states the NAND rules itself: a page program starts no earlier than
+// its block's latest erase completed, and no earlier than the block's
+// previous program started (multi-plane partners start together); an
+// erase likewise waits for the block's last program to complete. Each
+// die keeps its last maxSpans spans; older ones retire into a floor
+// before which nothing starts, so forgetting history can only delay a
+// later operation, never advance it.
+//
+// With DiesPerChan or PlanesPerDie above one, the channel bus becomes a
+// separate, shorter transfer-occupancy resource (BusXfer per page; its
+// horizon stays one scalar per channel — transfers are FIFO), programs
+// to distinct planes of one die can join a multi-plane window, and
+// completions across dies are naturally out of order. With one die and
+// one plane per channel and nothing booked ahead the arithmetic reduces
 // exactly to the original per-channel scalar-horizon model. This
 // reproduces the contention effects the paper's evaluation depends on
 // (flush and GC traffic delaying reads) without a full event-driven
@@ -219,8 +237,9 @@ type Stats struct {
 }
 
 // progWindow is one die's open multi-plane program window: programs to
-// distinct planes of the die that arrive while the window is still the
-// tail of the die's backlog complete together with it.
+// distinct planes of the die that arrive while the window's program is
+// still the last thing booked on the die complete together with it (any
+// other operation on the die closes the window).
 type progWindow struct {
 	done      time.Duration // completion of the joint program
 	planeMask uint32        // planes already claimed
@@ -237,30 +256,29 @@ type progWindow struct {
 // programmed, pages within a block must be programmed in order, and only
 // whole blocks are erased.
 type Array struct {
-	cfg     Config
-	token   []uint64        // page payload stand-in
-	reverse []addr.LPA      // OOB reverse mapping (written LPA per page)
-	seq     []uint64        // OOB write sequence number (crash recovery)
-	seqGen  uint64          // monotonic write-sequence generator
-	written []bool          // page has been programmed since last erase
-	nextPg  []int           // next programmable page index per block
-	erases  []uint32        // per-block erase count (wear leveling)
-	busy    []time.Duration // per-die unit: time the die frees up
-	// eraseDone is the completion time of the most recent erase issued on
-	// each die unit. The operation at the tail of a unit's backlog is that
-	// erase iff busy[u] == eraseDone[u] (and non-zero): program suspension
-	// lets a read preempt a queued *program* burst, but an erase cannot be
-	// suspended in this model — a read arriving behind one must wait for
-	// the unit to drain, and even behind a later program a read can start
-	// no earlier than the erase's completion (serveRead).
-	eraseDone []time.Duration
-	// readBusy is the completion time of the most recent read served on
-	// each die unit. Reads that preempt a program backlog start ahead of
-	// busy[u], so busy alone cannot order them among themselves: the die
-	// still senses one page at a time, and a suspended read queues behind
-	// the suspended reads before it (readBusy[u] ≤ busy[u] always).
-	readBusy []time.Duration
-	// busBusy is the per-channel bus-transfer horizon; only used when the
+	cfg Config
+	// units and dieAware cache cfg.Units() and cfg.dieAware() for the
+	// per-operation path: Config's accessors take the 208-byte struct by
+	// value, and the nested ones copy it at every level.
+	units    uint32
+	dieAware bool
+
+	token   []uint64   // page payload stand-in
+	reverse []addr.LPA // OOB reverse mapping (written LPA per page)
+	seq     []uint64   // OOB write sequence number (crash recovery)
+	seqGen  uint64     // monotonic write-sequence generator
+	written []bool     // page has been programmed since last erase
+	nextPg  []int      // next programmable page index per block
+	erases  []uint32   // per-block erase count (wear leveling)
+	dies    []timeline // per-die unit: busy spans (timeline.go)
+	// blockReady is the earliest each block's next page program may start:
+	// the completion of its latest erase, then the start of its previous
+	// program (an erase waits one tPROG longer, for that program to end).
+	// The die's queue order used to imply this; a timeline that back-fills
+	// gaps does not.
+	blockReady []time.Duration
+	// busBusy is the per-channel bus-transfer horizon (a scalar: bus
+	// transfers are short and served in issue order); only used when the
 	// geometry is die-aware.
 	busBusy []time.Duration
 	// progWin is each die's open multi-plane program window; only used
@@ -286,17 +304,22 @@ func NewArray(cfg Config) (*Array, error) {
 		return nil, err
 	}
 	n := cfg.TotalPages()
+	dies := make([]timeline, cfg.Units())
+	for u := range dies {
+		dies[u] = newTimeline(maxSpans)
+	}
 	return &Array{
 		cfg:        cfg,
+		units:      uint32(cfg.Units()),
+		dieAware:   cfg.dieAware(),
 		token:      make([]uint64, n),
 		reverse:    make([]addr.LPA, n),
 		seq:        make([]uint64, n),
 		written:    make([]bool, n),
 		nextPg:     make([]int, cfg.Blocks()),
 		erases:     make([]uint32, cfg.Blocks()),
-		busy:       make([]time.Duration, cfg.Units()),
-		eraseDone:  make([]time.Duration, cfg.Units()),
-		readBusy:   make([]time.Duration, cfg.Units()),
+		dies:       dies,
+		blockReady: make([]time.Duration, cfg.Blocks()),
 		busBusy:    make([]time.Duration, cfg.Channels),
 		progWin:    make([]progWindow, cfg.Units()),
 		blockReads: make([]uint32, cfg.Blocks()),
@@ -324,89 +347,38 @@ func (a *Array) Observe(fn func(b BlockID, erase bool, start, done time.Duration
 // EraseCount returns how many times block b has been erased.
 func (a *Array) EraseCount(b BlockID) uint32 { return a.erases[b] }
 
-// tailIsErase reports whether the operation at the tail of unit u's
-// backlog is the most recent erase (nothing has queued after it).
-func (a *Array) tailIsErase(u int) bool {
-	return a.eraseDone[u] > 0 && a.busy[u] == a.eraseDone[u]
-}
+// unitOf returns the die timeline serving block b (cfg.UnitOfBlock).
+func (a *Array) unitOf(b BlockID) int { return int(uint32(b) % a.units) }
 
-// serve charges one cell operation of the given latency on die unit u
-// starting no earlier than now, returning the completion time. erase
-// records the erase completion so serveRead can refuse to start reads
-// mid-erase (see eraseDone).
-func (a *Array) serve(u int, now, latency time.Duration, erase bool) time.Duration {
-	start := now
-	if a.busy[u] > start {
-		start = a.busy[u]
-	}
-	done := start + latency
-	a.busy[u] = done
-	if erase {
-		a.eraseDone[u] = done
-	}
+// book charges one program or erase of the given latency on die unit u,
+// in the earliest idle gap at or after ready that fits it.
+func (a *Array) book(u int, ready, latency time.Duration, kind spanKind) time.Duration {
 	a.progWin[u] = progWindow{}
-	return done
+	return a.dies[u].book(ready, latency, kind)
 }
 
-// serveRead charges a read's cell time with program suspension: modern
-// NAND lets a read preempt a queued program burst, so a read waits for
-// at most one in-flight program operation rather than the die's whole
-// write backlog. The read still occupies the die for its own latency,
-// so reads that jump the same backlog queue behind each other: k reads
-// issued together finish tR apart, not all at once.
-//
-// The suspension shortcut applies only to program bursts. When the tail
-// of the unit's backlog is a block *erase*, the read waits for the unit
-// to drain: erases are not suspendable here, and letting reads start
-// mid-erase understated GC-induced read tails. When programs queued
-// *behind* an erase (the tail is a program), the capped wait still may
-// not move the read's start before the erase's own completion — the
-// erase is in flight underneath the whole backlog.
+// serveRead charges a read's cell time on die unit u (timeline.read):
+// modern NAND lets a read suspend a program burst, so a read waits for
+// at most one in-flight program rather than the die's whole write
+// backlog, but never starts mid-erase. The read still occupies the die
+// for its own latency, so reads that jump the same backlog queue behind
+// each other: k reads issued together finish tR apart, not all at once.
 func (a *Array) serveRead(u int, now time.Duration) time.Duration {
-	start := now
-	if wait := a.busy[u] - now; wait > 0 {
-		if wait > a.cfg.WriteLatency && !a.tailIsErase(u) {
-			wait = a.cfg.WriteLatency
-			if s := a.eraseDone[u] - now; s > wait {
-				wait = s
-			}
-		}
-		start = now + wait
-	}
-	if a.readBusy[u] > start {
-		start = a.readBusy[u]
-	}
-	done := start + a.cfg.ReadLatency
-	a.readBusy[u] = done
-	// The preempting read delays the outstanding program queue.
-	if a.busy[u] > start {
-		a.busy[u] += a.cfg.ReadLatency
-	} else {
-		a.busy[u] = done
-	}
 	a.progWin[u] = progWindow{}
-	return done
+	return a.dies[u].read(now, a.cfg.ReadLatency, a.cfg.WriteLatency)
 }
 
 // chargeRetries extends a read by whole-page retry rounds on its own
 // die: each round re-senses the page right where the first attempt
 // finished, so the rounds run back to back from the read's own
-// completion and push any outstanding backlog by the same amount. (They
-// do not re-enter channel arbitration: a retry behind a queued erase
-// must not re-pay the erase wait per round.)
+// completion and push whatever is booked behind it by the same amount.
+// (They do not re-enter channel arbitration: a retry behind a queued
+// erase must not re-pay the erase wait per round.)
 func (a *Array) chargeRetries(u int, done time.Duration, retries int) time.Duration {
 	if retries == 0 {
 		return done
 	}
-	extra := time.Duration(retries) * a.cfg.ReadLatency
-	if a.busy[u] > done {
-		a.busy[u] += extra
-	} else {
-		a.busy[u] = done + extra
-	}
-	a.readBusy[u] = done + extra
-	a.progWin[u] = progWindow{}
-	return done + extra
+	return a.dies[u].extend(done, time.Duration(retries)*a.cfg.ReadLatency)
 }
 
 // busTransfer charges one page movement on ch's channel bus starting no
@@ -421,36 +393,34 @@ func (a *Array) busTransfer(ch int, ready time.Duration) time.Duration {
 	return done
 }
 
-// serveWrite charges one page program. In the die-aware geometry the
-// page's data first crosses the channel bus, then programs the cell on
-// its die — unless the die has an open multi-plane window (its last
-// program is still the tail of its backlog, this page's plane is free,
-// and the window completes after the transfer), in which case the
-// program joins the window and completes with it: the idealized
-// multi-plane interleave that lets back-to-back programs to alternating
-// planes finish Planes() pages per WriteLatency.
-func (a *Array) serveWrite(ppa addr.PPA, now time.Duration) time.Duration {
-	u := a.cfg.UnitOf(ppa)
-	if !a.cfg.dieAware() {
-		return a.serve(u, now, a.cfg.WriteLatency, false)
+// serveWrite charges one page program, starting no earlier than the
+// block allows (blockReady). In the die-aware geometry the page's data
+// first crosses the channel bus, then programs the cell on its die —
+// unless the die has an open multi-plane window (its last program is
+// still the last thing booked on the die, this page's plane is free, the
+// window completes after the transfer and starts no earlier than the
+// block allows), in which case the program joins the window and
+// completes with it: the idealized multi-plane interleave that lets
+// back-to-back programs to alternating planes finish Planes() pages per
+// WriteLatency.
+func (a *Array) serveWrite(ppa addr.PPA, b BlockID, now time.Duration) time.Duration {
+	u := a.unitOf(b)
+	ready, tPROG := now, a.cfg.WriteLatency
+	w, plane := &a.progWin[u], uint32(0)
+	if a.dieAware {
+		ready = a.busTransfer(a.cfg.ChannelOfBlock(b), now)
+		plane = 1 << uint(a.cfg.PlaneOf(ppa))
+		if w.count > 0 && w.count < a.cfg.Planes() && w.planeMask&plane == 0 &&
+			ready <= w.done && a.blockReady[b] <= w.done-tPROG {
+			w.count++
+			w.planeMask |= plane
+			a.blockReady[b] = w.done - tPROG
+			return w.done
+		}
 	}
-	xferDone := a.busTransfer(a.cfg.ChannelOf(ppa), now)
-	plane := a.cfg.PlaneOf(ppa)
-	w := &a.progWin[u]
-	if w.count > 0 && w.count < a.cfg.Planes() &&
-		w.planeMask&(1<<uint(plane)) == 0 &&
-		a.busy[u] == w.done && xferDone <= w.done {
-		w.count++
-		w.planeMask |= 1 << uint(plane)
-		return w.done
-	}
-	start := xferDone
-	if a.busy[u] > start {
-		start = a.busy[u]
-	}
-	done := start + a.cfg.WriteLatency
-	a.busy[u] = done
-	*w = progWindow{done: done, planeMask: 1 << uint(plane), count: 1}
+	done := a.book(u, max(ready, a.blockReady[b]), tPROG, kindProgram)
+	*w = progWindow{done: done, planeMask: plane, count: 1} // only ever joined when die-aware
+	a.blockReady[b] = done - tPROG
 	return done
 }
 
@@ -510,10 +480,10 @@ func (a *Array) busyAge(ppa addr.PPA, now time.Duration) time.Duration {
 func (a *Array) Read(ppa addr.PPA, now time.Duration) (token uint64, reverse addr.LPA, done time.Duration, err error) {
 	a.stats.PageReads++
 	a.blockReads[a.cfg.BlockOf(ppa)]++
-	u := a.cfg.UnitOf(ppa)
+	u := a.unitOf(a.cfg.BlockOf(ppa))
 	done = a.serveRead(u, now)
 	done, dataUECC, oobUECC := a.sampleRead(ppa, u, done, true, true)
-	if a.cfg.dieAware() {
+	if a.dieAware {
 		done = a.busTransfer(a.cfg.ChannelOf(ppa), done)
 	}
 	switch {
@@ -531,10 +501,10 @@ func (a *Array) Read(ppa addr.PPA, now time.Duration) (token uint64, reverse add
 func (a *Array) ReadOOB(ppa addr.PPA, now time.Duration) (addr.LPA, time.Duration, error) {
 	a.stats.PageReads++
 	a.blockReads[a.cfg.BlockOf(ppa)]++
-	u := a.cfg.UnitOf(ppa)
+	u := a.unitOf(a.cfg.BlockOf(ppa))
 	done := a.serveRead(u, now)
 	done, _, oobUECC := a.sampleRead(ppa, u, done, false, true)
-	if a.cfg.dieAware() {
+	if a.dieAware {
 		done = a.busTransfer(a.cfg.ChannelOf(ppa), done)
 	}
 	if oobUECC {
@@ -564,7 +534,7 @@ func (a *Array) Write(ppa addr.PPA, lpa addr.LPA, token uint64, now time.Duratio
 	a.nextPg[b] = pg + 1
 	a.written[ppa] = true
 	a.progAt[ppa] = now
-	done := a.serveWrite(ppa, now)
+	done := a.serveWrite(ppa, b, now)
 	if a.observe != nil {
 		a.observe(b, false, done-a.cfg.WriteLatency, done)
 	}
@@ -587,7 +557,12 @@ func (a *Array) Write(ppa addr.PPA, lpa addr.LPA, token uint64, now time.Duratio
 // can fail with wear-growing probability (ErrEraseFail): the block
 // keeps its stale contents and must be retired by the layer above.
 func (a *Array) Erase(b BlockID, now time.Duration) (time.Duration, error) {
-	done := a.serve(a.cfg.UnitOfBlock(b), now, a.cfg.EraseLatency, true)
+	ready := a.blockReady[b]
+	if a.nextPg[b] > 0 {
+		ready += a.cfg.WriteLatency // its last program must have completed
+	}
+	done := a.book(a.unitOf(b), max(now, ready), a.cfg.EraseLatency, kindErase)
+	a.blockReady[b] = done
 	if a.observe != nil {
 		a.observe(b, true, done-a.cfg.EraseLatency, done)
 	}
@@ -625,10 +600,23 @@ func (a *Array) Reverse(ppa addr.PPA) addr.LPA {
 	return a.reverse[ppa]
 }
 
-// BusyUntil returns die unit u's next free time (for tests and for
-// completion accounting in the device). With one die per channel, unit
-// indices coincide with channel indices.
-func (a *Array) BusyUntil(u int) time.Duration { return a.busy[u] }
+// BusyUntil returns when the last thing booked on die unit u completes
+// (for tests; the die may well be idle before then). With one die per
+// channel, unit indices coincide with channel indices.
+func (a *Array) BusyUntil(u int) time.Duration { return a.dies[u].busyUntil() }
+
+// CheckTimelines audits every die's timeline: spans sorted, disjoint,
+// merged and not before the floor, and per die the spans still listed
+// plus the ones retired add up to exactly the latency ever booked — no
+// die time lost or double-booked.
+func (a *Array) CheckTimelines() error {
+	for u := range a.dies {
+		if err := a.dies[u].check(); err != nil {
+			return fmt.Errorf("flash: die %d timeline: %w", u, err)
+		}
+	}
+	return nil
+}
 
 // WriteSeq returns the OOB write-sequence number of ppa (0 if unwritten).
 // Recovery scans use it to order copies of the same LPA; real SSDs stamp
@@ -651,7 +639,7 @@ func (a *Array) TokenAt(ppa addr.PPA) uint64 { return a.token[ppa] }
 // much data traffic happens to interleave — so identical meta sequences
 // land on identical dies across schemes and runs.
 func (a *Array) metaUnit(id uint64) int {
-	return int(id % uint64(a.cfg.Units()))
+	return int(id % uint64(a.units))
 }
 
 // MetaRead charges one translation-page read on the die derived from the
@@ -663,7 +651,7 @@ func (a *Array) MetaRead(id uint64, now time.Duration) time.Duration {
 	a.stats.PageReads++
 	u := a.metaUnit(id)
 	done := a.serveRead(u, now)
-	if a.cfg.dieAware() {
+	if a.dieAware {
 		done = a.busTransfer(u%a.cfg.Channels, done)
 	}
 	return done
@@ -674,18 +662,10 @@ func (a *Array) MetaRead(id uint64, now time.Duration) time.Duration {
 func (a *Array) MetaWrite(id uint64, now time.Duration) time.Duration {
 	a.stats.PageWrites++
 	u := a.metaUnit(id)
-	if !a.cfg.dieAware() {
-		return a.serve(u, now, a.cfg.WriteLatency, false)
+	if a.dieAware {
+		now = a.busTransfer(u%a.cfg.Channels, now)
 	}
-	xferDone := a.busTransfer(u%a.cfg.Channels, now)
-	start := xferDone
-	if a.busy[u] > start {
-		start = a.busy[u]
-	}
-	done := start + a.cfg.WriteLatency
-	a.busy[u] = done
-	a.progWin[u] = progWindow{}
-	return done
+	return a.book(u, now, a.cfg.WriteLatency, kindProgram)
 }
 
 // OOBWindow models the paper's §3.5 misprediction recovery: the OOB of
@@ -705,10 +685,10 @@ func (a *Array) MetaWrite(id uint64, now time.Duration) time.Duration {
 func (a *Array) OOBWindow(center addr.PPA, gamma int, now time.Duration) (window []addr.LPA, done time.Duration, err error) {
 	a.stats.PageReads++
 	a.blockReads[a.cfg.BlockOf(center)]++
-	u := a.cfg.UnitOf(center)
+	u := a.unitOf(a.cfg.BlockOf(center))
 	done = a.serveRead(u, now)
 	done, _, oobUECC := a.sampleRead(center, u, done, false, true)
-	if a.cfg.dieAware() {
+	if a.dieAware {
 		done = a.busTransfer(a.cfg.ChannelOf(center), done)
 	}
 	if oobUECC {

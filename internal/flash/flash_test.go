@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -223,22 +224,169 @@ func TestReadBehindEraseThenProgram(t *testing.T) {
 	}
 }
 
-// TestReadBehindProgramThenErase covers the opposite ordering: the
-// erase is at the tail, so the suspension shortcut must not apply at
-// all — the read drains the whole backlog.
+// TestReadBehindProgramThenErase covers the opposite ordering: two
+// programs queued, then an erase. The erase has not started, so the read
+// suspends the program run like any other — after one tPROG — and the
+// rest of the run and the erase behind it move back by tR. (With scalar
+// horizons this test asserted the read drained all 1.9ms "because the
+// tail is an erase": an artifact of not knowing where in the backlog the
+// erase sat.)
 func TestReadBehindProgramThenErase(t *testing.T) {
 	a, _ := NewArray(testCfg())
 	cfg := a.Config()
 	a.Write(0, 0, 0, 0)
 	a.Write(1, 1, 0, 0)
-	a.Erase(2, 0) // block 2 shares unit 0; erase is the tail
+	a.Erase(2, 0) // block 2 shares unit 0; the erase queues behind both
 	busy := 2*cfg.WriteLatency + cfg.EraseLatency
 	if a.BusyUntil(0) != busy {
 		t.Fatalf("BusyUntil = %v, want %v", a.BusyUntil(0), busy)
 	}
 	_, _, done, _ := a.Read(16, 0)
-	if want := busy + cfg.ReadLatency; done != want {
-		t.Errorf("read behind program+erase done at %v, want %v", done, want)
+	if want := cfg.WriteLatency + cfg.ReadLatency; done != want {
+		t.Errorf("read behind program+erase done at %v, want %v (one program, then suspend)", done, want)
+	}
+	if want := busy + cfg.ReadLatency; a.BusyUntil(0) != want {
+		t.Errorf("BusyUntil = %v after the read, want %v (the erase moved back by exactly tR)", a.BusyUntil(0), want)
+	}
+	// The erase now runs [420µs, 1.92ms): a read inside it waits it out.
+	_, _, done, _ = a.Read(16, time.Millisecond)
+	if want := busy + 2*cfg.ReadLatency; done != want {
+		t.Errorf("read during the moved erase done at %v, want %v", done, want)
+	}
+}
+
+// TestTimelineEraseBookedAhead: an erase reserved for a future time (as
+// GC books a victim's erase at its last program's completion) leaves the
+// die serving what fits before it; a program that does not fit goes
+// after it, and the erase keeps its slot.
+func TestTimelineEraseBookedAhead(t *testing.T) {
+	a, _ := NewArray(testCfg())
+	cfg := a.Config()
+	r, w, e := cfg.ReadLatency, cfg.WriteLatency, cfg.EraseLatency
+	at := time.Millisecond
+	if done, _ := a.Erase(2, at); done != at+e {
+		t.Fatalf("erase booked ahead done at %v, want %v", done, at+e)
+	}
+	if _, _, done, _ := a.Read(16, 0); done != r {
+		t.Errorf("read on the idle die done at %v, want %v", done, r)
+	}
+	for i, want := range []time.Duration{r + w, r + 2*w, r + 3*w, r + 4*w} {
+		if done, _ := a.Write(addr.PPA(i), addr.LPA(i), 0, 0); done != want {
+			t.Errorf("program %d done at %v, want %v (fits before the erase)", i, done, want)
+		}
+	}
+	// 820µs + 200µs would run into the erase at 1ms.
+	if done, _ := a.Write(4, 4, 0, 0); done != at+e+w {
+		t.Errorf("program that does not fit done at %v, want %v (after the erase)", done, at+e+w)
+	}
+	if _, _, done, _ := a.Read(16, 900*time.Microsecond); done != 900*time.Microsecond+r {
+		t.Errorf("read in the gap done at %v", done)
+	}
+	if err := a.CheckTimelines(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTimelineCopyOutBookedAhead: copy-out reads reserved for a future
+// time (a GC victim issued when its slot's predecessor has programmed)
+// do not delay a host read issued now, and a host read that overlaps
+// their start slides them by the overlap only.
+func TestTimelineCopyOutBookedAhead(t *testing.T) {
+	a, _ := NewArray(testCfg())
+	cfg := a.Config()
+	r := cfg.ReadLatency
+	at := time.Millisecond
+	var copied time.Duration
+	for i := 0; i < cfg.PagesPerBlock; i++ {
+		_, _, copied, _ = a.Read(addr.PPA(16+i), at)
+	}
+	if want := at + time.Duration(cfg.PagesPerBlock)*r; copied != want {
+		t.Fatalf("copy-out done at %v, want %v", copied, want)
+	}
+	if _, _, done, _ := a.Read(0, 0); done != r {
+		t.Errorf("host read issued now done at %v, want %v", done, r)
+	}
+	late := at - r/2
+	if _, _, done, _ := a.Read(0, late); done != late+r {
+		t.Errorf("host read just before the copy-out done at %v, want %v", done, late+r)
+	}
+	if want := copied + r/2; a.BusyUntil(0) != want {
+		t.Errorf("copy-out now ends at %v, want %v", a.BusyUntil(0), want)
+	}
+}
+
+// TestTimelineReadDuringErase: gaps or not, an erase that is running is
+// not suspended — a read issued in the middle of it waits for its end,
+// and a program issued then goes behind the read.
+func TestTimelineReadDuringErase(t *testing.T) {
+	a, _ := NewArray(testCfg())
+	cfg := a.Config()
+	a.Erase(2, 0)
+	mid := cfg.EraseLatency / 2
+	if _, _, done, _ := a.Read(0, mid); done != cfg.EraseLatency+cfg.ReadLatency {
+		t.Errorf("read during a running erase done at %v, want %v", done, cfg.EraseLatency+cfg.ReadLatency)
+	}
+	if done, _ := a.Write(0, 0, 0, mid); done != cfg.EraseLatency+cfg.ReadLatency+cfg.WriteLatency {
+		t.Errorf("program during a running erase done at %v", done)
+	}
+}
+
+// TestTimelineBlockOrdering is the flash-level NAND ordering guard. A
+// die that back-fills gaps no longer orders a block's operations by
+// queue position, so the array must: seeded churn of erases booked
+// ahead, programs to freshly erased blocks and to other blocks of the
+// same die, and suspending reads, with non-monotonic issue times —
+// audited through Observe. No page may start programming before its
+// block's latest erase ended or before the block's previous page
+// started, and no erase may start before the block's last program ended.
+func TestTimelineBlockOrdering(t *testing.T) {
+	for name, cfg := range map[string]Config{"legacy": testCfg(), "dies2planes2": dieCfg(2, 2)} {
+		a, _ := NewArray(cfg)
+		type blockTimes struct{ eraseEnd, progStart, progEnd time.Duration }
+		seen := make([]blockTimes, cfg.Blocks())
+		programs, erases := 0, 0
+		a.Observe(func(b BlockID, erase bool, start, done time.Duration) {
+			bt := &seen[b]
+			switch {
+			case erase && start < bt.progEnd:
+				t.Errorf("%s: block %d erased at %v, before its last program ended at %v", name, b, start, bt.progEnd)
+			case !erase && start < bt.eraseEnd:
+				t.Errorf("%s: block %d programmed at %v, before its erase ended at %v", name, b, start, bt.eraseEnd)
+			case !erase && start < bt.progStart:
+				t.Errorf("%s: block %d programmed at %v, before its previous page started at %v", name, b, start, bt.progStart)
+			}
+			if erase {
+				erases++
+				*bt = blockTimes{eraseEnd: done}
+			} else {
+				programs++
+				bt.progStart, bt.progEnd = start, done
+			}
+		})
+		rng := rand.New(rand.NewSource(20))
+		var clock time.Duration
+		for i := 0; i < 20000; i++ {
+			clock += time.Duration(rng.Intn(1200)) * time.Microsecond
+			now := clock
+			if rng.Intn(3) == 0 {
+				now += time.Duration(rng.Intn(8000)) * time.Microsecond // booked ahead
+			}
+			b := BlockID(rng.Intn(cfg.Blocks()))
+			switch next := a.ProgrammedPages(b); {
+			case rng.Intn(4) == 0:
+				a.Read(cfg.FirstPPA(b)+addr.PPA(rng.Intn(cfg.PagesPerBlock)), now)
+			case next == cfg.PagesPerBlock || next > 0 && rng.Intn(6) == 0:
+				a.Erase(b, now)
+			default:
+				a.Write(cfg.FirstPPA(b)+addr.PPA(next), addr.LPA(i), 0, now)
+			}
+			if err := a.CheckTimelines(); err != nil {
+				t.Fatalf("%s: step %d: %v", name, i, err)
+			}
+		}
+		if programs < 1000 || erases < 100 {
+			t.Fatalf("%s: churn made %d programs and %d erases: nothing audited", name, programs, erases)
+		}
 	}
 }
 

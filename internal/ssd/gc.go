@@ -53,9 +53,11 @@ func (d *Device) maybeGC(t time.Duration) error {
 // finished programming, so the pages staged in controller DRAM between
 // copy-out and copy-in never exceed one block per die. Each victim
 // still does reads → programs → erase in that order (reclaimBlock), and
-// the per-die busy horizons in internal/flash serialize whatever truly
-// shares a die; with takeFree rotating destinations over the channels,
-// the victims' program bursts land on different dies and overlap.
+// the per-die timelines in internal/flash serialize whatever truly
+// shares a die — work booked here for a future time is a reservation
+// that leaves the die usable until then; with takeFree rotating
+// destinations over the channels, the victims' program bursts land on
+// different dies and overlap.
 // Victim choice and order, and the bookkeeping each victim leaves
 // behind, are those of a one-at-a-time run — only the timestamps move.
 //

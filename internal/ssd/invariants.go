@@ -44,8 +44,14 @@ import (
 //   - Predicted-exact bitmaps: every set bit's prediction lands on the
 //     LPA's live page — the read path trusts set bits without OOB
 //     verification, so a stale bit means silent wrong data.
+//   - Die timelines (flash.Array.CheckTimelines): busy spans sorted and
+//     disjoint, and no die time lost or booked twice.
 func (d *Device) CheckInvariants() error {
 	cfg := d.cfg.Flash
+
+	if err := d.arr.CheckTimelines(); err != nil {
+		return fmt.Errorf("invariant: %w", err)
+	}
 
 	if ag, ok := d.scheme.(ftl.AdaptiveGamma); ok {
 		// The OOB reverse-mapping window is sized for the global error
