@@ -1,23 +1,20 @@
 // Command leaftl-bench regenerates the paper's evaluation tables and
 // figures on the simulated SSD (deliverable d). By default it runs at
-// quick scale; -full uses the larger scaled device of DESIGN.md §5 and
-// -micro the fastest CI-smoke scale.
-// Seven replay modes skip the figures: -parallel hammers the sharded
+// quick scale; -full uses a larger scaled device and -micro the fastest
+// CI-smoke scale.
+// Several replay modes skip the figures: -parallel hammers the sharded
 // translation core with concurrent host streams, -openloop replays
 // a trace file (native, MSR CSV, or FIU format) at its recorded arrival
-// times against all three schemes, reporting p50/p95/p99/p999 latency
-// (-autotune runs LeaFTL with the adaptive per-group γ controller),
+// times against all three schemes, reporting p50/p95/p99/p999 latency,
 // -gccompare sweeps GC victim policies × hot/cold stream counts
 // over GC-heavy workloads (-gc-policy/-gc-streams also apply a single
 // policy/stream count to the open-loop mode), -memsweep caps every
 // scheme's mapping DRAM at a sweep of budgets (-mapping-budget) so
 // LeaFTL's demand-paged learned table competes against DFTL/SFTL under
-// the same memory pressure, and -gammatune sweeps a static error-bound
-// grid (-gammas) against the autotuned controller, recording which
-// static points the controller dominates, and -torture runs the seeded
-// crash-torture matrix (kill-recover-verify across GC policies ×
-// mapping budgets × autotune) plus an aged-device fault-injection sweep
-// over -fault-rber, and -coresweep replays a timed workload through the
+// the same memory pressure, -torture runs the seeded crash-torture matrix
+// (kill-recover-verify across GC policies × mapping budgets × exactness
+// bitmap) plus an aged-device fault-injection sweep over -fault-rber,
+// and -coresweep replays a timed workload through the
 // real multi-queue front end at each -workers count, reporting the
 // kIOPS-vs-cores curve and the cross-count state-digest determinism
 // check (-workers with -openloop drives that replay through real queue
@@ -55,12 +52,6 @@ func main() {
 	gcStreams := flag.String("gc-streams", "", "hot/cold GC destination stream count; comma-separated list in -gccompare mode (default: 1,4)")
 	gcWorkloads := flag.String("gc-workloads", "", "-gccompare mode: comma-separated timed workloads (default: zipf-hot,mixed-rw)")
 	micro := flag.Bool("micro", false, "run at micro (fastest, CI smoke) scale")
-	gammaTune := flag.Bool("gammatune", false, "adaptive-γ sweep mode: static γ grid (-gammas) vs the per-group autotune controller (skips figures)")
-	gammas := flag.String("gammas", "0,2,4,8,16", "-gammatune mode: comma-separated static γ grid")
-	bitmap := flag.Bool("bitmap", true, "-gammatune mode: add an autotune+bitmap cell per workload (predicted-exact bitmaps + GC-time relearning) and score the PR 9 gate")
-	autotune := flag.Bool("autotune", false, "open-loop replay mode: run LeaFTL with the adaptive per-group γ controller")
-	gammaTarget := flag.Float64("gamma-target", 0, "autotune controller's tolerated miss-per-read ratio (0 = default 0.02)")
-	tuneWorkloads := flag.String("tune-workloads", "", "-gammatune mode: comma-separated workloads (zipf-hot, strided, msr-replay; default: zipf-hot,strided)")
 	memSweep := flag.Bool("memsweep", false, "memory sweep mode: cap mapping DRAM at -mapping-budget and compare schemes under demand paging (skips figures)")
 	mappingBudget := flag.String("mapping-budget", "", "-memsweep mode: comma-separated budgets; values ≤ 8 are fractions of each scheme's full mapping size, larger values absolute bytes (default: 0.125,0.25,0.5,1)")
 	memSchemes := flag.String("mem-schemes", "", "-memsweep mode: comma-separated schemes (default: LeaFTL,DFTL,SFTL)")
@@ -154,13 +145,6 @@ func main() {
 		}
 		return
 	}
-	if *gammaTune {
-		if err := runGammaTune(scaleOf(), *gammas, *gamma, *gammaTarget, *tuneWorkloads, *tracePath, *bitmap, *qd, *speedup, *seed, *markdown, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "leaftl-bench: gammatune: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *memSweep {
 		if err := runMemSweep(scaleOf(), *mappingBudget, *memSchemes, *memWorkloads, *qd, *speedup, *gamma, *seed, *journal, *markdown, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "leaftl-bench: memsweep: %v\n", err)
@@ -184,7 +168,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if err := runOpenLoop(*tracePath, *traceFormat, *qd, *speedup, *gamma, *seed, *markdown, *jsonOut, *gcPolicy, *gcStreams, *autotune, *gammaTarget, w, *journal); err != nil {
+		if err := runOpenLoop(*tracePath, *traceFormat, *qd, *speedup, *gamma, *seed, *markdown, *jsonOut, *gcPolicy, *gcStreams, w, *journal); err != nil {
 			fmt.Fprintf(os.Stderr, "leaftl-bench: openloop: %v\n", err)
 			os.Exit(1)
 		}

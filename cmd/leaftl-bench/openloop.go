@@ -54,7 +54,7 @@ type schemeJSON struct {
 // gcPolicy and gcStreams configure every device's garbage collector
 // (single values here; the -gccompare mode sweeps lists). workers > 0
 // swaps the simulated host queues for that many real multi-queue pairs.
-func runOpenLoop(path, formatName string, qd int, speedup float64, gamma int, seed int64, markdown bool, jsonPath, gcPolicy, gcStreams string, autotune bool, gammaTarget float64, workers int, journal bool) error {
+func runOpenLoop(path, formatName string, qd int, speedup float64, gamma int, seed int64, markdown bool, jsonPath, gcPolicy, gcStreams string, workers int, journal bool) error {
 	streams := 0
 	if gcStreams != "" {
 		var err error
@@ -92,7 +92,6 @@ func runOpenLoop(path, formatName string, qd int, speedup float64, gamma int, se
 	spec := experiments.OpenLoopSpec{
 		Queues: qd, Speedup: speedup, Gamma: gamma,
 		GCPolicy: gcPolicy, GCStreams: streams,
-		AutoTune: autotune, GammaTarget: gammaTarget,
 		Workers: workers, Journal: journal,
 	}
 	if !trace.Timed(reqs) {

@@ -23,11 +23,11 @@ type tortureJSON struct {
 	Faults       []faultRunJSON    `json:"fault_sweep"`
 }
 
-// tortureCellJSON is one policy × budget × autotune cell.
+// tortureCellJSON is one policy × budget × bitmap cell.
 type tortureCellJSON struct {
 	Policy           string         `json:"policy"`
 	Budget           float64        `json:"budget"`
-	Autotune         bool           `json:"autotune"`
+	Bitmap           bool           `json:"bitmap"`
 	Seed             int64          `json:"seed"`
 	Crashes          int            `json:"crashes"`
 	Points           map[string]int `json:"points"`
@@ -56,7 +56,7 @@ type faultRunJSON struct {
 }
 
 // runTorture is the leaftl-bench reliability mode: the seeded
-// crash-torture matrix (GC policies × mapping budgets × autotune, each
+// crash-torture matrix (GC policies × mapping budgets × bitmap, each
 // cell crash-killed, recovered and differentially verified) followed by
 // the aged-device fault-injection sweep over -fault-rber.
 func runTorture(scale experiments.Scale, crashPoints int, faultRBER string, faultSeed int64, scrubThreshold int, gamma int, seed int64, markdown bool, jsonPath string, workers int) error {
@@ -112,7 +112,7 @@ func runTorture(scale experiments.Scale, crashPoints int, faultRBER string, faul
 			out.Points[p] += n
 		}
 		out.Cells = append(out.Cells, tortureCellJSON{
-			Policy: c.Policy, Budget: c.Budget, Autotune: c.Autotune, Seed: c.Seed,
+			Policy: c.Policy, Budget: c.Budget, Bitmap: c.Bitmap, Seed: c.Seed,
 			Crashes: c.Crashes, Points: c.Points,
 			MappingsRebuilt: c.MappingsRebuilt, MappingsRestored: c.MappingsRestored,
 			VerifiedLPAs: c.VerifiedLPAs, BufferedLost: c.BufferedLost,

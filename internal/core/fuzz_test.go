@@ -38,7 +38,7 @@ func fuzzSeeds(t interface{ Helper() }) (snapshots [][]byte, groups [][]byte) {
 	}
 
 	// A bitmap-enabled table: the same commits re-verified through
-	// refreshExactBits, so the v3 records carry set exact bits.
+	// refreshExactBits, so the records carry set exact bits.
 	bt := NewTable(4)
 	bt.EnableExactBitmap()
 	commitB := func(lpas []addr.LPA, base addr.PPA) {
@@ -75,7 +75,7 @@ func FuzzPersist(f *testing.F) {
 	for _, g := range groups {
 		f.Add(g)
 	}
-	f.Add([]byte("LFTL\x03\x04\x00\x00\x00\x00"))
+	f.Add([]byte("LFTL\x05\x04\x00\x00\x00\x00"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -104,16 +104,14 @@ func FuzzPersist(f *testing.F) {
 			}
 		}
 
-		// Per-group translation-page decoder. The install target's γ is
-		// the record's upper bound for tuned group γs, so fuzz against the
-		// widest table.
-		gt := NewTable(255)
+		// Per-group translation-page decoder.
+		gt := NewTable(0)
 		if gid, err := gt.InstallGroup(data); err == nil {
 			img, err := gt.MarshalGroup(gid)
 			if err != nil {
 				t.Fatalf("accepted group record does not re-marshal: %v", err)
 			}
-			gt2 := NewTable(255)
+			gt2 := NewTable(0)
 			gid2, err := gt2.InstallGroup(img)
 			if err != nil || gid2 != gid {
 				t.Fatalf("canonical group record rejected: %v (gid %d vs %d)", err, gid2, gid)

@@ -11,9 +11,9 @@ import (
 
 // Log-structured metadata persistence (the mapping-delta journal): instead
 // of rewriting a group's full translation-page image on every dirty
-// eviction, the pager appends a version-4 delta record carrying only the
-// sections that changed since the group's last full image — the 47-byte
-// tune block, individual segment levels, the CRB — packed back to back
+// eviction, the pager appends a delta record carrying only the sections
+// that changed since the group's last full image — the 32-byte exact
+// bitmap, individual segment levels, the CRB — packed back to back
 // into translation pages. A group's durable state is its base image plus
 // its delta chain; demand loads replay the chain onto the base, and full
 // images are materialized only when a chain exceeds the length/byte
@@ -28,33 +28,31 @@ import (
 // are durable the moment they land and only *filled* pages are charged
 // as flash programs.
 //
-// v4 delta record wire format (little-endian, framed with the shared
+// Delta record wire format (little-endian, framed with the shared
 // versioned header from persist.go):
 //
-//	"LFTL" | version u8 (=4) | gid u32 | seq u16 | flags u8
-//	flags&flagTune:   tune block + exact bitmap (47 bytes)
+//	"LFTL" | version u8 (=6) | gid u32 | seq u16 | flags u8
+//	flags&flagExact:  exact bitmap (32 bytes)
 //	flags&flagLevels: newLevelCount u16 | nChanged u16,
 //	                  then per changed level (ascending index):
 //	                  idx u16 | nsegs u16 | 8-byte segments
 //	flags&flagCRB:    byteLen u16 | CRB section (count u16, entries)
-//	flags&flagFull:   a complete v3 group record (all other flags clear)
+//	flags&flagFull:   a complete group record (all other flags clear)
 //
 // seq is the record's position in the group's chain (the base image is
 // seq 0); replay rejects gaps, so a truncated or reordered chain is
-// detected rather than silently folded.
+// detected rather than silently folded. Version 6 shrank the first
+// section from version 4's 47-byte tuning block to the bare bitmap, in
+// step with the version-5 group record; version-4 records are rejected.
 
 const (
-	journalVersion = 4
+	journalVersion = 6
 
-	flagTune   = 1 << 0
+	flagExact  = 1 << 0
 	flagLevels = 1 << 1
 	flagCRB    = 1 << 2
 	flagFull   = 1 << 3
-	flagsAll   = flagTune | flagLevels | flagCRB | flagFull
-
-	// tuneRecordBytes is the fixed on-wire size of the per-group tune
-	// block plus the predicted-exact bitmap (persist.go's v3 layout).
-	tuneRecordBytes = 15 + exactBitmapBytes
+	flagsAll   = flagExact | flagLevels | flagCRB | flagFull
 
 	// journalMaxChain and journalMaxChainBytes bound a group's delta
 	// chain before a writeback folds it into a fresh full image: chains
@@ -92,16 +90,16 @@ type JournalStats struct {
 	MaxChain int
 }
 
-// recSections splits a v3 group record into the independently-diffable
+// recSections splits a group record into the independently-diffable
 // sections the delta encoder works over. Slices alias the source record.
 type recSections struct {
 	gid    addr.GroupID
-	tune   []byte   // tune block + exact bitmap, tuneRecordBytes long
+	exact  []byte   // predicted-exact bitmap, exactBitmapBytes long
 	levels [][]byte // per level: nsegs u16 | 8-byte segments
 	crb    []byte   // entry count u16 | entries (len u8, offsets…)
 }
 
-// parseRecSections dissects a v3 group record (MarshalGroup's output)
+// parseRecSections dissects a group record (MarshalGroup's output)
 // into sections without decoding segments.
 func parseRecSections(img []byte) (recSections, error) {
 	var s recSections
@@ -114,7 +112,7 @@ func parseRecSections(img []byte) (recSections, error) {
 		return s, fmt.Errorf("core: group id %d implausible", gid)
 	}
 	s.gid = addr.GroupID(gid)
-	if s.tune, err = r.bytes(tuneRecordBytes); err != nil {
+	if s.exact, err = r.bytes(exactBitmapBytes); err != nil {
 		return s, err
 	}
 	nLevels, err := r.u16()
@@ -165,17 +163,17 @@ func skipCRBSection(r *reader) error {
 	return nil
 }
 
-// serialize reassembles the sections into the exact v3 group record they
+// serialize reassembles the sections into the exact group record they
 // were parsed from (parse ∘ serialize is the identity the journal's
 // consistency audit pins).
 func (s recSections) serialize() []byte {
-	n := 4 + len(s.tune) + 2 + len(s.crb)
+	n := 4 + len(s.exact) + 2 + len(s.crb)
 	for _, l := range s.levels {
 		n += len(l)
 	}
 	buf := make([]byte, 0, n)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.gid))
-	buf = append(buf, s.tune...)
+	buf = append(buf, s.exact...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.levels)))
 	for _, l := range s.levels {
 		buf = append(buf, l...)
@@ -184,13 +182,13 @@ func (s recSections) serialize() []byte {
 	return buf
 }
 
-// encodeDelta builds the v4 delta record transforming base into cur, or
+// encodeDelta builds the delta record transforming base into cur, or
 // nil when the two serialize identically. seq is the record's chain
 // position.
 func encodeDelta(base, cur recSections, seq uint16) []byte {
 	var flags uint8
-	if !bytes.Equal(base.tune, cur.tune) {
-		flags |= flagTune
+	if !bytes.Equal(base.exact, cur.exact) {
+		flags |= flagExact
 	}
 	var changed []int
 	for i, l := range cur.levels {
@@ -212,8 +210,8 @@ func encodeDelta(base, cur recSections, seq uint16) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cur.gid))
 	buf = binary.LittleEndian.AppendUint16(buf, seq)
 	buf = append(buf, flags)
-	if flags&flagTune != 0 {
-		buf = append(buf, cur.tune...)
+	if flags&flagExact != 0 {
+		buf = append(buf, cur.exact...)
 	}
 	if flags&flagLevels != 0 {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(cur.levels)))
@@ -230,8 +228,8 @@ func encodeDelta(base, cur recSections, seq uint16) []byte {
 	return buf
 }
 
-// encodeFull frames a complete v3 group record as a v4 full-image
-// journal record (chain position 0: a fresh base).
+// encodeFull frames a complete group record as a full-image journal
+// record (chain position 0: a fresh base).
 func encodeFull(img []byte, gid addr.GroupID) []byte {
 	buf := appendRecordHeader(nil, journalVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(gid))
@@ -240,7 +238,7 @@ func encodeFull(img []byte, gid addr.GroupID) []byte {
 	return append(buf, img...)
 }
 
-// decodeJournalRecord parses a v4 record's frame, returning its group,
+// decodeJournalRecord parses a journal record's frame, returning its group,
 // chain position, flags and section payload cursor.
 func decodeJournalRecord(rec []byte) (gid addr.GroupID, seq uint16, flags uint8, r reader, err error) {
 	r = reader{buf: rec}
@@ -269,10 +267,10 @@ func decodeJournalRecord(rec []byte) (gid addr.GroupID, seq uint16, flags uint8,
 	return addr.GroupID(g), seq, flags, r, nil
 }
 
-// applyDelta replays one v4 record onto cur, returning the successor
+// applyDelta replays one journal record onto cur, returning the successor
 // sections. wantSeq is the expected chain position; a gap means the
-// chain is corrupt. A full-image record replaces cur outright (and is
-// only legal at wantSeq 0, i.e. as a base).
+// chain is corrupt. A full-image record replaces cur outright and is
+// legal only at wantSeq 0, as a base; a delta is legal only after one.
 func applyDelta(cur recSections, rec []byte, wantSeq uint16) (recSections, error) {
 	gid, seq, flags, r, err := decodeJournalRecord(rec)
 	if err != nil {
@@ -294,14 +292,17 @@ func applyDelta(cur recSections, rec []byte, wantSeq uint16) (recSections, error
 		}
 		return out, nil
 	}
+	if wantSeq == 0 {
+		return recSections{}, fmt.Errorf("core: delta record at chain position 0 (a base must be a full image)")
+	}
 	if gid != cur.gid {
 		return recSections{}, fmt.Errorf("core: journal record for group %d applied to group %d", gid, cur.gid)
 	}
 
-	out := recSections{gid: cur.gid, tune: cur.tune, crb: cur.crb}
+	out := recSections{gid: cur.gid, exact: cur.exact, crb: cur.crb}
 	out.levels = append([][]byte(nil), cur.levels...)
-	if flags&flagTune != 0 {
-		if out.tune, err = r.bytes(tuneRecordBytes); err != nil {
+	if flags&flagExact != 0 {
+		if out.exact, err = r.bytes(exactBitmapBytes); err != nil {
 			return recSections{}, err
 		}
 	}
@@ -383,7 +384,7 @@ type jrec struct {
 type jgroup struct {
 	base   jrec
 	chain  []jrec
-	curImg []byte      // serialize(cur): the group's current v3 record
+	curImg []byte      // serialize(cur): the group's current record
 	cur    recSections // parsed curImg
 }
 

@@ -7,19 +7,20 @@ import (
 	"leaftl/internal/addr"
 )
 
-// journalTestImages returns a sequence of distinct, valid v3 images of
+// journalTestImages returns a sequence of distinct, valid images of
 // the same group (group 0), produced by successively overwriting the
 // group's LPAs at fresh PPAs — the states a write-hot group's dirty
 // evictions would persist.
 func journalTestImages(t *testing.T, n int) [][]byte {
 	t.Helper()
 	tab := NewTable(4)
+	tab.EnableExactBitmap()
 	imgs := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		base := addr.PPA(1000 + i*2048)
 		pairs := make([]addr.Mapping, 0, 64)
 		// Alternate a clean sequential run with a scattered overwrite so
-		// levels, CRB and tune sections all churn across the sequence.
+		// levels, CRB and bitmap sections all churn across the sequence.
 		if i%2 == 0 {
 			for l := 0; l < 64; l++ {
 				pairs = append(pairs, addr.Mapping{LPA: addr.LPA(l), PPA: base + addr.PPA(l)})
@@ -251,7 +252,7 @@ func TestPersistVersionRejection(t *testing.T) {
 			if err := c.decode(c.valid); err != nil {
 				t.Fatalf("valid v%d record rejected: %v", c.version, err)
 			}
-			for _, ver := range []uint8{0, 1, 2, 3, 4, 5, 42, 255} {
+			for _, ver := range []uint8{0, 1, 2, 3, 4, 5, 6, 42, 255} {
 				if ver == c.version {
 					continue
 				}
@@ -275,7 +276,7 @@ func TestPersistVersionRejection(t *testing.T) {
 	}
 }
 
-// FuzzJournal fuzzes the v4 journal-record decoder — base replay,
+// FuzzJournal fuzzes the journal-record decoder — base replay,
 // mid-chain delta replay, and the fold path — against panics, and
 // asserts every accepted input lands on a canonical fixed point: the
 // replayed sections must re-serialize to a parseable image, re-framing
@@ -302,7 +303,7 @@ func FuzzJournal(f *testing.F) {
 			}
 		}
 	}
-	f.Add([]byte("LFTL\x04\x00\x00\x00\x00\x00\x00\x08"))
+	f.Add([]byte("LFTL\x06\x00\x00\x00\x00\x00\x00\x08"))
 	f.Add([]byte{})
 
 	baseSec, err := parseRecSections(baseImg)

@@ -66,10 +66,6 @@ func (t *Table) InstallGroup(data []byte) (addr.GroupID, error) {
 	if r.off != len(data) {
 		return 0, fmt.Errorf("core: %d trailing bytes in group record", len(data)-r.off)
 	}
-	if int(g.tune.gamma) > t.gamma {
-		return 0, fmt.Errorf("core: group %d tuned gamma %d exceeds the table bound %d",
-			gid, g.tune.gamma, t.gamma)
-	}
 	if cur := t.lookupGroup(gid); cur != nil && (len(cur.levels) > 0 || len(cur.crb.entries) > 0) {
 		return 0, fmt.Errorf("core: group %d is already resident", gid)
 	}
@@ -79,7 +75,7 @@ func (t *Table) InstallGroup(data []byte) (addr.GroupID, error) {
 	dst := t.group(gid)
 	dst.levels = g.levels
 	dst.crb = g.crb
-	dst.tune = g.tune
+	dst.exact = g.exact
 	dst.rebuildAt, dst.touched = g.rebuildAt, false
 	t.noteLevels(dst, 0)
 	for li := range dst.levels {

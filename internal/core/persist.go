@@ -17,7 +17,6 @@ import (
 //	header:  magic "LFTL" | version u8 | gamma u8
 //	groups:  count u32, then per group (ascending group id):
 //	         gid u32
-//	         tune: gamma u8 | hint i8 | streak u8 | reads u32 | misses u32 | costly u32
 //	         exact bitmap: 32 bytes (one bit per LPA slot)
 //	         levels u16
 //	         per level: segments u16, then 8-byte encoded segments
@@ -25,17 +24,12 @@ import (
 //
 // All integers are little-endian. The encoding is exactly the DRAM
 // footprint the paper counts (8 bytes per segment plus CRB bytes) plus
-// small per-group headers. Version 2 added the 15-byte per-group tune
-// block (tune.go): the group's effective learning γ, its misprediction
-// direction hint/streak, and the controller's window counters, so paging
-// a group to flash and back — or restoring it from its translation-page
-// image during recovery — round-trips the adaptive-γ state exactly. A
-// group's tuned γ must not exceed the table's global bound; records that
-// claim otherwise are rejected. Version 3 appended the 32-byte
-// predicted-exact bitmap to the tune block — always present on the wire
-// (all-zero while the feature is disabled) so the record has one shape,
-// and round-tripped bit-identically through page-out, snapshot, and
-// recovery.
+// small per-group headers. The predicted-exact bitmap (exact.go) is
+// always present on the wire — all-zero while the feature is disabled —
+// so the record has one shape, and it round-trips bit-identically
+// through page-out, snapshot, and recovery. Version 5 dropped the
+// 15-byte per-group tuning block that versions 2–3 carried ahead of the
+// bitmap (version 4 is the journal's); older snapshots are rejected.
 //
 // The per-group record (everything after the snapshot header and count)
 // is also the unit the demand-paging machinery moves to and from flash
@@ -45,12 +39,12 @@ import (
 
 const (
 	persistMagic   = "LFTL"
-	persistVersion = 3
+	persistVersion = 5
 )
 
 // appendRecordHeader writes the shared versioned-record framing — the
 // "LFTL" magic plus a version byte — that prefixes both full snapshots
-// (v3) and journal delta records (v4).
+// and journal delta records.
 func appendRecordHeader(buf []byte, version uint8) []byte {
 	buf = append(buf, persistMagic...)
 	return append(buf, version)
@@ -59,9 +53,9 @@ func appendRecordHeader(buf []byte, version uint8) []byte {
 // readRecordHeader consumes the shared versioned-record framing and
 // returns the version byte, rejecting anything outside [minVer, maxVer].
 // kind names the record family for error messages ("snapshot", "journal
-// record"). Every versioned reader — the v1–v3 snapshot lineage and the
-// v4 journal records — funnels through here so magic and version
-// validation exist exactly once.
+// record"). Every versioned reader — snapshots and journal records —
+// funnels through here so magic and version validation exist exactly
+// once.
 func readRecordHeader(r *reader, kind string, minVer, maxVer uint8) (uint8, error) {
 	magic, err := r.bytes(len(persistMagic))
 	if err != nil || string(magic) != persistMagic {
@@ -78,11 +72,7 @@ func readRecordHeader(r *reader, kind string, minVer, maxVer uint8) (uint8, erro
 // record format.
 func appendGroupRecord(buf []byte, id addr.GroupID, g *group) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	buf = append(buf, g.tune.gamma, uint8(g.tune.hint), g.tune.streak)
-	buf = binary.LittleEndian.AppendUint32(buf, g.tune.reads)
-	buf = binary.LittleEndian.AppendUint32(buf, g.tune.misses)
-	buf = binary.LittleEndian.AppendUint32(buf, g.tune.costly)
-	buf = append(buf, g.tune.exact[:]...)
+	buf = append(buf, g.exact[:]...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(g.levels)))
 	for li := range g.levels {
 		segs := g.levels[li].segs
@@ -117,30 +107,15 @@ func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 	if gid >= 1<<24 {
 		return 0, nil, fmt.Errorf("core: group id %d implausible", gid)
 	}
-	tuneRaw, err := r.bytes(3)
-	if err != nil {
-		return 0, nil, err
-	}
-	tune := groupTune{gamma: tuneRaw[0], hint: int8(tuneRaw[1]), streak: tuneRaw[2]}
-	if tune.reads, err = r.u32(); err != nil {
-		return 0, nil, err
-	}
-	if tune.misses, err = r.u32(); err != nil {
-		return 0, nil, err
-	}
-	if tune.costly, err = r.u32(); err != nil {
-		return 0, nil, err
-	}
 	bm, err := r.bytes(exactBitmapBytes)
 	if err != nil {
 		return 0, nil, err
 	}
-	copy(tune.exact[:], bm)
+	g := &group{exact: exactBits(bm)}
 	nLevels, err := r.u16()
 	if err != nil {
 		return 0, nil, err
 	}
-	g := &group{tune: tune}
 	for l := uint16(0); l < nLevels; l++ {
 		nSegs, err := r.u16()
 		if err != nil {
@@ -263,10 +238,6 @@ func (t *Table) UnmarshalBinary(data []byte) error {
 		gid, g, err := readGroupRecord(&r)
 		if err != nil {
 			return err
-		}
-		if int(g.tune.gamma) > int(gamma) {
-			return fmt.Errorf("core: group %d tuned gamma %d exceeds the table bound %d",
-				gid, g.tune.gamma, gamma)
 		}
 		// Marshal writes groups in strictly ascending gid order; a corrupt
 		// snapshot must not repeat or reorder them.

@@ -96,9 +96,9 @@ func TestMarshalSizeMatchesAccounting(t *testing.T) {
 	}
 	st := tb.Stats()
 	overhead := len(data) - footprint
-	// Per group: 4B gid + 47B tune block (15B counters + 32B exact
-	// bitmap) + 2B level count + 2B CRB count.
-	maxOverhead := 16 + st.Groups*55 + st.TotalLevels*2 + st.Approximate*1
+	// Per group: 4B gid + 32B exact bitmap + 2B level count + 2B CRB
+	// count.
+	maxOverhead := 16 + st.Groups*40 + st.TotalLevels*2 + st.Approximate*1
 	if overhead > maxOverhead {
 		t.Errorf("snapshot overhead %dB exceeds bound %dB", overhead, maxOverhead)
 	}

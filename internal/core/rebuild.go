@@ -168,10 +168,10 @@ func (t *Table) rebuildGroup(base addr.LPA, g *group) bool {
 
 // flatten builds rb.claims — a re-fit of the ground-truth slots plus the
 // segments that cannot be dissolved (unverified approximate) — and packs
-// it, returning the level count. A bitmap-enabled table fits at the
-// group's tuned γ; without the bitmap a ±γ fit could not be verified and
-// would trade exact answers for predictions the read path has to probe,
-// so the fit is at γ = 0.
+// it, returning the level count. A bitmap-enabled table fits at its γ;
+// without the bitmap a ±γ fit could not be verified and would trade
+// exact answers for predictions the read path has to probe, so the fit
+// is at γ = 0.
 func (t *Table) flatten(base addr.LPA, g *group) int {
 	rb := &t.rb
 	rb.truth = rb.truth[:0]
@@ -182,7 +182,7 @@ func (t *Table) flatten(base addr.LPA, g *group) int {
 	}
 	gamma := 0
 	if t.bitmapOn {
-		gamma = int(g.tune.gamma)
+		gamma = t.gamma
 	}
 	t.refit(base, gamma)
 	nFit := len(rb.claims)
@@ -238,7 +238,7 @@ func (t *Table) resolve(base addr.LPA, g *group) {
 			// One unverified slot keeps the whole segment approximate.
 			state := uint8(slotTruth)
 			for _, o := range e.lpas {
-				if rb.state[o] == slotFree && !(t.bitmapOn && g.tune.exact.test(o)) {
+				if rb.state[o] == slotFree && !(t.bitmapOn && g.exact.test(o)) {
 					state = slotKept
 					break
 				}

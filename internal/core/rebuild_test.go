@@ -112,8 +112,8 @@ func (c *churn) readBack() {
 		if !res.Approx || res.Exact {
 			continue
 		}
-		c.plain.NoteRead(l, got, want, true, false)
-		c.sharded.NoteRead(l, got, want, true, false)
+		c.plain.NoteRead(l, got, want, true)
+		c.sharded.NoteRead(l, got, want, true)
 		if got != want {
 			fix := Learned{Seg: Segment{SLPA: l, I: float32(want)}, LPAs: []addr.LPA{l}}
 			c.plain.Insert(fix)

@@ -206,54 +206,14 @@ func (s *ShardedTable) SegmentLengths() []int {
 	return out
 }
 
-// GroupGamma returns the effective learning bound of group id (see
-// Table.GroupGamma).
-func (s *ShardedTable) GroupGamma(id addr.GroupID) int {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.tab.GroupGamma(id)
-}
-
-// SetGroupGamma pins group id's effective learning bound (see
-// Table.SetGroupGamma).
-func (s *ShardedTable) SetGroupGamma(id addr.GroupID, gamma int) bool {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.tab.SetGroupGamma(id, gamma)
-}
-
-// MaxGroupGamma returns the largest effective γ across resident groups.
-func (s *ShardedTable) MaxGroupGamma() int {
-	max := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		if m := sh.tab.MaxGroupGamma(); m > max {
-			max = m
-		}
-		sh.mu.RUnlock()
-	}
-	return max
-}
-
 // NoteRead records translation feedback for lpa's group (see
 // Table.NoteRead). It takes the owning shard's write lock, so it is safe
 // against concurrent Lookups; the device serializes NoteRead calls
 // themselves.
-func (s *ShardedTable) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hintResolved bool) {
+func (s *ShardedTable) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx bool) {
 	sh := s.shardFor(addr.Group(lpa))
 	sh.mu.Lock()
-	sh.tab.NoteRead(lpa, predicted, actual, approx, hintResolved)
-	sh.mu.Unlock()
-}
-
-// NoteExactRead records a bitmap-trusted read for lpa's group (see
-// Table.NoteExactRead).
-func (s *ShardedTable) NoteExactRead(lpa addr.LPA) {
-	sh := s.shardFor(addr.Group(lpa))
-	sh.mu.Lock()
-	sh.tab.NoteExactRead(lpa)
+	sh.tab.NoteRead(lpa, predicted, actual, approx)
 	sh.mu.Unlock()
 }
 
@@ -283,34 +243,6 @@ func (s *ShardedTable) CheckShape() error {
 		}
 	}
 	return nil
-}
-
-// RetuneGamma runs one feedback round over every shard (see
-// Table.RetuneGamma) and returns the changed group IDs in ascending
-// order. Decisions are per group, so the outcome is bit-identical to a
-// plain table fed the same feedback.
-func (s *ShardedTable) RetuneGamma(cfg TuneConfig) []addr.GroupID {
-	var out []addr.GroupID
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		out = append(out, sh.tab.RetuneGamma(cfg)...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// GroupTunes returns every group's adaptive-γ state in ascending group
-// order (see Table.GroupTunes).
-func (s *ShardedTable) GroupTunes() []GroupTune {
-	var out []GroupTune
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		out = append(out, sh.tab.GroupTunes()...)
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
-	return out
 }
 
 // mergedView builds a plain-Table view over the shards' groups (shared,

@@ -26,11 +26,11 @@ type Table struct {
 	groups  []*group // indexed by GroupID; nil = group never written
 	nGroups int
 
-	// bitmapOn enables predicted-exact bitmap maintenance (tune.go):
+	// bitmapOn enables predicted-exact bitmap maintenance (exact.go):
 	// mutations verify each written LPA's post-insert prediction and
-	// record exactness, and Lookup reports set bits instead of arming
-	// hints. Off (the default), the bitmap stays all-zero and every code
-	// path is byte-identical to a table without the feature.
+	// record exactness, and Lookup reports set bits. Off (the default),
+	// the bitmap stays all-zero and every code path is byte-identical to
+	// a table without the feature.
 	bitmapOn bool
 
 	// Statistics are maintained incrementally at every point a segment
@@ -72,12 +72,12 @@ type Table struct {
 }
 
 // group is the per-256-LPA-group state: the level stack, the group's
-// conflict-resolution buffer for approximate segments, and its adaptive-γ
-// tune block (tune.go).
+// conflict-resolution buffer for approximate segments, and its
+// predicted-exact bitmap (exact.go).
 type group struct {
 	levels []level
 	crb    crb
-	tune   groupTune
+	exact  exactBits
 
 	// Rebuild trigger state (rebuild.go), not part of the wire record:
 	// rebuildAt is the segment count past which the next mutation
@@ -183,17 +183,11 @@ type LookupResult struct {
 	// Redirected is true when the CRB redirected the lookup from the
 	// range-matching segment to the true owning segment (Figure 9).
 	Redirected bool
-	// Hint is the group's armed misprediction-direction hint (true PPA −
-	// predicted PPA of its recent miss streak), or 0 when unarmed. Only
-	// approximate answers carry one; the device aims its first flash read
-	// at PPA+Hint so a repeating miss resolves in a single read.
-	Hint int
 	// Exact is true when the answering segment is approximate but the
 	// group's predicted-exact bitmap proves the returned PPA lands on the
 	// live page: the device may issue one flash read with no OOB
-	// verification probe budget. Exact answers never carry a Hint — the
-	// bitmap supersedes direction guessing. Always false while the
-	// bitmap is disabled.
+	// verification probe budget. Always false while the bitmap is
+	// disabled.
 	Exact bool
 }
 
@@ -214,7 +208,7 @@ func (t *Table) Gamma() int { return t.gamma }
 
 // EnableExactBitmap turns on predicted-exact bitmap maintenance for the
 // life of the table (there is no way back: disabling would leave stale
-// set bits). Bits already present — e.g. restored from a v3 snapshot
+// set bits). Bits already present — e.g. restored from a snapshot
 // taken by a bitmap-enabled table — become live immediately.
 func (t *Table) EnableExactBitmap() { t.bitmapOn = true }
 
@@ -227,13 +221,11 @@ func (t *Table) ExactBitmapEnabled() bool { return t.bitmapOn }
 // must be sorted by LPA with unique LPAs; the device's data buffer
 // guarantees this (§3.3). It returns the number of segments created.
 //
-// Each group's run of the batch is fitted at that group's effective γ
-// (GroupGamma) — the global bound unless the adaptive-γ controller has
-// retuned the group. Learning already splits per group internally, so
-// with every group at the global γ this is identical to a whole-batch
-// learn. A group whose shape trigger fires (rebuild.go) is rebuilt before
-// Update moves on, so the table's depth and size stay bounded by the
-// group, not by how much has been written.
+// The batch is fitted one group run at a time; learning already splits
+// per group internally, so this is identical to a whole-batch learn. A
+// group whose shape trigger fires (rebuild.go) is rebuilt before Update
+// moves on, so the table's depth and size stay bounded by the group, not
+// by how much has been written.
 func (t *Table) Update(pairs []addr.Mapping) int {
 	segs, _ := t.commit(pairs)
 	return segs
@@ -241,7 +233,7 @@ func (t *Table) Update(pairs []addr.Mapping) int {
 
 // Relearn commits a GC relocation batch: the device moved the surviving
 // pages of a victim block in ascending-LPA order, so pairs is a freshly
-// sequential layout the learner fits tightly at each group's tuned γ, and
+// sequential layout the learner fits tightly at the table's γ, and
 // the relocated slots' exactness is re-verified into the bitmap. It is
 // Update that also reports how many groups the batch touched; the stale
 // scattered claims relocation just rewrote are shed when a touched group's
@@ -263,7 +255,7 @@ func (t *Table) commit(pairs []addr.Mapping) (segs, groups int) {
 		for j < len(pairs) && addr.Group(pairs[j].LPA) == gid {
 			j++
 		}
-		learned := t.learner.learn(pairs[i:j], t.GroupGamma(gid))
+		learned := t.learner.learn(pairs[i:j], t.gamma)
 		segs += t.insertRun(learned, pairs[i:j])
 		t.refreshExactBits(pairs[i:j])
 		t.maybeRebuild(gid)
@@ -382,7 +374,7 @@ func (t *Table) refreshExactBits(pairs []addr.Mapping) {
 	for i := range pairs {
 		ppa, _, ok := t.Lookup(pairs[i].LPA)
 		if ok && ppa == pairs[i].PPA {
-			g.tune.exact.set(addr.Offset(pairs[i].LPA))
+			g.exact.set(addr.Offset(pairs[i].LPA))
 		} else {
 			failed = append(failed, pairs[i])
 		}
@@ -408,9 +400,9 @@ func (t *Table) refreshExactBits(pairs []addr.Mapping) {
 // otherwise.
 func (t *Table) proveExact(g *group, m addr.Mapping) {
 	if got, _, ok := t.Lookup(m.LPA); ok && got == m.PPA {
-		g.tune.exact.set(addr.Offset(m.LPA))
+		g.exact.set(addr.Offset(m.LPA))
 	} else {
-		g.tune.exact.clear(addr.Offset(m.LPA))
+		g.exact.clear(addr.Offset(m.LPA))
 	}
 }
 
@@ -428,13 +420,13 @@ func (t *Table) Insert(ls Learned) {
 		for _, l := range ls.LPAs {
 			off := addr.Offset(l)
 			if !ls.Seg.Accurate() {
-				g.tune.exact.clear(off)
+				g.exact.clear(off)
 				continue
 			}
 			if ppa, _, ok := t.Lookup(l); ok && ppa == ls.Seg.Predict(l) {
-				g.tune.exact.set(off)
+				g.exact.set(off)
 			} else {
-				g.tune.exact.clear(off)
+				g.exact.clear(off)
 			}
 		}
 	}
@@ -465,7 +457,7 @@ func (t *Table) group(id addr.GroupID) *group {
 	}
 	g := t.groups[id]
 	if g == nil {
-		g = &group{tune: groupTune{gamma: clampGamma(t.gamma)}, rebuildAt: rebuildMinSegments}
+		g = &group{rebuildAt: rebuildMinSegments}
 		t.groups[id] = g
 		t.nGroups++
 		t.levelFreq[0]++
@@ -803,11 +795,7 @@ func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 			continue
 		}
 		res.Approx = true
-		if t.bitmapOn && g.tune.exact.test(off) {
-			res.Exact = true
-		} else {
-			res.Hint = g.tune.armedHint()
-		}
+		res.Exact = t.bitmapOn && g.exact.test(off)
 		return seg.predictApprox(off), res, true
 	}
 	return addr.InvalidPPA, res, false

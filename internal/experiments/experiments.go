@@ -85,9 +85,8 @@ func (t Table) Markdown() string {
 	return sb.String()
 }
 
-// Scale sizes the simulations. The paper's 2TB device is scaled down
-// (DESIGN.md §5); all reported quantities are ratios, which survive
-// scaling.
+// Scale sizes the simulations. The paper's 2TB device is scaled down;
+// all reported quantities are ratios, which survive scaling.
 type Scale struct {
 	Name          string
 	BlocksPerChan int // 16 channels × 256 pages × 4KB each

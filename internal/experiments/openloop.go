@@ -38,11 +38,6 @@ type OpenLoopSpec struct {
 	// the greedy single-stream default.
 	GCPolicy  string
 	GCStreams int
-	// AutoTune runs the LeaFTL device with the adaptive per-group γ
-	// controller (leaftl.WithAutoTune); GammaTarget is its tolerated
-	// miss-per-read ratio (≤ 0 selects the default).
-	AutoTune    bool
-	GammaTarget float64
 	// Workers, when positive, drives each device through a real
 	// multi-queue front end (ssd.MultiQueue) with that many worker-backed
 	// queue pairs instead of ReplayOpenLoop's simulated queues; Queues is
@@ -110,9 +105,6 @@ func (s *Suite) OpenLoopCompare(reqs []trace.Request, spec OpenLoopSpec) ([]Open
 			cfg.Shards = 0 // the baselines have no sharded core
 		}
 		var opts []leaftl.Option
-		if scheme == "LeaFTL" && spec.AutoTune {
-			opts = append(opts, leaftl.WithAutoTune(spec.GammaTarget))
-		}
 		if scheme == "LeaFTL" && spec.Journal {
 			opts = append(opts, leaftl.WithJournal())
 		}

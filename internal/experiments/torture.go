@@ -17,23 +17,22 @@ import (
 
 // TortureSpec parameterizes the seeded crash-torture matrix. Zero-valued
 // fields select the defaults: every GC policy × {unbudgeted, 25% mapping
-// budget} × {autotune off, on}, five crash points per cell.
+// budget} × {exactness bitmap off, on}, five crash points per cell.
 type TortureSpec struct {
 	// Policies are ssd GC policy names.
 	Policies []string
 	// Budgets are mapping-budget fractions of the scheme's full size;
 	// 0 means unbudgeted (fully resident).
 	Budgets []float64
-	// Autotune toggles the adaptive per-group γ controller per cell.
-	Autotune []bool
+	// Bitmap toggles the predicted-exact bitmap and GC-time relearning
+	// (leaftl.WithExactBitmap) per cell.
+	Bitmap []bool
 	// CrashPoints is the number of seeded crashes injected per cell.
 	CrashPoints int
 	// Workload names a generator from workload.TimedCatalog.
 	Workload string
-	// Gamma is the learning error bound (and autotune cap).
+	// Gamma is the learning error bound.
 	Gamma int
-	// Target is the autotune controller's tolerated miss-per-read ratio.
-	Target float64
 	// Journal routes metadata persistence through the mapping-delta
 	// journal, so crashes land between delta appends, mid-fold and
 	// mid-journal-GC, and recovery must replay each group's delta chain
@@ -59,8 +58,8 @@ func (s TortureSpec) withDefaults() TortureSpec {
 	if len(s.Budgets) == 0 {
 		s.Budgets = []float64{0, 0.25}
 	}
-	if len(s.Autotune) == 0 {
-		s.Autotune = []bool{false, true}
+	if len(s.Bitmap) == 0 {
+		s.Bitmap = []bool{false, true}
 	}
 	if s.CrashPoints < 1 {
 		s.CrashPoints = 5
@@ -71,9 +70,6 @@ func (s TortureSpec) withDefaults() TortureSpec {
 	if s.Gamma == 0 {
 		s.Gamma = 8
 	}
-	if s.Target == 0 {
-		s.Target = 0.01
-	}
 	return s
 }
 
@@ -82,10 +78,10 @@ func (s TortureSpec) withDefaults() TortureSpec {
 // in sequence (recoveries compound — each crash hits the state the
 // previous recovery rebuilt).
 type TortureCell struct {
-	Policy   string
-	Budget   float64
-	Autotune bool
-	Seed     int64
+	Policy string
+	Budget float64
+	Bitmap bool
+	Seed   int64
 
 	// Crashes counts injected crashes (a countdown that outlives its
 	// replay slice records no crash; the torture test asserts the
@@ -112,7 +108,7 @@ type TortureCell struct {
 type crashSignal struct{ point string }
 
 // Torture runs the crash-torture matrix: for every GC policy × mapping
-// budget × autotune cell it ages a LeaFTL device to a fully mapped
+// budget × bitmap cell it ages a LeaFTL device to a fully mapped
 // state, then repeatedly kills it at a seeded random crash point —
 // mid-flush, between GC programs and the erase, during a metadata
 // write — runs full firmware recovery into a fresh scheme, checks every
@@ -132,13 +128,13 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 	cellIdx := 0
 	for _, policy := range spec.Policies {
 		for _, budget := range spec.Budgets {
-			for _, autotune := range spec.Autotune {
+			for _, bitmap := range spec.Bitmap {
 				cellIdx++
 				seed := s.Seed*1_000 + int64(cellIdx)
-				cell, err := s.tortureCell(spec, gen, policy, budget, autotune, seed)
+				cell, err := s.tortureCell(spec, gen, policy, budget, bitmap, seed)
 				if err != nil {
-					return nil, Table{}, fmt.Errorf("torture %s/budget=%.2f/autotune=%v seed=%d: %w",
-						policy, budget, autotune, seed, err)
+					return nil, Table{}, fmt.Errorf("torture %s/budget=%.2f/bitmap=%v seed=%d: %w",
+						policy, budget, bitmap, seed, err)
 				}
 				cells = append(cells, *cell)
 			}
@@ -149,13 +145,13 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 		ID: "torture",
 		Title: fmt.Sprintf("seeded crash-torture: %q workload, %d crash points/cell",
 			spec.Workload, spec.CrashPoints),
-		Header: []string{"policy", "budget", "autotune", "seed", "crashes", "crash points",
+		Header: []string{"policy", "budget", "bitmap", "seed", "crashes", "crash points",
 			"rebuilt", "restored", "verified", "buffered-lost"},
 		Notes: "each crash loses all controller RAM; recovery rebuilds from OOB + GMD and is diffed against an at-crash snapshot (write-buffer contents are the only legal loss)",
 	}
 	for _, c := range cells {
 		t.Rows = append(t.Rows, []string{
-			c.Policy, f2(c.Budget), fmt.Sprintf("%v", c.Autotune), fmt.Sprintf("%d", c.Seed),
+			c.Policy, f2(c.Budget), fmt.Sprintf("%v", c.Bitmap), fmt.Sprintf("%d", c.Seed),
 			fmt.Sprintf("%d", c.Crashes), pointsCell(c.Points),
 			fmt.Sprintf("%d", c.MappingsRebuilt), fmt.Sprintf("%d", c.MappingsRestored),
 			fmt.Sprintf("%d", c.VerifiedLPAs), fmt.Sprintf("%d", c.BufferedLost),
@@ -165,7 +161,7 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 }
 
 // tortureCell ages one device and crash-cycles it.
-func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, policy string, budget float64, autotune bool, seed int64) (*TortureCell, error) {
+func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, policy string, budget float64, bitmap bool, seed int64) (*TortureCell, error) {
 	cfg := s.simConfig("sim")
 	cfg.GCPolicy = policy
 	// §3.6 mid-range watermarks: on the aged device the free pool sits
@@ -176,8 +172,8 @@ func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, policy str
 
 	newScheme := func() *leaftl.Scheme {
 		opts := []leaftl.Option{leaftl.WithCompactEvery(uint64(max(s.Scale.Requests/16, 1_000)))}
-		if autotune {
-			opts = append(opts, leaftl.WithAutoTune(spec.Target))
+		if bitmap {
+			opts = append(opts, leaftl.WithExactBitmap())
 		}
 		if spec.Journal {
 			opts = append(opts, leaftl.WithJournal())
@@ -204,7 +200,7 @@ func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, policy str
 	slice := len(reqs) / spec.CrashPoints
 
 	cell := &TortureCell{
-		Policy: policy, Budget: budget, Autotune: autotune, Seed: seed,
+		Policy: policy, Budget: budget, Bitmap: bitmap, Seed: seed,
 		Points: make(map[string]int),
 	}
 	for k := 0; k < spec.CrashPoints; k++ {

@@ -6,9 +6,9 @@ import (
 )
 
 // TestTortureMatrix runs the full crash-torture matrix at micro scale:
-// {greedy, cost-benefit, fifo} × {unbudgeted, 25% budget} × {autotune
-// off, on} × 5 seeded crash points — ≥50 injected crashes in total,
-// each recovered and differentially verified inside the harness.
+// {greedy, cost-benefit, fifo} × {unbudgeted, 25% budget} × {exactness
+// bitmap off, on} × 5 seeded crash points — ≥50 injected crashes in
+// total, each recovered and differentially verified inside the harness.
 func TestTortureMatrix(t *testing.T) {
 	const seed = 42
 	s := NewSuite(MicroScale(), seed)
@@ -18,22 +18,25 @@ func TestTortureMatrix(t *testing.T) {
 	}
 	t.Logf("seed %d:\n%s", seed, table)
 
-	total := 0
+	total, bitmapCells := 0, 0
 	points := make(map[string]int)
 	for _, c := range cells {
+		if c.Bitmap {
+			bitmapCells++
+		}
 		total += c.Crashes
 		for p, n := range c.Points {
 			points[p] += n
 		}
 		if c.Crashes == 0 {
-			t.Errorf("seed %d: cell %s/%.2f/%v injected no crashes", seed, c.Policy, c.Budget, c.Autotune)
+			t.Errorf("seed %d: cell %s/%.2f/%v injected no crashes", seed, c.Policy, c.Budget, c.Bitmap)
 		}
 		if c.VerifiedLPAs == 0 {
-			t.Errorf("seed %d: cell %s/%.2f/%v verified nothing", seed, c.Policy, c.Budget, c.Autotune)
+			t.Errorf("seed %d: cell %s/%.2f/%v verified nothing", seed, c.Policy, c.Budget, c.Bitmap)
 		}
 	}
-	if len(cells) != 12 {
-		t.Fatalf("seed %d: %d cells, want 12", seed, len(cells))
+	if len(cells) != 12 || bitmapCells != 6 {
+		t.Fatalf("seed %d: %d cells (%d with the bitmap), want 12 (6)", seed, len(cells), bitmapCells)
 	}
 	if total < 50 {
 		t.Errorf("seed %d: %d crashes injected across the matrix, want ≥50", seed, total)
@@ -52,7 +55,7 @@ func TestTortureSmoke(t *testing.T) {
 	cells, _, err := s.Torture(TortureSpec{
 		Policies: []string{"greedy"},
 		Budgets:  []float64{0},
-		Autotune: []bool{false},
+		Bitmap:   []bool{false},
 	})
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -75,7 +78,7 @@ func TestTortureMultiQueue(t *testing.T) {
 	cells, table, err := s.Torture(TortureSpec{
 		Policies: []string{"greedy"},
 		Budgets:  []float64{0, 0.25},
-		Autotune: []bool{false},
+		Bitmap:   []bool{false},
 		Workers:  4,
 	})
 	if err != nil {
@@ -92,18 +95,18 @@ func TestTortureMultiQueue(t *testing.T) {
 	}
 }
 
-// TestTortureJournal crash-tortures the mapping-delta journal path: a
-// budgeted cell with the journal on and its footprint squeezed to one
+// TestTortureJournal crash-tortures the mapping-delta journal path:
+// budgeted cells with the journal on and its footprint squeezed to one
 // translation block, so slices crash between delta appends, mid-fold and
 // mid-journal-GC, and every recovery must replay delta chains onto GMD
-// base images before the differential verification.
+// base images before the differential verification. The bitmap-on cell
+// is the benchmark's full configuration.
 func TestTortureJournal(t *testing.T) {
 	const seed = 29
 	s := NewSuite(MicroScale(), seed)
 	cells, table, err := s.Torture(TortureSpec{
 		Policies:     []string{"greedy"},
 		Budgets:      []float64{0.25},
-		Autotune:     []bool{false},
 		Journal:      true,
 		JournalPages: 256,
 	})
@@ -111,15 +114,16 @@ func TestTortureJournal(t *testing.T) {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	t.Logf("seed %d:\n%s", seed, table)
-	c := cells[0]
-	if c.Crashes == 0 {
-		t.Errorf("seed %d: no crashes injected", seed)
-	}
-	if c.VerifiedLPAs == 0 {
-		t.Errorf("seed %d: verified nothing", seed)
-	}
-	if c.JournalReplays == 0 {
-		t.Errorf("seed %d: recoveries never replayed a journal delta", seed)
+	for _, c := range cells {
+		if c.Crashes == 0 {
+			t.Errorf("seed %d, bitmap %v: no crashes injected", seed, c.Bitmap)
+		}
+		if c.VerifiedLPAs == 0 {
+			t.Errorf("seed %d, bitmap %v: verified nothing", seed, c.Bitmap)
+		}
+		if c.JournalReplays == 0 {
+			t.Errorf("seed %d, bitmap %v: recoveries never replayed a journal delta", seed, c.Bitmap)
+		}
 	}
 }
 

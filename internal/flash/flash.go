@@ -32,7 +32,8 @@
 // exactly to the original per-channel scalar-horizon model. This
 // reproduces the contention effects the paper's evaluation depends on
 // (flush and GC traffic delaying reads) without a full event-driven
-// simulator; DESIGN.md §2 records the substitution for WiscSim.
+// simulator; docs/ARCHITECTURE.md ("Simulation clock") records the
+// substitution for WiscSim.
 package flash
 
 import (
@@ -74,8 +75,8 @@ type Config struct {
 }
 
 // SimulatorDefaults mirrors the paper's Table 1 geometry with capacity
-// scaled down (DESIGN.md §5): 16 channels, 4KB pages, 256 pages/block,
-// 128B OOB, 20µs/200µs/1.5ms latencies.
+// scaled down: 16 channels, 4KB pages, 256 pages/block, 128B OOB,
+// 20µs/200µs/1.5ms latencies.
 func SimulatorDefaults() Config {
 	return Config{
 		Channels:      16,
@@ -645,8 +646,8 @@ func (a *Array) metaUnit(id uint64) int {
 // MetaRead charges one translation-page read on the die derived from the
 // page's identity and returns its completion time. Translation metadata
 // I/O (DFTL/SFTL translation pages, LeaFTL group images) is modeled as
-// latency and wear without occupying data blocks; DESIGN.md §2 records
-// the simplification.
+// latency and wear without occupying data blocks (docs/ARCHITECTURE.md,
+// "Demand-paged mapping & DRAM model").
 func (a *Array) MetaRead(id uint64, now time.Duration) time.Duration {
 	a.stats.PageReads++
 	u := a.metaUnit(id)

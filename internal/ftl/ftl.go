@@ -60,18 +60,11 @@ type Translation struct {
 	// Approx marks a prediction that may be off by up to ±gamma and must
 	// be verified against the OOB reverse mapping (LeaFTL only).
 	Approx bool
-	// Hint is the group's armed misprediction-direction hint: when
-	// non-zero, the translating group's recent approximate lookups have
-	// been missing by exactly this delta, and the device should aim its
-	// first flash read at PPA+Hint — resolving a repeating miss in one
-	// read instead of two (adaptive-γ LeaFTL only; always 0 otherwise).
-	Hint int
 	// Exact marks an approximate translation whose PPA the scheme's
 	// predicted-exact bitmap proves to land on the live page: the device
 	// issues one flash read with no OOB verification probe budget, and a
-	// wrong PPA here is an invariant violation, not a misprediction.
-	// Exact translations never carry a Hint (bitmap-enabled LeaFTL only;
-	// always false otherwise).
+	// wrong PPA here is an invariant violation, not a misprediction
+	// (bitmap-enabled LeaFTL only; always false otherwise).
 	Exact bool
 }
 
@@ -188,25 +181,21 @@ type JournalStats struct {
 
 // MissReporter is implemented by schemes that want translation feedback
 // from the device's OOB-verified read path. After every scheme-translated
-// flash read the device reports what the scheme predicted and what the
-// flash's reverse mapping proved true; an adaptive scheme uses the stream
-// to steer per-group error bounds and misprediction hints, and may spend
-// translation-metadata flash operations reacting (e.g. pinning the
-// corrected mapping), returned as the Cost. The device serializes calls.
+// flash read that the exactness bitmap did not vouch for, the device
+// reports what the scheme predicted and what the flash's reverse mapping
+// proved true; a scheme may spend translation-metadata flash operations
+// reacting (e.g. pinning the corrected mapping), returned as the Cost.
+// The device serializes calls.
 type MissReporter interface {
 	// NoteRead reports one verified read: the scheme translated lpa to
 	// predicted, the true page was actual (== predicted on a correct
-	// prediction), approx says whether the translation was approximate,
-	// and hintResolved whether a misprediction was absorbed by the
-	// hint-aimed first read (costing no extra flash traffic).
+	// prediction), and approx says whether the translation was
+	// approximate. hintResolved is always false; the parameter stays
+	// because the benchmark under bench/ forwards it.
 	NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hintResolved bool) Cost
 
-	// NoteExact reports one bitmap-trusted read: the scheme translated
-	// lpa with Translation.Exact set, the device issued a single flash
-	// read with no verification budget, and the page was the right one.
-	// The scheme advances its observation window for lpa's group so
-	// bitmap-served reads still count toward feedback-controller
-	// denominators.
+	// NoteExact is never called by the device; it stays because the
+	// benchmark under bench/ forwards it.
 	NoteExact(lpa addr.LPA) Cost
 }
 
@@ -232,15 +221,10 @@ type ExactAuditor interface {
 	AuditExact(truth func(addr.LPA) (addr.PPA, bool)) error
 }
 
-// AdaptiveGamma is implemented by schemes that tune a per-group error
-// bound at runtime. The device's CheckInvariants asserts the effective
-// bound never exceeds the scheme's global γ — the OOB reverse-mapping
-// window is sized for the global bound, so a larger per-group γ would
-// break misprediction recovery.
+// AdaptiveGamma reports the largest per-group error bound. No scheme
+// tunes one any more; it stays because the benchmark under bench/ names it.
 type AdaptiveGamma interface {
 	Gamma
-
-	// MaxGroupGamma reports the largest effective per-group error bound.
 	MaxGroupGamma() int
 }
 

@@ -42,25 +42,13 @@ func WithoutSortedFlush() Option {
 	return func(s *Scheme) { s.name = "LeaFTL-nosort" }
 }
 
-// WithAutoTune enables the adaptive per-group γ controller: the device's
-// OOB-verified read feedback drives per-group misprediction counters and
-// direction hints, each Maintain round demotes groups whose costly-miss
-// ratio exceeds targetMissRatio (γ halved, straight to exact above 2×
-// the target) while promoting miss-free groups back toward the global
-// bound, and costly misses in groups demoted to exact are repaired with
-// exact single-point segments (see NoteRead for the repair policy).
-// targetMissRatio ≤ 0 selects the default (core.TuneConfig). The global
-// γ stays the correctness envelope: per-group bounds never exceed it.
-func WithAutoTune(targetMissRatio float64) Option {
-	return func(s *Scheme) {
-		s.autotune = true
-		s.tune = core.TuneConfig{TargetMissRatio: targetMissRatio}.WithDefaults()
-		s.name = "LeaFTL-autotune"
-	}
-}
+// WithAutoTune does nothing: the exactness bitmap (WithExactBitmap)
+// repairs every costly miss itself. It stays because the benchmark under
+// bench/ passes it.
+func WithAutoTune(float64) Option { return func(*Scheme) {} }
 
 // WithJournal switches metadata persistence to the mapping-delta
-// journal: dirty evictions append v4 delta records (only the tune,
+// journal: dirty evictions append delta records (only the bitmap,
 // level and CRB sections that changed since the group's base image)
 // packed into dedicated translation blocks, demand loads replay base
 // plus chain, and chains fold into fresh full images on length/byte
@@ -75,10 +63,8 @@ func WithJournal() Option {
 // committed slot's prediction and records exactness per LPA, Translate
 // reports proven-exact approximate answers so the device reads them
 // with no OOB verification budget, costly mispredictions are repaired
-// with exact single-point segments regardless of the group's γ, and GC
-// relocation batches re-fit their groups from the freshly sequential
-// layout (CommitGC). Composes with WithAutoTune; without it the tune
-// counters still advance but γ stays fixed.
+// with exact single-point segments, and GC relocation batches re-fit
+// their groups from the freshly sequential layout (CommitGC).
 func WithExactBitmap() Option {
 	return func(s *Scheme) { s.bitmap = true }
 }
@@ -91,10 +77,6 @@ type Scheme struct {
 	pageSize     int
 	compactEvery uint64
 	lastCompact  uint64
-
-	// Adaptive-γ controller state (WithAutoTune).
-	autotune bool
-	tune     core.TuneConfig
 
 	// Predicted-exact bitmap + GC relearning (WithExactBitmap).
 	bitmap bool
@@ -126,8 +108,6 @@ func New(gamma, pageSize int, opts ...Option) *Scheme {
 		o(s)
 	}
 	if s.bitmap {
-		// Applied after all options so the suffix lands whatever the
-		// option order (WithAutoTune overwrites the base name).
 		s.table.EnableExactBitmap()
 		s.name += "+bitmap"
 	}
@@ -208,14 +188,14 @@ func (s *Scheme) Translate(lpa addr.LPA) (ftl.Translation, bool) {
 			return ftl.Translation{Cost: cost}, false
 		}
 		s.noteLookup(res)
-		return ftl.Translation{PPA: ppa, Cost: cost, Levels: res.Levels, Approx: res.Approx, Hint: res.Hint, Exact: res.Exact}, true
+		return ftl.Translation{PPA: ppa, Cost: cost, Levels: res.Levels, Approx: res.Approx, Exact: res.Exact}, true
 	}
 	ppa, res, ok := s.table.Lookup(lpa)
 	if !ok {
 		return ftl.Translation{}, false
 	}
 	s.noteLookup(res)
-	return ftl.Translation{PPA: ppa, Cost: cost, Levels: res.Levels, Approx: res.Approx, Hint: res.Hint, Exact: res.Exact}, true
+	return ftl.Translation{PPA: ppa, Cost: cost, Levels: res.Levels, Approx: res.Approx, Exact: res.Exact}, true
 }
 
 func (s *Scheme) noteLookup(res core.LookupResult) {
@@ -267,13 +247,12 @@ func (s *Scheme) FullSizeBytes() int {
 }
 
 // Maintain implements ftl.Scheme: every compactEvery host page writes,
-// run the adaptive-γ feedback round (when enabled), sweep the groups
-// written since their last rebuild (§3.7; the commit path already rebuilt
-// the ones that outgrew their triggers) and persist the table to
-// translation blocks (§3.8). Unbudgeted, persistence charges
+// sweep the groups written since their last rebuild (§3.7; the commit
+// path already rebuilt the ones that outgrew their triggers) and persist
+// the table to translation blocks (§3.8). Unbudgeted, persistence charges
 // ⌈table/pageSize⌉ translation-page writes; under a budget, only dirty
-// groups (updated, γ-retuned, or actually reshaped by the sweep since
-// their last image) are rewritten.
+// groups (updated or actually reshaped by the sweep since their last
+// image) are rewritten.
 func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 	if hostPageWrites < s.lastCompact {
 		// The device's host counters were reset (warmup/steady-state
@@ -284,13 +263,6 @@ func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 		return ftl.Cost{}
 	}
 	s.lastCompact = hostPageWrites
-	if s.autotune {
-		// Retuned γs change the groups' wire records; dirty them so the
-		// new bounds reach flash and survive eviction or a crash.
-		for _, gid := range s.table.RetuneGamma(s.tune) {
-			s.pager.MarkDirty(gid)
-		}
-	}
 	if s.pager.Paging() {
 		for _, gid := range s.table.CompactChanged() {
 			s.pager.MarkDirty(gid)
@@ -307,51 +279,30 @@ func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 	return sweepCost(pages)
 }
 
-// MaxGroupGamma implements ftl.AdaptiveGamma.
-func (s *Scheme) MaxGroupGamma() int { return s.table.MaxGroupGamma() }
+// MaxGroupGamma implements ftl.AdaptiveGamma, which the benchmark under
+// bench/ names: every group learns at the table's γ.
+func (s *Scheme) MaxGroupGamma() int { return s.Gamma() }
 
 // FeedbackEnabled reports whether the scheme wants the device's
-// OOB-verified read feedback: with the adaptive controller or the
-// exactness bitmap on — otherwise NoteRead would be a per-read no-op
-// call.
-func (s *Scheme) FeedbackEnabled() bool { return s.autotune || s.bitmap }
-
-// ExactBitmapEnabled reports whether predicted-exact bitmaps and GC
-// relearning are on.
-func (s *Scheme) ExactBitmapEnabled() bool { return s.bitmap }
+// OOB-verified read feedback: only the exactness bitmap uses it.
+func (s *Scheme) FeedbackEnabled() bool { return s.bitmap }
 
 // NoteRead implements ftl.MissReporter: OOB-verified read feedback from
-// the device. Without autotune it is a no-op, keeping the scheme
-// bit-identical to its pre-adaptive behaviour. With autotune, the
-// feedback advances the group's misprediction window and direction hint,
-// and every *costly* miss — one the hint-aimed read did not absorb — is
-// repaired on the spot: the recovery already paid the flash reads that
-// proved the true PPA, so pinning it as an exact single-point segment
-// costs no extra flash work and turns a repeating double read into an
-// exact hit (LearnedFTL's double-read elimination, expressed in LeaFTL's
-// segment vocabulary). Hint-resolved misses stay unrepaired on purpose:
-// they already cost a single read, and their approximate encoding is
-// the cheaper representation. Repairs only flow into groups the
-// controller has demoted all the way to exact — by then the group has
-// proven its misses repeat, so pinning is converging the group's legacy
-// approximate segments to the exact encoding its future writes already
-// use; pinning every stray miss elsewhere would spend DRAM on pages
-// never read again. Under a budget the repair dirties and re-caps the
-// group like any commit.
-//
-// With the exactness bitmap on, the feedback additionally maintains the
-// per-slot bits (a verified hit sets, a miss clears), and the repair
-// policy widens to *every* costly miss whatever the group's γ: a repair
-// both pins the mapping and arms the slot's exact bit, so the same page
-// can never pay the double read twice — which is the whole point of the
-// bitmap.
+// the device, live only with the exactness bitmap on (FeedbackEnabled).
+// The feedback sets or clears the slot's exact bit, and every
+// misprediction is repaired on the spot: the recovery already paid the
+// flash reads that proved the true PPA, so pinning it as an exact
+// single-point segment costs no extra flash work and arms the slot's
+// bit, so the same page can never pay the double read twice
+// (LearnedFTL's double-read elimination, expressed in LeaFTL's segment
+// vocabulary). Under a budget the repair dirties and re-caps the group
+// like any commit. The device always passes hintResolved false.
 func (s *Scheme) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hintResolved bool) ftl.Cost {
-	if !s.autotune && !s.bitmap {
+	if !s.bitmap {
 		return ftl.Cost{}
 	}
-	s.table.NoteRead(lpa, predicted, actual, approx, hintResolved)
-	if !approx || actual == predicted || hintResolved ||
-		(!s.bitmap && s.table.GroupGamma(addr.Group(lpa)) > 0) {
+	s.table.NoteRead(lpa, predicted, actual, approx)
+	if !approx || actual == predicted {
 		return ftl.Cost{}
 	}
 	ls := repairPoint(lpa, actual)
@@ -365,15 +316,9 @@ func (s *Scheme) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hint
 	return ftl.Cost{}
 }
 
-// NoteExact implements ftl.MissReporter: the device consulted the
-// predicted-exact bit, read once with no verification budget, and the
-// bit held. Only the group's observation window advances.
-func (s *Scheme) NoteExact(lpa addr.LPA) ftl.Cost {
-	if s.bitmap {
-		s.table.NoteExactRead(lpa)
-	}
-	return ftl.Cost{}
-}
+// NoteExact implements ftl.MissReporter, which the benchmark under bench/
+// forwards; the device never calls it.
+func (s *Scheme) NoteExact(addr.LPA) ftl.Cost { return ftl.Cost{} }
 
 // CommitGC implements ftl.GCRelearner: GC relocation batches re-fit
 // their groups from the freshly sequential layout (Table.Relearn), the

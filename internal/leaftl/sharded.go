@@ -37,12 +37,9 @@ type Sharded struct {
 	pager  *core.Pager
 	paging atomic.Bool
 
-	// Adaptive-γ controller state (WithAutoTune); feedback arrives on the
-	// device's serialized read path, never from concurrent translators.
-	autotune bool
-	tune     core.TuneConfig
-
-	// Predicted-exact bitmap + GC relearning (WithExactBitmap).
+	// Predicted-exact bitmap + GC relearning (WithExactBitmap); feedback
+	// arrives on the device's serialized read path, never from concurrent
+	// translators.
 	bitmap bool
 
 	// Mapping-delta journal persistence (WithJournal); lives in the
@@ -86,8 +83,6 @@ func NewSharded(gamma, pageSize, shards int, opts ...Option) *Sharded {
 		pager:        pager,
 		pageSize:     pageSize,
 		compactEvery: cfg.compactEvery,
-		autotune:     cfg.autotune,
-		tune:         cfg.tune,
 		bitmap:       cfg.bitmap,
 		journal:      cfg.journal,
 	}
@@ -126,7 +121,7 @@ func (s *Sharded) Translate(lpa addr.LPA) (ftl.Translation, bool) {
 		return s.translatePaged(lpa)
 	}
 	s.noteLookup(res)
-	return ftl.Translation{PPA: ppa, Levels: res.Levels, Approx: res.Approx, Hint: res.Hint, Exact: res.Exact}, true
+	return ftl.Translation{PPA: ppa, Levels: res.Levels, Approx: res.Approx, Exact: res.Exact}, true
 }
 
 // translatePaged is the slow lookup: with no paging pressure it settles
@@ -143,7 +138,7 @@ func (s *Sharded) translatePaged(lpa addr.LPA) (ftl.Translation, bool) {
 			return ftl.Translation{}, false
 		}
 		s.noteLookup(res)
-		return ftl.Translation{PPA: ppa, Levels: res.Levels, Approx: res.Approx, Hint: res.Hint, Exact: res.Exact}, true
+		return ftl.Translation{PPA: ppa, Levels: res.Levels, Approx: res.Approx, Exact: res.Exact}, true
 	}
 	s.pmu.RUnlock()
 	s.pmu.Lock()
@@ -166,7 +161,7 @@ func (s *Sharded) translatePaged(lpa addr.LPA) (ftl.Translation, bool) {
 		return ftl.Translation{Cost: cost}, false
 	}
 	s.noteLookup(res)
-	return ftl.Translation{PPA: ppa, Cost: cost, Levels: res.Levels, Approx: res.Approx, Hint: res.Hint, Exact: res.Exact}, true
+	return ftl.Translation{PPA: ppa, Cost: cost, Levels: res.Levels, Approx: res.Approx, Exact: res.Exact}, true
 }
 
 func (s *Sharded) noteLookup(res core.LookupResult) {
@@ -231,13 +226,6 @@ func (s *Sharded) Maintain(hostPageWrites uint64) ftl.Cost {
 	s.lastCompact = hostPageWrites
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	if s.autotune {
-		// Retuned γs change the groups' wire records; dirty them so the
-		// new bounds reach flash and survive eviction or a crash.
-		for _, gid := range s.table.RetuneGamma(s.tune) {
-			s.pager.MarkDirty(gid)
-		}
-	}
 	if s.pager.Paging() {
 		for _, gid := range s.table.CompactChanged() {
 			s.pager.MarkDirty(gid)
@@ -253,28 +241,19 @@ func (s *Sharded) Maintain(hostPageWrites uint64) ftl.Cost {
 	return sweepCost(pages)
 }
 
-// MaxGroupGamma implements ftl.AdaptiveGamma.
-func (s *Sharded) MaxGroupGamma() int { return s.table.MaxGroupGamma() }
-
 // FeedbackEnabled reports whether the scheme wants the device's
-// OOB-verified read feedback (adaptive controller or exactness bitmap
-// on).
-func (s *Sharded) FeedbackEnabled() bool { return s.autotune || s.bitmap }
-
-// ExactBitmapEnabled reports whether predicted-exact bitmaps and GC
-// relearning are on.
-func (s *Sharded) ExactBitmapEnabled() bool { return s.bitmap }
+// OOB-verified read feedback (exactness bitmap on).
+func (s *Sharded) FeedbackEnabled() bool { return s.bitmap }
 
 // NoteRead implements ftl.MissReporter (see Scheme.NoteRead). The device
-// serializes calls; the shard write lock inside core keeps the counters
+// serializes calls; the shard write lock inside core keeps the bitmap
 // safe against concurrent Translates, and repairs take pmu like commits.
 func (s *Sharded) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hintResolved bool) ftl.Cost {
-	if !s.autotune && !s.bitmap {
+	if !s.bitmap {
 		return ftl.Cost{}
 	}
-	s.table.NoteRead(lpa, predicted, actual, approx, hintResolved)
-	if !approx || actual == predicted || hintResolved ||
-		(!s.bitmap && s.table.GroupGamma(addr.Group(lpa)) > 0) {
+	s.table.NoteRead(lpa, predicted, actual, approx)
+	if !approx || actual == predicted {
 		return ftl.Cost{}
 	}
 	ls := repairPoint(lpa, actual)
@@ -293,12 +272,7 @@ func (s *Sharded) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hin
 }
 
 // NoteExact implements ftl.MissReporter (see Scheme.NoteExact).
-func (s *Sharded) NoteExact(lpa addr.LPA) ftl.Cost {
-	if s.bitmap {
-		s.table.NoteExactRead(lpa)
-	}
-	return ftl.Cost{}
-}
+func (s *Sharded) NoteExact(addr.LPA) ftl.Cost { return ftl.Cost{} }
 
 // CommitGC implements ftl.GCRelearner (see Scheme.CommitGC); serialized
 // by the device like Commit.
@@ -451,13 +425,12 @@ func (s *Sharded) SegmentsPerBatch() float64 {
 }
 
 var (
-	_ ftl.Scheme        = (*Sharded)(nil)
-	_ ftl.Concurrent    = (*Sharded)(nil)
-	_ ftl.Gamma         = (*Sharded)(nil)
-	_ ftl.GroupPaged    = (*Sharded)(nil)
-	_ ftl.MissReporter  = (*Sharded)(nil)
-	_ ftl.AdaptiveGamma = (*Sharded)(nil)
-	_ ftl.GCRelearner   = (*Sharded)(nil)
-	_ ftl.ExactAuditor  = (*Sharded)(nil)
-	_ ftl.Journaled     = (*Sharded)(nil)
+	_ ftl.Scheme       = (*Sharded)(nil)
+	_ ftl.Concurrent   = (*Sharded)(nil)
+	_ ftl.Gamma        = (*Sharded)(nil)
+	_ ftl.GroupPaged   = (*Sharded)(nil)
+	_ ftl.MissReporter = (*Sharded)(nil)
+	_ ftl.GCRelearner  = (*Sharded)(nil)
+	_ ftl.ExactAuditor = (*Sharded)(nil)
+	_ ftl.Journaled    = (*Sharded)(nil)
 )

@@ -8,9 +8,9 @@ import (
 	"leaftl/internal/leaftl"
 )
 
-// churnBitIdentity drives a deterministic autotune workload with enough
-// overwrite pressure to trigger GC, so the scenario covers the learned
-// read path, the feedback controller, and the relocation path.
+// churnBitIdentity drives a deterministic workload with enough overwrite
+// pressure to trigger GC, so the scenario covers the learned read path
+// and the relocation path.
 func churnBitIdentity(t *testing.T, d *Device) {
 	t.Helper()
 	logical := d.LogicalPages()
@@ -55,9 +55,12 @@ func churnBitIdentity(t *testing.T, d *Device) {
 
 // feedbackGate and journalHook name the two capability probes the device
 // makes through anonymous interfaces, so the views below can forward them.
+// errorBound is ftl.Gamma under another name: embedded as ftl.Gamma, the
+// field would be named Gamma and hide the method it should promote.
 type (
 	feedbackGate interface{ FeedbackEnabled() bool }
 	journalHook  interface{ SetJournalCrashHook(func(string)) }
+	errorBound   interface{ Gamma() int }
 )
 
 // sansBitmap is a LeaFTL scheme as the device saw it before the
@@ -67,7 +70,7 @@ type (
 // this view it falls back to plain Commit and skips the audit.
 type sansBitmap struct {
 	ftl.Journaled // Scheme + GroupPaged + the journal
-	ftl.AdaptiveGamma
+	errorBound
 	ftl.MissReporter
 	feedbackGate
 	journalHook
@@ -78,7 +81,7 @@ type sansBitmap struct {
 // ftl.Journaled or the journal crash hook.
 type sansJournal struct {
 	ftl.GroupPaged // Scheme + paging
-	ftl.AdaptiveGamma
+	errorBound
 	ftl.MissReporter
 	ftl.GCRelearner
 	ftl.ExactAuditor
@@ -111,15 +114,15 @@ func requireSameDevice(t *testing.T, what string, a, b *Device) {
 }
 
 // TestBitmapOffBitIdentity: with the exactness bitmap disabled — the
-// default — the learned read path, the feedback controller and GC must
-// behave as if the feature did not exist. The same autotune churn runs
-// on the scheme as built and behind sansBitmap, which hides the bitmap's
-// device-facing capabilities; the two devices must match bit for bit,
-// and the off run must show none of the feature's counters moving.
+// default — the learned read path and GC must behave as if the feature
+// did not exist. The same churn runs on the scheme as built and behind
+// sansBitmap, which hides the bitmap's device-facing capabilities; the
+// two devices must match bit for bit, and the off run must show none of
+// the feature's counters moving.
 func TestBitmapOffBitIdentity(t *testing.T) {
 	cfg := testConfig()
 	mk := func() *leaftl.Scheme {
-		return leaftl.New(8, cfg.Flash.PageSize, leaftl.WithAutoTune(0.02), leaftl.WithCompactEvery(400))
+		return leaftl.New(8, cfg.Flash.PageSize, leaftl.WithCompactEvery(400))
 	}
 	off := newTestDevice(t, cfg, mk())
 	s := mk()
@@ -139,4 +142,5 @@ func TestBitmapOffBitIdentity(t *testing.T) {
 	if st.ExactBitHits != 0 || st.Relearns != 0 {
 		t.Errorf("bitmap off, yet ExactBitHits = %d and Relearns = %d", st.ExactBitHits, st.Relearns)
 	}
+	requireMissIdentity(t, st)
 }

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"bytes"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -9,27 +10,69 @@ import (
 	"leaftl/internal/leaftl"
 )
 
-// bitmapOpts is the scheme configuration every bitmap test runs:
-// adaptive γ plus the predicted-exact bitmap (the benched PR 9 cell).
+// bitmapOpts is the scheme configuration every bitmap test runs.
 func bitmapOpts() []leaftl.Option {
 	return []leaftl.Option{
-		leaftl.WithAutoTune(0.02),
 		leaftl.WithCompactEvery(400),
 		leaftl.WithExactBitmap(),
 	}
 }
 
+// churnMispredict drives a device into a mispredicting steady state:
+// irregular writes create approximate segments, then a read-heavy mixed
+// phase reads through them.
+func churnMispredict(t *testing.T, d *Device, seed int64, ops int) {
+	t.Helper()
+	logical := d.LogicalPages()
+	rng := seededRand(t, seed)
+	// Fill the first half so reads hit mapped pages.
+	for lpa := 0; lpa+8 <= logical/2; lpa += 8 {
+		if _, err := d.Write(addr.LPA(lpa), 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for op := 0; op < ops; op++ {
+		if rng.Float64() < 0.35 {
+			// Irregular scattered writes (learning-hostile).
+			for i := 0; i < 8; i++ {
+				if _, err := d.Write(addr.LPA(rng.Intn(logical/2)), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
+		base := rng.Intn(logical / 4)
+		if _, err := d.Read(addr.LPA(base), 1+rng.Intn(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireMissIdentity holds a fault-free run to the read path's
+// accounting: every misprediction paid exactly one double read and was
+// resolved by the OOB window or the block-edge probe.
+func requireMissIdentity(t *testing.T, st Stats) {
+	t.Helper()
+	if st.DoubleReads != st.Mispredictions || st.MissFallbacks != st.Mispredictions {
+		t.Fatalf("double reads %d, mispredictions %d, fallback-resolved misses %d: want all equal",
+			st.DoubleReads, st.Mispredictions, st.MissFallbacks)
+	}
+}
+
 // TestBitmapDeviceEndToEnd drives the exact-bit read path on a real
 // device: after churn, approximate reads are served through set bits
-// with no verification budget, every fallback-resolved miss shows up in
-// the first-class double-read counter, and the bitmap audit in
+// with no verification budget, every misprediction shows up once in the
+// double-read and fallback counters, and the bitmap audit in
 // CheckInvariants holds throughout.
 func TestBitmapDeviceEndToEnd(t *testing.T) {
 	cfg := testConfig()
 	// Starve the data cache so re-reads exercise translation, not DRAM.
 	cfg.DRAMBytes = cfg.BufferBytes() + 64<<10
 	d := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
-	churnAutotune(t, d, 7, 4000)
+	churnMispredict(t, d, 7, 4000)
 
 	st := d.Stats()
 	if st.ApproxReads == 0 {
@@ -38,10 +81,7 @@ func TestBitmapDeviceEndToEnd(t *testing.T) {
 	if st.ExactBitHits == 0 {
 		t.Fatal("no reads served through exact bits")
 	}
-	if st.DoubleReads < st.MissFallbacks {
-		t.Fatalf("double reads %d < fallback-resolved misses %d: every fallback paid a wasted first read",
-			st.DoubleReads, st.MissFallbacks)
-	}
+	requireMissIdentity(t, st)
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +131,7 @@ func TestBitmapDeviceEndToEnd(t *testing.T) {
 		t.Fatalf("second read pass: %d approximate translations, only %d served through exact bits",
 			secondApprox, secondExact)
 	}
+	requireMissIdentity(t, d.Stats())
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,32 +195,33 @@ func TestBitmapRelearnUnderGC(t *testing.T) {
 // TestBitmapShardedRunMatchesPlain extends the sharded-invisible
 // contract to the bitmap: identical serialized workloads must produce
 // identical stats — including exact-bit hits, double reads, and
-// relearn counts — and identical per-group tune state (bitmap bytes
-// included) on the plain and sharded devices.
+// relearn counts — and identical tables (bitmap bytes included) on the
+// plain and sharded devices.
 func TestBitmapShardedRunMatchesPlain(t *testing.T) {
 	cfg := testConfig()
 	devP := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
 	devS := newTestDevice(t, cfg, leaftl.NewSharded(8, cfg.Flash.PageSize, 8, bitmapOpts()...))
 	for _, d := range []*Device{devP, devS} {
-		churnAutotune(t, d, 13, 3000)
+		churnMispredict(t, d, 13, 3000)
 	}
 	sp, ss := devP.Stats(), devS.Stats()
 	if sp != ss {
 		t.Fatalf("stats diverged:\nplain   %+v\nsharded %+v", sp, ss)
 	}
-	tp := devP.Scheme().(*leaftl.Scheme).Table().GroupTunes()
-	ts := devS.Scheme().(*leaftl.Sharded).Table().GroupTunes()
-	if len(tp) != len(ts) {
-		t.Fatalf("tune counts diverged: %d vs %d", len(tp), len(ts))
+	tp, err := devP.Scheme().(*leaftl.Scheme).Snapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range tp {
-		if tp[i] != ts[i] {
-			t.Fatalf("tune state diverged at %d: %+v vs %+v", i, tp[i], ts[i])
-		}
+	ts, err := devS.Scheme().(*leaftl.Sharded).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tp, ts) {
+		t.Fatal("plain and sharded tables diverged")
 	}
 }
 
-// TestBitmapSurvivesEvictionAndRecovery pins the v3 wire property on the
+// TestBitmapSurvivesEvictionAndRecovery pins the wire property on the
 // full device, plain and sharded: exact bitmaps ride the persisted group
 // images through demand paging and crash recovery bit-identically, and
 // the restored bits still pass the truth audit after post-recovery
@@ -200,7 +242,7 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
 			d := newTestDevice(t, cfg, tc.mk(cfg))
-			churnAutotune(t, d, 17, 4000)
+			churnMispredict(t, d, 17, 4000)
 			d.SetMappingBudget(d.Scheme().FullSizeBytes() / 3)
 			// More traffic under the budget so groups cycle through flash.
 			rng := seededRand(t, 18)
@@ -231,11 +273,8 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 				if err != nil || got != gid {
 					t.Fatalf("persisted image of group %d does not decode: %v", gid, err)
 				}
-				tunes := scratch.GroupTunes()
-				if len(tunes) != 1 {
-					t.Fatalf("image of group %d decoded to %d groups", gid, len(tunes))
-				}
-				return tunes[0].Exact
+				bits, _ := scratch.ExactBits(gid)
+				return bits
 			}
 			want := map[addr.GroupID][32]byte{}
 			armed := 0
@@ -293,7 +332,7 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 func TestBitmapAuditCatchesStaleBit(t *testing.T) {
 	cfg := testConfig()
 	d := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
-	churnAutotune(t, d, 7, 2000)
+	churnMispredict(t, d, 7, 2000)
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

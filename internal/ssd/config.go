@@ -113,8 +113,8 @@ type Config struct {
 }
 
 // SimulatorConfig returns the paper's simulator setup (Table 1) with
-// capacity and DRAM scaled down proportionally (DESIGN.md §5): 4KB pages,
-// 16 channels, 256 pages/block, 20% over-provisioning, 8MB write buffer.
+// capacity and DRAM scaled down proportionally: 4KB pages, 16 channels,
+// 256 pages/block, 20% over-provisioning, 8MB write buffer.
 func SimulatorConfig() Config {
 	return Config{
 		Flash:           flash.SimulatorDefaults(),

@@ -7,7 +7,8 @@
 // The device is driven closed-loop: every host request starts when the
 // previous one finished, and background flash traffic (flushes, GC)
 // occupies channels so subsequent reads queue behind it. This substitutes
-// WiscSim's event engine with a per-channel timeline (DESIGN.md §2).
+// WiscSim's event engine with a per-channel timeline (docs/ARCHITECTURE.md,
+// "Simulation clock").
 package ssd
 
 import (
@@ -29,7 +30,7 @@ type Device struct {
 	gamma  int // scheme's error bound (0 for exact schemes)
 
 	// reporter receives OOB-verified read feedback when the scheme asks
-	// for it (adaptive-γ LeaFTL); nil otherwise.
+	// for it (bitmap-enabled LeaFTL); nil otherwise.
 	reporter ftl.MissReporter
 
 	logicalPages int
@@ -170,9 +171,9 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 		writeLat:     metrics.NewHistogram(),
 	}
 	if mr, ok := scheme.(ftl.MissReporter); ok {
-		// Schemes expose the interface statically even when the adaptive
-		// controller is off; only wire the feedback (and the read-path
-		// bookkeeping it implies) when it is live.
+		// Schemes expose the interface statically even when the bitmap is
+		// off; only wire the feedback (and the read-path bookkeeping it
+		// implies) when it is live.
 		if en, ok := scheme.(interface{ FeedbackEnabled() bool }); !ok || en.FeedbackEnabled() {
 			d.reporter = mr
 		}
@@ -350,7 +351,7 @@ func (d *Device) ReadAt(lpa addr.LPA, n int, start time.Duration) (time.Duration
 	}
 	// A translation that charged meta traffic loaded or evicted mapping
 	// state, and with live feedback a misprediction may have grown the
-	// table (the adaptive scheme pins the corrected mapping); give the
+	// table (the bitmap scheme pins the corrected mapping); give the
 	// data cache whatever DRAM that freed or took. Other reads change
 	// nothing, so the hot path skips the resize.
 	if d.stats.MetaReads+d.stats.MetaWrites != metaBefore ||
@@ -404,8 +405,6 @@ func (d *Device) readPage(lpa addr.LPA, t time.Duration) (time.Duration, error) 
 	}
 
 	var tok uint64
-	hintResolved := false
-	exactHit := false
 	switch {
 	case tr.Approx && tr.Exact:
 		// The scheme's predicted-exact bitmap proved this approximate
@@ -418,14 +417,13 @@ func (d *Device) readPage(lpa addr.LPA, t time.Duration) (time.Duration, error) 
 				lpa, d.scheme.Name(), tr.PPA, want)
 		}
 		d.stats.ExactBitHits++
-		exactHit = true
 		var err error
 		tok, t, err = d.verifiedRead(want, lpa, true, t)
 		if err != nil {
 			return 0, err
 		}
-	case tr.PPA == want && tr.Hint == 0:
-		// Correct prediction, no speculation: one flash read.
+	case tr.PPA == want:
+		// Correct prediction: one flash read.
 		var err error
 		tok, t, err = d.verifiedRead(want, lpa, !tr.Approx, t)
 		if err != nil {
@@ -436,25 +434,20 @@ func (d *Device) readPage(lpa addr.LPA, t time.Duration) (time.Duration, error) 
 			d.scheme.Name(), lpa, tr.PPA, want)
 	default:
 		var err error
-		tok, hintResolved, t, err = d.readApprox(lpa, tr, want, t)
+		tok, t, err = d.readApprox(lpa, tr.PPA, want, t)
 		if err != nil {
 			return 0, err
 		}
 	}
 
-	// OOB-verified feedback for the adaptive-γ controller: report what
-	// the scheme predicted against what the reverse mapping proved (a
-	// real drive learns the same facts from the reads it just performed).
-	// A reacting scheme may pin the corrected mapping, charged as
-	// translation-metadata traffic. Bitmap-trusted reads report through
-	// the cheaper NoteExact path: there was no verification, only the
-	// group's observation window advances.
-	if d.reporter != nil {
-		if exactHit {
-			t = d.chargeMeta(d.reporter.NoteExact(lpa), t)
-		} else {
-			t = d.chargeMeta(d.reporter.NoteRead(lpa, tr.PPA, want, tr.Approx, hintResolved), t)
-		}
+	// OOB-verified feedback for the exactness bitmap: report what the
+	// scheme predicted against what the reverse mapping proved (a real
+	// drive learns the same facts from the reads it just performed). A
+	// reacting scheme may pin the corrected mapping, charged as
+	// translation-metadata traffic. A bitmap-trusted read was not
+	// verified, so it has nothing to report.
+	if d.reporter != nil && !tr.Exact {
+		t = d.chargeMeta(d.reporter.NoteRead(lpa, tr.PPA, want, tr.Approx, false), t)
 	}
 
 	if tok != d.token[lpa] {
@@ -467,41 +460,22 @@ func (d *Device) readPage(lpa addr.LPA, t time.Duration) (time.Duration, error) 
 	return t, nil
 }
 
-// readApprox serves the flash read(s) of an approximately translated
-// page (§3.5, extended with LearnedFTL-style miss hints): the first read
-// aims at PPA+Hint when the group's miss streak armed a hint — a
-// repeating miss then resolves in a single read instead of two — falling
-// back to the OOB reverse-mapping window of whatever page the first read
-// landed on, then to the window around the prediction itself, and last
-// to direct OOB probes of the block-edge candidates, nearest the hinted
-// side first. Speculation is honest: an armed hint on a read that would
-// have predicted correctly costs the extra read a real controller would
-// pay, which is why hints only arm after a consistent miss streak.
-func (d *Device) readApprox(lpa addr.LPA, tr ftl.Translation, want addr.PPA, t time.Duration) (uint64, bool, time.Duration, error) {
-	miss := tr.PPA != want
-	if miss {
-		d.stats.Mispredictions++
-	}
+// readApprox serves the flash reads of a mispredicted approximate
+// translation (§3.5): the first read, aimed at the prediction, lands on
+// the wrong page; its OOB reverse-mapping window is searched for the true
+// page, and last the block-edge candidates the window could not reach are
+// probed directly.
+func (d *Device) readApprox(lpa addr.LPA, predicted, want addr.PPA, t time.Duration) (uint64, time.Duration, error) {
+	d.stats.Mispredictions++
 	// The raw prediction can overshoot the device on striped layouts
 	// (lane-interleaved flush pages learn stride-Dies() segments whose
 	// extrapolation runs past the last page); the controller clamps the
 	// read target to the die it actually has.
-	pred := clampPPA(int64(tr.PPA), int64(d.cfg.Flash.TotalPages()))
-	first := pred
-	if tr.Hint != 0 {
-		first = clampPPA(int64(tr.PPA)+int64(tr.Hint), int64(d.cfg.Flash.TotalPages()))
-	}
-	if first == want {
-		// The first read is the right page — a plain correct prediction,
-		// or a hint that nailed a repeating miss (the double read saved).
-		if miss {
-			d.stats.MissHintResolved++
-		}
-		tok, t, err := d.verifiedRead(want, lpa, false, t)
-		if err != nil {
-			return 0, false, t, err
-		}
-		return tok, miss, t, nil
+	pred := clampPPA(int64(predicted), int64(d.cfg.Flash.TotalPages()))
+	if pred == want {
+		// The clamp put the first read on the true page: a misprediction
+		// that costs no extra flash read.
+		return d.verifiedRead(want, lpa, false, t)
 	}
 
 	// The first flash data read is about to land on the wrong page: this
@@ -512,38 +486,21 @@ func (d *Device) readApprox(lpa addr.LPA, tr ftl.Translation, want addr.PPA, t t
 	// The first read landed on the wrong page; its OOB holds the reverse
 	// mappings of its ±gamma in-block neighborhood (one charged read).
 	// An unreadable window (OOB UECC) is treated as containing nothing,
-	// letting the fallbacks carry the search.
-	window, t, werr := d.arr.OOBWindow(first, d.gamma, t)
+	// letting the fallback carry the search.
+	window, t, werr := d.arr.OOBWindow(pred, d.gamma, t)
 	sawOOBErr := werr != nil
 	found := addr.InvalidPPA
 	if werr == nil {
-		found = d.searchWindow(window, first, lpa)
-	}
-	if found == addr.InvalidPPA && first != pred {
-		// The speculative aim missed the true page's window; fall back to
-		// the window around the prediction itself (a second charged read).
-		window, t, werr = d.arr.OOBWindow(pred, d.gamma, t)
-		sawOOBErr = sawOOBErr || werr != nil
-		if werr == nil {
-			found = d.searchWindow(window, pred, lpa)
-		}
+		found = d.searchWindow(window, pred, lpa)
 	}
 	if found == addr.InvalidPPA {
 		// Block-bounded windows can miss a true page across a block edge.
 		// Probe the remaining candidates' OOBs directly (each a charged
-		// read), expanding outward from the hinted aim point so the
-		// likelier neighbor is read first.
+		// read).
 		d.stats.OOBFallbacks++
 		var probeErr bool
-		found, t, probeErr = d.probeFallback(lpa, pred, first, tr.Hint, t)
+		found, t, probeErr = d.probeFallback(lpa, pred, t)
 		sawOOBErr = sawOOBErr || probeErr
-	}
-	if miss {
-		if found == want {
-			d.stats.MissFallbacks++
-		}
-		// A failed recovery falls through to the error below without
-		// polluting the resolution split.
 	}
 	if found != want {
 		if sawOOBErr {
@@ -551,28 +508,23 @@ func (d *Device) readApprox(lpa addr.LPA, tr ftl.Translation, want addr.PPA, t t
 			// page's evidence may simply have been undecodable — an
 			// honest I/O error, not a bookkeeping bug.
 			d.stats.HostUECCs++
-			return 0, false, t, &UECCError{LPA: lpa, PPA: want}
+			return 0, t, &UECCError{LPA: lpa, PPA: want}
 		}
-		return 0, false, t, fmt.Errorf("ssd: misprediction recovery for LPA %d found PPA %v, want %d",
+		return 0, t, fmt.Errorf("ssd: misprediction recovery for LPA %d found PPA %v, want %d",
 			lpa, found, want)
 	}
+	d.stats.MissFallbacks++
 	// The window (or probe) search already proved found holds lpa, so
 	// the final read's own OOB check may lean on that evidence.
-	tok, t, err := d.verifiedRead(found, lpa, true, t)
-	if err != nil {
-		return 0, false, t, err
-	}
-	return tok, false, t, nil
+	return d.verifiedRead(found, lpa, true, t)
 }
 
 // searchWindow scans an OOB reverse-mapping window read around center
 // for lpa, returning the matching PPA or InvalidPPA. Matches are
 // cross-checked against the PVT validity bitmap (firmware state, kept
 // by the host write path): flash retains the reverse mappings of
-// *stale* copies until their block is erased, and a hint-aimed window
-// can stretch past the learning guarantee into territory where an old
-// copy of the same LPA may linger — a stale match must keep scanning,
-// not answer the read.
+// *stale* copies until their block is erased, so a stale match must keep
+// scanning, not answer the read.
 func (d *Device) searchWindow(window []addr.LPA, center addr.PPA, lpa addr.LPA) addr.PPA {
 	for i, rev := range window {
 		if rev != lpa {
@@ -586,28 +538,25 @@ func (d *Device) searchWindow(window []addr.LPA, center addr.PPA, lpa addr.LPA) 
 	return addr.InvalidPPA
 }
 
-// probeFallback probes the unsearched candidates of [pred−γ, pred+γ]
-// with direct OOB reads, nearest-first around pred+hint, skipping the
-// blocks whose windows were already read. sawErr reports whether any
-// probe hit an unreadable OOB region (the caller uses it to tell an
-// I/O-induced search failure from a bookkeeping bug).
-func (d *Device) probeFallback(lpa addr.LPA, pred, first addr.PPA, hint int, t time.Duration) (addr.PPA, time.Duration, bool) {
+// probeFallback probes the candidates of [pred−γ, pred+γ] outside pred's
+// block with direct OOB reads, nearest-first around pred (the window read
+// already covered pred's block). sawErr reports whether any probe hit an
+// unreadable OOB region (the caller uses it to tell an I/O-induced search
+// failure from a bookkeeping bug).
+func (d *Device) probeFallback(lpa addr.LPA, pred addr.PPA, t time.Duration) (addr.PPA, time.Duration, bool) {
 	lo := int64(pred) - int64(d.gamma)
 	hi := int64(pred) + int64(d.gamma)
 	total := int64(d.cfg.Flash.TotalPages())
-	firstBlock := d.cfg.Flash.BlockOf(first)
 	predBlock := d.cfg.Flash.BlockOf(pred)
-	aim := int64(pred) + int64(hint)
 	sawErr := false
 	for r := int64(0); r <= hi-lo; r++ {
-		for _, p := range [2]int64{aim + r, aim - r} {
+		for _, p := range [2]int64{int64(pred) + r, int64(pred) - r} {
 			if p < lo || p > hi || p < 0 || p >= total {
 				continue
 			}
 			ppa := addr.PPA(p)
-			b := d.cfg.Flash.BlockOf(ppa)
-			if b == firstBlock || b == predBlock {
-				continue // already covered by a window read
+			if d.cfg.Flash.BlockOf(ppa) == predBlock {
+				continue // already covered by the window read
 			}
 			rev, t2, oerr := d.arr.ReadOOB(ppa, t)
 			t = t2
@@ -618,14 +567,14 @@ func (d *Device) probeFallback(lpa addr.LPA, pred, first addr.PPA, hint int, t t
 				return ppa, t, sawErr
 			}
 			if r == 0 {
-				break // aim+0 == aim-0
+				break // pred+0 == pred-0
 			}
 		}
 	}
 	return addr.InvalidPPA, t, sawErr
 }
 
-// clampPPA clips a speculative page address into the device.
+// clampPPA clips a predicted page address into the device.
 func clampPPA(p, total int64) addr.PPA {
 	if p < 0 {
 		p = 0

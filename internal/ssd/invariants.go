@@ -39,8 +39,6 @@ import (
 //     resident group is at most L levels deep and its footprint is
 //     bounded by its live LPAs, not by how often it was written — the
 //     constants live beside the rebuild triggers in internal/core.
-//   - Adaptive γ: no group's effective error bound exceeds the global
-//     bound the OOB reverse-mapping window was sized for.
 //   - Predicted-exact bitmaps: every set bit's prediction lands on the
 //     LPA's live page — the read path trusts set bits without OOB
 //     verification, so a stale bit means silent wrong data.
@@ -51,14 +49,6 @@ func (d *Device) CheckInvariants() error {
 
 	if err := d.arr.CheckTimelines(); err != nil {
 		return fmt.Errorf("invariant: %w", err)
-	}
-
-	if ag, ok := d.scheme.(ftl.AdaptiveGamma); ok {
-		// The OOB reverse-mapping window is sized for the global error
-		// bound; a group tuned past it could mispredict beyond recovery.
-		if mg := ag.MaxGroupGamma(); mg > d.gamma {
-			return fmt.Errorf("invariant: per-group gamma %d exceeds the global bound %d", mg, d.gamma)
-		}
 	}
 
 	if ea, ok := d.scheme.(ftl.ExactAuditor); ok {

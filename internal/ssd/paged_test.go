@@ -252,7 +252,7 @@ func TestAgedRandWriteMapBounded(t *testing.T) {
 	cfg := testConfig()
 	mk := func() *leaftl.Scheme {
 		return leaftl.New(4, cfg.Flash.PageSize, leaftl.WithJournal(), leaftl.WithExactBitmap(),
-			leaftl.WithAutoTune(0), leaftl.WithCompactEvery(2000))
+			leaftl.WithCompactEvery(2000))
 	}
 	d := newTestDevice(t, cfg, mk())
 	logical := d.LogicalPages()

@@ -23,22 +23,15 @@ type Stats struct {
 	ApproxReads    uint64 // reads translated by approximate segments
 	OOBFallbacks   uint64 // mispredictions not resolved by one OOB window read
 
-	// Misprediction resolution split (adaptive-γ read path). A miss is
-	// hint-resolved when the group's armed direction hint aimed the first
-	// flash read straight at the true page — the §3.5 double read never
-	// happens; it is a fallback when the OOB window (or the block-edge
-	// probe loop) had to locate the page, costing at least one extra
-	// read. MissHintResolved + MissFallbacks == Mispredictions.
-	MissHintResolved uint64
-	MissFallbacks    uint64
-
-	// DoubleReads is the first-class count of §3.5 double reads: host
-	// page reads whose *first* flash data read landed on the wrong page,
-	// forcing at least one more flash read to fetch the right one. A
-	// hint-resolved miss is not a double read (the speculative first read
-	// was right); a hint that aimed the first read *away* from a correct
-	// prediction is. DoubleReads ≤ Mispredictions + hint-misaimed hits.
-	DoubleReads uint64
+	// Misprediction resolution. DoubleReads counts the §3.5 double reads:
+	// host page reads whose *first* flash data read landed on the wrong
+	// page, forcing at least one more flash read. MissFallbacks counts
+	// those the OOB window (or the block-edge probe loop) then resolved.
+	// Without faults DoubleReads == MissFallbacks == Mispredictions,
+	// except for a prediction past the last page whose clamped first read
+	// lands on the true page: a misprediction that costs no extra read.
+	MissFallbacks uint64
+	DoubleReads   uint64
 
 	// Predicted-exact bitmap read path (LearnedFTL-style). ExactBitHits
 	// counts approximate translations served through a set exact bit —
@@ -132,15 +125,6 @@ func (s Stats) ExactBitHitRatio() float64 {
 		return 0
 	}
 	return float64(s.ExactBitHits) / float64(s.ApproxReads)
-}
-
-// HintResolvedRatio returns the fraction of mispredictions the
-// direction hint resolved without a second flash read.
-func (s Stats) HintResolvedRatio() float64 {
-	if s.Mispredictions == 0 {
-		return 0
-	}
-	return float64(s.MissHintResolved) / float64(s.Mispredictions)
 }
 
 // MetaReadRatio returns translation-page reads per host page operation:

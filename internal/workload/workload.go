@@ -7,10 +7,9 @@
 // structural properties LeaFTL's learning responds to — read/write mix,
 // sequential-run fraction and length, strided access fraction, request
 // sizes, footprint, and hot-spot skew — with values chosen to match the
-// published characterizations of each trace. DESIGN.md §2 records this
-// substitution; absolute numbers shift, but the relative behaviours
-// (which workloads learn long segments, which degrade to single points)
-// are preserved.
+// published characterizations of each trace. Absolute numbers shift,
+// but the relative behaviours (which workloads learn long segments,
+// which degrade to single points) are preserved.
 package workload
 
 import (

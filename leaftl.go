@@ -74,8 +74,7 @@ type DeviceConfig = ssd.Config
 type Scheme = ftl.Scheme
 
 // SimulatorConfig returns the paper's Table 1 simulator setup, scaled
-// (DESIGN.md §5); PrototypeConfig returns the open-channel prototype
-// setup of §3.9.
+// down; PrototypeConfig returns the open-channel prototype setup of §3.9.
 func SimulatorConfig() DeviceConfig { return ssd.SimulatorConfig() }
 
 // PrototypeConfig returns the real-SSD prototype configuration (§3.9).
@@ -84,15 +83,6 @@ func PrototypeConfig() DeviceConfig { return ssd.PrototypeConfig() }
 // NewLeaFTL returns the learned translation scheme with the given error
 // bound for a device with the given flash page size.
 func NewLeaFTL(gamma, pageSize int) *leaftl.Scheme { return leaftl.New(gamma, pageSize) }
-
-// NewAutotunedLeaFTL returns the learned translation scheme with the
-// adaptive per-group γ controller enabled: gamma is the global ceiling,
-// and the device's read feedback demotes/promotes each 256-LPA group's
-// effective bound around the tolerated miss ratio (≤ 0 selects the
-// default 0.02).
-func NewAutotunedLeaFTL(gamma, pageSize int, targetMissRatio float64) *leaftl.Scheme {
-	return leaftl.New(gamma, pageSize, leaftl.WithAutoTune(targetMissRatio))
-}
 
 // NewShardedLeaFTL returns the learned translation scheme over an N-way
 // sharded mapping core; its Translate is safe for concurrent host

@@ -2,9 +2,10 @@
 # benchhistory.sh — aggregate every checked-in BENCH_PR<N>.json into one
 # trajectory table, so a new PR's numbers land next to the whole history
 # instead of a single predecessor. Each PR's benchmark recorded a
-# different mode (micro counters, GC compare, memsweep, gammatune,
-# torture, core/die sweeps, bitmap gate); the table extracts each file's
-# headline numbers and any gates it carried.
+# different mode (micro counters, GC compare, memsweep, torture,
+# core/die sweeps); the table extracts each file's headline numbers and
+# any gates it carried. Files from modes that no longer exist list only
+# their mode.
 #
 # Usage: scripts/benchhistory.sh            → prints the table
 #        scripts/benchhistory.sh -markdown  → GitHub-flavored table
@@ -68,26 +69,6 @@ for path in sorted(glob.glob("BENCH_PR*.json"),
         if lea:
             headline = "LeaFTL p999 %.0fus" % lea[0].get("p999_us", 0)
             meta_cell = lea[0]
-    elif mode == "gammatune":
-        runs = d.get("runs", [])
-        auto = [r for r in runs if r.get("autotune") and not r.get("bitmap")]
-        if auto:
-            headline = "autotune dbl/op %.4f, table %s" % (
-                auto[0].get("double_read_per_op", 0),
-                fmt_bytes(auto[0].get("table_bytes", 0)))
-        dom = d.get("dominance", [])
-        dominated = sum(len(w.get("dominated_static_gammas", [])) for w in dom)
-        gate = "dominates %d static cells" % dominated
-        bg = d.get("bitmap_gate")
-        if bg:
-            bm = [r for r in runs if r.get("bitmap")]
-            if bm:
-                headline = "bitmap dbl/op %.4f (autotune %.4f), table %s" % (
-                    bm[0].get("double_read_per_op", 0),
-                    auto[0].get("double_read_per_op", 0) if auto else 0,
-                    fmt_bytes(bm[0].get("table_bytes", 0)))
-            gate = "bitmap gate %s (relearns %d)" % (
-                "PASS" if bg.get("pass") else "FAIL", bg.get("relearns", 0))
     elif mode == "torture":
         headline = "%d crashes over %d cells" % (
             d.get("total_crashes", 0), len(d.get("cells", [])))

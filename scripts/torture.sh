@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # torture.sh — run the seeded crash-torture matrix (GC policies ×
-# mapping budgets × autotune, each cell kill-recover-verified) plus the
-# aged-device fault-injection sweep, and record crash-point coverage and
-# reliability counters.
+# mapping budgets × exactness bitmap, each cell kill-recover-verified)
+# plus the aged-device fault-injection sweep, and record crash-point
+# coverage and reliability counters.
 #
 # Usage: scripts/torture.sh [PR-number] [mode]
 #   scripts/torture.sh 6        → quick scale, writes BENCH_PR6.json
@@ -13,7 +13,7 @@
 #   FAULT_SEED    fault-model seed                  (default: SEED)
 #   CRASH_POINTS  crashes injected per matrix cell  (default 5)
 #   RBERS         comma list of base RBERs          (default 1e-7,1e-5,5e-5,1e-4,5e-4)
-#   GAMMA         LeaFTL error bound / autotune cap (default 8)
+#   GAMMA         LeaFTL error bound                (default 8)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
