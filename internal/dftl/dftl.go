@@ -72,7 +72,9 @@ func (d *DFTL) Translate(lpa addr.LPA) (ftl.Translation, bool) {
 }
 
 // install caches one entry and converts dirty evictions into batched
-// translation-page writes.
+// translation-page writes. Put's result is borrowed until the CMT's next
+// Put or Resize; CleanMatching leaves it intact, so the loop may clean
+// while it ranges.
 func (d *DFTL) install(lpa addr.LPA, ppa addr.PPA, dirty bool) ftl.Cost {
 	var cost ftl.Cost
 	for _, ev := range d.cmt.Put(lpa, ppa, EntryBytes, dirty) {

@@ -80,6 +80,10 @@ type Scheme interface {
 	// Commit installs freshly written mappings. pairs are sorted by LPA
 	// with unique LPAs and monotonically increasing PPAs — the flush
 	// path guarantees this ordering (paper §3.3).
+	//
+	// pairs is borrowed for the duration of the call: the device reuses
+	// its backing array for the next batch, so a scheme that needs the
+	// mappings afterwards must copy them.
 	Commit(pairs []addr.Mapping) Cost
 
 	// SetBudget caps the scheme's DRAM usage for cached mapping state.
@@ -205,7 +209,8 @@ type MissReporter interface {
 // through CommitGC instead of Commit; the scheme may relearn the
 // affected groups from the freshly sequential layout and reports how
 // many it re-fitted (0 when relearning is disabled — CommitGC then
-// behaves exactly like Commit).
+// behaves exactly like Commit). pairs is borrowed for the call, as in
+// Commit: the device reuses it for the next relocation batch.
 type GCRelearner interface {
 	CommitGC(pairs []addr.Mapping) (Cost, int)
 }

@@ -7,20 +7,32 @@ package ftl
 //
 // Entries carry a dirty flag; evicting a dirty entry is reported to the
 // caller so it can charge a writeback.
+//
+// The entries live in one node arena linked by int32 indices, with a free
+// list of evicted slots, and the evictions an operation reports are
+// written into a buffer the cache owns. Once the arena has grown to the
+// cache's working set, inserting, touching and evicting allocate nothing.
 type ByteLRU[K comparable, V any] struct {
 	budget int
 	used   int
-	items  map[K]*lruNode[K, V]
-	head   *lruNode[K, V] // most recently used
-	tail   *lruNode[K, V] // least recently used
+	index  map[K]int32
+	nodes  []lruNode[K, V]
+	head   int32 // most recently used, or nilNode
+	tail   int32 // least recently used, or nilNode
+	free   int32 // first recycled slot (linked through next), or nilNode
+	// evicted backs the slice Put and Resize return.
+	evicted []Evicted[K, V]
 }
+
+// nilNode terminates the recency list and the free list.
+const nilNode int32 = -1
 
 type lruNode[K comparable, V any] struct {
 	key        K
 	value      V
 	size       int
+	prev, next int32
 	dirty      bool
-	prev, next *lruNode[K, V]
 }
 
 // Evicted describes one entry pushed out by an insert or budget change.
@@ -35,7 +47,13 @@ func NewByteLRU[K comparable, V any](budget int) *ByteLRU[K, V] {
 	if budget < 0 {
 		budget = 0
 	}
-	return &ByteLRU[K, V]{budget: budget, items: make(map[K]*lruNode[K, V])}
+	return &ByteLRU[K, V]{
+		budget: budget,
+		index:  make(map[K]int32),
+		head:   nilNode,
+		tail:   nilNode,
+		free:   nilNode,
+	}
 }
 
 // Budget returns the configured byte budget.
@@ -45,67 +63,72 @@ func (c *ByteLRU[K, V]) Budget() int { return c.budget }
 func (c *ByteLRU[K, V]) Used() int { return c.used }
 
 // Len returns the number of cached entries.
-func (c *ByteLRU[K, V]) Len() int { return len(c.items) }
+func (c *ByteLRU[K, V]) Len() int { return len(c.index) }
 
 // Get returns the value for key, marking it most recently used.
 func (c *ByteLRU[K, V]) Get(key K) (V, bool) {
-	n, ok := c.items[key]
+	i, ok := c.index[key]
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	c.moveToFront(n)
-	return n.value, true
+	c.moveToFront(i)
+	return c.nodes[i].value, true
 }
 
 // Peek returns the value without touching recency.
 func (c *ByteLRU[K, V]) Peek(key K) (V, bool) {
-	n, ok := c.items[key]
+	i, ok := c.index[key]
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	return n.value, true
+	return c.nodes[i].value, true
 }
 
 // Contains reports presence without touching recency.
 func (c *ByteLRU[K, V]) Contains(key K) bool {
-	_, ok := c.items[key]
+	_, ok := c.index[key]
 	return ok
 }
 
 // Put inserts or updates key with the given size and dirtiness, returning
-// any entries evicted to fit the budget. An item larger than the whole
-// budget is not cached (and is returned as if immediately evicted when
-// dirty, so writeback accounting still happens).
+// any entries evicted to fit the budget, least recently used first. An
+// item larger than the whole budget is not cached (and is returned as if
+// immediately evicted when dirty, so writeback accounting still happens).
+//
+// The returned slice is borrowed: it is valid until the cache's next Put
+// or Resize, which reuse its backing array.
 func (c *ByteLRU[K, V]) Put(key K, value V, size int, dirty bool) []Evicted[K, V] {
-	var out []Evicted[K, V]
-	if n, ok := c.items[key]; ok {
+	c.evicted = c.evicted[:0]
+	if i, ok := c.index[key]; ok {
+		n := &c.nodes[i]
 		c.used += size - n.size
 		n.value, n.size = value, size
 		n.dirty = n.dirty || dirty
-		c.moveToFront(n)
-		return c.shrink(out)
+		c.moveToFront(i)
+		return c.shrink()
 	}
 	if size > c.budget {
 		if dirty {
-			out = append(out, Evicted[K, V]{Key: key, Value: value, Dirty: true})
+			c.evicted = append(c.evicted, Evicted[K, V]{Key: key, Value: value, Dirty: true})
 		}
-		return out
+		return c.evicted
 	}
-	n := &lruNode[K, V]{key: key, value: value, size: size, dirty: dirty}
-	c.items[key] = n
-	c.pushFront(n)
+	i := c.alloc()
+	c.nodes[i] = lruNode[K, V]{key: key, value: value, size: size, dirty: dirty}
+	c.index[key] = i
+	c.pushFront(i)
 	c.used += size
-	return c.shrink(out)
+	return c.shrink()
 }
 
 // MarkDirty flags an existing entry dirty; it reports whether the key was
 // present.
 func (c *ByteLRU[K, V]) MarkDirty(key K) bool {
-	n, ok := c.items[key]
+	i, ok := c.index[key]
 	if ok {
-		n.dirty = true
+		c.nodes[i].dirty = true
 	}
 	return ok
 }
@@ -113,12 +136,13 @@ func (c *ByteLRU[K, V]) MarkDirty(key K) bool {
 // CleanMatching clears the dirty flag of every entry for which match
 // returns true, returning how many were cleaned. DFTL uses this for its
 // batched translation-page writeback: one flash write cleans every
-// cached entry of that translation page.
+// cached entry of that translation page. It never touches the eviction
+// buffer, so it may run while the caller ranges over Put's result.
 func (c *ByteLRU[K, V]) CleanMatching(match func(K) bool) int {
 	n := 0
-	for k, node := range c.items {
-		if node.dirty && match(k) {
-			node.dirty = false
+	for i := c.head; i != nilNode; i = c.nodes[i].next {
+		if nd := &c.nodes[i]; nd.dirty && match(nd.key) {
+			nd.dirty = false
 			n++
 		}
 	}
@@ -127,67 +151,88 @@ func (c *ByteLRU[K, V]) CleanMatching(match func(K) bool) int {
 
 // Remove drops key, reporting the removed entry if present.
 func (c *ByteLRU[K, V]) Remove(key K) (Evicted[K, V], bool) {
-	n, ok := c.items[key]
+	i, ok := c.index[key]
 	if !ok {
 		return Evicted[K, V]{}, false
 	}
-	c.unlink(n)
-	delete(c.items, key)
-	c.used -= n.size
-	return Evicted[K, V]{Key: n.key, Value: n.value, Dirty: n.dirty}, true
+	return c.drop(i), true
 }
 
-// Resize changes the byte budget, evicting LRU entries as needed.
+// Resize changes the byte budget, evicting LRU entries as needed. The
+// returned slice is borrowed, as Put's is.
 func (c *ByteLRU[K, V]) Resize(budget int) []Evicted[K, V] {
 	if budget < 0 {
 		budget = 0
 	}
 	c.budget = budget
-	return c.shrink(nil)
+	c.evicted = c.evicted[:0]
+	return c.shrink()
 }
 
-// shrink evicts from the tail until used ≤ budget.
-func (c *ByteLRU[K, V]) shrink(out []Evicted[K, V]) []Evicted[K, V] {
-	for c.used > c.budget && c.tail != nil {
-		n := c.tail
-		c.unlink(n)
-		delete(c.items, n.key)
-		c.used -= n.size
-		out = append(out, Evicted[K, V]{Key: n.key, Value: n.value, Dirty: n.dirty})
+// shrink evicts from the tail into the eviction buffer until used ≤
+// budget.
+func (c *ByteLRU[K, V]) shrink() []Evicted[K, V] {
+	for c.used > c.budget && c.tail != nilNode {
+		c.evicted = append(c.evicted, c.drop(c.tail))
 	}
-	return out
+	return c.evicted
 }
 
-func (c *ByteLRU[K, V]) pushFront(n *lruNode[K, V]) {
-	n.prev = nil
+// alloc returns a free arena slot, recycling an evicted one when it can.
+func (c *ByteLRU[K, V]) alloc() int32 {
+	if i := c.free; i != nilNode {
+		c.free = c.nodes[i].next
+		return i
+	}
+	c.nodes = append(c.nodes, lruNode[K, V]{})
+	return int32(len(c.nodes) - 1)
+}
+
+// drop unlinks slot i, removes its key and returns the slot to the free
+// list, reporting what it held.
+func (c *ByteLRU[K, V]) drop(i int32) Evicted[K, V] {
+	c.unlink(i)
+	n := &c.nodes[i]
+	ev := Evicted[K, V]{Key: n.key, Value: n.value, Dirty: n.dirty}
+	delete(c.index, n.key)
+	c.used -= n.size
+	*n = lruNode[K, V]{next: c.free}
+	c.free = i
+	return ev
+}
+
+func (c *ByteLRU[K, V]) pushFront(i int32) {
+	n := &c.nodes[i]
+	n.prev = nilNode
 	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
+	if c.head != nilNode {
+		c.nodes[c.head].prev = i
 	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
+	c.head = i
+	if c.tail == nilNode {
+		c.tail = i
 	}
 }
 
-func (c *ByteLRU[K, V]) unlink(n *lruNode[K, V]) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (c *ByteLRU[K, V]) unlink(i int32) {
+	n := &c.nodes[i]
+	if n.prev != nilNode {
+		c.nodes[n.prev].next = n.next
 	} else {
 		c.head = n.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next != nilNode {
+		c.nodes[n.next].prev = n.prev
 	} else {
 		c.tail = n.prev
 	}
-	n.prev, n.next = nil, nil
+	n.prev, n.next = nilNode, nilNode
 }
 
-func (c *ByteLRU[K, V]) moveToFront(n *lruNode[K, V]) {
-	if c.head == n {
+func (c *ByteLRU[K, V]) moveToFront(i int32) {
+	if c.head == i {
 		return
 	}
-	c.unlink(n)
-	c.pushFront(n)
+	c.unlink(i)
+	c.pushFront(i)
 }

@@ -88,75 +88,186 @@ func TestLRURemove(t *testing.T) {
 	}
 }
 
-// Property: eviction order is exactly least-recently-used and used never
-// exceeds budget.
-func TestLRUProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	c := NewByteLRU[int, int](64)
-	type ref struct{ key, size int }
-	var order []ref // recency list, MRU first (reference model)
-	touch := func(k, size int) {
-		for i, r := range order {
-			if r.key == k {
-				order = append(order[:i], order[i+1:]...)
-				break
-			}
+// lruModel is the trivially-correct reference ByteLRU: a slice of entries
+// in recency order, most recently used first, searched linearly.
+type lruModel struct {
+	budget int
+	order  []modelEntry
+}
+
+type modelEntry struct {
+	key, value, size int
+	dirty            bool
+}
+
+func (m *lruModel) find(k int) int {
+	for i, e := range m.order {
+		if e.key == k {
+			return i
 		}
-		order = append([]ref{{k, size}}, order...)
 	}
-	for i := 0; i < 5000; i++ {
-		k := rng.Intn(20)
-		switch rng.Intn(3) {
-		case 0:
-			size := 4 + rng.Intn(12)
-			evs := c.Put(k, k, size, false)
-			touch(k, size)
-			// Trim reference model the same way.
-			used := 0
-			for _, r := range order {
-				used += r.size
-			}
-			for used > 64 {
-				last := order[len(order)-1]
-				order = order[:len(order)-1]
-				used -= last.size
-				found := false
-				for _, e := range evs {
-					if e.Key == last.key {
-						found = true
+	return -1
+}
+
+func (m *lruModel) used() int {
+	u := 0
+	for _, e := range m.order {
+		u += e.size
+	}
+	return u
+}
+
+// take removes entry i from the recency list and returns it.
+func (m *lruModel) take(i int) modelEntry {
+	e := m.order[i]
+	m.order = append(m.order[:i], m.order[i+1:]...)
+	return e
+}
+
+func (m *lruModel) front(e modelEntry) {
+	m.order = append([]modelEntry{e}, m.order...)
+}
+
+func (m *lruModel) shrink() []Evicted[int, int] {
+	var out []Evicted[int, int]
+	for m.used() > m.budget && len(m.order) > 0 {
+		e := m.take(len(m.order) - 1)
+		out = append(out, Evicted[int, int]{Key: e.key, Value: e.value, Dirty: e.dirty})
+	}
+	return out
+}
+
+func (m *lruModel) put(k, v, size int, dirty bool) []Evicted[int, int] {
+	if i := m.find(k); i >= 0 {
+		e := m.take(i)
+		e.value, e.size, e.dirty = v, size, e.dirty || dirty
+		m.front(e)
+		return m.shrink()
+	}
+	if size > m.budget {
+		if dirty {
+			return []Evicted[int, int]{{Key: k, Value: v, Dirty: true}}
+		}
+		return nil
+	}
+	m.front(modelEntry{key: k, value: v, size: size, dirty: dirty})
+	return m.shrink()
+}
+
+// TestLRUMatchesReferenceModel drives random Put/Get/Peek/Remove/Resize/
+// MarkDirty/CleanMatching sequences — oversize items, dirty and clean
+// entries and a zero budget included — against lruModel, and after every
+// operation compares the evictions (key, value, dirty, order), Used, Len
+// and every key's presence and value.
+func TestLRUMatchesReferenceModel(t *testing.T) {
+	const keys = 24
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewByteLRU[int, int](64)
+		m := &lruModel{budget: 64}
+		for step := 0; step < 4000; step++ {
+			k := rng.Intn(keys)
+			var got, want []Evicted[int, int]
+			switch op := rng.Intn(10); op {
+			case 0, 1, 2:
+				// Up to twice the budget, so oversize items come up.
+				v, size, dirty := rng.Int(), 1+rng.Intn(2*m.budget+1), rng.Intn(2) == 0
+				if rng.Intn(4) != 0 {
+					size = 1 + rng.Intn(16)
+				}
+				got, want = c.Put(k, v, size, dirty), m.put(k, v, size, dirty)
+			case 3:
+				v, ok := c.Get(k)
+				i := m.find(k)
+				if ok != (i >= 0) || (ok && v != m.order[i].value) {
+					t.Fatalf("seed %d step %d: Get(%d) = %d,%v, model index %d", seed, step, k, v, ok, i)
+				}
+				if i >= 0 {
+					m.front(m.take(i))
+				}
+			case 4:
+				v, ok := c.Peek(k)
+				if i := m.find(k); ok != (i >= 0) || (ok && v != m.order[i].value) {
+					t.Fatalf("seed %d step %d: Peek(%d) = %d,%v, model index %d", seed, step, k, v, ok, i)
+				}
+			case 5:
+				ev, ok := c.Remove(k)
+				i := m.find(k)
+				if ok != (i >= 0) {
+					t.Fatalf("seed %d step %d: Remove(%d) ok=%v, model index %d", seed, step, k, ok, i)
+				}
+				if ok {
+					e := m.take(i)
+					got = []Evicted[int, int]{ev}
+					want = []Evicted[int, int]{{Key: e.key, Value: e.value, Dirty: e.dirty}}
+				}
+			case 6:
+				b := rng.Intn(129)
+				if rng.Intn(5) == 0 {
+					b = 0
+				}
+				m.budget = b
+				got, want = c.Resize(b), m.shrink()
+			case 7:
+				i := m.find(k)
+				if ok := c.MarkDirty(k); ok != (i >= 0) {
+					t.Fatalf("seed %d step %d: MarkDirty(%d) = %v, model index %d", seed, step, k, ok, i)
+				}
+				if i >= 0 {
+					m.order[i].dirty = true
+				}
+			default:
+				mod := 2 + rng.Intn(4)
+				match := func(k int) bool { return k%mod == 0 }
+				wantN := 0
+				for i := range m.order {
+					if m.order[i].dirty && match(m.order[i].key) {
+						m.order[i].dirty = false
+						wantN++
 					}
 				}
-				if !found {
-					t.Fatalf("step %d: model evicted %d, cache did not (evs=%v)", i, last.key, evs)
+				if n := c.CleanMatching(match); n != wantN {
+					t.Fatalf("seed %d step %d: CleanMatching cleaned %d, model %d", seed, step, n, wantN)
 				}
 			}
-		case 1:
-			_, ok := c.Get(k)
-			inModel := false
-			for _, r := range order {
-				if r.key == k {
-					inModel = true
-					touch(k, r.size)
-					break
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d: evicted %v, model %v", seed, step, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d step %d: eviction %d = %+v, model %+v", seed, step, i, got[i], want[i])
 				}
 			}
-			if ok != inModel {
-				t.Fatalf("step %d: Get(%d) = %v, model %v", i, k, ok, inModel)
+			if c.Used() != m.used() || c.Len() != len(m.order) || c.Budget() != m.budget {
+				t.Fatalf("seed %d step %d: used=%d len=%d budget=%d, model %d/%d/%d",
+					seed, step, c.Used(), c.Len(), c.Budget(), m.used(), len(m.order), m.budget)
 			}
-		case 2:
-			c.Remove(k)
-			for j, r := range order {
-				if r.key == k {
-					order = append(order[:j], order[j+1:]...)
-					break
+			for key := 0; key < keys; key++ {
+				v, ok := c.Peek(key)
+				if i := m.find(key); ok != (i >= 0) || (ok && v != m.order[i].value) {
+					t.Fatalf("seed %d step %d: key %d cached=%v value %d, model index %d", seed, step, key, ok, v, i)
 				}
 			}
 		}
-		if c.Used() > c.Budget() {
-			t.Fatalf("step %d: used %d > budget %d", i, c.Used(), c.Budget())
+	}
+}
+
+// TestLRUEvictingPutZeroAllocs pins the arena: at steady state an insert
+// that evicts recycles the victim's node and reports it through the
+// cache-owned buffer, so it allocates nothing.
+func TestLRUEvictingPutZeroAllocs(t *testing.T) {
+	c := NewByteLRU[uint32, uint64](64 * 8)
+	next := uint32(0)
+	put := func() {
+		if ev := c.Put(next, uint64(next), 8, next%3 == 0); len(ev) > 1 {
+			t.Fatalf("Put evicted %d entries, want at most 1", len(ev))
 		}
-		if c.Len() != len(order) {
-			t.Fatalf("step %d: len %d, model %d", i, c.Len(), len(order))
-		}
+		next++
+	}
+	for i := 0; i < 4096; i++ {
+		put() // fill the arena and let the index settle
+	}
+	if avg := testing.AllocsPerRun(4096, put); avg != 0 {
+		t.Errorf("evicting Put: %v allocs, want 0", avg)
 	}
 }

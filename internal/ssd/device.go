@@ -12,8 +12,9 @@
 package ssd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"leaftl/internal/addr"
@@ -51,15 +52,29 @@ type Device struct {
 	blockSeq []uint64 // allocation sequence per block, for recovery order
 	nextSeq  uint64
 
-	// Write data buffer (§3.3) and data cache. bufOrder tracks buffered
-	// LPAs in first-insertion order so an unsorted flush (SortBuffer off)
-	// lays pages out deterministically instead of in Go map-iteration
-	// order — replays must be bit-reproducible either way.
-	buffer     map[addr.LPA]uint64
+	// Write data buffer (§3.3) and data cache. buffered[lpa] marks an LPA
+	// whose newest data sits in the buffer; its payload is token[lpa].
+	// bufOrder lists the buffered LPAs in first-insertion order, so an
+	// unsorted flush (SortBuffer off) lays pages out deterministically,
+	// and its length is the buffer's occupancy. Mid-flush it still names
+	// the pages already programmed until compactBufOrder runs.
+	buffered   []bool
 	bufOrder   []addr.LPA
 	cache      *ftl.ByteLRU[addr.LPA, uint64]
 	mapBudget  int
 	writeStamp uint64
+
+	// Staging reused from call to call, so a warmed device's request path
+	// does not allocate: the flush's LPA run and per-lane pending
+	// mappings and program attempts; GC's victim pages, per-lane pending
+	// mappings and in-flight window. Flush and GC keep separate buffers
+	// because allocBlockOn can run GC in the middle of a flush.
+	flushLPAs     []addr.LPA
+	flushPairs    [][]addr.Mapping
+	flushAttempts []int
+	gcPages       []movedPage
+	gcPairs       [][]addr.Mapping
+	gcWindow      []time.Duration
 
 	// Garbage collection machinery: the victim policy over the
 	// incremental valid-count index, the hot/cold destination streams,
@@ -157,7 +172,7 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 		nextChan:     make([]int, cfg.Flash.Dies()),
 		isFree:       make([]bool, cfg.Flash.Blocks()),
 		blockSeq:     make([]uint64, cfg.Flash.Blocks()),
-		buffer:       make(map[addr.LPA]uint64, cfg.BufferPages),
+		buffered:     make([]bool, cfg.LogicalPages()),
 		policy:       policy,
 		victims:      newVictimIndex(cfg.Flash.Blocks(), cfg.Flash.PagesPerBlock),
 		streams:      make([]gcStream, streams*cfg.Flash.Dies()),
@@ -169,6 +184,11 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 		scrubSet:     make([]bool, cfg.Flash.Blocks()),
 		readLat:      metrics.NewHistogram(),
 		writeLat:     metrics.NewHistogram(),
+
+		flushPairs:    make([][]addr.Mapping, cfg.Flash.Dies()),
+		flushAttempts: make([]int, cfg.Flash.Dies()),
+		gcPairs:       make([][]addr.Mapping, cfg.Flash.Dies()),
+		gcWindow:      make([]time.Duration, cfg.Flash.Units()),
 	}
 	if mr, ok := scheme.(ftl.MissReporter); ok {
 		// Schemes expose the interface statically even when the bitmap is
@@ -371,7 +391,7 @@ func (d *Device) readPage(lpa addr.LPA, t time.Duration) (time.Duration, error) 
 		d.stats.HostUECCs++
 		return 0, &UECCError{LPA: lpa, PPA: addr.InvalidPPA}
 	}
-	if _, ok := d.buffer[lpa]; ok {
+	if d.buffered[lpa] {
 		d.stats.BufferHits++
 		return t + d.cfg.CacheHitLatency, nil
 	}
@@ -608,13 +628,13 @@ func (d *Device) WriteAt(lpa addr.LPA, n int, start time.Duration) (time.Duratio
 		d.lpaHeat[l] = d.writeStamp
 		d.lost[l] = false // a rewrite replaces whatever was lost
 		tok := uint64(l)<<24 ^ d.writeStamp
-		if _, ok := d.buffer[l]; !ok {
+		if !d.buffered[l] {
+			d.buffered[l] = true
 			d.bufOrder = append(d.bufOrder, l)
 		}
-		d.buffer[l] = tok
 		d.token[l] = tok
 		d.cache.Remove(l) // drop the stale cached copy
-		if len(d.buffer) >= d.cfg.BufferPages {
+		if len(d.bufOrder) >= d.cfg.BufferPages {
 			stall, err := d.flush(start)
 			if err != nil {
 				return 0, err
@@ -647,7 +667,7 @@ func (d *Device) checkRange(lpa addr.LPA, n int) error {
 // Flush drains the write buffer, including a final partial block. Call
 // at end of run before inspecting mapping-structure figures.
 func (d *Device) Flush() error {
-	if len(d.buffer) == 0 {
+	if len(d.bufOrder) == 0 {
 		return nil
 	}
 	_, err := d.flushChunks(d.now, true)
@@ -676,12 +696,12 @@ func (d *Device) flushChunks(t time.Duration, includePartial bool) (time.Duratio
 	t = wait
 	d.crashPoint("flush.begin")
 	// Flush in sorted order (§3.3) or, with sorting disabled, in the
-	// deterministic first-insertion order bufOrder records — never in map
-	// iteration order, which would make the unsorted ablation's physical
-	// layout differ between otherwise identical replays.
-	lpas := append(make([]addr.LPA, 0, len(d.bufOrder)), d.bufOrder...)
+	// deterministic first-insertion order bufOrder records. The buffered
+	// LPAs are unique, so the sort order is fully determined.
+	d.flushLPAs = append(d.flushLPAs[:0], d.bufOrder...)
+	lpas := d.flushLPAs
 	if d.cfg.SortBuffer {
-		sort.Slice(lpas, func(i, j int) bool { return lpas[i] < lpas[j] })
+		slices.Sort(lpas)
 	}
 	ppb := d.cfg.Flash.PagesPerBlock
 	flushable := len(lpas)
@@ -726,7 +746,7 @@ func (d *Device) commitPairs(pairs []addr.Mapping, t time.Duration) {
 	// without changing the physical layout (the learned patterns
 	// degrade, which is exactly what the no-sort ablation measures).
 	if !d.cfg.SortBuffer {
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].LPA < pairs[j].LPA })
+		slices.SortFunc(pairs, func(a, b addr.Mapping) int { return cmp.Compare(a.LPA, b.LPA) })
 	}
 	d.chargeMeta(d.scheme.Commit(pairs), t)
 }
@@ -761,8 +781,13 @@ func (d *Device) sealFlushLane(lane int, pairs []addr.Mapping, t time.Duration) 
 // failure.
 func (d *Device) flushPages(lpas []addr.LPA, t time.Duration, sealPartial bool) (time.Duration, error) {
 	ppb := d.cfg.Flash.PagesPerBlock
-	pairs := make([][]addr.Mapping, d.dieLanes)
-	attempts := make([]int, d.dieLanes)
+	// The scheme only borrows a committed batch, so each lane's buffer is
+	// truncated and refilled rather than reallocated.
+	pairs, attempts := d.flushPairs, d.flushAttempts
+	for lane := range pairs {
+		pairs[lane] = pairs[lane][:0]
+	}
+	clear(attempts)
 	var done time.Duration
 	for i, l := range lpas {
 		lane := i % d.dieLanes
@@ -776,7 +801,7 @@ func (d *Device) flushPages(lpas []addr.LPA, t time.Duration, sealPartial bool) 
 				*st = gcStream{open: true, block: b}
 			}
 			ppa := d.cfg.Flash.FirstPPA(st.block) + addr.PPA(st.next)
-			wdone, werr := d.arr.Write(ppa, l, d.buffer[l], t)
+			wdone, werr := d.arr.Write(ppa, l, d.token[l], t)
 			if wdone > done {
 				done = wdone
 			}
@@ -789,7 +814,7 @@ func (d *Device) flushPages(lpas []addr.LPA, t time.Duration, sealPartial bool) 
 				}
 				d.crashPoint("flush.progfail")
 				d.commitPairs(pairs[lane], t)
-				pairs[lane] = nil
+				pairs[lane] = pairs[lane][:0]
 				bad := st.block
 				*st = gcStream{}
 				d.abandonBadBlock(bad)
@@ -801,10 +826,10 @@ func (d *Device) flushPages(lpas []addr.LPA, t time.Duration, sealPartial bool) 
 			d.valid[ppa] = true
 			d.bvc[st.block]++
 			pairs[lane] = append(pairs[lane], addr.Mapping{LPA: l, PPA: ppa})
-			delete(d.buffer, l)
+			d.buffered[l] = false
 			if st.next >= ppb {
 				d.sealFlushLane(lane, pairs[lane], t)
-				pairs[lane] = nil
+				pairs[lane] = pairs[lane][:0]
 			}
 			break
 		}
@@ -816,7 +841,7 @@ func (d *Device) flushPages(lpas []addr.LPA, t time.Duration, sealPartial bool) 
 		if sealPartial {
 			// Full Flush: close out every open lane, partial or not.
 			d.sealFlushLane(lane, pairs[lane], t)
-			pairs[lane] = nil
+			pairs[lane] = pairs[lane][:0]
 			continue
 		}
 		// The lane stays open across flushes; its mappings must land in
@@ -825,7 +850,7 @@ func (d *Device) flushPages(lpas []addr.LPA, t time.Duration, sealPartial bool) 
 			d.crashPoint("flush.programmed")
 			d.commitPairs(pairs[lane], t)
 			d.crashPoint("flush.committed")
-			pairs[lane] = nil
+			pairs[lane] = pairs[lane][:0]
 		}
 	}
 	return done, nil
@@ -837,7 +862,7 @@ func (d *Device) flushPages(lpas []addr.LPA, t time.Duration, sealPartial bool) 
 func (d *Device) compactBufOrder() {
 	keep := d.bufOrder[:0]
 	for _, l := range d.bufOrder {
-		if _, ok := d.buffer[l]; ok {
+		if d.buffered[l] {
 			keep = append(keep, l)
 		}
 	}

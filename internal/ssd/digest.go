@@ -61,7 +61,7 @@ func (d *Device) StateDigest() uint64 {
 	w64(uint64(len(d.bufOrder)))
 	for _, l := range d.bufOrder {
 		w64(uint64(l))
-		w64(d.buffer[l])
+		w64(d.token[l]) // a buffered LPA's payload
 	}
 	for _, st := range d.streams {
 		wbool(st.open)

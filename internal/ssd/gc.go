@@ -1,9 +1,10 @@
 package ssd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"leaftl/internal/addr"
@@ -19,6 +20,14 @@ type gcStream struct {
 	open  bool
 	block flash.BlockID
 	next  int
+}
+
+// movedPage is one valid page of a GC victim, staged in controller DRAM
+// between copy-out and copy-in.
+type movedPage struct {
+	lpa    addr.LPA
+	tok    uint64
+	stream int
 }
 
 // maybeGC runs garbage collection when the free pool drops below the low
@@ -69,7 +78,8 @@ func (d *Device) runGC(t time.Duration, minFree int, bestEffort bool) error {
 	d.stats.GCRuns++
 	// window[k%Units()] is when the victim last issued in that slot
 	// finished programming; the slot's next victim may start then.
-	window := make([]time.Duration, d.cfg.Flash.Units())
+	window := d.gcWindow
+	clear(window)
 	for k := 0; len(d.free) < minFree; k++ {
 		victim, ok := d.pickVictim()
 		if !ok {
@@ -142,12 +152,7 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 	retire = retire || d.bad[victim]
 	d.victims.remove(victim)
 	first := d.cfg.Flash.FirstPPA(victim)
-	type moved struct {
-		lpa    addr.LPA
-		tok    uint64
-		stream int
-	}
-	var pages []moved
+	pages := d.gcPages[:0]
 	readsDone := t
 	for i := 0; i < d.cfg.Flash.PagesPerBlock; i++ {
 		ppa := first + addr.PPA(i)
@@ -167,7 +172,7 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 				if l == addr.InvalidLPA {
 					l = d.arr.Reverse(ppa)
 				}
-				if _, buffered := d.buffer[l]; buffered {
+				if d.buffered[l] {
 					d.invalidate(l) // newest data is in RAM; only a stale-bound copy died
 				} else {
 					d.loseLPA(l)
@@ -187,17 +192,24 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 				return 0, 0, err
 			}
 		}
-		pages = append(pages, moved{lpa: lpa, tok: tok, stream: d.streamOf(lpa)})
+		pages = append(pages, movedPage{lpa: lpa, tok: tok, stream: d.streamOf(lpa)})
 	}
+	d.gcPages = pages
 	d.crashPoint("gc.read")
 	// Sort by LPA so relocated runs stay learnable (§3.6: "place these
 	// valid pages into the DRAM buffer, sort them by their LPAs, and
-	// learn a new index segment").
-	sort.Slice(pages, func(i, j int) bool { return pages[i].lpa < pages[j].lpa })
+	// learn a new index segment"). A block's valid pages hold distinct
+	// LPAs, so the order is fully determined.
+	slices.SortFunc(pages, func(a, b movedPage) int { return cmp.Compare(a.lpa, b.lpa) })
 
 	writeT := readsDone
 	lastDone := readsDone
-	pairs := make([][]addr.Mapping, d.dieLanes)
+	// The scheme only borrows a committed batch, so each lane's buffer is
+	// truncated and refilled rather than reallocated.
+	pairs := d.gcPairs
+	for lane := range pairs {
+		pairs[lane] = pairs[lane][:0]
+	}
 	// GC relocation is the one moment the drive holds an LPA-sorted run
 	// of a group's pages next to a sequential destination — a relearning
 	// scheme re-fits the affected groups from it (LearnedFTL-style
@@ -215,7 +227,7 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 			cost := d.scheme.Commit(pairs[lane])
 			d.chargeMeta(cost, writeT)
 		}
-		pairs[lane] = nil
+		pairs[lane] = pairs[lane][:0]
 	}
 	// One pass per stream keeps each stream's pages in LPA order, and
 	// within a stream the pages stripe round-robin over the stream's

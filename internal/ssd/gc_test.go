@@ -147,6 +147,63 @@ func TestGCDestinationContinuesAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestGCInsideFlush drains the free pool so that allocBlockOn has to run
+// GC in the middle of a flush, on a two-die geometry where the other
+// flush lane holds programmed but not yet committed mappings at that
+// moment. Every flushed mapping must still reach the scheme: flush and GC
+// stage their batches in separate buffers, and a GC that reused the
+// flush's would silently drop the pending ones.
+func TestGCInsideFlush(t *testing.T) {
+	cfg := testConfig()
+	cfg.Flash.DiesPerChan = 2
+	// The low watermark rounds down to zero blocks, so no GC runs after a
+	// flush: the pool drains, and only allocation reclaims.
+	cfg.GCLowWater = 0.5 / float64(cfg.Flash.Blocks())
+	d := newTestDevice(t, cfg, leaftl.New(0, cfg.Flash.PageSize))
+	pendingAtGC := 0
+	d.SetCrashHook(func(point string) {
+		if point != "gc.read" {
+			return
+		}
+		for _, p := range d.flushPairs {
+			if len(p) > 0 {
+				pendingAtGC++
+			}
+		}
+	})
+
+	// Rewriting the hot quarter in order leaves whole blocks stale, so a
+	// victim frees its block without needing a GC destination block.
+	fillSequential(t, d)
+	hot := d.LogicalPages() / 4
+	for pass := 0; pass < 6; pass++ {
+		for lpa := 0; lpa < hot; lpa += 8 {
+			if _, err := d.Write(addr.LPA(lpa), 8); err != nil {
+				t.Fatalf("pass %d: %v", pass, err)
+			}
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if d.Stats().GCRuns == 0 || pendingAtGC == 0 {
+		t.Fatalf("%d GC runs, %d with flush mappings pending: the scenario never ran GC inside a flush",
+			d.Stats().GCRuns, pendingAtGC)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for l, ppa := range d.truth {
+		if ppa == addr.InvalidPPA {
+			continue
+		}
+		if tr, ok := d.scheme.Translate(addr.LPA(l)); !ok || tr.PPA != ppa {
+			t.Fatalf("LPA %d: scheme maps it to %d (ok=%v), flushed to %d: a mapping was never committed",
+				l, tr.PPA, ok, ppa)
+		}
+	}
+}
+
 // reclaimRecord is one reclaimHook observation.
 type reclaimRecord struct {
 	block                    flash.BlockID

@@ -214,7 +214,7 @@ func (d *Device) CheckInvariants() error {
 		if d.truth[lpa] != addr.InvalidPPA {
 			return fmt.Errorf("invariant: lost LPA %d still maps to PPA %d", lpa, d.truth[lpa])
 		}
-		if _, ok := d.buffer[lpa]; ok {
+		if d.buffered[lpa] {
 			return fmt.Errorf("invariant: lost LPA %d has buffered data", lpa)
 		}
 	}
@@ -273,17 +273,24 @@ func (d *Device) CheckInvariants() error {
 		}
 	}
 
-	if len(d.buffer) > d.cfg.BufferPages {
-		return fmt.Errorf("invariant: write buffer holds %d pages, capacity %d", len(d.buffer), d.cfg.BufferPages)
+	buffered := 0
+	for _, b := range d.buffered {
+		if b {
+			buffered++
+		}
+	}
+	if buffered > d.cfg.BufferPages {
+		return fmt.Errorf("invariant: write buffer holds %d pages, capacity %d", buffered, d.cfg.BufferPages)
 	}
 	// The insertion-order log mirrors the buffer exactly: same size, no
-	// duplicates, every entry buffered (flush layout depends on it).
-	if len(d.bufOrder) != len(d.buffer) {
-		return fmt.Errorf("invariant: buffer order log holds %d LPAs, buffer %d", len(d.bufOrder), len(d.buffer))
+	// duplicates, every entry buffered (flush layout and the buffer's
+	// occupancy count depend on it).
+	if len(d.bufOrder) != buffered {
+		return fmt.Errorf("invariant: buffer order log holds %d LPAs, buffer %d", len(d.bufOrder), buffered)
 	}
 	seen := make(map[addr.LPA]bool, len(d.bufOrder))
 	for _, l := range d.bufOrder {
-		if _, ok := d.buffer[l]; !ok {
+		if !d.buffered[l] {
 			return fmt.Errorf("invariant: buffer order log names unbuffered LPA %d", l)
 		}
 		if seen[l] {

@@ -81,8 +81,8 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	// the firmware itself knew is discarded.
 	preTruth := append([]addr.PPA(nil), d.truth...)
 
-	d.buffer = make(map[addr.LPA]uint64, d.cfg.BufferPages)
-	d.bufOrder = nil
+	clear(d.buffered)
+	d.bufOrder = d.bufOrder[:0]
 	d.cache.Resize(0)
 	for i := range d.streams {
 		d.streams[i] = gcStream{}

@@ -257,11 +257,15 @@ func (d *Device) TruthSnapshot() (tokens []uint64, lost []bool) {
 
 // BufferedLPAs lists the LPAs currently dirty in the write buffer — the
 // set a sudden power loss may legally lose (acknowledged at DRAM speed,
-// not yet durable; §3.8 assumes no battery backing).
+// not yet durable; §3.8 assumes no battery backing) — in first-insertion
+// order. Called mid-flush (from a crash hook), it leaves out the pages
+// the flush has already programmed.
 func (d *Device) BufferedLPAs() []addr.LPA {
-	out := make([]addr.LPA, 0, len(d.buffer))
-	for l := range d.buffer {
-		out = append(out, l)
+	out := make([]addr.LPA, 0, len(d.bufOrder))
+	for _, l := range d.bufOrder {
+		if d.buffered[l] {
+			out = append(out, l)
+		}
 	}
 	return out
 }

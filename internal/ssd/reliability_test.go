@@ -329,9 +329,37 @@ func TestCrashHookRecover(t *testing.T) {
 	rng := seededRand(t, seed)
 	span := d.LogicalPages()
 
+	// entered[l] is the write that last put l into the buffer: the order
+	// BufferedLPAs must list the buffered LPAs in.
+	entered := make(map[addr.LPA]int)
+	listed, drained := 0, 0
 	type crashMark struct{ point string }
 	countdown := 3
 	d.SetCrashHook(func(point string) {
+		// At every hook, on the way to the crash: BufferedLPAs names
+		// exactly the LPAs whose newest data is not on flash — none the
+		// interrupted flush already programmed — in buffer-entry order.
+		buf := d.BufferedLPAs()
+		want := 0
+		for l, tok := range d.token {
+			if ppa := d.truth[l]; tok != 0 && (ppa == addr.InvalidPPA || d.arr.TokenAt(ppa) != tok) {
+				want++
+			}
+		}
+		if len(buf) != want {
+			t.Fatalf("seed %d at %q: BufferedLPAs lists %d LPAs, %d are not durable", seed, point, len(buf), want)
+		}
+		for k, l := range buf {
+			if ppa := d.truth[l]; ppa != addr.InvalidPPA && d.arr.TokenAt(ppa) == d.token[l] {
+				t.Fatalf("seed %d at %q: BufferedLPAs lists LPA %d, already programmed", seed, point, l)
+			}
+			if k > 0 && entered[l] <= entered[buf[k-1]] {
+				t.Fatalf("seed %d at %q: BufferedLPAs lists LPA %d (entered at write %d) after LPA %d (write %d)",
+					seed, point, l, entered[l], buf[k-1], entered[buf[k-1]])
+			}
+		}
+		listed += len(buf)
+		drained += len(d.bufOrder) - len(buf)
 		countdown--
 		if countdown <= 0 {
 			panic(crashMark{point})
@@ -349,7 +377,11 @@ func TestCrashHookRecover(t *testing.T) {
 			}
 		}()
 		for i := 0; i < 20000; i++ {
-			if _, err := d.Write(addr.LPA(rng.Intn(span)), 1); err != nil {
+			l := addr.LPA(rng.Intn(span))
+			if !d.buffered[l] {
+				entered[l] = i
+			}
+			if _, err := d.Write(l, 1); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
@@ -358,6 +390,10 @@ func TestCrashHookRecover(t *testing.T) {
 	d.SetCrashHook(nil)
 	if crashed == "" {
 		t.Fatalf("seed %d: no crash point recorded", seed)
+	}
+	if listed == 0 || drained == 0 {
+		t.Fatalf("seed %d: hooks saw %d buffered and %d programmed-but-logged LPAs: the order and over-report checks never ran",
+			seed, listed, drained)
 	}
 
 	rep, err := d.Recover(leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000)))
