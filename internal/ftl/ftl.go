@@ -204,13 +204,18 @@ type MissReporter interface {
 }
 
 // GCRelearner is implemented by schemes that re-fit their mapping model
-// from GC relocation batches. The device's block reclaim commits each
-// per-stream relocation run (sorted ascending by LPA, like a flush)
-// through CommitGC instead of Commit; the scheme may relearn the
-// affected groups from the freshly sequential layout and reports how
-// many it re-fitted (0 when relearning is disabled — CommitGC then
-// behaves exactly like Commit). pairs is borrowed for the call, as in
-// Commit: the device reuses it for the next relocation batch.
+// from GC relocation batches. The device's garbage collection relocates
+// a window of victims at a time as one pool sorted by LPA, and commits
+// it through CommitGC instead of Commit, one batch per destination block
+// of each stream lane: an ascending LPA run onto consecutive PPAs, like
+// a flush, that holds every page of each group it touches that landed in
+// that block. A group is therefore handed over once per window and
+// destination block, not once per victim that held some of its pages.
+// The scheme may relearn the affected groups from the freshly
+// sequential layout and reports how many it re-fitted (0 when
+// relearning is disabled — CommitGC then behaves exactly like Commit).
+// pairs is borrowed for the call, as in Commit: the device reuses it for
+// the next relocation batch.
 type GCRelearner interface {
 	CommitGC(pairs []addr.Mapping) (Cost, int)
 }

@@ -66,15 +66,17 @@ type Device struct {
 
 	// Staging reused from call to call, so a warmed device's request path
 	// does not allocate: the flush's LPA run and per-lane pending
-	// mappings and program attempts; GC's victim pages, per-lane pending
-	// mappings and in-flight window. Flush and GC keep separate buffers
-	// because allocBlockOn can run GC in the middle of a flush.
+	// mappings and program attempts; the GC window's victims, pooled
+	// pages (and their count per stream) and per-lane pending mappings.
+	// Flush and GC keep separate buffers because allocBlockOn can run GC
+	// in the middle of a flush.
 	flushLPAs     []addr.LPA
 	flushPairs    [][]addr.Mapping
 	flushAttempts []int
+	gcVictims     []flash.BlockID
 	gcPages       []movedPage
+	gcStreamPages []int
 	gcPairs       [][]addr.Mapping
-	gcWindow      []time.Duration
 
 	// Garbage collection machinery: the victim policy over the
 	// incremental valid-count index, the hot/cold destination streams,
@@ -114,14 +116,14 @@ type Device struct {
 	// flushDone is when the last flush's slowest program completes; the
 	// next flush stalls behind it (write back-pressure: the host cannot
 	// outrun the flash's program bandwidth indefinitely). gcHorizon is
-	// the same horizon for background relocation (relocate is its only
+	// the same horizon for background relocation (reclaim is its only
 	// writer), kept separate so stalls can be attributed to GC in the
 	// stats.
 	flushDone time.Duration
 	gcHorizon time.Duration
 	// reclaimHook, set by tests only, observes every relocated block:
-	// when it was issued, when its last relocation program completed and
-	// when its erase (or retirement) did.
+	// when its window was issued, when the window's last relocation
+	// program completed and when the block's erase (or retirement) did.
 	reclaimHook func(b flash.BlockID, issued, programmed, done time.Duration)
 
 	now   time.Duration
@@ -187,8 +189,8 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 
 		flushPairs:    make([][]addr.Mapping, cfg.Flash.Dies()),
 		flushAttempts: make([]int, cfg.Flash.Dies()),
+		gcStreamPages: make([]int, streams),
 		gcPairs:       make([][]addr.Mapping, cfg.Flash.Dies()),
-		gcWindow:      make([]time.Duration, cfg.Flash.Units()),
 	}
 	if mr, ok := scheme.(ftl.MissReporter); ok {
 		// Schemes expose the interface statically even when the bitmap is

@@ -41,7 +41,8 @@ func (d *Device) maybeGC(t time.Duration) error {
 		return d.maybeWearLevel(t)
 	}
 	// Watermark-driven reclaim is best-effort: when the policy refuses
-	// (every candidate fully valid), the drive simply runs below its
+	// (every candidate fully valid) or the watermark is beyond what the
+	// candidates' stale pages can free, the drive simply runs below its
 	// high watermark until churn invalidates pages — only allocation
 	// with an empty pool is a hard failure (allocBlockOn's runGC call).
 	if err := d.runGC(t, high, true); err != nil {
@@ -52,76 +53,116 @@ func (d *Device) maybeGC(t time.Duration) error {
 
 // runGC reclaims blocks until at least minFree are free (stopping
 // quietly instead when bestEffort is set and the policy refuses,
-// i.e. nothing would free net space). Victims come
-// from the configured GCPolicy over the incremental valid-count index;
-// their valid pages are read, re-sorted by LPA, packed into the
-// per-stream destination blocks and re-learned by the scheme.
+// i.e. nothing would free net space). A best-effort run also does not
+// chase a target the victim index cannot reach: getting there would
+// drain every candidate, relocating the fullest ones for a few stale
+// pages each, so the run aims one block short of what draining would
+// free (reachableFree) and the policy decides which candidates that
+// leaves behind. It reclaims in windows: a window
+// is up to Flash.Units() victims, picked by the configured GCPolicy over
+// the incremental valid-count index in the order it picks them one at a
+// time. Their valid pages are copied out into one pool, which reclaim
+// sorts by LPA and programs into the per-stream destination lanes. LPAs
+// are unique device-wide, so LPA order is also mapping-group order: each
+// group's relocated pages land as one ascending run per destination
+// block, and a relearning scheme re-fits each touched group once per
+// window instead of once per victim that held a few of its pages.
 //
-// The run uses the array's parallelism: up to Flash.Units() victims are
-// in flight at once. Victim k is issued when victim k − Units() has
-// finished programming, so the pages staged in controller DRAM between
-// copy-out and copy-in never exceed one block per die. Each victim
-// still does reads → programs → erase in that order (reclaimBlock), and
-// the per-die timelines in internal/flash serialize whatever truly
-// shares a die — work booked here for a future time is a reservation
-// that leaves the die usable until then; with takeFree rotating
-// destinations over the channels, the victims' program bursts land on
-// different dies and overlap.
-// Victim choice and order, and the bookkeeping each victim leaves
-// behind, are those of a one-at-a-time run — only the timestamps move.
+// A window stops growing once its victims, net of the destination blocks
+// their pooled pages will open (destBlocks), bring the free pool to
+// minFree — so a run stops at the victim a one-at-a-time run toward the
+// same target would stop at — or once those destination blocks would
+// leave fewer free blocks than there are stream lanes. A window's
+// victims are erased only after its last program, so its destinations
+// come out of the pool as it stood, and the next victim could need a
+// fresh block on every lane.
+//
+// Two windows are in flight at once: window w is issued when window
+// w − 2 finished programming, so one window's copy-out reads overlap the
+// previous window's programs, and the pages staged in controller DRAM
+// between copy-out and copy-in never exceed 2 × Units() blocks. The
+// per-die timelines in internal/flash serialize whatever truly shares a
+// die — work booked here for a future time is a reservation that leaves
+// the die usable until then; with takeFree rotating destinations over
+// the channels, a window's program bursts land on different dies and
+// overlap. The firmware still handles one window after another: only
+// the timestamps overlap.
 //
 // GC's flash traffic completes at d.gcHorizon, the latest completion of
 // the run; the next flush stalls behind it (and behind its own program
 // backlog), which is how GC time surfaces in per-request service time
 // instead of vanishing.
 func (d *Device) runGC(t time.Duration, minFree int, bestEffort bool) error {
+	if bestEffort {
+		minFree = min(minFree, d.reachableFree()-1)
+	}
+	if len(d.free) >= minFree {
+		return nil
+	}
 	d.stats.GCRuns++
-	// window[k%Units()] is when the victim last issued in that slot
-	// finished programming; the slot's next victim may start then.
-	window := d.gcWindow
-	clear(window)
-	for k := 0; len(d.free) < minFree; k++ {
-		victim, ok := d.pickVictim()
-		if !ok {
-			if bestEffort {
+	// programmed[w%2] is when window w − 2 finished programming.
+	var programmed [2]time.Duration
+	for w := 0; len(d.free) < minFree; w++ {
+		issued := max(t, programmed[w%2])
+		d.openWindow()
+		readsDone := issued
+		for len(d.gcVictims) < d.cfg.Flash.Units() {
+			victim, ok := d.pickVictim()
+			if !ok {
 				break
+			}
+			done, err := d.copyOut(victim, issued)
+			if err != nil {
+				return err
+			}
+			readsDone = max(readsDone, done)
+			need := d.destBlocks()
+			if len(d.free)+len(d.gcVictims)-need >= minFree || len(d.free)-need < len(d.streams) {
+				break
+			}
+		}
+		if len(d.gcVictims) == 0 {
+			if bestEffort {
+				return nil
 			}
 			return fmt.Errorf("ssd: GC policy %s found no victim that frees space (free=%d)",
 				d.policy.Name(), len(d.free))
 		}
-		slot := k % len(window)
-		programmed, _, err := d.relocate(victim, max(t, window[slot]), false)
+		p, _, err := d.reclaim(issued, readsDone, false)
 		if err != nil {
 			return err
 		}
-		window[slot] = programmed
+		programmed[w%2] = p
 	}
 	return nil
 }
 
-// relocate is the one entry point of background relocation — GC, wear
-// leveling, scrubbing and retirement all move blocks through it. It
-// reclaims b starting at t and books the flash time: the GC horizon
-// rises to the block's completion, and GCTime grows by the part of
-// [t, done] the horizon did not already cover. Overlapping relocations
-// thus add up to the span they occupy together (a GC run: its latest
-// completion minus its start) instead of being counted once each, and
-// since a flush only ever stalls below gcHorizon, GCStall ≤ GCTime holds
-// whichever background move caused the wait. Returns when the last
-// relocation program and the final erase completed.
-func (d *Device) relocate(b flash.BlockID, t time.Duration, retire bool) (programmed, done time.Duration, err error) {
-	programmed, done, err = d.reclaimBlock(b, t, retire)
+// reachableFree returns how many blocks would be free if every victim
+// candidate were reclaimed: the free pool, plus the candidates' stale
+// pages and the room left in the open GC destination blocks, in whole
+// blocks.
+func (d *Device) reachableFree() int {
+	ppb := d.cfg.Flash.PagesPerBlock
+	room := d.victims.invalidPages()
+	for _, st := range d.streams {
+		if st.open {
+			room += ppb - st.next
+		}
+	}
+	return len(d.free) + room/ppb
+}
+
+// relocate moves one block — wear leveling, scrubbing and retirement —
+// through reclaim as a one-victim window issued at t, returning when its
+// erase (or retirement) completed.
+func (d *Device) relocate(b flash.BlockID, t time.Duration, retire bool) (time.Duration, error) {
+	d.openWindow()
+	readsDone, err := d.copyOut(b, t)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	if done > d.gcHorizon {
-		d.stats.GCTime += done - max(t, d.gcHorizon)
-		d.gcHorizon = done
-	}
-	if d.reclaimHook != nil {
-		d.reclaimHook(b, t, programmed, done)
-	}
-	return programmed, done, nil
+	_, done, err := d.reclaim(t, readsDone, retire)
+	return done, err
 }
 
 // pickVictim asks the configured policy for the next victim.
@@ -129,30 +170,29 @@ func (d *Device) pickVictim() (flash.BlockID, bool) {
 	return d.policy.PickVictim(d.victims, d.writeStamp)
 }
 
-// reclaimBlock relocates a block's valid pages and then either erases
-// it back into the free pool (GC, scrubbing, wear leveling) or retires
-// it (retire=true, and forced for grown-bad blocks and erase failures:
-// the block is never erased, never freed, and drops out of rotation).
-// Relocation is charged like any other flash traffic: the copy-out
-// reads occupy their channels, the copy-in programs start only once the
-// last read has returned (the pages must be in the controller's DRAM
-// before they can be written back), and the erase follows the last
-// program. It returns when the last relocation program completed
-// (programmed: the staged pages have left controller DRAM) and when the
-// erase did (finished; equal to programmed for a block retired unerased).
+// openWindow empties the window's victim list and page pool; their
+// storage is reused from window to window.
+func (d *Device) openWindow() {
+	d.gcVictims = d.gcVictims[:0]
+	d.gcPages = d.gcPages[:0]
+	clear(d.gcStreamPages)
+}
+
+// copyOut adds victim to the window and reads its valid pages into the
+// pool, issued at t. It returns when the last read completed: the pages
+// must be in the controller's DRAM before they can be written back.
 //
-// Copy-out reads run under the fault model. A data UECC destroys the
-// page's payload: if the newest copy lives in the write buffer only the
-// stale flash copy died, otherwise the LPA is lost (reads return
-// *UECCError until the host rewrites it). An OOB UECC leaves the
-// payload intact but the reverse mapping unreadable; it is rebuilt from
-// a sibling's OOB window, falling back to the simulator's oracle as a
-// stand-in for the per-block P2L journal real controllers keep.
-func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool) (programmed, finished time.Duration, _ error) {
-	retire = retire || d.bad[victim]
+// The reads run under the fault model. A data UECC destroys the page's
+// payload: if the newest copy lives in the write buffer only the stale
+// flash copy died, otherwise the LPA is lost (reads return *UECCError
+// until the host rewrites it). An OOB UECC leaves the payload intact but
+// the reverse mapping unreadable; it is rebuilt from a sibling's OOB
+// window, falling back to the simulator's oracle as a stand-in for the
+// per-block P2L journal real controllers keep.
+func (d *Device) copyOut(victim flash.BlockID, t time.Duration) (time.Duration, error) {
 	d.victims.remove(victim)
+	d.gcVictims = append(d.gcVictims, victim)
 	first := d.cfg.Flash.FirstPPA(victim)
-	pages := d.gcPages[:0]
 	readsDone := t
 	for i := 0; i < d.cfg.Flash.PagesPerBlock; i++ {
 		ppa := first + addr.PPA(i)
@@ -189,17 +229,65 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 				}
 				lpa = rev
 			default:
-				return 0, 0, err
+				return 0, err
 			}
 		}
-		pages = append(pages, movedPage{lpa: lpa, tok: tok, stream: d.streamOf(lpa)})
+		s := d.streamOf(lpa)
+		d.gcPages = append(d.gcPages, movedPage{lpa: lpa, tok: tok, stream: s})
+		d.gcStreamPages[s]++
 	}
-	d.gcPages = pages
+	return readsDone, nil
+}
+
+// destBlocks returns how many fresh destination blocks programming the
+// pooled pages will open. Stream s's j-th page goes to lane j % dieLanes
+// (reclaim's striping), and a lane needs fresh blocks only for the pages
+// its open block has no room left for.
+func (d *Device) destBlocks() int {
+	ppb := d.cfg.Flash.PagesPerBlock
+	need := 0
+	for s, n := range d.gcStreamPages {
+		for lane := 0; lane < d.dieLanes; lane++ {
+			pages := (n - lane + d.dieLanes - 1) / d.dieLanes
+			if st := d.stream(s, lane); st.open {
+				pages -= ppb - st.next
+			}
+			if pages > 0 {
+				need += (pages + ppb - 1) / ppb
+			}
+		}
+	}
+	return need
+}
+
+// reclaim is the one relocation function: GC windows, wear leveling,
+// scrubbing and retirement all move blocks through it. It programs the
+// window's pooled pages — copied out by copyOut, issued at issued, the
+// last read done at readsDone — into the per-stream destination lanes,
+// then erases every victim back into the free pool (GC, scrubbing, wear
+// leveling) or retires it (retire=true, and forced for grown-bad blocks
+// and erase failures: the block is never erased, never freed, and drops
+// out of rotation). Relocation is charged like any other flash traffic:
+// the copy-in programs start only once the last read has returned, and
+// the erases follow the window's last program. It returns when the last
+// relocation program completed (programmed: the staged pages have left
+// controller DRAM) and when the last erase did (finished; equal to
+// programmed when every victim was retired unerased).
+//
+// reclaim is also the only writer of the GC horizon: it rises to the
+// window's completion, and GCTime grows by the part of [issued,
+// finished] the horizon did not already cover. Overlapping windows thus
+// add up to the span they occupy together (a GC run: its latest
+// completion minus its start) instead of being counted once each, and
+// since a flush only ever stalls below gcHorizon, GCStall ≤ GCTime holds
+// whichever background move caused the wait.
+func (d *Device) reclaim(issued, readsDone time.Duration, retire bool) (programmed, finished time.Duration, _ error) {
+	pages := d.gcPages
 	d.crashPoint("gc.read")
 	// Sort by LPA so relocated runs stay learnable (§3.6: "place these
 	// valid pages into the DRAM buffer, sort them by their LPAs, and
-	// learn a new index segment"). A block's valid pages hold distinct
-	// LPAs, so the order is fully determined.
+	// learn a new index segment"), across the whole window. The pooled
+	// pages hold distinct LPAs, so the order is fully determined.
 	slices.SortFunc(pages, func(a, b movedPage) int { return cmp.Compare(a.lpa, b.lpa) })
 
 	writeT := readsDone
@@ -289,9 +377,32 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 	}
 	d.crashPoint("gc.programmed")
 	programmed, finished = lastDone, lastDone
+	for _, victim := range d.gcVictims {
+		done, err := d.eraseVictim(victim, lastDone, retire || d.bad[victim])
+		if err != nil {
+			return 0, 0, err
+		}
+		finished = max(finished, done)
+		if d.reclaimHook != nil {
+			d.reclaimHook(victim, issued, programmed, done)
+		}
+	}
+	if finished > d.gcHorizon {
+		d.stats.GCTime += finished - max(issued, d.gcHorizon)
+		d.gcHorizon = finished
+	}
+	return programmed, finished, nil
+}
 
+// eraseVictim erases a relocated victim at t back into the free pool,
+// or retires it: when retire is set, or when the erase fails. Its pages
+// are all stale by now, so retirement loses nothing — the block simply
+// never rejoins the pool. It returns when the erase completed (t for a
+// block retired unerased).
+func (d *Device) eraseVictim(victim flash.BlockID, t time.Duration, retire bool) (time.Duration, error) {
+	finished := t
 	if !retire {
-		eraseDone, err := d.arr.Erase(victim, lastDone)
+		eraseDone, err := d.arr.Erase(victim, t)
 		if err == nil {
 			d.bvc[victim] = 0
 			d.blockSeq[victim] = 0
@@ -299,17 +410,10 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 			d.isFree[victim] = true
 			d.stats.GCErases++
 			d.crashPoint("gc.erased")
-			return programmed, eraseDone, nil
+			return eraseDone, nil
 		}
 		if !errors.Is(err, flash.ErrEraseFail) {
-			return 0, 0, err
-		}
-		// The erase failed: fall through and retire the block instead.
-		// Its pages are all stale (just relocated), so nothing is lost —
-		// the block simply never rejoins the pool.
-		if !d.bad[victim] {
-			d.bad[victim] = true
-			d.stats.RetiredBlocks++
+			return 0, err
 		}
 		finished = eraseDone
 	}
@@ -323,7 +427,7 @@ func (d *Device) reclaimBlock(victim flash.BlockID, t time.Duration, retire bool
 	d.bvc[victim] = 0
 	d.blockSeq[victim] = 0
 	d.crashPoint("gc.retired")
-	return programmed, finished, nil
+	return finished, nil
 }
 
 // streamOf classifies an LPA into a GC destination stream by update
@@ -451,6 +555,6 @@ func (d *Device) maybeWearLevel(t time.Duration) error {
 		return nil // defer; GC will free space first
 	}
 	d.stats.WearMoves++
-	_, _, err := d.relocate(coldest, t, false)
+	_, err := d.relocate(coldest, t, false)
 	return err
 }

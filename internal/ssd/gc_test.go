@@ -1,12 +1,15 @@
 package ssd
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"leaftl/internal/addr"
 	"leaftl/internal/flash"
+	"leaftl/internal/ftl"
 	"leaftl/internal/leaftl"
 )
 
@@ -246,8 +249,8 @@ func recordReclaims(d *Device) *[]reclaimRecord {
 }
 
 // TestGCRunChannelParallel is the gate of channel-parallel reclaim. One
-// GC run over victims that sit on sixteen distinct channels of an idle
-// array must finish in a fraction of what the same victims cost one
+// GC window over victims that sit on sixteen distinct channels of an
+// idle array must finish in a fraction of what the same victims cost one
 // after another, and GCTime and the GC horizon must both be the run's
 // latest completion. A regression to chaining victims (t = done) or to
 // destinations that share a channel fails the span bound.
@@ -275,10 +278,12 @@ func TestGCRunChannelParallel(t *testing.T) {
 	}
 
 	// Start on a drained array so the run's span is all its own. Each
-	// victim nets a quarter block, so four more free blocks take sixteen.
+	// victim nets a quarter block, so four more free blocks take all
+	// sixteen — a forced run: a best-effort one stops a block short of
+	// draining every candidate.
 	start := max(d.now, d.flushDone) + time.Second
 	run := recordReclaims(d)
-	if err := d.runGC(start, len(d.free)+units/4, true); err != nil {
+	if err := d.runGC(start, len(d.free)+units/4, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.CheckInvariants(); err != nil {
@@ -317,56 +322,309 @@ func TestGCRunChannelParallel(t *testing.T) {
 	}
 }
 
+// TestGCBestEffortStopsShortOfDraining: a watermark run whose target the
+// victim index cannot reach stops one block short of draining it, so the
+// fullest candidates — whose relocation would be nearly all copying —
+// stay where they are. Sixteen blocks hold 1, 3, …, 31 stale pages (four
+// blocks in all); the greedy run frees three blocks from the emptiest
+// victims and leaves the rest.
+func TestGCBestEffortStopsShortOfDraining(t *testing.T) {
+	cfg := parallelGCConfig()
+	ppb := cfg.Flash.PagesPerBlock
+	d := newTestDevice(t, cfg, leaftl.New(0, cfg.Flash.PageSize))
+	fillSequential(t, d)
+	for b := 0; b < 16; b++ {
+		if _, err := d.Write(addr.LPA(b*ppb), 2*b+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if d.Stats().GCRuns != 0 {
+		t.Fatalf("setup already ran GC: %+v", d.Stats())
+	}
+	valid := make(map[flash.BlockID]int)
+	for b := 0; b < cfg.Flash.Blocks(); b++ {
+		if id := flash.BlockID(b); d.victims.Has(id) && d.bvc[b] < ppb {
+			valid[id] = d.bvc[b]
+		}
+	}
+	if len(valid) != 16 {
+		t.Fatalf("setup left %d partly stale blocks, want 16", len(valid))
+	}
+	free := len(d.free)
+	if got := d.reachableFree(); got != free+4 {
+		t.Fatalf("reachableFree = %d, want %d", got, free+4)
+	}
+
+	run := recordReclaims(d)
+	if err := d.runGC(max(d.now, d.flushDone), cfg.Flash.Blocks(), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.free) != free+3 {
+		t.Fatalf("best-effort run left %d blocks free, want %d: one block short of draining %d", len(d.free), free+3, free+4)
+	}
+	fullest := 0
+	for _, r := range *run {
+		fullest = max(fullest, valid[r.block])
+		delete(valid, r.block)
+	}
+	if len(valid) == 0 {
+		t.Fatal("run drained every candidate")
+	}
+	for b, v := range valid {
+		if v < fullest {
+			t.Errorf("block %d (%d valid pages) left behind while a victim held %d", b, v, fullest)
+		}
+	}
+}
+
+// gcWindowRecord is one reclaim window as the tests observe it: how many
+// victims and pooled pages it staged (read at the gc.read crash point),
+// when it was issued and when its last relocation program completed
+// (from reclaimHook).
+type gcWindowRecord struct {
+	victims, pages     int
+	issued, programmed time.Duration
+}
+
+// recordWindows installs a crash hook and a reclaimHook that collect
+// every reclaim window, checking that each victim of a window reports
+// the window's issue and program-completion times.
+func recordWindows(t *testing.T, d *Device) *[]gcWindowRecord {
+	t.Helper()
+	var wins []gcWindowRecord
+	seen := 0
+	d.SetCrashHook(func(point string) {
+		if point == "gc.read" {
+			wins = append(wins, gcWindowRecord{victims: len(d.gcVictims), pages: len(d.gcPages)})
+			seen = 0
+		}
+	})
+	d.reclaimHook = func(b flash.BlockID, issued, programmed, done time.Duration) {
+		w := &wins[len(wins)-1]
+		if seen == 0 {
+			w.issued, w.programmed = issued, programmed
+		} else if issued != w.issued || programmed != w.programmed {
+			t.Errorf("window %d: victim %d reports issue %v / programmed %v, its window %v / %v",
+				len(wins)-1, b, issued, programmed, w.issued, w.programmed)
+		}
+		if programmed < issued || done < programmed {
+			t.Errorf("window %d: victim %d out of order: issued %v, programmed %v, done %v",
+				len(wins)-1, b, issued, programmed, done)
+		}
+		seen++
+	}
+	return &wins
+}
+
 // TestGCRunInFlightWindow checks the staging bound runGC documents on a
-// run several windows long: victim k is issued exactly when victim
-// k − Units() has finished programming, so never more than Units()
-// victims sit between issue and last program — and the run does fill
-// the window.
+// run several windows long: window w is issued exactly when window w − 2
+// finished programming, so never more than two windows — at most
+// 2 × Units() blocks of pages — sit between copy-out and last program,
+// and the run does keep two windows in flight.
 func TestGCRunInFlightWindow(t *testing.T) {
 	cfg := parallelGCConfig()
-	units := cfg.Flash.Units()
+	units, ppb := cfg.Flash.Units(), cfg.Flash.PagesPerBlock
 	d := newTestDevice(t, cfg, leaftl.New(0, cfg.Flash.PageSize))
 	uniformChurn(t, d, 30000)
 
 	start := max(d.now, d.gcHorizon, d.flushDone) + time.Second
-	rec := recordReclaims(d)
+	rec := recordWindows(t, d)
 	if err := d.runGC(start, len(d.free)+24, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	run := *rec
-	if len(run) < 3*units {
-		t.Fatalf("run reclaimed %d victims; need at least %d to exercise the window", len(run), 3*units)
+	wins := *rec
+	if len(wins) < 3 {
+		t.Fatalf("run reclaimed %d windows; need at least 3 to exercise the overlap", len(wins))
 	}
-	for k, r := range run {
+	for k, w := range wins {
 		want := start
-		if k >= units {
-			want = max(start, run[k-units].programmed)
+		if k >= 2 {
+			want = max(start, wins[k-2].programmed)
 		}
-		if r.issued != want {
-			t.Fatalf("victim %d issued at %v, want %v (when victim %d finished programming)", k, r.issued, want, k-units)
+		if w.issued != want {
+			t.Fatalf("window %d issued at %v, want %v (when window %d finished programming)", k, w.issued, want, k-2)
 		}
-		if r.programmed < r.issued || r.done < r.programmed {
-			t.Fatalf("victim %d out of order: issued %v, programmed %v, done %v", k, r.issued, r.programmed, r.done)
+		if w.victims < 1 || w.victims > units {
+			t.Fatalf("window %d holds %d victims, want 1..Units() = %d", k, w.victims, units)
 		}
 	}
-	peak := 0
-	for _, at := range run {
-		inFlight := 0
-		for _, r := range run {
-			if r.issued <= at.issued && at.issued < r.programmed {
+	peak, peakPages := 0, 0
+	for _, at := range wins {
+		inFlight, pages := 0, 0
+		for _, w := range wins {
+			if w.issued <= at.issued && at.issued < w.programmed {
 				inFlight++
+				pages += w.pages
 			}
 		}
-		peak = max(peak, inFlight)
+		peak, peakPages = max(peak, inFlight), max(peakPages, pages)
 	}
-	if peak > units {
-		t.Errorf("%d victims in flight at once, bound is Units() = %d", peak, units)
+	if peakPages > 2*units*ppb {
+		t.Errorf("%d pages staged at once, bound is 2 × Units() × PagesPerBlock = %d", peakPages, 2*units*ppb)
 	}
-	if peak < units {
-		t.Errorf("at most %d victims in flight; the run never filled its %d-victim window", peak, units)
+	if peak > 2 {
+		t.Errorf("%d windows in flight at once, bound is 2", peak)
+	}
+	if peak < 2 {
+		t.Errorf("at most %d window in flight; the run never overlapped two", peak)
+	}
+}
+
+// gcBatchRecorder is a LeaFTL scheme that keeps a copy of every
+// relocation batch the device commits through CommitGC.
+type gcBatchRecorder struct {
+	*leaftl.Scheme
+	batches [][]addr.Mapping
+}
+
+func (r *gcBatchRecorder) CommitGC(pairs []addr.Mapping) (ftl.Cost, int) {
+	r.batches = append(r.batches, slices.Clone(pairs))
+	return r.Scheme.CommitGC(pairs)
+}
+
+// TestGCGathersGroups checks what a reclaim window is for: after one
+// window of several victims, the relocated pages of every touched
+// mapping group form a single ascending run in each destination block —
+// consecutive PPAs holding ascending LPAs — instead of one short run per
+// victim that held some of the group's pages. Every relocation batch the
+// scheme re-learns from is an ascending LPA run onto consecutive PPAs.
+// Two dies and two streams make the pool stripe over four lanes.
+func TestGCGathersGroups(t *testing.T) {
+	cfg := parallelGCConfig()
+	cfg.Flash.DiesPerChan = 2
+	cfg.GCStreams = 2
+	rec := &gcBatchRecorder{Scheme: leaftl.New(4, cfg.Flash.PageSize, leaftl.WithExactBitmap())}
+	d := newTestDevice(t, cfg, rec)
+	uniformChurn(t, d, 30000)
+
+	rec.batches = nil
+	movedBefore := d.Stats().GCPagesMoved
+	windows, victims := 0, 0
+	d.SetCrashHook(func(point string) {
+		if point == "gc.read" {
+			windows++
+			victims += len(d.gcVictims)
+		}
+	})
+	start := max(d.now, d.gcHorizon, d.flushDone) + time.Second
+	if err := d.runGC(start, len(d.free)+2, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	type groupBlock struct {
+		group addr.GroupID
+		block flash.BlockID
+	}
+	runs := make(map[groupBlock][]addr.Mapping)
+	moved := 0
+	for i, b := range rec.batches {
+		for k := 1; k < len(b); k++ {
+			if b[k].LPA <= b[k-1].LPA || b[k].PPA != b[k-1].PPA+1 {
+				t.Fatalf("batch %d: pair %d (%d→%d) does not continue %d→%d as an ascending run onto consecutive PPAs",
+					i, k, b[k].LPA, b[k].PPA, b[k-1].LPA, b[k-1].PPA)
+			}
+		}
+		for _, m := range b {
+			key := groupBlock{addr.Group(m.LPA), cfg.Flash.BlockOf(m.PPA)}
+			runs[key] = append(runs[key], m)
+			moved++
+		}
+	}
+	if want := d.Stats().GCPagesMoved - movedBefore; moved == 0 || uint64(moved) != want {
+		t.Fatalf("batches hold %d relocated pages, device moved %d", moved, want)
+	}
+	for key, run := range runs {
+		slices.SortFunc(run, func(a, b addr.Mapping) int { return cmp.Compare(a.PPA, b.PPA) })
+		for k := 1; k < len(run); k++ {
+			if run[k].LPA <= run[k-1].LPA || run[k].PPA != run[k-1].PPA+1 {
+				t.Fatalf("group %d in destination block %d: pages %d→%d and %d→%d break its run: the group was not gathered",
+					key.group, key.block, run[k-1].LPA, run[k-1].PPA, run[k].LPA, run[k].PPA)
+			}
+		}
+	}
+	if windows != 1 || victims < 4 {
+		t.Fatalf("run reclaimed %d victims in %d windows; the check needs one window of at least 4", victims, windows)
+	}
+}
+
+// TestGCCrashBetweenWindowErases kills the device after the first erase
+// of a window that holds several victims: the pool is programmed and
+// committed, some victims are erased and the rest still hold their stale
+// copies. Recovery must keep the relocated copies (newer write sequence)
+// and every page must read back its pre-crash data; only the write
+// buffer's contents may be lost.
+func TestGCCrashBetweenWindowErases(t *testing.T) {
+	cfg := parallelGCConfig()
+	newScheme := func() ftl.Scheme {
+		return leaftl.New(4, cfg.Flash.PageSize, leaftl.WithExactBitmap(), leaftl.WithCompactEvery(2000))
+	}
+	d := newTestDevice(t, cfg, newScheme())
+	type crash struct{}
+	erased := 0
+	var tokens []uint64
+	var buffered []addr.LPA
+	d.SetCrashHook(func(point string) {
+		switch point {
+		case "gc.read":
+			erased = 0
+		case "gc.erased":
+			erased++
+			if erased == 1 && len(d.gcVictims) >= 2 {
+				tokens, _ = d.TruthSnapshot()
+				buffered = d.BufferedLPAs()
+				panic(crash{})
+			}
+		}
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(crash); !ok {
+					panic(r)
+				}
+			}
+		}()
+		uniformChurn(t, d, 60000)
+	}()
+	d.SetCrashHook(nil)
+	if tokens == nil {
+		t.Fatal("churn finished without a window of two or more victims")
+	}
+
+	if _, err := d.Recover(newScheme()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	mayLose := make(map[addr.LPA]bool, len(buffered))
+	for _, l := range buffered {
+		mayLose[l] = true
+	}
+	after, _ := d.TruthSnapshot()
+	for l, tok := range tokens {
+		lpa := addr.LPA(l)
+		if tok == 0 || mayLose[lpa] {
+			continue
+		}
+		if after[l] != tok {
+			t.Fatalf("LPA %d recovered token %#x, held %#x before the crash", l, after[l], tok)
+		}
+		if _, err := d.Read(lpa, 1); err != nil {
+			t.Fatalf("read of LPA %d after recovery: %v", l, err)
+		}
 	}
 }
 
@@ -406,14 +664,13 @@ func TestNoProgramBeforeEraseCompletes(t *testing.T) {
 	}
 }
 
-// TestGCCrashPointsOncePerVictim: overlapping victims in time does not
-// interleave them in the firmware's own order — each victim still passes
-// gc.read, gc.programmed and gc.erased exactly once, in that order,
-// before the next one starts.
+// TestGCCrashPointsOncePerVictim: overlapping windows in time does not
+// interleave them in the firmware's own order — each window passes
+// gc.read and gc.programmed once, then gc.erased once per victim, before
+// the next window starts.
 func TestGCCrashPointsOncePerVictim(t *testing.T) {
 	cfg := parallelGCConfig()
 	d := newTestDevice(t, cfg, leaftl.New(0, cfg.Flash.PageSize))
-	order := []string{"gc.read", "gc.programmed", "gc.erased"}
 	var seen []string
 	d.SetCrashHook(func(point string) {
 		if strings.HasPrefix(point, "gc.") {
@@ -426,12 +683,27 @@ func TestGCCrashPointsOncePerVictim(t *testing.T) {
 	if victims == 0 || uint64(victims) != d.Stats().GCErases {
 		t.Fatalf("%d victims relocated, GCErases = %d", victims, d.Stats().GCErases)
 	}
-	if len(seen) != len(order)*victims {
-		t.Fatalf("%d GC crash points fired for %d victims, want %d each", len(seen), victims, len(order))
-	}
-	for i, point := range seen {
-		if want := order[i%len(order)]; point != want {
-			t.Fatalf("crash point %d is %q, want %q (victim %d)", i, point, want, i/len(order))
+	windows, erased, widest := 0, 0, 0
+	for i := 0; i < len(seen); {
+		if seen[i] != "gc.read" || i+1 >= len(seen) || seen[i+1] != "gc.programmed" {
+			t.Fatalf("crash point %d starts window %d with %q, want gc.read then gc.programmed", i, windows, seen[i])
 		}
+		i += 2
+		n := 0
+		for ; i < len(seen) && seen[i] == "gc.erased"; i++ {
+			n++
+		}
+		if n == 0 {
+			t.Fatalf("window %d erased no victim", windows)
+		}
+		windows++
+		erased += n
+		widest = max(widest, n)
+	}
+	if erased != victims {
+		t.Fatalf("gc.erased fired %d times for %d victims", erased, victims)
+	}
+	if widest < 2 {
+		t.Fatalf("%d windows of %d victims never gathered two victims into one window", windows, victims)
 	}
 }

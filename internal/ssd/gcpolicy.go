@@ -61,6 +61,7 @@ type VictimIndex struct {
 	cnt     []int32           // block → its bucket / valid count (-1 when absent)
 	min     int               // lowest possibly-non-empty bucket (advancing cursor)
 	size    int
+	valid   int // valid pages summed over the candidates
 
 	touch []uint64 // block → logical clock of its last program or invalidate
 	seqOf []uint64 // block → allocation sequence recorded at add time
@@ -123,6 +124,10 @@ func (ix *VictimIndex) Seq(b flash.BlockID) uint64 {
 	return ix.seqOf[b]
 }
 
+// invalidPages returns the stale pages summed over the candidates: the
+// most a reclaim that drained the index could turn into free space.
+func (ix *VictimIndex) invalidPages() int { return ix.size*ix.ppb - ix.valid }
+
 // MinValid returns the smallest valid-page count over all candidates,
 // advancing the internal cursor (-1 when the index is empty). The
 // cursor only moves down when a block is added below it, so repeated
@@ -162,6 +167,7 @@ func (ix *VictimIndex) add(b flash.BlockID, valid int, seq, now uint64) {
 	ix.seqOf[b] = seq
 	ix.touch[b] = now
 	ix.size++
+	ix.valid += valid
 	if valid < ix.min {
 		ix.min = valid
 	}
@@ -182,6 +188,7 @@ func (ix *VictimIndex) remove(b flash.BlockID) {
 	ix.cnt[b] = -1
 	ix.pos[b] = -1
 	ix.size--
+	ix.valid -= int(v)
 	// The FIFO entry is dropped lazily: its recorded sequence no longer
 	// matches seqOf once the block is re-added after an erase, and
 	// cnt[b] is -1 until then.
@@ -195,6 +202,7 @@ func (ix *VictimIndex) update(b flash.BlockID, valid int) {
 		return
 	}
 	ix.unbucket(b, int(old))
+	ix.valid += valid - int(old)
 	ix.cnt[b] = int32(valid)
 	ix.pos[b] = int32(len(ix.buckets[valid]))
 	ix.buckets[valid] = append(ix.buckets[valid], b)

@@ -107,10 +107,15 @@ func TestVictimIndexRandomizedAgainstReference(t *testing.T) {
 		if got := ix.MinValid(); got != wantMin {
 			t.Fatalf("op %d: MinValid=%d, reference %d", op, got, wantMin)
 		}
+		stale := 0
 		for b, v := range ref {
 			if ix.Valid(b) != v {
 				t.Fatalf("op %d: Valid(%d)=%d, reference %d", op, b, ix.Valid(b), v)
 			}
+			stale += ppb - v
+		}
+		if got := ix.invalidPages(); got != stale {
+			t.Fatalf("op %d: invalidPages=%d, reference %d", op, got, stale)
 		}
 		// The lazily-deleted FIFO queue must stay O(blocks) no matter
 		// how many seals/erases churn through (compactFIFO's bound).

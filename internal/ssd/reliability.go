@@ -192,7 +192,7 @@ func (d *Device) drainScrub(t time.Duration) error {
 		}
 		d.scrubSet[b] = false
 		d.crashPoint("scrub.begin")
-		_, done, err := d.relocate(b, t, false)
+		done, err := d.relocate(b, t, false)
 		if err != nil {
 			return err
 		}
@@ -227,7 +227,7 @@ func (d *Device) retireSweep(t time.Duration) error {
 		if len(d.free) == 0 {
 			return nil
 		}
-		_, done, err := d.relocate(id, t, true)
+		done, err := d.relocate(id, t, true)
 		if err != nil {
 			return err
 		}
