@@ -21,6 +21,8 @@ import (
 // Table is not safe for concurrent use by multiple writers; Lookup and the
 // other read-only accessors never touch the mutation scratch, so a Table
 // behind a read-write lock supports concurrent readers (see ShardedTable).
+// Update and Relearn may spread one batch over helper goroutines
+// (parallel.go), but they return only once every helper is done.
 type Table struct {
 	gamma   int
 	groups  []*group // indexed by GroupID; nil = group never written
@@ -69,6 +71,13 @@ type Table struct {
 
 	// rb is the whole-group rebuild's scratch (rebuild.go).
 	rb rebuildBuf
+
+	// Parallel group commit (parallel.go): the batch in flight, one
+	// worker table per pool helper it may enlist (grown on first use),
+	// and a test hook capping the worker count (0: GOMAXPROCS).
+	batch      commitBatch
+	workers    []*Table
+	maxWorkers int
 }
 
 // group is the per-256-LPA-group state: the level stack, the group's
@@ -231,38 +240,56 @@ func (t *Table) Update(pairs []addr.Mapping) int {
 	return segs
 }
 
-// Relearn commits a GC relocation batch: the device moved the surviving
-// pages of a victim block in ascending-LPA order, so pairs is a freshly
-// sequential layout the learner fits tightly at the table's γ, and
-// the relocated slots' exactness is re-verified into the bitmap. It is
-// Update that also reports how many groups the batch touched; the stale
-// scattered claims relocation just rewrote are shed when a touched group's
-// rebuild trigger fires, not on every batch (a victim block touches on the
-// order of a hundred groups, and resolving all 256 slots of each would
-// cost more than the fit itself). pairs must be sorted by LPA with unique
-// LPAs, like Update.
+// Relearn commits a GC relocation batch: the device relocated a window of
+// victim blocks' surviving pages in ascending-LPA order, so each group's
+// run is a freshly sequential layout the learner fits tightly at the
+// table's γ, and the relocated slots' exactness is re-verified into the
+// bitmap. It is Update that also reports how many groups the batch
+// touched. The stale claims relocation just rewrote are shed when a
+// touched group's rebuild trigger fires, not on every batch: a window's
+// run often covers only part of its group, and resolving all 256 slots
+// to shed a few claims would cost more than the fit itself. pairs must be
+// sorted by LPA with unique LPAs, like Update.
 func (t *Table) Relearn(pairs []addr.Mapping) (segs, groups int) {
 	return t.commit(pairs)
 }
 
-// commit is the shared body of Update and Relearn: fit, insert and verify
-// one group run at a time, then rebuild the group if it outgrew its
-// trigger.
+// commit is the shared body of Update and Relearn. It splits the batch
+// into group runs and commits each with commitRun. Runs touch disjoint
+// groups, so a batch of several runs is spread over the shared helper
+// pool (parallel.go) with a result identical to committing them in order
+// on the caller.
 func (t *Table) commit(pairs []addr.Mapping) (segs, groups int) {
+	b := &t.batch
+	b.ends = b.ends[:0]
 	for i := 0; i < len(pairs); {
 		gid := addr.Group(pairs[i].LPA)
 		j := i + 1
 		for j < len(pairs) && addr.Group(pairs[j].LPA) == gid {
 			j++
 		}
-		learned := t.learner.learn(pairs[i:j], t.gamma)
-		segs += t.insertRun(learned, pairs[i:j])
-		t.refreshExactBits(pairs[i:j])
-		t.maybeRebuild(gid)
-		groups++
+		b.ends = append(b.ends, j)
 		i = j
 	}
-	return segs, groups
+	if helpers := t.commitHelpers(len(b.ends)); helpers > 0 {
+		return t.commitParallel(pairs, helpers), len(b.ends)
+	}
+	start := 0
+	for _, end := range b.ends {
+		segs += t.commitRun(pairs[start:end])
+		start = end
+	}
+	return segs, len(b.ends)
+}
+
+// commitRun fits, inserts and verifies one group run, then rebuilds the
+// group if it outgrew its trigger. It returns the segments placed.
+func (t *Table) commitRun(run []addr.Mapping) int {
+	learned := t.learner.learn(run, t.gamma)
+	segs := t.insertRun(learned, run)
+	t.refreshExactBits(run)
+	t.maybeRebuild(addr.Group(run[0].LPA))
+	return segs
 }
 
 // insertRun inserts a freshly fitted run, returning the number of
@@ -439,6 +466,19 @@ func (t *Table) insertLearned(ls Learned) {
 }
 
 func (t *Table) group(id addr.GroupID) *group {
+	t.reserve(id)
+	g := t.groups[id]
+	if g == nil {
+		g = &group{rebuildAt: rebuildMinSegments}
+		t.groups[id] = g
+		t.nGroups++
+		t.levelFreq[0]++
+	}
+	return g
+}
+
+// reserve grows the group slice to hold slot id.
+func (t *Table) reserve(id addr.GroupID) {
 	for int(id) >= len(t.groups) {
 		if cap(t.groups) > len(t.groups) {
 			t.groups = t.groups[:cap(t.groups)]
@@ -455,14 +495,6 @@ func (t *Table) group(id addr.GroupID) *group {
 		copy(grown, t.groups)
 		t.groups = grown
 	}
-	g := t.groups[id]
-	if g == nil {
-		g = &group{rebuildAt: rebuildMinSegments}
-		t.groups[id] = g
-		t.nGroups++
-		t.levelFreq[0]++
-	}
-	return g
 }
 
 // lookupGroup is the read-only counterpart of group.
@@ -498,17 +530,18 @@ func (t *Table) noteRemove(s Segment) {
 	}
 }
 
-// noteLevels records that g went from old to len(g.levels) levels.
+// noteLevels records that g went from old to len(g.levels) levels. A
+// commit worker's levelFreq holds deltas and may not yet reach old.
 func (t *Table) noteLevels(g *group, old int) {
 	n := len(g.levels)
 	if n == old {
 		return
 	}
 	t.totalLevels += n - old
-	t.levelFreq[old]--
-	for len(t.levelFreq) <= n {
+	for len(t.levelFreq) <= max(old, n) {
 		t.levelFreq = append(t.levelFreq, 0)
 	}
+	t.levelFreq[old]--
 	t.levelFreq[n]++
 }
 

@@ -147,27 +147,28 @@ func sweepCost(pages int) ftl.Cost {
 	return c
 }
 
-// commitPaged learns a sorted batch group-run by group-run through the
-// pager: each run's group is made resident and dirtied before its
-// update, and the byte cap is re-enforced after, so one oversized batch
-// cannot blow past the budget. Shared by the plain and sharded schemes
-// (update is Table.Update or ShardedTable.Update); the group-run
-// boundaries match learnBuf.learn's internal splitting, so per-run
-// updates learn identically to one whole-batch update.
+// commitPaged commits a sorted batch through the pager in three steps.
+// First every group the batch touches is made resident and dirtied, in
+// ascending group order, demand-loading the ones paged out. Then the
+// whole batch goes to the table in one update call, so the table may
+// commit its group runs in parallel. Last, the byte cap is enforced once.
+// While the batch commits, the resident set may exceed the budget by the
+// batch's own groups; when commitPaged returns it is back within it.
+// Each group is loaded at most once per batch, so the batch charges the
+// same translation-page reads as loading its groups one by one. Shared
+// by the plain and sharded schemes (update is Table.Update,
+// ShardedTable.Update or a Relearn wrapper).
 func commitPaged(p *core.Pager, update func([]addr.Mapping) int, pairs []addr.Mapping) (int, core.PageCost) {
 	var pc core.PageCost
-	n := 0
 	for i := 0; i < len(pairs); {
 		gid := addr.Group(pairs[i].LPA)
-		j := i + 1
-		for j < len(pairs) && addr.Group(pairs[j].LPA) == gid {
-			j++
-		}
 		pc.Add(p.EnsureWrite(gid))
-		n += update(pairs[i:j])
-		pc.Add(p.Enforce())
-		i = j
+		for i < len(pairs) && addr.Group(pairs[i].LPA) == gid {
+			i++
+		}
 	}
+	n := update(pairs)
+	pc.Add(p.Enforce())
 	return n, pc
 }
 
@@ -208,8 +209,8 @@ func (s *Scheme) noteLookup(res core.LookupResult) {
 // batch and inserts them at the top level. Learning runs on the
 // controller CPU (Table 3 measures it at ~10µs per 256 mappings) and
 // costs no flash operations; under a budget, committing into paged-out
-// groups demand-loads them and the byte cap is re-enforced after every
-// group's update.
+// groups demand-loads them and the byte cap is re-enforced after the
+// batch (commitPaged).
 func (s *Scheme) Commit(pairs []addr.Mapping) ftl.Cost {
 	if s.pager.Active() {
 		n, pc := commitPaged(s.pager, s.table.Update, pairs)

@@ -122,6 +122,79 @@ func TestBudgetPropertyRandomWorkloads(t *testing.T) {
 	}
 }
 
+// TestCommitPagedBatch pins commitPaged's batch order: a batch's groups
+// are all loaded before the one table call, and the budget is enforced
+// once after it. A batch whose groups together exceed the budget still
+// commits, ends within the budget, and charges the same translation-page
+// reads as committing its groups one by one.
+func TestCommitPagedBatch(t *testing.T) {
+	for _, flavor := range []string{"plain", "sharded"} {
+		t.Run(flavor, func(t *testing.T) {
+			mk := func() pagedScheme {
+				if flavor == "plain" {
+					return New(4, 4096)
+				}
+				return NewSharded(4, 4096, 4)
+			}
+			ref, batched, single := New(4, 4096), mk(), mk()
+			commit := func(pairs []addr.Mapping) {
+				ref.Commit(pairs)
+				batched.Commit(pairs)
+				single.Commit(pairs)
+			}
+			// Sixteen groups of eight short runs each.
+			ppa := addr.PPA(0)
+			for g := 0; g < 16; g++ {
+				for r := 0; r < 8; r++ {
+					commit(seq(addr.LPA(g*256+r*32), ppa, 16))
+					ppa += 16
+				}
+			}
+			// Two groups fit. The CLOCK sweep evicts from the oldest, so
+			// groups 0–7 are all paged out.
+			budget := 2 * ref.Table().GroupFootprint(0)
+			batched.SetBudget(budget)
+			single.SetBudget(budget)
+
+			var pairs []addr.Mapping
+			for g := 0; g < 8; g++ {
+				for i := 0; i < 40; i++ {
+					pairs = append(pairs, addr.Mapping{LPA: addr.LPA(g*256 + 3*i), PPA: ppa})
+					ppa++
+				}
+			}
+			ref.Commit(pairs)
+			need := 0
+			for g := addr.GroupID(0); g < 8; g++ {
+				need += ref.Table().GroupFootprint(g)
+			}
+			if need <= budget {
+				t.Fatalf("the batch's groups take %d B, budget %d B: nothing to pin", need, budget)
+			}
+
+			got := batched.Commit(pairs)
+			want := 0
+			for g := 0; g < 8; g++ {
+				want += single.Commit(pairs[g*40 : (g+1)*40]).MetaReads
+			}
+			if got.MetaReads != want || want < 8 {
+				t.Fatalf("batch charged %d translation-page reads, one by one %d (want ≥ 8)", got.MetaReads, want)
+			}
+			if m := batched.MemoryBytes(); m > budget {
+				t.Fatalf("MemoryBytes %d > budget %d after the batch", m, budget)
+			}
+			if err := batched.CheckMapping(); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range pairs {
+				if tr, ok := batched.Translate(m.LPA); !ok || tr.PPA != m.PPA {
+					t.Fatalf("Translate(%d) = %d/%v after the batch, want %d", m.LPA, tr.PPA, ok, m.PPA)
+				}
+			}
+		})
+	}
+}
+
 // TestPagedMaintainChargesDirtyGroupsOnly pins the pressured Maintain
 // contract: once the budget has bound, the first tick persists every
 // dirty resident group, an immediately repeated tick writes nothing,

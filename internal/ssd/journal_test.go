@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"runtime"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -150,6 +151,30 @@ func TestJournalDigestEquality(t *testing.T) {
 	}
 	if sj := sharded.Scheme().(ftl.Journaled).JournalStats(); sj.Appends == 0 {
 		t.Error("sharded journaled churn appended no delta records")
+	}
+}
+
+// TestDeviceParallelCommitMatchesSerial runs the budgeted, journaled,
+// bitmap-on churn — flushes, GC relocation and demand paging at a quarter
+// of the table — once with GOMAXPROCS = 1, where the learned table
+// commits every batch on the caller, and once with GOMAXPROCS = 2, where
+// it spreads a batch's group runs over a helper. The two devices must end
+// bit-identical.
+func TestDeviceParallelCommitMatchesSerial(t *testing.T) {
+	run := func(procs int) *Device {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		d := journalChurnDevice(t, leaftl.WithJournal(), leaftl.WithExactBitmap())
+		journalChurn(t, d)
+		return d
+	}
+	serial, parallel := run(1), run(2)
+	requireSameDevice(t, "1 vs 2 workers", serial, parallel)
+	js, jp := serial.Scheme().(ftl.Journaled).JournalStats(), parallel.Scheme().(ftl.Journaled).JournalStats()
+	if js != jp {
+		t.Errorf("journal counters diverged:\n  %+v\n  %+v", js, jp)
+	}
+	if st := serial.Stats(); st.MetaReads == 0 || st.GCErases == 0 || st.Relearns == 0 || js.Appends == 0 {
+		t.Fatalf("churn too shallow (no paging, GC, relearning or journaling): %+v, %+v", st, js)
 	}
 }
 
