@@ -2,10 +2,9 @@
 // figures on the simulated SSD (deliverable d). By default it runs at
 // quick scale; -full uses a larger scaled device and -micro the fastest
 // CI-smoke scale.
-// Several replay modes skip the figures: -parallel hammers the sharded
-// translation core with concurrent host streams, -openloop replays
-// a trace file (native, MSR CSV, or FIU format) at its recorded arrival
-// times against all three schemes, reporting p50/p95/p99/p999 latency,
+// Several replay modes skip the figures: -openloop replays a trace file
+// (native, MSR CSV, or FIU format) at its recorded arrival times
+// against all three schemes, reporting p50/p95/p99/p999 latency,
 // -gccompare sweeps GC victim policies × hot/cold stream counts
 // over GC-heavy workloads (-gc-policy/-gc-streams also apply a single
 // policy/stream count to the open-loop mode), -memsweep caps every
@@ -14,18 +13,14 @@
 // the same memory pressure, -torture runs the seeded crash-torture matrix
 // (kill-recover-verify across GC policies × mapping budgets × exactness
 // bitmap) plus an aged-device fault-injection sweep over -fault-rber,
-// and -coresweep replays a timed workload through the
-// real multi-queue front end at each -workers count, reporting the
-// kIOPS-vs-cores curve and the cross-count state-digest determinism
-// check (-workers with -openloop drives that replay through real queue
-// pairs too).
+// and -diesweep replays a timed workload across flash die geometries
+// through -workers issue-time host queues.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -38,10 +33,8 @@ func main() {
 	only := flag.String("only", "", "comma-separated figure IDs to run (e.g. fig15,fig16)")
 	seed := flag.Int64("seed", 1, "workload generation seed")
 	markdown := flag.Bool("markdown", false, "emit Markdown tables instead of ASCII")
-	parallel := flag.Int("parallel", 0, "parallel replay mode: N independent host streams against the sharded translation core (skips figures)")
-	shards := flag.Int("shards", 8, "shard count for the parallel replay mode")
-	gamma := flag.Int("gamma", 0, "LeaFTL error bound for the parallel and open-loop replay modes")
-	jsonOut := flag.String("json", "", "parallel/open-loop replay modes: write JSON results to this file (- for stdout)")
+	gamma := flag.Int("gamma", 0, "LeaFTL error bound for the replay and sweep modes")
+	jsonOut := flag.String("json", "", "replay and sweep modes: write JSON results to this file (- for stdout)")
 	openloop := flag.Bool("openloop", false, "open-loop replay mode: replay -trace at recorded arrival times against LeaFTL/DFTL/SFTL (skips figures)")
 	tracePath := flag.String("trace", "traces/msr-sample.csv", "open-loop replay mode: trace file to replay")
 	traceFormat := flag.String("trace-format", "auto", "open-loop replay mode: trace format (auto, native, msr, fiu)")
@@ -62,9 +55,8 @@ func main() {
 	faultRBER := flag.String("fault-rber", "", "-torture mode: comma-separated base RBERs for the fault sweep (default: 1e-7,1e-5,5e-5,1e-4,5e-4)")
 	faultSeed := flag.Int64("fault-seed", 0, "-torture mode: fault-model seed (0 = use -seed)")
 	scrubThreshold := flag.Int("scrub-threshold", 0, "-torture mode: read-disturb scrub threshold in block reads (0 = default 5000)")
-	coreSweep := flag.Bool("coresweep", false, "core-count sweep mode: replay a timed workload through the real multi-queue front end at each -workers count (skips figures)")
-	workers := flag.String("workers", "", "-coresweep mode: comma-separated worker/queue-pair counts (default 1,2,4,8); single value in -openloop/-torture/-diesweep modes drives replay through that many real queue pairs")
-	sweepWorkload := flag.String("sweep-workload", "zipf-hot", "-coresweep/-diesweep modes: timed workload to replay")
+	workers := flag.String("workers", "", "-diesweep mode: host queue count of the replay (default 4)")
+	sweepWorkload := flag.String("sweep-workload", "zipf-hot", "-diesweep mode: timed workload to replay")
 	dieSweep := flag.Bool("diesweep", false, "die sweep mode: replay a timed workload across -dies × -planes flash geometries, with a budgeted arm measuring map-op/data-op overlap (skips figures)")
 	dieCounts := flag.String("dies", "", "-diesweep mode: comma-separated dies-per-channel counts (default 1,2,4)")
 	planes := flag.Int("planes", 0, "-diesweep mode: planes per die, applied to every row (default 2)")
@@ -97,8 +89,8 @@ func main() {
 	}
 
 	if *dieSweep {
-		// Like -coresweep, the sweep saturates the one-die baseline by
-		// default (4x); an explicit -speedup still wins.
+		// The sweep saturates the one-die baseline by default (4x); an
+		// explicit -speedup still wins.
 		sp := 0.0
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "speedup" {
@@ -111,35 +103,8 @@ func main() {
 		}
 		return
 	}
-	if *coreSweep {
-		list := *workers
-		if list == "" {
-			list = "1,2,4,8"
-		}
-		// The sweep saturates a single worker by default (4x); an explicit
-		// -speedup still wins.
-		sp := 0.0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "speedup" {
-				sp = *speedup
-			}
-		})
-		if err := runCoreSweep(scaleOf(), list, *sweepWorkload, *gamma, sp, *seed, *markdown, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "leaftl-bench: coresweep: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *torture {
-		w := 0
-		if *workers != "" {
-			var err error
-			if w, err = strconv.Atoi(*workers); err != nil {
-				fmt.Fprintf(os.Stderr, "leaftl-bench: torture: -workers %q: want a single integer\n", *workers)
-				os.Exit(1)
-			}
-		}
-		if err := runTorture(scaleOf(), *crashPoints, *faultRBER, *faultSeed, *scrubThreshold, *gamma, *seed, *markdown, *jsonOut, w); err != nil {
+		if err := runTorture(scaleOf(), *crashPoints, *faultRBER, *faultSeed, *scrubThreshold, *gamma, *seed, *markdown, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "leaftl-bench: torture: %v\n", err)
 			os.Exit(1)
 		}
@@ -160,23 +125,8 @@ func main() {
 		return
 	}
 	if *openloop {
-		w := 0
-		if *workers != "" {
-			var err error
-			if w, err = strconv.Atoi(*workers); err != nil {
-				fmt.Fprintf(os.Stderr, "leaftl-bench: openloop: -workers %q: want a single integer\n", *workers)
-				os.Exit(1)
-			}
-		}
-		if err := runOpenLoop(*tracePath, *traceFormat, *qd, *speedup, *gamma, *seed, *markdown, *jsonOut, *gcPolicy, *gcStreams, w, *journal); err != nil {
+		if err := runOpenLoop(*tracePath, *traceFormat, *qd, *speedup, *gamma, *seed, *markdown, *jsonOut, *gcPolicy, *gcStreams, *journal); err != nil {
 			fmt.Fprintf(os.Stderr, "leaftl-bench: openloop: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *parallel > 0 {
-		if err := runParallel(*parallel, *shards, *gamma, *seed, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "leaftl-bench: parallel: %v\n", err)
 			os.Exit(1)
 		}
 		return

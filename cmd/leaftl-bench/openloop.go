@@ -19,7 +19,6 @@ type openLoopJSON struct {
 	Trace   string       `json:"trace"`
 	Format  string       `json:"format"`
 	Queues  int          `json:"queues"`
-	Workers int          `json:"workers,omitempty"`
 	Speedup float64      `json:"speedup"`
 	Gamma   int          `json:"gamma"`
 	Schemes []schemeJSON `json:"schemes"`
@@ -52,9 +51,8 @@ type schemeJSON struct {
 // in any supported format, replay it at recorded arrival times against
 // LeaFTL/DFTL/SFTL on identical devices, and report tail latency.
 // gcPolicy and gcStreams configure every device's garbage collector
-// (single values here; the -gccompare mode sweeps lists). workers > 0
-// swaps the simulated host queues for that many real multi-queue pairs.
-func runOpenLoop(path, formatName string, qd int, speedup float64, gamma int, seed int64, markdown bool, jsonPath, gcPolicy, gcStreams string, workers int, journal bool) error {
+// (single values here; the -gccompare mode sweeps lists).
+func runOpenLoop(path, formatName string, qd int, speedup float64, gamma int, seed int64, markdown bool, jsonPath, gcPolicy, gcStreams string, journal bool) error {
 	streams := 0
 	if gcStreams != "" {
 		var err error
@@ -92,7 +90,7 @@ func runOpenLoop(path, formatName string, qd int, speedup float64, gamma int, se
 	spec := experiments.OpenLoopSpec{
 		Queues: qd, Speedup: speedup, Gamma: gamma,
 		GCPolicy: gcPolicy, GCStreams: streams,
-		Workers: workers, Journal: journal,
+		Journal: journal,
 	}
 	if !trace.Timed(reqs) {
 		// Untimed traces replay at a uniform 50k IOPS arrival rate.
@@ -114,7 +112,6 @@ func runOpenLoop(path, formatName string, qd int, speedup float64, gamma int, se
 		out := openLoopJSON{
 			Mode: "openloop-replay", Trace: path, Format: format.String(),
 			Queues: spec.Queues, Speedup: spec.Speedup, Gamma: gamma,
-			Workers: spec.Workers,
 		}
 		for _, r := range runs {
 			sum := r.Result.Latency.Summary()

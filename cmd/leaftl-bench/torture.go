@@ -15,7 +15,6 @@ type tortureJSON struct {
 	Scale        string            `json:"scale"`
 	Seed         int64             `json:"seed"`
 	FaultSeed    int64             `json:"fault_seed"`
-	Workers      int               `json:"workers,omitempty"`
 	CrashPoints  int               `json:"crash_points_per_cell"`
 	TotalCrashes int               `json:"total_crashes"`
 	Points       map[string]int    `json:"crash_point_histogram"`
@@ -59,7 +58,7 @@ type faultRunJSON struct {
 // crash-torture matrix (GC policies × mapping budgets × bitmap, each
 // cell crash-killed, recovered and differentially verified) followed by
 // the aged-device fault-injection sweep over -fault-rber.
-func runTorture(scale experiments.Scale, crashPoints int, faultRBER string, faultSeed int64, scrubThreshold int, gamma int, seed int64, markdown bool, jsonPath string, workers int) error {
+func runTorture(scale experiments.Scale, crashPoints int, faultRBER string, faultSeed int64, scrubThreshold int, gamma int, seed int64, markdown bool, jsonPath string) error {
 	rbers, err := parseFloatList(faultRBER)
 	if err != nil {
 		return err
@@ -72,7 +71,6 @@ func runTorture(scale experiments.Scale, crashPoints int, faultRBER string, faul
 	cells, tortureTable, err := s.Torture(experiments.TortureSpec{
 		CrashPoints: crashPoints,
 		Gamma:       gamma,
-		Workers:     workers,
 	})
 	if err != nil {
 		return err
@@ -100,8 +98,7 @@ func runTorture(scale experiments.Scale, crashPoints int, faultRBER string, faul
 	}
 	out := tortureJSON{
 		Mode: "torture", Scale: scale.Name, Seed: seed, FaultSeed: faultSeed,
-		Workers: workers,
-		Points:  make(map[string]int),
+		Points: make(map[string]int),
 	}
 	for _, c := range cells {
 		if out.CrashPoints == 0 {

@@ -146,40 +146,3 @@ func TestExactBitsRoundTripThroughGroupRecord(t *testing.T) {
 		t.Fatalf("bitmap diverged through snapshot: %x vs %x", got, want)
 	}
 }
-
-// TestShardedNoteReadMatchesPlain: identical feedback leaves the plain
-// and sharded tables in identical state, bitmaps included.
-func TestShardedNoteReadMatchesPlain(t *testing.T) {
-	plain := NewTable(8)
-	plain.EnableExactBitmap()
-	sharded := NewShardedTable(8, 7)
-	sharded.EnableExactBitmap()
-	var pairs []addr.Mapping
-	lpa := addr.LPA(0)
-	for i := 0; i < 2000; i++ {
-		lpa += addr.LPA(1 + i%4)
-		pairs = append(pairs, addr.Mapping{LPA: lpa, PPA: addr.PPA(5000 + i)})
-	}
-	plain.Update(pairs)
-	sharded.Update(pairs)
-
-	for i, m := range pairs {
-		actual := m.PPA
-		if i%17 == 0 {
-			actual += 2
-		}
-		plain.NoteRead(m.LPA, m.PPA, actual, true)
-		sharded.NoteRead(m.LPA, m.PPA, actual, true)
-	}
-	ps, err := plain.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := sharded.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ps, ss) {
-		t.Fatal("plain and sharded tables diverged under identical feedback")
-	}
-}

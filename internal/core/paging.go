@@ -16,26 +16,8 @@ import (
 // transfer as counts of translation-page flash operations so the SSD can
 // charge them on its flash timelines.
 //
-// The Pager is deliberately oblivious to where group state lives: it
-// drives a groupStore, implemented by both Table and ShardedTable, so the
-// plain and sharded schemes share one GMD and make identical paging
-// decisions for identical operation sequences (the sharded-invisible
-// contract the experiment suite pins).
-//
-// A Pager is not safe for concurrent use; callers that translate from
-// multiple goroutines (leaftl.Sharded) serialize paging behind their own
-// lock and keep a lock-free fast path for the no-pressure case.
-
-// groupStore is the residency surface the Pager drives.
-type groupStore interface {
-	hasGroup(addr.GroupID) bool
-	groupFootprint(addr.GroupID) int
-	residentGroups() []addr.GroupID
-	marshalGroup(addr.GroupID) ([]byte, error)
-	installGroup([]byte) (addr.GroupID, error)
-	dropGroup(addr.GroupID) (int, bool)
-	residentBytes() int
-}
+// A Pager is not safe for concurrent use; the device serializes every
+// call into the scheme that owns it.
 
 // PageCost counts translation-page flash operations a paging action
 // induced: reads for demand loads, writes for dirty evictions and
@@ -95,7 +77,7 @@ type gmdEntry struct {
 
 // Pager demand-pages a table's segment groups against a byte budget.
 type Pager struct {
-	store    groupStore
+	store    *Table
 	pageSize int
 	budget   int // ≤ 0: unlimited (loads still happen for evicted groups)
 
@@ -158,7 +140,7 @@ func (p *Pager) SetJournalHook(fn func(string)) {
 
 // NewPager returns an inactive pager (no budget, empty GMD) over store.
 // pageSize is the flash page size translation-page costs are counted in.
-func NewPager(store groupStore, pageSize int) *Pager {
+func NewPager(store *Table, pageSize int) *Pager {
 	if pageSize < 1 {
 		pageSize = 1
 	}
@@ -223,19 +205,19 @@ func (p *Pager) TranslationPages() int { return p.flashPages }
 // FullSizeBytes returns the complete mapping size, resident or not.
 // Groups restored from images that were never decoded count 0 until
 // first loaded.
-func (p *Pager) FullSizeBytes() int { return p.store.residentBytes() + p.evictedBytes }
+func (p *Pager) FullSizeBytes() int { return p.store.SizeBytes() + p.evictedBytes }
 
 // refresh recomputes the cached FastPath bit. Size only changes under
 // mutation, so lookups can trust the cache without touching the store.
 func (p *Pager) refresh() {
-	p.fast = p.evicted == 0 && (p.budget <= 0 || p.store.residentBytes() <= p.budget)
+	p.fast = p.evicted == 0 && (p.budget <= 0 || p.store.SizeBytes() <= p.budget)
 }
 
 // adoptResident creates GMD entries for store-resident groups the pager
 // has not seen (budget enabled after traffic, or a snapshot restore).
 // Adopted groups are dirty: no image exists yet.
 func (p *Pager) adoptResident() {
-	for _, id := range p.store.residentGroups() {
+	for _, id := range p.store.ResidentGroups() {
 		if p.gmd[id] == nil {
 			p.gmd[id] = &gmdEntry{resident: true, dirty: true, ref: true}
 			p.ring = append(p.ring, id)
@@ -249,7 +231,7 @@ func (p *Pager) adoptResident() {
 func (p *Pager) EnsureRead(gid addr.GroupID) (cost PageCost, known bool) {
 	e := p.gmd[gid]
 	if e == nil {
-		if !p.store.hasGroup(gid) {
+		if !p.store.HasGroup(gid) {
 			return cost, false
 		}
 		// Self-heal: a resident group the GMD missed (defensive; the
@@ -291,7 +273,7 @@ func (p *Pager) load(gid addr.GroupID, e *gmdEntry) PageCost {
 	if p.journal != nil {
 		img, cost = p.journal.load(gid)
 	}
-	if _, err := p.store.installGroup(img); err != nil {
+	if _, err := p.store.InstallGroup(img); err != nil {
 		panic(fmt.Sprintf("core: GMD image for group %d does not install: %v", gid, err))
 	}
 	e.resident = true
@@ -316,7 +298,7 @@ func (p *Pager) load(gid addr.GroupID, e *gmdEntry) PageCost {
 func (p *Pager) Enforce() PageCost {
 	var cost PageCost
 	if p.budget > 0 {
-		for p.store.residentBytes() > p.budget && len(p.ring) > 0 {
+		for p.store.SizeBytes() > p.budget && len(p.ring) > 0 {
 			cost.Add(p.evictOne())
 		}
 	}
@@ -346,7 +328,7 @@ func (p *Pager) evictOne() PageCost {
 // diverged, then drop the DRAM copy.
 func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) PageCost {
 	var cost PageCost
-	if !p.store.hasGroup(gid) {
+	if !p.store.HasGroup(gid) {
 		// Phantom entry (group registered but never materialized);
 		// forget it.
 		delete(p.gmd, gid)
@@ -360,7 +342,7 @@ func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) PageCost {
 	if e.dirty || !persisted {
 		cost.Add(p.writeback(gid, e))
 	}
-	freed, _ := p.store.dropGroup(gid)
+	freed, _ := p.store.DropGroup(gid)
 	e.dramBytes = freed
 	e.resident = false
 	e.dirty = false
@@ -376,7 +358,7 @@ func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) PageCost {
 // Under the journal, the full rewrite becomes a delta append: only the
 // sections that changed since the group's base image travel to flash.
 func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry) PageCost {
-	img, err := p.store.marshalGroup(gid)
+	img, err := p.store.MarshalGroup(gid)
 	if err != nil {
 		panic(fmt.Sprintf("core: group %d does not marshal: %v", gid, err))
 	}
@@ -430,7 +412,7 @@ func (p *Pager) FlushDirty() PageCost {
 	p.adoptResident() // groups created outside the budgeted path, if any
 	for _, gid := range p.ring {
 		e := p.gmd[gid]
-		if e.dirty && p.store.hasGroup(gid) {
+		if e.dirty && p.store.HasGroup(gid) {
 			cost.Add(p.writeback(gid, e))
 		}
 	}
@@ -518,7 +500,7 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 		if e := p.gmd[gid]; e != nil {
 			return fmt.Errorf("core: group %d already in the GMD", gid)
 		}
-		if p.store.hasGroup(gid) {
+		if p.store.HasGroup(gid) {
 			return fmt.Errorf("core: group %d already resident; restore wants an empty table", gid)
 		}
 		p.nextPPA++
@@ -573,9 +555,9 @@ func (p *Pager) Check() error {
 			return fmt.Errorf("gmd: resident group %d missing from the CLOCK ring", gid)
 		case !e.resident && onRing[gid]:
 			return fmt.Errorf("gmd: evicted group %d still on the CLOCK ring", gid)
-		case e.resident && !p.store.hasGroup(gid):
+		case e.resident && !p.store.HasGroup(gid):
 			return fmt.Errorf("gmd: group %d marked resident but absent from the table", gid)
-		case !e.resident && p.store.hasGroup(gid):
+		case !e.resident && p.store.HasGroup(gid):
 			return fmt.Errorf("gmd: group %d marked evicted but present in the table", gid)
 		case !e.resident && !persisted:
 			return fmt.Errorf("gmd: evicted group %d has no translation-page image", gid)
@@ -587,7 +569,7 @@ func (p *Pager) Check() error {
 			evictedBytes += e.dramBytes
 		}
 	}
-	for _, gid := range p.store.residentGroups() {
+	for _, gid := range p.store.ResidentGroups() {
 		if e := p.gmd[gid]; e == nil {
 			return fmt.Errorf("gmd: table group %d has no GMD entry", gid)
 		}
@@ -608,22 +590,8 @@ func (p *Pager) Check() error {
 			return err
 		}
 	}
-	if p.budget > 0 && p.store.residentBytes() > p.budget {
-		return fmt.Errorf("gmd: resident set %dB exceeds budget %dB", p.store.residentBytes(), p.budget)
+	if p.budget > 0 && p.store.SizeBytes() > p.budget {
+		return fmt.Errorf("gmd: resident set %dB exceeds budget %dB", p.store.SizeBytes(), p.budget)
 	}
 	return nil
 }
-
-// groupStore adapters. Table's lowercase methods simply forward;
-// ShardedTable's take the owning shard's lock per call, so one shared
-// Pager makes identical decisions over either flavor.
-
-func (t *Table) hasGroup(id addr.GroupID) bool                { return t.HasGroup(id) }
-func (t *Table) groupFootprint(id addr.GroupID) int           { return t.GroupFootprint(id) }
-func (t *Table) residentGroups() []addr.GroupID               { return t.ResidentGroups() }
-func (t *Table) marshalGroup(id addr.GroupID) ([]byte, error) { return t.MarshalGroup(id) }
-func (t *Table) installGroup(b []byte) (addr.GroupID, error)  { return t.InstallGroup(b) }
-func (t *Table) dropGroup(id addr.GroupID) (int, bool)        { return t.DropGroup(id) }
-func (t *Table) residentBytes() int                           { return t.SizeBytes() }
-
-var _ groupStore = (*Table)(nil)

@@ -1,31 +1,10 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"leaftl/internal/addr"
 )
-
-// costEq compares PageCosts including their flash-page identities (the
-// struct holds slices, so == no longer applies).
-func costEq(a, b PageCost) bool {
-	if a.MetaReads != b.MetaReads || a.MetaWrites != b.MetaWrites ||
-		len(a.ReadIDs) != len(b.ReadIDs) || len(a.WriteIDs) != len(b.WriteIDs) {
-		return false
-	}
-	for i := range a.ReadIDs {
-		if a.ReadIDs[i] != b.ReadIDs[i] {
-			return false
-		}
-	}
-	for i := range a.WriteIDs {
-		if a.WriteIDs[i] != b.WriteIDs[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // buildMixedTable commits a mix of sequential, strided and irregular
 // batches so groups carry multiple levels, approximate segments and CRB
@@ -215,83 +194,6 @@ func TestPagerBudgetAndClock(t *testing.T) {
 	// Unknown groups stay unknown (and free).
 	if cost, known := p.EnsureRead(9999); known || cost.MetaReads != 0 || cost.MetaWrites != 0 {
 		t.Fatalf("unknown group: known=%v cost=%+v", known, cost)
-	}
-}
-
-// TestPagerShardedMatchesPlain drives the same operation sequence
-// through a pager over a plain table and one over a sharded table and
-// asserts identical costs, evictions and translations — the
-// sharded-invisible contract extended to paging.
-func TestPagerShardedMatchesPlain(t *testing.T) {
-	plain := NewTable(4)
-	sharded := NewShardedTable(4, 8)
-	pp := NewPager(plain, 4096)
-	ps := NewPager(sharded, 4096)
-	pp.SetBudget(600)
-	ps.SetBudget(600)
-
-	rng := rand.New(rand.NewSource(3))
-	var ppa addr.PPA
-	for op := 0; op < 4000; op++ {
-		if rng.Intn(100) < 40 {
-			start := addr.LPA(rng.Intn(16 * 256))
-			n := 1 + rng.Intn(32)
-			pairs := make([]addr.Mapping, 0, n)
-			for i := 0; i < n; i++ {
-				l := start + addr.LPA(i)
-				if len(pairs) > 0 && pairs[len(pairs)-1].LPA >= l {
-					continue
-				}
-				pairs = append(pairs, addr.Mapping{LPA: l, PPA: ppa})
-				ppa++
-			}
-			for i := 0; i < len(pairs); {
-				gid := addr.Group(pairs[i].LPA)
-				j := i + 1
-				for j < len(pairs) && addr.Group(pairs[j].LPA) == gid {
-					j++
-				}
-				ca := pp.EnsureWrite(gid)
-				cb := ps.EnsureWrite(gid)
-				plain.Update(pairs[i:j])
-				sharded.Update(pairs[i:j])
-				ca.Add(pp.Enforce())
-				cb.Add(ps.Enforce())
-				if !costEq(ca, cb) {
-					t.Fatalf("op %d: commit costs diverge: %+v vs %+v", op, ca, cb)
-				}
-				i = j
-			}
-		} else {
-			l := addr.LPA(rng.Intn(16 * 256))
-			ca, ka := pp.EnsureRead(addr.Group(l))
-			cb, kb := ps.EnsureRead(addr.Group(l))
-			if ka != kb || !costEq(ca, cb) {
-				t.Fatalf("op %d: read costs diverge: %v/%+v vs %v/%+v", op, ka, ca, kb, cb)
-			}
-			var pa, pb addr.PPA
-			var oka, okb bool
-			if ka {
-				pa, _, oka = plain.Lookup(l)
-				pb, _, okb = sharded.Lookup(l)
-			}
-			ca = pp.Enforce()
-			cb = ps.Enforce()
-			if !costEq(ca, cb) || oka != okb || pa != pb {
-				t.Fatalf("op %d: lookup diverges: %d/%v/%+v vs %d/%v/%+v", op, pa, oka, ca, pb, okb, cb)
-			}
-		}
-		if pp.EvictedGroups() != ps.EvictedGroups() ||
-			pp.TranslationPages() != ps.TranslationPages() ||
-			plain.SizeBytes() != sharded.SizeBytes() {
-			t.Fatalf("op %d: pager state diverges", op)
-		}
-	}
-	if pp.Stats() != ps.Stats() {
-		t.Fatalf("pager stats diverge: %+v vs %+v", pp.Stats(), ps.Stats())
-	}
-	if pp.Stats().Faults == 0 || pp.Stats().Evictions == 0 {
-		t.Fatalf("workload exercised no paging: %+v", pp.Stats())
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"leaftl/internal/addr"
 )
 
-// churn drives a plain and a sharded table with the same seeded stream of
-// host-style batches and GC-style relocation batches, keeping a map
+// churn drives a table with a seeded stream of host-style batches and
+// GC-style relocation batches, keeping a map
 // oracle of the true PPA of every written LPA. PPAs come from one
 // ascending log, like flash pages.
 type churn struct {
@@ -18,8 +18,7 @@ type churn struct {
 	rng     *rand.Rand
 	gamma   int
 	space   int
-	plain   *Table
-	sharded *ShardedTable
+	tab     *Table
 	truth   map[addr.LPA]addr.PPA
 	log     addr.PPA
 	written int // pages committed through host batches
@@ -28,12 +27,10 @@ type churn struct {
 func newChurn(t *testing.T, seed int64, gamma, space int, bitmap bool) *churn {
 	c := &churn{
 		t: t, rng: rand.New(rand.NewSource(seed)), gamma: gamma, space: space,
-		plain: NewTable(gamma), sharded: NewShardedTable(gamma, 4),
-		truth: make(map[addr.LPA]addr.PPA),
+		tab: NewTable(gamma), truth: make(map[addr.LPA]addr.PPA),
 	}
 	if bitmap {
-		c.plain.EnableExactBitmap()
-		c.sharded.EnableExactBitmap()
+		c.tab.EnableExactBitmap()
 	}
 	return c
 }
@@ -73,8 +70,7 @@ func (c *churn) hostBatch() {
 	}
 	pairs := c.place(sortedLPAs(set))
 	c.written += len(pairs)
-	c.plain.Update(pairs)
-	c.sharded.Update(pairs)
+	c.tab.Update(pairs)
 }
 
 // gcBatch relocates the live pages of one 256-page stretch of the log in
@@ -94,8 +90,7 @@ func (c *churn) gcBatch() {
 		return
 	}
 	pairs := c.place(sortedLPAs(set))
-	c.plain.Relearn(pairs)
-	c.sharded.Relearn(pairs)
+	c.tab.Relearn(pairs)
 }
 
 // readBack plays the device's read feedback for a few random LPAs: an
@@ -108,16 +103,14 @@ func (c *churn) readBack() {
 		if !ok {
 			continue
 		}
-		got, res, _ := c.plain.Lookup(l)
+		got, res, _ := c.tab.Lookup(l)
 		if !res.Approx || res.Exact {
 			continue
 		}
-		c.plain.NoteRead(l, got, want, true)
-		c.sharded.NoteRead(l, got, want, true)
+		c.tab.NoteRead(l, got, want, true)
 		if got != want {
 			fix := Learned{Seg: Segment{SLPA: l, I: float32(want)}, LPAs: []addr.LPA{l}}
-			c.plain.Insert(fix)
-			c.sharded.Insert(fix)
+			c.tab.Insert(fix)
 		}
 	}
 }
@@ -131,7 +124,7 @@ func sortedLPAs(set map[addr.LPA]bool) []addr.LPA {
 	return out
 }
 
-// check holds both tables to the oracle and to each other: ground-truth
+// check holds the table to the oracle: ground-truth
 // answers (accurate, or approximate with a set bit) are exact,
 // approximate ones within γ, unwritten LPAs unmapped, every structural
 // invariant and incremental counter intact, and the shape within bounds.
@@ -139,11 +132,7 @@ func (c *churn) check(when string) {
 	c.t.Helper()
 	for lpa := 0; lpa < c.space; lpa++ {
 		l := addr.LPA(lpa)
-		got, res, ok := c.plain.Lookup(l)
-		sgot, sres, sok := c.sharded.Lookup(l)
-		if got != sgot || res != sres || ok != sok {
-			c.t.Fatalf("%s: Lookup(%d): plain %d/%+v/%v, sharded %d/%+v/%v", when, l, got, res, ok, sgot, sres, sok)
-		}
+		got, res, ok := c.tab.Lookup(l)
 		want, written := c.truth[l]
 		if ok != written {
 			c.t.Fatalf("%s: Lookup(%d) mapped=%v, oracle says %v", when, l, ok, written)
@@ -162,17 +151,14 @@ func (c *churn) check(when string) {
 			c.t.Fatalf("%s: Lookup(%d) visited %d levels, bound %d", when, l, res.Levels, maxGroupLevels)
 		}
 	}
-	if ps, ss := c.plain.Stats(), c.sharded.Stats(); ps != ss {
-		c.t.Fatalf("%s: stats diverge: plain %+v, sharded %+v", when, ps, ss)
-	}
 	oracle := func(l addr.LPA) (addr.PPA, bool) { p, ok := c.truth[l]; return p, ok }
-	if err := c.plain.AuditExactBits(oracle); err != nil {
+	if err := c.tab.AuditExactBits(oracle); err != nil {
 		c.t.Fatalf("%s: %v", when, err)
 	}
-	if err := c.plain.CheckShape(); err != nil {
+	if err := c.tab.CheckShape(); err != nil {
 		c.t.Fatalf("%s: %v", when, err)
 	}
-	if err := checkStructure(c.plain); err != nil {
+	if err := checkStructure(c.tab); err != nil {
 		c.t.Fatalf("%s: %v", when, err)
 	}
 }
@@ -247,8 +233,8 @@ func checkStructure(tb *Table) error {
 
 // TestRebuildProperty is the rebuild's correctness property: whatever mix
 // of overwrites, strided runs, relocation batches and read repairs a
-// table has seen, after every batch it answers like the oracle, plain and
-// sharded agree bit for bit, and every group is inside the shape bound.
+// table has seen, after every batch it answers like the oracle and every
+// group is inside the shape bound.
 func TestRebuildProperty(t *testing.T) {
 	for _, tc := range []struct {
 		gamma  int
@@ -266,8 +252,7 @@ func TestRebuildProperty(t *testing.T) {
 					c.readBack()
 				}
 				if round%50 == 49 {
-					c.plain.Compact()
-					c.sharded.Compact()
+					c.tab.Compact()
 				}
 				c.check(fmt.Sprintf("round %d", round))
 			}
@@ -294,7 +279,7 @@ func TestTableSizeIndependentOfRunLength(t *testing.T) {
 						c.gcBatch()
 					}
 					if c.written > (overwrites-1)*space {
-						sum += c.plain.SizeBytes()
+						sum += c.tab.SizeBytes()
 						n++
 					}
 				}
@@ -316,30 +301,19 @@ func TestTableSizeIndependentOfRunLength(t *testing.T) {
 // groups whose encoding it changed, and a second sweep with nothing
 // written in between names none.
 func TestCompactChangedReportsOnlyChanges(t *testing.T) {
-	for _, sharded := range []bool{false, true} {
-		c := newChurn(t, 3, 4, 8*addr.GroupSize, true)
-		for i := 0; i < 200; i++ {
-			c.hostBatch()
-		}
-		var first, second []addr.GroupID
-		var img, again []byte
-		if sharded {
-			first = c.sharded.CompactChanged()
-			img, _ = c.sharded.MarshalBinary()
-			second = c.sharded.CompactChanged()
-			again, _ = c.sharded.MarshalBinary()
-		} else {
-			first = c.plain.CompactChanged()
-			img, _ = c.plain.MarshalBinary()
-			second = c.plain.CompactChanged()
-			again, _ = c.plain.MarshalBinary()
-		}
-		if len(first) == 0 {
-			t.Fatalf("sharded=%v: 200 batches left nothing to compact", sharded)
-		}
-		if len(second) != 0 || string(img) != string(again) {
-			t.Fatalf("sharded=%v: second CompactChanged reported %v", sharded, second)
-		}
+	c := newChurn(t, 3, 4, 8*addr.GroupSize, true)
+	for i := 0; i < 200; i++ {
+		c.hostBatch()
+	}
+	first := c.tab.CompactChanged()
+	img, _ := c.tab.MarshalBinary()
+	second := c.tab.CompactChanged()
+	again, _ := c.tab.MarshalBinary()
+	if len(first) == 0 {
+		t.Fatal("200 batches left nothing to compact")
+	}
+	if len(second) != 0 || string(img) != string(again) {
+		t.Fatalf("second CompactChanged reported %v", second)
 	}
 }
 

@@ -18,9 +18,7 @@ import (
 // the binary search walks a compact key array instead of striding across
 // full Segment structs.
 //
-// Table is not safe for concurrent use by multiple writers; Lookup and the
-// other read-only accessors never touch the mutation scratch, so a Table
-// behind a read-write lock supports concurrent readers (see ShardedTable).
+// Table is not safe for concurrent use; the device serializes every call.
 // Update and Relearn may spread one batch over helper goroutines
 // (parallel.go), but they return only once every helper is done.
 type Table struct {

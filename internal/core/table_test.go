@@ -343,3 +343,116 @@ func TestTableLevelsAreSortedAndDisjoint(t *testing.T) {
 		}
 	})
 }
+
+// traceBatches generates a deterministic update trace mixing sequential,
+// strided and irregular batches across many groups.
+func traceBatches(seed int64, rounds, space int) [][]addr.Mapping {
+	rng := rand.New(rand.NewSource(seed))
+	ppa := addr.PPA(0)
+	out := make([][]addr.Mapping, 0, rounds)
+	for r := 0; r < rounds; r++ {
+		start := addr.LPA(rng.Intn(space))
+		var pairs []addr.Mapping
+		switch r % 3 {
+		case 0:
+			n := 1 + rng.Intn(200)
+			for i := 0; i < n; i++ {
+				pairs = append(pairs, addr.Mapping{LPA: start + addr.LPA(i), PPA: ppa})
+				ppa++
+			}
+		case 1:
+			st := 2 + rng.Intn(4)
+			for i := 0; i < 40; i++ {
+				pairs = append(pairs, addr.Mapping{LPA: start + addr.LPA(i*st), PPA: ppa})
+				ppa++
+			}
+		default:
+			l := start
+			for i := 0; i < 30; i++ {
+				l += addr.LPA(1 + rng.Intn(4))
+				pairs = append(pairs, addr.Mapping{LPA: l, PPA: ppa})
+				ppa++
+			}
+		}
+		out = append(out, pairs)
+	}
+	return out
+}
+
+// TestIncrementalStatsMatchWalk cross-checks the incrementally maintained
+// counters against a from-scratch recomputation after heavy churn.
+func TestIncrementalStatsMatchWalk(t *testing.T) {
+	for _, gamma := range []int{0, 4} {
+		tb := NewTable(gamma)
+		for _, b := range traceBatches(int64(31+gamma), 200, 12*addr.GroupSize) {
+			tb.Update(b)
+		}
+		tb.Compact()
+		for _, b := range traceBatches(int64(32+gamma), 50, 12*addr.GroupSize) {
+			tb.Update(b)
+		}
+		got := tb.Stats()
+		tb.recomputeStats()
+		want := tb.Stats()
+		if got != want {
+			t.Errorf("gamma %d: incremental stats %+v, recomputed %+v", gamma, got, want)
+		}
+	}
+}
+
+// TestLookupZeroAllocs pins the acceptance criterion: the translation hot
+// path performs zero allocations.
+func TestLookupZeroAllocs(t *testing.T) {
+	for _, gamma := range []int{0, 4} {
+		rng := rand.New(rand.NewSource(2))
+		tb := NewTable(gamma)
+		ppa := addr.PPA(0)
+		for g := 0; g < 16; g++ {
+			tb.Update(mixedBatch(rng, addr.LPA(g*512), ppa))
+			ppa += 256
+		}
+		lpa := addr.LPA(0)
+		if avg := testing.AllocsPerRun(2000, func() {
+			tb.Lookup(lpa)
+			lpa = (lpa + 37) % (16 * 512)
+		}); avg != 0 {
+			t.Errorf("gamma %d: Lookup allocates %.2f objects per call, want 0", gamma, avg)
+		}
+	}
+}
+
+// TestUpdateSteadyStateAllocs pins the amortized-O(1) property of the
+// mutation path: re-learning the same working set must settle to a small
+// constant number of allocations per 256-mapping batch (CRB entry copies
+// and occasional slice growth), nothing proportional to batch size or
+// victim count like the old per-victim bitmap and LPA slices.
+func TestUpdateSteadyStateAllocs(t *testing.T) {
+	for _, gamma := range []int{0, 4} {
+		rng := rand.New(rand.NewSource(3))
+		tb := NewTable(gamma)
+		batches := make([][]addr.Mapping, 64)
+		ppa := addr.PPA(0)
+		for i := range batches {
+			batches[i] = mixedBatch(rng, addr.LPA(rng.Intn(4096)), ppa)
+			ppa += 256
+		}
+		// Warm: grow every scratch buffer and level to steady state.
+		for r := 0; r < 4; r++ {
+			for _, b := range batches {
+				tb.Update(b)
+			}
+		}
+		i := 0
+		avg := testing.AllocsPerRun(2*len(batches), func() {
+			tb.Update(batches[i%len(batches)])
+			i++
+		})
+		// The old mutation path allocated hundreds of objects per batch
+		// (one [256]bool + slices per victim); allow a small constant for
+		// retained-state growth (new levels, CRB entry copies).
+		const maxAllocs = 32
+		if avg > maxAllocs {
+			t.Errorf("gamma %d: Update allocates %.1f objects per batch, want ≤ %d", gamma, avg, maxAllocs)
+		}
+	}
+}

@@ -10,7 +10,7 @@ import (
 
 // DieSweepSpec parameterizes the die-scaling sweep. Zero values select
 // the defaults: 1/2/4 dies per channel at two planes per die, zipf-hot
-// through 4 queue pairs at 4x recorded speed, with a second arm per
+// through 4 host queues at 4x recorded speed, with a second arm per
 // geometry running under a 25% mapping budget to expose the map-op/
 // data-op pipelining (Stats.MetaOverlap).
 type DieSweepSpec struct {
@@ -20,7 +20,7 @@ type DieSweepSpec struct {
 	// (including one die) so the whole curve runs under the same
 	// die-aware timing model and measures die parallelism alone.
 	Planes int
-	// Workers is the multi-queue pair count of the open-loop replay.
+	// Workers is the host queue count of the open-loop replay.
 	Workers int
 	// Workload names a generator from workload.TimedCatalog.
 	Workload string
@@ -66,7 +66,6 @@ type DieSweepRun struct {
 	Planes int
 	Result *trace.OpenLoopResult
 	Stats  ssd.Stats
-	MQ     ssd.MQStats
 	Digest uint64
 
 	// Budgeted arm: same geometry and trace under MappingBudget of the
@@ -90,7 +89,7 @@ func (s *Suite) DieSweep(spec DieSweepSpec) ([]DieSweepRun, Table, error) {
 	if !ok {
 		return nil, Table{}, fmt.Errorf("diesweep: unknown timed workload %q", spec.Workload)
 	}
-	reqs := gen.Generate(s.simConfig("sim-sharded").LogicalPages(), s.Scale.Requests, s.Seed)
+	reqs := gen.Generate(s.simConfig("sim").LogicalPages(), s.Scale.Requests, s.Seed)
 
 	var runs []DieSweepRun
 	for _, dies := range spec.Dies {
@@ -99,8 +98,8 @@ func (s *Suite) DieSweep(spec DieSweepSpec) ([]DieSweepRun, Table, error) {
 		}
 		run := DieSweepRun{Dies: dies, Planes: spec.Planes}
 
-		// Unbudgeted arm: the throughput curve, through the real
-		// multi-queue front end.
+		// Unbudgeted arm: the throughput curve, with issue-time queues so
+		// requests from different queues overlap across dies.
 		{
 			cfg, err := s.dieConfig(dies, spec.Planes)
 			if err != nil {
@@ -115,8 +114,9 @@ func (s *Suite) DieSweep(spec DieSweepSpec) ([]DieSweepRun, Table, error) {
 				return nil, Table{}, fmt.Errorf("diesweep d=%d: warmup: %w", dies, err)
 			}
 			dev.ResetMetrics()
-			mq := ssd.NewMultiQueue(dev, ssd.MQConfig{Queues: spec.Workers})
-			res, err := trace.ReplayOpenLoop(mq, reqs, trace.OpenLoopConfig{Speedup: spec.Speedup})
+			res, err := trace.ReplayIssued(dev, reqs, trace.OpenLoopConfig{
+				Queues: spec.Workers, Speedup: spec.Speedup,
+			})
 			if err != nil {
 				return nil, Table{}, fmt.Errorf("diesweep d=%d: %w", dies, err)
 			}
@@ -126,7 +126,7 @@ func (s *Suite) DieSweep(spec DieSweepSpec) ([]DieSweepRun, Table, error) {
 			if err := dev.CheckInvariants(); err != nil {
 				return nil, Table{}, fmt.Errorf("diesweep d=%d: %w", dies, err)
 			}
-			run.Result, run.Stats, run.MQ, run.Digest = res, dev.Stats(), mq.MQStats(), dev.StateDigest()
+			run.Result, run.Stats, run.Digest = res, dev.Stats(), dev.StateDigest()
 		}
 
 		// Budgeted arm: demand-paged mapping at a fraction of full size.
@@ -189,10 +189,10 @@ func (s *Suite) DieSweep(spec DieSweepSpec) ([]DieSweepRun, Table, error) {
 	return runs, t, nil
 }
 
-// dieConfig builds the sharded-core simulator config on a die × plane
-// geometry, validating divisibility up front for a clear error.
+// dieConfig builds the simulator config on a die × plane geometry,
+// validating divisibility up front for a clear error.
 func (s *Suite) dieConfig(dies, planes int) (ssd.Config, error) {
-	cfg := s.simConfig("sim-sharded")
+	cfg := s.simConfig("sim")
 	cfg.Flash.DiesPerChan = dies
 	cfg.Flash.PlanesPerDie = planes
 	if dies > 1 && cfg.Flash.BlocksPerChan%dies != 0 {

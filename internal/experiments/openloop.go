@@ -38,11 +38,6 @@ type OpenLoopSpec struct {
 	// the greedy single-stream default.
 	GCPolicy  string
 	GCStreams int
-	// Workers, when positive, drives each device through a real
-	// multi-queue front end (ssd.MultiQueue) with that many worker-backed
-	// queue pairs instead of ReplayOpenLoop's simulated queues; Queues is
-	// ignored in that case.
-	Workers int
 	// Journal runs LeaFTL with the mapping-delta journal (no effect on
 	// the baselines).
 	Journal bool
@@ -69,12 +64,11 @@ type OpenLoopRun struct {
 }
 
 // OpenLoopCompare replays one trace open-loop against three identical
-// devices — LeaFTL (sharded when Queues > 1, exercising the
-// core.ShardedTable path), DFTL, and SFTL — and returns per-scheme
-// runs plus a rendered tail-latency table. The trace is folded into
-// the device's logical space with trace.FitTo, and each device is
-// warmed by sequentially writing the trace's footprint so reads hit
-// mapped pages (§4.1's warmup protocol).
+// devices — LeaFTL, DFTL and SFTL — and returns per-scheme runs plus a
+// rendered tail-latency table. The trace is folded into the device's
+// logical space with trace.FitTo, and each device is warmed by
+// sequentially writing the trace's footprint so reads hit mapped pages
+// (§4.1's warmup protocol).
 func (s *Suite) OpenLoopCompare(reqs []trace.Request, spec OpenLoopSpec) ([]OpenLoopRun, Table, error) {
 	if len(reqs) == 0 {
 		return nil, Table{}, fmt.Errorf("openloop: empty trace")
@@ -85,25 +79,18 @@ func (s *Suite) OpenLoopCompare(reqs []trace.Request, spec OpenLoopSpec) ([]Open
 	if spec.Queues < 1 {
 		spec.Queues = 1
 	}
-	cfgName := "sim"
-	if spec.Queues > 1 || spec.Workers > 1 {
-		cfgName = "sim-sharded"
-	}
-	// Capacity is identical across the three schemes (configs differ
-	// only in sharding), so the trace folds once.
-	fitted, err := trace.FitTo(reqs, s.simConfig(cfgName).LogicalPages())
+	// Capacity is identical across the three schemes, so the trace folds
+	// once.
+	fitted, err := trace.FitTo(reqs, s.simConfig("sim").LogicalPages())
 	if err != nil {
 		return nil, Table{}, fmt.Errorf("openloop: %w", err)
 	}
 
 	var runs []OpenLoopRun
 	for _, scheme := range []string{"LeaFTL", "DFTL", "SFTL"} {
-		cfg := s.simConfig(cfgName)
+		cfg := s.simConfig("sim")
 		cfg.GCPolicy = spec.GCPolicy
 		cfg.GCStreams = spec.GCStreams
-		if scheme != "LeaFTL" {
-			cfg.Shards = 0 // the baselines have no sharded core
-		}
 		var opts []leaftl.Option
 		if scheme == "LeaFTL" && spec.Journal {
 			opts = append(opts, leaftl.WithJournal())
@@ -116,13 +103,7 @@ func (s *Suite) OpenLoopCompare(reqs []trace.Request, spec OpenLoopSpec) ([]Open
 		if err := warmFootprint(dev, fitted); err != nil {
 			return nil, Table{}, fmt.Errorf("openloop %s: warmup: %w", scheme, err)
 		}
-		// With Workers set, requests flow through real queue pairs with
-		// per-core workers; otherwise ReplayOpenLoop simulates the queues.
-		var replayTarget trace.Device = dev
-		if spec.Workers > 0 {
-			replayTarget = ssd.NewMultiQueue(dev, ssd.MQConfig{Queues: spec.Workers})
-		}
-		res, err := trace.ReplayOpenLoop(replayTarget, fitted, trace.OpenLoopConfig{
+		res, err := trace.ReplayOpenLoop(dev, fitted, trace.OpenLoopConfig{
 			Queues: spec.Queues, Speedup: spec.Speedup, Interarrival: spec.Interarrival,
 		})
 		if err != nil {
@@ -137,14 +118,10 @@ func (s *Suite) OpenLoopCompare(reqs []trace.Request, spec OpenLoopSpec) ([]Open
 		runs = append(runs, run)
 	}
 
-	queueDesc := fmt.Sprintf("%d queue(s)", spec.Queues)
-	if spec.Workers > 0 {
-		queueDesc = fmt.Sprintf("%d worker queue pair(s)", spec.Workers)
-	}
 	t := Table{
 		ID: "openloop",
-		Title: fmt.Sprintf("open-loop replay: %d requests, %s, %.2gx speed, gamma=%d",
-			len(reqs), queueDesc, spec.Speedup, spec.Gamma),
+		Title: fmt.Sprintf("open-loop replay: %d requests, %d queue(s), %.2gx speed, gamma=%d",
+			len(reqs), spec.Queues, spec.Speedup, spec.Gamma),
 		Header: []string{"scheme", "p50", "p95", "p99", "p999", "mean", "max", "kIOPS", "mapping"},
 		Notes:  "latency = queue wait + device service; identical requests and arrivals per scheme",
 	}

@@ -42,13 +42,6 @@ type TortureSpec struct {
 	// over-provisioned capacity). Torture cells shrink it so journal GC
 	// actually cycles within a slice.
 	JournalPages int
-	// Workers, when > 1, replays every slice through a real multi-queue
-	// front end with that many worker-backed queue pairs, so crashes
-	// land mid-batch with other workers in flight: the crashing worker
-	// panics out of the device, the remaining ring entries are aborted
-	// unapplied, and recovery must still see a clean submission-order
-	// prefix. ≤ 1 keeps the serial replay path.
-	Workers int
 }
 
 func (s TortureSpec) withDefaults() TortureSpec {
@@ -219,12 +212,7 @@ func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, policy str
 				panic(crashSignal{point: point})
 			}
 		})
-		var point string
-		if spec.Workers > 1 {
-			point = replayUntilCrashMQ(dev, reqs[k*slice:(k+1)*slice], spec.Workers)
-		} else {
-			point = replayUntilCrash(dev, reqs[k*slice:(k+1)*slice])
-		}
+		point := replayUntilCrash(dev, reqs[k*slice:(k+1)*slice])
 		dev.SetCrashHook(nil)
 		if point == "" {
 			continue // countdown outlived the slice; no crash this round
@@ -301,45 +289,6 @@ func replayUntilCrash(dev *ssd.Device, reqs []trace.Request) (point string) {
 		// Faults are off during torture; any replay error is a bug and
 		// must fail the harness, which treats it as an impossible point.
 		panic(fmt.Sprintf("torture replay: %v", err))
-	}
-	return ""
-}
-
-// replayUntilCrashMQ drives reqs round-robin through a real multi-queue
-// front end. A crash panics out of the device on whichever worker holds
-// the submission-order ticket; the front end aborts every in-flight ring
-// entry unapplied and Drain re-throws the signal on this goroutine,
-// where the deferred recover converts it into the crash-point name. The
-// interesting property under test: the crash lands mid-batch with other
-// workers live, yet the device is left holding an exact submission-order
-// prefix for recovery to rebuild from.
-func replayUntilCrashMQ(dev *ssd.Device, reqs []trace.Request, workers int) (point string) {
-	defer func() {
-		if r := recover(); r != nil {
-			cs, ok := r.(crashSignal)
-			if !ok {
-				panic(r)
-			}
-			point = cs.point
-		}
-	}()
-	mq := ssd.NewMultiQueue(dev, ssd.MQConfig{Queues: workers})
-	for i, r := range reqs {
-		err := mq.Submit(i%workers, r.Op == trace.OpWrite, r.LPA, r.Pages, 0)
-		if errors.Is(err, ssd.ErrAborted) {
-			break // a worker crashed; Drain re-throws the signal below
-		}
-		if err != nil {
-			panic(fmt.Sprintf("torture mq submit: %v", err))
-		}
-	}
-	if err := mq.Drain(); err != nil {
-		panic(fmt.Sprintf("torture mq drain: %v", err))
-	}
-	// No crash this slice: with faults off every completion must have
-	// succeeded.
-	if err := mq.FirstError(); err != nil {
-		panic(fmt.Sprintf("torture mq replay: %v", err))
 	}
 	return ""
 }

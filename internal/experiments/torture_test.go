@@ -65,36 +65,6 @@ func TestTortureSmoke(t *testing.T) {
 	}
 }
 
-// TestTortureMultiQueue crash-tortures the multi-queue front end: each
-// slice replays through 4 real worker-backed queue pairs, the seeded
-// crash panics out of the device mid-batch with the other workers still
-// live, and the cell's differential verification proves recovery lost
-// nothing beyond the write buffer — the in-ring requests the abort
-// discarded were simply never applied, so the device holds an exact
-// submission-order prefix.
-func TestTortureMultiQueue(t *testing.T) {
-	const seed = 13
-	s := NewSuite(MicroScale(), seed)
-	cells, table, err := s.Torture(TortureSpec{
-		Policies: []string{"greedy"},
-		Budgets:  []float64{0, 0.25},
-		Bitmap:   []bool{false},
-		Workers:  4,
-	})
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	t.Logf("seed %d:\n%s", seed, table)
-	for _, c := range cells {
-		if c.Crashes == 0 {
-			t.Errorf("seed %d: cell %s/%.2f injected no crashes through the multi-queue path", seed, c.Policy, c.Budget)
-		}
-		if c.VerifiedLPAs == 0 {
-			t.Errorf("seed %d: cell %s/%.2f verified nothing", seed, c.Policy, c.Budget)
-		}
-	}
-}
-
 // TestTortureJournal crash-tortures the mapping-delta journal path:
 // budgeted cells with the journal on and its footprint squeezed to one
 // translation block, so slices crash between delta appends, mid-fold and

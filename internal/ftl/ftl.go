@@ -238,12 +238,9 @@ type AdaptiveGamma interface {
 	MaxGroupGamma() int
 }
 
-// Concurrent is implemented by schemes whose Translate method is safe for
-// concurrent use by multiple host streams (a sharded mapping core). The
-// device's closed-loop simulation still serializes requests, but parallel
-// drivers — the leaftl-bench parallel replay mode, or a future
-// multi-queue front-end — may fan translations out across goroutines
-// when the scheme advertises this.
+// Concurrent marks a scheme whose Translate is safe for concurrent use.
+// No scheme implements it any more; it stays because the benchmark under
+// bench/ names it.
 type Concurrent interface {
 	Scheme
 

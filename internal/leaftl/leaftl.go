@@ -155,9 +155,8 @@ func sweepCost(pages int) ftl.Cost {
 // While the batch commits, the resident set may exceed the budget by the
 // batch's own groups; when commitPaged returns it is back within it.
 // Each group is loaded at most once per batch, so the batch charges the
-// same translation-page reads as loading its groups one by one. Shared
-// by the plain and sharded schemes (update is Table.Update,
-// ShardedTable.Update or a Relearn wrapper).
+// same translation-page reads as loading its groups one by one. update
+// is Table.Update or a Relearn wrapper.
 func commitPaged(p *core.Pager, update func([]addr.Mapping) int, pairs []addr.Mapping) (int, core.PageCost) {
 	var pc core.PageCost
 	for i := 0; i < len(pairs); {

@@ -3,19 +3,10 @@ package leaftl
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"leaftl/internal/addr"
-	"leaftl/internal/ftl"
 )
-
-// pagedScheme is the surface the budget property test drives, satisfied
-// by both scheme flavors.
-type pagedScheme interface {
-	ftl.GroupPaged
-	Gamma() int
-}
 
 // TestBudgetPropertyRandomWorkloads is the budget-enforcement property
 // test: across random workloads and random budgets, MemoryBytes() ≤
@@ -23,102 +14,86 @@ type pagedScheme interface {
 // must stay consistent, and the budgeted scheme must translate
 // bit-identically to an unlimited reference.
 func TestBudgetPropertyRandomWorkloads(t *testing.T) {
-	for _, flavor := range []string{"plain", "sharded"} {
-		for trial := 0; trial < 3; trial++ {
-			t.Run(fmt.Sprintf("%s/trial%d", flavor, trial), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(trial*10 + len(flavor))))
-				gamma := rng.Intn(5)
-				var ref, bud pagedScheme
-				if flavor == "plain" {
-					ref = New(gamma, 4096)
-					bud = New(gamma, 4096)
-				} else {
-					ref = NewSharded(gamma, 4096, 1+rng.Intn(8))
-					bud = NewSharded(gamma, 4096, 1+rng.Intn(8))
-				}
+	for trial := 0; trial < 3; trial++ {
+		t.Run(fmt.Sprintf("plain/trial%d", trial), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(trial*10 + 5)))
+			gamma := rng.Intn(5)
+			ref, bud := New(gamma, 4096), New(gamma, 4096)
 
-				logical := 48 * 256
-				var ppa addr.PPA
-				commit := func(lpas []addr.LPA) {
-					pairs := make([]addr.Mapping, len(lpas))
-					for i, l := range lpas {
-						pairs[i] = addr.Mapping{LPA: l, PPA: ppa + addr.PPA(i)}
-					}
-					ppa += addr.PPA(len(lpas))
-					ref.Commit(pairs)
-					bud.Commit(pairs)
+			logical := 48 * 256
+			var ppa addr.PPA
+			commit := func(lpas []addr.LPA) {
+				pairs := make([]addr.Mapping, len(lpas))
+				for i, l := range lpas {
+					pairs[i] = addr.Mapping{LPA: l, PPA: ppa + addr.PPA(i)}
 				}
-				// Warm sequentially, then apply a harsh random budget.
-				for b := 0; b < 48; b++ {
-					lpas := make([]addr.LPA, 256)
-					for i := range lpas {
-						lpas[i] = addr.LPA(b*256 + i)
+				ppa += addr.PPA(len(lpas))
+				ref.Commit(pairs)
+				bud.Commit(pairs)
+			}
+			// Warm sequentially, then apply a harsh random budget.
+			for b := 0; b < 48; b++ {
+				lpas := make([]addr.LPA, 256)
+				for i := range lpas {
+					lpas[i] = addr.LPA(b*256 + i)
+				}
+				commit(lpas)
+			}
+			budget := 1 + rng.Intn(ref.MemoryBytes())
+			bud.SetBudget(budget)
+
+			check := func(op int) {
+				if m := bud.MemoryBytes(); m > budget {
+					t.Fatalf("op %d: MemoryBytes %d > budget %d", op, m, budget)
+				}
+				if err := bud.CheckMapping(); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
+			}
+			hostWrites := uint64(0)
+			for op := 0; op < 6000; op++ {
+				switch r := rng.Intn(100); {
+				case r < 40:
+					start := rng.Intn(logical - 32)
+					n := 1 + rng.Intn(32)
+					lpas := make([]addr.LPA, 0, n)
+					for i := 0; i < n; i++ {
+						lpas = append(lpas, addr.LPA(start+i))
 					}
 					commit(lpas)
-				}
-				budget := 1 + rng.Intn(ref.MemoryBytes())
-				bud.SetBudget(budget)
-
-				check := func(op int) {
-					if m := bud.MemoryBytes(); m > budget {
-						t.Fatalf("op %d: MemoryBytes %d > budget %d", op, m, budget)
+					hostWrites += uint64(n)
+				case r < 95:
+					l := addr.LPA(rng.Intn(logical))
+					a, aok := ref.Translate(l)
+					b, bok := bud.Translate(l)
+					if aok != bok || a.PPA != b.PPA || a.Approx != b.Approx {
+						t.Fatalf("op %d: Translate(%d) diverges: %v/%v vs %v/%v",
+							op, l, b.PPA, bok, a.PPA, aok)
 					}
-					if err := bud.CheckMapping(); err != nil {
-						t.Fatalf("op %d: %v", op, err)
-					}
+				default:
+					// Periodic maintenance at a random cadence.
+					ref.Maintain(hostWrites)
+					bud.Maintain(hostWrites)
 				}
-				hostWrites := uint64(0)
-				for op := 0; op < 6000; op++ {
-					switch r := rng.Intn(100); {
-					case r < 40:
-						start := rng.Intn(logical - 32)
-						n := 1 + rng.Intn(32)
-						lpas := make([]addr.LPA, 0, n)
-						for i := 0; i < n; i++ {
-							lpas = append(lpas, addr.LPA(start+i))
-						}
-						commit(lpas)
-						hostWrites += uint64(n)
-					case r < 95:
-						l := addr.LPA(rng.Intn(logical))
-						a, aok := ref.Translate(l)
-						b, bok := bud.Translate(l)
-						if aok != bok || a.PPA != b.PPA || a.Approx != b.Approx {
-							t.Fatalf("op %d: Translate(%d) diverges: %v/%v vs %v/%v",
-								op, l, b.PPA, bok, a.PPA, aok)
-						}
-					default:
-						// Periodic maintenance at a random cadence.
-						ref.Maintain(hostWrites)
-						bud.Maintain(hostWrites)
-					}
-					check(op)
+				check(op)
+			}
+			// Every budgeted run under MemoryBytes must have produced
+			// real paging traffic to be a meaningful property test.
+			if bud.PagingStats().Faults == 0 && budget < ref.MemoryBytes() {
+				t.Fatalf("binding budget %d (< %d) produced no faults", budget, ref.MemoryBytes())
+			}
+			// Full final sweep.
+			for l := 0; l < logical; l++ {
+				a, aok := ref.Translate(addr.LPA(l))
+				b, bok := bud.Translate(addr.LPA(l))
+				if aok != bok || a.PPA != b.PPA {
+					t.Fatalf("final Translate(%d) diverges: %v/%v vs %v/%v", l, b.PPA, bok, a.PPA, aok)
 				}
-				// Every budgeted run under MemoryBytes must have produced
-				// real paging traffic to be a meaningful property test.
-				var faults uint64
-				switch s := bud.(type) {
-				case *Scheme:
-					faults = s.PagingStats().Faults
-				case *Sharded:
-					faults = s.PagingStats().Faults
-				}
-				if faults == 0 && budget < ref.MemoryBytes() {
-					t.Fatalf("binding budget %d (< %d) produced no faults", budget, ref.MemoryBytes())
-				}
-				// Full final sweep.
-				for l := 0; l < logical; l++ {
-					a, aok := ref.Translate(addr.LPA(l))
-					b, bok := bud.Translate(addr.LPA(l))
-					if aok != bok || a.PPA != b.PPA {
-						t.Fatalf("final Translate(%d) diverges: %v/%v vs %v/%v", l, b.PPA, bok, a.PPA, aok)
-					}
-				}
-				if bud.FullSizeBytes() < bud.MemoryBytes() {
-					t.Fatalf("FullSizeBytes %d < MemoryBytes %d", bud.FullSizeBytes(), bud.MemoryBytes())
-				}
-			})
-		}
+			}
+			if bud.FullSizeBytes() < bud.MemoryBytes() {
+				t.Fatalf("FullSizeBytes %d < MemoryBytes %d", bud.FullSizeBytes(), bud.MemoryBytes())
+			}
+		})
 	}
 }
 
@@ -128,71 +103,63 @@ func TestBudgetPropertyRandomWorkloads(t *testing.T) {
 // commits, ends within the budget, and charges the same translation-page
 // reads as committing its groups one by one.
 func TestCommitPagedBatch(t *testing.T) {
-	for _, flavor := range []string{"plain", "sharded"} {
-		t.Run(flavor, func(t *testing.T) {
-			mk := func() pagedScheme {
-				if flavor == "plain" {
-					return New(4, 4096)
-				}
-				return NewSharded(4, 4096, 4)
-			}
-			ref, batched, single := New(4, 4096), mk(), mk()
-			commit := func(pairs []addr.Mapping) {
-				ref.Commit(pairs)
-				batched.Commit(pairs)
-				single.Commit(pairs)
-			}
-			// Sixteen groups of eight short runs each.
-			ppa := addr.PPA(0)
-			for g := 0; g < 16; g++ {
-				for r := 0; r < 8; r++ {
-					commit(seq(addr.LPA(g*256+r*32), ppa, 16))
-					ppa += 16
-				}
-			}
-			// Two groups fit. The CLOCK sweep evicts from the oldest, so
-			// groups 0–7 are all paged out.
-			budget := 2 * ref.Table().GroupFootprint(0)
-			batched.SetBudget(budget)
-			single.SetBudget(budget)
-
-			var pairs []addr.Mapping
-			for g := 0; g < 8; g++ {
-				for i := 0; i < 40; i++ {
-					pairs = append(pairs, addr.Mapping{LPA: addr.LPA(g*256 + 3*i), PPA: ppa})
-					ppa++
-				}
-			}
+	t.Run("plain", func(t *testing.T) {
+		ref, batched, single := New(4, 4096), New(4, 4096), New(4, 4096)
+		commit := func(pairs []addr.Mapping) {
 			ref.Commit(pairs)
-			need := 0
-			for g := addr.GroupID(0); g < 8; g++ {
-				need += ref.Table().GroupFootprint(g)
+			batched.Commit(pairs)
+			single.Commit(pairs)
+		}
+		// Sixteen groups of eight short runs each.
+		ppa := addr.PPA(0)
+		for g := 0; g < 16; g++ {
+			for r := 0; r < 8; r++ {
+				commit(seq(addr.LPA(g*256+r*32), ppa, 16))
+				ppa += 16
 			}
-			if need <= budget {
-				t.Fatalf("the batch's groups take %d B, budget %d B: nothing to pin", need, budget)
-			}
+		}
+		// Two groups fit. The CLOCK sweep evicts from the oldest, so
+		// groups 0–7 are all paged out.
+		budget := 2 * ref.Table().GroupFootprint(0)
+		batched.SetBudget(budget)
+		single.SetBudget(budget)
 
-			got := batched.Commit(pairs)
-			want := 0
-			for g := 0; g < 8; g++ {
-				want += single.Commit(pairs[g*40 : (g+1)*40]).MetaReads
+		var pairs []addr.Mapping
+		for g := 0; g < 8; g++ {
+			for i := 0; i < 40; i++ {
+				pairs = append(pairs, addr.Mapping{LPA: addr.LPA(g*256 + 3*i), PPA: ppa})
+				ppa++
 			}
-			if got.MetaReads != want || want < 8 {
-				t.Fatalf("batch charged %d translation-page reads, one by one %d (want ≥ 8)", got.MetaReads, want)
+		}
+		ref.Commit(pairs)
+		need := 0
+		for g := addr.GroupID(0); g < 8; g++ {
+			need += ref.Table().GroupFootprint(g)
+		}
+		if need <= budget {
+			t.Fatalf("the batch's groups take %d B, budget %d B: nothing to pin", need, budget)
+		}
+
+		got := batched.Commit(pairs)
+		want := 0
+		for g := 0; g < 8; g++ {
+			want += single.Commit(pairs[g*40 : (g+1)*40]).MetaReads
+		}
+		if got.MetaReads != want || want < 8 {
+			t.Fatalf("batch charged %d translation-page reads, one by one %d (want ≥ 8)", got.MetaReads, want)
+		}
+		if m := batched.MemoryBytes(); m > budget {
+			t.Fatalf("MemoryBytes %d > budget %d after the batch", m, budget)
+		}
+		if err := batched.CheckMapping(); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range pairs {
+			if tr, ok := batched.Translate(m.LPA); !ok || tr.PPA != m.PPA {
+				t.Fatalf("Translate(%d) = %d/%v after the batch, want %d", m.LPA, tr.PPA, ok, m.PPA)
 			}
-			if m := batched.MemoryBytes(); m > budget {
-				t.Fatalf("MemoryBytes %d > budget %d after the batch", m, budget)
-			}
-			if err := batched.CheckMapping(); err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range pairs {
-				if tr, ok := batched.Translate(m.LPA); !ok || tr.PPA != m.PPA {
-					t.Fatalf("Translate(%d) = %d/%v after the batch, want %d", m.LPA, tr.PPA, ok, m.PPA)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestPagedMaintainChargesDirtyGroupsOnly pins the pressured Maintain
@@ -285,48 +252,6 @@ func TestPagedSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestShardedPagedConcurrentTranslate hammers a budgeted sharded scheme
-// with concurrent translations (the ftl.Concurrent contract) while
-// groups fault in and out; run under -race this pins the pager-mutex
-// serialization and the lock-free fast-path handoff.
-func TestShardedPagedConcurrentTranslate(t *testing.T) {
-	s := NewSharded(0, 4096, 4)
-	logical := 16 * 256
-	for b := 0; b < 16; b++ {
-		s.Commit(seq(addr.LPA(b*256), addr.PPA(b*256), 256))
-	}
-	s.SetBudget(s.MemoryBytes() / 3)
-	s.Commit(seq(0, 90000, 1)) // force enforcement so paging pressure is on
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 3000; i++ {
-				l := addr.LPA(rng.Intn(logical))
-				tr, ok := s.Translate(l)
-				if !ok {
-					panic(fmt.Sprintf("lost mapping for %d", l))
-				}
-				if l == 0 {
-					if tr.PPA != 90000 {
-						panic(fmt.Sprintf("stale translation for 0: %d", tr.PPA))
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if err := s.CheckMapping(); err != nil {
-		t.Fatal(err)
-	}
-	if s.MemoryBytes() > s.FullSizeBytes() {
-		t.Fatal("resident exceeds full size")
-	}
-}
-
 // TestIdleMaintainPersistsNothing pins Maintain's dirty-marking: the
 // compaction sweep dirties only the groups whose encoding it changed, so
 // with nothing written in between, a second and a third maintenance
@@ -336,56 +261,45 @@ func TestShardedPagedConcurrentTranslate(t *testing.T) {
 // them every interval; the journal only hid it by dropping identical
 // images).
 func TestIdleMaintainPersistsNothing(t *testing.T) {
-	type scheme interface {
-		pagedScheme
-		ftl.Journaled
-	}
-	for _, flavor := range []string{"plain", "sharded"} {
-		for _, journal := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/journal=%v", flavor, journal), func(t *testing.T) {
-				opts := []Option{WithCompactEvery(1)}
-				if journal {
-					opts = append(opts, WithJournal())
+	for _, journal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("plain/journal=%v", journal), func(t *testing.T) {
+			opts := []Option{WithCompactEvery(1)}
+			if journal {
+				opts = append(opts, WithJournal())
+			}
+			s := New(4, 4096, opts...)
+			s.ConfigureJournal(64, 4096)
+			// Sequential groups under partial overwrites: every group
+			// ends up layered (a long run below, short runs above),
+			// which is exactly what a sweep leaves as it is.
+			ppa := addr.PPA(0)
+			for b := 0; b < 8; b++ {
+				s.Commit(seq(addr.LPA(b*256), ppa, 256))
+				ppa += 256
+			}
+			for b := 0; b < 8; b++ {
+				for _, off := range []int{10, 90, 170} {
+					s.Commit(seq(addr.LPA(b*256+off), ppa, 20))
+					ppa += 20
 				}
-				var s scheme
-				if flavor == "plain" {
-					s = New(4, 4096, opts...)
-				} else {
-					s = NewSharded(4, 4096, 4, opts...)
+			}
+			s.SetBudget(s.MemoryBytes() * 3 / 4) // binds: paging on
+			first := s.Maintain(10)
+			before := s.JournalStats()
+			if first.MetaWrites == 0 && before.Appends+before.Bases == 0 {
+				t.Fatal("first pressured round persisted nothing")
+			}
+			for round, writes := range []uint64{20, 30} {
+				cost := s.Maintain(writes)
+				after := s.JournalStats()
+				if cost.MetaWrites != 0 || after.Appends != before.Appends || after.Bases != before.Bases {
+					t.Fatalf("idle round %d: %d translation-page writes, journal appends %d -> %d, bases %d -> %d",
+						round, cost.MetaWrites, before.Appends, after.Appends, before.Bases, after.Bases)
 				}
-				s.ConfigureJournal(64, 4096)
-				// Sequential groups under partial overwrites: every group
-				// ends up layered (a long run below, short runs above),
-				// which is exactly what a sweep leaves as it is.
-				ppa := addr.PPA(0)
-				for b := 0; b < 8; b++ {
-					s.Commit(seq(addr.LPA(b*256), ppa, 256))
-					ppa += 256
-				}
-				for b := 0; b < 8; b++ {
-					for _, off := range []int{10, 90, 170} {
-						s.Commit(seq(addr.LPA(b*256+off), ppa, 20))
-						ppa += 20
-					}
-				}
-				s.SetBudget(s.MemoryBytes() * 3 / 4) // binds: paging on
-				first := s.Maintain(10)
-				before := s.JournalStats()
-				if first.MetaWrites == 0 && before.Appends+before.Bases == 0 {
-					t.Fatal("first pressured round persisted nothing")
-				}
-				for round, writes := range []uint64{20, 30} {
-					cost := s.Maintain(writes)
-					after := s.JournalStats()
-					if cost.MetaWrites != 0 || after.Appends != before.Appends || after.Bases != before.Bases {
-						t.Fatalf("idle round %d: %d translation-page writes, journal appends %d -> %d, bases %d -> %d",
-							round, cost.MetaWrites, before.Appends, after.Appends, before.Bases, after.Bases)
-					}
-				}
-				if err := s.CheckMapping(); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+			}
+			if err := s.CheckMapping(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

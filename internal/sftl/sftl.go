@@ -92,20 +92,17 @@ func (s *SFTL) install(r Region, dirty bool) ftl.Cost {
 
 // Commit implements ftl.Scheme: updates the table, recomputes the run
 // count of every touched region, and dirties those regions in the cache.
+// pairs are LPA-sorted, so each touched region is one consecutive stretch
+// of them and regions are installed in ascending order: the cache's
+// recency order, and with it every eviction, depends only on the batch.
 func (s *SFTL) Commit(pairs []addr.Mapping) ftl.Cost {
 	var cost ftl.Cost
-	touched := make(map[Region]bool)
-	for _, p := range pairs {
-		s.table[p.LPA] = p.PPA
-		touched[s.region(p.LPA)] = true
-	}
-	for r := range touched {
-		s.runs[r] = s.countRuns(r)
-		if s.cache.Contains(r) {
-			// Re-put to refresh the cached size and dirty it.
-			cost.Add(s.install(r, true))
-			continue
+	for i := 0; i < len(pairs); {
+		r := s.region(pairs[i].LPA)
+		for ; i < len(pairs) && s.region(pairs[i].LPA) == r; i++ {
+			s.table[pairs[i].LPA] = pairs[i].PPA
 		}
+		s.runs[r] = s.countRuns(r)
 		cost.Add(s.install(r, true))
 	}
 	return cost

@@ -114,3 +114,17 @@ func TestFullSizeSmallerThanDFTLOnSequential(t *testing.T) {
 		t.Errorf("SFTL size %d not ≪ DFTL size %d on sequential workload", got, dftlSize)
 	}
 }
+
+// TestCommitEvictsRegionsInOrder: a batch touching several regions dirties
+// them in ascending order, so with room for one region the evictions it
+// causes write back the lower regions first, identically on every run.
+func TestCommitEvictsRegionsInOrder(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		s := New(4096, 8) // fits one 8-byte region descriptor
+		pairs := []addr.Mapping{{LPA: 0, PPA: 10}, {LPA: 512, PPA: 20}, {LPA: 1024, PPA: 30}}
+		cost := s.Commit(pairs)
+		if len(cost.WriteIDs) != 2 || cost.WriteIDs[0] != 0 || cost.WriteIDs[1] != 1 {
+			t.Fatalf("trial %d: dirty evictions wrote back regions %v, want [0 1]", trial, cost.WriteIDs)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package ssd
 
 import (
-	"bytes"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -192,37 +191,8 @@ func TestBitmapRelearnUnderGC(t *testing.T) {
 	}
 }
 
-// TestBitmapShardedRunMatchesPlain extends the sharded-invisible
-// contract to the bitmap: identical serialized workloads must produce
-// identical stats — including exact-bit hits, double reads, and
-// relearn counts — and identical tables (bitmap bytes included) on the
-// plain and sharded devices.
-func TestBitmapShardedRunMatchesPlain(t *testing.T) {
-	cfg := testConfig()
-	devP := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
-	devS := newTestDevice(t, cfg, leaftl.NewSharded(8, cfg.Flash.PageSize, 8, bitmapOpts()...))
-	for _, d := range []*Device{devP, devS} {
-		churnMispredict(t, d, 13, 3000)
-	}
-	sp, ss := devP.Stats(), devS.Stats()
-	if sp != ss {
-		t.Fatalf("stats diverged:\nplain   %+v\nsharded %+v", sp, ss)
-	}
-	tp, err := devP.Scheme().(*leaftl.Scheme).Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := devS.Scheme().(*leaftl.Sharded).Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(tp, ts) {
-		t.Fatal("plain and sharded tables diverged")
-	}
-}
-
 // TestBitmapSurvivesEvictionAndRecovery pins the wire property on the
-// full device, plain and sharded: exact bitmaps ride the persisted group
+// full device: exact bitmaps ride the persisted group
 // images through demand paging and crash recovery bit-identically, and
 // the restored bits still pass the truth audit after post-recovery
 // reads fault every group back in.
@@ -233,9 +203,6 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 	}{
 		{"plain", func(cfg Config) ftl.Scheme {
 			return leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...)
-		}},
-		{"sharded", func(cfg Config) ftl.Scheme {
-			return leaftl.NewSharded(8, cfg.Flash.PageSize, 8, bitmapOpts()...)
 		}},
 	}
 	for _, tc := range cases {
@@ -355,4 +322,3 @@ func TestBitmapAuditCatchesStaleBit(t *testing.T) {
 }
 
 var _ ftl.GCRelearner = (*leaftl.Scheme)(nil)
-var _ ftl.ExactAuditor = (*leaftl.Sharded)(nil)

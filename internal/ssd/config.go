@@ -102,14 +102,6 @@ type Config struct {
 	// chains into fresh base images. 0 sizes the journal to half the
 	// over-provisioned capacity.
 	JournalPages int
-
-	// Shards selects how many ways the translation scheme's mapping core
-	// is partitioned for concurrent translation (0 or 1 = unsharded).
-	// The closed-loop device serializes requests either way — sharding
-	// matters to parallel front-ends (leaftl-bench's parallel replay
-	// mode) and costs nothing when idle; translations are bit-identical
-	// to the unsharded core.
-	Shards int
 }
 
 // SimulatorConfig returns the paper's simulator setup (Table 1) with
@@ -158,8 +150,6 @@ func (c Config) Validate() error {
 			c.GCLowWater, c.GCHighWater)
 	case c.CapFraction <= 0 || c.CapFraction > 1:
 		return fmt.Errorf("ssd: CapFraction = %v out of range (0, 1]", c.CapFraction)
-	case c.Shards < 0 || c.Shards > 1024:
-		return fmt.Errorf("ssd: Shards = %d out of range [0, 1024]", c.Shards)
 	case c.GCStreams < 0 || c.GCStreams > 16:
 		return fmt.Errorf("ssd: GCStreams = %d out of range [0, 16]", c.GCStreams)
 	case c.ScrubRetentionAge < 0:

@@ -333,14 +333,14 @@ func (d *Device) Read(lpa addr.LPA, n int) (time.Duration, error) {
 	return d.ReadAt(lpa, n, d.now)
 }
 
-// ReadAt is Read issued at an explicit start time, for multi-queue
-// front ends whose workers keep their own logical clocks: the request's
-// flash traffic is timed from start, and the device clock only advances
-// to the completion when it is ahead of everything already applied (the
-// clock is the merged completion horizon, never rolled back). State
-// changes depend only on apply order, not on start, so replays that
-// preserve submission order are bit-identical regardless of how request
-// times interleave.
+// ReadAt is Read issued at an explicit start time, for issue-time
+// replays whose host queues keep their own clocks (trace.ReplayIssued):
+// the request's flash traffic is timed from start, and the device clock
+// only advances to the completion when it is ahead of everything already
+// applied (the clock is the merged completion horizon, never rolled
+// back). State changes depend only on apply order, not on start, so
+// replays that preserve submission order are bit-identical regardless of
+// how request times interleave.
 func (d *Device) ReadAt(lpa addr.LPA, n int, start time.Duration) (time.Duration, error) {
 	if err := d.checkRange(lpa, n); err != nil {
 		return 0, err
@@ -616,7 +616,7 @@ func (d *Device) Write(lpa addr.LPA, n int) (time.Duration, error) {
 }
 
 // WriteAt is Write issued at an explicit start time; see ReadAt for the
-// multi-queue clock contract.
+// issue-time clock contract.
 func (d *Device) WriteAt(lpa addr.LPA, n int, start time.Duration) (time.Duration, error) {
 	if err := d.checkRange(lpa, n); err != nil {
 		return 0, err

@@ -10,6 +10,7 @@ import (
 	"leaftl/internal/dftl"
 	"leaftl/internal/flash"
 	"leaftl/internal/leaftl"
+	"leaftl/internal/trace"
 )
 
 // diesConfig returns the standard test device on a dies × planes
@@ -41,18 +42,8 @@ func TestDies1BitIdentity(t *testing.T) {
 	t.Run("state", func(t *testing.T) {
 		run := func(cfg Config) *Device {
 			d := newTestDevice(t, cfg, leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000)))
-			rng := seededRand(t, 911)
-			ops := mqTrace(rng, d.LogicalPages(), 20000)
-			for i, op := range ops {
-				var err error
-				if op.write {
-					_, err = d.Write(op.lpa, op.pages)
-				} else {
-					_, err = d.Read(op.lpa, op.pages)
-				}
-				if err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
+			if err := trace.Replay(d, mixedTrace(seededRand(t, 911), d.LogicalPages(), 20000)); err != nil {
+				t.Fatal(err)
 			}
 			if err := d.Flush(); err != nil {
 				t.Fatal(err)
@@ -271,18 +262,8 @@ func TestDeviceWorkloadAcrossDies(t *testing.T) {
 		t.Run(fmt.Sprintf("dies%d_planes%d", geo[0], geo[1]), func(t *testing.T) {
 			cfg := diesConfig(geo[0], geo[1])
 			d := newTestDevice(t, cfg, leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000)))
-			rng := seededRand(t, 1234)
-			ops := mqTrace(rng, d.LogicalPages(), 8000)
-			for i, op := range ops {
-				var err error
-				if op.write {
-					_, err = d.Write(op.lpa, op.pages)
-				} else {
-					_, err = d.Read(op.lpa, op.pages)
-				}
-				if err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
+			if err := trace.Replay(d, mixedTrace(seededRand(t, 1234), d.LogicalPages(), 8000)); err != nil {
+				t.Fatal(err)
 			}
 			if err := d.Flush(); err != nil {
 				t.Fatal(err)

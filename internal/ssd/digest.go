@@ -10,8 +10,8 @@ import "hash/fnv"
 // same bookkeeping.
 //
 // Virtual-time fields (the clock, flush/GC horizons, latency histograms,
-// Stats durations) are deliberately excluded: the multi-queue determinism
-// harness replays one trace under different worker counts, which changes
+// Stats durations) are deliberately excluded: the issue-time determinism
+// test replays one trace through different queue counts, which changes
 // *when* requests run but must never change *what* the device holds. The
 // digest is the "what".
 func (d *Device) StateDigest() uint64 {

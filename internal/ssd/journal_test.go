@@ -109,8 +109,7 @@ func TestJournalOffBitIdentity(t *testing.T) {
 // and off and demands identical device state digests: journaling changes
 // how metadata persistence is charged (delta appends instead of full
 // image rewrites), never what any mapping resolves to. The journaled run
-// must also actually journal — nonzero appends, bases and folds — and a
-// sharded journaled scheme must land on the same digest as the plain one.
+// must also actually journal: nonzero appends, bases and folds.
 func TestJournalDigestEquality(t *testing.T) {
 	off := journalChurnDevice(t)
 	journalChurn(t, off)
@@ -142,16 +141,6 @@ func TestJournalDigestEquality(t *testing.T) {
 		t.Errorf("live chain of %d records exceeds the fold threshold", js.MaxChain)
 	}
 
-	cfg := testConfig()
-	sharded := newTestDevice(t, cfg, leaftl.NewSharded(8, cfg.Flash.PageSize, 8,
-		leaftl.WithCompactEvery(400), leaftl.WithJournal()))
-	journalChurn(t, sharded)
-	if got, want := sharded.StateDigest(), on.StateDigest(); got != want {
-		t.Errorf("sharded journaled digest %#x != plain journaled digest %#x", got, want)
-	}
-	if sj := sharded.Scheme().(ftl.Journaled).JournalStats(); sj.Appends == 0 {
-		t.Error("sharded journaled churn appended no delta records")
-	}
 }
 
 // TestDeviceParallelCommitMatchesSerial runs the budgeted, journaled,

@@ -30,27 +30,15 @@ type ClockedDevice interface {
 	AdvanceTo(t time.Duration)
 }
 
-// QueueDevice is a device fronted by real submission/completion queue
-// pairs with their own workers (implemented by *ssd.MultiQueue). When
-// ReplayOpenLoop receives one, it submits requests to the queues instead
-// of simulating queueing itself, and reads latencies back from the
-// stamped completions. All times are trace-relative (the front end
-// rebases onto its own clock).
-type QueueDevice interface {
-	Device
-	// QueueCount returns the number of queue pairs.
-	QueueCount() int
-	// Submit enqueues a request on queue q at the given arrival time,
-	// blocking when the queue is full.
-	Submit(q int, write bool, lpa addr.LPA, pages int, arrival time.Duration) error
-	// Drain waits for every submitted request to complete and stops the
-	// workers; only then may Completions be read.
-	Drain() error
-	// Completions replays queue q's stamped completions to fn in apply
-	// order.
-	Completions(q int, fn func(write bool, arrival, start, complete time.Duration, err error))
-	// FirstError returns the first per-request error in apply order.
-	FirstError() error
+// IssuedDevice is a device that takes each request's issue time
+// explicitly, so requests from different host queues can overlap on its
+// flash timelines (implemented by *ssd.Device). Times are absolute device
+// time; Now and AdvanceTo are ClockedDevice's.
+type IssuedDevice interface {
+	Now() time.Duration
+	AdvanceTo(t time.Duration)
+	ReadAt(lpa addr.LPA, pages int, start time.Duration) (time.Duration, error)
+	WriteAt(lpa addr.LPA, pages int, start time.Duration) (time.Duration, error)
 }
 
 // Replay applies every request in order (closed loop: each request
@@ -77,8 +65,21 @@ func dispatch(d Device, r Request) (time.Duration, error) {
 	}
 }
 
-// OpenLoopConfig parameterizes ReplayOpenLoop. The zero value replays
-// at recorded speed through one host queue.
+// dispatchAt issues one request at an explicit device time and returns
+// its service latency.
+func dispatchAt(d IssuedDevice, r Request, start time.Duration) (time.Duration, error) {
+	switch r.Op {
+	case OpRead:
+		return d.ReadAt(r.LPA, r.Pages, start)
+	case OpWrite:
+		return d.WriteAt(r.LPA, r.Pages, start)
+	default:
+		return 0, fmt.Errorf("unknown op %q", r.Op)
+	}
+}
+
+// OpenLoopConfig parameterizes ReplayOpenLoop and ReplayIssued. The zero
+// value replays at recorded speed through one host queue.
 type OpenLoopConfig struct {
 	// Queues is the number of host submission queues requests are
 	// dispatched across (default 1). Each queue serves its requests in
@@ -131,6 +132,41 @@ func (r *OpenLoopResult) IOPS() float64 {
 	return float64(r.Requests) / r.Elapsed.Seconds()
 }
 
+// arrival returns request i's trace-relative arrival time under c.
+func (c OpenLoopConfig) arrival(i int, r Request) time.Duration {
+	if c.Interarrival > 0 {
+		return time.Duration(float64(i) * float64(c.Interarrival) / c.Speedup)
+	}
+	return time.Duration(float64(r.Arrival) / c.Speedup)
+}
+
+func newOpenLoopResult() *OpenLoopResult {
+	return &OpenLoopResult{
+		Latency:      metrics.NewHistogram(),
+		ReadLatency:  metrics.NewHistogram(),
+		WriteLatency: metrics.NewHistogram(),
+		QueueWait:    metrics.NewHistogram(),
+	}
+}
+
+// observe records one served request; times are trace-relative.
+func (res *OpenLoopResult) observe(r Request, arrival, start, complete time.Duration) {
+	lat := complete - arrival
+	res.Requests++
+	res.Latency.Observe(lat)
+	res.QueueWait.Observe(start - arrival)
+	if r.Op == OpRead {
+		res.Reads++
+		res.ReadLatency.Observe(lat)
+	} else {
+		res.Writes++
+		res.WriteLatency.Observe(lat)
+	}
+	if complete > res.Elapsed {
+		res.Elapsed = complete
+	}
+}
+
 // ReplayOpenLoop replays a trace open-loop: each request is submitted
 // at its recorded arrival time (scaled by cfg.Speedup) regardless of
 // whether earlier requests have completed — the load a host generates,
@@ -144,20 +180,9 @@ func (r *OpenLoopResult) IOPS() float64 {
 // service times are measured one request at a time on its virtual
 // clock; if the device is a ClockedDevice its clock is advanced through
 // arrival gaps so background flash work completes during idle periods.
-// A QueueDevice bypasses the simulated queues entirely: requests are
-// dispatched round-robin to its real queue pairs and latencies come
-// from the completions its workers stamp.
 func ReplayOpenLoop(d Device, reqs []Request, cfg OpenLoopConfig) (*OpenLoopResult, error) {
 	cfg = cfg.withDefaults()
-	if qd, ok := d.(QueueDevice); ok {
-		return replayQueues(qd, reqs, cfg)
-	}
-	res := &OpenLoopResult{
-		Latency:      metrics.NewHistogram(),
-		ReadLatency:  metrics.NewHistogram(),
-		WriteLatency: metrics.NewHistogram(),
-		QueueWait:    metrics.NewHistogram(),
-	}
+	res := newOpenLoopResult()
 	clocked, _ := d.(ClockedDevice)
 	// Replay times are trace-relative; the device's clock may already be
 	// far along (warmup traffic), so idle-gap advances are offset from
@@ -168,17 +193,10 @@ func ReplayOpenLoop(d Device, reqs []Request, cfg OpenLoopConfig) (*OpenLoopResu
 	}
 
 	freeAt := make([]time.Duration, cfg.Queues)
-	var end time.Duration
 	for i, r := range reqs {
-		arrival := time.Duration(float64(r.Arrival) / cfg.Speedup)
-		if cfg.Interarrival > 0 {
-			arrival = time.Duration(float64(i) * float64(cfg.Interarrival) / cfg.Speedup)
-		}
+		arrival := cfg.arrival(i, r)
 		q := i % cfg.Queues
-		start := arrival
-		if freeAt[q] > start {
-			start = freeAt[q]
-		}
+		start := max(arrival, freeAt[q])
 		if clocked != nil {
 			clocked.AdvanceTo(base + start)
 		}
@@ -186,77 +204,37 @@ func ReplayOpenLoop(d Device, reqs []Request, cfg OpenLoopConfig) (*OpenLoopResu
 		if err != nil {
 			return nil, fmt.Errorf("trace: request %d (%s): %w", i, r, err)
 		}
-		complete := start + service
-		freeAt[q] = complete
-		if complete > end {
-			end = complete
-		}
-
-		lat := complete - arrival
-		res.Requests++
-		res.Latency.Observe(lat)
-		res.QueueWait.Observe(start - arrival)
-		if r.Op == OpRead {
-			res.Reads++
-			res.ReadLatency.Observe(lat)
-		} else {
-			res.Writes++
-			res.WriteLatency.Observe(lat)
-		}
+		freeAt[q] = start + service
+		res.observe(r, arrival, start, freeAt[q])
 	}
-	res.Elapsed = end
 	return res, nil
 }
 
-// replayQueues is the QueueDevice arm of ReplayOpenLoop: requests are
-// submitted round-robin to the device's real queue pairs in trace order
-// (which fixes the global apply order), the front end's workers time and
-// apply them, and the stamped completions are folded into the same
-// histograms the simulated-queue path fills. Submission order per queue
-// matches the simulated path exactly, so a one-queue QueueDevice replays
-// the same schedule the single-queue simulation would.
-func replayQueues(qd QueueDevice, reqs []Request, cfg OpenLoopConfig) (*OpenLoopResult, error) {
-	queues := qd.QueueCount()
+// ReplayIssued is ReplayOpenLoop with issue-time queues. Request i joins
+// host queue i % cfg.Queues and starts at its arrival or when its queue's
+// previous request completed, whichever is later; it is issued at that
+// time (ReadAt/WriteAt) rather than at the device clock, so requests from
+// different queues overlap on the flash timelines the way independent
+// host cores do. Requests still apply in trace order, so the device ends
+// in the state a closed-loop Replay of the same trace leaves: queues move
+// when flash work runs, never what the device holds. The replay ends by
+// advancing the device clock to the last completion.
+func ReplayIssued(d IssuedDevice, reqs []Request, cfg OpenLoopConfig) (*OpenLoopResult, error) {
+	cfg = cfg.withDefaults()
+	res := newOpenLoopResult()
+	base := d.Now()
+	clock := make([]time.Duration, cfg.Queues)
 	for i, r := range reqs {
-		arrival := time.Duration(float64(r.Arrival) / cfg.Speedup)
-		if cfg.Interarrival > 0 {
-			arrival = time.Duration(float64(i) * float64(cfg.Interarrival) / cfg.Speedup)
-		}
-		if err := qd.Submit(i%queues, r.Op != OpRead, r.LPA, r.Pages, arrival); err != nil {
+		arrival := cfg.arrival(i, r)
+		q := i % cfg.Queues
+		start := max(arrival, clock[q])
+		service, err := dispatchAt(d, r, base+start)
+		if err != nil {
 			return nil, fmt.Errorf("trace: request %d (%s): %w", i, r, err)
 		}
+		clock[q] = start + service
+		res.observe(r, arrival, start, clock[q])
 	}
-	if err := qd.Drain(); err != nil {
-		return nil, err
-	}
-	if err := qd.FirstError(); err != nil {
-		return nil, err
-	}
-	res := &OpenLoopResult{
-		Latency:      metrics.NewHistogram(),
-		ReadLatency:  metrics.NewHistogram(),
-		WriteLatency: metrics.NewHistogram(),
-		QueueWait:    metrics.NewHistogram(),
-	}
-	var end time.Duration
-	for q := 0; q < queues; q++ {
-		qd.Completions(q, func(write bool, arrival, start, complete time.Duration, err error) {
-			lat := complete - arrival
-			res.Requests++
-			res.Latency.Observe(lat)
-			res.QueueWait.Observe(start - arrival)
-			if write {
-				res.Writes++
-				res.WriteLatency.Observe(lat)
-			} else {
-				res.Reads++
-				res.ReadLatency.Observe(lat)
-			}
-			if complete > end {
-				end = complete
-			}
-		})
-	}
-	res.Elapsed = end
+	d.AdvanceTo(base + res.Elapsed)
 	return res, nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,7 +63,7 @@ func TestReplayOpenLoopSingleQueue(t *testing.T) {
 	}
 }
 
-func TestReplayOpenLoopMultiQueue(t *testing.T) {
+func TestReplayOpenLoopTwoQueues(t *testing.T) {
 	d := &clockedDev{service: 10 * time.Microsecond}
 	reqs := []Request{
 		{Op: OpRead, LPA: 0, Pages: 1, Arrival: 0},
@@ -165,126 +166,103 @@ func TestReplayOpenLoopInterarrivalSpeedup(t *testing.T) {
 	}
 }
 
-// queueDev is a deterministic QueueDevice fake: each queue serves its
-// submissions in order at a fixed service time, stamping completions
-// the way a real multi-queue front end would.
-type queueDev struct {
-	queues    int
-	service   time.Duration
-	subs      [][]queueSub
-	drained   bool
-	firstErr  error
-	submitErr error
+// issuedDev is a deterministic IssuedDevice fake: every request takes
+// `service` from its issue time, and the issue times are recorded. Its
+// clock moves only through AdvanceTo.
+type issuedDev struct {
+	clockedDev
+	issued []time.Duration
+	failAt int // 1-based request that fails; 0 = none
 }
 
-type queueSub struct {
-	write   bool
-	lpa     addr.LPA
-	pages   int
-	arrival time.Duration
-}
-
-func newQueueDev(queues int, service time.Duration) *queueDev {
-	return &queueDev{queues: queues, service: service, subs: make([][]queueSub, queues)}
-}
-
-func (f *queueDev) Read(lpa addr.LPA, pages int) (time.Duration, error)  { return f.service, nil }
-func (f *queueDev) Write(lpa addr.LPA, pages int) (time.Duration, error) { return f.service, nil }
-func (f *queueDev) QueueCount() int                                      { return f.queues }
-
-func (f *queueDev) Submit(q int, write bool, lpa addr.LPA, pages int, arrival time.Duration) error {
-	if f.submitErr != nil {
-		return f.submitErr
+func (f *issuedDev) ReadAt(lpa addr.LPA, pages int, start time.Duration) (time.Duration, error) {
+	f.issued = append(f.issued, start)
+	if len(f.issued) == f.failAt {
+		return 0, errSentinel
 	}
-	f.subs[q] = append(f.subs[q], queueSub{write, lpa, pages, arrival})
-	return nil
+	return f.service, nil
 }
 
-func (f *queueDev) Drain() error { f.drained = true; return nil }
-
-func (f *queueDev) Completions(q int, fn func(write bool, arrival, start, complete time.Duration, err error)) {
-	var free time.Duration
-	for _, s := range f.subs[q] {
-		start := s.arrival
-		if free > start {
-			start = free
-		}
-		complete := start + f.service
-		free = complete
-		fn(s.write, s.arrival, start, complete, nil)
-	}
+func (f *issuedDev) WriteAt(lpa addr.LPA, pages int, start time.Duration) (time.Duration, error) {
+	return f.ReadAt(lpa, pages, start)
 }
 
-func (f *queueDev) FirstError() error { return f.firstErr }
-
-func TestReplayOpenLoopQueueDevice(t *testing.T) {
-	d := newQueueDev(2, 10*time.Microsecond)
+func TestReplayIssued(t *testing.T) {
+	// A warmed device: issue times are offset from its clock at replay start.
+	d := &issuedDev{clockedDev: clockedDev{service: 10 * time.Microsecond, now: time.Hour}}
 	reqs := []Request{
 		{Op: OpWrite, LPA: 0, Pages: 1, Arrival: 0},
 		{Op: OpRead, LPA: 1, Pages: 1, Arrival: 0},
 		{Op: OpRead, LPA: 2, Pages: 1, Arrival: 5 * time.Microsecond},
 		{Op: OpRead, LPA: 3, Pages: 1, Arrival: 5 * time.Microsecond},
 	}
-	res, err := ReplayOpenLoop(d, reqs, OpenLoopConfig{})
+	res, err := ReplayIssued(d, reqs, OpenLoopConfig{Queues: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.drained {
-		t.Error("replay never drained the queue device")
+	// Round-robin: queue 0 serves requests 0 and 2, queue 1 serves 1 and 3.
+	// Both queues start at once; requests 2 and 3 arrive at 5µs and wait
+	// for their queue's first request to finish at 10µs.
+	us := time.Microsecond
+	want := []time.Duration{time.Hour, time.Hour, time.Hour + 10*us, time.Hour + 10*us}
+	if len(d.issued) != len(want) {
+		t.Fatalf("issued %d requests, want %d", len(d.issued), len(want))
 	}
-	// Round-robin: queue 0 got requests 0 and 2, queue 1 got 1 and 3.
-	if len(d.subs[0]) != 2 || len(d.subs[1]) != 2 {
-		t.Fatalf("submissions split %d/%d, want 2/2", len(d.subs[0]), len(d.subs[1]))
-	}
-	if d.subs[0][1].lpa != 2 || d.subs[1][1].lpa != 3 {
-		t.Errorf("round-robin order broken: q0=%v q1=%v", d.subs[0], d.subs[1])
+	for i := range want {
+		if d.issued[i] != want[i] {
+			t.Errorf("request %d issued at %v, want %v", i, d.issued[i], want[i])
+		}
 	}
 	if res.Requests != 4 || res.Reads != 3 || res.Writes != 1 {
 		t.Errorf("counts %d/%d/%d, want 4/3/1", res.Requests, res.Reads, res.Writes)
 	}
-	// Request 2 arrives at 5µs but waits behind request 0 (queue 0 busy
-	// until 10µs): 5µs wait, 15µs latency, complete at 20µs = makespan.
-	if got := res.QueueWait.Summary().Peak; got != 5*time.Microsecond {
+	if got := res.QueueWait.Summary().Peak; got != 5*us {
 		t.Errorf("max queue wait %v, want 5µs", got)
 	}
-	if got := res.Latency.Summary().Peak; got != 15*time.Microsecond {
+	if got := res.Latency.Summary().Peak; got != 15*us {
 		t.Errorf("max latency %v, want 15µs", got)
 	}
-	if res.Elapsed != 20*time.Microsecond {
+	if res.Elapsed != 20*us {
 		t.Errorf("elapsed %v, want 20µs", res.Elapsed)
+	}
+	if d.now != time.Hour+20*us {
+		t.Errorf("device clock %v after replay, want the last completion", d.now)
 	}
 }
 
-func TestReplayOpenLoopQueueDeviceSpeedup(t *testing.T) {
-	d := newQueueDev(1, time.Microsecond)
+func TestReplayIssuedSpeedup(t *testing.T) {
+	d := &issuedDev{clockedDev: clockedDev{service: time.Microsecond}}
 	reqs := []Request{
 		{Op: OpRead, LPA: 0, Pages: 1, Arrival: 0},
 		{Op: OpRead, LPA: 1, Pages: 1, Arrival: 100 * time.Microsecond},
 	}
-	if _, err := ReplayOpenLoop(d, reqs, OpenLoopConfig{Speedup: 2}); err != nil {
+	res, err := ReplayIssued(d, reqs, OpenLoopConfig{Speedup: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Arrival scaling happens before submission, same as the simulated path.
-	if got := d.subs[0][1].arrival; got != 50*time.Microsecond {
-		t.Errorf("submitted arrival %v, want 50µs", got)
+	// Arrival scaling is the simulated path's: the second request is
+	// issued at 50µs into an idle queue.
+	if d.issued[1] != 50*time.Microsecond {
+		t.Errorf("second request issued at %v, want 50µs", d.issued[1])
+	}
+	if res.Elapsed != 51*time.Microsecond {
+		t.Errorf("elapsed %v, want 51µs", res.Elapsed)
 	}
 }
 
-func TestReplayOpenLoopQueueDeviceErrors(t *testing.T) {
-	d := newQueueDev(1, time.Microsecond)
-	d.firstErr = errSentinel
-	reqs := []Request{{Op: OpRead, LPA: 0, Pages: 1}}
-	if _, err := ReplayOpenLoop(d, reqs, OpenLoopConfig{}); !errors.Is(err, errSentinel) {
-		t.Errorf("completion error not propagated: %v", err)
+func TestReplayIssuedErrors(t *testing.T) {
+	d := &issuedDev{clockedDev: clockedDev{service: time.Microsecond}, failAt: 2}
+	reqs := []Request{{Op: OpWrite, LPA: 0, Pages: 1}, {Op: OpRead, LPA: 0, Pages: 1}}
+	_, err := ReplayIssued(d, reqs, OpenLoopConfig{})
+	if !errors.Is(err, errSentinel) {
+		t.Fatalf("device error not propagated: %v", err)
 	}
-	d = newQueueDev(1, time.Microsecond)
-	d.submitErr = errSentinel
-	if _, err := ReplayOpenLoop(d, reqs, OpenLoopConfig{}); !errors.Is(err, errSentinel) {
-		t.Errorf("submit error not propagated: %v", err)
+	if !strings.Contains(err.Error(), "request 1") {
+		t.Errorf("error %q does not name the failing request", err)
 	}
 }
 
-var errSentinel = errors.New("queue device failure")
+var errSentinel = errors.New("device failure")
 
 func TestReplayOpenLoopPropagatesError(t *testing.T) {
 	d := &fakeDev{failAt: 2}

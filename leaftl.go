@@ -53,17 +53,6 @@ func NewMappingTable(gamma int) *MappingTable { return core.NewTable(gamma) }
 // mappings without inserting them anywhere (paper §3.2).
 func Learn(pairs []Mapping, gamma int) []core.Learned { return core.Learn(pairs, gamma) }
 
-// ShardedMappingTable is the learned mapping table partitioned N ways by
-// group hash for concurrent translation; it returns bit-identical
-// results to MappingTable fed the same batches.
-type ShardedMappingTable = core.ShardedTable
-
-// NewShardedMappingTable returns an empty sharded learned mapping table
-// with error bound gamma (pages) and the given shard count.
-func NewShardedMappingTable(gamma, shards int) *ShardedMappingTable {
-	return core.NewShardedTable(gamma, shards)
-}
-
 // Device is a simulated SSD.
 type Device = ssd.Device
 
@@ -83,13 +72,6 @@ func PrototypeConfig() DeviceConfig { return ssd.PrototypeConfig() }
 // NewLeaFTL returns the learned translation scheme with the given error
 // bound for a device with the given flash page size.
 func NewLeaFTL(gamma, pageSize int) *leaftl.Scheme { return leaftl.New(gamma, pageSize) }
-
-// NewShardedLeaFTL returns the learned translation scheme over an N-way
-// sharded mapping core; its Translate is safe for concurrent host
-// streams (ftl.Concurrent).
-func NewShardedLeaFTL(gamma, pageSize, shards int) *leaftl.Sharded {
-	return leaftl.NewSharded(gamma, pageSize, shards)
-}
 
 // NewDFTL returns the demand-based page-level baseline (§4.1).
 func NewDFTL(pageSize, cmtBudget int) Scheme { return dftl.New(pageSize, cmtBudget) }

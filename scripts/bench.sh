@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# bench.sh — run the core micro benchmarks and the sharded parallel
-# replay, and record the results as BENCH_PR<N>.json so future PRs have a
-# performance trajectory to compare against.
+# bench.sh — run the core micro benchmarks and record the results as
+# BENCH_PR<N>.json so future PRs have a performance trajectory to compare
+# against.
 #
 # Usage: scripts/bench.sh [PR-number] [output-file]
 #   scripts/bench.sh 1            → writes BENCH_PR1.json
@@ -14,14 +14,8 @@ OUT="${2:-BENCH_PR${PR}.json}"
 BENCHTIME="${BENCHTIME:-1s}"
 
 echo "running core micro benchmarks..." >&2
-MICRO_RAW=$(go test -bench 'BenchmarkLookup$|BenchmarkLookupSharded$|BenchmarkUpdate$|BenchmarkLearn256$|BenchmarkCompact$' \
+MICRO_RAW=$(go test -bench 'BenchmarkLookup$|BenchmarkUpdate$|BenchmarkLearn256$|BenchmarkCompact$' \
   -benchmem -benchtime "$BENCHTIME" ./internal/core)
-
-echo "running sharded parallel replay (4 streams, 8 shards)..." >&2
-PARALLEL_JSON=$(go run ./cmd/leaftl-bench -parallel 4 -shards 8 -gamma 0 -json - | sed -n '/^{/,$p')
-
-echo "running race-checked sharding equivalence tests..." >&2
-go test -race -run 'Sharded' ./internal/core >&2
 
 MICRO_JSON=$(printf '%s\n' "$MICRO_RAW" | awk '
   /^Benchmark/ {
@@ -64,8 +58,7 @@ cat > "$OUT" <<EOF
   "seed_baseline": ${BASELINE},
   "micro": [
 ${MICRO_JSON}
-  ],
-  "parallel_replay": ${PARALLEL_JSON}
+  ]
 }
 EOF
 

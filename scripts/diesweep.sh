@@ -9,7 +9,7 @@
 #
 # Env knobs:
 #   PLANES    planes per die, every row        (default 2)
-#   WORKERS   queue pairs for the replay       (default 4)
+#   WORKERS   host queues for the replay       (default 4)
 #   GAMMA     LeaFTL error bound               (default 0)
 #   WORKLOAD  timed workload to replay         (default zipf-hot)
 #   SEED      workload generation seed         (default 1)
