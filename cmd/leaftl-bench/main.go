@@ -5,22 +5,20 @@
 // Several replay modes skip the figures: -openloop replays a trace file
 // (native, MSR CSV, or FIU format) at its recorded arrival times
 // against all three schemes, reporting p50/p95/p99/p999 latency,
-// -gccompare sweeps GC victim policies × hot/cold stream counts
-// over GC-heavy workloads (-gc-policy/-gc-streams also apply a single
-// policy/stream count to the open-loop mode), -memsweep caps every
-// scheme's mapping DRAM at a sweep of budgets (-mapping-budget) so
-// LeaFTL's demand-paged learned table competes against DFTL/SFTL under
-// the same memory pressure, -torture runs the seeded crash-torture matrix
-// (kill-recover-verify across GC policies × mapping budgets × exactness
-// bitmap) plus an aged-device fault-injection sweep over -fault-rber,
-// and -diesweep replays a timed workload across flash die geometries
-// through -workers issue-time host queues.
+// -memsweep caps every scheme's mapping DRAM at a sweep of budgets
+// (-mapping-budget) so LeaFTL's demand-paged learned table competes
+// against DFTL/SFTL under the same memory pressure, -torture runs the
+// seeded crash-torture matrix (kill-recover-verify across mapping
+// budgets × exactness bitmap) plus an aged-device fault-injection sweep
+// over -fault-rber, and -diesweep replays a timed workload across flash
+// die geometries through -workers issue-time host queues.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -40,16 +38,12 @@ func main() {
 	traceFormat := flag.String("trace-format", "auto", "open-loop replay mode: trace format (auto, native, msr, fiu)")
 	qd := flag.Int("qd", 4, "open-loop replay mode: host submission queue count")
 	speedup := flag.Float64("speedup", 1, "open-loop replay mode: divide recorded inter-arrival times by this factor")
-	gcCompare := flag.Bool("gccompare", false, "GC comparison mode: sweep GC policies × streams over GC-heavy workloads (skips figures)")
-	gcPolicy := flag.String("gc-policy", "", "GC victim policy (greedy, cost-benefit, fifo); comma-separated list in -gccompare mode (default: all)")
-	gcStreams := flag.String("gc-streams", "", "hot/cold GC destination stream count; comma-separated list in -gccompare mode (default: 1,4)")
-	gcWorkloads := flag.String("gc-workloads", "", "-gccompare mode: comma-separated timed workloads (default: zipf-hot,mixed-rw)")
 	micro := flag.Bool("micro", false, "run at micro (fastest, CI smoke) scale")
 	memSweep := flag.Bool("memsweep", false, "memory sweep mode: cap mapping DRAM at -mapping-budget and compare schemes under demand paging (skips figures)")
 	mappingBudget := flag.String("mapping-budget", "", "-memsweep mode: comma-separated budgets; values ≤ 8 are fractions of each scheme's full mapping size, larger values absolute bytes (default: 0.125,0.25,0.5,1)")
 	memSchemes := flag.String("mem-schemes", "", "-memsweep mode: comma-separated schemes (default: LeaFTL,DFTL,SFTL)")
 	memWorkloads := flag.String("mem-workloads", "", "-memsweep mode: comma-separated timed workloads (default: zipf-hot,mixed-rw)")
-	journal := flag.Bool("journal", true, "openloop/gccompare/memsweep modes: persist LeaFTL's dirty mapping groups as delta records in dedicated translation blocks (-journal=false restores the full-image writeback path)")
+	journal := flag.Bool("journal", true, "openloop/memsweep modes: persist LeaFTL's dirty mapping groups as delta records in dedicated translation blocks (-journal=false restores the full-image writeback path)")
 	torture := flag.Bool("torture", false, "reliability mode: seeded crash-torture matrix + fault-injection sweep (skips figures)")
 	crashPoints := flag.Int("crash-points", 0, "-torture mode: crashes injected per matrix cell (0 = default 5)")
 	faultRBER := flag.String("fault-rber", "", "-torture mode: comma-separated base RBERs for the fault sweep (default: 1e-7,1e-5,5e-5,1e-4,5e-4)")
@@ -117,15 +111,8 @@ func main() {
 		}
 		return
 	}
-	if *gcCompare {
-		if err := runGCCompare(scaleOf(), *gcPolicy, *gcStreams, *gcWorkloads, *qd, *speedup, *gamma, *seed, *journal, *markdown, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "leaftl-bench: gccompare: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *openloop {
-		if err := runOpenLoop(*tracePath, *traceFormat, *qd, *speedup, *gamma, *seed, *markdown, *jsonOut, *gcPolicy, *gcStreams, *journal); err != nil {
+		if err := runOpenLoop(*tracePath, *traceFormat, *qd, *speedup, *gamma, *seed, *markdown, *jsonOut, *journal); err != nil {
 			fmt.Fprintf(os.Stderr, "leaftl-bench: openloop: %v\n", err)
 			os.Exit(1)
 		}
@@ -230,4 +217,41 @@ func main() {
 		emit(s.RecoveryExperiment())
 	}
 	fmt.Fprintf(os.Stderr, "leaftl-bench: completed in %v (scale=%s)\n", time.Since(start).Round(time.Millisecond), scale.Name)
+}
+
+// parseList splits a comma-separated flag value.
+func parseList(v string) []string {
+	var out []string
+	for _, s := range strings.Split(v, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// parseIntList splits a comma-separated list of integers.
+func parseIntList(v string) ([]int, error) {
+	var out []int
+	for _, s := range parseList(v) {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return nil, fmt.Errorf("bad integer %q in %q", s, v)
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}
+
+// parseFloatList splits a comma-separated list of floats.
+func parseFloatList(v string) ([]float64, error) {
+	var out []float64
+	for _, s := range parseList(v) {
+		f, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad number %q in %q", s, v)
+		}
+		out = append(out, f)
+	}
+	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
 
 	"leaftl/internal/experiments"
 )
@@ -45,19 +44,6 @@ type memRunJSON struct {
 	JournalApps   uint64  `json:"journal_appends"`
 	JournalFolds  uint64  `json:"journal_folds"`
 	ChainLen      int     `json:"chain_len"`
-}
-
-// parseFloatList splits a comma-separated list of floats.
-func parseFloatList(v string) ([]float64, error) {
-	var out []float64
-	for _, s := range parseList(v) {
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q in %q", s, v)
-		}
-		out = append(out, f)
-	}
-	return out, nil
 }
 
 // runMemSweep is the leaftl-bench memory-sweep mode: cap each scheme's

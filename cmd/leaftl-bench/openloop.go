@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"leaftl/internal/experiments"
@@ -50,19 +48,7 @@ type schemeJSON struct {
 // runOpenLoop is the leaftl-bench open-loop replay mode: ingest a trace
 // in any supported format, replay it at recorded arrival times against
 // LeaFTL/DFTL/SFTL on identical devices, and report tail latency.
-// gcPolicy and gcStreams configure every device's garbage collector
-// (single values here; the -gccompare mode sweeps lists).
-func runOpenLoop(path, formatName string, qd int, speedup float64, gamma int, seed int64, markdown bool, jsonPath, gcPolicy, gcStreams string, journal bool) error {
-	streams := 0
-	if gcStreams != "" {
-		var err error
-		if streams, err = strconv.Atoi(gcStreams); err != nil {
-			return fmt.Errorf("-gc-streams %q: want a single integer in open-loop mode", gcStreams)
-		}
-	}
-	if strings.Contains(gcPolicy, ",") {
-		return fmt.Errorf("-gc-policy %q: want a single policy in open-loop mode", gcPolicy)
-	}
+func runOpenLoop(path, formatName string, qd int, speedup float64, gamma int, seed int64, markdown bool, jsonPath string, journal bool) error {
 	var (
 		reqs   []trace.Request
 		format trace.Format
@@ -89,7 +75,6 @@ func runOpenLoop(path, formatName string, qd int, speedup float64, gamma int, se
 
 	spec := experiments.OpenLoopSpec{
 		Queues: qd, Speedup: speedup, Gamma: gamma,
-		GCPolicy: gcPolicy, GCStreams: streams,
 		Journal: journal,
 	}
 	if !trace.Timed(reqs) {

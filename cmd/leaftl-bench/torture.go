@@ -22,9 +22,8 @@ type tortureJSON struct {
 	Faults       []faultRunJSON    `json:"fault_sweep"`
 }
 
-// tortureCellJSON is one policy × budget × bitmap cell.
+// tortureCellJSON is one budget × bitmap cell.
 type tortureCellJSON struct {
-	Policy           string         `json:"policy"`
 	Budget           float64        `json:"budget"`
 	Bitmap           bool           `json:"bitmap"`
 	Seed             int64          `json:"seed"`
@@ -55,7 +54,7 @@ type faultRunJSON struct {
 }
 
 // runTorture is the leaftl-bench reliability mode: the seeded
-// crash-torture matrix (GC policies × mapping budgets × bitmap, each
+// crash-torture matrix (mapping budgets × bitmap, each
 // cell crash-killed, recovered and differentially verified) followed by
 // the aged-device fault-injection sweep over -fault-rber.
 func runTorture(scale experiments.Scale, crashPoints int, faultRBER string, faultSeed int64, scrubThreshold int, gamma int, seed int64, markdown bool, jsonPath string) error {
@@ -109,7 +108,7 @@ func runTorture(scale experiments.Scale, crashPoints int, faultRBER string, faul
 			out.Points[p] += n
 		}
 		out.Cells = append(out.Cells, tortureCellJSON{
-			Policy: c.Policy, Budget: c.Budget, Bitmap: c.Bitmap, Seed: c.Seed,
+			Budget: c.Budget, Bitmap: c.Bitmap, Seed: c.Seed,
 			Crashes: c.Crashes, Points: c.Points,
 			MappingsRebuilt: c.MappingsRebuilt, MappingsRestored: c.MappingsRestored,
 			VerifiedLPAs: c.VerifiedLPAs, BufferedLost: c.BufferedLost,

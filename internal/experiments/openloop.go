@@ -33,11 +33,6 @@ type OpenLoopSpec struct {
 	// (how untimed traces replay open-loop); zero uses the trace's own
 	// arrivals.
 	Interarrival time.Duration
-	// GCPolicy and GCStreams configure every device's garbage
-	// collector (ssd.Config.GCPolicy / GCStreams); zero values keep
-	// the greedy single-stream default.
-	GCPolicy  string
-	GCStreams int
 	// Journal runs LeaFTL with the mapping-delta journal (no effect on
 	// the baselines).
 	Journal bool
@@ -89,8 +84,6 @@ func (s *Suite) OpenLoopCompare(reqs []trace.Request, spec OpenLoopSpec) ([]Open
 	var runs []OpenLoopRun
 	for _, scheme := range []string{"LeaFTL", "DFTL", "SFTL"} {
 		cfg := s.simConfig("sim")
-		cfg.GCPolicy = spec.GCPolicy
-		cfg.GCStreams = spec.GCStreams
 		var opts []leaftl.Option
 		if scheme == "LeaFTL" && spec.Journal {
 			opts = append(opts, leaftl.WithJournal())

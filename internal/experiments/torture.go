@@ -16,11 +16,9 @@ import (
 )
 
 // TortureSpec parameterizes the seeded crash-torture matrix. Zero-valued
-// fields select the defaults: every GC policy × {unbudgeted, 25% mapping
-// budget} × {exactness bitmap off, on}, five crash points per cell.
+// fields select the defaults: {unbudgeted, 25% mapping budget} ×
+// {exactness bitmap off, on}, five crash points per cell.
 type TortureSpec struct {
-	// Policies are ssd GC policy names.
-	Policies []string
 	// Budgets are mapping-budget fractions of the scheme's full size;
 	// 0 means unbudgeted (fully resident).
 	Budgets []float64
@@ -45,9 +43,6 @@ type TortureSpec struct {
 }
 
 func (s TortureSpec) withDefaults() TortureSpec {
-	if len(s.Policies) == 0 {
-		s.Policies = ssd.GCPolicyNames()
-	}
 	if len(s.Budgets) == 0 {
 		s.Budgets = []float64{0, 0.25}
 	}
@@ -71,7 +66,6 @@ func (s TortureSpec) withDefaults() TortureSpec {
 // in sequence (recoveries compound — each crash hits the state the
 // previous recovery rebuilt).
 type TortureCell struct {
-	Policy string
 	Budget float64
 	Bitmap bool
 	Seed   int64
@@ -100,8 +94,8 @@ type TortureCell struct {
 // anything else unwinding out of a replay is a real bug and re-panics.
 type crashSignal struct{ point string }
 
-// Torture runs the crash-torture matrix: for every GC policy × mapping
-// budget × bitmap cell it ages a LeaFTL device to a fully mapped
+// Torture runs the crash-torture matrix: for every mapping budget ×
+// bitmap cell it ages a LeaFTL device to a fully mapped
 // state, then repeatedly kills it at a seeded random crash point —
 // mid-flush, between GC programs and the erase, during a metadata
 // write — runs full firmware recovery into a fresh scheme, checks every
@@ -119,18 +113,16 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 
 	var cells []TortureCell
 	cellIdx := 0
-	for _, policy := range spec.Policies {
-		for _, budget := range spec.Budgets {
-			for _, bitmap := range spec.Bitmap {
-				cellIdx++
-				seed := s.Seed*1_000 + int64(cellIdx)
-				cell, err := s.tortureCell(spec, gen, policy, budget, bitmap, seed)
-				if err != nil {
-					return nil, Table{}, fmt.Errorf("torture %s/budget=%.2f/bitmap=%v seed=%d: %w",
-						policy, budget, bitmap, seed, err)
-				}
-				cells = append(cells, *cell)
+	for _, budget := range spec.Budgets {
+		for _, bitmap := range spec.Bitmap {
+			cellIdx++
+			seed := s.Seed*1_000 + int64(cellIdx)
+			cell, err := s.tortureCell(spec, gen, budget, bitmap, seed)
+			if err != nil {
+				return nil, Table{}, fmt.Errorf("torture budget=%.2f/bitmap=%v seed=%d: %w",
+					budget, bitmap, seed, err)
 			}
+			cells = append(cells, *cell)
 		}
 	}
 
@@ -138,13 +130,13 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 		ID: "torture",
 		Title: fmt.Sprintf("seeded crash-torture: %q workload, %d crash points/cell",
 			spec.Workload, spec.CrashPoints),
-		Header: []string{"policy", "budget", "bitmap", "seed", "crashes", "crash points",
+		Header: []string{"budget", "bitmap", "seed", "crashes", "crash points",
 			"rebuilt", "restored", "verified", "buffered-lost"},
 		Notes: "each crash loses all controller RAM; recovery rebuilds from OOB + GMD and is diffed against an at-crash snapshot (write-buffer contents are the only legal loss)",
 	}
 	for _, c := range cells {
 		t.Rows = append(t.Rows, []string{
-			c.Policy, f2(c.Budget), fmt.Sprintf("%v", c.Bitmap), fmt.Sprintf("%d", c.Seed),
+			f2(c.Budget), fmt.Sprintf("%v", c.Bitmap), fmt.Sprintf("%d", c.Seed),
 			fmt.Sprintf("%d", c.Crashes), pointsCell(c.Points),
 			fmt.Sprintf("%d", c.MappingsRebuilt), fmt.Sprintf("%d", c.MappingsRestored),
 			fmt.Sprintf("%d", c.VerifiedLPAs), fmt.Sprintf("%d", c.BufferedLost),
@@ -154,9 +146,8 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 }
 
 // tortureCell ages one device and crash-cycles it.
-func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, policy string, budget float64, bitmap bool, seed int64) (*TortureCell, error) {
+func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, budget float64, bitmap bool, seed int64) (*TortureCell, error) {
 	cfg := s.simConfig("sim")
-	cfg.GCPolicy = policy
 	// §3.6 mid-range watermarks: on the aged device the free pool sits
 	// just above the trigger, so crashes land mid-GC too.
 	cfg.GCLowWater = 0.15
@@ -193,7 +184,7 @@ func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, policy str
 	slice := len(reqs) / spec.CrashPoints
 
 	cell := &TortureCell{
-		Policy: policy, Budget: budget, Bitmap: bitmap, Seed: seed,
+		Budget: budget, Bitmap: bitmap, Seed: seed,
 		Points: make(map[string]int),
 	}
 	for k := 0; k < spec.CrashPoints; k++ {

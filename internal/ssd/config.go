@@ -70,22 +70,9 @@ type Config struct {
 	// least-worn blocks that triggers a cold-block migration (§3.6).
 	WearDelta uint32
 
-	// GCPolicy selects the garbage-collection victim policy: "greedy"
-	// (the default, also selected by ""), "cost-benefit" (age-weighted
-	// utilization, the LFS formula), or "fifo" (oldest sealed block
-	// first). See GCPolicyByName.
-	GCPolicy string
-
-	// GCStreams is the number of hot/cold GC destination streams
-	// (0 or 1 = the single-destination historical behaviour). With N
-	// streams, relocated pages are split into N exponential
-	// update-recency bands, so hot rewrites stop polluting cold blocks.
-	// Each open stream pins one block out of the free pool.
-	GCStreams int
-
 	// ScrubDisturbReads triggers read-reclaim scrubbing: a sealed block
 	// whose read count since its last erase reaches this threshold is
-	// relocated through the GC streams before read disturb accumulates
+	// relocated through the GC path before read disturb accumulates
 	// into uncorrectable errors. 0 disables disturb-driven scrubbing.
 	ScrubDisturbReads uint32
 
@@ -150,19 +137,10 @@ func (c Config) Validate() error {
 			c.GCLowWater, c.GCHighWater)
 	case c.CapFraction <= 0 || c.CapFraction > 1:
 		return fmt.Errorf("ssd: CapFraction = %v out of range (0, 1]", c.CapFraction)
-	case c.GCStreams < 0 || c.GCStreams > 16:
-		return fmt.Errorf("ssd: GCStreams = %d out of range [0, 16]", c.GCStreams)
 	case c.ScrubRetentionAge < 0:
 		return fmt.Errorf("ssd: ScrubRetentionAge = %v must not be negative", c.ScrubRetentionAge)
 	case c.JournalPages < 0:
 		return fmt.Errorf("ssd: JournalPages = %d must not be negative", c.JournalPages)
-	}
-	if _, err := GCPolicyByName(c.GCPolicy); err != nil {
-		return err
-	}
-	if streams := c.GCStreams; streams > 1 && streams >= c.Flash.Blocks()/4 {
-		return fmt.Errorf("ssd: GCStreams = %d would pin too much of the %d-block pool",
-			streams, c.Flash.Blocks())
 	}
 	if int64(c.BufferPages)*int64(c.Flash.PageSize) >= c.DRAMBytes {
 		return fmt.Errorf("ssd: write buffer (%d pages) does not fit in DRAM (%d bytes)",

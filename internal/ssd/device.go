@@ -67,26 +67,20 @@ type Device struct {
 	// Staging reused from call to call, so a warmed device's request path
 	// does not allocate: the flush's LPA run and per-lane pending
 	// mappings and program attempts; the GC window's victims, pooled
-	// pages (and their count per stream) and per-lane pending mappings.
-	// Flush and GC keep separate buffers because allocBlockOn can run GC
-	// in the middle of a flush.
+	// pages and per-lane pending mappings. Flush and GC keep separate
+	// buffers because allocBlockOn can run GC in the middle of a flush.
 	flushLPAs     []addr.LPA
 	flushPairs    [][]addr.Mapping
 	flushAttempts []int
 	gcVictims     []flash.BlockID
 	gcPages       []movedPage
-	gcStreamPages []int
 	gcPairs       [][]addr.Mapping
 
-	// Garbage collection machinery: the victim policy over the
-	// incremental valid-count index, the hot/cold destination streams,
-	// and per-LPA update-recency stamps that classify relocated pages.
-	policy  GCPolicy
+	// Garbage collection machinery: the incremental valid-count index
+	// greedy victim selection runs over, and the GC destination lanes,
+	// one per die (gcLanes[l] is die l's open relocation block).
 	victims *VictimIndex
-	// streams holds the GC destination lanes, one per (stream, die):
-	// stream s's lane on die l is streams[s*dieLanes+l]. With one die
-	// this is exactly the old one-lane-per-stream layout.
-	streams []gcStream
+	gcLanes []destLane
 	// dieLanes is the die fan-out of the allocator (Flash.Dies()):
 	// flushes and GC relocation stripe pages round-robin over this many
 	// open destination blocks, one per die.
@@ -95,11 +89,10 @@ type Device struct {
 	// persist across flushes on a multi-die geometry (sealing when
 	// full); with one die every flush seals its blocks exactly as the
 	// old chunked writer did and the lanes are never left open.
-	flushLanes []gcStream
+	flushLanes []destLane
 	// metaSeq is the fallback rotation for translation-page operations
 	// whose producer did not name a page identity.
 	metaSeq uint64
-	lpaHeat []uint64 // per-LPA writeStamp at last host write
 
 	// Reliability state: bad marks blocks retired (or sealed awaiting
 	// retirement) after program/erase failures — a persisted bad-block
@@ -152,14 +145,6 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 		return nil, fmt.Errorf("ssd: gamma %d needs %d OOB entries, flash provides %d (§3.5)",
 			gamma, 2*gamma+1, cfg.Flash.OOBEntries())
 	}
-	policy, err := GCPolicyByName(cfg.GCPolicy)
-	if err != nil {
-		return nil, err
-	}
-	streams := cfg.GCStreams
-	if streams < 1 {
-		streams = 1
-	}
 
 	d := &Device{
 		cfg:          cfg,
@@ -175,12 +160,10 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 		isFree:       make([]bool, cfg.Flash.Blocks()),
 		blockSeq:     make([]uint64, cfg.Flash.Blocks()),
 		buffered:     make([]bool, cfg.LogicalPages()),
-		policy:       policy,
 		victims:      newVictimIndex(cfg.Flash.Blocks(), cfg.Flash.PagesPerBlock),
-		streams:      make([]gcStream, streams*cfg.Flash.Dies()),
+		gcLanes:      make([]destLane, cfg.Flash.Dies()),
 		dieLanes:     cfg.Flash.Dies(),
-		flushLanes:   make([]gcStream, cfg.Flash.Dies()),
-		lpaHeat:      make([]uint64, cfg.LogicalPages()),
+		flushLanes:   make([]destLane, cfg.Flash.Dies()),
 		bad:          make([]bool, cfg.Flash.Blocks()),
 		lost:         make([]bool, cfg.LogicalPages()),
 		scrubSet:     make([]bool, cfg.Flash.Blocks()),
@@ -189,7 +172,6 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 
 		flushPairs:    make([][]addr.Mapping, cfg.Flash.Dies()),
 		flushAttempts: make([]int, cfg.Flash.Dies()),
-		gcStreamPages: make([]int, streams),
 		gcPairs:       make([][]addr.Mapping, cfg.Flash.Dies()),
 	}
 	if mr, ok := scheme.(ftl.MissReporter); ok {
@@ -627,7 +609,6 @@ func (d *Device) WriteAt(lpa addr.LPA, n int, start time.Duration) (time.Duratio
 		l := lpa + addr.LPA(i)
 		d.stats.HostPagesWrite++
 		d.writeStamp++
-		d.lpaHeat[l] = d.writeStamp
 		d.lost[l] = false // a rewrite replaces whatever was lost
 		tok := uint64(l)<<24 ^ d.writeStamp
 		if !d.buffered[l] {
@@ -762,8 +743,8 @@ func (d *Device) sealFlushLane(lane int, pairs []addr.Mapping, t time.Duration) 
 	d.commitPairs(pairs, t)
 	d.crashPoint("flush.committed")
 	d.stats.FlushedBlocks++
-	d.victims.add(st.block, d.bvc[st.block], d.blockSeq[st.block], d.writeStamp)
-	*st = gcStream{}
+	d.victims.add(st.block, d.bvc[st.block])
+	*st = destLane{}
 }
 
 // flushPages programs the flushable pages across the die-interleaved
@@ -800,7 +781,7 @@ func (d *Device) flushPages(lpas []addr.LPA, t time.Duration, sealPartial bool) 
 				if err != nil {
 					return done, err
 				}
-				*st = gcStream{open: true, block: b}
+				*st = destLane{open: true, block: b}
 			}
 			ppa := d.cfg.Flash.FirstPPA(st.block) + addr.PPA(st.next)
 			wdone, werr := d.arr.Write(ppa, l, d.token[l], t)
@@ -818,7 +799,7 @@ func (d *Device) flushPages(lpas []addr.LPA, t time.Duration, sealPartial bool) 
 				d.commitPairs(pairs[lane], t)
 				pairs[lane] = pairs[lane][:0]
 				bad := st.block
-				*st = gcStream{}
+				*st = destLane{}
 				d.abandonBadBlock(bad)
 				continue // retry the same LPA on a fresh block of this die
 			}
@@ -872,7 +853,7 @@ func (d *Device) compactBufOrder() {
 }
 
 // invalidate clears the PVT/BVC state of lpa's previous page and keeps
-// the GC victim index in step (bucket move + age touch).
+// the GC victim index in step.
 func (d *Device) invalidate(lpa addr.LPA) {
 	old := d.truth[lpa]
 	if old == addr.InvalidPPA || !d.valid[old] {
@@ -882,7 +863,6 @@ func (d *Device) invalidate(lpa addr.LPA) {
 	b := d.cfg.Flash.BlockOf(old)
 	d.bvc[b]--
 	d.victims.update(b, d.bvc[b])
-	d.victims.note(b, d.writeStamp)
 }
 
 // allocBlockOn takes a free block on the given die for a flush lane,

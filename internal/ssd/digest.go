@@ -4,8 +4,9 @@ import "hash/fnv"
 
 // StateDigest folds every piece of order-dependent device state — host
 // ground truth, PVT/BVC bitmaps, free-pool order, the allocator's
-// channel cursors and allocation sequence, the write buffer with its flush order, GC streams, and reliability marks —
-// into one FNV-1a hash. Two devices with equal digests hold bit-identical
+// channel cursors and allocation sequence, the write buffer with its
+// flush order, the GC destination lanes, and reliability marks — into
+// one FNV-1a hash. Two devices with equal digests hold bit-identical
 // firmware state: the same data at the same physical addresses with the
 // same bookkeeping.
 //
@@ -63,7 +64,7 @@ func (d *Device) StateDigest() uint64 {
 		w64(uint64(l))
 		w64(d.token[l]) // a buffered LPA's payload
 	}
-	for _, st := range d.streams {
+	for _, st := range d.gcLanes {
 		wbool(st.open)
 		w64(uint64(st.block))
 		w64(uint64(st.next))

@@ -12,11 +12,9 @@ import (
 	"leaftl/internal/ftl"
 )
 
-// gcStream is one open GC destination block. The device keeps
-// Config.GCStreams of them, keyed by update recency, so hot rewrites
-// are packed together instead of polluting cold blocks (the stream
-// separation knob behind Figure 25's write-amplification sensitivity).
-type gcStream struct {
+// destLane is one open destination block: a GC destination or a
+// die-interleaved flush lane, programmed in page order.
+type destLane struct {
 	open  bool
 	block flash.BlockID
 	next  int
@@ -25,9 +23,8 @@ type gcStream struct {
 // movedPage is one valid page of a GC victim, staged in controller DRAM
 // between copy-out and copy-in.
 type movedPage struct {
-	lpa    addr.LPA
-	tok    uint64
-	stream int
+	lpa addr.LPA
+	tok uint64
 }
 
 // maybeGC runs garbage collection when the free pool drops below the low
@@ -40,7 +37,7 @@ func (d *Device) maybeGC(t time.Duration) error {
 	if len(d.free) >= low {
 		return d.maybeWearLevel(t)
 	}
-	// Watermark-driven reclaim is best-effort: when the policy refuses
+	// Watermark-driven reclaim is best-effort: when no victim frees space
 	// (every candidate fully valid) or the watermark is beyond what the
 	// candidates' stale pages can free, the drive simply runs below its
 	// high watermark until churn invalidates pages — only allocation
@@ -52,27 +49,27 @@ func (d *Device) maybeGC(t time.Duration) error {
 }
 
 // runGC reclaims blocks until at least minFree are free (stopping
-// quietly instead when bestEffort is set and the policy refuses,
-// i.e. nothing would free net space). A best-effort run also does not
-// chase a target the victim index cannot reach: getting there would
-// drain every candidate, relocating the fullest ones for a few stale
-// pages each, so the run aims one block short of what draining would
-// free (reachableFree) and the policy decides which candidates that
-// leaves behind. It reclaims in windows: a window
-// is up to Flash.Units() victims, picked by the configured GCPolicy over
-// the incremental valid-count index in the order it picks them one at a
-// time. Their valid pages are copied out into one pool, which reclaim
-// sorts by LPA and programs into the per-stream destination lanes. LPAs
-// are unique device-wide, so LPA order is also mapping-group order: each
-// group's relocated pages land as one ascending run per destination
-// block, and a relearning scheme re-fits each touched group once per
-// window instead of once per victim that held a few of its pages.
+// quietly instead when bestEffort is set and no victim would free net
+// space). A best-effort run also does not chase a target the victim
+// index cannot reach: getting there would drain every candidate,
+// relocating the fullest ones for a few stale pages each, so the run
+// aims one block short of what draining would free (reachableFree) and
+// leaves the fullest candidates behind. It reclaims in windows: a window
+// is up to Flash.Units() victims, picked greedily (fewest valid pages
+// first, §3.6) over the incremental valid-count index in the order a
+// one-at-a-time run would pick them. Their valid pages are copied out
+// into one pool, which reclaim sorts by LPA and programs into the
+// per-die destination lanes. LPAs are unique device-wide, so LPA order
+// is also mapping-group order: each group's relocated pages land as one
+// ascending run per destination block, and a relearning scheme re-fits
+// each touched group once per window instead of once per victim that
+// held a few of its pages.
 //
 // A window stops growing once its victims, net of the destination blocks
 // their pooled pages will open (destBlocks), bring the free pool to
 // minFree — so a run stops at the victim a one-at-a-time run toward the
 // same target would stop at — or once those destination blocks would
-// leave fewer free blocks than there are stream lanes. A window's
+// leave fewer free blocks than there are destination lanes. A window's
 // victims are erased only after its last program, so its destinations
 // come out of the pool as it stood, and the next victim could need a
 // fresh block on every lane.
@@ -107,7 +104,7 @@ func (d *Device) runGC(t time.Duration, minFree int, bestEffort bool) error {
 		d.openWindow()
 		readsDone := issued
 		for len(d.gcVictims) < d.cfg.Flash.Units() {
-			victim, ok := d.pickVictim()
+			victim, ok := d.victims.pickVictim()
 			if !ok {
 				break
 			}
@@ -117,7 +114,7 @@ func (d *Device) runGC(t time.Duration, minFree int, bestEffort bool) error {
 			}
 			readsDone = max(readsDone, done)
 			need := d.destBlocks()
-			if len(d.free)+len(d.gcVictims)-need >= minFree || len(d.free)-need < len(d.streams) {
+			if len(d.free)+len(d.gcVictims)-need >= minFree || len(d.free)-need < len(d.gcLanes) {
 				break
 			}
 		}
@@ -125,8 +122,7 @@ func (d *Device) runGC(t time.Duration, minFree int, bestEffort bool) error {
 			if bestEffort {
 				return nil
 			}
-			return fmt.Errorf("ssd: GC policy %s found no victim that frees space (free=%d)",
-				d.policy.Name(), len(d.free))
+			return fmt.Errorf("ssd: GC found no victim that frees space (free=%d)", len(d.free))
 		}
 		p, _, err := d.reclaim(issued, readsDone, false)
 		if err != nil {
@@ -144,7 +140,7 @@ func (d *Device) runGC(t time.Duration, minFree int, bestEffort bool) error {
 func (d *Device) reachableFree() int {
 	ppb := d.cfg.Flash.PagesPerBlock
 	room := d.victims.invalidPages()
-	for _, st := range d.streams {
+	for _, st := range d.gcLanes {
 		if st.open {
 			room += ppb - st.next
 		}
@@ -165,17 +161,11 @@ func (d *Device) relocate(b flash.BlockID, t time.Duration, retire bool) (time.D
 	return done, err
 }
 
-// pickVictim asks the configured policy for the next victim.
-func (d *Device) pickVictim() (flash.BlockID, bool) {
-	return d.policy.PickVictim(d.victims, d.writeStamp)
-}
-
 // openWindow empties the window's victim list and page pool; their
 // storage is reused from window to window.
 func (d *Device) openWindow() {
 	d.gcVictims = d.gcVictims[:0]
 	d.gcPages = d.gcPages[:0]
-	clear(d.gcStreamPages)
 }
 
 // copyOut adds victim to the window and reads its valid pages into the
@@ -232,29 +222,26 @@ func (d *Device) copyOut(victim flash.BlockID, t time.Duration) (time.Duration, 
 				return 0, err
 			}
 		}
-		s := d.streamOf(lpa)
-		d.gcPages = append(d.gcPages, movedPage{lpa: lpa, tok: tok, stream: s})
-		d.gcStreamPages[s]++
+		d.gcPages = append(d.gcPages, movedPage{lpa: lpa, tok: tok})
 	}
 	return readsDone, nil
 }
 
 // destBlocks returns how many fresh destination blocks programming the
-// pooled pages will open. Stream s's j-th page goes to lane j % dieLanes
+// pooled pages will open. The pool's j-th page goes to lane j % dieLanes
 // (reclaim's striping), and a lane needs fresh blocks only for the pages
 // its open block has no room left for.
 func (d *Device) destBlocks() int {
 	ppb := d.cfg.Flash.PagesPerBlock
+	n := len(d.gcPages)
 	need := 0
-	for s, n := range d.gcStreamPages {
-		for lane := 0; lane < d.dieLanes; lane++ {
-			pages := (n - lane + d.dieLanes - 1) / d.dieLanes
-			if st := d.stream(s, lane); st.open {
-				pages -= ppb - st.next
-			}
-			if pages > 0 {
-				need += (pages + ppb - 1) / ppb
-			}
+	for lane, st := range d.gcLanes {
+		pages := (n - lane + d.dieLanes - 1) / d.dieLanes
+		if st.open {
+			pages -= ppb - st.next
+		}
+		if pages > 0 {
+			need += (pages + ppb - 1) / ppb
 		}
 	}
 	return need
@@ -263,7 +250,7 @@ func (d *Device) destBlocks() int {
 // reclaim is the one relocation function: GC windows, wear leveling,
 // scrubbing and retirement all move blocks through it. It programs the
 // window's pooled pages — copied out by copyOut, issued at issued, the
-// last read done at readsDone — into the per-stream destination lanes,
+// last read done at readsDone — into the per-die destination lanes,
 // then erases every victim back into the free pool (GC, scrubbing, wear
 // leveling) or retires it (retire=true, and forced for grown-bad blocks
 // and erase failures: the block is never erased, never freed, and drops
@@ -317,63 +304,53 @@ func (d *Device) reclaim(issued, readsDone time.Duration, retire bool) (programm
 		}
 		pairs[lane] = pairs[lane][:0]
 	}
-	// One pass per stream keeps each stream's pages in LPA order, and
-	// within a stream the pages stripe round-robin over the stream's
-	// per-die lanes — so every committed batch is an ascending LPA run
-	// onto ascending PPAs of one lane block (the scheme contract) and the
-	// relocation program burst fans out over the dies.
-	for s := 0; s < d.nStreams(); s++ {
-		j := 0
-		for _, pg := range pages {
-			if pg.stream != s {
+	// One pass over the sorted pool, striped round-robin over the per-die
+	// lanes: every committed batch is an ascending LPA run onto ascending
+	// PPAs of one lane block (the scheme contract), and the relocation
+	// program burst fans out over the dies.
+	for j, pg := range pages {
+		lane := j % d.dieLanes
+		attempts := 0
+		for {
+			ppa, fresh, err := d.gcDest(lane)
+			if err != nil {
+				return 0, 0, err
+			}
+			if fresh {
+				// Destination block changed: PPAs would jump backwards or
+				// across blocks, so commit the accumulated ascending run.
+				flushPairs(lane)
+			}
+			done, werr := d.arr.Write(ppa, pg.lpa, pg.tok, writeT)
+			if done > lastDone {
+				lastDone = done
+			}
+			if werr != nil {
+				// The destination burned a page: condemn it, commit the run
+				// it holds, and retry on a fresh block of the lane's die.
+				attempts++
+				if attempts >= maxProgramAttempts {
+					return 0, 0, fmt.Errorf("ssd: GC relocation of LPA %d failed to program on %d consecutive blocks: %w",
+						pg.lpa, attempts, werr)
+				}
+				flushPairs(lane)
+				st := &d.gcLanes[lane]
+				st.open = false
+				d.abandonBadBlock(st.block)
 				continue
 			}
-			lane := j % d.dieLanes
-			j++
-			attempts := 0
-			for {
-				ppa, fresh, err := d.gcDest(s, lane)
-				if err != nil {
-					return 0, 0, err
-				}
-				if fresh {
-					// Destination block changed: PPAs would jump backwards or
-					// across blocks, so commit the accumulated ascending run.
-					flushPairs(lane)
-				}
-				done, werr := d.arr.Write(ppa, pg.lpa, pg.tok, writeT)
-				if done > lastDone {
-					lastDone = done
-				}
-				if werr != nil {
-					// The destination burned a page: condemn it, commit the
-					// run it holds, and retry on a fresh stream block.
-					attempts++
-					if attempts >= maxProgramAttempts {
-						return 0, 0, fmt.Errorf("ssd: GC relocation of LPA %d failed to program on %d consecutive blocks: %w",
-							pg.lpa, attempts, werr)
-					}
-					flushPairs(lane)
-					st := d.stream(s, lane)
-					st.open = false
-					d.abandonBadBlock(st.block)
-					continue
-				}
-				d.invalidate(pg.lpa)
-				d.truth[pg.lpa] = ppa
-				d.valid[ppa] = true
-				db := d.cfg.Flash.BlockOf(ppa)
-				d.bvc[db]++
-				d.victims.note(db, d.writeStamp)
-				pairs[lane] = append(pairs[lane], addr.Mapping{LPA: pg.lpa, PPA: ppa})
-				d.stats.GCPagesMoved++
-				d.sealIfFull(s, lane)
-				break
-			}
+			d.invalidate(pg.lpa)
+			d.truth[pg.lpa] = ppa
+			d.valid[ppa] = true
+			d.bvc[d.cfg.Flash.BlockOf(ppa)]++
+			pairs[lane] = append(pairs[lane], addr.Mapping{LPA: pg.lpa, PPA: ppa})
+			d.stats.GCPagesMoved++
+			d.sealIfFull(lane)
+			break
 		}
-		for lane := range pairs {
-			flushPairs(lane)
-		}
+	}
+	for lane := range pairs {
+		flushPairs(lane)
 	}
 	d.crashPoint("gc.programmed")
 	programmed, finished = lastDone, lastDone
@@ -430,53 +407,20 @@ func (d *Device) eraseVictim(victim flash.BlockID, t time.Duration, retire bool)
 	return finished, nil
 }
 
-// streamOf classifies an LPA into a GC destination stream by update
-// recency: age is how many host page writes ago the LPA was last
-// rewritten, and the N streams cover factor-of-4 exponential age bands
-// with boundaries logicalPages/4^(N−1), …, logicalPages/4 — stream 0
-// holds pages rewritten within the last logicalPages/4^(N−1) writes
-// (the hottest), stream N−1 everything at least logicalPages/4 old.
-func (d *Device) streamOf(lpa addr.LPA) int {
-	n := d.nStreams()
-	if n == 1 {
-		return 0
-	}
-	age := d.writeStamp - d.lpaHeat[lpa]
-	bound := uint64(d.logicalPages) >> uint(2*(n-1))
-	if bound == 0 {
-		bound = 1
-	}
-	s := 0
-	for s < n-1 && age >= bound {
-		s++
-		bound <<= 2
-	}
-	return s
-}
-
-// nStreams returns the number of logical GC streams (the recency bands;
-// each holds one destination lane per die).
-func (d *Device) nStreams() int { return len(d.streams) / d.dieLanes }
-
-// stream returns the destination lane of logical stream s on die lane.
-func (d *Device) stream(s, lane int) *gcStream {
-	return &d.streams[s*d.dieLanes+lane]
-}
-
 // gcDest returns the next destination PPA for a GC move on the given
-// stream lane, opening a new block when the lane has none: takeFree's
-// next block in channel rotation on the lane's own die, so relocation
+// die lane, opening a new block when the lane has none: takeFree's next
+// block in channel rotation on the lane's own die, so relocation
 // programs fan out over dies and successive destinations over channels.
 // fresh reports a block switch.
-func (d *Device) gcDest(stream, lane int) (addr.PPA, bool, error) {
-	st := d.stream(stream, lane)
+func (d *Device) gcDest(lane int) (addr.PPA, bool, error) {
+	st := &d.gcLanes[lane]
 	fresh := false
 	if !st.open {
 		b, ok := d.takeFree(lane)
 		if !ok {
 			return 0, false, fmt.Errorf("ssd: GC needs a destination block but none are free")
 		}
-		*st = gcStream{open: true, block: b}
+		*st = destLane{open: true, block: b}
 		fresh = true
 	}
 	ppa := d.cfg.Flash.FirstPPA(st.block) + addr.PPA(st.next)
@@ -487,22 +431,21 @@ func (d *Device) gcDest(stream, lane int) (addr.PPA, bool, error) {
 // sealIfFull closes a destination lane whose block just filled,
 // entering it into the victim index (it is from now on fair game for
 // reclaim, like any flushed block).
-func (d *Device) sealIfFull(stream, lane int) {
-	st := d.stream(stream, lane)
+func (d *Device) sealIfFull(lane int) {
+	st := &d.gcLanes[lane]
 	if !st.open || st.next < d.cfg.Flash.PagesPerBlock {
 		return
 	}
-	d.victims.add(st.block, d.bvc[st.block], d.blockSeq[st.block], d.writeStamp)
+	d.victims.add(st.block, d.bvc[st.block])
 	st.open = false
 }
 
 // isOpenDest reports whether b is an open destination block — a GC
-// stream lane or a die-interleaved flush lane — still accepting
-// programs, so neither a victim candidate nor fair game for the
-// scrub/retire sweeps.
+// lane or a die-interleaved flush lane — still accepting programs, so
+// neither a victim candidate nor fair game for the scrub/retire sweeps.
 func (d *Device) isOpenDest(b flash.BlockID) bool {
-	for i := range d.streams {
-		if d.streams[i].open && d.streams[i].block == b {
+	for i := range d.gcLanes {
+		if d.gcLanes[i].open && d.gcLanes[i].block == b {
 			return true
 		}
 	}

@@ -125,7 +125,7 @@ func TestGCVictimSelectionPrefersInvalid(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	victim, ok := d.pickVictim()
+	victim, ok := d.victims.pickVictim()
 	if !ok {
 		t.Fatal("no victim")
 	}
@@ -134,19 +134,26 @@ func TestGCVictimSelectionPrefersInvalid(t *testing.T) {
 	}
 }
 
+// TestGCDestinationContinuesAcrossRuns: GC destination blocks stay open
+// across reclaim runs, and an open one is never a victim candidate. Two
+// dies give two destination lanes.
 func TestGCDestinationContinuesAcrossRuns(t *testing.T) {
 	cfg := testConfig()
-	cfg.GCStreams = 2
+	cfg.Flash.DiesPerChan = 2
 	d := newTestDevice(t, cfg, leaftl.New(0, cfg.Flash.PageSize))
 	fillAndChurn(t, d, 60000)
-	// An open GC destination block must never be selected as a victim.
-	for _, st := range d.streams {
+	open := 0
+	for _, st := range d.gcLanes {
 		if !st.open {
 			continue
 		}
-		if v, ok := d.pickVictim(); ok && v == st.block {
-			t.Error("GC destination chosen as victim")
+		open++
+		if d.victims.Has(st.block) {
+			t.Errorf("open GC destination block %d is a victim candidate", st.block)
 		}
+	}
+	if open == 0 {
+		t.Fatal("churn left no GC destination open: nothing checked")
 	}
 }
 
@@ -263,7 +270,7 @@ func TestGCRunChannelParallel(t *testing.T) {
 	// A sequential fill lays block b's worth of LPAs into the b-th block
 	// allocated, and the allocator rotates channels, so the first sixteen
 	// blocks cover the sixteen channels. Rewriting a quarter of each makes
-	// exactly those the greedy policy's victims.
+	// exactly those greedy GC's victims.
 	fillSequential(t, d)
 	for b := 0; b < units; b++ {
 		if _, err := d.Write(addr.LPA(b*ppb), ppb/4); err != nil {
@@ -497,11 +504,10 @@ func (r *gcBatchRecorder) CommitGC(pairs []addr.Mapping) (ftl.Cost, int) {
 // consecutive PPAs holding ascending LPAs — instead of one short run per
 // victim that held some of the group's pages. Every relocation batch the
 // scheme re-learns from is an ascending LPA run onto consecutive PPAs.
-// Two dies and two streams make the pool stripe over four lanes.
+// Four dies make the pool stripe over four lanes.
 func TestGCGathersGroups(t *testing.T) {
 	cfg := parallelGCConfig()
-	cfg.Flash.DiesPerChan = 2
-	cfg.GCStreams = 2
+	cfg.Flash.DiesPerChan = 4
 	rec := &gcBatchRecorder{Scheme: leaftl.New(4, cfg.Flash.PageSize, leaftl.WithExactBitmap())}
 	d := newTestDevice(t, cfg, rec)
 	uniformChurn(t, d, 30000)
@@ -638,7 +644,6 @@ func TestNoProgramBeforeEraseCompletes(t *testing.T) {
 	for _, dies := range []int{1, 2} {
 		cfg := parallelGCConfig()
 		cfg.Flash.DiesPerChan = dies
-		cfg.GCStreams = 2
 		d := newTestDevice(t, cfg, leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000)))
 		erased := make(map[flash.BlockID]time.Duration)
 		reprogrammed := 0

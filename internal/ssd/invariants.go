@@ -23,13 +23,13 @@ import (
 //     hold no valid pages, no allocation sequence, and appear once.
 //   - Victim index: exactly the sealed allocated blocks are candidates,
 //     each bucketed at its current valid count; open GC destination
-//     streams and free blocks are absent.
-//   - Bad blocks: never on the free list or open as a GC stream; a
+//     lanes and free blocks are absent.
+//   - Bad blocks: never on the free list or open as a GC lane; a
 //     retired block (bad, no allocation sequence) holds no valid pages
 //     and sits in no structure at all.
 //   - Lost LPAs: map to no page and hold no buffered data (a host
 //     rewrite clears the flag before buffering).
-//   - GC streams: open destinations are allocated, partially programmed
+//   - GC lanes: open destinations are allocated, partially programmed
 //     blocks.
 //   - Write buffer: never exceeds its configured capacity.
 //   - Demand-paged mapping: the scheme's GMD bookkeeping is internally
@@ -187,7 +187,7 @@ func (d *Device) CheckInvariants() error {
 
 	// Bad-block lifecycle: a bad block is either sealed awaiting
 	// retirement (still allocated, still a victim candidate) or retired
-	// (out of every structure); it must never be free or an open stream.
+	// (out of every structure); it must never be free or an open lane.
 	for b := 0; b < cfg.Blocks(); b++ {
 		if !d.bad[b] {
 			continue
@@ -197,7 +197,7 @@ func (d *Device) CheckInvariants() error {
 		case d.isFree[b]:
 			return fmt.Errorf("invariant: bad block %d is on the free list", b)
 		case d.isOpenDest(id):
-			return fmt.Errorf("invariant: bad block %d is an open GC stream destination", b)
+			return fmt.Errorf("invariant: bad block %d is an open GC destination", b)
 		case d.blockSeq[b] == 0 && d.bvc[b] != 0:
 			return fmt.Errorf("invariant: retired block %d still holds %d valid pages", b, d.bvc[b])
 		case d.blockSeq[b] == 0 && d.victims.Has(id):
@@ -219,19 +219,19 @@ func (d *Device) CheckInvariants() error {
 		}
 	}
 
-	// GC streams: open destinations are allocated and mid-block.
-	for s, st := range d.streams {
+	// GC lanes: open destinations are allocated and mid-block.
+	for lane, st := range d.gcLanes {
 		if !st.open {
 			continue
 		}
 		switch {
 		case d.isFree[st.block]:
-			return fmt.Errorf("invariant: stream %d destination block %d is on the free list", s, st.block)
+			return fmt.Errorf("invariant: GC lane %d destination block %d is on the free list", lane, st.block)
 		case d.blockSeq[st.block] == 0:
-			return fmt.Errorf("invariant: stream %d destination block %d has no allocation sequence", s, st.block)
+			return fmt.Errorf("invariant: GC lane %d destination block %d has no allocation sequence", lane, st.block)
 		case st.next <= 0 || st.next >= cfg.PagesPerBlock:
-			return fmt.Errorf("invariant: stream %d destination block %d open at page %d of %d",
-				s, st.block, st.next, cfg.PagesPerBlock)
+			return fmt.Errorf("invariant: GC lane %d destination block %d open at page %d of %d",
+				lane, st.block, st.next, cfg.PagesPerBlock)
 		}
 	}
 

@@ -1,7 +1,6 @@
 package ssd
 
 import (
-	"fmt"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -11,112 +10,109 @@ import (
 
 // TestDifferentialBudgetedLeaFTL replays one randomized GC-heavy
 // workload through a mapping-budgeted LeaFTL device and an unlimited
-// LeaFTL device per (policy, streams) combination and asserts the two
-// stay bit-identical in host-visible data: demand paging the learned
-// table may cost translation-page traffic, but must never change a
-// translation. Invariants (including GMD consistency and the byte
+// LeaFTL device and asserts the two stay bit-identical in host-visible
+// data: demand paging the learned table may cost translation-page
+// traffic, but must never change a translation. Invariants (including GMD consistency and the byte
 // budget) are audited mid-run, and the budgeted device must actually
-// fault and evict groups for the comparison to mean anything.
+// fault and evict groups for the comparison to mean anything. The
+// subtest is named for the collector it runs under: greedy victim
+// choice with one GC destination stream.
 func TestDifferentialBudgetedLeaFTL(t *testing.T) {
-	for _, policy := range GCPolicyNames() {
-		for _, streams := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/streams%d", policy, streams), func(t *testing.T) {
-				cfg := testConfig()
-				cfg.GCPolicy = policy
-				cfg.GCStreams = streams
-				newScheme := func() *leaftl.Scheme {
-					return leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000))
-				}
-				devA := newTestDevice(t, cfg, newScheme()) // budgeted below
-				devB := newTestDevice(t, cfg, newScheme()) // unlimited
-				devs := []*Device{devA, devB}
+	t.Run("greedy/streams1", differentialBudgetedLeaFTL)
+}
 
-				rng := seededRand(t, int64(len(policy)*100+streams))
-				logical := devA.LogicalPages()
+func differentialBudgetedLeaFTL(t *testing.T) {
+	cfg := testConfig()
+	newScheme := func() *leaftl.Scheme {
+		return leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000))
+	}
+	devA := newTestDevice(t, cfg, newScheme()) // budgeted below
+	devB := newTestDevice(t, cfg, newScheme()) // unlimited
+	devs := []*Device{devA, devB}
 
-				// Warm phase: map a good chunk of the space so the learned
-				// table has substance, then cap A at a quarter of it.
-				for lpa := 0; lpa+8 <= logical/2; lpa += 8 {
-					for _, d := range devs {
-						if _, err := d.Write(addr.LPA(lpa), 8); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				budget := devA.Scheme().FullSizeBytes() / 4
-				devA.SetMappingBudget(budget)
+	rng := seededRand(t, 601)
+	logical := devA.LogicalPages()
 
-				hot := logical / 5
-				written := make(map[int]bool)
-				for lpa := 0; lpa < logical/2; lpa++ {
-					written[lpa] = true
-				}
-				for op := 0; op < 18000; op++ {
-					lpa := rng.Intn(logical - 8)
-					if rng.Intn(100) < 70 {
-						lpa = rng.Intn(hot)
-					}
-					n := 1 + rng.Intn(8)
-					if rng.Intn(100) < 60 {
-						for _, d := range devs {
-							if _, err := d.Write(addr.LPA(lpa), n); err != nil {
-								t.Fatalf("op %d: write: %v", op, err)
-							}
-						}
-						for j := 0; j < n; j++ {
-							written[lpa+j] = true
-						}
-					} else if written[lpa] {
-						for _, d := range devs {
-							if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
-								t.Fatalf("op %d: read: %v", op, err)
-							}
-						}
-					}
-					if op%4000 == 3999 {
-						for _, d := range devs {
-							if err := d.CheckInvariants(); err != nil {
-								t.Fatalf("op %d: %v", op, err)
-							}
-						}
-						if m := devA.Scheme().MemoryBytes(); m > budget {
-							t.Fatalf("op %d: budgeted mapping %dB exceeds %dB", op, m, budget)
-						}
-					}
-				}
-				for _, d := range devs {
-					if err := d.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					if err := d.CheckInvariants(); err != nil {
-						t.Fatal(err)
-					}
-					if d.Stats().GCErases == 0 {
-						t.Fatal("workload did not exercise GC")
-					}
-				}
-				if devA.Stats().MetaReads == 0 {
-					t.Fatal("budgeted device never demand-loaded a group")
-				}
-				if devB.Stats().MetaReads != 0 {
-					t.Fatalf("unlimited device charged %d mapping-miss reads", devB.Stats().MetaReads)
-				}
+	// Warm phase: map a good chunk of the space so the learned
+	// table has substance, then cap A at a quarter of it.
+	for lpa := 0; lpa+8 <= logical/2; lpa += 8 {
+		for _, d := range devs {
+			if _, err := d.Write(addr.LPA(lpa), 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	budget := devA.Scheme().FullSizeBytes() / 4
+	devA.SetMappingBudget(budget)
 
-				// Bit-identical host-visible data.
-				for lpa := 0; lpa < logical; lpa++ {
-					if devA.token[lpa] != devB.token[lpa] {
-						t.Fatalf("LPA %d: budgeted token %#x != unlimited token %#x",
-							lpa, devA.token[lpa], devB.token[lpa])
-					}
+	hot := logical / 5
+	written := make(map[int]bool)
+	for lpa := 0; lpa < logical/2; lpa++ {
+		written[lpa] = true
+	}
+	for op := 0; op < 18000; op++ {
+		lpa := rng.Intn(logical - 8)
+		if rng.Intn(100) < 70 {
+			lpa = rng.Intn(hot)
+		}
+		n := 1 + rng.Intn(8)
+		if rng.Intn(100) < 60 {
+			for _, d := range devs {
+				if _, err := d.Write(addr.LPA(lpa), n); err != nil {
+					t.Fatalf("op %d: write: %v", op, err)
 				}
-				for lpa := range written {
-					for _, d := range devs {
-						if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
-							t.Fatalf("final read %d: %v", lpa, err)
-						}
-					}
+			}
+			for j := 0; j < n; j++ {
+				written[lpa+j] = true
+			}
+		} else if written[lpa] {
+			for _, d := range devs {
+				if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
+					t.Fatalf("op %d: read: %v", op, err)
 				}
-			})
+			}
+		}
+		if op%4000 == 3999 {
+			for _, d := range devs {
+				if err := d.CheckInvariants(); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
+			}
+			if m := devA.Scheme().MemoryBytes(); m > budget {
+				t.Fatalf("op %d: budgeted mapping %dB exceeds %dB", op, m, budget)
+			}
+		}
+	}
+	for _, d := range devs {
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if d.Stats().GCErases == 0 {
+			t.Fatal("workload did not exercise GC")
+		}
+	}
+	if devA.Stats().MetaReads == 0 {
+		t.Fatal("budgeted device never demand-loaded a group")
+	}
+	if devB.Stats().MetaReads != 0 {
+		t.Fatalf("unlimited device charged %d mapping-miss reads", devB.Stats().MetaReads)
+	}
+
+	// Bit-identical host-visible data.
+	for lpa := 0; lpa < logical; lpa++ {
+		if devA.token[lpa] != devB.token[lpa] {
+			t.Fatalf("LPA %d: budgeted token %#x != unlimited token %#x",
+				lpa, devA.token[lpa], devB.token[lpa])
+		}
+	}
+	for lpa := range written {
+		for _, d := range devs {
+			if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
+				t.Fatalf("final read %d: %v", lpa, err)
+			}
 		}
 	}
 }

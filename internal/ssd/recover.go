@@ -51,7 +51,7 @@ type RecoveryReport struct {
 // Recover simulates a power failure without battery-backed DRAM (§3.8):
 // every controller RAM structure is lost — the write buffer, data
 // cache, mapping state, PVT/BVC bitmaps, free pool, victim index, GC
-// streams and scrub queue — and the firmware rebuilds all of it from
+// lanes and scrub queue — and the firmware rebuilds all of it from
 // what survives on flash: the pages themselves, their OOB reverse
 // mappings and write sequence numbers, the persisted translation-page
 // images the GMD references, and the bad-block table (a reserved flash
@@ -84,12 +84,8 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	clear(d.buffered)
 	d.bufOrder = d.bufOrder[:0]
 	d.cache.Resize(0)
-	for i := range d.streams {
-		d.streams[i] = gcStream{}
-	}
-	for i := range d.flushLanes {
-		d.flushLanes[i] = gcStream{}
-	}
+	clear(d.gcLanes)
+	clear(d.flushLanes)
 	for i := range d.scrubSet {
 		d.scrubSet[i] = false
 	}
@@ -222,7 +218,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	// Rebuild the free pool, allocation sequence and victim index. Fully
 	// erased healthy blocks are free, queued in block order with the
 	// allocator's channel rotation restarted; every programmed block is
-	// sealed (streams reset closed) and re-enters the victim index — including
+	// sealed (lanes reset closed) and re-enters the victim index — including
 	// bad ones, which the next retireSweep pulls back out. Allocation
 	// order is re-derived from each block's newest write sequence.
 	type blockOrder struct {
@@ -250,7 +246,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	for _, o := range order {
 		d.nextSeq++
 		d.blockSeq[o.b] = d.nextSeq
-		d.victims.add(flash.BlockID(o.b), d.bvc[o.b], d.nextSeq, d.writeStamp)
+		d.victims.add(flash.BlockID(o.b), d.bvc[o.b])
 	}
 
 	// Re-learn the surviving mappings in LPA order, committing in

@@ -4,7 +4,7 @@
 // redundantly in its in-block neighbors' windows); uncorrectable data
 // errors surface to the host as explicit *UECCError values — never as
 // silently wrong data; blocks whose disturb or retention counters cross
-// the configured thresholds are relocated through the GC streams
+// the configured thresholds are relocated through the GC path
 // (read-reclaim scrubbing); and blocks that fail a program or erase are
 // retired from rotation with full free-pool and victim-index
 // bookkeeping.
@@ -171,7 +171,7 @@ func (d *Device) retentionSweep(t time.Duration) {
 }
 
 // drainScrub relocates the queued scrub victims through the normal GC
-// relocation path (their pages re-enter the hot/cold streams and stay
+// relocation path (their pages are re-sorted by LPA and stay
 // learnable). Blocks are re-checked at drain time — GC may have
 // reclaimed them since they were queued — and deferred when no free
 // destination headroom exists.
@@ -210,11 +210,11 @@ func (d *Device) drainScrub(t time.Duration) error {
 func (d *Device) abandonBadBlock(b flash.BlockID) {
 	d.bad[b] = true
 	d.stats.RetiredBlocks++ // counted at condemnation; swept out later
-	d.victims.add(b, d.bvc[b], d.blockSeq[b], d.writeStamp)
+	d.victims.add(b, d.bvc[b])
 }
 
 // retireSweep pulls grown-bad blocks out of rotation: their remaining
-// valid pages are relocated through the GC streams and the block is
+// valid pages are relocated through the GC path and the block is
 // retired (never erased, never freed). Retirement needs free headroom
 // for the relocated pages; with an empty pool the sweep defers to the
 // next flush.

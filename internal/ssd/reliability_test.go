@@ -231,90 +231,87 @@ func TestScrubRetention(t *testing.T) {
 	}
 }
 
-// TestWearSpreadBounded is the wear regression: across all GC policies
-// and stream counts, the erase-count spread over non-retired blocks
-// stays within the wear-leveling delta plus slack, and the device's
-// free-pool bookkeeping survives. Two pools are aged per cell. Under
+// TestWearSpreadBounded is the wear regression: the erase-count spread
+// over non-retired blocks stays within the wear-leveling delta plus
+// slack, and the device's free-pool bookkeeping survives. Two pools are
+// aged. Under
 // mixed churn (a hot eighth plus a fifth of the writes uniform) every
 // block is eventually invalidated and reclaimed, and oldest-first
 // allocation alone may keep the spread under WearDelta — whether the
 // leveler ran is not the contract there, the bound is. The skewed pool
 // is built so that it cannot hold without the leveler: half the space is
 // written once and never again, pinning its blocks fully valid at zero
-// erases while hot-only churn cycles the rest.
+// erases while hot-only churn cycles the rest. The subtest is named for
+// the collector: greedy victim choice with one GC destination stream.
 func TestWearSpreadBounded(t *testing.T) {
+	t.Run("greedy-1", wearSpreadBounded)
+}
+
+func wearSpreadBounded(t *testing.T) {
 	const seed = 99
-	for _, policy := range []string{"greedy", "cost-benefit", "fifo"} {
-		for _, streams := range []int{1, 2} {
-			t.Run(policy+"-"+string(rune('0'+streams)), func(t *testing.T) {
-				for _, skewed := range []bool{false, true} {
-					cfg := testConfig()
-					cfg.GCPolicy = policy
-					cfg.GCStreams = streams
-					cfg.WearDelta = 8
-					d := newTestDevice(t, cfg, leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000)))
-					rng := seededRand(t, seed)
-					span := d.LogicalPages()
-					uniform := 0.2
-					if skewed {
-						uniform = 0
-						for lpa := span / 2; lpa < span; lpa++ {
-							if _, err := d.Write(addr.LPA(lpa), 1); err != nil {
-								t.Fatalf("seed %d: %v", seed, err)
-							}
-						}
-					}
-					for i := 0; i < 60000; i++ {
-						lpa := addr.LPA(rng.Intn(span / 8)) // hot eighth
-						if rng.Float64() < uniform {
-							lpa = addr.LPA(rng.Intn(span))
-						}
-						if _, err := d.Write(lpa, 1); err != nil {
-							t.Fatalf("seed %d: %v", seed, err)
-						}
-					}
-					if err := d.Flush(); err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
-					if err := d.CheckInvariants(); err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
-					var minE, maxE uint32
-					first := true
-					for b := 0; b < cfg.Flash.Blocks(); b++ {
-						if d.bad[b] {
-							continue
-						}
-						e := d.arr.EraseCount(flash.BlockID(b))
-						if first {
-							minE, maxE = e, e
-							first = false
-						}
-						if e < minE {
-							minE = e
-						}
-						if e > maxE {
-							maxE = e
-						}
-					}
-					// The leveler moves one cold block per flush once the
-					// spread passes WearDelta, while GC keeps erasing hot
-					// blocks in the meantime — so the steady-state spread
-					// overshoots the trigger threshold but stays within
-					// twice it.
-					if spread := maxE - minE; spread > 2*cfg.WearDelta {
-						t.Errorf("seed %d: policy %s streams %d skewed=%v: erase spread %d exceeds 2×WearDelta %d (min %d max %d)",
-							seed, policy, streams, skewed, spread, cfg.WearDelta, minE, maxE)
-					}
-					if maxE <= 2*cfg.WearDelta {
-						t.Errorf("seed %d: policy %s streams %d skewed=%v: hottest block erased only %d times; the bound was never at risk",
-							seed, policy, streams, skewed, maxE)
-					}
-					if skewed && d.Stats().WearMoves == 0 {
-						t.Errorf("seed %d: policy %s streams %d: wear leveler never ran on the skewed pool", seed, policy, streams)
-					}
+	for _, skewed := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.WearDelta = 8
+		d := newTestDevice(t, cfg, leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000)))
+		rng := seededRand(t, seed)
+		span := d.LogicalPages()
+		uniform := 0.2
+		if skewed {
+			uniform = 0
+			for lpa := span / 2; lpa < span; lpa++ {
+				if _, err := d.Write(addr.LPA(lpa), 1); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
-			})
+			}
+		}
+		for i := 0; i < 60000; i++ {
+			lpa := addr.LPA(rng.Intn(span / 8)) // hot eighth
+			if rng.Float64() < uniform {
+				lpa = addr.LPA(rng.Intn(span))
+			}
+			if _, err := d.Write(lpa, 1); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var minE, maxE uint32
+		first := true
+		for b := 0; b < cfg.Flash.Blocks(); b++ {
+			if d.bad[b] {
+				continue
+			}
+			e := d.arr.EraseCount(flash.BlockID(b))
+			if first {
+				minE, maxE = e, e
+				first = false
+			}
+			if e < minE {
+				minE = e
+			}
+			if e > maxE {
+				maxE = e
+			}
+		}
+		// The leveler moves one cold block per flush once the
+		// spread passes WearDelta, while GC keeps erasing hot
+		// blocks in the meantime — so the steady-state spread
+		// overshoots the trigger threshold but stays within
+		// twice it.
+		if spread := maxE - minE; spread > 2*cfg.WearDelta {
+			t.Errorf("seed %d skewed=%v: erase spread %d exceeds 2×WearDelta %d (min %d max %d)",
+				seed, skewed, spread, cfg.WearDelta, minE, maxE)
+		}
+		if maxE <= 2*cfg.WearDelta {
+			t.Errorf("seed %d skewed=%v: hottest block erased only %d times; the bound was never at risk",
+				seed, skewed, maxE)
+		}
+		if skewed && d.Stats().WearMoves == 0 {
+			t.Errorf("seed %d: wear leveler never ran on the skewed pool", seed)
 		}
 	}
 }

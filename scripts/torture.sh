@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# torture.sh — run the seeded crash-torture matrix (GC policies ×
-# mapping budgets × exactness bitmap, each cell kill-recover-verified)
-# plus the aged-device fault-injection sweep, and record crash-point
-# coverage and reliability counters.
+# torture.sh — run the seeded crash-torture matrix (mapping budgets ×
+# exactness bitmap, each cell kill-recover-verified) plus the aged-device
+# fault-injection sweep, and record crash-point coverage and reliability
+# counters.
 #
 # Usage: scripts/torture.sh [PR-number] [mode]
 #   scripts/torture.sh 6        → quick scale, writes BENCH_PR6.json
