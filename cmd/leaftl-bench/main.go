@@ -2,19 +2,18 @@
 // figures on the simulated SSD (deliverable d). By default it runs at
 // quick scale; -full uses a larger scaled device and -micro the fastest
 // CI-smoke scale.
-// Several replay modes skip the figures: -openloop replays a trace file
-// (native, MSR CSV, or FIU format) at its recorded arrival times
-// against all three schemes, reporting p50/p95/p99/p999 latency,
-// -memsweep caps every scheme's mapping DRAM at a sweep of budgets
-// (-mapping-budget) so LeaFTL's demand-paged learned table competes
-// against DFTL/SFTL under the same memory pressure, -torture runs the
+// Two modes skip the figures. -cells runs the evaluation grid: every
+// scheme × workload × mapping-DRAM budget × dies × planes × queues ×
+// speedup cell is replayed open-loop at issue time on its own warmed
+// device, one table row and one JSON object per cell. -torture runs the
 // seeded crash-torture matrix (kill-recover-verify across mapping
 // budgets × exactness bitmap) plus an aged-device fault-injection sweep
-// over -fault-rber, and -diesweep replays a timed workload across flash
-// die geometries through -workers issue-time host queues.
+// over -fault-rber.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,29 +30,22 @@ func main() {
 	only := flag.String("only", "", "comma-separated figure IDs to run (e.g. fig15,fig16)")
 	seed := flag.Int64("seed", 1, "workload generation seed")
 	markdown := flag.Bool("markdown", false, "emit Markdown tables instead of ASCII")
-	gamma := flag.Int("gamma", 0, "LeaFTL error bound for the replay and sweep modes")
-	jsonOut := flag.String("json", "", "replay and sweep modes: write JSON results to this file (- for stdout)")
-	openloop := flag.Bool("openloop", false, "open-loop replay mode: replay -trace at recorded arrival times against LeaFTL/DFTL/SFTL (skips figures)")
-	tracePath := flag.String("trace", "traces/msr-sample.csv", "open-loop replay mode: trace file to replay")
-	traceFormat := flag.String("trace-format", "auto", "open-loop replay mode: trace format (auto, native, msr, fiu)")
-	qd := flag.Int("qd", 4, "open-loop replay mode: host submission queue count")
-	speedup := flag.Float64("speedup", 1, "open-loop replay mode: divide recorded inter-arrival times by this factor")
+	gamma := flag.Int("gamma", 0, "LeaFTL error bound for the -cells and -torture modes")
+	jsonOut := flag.String("json", "", "-cells and -torture modes: write JSON results to this file (- for stdout)")
 	micro := flag.Bool("micro", false, "run at micro (fastest, CI smoke) scale")
-	memSweep := flag.Bool("memsweep", false, "memory sweep mode: cap mapping DRAM at -mapping-budget and compare schemes under demand paging (skips figures)")
-	mappingBudget := flag.String("mapping-budget", "", "-memsweep mode: comma-separated budgets; values ≤ 8 are fractions of each scheme's full mapping size, larger values absolute bytes (default: 0.125,0.25,0.5,1)")
-	memSchemes := flag.String("mem-schemes", "", "-memsweep mode: comma-separated schemes (default: LeaFTL,DFTL,SFTL)")
-	memWorkloads := flag.String("mem-workloads", "", "-memsweep mode: comma-separated timed workloads (default: zipf-hot,mixed-rw)")
-	journal := flag.Bool("journal", true, "openloop/memsweep modes: persist LeaFTL's dirty mapping groups as delta records in dedicated translation blocks (-journal=false restores the full-image writeback path)")
+	cells := flag.Bool("cells", false, "cell grid mode: replay every -schemes × -workloads × -budgets × -dies × -planes × -queues × -speedup cell open-loop at issue time (skips figures)")
+	schemes := flag.String("schemes", "", "-cells mode: comma-separated schemes: full, paper, dftl, sftl (default all four)")
+	workloads := flag.String("workloads", "", "-cells mode: comma-separated timed workloads (zipf-hot, mixed-rw) or trace files (default zipf-hot)")
+	budgets := flag.String("budgets", "", "-cells mode: comma-separated mapping-DRAM budgets as fractions of each scheme's mapping size after warm-up, 0 = uncapped (default 0)")
+	dies := flag.String("dies", "", "-cells mode: comma-separated dies-per-channel counts (default 1)")
+	planes := flag.String("planes", "", "-cells mode: comma-separated planes-per-die counts (default 1)")
+	queues := flag.String("queues", "", "-cells mode: comma-separated host queue counts (default 4)")
+	speedup := flag.String("speedup", "", "-cells mode: comma-separated divisors of recorded inter-arrival times (default 1)")
 	torture := flag.Bool("torture", false, "reliability mode: seeded crash-torture matrix + fault-injection sweep (skips figures)")
 	crashPoints := flag.Int("crash-points", 0, "-torture mode: crashes injected per matrix cell (0 = default 5)")
 	faultRBER := flag.String("fault-rber", "", "-torture mode: comma-separated base RBERs for the fault sweep (default: 1e-7,1e-5,5e-5,1e-4,5e-4)")
 	faultSeed := flag.Int64("fault-seed", 0, "-torture mode: fault-model seed (0 = use -seed)")
 	scrubThreshold := flag.Int("scrub-threshold", 0, "-torture mode: read-disturb scrub threshold in block reads (0 = default 5000)")
-	workers := flag.String("workers", "", "-diesweep mode: host queue count of the replay (default 4)")
-	sweepWorkload := flag.String("sweep-workload", "zipf-hot", "-diesweep mode: timed workload to replay")
-	dieSweep := flag.Bool("diesweep", false, "die sweep mode: replay a timed workload across -dies × -planes flash geometries, with a budgeted arm measuring map-op/data-op overlap (skips figures)")
-	dieCounts := flag.String("dies", "", "-diesweep mode: comma-separated dies-per-channel counts (default 1,2,4)")
-	planes := flag.Int("planes", 0, "-diesweep mode: planes per die, applied to every row (default 2)")
 	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -82,17 +74,13 @@ func main() {
 		}
 	}
 
-	if *dieSweep {
-		// The sweep saturates the one-die baseline by default (4x); an
-		// explicit -speedup still wins.
-		sp := 0.0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "speedup" {
-				sp = *speedup
-			}
-		})
-		if err := runDieSweep(scaleOf(), *dieCounts, *planes, *workers, *sweepWorkload, *gamma, sp, *seed, *markdown, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "leaftl-bench: diesweep: %v\n", err)
+	if *cells {
+		spec, err := cellsSpec(*schemes, *workloads, *budgets, *dies, *planes, *queues, *speedup, *gamma)
+		if err == nil {
+			err = runCells(scaleOf(), spec, *seed, *markdown, *jsonOut)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "leaftl-bench: cells: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -100,20 +88,6 @@ func main() {
 	if *torture {
 		if err := runTorture(scaleOf(), *crashPoints, *faultRBER, *faultSeed, *scrubThreshold, *gamma, *seed, *markdown, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "leaftl-bench: torture: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *memSweep {
-		if err := runMemSweep(scaleOf(), *mappingBudget, *memSchemes, *memWorkloads, *qd, *speedup, *gamma, *seed, *journal, *markdown, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "leaftl-bench: memsweep: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *openloop {
-		if err := runOpenLoop(*tracePath, *traceFormat, *qd, *speedup, *gamma, *seed, *markdown, *jsonOut, *journal); err != nil {
-			fmt.Fprintf(os.Stderr, "leaftl-bench: openloop: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -145,11 +119,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "leaftl-bench: %s: %v\n", t.ID, err)
 			os.Exit(1)
 		}
-		if *markdown {
-			fmt.Println(t.Markdown())
-		} else {
-			fmt.Println(t.String())
-		}
+		printTable(t, *markdown)
 	}
 
 	start := time.Now()
@@ -217,6 +187,63 @@ func main() {
 		emit(s.RecoveryExperiment())
 	}
 	fmt.Fprintf(os.Stderr, "leaftl-bench: completed in %v (scale=%s)\n", time.Since(start).Round(time.Millisecond), scale.Name)
+}
+
+// cellsSpec parses the -cells list flags.
+func cellsSpec(schemes, workloads, budgets, dies, planes, queues, speedup string, gamma int) (experiments.CellsSpec, error) {
+	spec := experiments.CellsSpec{Schemes: parseList(schemes), Workloads: parseList(workloads), Gamma: gamma}
+	var errs [5]error
+	spec.Budgets, errs[0] = parseFloatList(budgets)
+	spec.Dies, errs[1] = parseIntList(dies)
+	spec.Planes, errs[2] = parseIntList(planes)
+	spec.Queues, errs[3] = parseIntList(queues)
+	spec.Speedups, errs[4] = parseFloatList(speedup)
+	return spec, errors.Join(errs[:]...)
+}
+
+// cellsJSON is the machine-readable form of one -cells run.
+type cellsJSON struct {
+	Mode  string                `json:"mode"`
+	Scale string                `json:"scale"`
+	Seed  int64                 `json:"seed"`
+	Gamma int                   `json:"gamma"`
+	Cells []experiments.CellRun `json:"cells"`
+}
+
+// runCells is the leaftl-bench -cells mode.
+func runCells(scale experiments.Scale, spec experiments.CellsSpec, seed int64, markdown bool, jsonPath string) error {
+	runs, table, err := experiments.NewSuite(scale, seed).Cells(spec)
+	if err != nil {
+		return err
+	}
+	printTable(table, markdown)
+	if jsonPath == "" {
+		return nil
+	}
+	return writeJSON(jsonPath, cellsJSON{Mode: "cells", Scale: scale.Name, Seed: seed, Gamma: spec.Gamma, Cells: runs})
+}
+
+// printTable prints a table as ASCII or Markdown.
+func printTable(t experiments.Table, markdown bool) {
+	if markdown {
+		fmt.Println(t.Markdown())
+	} else {
+		fmt.Println(t.String())
+	}
+}
+
+// writeJSON writes v as indented JSON to path, or to stdout for "-".
+func writeJSON(path string, v any) error {
+	enc, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	enc = append(enc, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(enc)
+		return err
+	}
+	return os.WriteFile(path, enc, 0o644)
 }
 
 // parseList splits a comma-separated flag value.

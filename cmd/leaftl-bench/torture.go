@@ -1,12 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-
-	"leaftl/internal/experiments"
-)
+import "leaftl/internal/experiments"
 
 // tortureJSON is the machine-readable form of one torture + fault-sweep
 // run (scripts/torture.sh stitches it into BENCH_PR<N>.json).
@@ -84,13 +78,8 @@ func runTorture(scale experiments.Scale, crashPoints int, faultRBER string, faul
 		return err
 	}
 
-	for _, t := range []experiments.Table{tortureTable, faultTable} {
-		if markdown {
-			fmt.Println(t.Markdown())
-		} else {
-			fmt.Println(t.String())
-		}
-	}
+	printTable(tortureTable, markdown)
+	printTable(faultTable, markdown)
 
 	if jsonPath == "" {
 		return nil
@@ -131,14 +120,5 @@ func runTorture(scale experiments.Scale, crashPoints int, faultRBER string, faul
 			WAF:              r.WAF,
 		})
 	}
-	enc, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if jsonPath == "-" {
-		_, err = os.Stdout.Write(enc)
-		return err
-	}
-	return os.WriteFile(jsonPath, enc, 0o644)
+	return writeJSON(jsonPath, out)
 }

@@ -3,8 +3,8 @@
 // memory and latency — a miniature of the paper's Figures 15 and 16.
 //
 // With -openloop, the workload is a timed generator (zipf-hot by
-// default) replayed at its recorded arrival times across -qd host
-// queues, and the comparison reports tail latency (p50/p95/p99/p999)
+// default) replayed at its recorded arrival times across -qd issue-time
+// host queues, and the comparison reports tail latency (p50/p95/p99/p999)
 // instead of means: the queueing view the closed loop cannot see.
 package main
 
@@ -24,10 +24,10 @@ func main() {
 	flag.Parse()
 
 	if *openloop {
-		runOpenLoop(*name, *n, *qd)
+		openLoop(*name, *n, *qd)
 		return
 	}
-	runClosedLoop(*name, *n)
+	closedLoop(*name, *n)
 }
 
 // newDevice builds the starved-DRAM device every scheme runs on.
@@ -64,7 +64,7 @@ var schemes = []func(cfg leaftl.DeviceConfig) leaftl.Scheme{
 	func(cfg leaftl.DeviceConfig) leaftl.Scheme { return leaftl.NewLeaFTL(0, cfg.Flash.PageSize) },
 }
 
-func runClosedLoop(name string, n int) {
+func closedLoop(name string, n int) {
 	if name == "" {
 		name = "MSR-hm"
 	}
@@ -106,7 +106,7 @@ func runClosedLoop(name string, n int) {
 	}
 }
 
-func runOpenLoop(name string, n, qd int) {
+func openLoop(name string, n, qd int) {
 	if name == "" {
 		name = "zipf-hot"
 	}

@@ -420,8 +420,8 @@ func (s *Scheme) CheckMapping() error {
 	return s.table.CheckShape()
 }
 
-// PagingStats exposes the pager's fault/eviction counters (the
-// MemorySweep miss-ratio source).
+// PagingStats exposes the pager's fault/eviction counters (the source of
+// the benchmark's pager.* metrics).
 func (s *Scheme) PagingStats() core.PagerStats { return s.pager.Stats() }
 
 // Snapshot serializes the full learned table — resident groups fresh

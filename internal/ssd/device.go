@@ -282,7 +282,7 @@ func (d *Device) ResetMetrics() {
 func (d *Device) LogicalPages() int { return d.logicalPages }
 
 // SetMappingBudget re-caps the scheme's mapping DRAM mid-run (the
-// memory-sweep experiments tighten it after warmup) and rebalances the
+// budgeted evaluation cells tighten it after warm-up) and rebalances the
 // data cache. Budget-change evictions inside the scheme are not charged
 // to any host request, mirroring DFTL's between-runs resize.
 func (d *Device) SetMappingBudget(bytes int) {

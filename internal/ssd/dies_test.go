@@ -255,7 +255,7 @@ func TestDieInterleavedFlush(t *testing.T) {
 }
 
 // TestDeviceWorkloadAcrossDies drives the full mixed workload (flush, GC,
-// wear paths) on every geometry the die sweep benchmarks, checking the
+// wear paths) on every geometry the cell runner benchmarks, checking the
 // invariant audit and that GC actually ran.
 func TestDeviceWorkloadAcrossDies(t *testing.T) {
 	for _, geo := range [][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2}} {

@@ -53,7 +53,7 @@ func counters(s Stats) Stats {
 // trace.ReplayIssued over 1, 2, 4 and 8 host queues must leave
 // bit-identical device state (ground truth, PVT/BVC, free-pool order,
 // buffer, GC and reliability bookkeeping: StateDigest) and the same
-// transition counters, on every die geometry the die sweep benchmarks.
+// transition counters, on every die geometry the cell runner benchmarks.
 // Issue time moves when flash work runs, never what the device holds:
 // state depends only on apply order.
 func TestIssuedReplayDeterministic(t *testing.T) {

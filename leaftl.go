@@ -121,11 +121,14 @@ type (
 // LatencySummary is a histogram tail digest (p50/p95/p99/p999).
 type LatencySummary = metrics.Summary
 
-// ReplayOpenLoop replays a trace open-loop: requests are submitted at
-// their recorded arrival times across host queues, so latency includes
-// queue wait (see trace.ReplayOpenLoop).
+// ReplayOpenLoop replays a trace open-loop on the issue-time schedule
+// (trace.ReplayIssued): request i joins host queue i % cfg.Queues and is
+// issued at its recorded arrival or when its queue frees up, whichever
+// is later, so latency includes queue wait and requests from different
+// queues overlap on the flash. The device ends in the state a
+// closed-loop Replay of the same trace leaves.
 func ReplayOpenLoop(d *Device, reqs []Request, cfg OpenLoopConfig) (*OpenLoopResult, error) {
-	return trace.ReplayOpenLoop(d, reqs, cfg)
+	return trace.ReplayIssued(d, reqs, cfg)
 }
 
 // WorkloadProfile parameterizes a synthetic workload; Workloads and
