@@ -325,7 +325,7 @@ func (c *crb) add(lpas []uint8) {
 func (c *crb) sizeBytes() int { return c.bytes }
 
 // recompute rebuilds the size counter and the owner index from the
-// entries (snapshot restore path).
+// entries (group-record decode path).
 func (c *crb) recompute() {
 	c.bytes = 0
 	c.owner = nil

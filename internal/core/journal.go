@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/ftl"
 )
 
 // Log-structured metadata persistence (the mapping-delta journal): instead
@@ -28,8 +29,8 @@ import (
 // are durable the moment they land and only *filled* pages are charged
 // as flash programs.
 //
-// Delta record wire format (little-endian, framed with the shared
-// versioned header from persist.go):
+// Delta record wire format (little-endian, behind a magic and version
+// header):
 //
 //	"LFTL" | version u8 (=6) | gid u32 | seq u16 | flags u8
 //	flags&flagExact:  exact bitmap (32 bytes)
@@ -43,9 +44,10 @@ import (
 // seq 0); replay rejects gaps, so a truncated or reordered chain is
 // detected rather than silently folded. Version 6 shrank the first
 // section from version 4's 47-byte tuning block to the bare bitmap, in
-// step with the version-5 group record; version-4 records are rejected.
+// step with the group record; version-4 records are rejected.
 
 const (
+	journalMagic   = "LFTL"
 	journalVersion = 6
 
 	flagExact  = 1 << 0
@@ -66,29 +68,6 @@ const (
 	// meta operations to die lanes.
 	journalPageIDBit = uint64(1) << 62
 )
-
-// JournalStats counts mapping-delta journal activity since creation.
-type JournalStats struct {
-	// Appends counts delta records appended (full-image writes are Bases).
-	Appends uint64
-	// Bases counts full group images appended (new groups, threshold
-	// folds, GC folds, recovery seeds).
-	Bases uint64
-	// Folds counts delta chains collapsed into fresh full images.
-	Folds uint64
-	// GCRuns counts journal block reclaims.
-	GCRuns uint64
-	// Replays counts delta records replayed onto base images (demand
-	// loads, folds, recovery).
-	Replays uint64
-	// Pages and Blocks are the current translation-footprint occupancy.
-	Pages  int
-	Blocks int
-	// Groups is the number of journaled groups; MaxChain the longest
-	// live delta chain.
-	Groups   int
-	MaxChain int
-}
 
 // recSections splits a group record into the independently-diffable
 // sections the delta encoder works over. Slices alias the source record.
@@ -206,7 +185,7 @@ func encodeDelta(base, cur recSections, seq uint16) []byte {
 		return nil
 	}
 
-	buf := appendRecordHeader(nil, journalVersion)
+	buf := appendJournalHeader(nil)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cur.gid))
 	buf = binary.LittleEndian.AppendUint16(buf, seq)
 	buf = append(buf, flags)
@@ -228,10 +207,31 @@ func encodeDelta(base, cur recSections, seq uint16) []byte {
 	return buf
 }
 
+// appendJournalHeader writes the record framing: the magic plus the
+// version byte.
+func appendJournalHeader(buf []byte) []byte {
+	buf = append(buf, journalMagic...)
+	return append(buf, journalVersion)
+}
+
+// readJournalHeader consumes the record framing, rejecting a wrong magic
+// and any version but journalVersion.
+func readJournalHeader(r *reader) error {
+	magic, err := r.bytes(len(journalMagic))
+	if err != nil || string(magic) != journalMagic {
+		return fmt.Errorf("core: bad journal record magic")
+	}
+	ver, err := r.u8()
+	if err != nil || ver != journalVersion {
+		return fmt.Errorf("core: unsupported journal record version %d", ver)
+	}
+	return nil
+}
+
 // encodeFull frames a complete group record as a full-image journal
 // record (chain position 0: a fresh base).
 func encodeFull(img []byte, gid addr.GroupID) []byte {
-	buf := appendRecordHeader(nil, journalVersion)
+	buf := appendJournalHeader(nil)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(gid))
 	buf = binary.LittleEndian.AppendUint16(buf, 0)
 	buf = append(buf, flagFull)
@@ -242,7 +242,7 @@ func encodeFull(img []byte, gid addr.GroupID) []byte {
 // chain position, flags and section payload cursor.
 func decodeJournalRecord(rec []byte) (gid addr.GroupID, seq uint16, flags uint8, r reader, err error) {
 	r = reader{buf: rec}
-	if _, err = readRecordHeader(&r, "journal record", journalVersion, journalVersion); err != nil {
+	if err = readJournalHeader(&r); err != nil {
 		return 0, 0, 0, r, err
 	}
 	g, err := r.u32()
@@ -411,7 +411,7 @@ type journal struct {
 	pageSeq  uint64 // id of the open tail page
 	pageFill int    // bytes in the open tail page (SRAM, uncharged)
 
-	stats JournalStats
+	stats ftl.JournalStats
 	hook  func(string)
 }
 
@@ -458,7 +458,7 @@ func (j *journal) pages() int {
 }
 
 // Stats snapshots the counters plus current occupancy.
-func (j *journal) Stats() JournalStats {
+func (j *journal) Stats() ftl.JournalStats {
 	s := j.stats
 	s.Pages = j.pages()
 	s.Blocks = len(j.blocks)
@@ -473,14 +473,6 @@ func (j *journal) Stats() JournalStats {
 
 func (j *journal) has(gid addr.GroupID) bool { return j.groups[gid] != nil }
 
-// image returns a group's folded current image, nil when unjournaled.
-func (j *journal) image(gid addr.GroupID) []byte {
-	if g := j.groups[gid]; g != nil {
-		return g.curImg
-	}
-	return nil
-}
-
 // openBlock returns the unsealed head block, allocating one if needed.
 func (j *journal) openBlock() *jblock {
 	if n := len(j.blocks); n > 0 && !j.blocks[n-1].sealed {
@@ -494,8 +486,8 @@ func (j *journal) openBlock() *jblock {
 
 // sealOpen closes the head block early: the partial SRAM tail page is
 // flushed (and charged, when charging) since its block is now immutable.
-func (j *journal) sealOpen(charge bool) PageCost {
-	var cost PageCost
+func (j *journal) sealOpen(charge bool) ftl.Cost {
+	var cost ftl.Cost
 	n := len(j.blocks)
 	if n == 0 || j.blocks[n-1].sealed {
 		return cost
@@ -503,8 +495,7 @@ func (j *journal) sealOpen(charge bool) PageCost {
 	b := j.blocks[n-1]
 	if j.pageFill > 0 {
 		if charge {
-			cost.MetaWrites++
-			cost.WriteIDs = append(cost.WriteIDs, journalPageIDBit|j.pageSeq)
+			cost.AddWrite(journalPageIDBit | j.pageSeq)
 		}
 		j.pageSeq++
 		j.pageFill = 0
@@ -518,8 +509,8 @@ func (j *journal) sealOpen(charge bool) PageCost {
 // until full). Records never span blocks: the open block seals early
 // when rec would not fit. charge=false seeds recovery state whose pages
 // already exist on flash.
-func (j *journal) appendRec(gid addr.GroupID, rec []byte, charge bool) (jrec, PageCost) {
-	var cost PageCost
+func (j *journal) appendRec(gid addr.GroupID, rec []byte, charge bool) (jrec, ftl.Cost) {
+	var cost ftl.Cost
 	blockID := -1
 	if j.ppb > 0 {
 		capacity := j.ppb * j.pageSize
@@ -546,8 +537,7 @@ func (j *journal) appendRec(gid addr.GroupID, rec []byte, charge bool) (jrec, Pa
 		remaining -= n
 		if j.pageFill == j.pageSize {
 			if charge {
-				cost.MetaWrites++
-				cost.WriteIDs = append(cost.WriteIDs, journalPageIDBit|j.pageSeq)
+				cost.AddWrite(journalPageIDBit | j.pageSeq)
 			}
 			j.pageSeq++
 			j.pageFill = 0
@@ -594,7 +584,7 @@ func (j *journal) supersede(gid addr.GroupID, g *jgroup) {
 // delta, or a chain past the fold thresholds). A byte-identical image
 // costs nothing. Returns the flash charges, including any journal GC the
 // append triggered.
-func (j *journal) writeback(gid addr.GroupID, img []byte) PageCost {
+func (j *journal) writeback(gid addr.GroupID, img []byte) ftl.Cost {
 	sec, err := parseRecSections(img)
 	if err != nil {
 		panic(fmt.Sprintf("core: group %d image does not parse: %v", gid, err))
@@ -602,7 +592,7 @@ func (j *journal) writeback(gid addr.GroupID, img []byte) PageCost {
 	if sec.gid != gid {
 		panic(fmt.Sprintf("core: group %d image claims group %d", gid, sec.gid))
 	}
-	var cost PageCost
+	var cost ftl.Cost
 	g := j.groups[gid]
 	if g != nil && bytes.Equal(g.curImg, img) {
 		return cost // clean rewrite: the journal already holds this state
@@ -647,7 +637,7 @@ func (j *journal) writeback(gid addr.GroupID, img []byte) PageCost {
 
 // fold collapses a group's base+chain into a fresh full image at the log
 // head and retires the old records.
-func (j *journal) fold(gid addr.GroupID, g *jgroup, img []byte, sec recSections) PageCost {
+func (j *journal) fold(gid addr.GroupID, g *jgroup, img []byte, sec recSections) ftl.Cost {
 	j.supersede(gid, g)
 	j.stats.Replays += uint64(len(g.chain))
 	rec, cost := j.appendRec(gid, encodeFull(img, gid), true)
@@ -663,12 +653,12 @@ func (j *journal) fold(gid addr.GroupID, g *jgroup, img []byte, sec recSections)
 // load returns a group's current image and the flash reads replaying it
 // costs: every distinct charged page under the base and chain records
 // (the open SRAM tail is free).
-func (j *journal) load(gid addr.GroupID) ([]byte, PageCost) {
+func (j *journal) load(gid addr.GroupID) ([]byte, ftl.Cost) {
 	g := j.groups[gid]
 	if g == nil {
 		panic(fmt.Sprintf("core: journal load of unknown group %d", gid))
 	}
-	var cost PageCost
+	var cost ftl.Cost
 	seen := make(map[uint64]bool)
 	charge := func(rec jrec) {
 		for p := rec.first; p <= rec.last; p++ {
@@ -677,8 +667,7 @@ func (j *journal) load(gid addr.GroupID) ([]byte, PageCost) {
 			}
 			if !seen[p] {
 				seen[p] = true
-				cost.MetaReads++
-				cost.ReadIDs = append(cost.ReadIDs, journalPageIDBit|p)
+				cost.AddRead(journalPageIDBit | p)
 			}
 		}
 	}
@@ -730,8 +719,8 @@ func (j *journal) images(skip func(addr.GroupID) bool) map[addr.GroupID][]byte {
 // to the oldest) is the victim, its live groups fold to fresh images at
 // the log head, and the block is erased. Folding appends, so the loop
 // stops on any pass that fails to shrink the footprint.
-func (j *journal) maybeGC() PageCost {
-	var cost PageCost
+func (j *journal) maybeGC() ftl.Cost {
+	var cost ftl.Cost
 	if j.ppb <= 0 || j.maxPages <= 0 {
 		return cost
 	}

@@ -123,7 +123,7 @@ func TestJournalWritebackFold(t *testing.T) {
 
 	for i := 1; i < len(imgs); i++ {
 		j.writeback(0, imgs[i])
-		if got := j.image(0); !bytes.Equal(got, imgs[i]) {
+		if got := j.groups[0].curImg; !bytes.Equal(got, imgs[i]) {
 			t.Fatalf("after writeback %d the folded image diverges", i)
 		}
 		if err := j.check(); err != nil {
@@ -205,16 +205,15 @@ func TestJournalGC(t *testing.T) {
 		t.Errorf("footprint %d pages exceeds the cap plus one open block", s.Pages)
 	}
 	for g := 0; g < nGroups; g++ {
-		if got := j.image(addr.GroupID(g)); !bytes.Equal(got, want[g]) {
+		if got := j.groups[addr.GroupID(g)].curImg; !bytes.Equal(got, want[g]) {
 			t.Errorf("group %d image diverged across GC", g)
 		}
 	}
 }
 
-// TestPersistVersionRejection is the table-driven guard over the shared
-// record-header helper: every versioned reader — the snapshot decoder
-// and the journal-record decoder — must reject wrong magic and any
-// version outside its window, and accept its own.
+// TestPersistVersionRejection guards the versioned record header: the
+// journal-record decoder must reject wrong magic and any version but its
+// own, and accept its own.
 func TestPersistVersionRejection(t *testing.T) {
 	tab := NewTable(4)
 	pairs := make([]addr.Mapping, 16)
@@ -222,58 +221,41 @@ func TestPersistVersionRejection(t *testing.T) {
 		pairs[i] = addr.Mapping{LPA: addr.LPA(i), PPA: addr.PPA(100 + i)}
 	}
 	tab.Update(pairs)
-	snap, err := tab.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	img, err := tab.MarshalGroup(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jrec := encodeFull(img, 0)
 
-	decodeSnapshot := func(data []byte) error { return NewTable(0).UnmarshalBinary(data) }
-	decodeJournal := func(data []byte) error {
+	decode := func(data []byte) error {
 		_, _, _, _, err := decodeJournalRecord(data)
 		return err
 	}
-
-	cases := []struct {
-		name    string
-		valid   []byte
-		decode  func([]byte) error
-		version uint8
-	}{
-		{"snapshot", snap, decodeSnapshot, persistVersion},
-		{"journal record", jrec, decodeJournal, journalVersion},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if err := c.decode(c.valid); err != nil {
-				t.Fatalf("valid v%d record rejected: %v", c.version, err)
+	t.Run("journal record", func(t *testing.T) {
+		if err := decode(jrec); err != nil {
+			t.Fatalf("valid v%d record rejected: %v", journalVersion, err)
+		}
+		for _, ver := range []uint8{0, 1, 2, 3, 4, 5, 6, 42, 255} {
+			if ver == journalVersion {
+				continue
 			}
-			for _, ver := range []uint8{0, 1, 2, 3, 4, 5, 6, 42, 255} {
-				if ver == c.version {
-					continue
-				}
-				mut := append([]byte(nil), c.valid...)
-				mut[len(persistMagic)] = ver
-				if err := c.decode(mut); err == nil {
-					t.Errorf("version %d accepted by the %s reader", ver, c.name)
-				}
+			mut := append([]byte(nil), jrec...)
+			mut[len(journalMagic)] = ver
+			if err := decode(mut); err == nil {
+				t.Errorf("version %d accepted", ver)
 			}
-			mut := append([]byte(nil), c.valid...)
-			mut[0] ^= 0xff
-			if err := c.decode(mut); err == nil {
-				t.Error("corrupt magic accepted")
+		}
+		mut := append([]byte(nil), jrec...)
+		mut[0] ^= 0xff
+		if err := decode(mut); err == nil {
+			t.Error("corrupt magic accepted")
+		}
+		for cut := 0; cut < len(journalMagic)+1; cut++ {
+			if err := decode(jrec[:cut]); err == nil {
+				t.Errorf("truncated header (%dB) accepted", cut)
 			}
-			for cut := 0; cut < len(persistMagic)+1; cut++ {
-				if err := c.decode(c.valid[:cut]); err == nil {
-					t.Errorf("truncated header (%dB) accepted", cut)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // FuzzJournal fuzzes the journal-record decoder — base replay,
@@ -283,7 +265,7 @@ func TestPersistVersionRejection(t *testing.T) {
 // that image as a fresh base must replay to the same bytes, and a
 // re-encoded delta must reproduce the same successor.
 func FuzzJournal(f *testing.F) {
-	_, groups := fuzzSeeds(f)
+	groups := fuzzSeeds(f)
 	var baseImg []byte
 	for _, img := range groups {
 		f.Add(encodeFull(img, 0))

@@ -8,8 +8,8 @@ import (
 
 // Group-granular residency operations: the learned table doubles as a
 // pageable container whose unit of transfer is one 256-LPA segment group.
-// MarshalGroup/InstallGroup speak the snapshot's per-group record format
-// (see persist.go), so an evicted group's bytes are exactly the
+// MarshalGroup/InstallGroup speak the per-group wire record (see
+// persist.go), so an evicted group's bytes are exactly the
 // translation-page payload §3.8 stores in flash translation blocks, and
 // DropGroup/InstallGroup keep every incremental statistic in step so
 // SizeBytes always reports only what is DRAM-resident.

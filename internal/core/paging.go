@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/ftl"
 )
 
 // Demand paging of the learned mapping table (paper §3.8): segment groups
@@ -13,34 +14,14 @@ import (
 // machinery behind a scheme's SetBudget: it decides which groups stay
 // resident (a CLOCK second-chance policy — a one-bit LRU — over the
 // resident set), demand-loads evicted groups on access, and reports every
-// transfer as counts of translation-page flash operations so the SSD can
-// charge them on its flash timelines.
+// transfer as an ftl.Cost — counts of translation-page flash operations,
+// each named by a virtual translation PPA — so the SSD can charge them on
+// the flash timelines of the dies holding those pages. The pager is the
+// one home of the GMD: every group is registered at its first commit, and
+// a budget ≤ 0 simply never evicts.
 //
 // A Pager is not safe for concurrent use; the device serializes every
 // call into the scheme that owns it.
-
-// PageCost counts translation-page flash operations a paging action
-// induced: reads for demand loads, writes for dirty evictions and
-// persistence.
-type PageCost struct {
-	MetaReads  int
-	MetaWrites int
-
-	// ReadIDs/WriteIDs name the virtual translation PPA behind each
-	// counted operation, in charge order, so the device can route the op
-	// to the die holding that page (multi-page images get one id per
-	// constituent page).
-	ReadIDs  []uint64
-	WriteIDs []uint64
-}
-
-// Add accumulates o into c.
-func (c *PageCost) Add(o PageCost) {
-	c.MetaReads += o.MetaReads
-	c.MetaWrites += o.MetaWrites
-	c.ReadIDs = append(c.ReadIDs, o.ReadIDs...)
-	c.WriteIDs = append(c.WriteIDs, o.WriteIDs...)
-}
 
 // pageIDs expands a group image's virtual translation PPA into one
 // identity per constituent flash page.
@@ -123,9 +104,9 @@ func (p *Pager) ConfigureJournal(pagesPerBlock, maxPages int) {
 }
 
 // JournalStats snapshots the journal counters (zero when disabled).
-func (p *Pager) JournalStats() JournalStats {
+func (p *Pager) JournalStats() ftl.JournalStats {
 	if p.journal == nil {
-		return JournalStats{}
+		return ftl.JournalStats{}
 	}
 	return p.journal.Stats()
 }
@@ -138,7 +119,7 @@ func (p *Pager) SetJournalHook(fn func(string)) {
 	}
 }
 
-// NewPager returns an inactive pager (no budget, empty GMD) over store.
+// NewPager returns a pager with no budget and an empty GMD over store.
 // pageSize is the flash page size translation-page costs are counted in.
 func NewPager(store *Table, pageSize int) *Pager {
 	if pageSize < 1 {
@@ -161,24 +142,15 @@ func (p *Pager) imagePages(n int) int {
 	return pages
 }
 
-// SetBudget sets the resident-set byte budget (≤ 0 disables the cap) and
-// adopts any groups already resident in the store so their dirtiness is
-// tracked from here on. It does not evict; the next Enforce does.
+// SetBudget sets the resident-set byte budget (≤ 0 disables the cap). It
+// does not evict; the next Enforce does.
 func (p *Pager) SetBudget(bytes int) {
 	p.budget = bytes
-	if p.Active() {
-		p.adoptResident()
-	}
 	p.refresh()
 }
 
 // Budget returns the configured byte budget.
 func (p *Pager) Budget() int { return p.budget }
-
-// Active reports whether the pager is tracking group state: a budget is
-// set, or the GMD already holds entries (e.g. restored from recovery).
-// When inactive, the scheme bypasses the pager entirely.
-func (p *Pager) Active() bool { return p.budget > 0 || len(p.gmd) > 0 }
 
 // FastPath reports that every known group is resident and within budget,
 // so lookups may skip the pager (no fault is possible; reference bits are
@@ -213,32 +185,13 @@ func (p *Pager) refresh() {
 	p.fast = p.evicted == 0 && (p.budget <= 0 || p.store.SizeBytes() <= p.budget)
 }
 
-// adoptResident creates GMD entries for store-resident groups the pager
-// has not seen (budget enabled after traffic, or a snapshot restore).
-// Adopted groups are dirty: no image exists yet.
-func (p *Pager) adoptResident() {
-	for _, id := range p.store.ResidentGroups() {
-		if p.gmd[id] == nil {
-			p.gmd[id] = &gmdEntry{resident: true, dirty: true, ref: true}
-			p.ring = append(p.ring, id)
-		}
-	}
-}
-
 // EnsureRead makes gid resident for a lookup. known is false when the
 // group has no state anywhere (never written); the caller treats the
 // LPA as unmapped without touching the store.
-func (p *Pager) EnsureRead(gid addr.GroupID) (cost PageCost, known bool) {
+func (p *Pager) EnsureRead(gid addr.GroupID) (cost ftl.Cost, known bool) {
 	e := p.gmd[gid]
 	if e == nil {
-		if !p.store.HasGroup(gid) {
-			return cost, false
-		}
-		// Self-heal: a resident group the GMD missed (defensive; the
-		// commit path registers every group it creates).
-		p.gmd[gid] = &gmdEntry{resident: true, dirty: true, ref: true}
-		p.ring = append(p.ring, gid)
-		return cost, true
+		return cost, false
 	}
 	if e.resident {
 		e.ref = true
@@ -250,8 +203,8 @@ func (p *Pager) EnsureRead(gid addr.GroupID) (cost PageCost, known bool) {
 
 // EnsureWrite makes gid resident for a commit, creating the GMD entry
 // for a brand-new group, and marks it dirty.
-func (p *Pager) EnsureWrite(gid addr.GroupID) PageCost {
-	var cost PageCost
+func (p *Pager) EnsureWrite(gid addr.GroupID) ftl.Cost {
+	var cost ftl.Cost
 	e := p.gmd[gid]
 	if e == nil {
 		e = &gmdEntry{resident: true}
@@ -268,8 +221,8 @@ func (p *Pager) EnsureWrite(gid addr.GroupID) PageCost {
 // load demand-loads an evicted group back into the store: from its GMD
 // image, or — under the journal — by replaying its base image plus
 // delta chain, charging every distinct flash page the chain touches.
-func (p *Pager) load(gid addr.GroupID, e *gmdEntry) PageCost {
-	img, cost := e.image, PageCost{}
+func (p *Pager) load(gid addr.GroupID, e *gmdEntry) ftl.Cost {
+	img, cost := e.image, ftl.Cost{}
 	if p.journal != nil {
 		img, cost = p.journal.load(gid)
 	}
@@ -288,15 +241,15 @@ func (p *Pager) load(gid addr.GroupID, e *gmdEntry) PageCost {
 		return cost
 	}
 	n := p.imagePages(len(e.image))
-	return PageCost{MetaReads: n, ReadIDs: pageIDs(e.ppa, n)}
+	return ftl.Cost{MetaReads: n, ReadIDs: pageIDs(e.ppa, n)}
 }
 
 // Enforce evicts CLOCK victims until the resident set fits the budget.
 // Call it after any operation that may have grown the table or loaded a
 // group; the just-used groups carry fresh reference bits and get a
 // second chance.
-func (p *Pager) Enforce() PageCost {
-	var cost PageCost
+func (p *Pager) Enforce() ftl.Cost {
+	var cost ftl.Cost
 	if p.budget > 0 {
 		for p.store.SizeBytes() > p.budget && len(p.ring) > 0 {
 			cost.Add(p.evictOne())
@@ -307,7 +260,7 @@ func (p *Pager) Enforce() PageCost {
 }
 
 // evictOne runs the CLOCK sweep and evicts the first unreferenced group.
-func (p *Pager) evictOne() PageCost {
+func (p *Pager) evictOne() ftl.Cost {
 	for sweep := 0; sweep <= 2*len(p.ring); sweep++ {
 		if p.hand >= len(p.ring) {
 			p.hand = 0
@@ -326,8 +279,8 @@ func (p *Pager) evictOne() PageCost {
 
 // evict pages one group out: rewrite its image if the DRAM copy
 // diverged, then drop the DRAM copy.
-func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) PageCost {
-	var cost PageCost
+func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) ftl.Cost {
+	var cost ftl.Cost
 	if !p.store.HasGroup(gid) {
 		// Phantom entry (group registered but never materialized);
 		// forget it.
@@ -357,7 +310,7 @@ func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) PageCost {
 // translation-page image (log-structured: a new virtual PPA each write).
 // Under the journal, the full rewrite becomes a delta append: only the
 // sections that changed since the group's base image travel to flash.
-func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry) PageCost {
+func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry) ftl.Cost {
 	img, err := p.store.MarshalGroup(gid)
 	if err != nil {
 		panic(fmt.Sprintf("core: group %d does not marshal: %v", gid, err))
@@ -379,7 +332,7 @@ func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry) PageCost {
 	e.dirty = false
 	p.stats.DirtyWritebacks++
 	n := p.imagePages(len(img))
-	return PageCost{MetaWrites: n, WriteIDs: pageIDs(e.ppa, n)}
+	return ftl.Cost{MetaWrites: n, WriteIDs: pageIDs(e.ppa, n)}
 }
 
 // unring removes gid from the CLOCK ring, keeping the hand on the
@@ -407,9 +360,8 @@ func (p *Pager) MarkDirty(gid addr.GroupID) {
 
 // FlushDirty persists every dirty resident group (the periodic §3.8
 // table persistence, now group-granular: clean groups cost nothing).
-func (p *Pager) FlushDirty() PageCost {
-	var cost PageCost
-	p.adoptResident() // groups created outside the budgeted path, if any
+func (p *Pager) FlushDirty() ftl.Cost {
+	var cost ftl.Cost
 	for _, gid := range p.ring {
 		e := p.gmd[gid]
 		if e.dirty && p.store.HasGroup(gid) {
@@ -418,43 +370,6 @@ func (p *Pager) FlushDirty() PageCost {
 	}
 	p.refresh()
 	return cost
-}
-
-// EvictedImages returns the current image of every paged-out group, for
-// full-table snapshots (resident groups serialize fresh from DRAM). The
-// returned slices are the live images; callers must not mutate them.
-func (p *Pager) EvictedImages() map[addr.GroupID][]byte {
-	out := make(map[addr.GroupID][]byte, p.evicted)
-	for gid, e := range p.gmd {
-		if !e.resident {
-			if p.journal != nil {
-				out[gid] = p.journal.image(gid)
-			} else {
-				out[gid] = e.image
-			}
-		}
-	}
-	return out
-}
-
-// Reset forgets all GMD and cache state (a snapshot restore replaced the
-// table wholesale) and re-adopts whatever is now resident under the
-// existing budget.
-func (p *Pager) Reset() {
-	p.gmd = make(map[addr.GroupID]*gmdEntry)
-	p.ring = p.ring[:0]
-	p.hand = 0
-	p.evicted, p.evictedBytes, p.flashPages = 0, 0, 0
-	if p.journal != nil {
-		fresh := newJournal(p.pageSize)
-		fresh.configure(p.journal.ppb, p.journal.maxPages)
-		fresh.hook = p.journal.hook
-		p.journal = fresh
-	}
-	if p.Active() {
-		p.adoptResident()
-	}
-	p.refresh()
 }
 
 // PersistedGroups returns the translation-page images that are current
@@ -528,9 +443,6 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 // membership, flash-page accounting, and the budget cap. It is the
 // mapping-side leg of the device's CheckInvariants.
 func (p *Pager) Check() error {
-	if !p.Active() {
-		return nil
-	}
 	onRing := make(map[addr.GroupID]bool, len(p.ring))
 	for _, gid := range p.ring {
 		if onRing[gid] {

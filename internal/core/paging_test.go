@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -8,16 +9,21 @@ import (
 
 // buildMixedTable commits a mix of sequential, strided and irregular
 // batches so groups carry multiple levels, approximate segments and CRB
-// entries — the state a round trip must preserve exactly.
-func buildMixedTable(t *testing.T, gamma int) *Table {
+// entries — the state a round trip must preserve exactly. Every batch
+// goes through a budget-0 pager, as a scheme's commits do, so the pager
+// knows every group.
+func buildMixedTable(t *testing.T, gamma int) (*Table, *Pager) {
 	t.Helper()
 	tab := NewTable(gamma)
+	p := NewPager(tab, 4096)
 	commit := func(lpas []addr.LPA, base addr.PPA) {
 		pairs := make([]addr.Mapping, len(lpas))
 		for i, l := range lpas {
 			pairs[i] = addr.Mapping{LPA: l, PPA: base + addr.PPA(i)}
+			p.EnsureWrite(addr.Group(l))
 		}
 		tab.Update(pairs)
+		p.Enforce()
 	}
 	for g := 0; g < 8; g++ {
 		start := addr.LPA(g * 256)
@@ -31,7 +37,7 @@ func buildMixedTable(t *testing.T, gamma int) *Table {
 	commit([]addr.LPA{300, 302, 305, 309}, 51000)
 	commit([]addr.LPA{512, 514, 516, 518, 520}, 52000)
 	commit([]addr.LPA{11, 12, 13, 14}, 53000)
-	return tab
+	return tab, p
 }
 
 // lookupAll snapshots every translation of the table's covered space.
@@ -49,7 +55,7 @@ func lookupAll(tab *Table, pages int) map[addr.LPA]addr.PPA {
 // and reinstalls it, asserting translations and incremental statistics
 // come back bit-identical.
 func TestGroupRoundTrip(t *testing.T) {
-	tab := buildMixedTable(t, 4)
+	tab, _ := buildMixedTable(t, 4)
 	want := lookupAll(tab, 8*256)
 	wantStats := tab.Stats()
 
@@ -97,7 +103,7 @@ func TestGroupRoundTrip(t *testing.T) {
 // TestInstallGroupRejectsResident pins the aliasing guard: installing an
 // image over live group state must fail, not silently fork the mapping.
 func TestInstallGroupRejectsResident(t *testing.T) {
-	tab := buildMixedTable(t, 4)
+	tab, _ := buildMixedTable(t, 4)
 	img, err := tab.MarshalGroup(0)
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +123,10 @@ func TestInstallGroupRejectsResident(t *testing.T) {
 // budget holds after every enforcement, faults demand-load evicted
 // groups, and recently used groups survive the CLOCK sweep.
 func TestPagerBudgetAndClock(t *testing.T) {
-	tab := buildMixedTable(t, 4)
-	p := NewPager(tab, 4096)
+	tab, p := buildMixedTable(t, 4)
+	if err := p.Check(); err != nil {
+		t.Fatal(err)
+	}
 	p.SetBudget(tab.SizeBytes() / 3)
 	if cost := p.Enforce(); cost.MetaWrites == 0 {
 		t.Fatal("shrinking below a full table wrote nothing back")
@@ -197,27 +205,48 @@ func TestPagerBudgetAndClock(t *testing.T) {
 	}
 }
 
-// TestSnapshotWithImages pins that a full snapshot of a partially
-// evicted table equals the snapshot of the never-evicted table.
-func TestSnapshotWithImages(t *testing.T) {
-	full := buildMixedTable(t, 4)
-	want, err := full.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestPagedImagesMatchResident pins that the images a partially evicted
+// table persists for its paged-out groups, together with its resident
+// groups' records, equal the records of the never-evicted table.
+func TestPagedImagesMatchResident(t *testing.T) {
+	full, _ := buildMixedTable(t, 4)
+	want := groupImages(t, full)
 
-	paged := buildMixedTable(t, 4)
-	p := NewPager(paged, 4096)
+	paged, p := buildMixedTable(t, 4)
 	p.SetBudget(paged.SizeBytes() / 4)
 	p.Enforce()
 	if p.EvictedGroups() == 0 {
 		t.Fatal("budget did not evict")
 	}
-	got, err := paged.SnapshotWith(p.EvictedImages())
-	if err != nil {
+	got := p.PersistedGroups()
+	for gid, img := range groupImages(t, paged) {
+		if _, dup := got[gid]; dup {
+			t.Fatalf("group %d is both resident and persisted clean after an eviction pass", gid)
+		}
+		got[gid] = img
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d groups, want %d", len(got), len(want))
+	}
+	for gid, img := range want {
+		if string(got[gid]) != string(img) {
+			t.Fatalf("group %d: paged image differs from the fully resident record", gid)
+		}
+	}
+}
+
+// TestCheckFlagsUnregisteredGroup: a group that reaches the table without
+// passing through EnsureWrite fails the audit, even on a budget-0 pager
+// that has never registered a group.
+func TestCheckFlagsUnregisteredGroup(t *testing.T) {
+	tab := NewTable(4)
+	p := NewPager(tab, 4096)
+	if err := p.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != string(want) {
-		t.Fatal("snapshot of paged table differs from fully resident snapshot")
+	tab.Update(mappings(0, 1, 100, 16))
+	err := p.Check()
+	if err == nil || !strings.Contains(err.Error(), "has no GMD entry") {
+		t.Fatalf("Check = %v, want a missing GMD entry", err)
 	}
 }

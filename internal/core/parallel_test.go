@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -130,16 +131,8 @@ func (c *commitTwins) repair() {
 // check requires the twins to be the same table.
 func (c *commitTwins) check(when string) {
 	c.t.Helper()
-	a, err := c.serial.MarshalBinary()
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	b, err := c.parallel.MarshalBinary()
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		c.t.Fatalf("%s: snapshots differ (%d vs %d bytes)", when, len(a), len(b))
+	if !maps.EqualFunc(groupImages(c.t, c.serial), groupImages(c.t, c.parallel), bytes.Equal) {
+		c.t.Fatalf("%s: group images differ", when)
 	}
 	if sa, sb := c.serial.Stats(), c.parallel.Stats(); sa != sb {
 		c.t.Fatalf("%s: stats diverge: serial %+v, parallel %+v", when, sa, sb)
@@ -168,8 +161,8 @@ func helpersWorked(tb *Table) bool {
 
 // TestParallelCommitMatchesSerial: a table that spreads its batches over
 // helpers is the table that commits them one run at a time, after every
-// host, GC-relocation and repair batch, in snapshot bytes, statistics,
-// shape and exact bits.
+// host, GC-relocation and repair batch, in group-record bytes,
+// statistics, shape and exact bits.
 func TestParallelCommitMatchesSerial(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		for _, bitmap := range []bool{false, true} {

@@ -3,73 +3,31 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"leaftl/internal/addr"
 )
 
-// Serialization of the learned mapping table (paper §3.8): LeaFTL stores
-// the learned index segments in flash translation blocks, indexed by the
-// global mapping directory (GMD), so the table survives power cycles
-// without a full OOB scan when battery-backed DRAM persists it on
-// failure. The format is deliberately simple and versioned:
+// The per-group wire record (paper §3.8): LeaFTL stores the learned index
+// segments of each 256-LPA group in flash translation blocks, indexed by
+// the global mapping directory (GMD). One record carries one group:
 //
-//	header:  magic "LFTL" | version u8 | gamma u8
-//	groups:  count u32, then per group (ascending group id):
-//	         gid u32
-//	         exact bitmap: 32 bytes (one bit per LPA slot)
-//	         levels u16
-//	         per level: segments u16, then 8-byte encoded segments
-//	         crb entries u16, then per entry: len u8, offsets…
+//	gid u32
+//	exact bitmap: 32 bytes (one bit per LPA slot)
+//	levels u16
+//	per level: segments u16, then 8-byte encoded segments
+//	crb entries u16, then per entry: len u8, offsets…
 //
 // All integers are little-endian. The encoding is exactly the DRAM
-// footprint the paper counts (8 bytes per segment plus CRB bytes) plus
-// small per-group headers. The predicted-exact bitmap (exact.go) is
-// always present on the wire — all-zero while the feature is disabled —
-// so the record has one shape, and it round-trips bit-identically
-// through page-out, snapshot, and recovery. Version 5 dropped the
-// 15-byte per-group tuning block that versions 2–3 carried ahead of the
-// bitmap (version 4 is the journal's); older snapshots are rejected.
-//
-// The per-group record (everything after the snapshot header and count)
-// is also the unit the demand-paging machinery moves to and from flash
-// translation pages: MarshalGroup/InstallGroup speak exactly this record,
-// so a full snapshot is a header plus the concatenated translation-page
-// payloads of every group.
+// footprint the paper counts (8 bytes per segment plus CRB bytes) plus a
+// small header. The predicted-exact bitmap (exact.go) is always present
+// on the wire — all-zero while the feature is disabled — so the record
+// has one shape, and it round-trips bit-identically through page-out and
+// recovery. MarshalGroup/InstallGroup (pageable.go) speak this record;
+// it is the translation-page payload the pager moves to and from flash,
+// and the base image the mapping-delta journal (journal.go) diffs
+// against.
 
-const (
-	persistMagic   = "LFTL"
-	persistVersion = 5
-)
-
-// appendRecordHeader writes the shared versioned-record framing — the
-// "LFTL" magic plus a version byte — that prefixes both full snapshots
-// and journal delta records.
-func appendRecordHeader(buf []byte, version uint8) []byte {
-	buf = append(buf, persistMagic...)
-	return append(buf, version)
-}
-
-// readRecordHeader consumes the shared versioned-record framing and
-// returns the version byte, rejecting anything outside [minVer, maxVer].
-// kind names the record family for error messages ("snapshot", "journal
-// record"). Every versioned reader — snapshots and journal records —
-// funnels through here so magic and version validation exist exactly
-// once.
-func readRecordHeader(r *reader, kind string, minVer, maxVer uint8) (uint8, error) {
-	magic, err := r.bytes(len(persistMagic))
-	if err != nil || string(magic) != persistMagic {
-		return 0, fmt.Errorf("core: bad %s magic", kind)
-	}
-	ver, err := r.u8()
-	if err != nil || ver < minVer || ver > maxVer {
-		return 0, fmt.Errorf("core: unsupported %s version %d", kind, ver)
-	}
-	return ver, nil
-}
-
-// appendGroupRecord serializes one group in the snapshot's per-group
-// record format.
+// appendGroupRecord serializes one group record.
 func appendGroupRecord(buf []byte, id addr.GroupID, g *group) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 	buf = append(buf, g.exact[:]...)
@@ -152,7 +110,7 @@ func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 			return 0, nil, err
 		}
 		if n == 0 {
-			return 0, nil, fmt.Errorf("core: empty CRB entry in snapshot")
+			return 0, nil, fmt.Errorf("core: empty CRB entry in group record")
 		}
 		g.crb.entries = append(g.crb.entries, crbEntry{lpas: append([]uint8(nil), lpas...)})
 	}
@@ -169,97 +127,6 @@ func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 	return addr.GroupID(gid), g, nil
 }
 
-// MarshalBinary serializes the table. The dense group slice is already in
-// ascending group-ID order.
-func (t *Table) MarshalBinary() ([]byte, error) {
-	return t.SnapshotWith(nil)
-}
-
-// SnapshotWith serializes the table plus the given evicted-group images
-// into one full snapshot: resident groups marshal fresh from DRAM,
-// paged-out groups contribute their translation-page records verbatim,
-// merged in ascending group-ID order. A group that is both resident and
-// imaged is an error (the pager guarantees disjointness).
-func (t *Table) SnapshotWith(images map[addr.GroupID][]byte) ([]byte, error) {
-	gids := make([]addr.GroupID, 0, len(images))
-	for gid := range images {
-		if t.HasGroup(gid) {
-			return nil, fmt.Errorf("core: group %d is both resident and imaged", gid)
-		}
-		gids = append(gids, gid)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-
-	buf := make([]byte, 0, 64+t.SizeBytes())
-	buf = appendRecordHeader(buf, persistVersion)
-	buf = append(buf, uint8(t.gamma))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.nGroups+len(images)))
-
-	var ferr error
-	k := 0
-	t.eachGroup(func(id addr.GroupID, g *group) {
-		if ferr != nil {
-			return
-		}
-		for k < len(gids) && gids[k] < id {
-			buf = append(buf, images[gids[k]]...)
-			k++
-		}
-		buf, ferr = appendGroupRecord(buf, id, g)
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	for ; k < len(gids); k++ {
-		buf = append(buf, images[gids[k]]...)
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary replaces the table's contents with the serialized
-// state. The receiver's gamma is overwritten by the stored value.
-func (t *Table) UnmarshalBinary(data []byte) error {
-	r := reader{buf: data}
-	if _, err := readRecordHeader(&r, "snapshot", persistVersion, persistVersion); err != nil {
-		return err
-	}
-	gamma, err := r.u8()
-	if err != nil {
-		return err
-	}
-	nGroups, err := r.u32()
-	if err != nil {
-		return err
-	}
-
-	var groups []*group
-	lastGid := int64(-1)
-	for i := uint32(0); i < nGroups; i++ {
-		gid, g, err := readGroupRecord(&r)
-		if err != nil {
-			return err
-		}
-		// Marshal writes groups in strictly ascending gid order; a corrupt
-		// snapshot must not repeat or reorder them.
-		if int64(gid) <= lastGid {
-			return fmt.Errorf("core: snapshot group id %d out of order", gid)
-		}
-		lastGid = int64(gid)
-		for len(groups) <= int(gid) {
-			groups = append(groups, nil)
-		}
-		groups[gid] = g
-	}
-	if r.off != len(data) {
-		return fmt.Errorf("core: %d trailing bytes in snapshot", len(data)-r.off)
-	}
-
-	t.gamma = int(gamma)
-	t.groups = groups
-	t.recomputeStats()
-	return nil
-}
-
 // reader is a bounds-checked little-endian cursor.
 type reader struct {
 	buf []byte
@@ -268,7 +135,7 @@ type reader struct {
 
 func (r *reader) bytes(n int) ([]byte, error) {
 	if r.off+n > len(r.buf) {
-		return nil, fmt.Errorf("core: truncated snapshot at offset %d", r.off)
+		return nil, fmt.Errorf("core: truncated record at offset %d", r.off)
 	}
 	b := r.buf[r.off : r.off+n]
 	r.off += n

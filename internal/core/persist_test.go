@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -45,21 +47,39 @@ func buildChurnedTable(t *testing.T, gamma int, seed int64) (*Table, model) {
 	return tb, m
 }
 
+// groupImages marshals every resident group. Two tables with equal
+// images hold the same mapping state.
+func groupImages(t testing.TB, tb *Table) map[addr.GroupID][]byte {
+	t.Helper()
+	out := make(map[addr.GroupID][]byte)
+	for _, gid := range tb.ResidentGroups() {
+		img, err := tb.MarshalGroup(gid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[gid] = img
+	}
+	return out
+}
+
+// emptyGroupRecord is the wire record of a group holding no state: the
+// id, an all-zero bitmap, no levels and no CRB entries.
+func emptyGroupRecord(gid uint8) []byte {
+	return append([]byte{gid, 0, 0, 0}, make([]byte, exactBitmapBytes+4)...)
+}
+
+// TestMarshalRoundTrip installs every group record of a churned table
+// into a fresh table and requires identical lookups and statistics, and
+// a table that keeps working afterwards.
 func TestMarshalRoundTrip(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		t.Run(gammaName(gamma), func(t *testing.T) {
 			tb, m := buildChurnedTable(t, gamma, 31)
-			data, err := tb.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			restored := NewTable(99) // gamma overwritten by the snapshot
-			if err := restored.UnmarshalBinary(data); err != nil {
-				t.Fatal(err)
-			}
-			if restored.Gamma() != gamma {
-				t.Errorf("gamma = %d, want %d", restored.Gamma(), gamma)
+			restored := NewTable(gamma)
+			for gid, img := range groupImages(t, tb) {
+				if got, err := restored.InstallGroup(img); err != nil || got != gid {
+					t.Fatalf("install group %d: got %d, %v", gid, got, err)
+				}
 			}
 			// Every lookup must agree exactly with the original table.
 			for lpa := range m {
@@ -85,72 +105,89 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 func TestMarshalSizeMatchesAccounting(t *testing.T) {
 	tb, _ := buildChurnedTable(t, 4, 7)
-	data, err := tb.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot = footprint (segments + CRB) + headers; headers are small.
-	footprint := tb.SizeBytes()
-	if len(data) < footprint {
-		t.Errorf("snapshot %dB smaller than footprint %dB", len(data), footprint)
-	}
 	st := tb.Stats()
-	overhead := len(data) - footprint
+	total := 0
+	for gid, img := range groupImages(t, tb) {
+		// Record = footprint (segments + CRB) + a small header.
+		footprint := tb.GroupFootprint(gid)
+		if len(img) < footprint {
+			t.Errorf("group %d: record %dB smaller than footprint %dB", gid, len(img), footprint)
+		}
+		total += len(img)
+	}
+	overhead := total - tb.SizeBytes()
 	// Per group: 4B gid + 32B exact bitmap + 2B level count + 2B CRB
-	// count.
-	maxOverhead := 16 + st.Groups*40 + st.TotalLevels*2 + st.Approximate*1
+	// count; per level a 2B segment count; per CRB entry a length byte.
+	maxOverhead := st.Groups*40 + st.TotalLevels*2 + st.Approximate*1
 	if overhead > maxOverhead {
-		t.Errorf("snapshot overhead %dB exceeds bound %dB", overhead, maxOverhead)
+		t.Errorf("record overhead %dB exceeds bound %dB", overhead, maxOverhead)
 	}
 }
 
 func TestUnmarshalErrors(t *testing.T) {
 	tb, _ := buildChurnedTable(t, 0, 3)
-	good, err := tb.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	var good []byte
+	for _, img := range groupImages(t, tb) {
+		if len(img) > len(good) {
+			good = img // the largest record: several levels and a CRB
+		}
 	}
+	implausible := append([]byte(nil), good...)
+	implausible[3] = 0xff // group id ≥ 2^24
 	cases := map[string][]byte{
-		"empty":         {},
-		"bad magic":     append([]byte("XXXX"), good[4:]...),
-		"bad version":   append([]byte("LFTL\xff"), good[5:]...),
-		"truncated":     good[:len(good)/2],
-		"trailing junk": append(append([]byte(nil), good...), 0xAA),
+		"empty":            {},
+		"short gid":        good[:3],
+		"implausible gid":  implausible,
+		"truncated bitmap": good[:4+exactBitmapBytes/2],
+		"truncated":        good[:len(good)/2],
+		"trailing junk":    append(append([]byte(nil), good...), 0xAA),
 	}
 	for name, data := range cases {
-		fresh := NewTable(0)
-		if err := fresh.UnmarshalBinary(data); err == nil {
+		if _, err := NewTable(0).InstallGroup(data); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	// A record whose CRB holds one entry of no LPAs.
+	rec := emptyGroupRecord(1)
+	rec[len(rec)-2] = 1
+	if _, err := NewTable(0).InstallGroup(rec); err == nil {
+		t.Error("empty CRB entry accepted")
 	}
 }
 
 func TestMarshalDeterministic(t *testing.T) {
 	tb, _ := buildChurnedTable(t, 4, 5)
-	a, err := tb.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tb.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
+	if !maps.EqualFunc(groupImages(t, tb), groupImages(t, tb), bytes.Equal) {
 		t.Error("marshal is nondeterministic")
+	}
+	// Two tables built by the same commits marshal to the same bytes.
+	twin, _ := buildChurnedTable(t, 4, 5)
+	if !maps.EqualFunc(groupImages(t, tb), groupImages(t, twin), bytes.Equal) {
+		t.Error("equal tables marshal differently")
 	}
 }
 
+// TestMarshalEmptyTable: an empty table has no records, and a group with
+// no state round-trips as the minimal record.
 func TestMarshalEmptyTable(t *testing.T) {
 	tb := NewTable(2)
-	data, err := tb.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	if imgs := groupImages(t, tb); len(imgs) != 0 {
+		t.Fatalf("empty table marshals %d groups", len(imgs))
 	}
+	if _, err := tb.MarshalGroup(0); err == nil {
+		t.Fatal("marshaled a group the table does not hold")
+	}
+	rec := emptyGroupRecord(7)
 	restored := NewTable(0)
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
+	gid, err := restored.InstallGroup(rec)
+	if err != nil || gid != 7 {
+		t.Fatalf("minimal record: gid %d, %v", gid, err)
 	}
-	if restored.Gamma() != 2 || restored.Stats().Groups != 0 {
-		t.Errorf("restored empty table: gamma=%d groups=%d", restored.Gamma(), restored.Stats().Groups)
+	if restored.SizeBytes() != 0 {
+		t.Errorf("empty group accounts %dB", restored.SizeBytes())
+	}
+	again, err := restored.MarshalGroup(7)
+	if err != nil || string(again) != string(rec) {
+		t.Fatalf("minimal record does not round-trip: %x vs %x (%v)", again, rec, err)
 	}
 }

@@ -215,8 +215,8 @@ func (t *Table) Gamma() int { return t.gamma }
 
 // EnableExactBitmap turns on predicted-exact bitmap maintenance for the
 // life of the table (there is no way back: disabling would leave stale
-// set bits). Bits already present — e.g. restored from a snapshot
-// taken by a bitmap-enabled table — become live immediately.
+// set bits). Bits already present — e.g. installed from a group record
+// written by a bitmap-enabled table — become live immediately.
 func (t *Table) EnableExactBitmap() { t.bitmapOn = true }
 
 // ExactBitmapEnabled reports whether the table maintains predicted-exact
@@ -906,29 +906,6 @@ func (t *Table) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// recomputeStats rebuilds every incremental counter by walking the table
-// (snapshot-restore path, and the cross-check in tests).
-func (t *Table) recomputeStats() {
-	t.nGroups, t.nSegments, t.nAccurate, t.crbBytes, t.totalLevels = 0, 0, 0, 0, 0
-	t.levelFreq = append(t.levelFreq[:0], 0)
-	t.eachGroup(func(_ addr.GroupID, g *group) {
-		t.nGroups++
-		n := len(g.levels)
-		t.totalLevels += n
-		for len(t.levelFreq) <= n {
-			t.levelFreq = append(t.levelFreq, 0)
-		}
-		t.levelFreq[n]++
-		g.crb.recompute()
-		t.crbBytes += g.crb.sizeBytes()
-		for li := range g.levels {
-			for i := range g.levels[li].segs {
-				t.noteAdd(g.levels[li].segs[i])
-			}
-		}
-	})
 }
 
 // LevelCounts returns the number of levels of every group, for the

@@ -456,3 +456,26 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// recomputeStats rebuilds every incremental counter by walking the table:
+// the from-scratch oracle the incremental bookkeeping is checked against.
+func (t *Table) recomputeStats() {
+	t.nGroups, t.nSegments, t.nAccurate, t.crbBytes, t.totalLevels = 0, 0, 0, 0, 0
+	t.levelFreq = append(t.levelFreq[:0], 0)
+	t.eachGroup(func(_ addr.GroupID, g *group) {
+		t.nGroups++
+		n := len(g.levels)
+		t.totalLevels += n
+		for len(t.levelFreq) <= n {
+			t.levelFreq = append(t.levelFreq, 0)
+		}
+		t.levelFreq[n]++
+		g.crb.recompute()
+		t.crbBytes += g.crb.sizeBytes()
+		for li := range g.levels {
+			for i := range g.levels[li].segs {
+				t.noteAdd(g.levels[li].segs[i])
+			}
+		}
+	})
+}

@@ -141,7 +141,7 @@ func NewSuite(s Scale, seed int64) *Suite {
 type runKey struct {
 	cfg      string // "sim", "sim-capped", "proto", "dram:N", "page:N", "nosort"
 	workload string
-	scheme   string // "LeaFTL", "DFTL", "SFTL", "LeaFTL-inplace", ...
+	scheme   string // "LeaFTL", "DFTL", "SFTL"
 	gamma    int
 }
 
@@ -225,7 +225,7 @@ func (s *Suite) newScheme(name string, gamma int, cfg ssd.Config, opts ...leaftl
 		compactEvery = 5_000
 	}
 	switch name {
-	case "LeaFTL", "LeaFTL-nosort":
+	case "LeaFTL":
 		all := append([]leaftl.Option{leaftl.WithCompactEvery(compactEvery)}, opts...)
 		return leaftl.New(gamma, cfg.Flash.PageSize, all...)
 	case "DFTL":

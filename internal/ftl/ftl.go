@@ -164,10 +164,10 @@ type Journaled interface {
 	JournalStats() JournalStats
 }
 
-// JournalStats mirrors core.JournalStats at the ftl layer (core cannot
-// import ftl): mapping-delta journal activity and occupancy.
+// JournalStats counts mapping-delta journal activity and occupancy.
 type JournalStats struct {
-	// Appends counts delta records appended; Bases full-image records.
+	// Appends counts delta records appended; Bases full-image records
+	// (new groups, threshold folds, GC folds, recovery seeds).
 	Appends uint64
 	Bases   uint64
 	// Folds counts chains collapsed into fresh images; GCRuns journal

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/core"
 )
 
 // TestBitmapFeedbackProperty is the read-feedback correctness property:
@@ -72,8 +73,10 @@ func TestBitmapFeedbackProperty(t *testing.T) {
 				if err := s.CheckMapping(); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := s.Snapshot(); err != nil {
-					t.Fatal(err)
+				for gid, img := range s.PersistedGroups() {
+					if _, err := core.NewTable(0).InstallGroup(img); err != nil {
+						t.Fatalf("persisted group %d does not decode: %v", gid, err)
+					}
 				}
 			}
 

@@ -2,15 +2,15 @@
 // ftl.Scheme interface the SSD device drives (paper §3.8 "Put It All
 // Together").
 //
-// The learned table's whole point is being small (Figures 15/19), so it
-// usually stays fully DRAM-resident and translations cost no flash
-// accesses. When a real byte budget is set (SetBudget > 0), the scheme
-// demand-pages 256-LPA segment groups to flash translation pages through
-// a Global Mapping Directory (core.Pager): lookups and commits touching a
-// non-resident group charge translation-page reads, dirty evictions and
-// periodic persistence charge translation-page writes, exactly like
-// DFTL's cached mapping table — which makes DRAM-budget comparisons
-// between the schemes honest.
+// Every commit registers its 256-LPA segment groups in a Global Mapping
+// Directory (core.Pager). The learned table's whole point is being small
+// (Figures 15/19), so it usually stays fully DRAM-resident and
+// translations cost no flash accesses. When the byte budget binds
+// (SetBudget > 0), the pager demand-pages groups to flash translation
+// pages: lookups and commits touching a non-resident group charge
+// translation-page reads, dirty evictions and periodic persistence charge
+// translation-page writes, exactly like DFTL's cached mapping table —
+// which makes DRAM-budget comparisons between the schemes honest.
 //
 // The table compacts itself as it is written (core's per-group rebuild
 // triggers, §3.7). The scheme's periodic maintenance (every CompactEvery
@@ -34,12 +34,6 @@ type Option func(*Scheme)
 // paper's default is one million (§3.7).
 func WithCompactEvery(n uint64) Option {
 	return func(s *Scheme) { s.compactEvery = n }
-}
-
-// WithoutSortedFlush is used by the buffer-sorting ablation; it only
-// marks the scheme name, the device owns actual buffer sorting.
-func WithoutSortedFlush() Option {
-	return func(s *Scheme) { s.name = "LeaFTL-nosort" }
 }
 
 // WithAutoTune does nothing: the exactness bitmap (WithExactBitmap)
@@ -128,15 +122,6 @@ func (s *Scheme) Gamma() int { return s.table.Gamma() }
 // only the resident groups.
 func (s *Scheme) Table() *core.Table { return s.table }
 
-// pageCost converts pager flash-operation counts into an ftl.Cost,
-// carrying the translation-page identities through for die routing.
-func pageCost(pc core.PageCost) ftl.Cost {
-	return ftl.Cost{
-		MetaReads: pc.MetaReads, MetaWrites: pc.MetaWrites,
-		ReadIDs: pc.ReadIDs, WriteIDs: pc.WriteIDs,
-	}
-}
-
 // sweepCost builds the whole-table persistence cost: page i of the
 // packed sweep is page i every sweep, so ids are just the page index.
 func sweepCost(pages int) ftl.Cost {
@@ -147,28 +132,29 @@ func sweepCost(pages int) ftl.Cost {
 	return c
 }
 
-// commitPaged commits a sorted batch through the pager in three steps.
+// commit commits a sorted batch through the pager in three steps.
 // First every group the batch touches is made resident and dirtied, in
 // ascending group order, demand-loading the ones paged out. Then the
 // whole batch goes to the table in one update call, so the table may
 // commit its group runs in parallel. Last, the byte cap is enforced once.
 // While the batch commits, the resident set may exceed the budget by the
-// batch's own groups; when commitPaged returns it is back within it.
-// Each group is loaded at most once per batch, so the batch charges the
-// same translation-page reads as loading its groups one by one. update
-// is Table.Update or a Relearn wrapper.
-func commitPaged(p *core.Pager, update func([]addr.Mapping) int, pairs []addr.Mapping) (int, core.PageCost) {
-	var pc core.PageCost
+// batch's own groups; when commit returns it is back within it. Each
+// group is loaded at most once per batch, so the batch charges the same
+// translation-page reads as loading its groups one by one. update is
+// Table.Update or a Relearn wrapper; it returns the segments learned.
+func (s *Scheme) commit(update func([]addr.Mapping) int, pairs []addr.Mapping) ftl.Cost {
+	var cost ftl.Cost
 	for i := 0; i < len(pairs); {
 		gid := addr.Group(pairs[i].LPA)
-		pc.Add(p.EnsureWrite(gid))
+		cost.Add(s.pager.EnsureWrite(gid))
 		for i < len(pairs) && addr.Group(pairs[i].LPA) == gid {
 			i++
 		}
 	}
-	n := update(pairs)
-	pc.Add(p.Enforce())
-	return n, pc
+	s.segLearned += uint64(update(pairs))
+	s.batchCount++
+	cost.Add(s.pager.Enforce())
+	return cost
 }
 
 // Translate implements ftl.Scheme. Under a binding budget, a lookup in a
@@ -176,14 +162,13 @@ func commitPaged(p *core.Pager, update func([]addr.Mapping) int, pairs []addr.Ma
 // possibly evicting colder groups (MetaWrites when dirty).
 func (s *Scheme) Translate(lpa addr.LPA) (ftl.Translation, bool) {
 	var cost ftl.Cost
-	if s.pager.Active() && !s.pager.FastPath() {
-		pc, known := s.pager.EnsureRead(addr.Group(lpa))
-		if !known {
+	if !s.pager.FastPath() {
+		var known bool
+		if cost, known = s.pager.EnsureRead(addr.Group(lpa)); !known {
 			return ftl.Translation{}, false
 		}
 		ppa, res, ok := s.table.Lookup(lpa)
-		pc.Add(s.pager.Enforce())
-		cost = pageCost(pc)
+		cost.Add(s.pager.Enforce())
 		if !ok {
 			return ftl.Translation{Cost: cost}, false
 		}
@@ -209,18 +194,9 @@ func (s *Scheme) noteLookup(res core.LookupResult) {
 // controller CPU (Table 3 measures it at ~10µs per 256 mappings) and
 // costs no flash operations; under a budget, committing into paged-out
 // groups demand-loads them and the byte cap is re-enforced after the
-// batch (commitPaged).
+// batch (commit).
 func (s *Scheme) Commit(pairs []addr.Mapping) ftl.Cost {
-	if s.pager.Active() {
-		n, pc := commitPaged(s.pager, s.table.Update, pairs)
-		s.segLearned += uint64(n)
-		s.batchCount++
-		return pageCost(pc)
-	}
-	n := s.table.Update(pairs)
-	s.segLearned += uint64(n)
-	s.batchCount++
-	return ftl.Cost{}
+	return s.commit(s.table.Update, pairs)
 }
 
 // SetBudget implements ftl.Scheme: a positive budget caps the resident
@@ -239,12 +215,7 @@ func (s *Scheme) MemoryBytes() int { return s.table.SizeBytes() }
 
 // FullSizeBytes implements ftl.Scheme: the complete learned table,
 // resident or paged out.
-func (s *Scheme) FullSizeBytes() int {
-	if s.pager.Active() {
-		return s.pager.FullSizeBytes()
-	}
-	return s.table.SizeBytes()
-}
+func (s *Scheme) FullSizeBytes() int { return s.pager.FullSizeBytes() }
 
 // Maintain implements ftl.Scheme: every compactEvery host page writes,
 // sweep the groups written since their last rebuild (§3.7; the commit
@@ -267,9 +238,9 @@ func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 		for _, gid := range s.table.CompactChanged() {
 			s.pager.MarkDirty(gid)
 		}
-		pc := s.pager.FlushDirty()
-		pc.Add(s.pager.Enforce())
-		return pageCost(pc)
+		cost := s.pager.FlushDirty()
+		cost.Add(s.pager.Enforce())
+		return cost
 	}
 	// The budget has never bound: persist the whole table in one sweep
 	// (the pre-paging model — packed translation pages, no per-group
@@ -305,15 +276,10 @@ func (s *Scheme) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hint
 	if !approx || actual == predicted {
 		return ftl.Cost{}
 	}
-	ls := repairPoint(lpa, actual)
-	if s.pager.Active() {
-		pc := s.pager.EnsureWrite(addr.Group(lpa))
-		s.table.Insert(ls)
-		pc.Add(s.pager.Enforce())
-		return pageCost(pc)
-	}
-	s.table.Insert(ls)
-	return ftl.Cost{}
+	cost := s.pager.EnsureWrite(addr.Group(lpa))
+	s.table.Insert(repairPoint(lpa, actual))
+	cost.Add(s.pager.Enforce())
+	return cost
 }
 
 // NoteExact implements ftl.MissReporter, which the benchmark under bench/
@@ -336,16 +302,8 @@ func (s *Scheme) CommitGC(pairs []addr.Mapping) (ftl.Cost, int) {
 		groups += gr
 		return sg
 	}
-	if s.pager.Active() {
-		n, pc := commitPaged(s.pager, relearn, pairs)
-		s.segLearned += uint64(n)
-		s.batchCount++
-		return pageCost(pc), groups
-	}
-	n := relearn(pairs)
-	s.segLearned += uint64(n)
-	s.batchCount++
-	return ftl.Cost{}, groups
+	cost := s.commit(relearn, pairs)
+	return cost, groups
 }
 
 // AuditExact implements ftl.ExactAuditor: verify every resident set bit
@@ -375,25 +333,12 @@ func (s *Scheme) ConfigureJournal(pagesPerBlock, maxPages int) {
 }
 
 // JournalStats implements ftl.Journaled.
-func (s *Scheme) JournalStats() ftl.JournalStats {
-	return journalStats(s.pager.JournalStats())
-}
+func (s *Scheme) JournalStats() ftl.JournalStats { return s.pager.JournalStats() }
 
 // SetJournalCrashHook installs the crash-injection hook fired at the
 // journal's GC and fold points (reliability torture wiring).
 func (s *Scheme) SetJournalCrashHook(fn func(string)) {
 	s.pager.SetJournalHook(fn)
-}
-
-// journalStats converts the pager's journal counters into the ftl-layer
-// mirror (core cannot import ftl — the PageCost→Cost precedent).
-func journalStats(js core.JournalStats) ftl.JournalStats {
-	return ftl.JournalStats{
-		Appends: js.Appends, Bases: js.Bases, Folds: js.Folds,
-		GCRuns: js.GCRuns, Replays: js.Replays,
-		Pages: js.Pages, Blocks: js.Blocks,
-		Groups: js.Groups, MaxChain: js.MaxChain,
-	}
 }
 
 // TranslationPages implements ftl.GroupPaged.
@@ -423,30 +368,6 @@ func (s *Scheme) CheckMapping() error {
 // PagingStats exposes the pager's fault/eviction counters (the source of
 // the benchmark's pager.* metrics).
 func (s *Scheme) PagingStats() core.PagerStats { return s.pager.Stats() }
-
-// Snapshot serializes the full learned table — resident groups fresh
-// from DRAM, paged-out groups from their translation-page images (the
-// §3.8 flash layout). With battery-backed DRAM this is persisted on
-// power failure and recovery is one Restore instead of an OOB scan.
-func (s *Scheme) Snapshot() ([]byte, error) {
-	if s.pager.Active() {
-		return s.table.SnapshotWith(s.pager.EvictedImages())
-	}
-	return s.table.MarshalBinary()
-}
-
-// Restore replaces the learned table with a Snapshot image. The restored
-// table starts fully resident; an active budget re-evicts on the spot
-// (the writebacks are part of re-seeding the translation blocks and are
-// not charged to any host request).
-func (s *Scheme) Restore(data []byte) error {
-	if err := s.table.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	s.pager.Reset()
-	s.pager.Enforce()
-	return nil
-}
 
 // LookupLevels reports the average levels visited per lookup and the
 // histogram of level counts (Figure 23a).

@@ -81,39 +81,3 @@ func TestSchemeStatsCounters(t *testing.T) {
 		t.Error("table accessor nil")
 	}
 }
-
-func TestSnapshotRestore(t *testing.T) {
-	s := New(4, 4096)
-	ir := func(lpas []addr.LPA, ppa addr.PPA) []addr.Mapping {
-		out := make([]addr.Mapping, len(lpas))
-		for i, l := range lpas {
-			out[i] = addr.Mapping{LPA: l, PPA: ppa + addr.PPA(i)}
-		}
-		return out
-	}
-	s.Commit(seq(0, 100, 256))
-	s.Commit(ir([]addr.LPA{300, 302, 305, 309}, 5000))
-	s.Commit(seq(64, 9000, 64))
-
-	img, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := New(0, 4096)
-	if err := fresh.Restore(img); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Gamma() != 4 {
-		t.Errorf("gamma after restore = %d", fresh.Gamma())
-	}
-	for _, lpa := range []addr.LPA{0, 63, 64, 127, 300, 305, 255} {
-		a, aok := s.Translate(lpa)
-		b, bok := fresh.Translate(lpa)
-		if aok != bok || a.PPA != b.PPA {
-			t.Errorf("Translate(%d): %v/%v vs %v/%v", lpa, a.PPA, aok, b.PPA, bok)
-		}
-	}
-	if err := fresh.Restore([]byte("garbage")); err == nil {
-		t.Error("garbage snapshot accepted")
-	}
-}

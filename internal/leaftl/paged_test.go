@@ -97,7 +97,7 @@ func TestBudgetPropertyRandomWorkloads(t *testing.T) {
 	}
 }
 
-// TestCommitPagedBatch pins commitPaged's batch order: a batch's groups
+// TestCommitPagedBatch pins commit's batch order: a batch's groups
 // are all loaded before the one table call, and the budget is enforced
 // once after it. A batch whose groups together exceed the budget still
 // commits, ends within the budget, and charges the same translation-page
@@ -207,11 +207,13 @@ func TestPagedMaintainChargesDirtyGroupsOnly(t *testing.T) {
 	}
 }
 
-// TestPagedSnapshotRestore pins that snapshots taken under a binding
-// budget capture paged-out groups, and that restoring re-enforces the
-// budget.
-func TestPagedSnapshotRestore(t *testing.T) {
-	s := New(4, 4096)
+// TestPagedGroupsRestore pins the recovery round trip at the scheme
+// level: once maintenance has persisted every group under a binding
+// budget, a fresh scheme seeded with the persisted images translates
+// exactly like the original, and one restored under a tighter budget
+// demand-loads within it.
+func TestPagedGroupsRestore(t *testing.T) {
+	s := New(4, 4096, WithCompactEvery(1))
 	for b := 0; b < 8; b++ {
 		s.Commit(seq(addr.LPA(b*256), addr.PPA(b*256), 256))
 	}
@@ -222,27 +224,29 @@ func TestPagedSnapshotRestore(t *testing.T) {
 	if s.MemoryBytes() > full/4 {
 		t.Fatalf("budget not enforced: %d > %d", s.MemoryBytes(), full/4)
 	}
+	s.Maintain(10) // persist the dirty resident groups
+	images := s.PersistedGroups()
+	if len(images) != 8 {
+		t.Fatalf("%d groups persisted, want 8", len(images))
+	}
 
-	img, err := s.Snapshot()
-	if err != nil {
+	fresh := New(4, 4096)
+	if err := fresh.RestoreGroups(images); err != nil {
 		t.Fatal(err)
 	}
-	fresh := New(0, 4096)
-	if err := fresh.Restore(img); err != nil {
+	budgeted := New(4, 4096)
+	budgeted.SetBudget(full / 8)
+	if err := budgeted.RestoreGroups(images); err != nil {
 		t.Fatal(err)
 	}
 	for l := 0; l < 8*256; l++ {
 		a, aok := s.Translate(addr.LPA(l))
-		b, bok := fresh.Translate(addr.LPA(l))
-		if aok != bok || a.PPA != b.PPA {
-			t.Fatalf("Translate(%d): %v/%v vs %v/%v after snapshot round trip", l, b.PPA, bok, a.PPA, aok)
+		for _, r := range []*Scheme{fresh, budgeted} {
+			b, bok := r.Translate(addr.LPA(l))
+			if aok != bok || a.PPA != b.PPA {
+				t.Fatalf("Translate(%d): %v/%v vs %v/%v after the restore", l, b.PPA, bok, a.PPA, aok)
+			}
 		}
-	}
-
-	budgeted := New(0, 4096)
-	budgeted.SetBudget(full / 8)
-	if err := budgeted.Restore(img); err != nil {
-		t.Fatal(err)
 	}
 	if budgeted.MemoryBytes() > full/8 {
 		t.Fatalf("restore ignored the budget: %d > %d", budgeted.MemoryBytes(), full/8)

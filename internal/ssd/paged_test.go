@@ -253,3 +253,35 @@ func TestAgedRandWriteMapBounded(t *testing.T) {
 		}
 	}
 }
+
+// budgetProbe records every budget the device hands its scheme.
+type budgetProbe struct {
+	ftl.Scheme
+	budgets []int
+}
+
+func (b *budgetProbe) SetBudget(bytes int) {
+	b.budgets = append(b.budgets, bytes)
+	b.Scheme.SetBudget(bytes)
+}
+
+// TestNewHandsSchemePositiveBudget pins that New always gives the scheme
+// a positive mapping budget, even at the smallest DRAM Validate accepts
+// (one byte beyond the write buffer), under both mapping modes: the
+// learned table's pager is always bounded on a device.
+func TestNewHandsSchemePositiveBudget(t *testing.T) {
+	for _, mode := range []MappingMode{MappingFirst, MappingCapped} {
+		cfg := testConfig()
+		cfg.Mode = mode
+		cfg.DRAMBytes = cfg.BufferBytes()
+		if cfg.Validate() == nil {
+			t.Fatalf("%v: DRAM equal to the write buffer validated", mode)
+		}
+		cfg.DRAMBytes++
+		probe := &budgetProbe{Scheme: leaftl.New(4, cfg.Flash.PageSize)}
+		d := newTestDevice(t, cfg, probe)
+		if len(probe.budgets) != 1 || probe.budgets[0] < 1 || probe.budgets[0] != d.MappingBudget() {
+			t.Fatalf("%v: scheme got budgets %v, device budget %d", mode, probe.budgets, d.MappingBudget())
+		}
+	}
+}
