@@ -8,18 +8,26 @@ package ftl
 // Entries carry a dirty flag; evicting a dirty entry is reported to the
 // caller so it can charge a writeback.
 //
-// The entries live in one node arena linked by int32 indices, with a free
-// list of evicted slots, and the evictions an operation reports are
-// written into a buffer the cache owns. Once the arena has grown to the
-// cache's working set, inserting, touching and evicting allocate nothing.
-type ByteLRU[K comparable, V any] struct {
+// Keys are small integers (logical page addresses, region numbers), so
+// the key → slot index is a dense slice indexed by key rather than a
+// hash map: a lookup is one bounds check and one load, and the index
+// grows by doubling to the largest key inserted. The entries live in one
+// node arena linked by int32 indices, with a free list of evicted slots,
+// and the evictions an operation reports are written into a buffer the
+// cache owns. Once the index and the arena have grown to the cache's key
+// range and working set, inserting, touching and evicting allocate
+// nothing.
+type ByteLRU[K ~uint32, V any] struct {
 	budget int
 	used   int
-	index  map[K]int32
-	nodes  []lruNode[K, V]
-	head   int32 // most recently used, or nilNode
-	tail   int32 // least recently used, or nilNode
-	free   int32 // first recycled slot (linked through next), or nilNode
+	// index[k] is 1 + the arena slot holding key k, or 0 when k is not
+	// cached.
+	index []int32
+	count int
+	nodes []lruNode[K, V]
+	head  int32 // most recently used, or nilNode
+	tail  int32 // least recently used, or nilNode
+	free  int32 // first recycled slot (linked through next), or nilNode
 	// evicted backs the slice Put and Resize return.
 	evicted []Evicted[K, V]
 }
@@ -27,7 +35,7 @@ type ByteLRU[K comparable, V any] struct {
 // nilNode terminates the recency list and the free list.
 const nilNode int32 = -1
 
-type lruNode[K comparable, V any] struct {
+type lruNode[K ~uint32, V any] struct {
 	key        K
 	value      V
 	size       int
@@ -36,20 +44,19 @@ type lruNode[K comparable, V any] struct {
 }
 
 // Evicted describes one entry pushed out by an insert or budget change.
-type Evicted[K comparable, V any] struct {
+type Evicted[K ~uint32, V any] struct {
 	Key   K
 	Value V
 	Dirty bool
 }
 
 // NewByteLRU returns an empty cache with the given byte budget.
-func NewByteLRU[K comparable, V any](budget int) *ByteLRU[K, V] {
+func NewByteLRU[K ~uint32, V any](budget int) *ByteLRU[K, V] {
 	if budget < 0 {
 		budget = 0
 	}
 	return &ByteLRU[K, V]{
 		budget: budget,
-		index:  make(map[K]int32),
 		head:   nilNode,
 		tail:   nilNode,
 		free:   nilNode,
@@ -63,12 +70,20 @@ func (c *ByteLRU[K, V]) Budget() int { return c.budget }
 func (c *ByteLRU[K, V]) Used() int { return c.used }
 
 // Len returns the number of cached entries.
-func (c *ByteLRU[K, V]) Len() int { return len(c.index) }
+func (c *ByteLRU[K, V]) Len() int { return c.count }
+
+// slot returns key's arena slot, or nilNode when it is not cached.
+func (c *ByteLRU[K, V]) slot(key K) int32 {
+	if uint64(key) >= uint64(len(c.index)) {
+		return nilNode
+	}
+	return c.index[key] - 1
+}
 
 // Get returns the value for key, marking it most recently used.
 func (c *ByteLRU[K, V]) Get(key K) (V, bool) {
-	i, ok := c.index[key]
-	if !ok {
+	i := c.slot(key)
+	if i == nilNode {
 		var zero V
 		return zero, false
 	}
@@ -78,8 +93,8 @@ func (c *ByteLRU[K, V]) Get(key K) (V, bool) {
 
 // Peek returns the value without touching recency.
 func (c *ByteLRU[K, V]) Peek(key K) (V, bool) {
-	i, ok := c.index[key]
-	if !ok {
+	i := c.slot(key)
+	if i == nilNode {
 		var zero V
 		return zero, false
 	}
@@ -88,8 +103,7 @@ func (c *ByteLRU[K, V]) Peek(key K) (V, bool) {
 
 // Contains reports presence without touching recency.
 func (c *ByteLRU[K, V]) Contains(key K) bool {
-	_, ok := c.index[key]
-	return ok
+	return c.slot(key) != nilNode
 }
 
 // Put inserts or updates key with the given size and dirtiness, returning
@@ -101,7 +115,7 @@ func (c *ByteLRU[K, V]) Contains(key K) bool {
 // or Resize, which reuse its backing array.
 func (c *ByteLRU[K, V]) Put(key K, value V, size int, dirty bool) []Evicted[K, V] {
 	c.evicted = c.evicted[:0]
-	if i, ok := c.index[key]; ok {
+	if i := c.slot(key); i != nilNode {
 		n := &c.nodes[i]
 		c.used += size - n.size
 		n.value, n.size = value, size
@@ -117,7 +131,8 @@ func (c *ByteLRU[K, V]) Put(key K, value V, size int, dirty bool) []Evicted[K, V
 	}
 	i := c.alloc()
 	c.nodes[i] = lruNode[K, V]{key: key, value: value, size: size, dirty: dirty}
-	c.index[key] = i
+	c.setSlot(key, i)
+	c.count++
 	c.pushFront(i)
 	c.used += size
 	return c.shrink()
@@ -126,11 +141,11 @@ func (c *ByteLRU[K, V]) Put(key K, value V, size int, dirty bool) []Evicted[K, V
 // MarkDirty flags an existing entry dirty; it reports whether the key was
 // present.
 func (c *ByteLRU[K, V]) MarkDirty(key K) bool {
-	i, ok := c.index[key]
-	if ok {
+	i := c.slot(key)
+	if i != nilNode {
 		c.nodes[i].dirty = true
 	}
-	return ok
+	return i != nilNode
 }
 
 // CleanMatching clears the dirty flag of every entry for which match
@@ -151,8 +166,8 @@ func (c *ByteLRU[K, V]) CleanMatching(match func(K) bool) int {
 
 // Remove drops key, reporting the removed entry if present.
 func (c *ByteLRU[K, V]) Remove(key K) (Evicted[K, V], bool) {
-	i, ok := c.index[key]
-	if !ok {
+	i := c.slot(key)
+	if i == nilNode {
 		return Evicted[K, V]{}, false
 	}
 	return c.drop(i), true
@@ -188,13 +203,29 @@ func (c *ByteLRU[K, V]) alloc() int32 {
 	return int32(len(c.nodes) - 1)
 }
 
+// setSlot records that key lives in arena slot i, first doubling the index
+// until it covers key.
+func (c *ByteLRU[K, V]) setSlot(key K, i int32) {
+	if uint64(key) >= uint64(len(c.index)) {
+		n := max(2*len(c.index), 64)
+		for uint64(n) <= uint64(key) {
+			n *= 2
+		}
+		grown := make([]int32, n)
+		copy(grown, c.index)
+		c.index = grown
+	}
+	c.index[key] = i + 1
+}
+
 // drop unlinks slot i, removes its key and returns the slot to the free
 // list, reporting what it held.
 func (c *ByteLRU[K, V]) drop(i int32) Evicted[K, V] {
 	c.unlink(i)
 	n := &c.nodes[i]
 	ev := Evicted[K, V]{Key: n.key, Value: n.value, Dirty: n.dirty}
-	delete(c.index, n.key)
+	c.index[n.key] = 0
+	c.count--
 	c.used -= n.size
 	*n = lruNode[K, V]{next: c.free}
 	c.free = i

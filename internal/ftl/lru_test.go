@@ -6,7 +6,7 @@ import (
 )
 
 func TestLRUBasics(t *testing.T) {
-	c := NewByteLRU[int, string](100)
+	c := NewByteLRU[uint32, string](100)
 	c.Put(1, "a", 40, false)
 	c.Put(2, "b", 40, false)
 	if v, ok := c.Get(1); !ok || v != "a" {
@@ -23,7 +23,7 @@ func TestLRUBasics(t *testing.T) {
 }
 
 func TestLRUDirtyEviction(t *testing.T) {
-	c := NewByteLRU[int, int](16)
+	c := NewByteLRU[uint32, int](16)
 	c.Put(1, 1, 8, true)
 	c.Put(2, 2, 8, false)
 	ev := c.Put(3, 3, 8, false)
@@ -33,7 +33,7 @@ func TestLRUDirtyEviction(t *testing.T) {
 }
 
 func TestLRUUpdateInPlace(t *testing.T) {
-	c := NewByteLRU[int, int](32)
+	c := NewByteLRU[uint32, int](32)
 	c.Put(1, 10, 8, false)
 	c.Put(1, 11, 16, true)
 	if c.Used() != 16 || c.Len() != 1 {
@@ -43,13 +43,13 @@ func TestLRUUpdateInPlace(t *testing.T) {
 		t.Errorf("value = %d", v)
 	}
 	// Updated entry keeps dirtiness until cleaned.
-	if n := c.CleanMatching(func(int) bool { return true }); n != 1 {
+	if n := c.CleanMatching(func(uint32) bool { return true }); n != 1 {
 		t.Errorf("cleaned %d", n)
 	}
 }
 
 func TestLRUOversizeItem(t *testing.T) {
-	c := NewByteLRU[int, int](10)
+	c := NewByteLRU[uint32, int](10)
 	ev := c.Put(1, 1, 20, true)
 	if c.Len() != 0 {
 		t.Error("oversize item cached")
@@ -60,16 +60,16 @@ func TestLRUOversizeItem(t *testing.T) {
 }
 
 func TestLRUResize(t *testing.T) {
-	c := NewByteLRU[int, int](100)
-	for i := 0; i < 10; i++ {
-		c.Put(i, i, 10, false)
+	c := NewByteLRU[uint32, int](100)
+	for i := uint32(0); i < 10; i++ {
+		c.Put(i, int(i), 10, false)
 	}
 	ev := c.Resize(35)
 	if len(ev) != 7 {
 		t.Fatalf("evicted %d, want 7", len(ev))
 	}
 	// Survivors are the three most recently used: 7, 8, 9.
-	for _, k := range []int{7, 8, 9} {
+	for _, k := range []uint32{7, 8, 9} {
 		if !c.Contains(k) {
 			t.Errorf("key %d missing after resize", k)
 		}
@@ -77,7 +77,7 @@ func TestLRUResize(t *testing.T) {
 }
 
 func TestLRURemove(t *testing.T) {
-	c := NewByteLRU[int, int](100)
+	c := NewByteLRU[uint32, int](100)
 	c.Put(1, 1, 10, true)
 	ev, ok := c.Remove(1)
 	if !ok || !ev.Dirty || c.Len() != 0 || c.Used() != 0 {
@@ -96,11 +96,12 @@ type lruModel struct {
 }
 
 type modelEntry struct {
-	key, value, size int
-	dirty            bool
+	key         uint32
+	value, size int
+	dirty       bool
 }
 
-func (m *lruModel) find(k int) int {
+func (m *lruModel) find(k uint32) int {
 	for i, e := range m.order {
 		if e.key == k {
 			return i
@@ -128,16 +129,16 @@ func (m *lruModel) front(e modelEntry) {
 	m.order = append([]modelEntry{e}, m.order...)
 }
 
-func (m *lruModel) shrink() []Evicted[int, int] {
-	var out []Evicted[int, int]
+func (m *lruModel) shrink() []Evicted[uint32, int] {
+	var out []Evicted[uint32, int]
 	for m.used() > m.budget && len(m.order) > 0 {
 		e := m.take(len(m.order) - 1)
-		out = append(out, Evicted[int, int]{Key: e.key, Value: e.value, Dirty: e.dirty})
+		out = append(out, Evicted[uint32, int]{Key: e.key, Value: e.value, Dirty: e.dirty})
 	}
 	return out
 }
 
-func (m *lruModel) put(k, v, size int, dirty bool) []Evicted[int, int] {
+func (m *lruModel) put(k uint32, v, size int, dirty bool) []Evicted[uint32, int] {
 	if i := m.find(k); i >= 0 {
 		e := m.take(i)
 		e.value, e.size, e.dirty = v, size, e.dirty || dirty
@@ -146,7 +147,7 @@ func (m *lruModel) put(k, v, size int, dirty bool) []Evicted[int, int] {
 	}
 	if size > m.budget {
 		if dirty {
-			return []Evicted[int, int]{{Key: k, Value: v, Dirty: true}}
+			return []Evicted[uint32, int]{{Key: k, Value: v, Dirty: true}}
 		}
 		return nil
 	}
@@ -158,16 +159,39 @@ func (m *lruModel) put(k, v, size int, dirty bool) []Evicted[int, int] {
 // MarkDirty/CleanMatching sequences — oversize items, dirty and clean
 // entries and a zero budget included — against lruModel, and after every
 // operation compares the evictions (key, value, dirty, order), Used, Len
-// and every key's presence and value.
+// and the presence and value of every key drawn so far. Most keys come
+// from a small dense range. Up to 64 times a run, about one draw in
+// eight, the key is a fresh sparse one far above the index's current
+// length, so the dense index grows mid-run while entries are cached,
+// evicted and removed around it; another one in eight repeats a key drawn
+// before.
 func TestLRUMatchesReferenceModel(t *testing.T) {
 	const keys = 24
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		c := NewByteLRU[int, int](64)
+		c := NewByteLRU[uint32, int](64)
 		m := &lruModel{budget: 64}
+		drawn := make([]uint32, 0, keys+64)
+		for k := uint32(0); k < keys; k++ {
+			drawn = append(drawn, k)
+		}
 		for step := 0; step < 4000; step++ {
-			k := rng.Intn(keys)
-			var got, want []Evicted[int, int]
+			k := uint32(rng.Intn(keys))
+			switch {
+			case rng.Intn(8) == 0 && len(drawn) < cap(drawn):
+				// A fresh key two to four times the index's current
+				// length, so the index must grow to admit it, until the
+				// index spans 2^18 keys; sparse keys below that after.
+				n := uint32(max(len(c.index), keys))
+				k = n*uint32(2+rng.Intn(3)) + uint32(rng.Intn(64))
+				if n >= 1<<18 {
+					k = uint32(rng.Intn(1 << 18))
+				}
+				drawn = append(drawn, k)
+			case rng.Intn(8) == 0:
+				k = drawn[rng.Intn(len(drawn))]
+			}
+			var got, want []Evicted[uint32, int]
 			switch op := rng.Intn(10); op {
 			case 0, 1, 2:
 				// Up to twice the budget, so oversize items come up.
@@ -198,8 +222,8 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 				}
 				if ok {
 					e := m.take(i)
-					got = []Evicted[int, int]{ev}
-					want = []Evicted[int, int]{{Key: e.key, Value: e.value, Dirty: e.dirty}}
+					got = []Evicted[uint32, int]{ev}
+					want = []Evicted[uint32, int]{{Key: e.key, Value: e.value, Dirty: e.dirty}}
 				}
 			case 6:
 				b := rng.Intn(129)
@@ -218,7 +242,7 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 				}
 			default:
 				mod := 2 + rng.Intn(4)
-				match := func(k int) bool { return k%mod == 0 }
+				match := func(k uint32) bool { return k%uint32(mod) == 0 }
 				wantN := 0
 				for i := range m.order {
 					if m.order[i].dirty && match(m.order[i].key) {
@@ -242,32 +266,38 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 				t.Fatalf("seed %d step %d: used=%d len=%d budget=%d, model %d/%d/%d",
 					seed, step, c.Used(), c.Len(), c.Budget(), m.used(), len(m.order), m.budget)
 			}
-			for key := 0; key < keys; key++ {
+			for _, key := range drawn {
 				v, ok := c.Peek(key)
 				if i := m.find(key); ok != (i >= 0) || (ok && v != m.order[i].value) {
 					t.Fatalf("seed %d step %d: key %d cached=%v value %d, model index %d", seed, step, key, ok, v, i)
 				}
 			}
 		}
+		if len(c.index) < 1<<18 {
+			t.Errorf("seed %d: index grew to %d keys, want the run to reach 2^18", seed, len(c.index))
+		}
 	}
 }
 
-// TestLRUEvictingPutZeroAllocs pins the arena: at steady state an insert
-// that evicts recycles the victim's node and reports it through the
-// cache-owned buffer, so it allocates nothing.
+// TestLRUEvictingPutZeroAllocs pins the arena and the dense index: once
+// the index has grown to the key range, an insert that evicts recycles
+// the victim's node, clears and sets index entries in place and reports
+// the victim through the cache-owned buffer, so it allocates nothing.
 func TestLRUEvictingPutZeroAllocs(t *testing.T) {
+	const distinct, stride = 4096, 256 // keys 0, 256, …, ~2^20
 	c := NewByteLRU[uint32, uint64](64 * 8)
 	next := uint32(0)
 	put := func() {
-		if ev := c.Put(next, uint64(next), 8, next%3 == 0); len(ev) > 1 {
+		key := next % distinct * stride
+		if ev := c.Put(key, uint64(next), 8, next%3 == 0); len(ev) > 1 {
 			t.Fatalf("Put evicted %d entries, want at most 1", len(ev))
 		}
 		next++
 	}
-	for i := 0; i < 4096; i++ {
-		put() // fill the arena and let the index settle
+	for i := 0; i < distinct; i++ {
+		put() // fill the arena and grow the index to the largest key
 	}
-	if avg := testing.AllocsPerRun(4096, put); avg != 0 {
+	if avg := testing.AllocsPerRun(distinct, put); avg != 0 {
 		t.Errorf("evicting Put: %v allocs, want 0", avg)
 	}
 }

@@ -81,7 +81,7 @@ type Scheme struct {
 	// Stats accumulated for the evaluation figures.
 	lookups    uint64
 	levelsSum  uint64
-	levelsHist map[int]uint64
+	levelsHist []uint64 // lookups by levels visited
 	segLearned uint64
 	batchCount uint64
 }
@@ -96,7 +96,6 @@ func New(gamma, pageSize int, opts ...Option) *Scheme {
 		pager:        core.NewPager(table, pageSize),
 		pageSize:     pageSize,
 		compactEvery: 1_000_000,
-		levelsHist:   make(map[int]uint64),
 	}
 	for _, o := range opts {
 		o(s)
@@ -186,6 +185,9 @@ func (s *Scheme) Translate(lpa addr.LPA) (ftl.Translation, bool) {
 func (s *Scheme) noteLookup(res core.LookupResult) {
 	s.lookups++
 	s.levelsSum += uint64(res.Levels)
+	for len(s.levelsHist) <= res.Levels {
+		s.levelsHist = append(s.levelsHist, 0)
+	}
 	s.levelsHist[res.Levels]++
 }
 
@@ -370,12 +372,20 @@ func (s *Scheme) CheckMapping() error {
 func (s *Scheme) PagingStats() core.PagerStats { return s.pager.Stats() }
 
 // LookupLevels reports the average levels visited per lookup and the
-// histogram of level counts (Figure 23a).
+// histogram of level counts (Figure 23a), keyed by levels visited with
+// only the counts that occurred. The map is built fresh on every call and
+// belongs to the caller.
 func (s *Scheme) LookupLevels() (avg float64, hist map[int]uint64) {
-	if s.lookups == 0 {
-		return 0, s.levelsHist
+	hist = make(map[int]uint64)
+	for lvl, n := range s.levelsHist {
+		if n > 0 {
+			hist[lvl] = n
+		}
 	}
-	return float64(s.levelsSum) / float64(s.lookups), s.levelsHist
+	if s.lookups == 0 {
+		return 0, hist
+	}
+	return float64(s.levelsSum) / float64(s.lookups), hist
 }
 
 // SegmentsPerBatch reports the average number of segments learned per

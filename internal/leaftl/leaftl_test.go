@@ -1,6 +1,7 @@
 package leaftl
 
 import (
+	"reflect"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -79,5 +80,36 @@ func TestSchemeStatsCounters(t *testing.T) {
 	}
 	if s.Table() == nil {
 		t.Error("table accessor nil")
+	}
+}
+
+// TestLookupLevelsReturnsCopy pins that LookupLevels hands out a fresh map:
+// a caller writing to the histogram it got (experiments.Run keeps it as
+// the run's LookupHist) must not change what the scheme reports next.
+func TestLookupLevelsReturnsCopy(t *testing.T) {
+	s := New(4, 4096)
+	s.Commit(seq(0, 0, 64))
+	for i := 0; i < 10; i++ {
+		s.Translate(addr.LPA(i))
+	}
+	avg, hist := s.LookupLevels()
+	want := make(map[int]uint64, len(hist))
+	for lvl, n := range hist {
+		want[lvl] = n
+	}
+	for lvl := range hist {
+		hist[lvl] += 1000
+	}
+	hist[99] = 7
+	avg2, again := s.LookupLevels()
+	if avg2 != avg || !reflect.DeepEqual(again, want) {
+		t.Errorf("after writing to the returned map: LookupLevels = %v, %v; want %v, %v", avg2, again, avg, want)
+	}
+	var total uint64
+	for _, n := range again {
+		total += n
+	}
+	if total != 10 {
+		t.Errorf("histogram counts %d lookups, want 10", total)
 	}
 }

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -53,13 +54,86 @@ func bucketOf(v float64) int {
 	return b
 }
 
+// histFloorNs[b] is the shortest duration, in whole nanoseconds, that
+// bucketOf puts in bucket b or above (histFloorNs[0] is 1). Observe buckets
+// a Duration by comparing integers against these floors instead of taking
+// a logarithm. They are found once, at init, by bisecting over bucketOf
+// itself, so an integer duration lands where bucketOf(d.Seconds()) puts
+// it by construction.
+var histFloorNs [histBuckets]int64
+
+// histStart[histKey(n)] is bucketOf of the smallest n with that key: where
+// Observe starts its walk up the floors. A key covers one integer below
+// 64 and 1/32 of a power of two above, which spans at most three buckets.
+// Durations of histTopBits bits or more are past the last floor.
+var histStart [64 + 32*(histTopBits-5)]uint16
+
+const histTopBits = 40
+
+func histSeconds(n int64) float64 { return time.Duration(n).Seconds() }
+
+func init() {
+	histFloorNs[0] = 1
+	for b := 1; b < histBuckets; b++ {
+		// bucketOf(lo) ≥ b-1, and lo + lo/16 + 1 is over two buckets
+		// above lo, so bucket b's floor lies in [lo, lo + lo/16 + 2).
+		lo := histFloorNs[b-1]
+		n := lo + int64(sort.Search(int(lo/16+2), func(i int) bool {
+			return bucketOf(histSeconds(lo+int64(i))) >= b
+		}))
+		if bucketOf(histSeconds(n)) < b {
+			panic("metrics: histogram floor bisection overran its bracket")
+		}
+		histFloorNs[b] = n
+	}
+	if histFloorNs[histBuckets-1] >= 1<<histTopBits {
+		panic("metrics: histogram floors outgrew histStart")
+	}
+	for k := range histStart {
+		lo := int64(k)
+		if k >= 64 {
+			s := (k - 64) / 32
+			lo = int64(32+(k-64)%32) << s
+		}
+		histStart[k] = uint16(bucketOf(histSeconds(lo)))
+	}
+}
+
+// histKey indexes histStart: n itself below 64, else the position of n's
+// top bit and the five bits under it.
+func histKey(n int64) int {
+	if n < 64 {
+		return int(n)
+	}
+	s := bits.Len64(uint64(n)) - 6
+	return 64 + 32*s + int(n>>s)&31
+}
+
+// bucketOfNs is bucketOf(time.Duration(n).Seconds()) without the
+// logarithm.
+func bucketOfNs(n int64) int {
+	if n < histFloorNs[1] {
+		return 0
+	}
+	if n >= histFloorNs[histBuckets-1] {
+		return histBuckets - 1
+	}
+	b := int(histStart[histKey(n)])
+	for n >= histFloorNs[b+1] {
+		b++
+	}
+	return b
+}
+
 func bucketValue(b int) float64 {
 	return histMinValue * math.Pow(10, float64(b)/histBucketsPerDecade)
 }
 
-// Observe records one duration.
+// Observe records one duration. It buckets d by its integer nanoseconds
+// (bucketOfNs), which matches ObserveValue(d.Seconds()) bucket for bucket
+// without taking a logarithm.
 func (h *Histogram) Observe(d time.Duration) {
-	h.ObserveValue(d.Seconds())
+	h.add(bucketOfNs(int64(d)), d.Seconds())
 }
 
 // ObserveValue records one sample in seconds. NaN samples are dropped —
@@ -68,7 +142,12 @@ func (h *Histogram) ObserveValue(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
-	h.counts[bucketOf(v)]++
+	h.add(bucketOf(v), v)
+}
+
+// add records sample v, in seconds, in bucket b.
+func (h *Histogram) add(b int, v float64) {
+	h.counts[b]++
 	h.total++
 	h.sum += v
 	if v < h.min {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -195,5 +196,58 @@ func TestHistogramRejectsNaN(t *testing.T) {
 	}
 	if m := h.Mean(); math.IsNaN(m) {
 		t.Error("mean went NaN")
+	}
+}
+
+// TestObserveMatchesBucketOf pins Observe's integer bucketing to the
+// logarithmic bucketOf that ObserveValue and the percentile math use:
+// every duration must land in bucketOf(d.Seconds())'s bucket, and a
+// histogram fed through Observe must equal one fed the same samples
+// through ObserveValue — counts, total, sum, min and max — for every
+// nanosecond below 2·10⁷, ±3 ns around every bucket floor, 5 M seeded
+// random durations below 2⁴⁴ ns, and zero and negative durations.
+func TestObserveMatchesBucketOf(t *testing.T) {
+	h, ref := NewHistogram(), NewHistogram()
+	check := func(d time.Duration) {
+		if got, want := bucketOfNs(int64(d)), bucketOf(d.Seconds()); got != want {
+			t.Fatalf("Observe(%d ns) buckets to %d, bucketOf(d.Seconds()) to %d", int64(d), got, want)
+		}
+		h.Observe(d)
+		ref.ObserveValue(d.Seconds())
+	}
+	for _, d := range []time.Duration{0, -1, -2, -1000, -time.Hour, math.MinInt64} {
+		check(d)
+	}
+	for n := time.Duration(1); n < 2e7; n++ {
+		check(n)
+	}
+	for _, f := range histFloorNs {
+		for n := f - 3; n <= f+3; n++ {
+			check(time.Duration(n))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5_000_000; i++ {
+		check(time.Duration(rng.Int63n(1 << 44)))
+	}
+	if !reflect.DeepEqual(h, ref) {
+		t.Errorf("Observe histogram total=%d sum=%v min=%v max=%v, ObserveValue %d/%v/%v/%v (or counts differ)",
+			h.total, h.sum, h.min, h.max, ref.total, ref.sum, ref.min, ref.max)
+	}
+}
+
+// TestHistogramObserveZeroAllocs pins the per-request cost that matters
+// most: recording a latency allocates nothing.
+func TestHistogramObserveZeroAllocs(t *testing.T) {
+	h := NewHistogram()
+	d := time.Duration(1)
+	if avg := testing.AllocsPerRun(10000, func() {
+		h.Observe(d)
+		d = d*3 + 7
+		if d > time.Hour {
+			d = 1
+		}
+	}); avg != 0 {
+		t.Errorf("Observe: %v allocs, want 0", avg)
 	}
 }

@@ -14,7 +14,13 @@
 # kept in .bench_build/ab/. For every end-to-end metric BENCHMARK.json
 # lists, the script prints each side's median and interquartile range,
 # the ratio of the medians, how many pairs B won in the metric's better
-# direction, and whether the medians differ by more than A's IQR.
+# direction (ties count for neither side), whether the medians differ by
+# more than A's IQR, and a verdict:
+#   gain       B won at least 9 pairs in 10 and B's median beats A's by
+#              more than A's IQR;
+#   worse      B's median is worse than A's by more than the metric's
+#              BENCHMARK.json bound (a fraction of A's median);
+#   no change  anything else.
 set -euo pipefail
 
 if [ $# -ne 4 ]; then
@@ -70,10 +76,10 @@ def quantile(xs, q):
     return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 print("%d pairs, failed requests A %d / B %d" % (len(pairs), failed["A"], failed["B"]))
-print("%-20s %14s %14s %14s %14s %8s %6s %8s" %
-      ("metric", "A median", "A IQR", "B median", "B IQR", "B/A", "B wins", "gap>IQR"))
+print("%-20s %14s %14s %14s %14s %8s %6s %8s  %s" %
+      ("metric", "A median", "A IQR", "B median", "B IQR", "B/A", "B wins", "gap>IQR", "verdict"))
 for m in metrics:
-    name, higher = m["name"], m["better"] == "higher"
+    name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
     a = [runs["A"][p][name]["value"] for p in pairs]
     b = [runs["B"][p][name]["value"] for p in pairs]
     wins = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
@@ -81,7 +87,14 @@ for m in metrics:
     iqr_a = quantile(a, 0.75) - quantile(a, 0.25)
     iqr_b = quantile(b, 0.75) - quantile(b, 0.25)
     ratio = mb / ma if ma else float("nan")
-    print("%-20s %14.6g %14.6g %14.6g %14.6g %8.4f %3d/%-2d %8s" %
+    better_by = mb - ma if higher else ma - mb  # > 0 when B's median is better
+    if pairs and 10 * wins >= 9 * len(pairs) and better_by > iqr_a:
+        verdict = "gain"
+    elif -better_by > bound * abs(ma):
+        verdict = "worse"
+    else:
+        verdict = "no change"
+    print("%-20s %14.6g %14.6g %14.6g %14.6g %8.4f %3d/%-2d %8s  %s" %
           (name, ma, iqr_a, mb, iqr_b, ratio, wins, len(pairs),
-           "yes" if abs(mb - ma) > iqr_a else "no"))
+           "yes" if abs(mb - ma) > iqr_a else "no", verdict))
 EOF
