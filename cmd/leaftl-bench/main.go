@@ -7,8 +7,8 @@
 // speedup cell is replayed open-loop at issue time on its own warmed
 // device, one table row and one JSON object per cell. -torture runs the
 // seeded crash-torture matrix (kill-recover-verify across mapping
-// budgets × exactness bitmap) plus an aged-device fault-injection sweep
-// over -fault-rber.
+// budgets × the paper and full cell presets) plus an aged-device
+// fault-injection sweep over -fault-rber; both use -seed.
 package main
 
 import (
@@ -44,8 +44,6 @@ func main() {
 	torture := flag.Bool("torture", false, "reliability mode: seeded crash-torture matrix + fault-injection sweep (skips figures)")
 	crashPoints := flag.Int("crash-points", 0, "-torture mode: crashes injected per matrix cell (0 = default 5)")
 	faultRBER := flag.String("fault-rber", "", "-torture mode: comma-separated base RBERs for the fault sweep (default: 1e-7,1e-5,5e-5,1e-4,5e-4)")
-	faultSeed := flag.Int64("fault-seed", 0, "-torture mode: fault-model seed (0 = use -seed)")
-	scrubThreshold := flag.Int("scrub-threshold", 0, "-torture mode: read-disturb scrub threshold in block reads (0 = default 5000)")
 	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -86,7 +84,7 @@ func main() {
 		return
 	}
 	if *torture {
-		if err := runTorture(scaleOf(), *crashPoints, *faultRBER, *faultSeed, *scrubThreshold, *gamma, *seed, *markdown, *jsonOut); err != nil {
+		if err := runTorture(scaleOf(), *crashPoints, *faultRBER, *gamma, *seed, *markdown, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "leaftl-bench: torture: %v\n", err)
 			os.Exit(1)
 		}

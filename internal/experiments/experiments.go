@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4) on the simulated SSD. Each FigNN function returns a
-// Table of the same rows/series the paper plots; cmd/leaftl-bench prints
-// them and EXPERIMENTS.md records paper-vs-measured values.
+// Table of the same rows/series the paper plots, with the paper's values
+// in its Notes; cmd/leaftl-bench prints them.
 //
 // Runs are memoized inside a Suite: several figures share the same
 // (config, workload, scheme, gamma) simulation, which is executed once
@@ -139,7 +139,7 @@ func NewSuite(s Scale, seed int64) *Suite {
 }
 
 type runKey struct {
-	cfg      string // "sim", "sim-capped", "proto", "dram:N", "page:N", "nosort"
+	cfg      string // "sim", "sim-capped", "proto", "avail:N", "page:N", "nosort"
 	workload string
 	scheme   string // "LeaFTL", "DFTL", "SFTL"
 	gamma    int

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/ftl"
 	"leaftl/internal/ssd"
 	"leaftl/internal/trace"
 	"leaftl/internal/workload"
@@ -11,11 +12,8 @@ import (
 
 // runRecovery runs a workload slice on a fresh device under the named
 // mapping scheme (optionally demand-paged under a fractional mapping
-// budget), crashes it without a final flush, recovers into a fresh
-// scheme, and differentially verifies the rebuilt state against the
-// at-crash snapshot: outside the write buffer — the only legal loss on
-// a drive without power-loss protection — every LPA must come back
-// holding exactly its newest data. Returns one report row.
+// budget), crashes it without a final flush, and recovers and verifies
+// it (recoverAndVerify). Returns one report row.
 func (s *Suite) runRecovery(name, scheme string, budget float64) ([]string, error) {
 	p, ok := workload.ByName(name)
 	if !ok {
@@ -48,41 +46,11 @@ func (s *Suite) runRecovery(name, scheme string, budget float64) ([]string, erro
 		return nil, err
 	}
 
-	// Crash: no flush, all controller RAM lost. The snapshot is the
-	// oracle the rebuilt state is diffed against.
-	atTok, _ := dev.TruthSnapshot()
-	buffered := make(map[addr.LPA]bool)
-	for _, l := range dev.BufferedLPAs() {
-		buffered[l] = true
-	}
-	rep, err := dev.Recover(s.newScheme(scheme, 0, cfg))
+	// Crash: no flush, all controller RAM lost.
+	at := snapshotAtCrash(dev)
+	rep, verified, err := recoverAndVerify(dev, s.newScheme(scheme, 0, cfg), at)
 	if err != nil {
-		return nil, err
-	}
-	if err := dev.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("recovery %s/%s: %w", name, label, err)
-	}
-	postTok, postLost := dev.TruthSnapshot()
-	verified := 0
-	for l := range postTok {
-		if buffered[addr.LPA(l)] {
-			continue
-		}
-		if postLost[l] {
-			return nil, fmt.Errorf("recovery %s/%s: LPA %d lost with faults off", name, label, l)
-		}
-		if postTok[l] != atTok[l] {
-			return nil, fmt.Errorf("recovery %s/%s: LPA %d recovered token %#x, want %#x",
-				name, label, l, postTok[l], atTok[l])
-		}
-		verified++
-	}
-	// Spot-check reads across the footprint after recovery; the device
-	// self-verifies payload tokens.
-	for lpa := 0; lpa+64 <= fp; lpa += fp / 64 * 8 {
-		if _, err := dev.Read(addr.LPA(lpa), 1); err != nil {
-			return nil, fmt.Errorf("recovery %s/%s: post-recovery read: %w", name, label, err)
-		}
 	}
 	return []string{
 		p.Name,
@@ -93,6 +61,80 @@ func (s *Suite) runRecovery(name, scheme string, budget float64) ([]string, erro
 		fmt.Sprintf("%d", rep.MappingsRestored),
 		rep.ScanTime.String(),
 		fmt.Sprintf("%d", verified),
-		fmt.Sprintf("%d", len(buffered)),
+		fmt.Sprintf("%d", len(at.buffered)),
 	}, nil
+}
+
+// crashSnapshot is the oracle a recovery is diffed against: the truth
+// state at the instant of the crash.
+type crashSnapshot struct {
+	tok  []uint64
+	lost []bool
+	// buffered are the LPAs dirty in the write buffer, the only legal
+	// loss on a drive without power-loss protection.
+	buffered []addr.LPA
+}
+
+// snapshotAtCrash captures dev's truth state; call it at the crash.
+func snapshotAtCrash(dev *ssd.Device) crashSnapshot {
+	tok, lost := dev.TruthSnapshot()
+	return crashSnapshot{tok: tok, lost: lost, buffered: dev.BufferedLPAs()}
+}
+
+// recoverAndVerify is the step after every injected crash: full
+// firmware recovery of dev into the fresh scheme sch (all controller
+// RAM is gone), a CheckInvariants audit, a differential diff of the
+// rebuilt state against the at-crash snapshot (verify), and a sampled
+// read-back through the host path, where the device self-checks payload
+// tokens and prediction windows. It returns the recovery report and the
+// number of LPAs verified.
+func recoverAndVerify(dev *ssd.Device, sch ftl.Scheme, at crashSnapshot) (ssd.RecoveryReport, int, error) {
+	rep, err := dev.Recover(sch)
+	if err != nil {
+		return rep, 0, fmt.Errorf("recover: %w", err)
+	}
+	if err := dev.CheckInvariants(); err != nil {
+		return rep, 0, err
+	}
+	postTok, postLost := dev.TruthSnapshot()
+	verified, err := at.verify(postTok, postLost)
+	if err != nil {
+		return rep, verified, err
+	}
+	for l := 0; l < len(postTok); l += max(len(postTok)/256, 1) {
+		if postTok[l] == 0 {
+			continue
+		}
+		if _, err := dev.Read(addr.LPA(l), 1); err != nil {
+			return rep, verified, fmt.Errorf("post-recovery read of LPA %d: %w", l, err)
+		}
+	}
+	return rep, verified, nil
+}
+
+// verify diffs a recovered truth state against the snapshot. With
+// faults off nothing may be lost, and every LPA outside the write
+// buffer must come back holding exactly its newest data. It returns the
+// number of LPAs checked.
+func (at crashSnapshot) verify(postTok []uint64, postLost []bool) (int, error) {
+	buffered := make(map[addr.LPA]bool, len(at.buffered))
+	for _, l := range at.buffered {
+		buffered[l] = true
+	}
+	verified := 0
+	for l := range postTok {
+		lpa := addr.LPA(l)
+		if buffered[lpa] {
+			continue // unflushed at crash; any older state is legal
+		}
+		if postLost[l] && !at.lost[l] {
+			return verified, fmt.Errorf("LPA %d lost with faults off", lpa)
+		}
+		if postTok[l] != at.tok[l] {
+			return verified, fmt.Errorf("LPA %d recovered token %#x, want %#x (stale or corrupt copy resurrected)",
+				lpa, postTok[l], at.tok[l])
+		}
+		verified++
+	}
+	return verified, nil
 }

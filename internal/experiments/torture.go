@@ -7,53 +7,40 @@ import (
 	"sort"
 	"time"
 
-	"leaftl/internal/addr"
 	"leaftl/internal/flash"
+	"leaftl/internal/ftl"
 	"leaftl/internal/leaftl"
 	"leaftl/internal/ssd"
 	"leaftl/internal/trace"
 	"leaftl/internal/workload"
 )
 
+// tortureWorkload is the timed generator the torture cells and the
+// fault sweep replay.
+const tortureWorkload = "mixed-rw"
+
 // TortureSpec parameterizes the seeded crash-torture matrix. Zero-valued
 // fields select the defaults: {unbudgeted, 25% mapping budget} ×
-// {exactness bitmap off, on}, five crash points per cell.
+// {paper, full}, five crash points per cell.
 type TortureSpec struct {
 	// Budgets are mapping-budget fractions of the scheme's full size;
 	// 0 means unbudgeted (fully resident).
 	Budgets []float64
-	// Bitmap toggles the predicted-exact bitmap and GC-time relearning
-	// (leaftl.WithExactBitmap) per cell.
-	Bitmap []bool
+	// Schemes are cellSchemes presets: paper is the learned table
+	// alone, full adds the mapping-delta journal and the exactness
+	// bitmap (the benchmark's scheme); dftl and sftl also run.
+	Schemes []string
 	// CrashPoints is the number of seeded crashes injected per cell.
 	CrashPoints int
-	// Workload names a generator from workload.TimedCatalog.
-	Workload string
 	// Gamma is the learning error bound.
 	Gamma int
-	// Journal routes metadata persistence through the mapping-delta
-	// journal, so crashes land between delta appends, mid-fold and
-	// mid-journal-GC, and recovery must replay each group's delta chain
-	// onto its base image.
-	Journal bool
-	// JournalPages caps the journal flash footprint (0 = half the
-	// over-provisioned capacity). Torture cells shrink it so journal GC
-	// actually cycles within a slice.
-	JournalPages int
 }
 
 func (s TortureSpec) withDefaults() TortureSpec {
-	if len(s.Budgets) == 0 {
-		s.Budgets = []float64{0, 0.25}
-	}
-	if len(s.Bitmap) == 0 {
-		s.Bitmap = []bool{false, true}
-	}
+	s.Budgets = orDefault(s.Budgets, 0, 0.25)
+	s.Schemes = orDefault(s.Schemes, "paper", "full")
 	if s.CrashPoints < 1 {
 		s.CrashPoints = 5
-	}
-	if s.Workload == "" {
-		s.Workload = "mixed-rw"
 	}
 	if s.Gamma == 0 {
 		s.Gamma = 8
@@ -66,28 +53,28 @@ func (s TortureSpec) withDefaults() TortureSpec {
 // in sequence (recoveries compound — each crash hits the state the
 // previous recovery rebuilt).
 type TortureCell struct {
-	Budget float64
-	Bitmap bool
-	Seed   int64
+	Budget float64 `json:"budget"`
+	Scheme string  `json:"scheme"`
+	Seed   int64   `json:"seed"`
 
 	// Crashes counts injected crashes (a countdown that outlives its
 	// replay slice records no crash; the torture test asserts the
 	// matrix total anyway).
-	Crashes int
+	Crashes int `json:"crashes"`
 	// Points histograms where the crashes landed, by crash-point name.
-	Points map[string]int
+	Points map[string]int `json:"points"`
 	// MappingsRebuilt and MappingsRestored sum the recovery reports.
-	MappingsRebuilt  int
-	MappingsRestored int
+	MappingsRebuilt  int `json:"mappings_rebuilt"`
+	MappingsRestored int `json:"mappings_restored"`
 	// JournalReplays sums the delta records recovery replayed onto GMD
-	// base images (journal cells only).
-	JournalReplays uint64
+	// base images (journaled presets only).
+	JournalReplays uint64 `json:"journal_replays"`
 	// VerifiedLPAs counts post-recovery truth entries differentially
 	// checked against the at-crash snapshot.
-	VerifiedLPAs int
+	VerifiedLPAs int `json:"verified_lpas"`
 	// BufferedLost counts LPAs whose buffered-but-unflushed writes the
 	// crash legally destroyed.
-	BufferedLost int
+	BufferedLost int `json:"buffered_lost"`
 }
 
 // crashSignal is the private panic sentinel the countdown hook throws;
@@ -95,32 +82,32 @@ type TortureCell struct {
 type crashSignal struct{ point string }
 
 // Torture runs the crash-torture matrix: for every mapping budget ×
-// bitmap cell it ages a LeaFTL device to a fully mapped
+// scheme preset it ages a device to a fully mapped
 // state, then repeatedly kills it at a seeded random crash point —
 // mid-flush, between GC programs and the erase, during a metadata
-// write — runs full firmware recovery into a fresh scheme, checks every
-// device invariant, and differentially verifies the rebuilt state
-// against a truth snapshot captured at the instant of the crash. Faults
+// write — and recovers and verifies it (recoverAndVerify). Faults
 // are off during torture so the comparison is exact: the only legal
 // divergence is the write buffer's contents (lost by definition on a
 // drive without power-loss protection).
 func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 	spec = spec.withDefaults()
-	gen, ok := workload.TimedCatalog()[spec.Workload]
-	if !ok {
-		return nil, Table{}, fmt.Errorf("torture: unknown timed workload %q", spec.Workload)
+	gen := workload.TimedCatalog()[tortureWorkload]
+	for _, name := range spec.Schemes {
+		if _, ok := cellSchemes[name]; !ok {
+			return nil, Table{}, fmt.Errorf("torture: unknown scheme %q (want full, paper, dftl or sftl)", name)
+		}
 	}
 
 	var cells []TortureCell
 	cellIdx := 0
 	for _, budget := range spec.Budgets {
-		for _, bitmap := range spec.Bitmap {
+		for _, scheme := range spec.Schemes {
 			cellIdx++
 			seed := s.Seed*1_000 + int64(cellIdx)
-			cell, err := s.tortureCell(spec, gen, budget, bitmap, seed)
+			cell, err := s.tortureCell(spec, gen, budget, scheme, seed)
 			if err != nil {
-				return nil, Table{}, fmt.Errorf("torture budget=%.2f/bitmap=%v seed=%d: %w",
-					budget, bitmap, seed, err)
+				return nil, Table{}, fmt.Errorf("torture budget=%.2f/%s seed=%d: %w",
+					budget, scheme, seed, err)
 			}
 			cells = append(cells, *cell)
 		}
@@ -129,16 +116,17 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 	t := Table{
 		ID: "torture",
 		Title: fmt.Sprintf("seeded crash-torture: %q workload, %d crash points/cell",
-			spec.Workload, spec.CrashPoints),
-		Header: []string{"budget", "bitmap", "seed", "crashes", "crash points",
-			"rebuilt", "restored", "verified", "buffered-lost"},
-		Notes: "each crash loses all controller RAM; recovery rebuilds from OOB + GMD and is diffed against an at-crash snapshot (write-buffer contents are the only legal loss)",
+			tortureWorkload, spec.CrashPoints),
+		Header: []string{"budget", "scheme", "seed", "crashes", "crash points",
+			"rebuilt", "restored", "replayed", "verified", "buffered-lost"},
+		Notes: "each crash loses all controller RAM; recovery rebuilds from OOB + GMD (+ journal deltas) and is diffed against an at-crash snapshot (write-buffer contents are the only legal loss)",
 	}
 	for _, c := range cells {
 		t.Rows = append(t.Rows, []string{
-			f2(c.Budget), fmt.Sprintf("%v", c.Bitmap), fmt.Sprintf("%d", c.Seed),
+			f2(c.Budget), c.Scheme, fmt.Sprintf("%d", c.Seed),
 			fmt.Sprintf("%d", c.Crashes), pointsCell(c.Points),
 			fmt.Sprintf("%d", c.MappingsRebuilt), fmt.Sprintf("%d", c.MappingsRestored),
+			fmt.Sprintf("%d", c.JournalReplays),
 			fmt.Sprintf("%d", c.VerifiedLPAs), fmt.Sprintf("%d", c.BufferedLost),
 		})
 	}
@@ -146,24 +134,21 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 }
 
 // tortureCell ages one device and crash-cycles it.
-func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, budget float64, bitmap bool, seed int64) (*TortureCell, error) {
+func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, budget float64, scheme string, seed int64) (*TortureCell, error) {
 	cfg := s.simConfig("sim")
 	// §3.6 mid-range watermarks: on the aged device the free pool sits
 	// just above the trigger, so crashes land mid-GC too.
 	cfg.GCLowWater = 0.15
 	cfg.GCHighWater = 0.25
-	cfg.JournalPages = spec.JournalPages
+	// One translation block of journal: journaled presets cycle journal
+	// GC within a slice, so crashes land between delta appends,
+	// mid-fold and mid-journal-GC.
+	cfg.JournalPages = cfg.Flash.PagesPerBlock
 
-	newScheme := func() *leaftl.Scheme {
-		opts := []leaftl.Option{leaftl.WithCompactEvery(uint64(max(s.Scale.Requests/16, 1_000)))}
-		if bitmap {
-			opts = append(opts, leaftl.WithExactBitmap())
-		}
-		if spec.Journal {
-			opts = append(opts, leaftl.WithJournal())
-		}
-		return leaftl.New(spec.Gamma, cfg.Flash.PageSize, opts...)
-	}
+	mk := cellSchemes[scheme]
+	opts := append(append([]leaftl.Option(nil), mk.opts...),
+		leaftl.WithCompactEvery(uint64(max(s.Scale.Requests/16, 1_000))))
+	newScheme := func() ftl.Scheme { return s.newScheme(mk.base, spec.Gamma, cfg, opts...) }
 	sch := newScheme()
 	dev, err := ssd.New(cfg, sch)
 	if err != nil {
@@ -184,7 +169,7 @@ func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, budget flo
 	slice := len(reqs) / spec.CrashPoints
 
 	cell := &TortureCell{
-		Budget: budget, Bitmap: bitmap, Seed: seed,
+		Budget: budget, Scheme: scheme, Seed: seed,
 		Points: make(map[string]int),
 	}
 	for k := 0; k < spec.CrashPoints; k++ {
@@ -192,14 +177,11 @@ func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, budget flo
 		// (several hits per flush plus the GC and scrub paths), so each
 		// slice virtually always crashes — spread across point names.
 		countdown := 1 + rng.Intn(120)
-		var atTok []uint64
-		var atLost []bool
-		var atBuf []addr.LPA
+		var at crashSnapshot
 		dev.SetCrashHook(func(point string) {
 			countdown--
 			if countdown <= 0 {
-				atTok, atLost = dev.TruthSnapshot()
-				atBuf = dev.BufferedLPAs()
+				at = snapshotAtCrash(dev)
 				panic(crashSignal{point: point})
 			}
 		})
@@ -211,52 +193,15 @@ func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, budget flo
 		cell.Crashes++
 		cell.Points[point]++
 
-		// The crash destroyed all controller RAM; recovery rebuilds
-		// firmware state from flash into a fresh scheme.
-		rep, err := dev.Recover(newScheme())
+		rep, verified, err := recoverAndVerify(dev, newScheme(), at)
 		if err != nil {
-			return nil, fmt.Errorf("crash %d at %q: recover: %w", k, point, err)
+			return nil, fmt.Errorf("crash %d at %q: %w", k, point, err)
 		}
 		cell.MappingsRebuilt += rep.MappingsRebuilt
 		cell.MappingsRestored += rep.MappingsRestored
 		cell.JournalReplays += rep.JournalDeltasReplayed
-		if err := dev.CheckInvariants(); err != nil {
-			return nil, fmt.Errorf("crash %d at %q: %w", k, point, err)
-		}
-
-		// Differential verification against the at-crash snapshot: with
-		// faults off nothing may be lost, and every LPA outside the
-		// write buffer must come back holding exactly its newest data.
-		buffered := make(map[addr.LPA]bool, len(atBuf))
-		for _, l := range atBuf {
-			buffered[l] = true
-		}
-		cell.BufferedLost += len(atBuf)
-		postTok, postLost := dev.TruthSnapshot()
-		for l := range postTok {
-			lpa := addr.LPA(l)
-			if buffered[lpa] {
-				continue // unflushed at crash; any older state is legal
-			}
-			if postLost[l] && !atLost[l] {
-				return nil, fmt.Errorf("crash %d at %q: LPA %d lost with faults off", k, point, lpa)
-			}
-			if postTok[l] != atTok[l] {
-				return nil, fmt.Errorf("crash %d at %q: LPA %d recovered token %#x, want %#x (stale or corrupt copy resurrected)",
-					k, point, lpa, postTok[l], atTok[l])
-			}
-			cell.VerifiedLPAs++
-		}
-		// Read-verify a sample through the full host path: the device
-		// self-checks payload tokens and prediction windows.
-		for l := 0; l < len(postTok); l += max(len(postTok)/256, 1) {
-			if postTok[l] == 0 {
-				continue
-			}
-			if _, err := dev.Read(addr.LPA(l), 1); err != nil {
-				return nil, fmt.Errorf("crash %d at %q: post-recovery read of LPA %d: %w", k, point, l, err)
-			}
-		}
+		cell.VerifiedLPAs += verified
+		cell.BufferedLost += len(at.buffered)
 	}
 	if err := dev.Flush(); err != nil {
 		return nil, fmt.Errorf("final flush: %w", err)
@@ -308,36 +253,26 @@ type FaultSweepSpec struct {
 	// scaling derives wear/retention/disturb growth and op-failure
 	// rates from each).
 	RBERs []float64
-	// Workload names a generator from workload.TimedCatalog.
-	Workload string
-	Gamma    int
-	// ScrubDisturbReads and ScrubRetentionAge are the read-reclaim
-	// thresholds under test.
-	ScrubDisturbReads uint32
-	ScrubRetentionAge time.Duration
+	Gamma int
 	// AgeStep jumps the virtual clock every 1024 requests, so retention
 	// error actually accrues on replay timescales.
 	AgeStep time.Duration
 }
 
+// Fault-sweep devices scrub a block after this many reads since its
+// erase, or once its oldest page has sat programmed this long.
+const (
+	faultScrubDisturbReads = 5_000
+	faultScrubRetentionAge = 45 * time.Second
+)
+
 func (s FaultSweepSpec) withDefaults() FaultSweepSpec {
-	if len(s.RBERs) == 0 {
-		// 1e-7 healthy, 1e-4 badly aged, 5e-4 end of life (retention
-		// pushes pages past soft-decode range; expect host UECCs and
-		// grown bad blocks).
-		s.RBERs = []float64{1e-7, 1e-5, 5e-5, 1e-4, 5e-4}
-	}
-	if s.Workload == "" {
-		s.Workload = "mixed-rw"
-	}
+	// 1e-7 healthy, 1e-4 badly aged, 5e-4 end of life (retention
+	// pushes pages past soft-decode range; expect host UECCs and
+	// grown bad blocks).
+	s.RBERs = orDefault(s.RBERs, 1e-7, 1e-5, 5e-5, 1e-4, 5e-4)
 	if s.Gamma == 0 {
 		s.Gamma = 8
-	}
-	if s.ScrubDisturbReads == 0 {
-		s.ScrubDisturbReads = 5_000
-	}
-	if s.ScrubRetentionAge == 0 {
-		s.ScrubRetentionAge = 45 * time.Second
 	}
 	if s.AgeStep == 0 {
 		s.AgeStep = 2 * time.Second
@@ -347,12 +282,12 @@ func (s FaultSweepSpec) withDefaults() FaultSweepSpec {
 
 // FaultRun is one RBER point of the reliability sweep.
 type FaultRun struct {
-	RBER      float64
-	Seed      int64
-	HostUECCs uint64 // reads surfaced to the host as uncorrectable
-	Flash     flash.Stats
-	Stats     ssd.Stats
-	WAF       float64
+	RBER      float64     `json:"rber"`
+	Seed      int64       `json:"seed"`
+	HostUECCs uint64      `json:"host_ueccs"` // reads surfaced to the host as uncorrectable
+	Flash     flash.Stats `json:"flash"`
+	Stats     ssd.Stats   `json:"device"`
+	WAF       float64     `json:"waf"`
 }
 
 // FaultSweep ages a LeaFTL device at each RBER point and replays a
@@ -363,18 +298,15 @@ type FaultRun struct {
 // failure, never silent corruption); any other error aborts the sweep.
 func (s *Suite) FaultSweep(spec FaultSweepSpec) ([]FaultRun, Table, error) {
 	spec = spec.withDefaults()
-	gen, ok := workload.TimedCatalog()[spec.Workload]
-	if !ok {
-		return nil, Table{}, fmt.Errorf("faultsweep: unknown timed workload %q", spec.Workload)
-	}
+	gen := workload.TimedCatalog()[tortureWorkload]
 
 	var runs []FaultRun
 	for i, rber := range spec.RBERs {
 		seed := s.Seed*100 + int64(i)
 		cfg := s.simConfig("sim")
 		cfg.Flash.Fault = flash.DefaultFaults(seed, rber)
-		cfg.ScrubDisturbReads = spec.ScrubDisturbReads
-		cfg.ScrubRetentionAge = spec.ScrubRetentionAge
+		cfg.ScrubDisturbReads = faultScrubDisturbReads
+		cfg.ScrubRetentionAge = faultScrubRetentionAge
 		sch := s.newScheme("LeaFTL", spec.Gamma, cfg)
 		dev, err := ssd.New(cfg, sch)
 		if err != nil {
@@ -428,7 +360,7 @@ func (s *Suite) FaultSweep(spec FaultSweepSpec) ([]FaultRun, Table, error) {
 	t := Table{
 		ID: "faultsweep",
 		Title: fmt.Sprintf("reliability sweep: %q workload, %d requests, aged device",
-			spec.Workload, s.Scale.Requests),
+			tortureWorkload, s.Scale.Requests),
 		Header: []string{"RBER", "corrected", "retries", "data-UECC", "OOB-UECC", "host-UECC",
 			"reconstructed", "scrubs", "retired", "GC-lost", "WAF"},
 		Notes: "corrected/retries = ECC activity; host-UECC = reads explicitly failed to the host (never silent); reconstructed = reverse mappings rebuilt from sibling OOB windows",

@@ -1,29 +1,38 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"leaftl/internal/addr"
 )
 
 // TestTortureMatrix runs the full crash-torture matrix at micro scale:
-// {unbudgeted, 25% budget} × {exactness bitmap off, on} × 5 seeded crash
-// points — ≥16 of the 20 drawn crashes injected, at least one inside GC,
-// each recovered and differentially verified inside the harness.
+// {unbudgeted, 25% budget} × {paper, full} × 5 seeded crash points —
+// ≥16 of the 20 drawn crashes injected, at least one inside GC, each
+// recovered and differentially verified inside the harness. full is the
+// benchmark's configuration: under the budget its journal is capped at
+// one translation block, so slices crash between delta appends,
+// mid-fold and mid-journal-GC, and recoveries must replay delta chains
+// onto GMD base images.
 func TestTortureMatrix(t *testing.T) {
 	const seed = 42
-	s := NewSuite(MicroScale(), seed)
-	cells, table, err := s.Torture(TortureSpec{})
+	cells, table, err := NewSuite(MicroScale(), seed).Torture(TortureSpec{})
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	t.Logf("seed %d:\n%s", seed, table)
 
-	total, bitmapCells, gcCrashes := 0, 0, 0
+	total, fullCells, gcCrashes := 0, 0, 0
 	points := make(map[string]int)
 	for _, c := range cells {
-		if c.Bitmap {
-			bitmapCells++
+		if c.Scheme == "full" {
+			fullCells++
+			if c.Budget > 0 && c.JournalReplays == 0 {
+				t.Errorf("seed %d: cell %.2f/%s: recoveries never replayed a journal delta", seed, c.Budget, c.Scheme)
+			}
 		}
 		total += c.Crashes
 		for p, n := range c.Points {
@@ -32,15 +41,12 @@ func TestTortureMatrix(t *testing.T) {
 				gcCrashes += n
 			}
 		}
-		if c.Crashes == 0 {
-			t.Errorf("seed %d: cell %.2f/%v injected no crashes", seed, c.Budget, c.Bitmap)
-		}
-		if c.VerifiedLPAs == 0 {
-			t.Errorf("seed %d: cell %.2f/%v verified nothing", seed, c.Budget, c.Bitmap)
+		if c.Crashes == 0 || c.VerifiedLPAs == 0 {
+			t.Errorf("seed %d: cell %.2f/%s: %d crashes injected, %d LPAs verified; want both > 0", seed, c.Budget, c.Scheme, c.Crashes, c.VerifiedLPAs)
 		}
 	}
-	if len(cells) != 4 || bitmapCells != 2 {
-		t.Fatalf("seed %d: %d cells (%d with the bitmap), want 4 (2)", seed, len(cells), bitmapCells)
+	if len(cells) != 4 || fullCells != 2 {
+		t.Fatalf("seed %d: %d cells (%d full), want 4 (2)", seed, len(cells), fullCells)
 	}
 	if total < 16 {
 		t.Errorf("seed %d: %d crashes injected across the matrix, want ≥16", seed, total)
@@ -54,47 +60,69 @@ func TestTortureMatrix(t *testing.T) {
 // TestTortureSmoke is the CI-sized single-cell check (also what
 // leaftl-bench -torture exercises under the race detector).
 func TestTortureSmoke(t *testing.T) {
-	const seed = 7
-	s := NewSuite(MicroScale(), seed)
-	cells, _, err := s.Torture(TortureSpec{
-		Budgets: []float64{0},
-		Bitmap:  []bool{false},
-	})
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	if cells[0].Crashes == 0 {
-		t.Errorf("seed %d: no crashes injected", seed)
+	tortureOneCell(t, 7, 0, "paper")
+}
+
+// TestTortureJournal crash-tortures the mapping-delta journal path on a
+// second seed: the budgeted full cell alone, whose journal is capped at
+// one translation block, so slices crash between delta appends, mid-fold
+// and mid-journal-GC, and recoveries must replay delta chains onto GMD
+// base images before the differential verification.
+func TestTortureJournal(t *testing.T) {
+	if c := tortureOneCell(t, 29, 0.25, "full"); c.JournalReplays == 0 {
+		t.Errorf("seed 29: recoveries never replayed a journal delta")
 	}
 }
 
-// TestTortureJournal crash-tortures the mapping-delta journal path:
-// budgeted cells with the journal on and its footprint squeezed to one
-// translation block, so slices crash between delta appends, mid-fold and
-// mid-journal-GC, and every recovery must replay delta chains onto GMD
-// base images before the differential verification. The bitmap-on cell
-// is the benchmark's full configuration.
-func TestTortureJournal(t *testing.T) {
-	const seed = 29
-	s := NewSuite(MicroScale(), seed)
-	cells, table, err := s.Torture(TortureSpec{
-		Budgets:      []float64{0.25},
-		Journal:      true,
-		JournalPages: 256,
-	})
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
+// tortureOneCell runs the one-cell matrix budget × scheme and fails t
+// unless it injected crashes and verified LPAs.
+func tortureOneCell(t *testing.T, seed int64, budget float64, scheme string) TortureCell {
+	t.Helper()
+	cells, table, err := NewSuite(MicroScale(), seed).Torture(TortureSpec{Budgets: []float64{budget}, Schemes: []string{scheme}})
+	if err != nil || len(cells) != 1 {
+		t.Fatalf("seed %d: %d cells, err %v; want 1, nil", seed, len(cells), err)
 	}
 	t.Logf("seed %d:\n%s", seed, table)
-	for _, c := range cells {
-		if c.Crashes == 0 {
-			t.Errorf("seed %d, bitmap %v: no crashes injected", seed, c.Bitmap)
+	if c := cells[0]; c.Crashes == 0 || c.VerifiedLPAs == 0 {
+		t.Errorf("seed %d: %d crashes injected, %d LPAs verified; want both > 0", seed, c.Crashes, c.VerifiedLPAs)
+	}
+	return cells[0]
+}
+
+// TestCrashVerifyRejects shows the differential verification fails a
+// recovery that resurrects a stale copy or loses an LPA outside the
+// write buffer, naming the LPA, and forgives both inside it.
+func TestCrashVerifyRejects(t *testing.T) {
+	const lpa = 5
+	at := crashSnapshot{
+		tok:  []uint64{0, 11, 12, 13, 14, 15, 16, 17},
+		lost: make([]bool, 8),
+	}
+	postLost := make([]bool, 8)
+	if n, err := at.verify(at.tok, postLost); err != nil || n != 8 {
+		t.Fatalf("identical state: verified %d, err %v; want 8, nil", n, err)
+	}
+
+	stale := append([]uint64(nil), at.tok...)
+	stale[lpa] = 0xdead
+	lost := make([]bool, 8)
+	lost[lpa] = true
+	for _, tc := range []struct {
+		name     string
+		postTok  []uint64
+		postLost []bool
+	}{
+		{"stale token", stale, postLost},
+		{"lost", at.tok, lost},
+	} {
+		_, err := at.verify(tc.postTok, tc.postLost)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("LPA %d ", lpa)) {
+			t.Errorf("%s: err %v, want an error naming LPA %d", tc.name, err, lpa)
 		}
-		if c.VerifiedLPAs == 0 {
-			t.Errorf("seed %d, bitmap %v: verified nothing", seed, c.Bitmap)
-		}
-		if c.JournalReplays == 0 {
-			t.Errorf("seed %d, bitmap %v: recoveries never replayed a journal delta", seed, c.Bitmap)
+		buffered := at
+		buffered.buffered = []addr.LPA{lpa}
+		if n, err := buffered.verify(tc.postTok, tc.postLost); err != nil || n != 7 {
+			t.Errorf("%s, LPA buffered: verified %d, err %v; want 7, nil", tc.name, n, err)
 		}
 	}
 }

@@ -20,12 +20,11 @@ type Cost struct {
 	MetaReads  int
 	MetaWrites int
 
-	// ReadIDs/WriteIDs name the translation page behind each counted
-	// operation, in charge order: a scheme-stable identity (virtual
+	// ReadIDs/WriteIDs hold one ID per counted operation, in charge
+	// order: a scheme-stable identity of the translation page (virtual
 	// translation PPA, region or group number) the device maps onto the
-	// die actually holding the page. Producers that cannot name a page
-	// may leave these shorter than the counts; the device falls back to
-	// a device-wide sequence for the remainder.
+	// die actually holding the page. len(ReadIDs) == MetaReads and
+	// len(WriteIDs) == MetaWrites.
 	ReadIDs  []uint64
 	WriteIDs []uint64
 }

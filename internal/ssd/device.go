@@ -90,9 +90,6 @@ type Device struct {
 	// full); with one die every flush seals its blocks exactly as the
 	// old chunked writer did and the lanes are never left open.
 	flushLanes []destLane
-	// metaSeq is the fallback rotation for translation-page operations
-	// whose producer did not name a page identity.
-	metaSeq uint64
 
 	// Reliability state: bad marks blocks retired (or sealed awaiting
 	// retirement) after program/erase failures — a persisted bad-block
@@ -927,17 +924,6 @@ func (d *Device) takeFree(die int) (flash.BlockID, bool) {
 	return b, true
 }
 
-// metaID resolves the identity of the i-th charged meta operation: the
-// producer-supplied translation-page id when present, else a device-wide
-// sequence (legacy producers that cannot name a page).
-func (d *Device) metaID(ids []uint64, i int) uint64 {
-	if i < len(ids) {
-		return ids[i]
-	}
-	d.metaSeq++
-	return d.metaSeq
-}
-
 // chargeMeta charges translation-metadata flash operations, routing each
 // to the die derived from its translation page's identity. Reads
 // serialize into the request's timeline — their data gates progress.
@@ -948,13 +934,13 @@ func (d *Device) metaID(ids []uint64, i int) uint64 {
 // With one die, writes serialize exactly as before.
 func (d *Device) chargeMeta(c ftl.Cost, t time.Duration) time.Duration {
 	for i := 0; i < c.MetaReads; i++ {
-		t = d.arr.MetaRead(d.metaID(c.ReadIDs, i), t)
+		t = d.arr.MetaRead(c.ReadIDs[i], t)
 		d.stats.MetaReads++
 	}
 	pipelined := d.dieLanes > 1
 	for i := 0; i < c.MetaWrites; i++ {
 		d.crashPoint("meta.write")
-		done := d.arr.MetaWrite(d.metaID(c.WriteIDs, i), t)
+		done := d.arr.MetaWrite(c.WriteIDs[i], t)
 		d.stats.MetaWrites++
 		if pipelined {
 			d.stats.MetaOverlap += done - t
