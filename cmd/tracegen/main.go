@@ -1,8 +1,8 @@
 // Command tracegen emits a synthetic block I/O trace for one of the
 // paper's workload profiles or the open-loop timed generators
 // (zipf-hot, mixed-rw), in any supported wire format. The output
-// replays with cmd/leaftl-sim, leaftl-bench -cells -workloads FILE, or
-// trace.Open.
+// replays with leaftl-bench -cells -workloads FILE (or /dev/stdin
+// through a pipe) or trace.Open.
 //
 // Usage:
 //

@@ -109,8 +109,8 @@ type boundaryEdit struct {
 // segments.
 //
 // Production code calls insertMarked directly with the table's shared
-// mark array; this wrapper (like removeLPAs) exists for tests and as the
-// readable statement of the operation's contract.
+// mark array; this wrapper exists for tests and as the readable
+// statement of the operation's contract.
 func (c *crb) insert(lpas []uint8) []boundaryEdit {
 	var mark [addr.GroupSize]uint64
 	for _, o := range lpas {
@@ -226,43 +226,21 @@ func (c *crb) entryFor(start uint8) *crbEntry {
 	return nil
 }
 
-// removeLPAs deletes the offsets matched by drop from the segment entry
-// starting at start (used when a merge trims a victim, Algorithm 2 line
-// 24-25). It returns the resulting boundary edit.
-func (c *crb) removeLPAs(start uint8, drop func(uint8) bool) (boundaryEdit, bool) {
-	i := c.searchStart(start)
-	if i >= len(c.entries) || c.entries[i].start() != start {
-		return boundaryEdit{}, false
-	}
-	return c.filterEntry(i, drop, nil, 0)
-}
-
-// removeMarked is removeLPAs with the drop set given as a
-// generation-stamped mark array, avoiding a closure allocation on the
-// merge path.
+// removeMarked deletes the offsets marked in a generation-stamped mark
+// array (mark[o] == gen) from the segment entry starting at start (used
+// when a merge trims a victim, Algorithm 2 line 24-25), maintaining the
+// size counter, the owner index and the sort invariant. It returns the
+// resulting boundary edit.
 func (c *crb) removeMarked(start uint8, mark *[addr.GroupSize]uint64, gen uint64) (boundaryEdit, bool) {
 	i := c.searchStart(start)
 	if i >= len(c.entries) || c.entries[i].start() != start {
 		return boundaryEdit{}, false
 	}
-	return c.filterEntry(i, nil, mark, gen)
-}
-
-// filterEntry filters entry i by drop (or, when drop is nil, by the mark
-// array), maintaining the size counter, the owner index and the sort
-// invariant.
-func (c *crb) filterEntry(i int, drop func(uint8) bool, mark *[addr.GroupSize]uint64, gen uint64) (boundaryEdit, bool) {
 	e := &c.entries[i]
 	oldStart, oldLast := e.start(), e.last()
 	filtered := e.lpas[:0]
 	for _, o := range e.lpas {
-		dropped := false
-		if drop != nil {
-			dropped = drop(o)
-		} else {
-			dropped = mark[o] == gen
-		}
-		if dropped {
+		if mark[o] == gen {
 			c.setOwner(o, ownerNone)
 		} else {
 			filtered = append(filtered, o)
@@ -285,20 +263,6 @@ func (c *crb) filterEntry(i int, drop func(uint8) bool, mark *[addr.GroupSize]ui
 		return boundaryEdit{Old: oldStart, NewStart: ns, NewLast: nl}, true
 	}
 	return boundaryEdit{Old: oldStart, NewStart: oldStart, NewLast: nl}, true
-}
-
-// removeSegment drops the whole entry starting at start (segment removed
-// from the table during merge or compaction).
-func (c *crb) removeSegment(start uint8) {
-	i := c.searchStart(start)
-	if i < len(c.entries) && c.entries[i].start() == start {
-		for _, o := range c.entries[i].lpas {
-			c.setOwner(o, ownerNone)
-		}
-		c.bytes -= len(c.entries[i].lpas) + 1
-		c.releaseEntryBuf(c.entries[i].lpas)
-		c.entries = append(c.entries[:i], c.entries[i+1:]...)
-	}
 }
 
 // reset empties the buffer ahead of a whole-group rebuild, keeping the

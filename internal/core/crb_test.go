@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"leaftl/internal/addr"
 )
 
 // checkCRBInvariants asserts the paper's three CRB properties (§3.4):
@@ -116,15 +118,20 @@ func TestCRBInterleavedRanges(t *testing.T) {
 	}
 }
 
+// TestCRBRemoveLPAsAndSegment trims an entry, then removes whole ones,
+// through removeMarked, the merge path's filter.
 func TestCRBRemoveLPAsAndSegment(t *testing.T) {
 	var c crb
+	var mark [addr.GroupSize]uint64
 	c.insert([]uint8{50, 52, 54, 56})
-	edit, ok := c.removeLPAs(50, func(o uint8) bool { return o == 50 || o == 52 })
+	mark[50], mark[52] = 1, 1
+	edit, ok := c.removeMarked(50, &mark, 1)
 	if !ok || edit.NewStart != 54 || edit.NewLast != 56 {
 		t.Fatalf("edit = %+v, %v", edit, ok)
 	}
 	checkCRBInvariants(t, &c)
-	edit, ok = c.removeLPAs(54, func(o uint8) bool { return true })
+	mark[54], mark[56] = 2, 2
+	edit, ok = c.removeMarked(54, &mark, 2)
 	if !ok || !edit.Removed {
 		t.Fatalf("full removal edit = %+v, %v", edit, ok)
 	}
@@ -133,12 +140,17 @@ func TestCRBRemoveLPAsAndSegment(t *testing.T) {
 	}
 
 	c.insert([]uint8{7, 9})
-	c.removeSegment(7)
-	if len(c.entries) != 0 {
-		t.Error("removeSegment left the entry")
+	mark[7], mark[9] = 3, 3
+	if edit, ok := c.removeMarked(7, &mark, 3); !ok || !edit.Removed || len(c.entries) != 0 {
+		t.Errorf("whole-entry removal = %+v, %v; %d entries left", edit, ok, len(c.entries))
+	}
+	if _, owned := c.lookup(9); owned {
+		t.Error("LPA 9 still owned after its entry went")
 	}
 	// Removing a missing segment is a no-op.
-	c.removeSegment(99)
+	if _, ok := c.removeMarked(99, &mark, 3); ok {
+		t.Error("removeMarked reported an edit for a missing entry")
+	}
 }
 
 func TestCRBSizeBytes(t *testing.T) {

@@ -166,9 +166,6 @@ func (p *Pager) Paging() bool { return p.evicted > 0 || p.flashPages > 0 }
 // Stats returns the paging event counters.
 func (p *Pager) Stats() PagerStats { return p.stats }
 
-// EvictedGroups returns how many groups are currently paged out.
-func (p *Pager) EvictedGroups() int { return p.evicted }
-
 // TranslationPages returns the flash pages currently occupied by group
 // images (the translation-block footprint charged against
 // over-provisioned capacity).

@@ -137,9 +137,9 @@ func TestPagerBudgetAndClock(t *testing.T) {
 	if tab.SizeBytes() > p.Budget() {
 		t.Fatalf("resident %d exceeds budget %d", tab.SizeBytes(), p.Budget())
 	}
-	if p.EvictedGroups() == 0 || p.TranslationPages() == 0 {
+	if p.evicted == 0 || p.TranslationPages() == 0 {
 		t.Fatalf("no evictions under a binding budget: %d groups, %d pages",
-			p.EvictedGroups(), p.TranslationPages())
+			p.evicted, p.TranslationPages())
 	}
 
 	// Fault an evicted group back in: charged as translation-page reads.
@@ -215,7 +215,7 @@ func TestPagedImagesMatchResident(t *testing.T) {
 	paged, p := buildMixedTable(t, 4)
 	p.SetBudget(paged.SizeBytes() / 4)
 	p.Enforce()
-	if p.EvictedGroups() == 0 {
+	if p.evicted == 0 {
 		t.Fatal("budget did not evict")
 	}
 	got := p.PersistedGroups()

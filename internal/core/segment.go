@@ -118,15 +118,6 @@ func (s Segment) Stride() uint32 {
 	return st
 }
 
-// OnStride reports whether lpa sits on an accurate segment's arithmetic
-// progression. Callers must have checked Contains first.
-func (s Segment) OnStride(lpa addr.LPA) bool {
-	if s.L == 0 {
-		return lpa == s.SLPA
-	}
-	return uint32(lpa-s.SLPA)%s.Stride() == 0
-}
-
 // Predict returns the segment's PPA prediction for lpa. For accurate
 // segments the result is exact; for approximate segments it is within
 // ±gamma of the true PPA (guaranteed at learning time).

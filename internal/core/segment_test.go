@@ -72,11 +72,8 @@ func TestLearnStridedAccurate(t *testing.T) {
 	if !s.Accurate() || s.Stride() != 2 {
 		t.Fatalf("segment %v: want accurate stride 2", s)
 	}
-	if s.OnStride(1) {
-		t.Error("LPA 1 must be off-stride")
-	}
-	if !s.OnStride(198) {
-		t.Error("LPA 198 must be on-stride")
+	if got := s.Predict(198); got != 299 {
+		t.Errorf("Predict(198) = %d, want 299", got)
 	}
 }
 
@@ -196,7 +193,7 @@ func TestPropertyLearnBound(t *testing.T) {
 			if d < -int64(gamma) || d > int64(gamma) {
 				return false
 			}
-			if s.Accurate() && !s.OnStride(m.LPA) {
+			if s.Accurate() && uint32(m.LPA-s.SLPA)%s.Stride() != 0 {
 				return false
 			}
 		}

@@ -219,10 +219,6 @@ func (t *Table) Gamma() int { return t.gamma }
 // written by a bitmap-enabled table — become live immediately.
 func (t *Table) EnableExactBitmap() { t.bitmapOn = true }
 
-// ExactBitmapEnabled reports whether the table maintains predicted-exact
-// bitmaps.
-func (t *Table) ExactBitmapEnabled() bool { return t.bitmapOn }
-
 // Update learns segments for a batch of new LPA→PPA mappings and inserts
 // them at the top level (paper §3.7 "Creation" + "Insert/Update"). pairs
 // must be sorted by LPA with unique LPAs; the device's data buffer

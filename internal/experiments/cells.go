@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/flash"
 	"leaftl/internal/ftl"
 	"leaftl/internal/leaftl"
 	"leaftl/internal/metrics"
@@ -136,16 +137,13 @@ type CellRun struct {
 	BudgetBytes   int `json:"budget_bytes"`
 	MapBytes      int `json:"map_bytes"`
 	ResidentBytes int `json:"resident_bytes"`
-	// MetaReadsPerReq and MetaWritesPerReq are translation-page reads and
-	// writes per host request; MetaOverlapUs is the time those writes
-	// completed behind data traffic on other dies (Stats.MetaOverlap).
-	MetaReadsPerReq  float64 `json:"meta_reads_per_req"`
-	MetaWritesPerReq float64 `json:"meta_writes_per_req"`
-	MetaOverlapUs    float64 `json:"meta_overlap_us"`
-	// Journal counters of the mapping-delta journal (zero without one).
-	JournalAppends  uint64 `json:"journal_appends"`
-	JournalFolds    uint64 `json:"journal_folds"`
-	JournalMaxChain int    `json:"journal_max_chain"`
+	// Device holds the device counters of the replay and its final flush
+	// (reset after warm-up); Flash the flash array's counters since the
+	// device was built, warm-up included; Journal the mapping-delta
+	// journal's counters (zero without one).
+	Device  ssd.Stats        `json:"device"`
+	Flash   flash.Stats      `json:"flash"`
+	Journal ftl.JournalStats `json:"journal"`
 	// Digest is the device's StateDigest after the final flush; digests
 	// of different geometries differ by design (page placement).
 	Digest string `json:"state_digest"`
@@ -206,9 +204,10 @@ func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
 			usF(r.P50us), usF(r.P99us), usF(r.P999us), usF(r.WaitP99us),
 			f2(r.WAF),
 			metrics.FormatBytes(int64(r.MapBytes)), metrics.FormatBytes(int64(r.ResidentBytes)),
-			fmt.Sprintf("%.4f", r.MetaReadsPerReq), fmt.Sprintf("%.4f", r.MetaWritesPerReq),
-			usF(r.MetaOverlapUs),
-			fmt.Sprintf("%d/%d/%d", r.JournalAppends, r.JournalFolds, r.JournalMaxChain),
+			fmt.Sprintf("%.4f", float64(r.Device.MetaReads)/float64(r.Requests)),
+			fmt.Sprintf("%.4f", float64(r.Device.MetaWrites)/float64(r.Requests)),
+			us(r.Device.MetaOverlap),
+			fmt.Sprintf("%d/%d/%d", r.Journal.Appends, r.Journal.Folds, r.Journal.MaxChain),
 			r.Digest,
 		})
 	}
@@ -266,19 +265,16 @@ func (s *Suite) cell(c Cell, reqs []trace.Request, gamma int) (CellRun, *ssd.Dev
 		return CellRun{}, nil, err
 	}
 
-	sum, st := res.Latency.Summary(), dev.Stats()
+	sum := res.Latency.Summary()
 	run.Requests = res.Requests
 	run.KIOPS = res.IOPS() / 1e3
 	run.P50us, run.P99us, run.P999us = micros(sum.P50), micros(sum.P99), micros(sum.P999)
 	run.WaitP99us = micros(res.QueueWait.Summary().P99)
 	run.WAF = dev.WAF()
 	run.MapBytes, run.ResidentBytes = sch.FullSizeBytes(), sch.MemoryBytes()
-	run.MetaReadsPerReq = float64(st.MetaReads) / float64(res.Requests)
-	run.MetaWritesPerReq = float64(st.MetaWrites) / float64(res.Requests)
-	run.MetaOverlapUs = micros(st.MetaOverlap)
+	run.Device, run.Flash = dev.Stats(), dev.FlashStats()
 	if j, ok := sch.(ftl.Journaled); ok {
-		js := j.JournalStats()
-		run.JournalAppends, run.JournalFolds, run.JournalMaxChain = js.Appends, js.Folds, js.MaxChain
+		run.Journal = j.JournalStats()
 	}
 	run.Digest = fmt.Sprintf("%016x", dev.StateDigest())
 	run.Result = res

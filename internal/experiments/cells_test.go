@@ -176,7 +176,7 @@ func TestCellsBudgetRepeatable(t *testing.T) {
 	if r.BudgetBytes <= 0 || r.ResidentBytes > r.BudgetBytes {
 		t.Errorf("resident %d B over the %d B budget", r.ResidentBytes, r.BudgetBytes)
 	}
-	if r.JournalAppends == 0 {
+	if r.Journal.Appends == 0 {
 		t.Error("no journal appends under a 25% budget")
 	}
 	again, table2, err := NewSuite(MicroScale(), 1).Cells(spec)

@@ -11,7 +11,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -335,14 +334,4 @@ func geoMean(vs []float64) float64 {
 		sum += math.Log(v)
 	}
 	return math.Exp(sum / float64(len(vs)))
-}
-
-// sortedKeys returns the sorted keys of a histogram map.
-func sortedKeys(m map[int]uint64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -26,11 +26,8 @@ func (s *Suite) runRecovery(name, scheme string, budget float64) ([]string, erro
 		return nil, err
 	}
 	logical := dev.LogicalPages()
-	fp := p.Footprint(logical)
-	for lpa := 0; lpa+64 <= fp; lpa += 64 {
-		if _, err := dev.Write(addr.LPA(lpa), 64); err != nil {
-			return nil, err
-		}
+	if err := warmPages(dev, p.Footprint(logical)); err != nil {
+		return nil, err
 	}
 	label := scheme
 	if budget > 0 {

@@ -56,7 +56,6 @@ func TestDieConfigValidate(t *testing.T) {
 		"blocks not divisible": func(c *Config) { c.DiesPerChan = 3 },  // 4 % 3 != 0
 		"pages not divisible":  func(c *Config) { c.PlanesPerDie = 3 }, // 8 % 3 != 0
 		"too many planes":      func(c *Config) { c.PagesPerBlock = 1 << 7; c.PlanesPerDie = 64 },
-		"negative bus":         func(c *Config) { c.DiesPerChan = 2; c.BusXfer = -time.Microsecond },
 	} {
 		c := testCfg()
 		mutate(&c)
@@ -207,12 +206,12 @@ func TestMetaPlacementDataIndependent(t *testing.T) {
 		units := a.Config().Units()
 		before := make([]time.Duration, units)
 		for u := 0; u < units; u++ {
-			before[u] = a.BusyUntil(u)
+			before[u] = a.dies[u].busyUntil()
 		}
 		a.MetaWrite(metaPage, quiet)
 		unit := -1
 		for u := 0; u < units; u++ {
-			if a.BusyUntil(u) != before[u] {
+			if a.dies[u].busyUntil() != before[u] {
 				unit = u
 			}
 		}

@@ -170,7 +170,7 @@ func TestProgramFailBurnsPage(t *testing.T) {
 	if !a.Written(0) {
 		t.Error("burned page not marked written")
 	}
-	if a.Reverse(0) != addr.InvalidLPA || a.WriteSeq(0) != 0 {
+	if a.Reverse(0) != addr.InvalidLPA || a.seq[0] != 0 {
 		t.Error("burned page kept OOB contents")
 	}
 	if a.Stats().ProgramFails != 1 {
@@ -314,14 +314,14 @@ func TestScanPrimitives(t *testing.T) {
 	a.Write(0, 40, 1, 0)
 	a.Write(1, 41, 2, 0)
 	lpa, seq, err := a.ScanOOB(0, 0)
-	if err != nil || lpa != 40 || seq != a.WriteSeq(0) {
+	if err != nil || lpa != 40 || seq != a.seq[0] {
 		t.Errorf("ScanOOB = %d/%d/%v", lpa, seq, err)
 	}
 	if lpa, _, err := a.ScanOOB(5, 0); err != nil || lpa != addr.InvalidLPA {
 		t.Errorf("ScanOOB of unwritten page = %d/%v", lpa, err)
 	}
 	lpa, seq, err = a.ScanSibling(0, 0)
-	if err != nil || lpa != 40 || seq != a.WriteSeq(0) {
+	if err != nil || lpa != 40 || seq != a.seq[0] {
 		t.Errorf("ScanSibling = %d/%d/%v", lpa, seq, err)
 	}
 	// A lone page in its block has no sibling.

@@ -24,9 +24,9 @@
 // later operation, never advance it.
 //
 // With DiesPerChan or PlanesPerDie above one, the channel bus becomes a
-// separate, shorter transfer-occupancy resource (BusXfer per page; its
-// horizon stays one scalar per channel — transfers are FIFO), programs
-// to distinct planes of one die can join a multi-plane window, and
+// separate, shorter transfer-occupancy resource (a quarter of tR per
+// page; its horizon stays one scalar per channel — transfers are FIFO),
+// programs to distinct planes of one die can join a multi-plane window, and
 // completions across dies are naturally out of order. With one die and
 // one plane per channel and nothing booked ahead the arithmetic reduces
 // exactly to the original per-channel scalar-horizon model. This
@@ -57,17 +57,12 @@ type Config struct {
 	// DiesPerChan is the number of NAND dies (LUNs) sharing each channel
 	// bus. Zero or one keeps the original one-timeline-per-channel model;
 	// above one, cell operations occupy only their die and the channel
-	// bus carries per-page transfers (BusXfer).
+	// bus carries per-page transfers (busXfer).
 	DiesPerChan int
 	// PlanesPerDie enables multi-plane programs: programs to distinct
 	// planes of one die issued while a program window is open complete
 	// together. Zero or one disables plane interleave.
 	PlanesPerDie int
-	// BusXfer is the channel-bus occupancy of moving one page between
-	// controller and die. Only charged when the geometry is die-aware
-	// (DiesPerChan or PlanesPerDie above one); zero defaults to
-	// ReadLatency/4.
-	BusXfer time.Duration
 
 	// Fault selects the seeded reliability model (see fault.go). The
 	// zero value is perfect flash.
@@ -121,8 +116,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("flash: PagesPerBlock = %d not divisible by PlanesPerDie = %d", c.PagesPerBlock, c.Planes())
 	case c.Planes() > 32:
 		return fmt.Errorf("flash: PlanesPerDie = %d exceeds 32", c.Planes())
-	case c.BusXfer < 0:
-		return fmt.Errorf("flash: BusXfer = %v, must be non-negative", c.BusXfer)
 	}
 	return c.Fault.Validate()
 }
@@ -170,24 +163,16 @@ func (c Config) PlaneOf(ppa addr.PPA) int { return c.PageOf(ppa) % c.Planes() }
 // active. When false, timing is the original per-channel arithmetic.
 func (c Config) dieAware() bool { return c.Dies() > 1 || c.Planes() > 1 }
 
-// busXfer returns the effective per-page bus occupancy.
-func (c Config) busXfer() time.Duration {
-	if c.BusXfer > 0 {
-		return c.BusXfer
-	}
-	return c.ReadLatency / 4
-}
+// busXfer returns the channel-bus occupancy of moving one page between
+// controller and die: a quarter of the page read time. Only charged
+// when the geometry is die-aware.
+func (c Config) busXfer() time.Duration { return c.ReadLatency / 4 }
 
 // Blocks returns the total number of erase blocks.
 func (c Config) Blocks() int { return c.Channels * c.BlocksPerChan }
 
 // TotalPages returns the total number of flash pages.
 func (c Config) TotalPages() int { return c.Blocks() * c.PagesPerBlock }
-
-// CapacityBytes returns the raw capacity.
-func (c Config) CapacityBytes() int64 {
-	return int64(c.TotalPages()) * int64(c.PageSize)
-}
 
 // OOBEntries returns how many 4-byte reverse-mapping entries fit in one
 // page's OOB area (paper §3.5: 32–64 for 128–256B OOBs).
@@ -601,11 +586,6 @@ func (a *Array) Reverse(ppa addr.PPA) addr.LPA {
 	return a.reverse[ppa]
 }
 
-// BusyUntil returns when the last thing booked on die unit u completes
-// (for tests; the die may well be idle before then). With one die per
-// channel, unit indices coincide with channel indices.
-func (a *Array) BusyUntil(u int) time.Duration { return a.dies[u].busyUntil() }
-
 // CheckTimelines audits every die's timeline: spans sorted, disjoint,
 // merged and not before the floor, and per die the spans still listed
 // plus the ones retired add up to exactly the latency ever booked — no
@@ -617,16 +597,6 @@ func (a *Array) CheckTimelines() error {
 		}
 	}
 	return nil
-}
-
-// WriteSeq returns the OOB write-sequence number of ppa (0 if unwritten).
-// Recovery scans use it to order copies of the same LPA; real SSDs stamp
-// the same information into the OOB at program time.
-func (a *Array) WriteSeq(ppa addr.PPA) uint64 {
-	if !a.written[ppa] {
-		return 0
-	}
-	return a.seq[ppa]
 }
 
 // TokenAt returns the stored payload token without charging a flash

@@ -59,7 +59,7 @@ func TestWriteReadEraseCycle(t *testing.T) {
 	if tok != 0xdead || rev != 100 {
 		t.Errorf("read back %x/%d", tok, rev)
 	}
-	if a.WriteSeq(0) == 0 {
+	if _, seq, _ := a.ScanOOB(0, done); seq == 0 {
 		t.Error("write seq not stamped")
 	}
 	a.Erase(0, 0)
@@ -152,10 +152,12 @@ func TestWriteSeqMonotone(t *testing.T) {
 	a, _ := NewArray(testCfg())
 	a.Write(0, 0, 0, 0)
 	a.Write(1, 1, 0, 0)
-	if !(a.WriteSeq(1) > a.WriteSeq(0)) {
+	_, seq0, _ := a.ScanOOB(0, 0)
+	_, seq1, _ := a.ScanOOB(1, 0)
+	if !(seq1 > seq0) {
 		t.Error("write sequence not monotone")
 	}
-	if a.WriteSeq(5) != 0 {
+	if _, seq, _ := a.ScanOOB(5, 0); seq != 0 {
 		t.Error("unwritten page has nonzero seq")
 	}
 }
@@ -163,8 +165,8 @@ func TestWriteSeqMonotone(t *testing.T) {
 func TestBusyUntil(t *testing.T) {
 	a, _ := NewArray(testCfg())
 	a.Write(0, 0, 0, 5*time.Millisecond)
-	if a.BusyUntil(0) != 5*time.Millisecond+a.Config().WriteLatency {
-		t.Errorf("BusyUntil = %v", a.BusyUntil(0))
+	if a.dies[0].busyUntil() != 5*time.Millisecond+a.Config().WriteLatency {
+		t.Errorf("busyUntil = %v", a.dies[0].busyUntil())
 	}
 }
 
@@ -194,9 +196,9 @@ func TestReadWaitsForErase(t *testing.T) {
 	cfg := a.Config()
 	a.Write(0, 0, 0, 0)
 	a.Erase(0, cfg.WriteLatency) // queued right after the program
-	busy := a.BusyUntil(0)
+	busy := a.dies[0].busyUntil()
 	if busy != cfg.WriteLatency+cfg.EraseLatency {
-		t.Fatalf("BusyUntil = %v", busy)
+		t.Fatalf("busyUntil = %v", busy)
 	}
 	// Block 2 shares channel 0; its page 16 is unwritten but readable
 	// (reads of erased pages still occupy the channel).
@@ -238,15 +240,15 @@ func TestReadBehindProgramThenErase(t *testing.T) {
 	a.Write(1, 1, 0, 0)
 	a.Erase(2, 0) // block 2 shares unit 0; the erase queues behind both
 	busy := 2*cfg.WriteLatency + cfg.EraseLatency
-	if a.BusyUntil(0) != busy {
-		t.Fatalf("BusyUntil = %v, want %v", a.BusyUntil(0), busy)
+	if a.dies[0].busyUntil() != busy {
+		t.Fatalf("busyUntil = %v, want %v", a.dies[0].busyUntil(), busy)
 	}
 	_, _, done, _ := a.Read(16, 0)
 	if want := cfg.WriteLatency + cfg.ReadLatency; done != want {
 		t.Errorf("read behind program+erase done at %v, want %v (one program, then suspend)", done, want)
 	}
-	if want := busy + cfg.ReadLatency; a.BusyUntil(0) != want {
-		t.Errorf("BusyUntil = %v after the read, want %v (the erase moved back by exactly tR)", a.BusyUntil(0), want)
+	if want := busy + cfg.ReadLatency; a.dies[0].busyUntil() != want {
+		t.Errorf("busyUntil = %v after the read, want %v (the erase moved back by exactly tR)", a.dies[0].busyUntil(), want)
 	}
 	// The erase now runs [420µs, 1.92ms): a read inside it waits it out.
 	_, _, done, _ = a.Read(16, time.Millisecond)
@@ -310,8 +312,8 @@ func TestTimelineCopyOutBookedAhead(t *testing.T) {
 	if _, _, done, _ := a.Read(0, late); done != late+r {
 		t.Errorf("host read just before the copy-out done at %v, want %v", done, late+r)
 	}
-	if want := copied + r/2; a.BusyUntil(0) != want {
-		t.Errorf("copy-out now ends at %v, want %v", a.BusyUntil(0), want)
+	if want := copied + r/2; a.dies[0].busyUntil() != want {
+		t.Errorf("copy-out now ends at %v, want %v", a.dies[0].busyUntil(), want)
 	}
 }
 
@@ -403,7 +405,7 @@ func TestSuspendedReadsSerialize(t *testing.T) {
 	for i := 0; i < cfg.PagesPerBlock; i++ {
 		a.Write(addr.PPA(i), addr.LPA(i), 0, 0)
 	}
-	backlog := a.BusyUntil(0)
+	backlog := a.dies[0].busyUntil()
 	const n = 6
 	firstStart := cfg.WriteLatency // the in-flight program finishes first
 	for i := 1; i <= n; i++ {
@@ -413,8 +415,8 @@ func TestSuspendedReadsSerialize(t *testing.T) {
 			t.Fatalf("suspended read %d done at %v, want %v", i, done, want)
 		}
 	}
-	if want := backlog + n*cfg.ReadLatency; a.BusyUntil(0) != want {
-		t.Errorf("program queue ends at %v after %d preempting reads, want %v", a.BusyUntil(0), n, want)
+	if want := backlog + n*cfg.ReadLatency; a.dies[0].busyUntil() != want {
+		t.Errorf("program queue ends at %v after %d preempting reads, want %v", a.dies[0].busyUntil(), n, want)
 	}
 	// A read issued after the suspended ones drained owes them nothing.
 	now := firstStart + (n+3)*cfg.ReadLatency

@@ -19,6 +19,10 @@ import (
 	"leaftl/internal/workload"
 )
 
+// cacheHitLatency is the device's service time for a request served
+// from DRAM (write buffer or data cache).
+const cacheHitLatency = time.Microsecond
+
 func smallConfig() ssd.Config {
 	cfg := ssd.SimulatorConfig()
 	cfg.Flash.BlocksPerChan = 16
@@ -161,7 +165,7 @@ func TestLatencyMetamorphic(t *testing.T) {
 		if second > first {
 			t.Fatalf("LPA %d: cached re-read %v slower than first read %v", lpa, second, first)
 		}
-		if first < cfg.Flash.ReadLatency && first > 2*cfg.CacheHitLatency {
+		if first < cfg.Flash.ReadLatency && first > 2*cacheHitLatency {
 			t.Fatalf("LPA %d: flash-backed read %v under ReadLatency %v", lpa, first, cfg.Flash.ReadLatency)
 		}
 	}
@@ -212,7 +216,7 @@ func TestWriteLatencyBackpressure(t *testing.T) {
 			maxLat = lat
 		}
 	}
-	if maxLat <= cfg.CacheHitLatency {
+	if maxLat <= cacheHitLatency {
 		t.Error("sustained overload never stalled a write; back-pressure missing")
 	}
 }

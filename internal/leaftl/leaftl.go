@@ -82,8 +82,6 @@ type Scheme struct {
 	lookups    uint64
 	levelsSum  uint64
 	levelsHist []uint64 // lookups by levels visited
-	segLearned uint64
-	batchCount uint64
 }
 
 // New returns a LeaFTL scheme with error bound gamma (pages) on a device
@@ -134,14 +132,15 @@ func sweepCost(pages int) ftl.Cost {
 // commit commits a sorted batch through the pager in three steps.
 // First every group the batch touches is made resident and dirtied, in
 // ascending group order, demand-loading the ones paged out. Then the
-// whole batch goes to the table in one update call, so the table may
-// commit its group runs in parallel. Last, the byte cap is enforced once.
+// whole batch goes to the table in one Table.Relearn call (Table.Update
+// that also counts the groups touched), so the table may commit its
+// group runs in parallel. Last, the byte cap is enforced once.
 // While the batch commits, the resident set may exceed the budget by the
 // batch's own groups; when commit returns it is back within it. Each
 // group is loaded at most once per batch, so the batch charges the same
-// translation-page reads as loading its groups one by one. update is
-// Table.Update or a Relearn wrapper; it returns the segments learned.
-func (s *Scheme) commit(update func([]addr.Mapping) int, pairs []addr.Mapping) ftl.Cost {
+// translation-page reads as loading its groups one by one. It returns
+// the cost and the number of groups the batch touched.
+func (s *Scheme) commit(pairs []addr.Mapping) (ftl.Cost, int) {
 	var cost ftl.Cost
 	for i := 0; i < len(pairs); {
 		gid := addr.Group(pairs[i].LPA)
@@ -150,10 +149,9 @@ func (s *Scheme) commit(update func([]addr.Mapping) int, pairs []addr.Mapping) f
 			i++
 		}
 	}
-	s.segLearned += uint64(update(pairs))
-	s.batchCount++
+	_, groups := s.table.Relearn(pairs)
 	cost.Add(s.pager.Enforce())
-	return cost
+	return cost, groups
 }
 
 // Translate implements ftl.Scheme. Under a binding budget, a lookup in a
@@ -198,7 +196,8 @@ func (s *Scheme) noteLookup(res core.LookupResult) {
 // groups demand-loads them and the byte cap is re-enforced after the
 // batch (commit).
 func (s *Scheme) Commit(pairs []addr.Mapping) ftl.Cost {
-	return s.commit(s.table.Update, pairs)
+	cost, _ := s.commit(pairs)
+	return cost
 }
 
 // SetBudget implements ftl.Scheme: a positive budget caps the resident
@@ -298,14 +297,7 @@ func (s *Scheme) CommitGC(pairs []addr.Mapping) (ftl.Cost, int) {
 	if !s.bitmap {
 		return s.Commit(pairs), 0
 	}
-	groups := 0
-	relearn := func(run []addr.Mapping) int {
-		sg, gr := s.table.Relearn(run)
-		groups += gr
-		return sg
-	}
-	cost := s.commit(relearn, pairs)
-	return cost, groups
+	return s.commit(pairs)
 }
 
 // AuditExact implements ftl.ExactAuditor: verify every resident set bit
@@ -386,15 +378,6 @@ func (s *Scheme) LookupLevels() (avg float64, hist map[int]uint64) {
 		return 0, hist
 	}
 	return float64(s.levelsSum) / float64(s.lookups), hist
-}
-
-// SegmentsPerBatch reports the average number of segments learned per
-// committed batch.
-func (s *Scheme) SegmentsPerBatch() float64 {
-	if s.batchCount == 0 {
-		return 0
-	}
-	return float64(s.segLearned) / float64(s.batchCount)
 }
 
 var (

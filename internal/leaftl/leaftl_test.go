@@ -75,9 +75,6 @@ func TestSchemeStatsCounters(t *testing.T) {
 	if len(hist) == 0 {
 		t.Error("empty level histogram")
 	}
-	if s.SegmentsPerBatch() <= 0 {
-		t.Error("segments-per-batch not tracked")
-	}
 	if s.Table() == nil {
 		t.Error("table accessor nil")
 	}

@@ -250,21 +250,6 @@ func (h *Histogram) PercentileDuration(p float64) time.Duration {
 	return time.Duration(h.Percentile(p) * float64(time.Second))
 }
 
-// Merge adds o's samples to h.
-func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
 // IntDist summarizes an integer sample set (CRB sizes, level counts,
 // segment lengths).
 type IntDist struct {

@@ -50,19 +50,6 @@ func TestHistogramPercentileAccuracy(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.Observe(time.Microsecond)
-	b.Observe(time.Millisecond)
-	a.Merge(b)
-	if a.Count() != 2 {
-		t.Errorf("merged count = %d", a.Count())
-	}
-	if a.Percentile(100) < (time.Millisecond).Seconds() {
-		t.Error("merge lost the max")
-	}
-}
-
 func TestHistogramExtremes(t *testing.T) {
 	h := NewHistogram()
 	h.ObserveValue(0)   // below first bucket
@@ -174,11 +161,6 @@ func TestEmptyHistogramJSONSafe(t *testing.T) {
 	}
 	if _, err := json.Marshal(stats); err != nil {
 		t.Fatalf("empty-histogram stats do not marshal: %v", err)
-	}
-	// Merging two empty histograms must not manufacture values either.
-	h.Merge(NewHistogram())
-	if h.Mean() != 0 || h.Percentile(99) != 0 {
-		t.Error("merge of empty histograms produced nonzero stats")
 	}
 }
 

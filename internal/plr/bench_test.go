@@ -27,18 +27,8 @@ func BenchmarkFit256(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Fit(pts, gamma, 0, 1, 255)
+				FitAppend(nil, pts, gamma, 0, 1, 255)
 			}
 		})
-	}
-}
-
-func BenchmarkFitterAdd(b *testing.B) {
-	pts := benchPoints(1 << 16)
-	f := NewFitter(4, 0, 1, 255)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pts[i%len(pts)]
-		f.Add(p.X+int64(i/len(pts))*1<<20, p.Y)
 	}
 }

@@ -39,9 +39,8 @@ func (s Segment) Predict(x int64) int64 {
 	return int64(math.Ceil(s.K*float64(x) + s.B))
 }
 
-// Fitter incrementally builds error-bounded segments. The zero value is
-// not usable; construct with NewFitter.
-type Fitter struct {
+// fitter incrementally builds error-bounded segments for FitAppend.
+type fitter struct {
 	gamma float64
 	// Slope cone constraints, intersected over all accepted points:
 	// slopes in [lo, hi] keep every point within ±gamma of the line
@@ -58,41 +57,10 @@ type Fitter struct {
 	n      int
 }
 
-// NewFitter returns a fitter with error bound gamma ≥ 0, slope clamped to
-// [minSlope, maxSlope] and segment x-span limited to maxSpan (0 = no
-// limit).
-func NewFitter(gamma float64, minSlope, maxSlope float64, maxSpan int64) *Fitter {
-	if gamma < 0 {
-		gamma = 0
-	}
-	if maxSlope < minSlope {
-		minSlope, maxSlope = maxSlope, minSlope
-	}
-	return &Fitter{
-		gamma:    gamma,
-		minSlope: minSlope,
-		maxSlope: maxSlope,
-		maxSpan:  maxSpan,
-	}
-}
-
-// Gamma returns the configured error bound.
-func (f *Fitter) Gamma() float64 { return f.gamma }
-
-// Add feeds the next point (x must exceed the previous point's x). If the
-// point does not fit the open segment, that segment is closed and
-// returned, and a new segment is opened at the point. Otherwise Add
-// returns nil.
-func (f *Fitter) Add(x, y int64) *Segment {
-	if s, ok := f.add(x, y); ok {
-		return &s
-	}
-	return nil
-}
-
-// add is the allocation-free core of Add: closed reports whether a segment
-// was closed by this point.
-func (f *Fitter) add(x, y int64) (s Segment, closed bool) {
+// add feeds the next point. If the point does not fit the open segment,
+// that segment is closed and returned with closed = true, and a new
+// segment is opened at the point.
+func (f *fitter) add(x, y int64) (s Segment, closed bool) {
 	if !f.open {
 		f.start(x, y)
 		return Segment{}, false
@@ -126,17 +94,7 @@ func (f *Fitter) add(x, y int64) (s Segment, closed bool) {
 	return Segment{}, false
 }
 
-// Finish closes and returns the open segment, or nil if no points are
-// pending. The fitter can be reused afterwards.
-func (f *Fitter) Finish() *Segment {
-	if !f.open {
-		return nil
-	}
-	s := f.closeSegment()
-	return &s
-}
-
-func (f *Fitter) start(x, y int64) {
+func (f *fitter) start(x, y int64) {
 	f.open = true
 	f.x0, f.y0 = x, y
 	f.xn, f.yn = x, y
@@ -144,7 +102,7 @@ func (f *Fitter) start(x, y int64) {
 	f.n = 1
 }
 
-func (f *Fitter) closeSegment() Segment {
+func (f *fitter) closeSegment() Segment {
 	f.open = false
 	if f.n == 1 {
 		// Single point: LeaFTL encodes these as K=0, I=PPA (paper §3.1).
@@ -167,16 +125,12 @@ func (f *Fitter) closeSegment() Segment {
 	}
 }
 
-// Fit runs the greedy fitter over a full point slice (x strictly
-// increasing) and returns the resulting segments in order.
-func Fit(points []Point, gamma float64, minSlope, maxSlope float64, maxSpan int64) []Segment {
-	return FitAppend(nil, points, gamma, minSlope, maxSlope, maxSpan)
-}
-
-// FitAppend is Fit appending into dst, so hot callers can reuse one
-// segment buffer across fits instead of allocating per call. The fitter
-// itself lives on the stack: a full fit performs no allocations beyond
-// growing dst.
+// FitAppend runs the greedy fitter over points (x strictly increasing)
+// with error bound gamma ≥ 0, slope clamped to [minSlope, maxSlope] and
+// segment x-span limited to maxSpan (0 = no limit), and appends the
+// resulting segments in order to dst, so hot callers can reuse one
+// segment buffer across fits. The fitter lives on the stack: a full fit
+// performs no allocations beyond growing dst.
 func FitAppend(dst []Segment, points []Point, gamma float64, minSlope, maxSlope float64, maxSpan int64) []Segment {
 	if gamma < 0 {
 		gamma = 0
@@ -184,7 +138,7 @@ func FitAppend(dst []Segment, points []Point, gamma float64, minSlope, maxSlope 
 	if maxSlope < minSlope {
 		minSlope, maxSlope = maxSlope, minSlope
 	}
-	f := Fitter{gamma: gamma, minSlope: minSlope, maxSlope: maxSlope, maxSpan: maxSpan}
+	f := fitter{gamma: gamma, minSlope: minSlope, maxSlope: maxSlope, maxSpan: maxSpan}
 	for _, p := range points {
 		if s, closed := f.add(p.X, p.Y); closed {
 			dst = append(dst, s)

@@ -8,7 +8,7 @@ import (
 )
 
 func fitAll(points []Point, gamma float64) []Segment {
-	return Fit(points, gamma, 0, 1, 255)
+	return FitAppend(nil, points, gamma, 0, 1, 255)
 }
 
 func TestSinglePoint(t *testing.T) {
@@ -119,7 +119,7 @@ func TestMaxSpanSplits(t *testing.T) {
 	for i := int64(0); i < 600; i++ {
 		pts = append(pts, Point{X: i, Y: i})
 	}
-	segs := Fit(pts, 0, 0, 1, 255)
+	segs := FitAppend(nil, pts, 0, 0, 1, 255)
 	for _, s := range segs {
 		if s.LastX-s.FirstX > 255 {
 			t.Fatalf("segment span %d exceeds 255", s.LastX-s.FirstX)
@@ -167,7 +167,7 @@ func TestPropertyErrorBound(t *testing.T) {
 			}
 			pts = append(pts, Point{X: x, Y: y})
 		}
-		segs := Fit(pts, gamma, 0, 1, 255)
+		segs := FitAppend(nil, pts, gamma, 0, 1, 255)
 
 		// 1. Partition: concatenated point counts equal input length and
 		//    segment x-ranges are ordered and disjoint.
@@ -225,7 +225,7 @@ func TestPropertyGammaMonotone(t *testing.T) {
 		}
 		prev := math.MaxInt32
 		for _, g := range []float64{0, 1, 4, 16} {
-			cur := len(Fit(pts, g, 0, 1, 255))
+			cur := len(FitAppend(nil, pts, g, 0, 1, 255))
 			if cur > prev {
 				return false
 			}
@@ -235,21 +235,5 @@ func TestPropertyGammaMonotone(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFitterReuseAfterFinish(t *testing.T) {
-	f := NewFitter(0, 0, 1, 255)
-	f.Add(1, 1)
-	f.Add(2, 2)
-	if s := f.Finish(); s == nil || s.N != 2 {
-		t.Fatalf("first Finish = %+v", s)
-	}
-	if s := f.Finish(); s != nil {
-		t.Fatalf("second Finish = %+v, want nil", s)
-	}
-	f.Add(10, 20)
-	if s := f.Finish(); s == nil || s.N != 1 || s.FirstX != 10 {
-		t.Fatalf("reuse Finish = %+v", s)
 	}
 }

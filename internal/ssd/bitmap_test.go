@@ -322,3 +322,47 @@ func TestBitmapAuditCatchesStaleBit(t *testing.T) {
 }
 
 var _ ftl.GCRelearner = (*leaftl.Scheme)(nil)
+
+// noteReadCounter is a LeaFTL scheme that counts the read feedback the
+// device sends it.
+type noteReadCounter struct {
+	*leaftl.Scheme
+	notes int
+}
+
+func (c *noteReadCounter) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hintResolved bool) ftl.Cost {
+	c.notes++
+	return c.Scheme.NoteRead(lpa, predicted, actual, approx, hintResolved)
+}
+
+// TestRecoverRewiresReadFeedback: after Recover, OOB-verified reads
+// report to the fresh scheme and never to the one the crash discarded.
+func TestRecoverRewiresReadFeedback(t *testing.T) {
+	cfg := testConfig()
+	mk := func() *noteReadCounter {
+		return &noteReadCounter{Scheme: leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...)}
+	}
+	old := mk()
+	d := newTestDevice(t, cfg, old)
+	churnMispredict(t, d, 17, 2000)
+	if old.notes == 0 {
+		t.Fatal("no read feedback before the crash; test is vacuous")
+	}
+	fresh := mk()
+	if _, err := d.Recover(fresh); err != nil {
+		t.Fatal(err)
+	}
+	before := old.notes
+	rng := seededRand(t, 18)
+	for op := 0; op < 2000; op++ {
+		if _, err := d.Read(addr.LPA(rng.Intn(d.LogicalPages()/4)), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if old.notes != before {
+		t.Errorf("the discarded scheme got %d reads of feedback after Recover", old.notes-before)
+	}
+	if fresh.notes == 0 {
+		t.Error("the recovered scheme got no read feedback")
+	}
+}

@@ -17,10 +17,19 @@ const (
 	// the leftovers. This is Figure 16 (a): "DRAM mainly used for the
 	// address mapping table".
 	MappingFirst MappingMode = iota
-	// MappingCapped caps mapping structures at CapFraction of DRAM,
+	// MappingCapped caps mapping structures at mappingCapFraction of DRAM,
 	// guaranteeing the rest for data caching. This is Figure 16 (b):
 	// "up to 80% for the address mapping table".
 	MappingCapped
+)
+
+const (
+	// mappingCapFraction is MappingCapped's cap on the mapping
+	// structures' share of DRAM: Figure 16 (b)'s "up to 80%".
+	mappingCapFraction = 0.8
+	// cacheHitLatency is the service time of a request satisfied from
+	// DRAM (the write buffer or the data cache).
+	cacheHitLatency = time.Microsecond
 )
 
 func (m MappingMode) String() string {
@@ -52,13 +61,8 @@ type Config struct {
 	// and our buffer-sort ablation.
 	SortBuffer bool
 
-	// Mode and CapFraction control the DRAM split (see MappingMode).
-	Mode        MappingMode
-	CapFraction float64
-
-	// CacheHitLatency is the service time of a request satisfied from
-	// DRAM (buffer or data cache).
-	CacheHitLatency time.Duration
+	// Mode controls the DRAM split (see MappingMode).
+	Mode MappingMode
 
 	// GCLowWater triggers garbage collection when the free-block
 	// fraction drops below it; GC runs until GCHighWater is restored
@@ -96,17 +100,15 @@ type Config struct {
 // 256 pages/block, 20% over-provisioning, 8MB write buffer.
 func SimulatorConfig() Config {
 	return Config{
-		Flash:           flash.SimulatorDefaults(),
-		DRAMBytes:       64 << 20,
-		OverProvision:   0.20,
-		BufferPages:     2048, // 8MB of 4KB pages
-		SortBuffer:      true,
-		Mode:            MappingFirst,
-		CapFraction:     0.8,
-		CacheHitLatency: time.Microsecond,
-		GCLowWater:      0.0625,
-		GCHighWater:     0.125,
-		WearDelta:       64,
+		Flash:         flash.SimulatorDefaults(),
+		DRAMBytes:     64 << 20,
+		OverProvision: 0.20,
+		BufferPages:   2048, // 8MB of 4KB pages
+		SortBuffer:    true,
+		Mode:          MappingFirst,
+		GCLowWater:    0.0625,
+		GCHighWater:   0.125,
+		WearDelta:     64,
 	}
 }
 
@@ -135,8 +137,6 @@ func (c Config) Validate() error {
 	case c.GCLowWater <= 0 || c.GCHighWater <= c.GCLowWater || c.GCHighWater >= 1:
 		return fmt.Errorf("ssd: GC watermarks (%v, %v) must satisfy 0 < low < high < 1",
 			c.GCLowWater, c.GCHighWater)
-	case c.CapFraction <= 0 || c.CapFraction > 1:
-		return fmt.Errorf("ssd: CapFraction = %v out of range (0, 1]", c.CapFraction)
 	case c.ScrubRetentionAge < 0:
 		return fmt.Errorf("ssd: ScrubRetentionAge = %v must not be negative", c.ScrubRetentionAge)
 	case c.JournalPages < 0:

@@ -134,10 +134,7 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	gamma := 0
-	if g, ok := scheme.(ftl.Gamma); ok {
-		gamma = g.Gamma()
-	}
+	gamma, reporter := schemeCaps(scheme)
 	if 2*gamma+1 > cfg.Flash.OOBEntries() {
 		return nil, fmt.Errorf("ssd: gamma %d needs %d OOB entries, flash provides %d (§3.5)",
 			gamma, 2*gamma+1, cfg.Flash.OOBEntries())
@@ -148,6 +145,7 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 		arr:          arr,
 		scheme:       scheme,
 		gamma:        gamma,
+		reporter:     reporter,
 		logicalPages: cfg.LogicalPages(),
 		truth:        make([]addr.PPA, cfg.LogicalPages()),
 		token:        make([]uint64, cfg.LogicalPages()),
@@ -171,14 +169,6 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 		flushAttempts: make([]int, cfg.Flash.Dies()),
 		gcPairs:       make([][]addr.Mapping, cfg.Flash.Dies()),
 	}
-	if mr, ok := scheme.(ftl.MissReporter); ok {
-		// Schemes expose the interface statically even when the bitmap is
-		// off; only wire the feedback (and the read-path bookkeeping it
-		// implies) when it is live.
-		if en, ok := scheme.(interface{ FeedbackEnabled() bool }); !ok || en.FeedbackEnabled() {
-			d.reporter = mr
-		}
-	}
 	for i := range d.truth {
 		d.truth[i] = addr.InvalidPPA
 	}
@@ -193,7 +183,7 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 	avail := int(cfg.DRAMBytes - cfg.BufferBytes())
 	switch cfg.Mode {
 	case MappingCapped:
-		d.mapBudget = int(float64(cfg.DRAMBytes) * cfg.CapFraction)
+		d.mapBudget = int(float64(cfg.DRAMBytes) * mappingCapFraction)
 		if d.mapBudget > avail {
 			d.mapBudget = avail
 		}
@@ -205,6 +195,25 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 	d.cache = ftl.NewByteLRU[addr.LPA, uint64](0)
 	d.resizeCache()
 	return d, nil
+}
+
+// schemeCaps probes the optional capabilities of a scheme the read
+// path uses: its error bound γ (ftl.Gamma; 0 without one) and its read
+// feedback (ftl.MissReporter). New and Recover both bind a scheme
+// through it, so a recovered device reports reads to the fresh scheme.
+func schemeCaps(scheme ftl.Scheme) (gamma int, reporter ftl.MissReporter) {
+	if g, ok := scheme.(ftl.Gamma); ok {
+		gamma = g.Gamma()
+	}
+	if mr, ok := scheme.(ftl.MissReporter); ok {
+		// Schemes expose the interface statically even when the bitmap is
+		// off; only wire the feedback (and the read-path bookkeeping it
+		// implies) when it is live.
+		if en, ok := scheme.(interface{ FeedbackEnabled() bool }); !ok || en.FeedbackEnabled() {
+			reporter = mr
+		}
+	}
+	return gamma, reporter
 }
 
 // wireJournal sizes a journaling scheme's mapping-delta journal from the
@@ -288,9 +297,6 @@ func (d *Device) SetMappingBudget(bytes int) {
 	d.resizeCache()
 }
 
-// MappingBudget returns the scheme's current mapping DRAM cap.
-func (d *Device) MappingBudget() int { return d.mapBudget }
-
 // resizeCache gives the data cache whatever DRAM the mapping is not
 // using. It is recomputed after every flush and every read: demand-paged
 // schemes grow and shrink their resident mapping state on both paths, and
@@ -327,7 +333,7 @@ func (d *Device) ReadAt(lpa addr.LPA, n int, start time.Duration) (time.Duration
 	d.stats.HostReadReqs++
 	metaBefore := d.stats.MetaReads + d.stats.MetaWrites
 	missBefore := d.stats.Mispredictions
-	end := start + d.cfg.CacheHitLatency
+	end := start + cacheHitLatency
 	for i := 0; i < n; i++ {
 		done, err := d.readPage(lpa+addr.LPA(i), start)
 		if err != nil {
@@ -374,14 +380,14 @@ func (d *Device) readPage(lpa addr.LPA, t time.Duration) (time.Duration, error) 
 	}
 	if d.buffered[lpa] {
 		d.stats.BufferHits++
-		return t + d.cfg.CacheHitLatency, nil
+		return t + cacheHitLatency, nil
 	}
 	if tok, ok := d.cache.Get(lpa); ok {
 		d.stats.CacheHits++
 		if tok != d.token[lpa] {
 			return 0, fmt.Errorf("ssd: cache corruption at LPA %d", lpa)
 		}
-		return t + d.cfg.CacheHitLatency, nil
+		return t + cacheHitLatency, nil
 	}
 
 	tr, ok := d.scheme.Translate(lpa)
@@ -393,7 +399,7 @@ func (d *Device) readPage(lpa addr.LPA, t time.Duration) (time.Duration, error) 
 			return 0, fmt.Errorf("ssd: scheme %s lost mapping for LPA %d", d.scheme.Name(), lpa)
 		}
 		d.stats.UnmappedReads++
-		return t + d.cfg.CacheHitLatency, nil
+		return t + cacheHitLatency, nil
 	}
 	if tr.Approx {
 		d.stats.ApproxReads++
@@ -624,7 +630,7 @@ func (d *Device) WriteAt(lpa addr.LPA, n int, start time.Duration) (time.Duratio
 			start += stall
 		}
 	}
-	lat := start + d.cfg.CacheHitLatency - issued
+	lat := start + cacheHitLatency - issued
 	if end := issued + lat; end > d.now {
 		d.now = end
 	}

@@ -27,16 +27,14 @@ func testConfig() Config {
 			WriteLatency:  200 * time.Microsecond,
 			EraseLatency:  1500 * time.Microsecond,
 		},
-		DRAMBytes:       2 << 20,
-		OverProvision:   0.25,
-		BufferPages:     64,
-		SortBuffer:      true,
-		Mode:            MappingFirst,
-		CapFraction:     0.8,
-		CacheHitLatency: time.Microsecond,
-		GCLowWater:      0.1,
-		GCHighWater:     0.2,
-		WearDelta:       1 << 30, // effectively off unless a test enables it
+		DRAMBytes:     2 << 20,
+		OverProvision: 0.25,
+		BufferPages:   64,
+		SortBuffer:    true,
+		Mode:          MappingFirst,
+		GCLowWater:    0.1,
+		GCHighWater:   0.2,
+		WearDelta:     1 << 30, // effectively off unless a test enables it
 	}
 }
 

@@ -26,14 +26,13 @@ func diesConfig(dies, planes int) Config {
 // die and one plane per channel, spelled out, must be the device that
 // never heard of dies — same state digest, same operation counters, same
 // latency distributions, same clock. Each scenario runs on the zero-value
-// geometry and on DiesPerChan = PlanesPerDie = 1 with a bus-transfer
-// time that would show in every latency if the die-aware bus/cell split
-// leaked into the one-die path.
+// geometry and on DiesPerChan = PlanesPerDie = 1, whose bus-transfer
+// time (a quarter of tR) would show in every latency if the die-aware
+// bus/cell split leaked into the one-die path.
 func TestDies1BitIdentity(t *testing.T) {
 	geometries := func() (absent, one Config) {
 		absent = testConfig()
 		one = diesConfig(1, 1)
-		one.Flash.BusXfer = 7 * time.Microsecond
 		return absent, one
 	}
 

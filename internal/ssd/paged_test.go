@@ -171,8 +171,8 @@ func TestPagedRecoveryRestoresGMD(t *testing.T) {
 		}
 	}
 	// The recovered scheme still honors the budget it inherited.
-	if m := d.Scheme().MemoryBytes(); d.MappingBudget() > 0 && m > d.MappingBudget() {
-		t.Fatalf("recovered mapping %dB exceeds budget %dB", m, d.MappingBudget())
+	if m := d.Scheme().MemoryBytes(); d.mapBudget > 0 && m > d.mapBudget {
+		t.Fatalf("recovered mapping %dB exceeds budget %dB", m, d.mapBudget)
 	}
 }
 
@@ -280,8 +280,8 @@ func TestNewHandsSchemePositiveBudget(t *testing.T) {
 		cfg.DRAMBytes++
 		probe := &budgetProbe{Scheme: leaftl.New(4, cfg.Flash.PageSize)}
 		d := newTestDevice(t, cfg, probe)
-		if len(probe.budgets) != 1 || probe.budgets[0] < 1 || probe.budgets[0] != d.MappingBudget() {
-			t.Fatalf("%v: scheme got budgets %v, device budget %d", mode, probe.budgets, d.MappingBudget())
+		if len(probe.budgets) != 1 || probe.budgets[0] < 1 || probe.budgets[0] != d.mapBudget {
+			t.Fatalf("%v: scheme got budgets %v, device budget %d", mode, probe.budgets, d.mapBudget)
 		}
 	}
 }

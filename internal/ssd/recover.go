@@ -257,10 +257,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	// those pages, and they must be re-learned from the scan (the
 	// journal-replay role the OOB sequence numbers play in real
 	// firmware).
-	freshGamma := 0
-	if g, ok := fresh.(ftl.Gamma); ok {
-		freshGamma = g.Gamma()
-	}
+	freshGamma, freshReporter := schemeCaps(fresh)
 	pairs := make([]addr.Mapping, 0, len(newest))
 	for lpa, ref := range newest {
 		if _, ok := restored[addr.Group(lpa)]; ok && restoredCovers(fresh, lpa, ref.ppa, freshGamma) {
@@ -289,12 +286,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	}
 
 	fresh.SetBudget(d.mapBudget)
-	d.scheme = fresh
-	if g, ok := fresh.(ftl.Gamma); ok {
-		d.gamma = g.Gamma()
-	} else {
-		d.gamma = 0
-	}
+	d.scheme, d.gamma, d.reporter = fresh, freshGamma, freshReporter
 	d.resizeCache()
 	return rep, nil
 }

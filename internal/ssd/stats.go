@@ -126,25 +126,3 @@ func (s Stats) ExactBitHitRatio() float64 {
 	}
 	return float64(s.ExactBitHits) / float64(s.ApproxReads)
 }
-
-// MetaReadRatio returns translation-page reads per host page operation:
-// the mapping-miss cost curve a DRAM-budget sweep plots. Reads miss in
-// the mapping cache on lookups; budgeted commits miss when they land in
-// paged-out groups, so both host directions are in the denominator.
-func (s Stats) MetaReadRatio() float64 {
-	ops := s.HostPagesRead + s.HostPagesWrite
-	if ops == 0 {
-		return 0
-	}
-	return float64(s.MetaReads) / float64(ops)
-}
-
-// MetaWAF returns translation-page writes per host page written — the
-// metadata share of write amplification (dirty mapping evictions plus
-// periodic table persistence).
-func (s Stats) MetaWAF() float64 {
-	if s.HostPagesWrite == 0 {
-		return 0
-	}
-	return float64(s.MetaWrites) / float64(s.HostPagesWrite)
-}

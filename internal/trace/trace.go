@@ -58,15 +58,6 @@ func Timed(reqs []Request) bool {
 	return false
 }
 
-// Span returns the arrival time of the last request — the trace's
-// recorded duration (zero for untimed traces).
-func Span(reqs []Request) time.Duration {
-	if len(reqs) == 0 {
-		return 0
-	}
-	return reqs[len(reqs)-1].Arrival
-}
-
 // Write streams requests in untimed native syntax ("R,<lpa>,<pages>"),
 // dropping arrival timestamps. Use Encode with FormatNative to preserve
 // them.

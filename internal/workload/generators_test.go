@@ -21,7 +21,7 @@ func TestArrivalModelStamp(t *testing.T) {
 		prev = r.Arrival
 	}
 	// 20k requests at 100k IOPS ≈ 200ms span (Poisson, so loose bounds).
-	span := trace.Span(reqs)
+	span := reqs[len(reqs)-1].Arrival
 	if span < 150*time.Millisecond || span > 250*time.Millisecond {
 		t.Errorf("span %v, want ≈200ms", span)
 	}
@@ -41,7 +41,7 @@ func TestArrivalModelStamp(t *testing.T) {
 func TestArrivalModelBurstPreservesMeanRate(t *testing.T) {
 	reqs := make([]trace.Request, 50_000)
 	ArrivalModel{IOPS: 100_000, BurstFactor: 8}.Stamp(reqs, 1)
-	span := trace.Span(reqs)
+	span := reqs[len(reqs)-1].Arrival
 	if span < 350*time.Millisecond || span > 650*time.Millisecond {
 		t.Errorf("bursty span %v, want ≈500ms", span)
 	}
