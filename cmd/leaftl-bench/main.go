@@ -91,100 +91,56 @@ func main() {
 		return
 	}
 
+	figures, err := selectFigures(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "leaftl-bench: %v\n", err)
+		os.Exit(1)
+	}
 	scale := scaleOf()
 	s := experiments.NewSuite(scale, *seed)
-
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[id] = true
-		}
-	}
-	selected := func(ids ...string) bool {
-		if len(want) == 0 {
-			return true
-		}
-		for _, id := range ids {
-			if want[id] {
-				return true
-			}
-		}
-		return false
-	}
-
-	emit := func(t experiments.Table, err error) {
+	start := time.Now()
+	for _, f := range figures {
+		tables, err := f.Run(s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "leaftl-bench: %s: %v\n", t.ID, err)
+			fmt.Fprintf(os.Stderr, "leaftl-bench: %s: %v\n", f.IDs[0], err)
 			os.Exit(1)
 		}
-		printTable(t, *markdown)
-	}
-
-	start := time.Now()
-	if selected("fig5") {
-		emit(s.Fig5SegmentLengths())
-	}
-	if selected("fig10") {
-		emit(s.Fig10CRBSizes())
-	}
-	if selected("fig12") {
-		emit(s.Fig12LevelCounts())
-	}
-	if selected("fig15") {
-		emit(s.Fig15MemoryReduction())
-	}
-	if selected("fig16", "fig16a", "fig16b") {
-		a, b, err := s.Fig16Performance()
-		emit(a, err)
-		emit(b, nil)
-	}
-	if selected("fig17") {
-		emit(s.Fig17RealSSD())
-	}
-	if selected("fig18") {
-		emit(s.Fig18LatencyCDF())
-	}
-	if selected("fig19") {
-		emit(s.Fig19GammaMemory())
-	}
-	if selected("fig20") {
-		emit(s.Fig20SegmentMix())
-	}
-	if selected("fig21") {
-		emit(s.Fig21GammaPerf())
-	}
-	if selected("fig22", "fig22a", "fig22b") {
-		a, b, err := s.Fig22Sensitivity()
-		emit(a, err)
-		emit(b, nil)
-	}
-	if selected("fig23", "fig23a", "fig23b") {
-		a, b, err := s.Fig23LookupOverhead()
-		emit(a, err)
-		emit(b, nil)
-	}
-	if selected("fig24") {
-		emit(s.Fig24Misprediction())
-	}
-	if selected("fig25") {
-		emit(s.Fig25WAF())
-	}
-	if selected("table3") {
-		emit(s.Table3Microbench())
-	}
-	if selected("ablation-sort") {
-		emit(s.AblationBufferSort())
-	}
-	if selected("ablation-compaction") {
-		emit(s.AblationCompaction())
-	}
-	if selected("ablation-log") {
-		emit(s.AblationLogStructured())
-	}
-	if selected("recovery") {
-		emit(s.RecoveryExperiment())
+		for _, t := range tables {
+			printTable(t, *markdown)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "leaftl-bench: completed in %v (scale=%s)\n", time.Since(start).Round(time.Millisecond), scale.Name)
+}
+
+// selectFigures returns the experiments.Figures entries that list an ID
+// of the comma-separated -only value, in print order; an empty value
+// selects them all. An ID no entry lists is an error.
+func selectFigures(only string) ([]experiments.Figure, error) {
+	ids := parseList(only)
+	if len(ids) == 0 {
+		return experiments.Figures, nil
+	}
+	want := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		want[id] = true
+	}
+	var out []experiments.Figure
+	for _, f := range experiments.Figures {
+		picked := false
+		for _, id := range f.IDs {
+			picked = picked || want[id]
+			delete(want, id)
+		}
+		if picked {
+			out = append(out, f)
+		}
+	}
+	for _, id := range ids {
+		if want[id] {
+			return nil, fmt.Errorf("-only: unknown figure ID %q", id)
+		}
+	}
+	return out, nil
 }
 
 // cellsSpec parses the -cells list flags.

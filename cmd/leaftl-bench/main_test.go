@@ -2,7 +2,10 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"leaftl/internal/experiments"
 )
 
 func TestParseLists(t *testing.T) {
@@ -28,5 +31,20 @@ func TestParseLists(t *testing.T) {
 		if (err != nil) != tc.fltsErr || !reflect.DeepEqual(floats, tc.floats) {
 			t.Errorf("parseFloatList(%q) = %v, %v", tc.in, floats, err)
 		}
+	}
+}
+
+func TestSelectFigures(t *testing.T) {
+	all, err := selectFigures("")
+	if err != nil || len(all) != len(experiments.Figures) {
+		t.Fatalf("no -only: %d figures, err %v; want all %d", len(all), err, len(experiments.Figures))
+	}
+	// An alias selects its entry once, and entries keep print order.
+	got, err := selectFigures("fig16b, fig5,fig16a")
+	if err != nil || len(got) != 2 || got[0].IDs[0] != "fig5" || got[1].IDs[0] != "fig16" {
+		t.Fatalf("selectFigures(fig16b, fig5,fig16a) = %v, %v; want fig5 then fig16", got, err)
+	}
+	if _, err := selectFigures("fig15,fig99"); err == nil || !strings.Contains(err.Error(), `"fig99"`) {
+		t.Errorf("unknown ID: err %v, want one naming fig99", err)
 	}
 }

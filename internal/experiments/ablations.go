@@ -20,11 +20,11 @@ func (s *Suite) AblationBufferSort() (Table, error) {
 		Notes:  "disabling §3.3's LPA-sorted flush inflates the learned table",
 	}
 	for _, p := range traceWorkloads() {
-		sorted, err := s.Run("sim", p, "LeaFTL", 0)
+		sorted, err := s.Run("sim", p, "paper", 0)
 		if err != nil {
 			return t, err
 		}
-		unsorted, err := s.Run("nosort", p, "LeaFTL", 0)
+		unsorted, err := s.Run("nosort", p, "paper", 0)
 		if err != nil {
 			return t, err
 		}
@@ -141,7 +141,7 @@ func (s *Suite) RecoveryExperiment() (Table, error) {
 		budget float64
 	}
 	for _, name := range []string{"MSR-hm", "TPCC"} {
-		for _, c := range []cell{{"LeaFTL", 0}, {"LeaFTL", 0.25}, {"DFTL", 0}, {"SFTL", 0}} {
+		for _, c := range []cell{{"paper", 0}, {"paper", 0.25}, {"dftl", 0}, {"sftl", 0}} {
 			out, err := s.runRecovery(name, c.scheme, c.budget)
 			if err != nil {
 				return t, err

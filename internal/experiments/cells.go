@@ -7,7 +7,6 @@ import (
 	"leaftl/internal/addr"
 	"leaftl/internal/flash"
 	"leaftl/internal/ftl"
-	"leaftl/internal/leaftl"
 	"leaftl/internal/metrics"
 	"leaftl/internal/ssd"
 	"leaftl/internal/trace"
@@ -18,7 +17,7 @@ import (
 // replaying a workload open-loop under a mapping-DRAM budget on one
 // flash geometry.
 type Cell struct {
-	// Scheme is a cellSchemes name: full, paper, dftl or sftl.
+	// Scheme is a schemePresets name: full, paper, dftl or sftl.
 	Scheme string `json:"scheme"`
 	// Workload is a workload.TimedCatalog name or a trace file path.
 	Workload string `json:"workload"`
@@ -68,9 +67,7 @@ func orDefault[T any](vs []T, def ...T) []T {
 
 // validate rejects a cell no device can run.
 func (c Cell) validate() error {
-	switch _, known := cellSchemes[c.Scheme]; {
-	case !known:
-		return fmt.Errorf("cells: unknown scheme %q (want full, paper, dftl or sftl)", c.Scheme)
+	switch {
 	case !(c.Budget >= 0 && c.Budget <= 1):
 		return fmt.Errorf("cells: budget %v outside [0, 1]", c.Budget)
 	case c.Dies < 1:
@@ -106,18 +103,6 @@ func (s CellsSpec) grid() []Cell {
 	cross(len(s.Queues), func(c *Cell, i int) { c.Queues = s.Queues[i] })
 	cross(len(s.Speedups), func(c *Cell, i int) { c.Speedup = s.Speedups[i] })
 	return cells
-}
-
-// cellSchemes builds each cell scheme from a Suite scheme and options;
-// the names are the benchmark's.
-var cellSchemes = map[string]struct {
-	base string
-	opts []leaftl.Option
-}{
-	"full":  {"LeaFTL", []leaftl.Option{leaftl.WithJournal(), leaftl.WithExactBitmap()}},
-	"paper": {"LeaFTL", nil},
-	"dftl":  {"DFTL", nil},
-	"sftl":  {"SFTL", nil},
 }
 
 // CellRun is one cell's outcome, in the units the table and the JSON
@@ -159,6 +144,9 @@ type CellRun struct {
 // device with trace.FitTo; an untimed one arrives 20µs apart.
 func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
 	spec = spec.withDefaults()
+	if err := checkSchemes(spec.Schemes); err != nil {
+		return nil, Table{}, fmt.Errorf("cells: %w", err)
+	}
 	cells := spec.grid()
 	for _, c := range cells {
 		if err := c.validate(); err != nil {
@@ -235,8 +223,7 @@ func (s *Suite) cellWorkload(name string) ([]trace.Request, error) {
 func (s *Suite) cell(c Cell, reqs []trace.Request, gamma int) (CellRun, *ssd.Device, error) {
 	cfg := s.simConfig("sim")
 	cfg.Flash.DiesPerChan, cfg.Flash.PlanesPerDie = c.Dies, c.Planes
-	mk := cellSchemes[c.Scheme]
-	sch := s.newScheme(mk.base, gamma, cfg, mk.opts...)
+	sch := s.newScheme(c.Scheme, gamma, cfg)
 	dev, err := ssd.New(cfg, sch)
 	if err != nil {
 		return CellRun{}, nil, err

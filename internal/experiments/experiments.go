@@ -140,7 +140,7 @@ func NewSuite(s Scale, seed int64) *Suite {
 type runKey struct {
 	cfg      string // "sim", "sim-capped", "proto", "avail:N", "page:N", "nosort"
 	workload string
-	scheme   string // "LeaFTL", "DFTL", "SFTL"
+	scheme   string // a schemePresets name
 	gamma    int
 }
 
@@ -216,24 +216,40 @@ func (s *Suite) simConfig(name string) ssd.Config {
 	return cfg
 }
 
+// schemePresets builds every scheme the harness runs, keyed by the
+// benchmark's names: full is LeaFTL with the mapping-delta journal and
+// the exactness bitmap (the benchmark's scheme), paper the learned table
+// alone, dftl and sftl the baselines, whose budgets the device sets. A
+// LeaFTL preset applies opts before its own options.
+var schemePresets = map[string]func(gamma, pageSize int, opts []leaftl.Option) ftl.Scheme{
+	"full": func(gamma, pageSize int, opts []leaftl.Option) ftl.Scheme {
+		return leaftl.New(gamma, pageSize, append(opts, leaftl.WithJournal(), leaftl.WithExactBitmap())...)
+	},
+	"paper": func(gamma, pageSize int, opts []leaftl.Option) ftl.Scheme {
+		return leaftl.New(gamma, pageSize, opts...)
+	},
+	"dftl": func(_, pageSize int, _ []leaftl.Option) ftl.Scheme { return dftl.New(pageSize, 0) },
+	"sftl": func(_, pageSize int, _ []leaftl.Option) ftl.Scheme { return sftl.New(pageSize, 0) },
+}
+
+// checkSchemes rejects a name schemePresets does not carry.
+func checkSchemes(names []string) error {
+	for _, name := range names {
+		if _, ok := schemePresets[name]; !ok {
+			return fmt.Errorf("unknown scheme %q (want full, paper, dftl or sftl)", name)
+		}
+	}
+	return nil
+}
+
+// newScheme builds the named preset for cfg. LeaFTL compacts every
+// ~64 flushed blocks at quick scale, which keeps the paper's "periodic"
+// behaviour observable on short traces; opts come after that and may
+// override it.
 func (s *Suite) newScheme(name string, gamma int, cfg ssd.Config, opts ...leaftl.Option) ftl.Scheme {
-	// Compaction every ~64 flushed blocks at quick scale keeps the
-	// paper's "periodic" behaviour observable on short traces.
-	compactEvery := uint64(s.Scale.Requests / 8)
-	if compactEvery < 5_000 {
-		compactEvery = 5_000
-	}
-	switch name {
-	case "LeaFTL":
-		all := append([]leaftl.Option{leaftl.WithCompactEvery(compactEvery)}, opts...)
-		return leaftl.New(gamma, cfg.Flash.PageSize, all...)
-	case "DFTL":
-		return dftl.New(cfg.Flash.PageSize, 0) // budget set by the device
-	case "SFTL":
-		return sftl.New(cfg.Flash.PageSize, 0)
-	default:
-		panic("experiments: unknown scheme " + name)
-	}
+	compactEvery := uint64(max(s.Scale.Requests/8, 5_000))
+	all := append([]leaftl.Option{leaftl.WithCompactEvery(compactEvery)}, opts...)
+	return schemePresets[name](gamma, cfg.Flash.PageSize, all)
 }
 
 // Run executes (or returns the memoized) simulation for the key.
@@ -269,6 +285,9 @@ func (s *Suite) Run(cfgName string, p workload.Profile, scheme string, gamma int
 	}
 	if err := dev.Flush(); err != nil {
 		return nil, fmt.Errorf("run %v: flush: %w", key, err)
+	}
+	if err := dev.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("run %v: %w", key, err)
 	}
 
 	out := &RunOut{

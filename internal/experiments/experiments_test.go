@@ -232,11 +232,11 @@ func TestRecoveryExperiment(t *testing.T) {
 func TestRunMemoization(t *testing.T) {
 	s := microSuite()
 	p := traceWorkloads()[0]
-	a, err := s.Run("sim", p, "LeaFTL", 0)
+	a, err := s.Run("sim", p, "paper", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run("sim", p, "LeaFTL", 0)
+	b, err := s.Run("sim", p, "paper", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,52 @@ import (
 	"leaftl/internal/workload"
 )
 
+// Figure is one entry of the evaluation: a figure, table, ablation or
+// experiment, the IDs that select it (leaftl-bench -only) and the
+// function that builds its tables.
+type Figure struct {
+	IDs []string
+	Run func(*Suite) ([]Table, error)
+}
+
+// Figures lists every figure, table, ablation and experiment of the
+// evaluation in print order.
+var Figures = []Figure{
+	{[]string{"fig5"}, one((*Suite).Fig5SegmentLengths)},
+	{[]string{"fig10"}, one((*Suite).Fig10CRBSizes)},
+	{[]string{"fig12"}, one((*Suite).Fig12LevelCounts)},
+	{[]string{"fig15"}, one((*Suite).Fig15MemoryReduction)},
+	{[]string{"fig16", "fig16a", "fig16b"}, two((*Suite).Fig16Performance)},
+	{[]string{"fig17"}, one((*Suite).Fig17RealSSD)},
+	{[]string{"fig18"}, one((*Suite).Fig18LatencyCDF)},
+	{[]string{"fig19"}, one((*Suite).Fig19GammaMemory)},
+	{[]string{"fig20"}, one((*Suite).Fig20SegmentMix)},
+	{[]string{"fig21"}, one((*Suite).Fig21GammaPerf)},
+	{[]string{"fig22", "fig22a", "fig22b"}, two((*Suite).Fig22Sensitivity)},
+	{[]string{"fig23", "fig23a", "fig23b"}, two((*Suite).Fig23LookupOverhead)},
+	{[]string{"fig24"}, one((*Suite).Fig24Misprediction)},
+	{[]string{"fig25"}, one((*Suite).Fig25WAF)},
+	{[]string{"table3"}, one((*Suite).Table3Microbench)},
+	{[]string{"ablation-sort"}, one((*Suite).AblationBufferSort)},
+	{[]string{"ablation-compaction"}, one((*Suite).AblationCompaction)},
+	{[]string{"ablation-log"}, one((*Suite).AblationLogStructured)},
+	{[]string{"recovery"}, one((*Suite).RecoveryExperiment)},
+}
+
+func one(f func(*Suite) (Table, error)) func(*Suite) ([]Table, error) {
+	return func(s *Suite) ([]Table, error) {
+		t, err := f(s)
+		return []Table{t}, err
+	}
+}
+
+func two(f func(*Suite) (Table, Table, error)) func(*Suite) ([]Table, error) {
+	return func(s *Suite) ([]Table, error) {
+		a, b, err := f(s)
+		return []Table{a, b}, err
+	}
+}
+
 // Fig5SegmentLengths reproduces Figure 5: the aggregated distribution of
 // learned-segment lengths across the trace workloads, for γ ∈ {0, 4, 8},
 // with total segment counts. The paper reports 98.2–99.2% of segments
@@ -25,7 +71,7 @@ func (s *Suite) Fig5SegmentLengths() (Table, error) {
 	for _, gamma := range []int{0, 4, 8} {
 		var all []int
 		for _, p := range traceWorkloads() {
-			out, err := s.Run("sim", p, "LeaFTL", gamma)
+			out, err := s.Run("sim", p, "paper", gamma)
 			if err != nil {
 				return t, err
 			}
@@ -57,7 +103,7 @@ func (s *Suite) Fig10CRBSizes() (Table, error) {
 		Notes:  "paper: 13.9 B average across workloads",
 	}
 	for _, p := range traceWorkloads() {
-		out, err := s.Run("sim", p, "LeaFTL", 4)
+		out, err := s.Run("sim", p, "paper", 4)
 		if err != nil {
 			return t, err
 		}
@@ -78,7 +124,7 @@ func (s *Suite) Fig12LevelCounts() (Table, error) {
 		Header: []string{"workload", "avg levels", "p99", "max"},
 	}
 	for _, p := range traceWorkloads() {
-		out, err := s.Run("sim", p, "LeaFTL", 0)
+		out, err := s.Run("sim", p, "paper", 0)
 		if err != nil {
 			return t, err
 		}
@@ -102,15 +148,15 @@ func (s *Suite) Fig15MemoryReduction() (Table, error) {
 	}
 	var vsD, vsS []float64
 	for _, p := range traceWorkloads() {
-		lea, err := s.Run("sim", p, "LeaFTL", 0)
+		lea, err := s.Run("sim", p, "paper", 0)
 		if err != nil {
 			return t, err
 		}
-		sf, err := s.Run("sim", p, "SFTL", 0)
+		sf, err := s.Run("sim", p, "sftl", 0)
 		if err != nil {
 			return t, err
 		}
-		df, err := s.Run("sim", p, "DFTL", 0)
+		df, err := s.Run("sim", p, "dftl", 0)
 		if err != nil {
 			return t, err
 		}
@@ -134,45 +180,23 @@ func (s *Suite) Fig15MemoryReduction() (Table, error) {
 // (lower is better, DFTL = 1.0) under the two DRAM policies: (a) DRAM
 // mainly for the mapping table, (b) mapping capped at 80% of DRAM.
 func (s *Suite) Fig16Performance() (Table, Table, error) {
-	mk := func(id, cfg, title string) (Table, error) {
-		t := Table{
-			ID:     id,
-			Title:  title,
-			Header: []string{"workload", "DFTL", "SFTL", "LeaFTL", "LeaFTL vs SFTL"},
-			Notes:  "normalized mean read latency, lower is better",
-		}
-		var sp []float64
-		for _, p := range traceWorkloads() {
-			df, err := s.Run(cfg, p, "DFTL", 0)
-			if err != nil {
-				return t, err
-			}
-			sf, err := s.Run(cfg, p, "SFTL", 0)
-			if err != nil {
-				return t, err
-			}
-			lea, err := s.Run(cfg, p, "LeaFTL", 0)
-			if err != nil {
-				return t, err
-			}
-			base := float64(df.MeanRead)
-			if base == 0 {
-				base = 1
-			}
-			nS := float64(sf.MeanRead) / base
-			nL := float64(lea.MeanRead) / base
-			speedup := nS / nL
-			sp = append(sp, speedup)
-			t.Rows = append(t.Rows, []string{p.Name, "1.00", f2(nS), f2(nL), f1x(speedup)})
-		}
-		t.Rows = append(t.Rows, []string{"geomean", "", "", "", f1x(geoMean(sp))})
-		return t, nil
-	}
-	a, err := mk("fig16a", "sim", "Normalized performance, DRAM mainly for mapping (paper: LeaFTL 1.6x avg over SFTL)")
+	header := []string{"workload", "DFTL", "SFTL", "LeaFTL", "LeaFTL vs SFTL"}
+	const notes = "normalized mean read latency, lower is better"
+	a, err := s.speedupTable(Table{
+		ID:     "fig16a",
+		Title:  "Normalized performance, DRAM mainly for mapping (paper: LeaFTL 1.6x avg over SFTL)",
+		Header: header,
+		Notes:  notes,
+	}, "sim", traceWorkloads())
 	if err != nil {
 		return a, Table{}, err
 	}
-	b, err := mk("fig16b", "sim-capped", "Normalized performance, mapping capped at 80% DRAM (paper: 1.4x avg over SFTL)")
+	b, err := s.speedupTable(Table{
+		ID:     "fig16b",
+		Title:  "Normalized performance, mapping capped at 80% DRAM (paper: 1.4x avg over SFTL)",
+		Header: header,
+		Notes:  notes,
+	}, "sim-capped", traceWorkloads())
 	return a, b, err
 }
 
@@ -180,37 +204,47 @@ func (s *Suite) Fig16Performance() (Table, Table, error) {
 // application workloads on the prototype configuration (paper: LeaFTL
 // 1.4× average speedup, up to 1.5×).
 func (s *Suite) Fig17RealSSD() (Table, error) {
-	t := Table{
+	return s.speedupTable(Table{
 		ID:     "fig17",
 		Title:  "Application workloads on the prototype config (16KB pages)",
 		Header: []string{"workload", "DFTL", "SFTL", "LeaFTL", "speedup vs SFTL"},
 		Notes:  "normalized mean read latency, lower is better; paper: 1.4x average",
-	}
+	}, "proto", appWorkloads())
+}
+
+// speedupTable adds to t one row per workload of ps run on cfg — the
+// DFTL-normalized mean read latencies and LeaFTL's speedup over SFTL —
+// and a geomean row.
+func (s *Suite) speedupTable(t Table, cfg string, ps []workload.Profile) (Table, error) {
 	var sp []float64
-	for _, p := range appWorkloads() {
-		df, err := s.Run("proto", p, "DFTL", 0)
+	for _, p := range ps {
+		nS, nL, err := s.normalizedReads(cfg, p)
 		if err != nil {
 			return t, err
 		}
-		sf, err := s.Run("proto", p, "SFTL", 0)
-		if err != nil {
-			return t, err
-		}
-		lea, err := s.Run("proto", p, "LeaFTL", 0)
-		if err != nil {
-			return t, err
-		}
-		base := float64(df.MeanRead)
-		if base == 0 {
-			base = 1
-		}
-		nS := float64(sf.MeanRead) / base
-		nL := float64(lea.MeanRead) / base
 		sp = append(sp, nS/nL)
 		t.Rows = append(t.Rows, []string{p.Name, "1.00", f2(nS), f2(nL), f1x(nS / nL)})
 	}
 	t.Rows = append(t.Rows, []string{"geomean", "", "", "", f1x(geoMean(sp))})
 	return t, nil
+}
+
+// normalizedReads runs DFTL, SFTL and LeaFTL on cfg and returns SFTL's
+// and LeaFTL's mean read latency over DFTL's (Figures 16, 17 and 22).
+func (s *Suite) normalizedReads(cfg string, p workload.Profile) (nS, nL float64, err error) {
+	var mean [3]float64
+	for i, scheme := range []string{"dftl", "sftl", "paper"} {
+		out, err := s.Run(cfg, p, scheme, 0)
+		if err != nil {
+			return 0, 0, err
+		}
+		mean[i] = float64(out.MeanRead)
+	}
+	base := mean[0]
+	if base == 0 {
+		base = 1
+	}
+	return mean[1] / base, mean[2] / base, nil
 }
 
 // Fig18LatencyCDF reproduces Figure 18: the read latency distribution of
@@ -223,22 +257,21 @@ func (s *Suite) Fig18LatencyCDF() (Table, error) {
 		Title:  "OLTP read latency distribution on the prototype config",
 		Header: []string{"percentile", "DFTL", "SFTL", "LeaFTL"},
 	}
-	outs := map[string]*RunOut{}
+	var hists []*metrics.Histogram
 	p, _ := workload.ByName("OLTP")
-	for _, scheme := range []string{"DFTL", "SFTL", "LeaFTL"} {
+	for _, scheme := range []string{"dftl", "sftl", "paper"} {
 		out, err := s.Run("proto", p, scheme, 0)
 		if err != nil {
 			return t, err
 		}
-		outs[scheme] = out
+		hists = append(hists, out.ReadHist)
 	}
 	for _, pct := range []float64{30, 60, 90, 99, 99.9, 100} {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("p%g", pct),
-			us(outs["DFTL"].ReadHist.PercentileDuration(pct)),
-			us(outs["SFTL"].ReadHist.PercentileDuration(pct)),
-			us(outs["LeaFTL"].ReadHist.PercentileDuration(pct)),
-		})
+		row := []string{fmt.Sprintf("p%g", pct)}
+		for _, h := range hists {
+			row = append(row, us(h.PercentileDuration(pct)))
+		}
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }
@@ -257,7 +290,7 @@ func (s *Suite) Fig19GammaMemory() (Table, error) {
 		row := []string{p.Name}
 		var base float64
 		for _, gamma := range []int{0, 1, 4, 16} {
-			out, err := s.Run(cfgFor(p), p, "LeaFTL", gamma)
+			out, err := s.Run(cfgFor(p), p, "paper", gamma)
 			if err != nil {
 				return t, err
 			}
@@ -284,7 +317,7 @@ func (s *Suite) Fig20SegmentMix() (Table, error) {
 	for _, gamma := range []int{0, 1, 4, 16} {
 		var acc, apx int
 		for _, p := range traceWorkloads() {
-			out, err := s.Run("sim", p, "LeaFTL", gamma)
+			out, err := s.Run("sim", p, "paper", gamma)
 			if err != nil {
 				return t, err
 			}
@@ -318,7 +351,7 @@ func (s *Suite) Fig21GammaPerf() (Table, error) {
 		row := []string{p.Name}
 		var base float64
 		for _, gamma := range []int{0, 1, 4, 16} {
-			out, err := s.Run(cfgFor(p), p, "LeaFTL", gamma)
+			out, err := s.Run(cfgFor(p), p, "paper", gamma)
 			if err != nil {
 				return t, err
 			}
@@ -351,24 +384,11 @@ func (s *Suite) Fig22Sensitivity() (Table, Table, error) {
 			var nS, nL []float64
 			for _, name := range subset {
 				p, _ := workload.ByName(name)
-				df, err := s.Run(cfg, p, "DFTL", 0)
+				sf, lea, err := s.normalizedReads(cfg, p)
 				if err != nil {
 					return t, err
 				}
-				sf, err := s.Run(cfg, p, "SFTL", 0)
-				if err != nil {
-					return t, err
-				}
-				lea, err := s.Run(cfg, p, "LeaFTL", 0)
-				if err != nil {
-					return t, err
-				}
-				base := float64(df.MeanRead)
-				if base == 0 {
-					base = 1
-				}
-				nS = append(nS, float64(sf.MeanRead)/base)
-				nL = append(nL, float64(lea.MeanRead)/base)
+				nS, nL = append(nS, sf), append(nL, lea)
 			}
 			t.Rows = append(t.Rows, []string{labels[i], "1.00", f2(geoMean(nS)), f2(geoMean(nL))})
 		}
@@ -400,7 +420,7 @@ func (s *Suite) Fig23LookupOverhead() (Table, Table, error) {
 		Notes:  "paper: 90% of lookups answered at the topmost level, 99% within 10",
 	}
 	for _, p := range traceWorkloads() {
-		out, err := s.Run("sim", p, "LeaFTL", 0)
+		out, err := s.Run("sim", p, "paper", 0)
 		if err != nil {
 			return a, Table{}, err
 		}
@@ -452,7 +472,7 @@ func (s *Suite) Fig24Misprediction() (Table, error) {
 	for _, p := range allWorkloads() {
 		row := []string{p.Name}
 		for _, gamma := range []int{0, 1, 4, 16} {
-			out, err := s.Run(cfgFor(p), p, "LeaFTL", gamma)
+			out, err := s.Run(cfgFor(p), p, "paper", gamma)
 			if err != nil {
 				return t, err
 			}
@@ -474,7 +494,7 @@ func (s *Suite) Fig25WAF() (Table, error) {
 	}
 	for _, p := range allWorkloads() {
 		row := []string{p.Name}
-		for _, scheme := range []string{"DFTL", "SFTL", "LeaFTL"} {
+		for _, scheme := range []string{"dftl", "sftl", "paper"} {
 			out, err := s.Run(cfgFor(p), p, scheme, 0)
 			if err != nil {
 				return t, err

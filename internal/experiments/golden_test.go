@@ -67,29 +67,15 @@ func goldenGrid(t *testing.T) []byte {
 			out.WriteString(tb.String())
 		}
 	}
-	pair := func(a, b Table, err error) {
-		t.Helper()
-		table(a, err)
-		table(b, nil)
+	for _, f := range Figures {
+		tables, err := f.Run(s)
+		if err != nil {
+			t.Fatalf("%s: %v", f.IDs[0], err)
+		}
+		for _, tb := range tables {
+			table(tb, nil)
+		}
 	}
-	table(s.Fig5SegmentLengths())
-	table(s.Fig10CRBSizes())
-	table(s.Fig12LevelCounts())
-	table(s.Fig15MemoryReduction())
-	pair(s.Fig16Performance())
-	table(s.Fig17RealSSD())
-	table(s.Fig18LatencyCDF())
-	table(s.Fig19GammaMemory())
-	table(s.Fig20SegmentMix())
-	table(s.Fig21GammaPerf())
-	pair(s.Fig22Sensitivity())
-	pair(s.Fig23LookupOverhead())
-	table(s.Fig24Misprediction())
-	table(s.Fig25WAF())
-	table(s.AblationBufferSort())
-	table(s.AblationCompaction())
-	table(s.AblationLogStructured())
-	table(s.RecoveryExperiment())
 
 	jsonOf := func(v any) {
 		t.Helper()

@@ -29,14 +29,14 @@ func (s *Suite) runRecovery(name, scheme string, budget float64) ([]string, erro
 	if err := warmPages(dev, p.Footprint(logical)); err != nil {
 		return nil, err
 	}
-	label := scheme
+	label := sch.Name()
 	if budget > 0 {
 		// Cap after the footprint is mapped, so the fraction is of the
 		// scheme's full table and the replay pages groups on demand —
 		// recovery then exercises the GMD-restore path, not just the
 		// OOB re-learn.
 		dev.SetMappingBudget(max(int(budget*float64(sch.FullSizeBytes())), 1))
-		label = fmt.Sprintf("%s@%d%%", scheme, int(budget*100))
+		label = fmt.Sprintf("%s@%d%%", label, int(budget*100))
 	}
 	reqs := p.Generate(logical, s.Scale.Requests/4, s.Seed)
 	if err := trace.Replay(dev, reqs); err != nil {

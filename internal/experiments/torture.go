@@ -26,7 +26,7 @@ type TortureSpec struct {
 	// Budgets are mapping-budget fractions of the scheme's full size;
 	// 0 means unbudgeted (fully resident).
 	Budgets []float64
-	// Schemes are cellSchemes presets: paper is the learned table
+	// Schemes are schemePresets names: paper is the learned table
 	// alone, full adds the mapping-delta journal and the exactness
 	// bitmap (the benchmark's scheme); dftl and sftl also run.
 	Schemes []string
@@ -92,10 +92,8 @@ type crashSignal struct{ point string }
 func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 	spec = spec.withDefaults()
 	gen := workload.TimedCatalog()[tortureWorkload]
-	for _, name := range spec.Schemes {
-		if _, ok := cellSchemes[name]; !ok {
-			return nil, Table{}, fmt.Errorf("torture: unknown scheme %q (want full, paper, dftl or sftl)", name)
-		}
+	if err := checkSchemes(spec.Schemes); err != nil {
+		return nil, Table{}, fmt.Errorf("torture: %w", err)
 	}
 
 	var cells []TortureCell
@@ -145,10 +143,8 @@ func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, budget flo
 	// mid-fold and mid-journal-GC.
 	cfg.JournalPages = cfg.Flash.PagesPerBlock
 
-	mk := cellSchemes[scheme]
-	opts := append(append([]leaftl.Option(nil), mk.opts...),
-		leaftl.WithCompactEvery(uint64(max(s.Scale.Requests/16, 1_000))))
-	newScheme := func() ftl.Scheme { return s.newScheme(mk.base, spec.Gamma, cfg, opts...) }
+	compact := leaftl.WithCompactEvery(uint64(max(s.Scale.Requests/16, 1_000)))
+	newScheme := func() ftl.Scheme { return s.newScheme(scheme, spec.Gamma, cfg, compact) }
 	sch := newScheme()
 	dev, err := ssd.New(cfg, sch)
 	if err != nil {
@@ -307,7 +303,7 @@ func (s *Suite) FaultSweep(spec FaultSweepSpec) ([]FaultRun, Table, error) {
 		cfg.Flash.Fault = flash.DefaultFaults(seed, rber)
 		cfg.ScrubDisturbReads = faultScrubDisturbReads
 		cfg.ScrubRetentionAge = faultScrubRetentionAge
-		sch := s.newScheme("LeaFTL", spec.Gamma, cfg)
+		sch := s.newScheme("paper", spec.Gamma, cfg)
 		dev, err := ssd.New(cfg, sch)
 		if err != nil {
 			return nil, Table{}, fmt.Errorf("faultsweep rber=%v: %w", rber, err)
