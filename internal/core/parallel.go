@@ -55,7 +55,6 @@ type commitBatch struct {
 
 	next    atomic.Int32 // index of the next unclaimed run
 	slot    atomic.Int32 // index of the next worker table to hand out
-	segs    atomic.Int64 // segments placed by helpers
 	pending atomic.Int32 // helpers working the batch, plus one for the caller
 	done    chan struct{}
 	offered []*helper
@@ -76,8 +75,8 @@ func (t *Table) commitHelpers(runs int) int {
 }
 
 // commitParallel commits the runs recorded in t.batch.ends with the
-// caller and up to helpers pool helpers, returning the segments placed.
-func (t *Table) commitParallel(pairs []addr.Mapping, helpers int) int {
+// caller and up to helpers pool helpers.
+func (t *Table) commitParallel(pairs []addr.Mapping, helpers int) {
 	t.reserve(addr.Group(pairs[len(pairs)-1].LPA))
 	for len(t.workers) < helpers {
 		t.workers = append(t.workers, &Table{levelFreq: make([]int, 1)})
@@ -89,30 +88,28 @@ func (t *Table) commitParallel(pairs []addr.Mapping, helpers int) int {
 	}
 	b.next.Store(0)
 	b.slot.Store(0)
-	b.segs.Store(0)
 	pool.offer(b, helpers)
-	segs := b.work(t)
+	b.work(t)
 	b.join()
 	for _, w := range b.workers {
 		t.absorb(w)
 		w.groups = nil
 	}
 	b.pairs, b.workers = nil, nil
-	return segs + int(b.segs.Load())
 }
 
 // work commits runs with w's scratch until none are left.
-func (b *commitBatch) work(w *Table) (segs int) {
+func (b *commitBatch) work(w *Table) {
 	for {
 		i := int(b.next.Add(1)) - 1
 		if i >= len(b.ends) {
-			return segs
+			return
 		}
 		start := 0
 		if i > 0 {
 			start = b.ends[i-1]
 		}
-		segs += w.commitRun(b.pairs[start:b.ends[i]])
+		w.commitRun(b.pairs[start:b.ends[i]])
 	}
 }
 
@@ -246,7 +243,7 @@ func (h *helper) await() *commitBatch {
 // last helper out, signals the caller. b is not touched after that.
 func (h *helper) serve(b *commitBatch) {
 	w := b.workers[b.slot.Add(1)-1]
-	b.segs.Add(int64(b.work(w)))
+	b.work(w)
 	h.job.Store(nil)
 	if b.pending.Add(-1) == 0 {
 		b.done <- struct{}{}

@@ -98,10 +98,10 @@ func (c *commitTwins) gcBatch() {
 		return
 	}
 	pairs := c.place(set)
-	sa, ga := c.serial.Relearn(pairs)
-	sb, gb := c.parallel.Relearn(pairs)
-	if sa != sb || ga != gb {
-		c.t.Fatalf("Relearn: serial placed %d segments in %d groups, parallel %d in %d", sa, ga, sb, gb)
+	ga := c.serial.Update(pairs)
+	gb := c.parallel.Update(pairs)
+	if sa, sb := c.serial.Stats(), c.parallel.Stats(); sa != sb || ga != gb {
+		c.t.Fatalf("GC batch: serial touched %d groups to %+v, parallel %d to %+v", ga, sa, gb, sb)
 	}
 }
 

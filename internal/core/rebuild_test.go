@@ -92,7 +92,7 @@ func (c *churn) gcBatch() {
 		return
 	}
 	pairs := c.place(sortedLPAs(set))
-	c.tab.Relearn(pairs)
+	c.tab.Update(pairs)
 }
 
 // readBack plays the device's read feedback for a few random LPAs: an
@@ -299,23 +299,23 @@ func TestTableSizeIndependentOfRunLength(t *testing.T) {
 	}
 }
 
-// TestCompactChangedReportsOnlyChanges: a compaction sweep names the
-// groups whose encoding it changed, and a second sweep with nothing
-// written in between names none.
-func TestCompactChangedReportsOnlyChanges(t *testing.T) {
+// TestCompactReportsOnlyChanges: a compaction sweep names the groups
+// whose encoding it changed, and a second sweep with nothing written in
+// between names none.
+func TestCompactReportsOnlyChanges(t *testing.T) {
 	c := newChurn(t, 3, 4, 8*addr.GroupSize, true)
 	for i := 0; i < 200; i++ {
 		c.hostBatch()
 	}
-	first := c.tab.CompactChanged()
+	first := c.tab.Compact()
 	img := groupImages(t, c.tab)
-	second := c.tab.CompactChanged()
+	second := c.tab.Compact()
 	again := groupImages(t, c.tab)
 	if len(first) == 0 {
 		t.Fatal("200 batches left nothing to compact")
 	}
 	if len(second) != 0 || !maps.EqualFunc(img, again, bytes.Equal) {
-		t.Fatalf("second CompactChanged reported %v", second)
+		t.Fatalf("second Compact reported %v", second)
 	}
 }
 

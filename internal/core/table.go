@@ -19,8 +19,8 @@ import (
 // full Segment structs.
 //
 // Table is not safe for concurrent use; the device serializes every call.
-// Update and Relearn may spread one batch over helper goroutines
-// (parallel.go), but they return only once every helper is done.
+// Update may spread one batch over helper goroutines (parallel.go), but
+// it returns only once every helper is done.
 type Table struct {
 	gamma   int
 	groups  []*group // indexed by GroupID; nil = group never written
@@ -222,38 +222,19 @@ func (t *Table) EnableExactBitmap() { t.bitmapOn = true }
 // Update learns segments for a batch of new LPA→PPA mappings and inserts
 // them at the top level (paper §3.7 "Creation" + "Insert/Update"). pairs
 // must be sorted by LPA with unique LPAs; the device's data buffer
-// guarantees this (§3.3). It returns the number of segments created.
+// guarantees this (§3.3), and so does GC relocation, which moves a window
+// of victim blocks' surviving pages in ascending-LPA order. It returns the
+// number of groups the batch touched.
 //
 // The batch is fitted one group run at a time; learning already splits
 // per group internally, so this is identical to a whole-batch learn. A
 // group whose shape trigger fires (rebuild.go) is rebuilt before Update
 // moves on, so the table's depth and size stay bounded by the group, not
-// by how much has been written.
+// by how much has been written; the stale claims a GC relocation just
+// rewrote are shed then too, not on every batch. Runs touch disjoint groups, so a batch of
+// several runs is spread over the shared helper pool (parallel.go) with a
+// result identical to committing them in order on the caller.
 func (t *Table) Update(pairs []addr.Mapping) int {
-	segs, _ := t.commit(pairs)
-	return segs
-}
-
-// Relearn commits a GC relocation batch: the device relocated a window of
-// victim blocks' surviving pages in ascending-LPA order, so each group's
-// run is a freshly sequential layout the learner fits tightly at the
-// table's γ, and the relocated slots' exactness is re-verified into the
-// bitmap. It is Update that also reports how many groups the batch
-// touched. The stale claims relocation just rewrote are shed when a
-// touched group's rebuild trigger fires, not on every batch: a window's
-// run often covers only part of its group, and resolving all 256 slots
-// to shed a few claims would cost more than the fit itself. pairs must be
-// sorted by LPA with unique LPAs, like Update.
-func (t *Table) Relearn(pairs []addr.Mapping) (segs, groups int) {
-	return t.commit(pairs)
-}
-
-// commit is the shared body of Update and Relearn. It splits the batch
-// into group runs and commits each with commitRun. Runs touch disjoint
-// groups, so a batch of several runs is spread over the shared helper
-// pool (parallel.go) with a result identical to committing them in order
-// on the caller.
-func (t *Table) commit(pairs []addr.Mapping) (segs, groups int) {
 	b := &t.batch
 	b.ends = b.ends[:0]
 	for i := 0; i < len(pairs); {
@@ -266,28 +247,28 @@ func (t *Table) commit(pairs []addr.Mapping) (segs, groups int) {
 		i = j
 	}
 	if helpers := t.commitHelpers(len(b.ends)); helpers > 0 {
-		return t.commitParallel(pairs, helpers), len(b.ends)
+		t.commitParallel(pairs, helpers)
+		return len(b.ends)
 	}
 	start := 0
 	for _, end := range b.ends {
-		segs += t.commitRun(pairs[start:end])
+		t.commitRun(pairs[start:end])
 		start = end
 	}
-	return segs, len(b.ends)
+	return len(b.ends)
 }
 
 // commitRun fits, inserts and verifies one group run, then rebuilds the
-// group if it outgrew its trigger. It returns the segments placed.
-func (t *Table) commitRun(run []addr.Mapping) int {
+// group if it outgrew its trigger.
+func (t *Table) commitRun(run []addr.Mapping) {
 	learned := t.learner.learn(run, t.gamma)
-	segs := t.insertRun(learned, run)
+	t.insertRun(learned, run)
 	t.refreshExactBits(run)
 	t.maybeRebuild(addr.Group(run[0].LPA))
-	return segs
 }
 
-// insertRun inserts a freshly fitted run, returning the number of
-// segments placed. With the bitmap off it is a plain insert loop. With
+// insertRun inserts a freshly fitted run. With the bitmap off it is a
+// plain insert loop. With
 // the bitmap on, each approximate segment is triaged before it reaches
 // the table (triage): segments whose predictions match every committed
 // pair are kept as-is (the γ slack went unused, the compression is free);
@@ -297,14 +278,14 @@ func (t *Table) commitRun(run []addr.Mapping) int {
 // segment (the 17%-over-γ=16 table the first bench run measured); with
 // only the all-or-nothing version, near-miss fits lose their approximate
 // compression entirely.
-func (t *Table) insertRun(learned []Learned, run []addr.Mapping) int {
+func (t *Table) insertRun(learned []Learned, run []addr.Mapping) {
 	if !t.bitmapOn {
 		for k := range learned {
 			t.insertLearned(learned[k])
 		}
-		return len(learned)
+		return
 	}
-	n, pos := 0, 0
+	pos := 0
 	for k := range learned {
 		ls := learned[k]
 		// The learner's output walks the run in order, each segment
@@ -313,7 +294,6 @@ func (t *Table) insertRun(learned []Learned, run []addr.Mapping) int {
 		pos += len(sub)
 		if ls.Seg.Accurate() || t.triage(ls.Seg, sub) {
 			t.insertLearned(ls)
-			n++
 			continue
 		}
 		// The refit runs on the spare buffer: learned still aliases
@@ -323,9 +303,7 @@ func (t *Table) insertRun(learned []Learned, run []addr.Mapping) int {
 		for r := range refit {
 			t.insertLearned(refit[r])
 		}
-		n += len(refit)
 	}
-	return n
 }
 
 // triage decides whether a freshly fitted approximate segment is worth
@@ -833,14 +811,13 @@ func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 // per-group triggers on the commit path keep depth and size bounded on
 // their own; this sweep is the backstop that also tightens groups still
 // under their thresholds.
-func (t *Table) Compact() { t.CompactChanged() }
-
-// CompactChanged compacts like Compact and returns the IDs of the groups
-// whose encoding it changed, in ascending order. The demand-paging scheme
-// marks exactly these groups dirty so periodic persistence rewrites only
-// reshaped translation pages; a group the sweep left as it was (or did not
-// need to look at) is not reported.
-func (t *Table) CompactChanged() []addr.GroupID {
+//
+// It returns the IDs of the groups whose encoding it changed, in
+// ascending order. The demand-paging scheme marks exactly these groups
+// dirty so periodic persistence rewrites only reshaped translation pages;
+// a group the sweep left as it was (or did not need to look at) is not
+// reported.
+func (t *Table) Compact() []addr.GroupID {
 	var out []addr.GroupID
 	t.eachGroup(func(id addr.GroupID, g *group) {
 		if t.compactGroup(id, g) {

@@ -132,9 +132,8 @@ func sweepCost(pages int) ftl.Cost {
 // commit commits a sorted batch through the pager in three steps.
 // First every group the batch touches is made resident and dirtied, in
 // ascending group order, demand-loading the ones paged out. Then the
-// whole batch goes to the table in one Table.Relearn call (Table.Update
-// that also counts the groups touched), so the table may commit its
-// group runs in parallel. Last, the byte cap is enforced once.
+// whole batch goes to the table in one Table.Update call, so the table
+// may commit its group runs in parallel. Last, the byte cap is enforced once.
 // While the batch commits, the resident set may exceed the budget by the
 // batch's own groups; when commit returns it is back within it. Each
 // group is loaded at most once per batch, so the batch charges the same
@@ -149,7 +148,7 @@ func (s *Scheme) commit(pairs []addr.Mapping) (ftl.Cost, int) {
 			i++
 		}
 	}
-	_, groups := s.table.Relearn(pairs)
+	groups := s.table.Update(pairs)
 	cost.Add(s.pager.Enforce())
 	return cost, groups
 }
@@ -236,7 +235,7 @@ func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 	}
 	s.lastCompact = hostPageWrites
 	if s.pager.Paging() {
-		for _, gid := range s.table.CompactChanged() {
+		for _, gid := range s.table.Compact() {
 			s.pager.MarkDirty(gid)
 		}
 		cost := s.pager.FlushDirty()
@@ -288,7 +287,7 @@ func (s *Scheme) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hint
 func (s *Scheme) NoteExact(addr.LPA) ftl.Cost { return ftl.Cost{} }
 
 // CommitGC implements ftl.GCRelearner: GC relocation batches re-fit
-// their groups from the freshly sequential layout (Table.Relearn), the
+// their groups from the freshly sequential layout (Table.Update), the
 // moved slots' exactness is re-verified, and a touched group that has
 // outgrown its rebuild trigger sheds the stale claims relocation just
 // rewrote. With the bitmap off it is exactly Commit: no relearning, no

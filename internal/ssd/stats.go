@@ -37,7 +37,7 @@ type Stats struct {
 	// counts approximate translations served through a set exact bit —
 	// one trusted flash read, no OOB verification probe budget reserved.
 	// Relearns counts segment groups re-fitted by GC-time relearning
-	// (Table.Relearn) from LPA-sorted relocation batches.
+	// (Table.Update through CommitGC) from LPA-sorted relocation batches.
 	ExactBitHits uint64
 	Relearns     uint64
 
