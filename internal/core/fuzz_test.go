@@ -45,7 +45,8 @@ func fuzzSeeds(t interface{ Helper() }) (groups [][]byte) {
 // every accepted input round-trips to a canonical fixed point:
 // re-marshaling what was decoded, decoding that, and marshaling again
 // must reproduce the same bytes, with the incremental statistics
-// agreeing with a from-scratch recomputation.
+// agreeing with a from-scratch recomputation. Batches committed into the
+// installed group then must not panic either.
 func FuzzPersist(f *testing.F) {
 	groups := fuzzSeeds(f)
 	for _, g := range groups {
@@ -84,5 +85,13 @@ func FuzzPersist(f *testing.F) {
 		if incr != gt2.Stats() {
 			t.Fatalf("incremental stats diverge after decode: %+v vs %+v", incr, gt2.Stats())
 		}
+		// Commit into the group, so an accepted record also goes through
+		// the insert path and the rebuild: a sequential, a strided and a
+		// short run, then a sweep that rebuilds the group.
+		base := addr.GroupBase(gid)
+		gt.Update(mappings(base, 1, 1<<20, 128))
+		gt.Update(mappings(base+1, 3, 2<<20, 60))
+		gt.Update(mappings(base+200, 1, 3<<20, 8))
+		gt.Compact()
 	})
 }

@@ -58,13 +58,9 @@ func (t *Table) MarshalGroup(id addr.GroupID) ([]byte, error) {
 // with state (losing the resident copy silently would corrupt the
 // mapping).
 func (t *Table) InstallGroup(data []byte) (addr.GroupID, error) {
-	r := reader{buf: data}
-	gid, g, err := readGroupRecord(&r)
+	gid, g, err := decodeGroupRecord(data)
 	if err != nil {
 		return 0, err
-	}
-	if r.off != len(data) {
-		return 0, fmt.Errorf("core: %d trailing bytes in group record", len(data)-r.off)
 	}
 	if cur := t.lookupGroup(gid); cur != nil && (len(cur.levels) > 0 || len(cur.crb.entries) > 0) {
 		return 0, fmt.Errorf("core: group %d is already resident", gid)

@@ -406,8 +406,12 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
 	for _, gid := range gids {
 		img := images[gid]
-		if len(img) == 0 {
-			return fmt.Errorf("core: empty image for group %d", gid)
+		// Check the image now, on both paths: stored unread, a corrupt
+		// one would surface only when a later access loads it.
+		if got, _, err := decodeGroupRecord(img); err != nil {
+			return fmt.Errorf("core: group %d restore image: %w", gid, err)
+		} else if got != gid {
+			return fmt.Errorf("core: group %d restore image claims group %d", gid, got)
 		}
 		if e := p.gmd[gid]; e != nil {
 			return fmt.Errorf("core: group %d already in the GMD", gid)

@@ -51,9 +51,23 @@ func appendGroupRecord(buf []byte, id addr.GroupID, g *group) ([]byte, error) {
 	return buf, nil
 }
 
-// readGroupRecord decodes one per-group record. The returned group's CRB
-// is normalized (owner index rebuilt, entries sorted) so the group is
-// ready to serve lookups.
+// decodeGroupRecord decodes a buffer holding exactly one per-group
+// record.
+func decodeGroupRecord(data []byte) (addr.GroupID, *group, error) {
+	r := reader{buf: data}
+	gid, g, err := readGroupRecord(&r)
+	if err == nil && r.off != len(data) {
+		err = fmt.Errorf("core: %d trailing bytes in group record", len(data)-r.off)
+	}
+	return gid, g, err
+}
+
+// readGroupRecord decodes one per-group record. It rejects a shape the
+// table never builds and its lookup and rebuild assume: more levels than
+// maxGroupLevels, a segment running past its group, or a level whose
+// segments are not in strictly ascending, non-overlapping order. The
+// returned group's CRB is normalized (owner index rebuilt, entries
+// sorted) so the group is ready to serve lookups.
 func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 	gid, err := r.u32()
 	if err != nil {
@@ -74,6 +88,9 @@ func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	if nLevels > maxGroupLevels {
+		return 0, nil, fmt.Errorf("core: group %d record has %d levels, bound %d", gid, nLevels, maxGroupLevels)
+	}
 	for l := uint16(0); l < nLevels; l++ {
 		nSegs, err := r.u16()
 		if err != nil {
@@ -91,6 +108,12 @@ func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 			var enc [SegmentBytes]byte
 			copy(enc[:], raw)
 			seg := DecodeSegment(enc, addr.GroupID(gid))
+			switch {
+			case int(seg.Start())+int(seg.L) >= addr.GroupSize:
+				return 0, nil, fmt.Errorf("core: group %d level %d: segment %v runs past its group", gid, l, seg)
+			case s > 0 && lvl.segs[s-1].End() >= seg.SLPA:
+				return 0, nil, fmt.Errorf("core: group %d level %d: segment %v does not follow %v", gid, l, seg, lvl.segs[s-1])
+			}
 			lvl.keys = append(lvl.keys, seg.Start())
 			lvl.segs = append(lvl.segs, seg)
 		}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"maps"
 	"math/rand"
 	"testing"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/float16"
 )
 
 // buildChurnedTable creates a table with multiple levels, approximate
@@ -189,5 +191,55 @@ func TestMarshalEmptyTable(t *testing.T) {
 	again, err := restored.MarshalGroup(7)
 	if err != nil || string(again) != string(rec) {
 		t.Fatalf("minimal record does not round-trip: %x vs %x (%v)", again, rec, err)
+	}
+}
+
+// segmentRecord is a group-0 record of one level holding segs, with no
+// CRB entries.
+func segmentRecord(segs ...Segment) []byte {
+	rec := append([]byte{0, 0, 0, 0}, make([]byte, exactBitmapBytes)...)
+	rec = binary.LittleEndian.AppendUint16(rec, 1)
+	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(segs)))
+	for _, s := range segs {
+		enc := s.Encode()
+		rec = append(rec, enc[:]...)
+	}
+	return binary.LittleEndian.AppendUint16(rec, 0)
+}
+
+// accurate is a stride-1 accurate segment over group 0's offsets
+// [start, start+l].
+func accurate(start, l uint8) Segment {
+	return Segment{SLPA: addr.LPA(start), L: l, K: float16.From64(1).WithFlag(false), I: 1000}
+}
+
+// TestInstallGroupRejectsCorruptShape: a record whose segment runs past
+// its 256-LPA group, whose level is out of order or overlapping, or that
+// stacks more levels than a group may hold is an error on install — not
+// a panic in the rebuild of the next commit into that group.
+func TestInstallGroupRejectsCorruptShape(t *testing.T) {
+	deep := append([]byte{0, 0, 0, 0}, make([]byte, exactBitmapBytes)...)
+	deep = binary.LittleEndian.AppendUint16(deep, maxGroupLevels+1)
+	for i := 0; i <= maxGroupLevels; i++ {
+		deep = binary.LittleEndian.AppendUint16(deep, 0)
+	}
+	deep = binary.LittleEndian.AppendUint16(deep, 0)
+	for name, rec := range map[string][]byte{
+		"past the group":    segmentRecord(accurate(250, 20)),
+		"starts descending": segmentRecord(accurate(40, 4), accurate(10, 4)),
+		"equal starts":      segmentRecord(accurate(10, 4), accurate(10, 8)),
+		"ranges overlap":    segmentRecord(accurate(10, 8), accurate(15, 4)),
+		"too many levels":   deep,
+	} {
+		tb := NewTable(0)
+		if _, err := tb.InstallGroup(rec); err == nil {
+			t.Errorf("%s: accepted", name)
+			// Unchecked, the group's rebuild is where it fails.
+			tb.Update(mappings(0, 2, 5000, 64))
+			tb.Compact()
+		}
+	}
+	if _, err := NewTable(0).InstallGroup(segmentRecord(accurate(10, 4), accurate(15, 240))); err != nil {
+		t.Errorf("a well-formed level: %v", err)
 	}
 }

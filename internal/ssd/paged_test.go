@@ -1,6 +1,8 @@
 package ssd
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -282,6 +284,65 @@ func TestNewHandsSchemePositiveBudget(t *testing.T) {
 		d := newTestDevice(t, cfg, probe)
 		if len(probe.budgets) != 1 || probe.budgets[0] < 1 || probe.budgets[0] != d.mapBudget {
 			t.Fatalf("%v: scheme got budgets %v, device budget %d", mode, probe.budgets, d.mapBudget)
+		}
+	}
+}
+
+// corruptImages is a LeaFTL scheme whose persisted translation-page
+// images have their first segment stretched past the end of its group.
+type corruptImages struct{ *leaftl.Scheme }
+
+func (c corruptImages) PersistedGroups() map[addr.GroupID][]byte {
+	out := c.Scheme.PersistedGroups()
+	for gid, img := range out {
+		// The group id, the 32-byte exact bitmap, the level count and the
+		// first level's segment count; then that level's first segment,
+		// whose first two bytes are its start offset and span.
+		if binary.LittleEndian.Uint16(img[36:]) > 0 && binary.LittleEndian.Uint16(img[38:]) > 0 {
+			img = append([]byte(nil), img...)
+			img[40], img[41] = 250, 20
+			out[gid] = img
+		}
+	}
+	return out
+}
+
+// TestRecoverRejectsCorruptGroupImage: recovery checks every persisted
+// group image it restores, with and without the journal, so an image
+// whose segment runs past its group fails Recover with an error instead
+// of a panic once a later commit rebuilds the group.
+func TestRecoverRejectsCorruptGroupImage(t *testing.T) {
+	for _, journal := range []bool{false, true} {
+		cfg := testConfig()
+		mk := func() *leaftl.Scheme {
+			opts := []leaftl.Option{leaftl.WithCompactEvery(500)}
+			if journal {
+				opts = append(opts, leaftl.WithJournal())
+			}
+			return leaftl.New(4, cfg.Flash.PageSize, opts...)
+		}
+		d := newTestDevice(t, cfg, corruptImages{mk()})
+		logical := d.LogicalPages()
+		for lpa := 0; lpa+8 <= logical/2; lpa += 8 {
+			if _, err := d.Write(addr.LPA(lpa), 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.SetMappingBudget(d.Scheme().FullSizeBytes() / 4)
+		rng := seededRand(t, 21)
+		for op := 0; op < 3000; op++ {
+			if _, err := d.Write(addr.LPA(rng.Intn(logical/2)), 1+rng.Intn(4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Scheme().(ftl.GroupPaged).PersistedGroups()) == 0 {
+			t.Fatalf("journal=%v: no persisted groups before the crash", journal)
+		}
+		if _, err := d.Recover(mk()); err == nil || !strings.Contains(err.Error(), "runs past its group") {
+			t.Errorf("journal=%v: Recover returned %v, want the corrupt image rejected", journal, err)
 		}
 	}
 }
