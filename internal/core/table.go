@@ -231,9 +231,10 @@ func (t *Table) EnableExactBitmap() { t.bitmapOn = true }
 // group whose shape trigger fires (rebuild.go) is rebuilt before Update
 // moves on, so the table's depth and size stay bounded by the group, not
 // by how much has been written; the stale claims a GC relocation just
-// rewrote are shed then too, not on every batch. Runs touch disjoint groups, so a batch of
-// several runs is spread over the shared helper pool (parallel.go) with a
-// result identical to committing them in order on the caller.
+// rewrote are shed then too, not on every batch. Runs touch disjoint
+// groups, so a batch of several runs is spread over the shared helper
+// pool (parallel.go) with a result identical to committing them in order
+// on the caller.
 func (t *Table) Update(pairs []addr.Mapping) int {
 	b := &t.batch
 	b.ends = b.ends[:0]
@@ -268,16 +269,15 @@ func (t *Table) commitRun(run []addr.Mapping) {
 }
 
 // insertRun inserts a freshly fitted run. With the bitmap off it is a
-// plain insert loop. With
-// the bitmap on, each approximate segment is triaged before it reaches
-// the table (triage): segments whose predictions match every committed
-// pair are kept as-is (the γ slack went unused, the compression is free);
-// mispredicting ones are kept only when keeping them is cheaper than
-// replacing them with a γ=0 refit of their pairs. Without the triage,
-// verify-at-learn would pay for both encodings on every badly fitted
-// segment (the 17%-over-γ=16 table the first bench run measured); with
-// only the all-or-nothing version, near-miss fits lose their approximate
-// compression entirely.
+// plain insert loop. With the bitmap on, each approximate segment is
+// triaged before it reaches the table (triage): segments whose
+// predictions match every committed pair are kept as-is (the γ slack went
+// unused, the compression is free); mispredicting ones are kept only when
+// keeping them is cheaper than replacing them with a γ=0 refit of their
+// pairs. Without the triage, verify-at-learn would pay for both encodings
+// on every badly fitted segment (the 17%-over-γ=16 table the first bench
+// run measured); with only the all-or-nothing version, near-miss fits
+// lose their approximate compression entirely.
 func (t *Table) insertRun(learned []Learned, run []addr.Mapping) {
 	if !t.bitmapOn {
 		for k := range learned {

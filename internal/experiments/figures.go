@@ -229,11 +229,15 @@ func (s *Suite) speedupTable(t Table, cfg string, ps []workload.Profile) (Table,
 	return t, nil
 }
 
+// comparedSchemes are the schemes the comparison figures run, in the
+// paper's column order: DFTL, SFTL, LeaFTL.
+var comparedSchemes = []string{"dftl", "sftl", "paper"}
+
 // normalizedReads runs DFTL, SFTL and LeaFTL on cfg and returns SFTL's
 // and LeaFTL's mean read latency over DFTL's (Figures 16, 17 and 22).
 func (s *Suite) normalizedReads(cfg string, p workload.Profile) (nS, nL float64, err error) {
 	var mean [3]float64
-	for i, scheme := range []string{"dftl", "sftl", "paper"} {
+	for i, scheme := range comparedSchemes {
 		out, err := s.Run(cfg, p, scheme, 0)
 		if err != nil {
 			return 0, 0, err
@@ -259,7 +263,7 @@ func (s *Suite) Fig18LatencyCDF() (Table, error) {
 	}
 	var hists []*metrics.Histogram
 	p, _ := workload.ByName("OLTP")
-	for _, scheme := range []string{"dftl", "sftl", "paper"} {
+	for _, scheme := range comparedSchemes {
 		out, err := s.Run("proto", p, scheme, 0)
 		if err != nil {
 			return t, err
@@ -494,7 +498,7 @@ func (s *Suite) Fig25WAF() (Table, error) {
 	}
 	for _, p := range allWorkloads() {
 		row := []string{p.Name}
-		for _, scheme := range []string{"dftl", "sftl", "paper"} {
+		for _, scheme := range comparedSchemes {
 			out, err := s.Run(cfgFor(p), p, scheme, 0)
 			if err != nil {
 				return t, err

@@ -133,7 +133,8 @@ func sweepCost(pages int) ftl.Cost {
 // First every group the batch touches is made resident and dirtied, in
 // ascending group order, demand-loading the ones paged out. Then the
 // whole batch goes to the table in one Table.Update call, so the table
-// may commit its group runs in parallel. Last, the byte cap is enforced once.
+// may commit its group runs in parallel. Last, the byte cap is enforced
+// once.
 // While the batch commits, the resident set may exceed the budget by the
 // batch's own groups; when commit returns it is back within it. Each
 // group is loaded at most once per batch, so the batch charges the same
