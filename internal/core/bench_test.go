@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"leaftl/internal/addr"
 )
@@ -106,4 +107,107 @@ func BenchmarkEncode(b *testing.B) {
 		raw := seg.Encode()
 		_ = DecodeSegment(raw, seg.Group())
 	}
+}
+
+// ager drives a table through the write-path shape of an aged device: a
+// sequential prefill, random overwrites flushed 256 pages at a time, and
+// relocation-shaped batches — a few random LPAs per group, LPA-sorted, on
+// consecutive PPAs, split into 256-pair blocks as GC commits them.
+type ager struct {
+	rng    *rand.Rand
+	groups int
+	ppa    addr.PPA
+	pairs  []addr.Mapping
+	seen   []bool
+}
+
+func newAger(seed int64, groups int) *ager {
+	return &ager{rng: rand.New(rand.NewSource(seed)), groups: groups, seen: make([]bool, groups*addr.GroupSize)}
+}
+
+// commit hands the collected LPA-sorted pairs to tb in 256-pair blocks.
+func (a *ager) commit(tb *Table) {
+	for lo := 0; lo < len(a.pairs); lo += 256 {
+		tb.Update(a.pairs[lo:min(lo+256, len(a.pairs))])
+	}
+}
+
+// add maps each LPA marked in seen to the next PPA, in LPA order, and
+// commits the run.
+func (a *ager) add(tb *Table) {
+	a.pairs = a.pairs[:0]
+	for l, ok := range a.seen {
+		if ok {
+			a.pairs = append(a.pairs, addr.Mapping{LPA: addr.LPA(l), PPA: a.ppa})
+			a.ppa++
+			a.seen[l] = false
+		}
+	}
+	a.commit(tb)
+}
+
+func (a *ager) prefill(tb *Table) {
+	for l := range a.seen {
+		a.seen[l] = true
+	}
+	a.add(tb)
+}
+
+// overwrite flushes one buffer of 256 distinct random LPAs.
+func (a *ager) overwrite(tb *Table) {
+	for n := 0; n < 256; {
+		if l := a.rng.Intn(len(a.seen)); !a.seen[l] {
+			a.seen[l] = true
+			n++
+		}
+	}
+	a.add(tb)
+}
+
+// relocate moves one to four random LPAs of every group.
+func (a *ager) relocate(tb *Table) {
+	for g := 0; g < a.groups; g++ {
+		for k := 1 + a.rng.Intn(4); k > 0; k-- {
+			a.seen[g*addr.GroupSize+a.rng.Intn(addr.GroupSize)] = true
+		}
+	}
+	a.add(tb)
+}
+
+// age runs rounds of overwrites, each followed by a relocation pass.
+func (a *ager) age(tb *Table, rounds int) {
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < 16; i++ {
+			a.overwrite(tb)
+		}
+		a.relocate(tb)
+	}
+}
+
+// retainedSlots counts the segment slots every group's array holds,
+// in use or not.
+func retainedSlots(tb *Table) int {
+	n := 0
+	tb.eachGroup(func(_ addr.GroupID, g *group) { n += cap(g.segs) })
+	return n
+}
+
+// BenchmarkAgedCommit measures the write path of an aged, bitmap-on γ=4
+// table of 400 groups: one round of 16 overwrite flushes plus a
+// relocation pass per op. It reports ns per committed pair and the host
+// bytes the groups' segment arrays retain per live segment.
+func BenchmarkAgedCommit(b *testing.B) {
+	tb := NewTable(4)
+	tb.EnableExactBitmap()
+	a := newAger(5, 400)
+	a.prefill(tb)
+	a.age(tb, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := a.ppa
+	a.age(tb, b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(a.ppa-start), "ns/pair")
+	segs := tb.Stats().Segments
+	b.ReportMetric(float64(retainedSlots(tb)*int(unsafe.Sizeof(Segment{})+1))/float64(segs), "retainedB/seg")
 }

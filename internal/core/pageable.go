@@ -62,22 +62,17 @@ func (t *Table) InstallGroup(data []byte) (addr.GroupID, error) {
 	if err != nil {
 		return 0, err
 	}
-	if cur := t.lookupGroup(gid); cur != nil && (len(cur.levels) > 0 || len(cur.crb.entries) > 0) {
+	if cur := t.lookupGroup(gid); cur != nil && (cur.depth() > 0 || len(cur.crb.entries) > 0) {
 		return 0, fmt.Errorf("core: group %d is already resident", gid)
 	}
 	// group() creates (or finds) the empty counted group; adopting the
 	// decoded state then mirrors the incremental bookkeeping of the
 	// mutation path, so no recomputeStats sweep is needed.
 	dst := t.group(gid)
-	dst.levels = g.levels
-	dst.crb = g.crb
-	dst.exact = g.exact
-	dst.rebuildAt, dst.touched = g.rebuildAt, false
+	*dst = *g
 	t.noteLevels(dst, 0)
-	for li := range dst.levels {
-		for i := range dst.levels[li].segs {
-			t.noteAdd(dst.levels[li].segs[i])
-		}
+	for i := range dst.segs {
+		t.noteAdd(dst.segs[i])
 	}
 	t.crbBytes += dst.crb.sizeBytes()
 	return gid, nil
@@ -92,14 +87,12 @@ func (t *Table) DropGroup(id addr.GroupID) (freed int, ok bool) {
 		return 0, false
 	}
 	freed = g.footprint()
-	for li := range g.levels {
-		for i := range g.levels[li].segs {
-			t.noteRemove(g.levels[li].segs[i])
-		}
+	for i := range g.segs {
+		t.noteRemove(g.segs[i])
 	}
 	t.crbBytes -= g.crb.sizeBytes()
-	t.totalLevels -= len(g.levels)
-	t.levelFreq[len(g.levels)]--
+	t.totalLevels -= g.depth()
+	t.levelFreq[g.depth()]--
 	t.nGroups--
 	t.groups[id] = nil
 	return freed, true

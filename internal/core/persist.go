@@ -31,9 +31,9 @@ import (
 func appendGroupRecord(buf []byte, id addr.GroupID, g *group) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 	buf = append(buf, g.exact[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(g.levels)))
-	for li := range g.levels {
-		segs := g.levels[li].segs
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(g.depth()))
+	for li := 0; li < g.depth(); li++ {
+		segs := g.level(li).segs
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(segs)))
 		for i := range segs {
 			enc := segs[i].Encode()
@@ -66,8 +66,10 @@ func decodeGroupRecord(data []byte) (addr.GroupID, *group, error) {
 // table never builds and its lookup and rebuild assume: more levels than
 // maxGroupLevels, a segment running past its group, or a level whose
 // segments are not in strictly ascending, non-overlapping order. The
-// returned group's CRB is normalized (owner index rebuilt, entries
-// sorted) so the group is ready to serve lookups.
+// levels are decoded straight into the group's one segment array, sized
+// by a first pass over the level headers; the returned group's CRB is
+// normalized (owner index rebuilt, entries sorted) so the group is ready
+// to serve lookups.
 func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 	gid, err := r.u32()
 	if err != nil {
@@ -91,15 +93,22 @@ func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 	if nLevels > maxGroupLevels {
 		return 0, nil, fmt.Errorf("core: group %d record has %d levels, bound %d", gid, nLevels, maxGroupLevels)
 	}
+	// The record lists levels top first; the array holds them deepest
+	// first, so each level's window ends where the one above it starts.
+	total, err := r.segmentTotal(int(nLevels))
+	if err != nil {
+		return 0, nil, err
+	}
+	if nLevels > 0 {
+		g.ends = make([]int32, nLevels, maxGroupLevels+1)
+	}
+	g.reset(total)
+	end := total
 	for l := uint16(0); l < nLevels; l++ {
-		nSegs, err := r.u16()
-		if err != nil {
-			return 0, nil, err
-		}
-		lvl := level{
-			keys: make([]uint8, 0, nSegs),
-			segs: make([]Segment, 0, nSegs),
-		}
+		nSegs, _ := r.u16() // segmentTotal checked every header
+		g.ends[int(nLevels)-1-int(l)] = int32(end)
+		lvl := g.segs[end-int(nSegs) : end]
+		end -= int(nSegs)
 		for s := uint16(0); s < nSegs; s++ {
 			raw, err := r.bytes(SegmentBytes)
 			if err != nil {
@@ -111,13 +120,12 @@ func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 			switch {
 			case int(seg.Start())+int(seg.L) >= addr.GroupSize:
 				return 0, nil, fmt.Errorf("core: group %d level %d: segment %v runs past its group", gid, l, seg)
-			case s > 0 && lvl.segs[s-1].End() >= seg.SLPA:
-				return 0, nil, fmt.Errorf("core: group %d level %d: segment %v does not follow %v", gid, l, seg, lvl.segs[s-1])
+			case s > 0 && lvl[s-1].End() >= seg.SLPA:
+				return 0, nil, fmt.Errorf("core: group %d level %d: segment %v does not follow %v", gid, l, seg, lvl[s-1])
 			}
-			lvl.keys = append(lvl.keys, seg.Start())
-			lvl.segs = append(lvl.segs, seg)
+			lvl[s] = seg
+			g.keys[end+int(s)] = seg.Start()
 		}
-		g.levels = append(g.levels, lvl)
 	}
 	nEntries, err := r.u16()
 	if err != nil {
@@ -148,6 +156,24 @@ func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 	// it, so allowances cannot compound across page-out/page-in cycles.
 	g.rebuildAt = max(rebuildMinSegments, g.segmentCount())
 	return addr.GroupID(gid), g, nil
+}
+
+// segmentTotal returns the number of segments in the next n levels of a
+// group record without moving r, checking that every level's header and
+// segments are present.
+func (r *reader) segmentTotal(n int) (int, error) {
+	probe, total := *r, 0
+	for l := 0; l < n; l++ {
+		nSegs, err := probe.u16()
+		if err != nil {
+			return 0, err
+		}
+		if _, err := probe.bytes(int(nSegs) * SegmentBytes); err != nil {
+			return 0, err
+		}
+		total += int(nSegs)
+	}
+	return total, nil
 }
 
 // reader is a bounds-checked little-endian cursor.

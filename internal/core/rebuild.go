@@ -109,13 +109,14 @@ type rebuildBuf struct {
 	patch   []addr.Mapping // truth pairs an approximate re-fit mispredicts
 	arena   []uint8        // backs every claim's offs
 	lvlEnd  []int          // pack: last offset each level covers so far
+	next    []int32        // install: next free slot of each level's window
 }
 
 // maybeRebuild rebuilds group id if the mutation that just finished
 // pushed it past a trigger.
 func (t *Table) maybeRebuild(id addr.GroupID) {
 	g := t.lookupGroup(id)
-	if len(g.levels) > maxGroupLevels || g.segmentCount() > g.rebuildAt {
+	if g.depth() > maxGroupLevels || g.segmentCount() > g.rebuildAt {
 		t.compactGroup(id, g)
 	}
 }
@@ -145,7 +146,7 @@ func (t *Table) rebuildGroup(base addr.LPA, g *group) bool {
 				bytes++ // the CRB entry's separator
 			}
 		}
-		if bytes == g.footprint() && levels == len(g.levels) {
+		if bytes == g.footprint() && levels == g.depth() {
 			return false // every claim still answers, nothing can sink
 		}
 		t.install(g, rb.live, levels)
@@ -209,8 +210,8 @@ func (t *Table) resolve(base addr.LPA, g *group) {
 	rb := &t.rb
 	rb.state = [addr.GroupSize]uint8{}
 	rb.live, rb.arena = rb.live[:0], rb.arena[:0]
-	for li := range g.levels {
-		segs := g.levels[li].segs
+	for li := 0; li < g.depth(); li++ {
+		segs := g.level(li).segs
 		for si := range segs {
 			s := &segs[si]
 			if s.Accurate() {
@@ -396,21 +397,35 @@ func (rb *rebuildBuf) pack() int {
 }
 
 // install replaces g's levels and CRB with claims (each assigned one of
-// levels levels), keeping the table's counters in step. Levels are
-// appended in start order into the old levels' backing arrays.
+// levels levels), keeping the table's counters in step. The claims are
+// written in start order straight into their levels' windows of the
+// group's array, which grows only if the group now holds more segments
+// than it ever did.
 func (t *Table) install(g *group, claims []claim, levels int) {
-	t.rb.sortByStart(claims)
-	for li := range g.levels {
-		for i := range g.levels[li].segs {
-			t.noteRemove(g.levels[li].segs[i])
-		}
+	rb := &t.rb
+	rb.sortByStart(claims)
+	for i := range g.segs {
+		t.noteRemove(g.segs[i])
 	}
-	oldLevels, oldCRB := len(g.levels), g.crb.sizeBytes()
-	g.levels = g.levels[:levels] // a rebuild never deepens a group
-	for li := range g.levels {
-		g.levels[li].keys = g.levels[li].keys[:0]
-		g.levels[li].segs = g.levels[li].segs[:0]
+	oldLevels, oldCRB := g.depth(), g.crb.sizeBytes()
+
+	// Size each level's window, deepest first, then fill them.
+	if cap(rb.next) < levels {
+		rb.next = make([]int32, levels)
 	}
+	rb.next = rb.next[:levels]
+	clear(rb.next)
+	for i := range claims {
+		rb.next[levels-1-claims[i].level]++
+	}
+	g.ends = g.ends[:0]
+	end := int32(0)
+	for d, n := range rb.next {
+		rb.next[d] = end
+		end += n
+		g.ends = append(g.ends, end)
+	}
+	g.reset(len(claims))
 
 	nOffs := 0
 	for i := range claims {
@@ -418,11 +433,12 @@ func (t *Table) install(g *group, claims []claim, levels int) {
 	}
 	g.crb.reset()
 	lpas := make([]uint8, 0, nOffs) // one backing array for every entry
-	for _, ci := range t.rb.byStart {
+	for _, ci := range rb.byStart {
 		c := &claims[ci]
-		lvl := &g.levels[c.level]
-		lvl.keys = append(lvl.keys, c.seg.Start())
-		lvl.segs = append(lvl.segs, c.seg)
+		d := levels - 1 - c.level
+		p := rb.next[d]
+		rb.next[d]++
+		g.segs[p], g.keys[p] = c.seg, c.seg.Start()
 		t.noteAdd(c.seg)
 		if !c.seg.Accurate() {
 			n := len(lpas)
@@ -445,7 +461,7 @@ func (t *Table) CheckShape() error {
 		if err != nil {
 			return
 		}
-		if n := len(g.levels); n > maxGroupLevels {
+		if n := g.depth(); n > maxGroupLevels {
 			err = fmt.Errorf("group %d: %d levels, bound %d", id, n, maxGroupLevels)
 			return
 		}

@@ -165,19 +165,23 @@ func (c *churn) check(when string) {
 	}
 }
 
-// checkStructure audits what Lookup relies on: sorted, disjoint levels
-// with keys in step, a CRB whose entries match the approximate segments
-// one to one, an owner index and byte counts that a from-scratch
-// recomputation reproduces.
+// checkStructure audits what Lookup relies on: level windows that tile
+// the group's array, sorted, disjoint levels with keys in step, a CRB
+// whose entries match the approximate segments one to one, an owner index
+// and byte counts that a from-scratch recomputation reproduces.
 func checkStructure(tb *Table) error {
 	var err error
 	tb.eachGroup(func(id addr.GroupID, g *group) {
 		if err != nil {
 			return
 		}
+		if err = checkWindows(g); err != nil {
+			err = fmt.Errorf("group %d: %w", id, err)
+			return
+		}
 		approx := 0
-		for li := range g.levels {
-			lvl := &g.levels[li]
+		for li := 0; li < g.depth(); li++ {
+			lvl := g.level(li)
 			if len(lvl.keys) != len(lvl.segs) {
 				err = fmt.Errorf("group %d level %d: %d keys, %d segments", id, li, len(lvl.keys), len(lvl.segs))
 				return
@@ -370,4 +374,23 @@ func TestRebuildKeepsUnverifiedApproximate(t *testing.T) {
 	if err := checkStructure(tb); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkWindows audits a group's level windows: ascending bounds, the
+// top level ending at the array's length, keys in step with segments.
+func checkWindows(g *group) error {
+	if len(g.keys) != len(g.segs) {
+		return fmt.Errorf("%d keys, %d segments", len(g.keys), len(g.segs))
+	}
+	prev := int32(0)
+	for d, end := range g.ends {
+		if end < prev {
+			return fmt.Errorf("level window %d ends at %d, before %d", d, end, prev)
+		}
+		prev = end
+	}
+	if int(prev) != len(g.segs) {
+		return fmt.Errorf("levels end at %d, array holds %d segments", prev, len(g.segs))
+	}
+	return nil
 }

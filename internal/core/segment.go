@@ -22,22 +22,24 @@ const SegmentBytes = 8
 // The paper writes the model against the absolute LPA; anchoring at the
 // group base is the same line reparameterized, and keeps the intercept
 // within its 4-byte budget for arbitrarily large drives.
+//
+// kf, stride, p0 and primed are a decoded cache, filled by prime. They
+// are not part of the 8-byte wire format (Encode/DecodeSegment are
+// unchanged); every one is a pure function of (SLPA, L, K, I), so a
+// learned segment and its encode/decode round trip stay ==-comparable.
+// With the cache hot, the lookup path for accurate segments is pure
+// integer arithmetic — no float16 decode, no math.Round(1/K) stride
+// recomputation, no math.Ceil. The fields are ordered widest first, so a
+// Segment is 28 bytes padded to 32.
 type Segment struct {
-	SLPA addr.LPA     // absolute first LPA (its group is implied)
-	L    uint8        // span: the segment covers [SLPA, SLPA+L]
-	K    float16.Bits // slope; LSB is the type flag (0 accurate, 1 approximate)
-	I    float32      // intercept, in group-offset space
-
-	// Decoded cache, filled by prime. Not part of the 8-byte wire format
-	// (Encode/DecodeSegment are unchanged); every field is a pure function
-	// of (SLPA, L, K, I), so a learned segment and its encode/decode round
-	// trip stay ==-comparable. With the cache hot, the lookup path for
-	// accurate segments is pure integer arithmetic — no float16 decode, no
-	// math.Round(1/K) stride recomputation, no math.Ceil.
-	kf     float64  // float16.To64(K)
-	stride uint32   // round(1/kf) for accurate segments, ≥ 1
-	p0     addr.PPA // prediction at SLPA (fast-path anchor)
-	primed bool
+	kf     float64      // cache: float16.To64(K)
+	SLPA   addr.LPA     // absolute first LPA (its group is implied)
+	I      float32      // intercept, in group-offset space
+	stride uint32       // cache: round(1/kf) for accurate segments, ≥ 1
+	p0     addr.PPA     // cache: prediction at SLPA (fast-path anchor)
+	K      float16.Bits // slope; LSB is the type flag (0 accurate, 1 approximate)
+	L      uint8        // span: the segment covers [SLPA, SLPA+L]
+	primed bool         // cache: filled
 }
 
 // prime fills the decoded cache. It must be called whenever a segment

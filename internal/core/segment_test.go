@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"leaftl/internal/addr"
 )
@@ -14,6 +15,15 @@ func mappings(start addr.LPA, stride uint32, ppa addr.PPA, n int) []addr.Mapping
 		out[i] = addr.Mapping{LPA: start + addr.LPA(uint32(i)*stride), PPA: ppa + addr.PPA(i)}
 	}
 	return out
+}
+
+// TestSegmentSize pins the in-memory segment at 32 bytes: every group's
+// segment array, and every segment copy the mutation path makes, scales
+// with it. A field added or reordered so that padding grows fails here.
+func TestSegmentSize(t *testing.T) {
+	if got := unsafe.Sizeof(Segment{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Segment{}) = %d, want 32", got)
+	}
 }
 
 func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {

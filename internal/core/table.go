@@ -11,12 +11,13 @@ import (
 // in different levels may overlap, with the upper level always holding the
 // more recent mapping.
 //
-// Layout is chosen for the lookup path: groups live in a dense slice
-// indexed by group ID (no map hashing — an SSD's LPA space is bounded and
-// dense, so the pointer array costs well under a byte per logical page),
-// and each level keeps a parallel array of 4-byte starting-LPA keys so
-// the binary search walks a compact key array instead of striding across
-// full Segment structs.
+// Layout is chosen for the lookup path and for a host footprint that
+// follows the live segments: groups live in a dense slice indexed by group
+// ID (no map hashing — an SSD's LPA space is bounded and dense, so the
+// pointer array costs well under a byte per logical page), and each group
+// keeps all of its levels back to back in one segment array, with a
+// parallel array of 1-byte starting-offset keys so the binary search walks
+// a compact key array instead of striding across full Segment structs.
 //
 // Table is not safe for concurrent use; the device serializes every call.
 // Update may spread one batch over helper goroutines (parallel.go), but
@@ -81,10 +82,25 @@ type Table struct {
 // group is the per-256-LPA-group state: the level stack, the group's
 // conflict-resolution buffer for approximate segments, and its
 // predicted-exact bitmap (exact.go).
+//
+// The level stack is one segment array, segs, holding every level back
+// to back, deepest level first, so the top level — where every commit
+// inserts — is the array's tail and an insert there moves only the top
+// level's segments. keys mirrors segs (keys[i] == the group offset of
+// segs[i].SLPA) purely for search locality: a level never crosses its
+// 256-LPA group, so one byte per key suffices and a whole level's keys fit
+// in one or two cache lines. ends[d] is one past the last slot of the
+// level at storage depth d (0 = deepest), so the level at stack index li
+// (0 = top) is the window ending at ends[len(ends)-1-li]. The arrays grow
+// by doubling when the group's segment count outgrows them, which is the
+// layout's only allocation: a group that breathes between rebuilds reuses
+// its array, and no storage outlives the level it held.
 type group struct {
-	levels []level
-	crb    crb
-	exact  exactBits
+	keys  []uint8
+	segs  []Segment
+	ends  []int32
+	crb   crb
+	exact exactBits
 
 	// Rebuild trigger state (rebuild.go), not part of the wire record:
 	// rebuildAt is the segment count past which the next mutation
@@ -95,19 +111,24 @@ type group struct {
 	touched   bool
 }
 
-// level is one sorted, pairwise-disjoint run of segments. keys mirrors
-// segs (keys[i] == the group offset of segs[i].SLPA) purely for search
-// locality: a level never crosses its 256-LPA group, so one byte per key
-// suffices and a whole level's keys fit in one or two cache lines.
+// minGroupSegs is the segment capacity a group's array starts at.
+const minGroupSegs = 4
+
+// level is a read-only view of one level: its window of the group's key
+// and segment arrays, one sorted, pairwise-disjoint run of segments. A
+// view allocates nothing and is valid until the group's next mutation.
 type level struct {
 	keys []uint8
 	segs []Segment
 }
 
-func (l *level) len() int { return len(l.segs) }
+func (l level) len() int { return len(l.segs) }
 
 // search returns the index of the first segment whose starting offset is
 // ≥ off (pass uint16 so "offset+1" probes past 255 work).
+func (l level) search(off uint16) int { return searchKeys(l.keys, off) }
+
+// searchKeys is level.search over a bare key window.
 //
 // The level is itself searched with a learned guess: start offsets are
 // spread over the 256-LPA group, so off·n/256 interpolates within a few
@@ -115,8 +136,7 @@ func (l *level) len() int { return len(l.segs) }
 // a ±8 window around the guess — finished with a short scan over one or
 // two cache lines of byte keys — or fall back to plain binary search, so
 // skewed levels cost O(log n) as before.
-func (l *level) search(off uint16) int {
-	keys := l.keys
+func searchKeys(keys []uint8, off uint16) int {
 	lo, hi := 0, len(keys)
 	if hi > 8 {
 		const w = 8
@@ -153,28 +173,107 @@ func (l *level) search(off uint16) int {
 	return lo
 }
 
-// insert places seg at position pos, keeping keys and segs in step.
-func (l *level) insert(pos int, seg Segment) {
-	l.keys = append(l.keys, 0)
-	copy(l.keys[pos+1:], l.keys[pos:])
-	l.keys[pos] = seg.Start()
-	l.segs = append(l.segs, Segment{})
-	copy(l.segs[pos+1:], l.segs[pos:])
-	l.segs[pos] = seg
+// depth returns the number of levels in g's stack.
+func (g *group) depth() int { return len(g.ends) }
+
+// window returns the bounds [lo, hi) of level li (0 = top) in g.segs.
+func (g *group) window(li int) (lo, hi int) {
+	d := len(g.ends) - 1 - li
+	if d > 0 {
+		lo = int(g.ends[d-1])
+	}
+	return lo, int(g.ends[d])
 }
 
-// remove deletes the segment at position pos.
-func (l *level) remove(pos int) {
-	l.keys = append(l.keys[:pos], l.keys[pos+1:]...)
-	l.segs = append(l.segs[:pos], l.segs[pos+1:]...)
+// level returns the view of level li (0 = top).
+func (g *group) level(li int) level {
+	lo, hi := g.window(li)
+	return level{keys: g.keys[lo:hi:hi], segs: g.segs[lo:hi:hi]}
 }
 
-// replaceRange replaces segments [lo, hi) with seg (hi > lo).
-func (l *level) replaceRange(lo, hi int, seg Segment) {
-	l.keys[lo] = seg.Start()
-	l.keys = append(l.keys[:lo+1], l.keys[hi:]...)
-	l.segs[lo] = seg
-	l.segs = append(l.segs[:lo+1], l.segs[hi:]...)
+// grow makes room for n more segments, doubling the arrays until they
+// hold the group's new count.
+func (g *group) grow(n int) {
+	need := len(g.segs) + n
+	if need <= cap(g.segs) {
+		return
+	}
+	c := max(cap(g.segs), minGroupSegs)
+	for c < need {
+		c *= 2
+	}
+	segs := make([]Segment, len(g.segs), c)
+	copy(segs, g.segs)
+	keys := make([]uint8, len(g.keys), c)
+	copy(keys, g.keys)
+	g.segs, g.keys = segs, keys
+}
+
+// reset empties the arrays and sizes them for n segments to be written
+// in place, growing them only if n exceeds their capacity.
+func (g *group) reset(n int) {
+	g.segs, g.keys = g.segs[:0], g.keys[:0]
+	g.grow(n)
+	g.segs, g.keys = g.segs[:n], g.keys[:n]
+}
+
+// insert places seg at position pos of level li, keeping keys and segs
+// in step. Only the levels from li up move.
+func (g *group) insert(li, pos int, seg Segment) {
+	g.grow(1)
+	lo, _ := g.window(li)
+	p, n := lo+pos, len(g.segs)
+	g.segs = g.segs[:n+1]
+	copy(g.segs[p+1:], g.segs[p:n])
+	g.segs[p] = seg
+	g.keys = g.keys[:n+1]
+	copy(g.keys[p+1:], g.keys[p:n])
+	g.keys[p] = seg.Start()
+	for d := len(g.ends) - 1 - li; d < len(g.ends); d++ {
+		g.ends[d]++
+	}
+}
+
+// remove deletes the segment at slot p of g.segs. The levels whose
+// windows end past p are the one holding it and those above.
+func (g *group) remove(p int) {
+	g.segs = append(g.segs[:p], g.segs[p+1:]...)
+	g.keys = append(g.keys[:p], g.keys[p+1:]...)
+	for d := range g.ends {
+		if int(g.ends[d]) > p {
+			g.ends[d]--
+		}
+	}
+}
+
+// replaceRange replaces segments [lo, hi) of level li with seg (hi > lo).
+func (g *group) replaceRange(li, lo, hi int, seg Segment) {
+	base, _ := g.window(li)
+	lo, hi = base+lo, base+hi
+	g.segs[lo] = seg
+	g.segs = append(g.segs[:lo+1], g.segs[hi:]...)
+	g.keys[lo] = seg.Start()
+	g.keys = append(g.keys[:lo+1], g.keys[hi:]...)
+	for d := len(g.ends) - 1 - li; d < len(g.ends); d++ {
+		g.ends[d] -= int32(hi - lo - 1)
+	}
+}
+
+// openLevel inserts an empty level at stack index at, shifting the
+// levels from there down by one. Only the window bounds move.
+func (g *group) openLevel(at int) {
+	if g.ends == nil {
+		g.ends = make([]int32, 0, maxGroupLevels+1)
+	}
+	n := len(g.ends)
+	d := n - at // storage depth of the new level
+	var end int32
+	if d > 0 {
+		end = g.ends[d-1]
+	}
+	g.ends = append(g.ends, 0)
+	copy(g.ends[d+1:], g.ends[d:n])
+	g.ends[d] = end
 }
 
 // LookupResult carries per-lookup diagnostics used by the paper's
@@ -502,10 +601,10 @@ func (t *Table) noteRemove(s Segment) {
 	}
 }
 
-// noteLevels records that g went from old to len(g.levels) levels. A
+// noteLevels records that g went from old to g.depth() levels. A
 // commit worker's levelFreq holds deltas and may not yet reach old.
 func (t *Table) noteLevels(g *group, old int) {
-	n := len(g.levels)
+	n := g.depth()
 	if n == old {
 		return
 	}
@@ -532,9 +631,9 @@ func (t *Table) stampLPAs(lpas []addr.LPA) {
 // and push still-overlapping victims down.
 func (t *Table) segUpdate(g *group, ls Learned, li int) {
 	g.touched = true
-	old := len(g.levels)
-	for len(g.levels) <= li {
-		g.openLevel(len(g.levels))
+	old := g.depth()
+	for g.depth() <= li {
+		g.openLevel(g.depth())
 	}
 	t.noteLevels(g, old)
 	seg := ls.Seg
@@ -567,7 +666,7 @@ func (t *Table) segUpdate(g *group, ls Learned, li int) {
 // The caller must have stamped the incoming segment's LPA set into t.mark
 // (stampLPAs).
 func (t *Table) placeSegment(g *group, seg Segment, li int) {
-	lvl := &g.levels[li]
+	lvl := g.level(li)
 	startOff := uint16(seg.Start())
 	endOff := startOff + uint16(seg.L)
 	pos := lvl.search(startOff)
@@ -582,9 +681,9 @@ func (t *Table) placeSegment(g *group, seg Segment, li int) {
 
 	t.victims = append(t.victims[:0], lvl.segs[lo:hi]...)
 	if lo == hi {
-		lvl.insert(pos, seg)
+		g.insert(li, pos, seg)
 	} else {
-		lvl.replaceRange(lo, hi, seg)
+		g.replaceRange(li, lo, hi, seg)
 	}
 	t.noteAdd(seg)
 
@@ -604,51 +703,36 @@ func (t *Table) placeSegment(g *group, seg Segment, li int) {
 			continue
 		}
 		// Disjoint after trimming: it can stay in this level.
-		lvl := &g.levels[li]
-		lvl.insert(lvl.search(uint16(merged.Start())), merged)
+		g.insert(li, g.level(li).search(uint16(merged.Start())), merged)
 		t.noteAdd(merged)
 	}
-}
-
-// openLevel inserts an empty level at index at, shifting the levels from
-// there down by one. A rebuild leaves the levels it emptied behind the
-// stack's length; their backing arrays are taken up again here, so a
-// group that breathes between rebuilds stops allocating.
-func (g *group) openLevel(at int) *level {
-	var lvl level
-	if n := len(g.levels); n < cap(g.levels) {
-		lvl = g.levels[:n+1][n]
-		lvl.keys, lvl.segs = lvl.keys[:0], lvl.segs[:0]
-	}
-	g.levels = append(g.levels, level{})
-	copy(g.levels[at+1:], g.levels[at:])
-	g.levels[at] = lvl
-	return &g.levels[at]
 }
 
 // pushDown moves a displaced victim one level down, creating a dedicated
 // level when it would overlap segments already there.
 func (t *Table) pushDown(g *group, victim Segment, li int) {
 	ni := li + 1
-	if ni >= len(g.levels) {
-		old := len(g.levels)
-		g.openLevel(ni).insert(0, victim)
+	if ni >= g.depth() {
+		old := g.depth()
+		g.openLevel(ni)
+		g.insert(ni, 0, victim)
 		t.noteLevels(g, old)
 		return
 	}
-	next := &g.levels[ni]
+	next := g.level(ni)
 	p := next.search(uint16(victim.Start()))
 	overlaps := (p > 0 && next.segs[p-1].End() >= victim.SLPA) ||
 		(p < next.len() && uint16(next.keys[p]) <= uint16(victim.Start())+uint16(victim.L))
 	if overlaps {
 		// Insert a brand-new level between li and ni holding only the
 		// victim. Everything below keeps its relative (temporal) order.
-		old := len(g.levels)
-		g.openLevel(ni).insert(0, victim)
+		old := g.depth()
+		g.openLevel(ni)
+		g.insert(ni, 0, victim)
 		t.noteLevels(g, old)
 		return
 	}
-	next.insert(p, victim)
+	g.insert(ni, p, victim)
 }
 
 // segMerge implements Algorithm 2 against the stamped mark set: subtract
@@ -718,33 +802,31 @@ func (t *Table) survivors(g *group, s Segment) (first, last addr.LPA, any bool) 
 // a disjoint neighbor, so the level stays sorted.
 func (t *Table) applyEdits(g *group, edits []boundaryEdit) {
 	for _, e := range edits {
-		li, idx, ok := findApprox(g, e.Old)
+		p, ok := findApprox(g, e.Old)
 		if !ok {
 			continue
 		}
 		if e.Removed {
-			t.noteRemove(g.levels[li].segs[idx])
-			g.levels[li].remove(idx)
+			t.noteRemove(g.segs[p])
+			g.remove(p)
 			continue
 		}
-		seg := &g.levels[li].segs[idx]
+		seg := &g.segs[p]
 		seg.cut(addr.GroupBase(seg.Group()), e.NewStart, e.NewLast)
-		g.levels[li].keys[idx] = e.NewStart
+		g.keys[p] = e.NewStart
 	}
 }
 
-// findApprox locates the approximate segment with the given start offset.
-// CRB invariants make that start unique among approximate segments.
-func findApprox(g *group, start uint8) (level, idx int, ok bool) {
-	for li := range g.levels {
-		segs := g.levels[li].segs
-		for i := range segs {
-			if !segs[i].Accurate() && segs[i].Start() == start {
-				return li, i, true
-			}
+// findApprox locates the slot of the approximate segment with the given
+// start offset. CRB invariants make that start unique among approximate
+// segments, so the whole array is scanned without regard to level.
+func findApprox(g *group, start uint8) (p int, ok bool) {
+	for i := range g.segs {
+		if !g.segs[i].Accurate() && g.segs[i].Start() == start {
+			return i, true
 		}
 	}
-	return 0, 0, false
+	return 0, false
 }
 
 // Lookup translates lpa using the learned table (Algorithm 1 lines
@@ -752,9 +834,10 @@ func findApprox(g *group, start uint8) (level, idx int, ok bool) {
 // its mapping lives only in flash-resident translation pages).
 //
 // The hot path is allocation-free and, for accurate segments, pure
-// integer arithmetic against the decoded cache: a binary search over the
-// level's 4-byte key array, one modulo for the stride membership test
-// (Algorithm 2 has_lpa), one divide for the anchored prediction.
+// integer arithmetic against the decoded cache: a search over the level's
+// 1-byte key window, one modulo for the stride membership test
+// (Algorithm 2 has_lpa), one divide for the anchored prediction. The
+// levels are visited top-down, walking the group's array from its tail.
 func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 	var res LookupResult
 	g := t.lookupGroup(addr.Group(lpa))
@@ -762,16 +845,22 @@ func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 		return addr.InvalidPPA, res, false
 	}
 	off := addr.Offset(lpa)
-	for li := range g.levels {
-		lvl := &g.levels[li]
-		res.Levels = li + 1
+	hi := len(g.segs)
+	for d := len(g.ends) - 1; d >= 0; d-- {
+		lo := 0
+		if d > 0 {
+			lo = int(g.ends[d-1])
+		}
+		keys := g.keys[lo:hi]
+		hi = lo
+		res.Levels++
 		// Last segment with start offset ≤ off; the search guarantees
 		// lpa ≥ SLPA, so containment needs only the End bound.
-		idx := lvl.search(uint16(off)+1) - 1
-		if idx < 0 || lpa > lvl.segs[idx].End() {
+		idx := searchKeys(keys, uint16(off)+1) - 1
+		if idx < 0 || lpa > g.segs[lo+idx].End() {
 			continue
 		}
-		seg := &lvl.segs[idx]
+		seg := &g.segs[lo+idx]
 		if seg.Accurate() {
 			d := uint32(lpa - seg.SLPA)
 			if seg.L == 0 {
@@ -827,13 +916,7 @@ func (t *Table) Compact() []addr.GroupID {
 	return out
 }
 
-func (g *group) segmentCount() int {
-	n := 0
-	for i := range g.levels {
-		n += g.levels[i].len()
-	}
-	return n
-}
+func (g *group) segmentCount() int { return len(g.segs) }
 
 // footprint is the group's share of SizeBytes: encoded segments plus the
 // flat CRB.
@@ -886,7 +969,7 @@ func (t *Table) Stats() Stats {
 func (t *Table) LevelCounts() []int {
 	out := make([]int, 0, t.nGroups)
 	t.eachGroup(func(_ addr.GroupID, g *group) {
-		out = append(out, len(g.levels))
+		out = append(out, g.depth())
 	})
 	return out
 }
@@ -905,8 +988,8 @@ func (t *Table) CRBSizes() []int {
 func (t *Table) SegmentLengths() []int {
 	var out []int
 	t.eachGroup(func(_ addr.GroupID, g *group) {
-		for li := range g.levels {
-			segs := g.levels[li].segs
+		for li := 0; li < g.depth(); li++ {
+			segs := g.level(li).segs
 			for i := range segs {
 				out = append(out, segmentLen(g, &segs[i]))
 			}

@@ -328,8 +328,8 @@ func TestTableLevelsAreSortedAndDisjoint(t *testing.T) {
 		tb.Update(pairs)
 	}
 	tb.eachGroup(func(gid addr.GroupID, g *group) {
-		for li := range g.levels {
-			lvl := &g.levels[li]
+		for li := 0; li < g.depth(); li++ {
+			lvl := g.level(li)
 			for i := 0; i < lvl.len(); i++ {
 				if lvl.keys[i] != lvl.segs[i].Start() {
 					t.Fatalf("group %d level %d: key %d out of step with segment %v",
@@ -424,8 +424,8 @@ func TestLookupZeroAllocs(t *testing.T) {
 // TestUpdateSteadyStateAllocs pins the amortized-O(1) property of the
 // mutation path: re-learning the same working set must settle to a small
 // constant number of allocations per 256-mapping batch (CRB entry copies
-// and occasional slice growth), nothing proportional to batch size or
-// victim count like the old per-victim bitmap and LPA slices.
+// and occasional segment-array growth), nothing proportional to batch
+// size or victim count like the old per-victim bitmap and LPA slices.
 func TestUpdateSteadyStateAllocs(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		rng := rand.New(rand.NewSource(3))
@@ -448,9 +448,10 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 			i++
 		})
 		// The old mutation path allocated hundreds of objects per batch
-		// (one [256]bool + slices per victim); allow a small constant for
-		// retained-state growth (new levels, CRB entry copies).
-		const maxAllocs = 32
+		// (one [256]bool + slices per victim). With one segment array per
+		// group, γ=0 measures 0 and γ=4 11 (CRB entry buffers); allow a
+		// little headroom over that.
+		const maxAllocs = 16
 		if avg > maxAllocs {
 			t.Errorf("gamma %d: Update allocates %.1f objects per batch, want ≤ %d", gamma, avg, maxAllocs)
 		}
@@ -464,7 +465,7 @@ func (t *Table) recomputeStats() {
 	t.levelFreq = append(t.levelFreq[:0], 0)
 	t.eachGroup(func(_ addr.GroupID, g *group) {
 		t.nGroups++
-		n := len(g.levels)
+		n := g.depth()
 		t.totalLevels += n
 		for len(t.levelFreq) <= n {
 			t.levelFreq = append(t.levelFreq, 0)
@@ -472,10 +473,71 @@ func (t *Table) recomputeStats() {
 		t.levelFreq[n]++
 		g.crb.recompute()
 		t.crbBytes += g.crb.sizeBytes()
-		for li := range g.levels {
-			for i := range g.levels[li].segs {
-				t.noteAdd(g.levels[li].segs[i])
+		for li := 0; li < n; li++ {
+			for _, s := range g.level(li).segs {
+				t.noteAdd(s)
 			}
 		}
 	})
+}
+
+// TestTableMemoryTracksLiveSegments bounds the host memory of the
+// groups' segment arrays by the live segment count: an aged table's
+// arrays, grown by doubling to each group's peak, may not retain more
+// than 4 slots per live segment plus a small per-group allowance. A
+// layout that keeps every level's largest array past the level's life
+// retains several times more.
+func TestTableMemoryTracksLiveSegments(t *testing.T) {
+	const groups = 400
+	tb := NewTable(4)
+	tb.EnableExactBitmap()
+	a := newAger(11, groups)
+	a.prefill(tb)
+	for round := 0; round < 4; round++ {
+		a.age(tb, 10)
+		segs, slots := tb.Stats().Segments, retainedSlots(tb)
+		t.Logf("round %d: %d slots retained for %d live segments (%.2f×)", round, slots, segs, float64(slots)/float64(segs))
+		if bound := 4*segs + 64*groups; slots > bound {
+			t.Fatalf("round %d: %d segment slots retained for %d live segments, bound %d", round, slots, segs, bound)
+		}
+	}
+}
+
+// TestBreathingGroupZeroAllocs: a group that deepens, is rebuilt and
+// deepens again keeps reusing its one segment array. Once the array has
+// grown to the group's peak, the cycle allocates nothing.
+func TestBreathingGroupZeroAllocs(t *testing.T) {
+	tb := NewTable(0)
+	ppa := addr.PPA(0)
+	pairs := make([]addr.Mapping, 8)
+	// Two interleaved stride-2 runs over one span, written in turn:
+	// neither takes an LPA of the other, so each write pushes the one
+	// before it a level down, until the depth trigger rebuilds the group
+	// back to the two that answer.
+	write := func(i int) {
+		for k := range pairs {
+			pairs[k] = addr.Mapping{LPA: addr.LPA(100 + i%2 + 2*k), PPA: ppa}
+			ppa++
+		}
+		tb.Update(pairs)
+	}
+	rebuilds, prev := 0, 0
+	for i := 0; i < 64; i++ {
+		write(i)
+		d := tb.lookupGroup(0).depth()
+		if d < prev {
+			rebuilds++
+		}
+		prev = d
+	}
+	if rebuilds < 2 || prev < 2 {
+		t.Fatalf("group was rebuilt %d times and ends %d deep: it must breathe", rebuilds, prev)
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(64, func() {
+		write(i)
+		i++
+	}); avg != 0 {
+		t.Errorf("a breathing group allocates %.2f objects per write, want 0", avg)
+	}
 }

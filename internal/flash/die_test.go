@@ -203,7 +203,8 @@ func TestMetaPlacementDataIndependent(t *testing.T) {
 			now = d
 		}
 		quiet := now + time.Hour
-		units := a.Config().Units()
+		cfg := a.Config()
+		units := cfg.Units()
 		before := make([]time.Duration, units)
 		for u := 0; u < units; u++ {
 			before[u] = a.dies[u].busyUntil()
@@ -218,9 +219,10 @@ func TestMetaPlacementDataIndependent(t *testing.T) {
 		return unit
 	}
 	want := probe(0, 0)
-	if want != metaPage%testCfg().Units() {
+	cfg := testCfg()
+	if want != metaPage%cfg.Units() {
 		t.Fatalf("meta page %d routed to unit %d, want identity-derived %d",
-			metaPage, want, metaPage%testCfg().Units())
+			metaPage, want, metaPage%cfg.Units())
 	}
 	for _, prime := range [][2]int{{1, 0}, {5, 3}, {8, 7}} {
 		if got := probe(prime[0], prime[1]); got != want {

@@ -43,7 +43,10 @@ import (
 	"leaftl/internal/addr"
 )
 
-// Config describes the flash geometry and timing (paper Table 1).
+// Config describes the flash geometry and timing (paper Table 1). Its
+// methods take a pointer: the geometry helpers run on every page access,
+// and a value receiver would copy the whole struct, fault model included,
+// into each call the compiler does not inline.
 type Config struct {
 	Channels      int           // independent flash channels
 	BlocksPerChan int           // erase blocks per channel
@@ -94,7 +97,7 @@ func PrototypeDefaults() Config {
 }
 
 // Validate reports configuration errors.
-func (c Config) Validate() error {
+func (c *Config) Validate() error {
 	switch {
 	case c.Channels <= 0:
 		return fmt.Errorf("flash: Channels = %d, must be positive", c.Channels)
@@ -121,7 +124,7 @@ func (c Config) Validate() error {
 }
 
 // Dies returns the dies per channel, normalizing 0 to 1.
-func (c Config) Dies() int {
+func (c *Config) Dies() int {
 	if c.DiesPerChan > 1 {
 		return c.DiesPerChan
 	}
@@ -129,7 +132,7 @@ func (c Config) Dies() int {
 }
 
 // Planes returns the planes per die, normalizing 0 to 1.
-func (c Config) Planes() int {
+func (c *Config) Planes() int {
 	if c.PlanesPerDie > 1 {
 		return c.PlanesPerDie
 	}
@@ -140,68 +143,68 @@ func (c Config) Planes() int {
 // (channels × dies): blocks stripe over units exactly as they striped
 // over channels before, so unit u serves block b iff b % Units() == u
 // and ChannelOf is unchanged (b % (C·D) ≡ b (mod C)).
-func (c Config) Units() int { return c.Channels * c.Dies() }
+func (c *Config) Units() int { return c.Channels * c.Dies() }
 
 // UnitOfBlock returns the die timeline serving block b.
-func (c Config) UnitOfBlock(b BlockID) int {
+func (c *Config) UnitOfBlock(b BlockID) int {
 	return int(uint32(b) % uint32(c.Units()))
 }
 
 // UnitOf returns the die timeline serving ppa.
-func (c Config) UnitOf(ppa addr.PPA) int { return c.UnitOfBlock(c.BlockOf(ppa)) }
+func (c *Config) UnitOf(ppa addr.PPA) int { return c.UnitOfBlock(c.BlockOf(ppa)) }
 
 // DieOfBlock returns block b's die index within its channel
 // (0 ≤ die < Dies()).
-func (c Config) DieOfBlock(b BlockID) int { return c.UnitOfBlock(b) / c.Channels }
+func (c *Config) DieOfBlock(b BlockID) int { return c.UnitOfBlock(b) / c.Channels }
 
 // PlaneOf returns ppa's plane within its die. A block spans all planes
 // of its die with consecutive page offsets alternating planes, so
 // sequential programs naturally form multi-plane pairs.
-func (c Config) PlaneOf(ppa addr.PPA) int { return c.PageOf(ppa) % c.Planes() }
+func (c *Config) PlaneOf(ppa addr.PPA) int { return c.PageOf(ppa) % c.Planes() }
 
 // dieAware reports whether the bus/cell split and plane windows are
 // active. When false, timing is the original per-channel arithmetic.
-func (c Config) dieAware() bool { return c.Dies() > 1 || c.Planes() > 1 }
+func (c *Config) dieAware() bool { return c.Dies() > 1 || c.Planes() > 1 }
 
 // busXfer returns the channel-bus occupancy of moving one page between
 // controller and die: a quarter of the page read time. Only charged
 // when the geometry is die-aware.
-func (c Config) busXfer() time.Duration { return c.ReadLatency / 4 }
+func (c *Config) busXfer() time.Duration { return c.ReadLatency / 4 }
 
 // Blocks returns the total number of erase blocks.
-func (c Config) Blocks() int { return c.Channels * c.BlocksPerChan }
+func (c *Config) Blocks() int { return c.Channels * c.BlocksPerChan }
 
 // TotalPages returns the total number of flash pages.
-func (c Config) TotalPages() int { return c.Blocks() * c.PagesPerBlock }
+func (c *Config) TotalPages() int { return c.Blocks() * c.PagesPerBlock }
 
 // OOBEntries returns how many 4-byte reverse-mapping entries fit in one
 // page's OOB area (paper §3.5: 32–64 for 128–256B OOBs).
-func (c Config) OOBEntries() int { return c.OOBSize / 4 }
+func (c *Config) OOBEntries() int { return c.OOBSize / 4 }
 
 // BlockID identifies an erase block, numbered channel-major:
 // block b lives on channel b % Channels.
 type BlockID uint32
 
 // BlockOf returns the erase block containing ppa.
-func (c Config) BlockOf(ppa addr.PPA) BlockID {
+func (c *Config) BlockOf(ppa addr.PPA) BlockID {
 	return BlockID(uint32(ppa) / uint32(c.PagesPerBlock))
 }
 
 // ChannelOfBlock returns the channel serving block b.
-func (c Config) ChannelOfBlock(b BlockID) int {
+func (c *Config) ChannelOfBlock(b BlockID) int {
 	return int(uint32(b) % uint32(c.Channels))
 }
 
 // ChannelOf returns the channel serving ppa.
-func (c Config) ChannelOf(ppa addr.PPA) int { return c.ChannelOfBlock(c.BlockOf(ppa)) }
+func (c *Config) ChannelOf(ppa addr.PPA) int { return c.ChannelOfBlock(c.BlockOf(ppa)) }
 
 // PageOf returns ppa's page index within its block.
-func (c Config) PageOf(ppa addr.PPA) int {
+func (c *Config) PageOf(ppa addr.PPA) int {
 	return int(uint32(ppa) % uint32(c.PagesPerBlock))
 }
 
 // FirstPPA returns the first page of block b.
-func (c Config) FirstPPA(b BlockID) addr.PPA {
+func (c *Config) FirstPPA(b BlockID) addr.PPA {
 	return addr.PPA(uint32(b) * uint32(c.PagesPerBlock))
 }
 

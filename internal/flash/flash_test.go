@@ -30,13 +30,15 @@ func TestGeometry(t *testing.T) {
 	if c.FirstPPA(3) != 24 {
 		t.Errorf("FirstPPA(3) = %d", c.FirstPPA(3))
 	}
-	if got := SimulatorDefaults().OOBEntries(); got != 32 {
+	defaults := SimulatorDefaults()
+	if got := defaults.OOBEntries(); got != 32 {
 		t.Errorf("OOBEntries = %d, want 32", got)
 	}
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := testCfg().Validate(); err != nil {
+	good := testCfg()
+	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := testCfg()
@@ -101,8 +103,9 @@ func TestChannelQueueing(t *testing.T) {
 	a, _ := NewArray(testCfg())
 	// Block 0 (channel 0) and block 1 (channel 1) proceed in parallel;
 	// two ops on the same channel serialize.
-	d1, _ := a.Write(0, 0, 0, 0)                      // ch 0
-	d2, _ := a.Write(a.Config().FirstPPA(1), 1, 0, 0) // ch 1
+	cfg := a.Config()
+	d1, _ := a.Write(0, 0, 0, 0)               // ch 0
+	d2, _ := a.Write(cfg.FirstPPA(1), 1, 0, 0) // ch 1
 	if d1 != d2 {
 		t.Errorf("parallel channels finished at %v and %v", d1, d2)
 	}

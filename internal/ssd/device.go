@@ -67,13 +67,15 @@ type Device struct {
 	// Staging reused from call to call, so a warmed device's request path
 	// does not allocate: the flush's LPA run and per-lane pending
 	// mappings and program attempts; the GC window's victims, pooled
-	// pages and per-lane pending mappings. Flush and GC keep separate
-	// buffers because allocBlockOn can run GC in the middle of a flush.
+	// pages, the pool sort's second buffer and per-lane pending mappings.
+	// Flush and GC keep separate buffers because allocBlockOn can run GC
+	// in the middle of a flush.
 	flushLPAs     []addr.LPA
 	flushPairs    [][]addr.Mapping
 	flushAttempts []int
 	gcVictims     []flash.BlockID
 	gcPages       []movedPage
+	gcSort        []movedPage
 	gcPairs       [][]addr.Mapping
 
 	// Garbage collection machinery: the incremental valid-count index

@@ -1,10 +1,8 @@
 package ssd
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"leaftl/internal/addr"
@@ -25,6 +23,43 @@ type destLane struct {
 type movedPage struct {
 	lpa addr.LPA
 	tok uint64
+}
+
+// sortByLPA sorts pages by LPA with a least-significant-digit radix sort,
+// one pass per LPA byte, using tmp as the second buffer (grown if short)
+// and returning it for reuse. A byte every page shares costs no pass.
+func sortByLPA(pages, tmp []movedPage) []movedPage {
+	if len(pages) < 2 {
+		return tmp
+	}
+	if cap(tmp) < len(pages) {
+		tmp = make([]movedPage, len(pages))
+	}
+	src, dst := pages, tmp[:len(pages)]
+	for shift := 0; shift < 32; shift += 8 {
+		var at [256]int
+		for _, p := range src {
+			at[byte(p.lpa>>shift)]++
+		}
+		if at[byte(src[0].lpa>>shift)] == len(src) {
+			continue
+		}
+		pos := 0
+		for b, n := range at {
+			at[b] = pos
+			pos += n
+		}
+		for _, p := range src {
+			b := byte(p.lpa >> shift)
+			dst[at[b]] = p
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &pages[0] {
+		copy(pages, src)
+	}
+	return tmp
 }
 
 // maybeGC runs garbage collection when the free pool drops below the low
@@ -275,7 +310,7 @@ func (d *Device) reclaim(issued, readsDone time.Duration, retire bool) (programm
 	// valid pages into the DRAM buffer, sort them by their LPAs, and
 	// learn a new index segment"), across the whole window. The pooled
 	// pages hold distinct LPAs, so the order is fully determined.
-	slices.SortFunc(pages, func(a, b movedPage) int { return cmp.Compare(a.lpa, b.lpa) })
+	d.gcSort = sortByLPA(pages, d.gcSort)
 
 	writeT := readsDone
 	lastDone := readsDone

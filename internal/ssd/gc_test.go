@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"cmp"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -710,5 +711,30 @@ func TestGCCrashPointsOncePerVictim(t *testing.T) {
 	}
 	if widest < 2 {
 		t.Fatalf("%d windows of %d victims never gathered two victims into one window", windows, victims)
+	}
+}
+
+// TestSortByLPA checks the GC pool's radix sort against a comparison
+// sort: pools of distinct LPAs, narrow ones whose high bytes every page
+// shares and wide ones, keep each page's token beside its LPA.
+func TestSortByLPA(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var tmp []movedPage
+	for _, tc := range []struct{ n, span int }{{0, 1}, {1, 1}, {2, 4}, {100, 256}, {1000, 1 << 12}, {3000, 1 << 31}} {
+		seen := make(map[addr.LPA]bool, tc.n)
+		pages := make([]movedPage, 0, tc.n)
+		for len(pages) < tc.n {
+			lpa := addr.LPA(rng.Intn(tc.span))
+			if !seen[lpa] {
+				seen[lpa] = true
+				pages = append(pages, movedPage{lpa: lpa, tok: rng.Uint64()})
+			}
+		}
+		want := slices.Clone(pages)
+		slices.SortFunc(want, func(a, b movedPage) int { return cmp.Compare(a.lpa, b.lpa) })
+		tmp = sortByLPA(pages, tmp)
+		if !slices.Equal(pages, want) {
+			t.Errorf("n=%d span=%d: pool not in LPA order", tc.n, tc.span)
+		}
 	}
 }
