@@ -112,15 +112,6 @@ func SimulatorConfig() Config {
 	}
 }
 
-// PrototypeConfig returns the real-SSD prototype setup (§3.9: 16KB
-// pages, 16 channels, 256 pages/block).
-func PrototypeConfig() Config {
-	c := SimulatorConfig()
-	c.Flash = flash.PrototypeDefaults()
-	c.BufferPages = 512 // 8MB of 16KB pages
-	return c
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if err := c.Flash.Validate(); err != nil {
