@@ -119,10 +119,12 @@ type ager struct {
 	ppa    addr.PPA
 	pairs  []addr.Mapping
 	seen   []bool
+	truth  []addr.PPA // the PPA each LPA was last mapped to
 }
 
 func newAger(seed int64, groups int) *ager {
-	return &ager{rng: rand.New(rand.NewSource(seed)), groups: groups, seen: make([]bool, groups*addr.GroupSize)}
+	n := groups * addr.GroupSize
+	return &ager{rng: rand.New(rand.NewSource(seed)), groups: groups, seen: make([]bool, n), truth: make([]addr.PPA, n)}
 }
 
 // commit hands the collected LPA-sorted pairs to tb in 256-pair blocks.
@@ -139,6 +141,7 @@ func (a *ager) add(tb *Table) {
 	for l, ok := range a.seen {
 		if ok {
 			a.pairs = append(a.pairs, addr.Mapping{LPA: addr.LPA(l), PPA: a.ppa})
+			a.truth[l] = a.ppa
 			a.ppa++
 			a.seen[l] = false
 		}
@@ -172,6 +175,24 @@ func (a *ager) relocate(tb *Table) {
 		}
 	}
 	a.add(tb)
+}
+
+// repair reads n random LPAs the way the device does: an approximate
+// answer without its exact bit is checked against the truth, fed back
+// through NoteRead, and a miss is pinned with a one-point Insert.
+func (a *ager) repair(tb *Table, n int) {
+	for ; n > 0; n-- {
+		l := addr.LPA(a.rng.Intn(len(a.truth)))
+		got, res, ok := tb.Lookup(l)
+		if !ok || !res.Approx || res.Exact {
+			continue
+		}
+		want := a.truth[l]
+		tb.NoteRead(l, got, want, true)
+		if got != want {
+			tb.Insert(Learned{Seg: Segment{SLPA: l, I: float32(want)}, LPAs: []addr.LPA{l}})
+		}
+	}
 }
 
 // age runs rounds of overwrites, each followed by a relocation pass.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"sort"
 
 	"leaftl/internal/addr"
@@ -175,6 +177,39 @@ func (p *Pager) TranslationPages() int { return p.flashPages }
 // Groups restored from images that were never decoded count 0 until
 // first loaded.
 func (p *Pager) FullSizeBytes() int { return p.store.SizeBytes() + p.evictedBytes }
+
+// MappingDigest hashes every registered group's record in ascending
+// group order with FNV-64a: a resident group's MarshalGroup record, an
+// evicted one's current translation-page image (under the journal, its
+// base image folded with its delta chain). It reads without side effects.
+func (p *Pager) MappingDigest() uint64 {
+	gids := make([]addr.GroupID, 0, len(p.gmd))
+	for gid := range p.gmd {
+		gids = append(gids, gid)
+	}
+	slices.Sort(gids)
+	h := fnv.New64a()
+	for _, gid := range gids {
+		e := p.gmd[gid]
+		var img []byte
+		switch {
+		case e.resident:
+			if !p.store.HasGroup(gid) {
+				continue // registered, never materialized
+			}
+			var err error
+			if img, err = p.store.MarshalGroup(gid); err != nil {
+				panic(fmt.Sprintf("core: group %d does not marshal: %v", gid, err))
+			}
+		case p.journal != nil:
+			img = p.journal.groups[gid].curImg
+		default:
+			img = e.image
+		}
+		h.Write(img)
+	}
+	return h.Sum64()
+}
 
 // refresh recomputes the cached FastPath bit. Size only changes under
 // mutation, so lookups can trust the cache without touching the store.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -539,5 +542,64 @@ func TestBreathingGroupZeroAllocs(t *testing.T) {
 		i++
 	}); avg != 0 {
 		t.Errorf("a breathing group allocates %.2f objects per write, want 0", avg)
+	}
+}
+
+// TestAgedCommitPinned pins the table an aged write path leaves behind:
+// overwrite flushes, relocation-shaped batches and one-point read
+// repairs, at γ ∈ {0, 4} with the bitmap off and on. After every round
+// the digest folds in each group's record (levels, segments, CRB and
+// exact bits, in group order), Stats and SizeBytes. The wanted digests
+// were recorded from the insert-by-segment commit path, so a rewrite of
+// the commit must leave every intermediate table bit-identical.
+func TestAgedCommitPinned(t *testing.T) {
+	want := map[string]string{
+		"gamma0/bitmap=false": "a5a7ad2b94660f57 {Groups:64 Segments:16115 Accurate:16115 Approximate:0 SegmentBytes:128920 CRBBytes:0 MaxLevels:10 TotalLevels:366} 128920",
+		"gamma0/bitmap=true":  "0b24324f2d18cf17 {Groups:64 Segments:16115 Accurate:16115 Approximate:0 SegmentBytes:128920 CRBBytes:0 MaxLevels:10 TotalLevels:366} 128920",
+		"gamma4/bitmap=false": "eeef8e9c8e1dc96c {Groups:64 Segments:15327 Accurate:4388 Approximate:10939 SegmentBytes:122616 CRBBytes:22887 MaxLevels:10 TotalLevels:419} 145503",
+		"gamma4/bitmap=true":  "82e12ed508dcdf75 {Groups:64 Segments:16043 Accurate:16009 Approximate:34 SegmentBytes:128344 CRBBytes:158 MaxLevels:10 TotalLevels:401} 128502",
+	}
+	for _, gamma := range []int{0, 4} {
+		for _, bitmap := range []bool{false, true} {
+			name := fmt.Sprintf("gamma%d/bitmap=%v", gamma, bitmap)
+			t.Run(name, func(t *testing.T) {
+				tb := NewTable(gamma)
+				if bitmap {
+					tb.EnableExactBitmap()
+				}
+				h := fnv.New64a()
+				fold := func() {
+					for _, gid := range tb.ResidentGroups() {
+						img, err := tb.MarshalGroup(gid)
+						if err != nil {
+							t.Fatal(err)
+						}
+						h.Write(img)
+					}
+					fmt.Fprintf(h, "%+v %d", tb.Stats(), tb.SizeBytes())
+				}
+				a := newAger(int64(7+gamma), 64)
+				a.prefill(tb)
+				fold()
+				for round := 0; round < 20; round++ {
+					for i := 0; i < 6; i++ {
+						a.overwrite(tb)
+						a.repair(tb, 64)
+					}
+					a.relocate(tb)
+					a.repair(tb, 256)
+					fold()
+				}
+				if err := tb.CheckShape(); err != nil {
+					t.Fatal(err)
+				}
+				var sum [8]byte
+				binary.BigEndian.PutUint64(sum[:], h.Sum64())
+				got := fmt.Sprintf("%x %+v %d", sum, tb.Stats(), tb.SizeBytes())
+				if got != want[name] {
+					t.Errorf("aged table moved:\n got %s\nwant %s", got, want[name])
+				}
+			})
+		}
 	}
 }

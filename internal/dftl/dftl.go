@@ -119,4 +119,8 @@ func (d *DFTL) FullSizeBytes() int { return len(d.table) * EntryBytes }
 // Maintain implements ftl.Scheme; DFTL has no periodic work.
 func (d *DFTL) Maintain(uint64) ftl.Cost { return ftl.Cost{} }
 
+// MappingDigest implements ftl.Scheme: the authoritative page-level
+// table's entries.
+func (d *DFTL) MappingDigest() uint64 { return ftl.DigestEntries(d.table) }
+
 var _ ftl.Scheme = (*DFTL)(nil)

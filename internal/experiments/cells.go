@@ -129,6 +129,10 @@ type CellRun struct {
 	Device  ssd.Stats        `json:"device"`
 	Flash   flash.Stats      `json:"flash"`
 	Journal ftl.JournalStats `json:"journal"`
+	// MappingDigest is the scheme's MappingDigest after the final flush:
+	// it moves with the mapping's encoding, which StateDigest does not
+	// see.
+	MappingDigest string `json:"mapping_digest"`
 	// Digest is the device's StateDigest after the final flush; digests
 	// of different geometries differ by design (page placement).
 	Digest string `json:"state_digest"`
@@ -176,7 +180,7 @@ func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
 		Title: fmt.Sprintf("evaluation cells: %s scale, seed %d, gamma=%d", s.Scale.Name, s.Seed, spec.Gamma),
 		Header: []string{"scheme", "workload", "budget", "dies", "planes", "queues", "speedup",
 			"kIOPS", "p50", "p99", "p999", "wait p99", "WAF", "map", "resident",
-			"metaR/req", "metaW/req", "meta overlap", "journal a/f/chain", "state digest"},
+			"metaR/req", "metaW/req", "meta overlap", "journal a/f/chain", "state digest", "mapping digest"},
 		Notes: "issue-time open-loop replay on a footprint-warmed device; budget = fraction of the scheme's mapping size after warm-up; map sizes read after the final flush",
 	}
 	for _, r := range runs {
@@ -196,7 +200,7 @@ func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
 			fmt.Sprintf("%.4f", float64(r.Device.MetaWrites)/float64(r.Requests)),
 			us(r.Device.MetaOverlap),
 			fmt.Sprintf("%d/%d/%d", r.Journal.Appends, r.Journal.Folds, r.Journal.MaxChain),
-			r.Digest,
+			r.Digest, r.MappingDigest,
 		})
 	}
 	return runs, t, nil
@@ -264,6 +268,7 @@ func (s *Suite) cell(c Cell, reqs []trace.Request, gamma int) (CellRun, *ssd.Dev
 		run.Journal = j.JournalStats()
 	}
 	run.Digest = fmt.Sprintf("%016x", dev.StateDigest())
+	run.MappingDigest = fmt.Sprintf("%016x", sch.MappingDigest())
 	run.Result = res
 	return run, dev, nil
 }

@@ -11,7 +11,13 @@
 // timelines and in the write-amplification accounting (Figure 25).
 package ftl
 
-import "leaftl/internal/addr"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"slices"
+
+	"leaftl/internal/addr"
+)
 
 // Cost counts flash operations a translation-layer action induced:
 // translation-page reads on mapping-cache misses and translation-page
@@ -103,6 +109,31 @@ type Scheme interface {
 	// mapping-table persistence). The device calls it after every flush
 	// with the cumulative count of host page writes.
 	Maintain(hostPageWrites uint64) Cost
+
+	// MappingDigest hashes the scheme's whole mapping state, resident or
+	// not, into one FNV-64a value. Two schemes with equal digests answer
+	// every LPA from the same encoding; a change that moves only the
+	// mapping's encoding moves this digest but not the device's
+	// StateDigest.
+	MappingDigest() uint64
+}
+
+// DigestEntries is MappingDigest for a page-level table: FNV-64a over
+// every LPA→PPA entry in ascending LPA order.
+func DigestEntries(table map[addr.LPA]addr.PPA) uint64 {
+	lpas := make([]addr.LPA, 0, len(table))
+	for l := range table {
+		lpas = append(lpas, l)
+	}
+	slices.Sort(lpas)
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, l := range lpas {
+		binary.LittleEndian.PutUint32(buf[:4], uint32(l))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(table[l]))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
 }
 
 // Gamma is implemented by schemes with a configurable error bound.

@@ -218,6 +218,10 @@ func (s *Scheme) MemoryBytes() int { return s.table.SizeBytes() }
 // resident or paged out.
 func (s *Scheme) FullSizeBytes() int { return s.pager.FullSizeBytes() }
 
+// MappingDigest implements ftl.Scheme: every group's record, resident or
+// paged out (core.Pager.MappingDigest).
+func (s *Scheme) MappingDigest() uint64 { return s.pager.MappingDigest() }
+
 // Maintain implements ftl.Scheme: every compactEvery host page writes,
 // sweep the groups written since their last rebuild (§3.7; the commit
 // path already rebuilt the ones that outgrew their triggers) and persist

@@ -152,4 +152,8 @@ func (s *SFTL) FullSizeBytes() int {
 // Maintain implements ftl.Scheme; SFTL has no periodic work.
 func (s *SFTL) Maintain(uint64) ftl.Cost { return ftl.Cost{} }
 
+// MappingDigest implements ftl.Scheme: the page-level table's entries
+// (the run counts are a function of them).
+func (s *SFTL) MappingDigest() uint64 { return ftl.DigestEntries(s.table) }
+
 var _ ftl.Scheme = (*SFTL)(nil)
