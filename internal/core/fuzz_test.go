@@ -18,7 +18,7 @@ func fuzzSeeds(t interface{ Helper() }) (groups [][]byte) {
 	for _, bitmap := range []bool{false, true} {
 		tab := NewTable(4)
 		if bitmap {
-			// The same commits re-verified through refreshExactBits, so
+			// The same commits with their exact bits set at commit, so
 			// the records carry set exact bits.
 			tab.EnableExactBitmap()
 		}

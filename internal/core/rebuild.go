@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"leaftl/internal/addr"
 )
@@ -88,10 +89,10 @@ const (
 
 // claim is one segment of a rebuilt group, already cut to what it answers.
 type claim struct {
-	seg   Segment
-	offs  []uint8 // approximate segments: the LPA offsets answered, ascending
-	level int     // assigned by the packers
-	must  bool    // unverified approximate: survives a re-fit as it is
+	seg    Segment
+	lo, hi int32 // approximate segments: rb.arena[lo:hi] holds the LPA offsets answered, ascending
+	level  int32 // assigned by the packers
+	must   bool  // unverified approximate: survives a re-fit as it is
 }
 
 // rebuildBuf is the scratch behind rebuildGroup, owned by the Table so
@@ -101,13 +102,15 @@ type rebuildBuf struct {
 	ppa   [addr.GroupSize]addr.PPA // truth slots: the resolved translation
 	owner [addr.GroupSize]int16    // claimed slots: index into live
 	depth [addr.GroupSize]int16    // shed: levels occupied above each offset
+	at    [addr.GroupSize]int16    // sortByStart: claim index by start offset
 
 	live    []claim        // segments that still answer a slot, newest first
+	approx  int            // approximate claims in live
 	claims  []claim        // the re-fit candidate
 	byStart []int16        // candidate indices in start-offset order
 	truth   []addr.Mapping // the ground-truth run, LPA-sorted
 	patch   []addr.Mapping // truth pairs an approximate re-fit mispredicts
-	arena   []uint8        // backs every claim's offs
+	arena   []uint8        // the approximate claims' LPA offsets
 	lvlEnd  []int          // pack: last offset each level covers so far
 	next    []int32        // install: next free slot of each level's window
 }
@@ -138,17 +141,13 @@ func (t *Table) compactGroup(id addr.GroupID, g *group) bool {
 // encoding changed.
 func (t *Table) rebuildGroup(base addr.LPA, g *group) bool {
 	rb := &t.rb
-	t.resolve(base, g)
-	if levels := rb.sink(); levels <= maxGroupLevels {
-		bytes := len(rb.live)*SegmentBytes + len(rb.arena)
-		for i := range rb.live {
-			if !rb.live[i].seg.Accurate() {
-				bytes++ // the CRB entry's separator
-			}
-		}
+	if levels := t.resolve(base, g); levels <= maxGroupLevels {
+		// A CRB entry costs its offsets plus a separator.
+		bytes := len(rb.live)*SegmentBytes + len(rb.arena) + rb.approx
 		if bytes == g.footprint() && levels == g.depth() {
 			return false // every claim still answers, nothing can sink
 		}
+		rb.sortByStart(rb.live)
 		t.install(g, rb.live, levels)
 		return true
 	}
@@ -156,14 +155,6 @@ func (t *Table) rebuildGroup(base addr.LPA, g *group) bool {
 	// Too deep even so: re-fit the group flat.
 	levels := t.flatten(base, g)
 	t.install(g, rb.claims, levels)
-	if t.bitmapOn {
-		// Exact bits are earned through Lookup: whatever answers the next
-		// read of a re-fitted slot is what gets verified. Every other
-		// slot answers as it did, so its bit stands.
-		for _, m := range rb.truth {
-			t.proveExact(g, m)
-		}
-	}
 	return true
 }
 
@@ -173,6 +164,12 @@ func (t *Table) rebuildGroup(base addr.LPA, g *group) bool {
 // without the bitmap a ±γ fit could not be verified and would trade
 // exact answers for predictions the read path has to probe, so the fit
 // is at γ = 0.
+//
+// Every re-fitted slot is answered by the claim fitted from it, whatever
+// level the claim lands on: claims share no LPA, an accurate claim
+// answers only its stride points, and an approximate one only its CRB
+// slots. So the re-fit decides each slot's exact bit from that claim's
+// prediction. Every other slot answers as it did, so its bit stands.
 func (t *Table) flatten(base addr.LPA, g *group) int {
 	rb := &t.rb
 	rb.truth = rb.truth[:0]
@@ -185,7 +182,7 @@ func (t *Table) flatten(base addr.LPA, g *group) int {
 	if t.bitmapOn {
 		gamma = t.gamma
 	}
-	t.refit(base, gamma)
+	t.refit(g, base, gamma)
 	nFit := len(rb.claims)
 	for i := range rb.live {
 		if rb.live[i].must {
@@ -205,30 +202,37 @@ func (t *Table) flatten(base addr.LPA, g *group) int {
 
 // resolve gives every slot of g to its topmost claim (rb.state, rb.ppa,
 // rb.owner) and lists the segments that won any, cut to what they won, in
-// rb.live — top level first, each level in start order.
-func (t *Table) resolve(base addr.LPA, g *group) {
+// rb.live — top level first, each level in start order — sunk as they
+// come (sink). It returns the level count the sunk claims occupy and
+// counts the approximate ones in rb.approx.
+func (t *Table) resolve(base addr.LPA, g *group) (levels int) {
 	rb := &t.rb
 	rb.state = [addr.GroupSize]uint8{}
-	rb.live, rb.arena = rb.live[:0], rb.arena[:0]
+	rb.depth = [addr.GroupSize]int16{}
+	rb.live, rb.arena, rb.approx = rb.live[:0], rb.arena[:0], 0
 	for li := 0; li < g.depth(); li++ {
 		segs := g.level(li).segs
 		for si := range segs {
 			s := &segs[si]
 			if s.Accurate() {
-				first, last, ppa := -1, 0, s.p0
-				for l := s.SLPA; l <= s.End(); l += addr.LPA(s.stride) {
-					if o := addr.Offset(l); rb.state[o] == slotFree {
+				// Walk the stride points, each one page past the last,
+				// and keep the segment cut to the span it won.
+				first, last, ppa, p0 := -1, 0, s.p0, s.p0
+				for o, end := int(s.Start()), int(s.Start())+int(s.L); o <= end; o += int(s.stride) {
+					if rb.state[o] == slotFree {
 						rb.state[o], rb.ppa[o], rb.owner[o] = slotTruth, ppa, int16(len(rb.live))
 						if first < 0 {
-							first = int(o)
+							first, p0 = o, ppa
 						}
-						last = int(o)
+						last = o
 					}
 					ppa++
 				}
 				if first >= 0 {
-					rb.live = append(rb.live, claim{seg: *s})
-					rb.live[len(rb.live)-1].seg.cut(base, uint8(first), uint8(last))
+					c := addClaim(&rb.live)
+					c.seg = *s
+					c.seg.SLPA, c.seg.L, c.seg.p0 = base+addr.LPA(first), uint8(last-first), p0
+					levels = max(levels, rb.sink(c, first, last))
 				}
 				continue
 			}
@@ -252,48 +256,60 @@ func (t *Table) resolve(base addr.LPA, g *group) {
 				}
 			}
 			if len(rb.arena) > start {
-				rb.live = append(rb.live, claim{seg: *s, must: state == slotKept})
-				rb.live[len(rb.live)-1].own(base, rb.arena[start:])
+				c := addClaim(&rb.live)
+				c.seg, c.must = *s, state == slotKept
+				rb.own(c, base, start)
+				rb.approx++
+				levels = max(levels, rb.sink(c, int(rb.arena[start]), int(rb.arena[len(rb.arena)-1])))
 			}
 		}
-	}
-}
-
-// own makes offs (ascending, the tail of the arena) the LPAs approximate
-// claim c answers.
-func (c *claim) own(base addr.LPA, offs []uint8) {
-	c.offs = offs[:len(offs):len(offs)]
-	c.seg.cut(base, offs[0], offs[len(offs)-1])
-}
-
-// sink assigns every live segment, newest first, the shallowest level
-// below everything already placed that its cut range overlaps, and
-// returns the level count. An accurate segment still claims the interior
-// stride LPAs it lost, so range overlap has to keep the winner above it;
-// segments of one old level never overlap, so neither do those of a new
-// one.
-func (rb *rebuildBuf) sink() int {
-	rb.depth = [addr.GroupSize]int16{}
-	levels := 0
-	for i := range rb.live {
-		c := &rb.live[i]
-		span := rb.depth[c.seg.Start() : int(c.seg.Start())+int(c.seg.L)+1]
-		li := int16(0)
-		for _, d := range span {
-			li = max(li, d)
-		}
-		for j := range span {
-			span[j] = li + 1
-		}
-		c.level = int(li)
-		levels = max(levels, c.level+1)
 	}
 	return levels
 }
 
-// refit fits rb.truth at gamma into rb.claims. The learner's output walks
+// addClaim appends a zero claim to *cs and returns it, growing the slice
+// only at capacity.
+func addClaim(cs *[]claim) *claim {
+	if len(*cs) == cap(*cs) {
+		*cs = append(*cs, claim{})
+	} else {
+		*cs = (*cs)[:len(*cs)+1]
+		(*cs)[len(*cs)-1] = claim{}
+	}
+	return &(*cs)[len(*cs)-1]
+}
+
+// own makes the arena's offsets from start on (ascending) the LPAs
+// approximate claim c answers.
+func (rb *rebuildBuf) own(c *claim, base addr.LPA, start int) {
+	c.lo, c.hi = int32(start), int32(len(rb.arena))
+	c.seg.cut(base, rb.arena[start], rb.arena[len(rb.arena)-1])
+}
+
+// sink assigns live claim c, cut to the offsets [first, last], newest
+// first, the shallowest level below everything already placed that its
+// cut range overlaps, and returns
+// the level count that leaves. An accurate segment still claims the
+// interior stride LPAs it lost, so range overlap has to keep the winner
+// above it; segments of one old level never overlap, so neither do
+// those of a new one.
+func (rb *rebuildBuf) sink(c *claim, first, last int) int {
+	span := rb.depth[first : last+1]
+	li := int16(0)
+	for _, d := range span {
+		li = max(li, d)
+	}
+	for j := range span {
+		span[j] = li + 1
+	}
+	c.level = int32(li)
+	return int(li) + 1
+}
+
+// refit fits rb.truth at gamma into rb.claims, proving the exact bits of
+// the fitted slots while the bitmap is on. The learner's output walks
 // the run in order, each segment covering the next len(LPAs) pairs.
-func (t *Table) refit(base addr.LPA, gamma int) {
+func (t *Table) refit(g *group, base addr.LPA, gamma int) {
 	rb := &t.rb
 	rb.claims, rb.patch = rb.claims[:0], rb.patch[:0]
 	pos := 0
@@ -302,7 +318,10 @@ func (t *Table) refit(base addr.LPA, gamma int) {
 		pos += len(sub)
 		switch {
 		case ls.Seg.Accurate():
-			rb.claims = append(rb.claims, claim{seg: ls.Seg})
+			addClaim(&rb.claims).seg = ls.Seg
+			if t.bitmapOn {
+				proveFit(g, &ls.Seg, sub)
+			}
 		case t.triage(ls.Seg, sub):
 			// Keep the fit for what it predicts exactly; the rest is
 			// patched with exact segments below.
@@ -313,22 +332,29 @@ func (t *Table) refit(base addr.LPA, gamma int) {
 					continue
 				}
 				rb.arena = append(rb.arena, addr.Offset(m.LPA))
+				g.exact.set(addr.Offset(m.LPA))
 			}
-			rb.claims = append(rb.claims, claim{seg: ls.Seg})
-			rb.claims[len(rb.claims)-1].own(base, rb.arena[start:])
+			c := addClaim(&rb.claims)
+			c.seg = ls.Seg
+			rb.own(c, base, start)
 			rb.patch = append(rb.patch, t.failed...)
 		default:
-			t.claimExact(sub)
+			t.claimExact(g, sub)
 		}
 	}
-	t.claimExact(rb.patch)
+	t.claimExact(g, rb.patch)
 }
 
 // claimExact claims pairs through a γ=0 fit (on the spare learn buffer:
 // refit is mid-way through t.learner's output).
-func (t *Table) claimExact(pairs []addr.Mapping) {
+func (t *Table) claimExact(g *group, pairs []addr.Mapping) {
+	at := 0
 	for _, ex := range t.refitter.learn(pairs, 0) {
-		t.rb.claims = append(t.rb.claims, claim{seg: ex.Seg})
+		addClaim(&t.rb.claims).seg = ex.Seg
+		if t.bitmapOn {
+			proveFit(g, &ex.Seg, pairs[at:at+len(ex.LPAs)])
+		}
+		at += len(ex.LPAs)
 	}
 }
 
@@ -340,7 +366,7 @@ func (rb *rebuildBuf) splitKept(base addr.LPA) {
 	flush := func() {
 		if cur >= 0 {
 			rb.claims = append(rb.claims, claim{seg: rb.live[cur].seg, must: true})
-			rb.claims[len(rb.claims)-1].own(base, rb.arena[start:])
+			rb.own(&rb.claims[len(rb.claims)-1], base, start)
 		}
 	}
 	for o, st := range rb.state {
@@ -360,21 +386,28 @@ func (rb *rebuildBuf) splitKept(base addr.LPA) {
 // order. Every claim is cut to begin at a slot it won, so no two share a
 // start offset and one table slot per offset sorts them.
 func (rb *rebuildBuf) sortByStart(claims []claim) {
-	var at [addr.GroupSize]int16 // claim index + 1, by start offset
+	var used [addr.GroupSize / 64]uint64 // start offsets in use
 	for i := range claims {
-		at[claims[i].seg.Start()] = int16(i) + 1
+		o := claims[i].seg.Start()
+		rb.at[o] = int16(i)
+		used[o/64] |= 1 << (o % 64)
 	}
-	rb.byStart = rb.byStart[:0]
-	for _, i := range at {
-		if i != 0 {
-			rb.byStart = append(rb.byStart, i-1)
+	if cap(rb.byStart) < len(claims) {
+		rb.byStart = make([]int16, len(claims))
+	}
+	out, n := rb.byStart[:len(claims)], 0
+	for w, word := range used {
+		for ; word != 0; word &= word - 1 {
+			out[n] = rb.at[w*64+bits.TrailingZeros64(word)]
+			n++
 		}
 	}
+	rb.byStart = out
 }
 
 // pack assigns every re-fit claim the first level whose segments all end
-// before it starts, visiting claims by start offset, and returns the
-// level count. The claims share no LPA, so any level order answers the
+// before it starts, visiting claims by start offset (left in rb.byStart
+// for install), and returns the level count. The claims share no LPA, so any level order answers the
 // same; first-fit in start order uses the fewest levels an interval
 // family can.
 func (rb *rebuildBuf) pack() int {
@@ -391,19 +424,18 @@ func (rb *rebuildBuf) pack() int {
 			rb.lvlEnd = append(rb.lvlEnd, 0)
 		}
 		rb.lvlEnd[li] = o + int(c.seg.L)
-		c.level = li
+		c.level = int32(li)
 	}
 	return len(rb.lvlEnd)
 }
 
 // install replaces g's levels and CRB with claims (each assigned one of
-// levels levels), keeping the table's counters in step. The claims are
-// written in start order straight into their levels' windows of the
-// group's array, which grows only if the group now holds more segments
-// than it ever did.
+// levels levels, and rb.byStart their start order), keeping the table's
+// counters in step. The claims are written in start order straight into
+// their levels' windows of the group's array, which grows only if the
+// group now holds more segments than it ever did.
 func (t *Table) install(g *group, claims []claim, levels int) {
 	rb := &t.rb
-	rb.sortByStart(claims)
 	for i := range g.segs {
 		t.noteRemove(g.segs[i])
 	}
@@ -416,7 +448,7 @@ func (t *Table) install(g *group, claims []claim, levels int) {
 	rb.next = rb.next[:levels]
 	clear(rb.next)
 	for i := range claims {
-		rb.next[levels-1-claims[i].level]++
+		rb.next[levels-1-int(claims[i].level)]++
 	}
 	g.ends = g.ends[:0]
 	end := int32(0)
@@ -429,20 +461,20 @@ func (t *Table) install(g *group, claims []claim, levels int) {
 
 	nOffs := 0
 	for i := range claims {
-		nOffs += len(claims[i].offs)
+		nOffs += int(claims[i].hi - claims[i].lo)
 	}
 	g.crb.reset()
 	lpas := make([]uint8, 0, nOffs) // one backing array for every entry
 	for _, ci := range rb.byStart {
 		c := &claims[ci]
-		d := levels - 1 - c.level
+		d := levels - 1 - int(c.level)
 		p := rb.next[d]
 		rb.next[d]++
 		g.segs[p], g.keys[p] = c.seg, c.seg.Start()
 		t.noteAdd(c.seg)
 		if !c.seg.Accurate() {
 			n := len(lpas)
-			lpas = append(lpas, c.offs...)
+			lpas = append(lpas, rb.arena[c.lo:c.hi]...)
 			g.crb.add(lpas[n:len(lpas):len(lpas)])
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"leaftl/internal/addr"
 	"leaftl/internal/float16"
@@ -48,15 +49,20 @@ type Segment struct {
 // every resident segment is primed.
 func (s *Segment) prime() {
 	s.kf = float16.To64(s.K)
-	st := uint32(1)
-	if s.kf > 0 {
-		if r := uint32(math.Round(1 / s.kf)); r > 0 {
-			st = r
+	s.stride = strideOf(s.kf)
+	s.p0 = predictAt(s.kf, s.I, int64(s.Start()))
+	s.primed = true
+}
+
+// strideOf is the LPA step an accurate segment with decoded slope k
+// encodes: round(1/k), at least 1.
+func strideOf(k float64) uint32 {
+	if k > 0 {
+		if r := uint32(math.Round(1 / k)); r > 0 {
+			return r
 		}
 	}
-	s.stride = st
-	s.p0 = s.predictOffset(int64(s.Start()))
-	s.primed = true
+	return 1
 }
 
 // cut narrows a primed segment to the offsets [first, last] of its group
@@ -109,15 +115,7 @@ func (s Segment) Stride() uint32 {
 	if s.primed {
 		return s.stride
 	}
-	k := float16.To64(s.K)
-	if k <= 0 {
-		return 1
-	}
-	st := uint32(math.Round(1 / k))
-	if st == 0 {
-		st = 1
-	}
-	return st
+	return strideOf(float16.To64(s.K))
 }
 
 // Predict returns the segment's PPA prediction for lpa. For accurate
@@ -138,23 +136,13 @@ func (s Segment) Predict(lpa addr.LPA) addr.PPA {
 		}
 		return s.predictApprox(addr.Offset(lpa))
 	}
-	x := float64(addr.Offset(lpa))
-	k := float16.To64(s.K)
-	p := math.Ceil(k*x + float64(s.I))
-	if p < 0 {
-		p = 0
-	}
-	return addr.PPA(p)
+	return predictAt(float16.To64(s.K), s.I, int64(addr.Offset(lpa)))
 }
 
 // predictApprox evaluates the line with the cached float slope (primed
 // segments only) — one multiply and a ceil, no float16 decode.
 func (s *Segment) predictApprox(off uint8) addr.PPA {
-	p := math.Ceil(s.kf*float64(off) + float64(s.I))
-	if p < 0 {
-		p = 0
-	}
-	return addr.PPA(p)
+	return predictAt(s.kf, s.I, int64(off))
 }
 
 // Encode packs the segment into its 8-byte on-flash representation
@@ -253,19 +241,21 @@ func (b *learnBuf) learn(pairs []addr.Mapping, gamma int) []Learned {
 // sub-slice (later arena growth cannot alias into it).
 func (b *learnBuf) lpas(pts []plr.Point, base addr.LPA) []addr.LPA {
 	start := len(b.arena)
-	for _, p := range pts {
-		b.arena = append(b.arena, base+addr.LPA(p.X))
+	b.arena = slices.Grow(b.arena, len(pts))[:start+len(pts)]
+	out := b.arena[start:len(b.arena):len(b.arena)]
+	for i, p := range pts {
+		out[i] = base + addr.LPA(p.X)
 	}
-	return b.arena[start:len(b.arena):len(b.arena)]
+	return out
 }
 
 func (b *learnBuf) groupSegments(g addr.GroupID, pairs []addr.Mapping, gamma int) {
 	base := addr.GroupBase(g)
-	b.pts = b.pts[:0]
-	for _, m := range pairs {
-		b.pts = append(b.pts, plr.Point{X: int64(m.LPA - base), Y: int64(m.PPA)})
-	}
+	b.pts = slices.Grow(b.pts[:0], len(pairs))[:len(pairs)]
 	pts := b.pts
+	for i, m := range pairs {
+		pts[i] = plr.Point{X: int64(m.LPA - base), Y: int64(m.PPA)}
+	}
 	if gamma == 0 {
 		b.fitRange(g, pts, 0)
 		return
@@ -318,7 +308,7 @@ func (b *learnBuf) groupSegments(g addr.GroupID, pairs []addr.Mapping, gamma int
 // the quantized segments. The fitted-segment buffer is reused across
 // calls; buildVerified never re-enters fitRange, so that is safe.
 func (b *learnBuf) fitRange(g addr.GroupID, pts []plr.Point, gamma int) {
-	b.segs = plr.FitAppend(b.segs[:0], pts, float64(gamma), 0, 1, int64(addr.GroupSize-1))
+	b.segs = fit(b.segs[:0], pts, gamma)
 	k := 0
 	for _, fs := range b.segs {
 		n := fs.N
@@ -356,14 +346,14 @@ func (b *learnBuf) buildVerified(g addr.GroupID, pts []plr.Point, fs plr.Segment
 	}
 
 	if strideOK {
-		if cand, ok := quantize(pts, fs, false); ok &&
-			int64(cand.Stride()) == st && exact(cand, pts, base) {
+		if cand, kf, ok := quantize(pts, fs, false); ok &&
+			int64(strideOf(kf)) == st && exact(kf, cand.I, pts) {
 			b.finish(cand, pts, base)
 			return
 		}
 	}
 	if gamma > 0 {
-		if cand, ok := quantize(pts, fs, true); ok && withinGamma(cand, pts, base, gamma) {
+		if cand, kf, ok := quantize(pts, fs, true); ok && withinGamma(kf, cand.I, pts, gamma) {
 			b.finish(cand, pts, base)
 			return
 		}
@@ -399,7 +389,7 @@ func (b *learnBuf) buildVerified(g addr.GroupID, pts []plr.Point, fs plr.Segment
 // buffer (fitRange is mid-iteration when refit runs); the returned value
 // is consumed before the next refit call, so one buffer suffices.
 func (b *learnBuf) refit(pts []plr.Point, gamma int) plr.Segment {
-	b.refitSegs = plr.FitAppend(b.refitSegs[:0], pts, float64(gamma), 0, 1, int64(addr.GroupSize-1))
+	b.refitSegs = fit(b.refitSegs[:0], pts, gamma)
 	if len(b.refitSegs) == 1 {
 		return b.refitSegs[0]
 	}
@@ -409,42 +399,98 @@ func (b *learnBuf) refit(pts []plr.Point, gamma int) plr.Segment {
 	return plr.Segment{FirstX: pts[0].X, LastX: pts[len(pts)-1].X, K: k, B: float64(pts[0].Y) - k*float64(pts[0].X), N: len(pts)}
 }
 
+// fit runs the greedy fitter over one group's points with slope clamped
+// to [0, 1] and span to the group. At γ = 0 the cone the fitter keeps
+// collapses to one slope at the second point, so fitExact reproduces its
+// segments with integer arithmetic.
+func fit(dst []plr.Segment, pts []plr.Point, gamma int) []plr.Segment {
+	if gamma == 0 {
+		return fitExact(dst, pts)
+	}
+	return plr.FitAppend(dst, pts, float64(gamma), 0, 1, int64(addr.GroupSize-1))
+}
+
+// fitExact appends what plr.FitAppend(dst, pts, 0, 0, 1, GroupSize−1)
+// appends, without its per-point float work. At γ = 0 the fitter's cone
+// after the second point is the single slope s₁ = dy₁/dx₁, admitted when
+// 0 ≤ s₁ ≤ 1, and a later point stays in the segment exactly when its
+// slope from the anchor rounds to s₁. With every dx at most 255, two
+// different slopes in [0, 2] differ by at least 1/255², far above a
+// double's rounding, so rounding to s₁ is the integer test
+// dyⱼ·dx₁ = dy₁·dxⱼ. A closed segment's line is computed by the fitter's
+// own γ = 0 formula, from its endpoints.
+func fitExact(dst []plr.Segment, pts []plr.Point) []plr.Segment {
+	const maxSpan = int64(addr.GroupSize - 1)
+	for i := 0; i < len(pts); {
+		x0, y0 := pts[i].X, pts[i].Y
+		j := i + 1
+		if j < len(pts) && pts[j].X > x0 && pts[j].X-x0 <= maxSpan {
+			dx1, dy1 := pts[j].X-x0, pts[j].Y-y0
+			if 0 <= dy1 && dy1 <= dx1 {
+				for j++; j < len(pts); j++ {
+					dx, dy := pts[j].X-x0, pts[j].Y-y0
+					if pts[j].X <= pts[j-1].X || dx > maxSpan || dy*dx1 != dy1*dx {
+						break
+					}
+				}
+			}
+		}
+		dst = append(dst, line(pts[i:j]))
+		i = j
+	}
+	return dst
+}
+
+// line is the γ = 0 fitter's segment for points it accepted as one run:
+// a single point is K = 0, B = y; more are the line through the
+// endpoints.
+func line(pts []plr.Point) plr.Segment {
+	f, l := pts[0], pts[len(pts)-1]
+	if len(pts) == 1 {
+		return plr.Segment{FirstX: f.X, LastX: f.X, K: 0, B: float64(f.Y), N: 1}
+	}
+	k := float64(l.Y-f.Y) / float64(l.X-f.X)
+	return plr.Segment{FirstX: f.X, LastX: l.X, K: k, B: float64(f.Y) - k*float64(f.X), N: len(pts)}
+}
+
 // quantize builds the encoded segment for the fitted line, with the type
-// flag folded into the slope's LSB (paper §3.2).
-func quantize(pts []plr.Point, fs plr.Segment, approx bool) (Segment, bool) {
+// flag folded into the slope's LSB (paper §3.2), and returns the slope
+// it decodes to.
+func quantize(pts []plr.Point, fs plr.Segment, approx bool) (Segment, float64, bool) {
 	k16 := float16.From64(fs.K).WithFlag(approx)
 	if k16.IsNaN() || k16.IsInf() {
-		return Segment{}, false
+		return Segment{}, 0, false
 	}
 	span := pts[len(pts)-1].X - pts[0].X
 	if span > math.MaxUint8 {
-		return Segment{}, false
+		return Segment{}, 0, false
 	}
-	return Segment{
-		L: uint8(span),
-		K: k16,
-		I: float32(fs.B),
-	}, true
+	return Segment{L: uint8(span), K: k16, I: float32(fs.B)}, float16.To64(k16), true
 }
 
+// finish anchors a quantized, verified segment at its first point,
+// primes it and appends it with its LPAs.
 func (b *learnBuf) finish(seg Segment, pts []plr.Point, base addr.LPA) {
 	seg.SLPA = base + addr.LPA(pts[0].X)
 	seg.prime()
 	b.out = append(b.out, Learned{Seg: seg, LPAs: b.lpas(pts, base)})
 }
 
-func exact(seg Segment, pts []plr.Point, base addr.LPA) bool {
+// exact reports whether the line ⌈k·x + i⌉ hits every point.
+func exact(k float64, i float32, pts []plr.Point) bool {
 	for _, p := range pts {
-		if seg.predictOffset(p.X) != addr.PPA(p.Y) {
+		if predictAt(k, i, p.X) != addr.PPA(p.Y) {
 			return false
 		}
 	}
 	return true
 }
 
-func withinGamma(seg Segment, pts []plr.Point, base addr.LPA, gamma int) bool {
+// withinGamma reports whether the line ⌈k·x + i⌉ is within ±gamma of
+// every point.
+func withinGamma(k float64, i float32, pts []plr.Point, gamma int) bool {
 	for _, p := range pts {
-		d := int64(seg.predictOffset(p.X)) - p.Y
+		d := int64(predictAt(k, i, p.X)) - p.Y
 		if d < -int64(gamma) || d > int64(gamma) {
 			return false
 		}
@@ -452,10 +498,9 @@ func withinGamma(seg Segment, pts []plr.Point, base addr.LPA, gamma int) bool {
 	return true
 }
 
-// predictOffset is Predict with the group offset already computed.
-func (s Segment) predictOffset(x int64) addr.PPA {
-	k := float16.To64(s.K)
-	p := math.Ceil(k*float64(x) + float64(s.I))
+// predictAt evaluates ⌈k·x + i⌉, clamped at 0.
+func predictAt(k float64, i float32, x int64) addr.PPA {
+	p := math.Ceil(k*float64(x) + float64(i))
 	if p < 0 {
 		p = 0
 	}

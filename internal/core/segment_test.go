@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/plr"
 )
 
 func mappings(start addr.LPA, stride uint32, ppa addr.PPA, n int) []addr.Mapping {
@@ -232,6 +234,35 @@ func TestSegmentOverlaps(t *testing.T) {
 		}
 		if got := c.b.Overlaps(a); got != c.want {
 			t.Errorf("overlap not symmetric for %v", c.b)
+		}
+	}
+}
+
+// TestFitExactMatchesCone: the integer γ = 0 fitter returns the cone
+// fitter's segments bit for bit on one group's points, over strided,
+// collinear-but-gapped, decreasing and far-jumping PPAs.
+func TestFitExactMatchesCone(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 5000; trial++ {
+		var pts []plr.Point
+		x, y := int64(rng.Intn(8)), int64(rng.Intn(1<<30))
+		for x < addr.GroupSize {
+			pts = append(pts, plr.Point{X: x, Y: y})
+			x += int64(1 + rng.Intn(1+rng.Intn(6)))
+			switch r := rng.Intn(10); {
+			case r < 5:
+				y++
+			case r < 7:
+				y += int64(rng.Intn(4))
+			case r < 8:
+				y -= int64(rng.Intn(3))
+			default:
+				y += int64(rng.Intn(1 << 31))
+			}
+		}
+		want := plr.FitAppend(nil, pts, 0, 0, 1, addr.GroupSize-1)
+		if got := fitExact(nil, pts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("points %v:\n got %v\nwant %v", pts, got, want)
 		}
 	}
 }

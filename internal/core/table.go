@@ -53,9 +53,21 @@ type Table struct {
 	mark    [addr.GroupSize]uint64
 	markGen uint64
 	offs    []uint8
-	victims []Segment
 	edits   []boundaryEdit
 	learner learnBuf
+
+	// The merge into the top level (see openTop): top is merged,
+	// pend[pk:] still to merge, winLo the group slot where the merge's
+	// window starts (-1 before the first piece), detached whether the
+	// top level has moved into the scratch (rest then holds pend), and
+	// topDepth the group's level count when the merge opened.
+	top      level
+	pend     level
+	rest     level
+	pk       int
+	winLo    int
+	detached bool
+	topDepth int
 
 	// refitter is a second learn buffer for the bitmap path's γ=0
 	// refits, which run while results of t.learner are still pending
@@ -64,9 +76,11 @@ type Table struct {
 	refitter learnBuf
 
 	// failed collects the pairs a fitted segment mispredicts: the
-	// verify-at-learn triage fills it per approximate segment, and
-	// refreshExactBits reuses it once the triage is done.
+	// verify-at-learn triage fills it per approximate segment. missed
+	// collects a committed run's pairs that no placed piece predicts,
+	// for repairRun.
 	failed []addr.Mapping
+	missed []addr.Mapping
 
 	// rb is the whole-group rebuild's scratch (rebuild.go).
 	rb rebuildBuf
@@ -117,6 +131,7 @@ const minGroupSegs = 4
 // level is a read-only view of one level: its window of the group's key
 // and segment arrays, one sorted, pairwise-disjoint run of segments. A
 // view allocates nothing and is valid until the group's next mutation.
+// The merge scratch (openTop) is a level with arrays of its own.
 type level struct {
 	keys []uint8
 	segs []Segment
@@ -217,11 +232,11 @@ func (g *group) reset(n int) {
 	g.segs, g.keys = g.segs[:n], g.keys[:n]
 }
 
-// insert places seg at position pos of level li, keeping keys and segs
-// in step. Only the levels from li up move.
-func (g *group) insert(li, pos int, seg Segment) {
+// insertTop places seg at position pos of the top level, keeping keys
+// and segs in step. Only the top level moves.
+func (g *group) insertTop(pos int, seg Segment) {
 	g.grow(1)
-	lo, _ := g.window(li)
+	lo, _ := g.window(0)
 	p, n := lo+pos, len(g.segs)
 	g.segs = g.segs[:n+1]
 	copy(g.segs[p+1:], g.segs[p:n])
@@ -229,9 +244,7 @@ func (g *group) insert(li, pos int, seg Segment) {
 	g.keys = g.keys[:n+1]
 	copy(g.keys[p+1:], g.keys[p:n])
 	g.keys[p] = seg.Start()
-	for d := len(g.ends) - 1 - li; d < len(g.ends); d++ {
-		g.ends[d]++
-	}
+	g.ends[len(g.ends)-1]++
 }
 
 // remove deletes the segment at slot p of g.segs. The levels whose
@@ -243,19 +256,6 @@ func (g *group) remove(p int) {
 		if int(g.ends[d]) > p {
 			g.ends[d]--
 		}
-	}
-}
-
-// replaceRange replaces segments [lo, hi) of level li with seg (hi > lo).
-func (g *group) replaceRange(li, lo, hi int, seg Segment) {
-	base, _ := g.window(li)
-	lo, hi = base+lo, base+hi
-	g.segs[lo] = seg
-	g.segs = append(g.segs[:lo+1], g.segs[hi:]...)
-	g.keys[lo] = seg.Start()
-	g.keys = append(g.keys[:lo+1], g.keys[hi:]...)
-	for d := len(g.ends) - 1 - li; d < len(g.ends); d++ {
-		g.ends[d] -= int32(hi - lo - 1)
 	}
 }
 
@@ -358,32 +358,35 @@ func (t *Table) Update(pairs []addr.Mapping) int {
 	return len(b.ends)
 }
 
-// commitRun fits, inserts and verifies one group run, then rebuilds the
-// group if it outgrew its trigger.
+// commitRun fits one group run, merges the fitted pieces into the
+// group's top level in one pass and sets their exact bits, then rebuilds
+// the group if it outgrew its trigger.
 func (t *Table) commitRun(run []addr.Mapping) {
-	learned := t.learner.learn(run, t.gamma)
-	t.insertRun(learned, run)
-	t.refreshExactBits(run)
+	g := t.group(addr.Group(run[0].LPA))
+	t.openTop(g)
+	t.insertRun(g, t.learner.learn(run, t.gamma), run)
+	t.repairRun(g)
+	t.closeTop(g)
 	t.maybeRebuild(addr.Group(run[0].LPA))
 }
 
-// insertRun inserts a freshly fitted run. With the bitmap off it is a
-// plain insert loop. With the bitmap on, each approximate segment is
-// triaged before it reaches the table (triage): segments whose
-// predictions match every committed pair are kept as-is (the γ slack went
-// unused, the compression is free); mispredicting ones are kept only when
-// keeping them is cheaper than replacing them with a γ=0 refit of their
-// pairs. Without the triage, verify-at-learn would pay for both encodings
-// on every badly fitted segment (the 17%-over-γ=16 table the first bench
-// run measured); with only the all-or-nothing version, near-miss fits
-// lose their approximate compression entirely.
-func (t *Table) insertRun(learned []Learned, run []addr.Mapping) {
-	if !t.bitmapOn {
-		for k := range learned {
-			t.insertLearned(learned[k])
-		}
-		return
-	}
+// insertRun merges a freshly fitted run into g's open top level. With
+// the bitmap off it is a plain merge. With the bitmap on, each
+// approximate segment is triaged before it reaches the table (triage):
+// segments whose predictions match every committed pair are kept as-is
+// (the γ slack went unused, the compression is free); mispredicting ones
+// are kept only when keeping them is cheaper than replacing them with a
+// γ=0 refit of their pairs. Without the triage, verify-at-learn would pay
+// for both encodings on every badly fitted segment (the 17%-over-γ=16
+// table the first bench run measured); with only the all-or-nothing
+// version, near-miss fits lose their approximate compression entirely.
+//
+// Every committed pair is then answered by the piece fitted from it, so
+// its exact bit is decided from that piece's prediction as it is placed
+// (verify-at-learn); the pairs no piece predicts collect in t.missed for
+// repairRun.
+func (t *Table) insertRun(g *group, learned []Learned, run []addr.Mapping) {
+	t.missed = t.missed[:0]
 	pos := 0
 	for k := range learned {
 		ls := learned[k]
@@ -391,19 +394,46 @@ func (t *Table) insertRun(learned []Learned, run []addr.Mapping) {
 		// covering the next len(LPAs) pairs.
 		sub := run[pos : pos+len(ls.LPAs)]
 		pos += len(sub)
+		if !t.bitmapOn {
+			t.mergePiece(g, ls)
+			continue
+		}
 		if ls.Seg.Accurate() || t.triage(ls.Seg, sub) {
-			t.insertLearned(ls)
+			t.mergePiece(g, ls)
+			t.verifyPiece(g, &ls.Seg, sub)
 			continue
 		}
 		// The refit runs on the spare buffer: learned still aliases
-		// t.learner's scratch, and each refit is inserted before the
-		// next one reuses the buffer.
-		refit := t.refitter.learn(sub, 0)
-		for r := range refit {
-			t.insertLearned(refit[r])
+		// t.learner's scratch, and each refit is merged before the next
+		// one reuses the buffer.
+		at := 0
+		for _, r := range t.refitter.learn(sub, 0) {
+			t.mergePiece(g, r)
+			t.verifyPiece(g, &r.Seg, sub[at:at+len(r.LPAs)])
+			at += len(r.LPAs)
 		}
 	}
 }
+
+// verifyPiece sets the exact bit of every pair of sub that seg, the
+// learner's piece fitted from sub and now answering it, predicts, and
+// collects the others in t.missed.
+func (t *Table) verifyPiece(g *group, seg *Segment, sub []addr.Mapping) {
+	for _, m := range sub {
+		if fitExactly(seg) || seg.Predict(m.LPA) == m.PPA {
+			g.exact.set(addr.Offset(m.LPA))
+		} else {
+			t.missed = append(t.missed, m)
+		}
+	}
+}
+
+// fitExactly reports that seg, a piece the learner fitted, predicts every
+// pair it was fitted from: buildVerified checked each one against an
+// accurate multi-point segment's quantized line. A single point's
+// float32 intercept quantizes above 2^24 and an approximate piece is
+// within ±γ, so those are checked pair by pair.
+func fitExactly(seg *Segment) bool { return seg.Accurate() && seg.L > 0 }
 
 // triage decides whether a freshly fitted approximate segment is worth
 // keeping, leaving the pairs it mispredicts in t.failed (sub is the
@@ -442,65 +472,44 @@ func strideRuns(pairs []addr.Mapping) int {
 	return runs
 }
 
-// refreshExactBits verifies the predicted-exact bit of every written
-// slot after a mutation, repairing what it cannot verify
-// (verify-at-learn): the committed PPAs are ground truth here, so the
-// slots whose post-insert predictions disagree are collected and
-// re-fitted at γ=0 — exact segments that shadow the mispredicting
-// approximate ones for exactly those LPAs. Without the refit each such
-// slot's first read would pay the §3.5 double read before the miss
-// path repaired the very same mapping one point at a time; fitting the
-// failures as a batch costs one accurate segment per linear run
-// instead of one pin per slot, and skips the wasted flash read
-// entirely. Every written slot therefore leaves with its bit set.
-// Verifying through Lookup (rather than trusting the fitted segment)
-// makes the check robust to CRB ownership, shadowing by older levels,
-// and quantization: whatever answers the next read is what gets
-// verified. Slots not in pairs keep their bits — their predictions did
-// not change (newer segments only answer LPAs they were learned from,
-// and trims never move a surviving prediction). No-op while the bitmap
-// is off.
-func (t *Table) refreshExactBits(pairs []addr.Mapping) {
-	if !t.bitmapOn {
+// repairRun re-fits at γ=0 the committed pairs no placed piece predicts
+// (t.missed) and merges the fits over them: exact segments that shadow
+// the mispredicting approximate ones for exactly those LPAs. Without the
+// refit each such slot's first read would pay the §3.5 double read
+// before the miss path repaired the very same mapping one point at a
+// time; fitting the failures as a batch costs one accurate segment per
+// linear run instead of one pin per slot, and skips the wasted flash
+// read entirely. Each refit piece then answers its pairs, so their bits
+// follow its predictions: float32 intercepts quantize above 2^24, and a
+// refit that does not answer exactly must not arm the bit (the read path
+// would trust it blindly). Slots not in the run keep their bits — their
+// predictions did not change (newer segments only answer LPAs they were
+// learned from, and trims never move a surviving prediction). No-op
+// while the bitmap is off.
+func (t *Table) repairRun(g *group) {
+	if len(t.missed) == 0 {
 		return
 	}
-	g := t.lookupGroup(addr.Group(pairs[0].LPA))
-	if g == nil {
-		return
-	}
-	failed := t.failed[:0]
-	for i := range pairs {
-		ppa, _, ok := t.Lookup(pairs[i].LPA)
-		if ok && ppa == pairs[i].PPA {
-			g.exact.set(addr.Offset(pairs[i].LPA))
-		} else {
-			failed = append(failed, pairs[i])
-		}
-	}
-	t.failed = failed
-	if len(failed) == 0 {
-		return
-	}
-	learned := t.learner.learn(failed, 0)
-	for k := range learned {
-		t.insertLearned(learned[k])
-	}
-	for i := range failed {
-		// Re-verify through the table: float32 intercepts quantize above
-		// 2^24, and a refit that does not answer exactly must not arm
-		// the bit (the read path would trust it blindly).
-		t.proveExact(g, failed[i])
+	t.closeTop(g)
+	t.openTop(g)
+	at := 0
+	for _, r := range t.learner.learn(t.missed, 0) {
+		t.mergePiece(g, r)
+		proveFit(g, &r.Seg, t.missed[at:at+len(r.LPAs)])
+		at += len(r.LPAs)
 	}
 }
 
-// proveExact sets the predicted-exact bit of m's slot if the table now
-// answers m.LPA with exactly m.PPA — the ground truth — and clears it
-// otherwise.
-func (t *Table) proveExact(g *group, m addr.Mapping) {
-	if got, _, ok := t.Lookup(m.LPA); ok && got == m.PPA {
-		g.exact.set(addr.Offset(m.LPA))
-	} else {
-		g.exact.clear(addr.Offset(m.LPA))
+// proveFit sets the exact bit of every pair of sub that seg, the
+// learner's piece fitted from sub and now answering it, predicts, and
+// clears the others.
+func proveFit(g *group, seg *Segment, sub []addr.Mapping) {
+	for _, m := range sub {
+		if fitExactly(seg) || seg.Predict(m.LPA) == m.PPA {
+			g.exact.set(addr.Offset(m.LPA))
+		} else {
+			g.exact.clear(addr.Offset(m.LPA))
+		}
 	}
 }
 
@@ -512,9 +521,11 @@ func (t *Table) proveExact(g *group, m addr.Mapping) {
 // just verified); approximate ones clear them (unverified).
 func (t *Table) Insert(ls Learned) {
 	ls.Seg.prime() // tolerate hand-built segments; resident ones are always primed
-	t.insertLearned(ls)
+	g := t.group(ls.Seg.Group())
+	t.openTop(g)
+	t.mergePiece(g, ls)
+	t.closeTop(g)
 	if t.bitmapOn {
-		g := t.lookupGroup(ls.Seg.Group())
 		for _, l := range ls.LPAs {
 			off := addr.Offset(l)
 			if !ls.Seg.Accurate() {
@@ -529,11 +540,6 @@ func (t *Table) Insert(ls Learned) {
 		}
 	}
 	t.maybeRebuild(ls.Seg.Group())
-}
-
-func (t *Table) insertLearned(ls Learned) {
-	g := t.group(ls.Seg.Group())
-	t.segUpdate(g, ls, 0)
 }
 
 func (t *Table) group(id addr.GroupID) *group {
@@ -626,24 +632,156 @@ func (t *Table) stampLPAs(lpas []addr.LPA) {
 	}
 }
 
-// segUpdate implements Algorithm 1 lines 1–16: insert a segment into
-// level li of group g, resolve CRB bookkeeping, merge overlapped victims
-// and push still-overlapping victims down.
-func (t *Table) segUpdate(g *group, ls Learned, li int) {
-	g.touched = true
-	old := g.depth()
-	for g.depth() <= li {
-		g.openLevel(g.depth())
-	}
-	t.noteLevels(g, old)
-	seg := ls.Seg
+// The top level is the only level a commit inserts into, and every
+// insert path hands it pieces in ascending LPA order with pairwise
+// disjoint ranges: a learner's output, the γ=0 refits that replace
+// rejected fits, the repairs of a run, a read repair's single pin. So a
+// commit merges them into the top level in one left-to-right pass
+// instead of searching and shifting the level once per piece, with the
+// result of inserting them one at a time (Algorithm 1 lines 1–16):
+//
+//   - openTop opens the merge. The first piece starts the merge's window
+//     at the first top-level segment that does not end before it; what
+//     lies before stays where it is. From there t.pend (from t.pk on) is
+//     what is still to merge — a view of the group's top level — and
+//     t.top what has been merged.
+//   - mergePiece passes the segments wholly left of the piece, trims the
+//     ones it overlaps and places it. A trimmed victim that survives lies
+//     wholly left of the piece (it stays before it), wholly right (it is
+//     carried back to the head of t.pend, where the next piece may meet
+//     it), or across it (pushed down, by piece and then by victim, as the
+//     one-at-a-time insert pushes them).
+//   - The first push-down detaches the top level: it moves out of the
+//     group into the scratch, so level 1 is the group array's tail and a
+//     push-down shifts only that level.
+//   - closeTop writes the merged window back over what it consumed (or,
+//     once detached, the whole level above the group's other levels) and
+//     accounts the levels the push-downs opened.
+//
+// A CRB dedup may reshape or remove approximate segments anywhere in
+// the group; mergePiece then lands the merge so far, applies the edits
+// to the group as it stands, and reopens. The merge scratch belongs to
+// the Table, so every commit worker has its own (parallel.go).
 
+// openTop opens a merge into g's top level, creating the level in a
+// group that has none.
+func (t *Table) openTop(g *group) {
+	g.touched = true
+	t.topDepth = g.depth()
+	if t.topDepth == 0 {
+		g.openLevel(0)
+	}
+	t.winLo, t.detached = -1, false
+	t.top.keys, t.top.segs = t.top.keys[:0], t.top.segs[:0]
+	t.pend, t.pk = level{}, 0
+}
+
+// startWindow starts the merge's window at the first top-level segment
+// of g that does not end before lpa.
+func (t *Table) startWindow(g *group, lpa addr.LPA) {
+	lo, _ := g.window(0)
+	top := level{keys: g.keys[lo:], segs: g.segs[lo:]}
+	t.winLo = lo + top.firstEnding(lpa)
+	t.pend, t.pk = level{keys: g.keys[t.winLo:], segs: g.segs[t.winLo:]}, 0
+}
+
+// firstEnding returns the index of l's first segment that does not end
+// before lpa. The level is sorted and disjoint, so only the last segment
+// starting at or before lpa can reach it.
+func (l level) firstEnding(lpa addr.LPA) int {
+	// Consecutive pieces of a run lie close together: probe a few
+	// segments before searching the rest.
+	off := uint16(addr.Offset(lpa))
+	i := 0
+	for i < len(l.keys) && i < 4 && uint16(l.keys[i]) <= off {
+		i++
+	}
+	if i == 4 {
+		i += searchKeys(l.keys[4:], off+1)
+	}
+	if i--; i < 0 || l.segs[i].End() < lpa {
+		i++
+	}
+	return i
+}
+
+// detach moves g's top level out of the group: what lies before the
+// window joins the front of t.top, and what is still to merge moves to
+// t.rest.
+func (t *Table) detach(g *group) {
+	lo, _ := g.window(0)
+	pre := level{keys: g.keys[lo:t.winLo], segs: g.segs[lo:t.winLo]}
+	t.top.prepend(pre)
+	t.rest.keys, t.rest.segs = t.rest.keys[:0], t.rest.segs[:0]
+	t.rest.appendRange(t.pend.tail(t.pk))
+	t.pend, t.pk = t.rest, 0
+	g.segs, g.keys, g.ends = g.segs[:lo], g.keys[:lo], g.ends[:len(g.ends)-1]
+	t.detached = true
+}
+
+// closeTop lands the merge in g.
+func (t *Table) closeTop(g *group) {
+	switch {
+	case t.detached:
+		t.top.appendRange(t.pend.tail(t.pk))
+		g.openLevel(0)
+		g.grow(t.top.len())
+		g.segs = append(g.segs, t.top.segs...)
+		g.keys = append(g.keys, t.top.keys...)
+		g.ends[len(g.ends)-1] = int32(len(g.segs))
+	case t.winLo >= 0:
+		// The merged window replaces the t.pk slots it consumed, and what
+		// follows them moves by the difference (slicing to n stays within
+		// the arrays' capacity when the window shrank).
+		n, at, grown := len(g.segs), t.winLo+t.pk, t.top.len()-t.pk
+		g.grow(grown)
+		g.segs, g.keys = g.segs[:n+grown], g.keys[:n+grown]
+		copy(g.segs[at+grown:], g.segs[at:n])
+		copy(g.keys[at+grown:], g.keys[at:n])
+		copy(g.segs[t.winLo:], t.top.segs)
+		copy(g.keys[t.winLo:], t.top.keys)
+		g.ends[len(g.ends)-1] = int32(len(g.segs))
+	}
+	t.noteLevels(g, t.topDepth)
+}
+
+// appendRange appends every segment of r to l.
+func (l *level) appendRange(r level) {
+	l.keys = append(l.keys, r.keys...)
+	l.segs = append(l.segs, r.segs...)
+}
+
+// prepend inserts every segment of r before l's.
+func (l *level) prepend(r level) {
+	n := l.len()
+	l.appendRange(r)
+	copy(l.segs[r.len():], l.segs[:n])
+	copy(l.keys[r.len():], l.keys[:n])
+	copy(l.segs, r.segs)
+	copy(l.keys, r.keys)
+}
+
+// push appends seg to l.
+func (l *level) push(seg Segment) {
+	l.keys = append(l.keys, seg.Start())
+	l.segs = append(l.segs, seg)
+}
+
+// tail returns l's segments from i on.
+func (l level) tail(i int) level { return level{keys: l.keys[i:], segs: l.segs[i:]} }
+
+// mergePiece merges one piece into the open top level: CRB bookkeeping,
+// then Algorithm 1 line 8's victims — the segments whose ranges overlap
+// the piece, a run of the pending level — merged by Algorithm 2 and
+// re-homed (lines 9–16).
+func (t *Table) mergePiece(g *group, ls Learned) {
+	seg := ls.Seg
 	t.stampLPAs(ls.LPAs)
 	// CRB bookkeeping first (Algorithm 1 lines 4–7): registering the new
 	// approximate segment's LPAs evicts those LPAs from other approximate
 	// entries, which may shrink or remove their segments anywhere in the
-	// group. Doing this before the level insert means boundary edits can
-	// never hit the incoming segment itself.
+	// group. Doing this before the merge means boundary edits can never
+	// hit the incoming segment itself.
 	if !seg.Accurate() {
 		t.offs = t.offs[:0]
 		for _, l := range ls.LPAs {
@@ -652,87 +790,75 @@ func (t *Table) segUpdate(g *group, ls Learned, li int) {
 		pre := g.crb.sizeBytes()
 		t.edits = g.crb.insertMarked(t.offs, &t.mark, t.markGen, t.edits[:0])
 		t.crbBytes += g.crb.sizeBytes() - pre
-		t.applyEdits(g, t.edits)
+		if len(t.edits) > 0 {
+			t.closeTop(g)
+			t.applyEdits(g, t.edits)
+			t.openTop(g)
+		}
+	}
+	if t.winLo < 0 {
+		t.startWindow(g, seg.SLPA)
 	}
 
-	t.placeSegment(g, seg, li)
-}
+	// Pass the pending segments wholly left of the piece.
+	n := t.pend.tail(t.pk).firstEnding(seg.SLPA)
+	t.top.appendRange(level{keys: t.pend.keys[t.pk : t.pk+n], segs: t.pend.segs[t.pk : t.pk+n]})
+	t.pk += n
 
-// placeSegment inserts seg into level li, collects the same-level victims
-// whose ranges overlap it (Algorithm 1 line 8 — within a sorted,
-// pairwise-disjoint level these are at most one left neighbor plus a run
-// to the right), and re-homes every victim that survives the merge: back
-// into this level if now disjoint, otherwise one level down (lines 9–16).
-// The caller must have stamped the incoming segment's LPA set into t.mark
-// (stampLPAs).
-func (t *Table) placeSegment(g *group, seg Segment, li int) {
-	lvl := g.level(li)
-	startOff := uint16(seg.Start())
-	endOff := startOff + uint16(seg.L)
-	pos := lvl.search(startOff)
-	lo := pos
-	if lo > 0 && lvl.segs[lo-1].End() >= seg.SLPA {
-		lo--
-	}
-	hi := pos
-	for hi < lvl.len() && uint16(lvl.keys[hi]) <= endOff {
-		hi++
-	}
-
-	t.victims = append(t.victims[:0], lvl.segs[lo:hi]...)
-	if lo == hi {
-		g.insert(li, pos, seg)
-	} else {
-		g.replaceRange(li, lo, hi, seg)
-	}
 	t.noteAdd(seg)
-
-	for i := range t.victims {
-		victim := t.victims[i]
+	var right Segment
+	carry := false
+	for t.pk < len(t.pend.segs) && t.pend.segs[t.pk].SLPA <= seg.End() {
+		victim := t.pend.segs[t.pk]
+		t.pk++
 		t.noteRemove(victim)
 		merged, removed := t.segMerge(g, victim)
 		if removed {
 			continue
 		}
-		if merged.Overlaps(seg) {
+		t.noteAdd(merged)
+		switch {
+		case merged.Overlaps(seg):
 			// Still overlapping: pop the victim to the next level; if it
 			// would overlap there, give it a fresh level to avoid
 			// recursive displacement (Algorithm 1 lines 13–16).
-			t.pushDown(g, merged, li)
-			t.noteAdd(merged)
-			continue
+			if !t.detached {
+				t.detach(g)
+			}
+			t.pushDown(g, merged)
+		case merged.End() < seg.SLPA:
+			t.top.push(merged)
+		default:
+			// Only the last victim reaches past the piece.
+			right, carry = merged, true
 		}
-		// Disjoint after trimming: it can stay in this level.
-		g.insert(li, g.level(li).search(uint16(merged.Start())), merged)
-		t.noteAdd(merged)
+	}
+	t.top.push(seg)
+	if carry {
+		// The slot it came from is consumed: the carry takes it.
+		t.pk--
+		t.pend.segs[t.pk], t.pend.keys[t.pk] = right, right.Start()
 	}
 }
 
-// pushDown moves a displaced victim one level down, creating a dedicated
-// level when it would overlap segments already there.
-func (t *Table) pushDown(g *group, victim Segment, li int) {
-	ni := li + 1
-	if ni >= g.depth() {
-		old := g.depth()
-		g.openLevel(ni)
-		g.insert(ni, 0, victim)
-		t.noteLevels(g, old)
-		return
+// pushDown moves a displaced victim one level below the open top level —
+// the group array's top level while the merge runs — creating a
+// dedicated level when it would overlap segments already there.
+func (t *Table) pushDown(g *group, victim Segment) {
+	if g.depth() > 0 {
+		next := g.level(0)
+		p := next.search(uint16(victim.Start()))
+		overlaps := (p > 0 && next.segs[p-1].End() >= victim.SLPA) ||
+			(p < next.len() && uint16(next.keys[p]) <= uint16(victim.Start())+uint16(victim.L))
+		if !overlaps {
+			g.insertTop(p, victim)
+			return
+		}
 	}
-	next := g.level(ni)
-	p := next.search(uint16(victim.Start()))
-	overlaps := (p > 0 && next.segs[p-1].End() >= victim.SLPA) ||
-		(p < next.len() && uint16(next.keys[p]) <= uint16(victim.Start())+uint16(victim.L))
-	if overlaps {
-		// Insert a brand-new level between li and ni holding only the
-		// victim. Everything below keeps its relative (temporal) order.
-		old := g.depth()
-		g.openLevel(ni)
-		g.insert(ni, 0, victim)
-		t.noteLevels(g, old)
-		return
-	}
-	g.insert(ni, p, victim)
+	// Open a brand-new level right below the top holding only the
+	// victim. Everything below keeps its relative (temporal) order.
+	g.openLevel(0)
+	g.insertTop(0, victim)
 }
 
 // segMerge implements Algorithm 2 against the stamped mark set: subtract
@@ -782,17 +908,21 @@ func (t *Table) survivors(g *group, s Segment) (first, last addr.LPA, any bool) 
 		}
 		return first, last, any
 	}
+	// The stamped set is the piece's LPAs, so the survivors nearest
+	// either end of the progression are found within that many steps.
 	st := addr.LPA(s.Stride())
 	for l := s.SLPA; l <= s.End(); l += st {
-		if t.mark[addr.Offset(l)] == t.markGen {
-			continue
-		}
-		if !any {
+		if t.mark[addr.Offset(l)] != t.markGen {
 			first, any = l, true
+			break
 		}
-		last = l
 	}
-	return first, last, any
+	if !any {
+		return 0, 0, false
+	}
+	for last = s.SLPA + addr.LPA(s.L)/st*st; t.mark[addr.Offset(last)] == t.markGen; last -= st {
+	}
+	return first, last, true
 }
 
 // applyEdits reshapes or removes approximate segments whose CRB entries

@@ -428,7 +428,8 @@ func TestLookupZeroAllocs(t *testing.T) {
 // mutation path: re-learning the same working set must settle to a small
 // constant number of allocations per 256-mapping batch (CRB entry copies
 // and occasional segment-array growth), nothing proportional to batch
-// size or victim count like the old per-victim bitmap and LPA slices.
+// size or victim count like the old per-victim bitmap and LPA slices,
+// and an aged bitmap-on table's relocation batches must allocate nothing.
 func TestUpdateSteadyStateAllocs(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		rng := rand.New(rand.NewSource(3))
@@ -458,6 +459,23 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 		if avg > maxAllocs {
 			t.Errorf("gamma %d: Update allocates %.1f objects per batch, want ≤ %d", gamma, avg, maxAllocs)
 		}
+	}
+
+	// The bench's configuration: a bitmap-on γ=4 table, aged, fed
+	// relocation-shaped batches (a few LPAs of every group). Their runs
+	// go through the merge scratch, the exact bits set from the placed
+	// pieces and the rebuilds they trigger; once warm, none of it
+	// allocates.
+	tb := NewTable(4)
+	tb.EnableExactBitmap()
+	a := newAger(3, 64)
+	a.prefill(tb)
+	a.age(tb, 10)
+	for r := 0; r < 50; r++ {
+		a.relocate(tb)
+	}
+	if avg := testing.AllocsPerRun(100, func() { a.relocate(tb) }); avg != 0 {
+		t.Errorf("bitmap-on gamma 4: a relocation pass allocates %.1f objects, want 0", avg)
 	}
 }
 
