@@ -35,6 +35,10 @@ type crb struct {
 	// free recycles the backing arrays of removed entries into new ones,
 	// so steady-state overwrite churn allocates nothing.
 	free [][]uint8
+	// pool backs the entries a rebuild installs (add). A rebuild empties
+	// the buffer first (reset) and then rewrites the pool in place, so
+	// entries carved from it never reach the free list.
+	pool []uint8
 }
 
 // newEntryBuf returns a zero-length buffer with capacity for n offsets,
@@ -54,12 +58,13 @@ func (c *crb) newEntryBuf(n int) []uint8 {
 	return make([]uint8, 0, n)
 }
 
-// releaseEntryBuf returns an entry's backing array to the free list.
-func (c *crb) releaseEntryBuf(buf []uint8) {
-	if cap(buf) == 0 || len(c.free) >= 8 {
+// releaseEntryBuf returns an emptied entry's backing array to the free
+// list, unless the array is the pool's.
+func (c *crb) releaseEntryBuf(e *crbEntry) {
+	if e.pooled || cap(e.lpas) == 0 || len(c.free) >= 8 {
 		return
 	}
-	c.free = append(c.free, buf[:0])
+	c.free = append(c.free, e.lpas[:0])
 }
 
 const ownerNone = 0xFFFF
@@ -84,7 +89,8 @@ func (c *crb) reown(e *crbEntry, start uint16) {
 // crbEntry lists one approximate segment's LPA offsets, sorted ascending.
 // The first offset is the segment's current starting LPA.
 type crbEntry struct {
-	lpas []uint8
+	lpas   []uint8
+	pooled bool // lpas lies in the crb's pool
 }
 
 func (e *crbEntry) start() uint8 { return e.lpas[0] }
@@ -148,7 +154,7 @@ func (c *crb) insertMarked(lpas []uint8, mark *[addr.GroupSize]uint64, gen uint6
 		c.bytes -= len(e.lpas) - len(filtered)
 		if len(filtered) == 0 {
 			c.bytes-- // the entry's separator goes too
-			c.releaseEntryBuf(filtered)
+			c.releaseEntryBuf(e)
 			edits = append(edits, boundaryEdit{Old: oldStart, Removed: true})
 			continue
 		}
@@ -249,7 +255,7 @@ func (c *crb) removeMarked(start uint8, mark *[addr.GroupSize]uint64, gen uint64
 	c.bytes -= len(e.lpas) - len(filtered)
 	if len(filtered) == 0 {
 		c.bytes--
-		c.releaseEntryBuf(filtered)
+		c.releaseEntryBuf(e)
 		c.entries = append(c.entries[:i], c.entries[i+1:]...)
 		return boundaryEdit{Old: oldStart, Removed: true}, true
 	}
@@ -266,19 +272,23 @@ func (c *crb) removeMarked(start uint8, mark *[addr.GroupSize]uint64, gen uint64
 }
 
 // reset empties the buffer ahead of a whole-group rebuild, keeping the
-// entry slice and the owner index for reuse.
+// entry slice, the owner index and the pool for reuse.
 func (c *crb) reset() {
 	c.entries = c.entries[:0]
 	c.bytes = 0
 	for i := range c.owner {
 		c.owner[i] = ownerNone
 	}
+	c.pool = c.pool[:0]
 }
 
-// add appends an entry that owns lpas (sorted, not shared with any other
-// entry, and starting past every entry already present).
+// add appends an entry that owns a copy of lpas, carved from the pool
+// (lpas sorted, sharing no offset with any other entry, and starting
+// past every entry already present).
 func (c *crb) add(lpas []uint8) {
-	c.entries = append(c.entries, crbEntry{lpas: lpas})
+	n := len(c.pool)
+	c.pool = append(c.pool, lpas...)
+	c.entries = append(c.entries, crbEntry{lpas: c.pool[n:len(c.pool):len(c.pool)], pooled: true})
 	c.bytes += len(lpas) + 1
 	c.reown(&c.entries[len(c.entries)-1], uint16(lpas[0]))
 }

@@ -17,7 +17,7 @@ import (
 //
 //   - A worker is a Table that shares the committing table's group slice
 //     for the length of one batch. Its scratch (mark, offs, victims,
-//     edits, learner, refitter, failed, rb) is its own, and its counters
+//     edits, learner, refitter, missed, rb) is its own, and its counters
 //     (nGroups, nSegments, nAccurate, crbBytes, totalLevels, levelFreq)
 //     start at zero and collect deltas.
 //   - The slice is grown to the batch's last group before fan-out, so

@@ -229,8 +229,7 @@ func (t *Table) resolve(base addr.LPA, g *group) (levels int) {
 					ppa++
 				}
 				if first >= 0 {
-					c := addClaim(&rb.live)
-					c.seg = *s
+					c := addClaim(&rb.live, s)
 					c.seg.SLPA, c.seg.L, c.seg.p0 = base+addr.LPA(first), uint8(last-first), p0
 					levels = max(levels, rb.sink(c, first, last))
 				}
@@ -256,8 +255,8 @@ func (t *Table) resolve(base addr.LPA, g *group) (levels int) {
 				}
 			}
 			if len(rb.arena) > start {
-				c := addClaim(&rb.live)
-				c.seg, c.must = *s, state == slotKept
+				c := addClaim(&rb.live, s)
+				c.must = state == slotKept
 				rb.own(c, base, start)
 				rb.approx++
 				levels = max(levels, rb.sink(c, int(rb.arena[start]), int(rb.arena[len(rb.arena)-1])))
@@ -267,16 +266,17 @@ func (t *Table) resolve(base addr.LPA, g *group) (levels int) {
 	return levels
 }
 
-// addClaim appends a zero claim to *cs and returns it, growing the slice
-// only at capacity.
-func addClaim(cs *[]claim) *claim {
-	if len(*cs) == cap(*cs) {
+// addClaim appends a claim of seg to *cs and returns it, growing the
+// slice only at capacity.
+func addClaim(cs *[]claim, seg *Segment) *claim {
+	n := len(*cs)
+	if n == cap(*cs) {
 		*cs = append(*cs, claim{})
-	} else {
-		*cs = (*cs)[:len(*cs)+1]
-		(*cs)[len(*cs)-1] = claim{}
 	}
-	return &(*cs)[len(*cs)-1]
+	*cs = (*cs)[:n+1]
+	c := &(*cs)[n]
+	*c = claim{seg: *seg}
+	return c
 }
 
 // own makes the arena's offsets from start on (ascending) the LPAs
@@ -313,19 +313,21 @@ func (t *Table) refit(g *group, base addr.LPA, gamma int) {
 	rb := &t.rb
 	rb.claims, rb.patch = rb.claims[:0], rb.patch[:0]
 	pos := 0
-	for _, ls := range t.learner.learn(rb.truth, gamma) {
+	learned := t.learner.learn(rb.truth, gamma)
+	for i := range learned {
+		ls := &learned[i]
 		sub := rb.truth[pos : pos+len(ls.LPAs)]
 		pos += len(sub)
 		switch {
 		case ls.Seg.Accurate():
-			addClaim(&rb.claims).seg = ls.Seg
+			addClaim(&rb.claims, &ls.Seg)
 			if t.bitmapOn {
 				proveFit(g, &ls.Seg, sub)
 			}
-		case t.triage(ls.Seg, sub):
+		case triage(ls, sub):
 			// Keep the fit for what it predicts exactly; the rest is
 			// patched with exact segments below.
-			start, skip := len(rb.arena), t.failed
+			start, skip := len(rb.arena), ls.miss
 			for _, m := range sub {
 				if len(skip) > 0 && skip[0].LPA == m.LPA {
 					skip = skip[1:]
@@ -334,10 +336,9 @@ func (t *Table) refit(g *group, base addr.LPA, gamma int) {
 				rb.arena = append(rb.arena, addr.Offset(m.LPA))
 				g.exact.set(addr.Offset(m.LPA))
 			}
-			c := addClaim(&rb.claims)
-			c.seg = ls.Seg
+			c := addClaim(&rb.claims, &ls.Seg)
 			rb.own(c, base, start)
-			rb.patch = append(rb.patch, t.failed...)
+			rb.patch = append(rb.patch, ls.miss...)
 		default:
 			t.claimExact(g, sub)
 		}
@@ -350,7 +351,7 @@ func (t *Table) refit(g *group, base addr.LPA, gamma int) {
 func (t *Table) claimExact(g *group, pairs []addr.Mapping) {
 	at := 0
 	for _, ex := range t.refitter.learn(pairs, 0) {
-		addClaim(&t.rb.claims).seg = ex.Seg
+		addClaim(&t.rb.claims, &ex.Seg)
 		if t.bitmapOn {
 			proveFit(g, &ex.Seg, pairs[at:at+len(ex.LPAs)])
 		}
@@ -436,9 +437,13 @@ func (rb *rebuildBuf) pack() int {
 // group now holds more segments than it ever did.
 func (t *Table) install(g *group, claims []claim, levels int) {
 	rb := &t.rb
+	accurate := 0
 	for i := range g.segs {
-		t.noteRemove(g.segs[i])
+		if g.segs[i].Accurate() {
+			accurate--
+		}
 	}
+	t.nSegments += len(claims) - len(g.segs)
 	oldLevels, oldCRB := g.depth(), g.crb.sizeBytes()
 
 	// Size each level's window, deepest first, then fill them.
@@ -458,26 +463,20 @@ func (t *Table) install(g *group, claims []claim, levels int) {
 		g.ends = append(g.ends, end)
 	}
 	g.reset(len(claims))
-
-	nOffs := 0
-	for i := range claims {
-		nOffs += int(claims[i].hi - claims[i].lo)
-	}
 	g.crb.reset()
-	lpas := make([]uint8, 0, nOffs) // one backing array for every entry
 	for _, ci := range rb.byStart {
 		c := &claims[ci]
 		d := levels - 1 - int(c.level)
 		p := rb.next[d]
 		rb.next[d]++
 		g.segs[p], g.keys[p] = c.seg, c.seg.Start()
-		t.noteAdd(c.seg)
-		if !c.seg.Accurate() {
-			n := len(lpas)
-			lpas = append(lpas, rb.arena[c.lo:c.hi]...)
-			g.crb.add(lpas[n:len(lpas):len(lpas)])
+		if c.seg.Accurate() {
+			accurate++
+		} else {
+			g.crb.add(rb.arena[c.lo:c.hi])
 		}
 	}
+	t.nAccurate += accurate
 	t.crbBytes += g.crb.sizeBytes() - oldCRB
 	t.noteLevels(g, oldLevels)
 }

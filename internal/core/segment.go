@@ -186,7 +186,8 @@ func (s Segment) String() string {
 // merge for both kinds; it is discarded after insertion.
 type Learned struct {
 	Seg  Segment
-	LPAs []addr.LPA // sorted ascending
+	LPAs []addr.LPA     // sorted ascending
+	miss []addr.Mapping // the pairs a fitted approximate segment mispredicts, LPA-sorted
 }
 
 // Learn fits error-bounded segments over a batch of LPA→PPA mappings
@@ -205,17 +206,18 @@ func Learn(pairs []addr.Mapping, gamma int) []Learned {
 }
 
 // learnBuf holds the reusable scratch behind Learn: the output slice, the
-// per-group point buffer, the fitted-segment buffer, and one LPA arena
-// that backs every Learned.LPAs of a batch. Table.Update owns one and
-// reuses it across batches, so steady-state learning costs amortized O(1)
-// allocations; results of a learn call are valid until the next call on
-// the same buffer.
+// per-group point buffer, the fitted-segment buffer, and the arenas that
+// back every Learned.LPAs and Learned.miss of a batch. Table.Update owns
+// one and reuses it across batches, so steady-state learning costs
+// amortized O(1) allocations; results of a learn call are valid until
+// the next call on the same buffer.
 type learnBuf struct {
 	out       []Learned
 	pts       []plr.Point
 	segs      []plr.Segment
 	refitSegs []plr.Segment
 	arena     []addr.LPA
+	miss      []addr.Mapping
 }
 
 func (b *learnBuf) learn(pairs []addr.Mapping, gamma int) []Learned {
@@ -223,7 +225,7 @@ func (b *learnBuf) learn(pairs []addr.Mapping, gamma int) []Learned {
 		return nil
 	}
 	b.out = b.out[:0]
-	b.arena = b.arena[:0]
+	b.arena, b.miss = b.arena[:0], b.miss[:0]
 	i := 0
 	for i < len(pairs) {
 		g := addr.Group(pairs[i].LPA)
@@ -322,10 +324,11 @@ func (b *learnBuf) fitRange(g addr.GroupID, pts []plr.Point, gamma int) {
 func (b *learnBuf) buildVerified(g addr.GroupID, pts []plr.Point, fs plr.Segment, gamma int) {
 	base := addr.GroupBase(g)
 	if len(pts) == 1 {
-		// Single-point segment: L=0, K=0, I=PPA (paper §3.1).
-		seg := Segment{SLPA: base + addr.LPA(pts[0].X), L: 0, K: 0, I: float32(pts[0].Y)}
-		seg.prime()
-		b.out = append(b.out, Learned{Seg: seg, LPAs: b.lpas(pts, base)})
+		// Single-point segment: L=0, K=0, I=PPA (paper §3.1). Its decoded
+		// cache is what prime derives from K = 0: stride 1 and the
+		// constant line I, a non-negative integer.
+		seg := Segment{L: 0, K: 0, I: float32(pts[0].Y), stride: 1}
+		b.finish(&seg, addr.PPA(float64(seg.I)), pts, base, nil)
 		return
 	}
 
@@ -346,16 +349,22 @@ func (b *learnBuf) buildVerified(g addr.GroupID, pts []plr.Point, fs plr.Segment
 	}
 
 	if strideOK {
-		if cand, kf, ok := quantize(pts, fs, false); ok &&
-			int64(strideOf(kf)) == st && exact(kf, cand.I, pts) {
-			b.finish(cand, pts, base)
-			return
+		if cand, ok := quantize(pts, fs, false); ok && int64(strideOf(cand.kf)) == st {
+			if _, ok := b.withinGamma(&cand, pts, base, 0); ok {
+				// Proved: the stride is st and the first point is hit.
+				cand.stride = uint32(st)
+				b.finish(&cand, addr.PPA(pts[0].Y), pts, base, nil)
+				return
+			}
 		}
 	}
 	if gamma > 0 {
-		if cand, kf, ok := quantize(pts, fs, true); ok && withinGamma(kf, cand.I, pts, gamma) {
-			b.finish(cand, pts, base)
-			return
+		if cand, ok := quantize(pts, fs, true); ok {
+			if miss, ok := b.withinGamma(&cand, pts, base, gamma); ok {
+				cand.stride = strideOf(cand.kf)
+				b.finish(&cand, predictAt(cand.kf, cand.I, pts[0].X), pts, base, miss)
+				return
+			}
 		}
 	}
 	if strideOK || gamma > 0 {
@@ -454,48 +463,48 @@ func line(pts []plr.Point) plr.Segment {
 }
 
 // quantize builds the encoded segment for the fitted line, with the type
-// flag folded into the slope's LSB (paper §3.2), and returns the slope
-// it decodes to.
-func quantize(pts []plr.Point, fs plr.Segment, approx bool) (Segment, float64, bool) {
+// flag folded into the slope's LSB (paper §3.2), and the slope it
+// decodes to in the decoded cache.
+func quantize(pts []plr.Point, fs plr.Segment, approx bool) (Segment, bool) {
 	k16 := float16.From64(fs.K).WithFlag(approx)
 	if k16.IsNaN() || k16.IsInf() {
-		return Segment{}, 0, false
+		return Segment{}, false
 	}
 	span := pts[len(pts)-1].X - pts[0].X
 	if span > math.MaxUint8 {
-		return Segment{}, 0, false
+		return Segment{}, false
 	}
-	return Segment{L: uint8(span), K: k16, I: float32(fs.B)}, float16.To64(k16), true
+	return Segment{kf: float16.To64(k16), L: uint8(span), K: k16, I: float32(fs.B)}, true
 }
 
-// finish anchors a quantized, verified segment at its first point,
-// primes it and appends it with its LPAs.
-func (b *learnBuf) finish(seg Segment, pts []plr.Point, base addr.LPA) {
+// finish anchors a quantized, verified segment at its first point and
+// appends it with its LPAs and mispredicted pairs. The caller proved or
+// computed its decoded cache on the way, p0 included, so nothing in it
+// is derived twice.
+func (b *learnBuf) finish(seg *Segment, p0 addr.PPA, pts []plr.Point, base addr.LPA, miss []addr.Mapping) {
 	seg.SLPA = base + addr.LPA(pts[0].X)
-	seg.prime()
-	b.out = append(b.out, Learned{Seg: seg, LPAs: b.lpas(pts, base)})
+	seg.p0, seg.primed = p0, true
+	b.out = slices.Grow(b.out, 1)[:len(b.out)+1]
+	ls := &b.out[len(b.out)-1]
+	ls.Seg, ls.LPAs, ls.miss = *seg, b.lpas(pts, base), miss
 }
 
-// exact reports whether the line ⌈k·x + i⌉ hits every point.
-func exact(k float64, i float32, pts []plr.Point) bool {
+// withinGamma reports whether seg's line ⌈k·x + i⌉ is within ±gamma of
+// every point (at gamma = 0: hits every one) and, if so, returns the
+// points it misses as pairs of the group at base, kept in b.miss.
+func (b *learnBuf) withinGamma(seg *Segment, pts []plr.Point, base addr.LPA, gamma int) ([]addr.Mapping, bool) {
+	start := len(b.miss)
 	for _, p := range pts {
-		if predictAt(k, i, p.X) != addr.PPA(p.Y) {
-			return false
-		}
-	}
-	return true
-}
-
-// withinGamma reports whether the line ⌈k·x + i⌉ is within ±gamma of
-// every point.
-func withinGamma(k float64, i float32, pts []plr.Point, gamma int) bool {
-	for _, p := range pts {
-		d := int64(predictAt(k, i, p.X)) - p.Y
+		d := int64(predictAt(seg.kf, seg.I, p.X)) - p.Y
 		if d < -int64(gamma) || d > int64(gamma) {
-			return false
+			b.miss = b.miss[:start]
+			return nil, false
+		}
+		if d != 0 {
+			b.miss = append(b.miss, addr.Mapping{LPA: base + addr.LPA(p.X), PPA: addr.PPA(p.Y)})
 		}
 	}
-	return true
+	return b.miss[start:len(b.miss):len(b.miss)], true
 }
 
 // predictAt evaluates ⌈k·x + i⌉, clamped at 0.

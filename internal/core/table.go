@@ -57,16 +57,15 @@ type Table struct {
 	learner learnBuf
 
 	// The merge into the top level (see openTop): top is merged,
-	// pend[pk:] still to merge, winLo the group slot where the merge's
-	// window starts (-1 before the first piece), detached whether the
-	// top level has moved into the scratch (rest then holds pend), and
-	// topDepth the group's level count when the merge opened.
+	// pend[pk:] still to merge, victims the segments pushed down so far,
+	// winLo the group slot where the merge's window starts (-1 before
+	// the first piece), and topDepth the group's level count when the
+	// merge opened.
 	top      level
 	pend     level
-	rest     level
+	victims  level
 	pk       int
 	winLo    int
-	detached bool
 	topDepth int
 
 	// refitter is a second learn buffer for the bitmap path's γ=0
@@ -75,11 +74,8 @@ type Table struct {
 	// call, so the nested fits need their own scratch).
 	refitter learnBuf
 
-	// failed collects the pairs a fitted segment mispredicts: the
-	// verify-at-learn triage fills it per approximate segment. missed
-	// collects a committed run's pairs that no placed piece predicts,
-	// for repairRun.
-	failed []addr.Mapping
+	// missed collects a committed run's pairs that no placed piece
+	// predicts, for repairRun.
 	missed []addr.Mapping
 
 	// rb is the whole-group rebuild's scratch (rebuild.go).
@@ -139,11 +135,8 @@ type level struct {
 
 func (l level) len() int { return len(l.segs) }
 
-// search returns the index of the first segment whose starting offset is
-// ≥ off (pass uint16 so "offset+1" probes past 255 work).
-func (l level) search(off uint16) int { return searchKeys(l.keys, off) }
-
-// searchKeys is level.search over a bare key window.
+// searchKeys returns the index of the first key ≥ off (pass uint16 so
+// "offset+1" probes past 255 work).
 //
 // The level is itself searched with a learned guess: start offsets are
 // spread over the 256-LPA group, so off·n/256 interpolates within a few
@@ -232,21 +225,6 @@ func (g *group) reset(n int) {
 	g.segs, g.keys = g.segs[:n], g.keys[:n]
 }
 
-// insertTop places seg at position pos of the top level, keeping keys
-// and segs in step. Only the top level moves.
-func (g *group) insertTop(pos int, seg Segment) {
-	g.grow(1)
-	lo, _ := g.window(0)
-	p, n := lo+pos, len(g.segs)
-	g.segs = g.segs[:n+1]
-	copy(g.segs[p+1:], g.segs[p:n])
-	g.segs[p] = seg
-	g.keys = g.keys[:n+1]
-	copy(g.keys[p+1:], g.keys[p:n])
-	g.keys[p] = seg.Start()
-	g.ends[len(g.ends)-1]++
-}
-
 // remove deletes the segment at slot p of g.segs. The levels whose
 // windows end past p are the one holding it and those above.
 func (g *group) remove(p int) {
@@ -259,21 +237,12 @@ func (g *group) remove(p int) {
 	}
 }
 
-// openLevel inserts an empty level at stack index at, shifting the
-// levels from there down by one. Only the window bounds move.
-func (g *group) openLevel(at int) {
+// openLevel adds an empty level on top of g's stack.
+func (g *group) openLevel() {
 	if g.ends == nil {
 		g.ends = make([]int32, 0, maxGroupLevels+1)
 	}
-	n := len(g.ends)
-	d := n - at // storage depth of the new level
-	var end int32
-	if d > 0 {
-		end = g.ends[d-1]
-	}
-	g.ends = append(g.ends, 0)
-	copy(g.ends[d+1:], g.ends[d:n])
-	g.ends[d] = end
+	g.ends = append(g.ends, int32(len(g.segs)))
 }
 
 // LookupResult carries per-lookup diagnostics used by the paper's
@@ -389,7 +358,7 @@ func (t *Table) insertRun(g *group, learned []Learned, run []addr.Mapping) {
 	t.missed = t.missed[:0]
 	pos := 0
 	for k := range learned {
-		ls := learned[k]
+		ls := &learned[k]
 		// The learner's output walks the run in order, each segment
 		// covering the next len(LPAs) pairs.
 		sub := run[pos : pos+len(ls.LPAs)]
@@ -398,7 +367,7 @@ func (t *Table) insertRun(g *group, learned []Learned, run []addr.Mapping) {
 			t.mergePiece(g, ls)
 			continue
 		}
-		if ls.Seg.Accurate() || t.triage(ls.Seg, sub) {
+		if ls.Seg.Accurate() || triage(ls, sub) {
 			t.mergePiece(g, ls)
 			t.verifyPiece(g, &ls.Seg, sub)
 			continue
@@ -408,7 +377,7 @@ func (t *Table) insertRun(g *group, learned []Learned, run []addr.Mapping) {
 		// one reuses the buffer.
 		at := 0
 		for _, r := range t.refitter.learn(sub, 0) {
-			t.mergePiece(g, r)
+			t.mergePiece(g, &r)
 			t.verifyPiece(g, &r.Seg, sub[at:at+len(r.LPAs)])
 			at += len(r.LPAs)
 		}
@@ -420,7 +389,7 @@ func (t *Table) insertRun(g *group, learned []Learned, run []addr.Mapping) {
 // collects the others in t.missed.
 func (t *Table) verifyPiece(g *group, seg *Segment, sub []addr.Mapping) {
 	for _, m := range sub {
-		if fitExactly(seg) || seg.Predict(m.LPA) == m.PPA {
+		if hits(seg, m) {
 			g.exact.set(addr.Offset(m.LPA))
 		} else {
 			t.missed = append(t.missed, m)
@@ -428,29 +397,30 @@ func (t *Table) verifyPiece(g *group, seg *Segment, sub []addr.Mapping) {
 	}
 }
 
-// fitExactly reports that seg, a piece the learner fitted, predicts every
-// pair it was fitted from: buildVerified checked each one against an
-// accurate multi-point segment's quantized line. A single point's
-// float32 intercept quantizes above 2^24 and an approximate piece is
-// within ±γ, so those are checked pair by pair.
-func fitExactly(seg *Segment) bool { return seg.Accurate() && seg.L > 0 }
+// hits reports whether seg, a piece the learner fitted from pairs that
+// include m, predicts m exactly. buildVerified checked every pair against
+// an accurate multi-point segment's quantized line. A single point
+// answers its anchor p0, whose float32 intercept quantizes above 2^24,
+// and an approximate piece its line, within ±γ.
+func hits(seg *Segment, m addr.Mapping) bool {
+	if seg.Accurate() {
+		return seg.L > 0 || seg.p0 == m.PPA
+	}
+	return seg.predictApprox(addr.Offset(m.LPA)) == m.PPA
+}
 
 // triage decides whether a freshly fitted approximate segment is worth
-// keeping, leaving the pairs it mispredicts in t.failed (sub is the
-// LPA-sorted pair set the segment was fitted from). The byte costs
-// compared are keep = segment + CRB claims + the accurate patches stacked
-// over the failures, versus replace = one accurate segment per
-// stride-clean run of the whole point set.
-func (t *Table) triage(seg Segment, sub []addr.Mapping) (keep bool) {
-	t.failed = t.failed[:0]
-	for _, m := range sub {
-		if seg.Predict(m.LPA) != m.PPA {
-			t.failed = append(t.failed, m)
-		}
+// keeping (sub is the LPA-sorted pair set it was fitted from, ls.miss
+// the pairs it mispredicts). The byte costs compared are keep = segment
+// + CRB claims + the accurate patches stacked over the failures, versus
+// replace = one accurate segment per stride-clean run of the whole point
+// set.
+func triage(ls *Learned, sub []addr.Mapping) (keep bool) {
+	if len(ls.miss) == 0 {
+		return true
 	}
-	costKeep := SegmentBytes + len(sub) + SegmentBytes*strideRuns(t.failed)
-	costReplace := SegmentBytes * strideRuns(sub)
-	return len(t.failed) == 0 || costKeep <= costReplace
+	costKeep := SegmentBytes + len(sub) + SegmentBytes*strideRuns(ls.miss)
+	return costKeep <= SegmentBytes*strideRuns(sub)
 }
 
 // strideRuns counts the maximal stride-clean runs of an LPA-sorted pair
@@ -494,7 +464,7 @@ func (t *Table) repairRun(g *group) {
 	t.openTop(g)
 	at := 0
 	for _, r := range t.learner.learn(t.missed, 0) {
-		t.mergePiece(g, r)
+		t.mergePiece(g, &r)
 		proveFit(g, &r.Seg, t.missed[at:at+len(r.LPAs)])
 		at += len(r.LPAs)
 	}
@@ -505,7 +475,7 @@ func (t *Table) repairRun(g *group) {
 // clears the others.
 func proveFit(g *group, seg *Segment, sub []addr.Mapping) {
 	for _, m := range sub {
-		if fitExactly(seg) || seg.Predict(m.LPA) == m.PPA {
+		if hits(seg, m) {
 			g.exact.set(addr.Offset(m.LPA))
 		} else {
 			g.exact.clear(addr.Offset(m.LPA))
@@ -523,7 +493,7 @@ func (t *Table) Insert(ls Learned) {
 	ls.Seg.prime() // tolerate hand-built segments; resident ones are always primed
 	g := t.group(ls.Seg.Group())
 	t.openTop(g)
-	t.mergePiece(g, ls)
+	t.mergePiece(g, &ls)
 	t.closeTop(g)
 	if t.bitmapOn {
 		for _, l := range ls.LPAs {
@@ -649,14 +619,11 @@ func (t *Table) stampLPAs(lpas []addr.LPA) {
 //     ones it overlaps and places it. A trimmed victim that survives lies
 //     wholly left of the piece (it stays before it), wholly right (it is
 //     carried back to the head of t.pend, where the next piece may meet
-//     it), or across it (pushed down, by piece and then by victim, as the
-//     one-at-a-time insert pushes them).
-//   - The first push-down detaches the top level: it moves out of the
-//     group into the scratch, so level 1 is the group array's tail and a
-//     push-down shifts only that level.
-//   - closeTop writes the merged window back over what it consumed (or,
-//     once detached, the whole level above the group's other levels) and
-//     accounts the levels the push-downs opened.
+//     it), or across it (queued in t.victims to be pushed down).
+//   - closeTop writes the merged window back over what it consumed and
+//     lands the queued victims below the top level (group.land), all in
+//     one shift of the top level, and accounts the level a push-down
+//     opened.
 //
 // A CRB dedup may reshape or remove approximate segments anywhere in
 // the group; mergePiece then lands the merge so far, applies the edits
@@ -669,10 +636,11 @@ func (t *Table) openTop(g *group) {
 	g.touched = true
 	t.topDepth = g.depth()
 	if t.topDepth == 0 {
-		g.openLevel(0)
+		g.openLevel()
 	}
-	t.winLo, t.detached = -1, false
+	t.winLo = -1
 	t.top.keys, t.top.segs = t.top.keys[:0], t.top.segs[:0]
+	t.victims.keys, t.victims.segs = t.victims.keys[:0], t.victims.segs[:0]
 	t.pend, t.pk = level{}, 0
 }
 
@@ -705,60 +673,97 @@ func (l level) firstEnding(lpa addr.LPA) int {
 	return i
 }
 
-// detach moves g's top level out of the group: what lies before the
-// window joins the front of t.top, and what is still to merge moves to
-// t.rest.
-func (t *Table) detach(g *group) {
-	lo, _ := g.window(0)
-	pre := level{keys: g.keys[lo:t.winLo], segs: g.segs[lo:t.winLo]}
-	t.top.prepend(pre)
-	t.rest.keys, t.rest.segs = t.rest.keys[:0], t.rest.segs[:0]
-	t.rest.appendRange(t.pend.tail(t.pk))
-	t.pend, t.pk = t.rest, 0
-	g.segs, g.keys, g.ends = g.segs[:lo], g.keys[:lo], g.ends[:len(g.ends)-1]
-	t.detached = true
-}
-
 // closeTop lands the merge in g.
 func (t *Table) closeTop(g *group) {
-	switch {
-	case t.detached:
-		t.top.appendRange(t.pend.tail(t.pk))
-		g.openLevel(0)
-		g.grow(t.top.len())
-		g.segs = append(g.segs, t.top.segs...)
-		g.keys = append(g.keys, t.top.keys...)
-		g.ends[len(g.ends)-1] = int32(len(g.segs))
-	case t.winLo >= 0:
-		// The merged window replaces the t.pk slots it consumed, and what
-		// follows them moves by the difference (slicing to n stays within
-		// the arrays' capacity when the window shrank).
-		n, at, grown := len(g.segs), t.winLo+t.pk, t.top.len()-t.pk
-		g.grow(grown)
-		g.segs, g.keys = g.segs[:n+grown], g.keys[:n+grown]
-		copy(g.segs[at+grown:], g.segs[at:n])
-		copy(g.keys[at+grown:], g.keys[at:n])
-		copy(g.segs[t.winLo:], t.top.segs)
-		copy(g.keys[t.winLo:], t.top.keys)
-		g.ends[len(g.ends)-1] = int32(len(g.segs))
+	if t.winLo >= 0 {
+		g.land(t.winLo, t.pk, t.top, t.victims)
 	}
 	t.noteLevels(g, t.topDepth)
+}
+
+// land writes a merge back into g's top level: win replaces the consumed
+// slots from slot winLo on, and down — the victims the merge pushed
+// down, ascending and pairwise disjoint — lands below the top level where
+// Algorithm 1 lines 13–16 put them one at a time. A victim that overlaps
+// nothing in level 1 joins it; the first one that does overlap gets a
+// fresh level between level 1 and the top, and every later victim joins
+// it there, since it overlaps no other victim. So level 1 takes a prefix
+// of down in one backward merge, the fresh level the rest, and the top
+// level shifts once.
+func (g *group) land(winLo, consumed int, win, down level) {
+	k := g.joinLevel1(down)
+	v := down.len()
+	l1lo, l1hi := 0, 0 // level 1's window, empty when there is none
+	if g.depth() > 1 {
+		l1lo, l1hi = g.window(1)
+	}
+	n, at, grown := len(g.segs), winLo+consumed, win.len()-consumed
+	g.grow(v + grown)
+	// Slicing to the larger length stays within the arrays' capacity
+	// when the top level shrank.
+	size := n + v + grown
+	g.segs, g.keys = g.segs[:max(n, size)], g.keys[:max(n, size)]
+	// The top level's tail, then its head, move right by v past the
+	// victims and the tail also by what the window grew.
+	g.move(at+v+grown, at, n-at)
+	if v > 0 {
+		g.move(l1hi+v, l1hi, winLo-l1hi)
+	}
+	copy(g.segs[winLo+v:], win.segs)
+	copy(g.keys[winLo+v:], win.keys)
+	copy(g.segs[l1hi+k:], down.segs[k:])
+	copy(g.keys[l1hi+k:], down.keys[k:])
+	// Merge down[:k] into level 1 from the back, in place.
+	i, w := l1hi-1, l1hi+k-1
+	for j := k - 1; j >= 0; w-- {
+		if i >= l1lo && g.keys[i] > down.keys[j] {
+			g.segs[w], g.keys[w] = g.segs[i], g.keys[i]
+			i--
+		} else {
+			g.segs[w], g.keys[w] = down.segs[j], down.keys[j]
+			j--
+		}
+	}
+	g.segs, g.keys = g.segs[:size], g.keys[:size]
+
+	if m := len(g.ends); m > 1 {
+		g.ends[m-2] += int32(k)
+	}
+	if k < v { // the fresh level, below the top
+		g.ends = append(g.ends[:len(g.ends)-1], int32(l1hi+v), 0)
+	}
+	g.ends[len(g.ends)-1] = int32(size)
+}
+
+// joinLevel1 counts the leading victims of down that overlap nothing in
+// g's level 1 (none when g has no level below the top).
+func (g *group) joinLevel1(down level) int {
+	if down.len() == 0 || g.depth() < 2 {
+		return 0
+	}
+	next, p := g.level(1), 0
+	for i := range down.segs {
+		// The victims ascend, so each one's search resumes at the last.
+		v := &down.segs[i]
+		p += searchKeys(next.keys[p:], uint16(v.Start()))
+		if (p > 0 && next.segs[p-1].End() >= v.SLPA) ||
+			(p < next.len() && uint16(next.keys[p]) <= uint16(v.Start())+uint16(v.L)) {
+			return i
+		}
+	}
+	return down.len()
+}
+
+// move copies the n slots from src on to dst, keys and segments alike.
+func (g *group) move(dst, src, n int) {
+	copy(g.segs[dst:dst+n], g.segs[src:src+n])
+	copy(g.keys[dst:dst+n], g.keys[src:src+n])
 }
 
 // appendRange appends every segment of r to l.
 func (l *level) appendRange(r level) {
 	l.keys = append(l.keys, r.keys...)
 	l.segs = append(l.segs, r.segs...)
-}
-
-// prepend inserts every segment of r before l's.
-func (l *level) prepend(r level) {
-	n := l.len()
-	l.appendRange(r)
-	copy(l.segs[r.len():], l.segs[:n])
-	copy(l.keys[r.len():], l.keys[:n])
-	copy(l.segs, r.segs)
-	copy(l.keys, r.keys)
 }
 
 // push appends seg to l.
@@ -774,7 +779,7 @@ func (l level) tail(i int) level { return level{keys: l.keys[i:], segs: l.segs[i
 // then Algorithm 1 line 8's victims — the segments whose ranges overlap
 // the piece, a run of the pending level — merged by Algorithm 2 and
 // re-homed (lines 9–16).
-func (t *Table) mergePiece(g *group, ls Learned) {
+func (t *Table) mergePiece(g *group, ls *Learned) {
 	seg := ls.Seg
 	t.stampLPAs(ls.LPAs)
 	// CRB bookkeeping first (Algorithm 1 lines 4–7): registering the new
@@ -821,11 +826,9 @@ func (t *Table) mergePiece(g *group, ls Learned) {
 		case merged.Overlaps(seg):
 			// Still overlapping: pop the victim to the next level; if it
 			// would overlap there, give it a fresh level to avoid
-			// recursive displacement (Algorithm 1 lines 13–16).
-			if !t.detached {
-				t.detach(g)
-			}
-			t.pushDown(g, merged)
+			// recursive displacement (Algorithm 1 lines 13–16). closeTop
+			// lands every victim of the merge at once.
+			t.victims.push(merged)
 		case merged.End() < seg.SLPA:
 			t.top.push(merged)
 		default:
@@ -839,26 +842,6 @@ func (t *Table) mergePiece(g *group, ls Learned) {
 		t.pk--
 		t.pend.segs[t.pk], t.pend.keys[t.pk] = right, right.Start()
 	}
-}
-
-// pushDown moves a displaced victim one level below the open top level —
-// the group array's top level while the merge runs — creating a
-// dedicated level when it would overlap segments already there.
-func (t *Table) pushDown(g *group, victim Segment) {
-	if g.depth() > 0 {
-		next := g.level(0)
-		p := next.search(uint16(victim.Start()))
-		overlaps := (p > 0 && next.segs[p-1].End() >= victim.SLPA) ||
-			(p < next.len() && uint16(next.keys[p]) <= uint16(victim.Start())+uint16(victim.L))
-		if !overlaps {
-			g.insertTop(p, victim)
-			return
-		}
-	}
-	// Open a brand-new level right below the top holding only the
-	// victim. Everything below keeps its relative (temporal) order.
-	g.openLevel(0)
-	g.insertTop(0, victim)
 }
 
 // segMerge implements Algorithm 2 against the stamped mark set: subtract
