@@ -811,36 +811,35 @@ func (t *Table) mergePiece(g *group, ls *Learned) {
 	t.pk += n
 
 	t.noteAdd(seg)
-	var right Segment
 	carry := false
 	for t.pk < len(t.pend.segs) && t.pend.segs[t.pk].SLPA <= seg.End() {
-		victim := t.pend.segs[t.pk]
+		// The victim is trimmed in its slot, which the merge has consumed.
+		victim := &t.pend.segs[t.pk]
 		t.pk++
-		t.noteRemove(victim)
-		merged, removed := t.segMerge(g, victim)
-		if removed {
+		t.noteRemove(*victim)
+		if t.segMerge(g, victim) {
 			continue
 		}
-		t.noteAdd(merged)
+		t.noteAdd(*victim)
 		switch {
-		case merged.Overlaps(seg):
+		case victim.Overlaps(seg):
 			// Still overlapping: pop the victim to the next level; if it
 			// would overlap there, give it a fresh level to avoid
 			// recursive displacement (Algorithm 1 lines 13–16). closeTop
 			// lands every victim of the merge at once.
-			t.victims.push(merged)
-		case merged.End() < seg.SLPA:
-			t.top.push(merged)
+			t.victims.push(*victim)
+		case victim.End() < seg.SLPA:
+			t.top.push(*victim)
 		default:
-			// Only the last victim reaches past the piece.
-			right, carry = merged, true
+			// Only the last victim reaches past the piece: it is carried
+			// back to the head of the pending segments, in its slot.
+			carry = true
 		}
 	}
 	t.top.push(seg)
 	if carry {
-		// The slot it came from is consumed: the carry takes it.
 		t.pk--
-		t.pend.segs[t.pk], t.pend.keys[t.pk] = right, right.Start()
+		t.pend.keys[t.pk] = t.pend.segs[t.pk].Start()
 	}
 }
 
@@ -848,9 +847,9 @@ func (t *Table) mergePiece(g *group, ls *Learned) {
 // the incoming segment's LPAs from the victim's, shrink the victim's
 // [S, S+L] to its remaining first/last LPA, and prune the CRB for
 // approximate victims. K and I are never touched, so the victim's
-// surviving predictions stay valid. It returns the updated victim, or
-// removed=true when nothing survives.
-func (t *Table) segMerge(g *group, victim Segment) (Segment, bool) {
+// surviving predictions stay valid. It trims the victim in place, or
+// reports removed when nothing survives.
+func (t *Table) segMerge(g *group, victim *Segment) (removed bool) {
 	first, last, any := t.survivors(g, victim)
 
 	if !victim.Accurate() {
@@ -858,21 +857,21 @@ func (t *Table) segMerge(g *group, victim Segment) (Segment, bool) {
 		edit, ok := g.crb.removeMarked(victim.Start(), &t.mark, t.markGen)
 		t.crbBytes += g.crb.sizeBytes() - pre
 		if ok && edit.Removed {
-			return Segment{}, true
+			return true
 		}
 	}
 	if !any {
-		return Segment{}, true
+		return true
 	}
 	victim.cut(addr.GroupBase(victim.Group()), addr.Offset(first), addr.Offset(last))
-	return victim, false
+	return false
 }
 
 // survivors scans the victim's encoded LPA set (Algorithm 2 get_bitmap:
 // the stride progression for accurate segments, the CRB entry for
 // approximate ones) and returns the first and last LPAs not claimed by
 // the stamped new set — without materializing a slice.
-func (t *Table) survivors(g *group, s Segment) (first, last addr.LPA, any bool) {
+func (t *Table) survivors(g *group, s *Segment) (first, last addr.LPA, any bool) {
 	if !s.Accurate() {
 		e := g.crb.entryFor(s.Start())
 		if e == nil {
