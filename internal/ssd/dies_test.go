@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"testing"
-	"time"
 
 	"leaftl/internal/addr"
 	"leaftl/internal/dftl"
@@ -36,81 +35,15 @@ func TestDies1BitIdentity(t *testing.T) {
 		return absent, one
 	}
 
-	// Scenario A: GC-heavy LeaFTL run; exercises flush lanes, GC streams,
-	// the allocator and translation-page charging.
 	t.Run("state", func(t *testing.T) {
-		run := func(cfg Config) *Device {
-			d := newTestDevice(t, cfg, leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000)))
-			if err := trace.Replay(d, mixedTrace(seededRand(t, 911), d.LogicalPages(), 20000)); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}
 		absentCfg, oneCfg := geometries()
-		absent, one := run(absentCfg), run(oneCfg)
-		if absent.Stats().GCErases == 0 {
-			t.Fatal("scenario exercised no GC; identity coverage too shallow")
-		}
-		requireSameDevice(t, "no die geometry vs dies=1 planes=1", absent, one)
+		requireSameDevice(t, "no die geometry vs dies=1 planes=1",
+			runStateScenario(t, absentCfg), runStateScenario(t, oneCfg))
 	})
-
-	// Scenario B: GC-free, meta-free DFTL run issued at explicit arrival
-	// times, so the latency histograms are pure flash timing: reads
-	// queueing behind and preempting a flush's program backlog.
 	t.Run("timing", func(t *testing.T) {
-		run := func(cfg Config) *Device {
-			d := newTestDevice(t, cfg, dftl.New(cfg.Flash.PageSize, 1<<20))
-			logical := d.LogicalPages()
-			for lpa := 0; lpa < logical; lpa += 8 {
-				n := 8
-				if lpa+n > logical {
-					n = logical - lpa
-				}
-				if _, err := d.WriteAt(addr.LPA(lpa), n, d.Now()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := d.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			d.AdvanceTo(d.Now() + 10*time.Second)
-			d.ResetMetrics()
-
-			rng := seededRand(t, 523)
-			now := d.Now()
-			var writes int
-			for i := 0; i < 4000; i++ {
-				now += time.Duration(rng.Intn(30)) * time.Microsecond
-				lpa := addr.LPA(rng.Intn(logical - 8))
-				var err error
-				if writes < 480 && rng.Intn(100) < 12 {
-					n := 1 + rng.Intn(4)
-					writes += n
-					_, err = d.WriteAt(lpa, n, now)
-				} else {
-					_, err = d.ReadAt(lpa, 1+rng.Intn(2), now)
-				}
-				if err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
-			}
-			return d
-		}
 		absentCfg, oneCfg := geometries()
-		absent, one := run(absentCfg), run(oneCfg)
-		if st := absent.Stats(); st.GCRuns != 0 || st.MetaReads != 0 || st.MetaWrites != 0 {
-			t.Fatalf("timing scenario no longer meta/GC-free: %+v", st)
-		}
-		if rl := absent.ReadLatency().Summary(); rl.Count == 0 || rl.Peak <= 2*absentCfg.Flash.ReadLatency {
-			t.Fatalf("timing scenario saw no queueing (read latency %+v)", rl)
-		}
-		requireSameDevice(t, "no die geometry vs dies=1 planes=1", absent, one)
+		requireSameDevice(t, "no die geometry vs dies=1 planes=1",
+			runTimingScenario(t, absentCfg), runTimingScenario(t, oneCfg))
 	})
 }
 
