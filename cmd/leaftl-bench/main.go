@@ -3,9 +3,9 @@
 // quick scale; -full uses a larger scaled device and -micro the fastest
 // CI-smoke scale.
 // Two modes skip the figures. -cells runs the evaluation grid: every
-// scheme × workload × mapping-DRAM budget × dies × planes × queues ×
-// speedup cell is replayed open-loop at issue time on its own warmed
-// device, one table row and one JSON object per cell. -torture runs the
+// scheme × workload × mapping-DRAM budget × queues × speedup cell is
+// replayed open-loop at issue time on its own warmed device, one table
+// row and one JSON object per cell. -torture runs the
 // seeded crash-torture matrix (kill-recover-verify across mapping
 // budgets × the paper and full cell presets) plus an aged-device
 // fault-injection sweep over -fault-rber; both use -seed.
@@ -33,12 +33,10 @@ func main() {
 	gamma := flag.Int("gamma", 0, "LeaFTL error bound for the -cells and -torture modes")
 	jsonOut := flag.String("json", "", "-cells and -torture modes: write JSON results to this file (- for stdout)")
 	micro := flag.Bool("micro", false, "run at micro (fastest, CI smoke) scale")
-	cells := flag.Bool("cells", false, "cell grid mode: replay every -schemes × -workloads × -budgets × -dies × -planes × -queues × -speedup cell open-loop at issue time (skips figures)")
+	cells := flag.Bool("cells", false, "cell grid mode: replay every -schemes × -workloads × -budgets × -queues × -speedup cell open-loop at issue time (skips figures)")
 	schemes := flag.String("schemes", "", "-cells mode: comma-separated schemes: full, paper, dftl, sftl (default all four)")
 	workloads := flag.String("workloads", "", "-cells mode: comma-separated timed workloads (zipf-hot, mixed-rw) or trace files (default zipf-hot)")
 	budgets := flag.String("budgets", "", "-cells mode: comma-separated mapping-DRAM budgets as fractions of each scheme's mapping size after warm-up, 0 = uncapped (default 0)")
-	dies := flag.String("dies", "", "-cells mode: comma-separated dies-per-channel counts (default 1)")
-	planes := flag.String("planes", "", "-cells mode: comma-separated planes-per-die counts (default 1)")
 	queues := flag.String("queues", "", "-cells mode: comma-separated host queue counts (default 4)")
 	speedup := flag.String("speedup", "", "-cells mode: comma-separated divisors of recorded inter-arrival times (default 1)")
 	torture := flag.Bool("torture", false, "reliability mode: seeded crash-torture matrix + fault-injection sweep (skips figures)")
@@ -73,7 +71,7 @@ func main() {
 	}
 
 	if *cells {
-		spec, err := cellsSpec(*schemes, *workloads, *budgets, *dies, *planes, *queues, *speedup, *gamma)
+		spec, err := cellsSpec(*schemes, *workloads, *budgets, *queues, *speedup, *gamma)
 		if err == nil {
 			err = runCells(scaleOf(), spec, *seed, *markdown, *jsonOut)
 		}
@@ -144,14 +142,12 @@ func selectFigures(only string) ([]experiments.Figure, error) {
 }
 
 // cellsSpec parses the -cells list flags.
-func cellsSpec(schemes, workloads, budgets, dies, planes, queues, speedup string, gamma int) (experiments.CellsSpec, error) {
+func cellsSpec(schemes, workloads, budgets, queues, speedup string, gamma int) (experiments.CellsSpec, error) {
 	spec := experiments.CellsSpec{Schemes: parseList(schemes), Workloads: parseList(workloads), Gamma: gamma}
-	var errs [5]error
+	var errs [3]error
 	spec.Budgets, errs[0] = parseFloatList(budgets)
-	spec.Dies, errs[1] = parseIntList(dies)
-	spec.Planes, errs[2] = parseIntList(planes)
-	spec.Queues, errs[3] = parseIntList(queues)
-	spec.Speedups, errs[4] = parseFloatList(speedup)
+	spec.Queues, errs[1] = parseIntList(queues)
+	spec.Speedups, errs[2] = parseFloatList(speedup)
 	return spec, errors.Join(errs[:]...)
 }
 

@@ -14,8 +14,7 @@ import (
 )
 
 // Cell is one point of the §4 evaluation grid (fig15/16): a scheme
-// replaying a workload open-loop under a mapping-DRAM budget on one
-// flash geometry.
+// replaying a workload open-loop under a mapping-DRAM budget.
 type Cell struct {
 	// Scheme is a schemePresets name: full, paper, dftl or sftl.
 	Scheme string `json:"scheme"`
@@ -24,9 +23,6 @@ type Cell struct {
 	// Budget caps the mapping DRAM at this fraction of the scheme's
 	// FullSizeBytes after warm-up; 0 leaves it uncapped.
 	Budget float64 `json:"budget"`
-	// Dies and Planes are the dies per channel and planes per die.
-	Dies   int `json:"dies"`
-	Planes int `json:"planes"`
 	// Queues is the host queue count of the issue-time replay.
 	Queues int `json:"queues"`
 	// Speedup divides recorded inter-arrival times.
@@ -39,8 +35,6 @@ type CellsSpec struct {
 	Schemes   []string  // default full, paper, dftl, sftl
 	Workloads []string  // default zipf-hot
 	Budgets   []float64 // default 0
-	Dies      []int     // default 1
-	Planes    []int     // default 1
 	Queues    []int     // default 4
 	Speedups  []float64 // default 1
 	// Gamma is LeaFTL's error bound.
@@ -51,8 +45,6 @@ func (s CellsSpec) withDefaults() CellsSpec {
 	s.Schemes = orDefault(s.Schemes, "full", "paper", "dftl", "sftl")
 	s.Workloads = orDefault(s.Workloads, "zipf-hot")
 	s.Budgets = orDefault(s.Budgets, 0)
-	s.Dies = orDefault(s.Dies, 1)
-	s.Planes = orDefault(s.Planes, 1)
 	s.Queues = orDefault(s.Queues, 4)
 	s.Speedups = orDefault(s.Speedups, 1)
 	return s
@@ -70,10 +62,6 @@ func (c Cell) validate() error {
 	switch {
 	case !(c.Budget >= 0 && c.Budget <= 1):
 		return fmt.Errorf("cells: budget %v outside [0, 1]", c.Budget)
-	case c.Dies < 1:
-		return fmt.Errorf("cells: %d dies, want at least 1", c.Dies)
-	case c.Planes < 1:
-		return fmt.Errorf("cells: %d planes, want at least 1", c.Planes)
 	case c.Queues < 1:
 		return fmt.Errorf("cells: %d queues, want at least 1", c.Queues)
 	case !(c.Speedup > 0):
@@ -98,8 +86,6 @@ func (s CellsSpec) grid() []Cell {
 	cross(len(s.Workloads), func(c *Cell, i int) { c.Workload = s.Workloads[i] })
 	cross(len(s.Schemes), func(c *Cell, i int) { c.Scheme = s.Schemes[i] })
 	cross(len(s.Budgets), func(c *Cell, i int) { c.Budget = s.Budgets[i] })
-	cross(len(s.Dies), func(c *Cell, i int) { c.Dies = s.Dies[i] })
-	cross(len(s.Planes), func(c *Cell, i int) { c.Planes = s.Planes[i] })
 	cross(len(s.Queues), func(c *Cell, i int) { c.Queues = s.Queues[i] })
 	cross(len(s.Speedups), func(c *Cell, i int) { c.Speedup = s.Speedups[i] })
 	return cells
@@ -133,16 +119,14 @@ type CellRun struct {
 	// it moves with the mapping's encoding, which StateDigest does not
 	// see.
 	MappingDigest string `json:"mapping_digest"`
-	// Digest is the device's StateDigest after the final flush; digests
-	// of different geometries differ by design (page placement).
+	// Digest is the device's StateDigest after the final flush.
 	Digest string `json:"state_digest"`
 	// Result holds the replay's latency distributions.
 	Result *trace.OpenLoopResult `json:"-"`
 }
 
 // Cells crosses spec's axes into cells and runs each one on its own
-// warmed device: the simulator config at the cell's geometry, a
-// sequential fill of the workload's footprint (§4.1), the budget cap,
+// warmed device: the simulator config, a sequential fill of the workload's footprint (§4.1), the budget cap,
 // metrics reset, an issue-time open-loop replay (trace.ReplayIssued),
 // a final flush and CheckInvariants. A trace file is folded into the
 // device with trace.FitTo; an untimed one arrives 20µs apart.
@@ -178,9 +162,9 @@ func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
 	t := Table{
 		ID:    "cells",
 		Title: fmt.Sprintf("evaluation cells: %s scale, seed %d, gamma=%d", s.Scale.Name, s.Seed, spec.Gamma),
-		Header: []string{"scheme", "workload", "budget", "dies", "planes", "queues", "speedup",
+		Header: []string{"scheme", "workload", "budget", "queues", "speedup",
 			"kIOPS", "p50", "p99", "p999", "wait p99", "WAF", "map", "resident",
-			"metaR/req", "metaW/req", "meta overlap", "journal a/f/chain", "state digest", "mapping digest"},
+			"metaR/req", "metaW/req", "journal a/f/chain", "state digest", "mapping digest"},
 		Notes: "issue-time open-loop replay on a footprint-warmed device; budget = fraction of the scheme's mapping size after warm-up; map sizes read after the final flush",
 	}
 	for _, r := range runs {
@@ -190,7 +174,7 @@ func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			r.Scheme, r.Workload, budget,
-			fmt.Sprintf("%d", r.Dies), fmt.Sprintf("%d", r.Planes), fmt.Sprintf("%d", r.Queues),
+			fmt.Sprintf("%d", r.Queues),
 			fmt.Sprintf("%gx", r.Speedup),
 			fmt.Sprintf("%.1f", r.KIOPS),
 			usF(r.P50us), usF(r.P99us), usF(r.P999us), usF(r.WaitP99us),
@@ -198,7 +182,6 @@ func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
 			metrics.FormatBytes(int64(r.MapBytes)), metrics.FormatBytes(int64(r.ResidentBytes)),
 			fmt.Sprintf("%.4f", float64(r.Device.MetaReads)/float64(r.Requests)),
 			fmt.Sprintf("%.4f", float64(r.Device.MetaWrites)/float64(r.Requests)),
-			us(r.Device.MetaOverlap),
 			fmt.Sprintf("%d/%d/%d", r.Journal.Appends, r.Journal.Folds, r.Journal.MaxChain),
 			r.Digest, r.MappingDigest,
 		})
@@ -226,7 +209,6 @@ func (s *Suite) cellWorkload(name string) ([]trace.Request, error) {
 // cell runs one cell and returns its outcome with the device it ran on.
 func (s *Suite) cell(c Cell, reqs []trace.Request, gamma int) (CellRun, *ssd.Device, error) {
 	cfg := s.simConfig("sim")
-	cfg.Flash.DiesPerChan, cfg.Flash.PlanesPerDie = c.Dies, c.Planes
 	sch := s.newScheme(c.Scheme, gamma, cfg)
 	dev, err := ssd.New(cfg, sch)
 	if err != nil {

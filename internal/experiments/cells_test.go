@@ -108,12 +108,9 @@ func TestCellsRejectBadSpecs(t *testing.T) {
 		{"empty trace", CellsSpec{Schemes: one, Workloads: []string{empty}}, "empty trace"},
 		{"negative budget", CellsSpec{Schemes: one, Budgets: []float64{-0.1}}, "outside [0, 1]"},
 		{"budget above one", CellsSpec{Schemes: one, Budgets: []float64{1.5}}, "outside [0, 1]"},
-		{"zero dies", CellsSpec{Schemes: one, Dies: []int{0}}, "dies"},
-		{"zero planes", CellsSpec{Schemes: one, Planes: []int{0}}, "planes"},
 		{"zero queues", CellsSpec{Schemes: one, Queues: []int{0}}, "queues"},
 		{"zero speedup", CellsSpec{Schemes: one, Speedups: []float64{0}}, "speedup"},
 		{"negative speedup", CellsSpec{Schemes: one, Speedups: []float64{-2}}, "speedup"},
-		{"indivisible dies", CellsSpec{Schemes: one, Dies: []int{3}}, "not divisible"},
 	} {
 		_, _, err := s.Cells(tc.spec)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -123,7 +120,7 @@ func TestCellsRejectBadSpecs(t *testing.T) {
 }
 
 // TestCoreSweep sweeps the host queue count of the issue-time replay at
-// micro scale on one geometry and checks the properties the determinism
+// micro scale and checks the properties the determinism
 // gate relies on: every queue count serves the whole trace and finishes
 // with the same state digest, since queues move when flash work runs,
 // never what the device holds.
@@ -131,8 +128,7 @@ func TestCoreSweep(t *testing.T) {
 	const seed = 5
 	s := NewSuite(MicroScale(), seed)
 	runs, table, err := s.Cells(CellsSpec{
-		Schemes: []string{"paper"}, Dies: []int{2}, Planes: []int{2},
-		Queues: []int{1, 2, 4}, Speedups: []float64{4},
+		Schemes: []string{"paper"}, Queues: []int{1, 2, 4}, Speedups: []float64{4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +198,7 @@ func TestCellMapBytesAfterFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, scheme := range []string{"full", "paper", "dftl", "sftl"} {
-		c := Cell{Scheme: scheme, Workload: "mixed-rw", Dies: 1, Planes: 1, Queues: 4, Speedup: 1}
+		c := Cell{Scheme: scheme, Workload: "mixed-rw", Queues: 4, Speedup: 1}
 		run, dev, err := s.cell(c, reqs, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,7 @@
 // erase counting, and the out-of-band (OOB) metadata area LeaFTL uses to
 // store reverse mappings (paper §2, §3.5, Table 1).
 //
-// The model is deliberately first-order: each die (channel × die) is a
+// The model is deliberately first-order: each channel drives one die, a
 // timeline of busy spans (timeline.go), and every cell operation occupies
 // its die for the operation's nominal latency. A program or erase takes
 // the earliest idle gap at or after its issue time that fits it; with
@@ -17,23 +17,17 @@
 // Queue order no longer orders a block's own operations, so the array
 // states the NAND rules itself: a page program starts no earlier than
 // its block's latest erase completed, and no earlier than the block's
-// previous program started (multi-plane partners start together); an
-// erase likewise waits for the block's last program to complete. Each
-// die keeps its last maxSpans spans; older ones retire into a floor
-// before which nothing starts, so forgetting history can only delay a
-// later operation, never advance it.
+// previous program started; an erase likewise waits for the block's last
+// program to complete. Each die keeps its last maxSpans spans; older ones
+// retire into a floor before which nothing starts, so forgetting history
+// can only delay a later operation, never advance it.
 //
-// With DiesPerChan or PlanesPerDie above one, the channel bus becomes a
-// separate, shorter transfer-occupancy resource (a quarter of tR per
-// page; its horizon stays one scalar per channel — transfers are FIFO),
-// programs to distinct planes of one die can join a multi-plane window, and
-// completions across dies are naturally out of order. With one die and
-// one plane per channel and nothing booked ahead the arithmetic reduces
-// exactly to the original per-channel scalar-horizon model. This
-// reproduces the contention effects the paper's evaluation depends on
-// (flush and GC traffic delaying reads) without a full event-driven
-// simulator; docs/ARCHITECTURE.md ("Simulation clock") records the
-// substitution for WiscSim.
+// The channel bus is not modelled apart from its one die: with nothing
+// booked ahead the arithmetic reduces exactly to a per-channel scalar
+// busy horizon. This reproduces the contention effects the paper's
+// evaluation depends on (flush and GC traffic delaying reads) without a
+// full event-driven simulator; docs/ARCHITECTURE.md ("Simulation clock")
+// records the substitution for WiscSim.
 package flash
 
 import (
@@ -56,16 +50,6 @@ type Config struct {
 	ReadLatency   time.Duration // page read (20µs in Table 1)
 	WriteLatency  time.Duration // page program (200µs)
 	EraseLatency  time.Duration // block erase (1.5ms)
-
-	// DiesPerChan is the number of NAND dies (LUNs) sharing each channel
-	// bus. Zero or one keeps the original one-timeline-per-channel model;
-	// above one, cell operations occupy only their die and the channel
-	// bus carries per-page transfers (busXfer).
-	DiesPerChan int
-	// PlanesPerDie enables multi-plane programs: programs to distinct
-	// planes of one die issued while a program window is open complete
-	// together. Zero or one disables plane interleave.
-	PlanesPerDie int
 
 	// Fault selects the seeded reliability model (see fault.go). The
 	// zero value is perfect flash.
@@ -109,67 +93,13 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("flash: PageSize = %d, must be positive", c.PageSize)
 	case c.TotalPages() > int(addr.InvalidPPA):
 		return fmt.Errorf("flash: %d pages exceed the PPA space", c.TotalPages())
-	case c.DiesPerChan < 0:
-		return fmt.Errorf("flash: DiesPerChan = %d, must be non-negative", c.DiesPerChan)
-	case c.PlanesPerDie < 0:
-		return fmt.Errorf("flash: PlanesPerDie = %d, must be non-negative", c.PlanesPerDie)
-	case c.Dies() > 1 && c.BlocksPerChan%c.Dies() != 0:
-		return fmt.Errorf("flash: BlocksPerChan = %d not divisible by DiesPerChan = %d", c.BlocksPerChan, c.Dies())
-	case c.Planes() > 1 && c.PagesPerBlock%c.Planes() != 0:
-		return fmt.Errorf("flash: PagesPerBlock = %d not divisible by PlanesPerDie = %d", c.PagesPerBlock, c.Planes())
-	case c.Planes() > 32:
-		return fmt.Errorf("flash: PlanesPerDie = %d exceeds 32", c.Planes())
 	}
 	return c.Fault.Validate()
 }
 
-// Dies returns the dies per channel, normalizing 0 to 1.
-func (c *Config) Dies() int {
-	if c.DiesPerChan > 1 {
-		return c.DiesPerChan
-	}
-	return 1
-}
-
-// Planes returns the planes per die, normalizing 0 to 1.
-func (c *Config) Planes() int {
-	if c.PlanesPerDie > 1 {
-		return c.PlanesPerDie
-	}
-	return 1
-}
-
-// Units returns the number of independent service timelines
-// (channels × dies): blocks stripe over units exactly as they striped
-// over channels before, so unit u serves block b iff b % Units() == u
-// and ChannelOf is unchanged (b % (C·D) ≡ b (mod C)).
-func (c *Config) Units() int { return c.Channels * c.Dies() }
-
-// UnitOfBlock returns the die timeline serving block b.
-func (c *Config) UnitOfBlock(b BlockID) int {
-	return int(uint32(b) % uint32(c.Units()))
-}
-
-// UnitOf returns the die timeline serving ppa.
-func (c *Config) UnitOf(ppa addr.PPA) int { return c.UnitOfBlock(c.BlockOf(ppa)) }
-
-// DieOfBlock returns block b's die index within its channel
-// (0 ≤ die < Dies()).
-func (c *Config) DieOfBlock(b BlockID) int { return c.UnitOfBlock(b) / c.Channels }
-
-// PlaneOf returns ppa's plane within its die. A block spans all planes
-// of its die with consecutive page offsets alternating planes, so
-// sequential programs naturally form multi-plane pairs.
-func (c *Config) PlaneOf(ppa addr.PPA) int { return c.PageOf(ppa) % c.Planes() }
-
-// dieAware reports whether the bus/cell split and plane windows are
-// active. When false, timing is the original per-channel arithmetic.
-func (c *Config) dieAware() bool { return c.Dies() > 1 || c.Planes() > 1 }
-
-// busXfer returns the channel-bus occupancy of moving one page between
-// controller and die: a quarter of the page read time. Only charged
-// when the geometry is die-aware.
-func (c *Config) busXfer() time.Duration { return c.ReadLatency / 4 }
+// Units returns the number of independent service timelines: one die
+// per channel, so the die serving block b is ChannelOfBlock(b).
+func (c *Config) Units() int { return c.Channels }
 
 // Blocks returns the total number of erase blocks.
 func (c *Config) Blocks() int { return c.Channels * c.BlocksPerChan }
@@ -225,16 +155,6 @@ type Stats struct {
 	EraseFails     uint64 // failed block erases
 }
 
-// progWindow is one die's open multi-plane program window: programs to
-// distinct planes of the die that arrive while the window's program is
-// still the last thing booked on the die complete together with it (any
-// other operation on the die closes the window).
-type progWindow struct {
-	done      time.Duration // completion of the joint program
-	planeMask uint32        // planes already claimed
-	count     int           // programs joined so far
-}
-
 // Array is the simulated flash array. It stores, per page, an opaque
 // 8-byte payload token standing in for page contents (enough for
 // end-to-end integrity checking without 4KB of host memory per page) and
@@ -246,11 +166,8 @@ type progWindow struct {
 // whole blocks are erased.
 type Array struct {
 	cfg Config
-	// units and dieAware cache cfg.Units() and cfg.dieAware() for the
-	// per-operation path: Config's accessors take the 208-byte struct by
-	// value, and the nested ones copy it at every level.
-	units    uint32
-	dieAware bool
+	// units caches cfg.Units() for the per-operation path.
+	units uint32
 
 	token   []uint64   // page payload stand-in
 	reverse []addr.LPA // OOB reverse mapping (written LPA per page)
@@ -266,14 +183,7 @@ type Array struct {
 	// The die's queue order used to imply this; a timeline that back-fills
 	// gaps does not.
 	blockReady []time.Duration
-	// busBusy is the per-channel bus-transfer horizon (a scalar: bus
-	// transfers are short and served in issue order); only used when the
-	// geometry is die-aware.
-	busBusy []time.Duration
-	// progWin is each die's open multi-plane program window; only used
-	// when the geometry is die-aware.
-	progWin []progWindow
-	stats   Stats
+	stats      Stats
 
 	// Reliability state: per-block read counts since the last erase
 	// (read disturb), per-page program times (retention aging), and the
@@ -300,7 +210,6 @@ func NewArray(cfg Config) (*Array, error) {
 	return &Array{
 		cfg:        cfg,
 		units:      uint32(cfg.Units()),
-		dieAware:   cfg.dieAware(),
 		token:      make([]uint64, n),
 		reverse:    make([]addr.LPA, n),
 		seq:        make([]uint64, n),
@@ -309,8 +218,6 @@ func NewArray(cfg Config) (*Array, error) {
 		erases:     make([]uint32, cfg.Blocks()),
 		dies:       dies,
 		blockReady: make([]time.Duration, cfg.Blocks()),
-		busBusy:    make([]time.Duration, cfg.Channels),
-		progWin:    make([]progWindow, cfg.Units()),
 		blockReads: make([]uint32, cfg.Blocks()),
 		progAt:     make([]time.Duration, n),
 		fault:      newFaultModel(cfg.Fault),
@@ -336,13 +243,12 @@ func (a *Array) Observe(fn func(b BlockID, erase bool, start, done time.Duration
 // EraseCount returns how many times block b has been erased.
 func (a *Array) EraseCount(b BlockID) uint32 { return a.erases[b] }
 
-// unitOf returns the die timeline serving block b (cfg.UnitOfBlock).
+// unitOf returns the die timeline serving block b (cfg.ChannelOfBlock).
 func (a *Array) unitOf(b BlockID) int { return int(uint32(b) % a.units) }
 
 // book charges one program or erase of the given latency on die unit u,
 // in the earliest idle gap at or after ready that fits it.
 func (a *Array) book(u int, ready, latency time.Duration, kind spanKind) time.Duration {
-	a.progWin[u] = progWindow{}
 	return a.dies[u].book(ready, latency, kind)
 }
 
@@ -353,7 +259,6 @@ func (a *Array) book(u int, ready, latency time.Duration, kind spanKind) time.Du
 // for its own latency, so reads that jump the same backlog queue behind
 // each other: k reads issued together finish tR apart, not all at once.
 func (a *Array) serveRead(u int, now time.Duration) time.Duration {
-	a.progWin[u] = progWindow{}
 	return a.dies[u].read(now, a.cfg.ReadLatency, a.cfg.WriteLatency)
 }
 
@@ -370,45 +275,11 @@ func (a *Array) chargeRetries(u int, done time.Duration, retries int) time.Durat
 	return a.dies[u].extend(done, time.Duration(retries)*a.cfg.ReadLatency)
 }
 
-// busTransfer charges one page movement on ch's channel bus starting no
-// earlier than ready; die-aware geometry only.
-func (a *Array) busTransfer(ch int, ready time.Duration) time.Duration {
-	start := ready
-	if a.busBusy[ch] > start {
-		start = a.busBusy[ch]
-	}
-	done := start + a.cfg.busXfer()
-	a.busBusy[ch] = done
-	return done
-}
-
-// serveWrite charges one page program, starting no earlier than the
-// block allows (blockReady). In the die-aware geometry the page's data
-// first crosses the channel bus, then programs the cell on its die —
-// unless the die has an open multi-plane window (its last program is
-// still the last thing booked on the die, this page's plane is free, the
-// window completes after the transfer and starts no earlier than the
-// block allows), in which case the program joins the window and
-// completes with it: the idealized multi-plane interleave that lets
-// back-to-back programs to alternating planes finish Planes() pages per
-// WriteLatency.
-func (a *Array) serveWrite(ppa addr.PPA, b BlockID, now time.Duration) time.Duration {
-	u := a.unitOf(b)
-	ready, tPROG := now, a.cfg.WriteLatency
-	w, plane := &a.progWin[u], uint32(0)
-	if a.dieAware {
-		ready = a.busTransfer(a.cfg.ChannelOfBlock(b), now)
-		plane = 1 << uint(a.cfg.PlaneOf(ppa))
-		if w.count > 0 && w.count < a.cfg.Planes() && w.planeMask&plane == 0 &&
-			ready <= w.done && a.blockReady[b] <= w.done-tPROG {
-			w.count++
-			w.planeMask |= plane
-			a.blockReady[b] = w.done - tPROG
-			return w.done
-		}
-	}
-	done := a.book(u, max(ready, a.blockReady[b]), tPROG, kindProgram)
-	*w = progWindow{done: done, planeMask: plane, count: 1} // only ever joined when die-aware
+// serveWrite charges one page program on b's die, starting no earlier
+// than the block allows (blockReady).
+func (a *Array) serveWrite(b BlockID, now time.Duration) time.Duration {
+	tPROG := a.cfg.WriteLatency
+	done := a.book(a.unitOf(b), max(now, a.blockReady[b]), tPROG, kindProgram)
 	a.blockReady[b] = done - tPROG
 	return done
 }
@@ -472,9 +343,6 @@ func (a *Array) Read(ppa addr.PPA, now time.Duration) (token uint64, reverse add
 	u := a.unitOf(a.cfg.BlockOf(ppa))
 	done = a.serveRead(u, now)
 	done, dataUECC, oobUECC := a.sampleRead(ppa, u, done, true, true)
-	if a.dieAware {
-		done = a.busTransfer(a.cfg.ChannelOf(ppa), done)
-	}
 	switch {
 	case dataUECC:
 		return 0, addr.InvalidLPA, done, fmt.Errorf("%w: PPA %d", ErrUncorrectable, ppa)
@@ -493,9 +361,6 @@ func (a *Array) ReadOOB(ppa addr.PPA, now time.Duration) (addr.LPA, time.Duratio
 	u := a.unitOf(a.cfg.BlockOf(ppa))
 	done := a.serveRead(u, now)
 	done, _, oobUECC := a.sampleRead(ppa, u, done, false, true)
-	if a.dieAware {
-		done = a.busTransfer(a.cfg.ChannelOf(ppa), done)
-	}
 	if oobUECC {
 		return addr.InvalidLPA, done, fmt.Errorf("%w: PPA %d", ErrOOBUncorrectable, ppa)
 	}
@@ -523,7 +388,7 @@ func (a *Array) Write(ppa addr.PPA, lpa addr.LPA, token uint64, now time.Duratio
 	a.nextPg[b] = pg + 1
 	a.written[ppa] = true
 	a.progAt[ppa] = now
-	done := a.serveWrite(ppa, b, now)
+	done := a.serveWrite(b, now)
 	if a.observe != nil {
 		a.observe(b, false, done-a.cfg.WriteLatency, done)
 	}
@@ -623,23 +488,14 @@ func (a *Array) metaUnit(id uint64) int {
 // "Demand-paged mapping & DRAM model").
 func (a *Array) MetaRead(id uint64, now time.Duration) time.Duration {
 	a.stats.PageReads++
-	u := a.metaUnit(id)
-	done := a.serveRead(u, now)
-	if a.dieAware {
-		done = a.busTransfer(u%a.cfg.Channels, done)
-	}
-	return done
+	return a.serveRead(a.metaUnit(id), now)
 }
 
 // MetaWrite charges one translation-page write on the die derived from
 // the page's identity.
 func (a *Array) MetaWrite(id uint64, now time.Duration) time.Duration {
 	a.stats.PageWrites++
-	u := a.metaUnit(id)
-	if a.dieAware {
-		now = a.busTransfer(u%a.cfg.Channels, now)
-	}
-	return a.book(u, now, a.cfg.WriteLatency, kindProgram)
+	return a.book(a.metaUnit(id), now, a.cfg.WriteLatency, kindProgram)
 }
 
 // OOBWindow models the paper's §3.5 misprediction recovery: the OOB of
@@ -662,9 +518,6 @@ func (a *Array) OOBWindow(center addr.PPA, gamma int, now time.Duration) (window
 	u := a.unitOf(a.cfg.BlockOf(center))
 	done = a.serveRead(u, now)
 	done, _, oobUECC := a.sampleRead(center, u, done, false, true)
-	if a.dieAware {
-		done = a.busTransfer(a.cfg.ChannelOf(center), done)
-	}
 	if oobUECC {
 		return nil, done, fmt.Errorf("%w: PPA %d (OOB window)", ErrOOBUncorrectable, center)
 	}

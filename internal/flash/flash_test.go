@@ -345,53 +345,52 @@ func TestTimelineReadDuringErase(t *testing.T) {
 // block's latest erase ended or before the block's previous page
 // started, and no erase may start before the block's last program ended.
 func TestTimelineBlockOrdering(t *testing.T) {
-	for name, cfg := range map[string]Config{"legacy": testCfg(), "dies2planes2": dieCfg(2, 2)} {
-		a, _ := NewArray(cfg)
-		type blockTimes struct{ eraseEnd, progStart, progEnd time.Duration }
-		seen := make([]blockTimes, cfg.Blocks())
-		programs, erases := 0, 0
-		a.Observe(func(b BlockID, erase bool, start, done time.Duration) {
-			bt := &seen[b]
-			switch {
-			case erase && start < bt.progEnd:
-				t.Errorf("%s: block %d erased at %v, before its last program ended at %v", name, b, start, bt.progEnd)
-			case !erase && start < bt.eraseEnd:
-				t.Errorf("%s: block %d programmed at %v, before its erase ended at %v", name, b, start, bt.eraseEnd)
-			case !erase && start < bt.progStart:
-				t.Errorf("%s: block %d programmed at %v, before its previous page started at %v", name, b, start, bt.progStart)
-			}
-			if erase {
-				erases++
-				*bt = blockTimes{eraseEnd: done}
-			} else {
-				programs++
-				bt.progStart, bt.progEnd = start, done
-			}
-		})
-		rng := rand.New(rand.NewSource(20))
-		var clock time.Duration
-		for i := 0; i < 20000; i++ {
-			clock += time.Duration(rng.Intn(1200)) * time.Microsecond
-			now := clock
-			if rng.Intn(3) == 0 {
-				now += time.Duration(rng.Intn(8000)) * time.Microsecond // booked ahead
-			}
-			b := BlockID(rng.Intn(cfg.Blocks()))
-			switch next := a.ProgrammedPages(b); {
-			case rng.Intn(4) == 0:
-				a.Read(cfg.FirstPPA(b)+addr.PPA(rng.Intn(cfg.PagesPerBlock)), now)
-			case next == cfg.PagesPerBlock || next > 0 && rng.Intn(6) == 0:
-				a.Erase(b, now)
-			default:
-				a.Write(cfg.FirstPPA(b)+addr.PPA(next), addr.LPA(i), 0, now)
-			}
-			if err := a.CheckTimelines(); err != nil {
-				t.Fatalf("%s: step %d: %v", name, i, err)
-			}
+	cfg := testCfg()
+	a, _ := NewArray(cfg)
+	type blockTimes struct{ eraseEnd, progStart, progEnd time.Duration }
+	seen := make([]blockTimes, cfg.Blocks())
+	programs, erases := 0, 0
+	a.Observe(func(b BlockID, erase bool, start, done time.Duration) {
+		bt := &seen[b]
+		switch {
+		case erase && start < bt.progEnd:
+			t.Errorf("block %d erased at %v, before its last program ended at %v", b, start, bt.progEnd)
+		case !erase && start < bt.eraseEnd:
+			t.Errorf("block %d programmed at %v, before its erase ended at %v", b, start, bt.eraseEnd)
+		case !erase && start < bt.progStart:
+			t.Errorf("block %d programmed at %v, before its previous page started at %v", b, start, bt.progStart)
 		}
-		if programs < 1000 || erases < 100 {
-			t.Fatalf("%s: churn made %d programs and %d erases: nothing audited", name, programs, erases)
+		if erase {
+			erases++
+			*bt = blockTimes{eraseEnd: done}
+		} else {
+			programs++
+			bt.progStart, bt.progEnd = start, done
 		}
+	})
+	rng := rand.New(rand.NewSource(20))
+	var clock time.Duration
+	for i := 0; i < 20000; i++ {
+		clock += time.Duration(rng.Intn(1200)) * time.Microsecond
+		now := clock
+		if rng.Intn(3) == 0 {
+			now += time.Duration(rng.Intn(8000)) * time.Microsecond // booked ahead
+		}
+		b := BlockID(rng.Intn(cfg.Blocks()))
+		switch next := a.ProgrammedPages(b); {
+		case rng.Intn(4) == 0:
+			a.Read(cfg.FirstPPA(b)+addr.PPA(rng.Intn(cfg.PagesPerBlock)), now)
+		case next == cfg.PagesPerBlock || next > 0 && rng.Intn(6) == 0:
+			a.Erase(b, now)
+		default:
+			a.Write(cfg.FirstPPA(b)+addr.PPA(next), addr.LPA(i), 0, now)
+		}
+		if err := a.CheckTimelines(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if programs < 1000 || erases < 100 {
+		t.Fatalf("churn made %d programs and %d erases: nothing audited", programs, erases)
 	}
 }
 

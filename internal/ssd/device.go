@@ -45,9 +45,9 @@ type Device struct {
 	valid []bool // PVT: per-PPA validity bitmap (Figure 3 structure 4)
 	bvc   []int  // BVC: per-block valid-page count (structure 3)
 	// free is the free pool in the order blocks were freed (oldest first);
-	// nextChan[die] is the channel takeFree tries first for that die.
+	// nextChan is the channel takeFree tries first.
 	free     []flash.BlockID
-	nextChan []int
+	nextChan int
 	isFree   []bool
 	blockSeq []uint64 // allocation sequence per block, for recovery order
 	nextSeq  uint64
@@ -65,33 +65,27 @@ type Device struct {
 	writeStamp uint64
 
 	// Staging reused from call to call, so a warmed device's request path
-	// does not allocate: the flush's LPA run and per-lane pending
-	// mappings and program attempts; the GC window's victims, pooled
-	// pages, the pool sort's second buffer and per-lane pending mappings.
-	// Flush and GC keep separate buffers because allocBlockOn can run GC
-	// in the middle of a flush.
-	flushLPAs     []addr.LPA
-	flushPairs    [][]addr.Mapping
-	flushAttempts []int
-	gcVictims     []flash.BlockID
-	gcPages       []movedPage
-	gcSort        []movedPage
-	gcPairs       [][]addr.Mapping
+	// does not allocate: the flush's LPA run and pending mappings; the GC
+	// window's victims, pooled pages, the pool sort's second buffer and
+	// pending mappings. Flush and GC keep separate buffers because
+	// allocBlock can run GC in the middle of a flush.
+	flushLPAs  []addr.LPA
+	flushPairs []addr.Mapping
+	gcVictims  []flash.BlockID
+	gcPages    []movedPage
+	gcSort     []movedPage
+	gcPairs    []addr.Mapping
 
 	// Garbage collection machinery: the incremental valid-count index
-	// greedy victim selection runs over, and the GC destination lanes,
-	// one per die (gcLanes[l] is die l's open relocation block).
+	// greedy victim selection runs over, and the open GC destination
+	// block.
 	victims *VictimIndex
-	gcLanes []destLane
-	// dieLanes is the die fan-out of the allocator (Flash.Dies()):
-	// flushes and GC relocation stripe pages round-robin over this many
-	// open destination blocks, one per die.
-	dieLanes int
-	// flushLanes are the flush destination lanes, one per die. They
-	// persist across flushes on a multi-die geometry (sealing when
-	// full); with one die every flush seals its blocks exactly as the
-	// old chunked writer did and the lanes are never left open.
-	flushLanes []destLane
+	gcLane  destLane
+	// flushLane is the open flush destination block. A block-granularity
+	// flush fills whole blocks and seals them; only a program failure,
+	// which burns a page and moves the rest of the run to a fresh block,
+	// leaves the lane open across flushes.
+	flushLane destLane
 
 	// Reliability state: bad marks blocks retired (or sealed awaiting
 	// retirement) after program/erase failures — a persisted bad-block
@@ -153,23 +147,15 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 		token:        make([]uint64, cfg.LogicalPages()),
 		valid:        make([]bool, cfg.Flash.TotalPages()),
 		bvc:          make([]int, cfg.Flash.Blocks()),
-		nextChan:     make([]int, cfg.Flash.Dies()),
 		isFree:       make([]bool, cfg.Flash.Blocks()),
 		blockSeq:     make([]uint64, cfg.Flash.Blocks()),
 		buffered:     make([]bool, cfg.LogicalPages()),
 		victims:      newVictimIndex(cfg.Flash.Blocks(), cfg.Flash.PagesPerBlock),
-		gcLanes:      make([]destLane, cfg.Flash.Dies()),
-		dieLanes:     cfg.Flash.Dies(),
-		flushLanes:   make([]destLane, cfg.Flash.Dies()),
 		bad:          make([]bool, cfg.Flash.Blocks()),
 		lost:         make([]bool, cfg.LogicalPages()),
 		scrubSet:     make([]bool, cfg.Flash.Blocks()),
 		readLat:      metrics.NewHistogram(),
 		writeLat:     metrics.NewHistogram(),
-
-		flushPairs:    make([][]addr.Mapping, cfg.Flash.Dies()),
-		flushAttempts: make([]int, cfg.Flash.Dies()),
-		gcPairs:       make([][]addr.Mapping, cfg.Flash.Dies()),
 	}
 	for i := range d.truth {
 		d.truth[i] = addr.InvalidPPA
@@ -476,10 +462,9 @@ func (d *Device) readPage(lpa addr.LPA, t time.Duration) (time.Duration, error) 
 // probed directly.
 func (d *Device) readApprox(lpa addr.LPA, predicted, want addr.PPA, t time.Duration) (uint64, time.Duration, error) {
 	d.stats.Mispredictions++
-	// The raw prediction can overshoot the device on striped layouts
-	// (lane-interleaved flush pages learn stride-Dies() segments whose
-	// extrapolation runs past the last page); the controller clamps the
-	// read target to the die it actually has.
+	// A segment's extrapolation can run past either end of the device
+	// (its last LPAs predicted beyond the last page); the controller
+	// clamps the read target to the pages it actually has.
 	pred := clampPPA(int64(predicted), int64(d.cfg.Flash.TotalPages()))
 	if pred == want {
 		// The clamp put the first read on the true page: a misprediction
@@ -739,50 +724,41 @@ func (d *Device) commitPairs(pairs []addr.Mapping, t time.Duration) {
 	d.chargeMeta(d.scheme.Commit(pairs), t)
 }
 
-// sealFlushLane closes lane's open destination block: commit its
-// pending mappings, count it flushed, and hand it to the GC victim
-// index (no further programs land in it).
-func (d *Device) sealFlushLane(lane int, pairs []addr.Mapping, t time.Duration) {
-	st := &d.flushLanes[lane]
+// sealFlushLane closes the open flush block: commit its pending
+// mappings, count it flushed, and hand it to the GC victim index (no
+// further programs land in it).
+func (d *Device) sealFlushLane(t time.Duration) {
+	st := &d.flushLane
 	d.crashPoint("flush.programmed")
-	d.commitPairs(pairs, t)
+	d.commitPairs(d.flushPairs, t)
 	d.crashPoint("flush.committed")
+	d.flushPairs = d.flushPairs[:0]
 	d.stats.FlushedBlocks++
 	d.victims.add(st.block, d.bvc[st.block])
 	*st = destLane{}
 }
 
-// flushPages programs the flushable pages across the die-interleaved
-// flush lanes: page i of the sorted run goes to lane i % dieLanes, and
-// each lane fills one open block on its own die, so the flush's program
-// burst fans out over every die instead of serializing on one. Sorted
-// order still means ascending LPAs land on consecutive PPAs within each
-// lane (a stride-dieLanes run — the monotone mapping §3.3 exploits, with
-// slope 1/dieLanes). With one die the pass degenerates to the original
-// chunked writer: one lane sealing exactly every PagesPerBlock pages.
+// flushPages programs the flushable pages in sorted order into the flush
+// lane's blocks, sealing each as it fills: ascending LPAs land on
+// consecutive PPAs, the monotone mapping §3.3 exploits.
 //
 // A program failure burns its page and condemns the lane's block: the
 // pages already programmed are committed, the block is sealed bad
 // (retired by the next retireSweep), and the lane continues — retrying
-// the failed page first — on a fresh block from the same die.
-// maxProgramAttempts consecutive failures of one page are a hard device
-// failure.
+// the failed page first — on a fresh block. maxProgramAttempts
+// consecutive failures of one page are a hard device failure.
 func (d *Device) flushPages(lpas []addr.LPA, t time.Duration, sealPartial bool) (time.Duration, error) {
 	ppb := d.cfg.Flash.PagesPerBlock
-	// The scheme only borrows a committed batch, so each lane's buffer is
+	st := &d.flushLane
+	// The scheme only borrows a committed batch, so the buffer is
 	// truncated and refilled rather than reallocated.
-	pairs, attempts := d.flushPairs, d.flushAttempts
-	for lane := range pairs {
-		pairs[lane] = pairs[lane][:0]
-	}
-	clear(attempts)
+	d.flushPairs = d.flushPairs[:0]
+	attempts := 0
 	var done time.Duration
-	for i, l := range lpas {
-		lane := i % d.dieLanes
+	for _, l := range lpas {
 		for {
-			st := &d.flushLanes[lane]
 			if !st.open {
-				b, err := d.allocBlockOn(lane, t)
+				b, err := d.allocBlock(t)
 				if err != nil {
 					return done, err
 				}
@@ -795,51 +771,44 @@ func (d *Device) flushPages(lpas []addr.LPA, t time.Duration, sealPartial bool) 
 			}
 			st.next++
 			if werr != nil {
-				attempts[lane]++
-				if attempts[lane] >= maxProgramAttempts {
+				attempts++
+				if attempts >= maxProgramAttempts {
 					return done, fmt.Errorf("ssd: page for LPA %d failed to program on %d consecutive blocks: %w",
-						l, attempts[lane], werr)
+						l, attempts, werr)
 				}
 				d.crashPoint("flush.progfail")
-				d.commitPairs(pairs[lane], t)
-				pairs[lane] = pairs[lane][:0]
+				d.commitPairs(d.flushPairs, t)
+				d.flushPairs = d.flushPairs[:0]
 				bad := st.block
 				*st = destLane{}
 				d.abandonBadBlock(bad)
-				continue // retry the same LPA on a fresh block of this die
+				continue // retry the same LPA on a fresh block
 			}
-			attempts[lane] = 0
+			attempts = 0
 			d.invalidate(l)
 			d.truth[l] = ppa
 			d.valid[ppa] = true
 			d.bvc[st.block]++
-			pairs[lane] = append(pairs[lane], addr.Mapping{LPA: l, PPA: ppa})
+			d.flushPairs = append(d.flushPairs, addr.Mapping{LPA: l, PPA: ppa})
 			d.buffered[l] = false
 			if st.next >= ppb {
-				d.sealFlushLane(lane, pairs[lane], t)
-				pairs[lane] = pairs[lane][:0]
+				d.sealFlushLane(t)
 			}
 			break
 		}
 	}
-	for lane := range d.flushLanes {
-		if !d.flushLanes[lane].open {
-			continue
-		}
-		if sealPartial {
-			// Full Flush: close out every open lane, partial or not.
-			d.sealFlushLane(lane, pairs[lane], t)
-			pairs[lane] = pairs[lane][:0]
-			continue
-		}
+	switch {
+	case !st.open:
+	case sealPartial:
+		// Full Flush: close out the open block, partial or not.
+		d.sealFlushLane(t)
+	case len(d.flushPairs) > 0:
 		// The lane stays open across flushes; its mappings must land in
 		// the scheme now — reads consult the scheme, not the lane.
-		if len(pairs[lane]) > 0 {
-			d.crashPoint("flush.programmed")
-			d.commitPairs(pairs[lane], t)
-			d.crashPoint("flush.committed")
-			pairs[lane] = pairs[lane][:0]
-		}
+		d.crashPoint("flush.programmed")
+		d.commitPairs(d.flushPairs, t)
+		d.crashPoint("flush.committed")
+		d.flushPairs = d.flushPairs[:0]
 	}
 	return done, nil
 }
@@ -870,15 +839,15 @@ func (d *Device) invalidate(lpa addr.LPA) {
 	d.victims.update(b, d.bvc[b])
 }
 
-// allocBlockOn takes a free block on the given die for a flush lane,
-// garbage-collecting first if the pool is empty.
-func (d *Device) allocBlockOn(die int, t time.Duration) (flash.BlockID, error) {
+// allocBlock takes a free block for the flush lane, garbage-collecting
+// first if the pool is empty.
+func (d *Device) allocBlock(t time.Duration) (flash.BlockID, error) {
 	if len(d.free) == 0 {
 		if err := d.runGC(t, 1, false); err != nil {
 			return 0, err
 		}
 	}
-	b, ok := d.takeFree(die)
+	b, ok := d.takeFree()
 	if !ok {
 		return 0, fmt.Errorf("ssd: out of flash blocks (logical space overcommitted)")
 	}
@@ -886,36 +855,31 @@ func (d *Device) allocBlockOn(die int, t time.Duration) (flash.BlockID, error) {
 	return b, nil
 }
 
-// takeFree allocates the next destination block for a flush or GC lane
-// on the given die: the oldest free block on the next channel in
-// rotation. nextChan[die] is where the rotation stands; channels are
-// tried from there in ascending order (wrapping), the first one holding a
-// free block of the die wins, and among that channel's free blocks the
-// one freed longest ago is taken. Consecutive destinations therefore
-// land on different channels — their program bursts run side by side —
-// and a block erased an instant ago, whose erase may still be in flight
-// under a channel-parallel GC run, goes to the back of the queue instead
-// of straight back out. A die with no free block left falls back to the
-// oldest free block of any die.
+// takeFree allocates the next destination block for the flush or GC
+// lane: the oldest free block on the next channel in rotation. nextChan
+// is where the rotation stands; channels are tried from there in
+// ascending order (wrapping), the first one holding a free block wins,
+// and among that channel's free blocks the one freed longest ago is
+// taken. Consecutive destinations therefore land on different channels —
+// their program bursts run side by side — and a block erased an instant
+// ago, whose erase may still be in flight under a channel-parallel GC
+// run, goes to the back of the queue instead of straight back out.
 //
 // The choice is a function of device state alone (free order and the
 // cursor, both folded into StateDigest), never of flash busy horizons:
 // ReadAt's contract is that state depends on apply order only, and a
 // chooser that looked at clocks would tie the physical layout to how
 // request times interleave.
-func (d *Device) takeFree(die int) (flash.BlockID, bool) {
+func (d *Device) takeFree() (flash.BlockID, bool) {
 	if len(d.free) == 0 {
 		return 0, false
 	}
 	fc := d.cfg.Flash
 	idx, best := 0, fc.Channels
 	for i, b := range d.free {
-		if fc.DieOfBlock(b) != die {
-			continue
-		}
 		// Distance from the cursor in rotation order; the scan runs oldest
 		// first, so a tie keeps the older block.
-		dist := (fc.ChannelOfBlock(b) - d.nextChan[die] + fc.Channels) % fc.Channels
+		dist := (fc.ChannelOfBlock(b) - d.nextChan + fc.Channels) % fc.Channels
 		if dist < best {
 			idx, best = i, dist
 			if dist == 0 {
@@ -925,7 +889,7 @@ func (d *Device) takeFree(die int) (flash.BlockID, bool) {
 	}
 	b := d.free[idx]
 	d.free = append(d.free[:idx], d.free[idx+1:]...)
-	d.nextChan[die] = (fc.ChannelOfBlock(b) + 1) % fc.Channels
+	d.nextChan = (fc.ChannelOfBlock(b) + 1) % fc.Channels
 	d.isFree[b] = false
 	d.nextSeq++
 	d.blockSeq[b] = d.nextSeq
@@ -933,28 +897,17 @@ func (d *Device) takeFree(die int) (flash.BlockID, bool) {
 }
 
 // chargeMeta charges translation-metadata flash operations, routing each
-// to the die derived from its translation page's identity. Reads
-// serialize into the request's timeline — their data gates progress.
-// Writes on a multi-die geometry are issued and left behind: they occupy
-// their die (and wear the flash) but the request does not wait for them,
-// and the wait it would have paid accrues in Stats.MetaOverlap — the
-// map-op/data-op pipelining a real controller gets from die parallelism.
-// With one die, writes serialize exactly as before.
+// to the die derived from its translation page's identity. Both reads
+// and writes serialize into the request's timeline.
 func (d *Device) chargeMeta(c ftl.Cost, t time.Duration) time.Duration {
 	for i := 0; i < c.MetaReads; i++ {
 		t = d.arr.MetaRead(c.ReadIDs[i], t)
 		d.stats.MetaReads++
 	}
-	pipelined := d.dieLanes > 1
 	for i := 0; i < c.MetaWrites; i++ {
 		d.crashPoint("meta.write")
-		done := d.arr.MetaWrite(c.WriteIDs[i], t)
+		t = d.arr.MetaWrite(c.WriteIDs[i], t)
 		d.stats.MetaWrites++
-		if pipelined {
-			d.stats.MetaOverlap += done - t
-		} else {
-			t = done
-		}
 	}
 	return t
 }

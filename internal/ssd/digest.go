@@ -4,8 +4,8 @@ import "hash/fnv"
 
 // StateDigest folds every piece of order-dependent device state — host
 // ground truth, PVT/BVC bitmaps, free-pool order, the allocator's
-// channel cursors and allocation sequence, the write buffer with its
-// flush order, the GC destination lanes, and reliability marks — into
+// channel cursor and allocation sequence, the write buffer with its
+// flush order, the GC destination lane, and reliability marks — into
 // one FNV-1a hash. Two devices with equal digests hold bit-identical
 // firmware state: the same data at the same physical addresses with the
 // same bookkeeping.
@@ -50,9 +50,7 @@ func (d *Device) StateDigest() uint64 {
 	for _, b := range d.free {
 		w64(uint64(b))
 	}
-	for _, ch := range d.nextChan {
-		w64(uint64(ch))
-	}
+	w64(uint64(d.nextChan))
 	w64(uint64(len(d.scrubPend)))
 	for _, b := range d.scrubPend {
 		w64(uint64(b))
@@ -64,21 +62,8 @@ func (d *Device) StateDigest() uint64 {
 		w64(uint64(l))
 		w64(d.token[l]) // a buffered LPA's payload
 	}
-	for _, st := range d.gcLanes {
-		wbool(st.open)
-		w64(uint64(st.block))
-		w64(uint64(st.next))
-	}
-	// Flush lanes exist only on a multi-die geometry (a single-die
-	// device seals every flush block immediately, so the lanes are
-	// always closed and hashing them would only perturb the legacy
-	// digest stream).
-	if d.dieLanes > 1 {
-		for _, st := range d.flushLanes {
-			wbool(st.open)
-			w64(uint64(st.block))
-			w64(uint64(st.next))
-		}
-	}
+	wbool(d.gcLane.open)
+	w64(uint64(d.gcLane.block))
+	w64(uint64(d.gcLane.next))
 	return h.Sum64()
 }

@@ -10,8 +10,8 @@ import (
 	"leaftl/internal/ftl"
 )
 
-// destLane is one open destination block: a GC destination or a
-// die-interleaved flush lane, programmed in page order.
+// destLane is one open destination block, the flush lane's or the GC
+// lane's, programmed in page order.
 type destLane struct {
 	open  bool
 	block flash.BlockID
@@ -76,7 +76,7 @@ func (d *Device) maybeGC(t time.Duration) error {
 	// (every candidate fully valid) or the watermark is beyond what the
 	// candidates' stale pages can free, the drive simply runs below its
 	// high watermark until churn invalidates pages — only allocation
-	// with an empty pool is a hard failure (allocBlockOn's runGC call).
+	// with an empty pool is a hard failure (allocBlock's runGC call).
 	if err := d.runGC(t, high, true); err != nil {
 		return err
 	}
@@ -93,9 +93,9 @@ func (d *Device) maybeGC(t time.Duration) error {
 // is up to Flash.Units() victims, picked greedily (fewest valid pages
 // first, §3.6) over the incremental valid-count index in the order a
 // one-at-a-time run would pick them. Their valid pages are copied out
-// into one pool, which reclaim sorts by LPA and programs into the
-// per-die destination lanes. LPAs are unique device-wide, so LPA order
-// is also mapping-group order: each group's relocated pages land as one
+// into one pool, which reclaim sorts by LPA and programs into the GC
+// destination lane. LPAs are unique device-wide, so LPA order is also
+// mapping-group order: each group's relocated pages land as one
 // ascending run per destination block, and a relearning scheme re-fits
 // each touched group once per window instead of once per victim that
 // held a few of its pages.
@@ -104,20 +104,19 @@ func (d *Device) maybeGC(t time.Duration) error {
 // their pooled pages will open (destBlocks), bring the free pool to
 // minFree — so a run stops at the victim a one-at-a-time run toward the
 // same target would stop at — or once those destination blocks would
-// leave fewer free blocks than there are destination lanes. A window's
-// victims are erased only after its last program, so its destinations
-// come out of the pool as it stood, and the next victim could need a
-// fresh block on every lane.
+// leave no free block. A window's victims are erased only after its last
+// program, so its destinations come out of the pool as it stood, and the
+// next victim could need a fresh destination block.
 //
 // Two windows are in flight at once: window w is issued when window
 // w − 2 finished programming, so one window's copy-out reads overlap the
 // previous window's programs, and the pages staged in controller DRAM
 // between copy-out and copy-in never exceed 2 × Units() blocks. The
-// per-die timelines in internal/flash serialize whatever truly shares a
-// die — work booked here for a future time is a reservation that leaves
-// the die usable until then; with takeFree rotating destinations over
-// the channels, a window's program bursts land on different dies and
-// overlap. The firmware still handles one window after another: only
+// per-channel die timelines in internal/flash serialize whatever truly
+// shares a die — work booked here for a future time is a reservation
+// that leaves the die usable until then; with takeFree rotating
+// destinations over the channels, a window's program bursts land on
+// different dies and overlap. The firmware still handles one window after another: only
 // the timestamps overlap.
 //
 // GC's flash traffic completes at d.gcHorizon, the latest completion of
@@ -149,7 +148,7 @@ func (d *Device) runGC(t time.Duration, minFree int, bestEffort bool) error {
 			}
 			readsDone = max(readsDone, done)
 			need := d.destBlocks()
-			if len(d.free)+len(d.gcVictims)-need >= minFree || len(d.free)-need < len(d.gcLanes) {
+			if len(d.free)+len(d.gcVictims)-need >= minFree || len(d.free)-need < 1 {
 				break
 			}
 		}
@@ -170,15 +169,13 @@ func (d *Device) runGC(t time.Duration, minFree int, bestEffort bool) error {
 
 // reachableFree returns how many blocks would be free if every victim
 // candidate were reclaimed: the free pool, plus the candidates' stale
-// pages and the room left in the open GC destination blocks, in whole
+// pages and the room left in the open GC destination block, in whole
 // blocks.
 func (d *Device) reachableFree() int {
 	ppb := d.cfg.Flash.PagesPerBlock
 	room := d.victims.invalidPages()
-	for _, st := range d.gcLanes {
-		if st.open {
-			room += ppb - st.next
-		}
+	if d.gcLane.open {
+		room += ppb - d.gcLane.next
 	}
 	return len(d.free) + room/ppb
 }
@@ -263,30 +260,25 @@ func (d *Device) copyOut(victim flash.BlockID, t time.Duration) (time.Duration, 
 }
 
 // destBlocks returns how many fresh destination blocks programming the
-// pooled pages will open. The pool's j-th page goes to lane j % dieLanes
-// (reclaim's striping), and a lane needs fresh blocks only for the pages
-// its open block has no room left for.
+// pooled pages will open: the GC lane needs them only for the pages its
+// open block has no room left for.
 func (d *Device) destBlocks() int {
 	ppb := d.cfg.Flash.PagesPerBlock
-	n := len(d.gcPages)
-	need := 0
-	for lane, st := range d.gcLanes {
-		pages := (n - lane + d.dieLanes - 1) / d.dieLanes
-		if st.open {
-			pages -= ppb - st.next
-		}
-		if pages > 0 {
-			need += (pages + ppb - 1) / ppb
-		}
+	pages := len(d.gcPages)
+	if d.gcLane.open {
+		pages -= ppb - d.gcLane.next
 	}
-	return need
+	if pages <= 0 {
+		return 0
+	}
+	return (pages + ppb - 1) / ppb
 }
 
 // reclaim is the one relocation function: GC windows, wear leveling,
 // scrubbing and retirement all move blocks through it. It programs the
 // window's pooled pages — copied out by copyOut, issued at issued, the
-// last read done at readsDone — into the per-die destination lanes,
-// then erases every victim back into the free pool (GC, scrubbing, wear
+// last read done at readsDone — into the GC destination lane, then
+// erases every victim back into the free pool (GC, scrubbing, wear
 // leveling) or retires it (retire=true, and forced for grown-bad blocks
 // and erase failures: the block is never erased, never freed, and drops
 // out of rotation). Relocation is charged like any other flash traffic:
@@ -314,47 +306,41 @@ func (d *Device) reclaim(issued, readsDone time.Duration, retire bool) (programm
 
 	writeT := readsDone
 	lastDone := readsDone
-	// The scheme only borrows a committed batch, so each lane's buffer is
+	// The scheme only borrows a committed batch, so the buffer is
 	// truncated and refilled rather than reallocated.
-	pairs := d.gcPairs
-	for lane := range pairs {
-		pairs[lane] = pairs[lane][:0]
-	}
+	d.gcPairs = d.gcPairs[:0]
 	// GC relocation is the one moment the drive holds an LPA-sorted run
 	// of a group's pages next to a sequential destination — a relearning
 	// scheme re-fits the affected groups from it (LearnedFTL-style
 	// GC-time retraining); for everyone else CommitGC is plain Commit.
 	relearner, _ := d.scheme.(ftl.GCRelearner)
-	flushPairs := func(lane int) {
-		if len(pairs[lane]) == 0 {
+	flushPairs := func() {
+		if len(d.gcPairs) == 0 {
 			return
 		}
 		if relearner != nil {
-			cost, n := relearner.CommitGC(pairs[lane])
+			cost, n := relearner.CommitGC(d.gcPairs)
 			d.stats.Relearns += uint64(n)
 			d.chargeMeta(cost, writeT)
 		} else {
-			cost := d.scheme.Commit(pairs[lane])
-			d.chargeMeta(cost, writeT)
+			d.chargeMeta(d.scheme.Commit(d.gcPairs), writeT)
 		}
-		pairs[lane] = pairs[lane][:0]
+		d.gcPairs = d.gcPairs[:0]
 	}
-	// One pass over the sorted pool, striped round-robin over the per-die
-	// lanes: every committed batch is an ascending LPA run onto ascending
-	// PPAs of one lane block (the scheme contract), and the relocation
-	// program burst fans out over the dies.
-	for j, pg := range pages {
-		lane := j % d.dieLanes
+	// One pass over the sorted pool: every committed batch is an
+	// ascending LPA run onto ascending PPAs of one destination block (the
+	// scheme contract).
+	for _, pg := range pages {
 		attempts := 0
 		for {
-			ppa, fresh, err := d.gcDest(lane)
+			ppa, fresh, err := d.gcDest()
 			if err != nil {
 				return 0, 0, err
 			}
 			if fresh {
 				// Destination block changed: PPAs would jump backwards or
 				// across blocks, so commit the accumulated ascending run.
-				flushPairs(lane)
+				flushPairs()
 			}
 			done, werr := d.arr.Write(ppa, pg.lpa, pg.tok, writeT)
 			if done > lastDone {
@@ -362,31 +348,28 @@ func (d *Device) reclaim(issued, readsDone time.Duration, retire bool) (programm
 			}
 			if werr != nil {
 				// The destination burned a page: condemn it, commit the run
-				// it holds, and retry on a fresh block of the lane's die.
+				// it holds, and retry on a fresh block.
 				attempts++
 				if attempts >= maxProgramAttempts {
 					return 0, 0, fmt.Errorf("ssd: GC relocation of LPA %d failed to program on %d consecutive blocks: %w",
 						pg.lpa, attempts, werr)
 				}
-				flushPairs(lane)
-				st := &d.gcLanes[lane]
-				st.open = false
-				d.abandonBadBlock(st.block)
+				flushPairs()
+				d.gcLane.open = false
+				d.abandonBadBlock(d.gcLane.block)
 				continue
 			}
 			d.invalidate(pg.lpa)
 			d.truth[pg.lpa] = ppa
 			d.valid[ppa] = true
 			d.bvc[d.cfg.Flash.BlockOf(ppa)]++
-			pairs[lane] = append(pairs[lane], addr.Mapping{LPA: pg.lpa, PPA: ppa})
+			d.gcPairs = append(d.gcPairs, addr.Mapping{LPA: pg.lpa, PPA: ppa})
 			d.stats.GCPagesMoved++
-			d.sealIfFull(lane)
+			d.sealIfFull()
 			break
 		}
 	}
-	for lane := range pairs {
-		flushPairs(lane)
-	}
+	flushPairs()
 	d.crashPoint("gc.programmed")
 	programmed, finished = lastDone, lastDone
 	for _, victim := range d.gcVictims {
@@ -442,16 +425,15 @@ func (d *Device) eraseVictim(victim flash.BlockID, t time.Duration, retire bool)
 	return finished, nil
 }
 
-// gcDest returns the next destination PPA for a GC move on the given
-// die lane, opening a new block when the lane has none: takeFree's next
-// block in channel rotation on the lane's own die, so relocation
-// programs fan out over dies and successive destinations over channels.
+// gcDest returns the next destination PPA for a GC move, opening a new
+// block when the lane has none: takeFree's next block in channel
+// rotation, so successive destinations land on different channels.
 // fresh reports a block switch.
-func (d *Device) gcDest(lane int) (addr.PPA, bool, error) {
-	st := &d.gcLanes[lane]
+func (d *Device) gcDest() (addr.PPA, bool, error) {
+	st := &d.gcLane
 	fresh := false
 	if !st.open {
-		b, ok := d.takeFree(lane)
+		b, ok := d.takeFree()
 		if !ok {
 			return 0, false, fmt.Errorf("ssd: GC needs a destination block but none are free")
 		}
@@ -463,11 +445,11 @@ func (d *Device) gcDest(lane int) (addr.PPA, bool, error) {
 	return ppa, fresh, nil
 }
 
-// sealIfFull closes a destination lane whose block just filled,
-// entering it into the victim index (it is from now on fair game for
-// reclaim, like any flushed block).
-func (d *Device) sealIfFull(lane int) {
-	st := &d.gcLanes[lane]
+// sealIfFull closes the GC lane when its block just filled, entering it
+// into the victim index (it is from now on fair game for reclaim, like
+// any flushed block).
+func (d *Device) sealIfFull() {
+	st := &d.gcLane
 	if !st.open || st.next < d.cfg.Flash.PagesPerBlock {
 		return
 	}
@@ -475,21 +457,12 @@ func (d *Device) sealIfFull(lane int) {
 	st.open = false
 }
 
-// isOpenDest reports whether b is an open destination block — a GC
-// lane or a die-interleaved flush lane — still accepting programs, so
-// neither a victim candidate nor fair game for the scrub/retire sweeps.
+// isOpenDest reports whether b is an open destination block — the GC
+// lane's or the flush lane's — still accepting programs, so neither a
+// victim candidate nor fair game for the scrub/retire sweeps.
 func (d *Device) isOpenDest(b flash.BlockID) bool {
-	for i := range d.gcLanes {
-		if d.gcLanes[i].open && d.gcLanes[i].block == b {
-			return true
-		}
-	}
-	for i := range d.flushLanes {
-		if d.flushLanes[i].open && d.flushLanes[i].block == b {
-			return true
-		}
-	}
-	return false
+	return d.gcLane.open && d.gcLane.block == b ||
+		d.flushLane.open && d.flushLane.block == b
 }
 
 // maybeWearLevel migrates the coldest block when the erase-count spread

@@ -135,50 +135,48 @@ func TestGCVictimSelectionPrefersInvalid(t *testing.T) {
 	}
 }
 
-// TestGCDestinationContinuesAcrossRuns: GC destination blocks stay open
-// across reclaim runs, and an open one is never a victim candidate. Two
-// dies give two destination lanes.
+// TestGCDestinationContinuesAcrossRuns: the GC destination block stays
+// open across reclaim runs, and while open it is never a victim
+// candidate.
 func TestGCDestinationContinuesAcrossRuns(t *testing.T) {
 	cfg := testConfig()
-	cfg.Flash.DiesPerChan = 2
 	d := newTestDevice(t, cfg, leaftl.New(0, cfg.Flash.PageSize))
 	fillAndChurn(t, d, 60000)
-	open := 0
-	for _, st := range d.gcLanes {
-		if !st.open {
-			continue
-		}
-		open++
-		if d.victims.Has(st.block) {
-			t.Errorf("open GC destination block %d is a victim candidate", st.block)
-		}
-	}
-	if open == 0 {
+	st := d.gcLane
+	if !st.open {
 		t.Fatal("churn left no GC destination open: nothing checked")
+	}
+	if d.victims.Has(st.block) {
+		t.Errorf("open GC destination block %d is a victim candidate", st.block)
 	}
 }
 
-// TestGCInsideFlush drains the free pool so that allocBlockOn has to run
-// GC in the middle of a flush, on a two-die geometry where the other
-// flush lane holds programmed but not yet committed mappings at that
-// moment. Every flushed mapping must still reach the scheme: flush and GC
-// stage their batches in separate buffers, and a GC that reused the
-// flush's would silently drop the pending ones.
+// TestGCInsideFlush drains the free pool so that allocBlock has to run
+// GC in the middle of a flush, after the flush has already programmed
+// and committed some of its pages. Every flushed mapping must still
+// reach the scheme: flush and GC stage their batches in separate
+// buffers, and a GC that disturbed the flush's would silently drop
+// mappings.
 func TestGCInsideFlush(t *testing.T) {
 	cfg := testConfig()
-	cfg.Flash.DiesPerChan = 2
+	// A flush fills two blocks, so the second allocation comes after the
+	// first block's pages are programmed and committed.
+	cfg.BufferPages = 2 * cfg.Flash.PagesPerBlock
 	// The low watermark rounds down to zero blocks, so no GC runs after a
 	// flush: the pool drains, and only allocation reclaims.
 	cfg.GCLowWater = 0.5 / float64(cfg.Flash.Blocks())
 	d := newTestDevice(t, cfg, leaftl.New(0, cfg.Flash.PageSize))
-	pendingAtGC := 0
+	midFlushGC := 0
 	d.SetCrashHook(func(point string) {
 		if point != "gc.read" {
 			return
 		}
-		for _, p := range d.flushPairs {
-			if len(p) > 0 {
-				pendingAtGC++
+		// Mid-flush, the insertion-order log still names the pages the
+		// flush has programmed.
+		for _, l := range d.bufOrder {
+			if !d.buffered[l] {
+				midFlushGC++
+				break
 			}
 		}
 	})
@@ -197,9 +195,9 @@ func TestGCInsideFlush(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Stats().GCRuns == 0 || pendingAtGC == 0 {
-		t.Fatalf("%d GC runs, %d with flush mappings pending: the scenario never ran GC inside a flush",
-			d.Stats().GCRuns, pendingAtGC)
+	if d.Stats().GCRuns == 0 || midFlushGC == 0 {
+		t.Fatalf("%d GC runs, %d after the flush programmed pages: the scenario never ran GC inside a flush",
+			d.Stats().GCRuns, midFlushGC)
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -505,10 +503,8 @@ func (r *gcBatchRecorder) CommitGC(pairs []addr.Mapping) (ftl.Cost, int) {
 // consecutive PPAs holding ascending LPAs — instead of one short run per
 // victim that held some of the group's pages. Every relocation batch the
 // scheme re-learns from is an ascending LPA run onto consecutive PPAs.
-// Four dies make the pool stripe over four lanes.
 func TestGCGathersGroups(t *testing.T) {
 	cfg := parallelGCConfig()
-	cfg.Flash.DiesPerChan = 4
 	rec := &gcBatchRecorder{Scheme: leaftl.New(4, cfg.Flash.PageSize, leaftl.WithExactBitmap())}
 	d := newTestDevice(t, cfg, rec)
 	uniformChurn(t, d, 30000)
@@ -642,31 +638,28 @@ func TestGCCrashBetweenWindowErases(t *testing.T) {
 // per-die busy horizons guarantee it; this is the guard that they keep
 // doing so.
 func TestNoProgramBeforeEraseCompletes(t *testing.T) {
-	for _, dies := range []int{1, 2} {
-		cfg := parallelGCConfig()
-		cfg.Flash.DiesPerChan = dies
-		d := newTestDevice(t, cfg, leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000)))
-		erased := make(map[flash.BlockID]time.Duration)
-		reprogrammed := 0
-		d.arr.Observe(func(b flash.BlockID, erase bool, start, done time.Duration) {
-			if erase {
-				erased[b] = done
-				return
-			}
-			if end, ok := erased[b]; ok {
-				reprogrammed++
-				if start < end {
-					t.Errorf("dies=%d: block %d programmed at %v, before its erase completed at %v", dies, b, start, end)
-				}
-			}
-		})
-		uniformChurn(t, d, 30000)
-		if err := d.CheckInvariants(); err != nil {
-			t.Fatal(err)
+	cfg := parallelGCConfig()
+	d := newTestDevice(t, cfg, leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000)))
+	erased := make(map[flash.BlockID]time.Duration)
+	reprogrammed := 0
+	d.arr.Observe(func(b flash.BlockID, erase bool, start, done time.Duration) {
+		if erase {
+			erased[b] = done
+			return
 		}
-		if d.Stats().GCErases == 0 || reprogrammed == 0 {
-			t.Fatalf("dies=%d: churn reused no erased block (GCErases %d): nothing audited", dies, d.Stats().GCErases)
+		if end, ok := erased[b]; ok {
+			reprogrammed++
+			if start < end {
+				t.Errorf("block %d programmed at %v, before its erase completed at %v", b, start, end)
+			}
 		}
+	})
+	uniformChurn(t, d, 30000)
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if d.Stats().GCErases == 0 || reprogrammed == 0 {
+		t.Fatalf("churn reused no erased block (GCErases %d): nothing audited", d.Stats().GCErases)
 	}
 }
 

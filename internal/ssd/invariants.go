@@ -22,15 +22,15 @@ import (
 //   - Free pool: the free list and isFree bitmap agree, free blocks
 //     hold no valid pages, no allocation sequence, and appear once.
 //   - Victim index: exactly the sealed allocated blocks are candidates,
-//     each bucketed at its current valid count; open GC destination
-//     lanes and free blocks are absent.
-//   - Bad blocks: never on the free list or open as a GC lane; a
+//     each bucketed at its current valid count; open destination
+//     blocks and free blocks are absent.
+//   - Bad blocks: never on the free list or an open destination; a
 //     retired block (bad, no allocation sequence) holds no valid pages
 //     and sits in no structure at all.
 //   - Lost LPAs: map to no page and hold no buffered data (a host
 //     rewrite clears the flag before buffering).
-//   - GC lanes: open destinations are allocated, partially programmed
-//     blocks.
+//   - Flush and GC lanes: an open destination is an allocated,
+//     partially programmed block.
 //   - Write buffer: never exceeds its configured capacity.
 //   - Demand-paged mapping: the scheme's GMD bookkeeping is internally
 //     consistent, its resident state fits the mapping budget, and its
@@ -197,7 +197,7 @@ func (d *Device) CheckInvariants() error {
 		case d.isFree[b]:
 			return fmt.Errorf("invariant: bad block %d is on the free list", b)
 		case d.isOpenDest(id):
-			return fmt.Errorf("invariant: bad block %d is an open GC destination", b)
+			return fmt.Errorf("invariant: bad block %d is an open destination", b)
 		case d.blockSeq[b] == 0 && d.bvc[b] != 0:
 			return fmt.Errorf("invariant: retired block %d still holds %d valid pages", b, d.bvc[b])
 		case d.blockSeq[b] == 0 && d.victims.Has(id):
@@ -219,40 +219,26 @@ func (d *Device) CheckInvariants() error {
 		}
 	}
 
-	// GC lanes: open destinations are allocated and mid-block.
-	for lane, st := range d.gcLanes {
+	// Open destination blocks are allocated and mid-block, and the flush
+	// lane's block is absent from the victim index until sealed.
+	for _, l := range []struct {
+		name string
+		st   destLane
+	}{{"GC", d.gcLane}, {"flush", d.flushLane}} {
+		st := l.st
 		if !st.open {
 			continue
 		}
 		switch {
 		case d.isFree[st.block]:
-			return fmt.Errorf("invariant: GC lane %d destination block %d is on the free list", lane, st.block)
+			return fmt.Errorf("invariant: %s lane block %d is on the free list", l.name, st.block)
 		case d.blockSeq[st.block] == 0:
-			return fmt.Errorf("invariant: GC lane %d destination block %d has no allocation sequence", lane, st.block)
+			return fmt.Errorf("invariant: %s lane block %d has no allocation sequence", l.name, st.block)
 		case st.next <= 0 || st.next >= cfg.PagesPerBlock:
-			return fmt.Errorf("invariant: GC lane %d destination block %d open at page %d of %d",
-				lane, st.block, st.next, cfg.PagesPerBlock)
-		}
-	}
-
-	// Flush lanes: open destinations are allocated, mid-block, on their
-	// own die, and absent from the victim index until sealed.
-	for lane, st := range d.flushLanes {
-		if !st.open {
-			continue
-		}
-		switch {
-		case d.dieLanes == 1:
-			return fmt.Errorf("invariant: flush lane open on a single-die geometry (block %d)", st.block)
-		case d.isFree[st.block]:
-			return fmt.Errorf("invariant: flush lane %d block %d is on the free list", lane, st.block)
-		case d.blockSeq[st.block] == 0:
-			return fmt.Errorf("invariant: flush lane %d block %d has no allocation sequence", lane, st.block)
-		case st.next <= 0 || st.next >= cfg.PagesPerBlock:
-			return fmt.Errorf("invariant: flush lane %d block %d open at page %d of %d",
-				lane, st.block, st.next, cfg.PagesPerBlock)
+			return fmt.Errorf("invariant: %s lane block %d open at page %d of %d",
+				l.name, st.block, st.next, cfg.PagesPerBlock)
 		case d.victims.Has(st.block):
-			return fmt.Errorf("invariant: open flush lane %d block %d already in the victim index", lane, st.block)
+			return fmt.Errorf("invariant: open %s lane block %d already in the victim index", l.name, st.block)
 		}
 	}
 

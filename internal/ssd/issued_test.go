@@ -44,7 +44,6 @@ func mixedTrace(rng *rand.Rand, logical, n int) []trace.Request {
 func counters(s Stats) Stats {
 	s.GCTime = 0
 	s.GCStall = 0
-	s.MetaOverlap = 0
 	return s
 }
 
@@ -53,57 +52,54 @@ func counters(s Stats) Stats {
 // trace.ReplayIssued over 1, 2, 4 and 8 host queues must leave
 // bit-identical device state (ground truth, PVT/BVC, free-pool order,
 // buffer, GC and reliability bookkeeping: StateDigest) and the same
-// transition counters, on every die geometry the cell runner benchmarks.
-// Issue time moves when flash work runs, never what the device holds:
-// state depends only on apply order.
+// transition counters, on the simulator's one die per channel. Issue
+// time moves when flash work runs, never what the device holds: state
+// depends only on apply order.
 func TestIssuedReplayDeterministic(t *testing.T) {
-	for _, dies := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("dies%d", dies), func(t *testing.T) {
-			cfg := testConfig()
-			cfg.Flash.DiesPerChan = dies
-			mk := func() *Device {
-				return newTestDevice(t, cfg, leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000)))
-			}
-			closed := mk()
-			reqs := mixedTrace(seededRand(t, 71), closed.LogicalPages(), 20000)
-			if err := trace.Replay(closed, reqs); err != nil {
-				t.Fatal(err)
-			}
-			if err := closed.CheckInvariants(); err != nil {
-				t.Fatalf("closed-loop invariants: %v", err)
-			}
-			wantDigest := closed.StateDigest()
-			wantStats := counters(closed.Stats())
-			if wantStats.GCErases == 0 {
-				t.Fatal("trace did not exercise GC; determinism coverage too shallow")
-			}
+	t.Run("dies1", func(t *testing.T) {
+		cfg := testConfig()
+		mk := func() *Device {
+			return newTestDevice(t, cfg, leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000)))
+		}
+		closed := mk()
+		reqs := mixedTrace(seededRand(t, 71), closed.LogicalPages(), 20000)
+		if err := trace.Replay(closed, reqs); err != nil {
+			t.Fatal(err)
+		}
+		if err := closed.CheckInvariants(); err != nil {
+			t.Fatalf("closed-loop invariants: %v", err)
+		}
+		wantDigest := closed.StateDigest()
+		wantStats := counters(closed.Stats())
+		if wantStats.GCErases == 0 {
+			t.Fatal("trace did not exercise GC; determinism coverage too shallow")
+		}
 
-			for _, queues := range []int{1, 2, 4, 8} {
-				t.Run(fmt.Sprintf("queues%d", queues), func(t *testing.T) {
-					d := mk()
-					res, err := trace.ReplayIssued(d, reqs, trace.OpenLoopConfig{Queues: queues})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Requests != len(reqs) {
-						t.Errorf("served %d of %d requests", res.Requests, len(reqs))
-					}
-					if err := d.CheckInvariants(); err != nil {
-						t.Fatalf("invariants: %v", err)
-					}
-					if got := d.StateDigest(); got != wantDigest {
-						t.Errorf("state digest %#x != closed loop %#x: queue count changed device state", got, wantDigest)
-					}
-					if got := counters(d.Stats()); got != wantStats {
-						t.Errorf("counters diverged from closed loop:\n got %+v\nwant %+v", got, wantStats)
-					}
-					if d.Now() != res.Elapsed {
-						t.Errorf("device clock %v after replay, makespan %v", d.Now(), res.Elapsed)
-					}
-				})
-			}
-		})
-	}
+		for _, queues := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("queues%d", queues), func(t *testing.T) {
+				d := mk()
+				res, err := trace.ReplayIssued(d, reqs, trace.OpenLoopConfig{Queues: queues})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Requests != len(reqs) {
+					t.Errorf("served %d of %d requests", res.Requests, len(reqs))
+				}
+				if err := d.CheckInvariants(); err != nil {
+					t.Fatalf("invariants: %v", err)
+				}
+				if got := d.StateDigest(); got != wantDigest {
+					t.Errorf("state digest %#x != closed loop %#x: queue count changed device state", got, wantDigest)
+				}
+				if got := counters(d.Stats()); got != wantStats {
+					t.Errorf("counters diverged from closed loop:\n got %+v\nwant %+v", got, wantStats)
+				}
+				if d.Now() != res.Elapsed {
+					t.Errorf("device clock %v after replay, makespan %v", d.Now(), res.Elapsed)
+				}
+			})
+		}
+	})
 }
 
 // TestReplayIssuedSingleQueueMatchesOpenLoop: through one host queue,

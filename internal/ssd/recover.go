@@ -84,8 +84,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	clear(d.buffered)
 	d.bufOrder = d.bufOrder[:0]
 	d.cache.Resize(0)
-	clear(d.gcLanes)
-	clear(d.flushLanes)
+	d.gcLane, d.flushLane = destLane{}, destLane{}
 	for i := range d.scrubSet {
 		d.scrubSet[i] = false
 	}
@@ -123,7 +122,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 		}
 	}
 
-	// Die-parallel OOB scan of every programmed block. Burned pages
+	// Channel-parallel OOB scan of every programmed block. Burned pages
 	// (failed programs) carry a nulled OOB and are skipped; unreadable
 	// OOBs retry through the sibling window at one extra read.
 	chanBusy := make([]time.Duration, cfg.Units())
@@ -142,7 +141,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 		}
 		rep.BlocksScanned++
 		first := cfg.FirstPPA(id)
-		ch := cfg.UnitOf(first)
+		ch := cfg.ChannelOf(first)
 		for i := 0; i < programmed; i++ {
 			ppa := first + addr.PPA(i)
 			rep.PagesScanned++
@@ -227,7 +226,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	}
 	var order []blockOrder
 	d.free = d.free[:0]
-	clear(d.nextChan)
+	d.nextChan = 0
 	for b := 0; b < cfg.Blocks(); b++ {
 		d.blockSeq[b] = 0
 		d.isFree[b] = false

@@ -72,13 +72,6 @@ type Stats struct {
 	// in open-loop replay. GCStall never exceeds GCTime.
 	GCTime  time.Duration
 	GCStall time.Duration
-
-	// MetaOverlap is the simulated time translation-page writes spent
-	// completing on their dies *after* the charging request had already
-	// moved on — the map-op/data-op pipelining a multi-die geometry
-	// buys. Always zero with one die per channel (meta writes then
-	// serialize into the request).
-	MetaOverlap time.Duration
 }
 
 // WAF returns the write amplification factor given the raw flash page
