@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"leaftl/internal/addr"
@@ -65,7 +66,7 @@ const (
 
 	// journalPageIDBit tags journal translation-page identities so they
 	// never collide with the pager's image PPAs when the device routes
-	// meta operations to die lanes.
+	// meta operations to dies.
 	journalPageIDBit = uint64(1) << 62
 )
 
@@ -658,16 +659,16 @@ func (j *journal) load(gid addr.GroupID) ([]byte, ftl.Cost) {
 	if g == nil {
 		panic(fmt.Sprintf("core: journal load of unknown group %d", gid))
 	}
+	// The base and at most journalMaxChain records span a handful of
+	// pages, so a repeated page is found in the IDs charged so far.
 	var cost ftl.Cost
-	seen := make(map[uint64]bool)
 	charge := func(rec jrec) {
 		for p := rec.first; p <= rec.last; p++ {
 			if p >= j.pageSeq {
 				continue // open SRAM tail page: free to read
 			}
-			if !seen[p] {
-				seen[p] = true
-				cost.AddRead(journalPageIDBit | p)
+			if id := journalPageIDBit | p; !slices.Contains(cost.ReadIDs, id) {
+				cost.AddRead(id)
 			}
 		}
 	}
