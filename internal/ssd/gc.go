@@ -116,8 +116,8 @@ func (d *Device) maybeGC(t time.Duration) error {
 // shares a die — work booked here for a future time is a reservation
 // that leaves the die usable until then; with takeFree rotating
 // destinations over the channels, a window's program bursts land on
-// different dies and overlap. The firmware still handles one window after another: only
-// the timestamps overlap.
+// different dies and overlap. The firmware still handles one window
+// after another: only the timestamps overlap.
 //
 // GC's flash traffic completes at d.gcHorizon, the latest completion of
 // the run; the next flush stalls behind it (and behind its own program
