@@ -166,8 +166,6 @@ type Stats struct {
 // whole blocks are erased.
 type Array struct {
 	cfg Config
-	// units caches cfg.Units() for the per-operation path.
-	units uint32
 
 	token   []uint64   // page payload stand-in
 	reverse []addr.LPA // OOB reverse mapping (written LPA per page)
@@ -209,7 +207,6 @@ func NewArray(cfg Config) (*Array, error) {
 	}
 	return &Array{
 		cfg:        cfg,
-		units:      uint32(cfg.Units()),
 		token:      make([]uint64, n),
 		reverse:    make([]addr.LPA, n),
 		seq:        make([]uint64, n),
@@ -244,7 +241,7 @@ func (a *Array) Observe(fn func(b BlockID, erase bool, start, done time.Duration
 func (a *Array) EraseCount(b BlockID) uint32 { return a.erases[b] }
 
 // unitOf returns the die timeline serving block b (cfg.ChannelOfBlock).
-func (a *Array) unitOf(b BlockID) int { return int(uint32(b) % a.units) }
+func (a *Array) unitOf(b BlockID) int { return int(uint32(b) % uint32(a.cfg.Channels)) }
 
 // book charges one program or erase of the given latency on die unit u,
 // in the earliest idle gap at or after ready that fits it.
@@ -478,7 +475,7 @@ func (a *Array) TokenAt(ppa addr.PPA) uint64 { return a.token[ppa] }
 // much data traffic happens to interleave — so identical meta sequences
 // land on identical dies across schemes and runs.
 func (a *Array) metaUnit(id uint64) int {
-	return int(id % uint64(a.units))
+	return int(id % uint64(a.cfg.Channels))
 }
 
 // MetaRead charges one translation-page read on the die derived from the
