@@ -76,7 +76,7 @@ func TestMetaPlacementDataIndependent(t *testing.T) {
 		}
 		quiet := now + time.Hour
 		cfg := a.Config()
-		units := cfg.Units()
+		units := cfg.Channels
 		before := make([]time.Duration, units)
 		for u := 0; u < units; u++ {
 			before[u] = a.dies[u].busyUntil()
@@ -92,9 +92,9 @@ func TestMetaPlacementDataIndependent(t *testing.T) {
 	}
 	want := probe(0, 0)
 	cfg := testCfg()
-	if want != metaPage%cfg.Units() {
+	if want != metaPage%cfg.Channels {
 		t.Fatalf("meta page %d routed to unit %d, want identity-derived %d",
-			metaPage, want, metaPage%cfg.Units())
+			metaPage, want, metaPage%cfg.Channels)
 	}
 	for _, prime := range [][2]int{{1, 0}, {5, 3}, {8, 7}} {
 		if got := probe(prime[0], prime[1]); got != want {

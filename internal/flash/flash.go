@@ -97,10 +97,6 @@ func (c *Config) Validate() error {
 	return c.Fault.Validate()
 }
 
-// Units returns the number of independent service timelines: one die
-// per channel, so the die serving block b is ChannelOfBlock(b).
-func (c *Config) Units() int { return c.Channels }
-
 // Blocks returns the total number of erase blocks.
 func (c *Config) Blocks() int { return c.Channels * c.BlocksPerChan }
 
@@ -201,7 +197,7 @@ func NewArray(cfg Config) (*Array, error) {
 		return nil, err
 	}
 	n := cfg.TotalPages()
-	dies := make([]timeline, cfg.Units())
+	dies := make([]timeline, cfg.Channels)
 	for u := range dies {
 		dies[u] = newTimeline(maxSpans)
 	}
@@ -240,9 +236,6 @@ func (a *Array) Observe(fn func(b BlockID, erase bool, start, done time.Duration
 // EraseCount returns how many times block b has been erased.
 func (a *Array) EraseCount(b BlockID) uint32 { return a.erases[b] }
 
-// unitOf returns the die timeline serving block b (cfg.ChannelOfBlock).
-func (a *Array) unitOf(b BlockID) int { return int(uint32(b) % uint32(a.cfg.Channels)) }
-
 // book charges one program or erase of the given latency on die unit u,
 // in the earliest idle gap at or after ready that fits it.
 func (a *Array) book(u int, ready, latency time.Duration, kind spanKind) time.Duration {
@@ -276,7 +269,7 @@ func (a *Array) chargeRetries(u int, done time.Duration, retries int) time.Durat
 // than the block allows (blockReady).
 func (a *Array) serveWrite(b BlockID, now time.Duration) time.Duration {
 	tPROG := a.cfg.WriteLatency
-	done := a.book(a.unitOf(b), max(now, a.blockReady[b]), tPROG, kindProgram)
+	done := a.book(a.cfg.ChannelOfBlock(b), max(now, a.blockReady[b]), tPROG, kindProgram)
 	a.blockReady[b] = done - tPROG
 	return done
 }
@@ -337,7 +330,7 @@ func (a *Array) busyAge(ppa addr.PPA, now time.Duration) time.Duration {
 func (a *Array) Read(ppa addr.PPA, now time.Duration) (token uint64, reverse addr.LPA, done time.Duration, err error) {
 	a.stats.PageReads++
 	a.blockReads[a.cfg.BlockOf(ppa)]++
-	u := a.unitOf(a.cfg.BlockOf(ppa))
+	u := a.cfg.ChannelOf(ppa)
 	done = a.serveRead(u, now)
 	done, dataUECC, oobUECC := a.sampleRead(ppa, u, done, true, true)
 	switch {
@@ -355,7 +348,7 @@ func (a *Array) Read(ppa addr.PPA, now time.Duration) (token uint64, reverse add
 func (a *Array) ReadOOB(ppa addr.PPA, now time.Duration) (addr.LPA, time.Duration, error) {
 	a.stats.PageReads++
 	a.blockReads[a.cfg.BlockOf(ppa)]++
-	u := a.unitOf(a.cfg.BlockOf(ppa))
+	u := a.cfg.ChannelOf(ppa)
 	done := a.serveRead(u, now)
 	done, _, oobUECC := a.sampleRead(ppa, u, done, false, true)
 	if oobUECC {
@@ -412,7 +405,7 @@ func (a *Array) Erase(b BlockID, now time.Duration) (time.Duration, error) {
 	if a.nextPg[b] > 0 {
 		ready += a.cfg.WriteLatency // its last program must have completed
 	}
-	done := a.book(a.unitOf(b), max(now, ready), a.cfg.EraseLatency, kindErase)
+	done := a.book(a.cfg.ChannelOfBlock(b), max(now, ready), a.cfg.EraseLatency, kindErase)
 	a.blockReady[b] = done
 	if a.observe != nil {
 		a.observe(b, true, done-a.cfg.EraseLatency, done)
@@ -512,7 +505,7 @@ func (a *Array) MetaWrite(id uint64, now time.Duration) time.Duration {
 func (a *Array) OOBWindow(center addr.PPA, gamma int, now time.Duration) (window []addr.LPA, done time.Duration, err error) {
 	a.stats.PageReads++
 	a.blockReads[a.cfg.BlockOf(center)]++
-	u := a.unitOf(a.cfg.BlockOf(center))
+	u := a.cfg.ChannelOf(center)
 	done = a.serveRead(u, now)
 	done, _, oobUECC := a.sampleRead(center, u, done, false, true)
 	if oobUECC {

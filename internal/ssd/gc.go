@@ -90,7 +90,7 @@ func (d *Device) maybeGC(t time.Duration) error {
 // relocating the fullest ones for a few stale pages each, so the run
 // aims one block short of what draining would free (reachableFree) and
 // leaves the fullest candidates behind. It reclaims in windows: a window
-// is up to Flash.Units() victims, picked greedily (fewest valid pages
+// is up to Flash.Channels victims, picked greedily (fewest valid pages
 // first, §3.6) over the incremental valid-count index in the order a
 // one-at-a-time run would pick them. Their valid pages are copied out
 // into one pool, which reclaim sorts by LPA and programs into the GC
@@ -111,7 +111,7 @@ func (d *Device) maybeGC(t time.Duration) error {
 // Two windows are in flight at once: window w is issued when window
 // w − 2 finished programming, so one window's copy-out reads overlap the
 // previous window's programs, and the pages staged in controller DRAM
-// between copy-out and copy-in never exceed 2 × Units() blocks. The
+// between copy-out and copy-in never exceed 2 × Channels blocks. The
 // per-channel die timelines in internal/flash serialize whatever truly
 // shares a die — work booked here for a future time is a reservation
 // that leaves the die usable until then; with takeFree rotating
@@ -137,7 +137,7 @@ func (d *Device) runGC(t time.Duration, minFree int, bestEffort bool) error {
 		issued := max(t, programmed[w%2])
 		d.openWindow()
 		readsDone := issued
-		for len(d.gcVictims) < d.cfg.Flash.Units() {
+		for len(d.gcVictims) < d.cfg.Flash.Channels {
 			victim, ok := d.victims.pickVictim()
 			if !ok {
 				break

@@ -264,7 +264,7 @@ func TestGCRunChannelParallel(t *testing.T) {
 	cfg := parallelGCConfig()
 	fc := cfg.Flash
 	d := newTestDevice(t, cfg, leaftl.New(0, fc.PageSize))
-	ppb, units := fc.PagesPerBlock, fc.Units()
+	ppb, units := fc.PagesPerBlock, fc.Channels
 
 	// A sequential fill lays block b's worth of LPAs into the b-th block
 	// allocated, and the allocator rotates channels, so the first sixteen
@@ -431,11 +431,11 @@ func recordWindows(t *testing.T, d *Device) *[]gcWindowRecord {
 // TestGCRunInFlightWindow checks the staging bound runGC documents on a
 // run several windows long: window w is issued exactly when window w − 2
 // finished programming, so never more than two windows — at most
-// 2 × Units() blocks of pages — sit between copy-out and last program,
+// 2 × Channels blocks of pages — sit between copy-out and last program,
 // and the run does keep two windows in flight.
 func TestGCRunInFlightWindow(t *testing.T) {
 	cfg := parallelGCConfig()
-	units, ppb := cfg.Flash.Units(), cfg.Flash.PagesPerBlock
+	units, ppb := cfg.Flash.Channels, cfg.Flash.PagesPerBlock
 	d := newTestDevice(t, cfg, leaftl.New(0, cfg.Flash.PageSize))
 	uniformChurn(t, d, 30000)
 
@@ -460,7 +460,7 @@ func TestGCRunInFlightWindow(t *testing.T) {
 			t.Fatalf("window %d issued at %v, want %v (when window %d finished programming)", k, w.issued, want, k-2)
 		}
 		if w.victims < 1 || w.victims > units {
-			t.Fatalf("window %d holds %d victims, want 1..Units() = %d", k, w.victims, units)
+			t.Fatalf("window %d holds %d victims, want 1..Channels = %d", k, w.victims, units)
 		}
 	}
 	peak, peakPages := 0, 0
@@ -475,7 +475,7 @@ func TestGCRunInFlightWindow(t *testing.T) {
 		peak, peakPages = max(peak, inFlight), max(peakPages, pages)
 	}
 	if peakPages > 2*units*ppb {
-		t.Errorf("%d pages staged at once, bound is 2 × Units() × PagesPerBlock = %d", peakPages, 2*units*ppb)
+		t.Errorf("%d pages staged at once, bound is 2 × Channels × PagesPerBlock = %d", peakPages, 2*units*ppb)
 	}
 	if peak > 2 {
 		t.Errorf("%d windows in flight at once, bound is 2", peak)

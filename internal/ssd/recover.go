@@ -125,7 +125,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	// Channel-parallel OOB scan of every programmed block. Burned pages
 	// (failed programs) carry a nulled OOB and are skipped; unreadable
 	// OOBs retry through the sibling window at one extra read.
-	chanBusy := make([]time.Duration, cfg.Units())
+	chanBusy := make([]time.Duration, cfg.Channels)
 	type copyRef struct {
 		ppa addr.PPA
 		seq uint64
