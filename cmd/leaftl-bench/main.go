@@ -36,7 +36,7 @@ func main() {
 	cells := flag.Bool("cells", false, "cell grid mode: replay every -schemes × -workloads × -budgets × -queues × -speedup cell open-loop at issue time (skips figures)")
 	schemes := flag.String("schemes", "", "-cells mode: comma-separated schemes: full, paper, dftl, sftl (default all four)")
 	workloads := flag.String("workloads", "", "-cells mode: comma-separated timed workloads (zipf-hot, mixed-rw) or trace files (default zipf-hot)")
-	budgets := flag.String("budgets", "", "-cells mode: comma-separated mapping-DRAM budgets as fractions of each scheme's mapping size after warm-up, 0 = uncapped (default 0)")
+	budgets := flag.String("budgets", "", "-cells mode: comma-separated DRAM budgets: the mapping+cache pool as a fraction of the 8 B/LPA page map, the same for every scheme and at most the scale's pool; 0 = the scale's pool (default 0)")
 	queues := flag.String("queues", "", "-cells mode: comma-separated host queue counts (default 4)")
 	speedup := flag.String("speedup", "", "-cells mode: comma-separated divisors of recorded inter-arrival times (default 1)")
 	torture := flag.Bool("torture", false, "reliability mode: seeded crash-torture matrix + fault-injection sweep (skips figures)")

@@ -128,7 +128,7 @@ func (s *Suite) AblationLogStructured() (Table, error) {
 // RecoveryExperiment exercises §3.8/§5: crash the simulated device after
 // a workload slice and report the OOB-scan recovery characteristics —
 // differentially verified — for every mapping scheme, including
-// demand-paged LeaFTL under a 25% budget (the GMD-restore path).
+// demand-paged LeaFTL under a 0.5 % budget (the GMD-restore path).
 func (s *Suite) RecoveryExperiment() (Table, error) {
 	t := Table{
 		ID:     "recovery",
@@ -141,7 +141,7 @@ func (s *Suite) RecoveryExperiment() (Table, error) {
 		budget float64
 	}
 	for _, name := range []string{"MSR-hm", "TPCC"} {
-		for _, c := range []cell{{"paper", 0}, {"paper", 0.25}, {"dftl", 0}, {"sftl", 0}} {
+		for _, c := range []cell{{"paper", 0}, {"paper", 0.005}, {"dftl", 0}, {"sftl", 0}} {
 			out, err := s.runRecovery(name, c.scheme, c.budget)
 			if err != nil {
 				return t, err

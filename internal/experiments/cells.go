@@ -20,8 +20,10 @@ type Cell struct {
 	Scheme string `json:"scheme"`
 	// Workload is a workload.TimedCatalog name or a trace file path.
 	Workload string `json:"workload"`
-	// Budget caps the mapping DRAM at this fraction of the scheme's
-	// FullSizeBytes after warm-up; 0 leaves it uncapped.
+	// Budget sizes the device's mapping+cache pool, from the first
+	// write, at this fraction of the page-level map of its logical
+	// space (8 B per LPA), the same bytes for every scheme; 0 keeps the
+	// scale's pool.
 	Budget float64 `json:"budget"`
 	// Queues is the host queue count of the issue-time replay.
 	Queues int `json:"queues"`
@@ -57,8 +59,8 @@ func orDefault[T any](vs []T, def ...T) []T {
 	return vs
 }
 
-// validate rejects a cell no device can run.
-func (c Cell) validate() error {
+// validate rejects a cell no device built from cfg can run.
+func (c Cell) validate(cfg ssd.Config) error {
 	switch {
 	case !(c.Budget >= 0 && c.Budget <= 1):
 		return fmt.Errorf("cells: budget %v outside [0, 1]", c.Budget)
@@ -66,6 +68,9 @@ func (c Cell) validate() error {
 		return fmt.Errorf("cells: %d queues, want at least 1", c.Queues)
 	case !(c.Speedup > 0):
 		return fmt.Errorf("cells: speedup %v, want a positive number", c.Speedup)
+	}
+	if _, err := budgeted(cfg, c.Budget); err != nil {
+		return fmt.Errorf("cells: %w", err)
 	}
 	return nil
 }
@@ -102,9 +107,9 @@ type CellRun struct {
 	P999us    float64 `json:"p999_us"`
 	WaitP99us float64 `json:"queue_wait_p99_us"`
 	WAF       float64 `json:"waf"`
-	// BudgetBytes is the applied mapping cap (0 when uncapped); MapBytes
-	// is the full mapping size after the final flush and ResidentBytes
-	// its DRAM-resident share.
+	// BudgetBytes is the budget's mapping+cache pool (0 when unbudgeted);
+	// MapBytes is the full mapping size after the final flush and
+	// ResidentBytes its DRAM-resident share.
 	BudgetBytes   int `json:"budget_bytes"`
 	MapBytes      int `json:"map_bytes"`
 	ResidentBytes int `json:"resident_bytes"`
@@ -126,8 +131,8 @@ type CellRun struct {
 }
 
 // Cells crosses spec's axes into cells and runs each one on its own
-// warmed device: the simulator config, a sequential fill of the workload's footprint (§4.1), the budget cap,
-// metrics reset, an issue-time open-loop replay (trace.ReplayIssued),
+// warmed device: the simulator config with the budget's pool, a
+// sequential fill of the workload's footprint (§4.1), metrics reset, an issue-time open-loop replay (trace.ReplayIssued),
 // a final flush and CheckInvariants. A trace file is folded into the
 // device with trace.FitTo; an untimed one arrives 20µs apart.
 func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
@@ -137,7 +142,7 @@ func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
 	}
 	cells := spec.grid()
 	for _, c := range cells {
-		if err := c.validate(); err != nil {
+		if err := c.validate(s.simConfig("sim")); err != nil {
 			return nil, Table{}, err
 		}
 	}
@@ -165,7 +170,7 @@ func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
 		Header: []string{"scheme", "workload", "budget", "queues", "speedup",
 			"kIOPS", "p50", "p99", "p999", "wait p99", "WAF", "map", "resident",
 			"metaR/req", "metaW/req", "journal a/f/chain", "state digest", "mapping digest"},
-		Notes: "issue-time open-loop replay on a footprint-warmed device; budget = fraction of the scheme's mapping size after warm-up; map sizes read after the final flush",
+		Notes: "issue-time open-loop replay on a footprint-warmed device; budget = mapping+cache pool as a fraction of the 8 B/LPA page map, the same bytes for every scheme; map sizes read after the final flush",
 	}
 	for _, r := range runs {
 		budget := "none"
@@ -208,7 +213,10 @@ func (s *Suite) cellWorkload(name string) ([]trace.Request, error) {
 
 // cell runs one cell and returns its outcome with the device it ran on.
 func (s *Suite) cell(c Cell, reqs []trace.Request, gamma int) (CellRun, *ssd.Device, error) {
-	cfg := s.simConfig("sim")
+	cfg, err := budgeted(s.simConfig("sim"), c.Budget)
+	if err != nil {
+		return CellRun{}, nil, err
+	}
 	sch := s.newScheme(c.Scheme, gamma, cfg)
 	dev, err := ssd.New(cfg, sch)
 	if err != nil {
@@ -219,8 +227,7 @@ func (s *Suite) cell(c Cell, reqs []trace.Request, gamma int) (CellRun, *ssd.Dev
 	}
 	run := CellRun{Cell: c}
 	if c.Budget > 0 {
-		run.BudgetBytes = max(1, int(c.Budget*float64(sch.FullSizeBytes())))
-		dev.SetMappingBudget(run.BudgetBytes)
+		run.BudgetBytes = int(cfg.DRAMBytes - cfg.BufferBytes())
 	}
 	dev.ResetMetrics()
 	oc := trace.OpenLoopConfig{Queues: c.Queues, Speedup: c.Speedup}

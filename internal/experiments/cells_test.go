@@ -108,6 +108,8 @@ func TestCellsRejectBadSpecs(t *testing.T) {
 		{"empty trace", CellsSpec{Schemes: one, Workloads: []string{empty}}, "empty trace"},
 		{"negative budget", CellsSpec{Schemes: one, Budgets: []float64{-0.1}}, "outside [0, 1]"},
 		{"budget above one", CellsSpec{Schemes: one, Budgets: []float64{1.5}}, "outside [0, 1]"},
+		// Half the micro page map is 205 KiB; the micro pool is 48 KiB.
+		{"budget above the pool", CellsSpec{Schemes: one, Budgets: []float64{0.5}}, "more than the 49152 B mapping+cache pool"},
 		{"zero queues", CellsSpec{Schemes: one, Queues: []int{0}}, "queues"},
 		{"zero speedup", CellsSpec{Schemes: one, Speedups: []float64{0}}, "speedup"},
 		{"negative speedup", CellsSpec{Schemes: one, Speedups: []float64{-2}}, "speedup"},
@@ -159,11 +161,12 @@ func TestCoreSweepUnknownWorkload(t *testing.T) {
 	}
 }
 
-// TestCellsBudgetRepeatable runs `full` under a quarter of its mapping
-// size: the resident table stays within the cap, dirty groups go out
-// through the journal, and a second run prints the same row.
+// TestCellsBudgetRepeatable runs `full` with a 0.5 % budget (2 KiB at
+// micro scale, under half its learned table): the resident table stays
+// within the pool, dirty groups go out through the journal, and a second
+// run prints the same row.
 func TestCellsBudgetRepeatable(t *testing.T) {
-	spec := CellsSpec{Schemes: []string{"full"}, Budgets: []float64{0.25}}
+	spec := CellsSpec{Schemes: []string{"full"}, Budgets: []float64{0.005}}
 	runs, table, err := NewSuite(MicroScale(), 1).Cells(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +176,7 @@ func TestCellsBudgetRepeatable(t *testing.T) {
 		t.Errorf("resident %d B over the %d B budget", r.ResidentBytes, r.BudgetBytes)
 	}
 	if r.Journal.Appends == 0 {
-		t.Error("no journal appends under a 25% budget")
+		t.Error("no journal appends under a 0.5% budget")
 	}
 	again, table2, err := NewSuite(MicroScale(), 1).Cells(spec)
 	if err != nil {
@@ -185,6 +188,26 @@ func TestCellsBudgetRepeatable(t *testing.T) {
 	r.Result, again[0].Result = nil, nil
 	if r != again[0] {
 		t.Errorf("runs differ:\n%+v\n%+v", r, again[0])
+	}
+}
+
+// TestCellsOneBudgetPerRow runs every scheme at one budget: each gets the
+// same mapping+cache pool, and none keeps more of its mapping resident
+// than that pool.
+func TestCellsOneBudgetPerRow(t *testing.T) {
+	s := NewSuite(MicroScale(), 1)
+	runs, _, err := s.Cells(CellsSpec{Budgets: []float64{0.005}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int(0.005 * float64(s.simConfig("sim").LogicalPages()*8))
+	for _, r := range runs {
+		if r.BudgetBytes != want {
+			t.Errorf("%s: budget_bytes %d, want %d for every scheme", r.Scheme, r.BudgetBytes, want)
+		}
+		if r.ResidentBytes > r.BudgetBytes {
+			t.Errorf("%s: %d B resident, over the %d B pool", r.Scheme, r.ResidentBytes, r.BudgetBytes)
+		}
 	}
 }
 

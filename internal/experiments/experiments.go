@@ -98,12 +98,6 @@ type Scale struct {
 	Requests   int // trace length per run
 }
 
-// DRAMBytes is the total controller DRAM: write buffer plus the
-// mapping+cache pool.
-func (s Scale) DRAMBytes(pageSize int) int64 {
-	return int64(s.BufferPages)*int64(pageSize) + s.AvailBytes
-}
-
 // QuickScale keeps the full suite under a couple of minutes — used by
 // tests and the default bench run: a 768MB device, 2MB buffer, 96KB
 // mapping+cache pool.
@@ -175,7 +169,7 @@ func (s *Suite) simConfig(name string) ssd.Config {
 	cfg.Flash.BlocksPerChan = s.Scale.BlocksPerChan
 	cfg.Flash.OOBSize = 256 // allows gamma up to 31 (§3.5: OOBs are 128–256B)
 	cfg.BufferPages = s.Scale.BufferPages
-	cfg.DRAMBytes = s.Scale.DRAMBytes(cfg.Flash.PageSize)
+	cfg = withPool(cfg, s.Scale.AvailBytes)
 	switch {
 	case name == "sim":
 	case name == "sim-capped":
@@ -194,14 +188,14 @@ func (s *Suite) simConfig(name string) ssd.Config {
 		if cfg.BufferPages < cfg.Flash.PagesPerBlock {
 			cfg.BufferPages = cfg.Flash.PagesPerBlock
 		}
-		cfg.DRAMBytes = int64(cfg.BufferPages)*int64(cfg.Flash.PageSize) + s.Scale.AvailBytes/2
+		cfg = withPool(cfg, s.Scale.AvailBytes/2)
 	case name == "nosort":
 		cfg.SortBuffer = false
 	case strings.HasPrefix(name, "avail:"):
 		// DRAM sensitivity (Figure 22a): vary the mapping+cache pool.
 		var kb int64
 		fmt.Sscanf(name, "avail:%d", &kb)
-		cfg.DRAMBytes = int64(cfg.BufferPages)*int64(cfg.Flash.PageSize) + kb<<10
+		cfg = withPool(cfg, kb<<10)
 	case strings.HasPrefix(name, "page:"):
 		var kb int
 		fmt.Sscanf(name, "page:%d", &kb)
@@ -209,11 +203,34 @@ func (s *Suite) simConfig(name string) ssd.Config {
 		// Fixed total page count as in §4.4 ("we fix the number of flash
 		// pages, and vary the flash page size"); buffer page count fixed
 		// so its byte size scales with the page size.
-		cfg.DRAMBytes = s.Scale.DRAMBytes(cfg.Flash.PageSize)
+		cfg = withPool(cfg, s.Scale.AvailBytes)
 	default:
 		panic("experiments: unknown config " + name)
 	}
 	return cfg
+}
+
+// withPool returns cfg with a mapping+cache pool of pool bytes: its
+// DRAM is the write buffer plus the pool.
+func withPool(cfg ssd.Config, pool int64) ssd.Config {
+	cfg.DRAMBytes = cfg.BufferBytes() + pool
+	return cfg
+}
+
+// budgeted returns cfg with its mapping+cache pool cut to a budget: a
+// fraction of the page-level map (dftl.EntryBytes per LPA) of cfg's
+// logical space, the same bytes for every scheme. Budget 0 keeps cfg's
+// pool; a budget larger than that pool is an error, so no scheme gets
+// more DRAM than the device has.
+func budgeted(cfg ssd.Config, budget float64) (ssd.Config, error) {
+	if budget == 0 {
+		return cfg, nil
+	}
+	pool := max(1, int64(budget*float64(cfg.LogicalPages()*dftl.EntryBytes)))
+	if avail := cfg.DRAMBytes - cfg.BufferBytes(); pool > avail {
+		return cfg, fmt.Errorf("budget %g is %d B, more than the %d B mapping+cache pool", budget, pool, avail)
+	}
+	return withPool(cfg, pool), nil
 }
 
 // schemePresets builds every scheme the harness runs, keyed by the

@@ -218,7 +218,7 @@ func TestRecoveryExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 workloads × {LeaFTL, LeaFTL@25%, DFTL, SFTL}.
+	// 2 workloads × {LeaFTL, LeaFTL@0.5%, DFTL, SFTL}.
 	if len(tb.Rows) != 8 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

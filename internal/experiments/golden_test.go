@@ -17,8 +17,8 @@ var goldenPath = filepath.Join("testdata", "golden.txt")
 
 // TestGoldenState pins every simulated result of a fixed micro-scale grid
 // at seed 1: every figure except the host-clock tables fig23b and
-// table3, the evaluation cells over all four schemes × budgets {0, 0.25}
-// at γ = 0 plus full and paper at γ = 4 (budget 0.25), and the
+// table3, the evaluation cells over all four schemes × budgets {0, 0.005}
+// at γ = 0 plus full and paper at γ = 4 (budget 0.005), and the
 // crash-torture matrix and fault sweep at two crash points. A change that moves simulated state shows the moved
 // lines in testdata/golden.txt's diff; a change that claims same state
 // leaves the file as it is. go test -run Golden -update rewrites it.
@@ -86,12 +86,12 @@ func goldenGrid(t *testing.T) []byte {
 		out.Write(enc)
 		out.WriteByte('\n')
 	}
-	cells, tb, err := s.Cells(CellsSpec{Budgets: []float64{0, 0.25}})
+	cells, tb, err := s.Cells(CellsSpec{Budgets: []float64{0, 0.005}})
 	table(tb, err)
 	jsonOf(cells)
 	// The bench's γ: the learned schemes mispredict, fall back to OOB
 	// windows and triage their fits only at γ > 0.
-	cells, tb, err = s.Cells(CellsSpec{Schemes: []string{"full", "paper"}, Workloads: []string{"zipf-hot", "mixed-rw"}, Budgets: []float64{0.25}, Gamma: 4})
+	cells, tb, err = s.Cells(CellsSpec{Schemes: []string{"full", "paper"}, Workloads: []string{"zipf-hot", "mixed-rw"}, Budgets: []float64{0.005}, Gamma: 4})
 	table(tb, err)
 	jsonOf(cells)
 	torture, tb, err := s.Torture(TortureSpec{CrashPoints: 2})

@@ -11,15 +11,18 @@ import (
 )
 
 // runRecovery runs a workload slice on a fresh device under the named
-// mapping scheme (optionally demand-paged under a fractional mapping
-// budget), crashes it without a final flush, and recovers and verifies
-// it (recoverAndVerify). Returns one report row.
+// mapping scheme (demand-paged when budget > 0; see budgeted), crashes
+// it without a final flush, and recovers and verifies it
+// (recoverAndVerify). Returns one report row.
 func (s *Suite) runRecovery(name, scheme string, budget float64) ([]string, error) {
 	p, ok := workload.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("recovery: unknown workload %q", name)
 	}
-	cfg := s.simConfig(cfgFor(p))
+	cfg, err := budgeted(s.simConfig(cfgFor(p)), budget)
+	if err != nil {
+		return nil, err
+	}
 	sch := s.newScheme(scheme, 0, cfg)
 	dev, err := ssd.New(cfg, sch)
 	if err != nil {
@@ -31,12 +34,9 @@ func (s *Suite) runRecovery(name, scheme string, budget float64) ([]string, erro
 	}
 	label := sch.Name()
 	if budget > 0 {
-		// Cap after the footprint is mapped, so the fraction is of the
-		// scheme's full table and the replay pages groups on demand —
-		// recovery then exercises the GMD-restore path, not just the
-		// OOB re-learn.
-		dev.SetMappingBudget(max(int(budget*float64(sch.FullSizeBytes())), 1))
-		label = fmt.Sprintf("%s@%d%%", label, int(budget*100))
+		// The replay pages groups on demand, so recovery exercises the
+		// GMD-restore path, not just the OOB re-learn.
+		label = fmt.Sprintf("%s@%.3g%%", label, budget*100)
 	}
 	reqs := p.Generate(logical, s.Scale.Requests/4, s.Seed)
 	if err := trace.Replay(dev, reqs); err != nil {

@@ -20,11 +20,12 @@ import (
 const tortureWorkload = "mixed-rw"
 
 // TortureSpec parameterizes the seeded crash-torture matrix. Zero-valued
-// fields select the defaults: {unbudgeted, 25% mapping budget} ×
-// {paper, full}, five crash points per cell.
+// fields select the defaults: {unbudgeted, 0.5 % budget} × {paper,
+// full}, five crash points per cell.
 type TortureSpec struct {
-	// Budgets are mapping-budget fractions of the scheme's full size;
-	// 0 means unbudgeted (fully resident).
+	// Budgets size the mapping+cache pool as fractions of the 8 B/LPA
+	// page map of the device's logical space, as Cell.Budget does; 0
+	// keeps the scale's pool.
 	Budgets []float64
 	// Schemes are schemePresets names: paper is the learned table
 	// alone, full adds the mapping-delta journal and the exactness
@@ -37,7 +38,7 @@ type TortureSpec struct {
 }
 
 func (s TortureSpec) withDefaults() TortureSpec {
-	s.Budgets = orDefault(s.Budgets, 0, 0.25)
+	s.Budgets = orDefault(s.Budgets, 0, 0.005)
 	s.Schemes = orDefault(s.Schemes, "paper", "full")
 	if s.CrashPoints < 1 {
 		s.CrashPoints = 5
@@ -104,7 +105,7 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 			seed := s.Seed*1_000 + int64(cellIdx)
 			cell, err := s.tortureCell(spec, gen, budget, scheme, seed)
 			if err != nil {
-				return nil, Table{}, fmt.Errorf("torture budget=%.2f/%s seed=%d: %w",
+				return nil, Table{}, fmt.Errorf("torture budget=%g/%s seed=%d: %w",
 					budget, scheme, seed, err)
 			}
 			cells = append(cells, *cell)
@@ -120,8 +121,12 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 		Notes: "each crash loses all controller RAM; recovery rebuilds from OOB + GMD (+ journal deltas) and is diffed against an at-crash snapshot (write-buffer contents are the only legal loss)",
 	}
 	for _, c := range cells {
+		budget := f2(c.Budget) // "0.00" for the unbudgeted cells
+		if c.Budget > 0 {
+			budget = fmt.Sprintf("%g", c.Budget)
+		}
 		t.Rows = append(t.Rows, []string{
-			f2(c.Budget), c.Scheme, fmt.Sprintf("%d", c.Seed),
+			budget, c.Scheme, fmt.Sprintf("%d", c.Seed),
 			fmt.Sprintf("%d", c.Crashes), pointsCell(c.Points),
 			fmt.Sprintf("%d", c.MappingsRebuilt), fmt.Sprintf("%d", c.MappingsRestored),
 			fmt.Sprintf("%d", c.JournalReplays),
@@ -133,7 +138,10 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 
 // tortureCell ages one device and crash-cycles it.
 func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, budget float64, scheme string, seed int64) (*TortureCell, error) {
-	cfg := s.simConfig("sim")
+	cfg, err := budgeted(s.simConfig("sim"), budget)
+	if err != nil {
+		return nil, err
+	}
 	// §3.6 mid-range watermarks: on the aged device the free pool sits
 	// just above the trigger, so crashes land mid-GC too.
 	cfg.GCLowWater = 0.15
@@ -145,8 +153,7 @@ func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, budget flo
 
 	compact := leaftl.WithCompactEvery(uint64(max(s.Scale.Requests/16, 1_000)))
 	newScheme := func() ftl.Scheme { return s.newScheme(scheme, spec.Gamma, cfg, compact) }
-	sch := newScheme()
-	dev, err := ssd.New(cfg, sch)
+	dev, err := ssd.New(cfg, newScheme())
 	if err != nil {
 		return nil, err
 	}
@@ -155,9 +162,6 @@ func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, budget flo
 	}
 	if err := dev.Flush(); err != nil {
 		return nil, fmt.Errorf("warmup flush: %w", err)
-	}
-	if budget > 0 {
-		dev.SetMappingBudget(max(int(budget*float64(sch.FullSizeBytes())), 1))
 	}
 
 	rng := rand.New(rand.NewSource(seed))

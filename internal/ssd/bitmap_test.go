@@ -207,10 +207,9 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig()
+			cfg := budgetedConfig(4037)
 			d := newTestDevice(t, cfg, tc.mk(cfg))
 			churnMispredict(t, d, 17, 4000)
-			d.SetMappingBudget(d.Scheme().FullSizeBytes() / 3)
 			// More traffic under the budget so groups cycle through flash.
 			rng := seededRand(t, 18)
 			for op := 0; op < 1500; op++ {

@@ -80,7 +80,7 @@ func (s auditedLeaFTL) CommitGC(p []addr.Mapping) (ftl.Cost, int) {
 // bitmap-exact LeaFTL through the budgeted churn and checks that every
 // Cost they return names one translation page per counted operation.
 func TestCostNamesEveryMetaOp(t *testing.T) {
-	cfg := testConfig()
+	cfg := journalChurnConfig()
 	for name, wrap := range map[string]func(*costAudit) ftl.Scheme{
 		"DFTL": func(a *costAudit) ftl.Scheme { return auditedDFTL{dftl.New(cfg.Flash.PageSize, 1<<20), a} },
 		"SFTL": func(a *costAudit) ftl.Scheme { return auditedSFTL{sftl.New(cfg.Flash.PageSize, 1<<20), a} },

@@ -4,9 +4,11 @@
 // greedy garbage collection and wear leveling (§3.6), OOB-verified reads
 // with misprediction recovery (§3.5), and crash recovery (§3.8).
 //
-// The device is driven closed-loop: every host request starts when the
-// previous one finished, and background flash traffic (flushes, GC)
-// occupies channels so subsequent reads queue behind it. This substitutes
+// Host requests are issued at a start time: Read and Write start at the
+// device clock, ReadAt and WriteAt at a host queue's own clock
+// (trace.ReplayIssued). Background flash traffic (flushes, GC) occupies
+// channels so later reads queue behind it, and the clock is the merged
+// completion horizon of everything applied so far. This substitutes
 // WiscSim's event engine with a per-channel timeline (docs/ARCHITECTURE.md,
 // "Simulation clock").
 package ssd
@@ -236,7 +238,8 @@ func (d *Device) Stats() Stats { return d.stats }
 // FlashStats returns raw flash operation counters.
 func (d *Device) FlashStats() flash.Stats { return d.arr.Stats() }
 
-// Now returns the simulated clock (sum of host request latencies).
+// Now returns the simulated clock: the latest completion of any request
+// applied so far, or a later idle time AdvanceTo moved it to.
 func (d *Device) Now() time.Duration { return d.now }
 
 // AdvanceTo moves the virtual clock forward to t, modeling a host idle
@@ -274,16 +277,6 @@ func (d *Device) ResetMetrics() {
 
 // LogicalPages returns the host-visible capacity in pages.
 func (d *Device) LogicalPages() int { return d.logicalPages }
-
-// SetMappingBudget re-caps the scheme's mapping DRAM mid-run (the
-// budgeted evaluation cells tighten it after warm-up) and rebalances the
-// data cache. Budget-change evictions inside the scheme are not charged
-// to any host request, mirroring DFTL's between-runs resize.
-func (d *Device) SetMappingBudget(bytes int) {
-	d.mapBudget = bytes
-	d.scheme.SetBudget(bytes)
-	d.resizeCache()
-}
 
 // resizeCache gives the data cache whatever DRAM the mapping is not
 // using. It is recomputed after every flush and every read: demand-paged

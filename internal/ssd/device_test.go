@@ -38,6 +38,15 @@ func testConfig() Config {
 	}
 }
 
+// budgetedConfig is testConfig with pool bytes of DRAM beside the write
+// buffer for the mapping and the data cache, so the mapping budget binds
+// from the first write.
+func budgetedConfig(pool int64) Config {
+	cfg := testConfig()
+	cfg.DRAMBytes = cfg.BufferBytes() + pool
+	return cfg
+}
+
 func newTestDevice(t *testing.T, cfg Config, scheme ftl.Scheme) *Device {
 	t.Helper()
 	d, err := New(cfg, scheme)

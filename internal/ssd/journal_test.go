@@ -9,12 +9,12 @@ import (
 	"leaftl/internal/leaftl"
 )
 
-// journalChurn ages a device into steady-state demand paging: warm half
-// the logical space, clamp the mapping budget to a quarter of the
-// learned table, then churn a hot region so dirty evictions — the
-// metadata-persistence path the journal replaces — run throughout. The
-// op mix mirrors churnBitIdentity's but with the budget applied, so
-// MetaWrites are dominated by writebacks rather than maintenance sweeps.
+// journalChurn ages a budgeted device (journalChurnConfig) into
+// steady-state demand paging: warm half the logical space, then churn a
+// hot region so dirty evictions — the metadata-persistence path the
+// journal replaces — run throughout. The op mix mirrors
+// churnBitIdentity's but under a budget, so MetaWrites are dominated by
+// writebacks rather than maintenance sweeps.
 func journalChurn(t *testing.T, d *Device) {
 	t.Helper()
 	rng := seededRand(t, 9021)
@@ -27,7 +27,6 @@ func journalChurn(t *testing.T, d *Device) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	d.SetMappingBudget(d.Scheme().FullSizeBytes() / 4)
 
 	hot := logical / 5
 	for op := 0; op < 6000; op++ {
@@ -74,10 +73,14 @@ func journalChurnScheme(cfg Config, opts ...leaftl.Option) *leaftl.Scheme {
 	return leaftl.New(8, cfg.Flash.PageSize, append(base, opts...)...)
 }
 
+// journalChurnConfig gives the churn device a 48 B mapping+cache pool,
+// a quarter of the learned table the warm fill builds.
+func journalChurnConfig() Config { return budgetedConfig(48) }
+
 // journalChurnDevice builds the budgeted churn device around it.
 func journalChurnDevice(t *testing.T, opts ...leaftl.Option) *Device {
 	t.Helper()
-	cfg := testConfig()
+	cfg := journalChurnConfig()
 	return newTestDevice(t, cfg, journalChurnScheme(cfg, opts...))
 }
 
@@ -90,7 +93,7 @@ func journalChurnDevice(t *testing.T, opts ...leaftl.Option) *Device {
 func TestJournalOffBitIdentity(t *testing.T) {
 	off := journalChurnDevice(t)
 	journalChurn(t, off)
-	cfg := testConfig()
+	cfg := journalChurnConfig()
 	s := journalChurnScheme(cfg)
 	absent := newTestDevice(t, cfg, sansJournal{s, s, s, s, s, s})
 	journalChurn(t, absent)
@@ -144,8 +147,8 @@ func TestJournalDigestEquality(t *testing.T) {
 }
 
 // TestDeviceParallelCommitMatchesSerial runs the budgeted, journaled,
-// bitmap-on churn — flushes, GC relocation and demand paging at a quarter
-// of the table — once with GOMAXPROCS = 1, where the learned table
+// bitmap-on churn — flushes, GC relocation and demand paging in a 48 B
+// pool — once with GOMAXPROCS = 1, where the learned table
 // commits every batch on the caller, and once with GOMAXPROCS = 2, where
 // it spreads a batch's group runs over a helper. The two devices must end
 // bit-identical.
@@ -174,7 +177,7 @@ func TestDeviceParallelCommitMatchesSerial(t *testing.T) {
 // journal cap is squeezed to a single translation block so spilling into
 // a second block forces GC quickly.
 func TestJournalGCCrashRecovery(t *testing.T) {
-	cfg := testConfig()
+	cfg := budgetedConfig(48)
 	cfg.JournalPages = cfg.Flash.PagesPerBlock
 	newScheme := func() ftl.Scheme {
 		return leaftl.New(8, cfg.Flash.PageSize, leaftl.WithCompactEvery(400), leaftl.WithJournal())
@@ -191,7 +194,6 @@ func TestJournalGCCrashRecovery(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	d.SetMappingBudget(d.Scheme().FullSizeBytes() / 4)
 
 	// Crash at a journal GC with at least one live delta chain (the very
 	// first GC can fire while the journal is all base images — recovery

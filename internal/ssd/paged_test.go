@@ -24,11 +24,12 @@ func TestDifferentialBudgetedLeaFTL(t *testing.T) {
 }
 
 func differentialBudgetedLeaFTL(t *testing.T) {
+	const budget = 48
 	cfg := testConfig()
 	newScheme := func() *leaftl.Scheme {
 		return leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(2000))
 	}
-	devA := newTestDevice(t, cfg, newScheme()) // budgeted below
+	devA := newTestDevice(t, budgetedConfig(budget), newScheme())
 	devB := newTestDevice(t, cfg, newScheme()) // unlimited
 	devs := []*Device{devA, devB}
 
@@ -36,7 +37,7 @@ func differentialBudgetedLeaFTL(t *testing.T) {
 	logical := devA.LogicalPages()
 
 	// Warm phase: map a good chunk of the space so the learned
-	// table has substance, then cap A at a quarter of it.
+	// table has substance; A already pages under its budget.
 	for lpa := 0; lpa+8 <= logical/2; lpa += 8 {
 		for _, d := range devs {
 			if _, err := d.Write(addr.LPA(lpa), 8); err != nil {
@@ -44,8 +45,6 @@ func differentialBudgetedLeaFTL(t *testing.T) {
 			}
 		}
 	}
-	budget := devA.Scheme().FullSizeBytes() / 4
-	devA.SetMappingBudget(budget)
 
 	hot := logical / 5
 	written := make(map[int]bool)
@@ -125,7 +124,7 @@ func differentialBudgetedLeaFTL(t *testing.T) {
 // only the groups whose state was dirty at the crash — with every read
 // verifying afterwards.
 func TestPagedRecoveryRestoresGMD(t *testing.T) {
-	cfg := testConfig()
+	cfg := budgetedConfig(48)
 	mk := func() *leaftl.Scheme {
 		return leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(500))
 	}
@@ -136,7 +135,6 @@ func TestPagedRecoveryRestoresGMD(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d.SetMappingBudget(d.Scheme().FullSizeBytes() / 4)
 	rng := seededRand(t, 21)
 	for op := 0; op < 6000; op++ {
 		if _, err := d.Write(addr.LPA(rng.Intn(logical/2)), 1+rng.Intn(4)); err != nil {
@@ -187,7 +185,7 @@ func TestPagedRecoveryRestoresGMD(t *testing.T) {
 // delta journal, and must come back from a crash: Recover, the invariant
 // audit (shape bound included) and a verified read of every page.
 func TestAgedRandWriteMapBounded(t *testing.T) {
-	cfg := testConfig()
+	cfg := budgetedConfig(2856)
 	mk := func() *leaftl.Scheme {
 		return leaftl.New(4, cfg.Flash.PageSize, leaftl.WithJournal(), leaftl.WithExactBitmap(),
 			leaftl.WithCompactEvery(2000))
@@ -228,7 +226,6 @@ func TestAgedRandWriteMapBounded(t *testing.T) {
 		t.Fatal("aging never ran GC")
 	}
 
-	d.SetMappingBudget(d.Scheme().FullSizeBytes() / 4)
 	overwrite(logical)
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
@@ -313,7 +310,7 @@ func (c corruptImages) PersistedGroups() map[addr.GroupID][]byte {
 // of a panic once a later commit rebuilds the group.
 func TestRecoverRejectsCorruptGroupImage(t *testing.T) {
 	for _, journal := range []bool{false, true} {
-		cfg := testConfig()
+		cfg := budgetedConfig(48)
 		mk := func() *leaftl.Scheme {
 			opts := []leaftl.Option{leaftl.WithCompactEvery(500)}
 			if journal {
@@ -328,7 +325,6 @@ func TestRecoverRejectsCorruptGroupImage(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d.SetMappingBudget(d.Scheme().FullSizeBytes() / 4)
 		rng := seededRand(t, 21)
 		for op := 0; op < 3000; op++ {
 			if _, err := d.Write(addr.LPA(rng.Intn(logical/2)), 1+rng.Intn(4)); err != nil {
