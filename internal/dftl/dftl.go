@@ -102,12 +102,9 @@ func (d *DFTL) Commit(pairs []addr.Mapping) ftl.Cost {
 	return cost
 }
 
-// SetBudget implements ftl.Scheme.
-func (d *DFTL) SetBudget(bytes int) {
-	for _, ev := range d.cmt.Resize(bytes) {
-		_ = ev // budget changes happen between runs; writebacks not charged
-	}
-}
+// SetBudget implements ftl.Scheme. The device sets the budget before
+// any traffic; a resize that evicts drops the evictions uncharged.
+func (d *DFTL) SetBudget(bytes int) { d.cmt.Resize(bytes) }
 
 // MemoryBytes implements ftl.Scheme: DRAM held by the CMT.
 func (d *DFTL) MemoryBytes() int { return d.cmt.Used() }

@@ -132,9 +132,10 @@ type CellRun struct {
 
 // Cells crosses spec's axes into cells and runs each one on its own
 // warmed device: the simulator config with the budget's pool, a
-// sequential fill of the workload's footprint (§4.1), metrics reset, an issue-time open-loop replay (trace.ReplayIssued),
-// a final flush and CheckInvariants. A trace file is folded into the
-// device with trace.FitTo; an untimed one arrives 20µs apart.
+// sequential fill of the workload's footprint (§4.1), metrics reset,
+// an issue-time open-loop replay (trace.ReplayIssued), a final flush
+// and CheckInvariants. A trace file is folded into the device with
+// trace.FitTo; an untimed one arrives 20µs apart.
 func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
 	spec = spec.withDefaults()
 	if err := checkSchemes(spec.Schemes); err != nil {

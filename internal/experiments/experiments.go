@@ -180,14 +180,8 @@ func (s *Suite) simConfig(name string) ssd.Config {
 		// smaller page-level table still exceeds it.
 		cfg.Flash = flash.PrototypeDefaults()
 		cfg.Flash.OOBSize = 256
-		cfg.Flash.BlocksPerChan = s.Scale.BlocksPerChan / 4
-		if cfg.Flash.BlocksPerChan < 8 {
-			cfg.Flash.BlocksPerChan = 8
-		}
-		cfg.BufferPages = s.Scale.BufferPages / 4
-		if cfg.BufferPages < cfg.Flash.PagesPerBlock {
-			cfg.BufferPages = cfg.Flash.PagesPerBlock
-		}
+		cfg.Flash.BlocksPerChan = max(s.Scale.BlocksPerChan/4, 8)
+		cfg.BufferPages = max(s.Scale.BufferPages/4, cfg.Flash.PagesPerBlock)
 		cfg = withPool(cfg, s.Scale.AvailBytes/2)
 	case name == "nosort":
 		cfg.SortBuffer = false

@@ -170,15 +170,9 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 	// DRAM split (§4.2): the write buffer is pinned; the mapping budget
 	// depends on the mode; the data cache takes the rest and is resized
 	// as the mapping grows.
-	avail := int(cfg.DRAMBytes - cfg.BufferBytes())
-	switch cfg.Mode {
-	case MappingCapped:
-		d.mapBudget = int(float64(cfg.DRAMBytes) * mappingCapFraction)
-		if d.mapBudget > avail {
-			d.mapBudget = avail
-		}
-	default:
-		d.mapBudget = avail
+	d.mapBudget = int(cfg.DRAMBytes - cfg.BufferBytes())
+	if cfg.Mode == MappingCapped {
+		d.mapBudget = min(d.mapBudget, int(float64(cfg.DRAMBytes)*mappingCapFraction))
 	}
 	scheme.SetBudget(d.mapBudget)
 	d.wireJournal(scheme)
@@ -284,12 +278,7 @@ func (d *Device) LogicalPages() int { return d.logicalPages }
 // the data cache must track the scheme's actual MemoryBytes over time
 // rather than its size at construction.
 func (d *Device) resizeCache() {
-	used := d.scheme.MemoryBytes()
-	budget := int(d.cfg.DRAMBytes-d.cfg.BufferBytes()) - used
-	if budget < 0 {
-		budget = 0
-	}
-	d.cache.Resize(budget)
+	d.cache.Resize(max(0, int(d.cfg.DRAMBytes-d.cfg.BufferBytes())-d.scheme.MemoryBytes()))
 }
 
 // Read performs a host read of n pages starting at lpa and returns its
