@@ -102,8 +102,9 @@ func (d *DFTL) Commit(pairs []addr.Mapping) ftl.Cost {
 	return cost
 }
 
-// SetBudget implements ftl.Scheme. The device sets the budget before
-// any traffic; a resize that evicts drops the evictions uncharged.
+// SetBudget implements ftl.Scheme. Evictions the resize forces are not
+// charged: the device sets the budget before any traffic, and recovery
+// sets it on the rebuilt scheme as part of the scan.
 func (d *DFTL) SetBudget(bytes int) { d.cmt.Resize(bytes) }
 
 // MemoryBytes implements ftl.Scheme: DRAM held by the CMT.
