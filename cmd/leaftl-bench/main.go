@@ -76,14 +76,14 @@ func main() {
 			err = runCells(scaleOf(), spec, *seed, *markdown, *jsonOut)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "leaftl-bench: cells: %v\n", err)
+			fmt.Fprintf(os.Stderr, "leaftl-bench: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *torture {
 		if err := runTorture(scaleOf(), *crashPoints, *faultRBER, *gamma, *seed, *markdown, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "leaftl-bench: torture: %v\n", err)
+			fmt.Fprintf(os.Stderr, "leaftl-bench: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -148,7 +148,10 @@ func cellsSpec(schemes, workloads, budgets, queues, speedup string, gamma int) (
 	spec.Budgets, errs[0] = parseFloatList(budgets)
 	spec.Queues, errs[1] = parseIntList(queues)
 	spec.Speedups, errs[2] = parseFloatList(speedup)
-	return spec, errors.Join(errs[:]...)
+	if err := errors.Join(errs[:]...); err != nil {
+		return spec, fmt.Errorf("cells: %w", err)
+	}
+	return spec, nil
 }
 
 // cellsJSON is the machine-readable form of one -cells run.

@@ -48,3 +48,31 @@ func TestSelectFigures(t *testing.T) {
 		t.Errorf("unknown ID: err %v, want one naming fig99", err)
 	}
 }
+
+// TestModeErrorsNameTheirModeOnce: main prints "leaftl-bench: " and
+// the error, so every -cells and -torture error, a bad list flag's
+// included, must name its mode once.
+func TestModeErrorsNameTheirModeOnce(t *testing.T) {
+	spec, err := cellsSpec("", "", "0.2", "", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, badList := cellsSpec("", "", "0,x", "", "", 0)
+	for _, tc := range []struct {
+		mode string
+		err  error
+	}{
+		{"cells", badList},
+		{"cells", runCells(experiments.MicroScale(), spec, 1, false, "")}, // over the micro pool
+		{"torture", runTorture(experiments.MicroScale(), 1, "1e-7,x", 0, 1, false, "")},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s: no error", tc.mode)
+			continue
+		}
+		msg := tc.err.Error()
+		if !strings.HasPrefix(msg, tc.mode+": ") || strings.Count(msg, tc.mode+":") != 1 {
+			t.Errorf("%s error %q: want it to start with %q and name the mode once", tc.mode, msg, tc.mode+": ")
+		}
+	}
+}

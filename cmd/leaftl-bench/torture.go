@@ -1,6 +1,10 @@
 package main
 
-import "leaftl/internal/experiments"
+import (
+	"fmt"
+
+	"leaftl/internal/experiments"
+)
 
 // tortureJSON is the machine-readable form of one torture + fault-sweep
 // run.
@@ -19,7 +23,7 @@ type tortureJSON struct {
 func runTorture(scale experiments.Scale, crashPoints int, faultRBER string, gamma int, seed int64, markdown bool, jsonPath string) error {
 	rbers, err := parseFloatList(faultRBER)
 	if err != nil {
-		return err
+		return fmt.Errorf("torture: -fault-rber: %w", err)
 	}
 	s := experiments.NewSuite(scale, seed)
 	cells, tortureTable, err := s.Torture(experiments.TortureSpec{CrashPoints: crashPoints, Gamma: gamma})

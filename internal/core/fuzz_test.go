@@ -52,10 +52,10 @@ func FuzzPersist(f *testing.F) {
 	for _, g := range groups {
 		f.Add(g)
 	}
-	f.Add(emptyGroupRecord(7))                    // a group with no state
-	f.Add(encodeFull(groups[0], 0))               // a journal record is not a group record
-	f.Add(groups[0][:len(groups[0])-3])           // truncated mid-CRB
-	f.Add([]byte("LFTL\x05\x04\x00\x00\x00\x00")) // a stray record header
+	f.Add(emptyGroupRecord(7))                                  // a group with no state
+	f.Add(append(groups[0][:len(groups[0]):len(groups[0])], 0)) // a trailing byte
+	f.Add(groups[0][:len(groups[0])-3])                         // truncated mid-CRB
+	f.Add([]byte("LFTL\x05\x04\x00\x00\x00\x00"))               // not a record at all
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -75,24 +75,25 @@ type Pager struct {
 	fast         bool // cached FastPath value, refreshed on mutation
 	stats        PagerStats
 
-	// journal, when non-nil, replaces the full-image writeback path with
-	// the mapping-delta log (journal.go): dirty evictions append deltas,
-	// demand loads replay base+chain, and gmdEntry.image stays nil — the
-	// journal owns the durable bytes. Nil keeps the image path
-	// bit-identical to its pre-journal behavior.
+	// journal, when non-nil, replaces the image-per-page writeback path
+	// with the metadata log (journal.go): dirty evictions append the
+	// group's record into shared translation pages, demand loads read
+	// that one record, and gmdEntry.image stays nil — the journal owns
+	// the durable bytes. Nil keeps the image path bit-identical to its
+	// pre-journal behavior.
 	journal *journal
 }
 
-// EnableJournal switches metadata persistence to the mapping-delta
-// journal. Call before any paging activity; enabling an already-active
-// pager would orphan existing images.
+// EnableJournal switches metadata persistence to the metadata journal.
+// Call before any paging activity; enabling an already-active pager
+// would orphan existing images.
 func (p *Pager) EnableJournal() {
 	if p.journal == nil {
 		p.journal = newJournal(p.pageSize)
 	}
 }
 
-// JournalEnabled reports whether the mapping-delta journal is on.
+// JournalEnabled reports whether the metadata journal is on.
 func (p *Pager) JournalEnabled() bool { return p.journal != nil }
 
 // ConfigureJournal sets the journal's translation-block geometry and
@@ -114,7 +115,8 @@ func (p *Pager) JournalStats() ftl.JournalStats {
 }
 
 // SetJournalHook installs the crash-injection hook fired before journal
-// GC ("journal.gc") and each chain fold ("journal.fold").
+// GC ("journal.gc") and before each live record it re-appends
+// ("journal.fold").
 func (p *Pager) SetJournalHook(fn func(string)) {
 	if p.journal != nil {
 		p.journal.hook = fn
@@ -181,7 +183,7 @@ func (p *Pager) FullSizeBytes() int { return p.store.SizeBytes() + p.evictedByte
 // MappingDigest hashes every registered group's record in ascending
 // group order with FNV-64a: a resident group's MarshalGroup record, an
 // evicted one's current translation-page image (under the journal, its
-// base image folded with its delta chain). It reads without side effects.
+// live journal record). It reads without side effects.
 func (p *Pager) MappingDigest() uint64 {
 	gids := make([]addr.GroupID, 0, len(p.gmd))
 	for gid := range p.gmd {
@@ -202,7 +204,7 @@ func (p *Pager) MappingDigest() uint64 {
 				panic(fmt.Sprintf("core: group %d does not marshal: %v", gid, err))
 			}
 		case p.journal != nil:
-			img = p.journal.groups[gid].curImg
+			img = p.journal.groups[gid].bytes
 		default:
 			img = e.image
 		}
@@ -251,8 +253,8 @@ func (p *Pager) EnsureWrite(gid addr.GroupID) ftl.Cost {
 }
 
 // load demand-loads an evicted group back into the store: from its GMD
-// image, or — under the journal — by replaying its base image plus
-// delta chain, charging every distinct flash page the chain touches.
+// image, or — under the journal — from its one live record, charging
+// the flash pages that record spans.
 func (p *Pager) load(gid addr.GroupID, e *gmdEntry) ftl.Cost {
 	img, cost := e.image, ftl.Cost{}
 	if p.journal != nil {
@@ -340,8 +342,8 @@ func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) ftl.Cost {
 
 // writeback serializes the group's current state into a fresh
 // translation-page image (log-structured: a new virtual PPA each write).
-// Under the journal, the full rewrite becomes a delta append: only the
-// sections that changed since the group's base image travel to flash.
+// Under the journal, the image is appended into the journal's shared
+// translation pages instead.
 func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry) ftl.Cost {
 	img, err := p.store.MarshalGroup(gid)
 	if err != nil {
@@ -411,10 +413,9 @@ func (p *Pager) FlushDirty() ftl.Cost {
 // are the live images; callers must not mutate them.
 func (p *Pager) PersistedGroups() map[addr.GroupID][]byte {
 	if p.journal != nil {
-		// Recovery's journal-tail replay: every journaled group folds its
-		// base image plus delta chain. Dirty residents are excluded —
-		// their journal state predates the DRAM-only updates, matching
-		// the image path's staleness rule.
+		// Every journaled group's live record. Dirty residents are
+		// excluded — their journal record predates the DRAM-only
+		// updates, matching the image path's staleness rule.
 		return p.journal.images(func(gid addr.GroupID) bool {
 			e := p.gmd[gid]
 			return e != nil && e.resident && e.dirty
@@ -456,11 +457,9 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 		}
 		p.nextPPA++
 		if p.journal != nil {
-			// Seed the journal base uncharged: the image's pages already
+			// Seed the journal uncharged: the image's pages already
 			// exist on flash, recovery only rebuilds the RAM directory.
-			if err := p.journal.seed(gid, img); err != nil {
-				return err
-			}
+			p.journal.seed(gid, img)
 			p.gmd[gid] = &gmdEntry{ppa: p.nextPPA}
 		} else {
 			p.gmd[gid] = &gmdEntry{ppa: p.nextPPA, image: img}

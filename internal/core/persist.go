@@ -24,8 +24,8 @@ import (
 // has one shape, and it round-trips bit-identically through page-out and
 // recovery. MarshalGroup/InstallGroup (pageable.go) speak this record;
 // it is the translation-page payload the pager moves to and from flash,
-// and the base image the mapping-delta journal (journal.go) diffs
-// against.
+// and the one record the metadata journal (journal.go) appends per
+// writeback.
 
 // appendGroupRecord serializes one group record.
 func appendGroupRecord(buf []byte, id addr.GroupID, g *group) ([]byte, error) {

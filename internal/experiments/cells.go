@@ -115,7 +115,7 @@ type CellRun struct {
 	ResidentBytes int `json:"resident_bytes"`
 	// Device holds the device counters of the replay and its final flush
 	// (reset after warm-up); Flash the flash array's counters since the
-	// device was built, warm-up included; Journal the mapping-delta
+	// device was built, warm-up included; Journal the metadata
 	// journal's counters (zero without one).
 	Device  ssd.Stats        `json:"device"`
 	Flash   flash.Stats      `json:"flash"`
@@ -170,7 +170,7 @@ func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
 		Title: fmt.Sprintf("evaluation cells: %s scale, seed %d, gamma=%d", s.Scale.Name, s.Seed, spec.Gamma),
 		Header: []string{"scheme", "workload", "budget", "queues", "speedup",
 			"kIOPS", "p50", "p99", "p999", "wait p99", "WAF", "map", "resident",
-			"metaR/req", "metaW/req", "journal a/f/chain", "state digest", "mapping digest"},
+			"metaR/req", "metaW/req", "journal a/f", "state digest", "mapping digest"},
 		Notes: "issue-time open-loop replay on a footprint-warmed device; budget = mapping+cache pool as a fraction of the 8 B/LPA page map, the same bytes for every scheme; map sizes read after the final flush",
 	}
 	for _, r := range runs {
@@ -188,7 +188,7 @@ func (s *Suite) Cells(spec CellsSpec) ([]CellRun, Table, error) {
 			metrics.FormatBytes(int64(r.MapBytes)), metrics.FormatBytes(int64(r.ResidentBytes)),
 			fmt.Sprintf("%.4f", float64(r.Device.MetaReads)/float64(r.Requests)),
 			fmt.Sprintf("%.4f", float64(r.Device.MetaWrites)/float64(r.Requests)),
-			fmt.Sprintf("%d/%d/%d", r.Journal.Appends, r.Journal.Folds, r.Journal.MaxChain),
+			fmt.Sprintf("%d/%d", r.Journal.Appends, r.Journal.Folds),
 			r.Digest, r.MappingDigest,
 		})
 	}

@@ -191,6 +191,30 @@ func TestCellsBudgetRepeatable(t *testing.T) {
 	}
 }
 
+// TestCellsJournalReadBound holds full's translation-page reads to
+// paper's under a tight budget: a group's load reads its one journal
+// record, so the journal may cost at most a quarter more reads per
+// request than paper's image-per-page writeback on the same pool.
+func TestCellsJournalReadBound(t *testing.T) {
+	spec := CellsSpec{Schemes: []string{"full", "paper"}, Workloads: []string{"zipf-hot", "mixed-rw"},
+		Budgets: []float64{0.005}, Gamma: 4}
+	runs, _, err := NewSuite(MicroScale(), 1).Cells(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readsPerReq := make(map[string]float64)
+	for _, r := range runs {
+		readsPerReq[r.Scheme+"/"+r.Workload] = float64(r.Device.MetaReads) / float64(r.Requests)
+	}
+	for _, wl := range spec.Workloads {
+		full, paper := readsPerReq["full/"+wl], readsPerReq["paper/"+wl]
+		if paper == 0 || full > 1.25*paper {
+			t.Errorf("%s: full reads %.4f translation pages per request, paper %.4f; want full ≤ 1.25 × paper, paper > 0",
+				wl, full, paper)
+		}
+	}
+}
+
 // TestCellsOneBudgetPerRow runs every scheme at one budget: each gets the
 // same mapping+cache pool, and none keeps more of its mapping resident
 // than that pool.

@@ -28,7 +28,7 @@ type TortureSpec struct {
 	// keeps the scale's pool.
 	Budgets []float64
 	// Schemes are schemePresets names: paper is the learned table
-	// alone, full adds the mapping-delta journal and the exactness
+	// alone, full adds the metadata journal and the exactness
 	// bitmap (the benchmark's scheme); dftl and sftl also run.
 	Schemes []string
 	// CrashPoints is the number of seeded crashes injected per cell.
@@ -67,9 +67,6 @@ type TortureCell struct {
 	// MappingsRebuilt and MappingsRestored sum the recovery reports.
 	MappingsRebuilt  int `json:"mappings_rebuilt"`
 	MappingsRestored int `json:"mappings_restored"`
-	// JournalReplays sums the delta records recovery replayed onto GMD
-	// base images (journaled presets only).
-	JournalReplays uint64 `json:"journal_replays"`
 	// VerifiedLPAs counts post-recovery truth entries differentially
 	// checked against the at-crash snapshot.
 	VerifiedLPAs int `json:"verified_lpas"`
@@ -117,8 +114,8 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 		Title: fmt.Sprintf("seeded crash-torture: %q workload, %d crash points/cell",
 			tortureWorkload, spec.CrashPoints),
 		Header: []string{"budget", "scheme", "seed", "crashes", "crash points",
-			"rebuilt", "restored", "replayed", "verified", "buffered-lost"},
-		Notes: "each crash loses all controller RAM; recovery rebuilds from OOB + GMD (+ journal deltas) and is diffed against an at-crash snapshot (write-buffer contents are the only legal loss)",
+			"rebuilt", "restored", "verified", "buffered-lost"},
+		Notes: "each crash loses all controller RAM; recovery rebuilds from OOB + GMD (+ journal records) and is diffed against an at-crash snapshot (write-buffer contents are the only legal loss)",
 	}
 	for _, c := range cells {
 		budget := f2(c.Budget) // "0.00" for the unbudgeted cells
@@ -129,7 +126,6 @@ func (s *Suite) Torture(spec TortureSpec) ([]TortureCell, Table, error) {
 			budget, c.Scheme, fmt.Sprintf("%d", c.Seed),
 			fmt.Sprintf("%d", c.Crashes), pointsCell(c.Points),
 			fmt.Sprintf("%d", c.MappingsRebuilt), fmt.Sprintf("%d", c.MappingsRestored),
-			fmt.Sprintf("%d", c.JournalReplays),
 			fmt.Sprintf("%d", c.VerifiedLPAs), fmt.Sprintf("%d", c.BufferedLost),
 		})
 	}
@@ -146,9 +142,9 @@ func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, budget flo
 	// just above the trigger, so crashes land mid-GC too.
 	cfg.GCLowWater = 0.15
 	cfg.GCHighWater = 0.25
-	// One translation block of journal: journaled presets cycle journal
-	// GC within a slice, so crashes land between delta appends,
-	// mid-fold and mid-journal-GC.
+	// One translation block of journal. At micro scale a cell's records
+	// fit in that one block, so journal GC does not run here;
+	// TestJournalGCCrashRecovery crashes inside it.
 	cfg.JournalPages = cfg.Flash.PagesPerBlock
 
 	compact := leaftl.WithCompactEvery(uint64(max(s.Scale.Requests/16, 1_000)))
@@ -199,7 +195,6 @@ func (s *Suite) tortureCell(spec TortureSpec, gen workload.Generator, budget flo
 		}
 		cell.MappingsRebuilt += rep.MappingsRebuilt
 		cell.MappingsRestored += rep.MappingsRestored
-		cell.JournalReplays += rep.JournalDeltasReplayed
 		cell.VerifiedLPAs += verified
 		cell.BufferedLost += len(at.buffered)
 	}

@@ -13,10 +13,9 @@ import (
 // {unbudgeted, 0.5 % budget} × {paper, full} × 5 seeded crash points —
 // ≥16 of the 20 drawn crashes injected, at least one inside GC, each
 // recovered and differentially verified inside the harness. full is the
-// benchmark's configuration: under the budget its journal is capped at
-// one translation block, so slices crash between delta appends,
-// mid-fold and mid-journal-GC, and recoveries must replay delta chains
-// onto GMD base images.
+// benchmark's configuration: under the budget its dirty groups go out
+// through the journal, and recoveries must restore groups from their
+// journal records.
 func TestTortureMatrix(t *testing.T) {
 	const seed = 42
 	cells, table, err := NewSuite(MicroScale(), seed).Torture(TortureSpec{})
@@ -30,8 +29,8 @@ func TestTortureMatrix(t *testing.T) {
 	for _, c := range cells {
 		if c.Scheme == "full" {
 			fullCells++
-			if c.Budget > 0 && c.JournalReplays == 0 {
-				t.Errorf("seed %d: cell %g/%s: recoveries never replayed a journal delta", seed, c.Budget, c.Scheme)
+			if c.Budget > 0 && c.MappingsRestored == 0 {
+				t.Errorf("seed %d: cell %g/%s: recoveries restored no journaled group", seed, c.Budget, c.Scheme)
 			}
 		}
 		total += c.Crashes
@@ -63,14 +62,13 @@ func TestTortureSmoke(t *testing.T) {
 	tortureOneCell(t, 7, 0, "paper")
 }
 
-// TestTortureJournal crash-tortures the mapping-delta journal path on a
-// second seed: the budgeted full cell alone, whose journal is capped at
-// one translation block, so slices crash between delta appends, mid-fold
-// and mid-journal-GC, and recoveries must replay delta chains onto GMD
-// base images before the differential verification.
+// TestTortureJournal crash-tortures the metadata journal path on a
+// second seed: the budgeted full cell alone, whose recoveries must
+// restore groups from their journal records before the differential
+// verification.
 func TestTortureJournal(t *testing.T) {
-	if c := tortureOneCell(t, 29, 0.005, "full"); c.JournalReplays == 0 {
-		t.Errorf("seed 29: recoveries never replayed a journal delta")
+	if c := tortureOneCell(t, 29, 0.005, "full"); c.MappingsRestored == 0 {
+		t.Errorf("seed 29: recoveries restored no journaled group")
 	}
 }
 

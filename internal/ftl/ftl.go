@@ -172,17 +172,18 @@ type GroupPaged interface {
 }
 
 // Journaled is implemented by schemes whose pager persists metadata
-// through a mapping-delta journal: dirty evictions append delta records
-// into dedicated translation blocks instead of rewriting full group
-// images, demand loads replay base image plus chain, and the journal
-// reclaims its own blocks by folding chains into fresh images. The
-// device uses it to size the journal from flash geometry and
-// over-provisioning and to surface journal counters in benchmarks.
+// through a metadata journal: dirty evictions append the group's whole
+// record into dedicated translation blocks shared with other groups'
+// records, superseding its previous one; demand loads read that one
+// record, and the journal reclaims its own blocks by re-appending a
+// victim block's live records. The device uses it to size the journal
+// from flash geometry and over-provisioning and to surface journal
+// counters in benchmarks.
 type Journaled interface {
 	GroupPaged
 
-	// JournalEnabled reports whether the mapping-delta journal is on
-	// (off, the scheme is bit-identical to full-image writeback).
+	// JournalEnabled reports whether the metadata journal is on (off,
+	// the scheme is bit-identical to image-per-page writeback).
 	JournalEnabled() bool
 
 	// ConfigureJournal sets the journal's translation-block geometry
@@ -194,22 +195,21 @@ type Journaled interface {
 	JournalStats() JournalStats
 }
 
-// JournalStats counts mapping-delta journal activity and occupancy.
+// JournalStats counts metadata journal activity and occupancy.
 type JournalStats struct {
-	// Appends counts delta records appended; Bases full-image records
-	// (new groups, threshold folds, GC folds, recovery seeds).
+	// Appends counts the group records dirty writebacks appended;
+	// Folds the live records journal GC re-appended from its victim
+	// blocks; GCRuns journal block reclaims.
 	Appends uint64
-	Bases   uint64
-	// Folds counts chains collapsed into fresh images; GCRuns journal
-	// block reclaims; Replays delta records replayed onto bases.
 	Folds   uint64
 	GCRuns  uint64
-	Replays uint64
 	// Pages/Blocks are current translation-footprint occupancy; Groups
-	// the journaled group count; MaxChain the longest live chain.
-	Pages    int
-	Blocks   int
-	Groups   int
+	// the journaled group count.
+	Pages  int
+	Blocks int
+	Groups int
+	// MaxChain is always 0: a group has one record, not a chain. It
+	// stays because the benchmark under bench/ reports it.
 	MaxChain int
 }
 

@@ -41,13 +41,13 @@ func WithCompactEvery(n uint64) Option {
 // bench/ passes it.
 func WithAutoTune(float64) Option { return func(*Scheme) {} }
 
-// WithJournal switches metadata persistence to the mapping-delta
-// journal: dirty evictions append delta records (only the bitmap,
-// level and CRB sections that changed since the group's base image)
-// packed into dedicated translation blocks, demand loads replay base
-// plus chain, and chains fold into fresh full images on length/byte
-// thresholds or journal GC. Off, the scheme is bit-identical to the
-// full-image writeback path.
+// WithJournal switches metadata persistence to the metadata journal:
+// dirty evictions append the group's whole record, packed back to back
+// with other groups' records into dedicated translation blocks; each
+// append supersedes the group's previous record, a demand load reads
+// that one record, and journal GC re-appends a victim block's live
+// records. Off, the scheme is bit-identical to the image-per-page
+// writeback path.
 func WithJournal() Option {
 	return func(s *Scheme) { s.journal = true }
 }
@@ -75,7 +75,7 @@ type Scheme struct {
 	// Predicted-exact bitmap + GC relearning (WithExactBitmap).
 	bitmap bool
 
-	// Mapping-delta journal persistence (WithJournal).
+	// Metadata journal persistence (WithJournal).
 	journal bool
 
 	// Stats accumulated for the evaluation figures.

@@ -86,11 +86,11 @@ type Config struct {
 	// retention-driven scrubbing.
 	ScrubRetentionAge time.Duration
 
-	// JournalPages caps the mapping-delta journal's flash footprint, in
+	// JournalPages caps the metadata journal's flash footprint, in
 	// pages, when the scheme journals metadata (ftl.Journaled with the
 	// journal enabled). Crossing the cap triggers journal GC: the lowest-
-	// live-record translation block is reclaimed by folding its live
-	// chains into fresh base images. 0 sizes the journal to half the
+	// live-record translation block is reclaimed by re-appending its
+	// live records at the log head. 0 sizes the journal to half the
 	// over-provisioned capacity.
 	JournalPages int
 }

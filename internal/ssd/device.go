@@ -200,7 +200,7 @@ func schemeCaps(scheme ftl.Scheme) (gamma int, reporter ftl.MissReporter) {
 	return gamma, reporter
 }
 
-// wireJournal sizes a journaling scheme's mapping-delta journal from the
+// wireJournal sizes a journaling scheme's metadata journal from the
 // flash geometry — the footprint cap defaults to half the over-provisioned
 // capacity, matching where full-image translation pages live — and routes
 // its crash hooks through the device's crash-point machinery so torture

@@ -85,9 +85,9 @@ func (d *Device) CheckInvariants() error {
 				d.scheme.MemoryBytes(), d.mapBudget)
 		}
 		if j, ok := d.scheme.(ftl.Journaled); ok && j.JournalEnabled() {
-			// Chain consistency and per-block record liveness are audited
-			// inside CheckMapping (the journal replays every chain and
-			// recounts live records); here the journal's occupancy is held
+			// Record validity and per-block record liveness are audited
+			// inside CheckMapping (the journal decodes every group's
+			// record and recounts live records); here the journal's occupancy is held
 			// against the device's flash accounting. One block of slack
 			// covers the open tail block the cap check intentionally
 			// excludes.

@@ -110,9 +110,10 @@ func TestJournalOffBitIdentity(t *testing.T) {
 
 // TestJournalDigestEquality runs the budgeted churn with the journal on
 // and off and demands identical device state digests: journaling changes
-// how metadata persistence is charged (delta appends instead of full
-// image rewrites), never what any mapping resolves to. The journaled run
-// must also actually journal: nonzero appends, bases and folds.
+// how metadata persistence is charged (records packed into shared
+// translation pages instead of an image's own pages), never what any
+// mapping resolves to. The journaled run must also actually journal:
+// nonzero appends and a nonzero footprint.
 func TestJournalDigestEquality(t *testing.T) {
 	off := journalChurnDevice(t)
 	journalChurn(t, off)
@@ -129,21 +130,11 @@ func TestJournalDigestEquality(t *testing.T) {
 	}
 	js := j.JournalStats()
 	if js.Appends == 0 {
-		t.Error("journaled churn appended no delta records")
-	}
-	if js.Bases == 0 {
-		t.Error("journaled churn wrote no base images")
-	}
-	if js.Folds == 0 {
-		t.Error("journaled churn never folded a chain")
+		t.Error("journaled churn appended no records")
 	}
 	if js.Pages == 0 || js.Blocks == 0 {
 		t.Errorf("journal reports empty footprint (%d pages, %d blocks) after churn", js.Pages, js.Blocks)
 	}
-	if js.MaxChain > 8 {
-		t.Errorf("live chain of %d records exceeds the fold threshold", js.MaxChain)
-	}
-
 }
 
 // TestDeviceParallelCommitMatchesSerial runs the budgeted, journaled,
@@ -170,10 +161,10 @@ func TestDeviceParallelCommitMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestJournalGCCrashRecovery kills the device at the instant journal GC
-// elects its first victim block — the hook fires before any fold or
-// erase mutates the journal — then recovers into a fresh journaled
-// scheme and differentially verifies every surviving mapping. The
+// TestJournalGCCrashRecovery kills the device inside journal GC, as it
+// is about to re-append a victim block's live record and before the
+// block is erased, then recovers into a fresh journaled scheme and
+// differentially verifies every surviving mapping. The
 // journal cap is squeezed to a single translation block so spilling into
 // a second block forces GC quickly.
 func TestJournalGCCrashRecovery(t *testing.T) {
@@ -195,14 +186,14 @@ func TestJournalGCCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash at a journal GC with at least one live delta chain (the very
-	// first GC can fire while the journal is all base images — recovery
-	// would have no tail to replay and the assertion below no teeth).
+	// Crash once GC has already re-appended at least one record:
+	// recovery must then restore records GC moved beside ones still in
+	// a victim block.
 	type crashMark struct{ point string }
 	j := d.Scheme().(ftl.Journaled)
 	armed := true
 	d.SetCrashHook(func(point string) {
-		if armed && point == "journal.gc" && j.JournalStats().MaxChain > 0 {
+		if armed && point == "journal.fold" && j.JournalStats().Folds > 0 {
 			armed = false
 			panic(crashMark{point})
 		}
@@ -226,8 +217,8 @@ func TestJournalGCCrashRecovery(t *testing.T) {
 		t.Fatal("workload finished without triggering journal GC")
 	}()
 	d.SetCrashHook(nil)
-	if crashed != "journal.gc" {
-		t.Fatalf("crashed at %q, want journal.gc", crashed)
+	if crashed != "journal.fold" {
+		t.Fatalf("crashed at %q, want journal.fold", crashed)
 	}
 
 	rep, err := d.Recover(newScheme())
@@ -236,9 +227,6 @@ func TestJournalGCCrashRecovery(t *testing.T) {
 	}
 	if rep.GroupsRestored == 0 {
 		t.Error("recovery restored no journaled groups")
-	}
-	if rep.JournalDeltasReplayed == 0 {
-		t.Error("recovery replayed no journal deltas")
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatalf("after mid-journal-GC crash recovery: %v", err)
@@ -252,6 +240,6 @@ func TestJournalGCCrashRecovery(t *testing.T) {
 			t.Fatalf("post-recovery read of LPA %d: %v", l, err)
 		}
 	}
-	t.Logf("crashed at %q, restored %d groups, replayed %d deltas, re-learned %d mappings",
-		crashed, rep.GroupsRestored, rep.JournalDeltasReplayed, rep.MappingsRebuilt)
+	t.Logf("crashed at %q, restored %d groups, re-learned %d mappings",
+		crashed, rep.GroupsRestored, rep.MappingsRebuilt)
 }

@@ -182,7 +182,7 @@ func TestPagedRecoveryRestoresGMD(t *testing.T) {
 // 8 B/LPA page map after one and after three logical overwrites: the
 // table's size follows what is mapped, not how long the device has run.
 // The rebuilt groups then go through a binding mapping budget and the
-// delta journal, and must come back from a crash: Recover, the invariant
+// metadata journal, and must come back from a crash: Recover, the invariant
 // audit (shape bound included) and a verified read of every page.
 func TestAgedRandWriteMapBounded(t *testing.T) {
 	cfg := budgetedConfig(2856)
@@ -231,7 +231,7 @@ func TestAgedRandWriteMapBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if js := d.Scheme().(ftl.Journaled).JournalStats(); js.Appends == 0 {
-		t.Fatal("no journal deltas before the crash; the budget never bound")
+		t.Fatal("no journal appends before the crash; the budget never bound")
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -32,10 +32,6 @@ type RecoveryReport struct {
 	// groups demand-load on first access, where the reads are charged as
 	// MetaReads — so restart is O(directory), not O(mapping).
 	TransPagesRestored int
-	// JournalDeltasReplayed counts mapping-delta journal records replayed
-	// onto GMD base images to materialize the persisted group set (zero
-	// when the scheme does not journal metadata).
-	JournalDeltasReplayed uint64
 	// OOBScanErrors counts pages whose own OOB failed to decode during
 	// the scan; OOBScanReconstructed of those were recovered from a
 	// sibling page's OOB window (one extra charged read each).
@@ -93,24 +89,13 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	d.gcHorizon = d.now
 
 	// GMD restore: surviving translation-page images short-circuit the
-	// re-learn for their groups. Under the mapping-delta journal the
-	// images are materialized by replaying each group's delta chain onto
-	// its base record — the replay count is the journal tail length the
-	// crash left behind.
+	// re-learn for their groups. Under the metadata journal each group's
+	// image is its one live journal record.
 	var restored map[addr.GroupID][]byte
 	if oldGP, ok := d.scheme.(ftl.GroupPaged); ok {
 		if freshGP, ok := fresh.(ftl.GroupPaged); ok {
-			var replayBase uint64
-			oldJ, journaling := d.scheme.(ftl.Journaled)
-			journaling = journaling && oldJ.JournalEnabled()
-			if journaling {
-				replayBase = oldJ.JournalStats().Replays
-			}
 			d.wireJournal(fresh)
 			images := oldGP.PersistedGroups()
-			if journaling {
-				rep.JournalDeltasReplayed = oldJ.JournalStats().Replays - replayBase
-			}
 			if len(images) > 0 {
 				if err := freshGP.RestoreGroups(images); err != nil {
 					return rep, err
