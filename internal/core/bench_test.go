@@ -62,6 +62,34 @@ func BenchmarkLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkLookupRun measures translating a 32-LPA window with one
+// LookupRun on BenchmarkLookup's table, and reports the cost per LPA
+// (the window stops early at its group's end).
+func BenchmarkLookupRun(b *testing.B) {
+	for _, gamma := range []int{0, 1, 4} {
+		b.Run(gammaName(gamma), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			tb := NewTable(gamma)
+			ppa := addr.PPA(0)
+			for g := 0; g < 64; g++ {
+				tb.Update(mixedBatch(rng, addr.LPA(g*512), ppa))
+				ppa += 256
+			}
+			lpas := make([]addr.LPA, 4096)
+			for i := range lpas {
+				lpas[i] = addr.LPA(rng.Intn(64 * 512))
+			}
+			var out [32]Answer
+			n := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n += tb.LookupRun(lpas[i%len(lpas)], out[:])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/lpa")
+		})
+	}
+}
+
 // BenchmarkUpdate measures inserting a learned batch into a table with
 // existing overlapping levels (the steady-state write path).
 func BenchmarkUpdate(b *testing.B) {

@@ -36,7 +36,8 @@ func (b *exactBits) test(off uint8) bool { return b[off>>3]&(1<<(off&7)) != 0 }
 // answering segment was approximate. With the bitmap on, a verified
 // approximate hit sets the slot's exact bit and a miss clears it; exact
 // translations and a disabled bitmap leave the group untouched, as do
-// non-resident groups.
+// non-resident groups. Only a call that flips a bit advances Gen: the
+// device reports every verified read, and most change nothing.
 func (t *Table) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx bool) {
 	if !t.bitmapOn || !approx {
 		return
@@ -45,10 +46,15 @@ func (t *Table) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx bool) 
 	if g == nil {
 		return
 	}
-	if actual == predicted {
-		g.exact.set(addr.Offset(lpa))
+	off, hit := addr.Offset(lpa), actual == predicted
+	if g.exact.test(off) == hit {
+		return
+	}
+	t.gen++
+	if hit {
+		g.exact.set(off)
 	} else {
-		g.exact.clear(addr.Offset(lpa))
+		g.exact.clear(off)
 	}
 }
 

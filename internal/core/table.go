@@ -87,6 +87,10 @@ type Table struct {
 	batch      commitBatch
 	workers    []*Table
 	maxWorkers int
+
+	// gen counts the exported calls that may change what Lookup
+	// answers (Gen).
+	gen uint64
 }
 
 // group is the per-256-LPA-group state: the level stack, the group's
@@ -285,7 +289,17 @@ func (t *Table) Gamma() int { return t.gamma }
 // life of the table (there is no way back: disabling would leave stale
 // set bits). Bits already present — e.g. installed from a group record
 // written by a bitmap-enabled table — become live immediately.
-func (t *Table) EnableExactBitmap() { t.bitmapOn = true }
+func (t *Table) EnableExactBitmap() {
+	t.bitmapOn = true
+	t.gen++
+}
+
+// Gen returns the table's mutation count. Every exported call that may
+// change an answer of Lookup advances it: Update, Insert, Compact,
+// InstallGroup, DropGroup, EnableExactBitmap, and NoteRead when it flips
+// an exact bit. Read-only calls leave it alone, so answers taken at one
+// count (LookupRun's) stay valid while Gen returns that count.
+func (t *Table) Gen() uint64 { return t.gen }
 
 // Update learns segments for a batch of new LPA→PPA mappings and inserts
 // them at the top level (paper §3.7 "Creation" + "Insert/Update"). pairs
@@ -304,6 +318,7 @@ func (t *Table) EnableExactBitmap() { t.bitmapOn = true }
 // pool (parallel.go) with a result identical to committing them in order
 // on the caller.
 func (t *Table) Update(pairs []addr.Mapping) int {
+	t.gen++
 	b := &t.batch
 	b.ends = b.ends[:0]
 	for i := 0; i < len(pairs); {
@@ -490,6 +505,7 @@ func proveFit(g *group, seg *Segment, sub []addr.Mapping) {
 // learned mappings — the repair path relies on this to arm the slot it
 // just verified); approximate ones clear them (unverified).
 func (t *Table) Insert(ls Learned) {
+	t.gen++
 	ls.Seg.prime() // tolerate hand-built segments; resident ones are always primed
 	g := t.group(ls.Seg.Group())
 	t.openTop(g)
@@ -1007,6 +1023,118 @@ func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 	return addr.InvalidPPA, res, false
 }
 
+// Answer is one LPA's translation as Lookup returns it.
+type Answer struct {
+	PPA addr.PPA
+	Res LookupResult
+	OK  bool
+}
+
+// LookupRun translates the consecutive LPAs lpa, lpa+1, … into out, up
+// to len(out) or the end of lpa's group, and returns how many it
+// answered. Every answer equals Lookup's for its LPA; Levels is the
+// depth of the level that claimed the slot, or the group's depth when
+// none did.
+//
+// The window costs one top-down sweep instead of one per LPA: per level
+// one search finds the segment Lookup would pick for the window's first
+// slot, and the level's segments are then walked forward while they
+// start inside the window. Each gives the slots from its start to the
+// next segment's start (the ones Lookup would ask it about) to the
+// topmost level that claims them, by Lookup's rules: the stride for an
+// accurate segment, CRB ownership, the redirect and the exact bit for
+// an approximate one.
+func (t *Table) LookupRun(lpa addr.LPA, out []Answer) int {
+	first := int(addr.Offset(lpa))
+	out = out[:min(len(out), addr.GroupSize-first)]
+	g := t.lookupGroup(addr.Group(lpa))
+	depth := 0
+	if g != nil {
+		depth = g.depth()
+	}
+	for i := range out {
+		out[i] = Answer{PPA: addr.InvalidPPA, Res: LookupResult{Levels: depth}}
+	}
+	if depth == 0 || len(out) == 0 {
+		return len(out)
+	}
+	base := lpa - addr.LPA(first)
+	last := first + len(out) - 1
+	open := len(out)
+	hi := len(g.segs)
+	for d := depth - 1; d >= 0 && open > 0; d-- {
+		lo := 0
+		if d > 0 {
+			lo = int(g.ends[d-1])
+		}
+		keys, segs := g.keys[lo:hi], g.segs[lo:hi]
+		hi = lo
+		levels := depth - d
+		for i := max(searchKeys(keys, uint16(first)+1)-1, 0); i < len(keys) && int(keys[i]) <= last; i++ {
+			seg := &segs[i]
+			from, to := max(int(keys[i]), first), min(int(seg.End()-base), last)
+			if i+1 < len(keys) {
+				to = min(to, int(keys[i+1])-1)
+			}
+			if from > to {
+				continue
+			}
+			if seg.Accurate() {
+				open -= claimAccurate(seg, out[from-first:to-first+1], from-int(keys[i]), levels)
+			} else {
+				open -= t.claimApprox(g, seg, out, first, from, to, levels)
+			}
+		}
+	}
+	return len(out)
+}
+
+// claimAccurate gives the open slots of out that lie on seg's stride to
+// seg; out[0] is d LPAs past seg's start. It returns how many it claimed.
+func claimAccurate(seg *Segment, out []Answer, d, levels int) int {
+	s, k, i := int(seg.stride), d, 0
+	if s > 1 {
+		k = (d + s - 1) / s // the first stride step at or after out[0]
+		i = k*s - d
+	}
+	n := 0
+	for ; i < len(out); i, k = i+s, k+1 {
+		if a := &out[i]; !a.OK {
+			a.PPA, a.OK, a.Res.Levels = seg.p0+addr.PPA(k), true, levels
+			n++
+		}
+	}
+	return n
+}
+
+// claimApprox gives the open slots at offsets [from, to] that the CRB
+// says approximate seg owns to it, and marks those another approximate
+// segment owns as redirected. out[0] is the slot at offset first. It
+// returns how many it claimed.
+func (t *Table) claimApprox(g *group, seg *Segment, out []Answer, first, from, to, levels int) int {
+	n := 0
+	start := seg.Start()
+	for off := from; off <= to; off++ {
+		a := &out[off-first]
+		if a.OK {
+			continue
+		}
+		owner, ok := g.crb.lookup(uint8(off))
+		if !ok {
+			continue
+		}
+		if owner != start {
+			a.Res.Redirected = true
+			continue
+		}
+		a.PPA, a.OK = seg.predictApprox(uint8(off)), true
+		a.Res.Levels, a.Res.Approx = levels, true
+		a.Res.Exact = t.bitmapOn && g.exact.test(uint8(off))
+		n++
+	}
+	return n
+}
+
 // Compact rebuilds every group mutated since its last rebuild (paper §3.7
 // "Segment Compaction", done a whole group at a time — rebuild.go). The
 // per-group triggers on the commit path keep depth and size bounded on
@@ -1019,6 +1147,7 @@ func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 // a group the sweep left as it was (or did not need to look at) is not
 // reported.
 func (t *Table) Compact() []addr.GroupID {
+	t.gen++
 	var out []addr.GroupID
 	t.eachGroup(func(id addr.GroupID, g *group) {
 		if t.compactGroup(id, g) {

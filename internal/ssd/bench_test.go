@@ -16,8 +16,9 @@ const writeBurstAllocBound = 0.002
 
 // TestDeviceSteadyStateAllocs is the device's allocation budget. On a
 // warmed device whose data cache is smaller than the read set, a read mix
-// of hits, misses and evictions allocates nothing: the data cache's node
-// arena and eviction buffer are reused. A write burst that fills the
+// of hits, misses and evictions, with 32-page scans among short reads,
+// allocates nothing: the data cache's node arena and eviction buffer are
+// reused, and a scan's translations share the scheme's answer buffer. A write burst that fills the
 // buffer, flushes and triggers GC stays under writeBurstAllocBound per
 // page: the flush and GC staging buffers are reused across calls.
 func TestDeviceSteadyStateAllocs(t *testing.T) {
@@ -34,7 +35,11 @@ func TestDeviceSteadyStateAllocs(t *testing.T) {
 
 	rng := seededRand(t, 3)
 	read := func() {
-		if _, err := d.Read(addr.LPA(rng.Intn(logical-4)), 1+rng.Intn(4)); err != nil {
+		n := 1 + rng.Intn(4)
+		if rng.Intn(4) == 0 {
+			n = 32 // a scan: one translation sweep per group
+		}
+		if _, err := d.Read(addr.LPA(rng.Intn(logical-32)), n); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,6 +35,10 @@ type Device struct {
 	// reporter receives OOB-verified read feedback when the scheme asks
 	// for it (bitmap-enabled LeaFTL); nil otherwise.
 	reporter ftl.MissReporter
+	// runHint is told each read's LPA run before its pages are
+	// translated, when the scheme takes the hint (LeaFTL); nil
+	// otherwise.
+	runHint interface{ ExpectRun(addr.LPA, int) }
 
 	logicalPages int
 
@@ -132,7 +136,7 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	gamma, reporter := schemeCaps(scheme)
+	gamma, reporter, runHint := schemeCaps(scheme)
 	if 2*gamma+1 > cfg.Flash.OOBEntries() {
 		return nil, fmt.Errorf("ssd: gamma %d needs %d OOB entries, flash provides %d (§3.5)",
 			gamma, 2*gamma+1, cfg.Flash.OOBEntries())
@@ -144,6 +148,7 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 		scheme:       scheme,
 		gamma:        gamma,
 		reporter:     reporter,
+		runHint:      runHint,
 		logicalPages: cfg.LogicalPages(),
 		truth:        make([]addr.PPA, cfg.LogicalPages()),
 		token:        make([]uint64, cfg.LogicalPages()),
@@ -182,10 +187,11 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 }
 
 // schemeCaps probes the optional capabilities of a scheme the read
-// path uses: its error bound γ (ftl.Gamma; 0 without one) and its read
-// feedback (ftl.MissReporter). New and Recover both bind a scheme
-// through it, so a recovered device reports reads to the fresh scheme.
-func schemeCaps(scheme ftl.Scheme) (gamma int, reporter ftl.MissReporter) {
+// path uses: its error bound γ (ftl.Gamma; 0 without one), its read
+// feedback (ftl.MissReporter) and its run hint (ExpectRun). New and
+// Recover both bind a scheme through it, so a recovered device reports
+// reads to, and announces runs to, the fresh scheme.
+func schemeCaps(scheme ftl.Scheme) (gamma int, reporter ftl.MissReporter, runHint interface{ ExpectRun(addr.LPA, int) }) {
 	if g, ok := scheme.(ftl.Gamma); ok {
 		gamma = g.Gamma()
 	}
@@ -197,7 +203,8 @@ func schemeCaps(scheme ftl.Scheme) (gamma int, reporter ftl.MissReporter) {
 			reporter = mr
 		}
 	}
-	return gamma, reporter
+	runHint, _ = scheme.(interface{ ExpectRun(addr.LPA, int) })
+	return gamma, reporter, runHint
 }
 
 // wireJournal sizes a journaling scheme's metadata journal from the
@@ -303,6 +310,9 @@ func (d *Device) ReadAt(lpa addr.LPA, n int, start time.Duration) (time.Duration
 	d.stats.HostReadReqs++
 	metaBefore := d.stats.MetaReads + d.stats.MetaWrites
 	missBefore := d.stats.Mispredictions
+	if d.runHint != nil {
+		d.runHint.ExpectRun(lpa, n)
+	}
 	end := start + cacheHitLatency
 	for i := 0; i < n; i++ {
 		done, err := d.readPage(lpa+addr.LPA(i), start)

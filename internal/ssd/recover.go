@@ -241,7 +241,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	// those pages, and they must be re-learned from the scan (the
 	// journal-replay role the OOB sequence numbers play in real
 	// firmware).
-	freshGamma, freshReporter := schemeCaps(fresh)
+	freshGamma, freshReporter, freshHint := schemeCaps(fresh)
 	pairs := make([]addr.Mapping, 0, len(newest))
 	for lpa, ref := range newest {
 		if _, ok := restored[addr.Group(lpa)]; ok && restoredCovers(fresh, lpa, ref.ppa, freshGamma) {
@@ -270,7 +270,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	}
 
 	fresh.SetBudget(d.mapBudget)
-	d.scheme, d.gamma, d.reporter = fresh, freshGamma, freshReporter
+	d.scheme, d.gamma, d.reporter, d.runHint = fresh, freshGamma, freshReporter, freshHint
 	d.resizeCache()
 	return rep, nil
 }
