@@ -205,9 +205,9 @@ func (a *ager) relocate(tb *Table) {
 	a.add(tb)
 }
 
-// repair reads n random LPAs the way the device does: an approximate
-// answer without its exact bit is checked against the truth, fed back
-// through NoteRead, and a miss is pinned with a one-point Insert.
+// repair reads n random LPAs: an unverified approximate answer is
+// checked against the truth, and a miss is pinned with a one-point
+// Insert.
 func (a *ager) repair(tb *Table, n int) {
 	for ; n > 0; n-- {
 		l := addr.LPA(a.rng.Intn(len(a.truth)))
@@ -215,9 +215,7 @@ func (a *ager) repair(tb *Table, n int) {
 		if !ok || !res.Approx || res.Exact {
 			continue
 		}
-		want := a.truth[l]
-		tb.NoteRead(l, got, want, true)
-		if got != want {
+		if want := a.truth[l]; got != want {
 			tb.Insert(Learned{Seg: Segment{SLPA: l, I: float32(want)}, LPAs: []addr.LPA{l}})
 		}
 	}

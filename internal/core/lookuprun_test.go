@@ -17,7 +17,6 @@ const (
 	opUpdate = iota
 	opRepair
 	opCompact
-	opNoteRead
 	opWindow
 	numOps
 )
@@ -82,9 +81,8 @@ func lookupRunSeeds() [][]byte {
 		p = p.update(10, 20, 1, 7, 5, 2, 0, 1, 2, 2, 0, 1, 0, 2, 1, 2, 0, 0, 1, 2, 1, 0, 2, 1)
 		p = p.update(14, 12, 1, 5, 3, 1, 2, 0, 2, 1, 0, 2, 1, 0, 2, 1)
 		p = p.window(0, 256).window(190, 66).window(250, 12)
-		// Repairs and read feedback on the approximate slots, then a
-		// compaction, and the windows again.
-		p = p.op(opNoteRead, 0, 12, 0).op(opNoteRead, 0, 13, 1)
+		// A repair of an approximate slot, then a compaction, and the
+		// windows again.
 		p = p.repair(16)
 		p = p.window(8, 40).op(opCompact).window(0, 256).window(128, 128)
 		seeds = append(seeds, p)
@@ -145,16 +143,6 @@ func runLookupRunProgram(t *testing.T, prog []byte) *lrRun {
 			}
 		case opCompact:
 			r.tb.Compact()
-		case opNoteRead:
-			l := r.nextLPA()
-			wrong := r.next()&1 != 0
-			if got, res, ok := r.tb.Lookup(l); ok && r.truth[l] != 0 {
-				actual := r.truth[l]
-				if wrong {
-					actual = got + 1
-				}
-				r.tb.NoteRead(l, got, actual, res.Approx)
-			}
 		case opWindow:
 			l := r.nextLPA()
 			r.check(l, 1+int(r.next()))
@@ -238,7 +226,7 @@ func (r *lrRun) check(lpa addr.LPA, n int) {
 
 // FuzzLookupRun checks LookupRun against a Lookup of every slot, on
 // tables built by a program of Update batches (strides, irregular gaps,
-// PPA jumps), Insert repairs, Compact and NoteRead calls, at γ 0 or 4
+// PPA jumps), Insert repairs and Compact calls, at γ 0 or 4
 // with the exactness bitmap on or off. Every slot must agree in PPA, ok,
 // Levels, Approx, Exact and Redirected.
 func FuzzLookupRun(f *testing.F) {
@@ -287,9 +275,8 @@ func TestLookupRunAgedTable(t *testing.T) {
 	}
 }
 
-// genTable builds a γ = 4 table of two groups with an approximate
-// segment in group 0 (learned with the bitmap off, so its exact bits
-// are clear) and then turns the bitmap on. It returns an LPA the
+// genTable builds a γ = 4 table of two groups, without verification,
+// with an approximate segment in group 0. It returns an LPA the
 // approximate segment answers.
 func genTable(t *testing.T) (*Table, addr.LPA) {
 	t.Helper()
@@ -305,21 +292,18 @@ func genTable(t *testing.T) (*Table, addr.LPA) {
 		ppa++
 	}
 	tb.Update(pairs)
-	tb.EnableExactBitmap()
 	for l := addr.LPA(0); l < addr.GroupSize; l++ {
-		if _, res, ok := tb.Lookup(l); ok && res.Approx && !res.Exact {
+		if _, res, ok := tb.Lookup(l); ok && res.Approx {
 			return tb, l
 		}
 	}
-	t.Fatal("no approximate slot with a clear exact bit")
+	t.Fatal("no approximate slot")
 	return nil, 0
 }
 
 // TestGenCountsMutations: every exported mutator of the table advances
-// Gen and no read-only call does, NoteRead included when it leaves the
-// exact bits as they were. The device reports every verified read, so
-// a NoteRead that counted without flipping a bit would void a memo of
-// LookupRun answers after every page.
+// Gen and no read-only call does, so a memo of LookupRun answers lives
+// exactly as long as the answers hold.
 func TestGenCountsMutations(t *testing.T) {
 	var out [32]Answer
 	truth := func(addr.LPA) (addr.PPA, bool) { return 0, false }
@@ -351,36 +335,11 @@ func TestGenCountsMutations(t *testing.T) {
 		}},
 		{"DropGroup", true, func(tb *Table, _ addr.LPA) error { tb.DropGroup(0); return nil }},
 		{"EnableExactBitmap", true, func(tb *Table, _ addr.LPA) error { tb.EnableExactBitmap(); return nil }},
-		{"NoteRead/sets-bit", true, func(tb *Table, l addr.LPA) error {
-			ppa, _, _ := tb.Lookup(l)
-			tb.NoteRead(l, ppa, ppa, true)
-			return nil
-		}},
-		{"NoteRead/clears-bit", true, func(tb *Table, l addr.LPA) error {
-			ppa, _, _ := tb.Lookup(l)
-			tb.NoteRead(l, ppa, ppa, true)
-			gen := tb.Gen()
-			tb.NoteRead(l, ppa, ppa+1, true)
-			if tb.Gen() == gen {
-				return fmt.Errorf("clearing a set bit left Gen at %d", gen)
-			}
-			return nil
-		}},
 		{"Lookup", false, func(tb *Table, l addr.LPA) error { tb.Lookup(l); return nil }},
 		{"LookupRun", false, func(tb *Table, l addr.LPA) error { tb.LookupRun(l, out[:]); return nil }},
 		{"MarshalGroup", false, func(tb *Table, _ addr.LPA) error { _, err := tb.MarshalGroup(0); return err }},
 		{"Stats", false, func(tb *Table, _ addr.LPA) error { tb.Stats(); return nil }},
-		{"AuditExactBits", false, func(tb *Table, _ addr.LPA) error { return tb.AuditExactBits(truth) }},
-		{"NoteRead/accurate", false, func(tb *Table, _ addr.LPA) error {
-			ppa, _, _ := tb.Lookup(300)
-			tb.NoteRead(300, ppa, ppa, false)
-			return nil
-		}},
-		{"NoteRead/bit-unchanged", false, func(tb *Table, l addr.LPA) error {
-			ppa, _, _ := tb.Lookup(l)
-			tb.NoteRead(l, ppa, ppa+1, true) // the bit is already clear
-			return nil
-		}},
+		{"AuditExact", false, func(tb *Table, _ addr.LPA) error { return tb.AuditExact(truth) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -239,13 +239,11 @@ func (t *Table) resolve(base addr.LPA, g *group) (levels int) {
 			if e == nil {
 				continue
 			}
-			// One unverified slot keeps the whole segment approximate.
+			// A verifying table's approximate answers are exact; without
+			// verification the segment keeps its slots as predictions.
 			state := uint8(slotTruth)
-			for _, o := range e.lpas {
-				if rb.state[o] == slotFree && !(t.bitmapOn && g.exact.test(o)) {
-					state = slotKept
-					break
-				}
+			if !t.bitmapOn {
+				state = slotKept
 			}
 			start := len(rb.arena)
 			for _, o := range e.lpas {

@@ -95,9 +95,8 @@ func (c *churn) gcBatch() {
 	c.tab.Update(pairs)
 }
 
-// readBack plays the device's read feedback for a few random LPAs: an
-// approximate answer without a set bit is verified against the oracle,
-// and a miss is repaired with an exact point, as leaftl.Scheme does.
+// readBack checks a few random LPAs' unverified approximate answers
+// against the oracle and repairs each miss with an exact point.
 func (c *churn) readBack() {
 	for i := 0; i < 16; i++ {
 		l := addr.LPA(c.rng.Intn(c.space))
@@ -109,7 +108,6 @@ func (c *churn) readBack() {
 		if !res.Approx || res.Exact {
 			continue
 		}
-		c.tab.NoteRead(l, got, want, true)
 		if got != want {
 			fix := Learned{Seg: Segment{SLPA: l, I: float32(want)}, LPAs: []addr.LPA{l}}
 			c.tab.Insert(fix)
@@ -154,7 +152,7 @@ func (c *churn) check(when string) {
 		}
 	}
 	oracle := func(l addr.LPA) (addr.PPA, bool) { p, ok := c.truth[l]; return p, ok }
-	if err := c.tab.AuditExactBits(oracle); err != nil {
+	if err := c.tab.AuditExact(oracle); err != nil {
 		c.t.Fatalf("%s: %v", when, err)
 	}
 	if err := c.tab.CheckShape(); err != nil {
@@ -325,13 +323,13 @@ func TestCompactReportsOnlyChanges(t *testing.T) {
 
 // TestRebuildKeepsUnverifiedApproximate pins the rule the rebuild may
 // not bend: a slot answered by an unverified approximate segment answers
-// with the same prediction afterwards, is still reported approximate, and
-// is not given a set bit; a verified one becomes (or stays) exact.
+// with the same prediction afterwards and is still reported approximate,
+// never exact. Unverified segments live only in a table that does not
+// verify.
 func TestRebuildKeepsUnverifiedApproximate(t *testing.T) {
 	tb := NewTable(4)
-	tb.EnableExactBitmap()
-	// Hand-inserted approximate segments start unverified. Wide,
-	// interleaved ranges stack one level each, past the depth bound.
+	// Wide, interleaved ranges stack one level each, past the depth
+	// bound.
 	lpasOf := func(i int) []addr.LPA { return []addr.LPA{addr.LPA(i), addr.LPA(100 + 2*i), addr.LPA(200 + i)} }
 	type answer struct {
 		ppa addr.PPA

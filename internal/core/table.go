@@ -1017,7 +1017,7 @@ func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 			continue
 		}
 		res.Approx = true
-		res.Exact = t.bitmapOn && g.exact.test(off)
+		res.Exact = t.bitmapOn
 		return seg.predictApprox(off), res, true
 	}
 	return addr.InvalidPPA, res, false
@@ -1129,7 +1129,7 @@ func (t *Table) claimApprox(g *group, seg *Segment, out []Answer, first, from, t
 		}
 		a.PPA, a.OK = seg.predictApprox(uint8(off)), true
 		a.Res.Levels, a.Res.Approx = levels, true
-		a.Res.Exact = t.bitmapOn && g.exact.test(uint8(off))
+		a.Res.Exact = t.bitmapOn
 		n++
 	}
 	return n

@@ -65,11 +65,11 @@ type Translation struct {
 	// Approx marks a prediction that may be off by up to ±gamma and must
 	// be verified against the OOB reverse mapping (LeaFTL only).
 	Approx bool
-	// Exact marks an approximate translation whose PPA the scheme's
-	// predicted-exact bitmap proves to land on the live page: the device
-	// issues one flash read with no OOB verification probe budget, and a
-	// wrong PPA here is an invariant violation, not a misprediction
-	// (bitmap-enabled LeaFTL only; always false otherwise).
+	// Exact marks an approximate translation the scheme verified when it
+	// learned it, so its PPA lands on the live page: the device issues
+	// one flash read with no OOB verification probe budget, and a wrong
+	// PPA here is an invariant violation, not a misprediction (LeaFTL
+	// with verify-at-learn only; always false otherwise).
 	Exact bool
 }
 
@@ -213,23 +213,11 @@ type JournalStats struct {
 	MaxChain int
 }
 
-// MissReporter is implemented by schemes that want translation feedback
-// from the device's OOB-verified read path. After every scheme-translated
-// flash read that the exactness bitmap did not vouch for, the device
-// reports what the scheme predicted and what the flash's reverse mapping
-// proved true; a scheme may spend translation-metadata flash operations
-// reacting (e.g. pinning the corrected mapping), returned as the Cost.
-// The device serializes calls.
+// MissReporter was read feedback from the device's OOB-verified read
+// path. The device no longer reports reads: it stays because the
+// benchmark under bench/ names it and forwards both methods.
 type MissReporter interface {
-	// NoteRead reports one verified read: the scheme translated lpa to
-	// predicted, the true page was actual (== predicted on a correct
-	// prediction), and approx says whether the translation was
-	// approximate. hintResolved is always false; the parameter stays
-	// because the benchmark under bench/ forwards it.
 	NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hintResolved bool) Cost
-
-	// NoteExact is never called by the device; it stays because the
-	// benchmark under bench/ forwards it.
 	NoteExact(lpa addr.LPA) Cost
 }
 
@@ -250,13 +238,13 @@ type GCRelearner interface {
 	CommitGC(pairs []addr.Mapping) (Cost, int)
 }
 
-// ExactAuditor is implemented by schemes that maintain predicted-exact
-// bitmaps. The device's CheckInvariants hands it a ground-truth oracle
-// (live PPA per LPA; ok=false for unmapped or lost pages) and the scheme
-// verifies every set bit's prediction against it — a set bit pointing
-// at the wrong page would make the device return wrong data without an
-// OOB check, so any disagreement is a hard invariant failure. The audit
-// must be side-effect free and must not fault paged-out groups in.
+// ExactAuditor is implemented by schemes that mark translations Exact.
+// The device's CheckInvariants hands it a ground-truth oracle (live PPA
+// per LPA; ok=false for unmapped or lost pages) and the scheme verifies
+// every translation it would mark Exact against it — one pointing at the
+// wrong page would make the device return wrong data without an OOB
+// check, so any disagreement is a hard invariant failure. The audit must
+// be side-effect free and must not fault paged-out groups in.
 type ExactAuditor interface {
 	AuditExact(truth func(addr.LPA) (addr.PPA, bool)) error
 }

@@ -36,8 +36,8 @@ func WithCompactEvery(n uint64) Option {
 	return func(s *Scheme) { s.compactEvery = n }
 }
 
-// WithAutoTune does nothing: the exactness bitmap (WithExactBitmap)
-// repairs every costly miss itself. It stays because the benchmark under
+// WithAutoTune does nothing: verify-at-learn (WithExactBitmap) leaves no
+// costly miss to tune against. It stays because the benchmark under
 // bench/ passes it.
 func WithAutoTune(float64) Option { return func(*Scheme) {} }
 
@@ -52,13 +52,15 @@ func WithJournal() Option {
 	return func(s *Scheme) { s.journal = true }
 }
 
-// WithExactBitmap enables predicted-exact bitmaps and GC-time
-// relearning (LearnedFTL, arXiv:2303.13226): the table verifies every
-// committed slot's prediction and records exactness per LPA, Translate
-// reports proven-exact approximate answers so the device reads them
-// with no OOB verification budget, costly mispredictions are repaired
-// with exact single-point segments, and GC relocation batches re-fit
-// their groups from the freshly sequential layout (CommitGC).
+// WithExactBitmap turns on verify-at-learn and GC-time relearning
+// (after LearnedFTL, arXiv:2303.13226, whose per-group accuracy bitmap
+// it replaces): the table checks every committed slot against the
+// prediction that will answer it and fits what an approximate segment
+// mispredicts exactly, so every approximate answer is exact. Translate
+// reports them as such and the device reads them with no OOB
+// verification budget, and GC relocation batches re-fit their groups
+// from the freshly sequential layout (CommitGC). The name stays because
+// the benchmark under bench/ passes it.
 func WithExactBitmap() Option {
 	return func(s *Scheme) { s.bitmap = true }
 }
@@ -72,7 +74,7 @@ type Scheme struct {
 	compactEvery uint64
 	lastCompact  uint64
 
-	// Predicted-exact bitmap + GC relearning (WithExactBitmap).
+	// Verify-at-learn + GC relearning (WithExactBitmap).
 	bitmap bool
 
 	// Metadata journal persistence (WithJournal).
@@ -299,33 +301,15 @@ func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 // bench/ names: every group learns at the table's γ.
 func (s *Scheme) MaxGroupGamma() int { return s.Gamma() }
 
-// FeedbackEnabled reports whether the scheme wants the device's
-// OOB-verified read feedback: only the exactness bitmap uses it.
+// FeedbackEnabled reports whether the table verifies at learn time.
+// The device no longer asks: it stays because the benchmark under
+// bench/ names it.
 func (s *Scheme) FeedbackEnabled() bool { return s.bitmap }
 
-// NoteRead implements ftl.MissReporter: OOB-verified read feedback from
-// the device, live only with the exactness bitmap on (FeedbackEnabled).
-// The feedback sets or clears the slot's exact bit, and every
-// misprediction is repaired on the spot: the recovery already paid the
-// flash reads that proved the true PPA, so pinning it as an exact
-// single-point segment costs no extra flash work and arms the slot's
-// bit, so the same page can never pay the double read twice
-// (LearnedFTL's double-read elimination, expressed in LeaFTL's segment
-// vocabulary). Under a budget the repair dirties and re-caps the group
-// like any commit. The device always passes hintResolved false.
-func (s *Scheme) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hintResolved bool) ftl.Cost {
-	if !s.bitmap {
-		return ftl.Cost{}
-	}
-	s.table.NoteRead(lpa, predicted, actual, approx)
-	if !approx || actual == predicted {
-		return ftl.Cost{}
-	}
-	cost := s.pager.EnsureWrite(addr.Group(lpa))
-	s.table.Insert(repairPoint(lpa, actual))
-	cost.Add(s.pager.Enforce())
-	return cost
-}
+// NoteRead implements ftl.MissReporter, which the benchmark under bench/
+// forwards; the device never calls it. A verifying table has nothing to
+// learn from a read: every approximate answer it gives is already exact.
+func (s *Scheme) NoteRead(addr.LPA, addr.PPA, addr.PPA, bool, bool) ftl.Cost { return ftl.Cost{} }
 
 // NoteExact implements ftl.MissReporter, which the benchmark under bench/
 // forwards; the device never calls it.
@@ -344,20 +328,12 @@ func (s *Scheme) CommitGC(pairs []addr.Mapping) (ftl.Cost, int) {
 	return s.commit(pairs)
 }
 
-// AuditExact implements ftl.ExactAuditor: verify every resident set bit
-// against the device's ground truth (CheckInvariants). Trivially clean
-// while the bitmap is off.
+// AuditExact implements ftl.ExactAuditor: every approximate answer of a
+// resident group must predict the device's ground truth
+// (core.Table.AuditExact, run by CheckInvariants). Trivially clean while
+// the table does not verify.
 func (s *Scheme) AuditExact(truth func(addr.LPA) (addr.PPA, bool)) error {
-	return s.table.AuditExactBits(truth)
-}
-
-// repairPoint builds the exact single-point segment that pins a
-// misprediction's corrected mapping (L=0, K=0, I=PPA — paper §3.1).
-func repairPoint(lpa addr.LPA, ppa addr.PPA) core.Learned {
-	return core.Learned{
-		Seg:  core.Segment{SLPA: lpa, L: 0, K: 0, I: float32(ppa)},
-		LPAs: []addr.LPA{lpa},
-	}
+	return s.table.AuditExact(truth)
 }
 
 // JournalEnabled implements ftl.Journaled.

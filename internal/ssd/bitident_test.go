@@ -53,14 +53,13 @@ func churnBitIdentity(t *testing.T, d *Device) {
 // commit, which every intended change to placement or timing would
 // otherwise have to re-capture by hand.
 
-// feedbackGate and journalHook name the two capability probes the device
-// makes through anonymous interfaces, so the views below can forward them.
-// errorBound is ftl.Gamma under another name: embedded as ftl.Gamma, the
-// field would be named Gamma and hide the method it should promote.
+// journalHook names the capability probe the device makes through an
+// anonymous interface, so the views below can forward it. errorBound is
+// ftl.Gamma under another name: embedded as ftl.Gamma, the field would be
+// named Gamma and hide the method it should promote.
 type (
-	feedbackGate interface{ FeedbackEnabled() bool }
-	journalHook  interface{ SetJournalCrashHook(func(string)) }
-	errorBound   interface{ Gamma() int }
+	journalHook interface{ SetJournalCrashHook(func(string)) }
+	errorBound  interface{ Gamma() int }
 )
 
 // sansBitmap is a LeaFTL scheme as the device saw it before the
@@ -71,8 +70,6 @@ type (
 type sansBitmap struct {
 	ftl.Journaled // Scheme + GroupPaged + the journal
 	errorBound
-	ftl.MissReporter
-	feedbackGate
 	journalHook
 }
 
@@ -82,10 +79,8 @@ type sansBitmap struct {
 type sansJournal struct {
 	ftl.GroupPaged // Scheme + paging
 	errorBound
-	ftl.MissReporter
 	ftl.GCRelearner
 	ftl.ExactAuditor
-	feedbackGate
 }
 
 // requireSameDevice fails unless a and b ended in bit-identical state
@@ -126,7 +121,7 @@ func TestBitmapOffBitIdentity(t *testing.T) {
 	}
 	off := newTestDevice(t, cfg, mk())
 	s := mk()
-	absent := newTestDevice(t, cfg, sansBitmap{s, s, s, s, s})
+	absent := newTestDevice(t, cfg, sansBitmap{s, s, s})
 	for _, d := range []*Device{off, absent} {
 		churnBitIdentity(t, d)
 		if err := d.CheckInvariants(); err != nil {

@@ -61,10 +61,9 @@ func requireMissIdentity(t *testing.T, st Stats) {
 	}
 }
 
-// TestBitmapDeviceEndToEnd drives the exact-bit read path on a real
-// device: after churn, approximate reads are served through set bits
-// with no verification budget, every misprediction shows up once in the
-// double-read and fallback counters, and the bitmap audit in
+// TestBitmapDeviceEndToEnd drives the exact read path on a real device:
+// after churn, approximate reads are served as exact with no
+// verification budget, nothing mispredicts, and the audit in
 // CheckInvariants holds throughout.
 func TestBitmapDeviceEndToEnd(t *testing.T) {
 	cfg := testConfig()
@@ -77,10 +76,10 @@ func TestBitmapDeviceEndToEnd(t *testing.T) {
 	if st.ApproxReads == 0 {
 		t.Fatal("no approximate reads; the workload is not exercising the learned path")
 	}
-	if st.ExactBitHits == 0 {
-		t.Fatal("no reads served through exact bits")
+	if st.ExactBitHits != st.ApproxReads || st.Mispredictions != 0 {
+		t.Fatalf("%d approximate reads, %d served as exact, %d mispredictions; want all exact",
+			st.ApproxReads, st.ExactBitHits, st.Mispredictions)
 	}
-	requireMissIdentity(t, st)
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestBitmapDeviceEndToEnd(t *testing.T) {
 	// these scattered-write groups into accurate ones, so churn alone may
 	// leave the read span no approximate translation. A few sparse
 	// irregular flushes — too small to trip a rebuild — lay down fresh
-	// approximate segments for the passes below to read through.
+	// approximate segments for the pass below to read through.
 	span := d.LogicalPages() / 4
 	for base := 0; base < span; base += 96 {
 		for _, o := range []int{0, 1, 3, 4, 7} {
@@ -102,35 +101,25 @@ func TestBitmapDeviceEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The kill-the-double-read property: a read pass arms exact bits and
-	// repairs costly misses, so an identical second pass pays zero double
-	// reads — every approximate translation either carries a set bit or
-	// was repaired into an accurate point.
-	pass := func() (dbl, approx, exact uint64) {
-		before := d.Stats()
-		for lpa := 0; lpa < span; lpa++ {
-			if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
-				t.Fatal(err)
-			}
+	// Verify-at-learn kills the double read outright: every approximate
+	// translation of a read pass over the span is served as exact, and
+	// none pays a double read.
+	before := d.Stats()
+	for lpa := 0; lpa < span; lpa++ {
+		if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
+			t.Fatal(err)
 		}
-		after := d.Stats()
-		return after.DoubleReads - before.DoubleReads, after.ApproxReads - before.ApproxReads,
-			after.ExactBitHits - before.ExactBitHits
 	}
-	firstDbl, _, _ := pass()
-	secondDbl, secondApprox, secondExact := pass()
-	if secondDbl != 0 {
-		t.Fatalf("second identical read pass still paid %d double reads (first pass: %d)",
-			secondDbl, firstDbl)
+	after := d.Stats()
+	dbl, approx := after.DoubleReads-before.DoubleReads, after.ApproxReads-before.ApproxReads
+	exact := after.ExactBitHits - before.ExactBitHits
+	if dbl != 0 {
+		t.Fatalf("read pass paid %d double reads", dbl)
 	}
-	if secondExact == 0 {
-		t.Fatal("second read pass served nothing through exact bits")
+	if exact == 0 || exact != approx {
+		t.Fatalf("read pass: %d approximate translations, %d served as exact; want equal and nonzero",
+			approx, exact)
 	}
-	if secondExact != secondApprox {
-		t.Fatalf("second read pass: %d approximate translations, only %d served through exact bits",
-			secondApprox, secondExact)
-	}
-	requireMissIdentity(t, d.Stats())
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -292,17 +281,17 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 	}
 }
 
-// TestBitmapAuditCatchesStaleBit proves the invariant sweep detects a
-// poisoned bitmap: force a set bit whose prediction no longer lands on
-// the live page and CheckInvariants must fail.
-func TestBitmapAuditCatchesStaleBit(t *testing.T) {
+// TestBitmapAuditCatchesWrongAnswer proves the invariant sweep detects a
+// trusted answer gone wrong: move the ground truth of an LPA the scheme
+// answers as exact off its prediction and CheckInvariants must fail.
+func TestBitmapAuditCatchesWrongAnswer(t *testing.T) {
 	cfg := testConfig()
 	d := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
 	churnMispredict(t, d, 7, 2000)
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Find a mapped LPA translated approximately through a set bit and
+	// Find a mapped LPA translated approximately and marked exact, and
 	// corrupt the device's ground truth out from under it.
 	sch := d.Scheme().(*leaftl.Scheme)
 	for lpa := 0; lpa < d.LogicalPages()/2; lpa++ {
@@ -312,56 +301,65 @@ func TestBitmapAuditCatchesStaleBit(t *testing.T) {
 		}
 		d.truth[addr.LPA(lpa)] = tr.PPA + 1
 		if err := d.CheckInvariants(); err == nil {
-			t.Fatal("CheckInvariants accepted a set exact bit pointing at the wrong page")
+			t.Fatal("CheckInvariants accepted an exact answer pointing at the wrong page")
 		}
 		d.truth[addr.LPA(lpa)] = tr.PPA
 		return
 	}
-	t.Skip("no exact-bit translation found at this seed")
+	t.Fatal("no exact approximate translation found at this seed")
 }
 
 var _ ftl.GCRelearner = (*leaftl.Scheme)(nil)
 
-// noteReadCounter is a LeaFTL scheme that counts the read feedback the
-// device sends it.
-type noteReadCounter struct {
-	*leaftl.Scheme
-	notes int
-}
-
-func (c *noteReadCounter) NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hintResolved bool) ftl.Cost {
-	c.notes++
-	return c.Scheme.NoteRead(lpa, predicted, actual, approx, hintResolved)
-}
-
-// TestRecoverRewiresReadFeedback: after Recover, OOB-verified reads
-// report to the fresh scheme and never to the one the crash discarded.
-func TestRecoverRewiresReadFeedback(t *testing.T) {
+// TestRecoverKeepsReadsExact: after Recover, reads go through the fresh
+// scheme, which marks every approximate answer exact and never
+// mispredicts, as the one the crash discarded did.
+func TestRecoverKeepsReadsExact(t *testing.T) {
 	cfg := testConfig()
-	mk := func() *noteReadCounter {
-		return &noteReadCounter{Scheme: leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...)}
-	}
-	old := mk()
-	d := newTestDevice(t, cfg, old)
+	cfg.DRAMBytes = cfg.BufferBytes() + 64<<10 // starve the data cache
+	mk := func() *leaftl.Scheme { return leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...) }
+	d := newTestDevice(t, cfg, mk())
 	churnMispredict(t, d, 17, 2000)
-	if old.notes == 0 {
-		t.Fatal("no read feedback before the crash; test is vacuous")
+	if st := d.Stats(); st.ExactBitHits == 0 || st.Mispredictions != 0 {
+		t.Fatalf("before the crash: %d exact-bit hits, %d mispredictions; want some and none",
+			st.ExactBitHits, st.Mispredictions)
 	}
 	fresh := mk()
 	if _, err := d.Recover(fresh); err != nil {
 		t.Fatal(err)
 	}
-	before := old.notes
-	rng := seededRand(t, 18)
-	for op := 0; op < 2000; op++ {
-		if _, err := d.Read(addr.LPA(rng.Intn(d.LogicalPages()/4)), 1); err != nil {
+	if d.Scheme() != fresh {
+		t.Fatal("the device does not translate through the recovered scheme")
+	}
+	// Sparse irregular flushes lay down approximate segments in the
+	// fresh scheme for the reads to go through.
+	span := d.LogicalPages() / 4
+	for base := 0; base < span; base += 96 {
+		for _, o := range []int{0, 1, 3, 4, 7} {
+			if _, err := d.Write(addr.LPA(base+o), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if old.notes != before {
-		t.Errorf("the discarded scheme got %d reads of feedback after Recover", old.notes-before)
+	before := d.Stats()
+	for lpa := 0; lpa < span; lpa++ {
+		if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if fresh.notes == 0 {
-		t.Error("the recovered scheme got no read feedback")
+	st := d.Stats()
+	approx, hits := st.ApproxReads-before.ApproxReads, st.ExactBitHits-before.ExactBitHits
+	if hits == 0 || hits != approx {
+		t.Errorf("after Recover: %d approximate reads, %d exact-bit hits; want equal and nonzero", approx, hits)
+	}
+	if st.Mispredictions != before.Mispredictions || st.DoubleReads != before.DoubleReads {
+		t.Errorf("after Recover: %d mispredictions, %d double reads; want none",
+			st.Mispredictions-before.Mispredictions, st.DoubleReads-before.DoubleReads)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -67,10 +67,6 @@ func (s auditedLeaFTL) Translate(l addr.LPA) (ftl.Translation, bool) {
 }
 func (s auditedLeaFTL) Commit(p []addr.Mapping) ftl.Cost { return s.a.check(s.Scheme.Commit(p)) }
 func (s auditedLeaFTL) Maintain(n uint64) ftl.Cost       { return s.a.check(s.Scheme.Maintain(n)) }
-func (s auditedLeaFTL) NoteRead(l addr.LPA, predicted, actual addr.PPA, approx, hint bool) ftl.Cost {
-	return s.a.check(s.Scheme.NoteRead(l, predicted, actual, approx, hint))
-}
-func (s auditedLeaFTL) NoteExact(l addr.LPA) ftl.Cost { return s.a.check(s.Scheme.NoteExact(l)) }
 func (s auditedLeaFTL) CommitGC(p []addr.Mapping) (ftl.Cost, int) {
 	c, n := s.Scheme.CommitGC(p)
 	return s.a.check(c), n

@@ -32,9 +32,6 @@ type Device struct {
 	scheme ftl.Scheme
 	gamma  int // scheme's error bound (0 for exact schemes)
 
-	// reporter receives OOB-verified read feedback when the scheme asks
-	// for it (bitmap-enabled LeaFTL); nil otherwise.
-	reporter ftl.MissReporter
 	// runHint is told each read's LPA run before its pages are
 	// translated, when the scheme takes the hint (LeaFTL); nil
 	// otherwise.
@@ -136,7 +133,7 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	gamma, reporter, runHint := schemeCaps(scheme)
+	gamma, runHint := schemeCaps(scheme)
 	if 2*gamma+1 > cfg.Flash.OOBEntries() {
 		return nil, fmt.Errorf("ssd: gamma %d needs %d OOB entries, flash provides %d (§3.5)",
 			gamma, 2*gamma+1, cfg.Flash.OOBEntries())
@@ -147,7 +144,6 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 		arr:          arr,
 		scheme:       scheme,
 		gamma:        gamma,
-		reporter:     reporter,
 		runHint:      runHint,
 		logicalPages: cfg.LogicalPages(),
 		truth:        make([]addr.PPA, cfg.LogicalPages()),
@@ -187,24 +183,15 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 }
 
 // schemeCaps probes the optional capabilities of a scheme the read
-// path uses: its error bound γ (ftl.Gamma; 0 without one), its read
-// feedback (ftl.MissReporter) and its run hint (ExpectRun). New and
-// Recover both bind a scheme through it, so a recovered device reports
-// reads to, and announces runs to, the fresh scheme.
-func schemeCaps(scheme ftl.Scheme) (gamma int, reporter ftl.MissReporter, runHint interface{ ExpectRun(addr.LPA, int) }) {
+// path uses: its error bound γ (ftl.Gamma; 0 without one) and its run
+// hint (ExpectRun). New and Recover both bind a scheme through it, so a
+// recovered device announces runs to the fresh scheme.
+func schemeCaps(scheme ftl.Scheme) (gamma int, runHint interface{ ExpectRun(addr.LPA, int) }) {
 	if g, ok := scheme.(ftl.Gamma); ok {
 		gamma = g.Gamma()
 	}
-	if mr, ok := scheme.(ftl.MissReporter); ok {
-		// Schemes expose the interface statically even when the bitmap is
-		// off; only wire the feedback (and the read-path bookkeeping it
-		// implies) when it is live.
-		if en, ok := scheme.(interface{ FeedbackEnabled() bool }); !ok || en.FeedbackEnabled() {
-			reporter = mr
-		}
-	}
 	runHint, _ = scheme.(interface{ ExpectRun(addr.LPA, int) })
-	return gamma, reporter, runHint
+	return gamma, runHint
 }
 
 // wireJournal sizes a journaling scheme's metadata journal from the
@@ -309,7 +296,6 @@ func (d *Device) ReadAt(lpa addr.LPA, n int, start time.Duration) (time.Duration
 	}
 	d.stats.HostReadReqs++
 	metaBefore := d.stats.MetaReads + d.stats.MetaWrites
-	missBefore := d.stats.Mispredictions
 	if d.runHint != nil {
 		d.runHint.ExpectRun(lpa, n)
 	}
@@ -337,12 +323,9 @@ func (d *Device) ReadAt(lpa addr.LPA, n int, start time.Duration) (time.Duration
 		}
 	}
 	// A translation that charged meta traffic loaded or evicted mapping
-	// state, and with live feedback a misprediction may have grown the
-	// table (the bitmap scheme pins the corrected mapping); give the
-	// data cache whatever DRAM that freed or took. Other reads change
-	// nothing, so the hot path skips the resize.
-	if d.stats.MetaReads+d.stats.MetaWrites != metaBefore ||
-		(d.reporter != nil && d.stats.Mispredictions != missBefore) {
+	// state; give the data cache whatever DRAM that freed or took. Other
+	// reads change nothing, so the hot path skips the resize.
+	if d.stats.MetaReads+d.stats.MetaWrites != metaBefore {
 		d.resizeCache()
 	}
 	return lat, nil
@@ -394,13 +377,13 @@ func (d *Device) readPage(lpa addr.LPA, t time.Duration) (time.Duration, error) 
 	var tok uint64
 	switch {
 	case tr.Approx && tr.Exact:
-		// The scheme's predicted-exact bitmap proved this approximate
-		// prediction lands on the live page: one trusted flash read with
-		// no OOB verification probe budget reserved. The bit is a hard
-		// promise — a wrong PPA here would have returned wrong data, so
-		// it is an invariant failure, not a misprediction.
+		// The scheme verified this approximate prediction when it learned
+		// it: one trusted flash read with no OOB verification probe
+		// budget reserved. That is a hard promise — a wrong PPA here
+		// would have returned wrong data, so it is an invariant failure,
+		// not a misprediction.
 		if tr.PPA != want {
-			return 0, fmt.Errorf("ssd: predicted-exact bit lied for LPA %d: scheme %s predicted PPA %d, true page %d",
+			return 0, fmt.Errorf("ssd: verified prediction wrong for LPA %d: scheme %s predicted PPA %d, true page %d",
 				lpa, d.scheme.Name(), tr.PPA, want)
 		}
 		d.stats.ExactBitHits++
@@ -425,16 +408,6 @@ func (d *Device) readPage(lpa addr.LPA, t time.Duration) (time.Duration, error) 
 		if err != nil {
 			return 0, err
 		}
-	}
-
-	// OOB-verified feedback for the exactness bitmap: report what the
-	// scheme predicted against what the reverse mapping proved (a real
-	// drive learns the same facts from the reads it just performed). A
-	// reacting scheme may pin the corrected mapping, charged as
-	// translation-metadata traffic. A bitmap-trusted read was not
-	// verified, so it has nothing to report.
-	if d.reporter != nil && !tr.Exact {
-		t = d.chargeMeta(d.reporter.NoteRead(lpa, tr.PPA, want, tr.Approx, false), t)
 	}
 
 	if tok != d.token[lpa] {

@@ -39,9 +39,10 @@ import (
 //     resident group is at most L levels deep and its footprint is
 //     bounded by its live LPAs, not by how often it was written — the
 //     constants live beside the rebuild triggers in internal/core.
-//   - Predicted-exact bitmaps: every set bit's prediction lands on the
-//     LPA's live page — the read path trusts set bits without OOB
-//     verification, so a stale bit means silent wrong data.
+//   - Verified approximate answers: every approximate translation a
+//     verifying table gives lands on the LPA's live page — the read path
+//     trusts them without OOB verification, so a wrong one means silent
+//     wrong data.
 //   - Die timelines (flash.Array.CheckTimelines): busy spans sorted and
 //     disjoint, and no die time lost or booked twice.
 func (d *Device) CheckInvariants() error {
@@ -52,11 +53,11 @@ func (d *Device) CheckInvariants() error {
 	}
 
 	if ea, ok := d.scheme.(ftl.ExactAuditor); ok {
-		// Every set predicted-exact bit must point at the live page: the
-		// read path trusts it with no OOB verification, so a stale bit
-		// would silently return wrong data. Unmapped and lost LPAs have no
-		// live page — the oracle reports them absent and the audit skips
-		// their bits (the next read of such an LPA fails before flash).
+		// Every translation the read path trusts with no OOB verification
+		// must point at the live page, or it would silently return wrong
+		// data. Unmapped and lost LPAs have no live page — the oracle
+		// reports them absent and the audit skips them (the next read of
+		// such an LPA fails before flash).
 		truth := func(lpa addr.LPA) (addr.PPA, bool) {
 			if int(lpa) >= d.logicalPages {
 				return addr.InvalidPPA, false

@@ -95,7 +95,7 @@ func TestJournalOffBitIdentity(t *testing.T) {
 	journalChurn(t, off)
 	cfg := journalChurnConfig()
 	s := journalChurnScheme(cfg)
-	absent := newTestDevice(t, cfg, sansJournal{s, s, s, s, s, s})
+	absent := newTestDevice(t, cfg, sansJournal{s, s, s, s})
 	journalChurn(t, absent)
 	requireSameDevice(t, "journal off vs journal absent", off, absent)
 

@@ -241,7 +241,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	// those pages, and they must be re-learned from the scan (the
 	// journal-replay role the OOB sequence numbers play in real
 	// firmware).
-	freshGamma, freshReporter, freshHint := schemeCaps(fresh)
+	freshGamma, freshHint := schemeCaps(fresh)
 	pairs := make([]addr.Mapping, 0, len(newest))
 	for lpa, ref := range newest {
 		if _, ok := restored[addr.Group(lpa)]; ok && restoredCovers(fresh, lpa, ref.ppa, freshGamma) {
@@ -270,14 +270,16 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	}
 
 	fresh.SetBudget(d.mapBudget)
-	d.scheme, d.gamma, d.reporter, d.runHint = fresh, freshGamma, freshReporter, freshHint
+	d.scheme, d.gamma, d.runHint = fresh, freshGamma, freshHint
 	d.resizeCache()
 	return rep, nil
 }
 
 // restoredCovers reports whether a restored group image already locates
-// lpa at ppa: exactly, or — for approximate schemes — within the ±γ
-// learning guarantee the read path's window search recovers from. The
+// lpa at ppa: exactly, or — for an approximate answer the read path
+// verifies — within the ±γ learning guarantee its window search
+// recovers from. An answer marked Exact is trusted unverified, so it
+// must be exact. The
 // Translate side effects (demand-page LRU touches) are part of the
 // recovery validation pass; its flash cost is subsumed by ScanTime.
 func restoredCovers(fresh ftl.Scheme, lpa addr.LPA, ppa addr.PPA, gamma int) bool {
@@ -285,7 +287,7 @@ func restoredCovers(fresh ftl.Scheme, lpa addr.LPA, ppa addr.PPA, gamma int) boo
 	if !ok {
 		return false
 	}
-	if !tr.Approx {
+	if !tr.Approx || tr.Exact {
 		return tr.PPA == ppa
 	}
 	diff := int64(tr.PPA) - int64(ppa)

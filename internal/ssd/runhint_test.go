@@ -16,10 +16,8 @@ import (
 type sansRunHint struct {
 	ftl.Journaled // Scheme + GroupPaged + the journal
 	errorBound
-	ftl.MissReporter
 	ftl.GCRelearner
 	ftl.ExactAuditor
-	feedbackGate
 	journalHook
 }
 
@@ -126,7 +124,7 @@ func TestRunHintChangesNothing(t *testing.T) {
 					t.Fatal("the device did not bind LeaFTL's run hint")
 				}
 				u := mk()
-				unhinted := newTestDevice(t, cfg, sansRunHint{u, u, u, u, u, u, u})
+				unhinted := newTestDevice(t, cfg, sansRunHint{u, u, u, u, u})
 				if unhinted.runHint != nil {
 					t.Fatal("the device bound a run hint the scheme does not offer")
 				}

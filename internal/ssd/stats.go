@@ -33,9 +33,9 @@ type Stats struct {
 	MissFallbacks uint64
 	DoubleReads   uint64
 
-	// Predicted-exact bitmap read path (LearnedFTL-style). ExactBitHits
-	// counts approximate translations served through a set exact bit —
-	// one trusted flash read, no OOB verification probe budget reserved.
+	// Verified read path (verify-at-learn LeaFTL). ExactBitHits counts
+	// approximate translations the scheme marked Exact — one trusted
+	// flash read, no OOB verification probe budget reserved.
 	// Relearns counts segment groups re-fitted by GC-time relearning
 	// (Table.Update through CommitGC) from LPA-sorted relocation batches.
 	ExactBitHits uint64
@@ -103,7 +103,7 @@ func (s Stats) MispredictionRatio() float64 {
 }
 
 // DoubleReadRatio returns double reads per host page read — the §3.5
-// wasted-flash-read rate the exactness bitmap attacks.
+// wasted-flash-read rate verify-at-learn removes.
 func (s Stats) DoubleReadRatio() float64 {
 	if s.HostPagesRead == 0 {
 		return 0
@@ -111,8 +111,8 @@ func (s Stats) DoubleReadRatio() float64 {
 	return float64(s.DoubleReads) / float64(s.HostPagesRead)
 }
 
-// ExactBitHitRatio returns the fraction of approximate reads served
-// through a set predicted-exact bit (no verification budget).
+// ExactBitHitRatio returns the fraction of approximate reads served as
+// verified-exact (no verification budget).
 func (s Stats) ExactBitHitRatio() float64 {
 	if s.ApproxReads == 0 {
 		return 0
