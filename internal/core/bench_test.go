@@ -207,7 +207,7 @@ func (a *ager) relocate(tb *Table) {
 
 // repair reads n random LPAs: an unverified approximate answer is
 // checked against the truth, and a miss is pinned with a one-point
-// Insert.
+// insert.
 func (a *ager) repair(tb *Table, n int) {
 	for ; n > 0; n-- {
 		l := addr.LPA(a.rng.Intn(len(a.truth)))
@@ -216,7 +216,7 @@ func (a *ager) repair(tb *Table, n int) {
 			continue
 		}
 		if want := a.truth[l]; got != want {
-			tb.Insert(Learned{Seg: Segment{SLPA: l, I: float32(want)}, LPAs: []addr.LPA{l}})
+			tb.insert(Learned{Seg: Segment{SLPA: l, I: float32(want)}, LPAs: []addr.LPA{l}})
 		}
 	}
 }
@@ -239,13 +239,13 @@ func retainedSlots(tb *Table) int {
 	return n
 }
 
-// BenchmarkAgedCommit measures the write path of an aged, bitmap-on γ=4
+// BenchmarkAgedCommit measures the write path of an aged, verifying γ=4
 // table of 400 groups: one round of 16 overwrite flushes plus a
 // relocation pass per op. It reports ns per committed pair and the host
 // bytes the groups' segment arrays retain per live segment.
 func BenchmarkAgedCommit(b *testing.B) {
 	tb := NewTable(4)
-	tb.EnableExactBitmap()
+	tb.EnableVerifyAtLearn()
 	a := newAger(5, 400)
 	a.prefill(tb)
 	a.age(tb, 20)

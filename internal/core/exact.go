@@ -6,39 +6,6 @@ import (
 	"leaftl/internal/addr"
 )
 
-// exactBitmapBytes is the size of one group's predicted-exact bitmap:
-// one bit per LPA slot in the 256-LPA group.
-const exactBitmapBytes = addr.GroupSize / 8
-
-// exactBits is a group's predicted-exact bitmap (LearnedFTL's accuracy
-// bitmap, arXiv:2303.13226 §3.2). Bit i set means the table's *current*
-// prediction for LPA groupBase+i is known to land exactly on the live
-// page: it was verified against the true PPA the last time the slot was
-// learned, repaired, relearned, or OOB-checked on a read. A set bit lets
-// the device issue one trusted flash read with no OOB verification probe
-// budget; a clear bit routes through the §3.5 window read. Bits are
-// maintained only while the table's bitmap is enabled, but the field
-// always travels in the group wire record (zeroed when the feature is
-// off) so the record has one shape.
-//
-// The bitmap is controller working state, not part of the paper's
-// mapping-table footprint: like the CRB owner index it is excluded from
-// SizeBytes.
-type exactBits [exactBitmapBytes]byte
-
-func (b *exactBits) set(off uint8)       { b[off>>3] |= 1 << (off & 7) }
-func (b *exactBits) clear(off uint8)     { b[off>>3] &^= 1 << (off & 7) }
-func (b *exactBits) test(off uint8) bool { return b[off>>3]&(1<<(off&7)) != 0 }
-
-// ExactBits returns resident group id's predicted-exact bitmap; ok is
-// false when the group is not resident.
-func (t *Table) ExactBits(id addr.GroupID) (bits [exactBitmapBytes]byte, ok bool) {
-	if g := t.lookupGroup(id); g != nil {
-		return g.exact, true
-	}
-	return bits, false
-}
-
 // AuditExact verifies what a verifying table promises the read path
 // (LookupResult.Exact): every live slot of a resident group that it
 // answers from an approximate segment predicts the slot's true PPA.
@@ -49,7 +16,7 @@ func (t *Table) ExactBits(id addr.GroupID) (bits [exactBitmapBytes]byte, ok bool
 // nothing, so its audit is clean. The walk is side-effect free and
 // touches only resident groups (auditing must not fault pages in).
 func (t *Table) AuditExact(truth func(addr.LPA) (addr.PPA, bool)) error {
-	if !t.bitmapOn {
+	if !t.verifying {
 		return nil
 	}
 	var out [addr.GroupSize]Answer

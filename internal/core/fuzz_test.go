@@ -9,7 +9,7 @@ import (
 
 // fuzzSeeds returns valid group records to seed the corpus: the groups of
 // the mixed table the paging tests use (multi-level groups, approximate
-// segments, CRBs), with the exactness bitmap off and on.
+// segments, CRBs), with verify-at-learn off and on.
 func fuzzSeeds(t interface{ Helper() }) (groups [][]byte) {
 	seq := make([]addr.LPA, 256)
 	for i := range seq {
@@ -18,9 +18,9 @@ func fuzzSeeds(t interface{ Helper() }) (groups [][]byte) {
 	for _, bitmap := range []bool{false, true} {
 		tab := NewTable(4)
 		if bitmap {
-			// The same commits with their exact bits set at commit, so
-			// the records carry set exact bits.
-			tab.EnableExactBitmap()
+			// The same commits verified at learn time, so the records
+			// carry the γ=0 repairs of mispredicted pairs.
+			tab.EnableVerifyAtLearn()
 		}
 		commit := func(lpas []addr.LPA, base addr.PPA) {
 			pairs := make([]addr.Mapping, len(lpas))

@@ -14,13 +14,13 @@ import (
 func journalTestImages(t *testing.T, n int) [][]byte {
 	t.Helper()
 	tab := NewTable(4)
-	tab.EnableExactBitmap()
+	tab.EnableVerifyAtLearn()
 	imgs := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		base := addr.PPA(1000 + i*2048)
 		pairs := make([]addr.Mapping, 0, 64)
 		// Alternate a clean sequential run with a scattered overwrite so
-		// levels, CRB and bitmap sections all churn across the sequence.
+		// levels and CRB sections both churn across the sequence.
 		if i%2 == 0 {
 			for l := 0; l < 64; l++ {
 				pairs = append(pairs, addr.Mapping{LPA: addr.LPA(l), PPA: base + addr.PPA(l)})
@@ -122,8 +122,9 @@ func TestJournalGC(t *testing.T) {
 			folds++
 		}
 	}
+	// 36 rounds of three 18-byte records fill 8 pages, twice the cap.
 	want := make([][]byte, nGroups)
-	for round := 0; round < 12; round++ {
+	for round := 0; round < 36; round++ {
 		for g := 0; g < nGroups; g++ {
 			if g == nGroups-1 && round > 0 {
 				continue // a cold group: its one record stays live where it landed

@@ -22,8 +22,8 @@ const (
 )
 
 // lrProg builds LookupRun programs for the seed corpus. Its first byte
-// configures the table: bit 0 sets γ = 4 (else 0), bit 1 turns the
-// exactness bitmap on.
+// configures the table: bit 0 sets γ = 4 (else 0), bit 1 turns
+// verify-at-learn on.
 type lrProg []byte
 
 func newProg(gamma4, bitmap bool) lrProg {
@@ -52,7 +52,7 @@ func (p lrProg) update(start, n, step, at, jump int, gaps ...byte) lrProg {
 	return append(p, gaps...)
 }
 
-// repair pins LPA l to its true PPA with a one-point Insert.
+// repair pins LPA l to its true PPA with a one-point insert.
 func (p lrProg) repair(l int) lrProg { return append(p, opRepair, byte(l>>8), byte(l)) }
 
 // op appends an op with its operand bytes.
@@ -130,7 +130,7 @@ func runLookupRunProgram(t *testing.T, prog []byte) *lrRun {
 	}
 	r.tb = NewTable(gamma)
 	if cfg&2 != 0 {
-		r.tb.EnableExactBitmap()
+		r.tb.EnableVerifyAtLearn()
 	}
 	for len(r.prog) > 0 {
 		switch r.next() % numOps {
@@ -139,7 +139,7 @@ func runLookupRunProgram(t *testing.T, prog []byte) *lrRun {
 		case opRepair:
 			l := r.nextLPA()
 			if r.truth[l] != 0 {
-				r.tb.Insert(Learned{Seg: Segment{SLPA: l, I: float32(r.truth[l])}, LPAs: []addr.LPA{l}})
+				r.tb.insert(Learned{Seg: Segment{SLPA: l, I: float32(r.truth[l])}, LPAs: []addr.LPA{l}})
 			}
 		case opCompact:
 			r.tb.Compact()
@@ -226,8 +226,8 @@ func (r *lrRun) check(lpa addr.LPA, n int) {
 
 // FuzzLookupRun checks LookupRun against a Lookup of every slot, on
 // tables built by a program of Update batches (strides, irregular gaps,
-// PPA jumps), Insert repairs and Compact calls, at γ 0 or 4
-// with the exactness bitmap on or off. Every slot must agree in PPA, ok,
+// PPA jumps), one-point repairs and Compact calls, at γ 0 or 4
+// with verify-at-learn on or off. Every slot must agree in PPA, ok,
 // Levels, Approx, Exact and Redirected.
 func FuzzLookupRun(f *testing.F) {
 	for _, s := range lookupRunSeeds() {
@@ -257,11 +257,11 @@ func TestLookupRunSeedsCover(t *testing.T) {
 }
 
 // TestLookupRunAgedTable checks LookupRun against Lookup on an aged,
-// bitmap-on γ = 4 table (the ager's overwrites, relocations and read
+// verifying γ = 4 table (the ager's overwrites, relocations and
 // repairs), over random windows.
 func TestLookupRunAgedTable(t *testing.T) {
 	tb := NewTable(4)
-	tb.EnableExactBitmap()
+	tb.EnableVerifyAtLearn()
 	a := newAger(7, 8)
 	a.prefill(tb)
 	for r := 0; r < 6; r++ {
@@ -301,9 +301,9 @@ func genTable(t *testing.T) (*Table, addr.LPA) {
 	return nil, 0
 }
 
-// TestGenCountsMutations: every exported mutator of the table advances
-// Gen and no read-only call does, so a memo of LookupRun answers lives
-// exactly as long as the answers hold.
+// TestGenCountsMutations: every exported mutator of the table (and the
+// tests' insert) advances Gen and no read-only call does, so a memo of
+// LookupRun answers lives exactly as long as the answers hold.
 func TestGenCountsMutations(t *testing.T) {
 	var out [32]Answer
 	truth := func(addr.LPA) (addr.PPA, bool) { return 0, false }
@@ -314,7 +314,7 @@ func TestGenCountsMutations(t *testing.T) {
 	}{
 		{"Update", true, func(tb *Table, _ addr.LPA) error { tb.Update(mappings(600, 1, 9000, 8)); return nil }},
 		{"Insert", true, func(tb *Table, l addr.LPA) error {
-			tb.Insert(Learned{Seg: Segment{SLPA: l, I: 7}, LPAs: []addr.LPA{l}})
+			tb.insert(Learned{Seg: Segment{SLPA: l, I: 7}, LPAs: []addr.LPA{l}})
 			return nil
 		}},
 		{"Compact", true, func(tb *Table, _ addr.LPA) error { tb.Compact(); return nil }},
@@ -334,7 +334,7 @@ func TestGenCountsMutations(t *testing.T) {
 			return nil
 		}},
 		{"DropGroup", true, func(tb *Table, _ addr.LPA) error { tb.DropGroup(0); return nil }},
-		{"EnableExactBitmap", true, func(tb *Table, _ addr.LPA) error { tb.EnableExactBitmap(); return nil }},
+		{"EnableVerifyAtLearn", true, func(tb *Table, _ addr.LPA) error { tb.EnableVerifyAtLearn(); return nil }},
 		{"Lookup", false, func(tb *Table, l addr.LPA) error { tb.Lookup(l); return nil }},
 		{"LookupRun", false, func(tb *Table, l addr.LPA) error { tb.LookupRun(l, out[:]); return nil }},
 		{"MarshalGroup", false, func(tb *Table, _ addr.LPA) error { _, err := tb.MarshalGroup(0); return err }},

@@ -84,7 +84,7 @@ func (t *Table) commitParallel(pairs []addr.Mapping, helpers int) {
 	b := &t.batch
 	b.pairs, b.workers = pairs, t.workers[:helpers]
 	for _, w := range b.workers {
-		w.gamma, w.bitmapOn, w.groups = t.gamma, t.bitmapOn, t.groups
+		w.gamma, w.verifying, w.groups = t.gamma, t.verifying, t.groups
 	}
 	b.next.Store(0)
 	b.slot.Store(0)

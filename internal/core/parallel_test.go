@@ -37,8 +37,8 @@ func newCommitTwins(t *testing.T, seed int64, gamma, workers int, bitmap bool) *
 	}
 	c.serial.maxWorkers, c.parallel.maxWorkers = 1, workers
 	if bitmap {
-		c.serial.EnableExactBitmap()
-		c.parallel.EnableExactBitmap()
+		c.serial.EnableVerifyAtLearn()
+		c.parallel.EnableVerifyAtLearn()
 	}
 	return c
 }
@@ -122,7 +122,7 @@ func (c *commitTwins) repair() {
 			continue
 		}
 		for _, tb := range []*Table{c.serial, c.parallel} {
-			tb.Insert(Learned{Seg: Segment{SLPA: l, I: float32(want)}, LPAs: []addr.LPA{l}})
+			tb.insert(Learned{Seg: Segment{SLPA: l, I: float32(want)}, LPAs: []addr.LPA{l}})
 		}
 	}
 }
@@ -255,7 +255,7 @@ func TestParallelCommitReleasesTable(t *testing.T) {
 func TestParallelCommitZeroAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	tb := NewTable(0)
-	tb.EnableExactBitmap()
+	tb.EnableVerifyAtLearn()
 	tb.maxWorkers = 2
 	ppa := addr.PPA(0)
 	next := func(i int) []addr.Mapping {

@@ -12,17 +12,16 @@ import (
 // the global mapping directory (GMD). One record carries one group:
 //
 //	gid u32
-//	exact bitmap: 32 bytes (one bit per LPA slot)
 //	levels u16
 //	per level: segments u16, then 8-byte encoded segments
 //	crb entries u16, then per entry: len u8, offsets…
 //
 // All integers are little-endian. The encoding is exactly the DRAM
 // footprint the paper counts (8 bytes per segment plus CRB bytes) plus a
-// small header. The predicted-exact bitmap (exact.go) is always present
-// on the wire — all-zero while the feature is disabled — so the record
-// has one shape, and it round-trips bit-identically through page-out and
-// recovery. MarshalGroup/InstallGroup (pageable.go) speak this record;
+// small header. Whether the table verifies at learn time is a property
+// of the table, not of the record, so the record has one shape either
+// way and round-trips bit-identically through page-out and recovery.
+// MarshalGroup/InstallGroup (pageable.go) speak this record;
 // it is the translation-page payload the pager moves to and from flash,
 // and the one record the metadata journal (journal.go) appends per
 // writeback.
@@ -30,7 +29,6 @@ import (
 // appendGroupRecord serializes one group record.
 func appendGroupRecord(buf []byte, id addr.GroupID, g *group) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	buf = append(buf, g.exact[:]...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(g.depth()))
 	for li := 0; li < g.depth(); li++ {
 		segs := g.level(li).segs
@@ -81,11 +79,7 @@ func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 	if gid >= 1<<24 {
 		return 0, nil, fmt.Errorf("core: group id %d implausible", gid)
 	}
-	bm, err := r.bytes(exactBitmapBytes)
-	if err != nil {
-		return 0, nil, err
-	}
-	g := &group{exact: exactBits(bm)}
+	g := &group{}
 	nLevels, err := r.u16()
 	if err != nil {
 		return 0, nil, err

@@ -65,9 +65,9 @@ func groupImages(t testing.TB, tb *Table) map[addr.GroupID][]byte {
 }
 
 // emptyGroupRecord is the wire record of a group holding no state: the
-// id, an all-zero bitmap, no levels and no CRB entries.
+// id, no levels and no CRB entries.
 func emptyGroupRecord(gid uint8) []byte {
-	return append([]byte{gid, 0, 0, 0}, make([]byte, exactBitmapBytes+4)...)
+	return []byte{gid, 0, 0, 0, 0, 0, 0, 0}
 }
 
 // TestMarshalRoundTrip installs every group record of a churned table
@@ -118,9 +118,9 @@ func TestMarshalSizeMatchesAccounting(t *testing.T) {
 		total += len(img)
 	}
 	overhead := total - tb.SizeBytes()
-	// Per group: 4B gid + 32B exact bitmap + 2B level count + 2B CRB
-	// count; per level a 2B segment count; per CRB entry a length byte.
-	maxOverhead := st.Groups*40 + st.TotalLevels*2 + st.Approximate*1
+	// Per group: 4B gid + 2B level count + 2B CRB count; per level a 2B
+	// segment count; per CRB entry a length byte.
+	maxOverhead := st.Groups*8 + st.TotalLevels*2 + st.Approximate*1
 	if overhead > maxOverhead {
 		t.Errorf("record overhead %dB exceeds bound %dB", overhead, maxOverhead)
 	}
@@ -137,12 +137,12 @@ func TestUnmarshalErrors(t *testing.T) {
 	implausible := append([]byte(nil), good...)
 	implausible[3] = 0xff // group id ≥ 2^24
 	cases := map[string][]byte{
-		"empty":            {},
-		"short gid":        good[:3],
-		"implausible gid":  implausible,
-		"truncated bitmap": good[:4+exactBitmapBytes/2],
-		"truncated":        good[:len(good)/2],
-		"trailing junk":    append(append([]byte(nil), good...), 0xAA),
+		"empty":             {},
+		"short gid":         good[:3],
+		"implausible gid":   implausible,
+		"short level count": good[:5],
+		"truncated":         good[:len(good)/2],
+		"trailing junk":     append(append([]byte(nil), good...), 0xAA),
 	}
 	for name, data := range cases {
 		if _, err := NewTable(0).InstallGroup(data); err == nil {
@@ -197,7 +197,7 @@ func TestMarshalEmptyTable(t *testing.T) {
 // segmentRecord is a group-0 record of one level holding segs, with no
 // CRB entries.
 func segmentRecord(segs ...Segment) []byte {
-	rec := append([]byte{0, 0, 0, 0}, make([]byte, exactBitmapBytes)...)
+	rec := []byte{0, 0, 0, 0}
 	rec = binary.LittleEndian.AppendUint16(rec, 1)
 	rec = binary.LittleEndian.AppendUint16(rec, uint16(len(segs)))
 	for _, s := range segs {
@@ -218,7 +218,7 @@ func accurate(start, l uint8) Segment {
 // stacks more levels than a group may hold is an error on install — not
 // a panic in the rebuild of the next commit into that group.
 func TestInstallGroupRejectsCorruptShape(t *testing.T) {
-	deep := append([]byte{0, 0, 0, 0}, make([]byte, exactBitmapBytes)...)
+	deep := []byte{0, 0, 0, 0}
 	deep = binary.LittleEndian.AppendUint16(deep, maxGroupLevels+1)
 	for i := 0; i <= maxGroupLevels; i++ {
 		deep = binary.LittleEndian.AppendUint16(deep, 0)

@@ -18,9 +18,10 @@ import (
 //  1. resolve: sweep the levels top-down and give every one of the 256
 //     slots to the first segment that claims it — exactly the segment
 //     Lookup would answer from. A slot won by an accurate segment, or by
-//     an approximate one whose predicted-exact bit is set, is ground
-//     truth: its translation is known exactly. A slot won by an
-//     *unverified* approximate segment is only a ±γ prediction.
+//     an approximate one in a verifying table, is ground truth: its
+//     translation is known exactly. A slot won by an *unverified*
+//     approximate segment (a table that does not verify) is only a ±γ
+//     prediction.
 //  2. shed: a segment that won no slot is dropped; every other one is cut
 //     to the span of the slots it won (an approximate one's CRB entry to
 //     exactly those slots) and sinks to the shallowest level at which it
@@ -39,12 +40,10 @@ import (
 //     answered by an unverified approximate segment keeps that segment,
 //     cut to the slots it won: a prediction is never re-fitted (a fit of
 //     a fit would stack error past γ) and never promoted to accurate (the
-//     read path would stop probing it). An approximate segment with any
-//     unverified slot keeps all its slots — a verified one costs it a CRB
-//     byte, a fraction of what a re-fit spends. Every claim now names its
-//     LPAs exactly and no two share one, so level order carries no
-//     meaning and the segments are packed first-fit by start offset into
-//     the fewest levels range disjointness allows. Should the kept
+//     read path would stop probing it). Every claim now names its LPAs
+//     exactly and no two share one, so level order carries no meaning
+//     and the segments are packed first-fit by start offset into the
+//     fewest levels range disjointness allows. Should the kept
 //     segments interleave too deeply for that to fit in maxGroupLevels,
 //     they are cut into range-disjoint pieces, which stack in one level
 //     beside the fit and its exact patches. The flat encoding may be
@@ -153,24 +152,22 @@ func (t *Table) rebuildGroup(base addr.LPA, g *group) bool {
 	}
 
 	// Too deep even so: re-fit the group flat.
-	levels := t.flatten(base, g)
+	levels := t.flatten(base)
 	t.install(g, rb.claims, levels)
 	return true
 }
 
 // flatten builds rb.claims — a re-fit of the ground-truth slots plus the
 // segments that cannot be dissolved (unverified approximate) — and packs
-// it, returning the level count. A bitmap-enabled table fits at its γ;
-// without the bitmap a ±γ fit could not be verified and would trade
-// exact answers for predictions the read path has to probe, so the fit
-// is at γ = 0.
+// it, returning the level count. A verifying table fits at its γ;
+// without verification a ±γ fit would trade exact answers for
+// predictions the read path has to probe, so the fit is at γ = 0.
 //
 // Every re-fitted slot is answered by the claim fitted from it, whatever
 // level the claim lands on: claims share no LPA, an accurate claim
 // answers only its stride points, and an approximate one only its CRB
-// slots. So the re-fit decides each slot's exact bit from that claim's
-// prediction. Every other slot answers as it did, so its bit stands.
-func (t *Table) flatten(base addr.LPA, g *group) int {
+// slots. So a verified fit answers each slot as refit checked it.
+func (t *Table) flatten(base addr.LPA) int {
 	rb := &t.rb
 	rb.truth = rb.truth[:0]
 	for o, st := range rb.state {
@@ -179,10 +176,10 @@ func (t *Table) flatten(base addr.LPA, g *group) int {
 		}
 	}
 	gamma := 0
-	if t.bitmapOn {
+	if t.verifying {
 		gamma = t.gamma
 	}
-	t.refit(g, base, gamma)
+	t.refit(base, gamma)
 	nFit := len(rb.claims)
 	for i := range rb.live {
 		if rb.live[i].must {
@@ -242,7 +239,7 @@ func (t *Table) resolve(base addr.LPA, g *group) (levels int) {
 			// A verifying table's approximate answers are exact; without
 			// verification the segment keeps its slots as predictions.
 			state := uint8(slotTruth)
-			if !t.bitmapOn {
+			if !t.verifying {
 				state = slotKept
 			}
 			start := len(rb.arena)
@@ -304,10 +301,11 @@ func (rb *rebuildBuf) sink(c *claim, first, last int) int {
 	return int(li) + 1
 }
 
-// refit fits rb.truth at gamma into rb.claims, proving the exact bits of
-// the fitted slots while the bitmap is on. The learner's output walks
-// the run in order, each segment covering the next len(LPAs) pairs.
-func (t *Table) refit(g *group, base addr.LPA, gamma int) {
+// refit fits rb.truth at gamma into rb.claims. An approximate fit keeps
+// only the slots it predicts exactly (verify-at-learn); the rest are
+// fitted exactly. The learner's output walks the run in order, each
+// segment covering the next len(LPAs) pairs.
+func (t *Table) refit(base addr.LPA, gamma int) {
 	rb := &t.rb
 	rb.claims, rb.patch = rb.claims[:0], rb.patch[:0]
 	pos := 0
@@ -319,9 +317,6 @@ func (t *Table) refit(g *group, base addr.LPA, gamma int) {
 		switch {
 		case ls.Seg.Accurate():
 			addClaim(&rb.claims, &ls.Seg)
-			if t.bitmapOn {
-				proveFit(g, &ls.Seg, sub)
-			}
 		case triage(ls, sub):
 			// Keep the fit for what it predicts exactly; the rest is
 			// patched with exact segments below.
@@ -332,28 +327,22 @@ func (t *Table) refit(g *group, base addr.LPA, gamma int) {
 					continue
 				}
 				rb.arena = append(rb.arena, addr.Offset(m.LPA))
-				g.exact.set(addr.Offset(m.LPA))
 			}
 			c := addClaim(&rb.claims, &ls.Seg)
 			rb.own(c, base, start)
 			rb.patch = append(rb.patch, ls.miss...)
 		default:
-			t.claimExact(g, sub)
+			t.claimExact(sub)
 		}
 	}
-	t.claimExact(g, rb.patch)
+	t.claimExact(rb.patch)
 }
 
 // claimExact claims pairs through a γ=0 fit (on the spare learn buffer:
 // refit is mid-way through t.learner's output).
-func (t *Table) claimExact(g *group, pairs []addr.Mapping) {
-	at := 0
+func (t *Table) claimExact(pairs []addr.Mapping) {
 	for _, ex := range t.refitter.learn(pairs, 0) {
 		addClaim(&t.rb.claims, &ex.Seg)
-		if t.bitmapOn {
-			proveFit(g, &ex.Seg, pairs[at:at+len(ex.LPAs)])
-		}
-		at += len(ex.LPAs)
 	}
 }
 

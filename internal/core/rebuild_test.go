@@ -32,7 +32,7 @@ func newChurn(t *testing.T, seed int64, gamma, space int, bitmap bool) *churn {
 		tab: NewTable(gamma), truth: make(map[addr.LPA]addr.PPA),
 	}
 	if bitmap {
-		c.tab.EnableExactBitmap()
+		c.tab.EnableVerifyAtLearn()
 	}
 	return c
 }
@@ -110,7 +110,7 @@ func (c *churn) readBack() {
 		}
 		if got != want {
 			fix := Learned{Seg: Segment{SLPA: l, I: float32(want)}, LPAs: []addr.LPA{l}}
-			c.tab.Insert(fix)
+			c.tab.insert(fix)
 		}
 	}
 }
@@ -125,7 +125,7 @@ func sortedLPAs(set map[addr.LPA]bool) []addr.LPA {
 }
 
 // check holds the table to the oracle: ground-truth
-// answers (accurate, or approximate with a set bit) are exact,
+// answers (accurate, or approximate in a verifying table) are exact,
 // approximate ones within γ, unwritten LPAs unmapped, every structural
 // invariant and incremental counter intact, and the shape within bounds.
 func (c *churn) check(when string) {
@@ -351,7 +351,7 @@ func TestRebuildKeepsUnverifiedApproximate(t *testing.T) {
 			p, r, _ := tb.Lookup(l)
 			before[l] = answer{p, r}
 		}
-		tb.Insert(ls[0])
+		tb.insert(ls[0])
 		for _, l := range ls[0].LPAs {
 			p, r, _ := tb.Lookup(l)
 			before[l] = answer{p, r}
@@ -371,6 +371,43 @@ func TestRebuildKeepsUnverifiedApproximate(t *testing.T) {
 	}
 	if err := checkStructure(tb); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditExactCatchesWrongAnswer: AuditExact fails on a verifying
+// table one of whose approximate segments answers a live slot with the
+// wrong PPA, and holds a table that does not verify to no such promise.
+func TestAuditExactCatchesWrongAnswer(t *testing.T) {
+	for _, verifying := range []bool{true, false} {
+		c := newChurn(t, 5, 4, 4*addr.GroupSize, verifying)
+		oracle := func(l addr.LPA) (addr.PPA, bool) { p, ok := c.truth[l]; return p, ok }
+		var bad *Segment
+		for i := 0; i < 200 && bad == nil; i++ {
+			c.hostBatch()
+			c.tab.eachGroup(func(_ addr.GroupID, g *group) {
+				for k := range g.segs {
+					if bad == nil && !g.segs[k].Accurate() {
+						bad = &g.segs[k]
+					}
+				}
+			})
+		}
+		if bad == nil {
+			t.Fatal("200 batches learned no approximate segment")
+		}
+		if err := c.tab.AuditExact(oracle); verifying && err != nil {
+			t.Fatalf("audit of the intact table: %v", err)
+		}
+		// Shift the segment's line by more than it can round away: every
+		// slot it answers now predicts the wrong page.
+		bad.I += 3
+		err := c.tab.AuditExact(oracle)
+		if verifying && err == nil {
+			t.Error("verifying table: AuditExact accepted an approximate answer off its true PPA")
+		}
+		if !verifying && err != nil {
+			t.Errorf("table without verification: AuditExact = %v, want nil", err)
+		}
 	}
 }
 

@@ -27,12 +27,12 @@ type Table struct {
 	groups  []*group // indexed by GroupID; nil = group never written
 	nGroups int
 
-	// bitmapOn enables predicted-exact bitmap maintenance (exact.go):
-	// mutations verify each written LPA's post-insert prediction and
-	// record exactness, and Lookup reports set bits. Off (the default),
-	// the bitmap stays all-zero and every code path is byte-identical to
-	// a table without the feature.
-	bitmapOn bool
+	// verifying enables verify-at-learn (insertRun, repairRun, refit):
+	// every written LPA is checked against the prediction that will
+	// answer it, and what an approximate segment mispredicts is fitted
+	// exactly, so every approximate answer is exact and Lookup reports it
+	// Exact. Off (the default), approximate answers are ±γ predictions.
+	verifying bool
 
 	// Statistics are maintained incrementally at every point a segment
 	// enters or leaves a level, a level is added or removed, or a CRB
@@ -68,7 +68,7 @@ type Table struct {
 	winLo    int
 	topDepth int
 
-	// refitter is a second learn buffer for the bitmap path's γ=0
+	// refitter is a second learn buffer for verify-at-learn's γ=0
 	// refits, which run while results of t.learner are still pending
 	// insertion (a learnBuf's output is only valid until its next learn
 	// call, so the nested fits need their own scratch).
@@ -93,9 +93,8 @@ type Table struct {
 	gen uint64
 }
 
-// group is the per-256-LPA-group state: the level stack, the group's
-// conflict-resolution buffer for approximate segments, and its
-// predicted-exact bitmap (exact.go).
+// group is the per-256-LPA-group state: the level stack and the group's
+// conflict-resolution buffer for approximate segments.
 //
 // The level stack is one segment array, segs, holding every level back
 // to back, deepest level first, so the top level — where every commit
@@ -110,11 +109,10 @@ type Table struct {
 // layout's only allocation: a group that breathes between rebuilds reuses
 // its array, and no storage outlives the level it held.
 type group struct {
-	keys  []uint8
-	segs  []Segment
-	ends  []int32
-	crb   crb
-	exact exactBits
+	keys []uint8
+	segs []Segment
+	ends []int32
+	crb  crb
 
 	// Rebuild trigger state (rebuild.go), not part of the wire record:
 	// rebuildAt is the segment count past which the next mutation
@@ -263,10 +261,9 @@ type LookupResult struct {
 	// range-matching segment to the true owning segment (Figure 9).
 	Redirected bool
 	// Exact is true when the answering segment is approximate but the
-	// group's predicted-exact bitmap proves the returned PPA lands on the
-	// live page: the device may issue one flash read with no OOB
-	// verification probe budget. Always false while the bitmap is
-	// disabled.
+	// table verifies at learn time, so the returned PPA is the live page:
+	// the device may issue one flash read with no OOB verification probe
+	// budget. Always false without verification.
 	Exact bool
 }
 
@@ -285,20 +282,20 @@ func NewTable(gamma int) *Table {
 // Gamma returns the table's error bound.
 func (t *Table) Gamma() int { return t.gamma }
 
-// EnableExactBitmap turns on predicted-exact bitmap maintenance for the
-// life of the table (there is no way back: disabling would leave stale
-// set bits). Bits already present — e.g. installed from a group record
-// written by a bitmap-enabled table — become live immediately.
-func (t *Table) EnableExactBitmap() {
-	t.bitmapOn = true
+// EnableVerifyAtLearn turns on verify-at-learn for the life of the
+// table. Lookup then reports every approximate answer Exact, so turn it
+// on before the table learns anything: segments learned without it, or
+// installed from a table without it, are not verified.
+func (t *Table) EnableVerifyAtLearn() {
+	t.verifying = true
 	t.gen++
 }
 
 // Gen returns the table's mutation count. Every exported call that may
-// change an answer of Lookup advances it: Update, Insert, Compact,
-// InstallGroup, DropGroup, EnableExactBitmap, and NoteRead when it flips
-// an exact bit. Read-only calls leave it alone, so answers taken at one
-// count (LookupRun's) stay valid while Gen returns that count.
+// change an answer of Lookup advances it: Update, Compact, InstallGroup,
+// DropGroup and EnableVerifyAtLearn. Read-only calls leave it alone, so
+// answers taken at one count (LookupRun's) stay valid while Gen returns
+// that count.
 func (t *Table) Gen() uint64 { return t.gen }
 
 // Update learns segments for a batch of new LPA→PPA mappings and inserts
@@ -343,8 +340,8 @@ func (t *Table) Update(pairs []addr.Mapping) int {
 }
 
 // commitRun fits one group run, merges the fitted pieces into the
-// group's top level in one pass and sets their exact bits, then rebuilds
-// the group if it outgrew its trigger.
+// group's top level in one pass, fits what they mispredict exactly, then
+// rebuilds the group if it outgrew its trigger.
 func (t *Table) commitRun(run []addr.Mapping) {
 	g := t.group(addr.Group(run[0].LPA))
 	t.openTop(g)
@@ -354,9 +351,9 @@ func (t *Table) commitRun(run []addr.Mapping) {
 	t.maybeRebuild(addr.Group(run[0].LPA))
 }
 
-// insertRun merges a freshly fitted run into g's open top level. With
-// the bitmap off it is a plain merge. With the bitmap on, each
-// approximate segment is triaged before it reaches the table (triage):
+// insertRun merges a freshly fitted run into g's open top level.
+// Without verification it is a plain merge. With it, each approximate
+// segment is triaged before it reaches the table (triage):
 // segments whose predictions match every committed pair are kept as-is
 // (the γ slack went unused, the compression is free); mispredicting ones
 // are kept only when keeping them is cheaper than replacing them with a
@@ -366,7 +363,7 @@ func (t *Table) commitRun(run []addr.Mapping) {
 // version, near-miss fits lose their approximate compression entirely.
 //
 // Every committed pair is then answered by the piece fitted from it, so
-// its exact bit is decided from that piece's prediction as it is placed
+// it is checked against that piece's prediction as it is placed
 // (verify-at-learn); the pairs no piece predicts collect in t.missed for
 // repairRun.
 func (t *Table) insertRun(g *group, learned []Learned, run []addr.Mapping) {
@@ -378,13 +375,13 @@ func (t *Table) insertRun(g *group, learned []Learned, run []addr.Mapping) {
 		// covering the next len(LPAs) pairs.
 		sub := run[pos : pos+len(ls.LPAs)]
 		pos += len(sub)
-		if !t.bitmapOn {
+		if !t.verifying {
 			t.mergePiece(g, ls)
 			continue
 		}
 		if ls.Seg.Accurate() || triage(ls, sub) {
 			t.mergePiece(g, ls)
-			t.verifyPiece(g, &ls.Seg, sub)
+			t.verifyPiece(&ls.Seg, sub)
 			continue
 		}
 		// The refit runs on the spare buffer: learned still aliases
@@ -393,20 +390,17 @@ func (t *Table) insertRun(g *group, learned []Learned, run []addr.Mapping) {
 		at := 0
 		for _, r := range t.refitter.learn(sub, 0) {
 			t.mergePiece(g, &r)
-			t.verifyPiece(g, &r.Seg, sub[at:at+len(r.LPAs)])
+			t.verifyPiece(&r.Seg, sub[at:at+len(r.LPAs)])
 			at += len(r.LPAs)
 		}
 	}
 }
 
-// verifyPiece sets the exact bit of every pair of sub that seg, the
-// learner's piece fitted from sub and now answering it, predicts, and
-// collects the others in t.missed.
-func (t *Table) verifyPiece(g *group, seg *Segment, sub []addr.Mapping) {
+// verifyPiece collects in t.missed every pair of sub that seg, the
+// learner's piece fitted from sub and now answering it, mispredicts.
+func (t *Table) verifyPiece(seg *Segment, sub []addr.Mapping) {
 	for _, m := range sub {
-		if hits(seg, m) {
-			g.exact.set(addr.Offset(m.LPA))
-		} else {
+		if !hits(seg, m) {
 			t.missed = append(t.missed, m)
 		}
 	}
@@ -459,73 +453,21 @@ func strideRuns(pairs []addr.Mapping) int {
 
 // repairRun re-fits at γ=0 the committed pairs no placed piece predicts
 // (t.missed) and merges the fits over them: exact segments that shadow
-// the mispredicting approximate ones for exactly those LPAs. Without the
-// refit each such slot's first read would pay the §3.5 double read
-// before the miss path repaired the very same mapping one point at a
-// time; fitting the failures as a batch costs one accurate segment per
-// linear run instead of one pin per slot, and skips the wasted flash
-// read entirely. Each refit piece then answers its pairs, so their bits
-// follow its predictions: float32 intercepts quantize above 2^24, and a
-// refit that does not answer exactly must not arm the bit (the read path
-// would trust it blindly). Slots not in the run keep their bits — their
-// predictions did not change (newer segments only answer LPAs they were
-// learned from, and trims never move a surviving prediction). No-op
-// while the bitmap is off.
+// the mispredicting approximate ones for exactly those LPAs, so no
+// approximate segment answers a slot it mispredicts. Fitting the
+// failures as a batch costs one accurate segment per linear run instead
+// of one pin per slot. Slots not in the run answer as before: newer
+// segments only answer LPAs they were learned from, and trims never move
+// a surviving prediction. No-op without verification.
 func (t *Table) repairRun(g *group) {
 	if len(t.missed) == 0 {
 		return
 	}
 	t.closeTop(g)
 	t.openTop(g)
-	at := 0
 	for _, r := range t.learner.learn(t.missed, 0) {
 		t.mergePiece(g, &r)
-		proveFit(g, &r.Seg, t.missed[at:at+len(r.LPAs)])
-		at += len(r.LPAs)
 	}
-}
-
-// proveFit sets the exact bit of every pair of sub that seg, the
-// learner's piece fitted from sub and now answering it, predicts, and
-// clears the others.
-func proveFit(g *group, seg *Segment, sub []addr.Mapping) {
-	for _, m := range sub {
-		if hits(seg, m) {
-			g.exact.set(addr.Offset(m.LPA))
-		} else {
-			g.exact.clear(addr.Offset(m.LPA))
-		}
-	}
-}
-
-// Insert places one learned segment at the top level of its group,
-// merging and displacing overlapped victims (Algorithm 1, seg_update).
-// With the bitmap enabled, accurate segments set their covered slots'
-// predicted-exact bits (an accurate segment's predictions are its
-// learned mappings — the repair path relies on this to arm the slot it
-// just verified); approximate ones clear them (unverified).
-func (t *Table) Insert(ls Learned) {
-	t.gen++
-	ls.Seg.prime() // tolerate hand-built segments; resident ones are always primed
-	g := t.group(ls.Seg.Group())
-	t.openTop(g)
-	t.mergePiece(g, &ls)
-	t.closeTop(g)
-	if t.bitmapOn {
-		for _, l := range ls.LPAs {
-			off := addr.Offset(l)
-			if !ls.Seg.Accurate() {
-				g.exact.clear(off)
-				continue
-			}
-			if ppa, _, ok := t.Lookup(l); ok && ppa == ls.Seg.Predict(l) {
-				g.exact.set(off)
-			} else {
-				g.exact.clear(off)
-			}
-		}
-	}
-	t.maybeRebuild(ls.Seg.Group())
 }
 
 func (t *Table) group(id addr.GroupID) *group {
@@ -621,10 +563,10 @@ func (t *Table) stampLPAs(lpas []addr.LPA) {
 // The top level is the only level a commit inserts into, and every
 // insert path hands it pieces in ascending LPA order with pairwise
 // disjoint ranges: a learner's output, the γ=0 refits that replace
-// rejected fits, the repairs of a run, a read repair's single pin. So a
-// commit merges them into the top level in one left-to-right pass
-// instead of searching and shifting the level once per piece, with the
-// result of inserting them one at a time (Algorithm 1 lines 1–16):
+// rejected fits, the repairs of a run. So a commit merges them into the
+// top level in one left-to-right pass instead of searching and shifting
+// the level once per piece, with the result of inserting them one at a
+// time (Algorithm 1 lines 1–16):
 //
 //   - openTop opens the merge. The first piece starts the merge's window
 //     at the first top-level segment that does not end before it; what
@@ -1017,7 +959,7 @@ func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 			continue
 		}
 		res.Approx = true
-		res.Exact = t.bitmapOn
+		res.Exact = t.verifying
 		return seg.predictApprox(off), res, true
 	}
 	return addr.InvalidPPA, res, false
@@ -1042,8 +984,8 @@ type Answer struct {
 // start inside the window. Each gives the slots from its start to the
 // next segment's start (the ones Lookup would ask it about) to the
 // topmost level that claims them, by Lookup's rules: the stride for an
-// accurate segment, CRB ownership, the redirect and the exact bit for
-// an approximate one.
+// accurate segment, CRB ownership and the redirect for an approximate
+// one.
 func (t *Table) LookupRun(lpa addr.LPA, out []Answer) int {
 	first := int(addr.Offset(lpa))
 	out = out[:min(len(out), addr.GroupSize-first)]
@@ -1129,7 +1071,7 @@ func (t *Table) claimApprox(g *group, seg *Segment, out []Answer, first, from, t
 		}
 		a.PPA, a.OK = seg.predictApprox(uint8(off)), true
 		a.Res.Levels, a.Res.Approx = levels, true
-		a.Res.Exact = t.bitmapOn
+		a.Res.Exact = t.verifying
 		n++
 	}
 	return n

@@ -429,7 +429,7 @@ func TestLookupZeroAllocs(t *testing.T) {
 // constant number of allocations per 256-mapping batch (CRB entry copies
 // and occasional segment-array growth), nothing proportional to batch
 // size or victim count like the old per-victim bitmap and LPA slices,
-// and an aged bitmap-on table's relocation batches must allocate nothing.
+// and an aged verifying table's relocation batches must allocate nothing.
 func TestUpdateSteadyStateAllocs(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		rng := rand.New(rand.NewSource(3))
@@ -461,13 +461,13 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 		}
 	}
 
-	// The bench's configuration: a bitmap-on γ=4 table, aged, fed
+	// The bench's configuration: a verifying γ=4 table, aged, fed
 	// relocation-shaped batches (a few LPAs of every group). Their runs
-	// go through the merge scratch, the exact bits set from the placed
+	// go through the merge scratch, the verification of the placed
 	// pieces and the rebuilds they trigger; once warm, none of it
 	// allocates.
 	tb := NewTable(4)
-	tb.EnableExactBitmap()
+	tb.EnableVerifyAtLearn()
 	a := newAger(3, 64)
 	a.prefill(tb)
 	a.age(tb, 10)
@@ -475,7 +475,7 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 		a.relocate(tb)
 	}
 	if avg := testing.AllocsPerRun(100, func() { a.relocate(tb) }); avg != 0 {
-		t.Errorf("bitmap-on gamma 4: a relocation pass allocates %.1f objects, want 0", avg)
+		t.Errorf("verifying gamma 4: a relocation pass allocates %.1f objects, want 0", avg)
 	}
 }
 
@@ -511,7 +511,7 @@ func (t *Table) recomputeStats() {
 func TestTableMemoryTracksLiveSegments(t *testing.T) {
 	const groups = 400
 	tb := NewTable(4)
-	tb.EnableExactBitmap()
+	tb.EnableVerifyAtLearn()
 	a := newAger(11, groups)
 	a.prefill(tb)
 	for round := 0; round < 4; round++ {
@@ -565,17 +565,17 @@ func TestBreathingGroupZeroAllocs(t *testing.T) {
 
 // TestAgedCommitPinned pins the table an aged write path leaves behind:
 // overwrite flushes, relocation-shaped batches and one-point read
-// repairs, at γ ∈ {0, 4} with the bitmap off and on. After every round
-// the digest folds in each group's record (levels, segments, CRB and
-// exact bits, in group order), Stats and SizeBytes. The wanted digests
+// repairs, at γ ∈ {0, 4} with verify-at-learn off and on. After every
+// round the digest folds in each group's record (levels, segments and
+// CRB, in group order), Stats and SizeBytes. The wanted digests
 // were recorded from the insert-by-segment commit path, so a rewrite of
 // the commit must leave every intermediate table bit-identical.
 func TestAgedCommitPinned(t *testing.T) {
 	want := map[string]string{
-		"gamma0/bitmap=false": "a5a7ad2b94660f57 {Groups:64 Segments:16115 Accurate:16115 Approximate:0 SegmentBytes:128920 CRBBytes:0 MaxLevels:10 TotalLevels:366} 128920",
-		"gamma0/bitmap=true":  "0b24324f2d18cf17 {Groups:64 Segments:16115 Accurate:16115 Approximate:0 SegmentBytes:128920 CRBBytes:0 MaxLevels:10 TotalLevels:366} 128920",
-		"gamma4/bitmap=false": "eeef8e9c8e1dc96c {Groups:64 Segments:15327 Accurate:4388 Approximate:10939 SegmentBytes:122616 CRBBytes:22887 MaxLevels:10 TotalLevels:419} 145503",
-		"gamma4/bitmap=true":  "82e12ed508dcdf75 {Groups:64 Segments:16043 Accurate:16009 Approximate:34 SegmentBytes:128344 CRBBytes:158 MaxLevels:10 TotalLevels:401} 128502",
+		"gamma0/bitmap=false": "af29e11a67113057 {Groups:64 Segments:16115 Accurate:16115 Approximate:0 SegmentBytes:128920 CRBBytes:0 MaxLevels:10 TotalLevels:366} 128920",
+		"gamma0/bitmap=true":  "af29e11a67113057 {Groups:64 Segments:16115 Accurate:16115 Approximate:0 SegmentBytes:128920 CRBBytes:0 MaxLevels:10 TotalLevels:366} 128920",
+		"gamma4/bitmap=false": "06133d6e9fd5706c {Groups:64 Segments:15327 Accurate:4388 Approximate:10939 SegmentBytes:122616 CRBBytes:22887 MaxLevels:10 TotalLevels:419} 145503",
+		"gamma4/bitmap=true":  "d3706566c3bde175 {Groups:64 Segments:16043 Accurate:16009 Approximate:34 SegmentBytes:128344 CRBBytes:158 MaxLevels:10 TotalLevels:401} 128502",
 	}
 	for _, gamma := range []int{0, 4} {
 		for _, bitmap := range []bool{false, true} {
@@ -583,7 +583,7 @@ func TestAgedCommitPinned(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				tb := NewTable(gamma)
 				if bitmap {
-					tb.EnableExactBitmap()
+					tb.EnableVerifyAtLearn()
 				}
 				h := fnv.New64a()
 				fold := func() {

@@ -215,6 +215,34 @@ func TestCellsJournalReadBound(t *testing.T) {
 	}
 }
 
+// TestCellsFullNeverMispredicts pins what verify-at-learn buys full:
+// on the micro cells, with and without the tight budget and at γ 0 and
+// 4, every approximate read is served as exact and none mispredicts or
+// pays a double read. So the OOB window search and its block-edge probe
+// (ssd's readApprox and probeFallback) serve paper alone.
+func TestCellsFullNeverMispredicts(t *testing.T) {
+	approx := uint64(0)
+	for _, gamma := range []int{0, 4} {
+		spec := CellsSpec{Schemes: []string{"full"}, Workloads: []string{"zipf-hot", "mixed-rw"},
+			Budgets: []float64{0, 0.005}, Gamma: gamma}
+		runs, _, err := NewSuite(MicroScale(), 1).Cells(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range runs {
+			d := r.Device
+			if d.Mispredictions != 0 || d.DoubleReads != 0 || d.ExactBitHits != d.ApproxReads {
+				t.Errorf("γ=%d %s budget %v: %d mispredictions, %d double reads, %d of %d approximate reads exact; want 0, 0, all",
+					gamma, r.Workload, r.Budget, d.Mispredictions, d.DoubleReads, d.ExactBitHits, d.ApproxReads)
+			}
+			approx += d.ApproxReads
+		}
+	}
+	if approx == 0 {
+		t.Fatal("no cell read through an approximate segment; test is vacuous")
+	}
+}
+
 // TestCellsOneBudgetPerRow runs every scheme at one budget: each gets the
 // same mapping+cache pool, and none keeps more of its mapping resident
 // than that pool.

@@ -229,7 +229,7 @@ func budgeted(cfg ssd.Config, budget float64) (ssd.Config, error) {
 
 // schemePresets builds every scheme the harness runs, keyed by the
 // benchmark's names: full is LeaFTL with the metadata journal and
-// the exactness bitmap (the benchmark's scheme), paper the learned table
+// verify-at-learn (the benchmark's scheme), paper the learned table
 // alone, dftl and sftl the baselines, whose budgets the device sets. A
 // LeaFTL preset applies opts before its own options.
 var schemePresets = map[string]func(gamma, pageSize int, opts []leaftl.Option) ftl.Scheme{

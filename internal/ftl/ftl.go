@@ -213,9 +213,10 @@ type JournalStats struct {
 	MaxChain int
 }
 
-// MissReporter was read feedback from the device's OOB-verified read
-// path. The device no longer reports reads: it stays because the
-// benchmark under bench/ names it and forwards both methods.
+// MissReporter names read feedback the device does not send: a scheme
+// that verifies at learn time has nothing to learn from a read. It
+// stays because the benchmark under bench/ names it and forwards both
+// methods.
 type MissReporter interface {
 	NoteRead(lpa addr.LPA, predicted, actual addr.PPA, approx, hintResolved bool) Cost
 	NoteExact(lpa addr.LPA) Cost

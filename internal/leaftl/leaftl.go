@@ -62,7 +62,7 @@ func WithJournal() Option {
 // from the freshly sequential layout (CommitGC). The name stays because
 // the benchmark under bench/ passes it.
 func WithExactBitmap() Option {
-	return func(s *Scheme) { s.bitmap = true }
+	return func(s *Scheme) { s.verify = true }
 }
 
 // Scheme is LeaFTL as an ftl.Scheme.
@@ -75,7 +75,7 @@ type Scheme struct {
 	lastCompact  uint64
 
 	// Verify-at-learn + GC relearning (WithExactBitmap).
-	bitmap bool
+	verify bool
 
 	// Metadata journal persistence (WithJournal).
 	journal bool
@@ -109,8 +109,8 @@ func New(gamma, pageSize int, opts ...Option) *Scheme {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.bitmap {
-		s.table.EnableExactBitmap()
+	if s.verify {
+		s.table.EnableVerifyAtLearn()
 		s.name += "+bitmap"
 	}
 	if s.journal {
@@ -302,9 +302,9 @@ func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 func (s *Scheme) MaxGroupGamma() int { return s.Gamma() }
 
 // FeedbackEnabled reports whether the table verifies at learn time.
-// The device no longer asks: it stays because the benchmark under
-// bench/ names it.
-func (s *Scheme) FeedbackEnabled() bool { return s.bitmap }
+// The device does not ask; it stays because the benchmark under bench/
+// names it.
+func (s *Scheme) FeedbackEnabled() bool { return s.verify }
 
 // NoteRead implements ftl.MissReporter, which the benchmark under bench/
 // forwards; the device never calls it. A verifying table has nothing to
@@ -319,10 +319,10 @@ func (s *Scheme) NoteExact(addr.LPA) ftl.Cost { return ftl.Cost{} }
 // their groups from the freshly sequential layout (Table.Update), the
 // moved slots' exactness is re-verified, and a touched group that has
 // outgrown its rebuild trigger sheds the stale claims relocation just
-// rewrote. With the bitmap off it is exactly Commit: no relearning, no
-// behavioral difference from a scheme without the feature.
+// rewrote. Without verify-at-learn it is exactly Commit: no relearning,
+// no behavioral difference from a scheme without the feature.
 func (s *Scheme) CommitGC(pairs []addr.Mapping) (ftl.Cost, int) {
-	if !s.bitmap {
+	if !s.verify {
 		return s.Commit(pairs), 0
 	}
 	return s.commit(pairs)

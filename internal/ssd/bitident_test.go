@@ -62,9 +62,9 @@ type (
 	errorBound  interface{ Gamma() int }
 )
 
-// sansBitmap is a LeaFTL scheme as the device saw it before the
-// predicted-exact bitmap existed: every capability except the two the
-// bitmap added, GC-time relearning (ftl.GCRelearner) and the bitmap
+// sansBitmap is a LeaFTL scheme as the device saw it before
+// verify-at-learn (WithExactBitmap) existed: every capability except the
+// two it added, GC-time relearning (ftl.GCRelearner) and the exactness
 // audit (ftl.ExactAuditor). The device type-asserts for those, so behind
 // this view it falls back to plain Commit and skips the audit.
 type sansBitmap struct {
@@ -108,12 +108,12 @@ func requireSameDevice(t *testing.T, what string, a, b *Device) {
 	}
 }
 
-// TestBitmapOffBitIdentity: with the exactness bitmap disabled — the
-// default — the learned read path and GC must behave as if the feature
-// did not exist. The same churn runs on the scheme as built and behind
-// sansBitmap, which hides the bitmap's device-facing capabilities; the
-// two devices must match bit for bit, and the off run must show none of
-// the feature's counters moving.
+// TestBitmapOffBitIdentity: with verify-at-learn (WithExactBitmap) off
+// — the default — the learned read path and GC must behave as if the
+// feature did not exist. The same churn runs on the scheme as built and
+// behind sansBitmap, which hides the feature's device-facing
+// capabilities; the two devices must match bit for bit, and the off run
+// must show none of the feature's counters moving.
 func TestBitmapOffBitIdentity(t *testing.T) {
 	cfg := testConfig()
 	mk := func() *leaftl.Scheme {

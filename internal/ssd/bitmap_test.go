@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"bytes"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -17,10 +18,10 @@ func bitmapOpts() []leaftl.Option {
 	}
 }
 
-// churnMispredict drives a device into a mispredicting steady state:
-// irregular writes create approximate segments, then a read-heavy mixed
-// phase reads through them.
-func churnMispredict(t *testing.T, d *Device, seed int64, ops int) {
+// churnApprox drives a device into a steady state of approximate
+// translations: irregular writes create approximate segments, then a
+// read-heavy mixed phase reads through them.
+func churnApprox(t *testing.T, d *Device, seed int64, ops int) {
 	t.Helper()
 	logical := d.LogicalPages()
 	rng := seededRand(t, seed)
@@ -70,7 +71,7 @@ func TestBitmapDeviceEndToEnd(t *testing.T) {
 	// Starve the data cache so re-reads exercise translation, not DRAM.
 	cfg.DRAMBytes = cfg.BufferBytes() + 64<<10
 	d := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
-	churnMispredict(t, d, 7, 4000)
+	churnApprox(t, d, 7, 4000)
 
 	st := d.Stats()
 	if st.ApproxReads == 0 {
@@ -126,9 +127,9 @@ func TestBitmapDeviceEndToEnd(t *testing.T) {
 }
 
 // TestBitmapRelearnUnderGC: block reclaim routes LPA-sorted relocation
-// runs through CommitGC, so a bitmap device under GC pressure re-fits
-// groups (Stats.Relearns) and relearned groups still translate every
-// page correctly.
+// runs through CommitGC, so a verify-at-learn device under GC pressure
+// re-fits groups (Stats.Relearns) and relearned groups still translate
+// every page correctly.
 func TestBitmapRelearnUnderGC(t *testing.T) {
 	cfg := testConfig()
 	d := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
@@ -140,7 +141,7 @@ func TestBitmapRelearnUnderGC(t *testing.T) {
 		}
 	}
 	// Overwrite churn drives reclaim; interleaved reads keep the exact
-	// bits exercised against relocated pages.
+	// read path exercised against relocated pages.
 	for op := 0; op < 6000; op++ {
 		switch {
 		case op%5 < 2:
@@ -181,10 +182,11 @@ func TestBitmapRelearnUnderGC(t *testing.T) {
 }
 
 // TestBitmapSurvivesEvictionAndRecovery pins the wire property on the
-// full device: exact bitmaps ride the persisted group
-// images through demand paging and crash recovery bit-identically, and
-// the restored bits still pass the truth audit after post-recovery
-// reads fault every group back in.
+// full device: verified groups ride the persisted group images through
+// demand paging and crash recovery byte-identically, and once
+// post-recovery reads fault every group back in, their approximate
+// answers are still exact (the truth audit in CheckInvariants) and read
+// without a misprediction.
 func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 	cases := []struct {
 		name string
@@ -198,7 +200,7 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := budgetedConfig(4037)
 			d := newTestDevice(t, cfg, tc.mk(cfg))
-			churnMispredict(t, d, 17, 4000)
+			churnApprox(t, d, 17, 4000)
 			// More traffic under the budget so groups cycle through flash.
 			rng := seededRand(t, 18)
 			for op := 0; op < 1500; op++ {
@@ -214,34 +216,19 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Decode every persisted image into a scratch table and keep
-			// its bitmap: what a crash survivor must reproduce.
-			old := d.Scheme().(ftl.GroupPaged)
-			persisted := old.PersistedGroups()
-			if len(persisted) == 0 {
-				t.Fatal("nothing persisted before the crash")
-			}
-			decode := func(gid addr.GroupID, img []byte) [32]byte {
-				t.Helper()
+			// What a crash survivor must reproduce: every persisted
+			// image, some of them holding approximate segments.
+			persisted := d.Scheme().(ftl.GroupPaged).PersistedGroups()
+			approx := 0
+			for gid, img := range persisted {
 				scratch := core.NewTable(8)
-				got, err := scratch.InstallGroup(img)
-				if err != nil || got != gid {
+				if got, err := scratch.InstallGroup(img); err != nil || got != gid {
 					t.Fatalf("persisted image of group %d does not decode: %v", gid, err)
 				}
-				bits, _ := scratch.ExactBits(gid)
-				return bits
+				approx += scratch.Stats().Approximate
 			}
-			want := map[addr.GroupID][32]byte{}
-			armed := 0
-			for gid, img := range persisted {
-				bits := decode(gid, img)
-				want[gid] = bits
-				if bits != ([32]byte{}) {
-					armed++
-				}
-			}
-			if armed == 0 {
-				t.Fatal("no persisted group carries a set exact bit; test is vacuous")
+			if approx == 0 {
+				t.Fatal("no persisted group holds an approximate segment; test is vacuous")
 			}
 
 			rep, err := d.Recover(tc.mk(cfg))
@@ -251,28 +238,31 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 			if rep.GroupsRestored == 0 {
 				t.Fatalf("no groups restored: %+v", rep)
 			}
-			fresh := d.Scheme().(ftl.GroupPaged)
-			restored := fresh.PersistedGroups()
+			restored := d.Scheme().(ftl.GroupPaged).PersistedGroups()
 			checked := 0
-			for gid, bits := range want {
-				img, ok := restored[gid]
+			for gid, img := range persisted {
+				got, ok := restored[gid]
 				if !ok {
 					continue // OOB-rebuilt group: relearned from scratch
 				}
-				if got := decode(gid, img); got != bits {
-					t.Fatalf("group %d recovered with bitmap %x, want %x", gid, got, bits)
+				if !bytes.Equal(got, img) {
+					t.Fatalf("group %d recovered with image %x, want %x", gid, got, img)
 				}
 				checked++
 			}
 			if checked == 0 {
-				t.Fatal("no restored group's bitmap was checked; test is vacuous")
+				t.Fatal("no restored group's image was checked; test is vacuous")
 			}
 			// Fault the groups back in and let CheckInvariants audit the
-			// restored bits against flash ground truth.
+			// restored answers against flash ground truth.
+			before := d.Stats()
 			for lpa := 0; lpa < d.LogicalPages()/2; lpa += 3 {
 				if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
 					t.Fatalf("post-recovery read %d: %v", lpa, err)
 				}
+			}
+			if st := d.Stats(); st.Mispredictions != before.Mispredictions {
+				t.Errorf("post-recovery reads mispredicted %d times", st.Mispredictions-before.Mispredictions)
 			}
 			if err := d.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -287,7 +277,7 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 func TestBitmapAuditCatchesWrongAnswer(t *testing.T) {
 	cfg := testConfig()
 	d := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
-	churnMispredict(t, d, 7, 2000)
+	churnApprox(t, d, 7, 2000)
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +309,7 @@ func TestRecoverKeepsReadsExact(t *testing.T) {
 	cfg.DRAMBytes = cfg.BufferBytes() + 64<<10 // starve the data cache
 	mk := func() *leaftl.Scheme { return leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...) }
 	d := newTestDevice(t, cfg, mk())
-	churnMispredict(t, d, 17, 2000)
+	churnApprox(t, d, 17, 2000)
 	if st := d.Stats(); st.ExactBitHits == 0 || st.Mispredictions != 0 {
 		t.Fatalf("before the crash: %d exact-bit hits, %d mispredictions; want some and none",
 			st.ExactBitHits, st.Mispredictions)
@@ -361,5 +351,35 @@ func TestRecoverKeepsReadsExact(t *testing.T) {
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fixedAnswer is a scheme that translates every LPA to one answer.
+type fixedAnswer struct {
+	ftl.Scheme
+	tr ftl.Translation
+}
+
+func (f fixedAnswer) Translate(addr.LPA) (ftl.Translation, bool) { return f.tr, true }
+
+// TestRestoredCoversTrustsOnlyExactAnswers: recovery skips relearning a
+// pair that a restored image answers within ±γ only when the read path
+// will verify that answer; an answer marked Exact is trusted unverified,
+// so it must be the pair's PPA.
+func TestRestoredCoversTrustsOnlyExactAnswers(t *testing.T) {
+	const ppa, gamma = 100, 4
+	for _, c := range []struct {
+		tr   ftl.Translation
+		want bool
+	}{
+		{ftl.Translation{PPA: ppa + 2, Approx: true}, true},
+		{ftl.Translation{PPA: ppa + 2, Approx: true, Exact: true}, false},
+		{ftl.Translation{PPA: ppa, Approx: true, Exact: true}, true},
+		{ftl.Translation{PPA: ppa + 2}, false},
+		{ftl.Translation{PPA: ppa}, true},
+	} {
+		if got := restoredCovers(fixedAnswer{tr: c.tr}, 7, ppa, gamma); got != c.want {
+			t.Errorf("restored answer %+v for PPA %d: covers = %v, want %v", c.tr, ppa, got, c.want)
+		}
 	}
 }

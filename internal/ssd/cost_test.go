@@ -73,7 +73,7 @@ func (s auditedLeaFTL) CommitGC(p []addr.Mapping) (ftl.Cost, int) {
 }
 
 // TestCostNamesEveryMetaOp runs DFTL, SFTL and the journaled,
-// bitmap-exact LeaFTL through the budgeted churn and checks that every
+// verify-at-learn LeaFTL through the budgeted churn and checks that every
 // Cost they return names one translation page per counted operation.
 func TestCostNamesEveryMetaOp(t *testing.T) {
 	cfg := journalChurnConfig()

@@ -292,12 +292,12 @@ type corruptImages struct{ *leaftl.Scheme }
 func (c corruptImages) PersistedGroups() map[addr.GroupID][]byte {
 	out := c.Scheme.PersistedGroups()
 	for gid, img := range out {
-		// The group id, the 32-byte exact bitmap, the level count and the
-		// first level's segment count; then that level's first segment,
-		// whose first two bytes are its start offset and span.
-		if binary.LittleEndian.Uint16(img[36:]) > 0 && binary.LittleEndian.Uint16(img[38:]) > 0 {
+		// The group id, the level count and the first level's segment
+		// count; then that level's first segment, whose first two bytes
+		// are its start offset and span.
+		if binary.LittleEndian.Uint16(img[4:]) > 0 && binary.LittleEndian.Uint16(img[6:]) > 0 {
 			img = append([]byte(nil), img...)
-			img[40], img[41] = 250, 20
+			img[8], img[9] = 250, 20
 			out[gid] = img
 		}
 	}

@@ -279,9 +279,9 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 // lpa at ppa: exactly, or — for an approximate answer the read path
 // verifies — within the ±γ learning guarantee its window search
 // recovers from. An answer marked Exact is trusted unverified, so it
-// must be exact. The
-// Translate side effects (demand-page LRU touches) are part of the
-// recovery validation pass; its flash cost is subsumed by ScanTime.
+// must be exact. The Translate side effects (demand-page LRU touches)
+// are part of the recovery validation pass; its flash cost is subsumed
+// by ScanTime.
 func restoredCovers(fresh ftl.Scheme, lpa addr.LPA, ppa addr.PPA, gamma int) bool {
 	tr, ok := fresh.Translate(lpa)
 	if !ok {

@@ -134,10 +134,9 @@ func TestRunHintChangesNothing(t *testing.T) {
 				if a, b := s.MappingDigest(), u.MappingDigest(); a != b {
 					t.Errorf("mapping digest %#x != %#x", a, b)
 				}
-				// full's reads never mispredict here: verify-at-learn arms
-				// or repairs every committed slot, so each approximate read
-				// goes through a set bit. paper's reads take the §3.5
-				// recovery.
+				// full's reads never mispredict here: verify-at-learn
+				// leaves every approximate answer exact. paper's reads take
+				// the §3.5 recovery.
 				st := hinted.Stats()
 				if crossing == 0 || st.ApproxReads == 0 || name == "paper" && st.Mispredictions == 0 {
 					t.Fatalf("churn too shallow: %d group-crossing reads, %d approximate reads, %d mispredictions",
