@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
@@ -15,7 +14,10 @@ import (
 // one wire format (persist.go) — into the open translation page, packed
 // back to back with other groups' records. A group has exactly one live
 // record; each writeback supersedes the previous one, so a demand load
-// reads only the pages that one record spans.
+// reads only the pages that one record spans. The record's bytes live in
+// the pager's GMD entry (gmdEntry.image), as they do without the
+// journal; the journal keeps only where each record landed and what
+// the appends, loads and folds cost.
 //
 // Translation blocks are a dedicated allocation stream: records never
 // span blocks (the open block seals early when a record would not fit),
@@ -30,12 +32,12 @@ import (
 // operations to dies.
 const journalPageIDBit = uint64(1) << 62
 
-// jrec is a group's live journal record and where it landed.
+// jrec is where a group's live journal record landed.
 type jrec struct {
-	bytes []byte  // the group record
 	block *jblock // nil when the block stream is unconfigured
 	first uint64  // page-sequence span; last may be the open SRAM page
 	last  uint64
+	n     int // record length in bytes
 }
 
 // jblock is one translation block of the journal's allocation stream.
@@ -115,11 +117,6 @@ func (j *journal) Stats() ftl.JournalStats {
 	return s
 }
 
-func (j *journal) has(gid addr.GroupID) bool {
-	_, ok := j.groups[gid]
-	return ok
-}
-
 // openBlock returns the unsealed head block, allocating one if needed.
 func (j *journal) openBlock() *jblock {
 	if n := len(j.blocks); n > 0 && !j.blocks[n-1].sealed {
@@ -132,54 +129,52 @@ func (j *journal) openBlock() *jblock {
 }
 
 // sealOpen closes the head block early: the partial SRAM tail page is
-// flushed (and charged, when charging) since its block is now immutable.
-func (j *journal) sealOpen(charge bool) ftl.Cost {
-	var cost ftl.Cost
+// flushed (and charged into cost, when non-nil) since its block is now
+// immutable.
+func (j *journal) sealOpen(cost *ftl.Cost) {
 	n := len(j.blocks)
 	if n == 0 || j.blocks[n-1].sealed {
-		return cost
+		return
 	}
 	b := j.blocks[n-1]
 	if j.pageFill > 0 {
-		if charge {
+		if cost != nil {
 			cost.AddWrite(journalPageIDBit | j.pageSeq)
 		}
 		j.pageSeq++
 		j.pageFill = 0
 	}
 	b.sealed = true
-	return cost
 }
 
-// appendRec packs rec into the log, charging one MetaWrite per page
-// filled (the open tail page is capacitor-backed SRAM and costs nothing
-// until full). Records never span blocks: the open block seals early
-// when rec would not fit. charge=false seeds recovery state whose pages
-// already exist on flash.
-func (j *journal) appendRec(rec []byte, charge bool) (jrec, ftl.Cost) {
-	var cost ftl.Cost
+// appendRec packs an n-byte record into the log, charging into cost one
+// MetaWrite per page filled (the open tail page is capacitor-backed SRAM
+// and costs nothing until full). Records never span blocks: the open
+// block seals early when the record would not fit. A nil cost seeds
+// recovery state whose pages already exist on flash.
+func (j *journal) appendRec(n int, cost *ftl.Cost) jrec {
 	var block *jblock
 	if j.ppb > 0 {
 		capacity := j.ppb * j.pageSize
-		if len(rec) > capacity {
-			panic(fmt.Sprintf("core: %dB journal record exceeds a %dB translation block", len(rec), capacity))
+		if n > capacity {
+			panic(fmt.Sprintf("core: %dB journal record exceeds a %dB translation block", n, capacity))
 		}
 		b := j.openBlock()
-		if b.used+len(rec) > capacity {
-			cost.Add(j.sealOpen(charge))
+		if b.used+n > capacity {
+			j.sealOpen(cost)
 			b = j.openBlock()
 		}
-		b.used += len(rec)
+		b.used += n
 		b.live++
 		block = b
 	}
-	meta := jrec{bytes: rec, block: block, first: j.pageSeq}
-	for remaining := len(rec); remaining > 0; {
-		n := min(j.pageSize-j.pageFill, remaining)
-		j.pageFill += n
-		remaining -= n
+	meta := jrec{block: block, first: j.pageSeq, n: n}
+	for remaining := n; remaining > 0; {
+		k := min(j.pageSize-j.pageFill, remaining)
+		j.pageFill += k
+		remaining -= k
 		if j.pageFill == j.pageSize {
-			if charge {
+			if cost != nil {
 				cost.AddWrite(journalPageIDBit | j.pageSeq)
 			}
 			j.pageSeq++
@@ -193,81 +188,59 @@ func (j *journal) appendRec(rec []byte, charge bool) (jrec, ftl.Cost) {
 	if block != nil && block.used == j.ppb*j.pageSize {
 		block.sealed = true
 	}
-	return meta, cost
+	return meta
 }
 
-// put appends img as gid's record and retires the record it supersedes.
-func (j *journal) put(gid addr.GroupID, img []byte, charge bool) ftl.Cost {
+// put appends an n-byte record for gid and retires the record it
+// supersedes, charging into cost (nil: uncharged).
+func (j *journal) put(gid addr.GroupID, n int, cost *ftl.Cost) {
 	if old, ok := j.groups[gid]; ok && old.block != nil {
 		old.block.live--
 	}
-	rec, cost := j.appendRec(img, charge)
-	j.groups[gid] = rec
-	return cost
+	j.groups[gid] = j.appendRec(n, cost)
 }
 
-// writeback logs a group's new state: its whole image is appended and
-// supersedes the group's previous record. A byte-identical image costs
-// nothing. Returns the flash charges, including any journal GC the
-// append triggered.
-func (j *journal) writeback(gid addr.GroupID, img []byte) ftl.Cost {
-	if old, ok := j.groups[gid]; ok && bytes.Equal(old.bytes, img) {
-		return ftl.Cost{} // clean rewrite: the journal already holds this state
-	}
-	cost := j.put(gid, img, true)
+// writeback logs a group's new n-byte record, which supersedes the
+// group's previous one, and charges into cost the pages it fills and
+// any journal GC the append triggers.
+func (j *journal) writeback(gid addr.GroupID, n int, cost *ftl.Cost) {
+	j.put(gid, n, cost)
 	j.stats.Appends++
-	cost.Add(j.maybeGC())
-	return cost
+	j.maybeGC(cost)
 }
 
-// load returns a group's current image and the flash reads it costs:
+// load charges into cost the flash reads a group's demand load takes:
 // the charged pages its one record spans (the open SRAM tail is free).
-func (j *journal) load(gid addr.GroupID) ([]byte, ftl.Cost) {
+func (j *journal) load(gid addr.GroupID, cost *ftl.Cost) {
 	rec, ok := j.groups[gid]
 	if !ok {
 		panic(fmt.Sprintf("core: journal load of unknown group %d", gid))
 	}
-	var cost ftl.Cost
 	for p := rec.first; p <= rec.last && p < j.pageSeq; p++ {
 		cost.AddRead(journalPageIDBit | p)
 	}
-	return rec.bytes, cost
 }
 
-// seed registers a group restored during recovery: its image already
-// lives on flash, so the append is uncharged.
-func (j *journal) seed(gid addr.GroupID, img []byte) {
-	j.put(gid, img, false)
-}
-
-// images returns every journaled group's current image, skipping groups
-// the caller holds newer state for (dirty residents) — the image set
-// recovery restores.
-func (j *journal) images(skip func(addr.GroupID) bool) map[addr.GroupID][]byte {
-	out := make(map[addr.GroupID][]byte, len(j.groups))
-	for gid, rec := range j.groups {
-		if skip == nil || !skip(gid) {
-			out[gid] = rec.bytes
-		}
-	}
-	return out
+// seed places an n-byte record restored during recovery: its pages
+// already exist on flash, so the append is uncharged.
+func (j *journal) seed(gid addr.GroupID, n int) {
+	j.put(gid, n, nil)
 }
 
 // maybeGC reclaims journal blocks while the translation footprint
 // exceeds the cap: the sealed block with the fewest live records (ties
-// to the oldest) is the victim, its live images are re-appended at the
+// to the oldest) is the victim, its live records are re-appended at the
 // log head in ascending group order, and the block is erased.
 // Re-appending consumes space, so the loop stops on any pass that fails
-// to shrink the footprint.
-func (j *journal) maybeGC() ftl.Cost {
-	var cost ftl.Cost
+// to shrink the footprint. The charges go into cost.
+func (j *journal) maybeGC(cost *ftl.Cost) {
 	if j.ppb <= 0 || j.maxPages <= 0 {
-		return cost
+		return
 	}
 	for len(j.blocks)*j.ppb > j.maxPages {
 		victim := j.pickVictim()
 		if victim == nil {
-			return cost
+			return
 		}
 		j.hookFire("journal.gc")
 		j.stats.GCRuns++
@@ -282,7 +255,7 @@ func (j *journal) maybeGC() ftl.Cost {
 		slices.Sort(gids)
 		for _, gid := range gids {
 			j.hookFire("journal.fold")
-			cost.Add(j.put(gid, j.groups[gid].bytes, true))
+			j.put(gid, j.groups[gid].n, cost)
 			j.stats.Folds++
 		}
 		if victim.live != 0 {
@@ -290,10 +263,9 @@ func (j *journal) maybeGC() ftl.Cost {
 		}
 		j.blocks = slices.DeleteFunc(j.blocks, func(b *jblock) bool { return b == victim })
 		if len(j.blocks) >= before {
-			return cost // re-appends consumed as much as the erase freed
+			return // re-appends consumed as much as the erase freed
 		}
 	}
-	return cost
 }
 
 // pickVictim scores sealed blocks by live-record count — the journal's
@@ -312,20 +284,13 @@ func (j *journal) pickVictim() *jblock {
 	return victim
 }
 
-// check audits the journal: every group's one record must decode as that
-// group's record, per-block liveness must match the records, and the
-// footprint must respect the configured cap (one open block of slack: GC
-// cannot run below block granularity).
+// check audits the journal: per-block liveness must match the records,
+// and the footprint must respect the configured cap (one open block of
+// slack: GC cannot run below block granularity). The pager checks the
+// records themselves.
 func (j *journal) check() error {
 	liveByBlock := make(map[*jblock]int)
-	for gid, rec := range j.groups {
-		got, _, err := decodeGroupRecord(rec.bytes)
-		if err != nil {
-			return fmt.Errorf("journal: group %d record: %w", gid, err)
-		}
-		if got != gid {
-			return fmt.Errorf("journal: group %d record claims group %d", gid, got)
-		}
+	for _, rec := range j.groups {
 		if rec.block != nil {
 			liveByBlock[rec.block]++
 		}

@@ -5,85 +5,108 @@ import (
 	"testing"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/ftl"
 )
 
-// journalTestImages returns a sequence of distinct, valid images of
-// the same group (group 0), produced by successively overwriting the
-// group's LPAs at fresh PPAs — the states a write-hot group's dirty
-// evictions would persist.
-func journalTestImages(t *testing.T, n int) [][]byte {
-	t.Helper()
+// journalBatch returns the i-th of a sequence of batches into group 0
+// whose every step leaves a distinct record: even steps rewrite a clean
+// sequential run, odd ones a scattered overwrite, so levels and CRB
+// sections both churn — the states a write-hot group's writebacks
+// persist.
+func journalBatch(i int) []addr.Mapping {
+	base := addr.PPA(1000 + i*2048)
+	pairs := make([]addr.Mapping, 0, 64)
+	if i%2 == 0 {
+		for l := 0; l < 64; l++ {
+			pairs = append(pairs, addr.Mapping{LPA: addr.LPA(l), PPA: base + addr.PPA(l)})
+		}
+	} else {
+		for l := 0; l < 40; l++ {
+			pairs = append(pairs, addr.Mapping{LPA: addr.LPA(l * 3), PPA: base + addr.PPA(l)})
+		}
+	}
+	return pairs
+}
+
+// newJournalPager returns a verifying γ = 4 table behind a pager that
+// persists through the journal on pageSize-byte translation pages.
+func newJournalPager(pageSize int) (*Table, *Pager) {
 	tab := NewTable(4)
 	tab.EnableVerifyAtLearn()
-	imgs := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		base := addr.PPA(1000 + i*2048)
-		pairs := make([]addr.Mapping, 0, 64)
-		// Alternate a clean sequential run with a scattered overwrite so
-		// levels and CRB sections both churn across the sequence.
-		if i%2 == 0 {
-			for l := 0; l < 64; l++ {
-				pairs = append(pairs, addr.Mapping{LPA: addr.LPA(l), PPA: base + addr.PPA(l)})
-			}
-		} else {
-			for l := 0; l < 40; l++ {
-				pairs = append(pairs, addr.Mapping{LPA: addr.LPA(l * 3), PPA: base + addr.PPA(l)})
-			}
-		}
-		tab.Update(pairs)
-		img, err := tab.MarshalGroup(0)
-		if err != nil {
-			t.Fatalf("image %d: %v", i, err)
-		}
-		imgs = append(imgs, img)
+	p := NewPager(tab, pageSize)
+	p.EnableJournal()
+	return tab, p
+}
+
+// commitAndFlush commits pairs through p as a scheme does and writes the
+// dirty groups back, returning what the writeback charged.
+func commitAndFlush(tab *Table, p *Pager, pairs []addr.Mapping) ftl.Cost {
+	for _, m := range pairs {
+		p.EnsureWrite(addr.Group(m.LPA))
 	}
-	return imgs
+	tab.Update(pairs)
+	return p.FlushDirty()
 }
 
 // TestJournalWritebackFold drives one group through repeated writebacks
-// and pins the journal's state machine: each distinct image appends one
-// whole record that supersedes the last, a byte-identical rewrite is
-// free, and the audit and the current image hold at every step.
+// and pins the journal's state machine: each distinct record appends
+// once and supersedes the last, a byte-identical rewrite is free, and
+// the audit and the pager's one copy of the record hold at every step.
 func TestJournalWritebackFold(t *testing.T) {
-	imgs := journalTestImages(t, 12)
-	j := newJournal(256)
-	if cost := j.writeback(0, imgs[0]); cost.MetaWrites != 0 {
+	const n = 12
+	tab, p := newJournalPager(256)
+	if cost := commitAndFlush(tab, p, journalBatch(0)); cost.MetaWrites != 0 {
 		t.Fatalf("first writeback charged %d page writes before the tail filled", cost.MetaWrites)
 	}
-	if j.writeback(0, imgs[0]).MetaWrites != 0 || j.Stats().Appends != 1 {
+	p.MarkDirty(0)
+	if p.FlushDirty().MetaWrites != 0 || p.JournalStats().Appends != 1 {
 		t.Fatal("byte-identical rewrite was not free")
 	}
-	for i := 1; i < len(imgs); i++ {
-		j.writeback(0, imgs[i])
-		if got := j.groups[0].bytes; !bytes.Equal(got, imgs[i]) {
-			t.Fatalf("after writeback %d the journaled image diverges", i)
+	for i := 1; i < n; i++ {
+		commitAndFlush(tab, p, journalBatch(i))
+		want, err := tab.MarshalGroup(0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := j.check(); err != nil {
+		if !bytes.Equal(p.gmd[0].image, want) {
+			t.Fatalf("after writeback %d the persisted record diverges", i)
+		}
+		if err := p.Check(); err != nil {
 			t.Fatalf("after writeback %d: %v", i, err)
 		}
 	}
-	if s := j.Stats(); s.Appends != uint64(len(imgs)) || s.Folds != 0 || s.Groups != 1 {
-		t.Errorf("%d appends, %d folds, %d groups; want %d, 0, 1", s.Appends, s.Folds, s.Groups, len(imgs))
+	if s := p.JournalStats(); s.Appends != n || s.Folds != 0 || s.Groups != 1 {
+		t.Errorf("%d appends, %d folds, %d groups; want %d, 0, 1", s.Appends, s.Folds, s.Groups, n)
 	}
 }
 
 // TestJournalLoadReadsOneRecord writes one group back many times with
-// distinct images, on pages small enough that its history spans many of
-// them, and bounds its load by the pages its one record can span.
+// distinct records, on pages small enough that its history spans many of
+// them, and bounds its demand load by the pages its one record can span.
 func TestJournalLoadReadsOneRecord(t *testing.T) {
 	const pageSize = 64
-	imgs := journalTestImages(t, 12)
-	j := newJournal(pageSize)
-	for _, img := range imgs {
-		j.writeback(0, img)
+	tab, p := newJournalPager(pageSize)
+	for i := 0; i < 12; i++ {
+		commitAndFlush(tab, p, journalBatch(i))
 	}
-	img, cost := j.load(0)
-	if !bytes.Equal(img, imgs[len(imgs)-1]) {
-		t.Fatal("load does not return the newest image")
+	want, err := tab.MarshalGroup(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bound := (len(img)+pageSize-1)/pageSize + 1
+	p.SetBudget(1)
+	if cost := p.Enforce(); cost.MetaWrites != 0 || tab.HasGroup(0) {
+		t.Fatalf("evicting the clean group charged %d page writes (resident %v)", cost.MetaWrites, tab.HasGroup(0))
+	}
+	cost, known := p.EnsureRead(0)
+	if !known {
+		t.Fatal("the evicted group is unknown")
+	}
+	if got, err := tab.MarshalGroup(0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("load does not install the newest record (%v)", err)
+	}
+	bound := (len(want)+pageSize-1)/pageSize + 1
 	if cost.MetaReads == 0 || cost.MetaReads > bound {
-		t.Errorf("load of a %dB record charged %d page reads; want 1..%d", len(img), cost.MetaReads, bound)
+		t.Errorf("load of a %dB record charged %d page reads; want 1..%d", len(want), cost.MetaReads, bound)
 	}
 }
 
@@ -91,52 +114,39 @@ func TestJournalLoadReadsOneRecord(t *testing.T) {
 // translation blocks: the lowest-live sealed block's live records (a
 // cold group's among them) are re-appended at the log head, the block
 // is erased, and the audit, the cap (+1 open block) and every group's
-// image survive the cycling.
+// record survive the cycling.
 func TestJournalGC(t *testing.T) {
 	const nGroups = 4
-	tabs := make([]*Table, nGroups)
-	for g := range tabs {
-		tabs[g] = NewTable(4)
-	}
-	image := func(g, round int) []byte {
-		pairs := make([]addr.Mapping, 32)
-		for l := range pairs {
-			pairs[l] = addr.Mapping{
-				LPA: addr.LPA(g*addr.GroupSize + l*2),
-				PPA: addr.PPA(10_000 + round*4096 + g*512 + l),
-			}
-		}
-		tabs[g].Update(pairs)
-		img, err := tabs[g].MarshalGroup(addr.GroupID(g))
-		if err != nil {
-			t.Fatalf("group %d round %d: %v", g, round, err)
-		}
-		return img
-	}
-
-	j := newJournal(256)
-	j.configure(2, 4) // 512B blocks, GC beyond 4 pages = 2 blocks
+	tab := NewTable(4)
+	p := NewPager(tab, 256)
+	p.EnableJournal()
+	p.ConfigureJournal(2, 4) // 512B blocks, GC beyond 4 pages = 2 blocks
 	var folds int
-	j.hook = func(point string) {
+	p.SetJournalHook(func(point string) {
 		if point == "journal.fold" {
 			folds++
 		}
-	}
+	})
 	// 36 rounds of three 18-byte records fill 8 pages, twice the cap.
-	want := make([][]byte, nGroups)
 	for round := 0; round < 36; round++ {
 		for g := 0; g < nGroups; g++ {
 			if g == nGroups-1 && round > 0 {
 				continue // a cold group: its one record stays live where it landed
 			}
-			want[g] = image(g, round)
-			j.writeback(addr.GroupID(g), want[g])
-			if err := j.check(); err != nil {
+			pairs := make([]addr.Mapping, 32)
+			for l := range pairs {
+				pairs[l] = addr.Mapping{
+					LPA: addr.LPA(g*addr.GroupSize + l*2),
+					PPA: addr.PPA(10_000 + round*4096 + g*512 + l),
+				}
+			}
+			commitAndFlush(tab, p, pairs)
+			if err := p.Check(); err != nil {
 				t.Fatalf("round %d group %d: %v", round, g, err)
 			}
 		}
 	}
-	s := j.Stats()
+	s := p.JournalStats()
 	if s.GCRuns == 0 {
 		t.Fatal("journal GC never ran under a 2-block cap")
 	}
@@ -146,9 +156,9 @@ func TestJournalGC(t *testing.T) {
 	if s.Pages > 4+2 {
 		t.Errorf("footprint %d pages exceeds the cap plus one open block", s.Pages)
 	}
-	for g := 0; g < nGroups; g++ {
-		if got := j.groups[addr.GroupID(g)].bytes; !bytes.Equal(got, want[g]) {
-			t.Errorf("group %d image diverged across GC", g)
+	for g := addr.GroupID(0); g < nGroups; g++ {
+		if want, err := tab.MarshalGroup(g); err != nil || !bytes.Equal(p.gmd[g].image, want) {
+			t.Errorf("group %d record diverged across GC (%v)", g, err)
 		}
 	}
 }

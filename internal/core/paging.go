@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -25,15 +26,9 @@ import (
 // A Pager is not safe for concurrent use; the device serializes every
 // call into the scheme that owns it.
 
-// pageIDs expands a group image's virtual translation PPA into one
-// identity per constituent flash page.
-func pageIDs(ppa uint32, n int) []uint64 {
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = uint64(ppa)<<8 | uint64(i&0xff)
-	}
-	return ids
-}
+// pageID is the identity of page i of the group image at virtual
+// translation PPA ppa.
+func pageID(ppa uint32, i int) uint64 { return uint64(ppa)<<8 | uint64(i&0xff) }
 
 // PagerStats counts paging events since the pager was created.
 type PagerStats struct {
@@ -46,9 +41,11 @@ type PagerStats struct {
 	DirtyWritebacks uint64
 }
 
-// gmdEntry is one Global Mapping Directory slot: where a group's
-// translation-page image lives, whether a DRAM copy exists, and whether
-// that copy has diverged from the image.
+// gmdEntry is one Global Mapping Directory slot: the group's persisted
+// record and where it lives, whether a DRAM copy exists, and whether that
+// copy has diverged from the record. The entry is the one home of the
+// record's bytes, with or without the journal; the journal only places
+// them.
 type gmdEntry struct {
 	ppa       uint32 // virtual translation-page address of the current image
 	image     []byte // serialized group record (nil: never persisted)
@@ -70,23 +67,26 @@ type Pager struct {
 
 	evicted      int // non-resident GMD entries
 	evictedBytes int // Σ dramBytes over non-resident entries
-	flashPages   int // Σ image pages over entries holding an image
+	flashPages   int // Σ image pages over entries holding an image (image path)
 	nextPPA      uint32
 	fast         bool // cached FastPath value, refreshed on mutation
 	stats        PagerStats
 
-	// journal, when non-nil, replaces the image-per-page writeback path
-	// with the metadata log (journal.go): dirty evictions append the
-	// group's record into shared translation pages, demand loads read
-	// that one record, and gmdEntry.image stays nil — the journal owns
-	// the durable bytes. Nil keeps the image path bit-identical to its
+	// scratch is the buffer writebacks marshal into before copying a
+	// changed record into its entry.
+	scratch []byte
+
+	// journal, when non-nil, replaces the image-per-page placement with
+	// the metadata log (journal.go): writebacks append the group's
+	// record into shared translation pages and demand loads read that
+	// one record. Nil keeps the image path bit-identical to its
 	// pre-journal behavior.
 	journal *journal
 }
 
 // EnableJournal switches metadata persistence to the metadata journal.
 // Call before any paging activity; enabling an already-active pager
-// would orphan existing images.
+// would leave existing images without a place in the journal.
 func (p *Pager) EnableJournal() {
 	if p.journal == nil {
 		p.journal = newJournal(p.pageSize)
@@ -165,15 +165,20 @@ func (p *Pager) FastPath() bool { return p.fast }
 // groups are (or have been) backed by flash images. Until then the
 // scheme behaves — and charges — exactly like the unbudgeted table,
 // and holds no serialized images.
-func (p *Pager) Paging() bool { return p.evicted > 0 || p.flashPages > 0 }
+func (p *Pager) Paging() bool { return p.evicted > 0 || p.TranslationPages() > 0 }
 
 // Stats returns the paging event counters.
 func (p *Pager) Stats() PagerStats { return p.stats }
 
 // TranslationPages returns the flash pages currently occupied by group
-// images (the translation-block footprint charged against
+// records (the translation-block footprint charged against
 // over-provisioned capacity).
-func (p *Pager) TranslationPages() int { return p.flashPages }
+func (p *Pager) TranslationPages() int {
+	if p.journal != nil {
+		return p.journal.pages()
+	}
+	return p.flashPages
+}
 
 // FullSizeBytes returns the complete mapping size, resident or not.
 // Groups restored from images that were never decoded count 0 until
@@ -182,8 +187,7 @@ func (p *Pager) FullSizeBytes() int { return p.store.SizeBytes() + p.evictedByte
 
 // MappingDigest hashes every registered group's record in ascending
 // group order with FNV-64a: a resident group's MarshalGroup record, an
-// evicted one's current translation-page image (under the journal, its
-// live journal record). It reads without side effects.
+// evicted one's persisted record. It reads without side effects.
 func (p *Pager) MappingDigest() uint64 {
 	gids := make([]addr.GroupID, 0, len(p.gmd))
 	for gid := range p.gmd {
@@ -193,9 +197,8 @@ func (p *Pager) MappingDigest() uint64 {
 	h := fnv.New64a()
 	for _, gid := range gids {
 		e := p.gmd[gid]
-		var img []byte
-		switch {
-		case e.resident:
+		img := e.image
+		if e.resident {
 			if !p.store.HasGroup(gid) {
 				continue // registered, never materialized
 			}
@@ -203,10 +206,6 @@ func (p *Pager) MappingDigest() uint64 {
 			if img, err = p.store.MarshalGroup(gid); err != nil {
 				panic(fmt.Sprintf("core: group %d does not marshal: %v", gid, err))
 			}
-		case p.journal != nil:
-			img = p.journal.groups[gid].bytes
-		default:
-			img = e.image
 		}
 		h.Write(img)
 	}
@@ -231,7 +230,7 @@ func (p *Pager) EnsureRead(gid addr.GroupID) (cost ftl.Cost, known bool) {
 		e.ref = true
 		return cost, true
 	}
-	cost = p.load(gid, e)
+	p.load(gid, e, &cost)
 	return cost, true
 }
 
@@ -245,22 +244,18 @@ func (p *Pager) EnsureWrite(gid addr.GroupID) ftl.Cost {
 		p.gmd[gid] = e
 		p.ring = append(p.ring, gid)
 	} else if !e.resident {
-		cost = p.load(gid, e)
+		p.load(gid, e, &cost)
 	}
 	e.ref = true
 	e.dirty = true
 	return cost
 }
 
-// load demand-loads an evicted group back into the store: from its GMD
-// image, or — under the journal — from its one live record, charging
-// the flash pages that record spans.
-func (p *Pager) load(gid addr.GroupID, e *gmdEntry) ftl.Cost {
-	img, cost := e.image, ftl.Cost{}
-	if p.journal != nil {
-		img, cost = p.journal.load(gid)
-	}
-	if _, err := p.store.InstallGroup(img); err != nil {
+// load demand-loads an evicted group's record back into the store,
+// charging into cost the flash pages the record spans: its own image
+// pages, or under the journal the pages its one live record spans.
+func (p *Pager) load(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
+	if _, err := p.store.InstallGroup(e.image); err != nil {
 		panic(fmt.Sprintf("core: GMD image for group %d does not install: %v", gid, err))
 	}
 	e.resident = true
@@ -272,10 +267,12 @@ func (p *Pager) load(gid addr.GroupID, e *gmdEntry) ftl.Cost {
 	p.stats.Faults++
 	p.fast = false // a fault implies pressure; Enforce will re-evaluate
 	if p.journal != nil {
-		return cost
+		p.journal.load(gid, cost)
+		return
 	}
-	n := p.imagePages(len(e.image))
-	return ftl.Cost{MetaReads: n, ReadIDs: pageIDs(e.ppa, n)}
+	for i := range p.imagePages(len(e.image)) {
+		cost.AddRead(pageID(e.ppa, i))
+	}
 }
 
 // Enforce evicts CLOCK victims until the resident set fits the budget.
@@ -286,7 +283,7 @@ func (p *Pager) Enforce() ftl.Cost {
 	var cost ftl.Cost
 	if p.budget > 0 {
 		for p.store.SizeBytes() > p.budget && len(p.ring) > 0 {
-			cost.Add(p.evictOne())
+			p.evictOne(&cost)
 		}
 	}
 	p.refresh()
@@ -294,7 +291,7 @@ func (p *Pager) Enforce() ftl.Cost {
 }
 
 // evictOne runs the CLOCK sweep and evicts the first unreferenced group.
-func (p *Pager) evictOne() ftl.Cost {
+func (p *Pager) evictOne(cost *ftl.Cost) {
 	for sweep := 0; sweep <= 2*len(p.ring); sweep++ {
 		if p.hand >= len(p.ring) {
 			p.hand = 0
@@ -306,28 +303,24 @@ func (p *Pager) evictOne() ftl.Cost {
 			p.hand++
 			continue
 		}
-		return p.evict(gid, e)
+		p.evict(gid, e, cost)
+		return
 	}
 	panic("core: CLOCK sweep found no victim in a non-empty ring")
 }
 
-// evict pages one group out: rewrite its image if the DRAM copy
+// evict pages one group out: rewrite its record if the DRAM copy
 // diverged, then drop the DRAM copy.
-func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) ftl.Cost {
-	var cost ftl.Cost
+func (p *Pager) evict(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
 	if !p.store.HasGroup(gid) {
 		// Phantom entry (group registered but never materialized);
 		// forget it.
 		delete(p.gmd, gid)
 		p.unring(gid)
-		return cost
+		return
 	}
-	persisted := e.image != nil
-	if p.journal != nil {
-		persisted = p.journal.has(gid)
-	}
-	if e.dirty || !persisted {
-		cost.Add(p.writeback(gid, e))
+	if e.dirty || e.image == nil {
+		p.writeback(gid, e, cost)
 	}
 	freed, _ := p.store.DropGroup(gid)
 	e.dramBytes = freed
@@ -337,36 +330,42 @@ func (p *Pager) evict(gid addr.GroupID, e *gmdEntry) ftl.Cost {
 	p.evictedBytes += freed
 	p.stats.Evictions++
 	p.unring(gid)
-	return cost
 }
 
-// writeback serializes the group's current state into a fresh
-// translation-page image (log-structured: a new virtual PPA each write).
-// Under the journal, the image is appended into the journal's shared
-// translation pages instead.
-func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry) ftl.Cost {
-	img, err := p.store.MarshalGroup(gid)
+// writeback persists the group's current record and charges it into
+// cost. The record is marshaled into the pager's scratch buffer and
+// copied into the entry's storage, reusing it when it is big enough.
+// The image path writes it to translation pages of its own
+// (log-structured: a new virtual PPA each write); the journal appends
+// it into its shared translation pages, and a byte-identical record
+// costs nothing there.
+func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
+	rec, err := appendGroupRecord(p.scratch[:0], gid, p.store.lookupGroup(gid))
 	if err != nil {
 		panic(fmt.Sprintf("core: group %d does not marshal: %v", gid, err))
 	}
+	p.scratch = rec
+	e.dirty = false
+	p.stats.DirtyWritebacks++
 	if p.journal != nil {
-		cost := p.journal.writeback(gid, img)
-		p.flashPages = p.journal.pages()
-		e.dirty = false
-		p.stats.DirtyWritebacks++
-		return cost
+		if bytes.Equal(e.image, rec) {
+			return // clean rewrite: the journal already holds this state
+		}
+		e.image = append(e.image[:0], rec...)
+		p.journal.writeback(gid, len(rec), cost)
+		return
 	}
 	if e.image != nil {
 		p.flashPages -= p.imagePages(len(e.image))
 	}
-	e.image = img
+	e.image = append(e.image[:0], rec...)
 	p.nextPPA++
 	e.ppa = p.nextPPA
-	p.flashPages += p.imagePages(len(img))
-	e.dirty = false
-	p.stats.DirtyWritebacks++
-	n := p.imagePages(len(img))
-	return ftl.Cost{MetaWrites: n, WriteIDs: pageIDs(e.ppa, n)}
+	n := p.imagePages(len(rec))
+	p.flashPages += n
+	for i := range n {
+		cost.AddWrite(pageID(e.ppa, i))
+	}
 }
 
 // unring removes gid from the CLOCK ring, keeping the hand on the
@@ -399,41 +398,33 @@ func (p *Pager) FlushDirty() ftl.Cost {
 	for _, gid := range p.ring {
 		e := p.gmd[gid]
 		if e.dirty && p.store.HasGroup(gid) {
-			cost.Add(p.writeback(gid, e))
+			p.writeback(gid, e, &cost)
 		}
 	}
 	p.refresh()
 	return cost
 }
 
-// PersistedGroups returns the translation-page images that are current
-// (the flash copies a crash cannot lose): every evicted group, plus
-// resident groups whose image matches DRAM. Dirty resident groups are
-// absent — their latest state exists only in DRAM. The returned slices
-// are the live images; callers must not mutate them.
+// PersistedGroups returns a copy of every record that is current on
+// flash (what a crash cannot lose): every group that has a record and is
+// not dirty. Dirty resident groups are absent — their latest state
+// exists only in DRAM. The copies belong to the caller: a later
+// writeback overwrites the pager's own records in place.
 func (p *Pager) PersistedGroups() map[addr.GroupID][]byte {
-	if p.journal != nil {
-		// Every journaled group's live record. Dirty residents are
-		// excluded — their journal record predates the DRAM-only
-		// updates, matching the image path's staleness rule.
-		return p.journal.images(func(gid addr.GroupID) bool {
-			e := p.gmd[gid]
-			return e != nil && e.resident && e.dirty
-		})
-	}
 	out := make(map[addr.GroupID][]byte)
 	for gid, e := range p.gmd {
 		if e.image != nil && !e.dirty {
-			out[gid] = e.image
+			out[gid] = bytes.Clone(e.image)
 		}
 	}
 	return out
 }
 
-// RestoreGroups seeds an empty pager's GMD with persisted images
+// RestoreGroups seeds an empty pager's GMD with persisted records
 // (recovery): groups start paged out and demand-load on first access,
 // so restoring costs no DRAM up front. FullSizeBytes undercounts these
-// groups until they are first loaded.
+// groups until they are first loaded. The pager takes ownership of the
+// records: the caller must not use the slices afterwards.
 func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 	gids := make([]addr.GroupID, 0, len(images))
 	for gid := range images {
@@ -456,19 +447,15 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 			return fmt.Errorf("core: group %d already resident; restore wants an empty table", gid)
 		}
 		p.nextPPA++
+		p.gmd[gid] = &gmdEntry{ppa: p.nextPPA, image: img}
+		p.evicted++
 		if p.journal != nil {
-			// Seed the journal uncharged: the image's pages already
-			// exist on flash, recovery only rebuilds the RAM directory.
-			p.journal.seed(gid, img)
-			p.gmd[gid] = &gmdEntry{ppa: p.nextPPA}
+			// Place the record uncharged: its pages already exist on
+			// flash, recovery only rebuilds the RAM directory.
+			p.journal.seed(gid, len(img))
 		} else {
-			p.gmd[gid] = &gmdEntry{ppa: p.nextPPA, image: img}
 			p.flashPages += p.imagePages(len(img))
 		}
-		p.evicted++
-	}
-	if p.journal != nil {
-		p.flashPages = p.journal.pages()
 	}
 	p.refresh()
 	return nil
@@ -485,17 +472,21 @@ func (p *Pager) Check() error {
 		}
 		onRing[gid] = true
 	}
-	evicted, evictedBytes, flashPages := 0, 0, 0
+	evicted, evictedBytes, flashPages, records := 0, 0, 0, 0
 	for gid, e := range p.gmd {
 		if e.image != nil {
+			records++
 			flashPages += p.imagePages(len(e.image))
-		}
-		persisted := e.image != nil
-		if p.journal != nil {
-			if e.image != nil {
-				return fmt.Errorf("gmd: group %d holds a full image with the journal on", gid)
+			if got, _, err := decodeGroupRecord(e.image); err != nil {
+				return fmt.Errorf("gmd: group %d record: %w", gid, err)
+			} else if got != gid {
+				return fmt.Errorf("gmd: group %d record claims group %d", gid, got)
 			}
-			persisted = p.journal.has(gid)
+		}
+		if p.journal != nil {
+			if rec, ok := p.journal.groups[gid]; ok != (e.image != nil) || rec.n != len(e.image) {
+				return fmt.Errorf("gmd: group %d's %dB record is not the one the journal placed", gid, len(e.image))
+			}
 		}
 		switch {
 		case e.resident && !onRing[gid]:
@@ -506,7 +497,7 @@ func (p *Pager) Check() error {
 			return fmt.Errorf("gmd: group %d marked resident but absent from the table", gid)
 		case !e.resident && p.store.HasGroup(gid):
 			return fmt.Errorf("gmd: group %d marked evicted but present in the table", gid)
-		case !e.resident && !persisted:
+		case !e.resident && e.image == nil:
 			return fmt.Errorf("gmd: evicted group %d has no translation-page image", gid)
 		case !e.resident && e.dirty:
 			return fmt.Errorf("gmd: evicted group %d is dirty (evictions write back)", gid)
@@ -521,18 +512,18 @@ func (p *Pager) Check() error {
 			return fmt.Errorf("gmd: table group %d has no GMD entry", gid)
 		}
 	}
-	if p.journal != nil {
-		flashPages = p.journal.pages()
-	}
 	switch {
 	case evicted != p.evicted:
 		return fmt.Errorf("gmd: %d evicted entries, counter says %d", evicted, p.evicted)
 	case evictedBytes != p.evictedBytes:
 		return fmt.Errorf("gmd: %d evicted bytes, counter says %d", evictedBytes, p.evictedBytes)
-	case flashPages != p.flashPages:
+	case p.journal == nil && flashPages != p.flashPages:
 		return fmt.Errorf("gmd: %d image pages, counter says %d", flashPages, p.flashPages)
 	}
 	if p.journal != nil {
+		if len(p.journal.groups) != records {
+			return fmt.Errorf("gmd: the journal places %d records, the GMD holds %d", len(p.journal.groups), records)
+		}
 		if err := p.journal.check(); err != nil {
 			return err
 		}

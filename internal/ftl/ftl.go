@@ -154,14 +154,14 @@ type GroupPaged interface {
 	// persisted group images.
 	TranslationPages() int
 
-	// PersistedGroups returns the serialized group images that are
-	// current on flash (what survives a crash); dirty resident groups
-	// are absent. The images are shared, not copied — callers must not
-	// mutate them.
+	// PersistedGroups returns copies of the serialized group images
+	// that are current on flash (what survives a crash); dirty resident
+	// groups are absent. The copies belong to the caller.
 	PersistedGroups() map[addr.GroupID][]byte
 
 	// RestoreGroups seeds a fresh scheme's directory with persisted
-	// images; the groups demand-load on first access.
+	// images, which it then owns; the groups demand-load on first
+	// access.
 	RestoreGroups(images map[addr.GroupID][]byte) error
 
 	// CheckMapping audits the scheme's directory/cache bookkeeping and
