@@ -161,12 +161,6 @@ func (p *Pager) Budget() int { return p.budget }
 // skipped, which only costs CLOCK precision once pressure appears).
 func (p *Pager) FastPath() bool { return p.fast }
 
-// Paging reports that the budget has actually bound at least once:
-// groups are (or have been) backed by flash images. Until then the
-// scheme behaves — and charges — exactly like the unbudgeted table,
-// and holds no serialized images.
-func (p *Pager) Paging() bool { return p.evicted > 0 || p.TranslationPages() > 0 }
-
 // Stats returns the paging event counters.
 func (p *Pager) Stats() PagerStats { return p.stats }
 

@@ -3,21 +3,22 @@
 // Together").
 //
 // Every commit registers its 256-LPA segment groups in a Global Mapping
-// Directory (core.Pager). The learned table's whole point is being small
-// (Figures 15/19), so it usually stays fully DRAM-resident and
-// translations cost no flash accesses. When the byte budget binds
-// (SetBudget > 0), the pager demand-pages groups to flash translation
-// pages: lookups and commits touching a non-resident group charge
-// translation-page reads, dirty evictions and periodic persistence charge
-// translation-page writes, exactly like DFTL's cached mapping table —
-// which makes DRAM-budget comparisons between the schemes honest.
+// Directory (core.Pager), which holds each group's persisted record. The
+// learned table's whole point is being small (Figures 15/19), so it
+// usually stays fully DRAM-resident and translations cost no flash
+// accesses. When the byte budget binds (SetBudget > 0), the pager
+// demand-pages groups to flash translation pages: lookups and commits
+// touching a non-resident group charge translation-page reads, exactly
+// like DFTL's cached mapping table — which makes DRAM-budget comparisons
+// between the schemes honest.
 //
 // The table compacts itself as it is written (core's per-group rebuild
 // triggers, §3.7). The scheme's periodic maintenance (every CompactEvery
 // host page writes) sweeps the groups still under their triggers as a
-// backstop and persists the table to flash translation blocks for
-// recovery (§3.8), charging the corresponding translation-page writes;
-// under a budget only the groups whose images went stale are rewritten.
+// backstop and writes every dirty group back to flash translation blocks
+// (§3.8), at every budget: recovery restores those records and re-learns
+// only the rest. Dirty evictions write back too, and every writeback is
+// charged as translation-page writes.
 package leaftl
 
 import (
@@ -30,8 +31,8 @@ import (
 type Option func(*Scheme)
 
 // WithCompactEvery overrides the maintenance interval (backstop
-// compaction sweep plus table persistence), in host page writes. The
-// paper's default is one million (§3.7).
+// compaction sweep plus the writeback of every dirty group), in host
+// page writes. The paper's default is one million (§3.7).
 func WithCompactEvery(n uint64) Option {
 	return func(s *Scheme) { s.compactEvery = n }
 }
@@ -70,7 +71,6 @@ type Scheme struct {
 	name         string
 	table        *core.Table
 	pager        *core.Pager
-	pageSize     int
 	compactEvery uint64
 	lastCompact  uint64
 
@@ -103,7 +103,6 @@ func New(gamma, pageSize int, opts ...Option) *Scheme {
 		name:         "LeaFTL",
 		table:        table,
 		pager:        core.NewPager(table, pageSize),
-		pageSize:     pageSize,
 		compactEvery: 1_000_000,
 	}
 	for _, o := range opts {
@@ -129,16 +128,6 @@ func (s *Scheme) Gamma() int { return s.table.Gamma() }
 // experiments (Figures 5, 10, 12, 20). Under a binding budget it holds
 // only the resident groups.
 func (s *Scheme) Table() *core.Table { return s.table }
-
-// sweepCost builds the whole-table persistence cost: page i of the
-// packed sweep is page i every sweep, so ids are just the page index.
-func sweepCost(pages int) ftl.Cost {
-	c := ftl.Cost{MetaWrites: pages, WriteIDs: make([]uint64, pages)}
-	for i := range c.WriteIDs {
-		c.WriteIDs[i] = uint64(i)
-	}
-	return c
-}
 
 // commit commits a sorted batch through the pager in three steps.
 // First every group the batch touches is made resident and dirtied, in
@@ -266,11 +255,10 @@ func (s *Scheme) MappingDigest() uint64 { return s.pager.MappingDigest() }
 
 // Maintain implements ftl.Scheme: every compactEvery host page writes,
 // sweep the groups written since their last rebuild (§3.7; the commit
-// path already rebuilt the ones that outgrew their triggers) and persist
-// the table to translation blocks (§3.8). Unbudgeted, persistence charges
-// ⌈table/pageSize⌉ translation-page writes; under a budget, only dirty
-// groups (updated or actually reshaped by the sweep since their last
-// image) are rewritten.
+// path already rebuilt the ones that outgrew their triggers), write every
+// dirty group (updated, or reshaped by the sweep, since its last record)
+// back to translation blocks (§3.8) and re-enforce the budget. Clean
+// groups cost nothing, at every budget.
 func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 	if hostPageWrites < s.lastCompact {
 		// The device's host counters were reset (warmup/steady-state
@@ -281,20 +269,12 @@ func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 		return ftl.Cost{}
 	}
 	s.lastCompact = hostPageWrites
-	if s.pager.Paging() {
-		for _, gid := range s.table.Compact() {
-			s.pager.MarkDirty(gid)
-		}
-		cost := s.pager.FlushDirty()
-		cost.Add(s.pager.Enforce())
-		return cost
+	for _, gid := range s.table.Compact() {
+		s.pager.MarkDirty(gid)
 	}
-	// The budget has never bound: persist the whole table in one sweep
-	// (the pre-paging model — packed translation pages, no per-group
-	// rounding) and keep no images around.
-	s.table.Compact()
-	pages := (s.table.SizeBytes() + s.pageSize - 1) / s.pageSize
-	return sweepCost(pages)
+	cost := s.pager.FlushDirty()
+	cost.Add(s.pager.Enforce())
+	return cost
 }
 
 // MaxGroupGamma implements ftl.AdaptiveGamma, which the benchmark under
