@@ -162,26 +162,26 @@ func TestCommitPagedBatch(t *testing.T) {
 	})
 }
 
-// TestPagedMaintainChargesDirtyGroupsOnly pins the pressured Maintain
-// contract: once the budget has bound, the first tick persists every
-// dirty resident group, an immediately repeated tick writes nothing,
+// TestPagedMaintainChargesDirtyGroupsOnly pins Maintain's one
+// persistence model: at any budget, bound or not, the first tick writes
+// every dirty group back, an immediately repeated tick writes nothing,
 // and a tick after touching one group rewrites only that group's
-// translation page. A never-binding budget keeps the pre-paging
-// whole-table persistence instead.
+// translation page.
 func TestPagedMaintainChargesDirtyGroupsOnly(t *testing.T) {
 	unbound := New(0, 4096, WithCompactEvery(1))
 	unbound.SetBudget(1 << 30)
-	unbound.Commit(seq(0, 0, 256))
-	legacy := unbound.Maintain(10)
-	if legacy.MetaWrites == 0 {
-		t.Fatal("unbound budget: maintenance did not persist the table")
+	for b := 0; b < 4; b++ {
+		unbound.Commit(seq(addr.LPA(b*256), addr.PPA(b*256), 256))
 	}
-	if again := unbound.Maintain(20); again.MetaWrites != legacy.MetaWrites {
-		t.Fatalf("unbound budget: persistence charge changed %d -> %d (whole-table model)",
-			legacy.MetaWrites, again.MetaWrites)
+	if first := unbound.Maintain(10); first.MetaWrites != 4 {
+		t.Fatalf("unbound budget: first tick wrote %d pages; want one per dirty group (4)", first.MetaWrites)
 	}
-	if unbound.TranslationPages() != 0 {
-		t.Fatal("unbound budget must not materialize group images")
+	if again := unbound.Maintain(20); again.MetaWrites != 0 {
+		t.Fatalf("unbound budget: idle tick rewrote %d pages", again.MetaWrites)
+	}
+	if unbound.TranslationPages() == 0 || len(unbound.PersistedGroups()) != 4 {
+		t.Fatalf("unbound budget: %d translation pages, %d persisted groups after the writeback",
+			unbound.TranslationPages(), len(unbound.PersistedGroups()))
 	}
 
 	s := New(0, 4096, WithCompactEvery(1))
