@@ -45,7 +45,9 @@ func commitAndFlush(tab *Table, p *Pager, pairs []addr.Mapping) ftl.Cost {
 		p.EnsureWrite(addr.Group(m.LPA))
 	}
 	tab.Update(pairs)
-	return p.FlushDirty()
+	var cost ftl.Cost
+	p.FlushDirty(&cost)
+	return cost
 }
 
 // TestJournalWritebackFold drives one group through repeated writebacks
@@ -59,7 +61,8 @@ func TestJournalWritebackFold(t *testing.T) {
 		t.Fatalf("first writeback charged %d page writes before the tail filled", cost.MetaWrites)
 	}
 	p.MarkDirty(0)
-	if p.FlushDirty().MetaWrites != 0 || p.JournalStats().Appends != 1 {
+	var again ftl.Cost
+	if p.FlushDirty(&again); again.MetaWrites != 0 || p.JournalStats().Appends != 1 {
 		t.Fatal("byte-identical rewrite was not free")
 	}
 	for i := 1; i < n; i++ {

@@ -378,25 +378,24 @@ func (p *Pager) unring(gid addr.GroupID) {
 }
 
 // MarkDirty flags one resident group dirty (compaction reshaped it in
-// place, so its image must be rewritten at the next FlushDirty).
+// place, so its record must be rewritten at the next FlushDirty).
 func (p *Pager) MarkDirty(gid addr.GroupID) {
 	if e := p.gmd[gid]; e != nil && e.resident {
 		e.dirty = true
 	}
 }
 
-// FlushDirty persists every dirty resident group (the periodic §3.8
-// table persistence, now group-granular: clean groups cost nothing).
-func (p *Pager) FlushDirty() ftl.Cost {
-	var cost ftl.Cost
+// FlushDirty writes every dirty resident group back (the periodic §3.8
+// table persistence, group-granular: clean groups cost nothing) and
+// charges the writebacks into cost.
+func (p *Pager) FlushDirty(cost *ftl.Cost) {
 	for _, gid := range p.ring {
 		e := p.gmd[gid]
 		if e.dirty && p.store.HasGroup(gid) {
-			p.writeback(gid, e, &cost)
+			p.writeback(gid, e, cost)
 		}
 	}
 	p.refresh()
-	return cost
 }
 
 // PersistedGroups returns a copy of every record that is current on

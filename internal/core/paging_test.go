@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/ftl"
 )
 
 // buildMixedTable commits a mix of sequential, strided and irregular
@@ -248,5 +250,52 @@ func TestCheckFlagsUnregisteredGroup(t *testing.T) {
 	err := p.Check()
 	if err == nil || !strings.Contains(err.Error(), "has no GMD entry") {
 		t.Fatalf("Check = %v, want a missing GMD entry", err)
+	}
+}
+
+// TestFlushDirtyZeroAllocs pins the allocation-lean writeback on a
+// resident table, on the image path and under the journal: once every
+// group has a record, writing back re-dirtied groups whose records fit
+// their storage allocates nothing. Each run first flips a byte of every
+// stored record, so the journal sees a changed record and appends it
+// instead of skipping it as unchanged.
+func TestFlushDirtyZeroAllocs(t *testing.T) {
+	for _, journal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journal=%v", journal), func(t *testing.T) {
+			tab, p := buildMixedTable(t, 4)
+			if journal {
+				p.EnableJournal()
+			}
+			var cost ftl.Cost
+			p.FlushDirty(&cost)
+			gids := tab.ResidentGroups()
+			const runs = 20
+			before := p.Stats().DirtyWritebacks
+			allocs := testing.AllocsPerRun(runs, func() {
+				for _, gid := range gids {
+					img := p.gmd[gid].image
+					img[len(img)-1] ^= 1
+					p.MarkDirty(gid)
+				}
+				cost.MetaWrites, cost.WriteIDs = 0, cost.WriteIDs[:0]
+				p.FlushDirty(&cost)
+			})
+			if allocs != 0 {
+				t.Errorf("a second FlushDirty of %d groups allocated %.1f times", len(gids), allocs)
+			}
+			if got, want := p.Stats().DirtyWritebacks-before, uint64((runs+1)*len(gids)); got != want {
+				t.Errorf("%d writebacks, want %d", got, want)
+			}
+			if journal {
+				if got, want := p.JournalStats().Appends, uint64((runs+2)*len(gids)); got != want {
+					t.Errorf("%d journal appends, want %d: a changed record was skipped", got, want)
+				}
+			} else if cost.MetaWrites != len(gids) {
+				t.Errorf("the last flush wrote %d translation pages, want %d", cost.MetaWrites, len(gids))
+			}
+			if err := p.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

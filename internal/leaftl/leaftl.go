@@ -272,7 +272,8 @@ func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 	for _, gid := range s.table.Compact() {
 		s.pager.MarkDirty(gid)
 	}
-	cost := s.pager.FlushDirty()
+	var cost ftl.Cost
+	s.pager.FlushDirty(&cost)
 	cost.Add(s.pager.Enforce())
 	return cost
 }
