@@ -307,3 +307,50 @@ func TestIdleMaintainPersistsNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestPersistedGroupsAreCopies pins that PersistedGroups hands out
+// copies: writebacks overwrite the pager's records in place, so a map
+// taken before a commit and a maintenance round must keep its bytes. The
+// overwrite turns layered groups into one sequential run each, so every
+// new record fits the storage of the old one and lands in it.
+func TestPersistedGroupsAreCopies(t *testing.T) {
+	for _, journal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journal=%v", journal), func(t *testing.T) {
+			opts := []Option{WithCompactEvery(1)}
+			if journal {
+				opts = append(opts, WithJournal())
+			}
+			s := New(4, 4096, opts...)
+			ppa := addr.PPA(0)
+			for b := 0; b < 4; b++ {
+				for _, off := range []int{0, 40, 100, 170} {
+					s.Commit(seq(addr.LPA(b*256+off), ppa, 30))
+					ppa += 50
+				}
+			}
+			s.Maintain(10)
+			held := s.PersistedGroups()
+			want := make(map[addr.GroupID]string, len(held))
+			for gid, img := range held {
+				want[gid] = string(img)
+			}
+			if len(want) != 4 {
+				t.Fatalf("%d groups persisted, want 4", len(want))
+			}
+			for b := 0; b < 4; b++ {
+				s.Commit(seq(addr.LPA(b*256), 90000+addr.PPA(b*256), 256))
+			}
+			s.Maintain(20)
+			for gid, img := range s.PersistedGroups() {
+				if string(img) == want[gid] {
+					t.Fatalf("group %d: the overwrite left its record unchanged; nothing to pin", gid)
+				}
+			}
+			for gid, img := range held {
+				if string(img) != want[gid] {
+					t.Fatalf("group %d: a record taken before the writeback changed under its holder", gid)
+				}
+			}
+		})
+	}
+}
