@@ -221,12 +221,6 @@ func (j *journal) load(gid addr.GroupID, cost *ftl.Cost) {
 	}
 }
 
-// seed places an n-byte record restored during recovery: its pages
-// already exist on flash, so the append is uncharged.
-func (j *journal) seed(gid addr.GroupID, n int) {
-	j.put(gid, n, nil)
-}
-
 // maybeGC reclaims journal blocks while the translation footprint
 // exceeds the cap: the sealed block with the fewest live records (ties
 // to the oldest) is the victim, its live records are re-appended at the

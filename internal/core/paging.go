@@ -12,16 +12,20 @@ import (
 )
 
 // Demand paging of the learned mapping table (paper §3.8): segment groups
-// not backed by DRAM live as serialized records in flash translation
-// pages, tracked by a Global Mapping Directory (GMD). The Pager is the
-// machinery behind a scheme's SetBudget: it decides which groups stay
-// resident (a CLOCK second-chance policy — a one-bit LRU — over the
-// resident set), demand-loads evicted groups on access, and reports every
-// transfer as an ftl.Cost — counts of translation-page flash operations,
-// each named by a virtual translation PPA — so the SSD can charge them on
-// the flash timelines of the dies holding those pages. The pager is the
-// one home of the GMD: every group is registered at its first commit, and
-// a budget ≤ 0 simply never evicts.
+// are persisted as serialized records in flash translation pages,
+// tracked by a Global Mapping Directory (GMD). The Pager is the machinery
+// behind a scheme's SetBudget and its periodic persistence: it decides
+// which groups stay resident (a CLOCK second-chance policy — a one-bit
+// LRU — over the resident set), demand-loads evicted groups on access,
+// writes dirty groups back (FlushDirty, at every budget; evictions write
+// back too), and reports every transfer as an ftl.Cost — counts of
+// translation-page flash operations, each named by a virtual translation
+// PPA — so the SSD can charge them on the flash timelines of the dies
+// holding those pages. The pager is the one home of the GMD and of every
+// group's persisted record: every group is registered at its first
+// commit, its record lives in its GMD entry on both persistence paths
+// (per-group images or the metadata journal, which only places records),
+// and a budget ≤ 0 simply never evicts.
 //
 // A Pager is not safe for concurrent use; the device serializes every
 // call into the scheme that owns it.
@@ -445,7 +449,7 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 		if p.journal != nil {
 			// Place the record uncharged: its pages already exist on
 			// flash, recovery only rebuilds the RAM directory.
-			p.journal.seed(gid, len(img))
+			p.journal.put(gid, len(img), nil)
 		} else {
 			p.flashPages += p.imagePages(len(img))
 		}
