@@ -79,6 +79,9 @@ type Pager struct {
 	// scratch is the buffer writebacks marshal into before copying a
 	// changed record into its entry.
 	scratch []byte
+	// slab is the buffer records that outgrow their storage are cut
+	// from (carve).
+	slab []byte
 
 	// journal, when non-nil, replaces the image-per-page placement with
 	// the metadata log (journal.go): writebacks append the group's
@@ -332,8 +335,8 @@ func (p *Pager) evict(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
 
 // writeback persists the group's current record and charges it into
 // cost. The record is marshaled into the pager's scratch buffer and
-// copied into the entry's storage, reusing it when it is big enough.
-// The image path writes it to translation pages of its own
+// copied into the entry's storage, reusing it when it is big enough
+// (keep). The image path writes it to translation pages of its own
 // (log-structured: a new virtual PPA each write); the journal appends
 // it into its shared translation pages, and a byte-identical record
 // costs nothing there.
@@ -349,14 +352,14 @@ func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
 		if bytes.Equal(e.image, rec) {
 			return // clean rewrite: the journal already holds this state
 		}
-		e.image = append(e.image[:0], rec...)
+		p.keep(e, rec)
 		p.journal.writeback(gid, len(rec), cost)
 		return
 	}
 	if e.image != nil {
 		p.flashPages -= p.imagePages(len(e.image))
 	}
-	e.image = append(e.image[:0], rec...)
+	p.keep(e, rec)
 	p.nextPPA++
 	e.ppa = p.nextPPA
 	n := p.imagePages(len(rec))
@@ -364,6 +367,45 @@ func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
 	for i := range n {
 		cost.AddWrite(pageID(e.ppa, i))
 	}
+}
+
+// keep stores rec as e's record: in place when the entry's storage is
+// big enough, otherwise in storage carved from the record slab.
+func (p *Pager) keep(e *gmdEntry, rec []byte) {
+	if cap(e.image) < len(rec) {
+		e.image = p.carve(len(rec))
+	}
+	e.image = append(e.image[:0], rec...)
+}
+
+// carve cuts empty storage of capacity n from the record slab. A slab
+// with no room left is replaced by one a quarter larger than every
+// record plus n, and every record moves into it, so the old slab —
+// with the storage that records outgrew — becomes garbage. Records
+// that outgrow their storage thus cost an allocation only when the
+// slab's spare quarter runs out, not one each.
+func (p *Pager) carve(n int) []byte {
+	if len(p.slab)+n > cap(p.slab) {
+		need := n
+		for _, e := range p.gmd {
+			need += len(e.image)
+		}
+		p.slab = make([]byte, 0, need+need/4)
+		for _, e := range p.gmd {
+			if e.image != nil {
+				e.image = append(p.cut(len(e.image)), e.image...)
+			}
+		}
+	}
+	return p.cut(n)
+}
+
+// cut returns the slab's next n bytes as empty storage of capacity n.
+func (p *Pager) cut(n int) []byte {
+	end := len(p.slab) + n
+	s := p.slab[len(p.slab):len(p.slab):end]
+	p.slab = p.slab[:end]
+	return s
 }
 
 // unring removes gid from the CLOCK ring, keeping the hand on the

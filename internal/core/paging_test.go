@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -297,5 +300,54 @@ func TestFlushDirtyZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestOutgrownRecordsShareASlab pins the record slab: when every group's
+// record outgrows its storage in one flush, the writeback allocates a
+// few slabs rather than one buffer per group, and every record survives
+// the moves intact.
+func TestOutgrownRecordsShareASlab(t *testing.T) {
+	const groups = 64
+	tab := NewTable(4)
+	p := NewPager(tab, 4096)
+	commit := func(pairs []addr.Mapping) {
+		for _, m := range pairs {
+			p.EnsureWrite(addr.Group(m.LPA))
+		}
+		tab.Update(pairs)
+	}
+	commit(mappings(0, 1, 0, groups*addr.GroupSize)) // one segment per group
+	cost := ftl.Cost{WriteIDs: make([]uint64, 0, 4*groups)}
+	p.FlushDirty(&cost)
+	small := len(p.gmd[0].image)
+
+	rng := rand.New(rand.NewSource(7))
+	var pairs []addr.Mapping
+	for g := 0; g < groups; g++ {
+		for l := 0; l < addr.GroupSize; l += 1 + rng.Intn(5) {
+			pairs = append(pairs, addr.Mapping{LPA: addr.LPA(g*addr.GroupSize + l), PPA: addr.PPA(1<<20 + len(pairs)*3 + rng.Intn(3))})
+		}
+	}
+	commit(pairs)
+	cost.MetaWrites, cost.WriteIDs = 0, cost.WriteIDs[:0]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.FlushDirty(&cost)
+	runtime.ReadMemStats(&after)
+
+	if grown := len(p.gmd[0].image); grown < 4*small {
+		t.Fatalf("group 0's record grew from %dB to %dB only; nothing outgrew its storage", small, grown)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs >= groups/2 {
+		t.Errorf("writing back %d outgrown records allocated %d times", groups, allocs)
+	}
+	for g := addr.GroupID(0); g < groups; g++ {
+		if want, err := tab.MarshalGroup(g); err != nil || !bytes.Equal(p.gmd[g].image, want) {
+			t.Fatalf("group %d's record is not its current state after the slab moves (%v)", g, err)
+		}
+	}
+	if err := p.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
