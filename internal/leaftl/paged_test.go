@@ -236,7 +236,7 @@ func TestPagedGroupsRestore(t *testing.T) {
 	}
 	budgeted := New(4, 4096)
 	budgeted.SetBudget(full / 8)
-	if err := budgeted.RestoreGroups(images); err != nil {
+	if err := budgeted.RestoreGroups(s.PersistedGroups()); err != nil { // a pager owns what it restores
 		t.Fatal(err)
 	}
 	for l := 0; l < 8*256; l++ {
