@@ -14,10 +14,11 @@ import (
 // one wire format (persist.go) — into the open translation page, packed
 // back to back with other groups' records. A group has exactly one live
 // record; each writeback supersedes the previous one, so a demand load
-// reads only the pages that one record spans. The record's bytes live in
-// the pager's GMD entry (gmdEntry.image), as they do without the
-// journal; the journal keeps only where each record landed and what
-// the appends, loads and folds cost.
+// reads only the pages that one record spans. The journal is only the
+// translation-page allocator: the record's bytes and its placement (page
+// span and translation block) live in the pager's GMD entry, as they do
+// without the journal, and the journal keeps its blocks and what the
+// appends and folds cost.
 //
 // Translation blocks are a dedicated allocation stream: records never
 // span blocks (the open block seals early when a record would not fit),
@@ -32,14 +33,6 @@ import (
 // operations to dies.
 const journalPageIDBit = uint64(1) << 62
 
-// jrec is where a group's live journal record landed.
-type jrec struct {
-	block *jblock // nil when the block stream is unconfigured
-	first uint64  // page-sequence span; last may be the open SRAM page
-	last  uint64
-	n     int // record length in bytes
-}
-
 // jblock is one translation block of the journal's allocation stream.
 type jblock struct {
 	id     int
@@ -52,40 +45,33 @@ type jblock struct {
 // the owning Pager's callers serialize access.
 type journal struct {
 	pageSize int
-	ppb      int // pages per translation block; 0 = single unbounded stream
-	maxPages int // translation-footprint cap driving GC; 0 = uncapped
+	ppb      int // pages per translation block; 0 until configure
+	maxPages int // translation-footprint cap driving GC
 
-	groups map[addr.GroupID]jrec
-	blocks []*jblock // allocation order; the last entry is the open head
+	gmd    map[addr.GroupID]*gmdEntry // the pager's directory, which GC scans
+	blocks []*jblock                  // allocation order; the last entry is the open head
 	nextID int
 
-	pageSeq  uint64 // id of the open tail page
+	pageSeq  uint64 // sequence number of the open tail page
 	pageFill int    // bytes in the open tail page (SRAM, uncharged)
 
 	stats ftl.JournalStats
 	hook  func(string)
 }
 
-func newJournal(pageSize int) *journal {
-	if pageSize < 1 {
-		pageSize = 1
-	}
-	return &journal{
-		pageSize: pageSize,
-		groups:   make(map[addr.GroupID]jrec),
-	}
+func newJournal(pageSize int, gmd map[addr.GroupID]*gmdEntry) *journal {
+	return &journal{pageSize: pageSize, gmd: gmd}
 }
 
 // configure sets the translation-block geometry and footprint cap. It is
 // called once device-side wiring knows the flash geometry and the
-// over-provisioning share granted to metadata.
+// over-provisioning share granted to metadata, before any record is
+// placed.
 func (j *journal) configure(pagesPerBlock, maxPages int) {
-	if pagesPerBlock > 0 {
-		j.ppb = pagesPerBlock
+	if pagesPerBlock < 1 || maxPages < 1 {
+		panic(fmt.Sprintf("core: journal geometry %d pages per block, %d-page cap", pagesPerBlock, maxPages))
 	}
-	if maxPages > 0 {
-		j.maxPages = maxPages
-	}
+	j.ppb, j.maxPages = pagesPerBlock, maxPages
 }
 
 func (j *journal) hookFire(point string) {
@@ -94,26 +80,21 @@ func (j *journal) hookFire(point string) {
 	}
 }
 
-// pages returns the translation-footprint in flash pages: whole blocks
-// when the block stream is configured (allocation is erase-unit
-// granular), charged pages plus the open tail otherwise.
-func (j *journal) pages() int {
-	if j.ppb > 0 {
-		return len(j.blocks) * j.ppb
-	}
-	n := int(j.pageSeq)
-	if j.pageFill > 0 {
-		n++
-	}
-	return n
-}
+// pages returns the translation-footprint in flash pages: whole blocks,
+// since allocation is erase-unit granular.
+func (j *journal) pages() int { return len(j.blocks) * j.ppb }
+
+// tail returns the identity of the open SRAM tail page.
+func (j *journal) tail() uint64 { return journalPageIDBit | j.pageSeq }
 
 // Stats snapshots the counters plus current occupancy.
 func (j *journal) Stats() ftl.JournalStats {
 	s := j.stats
 	s.Pages = j.pages()
 	s.Blocks = len(j.blocks)
-	s.Groups = len(j.groups)
+	for _, b := range j.blocks {
+		s.Groups += b.live
+	}
 	return s
 }
 
@@ -136,102 +117,71 @@ func (j *journal) sealOpen(cost *ftl.Cost) {
 	if n == 0 || j.blocks[n-1].sealed {
 		return
 	}
-	b := j.blocks[n-1]
 	if j.pageFill > 0 {
 		if cost != nil {
-			cost.AddWrite(journalPageIDBit | j.pageSeq)
+			cost.AddWrite(j.tail())
 		}
 		j.pageSeq++
 		j.pageFill = 0
 	}
-	b.sealed = true
+	j.blocks[n-1].sealed = true
 }
 
-// appendRec packs an n-byte record into the log, charging into cost one
-// MetaWrite per page filled (the open tail page is capacitor-backed SRAM
-// and costs nothing until full). Records never span blocks: the open
-// block seals early when the record would not fit. A nil cost seeds
-// recovery state whose pages already exist on flash.
-func (j *journal) appendRec(n int, cost *ftl.Cost) jrec {
-	var block *jblock
-	if j.ppb > 0 {
-		capacity := j.ppb * j.pageSize
-		if n > capacity {
-			panic(fmt.Sprintf("core: %dB journal record exceeds a %dB translation block", n, capacity))
-		}
-		b := j.openBlock()
-		if b.used+n > capacity {
-			j.sealOpen(cost)
-			b = j.openBlock()
-		}
-		b.used += n
-		b.live++
-		block = b
+// place appends e's record (len(e.image) bytes) into the log, retires
+// the record it supersedes and points e at where the new one landed. It
+// charges into cost one MetaWrite per page filled (the open tail page is
+// capacitor-backed SRAM and costs nothing until full); a nil cost seeds
+// recovery state whose pages already exist on flash. Records never span
+// blocks: the open block seals early when the record would not fit.
+func (j *journal) place(e *gmdEntry, cost *ftl.Cost) {
+	if j.ppb == 0 {
+		panic("core: journal record placed before ConfigureJournal")
 	}
-	meta := jrec{block: block, first: j.pageSeq, n: n}
+	n, capacity := len(e.image), j.ppb*j.pageSize
+	if n > capacity {
+		panic(fmt.Sprintf("core: %dB journal record exceeds a %dB translation block", n, capacity))
+	}
+	if e.block != nil {
+		e.block.live--
+	}
+	b := j.openBlock()
+	if b.used+n > capacity {
+		j.sealOpen(cost)
+		b = j.openBlock()
+	}
+	b.used += n
+	b.live++
+	e.block, e.first = b, j.tail()
 	for remaining := n; remaining > 0; {
 		k := min(j.pageSize-j.pageFill, remaining)
 		j.pageFill += k
 		remaining -= k
 		if j.pageFill == j.pageSize {
 			if cost != nil {
-				cost.AddWrite(journalPageIDBit | j.pageSeq)
+				cost.AddWrite(j.tail())
 			}
 			j.pageSeq++
 			j.pageFill = 0
 		}
 	}
-	meta.last = j.pageSeq
-	if j.pageFill == 0 && j.pageSeq > meta.first {
-		meta.last = j.pageSeq - 1
+	e.last = j.tail()
+	if j.pageFill == 0 && e.last > e.first {
+		e.last--
 	}
-	if block != nil && block.used == j.ppb*j.pageSize {
-		block.sealed = true
-	}
-	return meta
-}
-
-// put appends an n-byte record for gid and retires the record it
-// supersedes, charging into cost (nil: uncharged).
-func (j *journal) put(gid addr.GroupID, n int, cost *ftl.Cost) {
-	if old, ok := j.groups[gid]; ok && old.block != nil {
-		old.block.live--
-	}
-	j.groups[gid] = j.appendRec(n, cost)
-}
-
-// writeback logs a group's new n-byte record, which supersedes the
-// group's previous one, and charges into cost the pages it fills and
-// any journal GC the append triggers.
-func (j *journal) writeback(gid addr.GroupID, n int, cost *ftl.Cost) {
-	j.put(gid, n, cost)
-	j.stats.Appends++
-	j.maybeGC(cost)
-}
-
-// load charges into cost the flash reads a group's demand load takes:
-// the charged pages its one record spans (the open SRAM tail is free).
-func (j *journal) load(gid addr.GroupID, cost *ftl.Cost) {
-	rec, ok := j.groups[gid]
-	if !ok {
-		panic(fmt.Sprintf("core: journal load of unknown group %d", gid))
-	}
-	for p := rec.first; p <= rec.last && p < j.pageSeq; p++ {
-		cost.AddRead(journalPageIDBit | p)
+	if b.used == capacity {
+		b.sealed = true
 	}
 }
 
 // maybeGC reclaims journal blocks while the translation footprint
 // exceeds the cap: the sealed block with the fewest live records (ties
-// to the oldest) is the victim, its live records are re-appended at the
-// log head in ascending group order, and the block is erased.
-// Re-appending consumes space, so the loop stops on any pass that fails
-// to shrink the footprint. The charges go into cost.
+// to the oldest) is the victim, its live records — found by scanning
+// the GMD — are re-appended at the log head in ascending group order,
+// and the block is erased. Re-appending consumes space, so the loop
+// stops on any pass that fails to shrink the footprint. The charges go
+// into cost.
 func (j *journal) maybeGC(cost *ftl.Cost) {
-	if j.ppb <= 0 || j.maxPages <= 0 {
-		return
-	}
-	for len(j.blocks)*j.ppb > j.maxPages {
+	for j.pages() > j.maxPages {
 		victim := j.pickVictim()
 		if victim == nil {
 			return
@@ -241,15 +191,15 @@ func (j *journal) maybeGC(cost *ftl.Cost) {
 		before := len(j.blocks)
 
 		var gids []addr.GroupID
-		for gid, rec := range j.groups {
-			if rec.block == victim {
+		for gid, e := range j.gmd {
+			if e.block == victim {
 				gids = append(gids, gid)
 			}
 		}
 		slices.Sort(gids)
 		for _, gid := range gids {
 			j.hookFire("journal.fold")
-			j.put(gid, j.groups[gid].n, cost)
+			j.place(j.gmd[gid], cost)
 			j.stats.Folds++
 		}
 		if victim.live != 0 {
@@ -278,27 +228,25 @@ func (j *journal) pickVictim() *jblock {
 	return victim
 }
 
-// check audits the journal: per-block liveness must match the records,
-// and the footprint must respect the configured cap (one open block of
-// slack: GC cannot run below block granularity). The pager checks the
-// records themselves.
-func (j *journal) check() error {
-	liveByBlock := make(map[*jblock]int)
-	for _, rec := range j.groups {
-		if rec.block != nil {
-			liveByBlock[rec.block]++
-		}
+// check audits the journal against live, the records per block that the
+// GMD places: every block's live counter must match, no record may sit
+// in an erased block, and the footprint must respect the configured cap
+// (one open block of slack: GC cannot run below block granularity).
+func (j *journal) check(live map[*jblock]int) error {
+	erased := 0
+	for _, n := range live {
+		erased += n
 	}
 	for _, b := range j.blocks {
-		if b.live != liveByBlock[b] {
-			return fmt.Errorf("journal: block %d live counter %d, records say %d", b.id, b.live, liveByBlock[b])
+		if b.live != live[b] {
+			return fmt.Errorf("journal: block %d live counter %d, the GMD places %d records there", b.id, b.live, live[b])
 		}
-		delete(liveByBlock, b)
+		erased -= b.live
 	}
-	if len(liveByBlock) != 0 {
-		return fmt.Errorf("journal: live records in %d erased blocks", len(liveByBlock))
+	if erased != 0 {
+		return fmt.Errorf("journal: %d live records in erased blocks", erased)
 	}
-	if j.ppb > 0 && j.maxPages > 0 && j.pages() > j.maxPages+j.ppb {
+	if j.pages() > j.maxPages+j.ppb {
 		return fmt.Errorf("journal: %d translation pages exceed the %d-page cap", j.pages(), j.maxPages)
 	}
 	return nil

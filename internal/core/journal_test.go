@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -29,12 +30,14 @@ func journalBatch(i int) []addr.Mapping {
 }
 
 // newJournalPager returns a verifying γ = 4 table behind a pager that
-// persists through the journal on pageSize-byte translation pages.
+// persists through the journal on pageSize-byte translation pages, in
+// 64-page blocks under a cap no test here reaches.
 func newJournalPager(pageSize int) (*Table, *Pager) {
 	tab := NewTable(4)
 	tab.EnableVerifyAtLearn()
 	p := NewPager(tab, pageSize)
 	p.EnableJournal()
+	p.ConfigureJournal(64, 1<<20)
 	return tab, p
 }
 
@@ -164,4 +167,51 @@ func TestJournalGC(t *testing.T) {
 			t.Errorf("group %d record diverged across GC (%v)", g, err)
 		}
 	}
+}
+
+// TestJournalCheckCatchesPlacement pins the audit's journal leg: a
+// journaled record with no translation block, and a block whose live
+// counter disagrees with the records the GMD places there, both fail
+// Check.
+func TestJournalCheckCatchesPlacement(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(p *Pager)
+	}{
+		{"no block", "has no translation block", func(p *Pager) { p.gmd[0].block = nil }},
+		{"live count", "live counter", func(p *Pager) { p.gmd[0].block.live++ }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tab, p := newJournalPager(256)
+			commitAndFlush(tab, p, journalBatch(0))
+			if err := p.Check(); err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(p)
+			if err := p.Check(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Check = %v, want an error naming %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestJournalNeedsGeometry: the journal takes only positive geometry,
+// and a pager whose journal was never configured refuses to place a
+// record rather than log it outside any translation block.
+func TestJournalNeedsGeometry(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("configure(0, 8)", func() { newJournal(256, nil).configure(0, 8) })
+	mustPanic("configure(2, 0)", func() { newJournal(256, nil).configure(2, 0) })
+	tab := NewTable(4)
+	p := NewPager(tab, 256)
+	p.EnableJournal()
+	mustPanic("a writeback before ConfigureJournal", func() { commitAndFlush(tab, p, journalBatch(0)) })
 }

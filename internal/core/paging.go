@@ -23,16 +23,13 @@ import (
 // PPA — so the SSD can charge them on the flash timelines of the dies
 // holding those pages. The pager is the one home of the GMD and of every
 // group's persisted record: every group is registered at its first
-// commit, its record lives in its GMD entry on both persistence paths
-// (per-group images or the metadata journal, which only places records),
-// and a budget ≤ 0 simply never evicts.
+// commit, its record and the record's placement (the span of translation
+// pages it occupies) live in its GMD entry on both persistence paths
+// (per-group images, or the metadata journal, which only allocates
+// translation pages), and a budget ≤ 0 simply never evicts.
 //
 // A Pager is not safe for concurrent use; the device serializes every
 // call into the scheme that owns it.
-
-// pageID is the identity of page i of the group image at virtual
-// translation PPA ppa.
-func pageID(ppa uint32, i int) uint64 { return uint64(ppa)<<8 | uint64(i&0xff) }
 
 // PagerStats counts paging events since the pager was created.
 type PagerStats struct {
@@ -48,15 +45,20 @@ type PagerStats struct {
 // gmdEntry is one Global Mapping Directory slot: the group's persisted
 // record and where it lives, whether a DRAM copy exists, and whether that
 // copy has diverged from the record. The entry is the one home of the
-// record's bytes, with or without the journal; the journal only places
-// them.
+// record's bytes and of its placement, with or without the journal; the
+// journal only allocates the pages.
 type gmdEntry struct {
-	ppa       uint32 // virtual translation-page address of the current image
-	image     []byte // serialized group record (nil: never persisted)
-	dramBytes int    // decoded footprint at last eviction (FullSizeBytes accounting)
-	resident  bool
-	dirty     bool // DRAM copy differs from image
-	ref       bool // CLOCK reference bit
+	image []byte // serialized group record (nil: never persisted)
+	// first and last name the record's first and last translation pages;
+	// the pages between them hold the rest. An image's pages sit at a
+	// virtual translation PPA of its own (ppa<<8 | page index), a journal
+	// record's in the log's page sequence (journalPageIDBit | sequence).
+	first, last uint64
+	block       *jblock // journal block holding the record (nil on the image path)
+	dramBytes   int     // decoded footprint at last eviction (FullSizeBytes accounting)
+	resident    bool
+	dirty       bool // DRAM copy differs from image
+	ref         bool // CLOCK reference bit
 }
 
 // Pager demand-pages a table's segment groups against a byte budget.
@@ -84,29 +86,26 @@ type Pager struct {
 	slab []byte
 
 	// journal, when non-nil, replaces the image-per-page placement with
-	// the metadata log (journal.go): writebacks append the group's
-	// record into shared translation pages and demand loads read that
-	// one record. Nil keeps the image path bit-identical to its
-	// pre-journal behavior.
+	// the metadata log (journal.go): writebacks place the group's record
+	// in shared translation pages. Nil keeps the image path
+	// bit-identical to its pre-journal behavior.
 	journal *journal
 }
 
 // EnableJournal switches metadata persistence to the metadata journal.
 // Call before any paging activity; enabling an already-active pager
-// would leave existing images without a place in the journal.
+// would leave existing images without a place in the journal. The
+// journal places no record until ConfigureJournal has run.
 func (p *Pager) EnableJournal() {
 	if p.journal == nil {
-		p.journal = newJournal(p.pageSize)
+		p.journal = newJournal(p.pageSize, p.gmd)
 	}
 }
 
-// JournalEnabled reports whether the metadata journal is on.
-func (p *Pager) JournalEnabled() bool { return p.journal != nil }
-
 // ConfigureJournal sets the journal's translation-block geometry and
-// footprint cap (device wiring calls this once flash geometry and the
-// metadata share of over-provisioning are known). No-op when the
-// journal is off.
+// footprint cap, both positive (device wiring calls this once flash
+// geometry and the metadata share of over-provisioning are known). No-op
+// when the journal is off.
 func (p *Pager) ConfigureJournal(pagesPerBlock, maxPages int) {
 	if p.journal != nil {
 		p.journal.configure(pagesPerBlock, maxPages)
@@ -253,8 +252,8 @@ func (p *Pager) EnsureWrite(gid addr.GroupID) ftl.Cost {
 }
 
 // load demand-loads an evicted group's record back into the store,
-// charging into cost the flash pages the record spans: its own image
-// pages, or under the journal the pages its one live record spans.
+// charging into cost the flash pages its entry says the record spans;
+// under the journal the open tail page is SRAM and free to read.
 func (p *Pager) load(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
 	if _, err := p.store.InstallGroup(e.image); err != nil {
 		panic(fmt.Sprintf("core: GMD image for group %d does not install: %v", gid, err))
@@ -267,12 +266,12 @@ func (p *Pager) load(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
 	p.evictedBytes -= e.dramBytes
 	p.stats.Faults++
 	p.fast = false // a fault implies pressure; Enforce will re-evaluate
-	if p.journal != nil {
-		p.journal.load(gid, cost)
-		return
+	last := e.last
+	if p.journal != nil && last == p.journal.tail() {
+		last--
 	}
-	for i := range p.imagePages(len(e.image)) {
-		cost.AddRead(pageID(e.ppa, i))
+	for id := e.first; id <= last; id++ {
+		cost.AddRead(id)
 	}
 }
 
@@ -353,20 +352,29 @@ func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
 			return // clean rewrite: the journal already holds this state
 		}
 		p.keep(e, rec)
-		p.journal.writeback(gid, len(rec), cost)
+		p.journal.place(e, cost)
+		p.journal.stats.Appends++
+		p.journal.maybeGC(cost)
 		return
 	}
 	if e.image != nil {
 		p.flashPages -= p.imagePages(len(e.image))
 	}
 	p.keep(e, rec)
-	p.nextPPA++
-	e.ppa = p.nextPPA
-	n := p.imagePages(len(rec))
-	p.flashPages += n
-	for i := range n {
-		cost.AddWrite(pageID(e.ppa, i))
+	p.placeImage(e)
+	for id := e.first; id <= e.last; id++ {
+		cost.AddWrite(id)
 	}
+}
+
+// placeImage gives e's record translation pages of its own at a fresh
+// virtual translation PPA (log-structured: a new one every write).
+func (p *Pager) placeImage(e *gmdEntry) {
+	p.nextPPA++
+	n := p.imagePages(len(e.image))
+	e.first = uint64(p.nextPPA) << 8
+	e.last = e.first + uint64(n-1)
+	p.flashPages += n
 }
 
 // keep stores rec as e's record: in place when the entry's storage is
@@ -485,15 +493,15 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 		if p.store.HasGroup(gid) {
 			return fmt.Errorf("core: group %d already resident; restore wants an empty table", gid)
 		}
-		p.nextPPA++
-		p.gmd[gid] = &gmdEntry{ppa: p.nextPPA, image: img}
+		e := &gmdEntry{image: img}
+		p.gmd[gid] = e
 		p.evicted++
 		if p.journal != nil {
 			// Place the record uncharged: its pages already exist on
 			// flash, recovery only rebuilds the RAM directory.
-			p.journal.put(gid, len(img), nil)
+			p.journal.place(e, nil)
 		} else {
-			p.flashPages += p.imagePages(len(img))
+			p.placeImage(e)
 		}
 	}
 	p.refresh()
@@ -501,7 +509,8 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 }
 
 // Check audits the GMD against the store: residency bits, ring
-// membership, flash-page accounting, and the budget cap. It is the
+// membership, flash-page accounting (under the journal, every record's
+// block and every block's live count), and the budget cap. It is the
 // mapping-side leg of the device's CheckInvariants.
 func (p *Pager) Check() error {
 	onRing := make(map[addr.GroupID]bool, len(p.ring))
@@ -511,10 +520,10 @@ func (p *Pager) Check() error {
 		}
 		onRing[gid] = true
 	}
-	evicted, evictedBytes, flashPages, records := 0, 0, 0, 0
+	evicted, evictedBytes, flashPages := 0, 0, 0
+	live := make(map[*jblock]int)
 	for gid, e := range p.gmd {
 		if e.image != nil {
-			records++
 			flashPages += p.imagePages(len(e.image))
 			if got, _, err := decodeGroupRecord(e.image); err != nil {
 				return fmt.Errorf("gmd: group %d record: %w", gid, err)
@@ -522,10 +531,11 @@ func (p *Pager) Check() error {
 				return fmt.Errorf("gmd: group %d record claims group %d", gid, got)
 			}
 		}
-		if p.journal != nil {
-			if rec, ok := p.journal.groups[gid]; ok != (e.image != nil) || rec.n != len(e.image) {
-				return fmt.Errorf("gmd: group %d's %dB record is not the one the journal placed", gid, len(e.image))
+		if p.journal != nil && e.image != nil {
+			if e.block == nil {
+				return fmt.Errorf("gmd: group %d's journaled record has no translation block", gid)
 			}
+			live[e.block]++
 		}
 		switch {
 		case e.resident && !onRing[gid]:
@@ -560,10 +570,7 @@ func (p *Pager) Check() error {
 		return fmt.Errorf("gmd: %d image pages, counter says %d", flashPages, p.flashPages)
 	}
 	if p.journal != nil {
-		if len(p.journal.groups) != records {
-			return fmt.Errorf("gmd: the journal places %d records, the GMD holds %d", len(p.journal.groups), records)
-		}
-		if err := p.journal.check(); err != nil {
+		if err := p.journal.check(live); err != nil {
 			return err
 		}
 	}

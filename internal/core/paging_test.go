@@ -267,7 +267,10 @@ func TestFlushDirtyZeroAllocs(t *testing.T) {
 		t.Run(fmt.Sprintf("journal=%v", journal), func(t *testing.T) {
 			tab, p := buildMixedTable(t, 4)
 			if journal {
+				// One block holds every record the runs append, so the
+				// journal opens no block while allocations are counted.
 				p.EnableJournal()
+				p.ConfigureJournal(1<<16, 1<<16)
 			}
 			var cost ftl.Cost
 			p.FlushDirty(&cost)

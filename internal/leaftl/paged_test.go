@@ -321,6 +321,7 @@ func TestPersistedGroupsAreCopies(t *testing.T) {
 				opts = append(opts, WithJournal())
 			}
 			s := New(4, 4096, opts...)
+			s.ConfigureJournal(64, 4096)
 			ppa := addr.PPA(0)
 			for b := 0; b < 4; b++ {
 				for _, off := range []int{0, 40, 100, 170} {

@@ -33,8 +33,10 @@ import (
 //     partially programmed block.
 //   - Write buffer: never exceeds its configured capacity.
 //   - Demand-paged mapping: the scheme's GMD bookkeeping is internally
-//     consistent, its resident state fits the mapping budget, and its
-//     translation-block footprint fits the over-provisioned capacity.
+//     consistent (under the metadata journal this includes every
+//     block's live count and the journal's footprint cap), its resident
+//     state fits the mapping budget, and its translation-block footprint
+//     fits the over-provisioned capacity.
 //   - Learned-table shape (through the same CheckMapping hook): every
 //     resident group is at most L levels deep and its footprint is
 //     bounded by its live LPAs, not by how often it was written — the
@@ -84,31 +86,6 @@ func (d *Device) CheckInvariants() error {
 		if d.mapBudget > 0 && d.scheme.MemoryBytes() > d.mapBudget {
 			return fmt.Errorf("invariant: mapping state %dB exceeds its %dB budget",
 				d.scheme.MemoryBytes(), d.mapBudget)
-		}
-		if j, ok := d.scheme.(ftl.Journaled); ok && j.JournalEnabled() {
-			// Record validity and per-block record liveness are audited
-			// inside CheckMapping (the journal decodes every group's
-			// record and recounts live records); here the journal's occupancy is held
-			// against the device's flash accounting. One block of slack
-			// covers the open tail block the cap check intentionally
-			// excludes.
-			js := j.JournalStats()
-			if js.Pages != gp.TranslationPages() {
-				return fmt.Errorf("invariant: journal reports %d pages, translation footprint %d",
-					js.Pages, gp.TranslationPages())
-			}
-			maxPages := d.cfg.JournalPages
-			if maxPages <= 0 {
-				maxPages = op / 2
-			}
-			if js.Pages > maxPages+cfg.PagesPerBlock {
-				return fmt.Errorf("invariant: journal footprint %d pages exceeds its %d-page cap (+1 open block)",
-					js.Pages, maxPages)
-			}
-			if js.Blocks*cfg.PagesPerBlock != js.Pages {
-				return fmt.Errorf("invariant: journal holds %d blocks of %d pages but reports %d pages",
-					js.Blocks, cfg.PagesPerBlock, js.Pages)
-			}
 		}
 	}
 
