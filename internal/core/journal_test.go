@@ -41,13 +41,15 @@ func newJournalPager(pageSize int) (*Table, *Pager) {
 	return tab, p
 }
 
-// commitAndFlush commits pairs through p as a scheme does and writes the
-// dirty groups back, returning what the writeback charged.
+// commitAndFlush commits pairs through p as a scheme does, then compacts
+// and writes the dirty groups back as its maintenance does, returning
+// what the writeback charged.
 func commitAndFlush(tab *Table, p *Pager, pairs []addr.Mapping) ftl.Cost {
 	for _, m := range pairs {
 		p.EnsureWrite(addr.Group(m.LPA))
 	}
 	tab.Update(pairs)
+	tab.Compact()
 	var cost ftl.Cost
 	p.FlushDirty(&cost)
 	return cost
@@ -63,7 +65,7 @@ func TestJournalWritebackFold(t *testing.T) {
 	if cost := commitAndFlush(tab, p, journalBatch(0)); cost.MetaWrites != 0 {
 		t.Fatalf("first writeback charged %d page writes before the tail filled", cost.MetaWrites)
 	}
-	p.MarkDirty(0)
+	p.EnsureWrite(0)
 	var again ftl.Cost
 	if p.FlushDirty(&again); again.MetaWrites != 0 || p.JournalStats().Appends != 1 {
 		t.Fatal("byte-identical rewrite was not free")
@@ -90,7 +92,7 @@ func TestJournalWritebackFold(t *testing.T) {
 // distinct records, on pages small enough that its history spans many of
 // them, and bounds its demand load by the pages its one record can span.
 func TestJournalLoadReadsOneRecord(t *testing.T) {
-	const pageSize = 64
+	const pageSize = 16
 	tab, p := newJournalPager(pageSize)
 	for i := 0; i < 12; i++ {
 		commitAndFlush(tab, p, journalBatch(i))

@@ -431,14 +431,6 @@ func (p *Pager) unring(gid addr.GroupID) {
 	}
 }
 
-// MarkDirty flags one resident group dirty (compaction reshaped it in
-// place, so its record must be rewritten at the next FlushDirty).
-func (p *Pager) MarkDirty(gid addr.GroupID) {
-	if e := p.gmd[gid]; e != nil && e.resident {
-		e.dirty = true
-	}
-}
-
 // FlushDirty writes every dirty resident group back (the periodic §3.8
 // table persistence, group-granular: clean groups cost nothing) and
 // charges the writebacks into cost.
@@ -509,7 +501,8 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 }
 
 // Check audits the GMD against the store: residency bits, ring
-// membership, flash-page accounting (under the journal, every record's
+// membership, dirty bits (a group changed since its last rebuild has not
+// been written back), flash-page accounting (under the journal, every record's
 // block and every block's live count), and the budget cap. It is the
 // mapping-side leg of the device's CheckInvariants.
 func (p *Pager) Check() error {
@@ -544,6 +537,8 @@ func (p *Pager) Check() error {
 			return fmt.Errorf("gmd: evicted group %d still on the CLOCK ring", gid)
 		case e.resident && !p.store.HasGroup(gid):
 			return fmt.Errorf("gmd: group %d marked resident but absent from the table", gid)
+		case e.resident && !e.dirty && p.store.lookupGroup(gid).touched:
+			return fmt.Errorf("gmd: group %d changed since its last rebuild but is clean", gid)
 		case !e.resident && p.store.HasGroup(gid):
 			return fmt.Errorf("gmd: group %d marked evicted but present in the table", gid)
 		case !e.resident && e.image == nil:

@@ -256,6 +256,25 @@ func TestCheckFlagsUnregisteredGroup(t *testing.T) {
 	}
 }
 
+// TestCheckFlagsCleanTouchedGroup: a resident group the table changed
+// since its last rebuild must be dirty, or no writeback would persist
+// the change; a commit that skips EnsureWrite leaves it clean and fails
+// the audit.
+func TestCheckFlagsCleanTouchedGroup(t *testing.T) {
+	tab, p := buildMixedTable(t, 4)
+	tab.Compact()
+	var cost ftl.Cost
+	p.FlushDirty(&cost)
+	if err := p.Check(); err != nil {
+		t.Fatal(err)
+	}
+	tab.Update(mappings(0, 1, 90000, 16))
+	err := p.Check()
+	if err == nil || !strings.Contains(err.Error(), "but is clean") {
+		t.Fatalf("Check = %v, want a clean group changed since its rebuild", err)
+	}
+}
+
 // TestFlushDirtyZeroAllocs pins the allocation-lean writeback on a
 // resident table, on the image path and under the journal: once every
 // group has a record, writing back re-dirtied groups whose records fit
@@ -272,6 +291,7 @@ func TestFlushDirtyZeroAllocs(t *testing.T) {
 				p.EnableJournal()
 				p.ConfigureJournal(1<<16, 1<<16)
 			}
+			tab.Compact()
 			var cost ftl.Cost
 			p.FlushDirty(&cost)
 			gids := tab.ResidentGroups()
@@ -281,7 +301,7 @@ func TestFlushDirtyZeroAllocs(t *testing.T) {
 				for _, gid := range gids {
 					img := p.gmd[gid].image
 					img[len(img)-1] ^= 1
-					p.MarkDirty(gid)
+					p.EnsureWrite(gid)
 				}
 				cost.MetaWrites, cost.WriteIDs = 0, cost.WriteIDs[:0]
 				p.FlushDirty(&cost)
@@ -319,6 +339,7 @@ func TestOutgrownRecordsShareASlab(t *testing.T) {
 			p.EnsureWrite(addr.Group(m.LPA))
 		}
 		tab.Update(pairs)
+		tab.Compact()
 	}
 	commit(mappings(0, 1, 0, groups*addr.GroupSize)) // one segment per group
 	cost := ftl.Cost{WriteIDs: make([]uint64, 0, 4*groups)}

@@ -124,37 +124,34 @@ func (t *Table) maybeRebuild(id addr.GroupID) {
 }
 
 // compactGroup rebuilds g unless nothing has touched it since its last
-// attempt, and reports whether its encoding changed.
-func (t *Table) compactGroup(id addr.GroupID, g *group) bool {
+// attempt.
+func (t *Table) compactGroup(id addr.GroupID, g *group) {
 	if !g.touched {
-		return false
+		return
 	}
-	changed := t.rebuildGroup(addr.GroupBase(id), g)
+	t.rebuildGroup(addr.GroupBase(id), g)
 	g.touched = false
 	g.rebuildAt = max(rebuildMinSegments, rebuildGrowth*g.segmentCount())
-	return changed
 }
 
 // rebuildGroup resolves g, sheds what answers nothing and, if the group
-// is still too deep, re-fits it flat. It reports whether the group's
-// encoding changed.
-func (t *Table) rebuildGroup(base addr.LPA, g *group) bool {
+// is still too deep, re-fits it flat.
+func (t *Table) rebuildGroup(base addr.LPA, g *group) {
 	rb := &t.rb
 	if levels := t.resolve(base, g); levels <= maxGroupLevels {
 		// A CRB entry costs its offsets plus a separator.
 		bytes := len(rb.live)*SegmentBytes + len(rb.arena) + rb.approx
 		if bytes == g.footprint() && levels == g.depth() {
-			return false // every claim still answers, nothing can sink
+			return // every claim still answers, nothing can sink
 		}
 		rb.sortByStart(rb.live)
 		t.install(g, rb.live, levels)
-		return true
+		return
 	}
 
 	// Too deep even so: re-fit the group flat.
 	levels := t.flatten(base)
 	t.install(g, rb.claims, levels)
-	return true
 }
 
 // flatten builds rb.claims — a re-fit of the ground-truth slots plus the

@@ -1083,20 +1083,13 @@ func (t *Table) claimApprox(g *group, seg *Segment, out []Answer, first, from, t
 // their own; this sweep is the backstop that also tightens groups still
 // under their thresholds.
 //
-// It returns the IDs of the groups whose encoding it changed, in
-// ascending order. The demand-paging scheme marks exactly these groups
-// dirty so periodic persistence rewrites only reshaped translation pages;
-// a group the sweep left as it was (or did not need to look at) is not
-// reported.
-func (t *Table) Compact() []addr.GroupID {
+// It reshapes only groups touched since their last rebuild, and under
+// demand paging every such group is already dirty (every commit marks
+// its groups dirty first, and only a writeback cleans one), so the sweep
+// needs to tell the pager nothing.
+func (t *Table) Compact() {
 	t.gen++
-	var out []addr.GroupID
-	t.eachGroup(func(id addr.GroupID, g *group) {
-		if t.compactGroup(id, g) {
-			out = append(out, id)
-		}
-	})
-	return out
+	t.eachGroup(t.compactGroup)
 }
 
 func (g *group) segmentCount() int { return len(g.segs) }

@@ -138,16 +138,6 @@ func (c *ByteLRU[K, V]) Put(key K, value V, size int, dirty bool) []Evicted[K, V
 	return c.shrink()
 }
 
-// MarkDirty flags an existing entry dirty; it reports whether the key was
-// present.
-func (c *ByteLRU[K, V]) MarkDirty(key K) bool {
-	i := c.slot(key)
-	if i != nilNode {
-		c.nodes[i].dirty = true
-	}
-	return i != nilNode
-}
-
 // CleanMatching clears the dirty flag of every entry for which match
 // returns true, returning how many were cleaned. DFTL uses this for its
 // batched translation-page writeback: one flash write cleans every

@@ -156,7 +156,7 @@ func (m *lruModel) put(k uint32, v, size int, dirty bool) []Evicted[uint32, int]
 }
 
 // TestLRUMatchesReferenceModel drives random Put/Get/Peek/Remove/Resize/
-// MarkDirty/CleanMatching sequences — oversize items, dirty and clean
+// CleanMatching sequences — oversize items, dirty and clean
 // entries and a zero budget included — against lruModel, and after every
 // operation compares the evictions (key, value, dirty, order), Used, Len
 // and the presence and value of every key drawn so far. Most keys come
@@ -232,14 +232,6 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 				}
 				m.budget = b
 				got, want = c.Resize(b), m.shrink()
-			case 7:
-				i := m.find(k)
-				if ok := c.MarkDirty(k); ok != (i >= 0) {
-					t.Fatalf("seed %d step %d: MarkDirty(%d) = %v, model index %d", seed, step, k, ok, i)
-				}
-				if i >= 0 {
-					m.order[i].dirty = true
-				}
 			default:
 				mod := 2 + rng.Intn(4)
 				match := func(k uint32) bool { return k%uint32(mod) == 0 }

@@ -256,9 +256,9 @@ func (s *Scheme) MappingDigest() uint64 { return s.pager.MappingDigest() }
 // Maintain implements ftl.Scheme: every compactEvery host page writes,
 // sweep the groups written since their last rebuild (§3.7; the commit
 // path already rebuilt the ones that outgrew their triggers), write every
-// dirty group (updated, or reshaped by the sweep, since its last record)
-// back to translation blocks (§3.8) and re-enforce the budget. Clean
-// groups cost nothing, at every budget.
+// dirty group (updated since its last record; the sweep reshapes only
+// those) back to translation blocks (§3.8) and re-enforce the budget.
+// Clean groups cost nothing, at every budget.
 func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 	if hostPageWrites < s.lastCompact {
 		// The device's host counters were reset (warmup/steady-state
@@ -269,9 +269,7 @@ func (s *Scheme) Maintain(hostPageWrites uint64) ftl.Cost {
 		return ftl.Cost{}
 	}
 	s.lastCompact = hostPageWrites
-	for _, gid := range s.table.Compact() {
-		s.pager.MarkDirty(gid)
-	}
+	s.table.Compact()
 	var cost ftl.Cost
 	s.pager.FlushDirty(&cost)
 	cost.Add(s.pager.Enforce())
