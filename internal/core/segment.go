@@ -271,39 +271,37 @@ func (b *learnBuf) groupSegments(g addr.GroupID, pairs []addr.Mapping, gamma int
 	// low misprediction ratios (Figure 24) require keeping clean runs
 	// accurate.
 	const minCleanRun = 4
-	lo := 0
-	for lo < len(pts) {
-		hi := lo + 1
-		st := int64(0)
-		if hi < len(pts) && pts[hi].Y-pts[lo].Y == 1 {
-			st = pts[hi].X - pts[lo].X
-			for hi < len(pts) && pts[hi].X-pts[hi-1].X == st && pts[hi].Y-pts[hi-1].Y == 1 {
-				hi++
-			}
-		}
+	for lo := 0; lo < len(pts); {
+		hi := cleanRunEnd(pts, lo)
 		if hi-lo >= minCleanRun {
 			b.fitRange(g, pts[lo:hi], 0)
 		} else {
 			// Extend the irregular stretch until the next long clean run.
-			end := hi
-			for end < len(pts) {
-				rh := end + 1
-				if rh < len(pts) && pts[rh].Y-pts[end].Y == 1 {
-					d := pts[rh].X - pts[end].X
-					for rh < len(pts) && pts[rh].X-pts[rh-1].X == d && pts[rh].Y-pts[rh-1].Y == 1 {
-						rh++
-					}
-				}
-				if rh-end >= minCleanRun {
+			for hi < len(pts) {
+				rh := cleanRunEnd(pts, hi)
+				if rh-hi >= minCleanRun {
 					break
 				}
-				end = rh
+				hi = rh
 			}
-			b.fitRange(g, pts[lo:end], gamma)
-			hi = end
+			b.fitRange(g, pts[lo:hi], gamma)
 		}
 		lo = hi
 	}
+}
+
+// cleanRunEnd returns the end of the stride-clean run that starts at
+// pts[lo]: the longest run, pts[lo] alone at least, whose LPAs step by
+// one constant stride while each PPA is the one before plus one.
+func cleanRunEnd(pts []plr.Point, lo int) int {
+	hi := lo + 1
+	if hi < len(pts) && pts[hi].Y-pts[lo].Y == 1 {
+		st := pts[hi].X - pts[lo].X
+		for hi < len(pts) && pts[hi].X-pts[hi-1].X == st && pts[hi].Y-pts[hi-1].Y == 1 {
+			hi++
+		}
+	}
+	return hi
 }
 
 // fitRange fits one stretch of points with the given bound and verifies
@@ -339,16 +337,9 @@ func (b *learnBuf) buildVerified(g addr.GroupID, pts []plr.Point, fs plr.Segment
 	// exactly one (the flush order guarantees the latter for buffered
 	// writes). Anything else must be approximate so the CRB provides the
 	// membership set.
-	strideOK := true
-	st := pts[1].X - pts[0].X
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X-pts[i-1].X != st || pts[i].Y-pts[i-1].Y != 1 {
-			strideOK = false
-			break
-		}
-	}
-
+	strideOK := cleanRunEnd(pts, 0) == len(pts)
 	if strideOK {
+		st := pts[1].X - pts[0].X
 		if cand, ok := quantize(pts, fs, false); ok && int64(strideOf(cand.kf)) == st {
 			if _, ok := b.withinGamma(&cand, pts, base, 0); ok {
 				// Proved: the stride is st and the first point is hit.
@@ -381,13 +372,7 @@ func (b *learnBuf) buildVerified(g addr.GroupID, pts []plr.Point, fs plr.Segment
 	// Because !strideOK, every run is a strict subset, so this recursion
 	// terminates.
 	for lo := 0; lo < len(pts); {
-		hi := lo + 1
-		if hi < len(pts) && pts[hi].Y-pts[lo].Y == 1 {
-			d := pts[hi].X - pts[lo].X
-			for hi < len(pts) && pts[hi].X-pts[hi-1].X == d && pts[hi].Y-pts[hi-1].Y == 1 {
-				hi++
-			}
-		}
+		hi := cleanRunEnd(pts, lo)
 		run := pts[lo:hi]
 		b.buildVerified(g, run, b.refit(run, 0), 0)
 		lo = hi
