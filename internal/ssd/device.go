@@ -300,10 +300,22 @@ func (d *Device) ReadAt(lpa addr.LPA, n int, start time.Duration) (time.Duration
 		d.runHint.ExpectRun(lpa, n)
 	}
 	end := start + cacheHitLatency
+	// An uncorrectable page fails the request, not its other pages: they
+	// are still served and counted, and the first such page's error is
+	// returned once the request completes. Any other error is a fault of
+	// the simulator and returns at once.
+	var uecc *UECCError
 	for i := 0; i < n; i++ {
 		done, err := d.readPage(lpa+addr.LPA(i), start)
 		if err != nil {
-			return 0, err
+			u, ok := err.(*UECCError)
+			if !ok {
+				return 0, err
+			}
+			if uecc == nil {
+				uecc = u
+			}
+			continue
 		}
 		if done > end {
 			end = done
@@ -313,7 +325,9 @@ func (d *Device) ReadAt(lpa addr.LPA, n int, start time.Duration) (time.Duration
 	if end > d.now {
 		d.now = end
 	}
-	d.readLat.Observe(lat)
+	if uecc == nil {
+		d.readLat.Observe(lat)
+	}
 	// Reads tick disturb counters; relocate whatever crossed the scrub
 	// threshold before acknowledging (the relocation itself runs in the
 	// background on the GC horizon).
@@ -327,6 +341,9 @@ func (d *Device) ReadAt(lpa addr.LPA, n int, start time.Duration) (time.Duration
 	// reads change nothing, so the hot path skips the resize.
 	if d.stats.MetaReads+d.stats.MetaWrites != metaBefore {
 		d.resizeCache()
+	}
+	if uecc != nil {
+		return 0, uecc
 	}
 	return lat, nil
 }

@@ -131,6 +131,40 @@ func TestUECCSurfacedToHost(t *testing.T) {
 	}
 }
 
+// TestMultiPageReadPastLostPage: a 4-page read whose second LPA is lost
+// still serves and counts the other three pages, and fails with the
+// lost page's error.
+func TestMultiPageReadPastLostPage(t *testing.T) {
+	cfg := testConfig()
+	d := newTestDevice(t, cfg, leaftl.New(4, cfg.Flash.PageSize))
+	if _, err := d.Write(100, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	d.loseLPA(101)
+	before := d.Stats()
+	_, err := d.Read(100, 4)
+	var uecc *UECCError
+	if !errors.As(err, &uecc) || uecc.LPA != 101 {
+		t.Fatalf("read 100+4 returned %v, want *UECCError for LPA 101", err)
+	}
+	after := d.Stats()
+	if got := after.HostPagesRead - before.HostPagesRead; got != 4 {
+		t.Errorf("%d host pages read, want 4", got)
+	}
+	if got := after.CacheMisses - before.CacheMisses; got != 3 {
+		t.Errorf("%d pages served from flash, want the 3 that are not lost", got)
+	}
+	if got := after.HostUECCs - before.HostUECCs; got != 1 {
+		t.Errorf("%d host UECCs, want 1", got)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBadBlockRetirement drives a device with a high program-failure
 // rate and asserts the retirement lifecycle: blocks are condemned,
 // swept out of rotation, and never reappear on the free list — all
