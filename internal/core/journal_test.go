@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -201,19 +202,19 @@ func TestJournalCheckCatchesPlacement(t *testing.T) {
 // and a pager whose journal was never configured refuses to place a
 // record rather than log it outside any translation block.
 func TestJournalNeedsGeometry(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
+	mustPanic := func(name, want string, fn func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+				t.Errorf("%s: panic %v, want one naming %q", name, r, want)
 			}
 		}()
 		fn()
 	}
-	mustPanic("configure(0, 8)", func() { newJournal(256, nil).configure(0, 8) })
-	mustPanic("configure(2, 0)", func() { newJournal(256, nil).configure(2, 0) })
+	mustPanic("configure(0, 8)", "journal geometry", func() { newJournal(256, nil).configure(0, 8) })
+	mustPanic("configure(2, 0)", "journal geometry", func() { newJournal(256, nil).configure(2, 0) })
 	tab := NewTable(4)
 	p := NewPager(tab, 256)
 	p.EnableJournal()
-	mustPanic("a writeback before ConfigureJournal", func() { commitAndFlush(tab, p, journalBatch(0)) })
+	mustPanic("a writeback before ConfigureJournal", "before ConfigureJournal", func() { commitAndFlush(tab, p, journalBatch(0)) })
 }
