@@ -502,9 +502,9 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 
 // Check audits the GMD against the store: residency bits, ring
 // membership, dirty bits (a group changed since its last rebuild has not
-// been written back), flash-page accounting (under the journal, every record's
-// block and every block's live count), and the budget cap. It is the
-// mapping-side leg of the device's CheckInvariants.
+// been written back), flash-page accounting (under the journal, every
+// record's block and every block's live count), and the budget cap. It
+// is the mapping-side leg of the device's CheckInvariants.
 func (p *Pager) Check() error {
 	onRing := make(map[addr.GroupID]bool, len(p.ring))
 	for _, gid := range p.ring {
