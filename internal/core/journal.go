@@ -8,17 +8,16 @@ import (
 	"leaftl/internal/ftl"
 )
 
-// Log-structured metadata persistence (the metadata journal): instead of
-// writing each group image to translation pages of its own, the pager
-// appends the group's whole current record — MarshalGroup's output, the
-// one wire format (persist.go) — into the open translation page, packed
-// back to back with other groups' records. A group has exactly one live
-// record; each writeback supersedes the previous one, so a demand load
-// reads only the pages that one record spans. The journal is only the
-// translation-page allocator: the record's bytes and its placement (page
-// span and translation block) live in the pager's GMD entry, as they do
-// without the journal, and the journal keeps its blocks and what the
-// appends and folds cost.
+// Log-structured metadata persistence (the metadata journal, paper §3.8's
+// translation blocks): the pager appends a group's whole current record
+// — MarshalGroup's output, the one wire format (persist.go) — into the
+// open translation page, packed back to back with other groups' records.
+// A group has exactly one live record; each writeback supersedes the
+// previous one, so a demand load reads only the pages that one record
+// spans. The journal is only the translation-page allocator: the
+// record's bytes and its placement (page span and translation block)
+// live in the pager's GMD entry, and the journal keeps its blocks and
+// what the appends and folds cost.
 //
 // Translation blocks are a dedicated allocation stream: records never
 // span blocks (the open block seals early when a record would not fit),
@@ -28,9 +27,9 @@ import (
 // are durable the moment they land and only *filled* pages are charged
 // as flash programs.
 
-// journalPageIDBit tags journal translation-page identities so they
-// never collide with the pager's image PPAs when the device routes meta
-// operations to dies.
+// journalPageIDBit tags journal translation-page identities. The device
+// routes a page to die id mod channels, so consecutive pages of the log
+// land on consecutive dies.
 const journalPageIDBit = uint64(1) << 62
 
 // jblock is one translation block of the journal's allocation stream.

@@ -30,16 +30,12 @@ func journalBatch(i int) []addr.Mapping {
 	return pairs
 }
 
-// newJournalPager returns a verifying γ = 4 table behind a pager that
-// persists through the journal on pageSize-byte translation pages, in
-// 64-page blocks under a cap no test here reaches.
+// newJournalPager returns a verifying γ = 4 table behind a pager
+// (newPager) on pageSize-byte translation pages.
 func newJournalPager(pageSize int) (*Table, *Pager) {
 	tab := NewTable(4)
 	tab.EnableVerifyAtLearn()
-	p := NewPager(tab, pageSize)
-	p.EnableJournal()
-	p.ConfigureJournal(64, 1<<20)
-	return tab, p
+	return tab, newPager(tab, pageSize)
 }
 
 // commitAndFlush commits pairs through p as a scheme does, then compacts
@@ -128,7 +124,6 @@ func TestJournalGC(t *testing.T) {
 	const nGroups = 4
 	tab := NewTable(4)
 	p := NewPager(tab, 256)
-	p.EnableJournal()
 	p.ConfigureJournal(2, 4) // 512B blocks, GC beyond 4 pages = 2 blocks
 	var folds int
 	p.SetJournalHook(func(point string) {
@@ -215,6 +210,5 @@ func TestJournalNeedsGeometry(t *testing.T) {
 	mustPanic("configure(2, 0)", "journal geometry", func() { newJournal(256, nil).configure(2, 0) })
 	tab := NewTable(4)
 	p := NewPager(tab, 256)
-	p.EnableJournal()
 	mustPanic("a writeback before ConfigureJournal", "before ConfigureJournal", func() { commitAndFlush(tab, p, journalBatch(0)) })
 }

@@ -18,15 +18,16 @@ import (
 // which groups stay resident (a CLOCK second-chance policy — a one-bit
 // LRU — over the resident set), demand-loads evicted groups on access,
 // writes dirty groups back (FlushDirty, at every budget; evictions write
-// back too), and reports every transfer as an ftl.Cost — counts of
-// translation-page flash operations, each named by a virtual translation
-// PPA — so the SSD can charge them on the flash timelines of the dies
-// holding those pages. The pager is the one home of the GMD and of every
-// group's persisted record: every group is registered at its first
-// commit, its record and the record's placement (the span of translation
-// pages it occupies) live in its GMD entry on both persistence paths
-// (per-group images, or the metadata journal, which only allocates
-// translation pages), and a budget ≤ 0 simply never evicts.
+// back too) into the metadata journal's log-structured translation
+// blocks (journal.go), and reports every transfer as an ftl.Cost —
+// counts of translation-page flash operations, each named by the
+// journal page it touches — so the SSD can charge them on the flash
+// timelines of the dies holding those pages. The pager is the one home
+// of the GMD and of every group's persisted record: every group is
+// registered at its first commit, its record and the record's placement
+// (the span of translation pages it occupies) live in its GMD entry, the
+// journal only allocates the pages, and a budget ≤ 0 simply never
+// evicts.
 //
 // A Pager is not safe for concurrent use; the device serializes every
 // call into the scheme that owns it.
@@ -37,27 +38,26 @@ type PagerStats struct {
 	Faults uint64
 	// Evictions counts groups dropped from DRAM.
 	Evictions uint64
-	// DirtyWritebacks counts translation-page image rewrites (dirty
-	// evictions plus periodic persistence).
+	// DirtyWritebacks counts group writebacks (dirty evictions plus
+	// periodic persistence), byte-identical ones included.
 	DirtyWritebacks uint64
 }
 
 // gmdEntry is one Global Mapping Directory slot: the group's persisted
 // record and where it lives, whether a DRAM copy exists, and whether that
 // copy has diverged from the record. The entry is the one home of the
-// record's bytes and of its placement, with or without the journal; the
-// journal only allocates the pages.
+// record's bytes and of its placement; the journal only allocates the
+// pages.
 type gmdEntry struct {
 	image []byte // serialized group record (nil: never persisted)
-	// first and last name the record's first and last translation pages;
-	// the pages between them hold the rest. An image's pages sit at a
-	// virtual translation PPA of its own (ppa<<8 | page index), a journal
-	// record's in the log's page sequence (journalPageIDBit | sequence).
+	// first and last name the record's first and last translation pages
+	// in the journal's page sequence (journalPageIDBit | sequence); the
+	// pages between them hold the rest.
 	first, last uint64
-	block       *jblock // journal block holding the record (nil on the image path)
+	block       *jblock // journal block holding the record (nil: never persisted)
 	dramBytes   int     // decoded footprint at last eviction (FullSizeBytes accounting)
 	resident    bool
-	dirty       bool // DRAM copy differs from image
+	dirty       bool // DRAM copy differs from the record
 	ref         bool // CLOCK reference bit
 }
 
@@ -71,10 +71,8 @@ type Pager struct {
 	ring []addr.GroupID // CLOCK ring over resident groups, insertion order
 	hand int
 
-	evicted      int // non-resident GMD entries
-	evictedBytes int // Σ dramBytes over non-resident entries
-	flashPages   int // Σ image pages over entries holding an image (image path)
-	nextPPA      uint32
+	evicted      int  // non-resident GMD entries
+	evictedBytes int  // Σ dramBytes over non-resident entries
 	fast         bool // cached FastPath value, refreshed on mutation
 	stats        PagerStats
 
@@ -85,49 +83,26 @@ type Pager struct {
 	// from (carve).
 	slab []byte
 
-	// journal, when non-nil, replaces the image-per-page placement with
-	// the metadata log (journal.go): writebacks place the group's record
-	// in shared translation pages. Nil keeps the image path
-	// bit-identical to its pre-journal behavior.
+	// journal places the records in shared translation pages
+	// (journal.go).
 	journal *journal
-}
-
-// EnableJournal switches metadata persistence to the metadata journal.
-// Call before any paging activity; enabling an already-active pager
-// would leave existing images without a place in the journal. The
-// journal places no record until ConfigureJournal has run.
-func (p *Pager) EnableJournal() {
-	if p.journal == nil {
-		p.journal = newJournal(p.pageSize, p.gmd)
-	}
 }
 
 // ConfigureJournal sets the journal's translation-block geometry and
 // footprint cap, both positive (device wiring calls this once flash
-// geometry and the metadata share of over-provisioning are known). No-op
-// when the journal is off.
+// geometry and the metadata share of over-provisioning are known). The
+// pager persists no record before this call.
 func (p *Pager) ConfigureJournal(pagesPerBlock, maxPages int) {
-	if p.journal != nil {
-		p.journal.configure(pagesPerBlock, maxPages)
-	}
+	p.journal.configure(pagesPerBlock, maxPages)
 }
 
-// JournalStats snapshots the journal counters (zero when disabled).
-func (p *Pager) JournalStats() ftl.JournalStats {
-	if p.journal == nil {
-		return ftl.JournalStats{}
-	}
-	return p.journal.Stats()
-}
+// JournalStats snapshots the journal counters.
+func (p *Pager) JournalStats() ftl.JournalStats { return p.journal.Stats() }
 
 // SetJournalHook installs the crash-injection hook fired before journal
 // GC ("journal.gc") and before each live record it re-appends
 // ("journal.fold").
-func (p *Pager) SetJournalHook(fn func(string)) {
-	if p.journal != nil {
-		p.journal.hook = fn
-	}
-}
+func (p *Pager) SetJournalHook(fn func(string)) { p.journal.hook = fn }
 
 // NewPager returns a pager with no budget and an empty GMD over store.
 // pageSize is the flash page size translation-page costs are counted in.
@@ -135,21 +110,14 @@ func NewPager(store *Table, pageSize int) *Pager {
 	if pageSize < 1 {
 		pageSize = 1
 	}
+	gmd := make(map[addr.GroupID]*gmdEntry)
 	return &Pager{
 		store:    store,
 		pageSize: pageSize,
-		gmd:      make(map[addr.GroupID]*gmdEntry),
+		gmd:      gmd,
 		fast:     true,
+		journal:  newJournal(pageSize, gmd),
 	}
-}
-
-// imagePages returns the flash pages an n-byte image occupies.
-func (p *Pager) imagePages(n int) int {
-	pages := (n + p.pageSize - 1) / p.pageSize
-	if pages < 1 {
-		pages = 1
-	}
-	return pages
 }
 
 // SetBudget sets the resident-set byte budget (≤ 0 disables the cap). It
@@ -173,15 +141,10 @@ func (p *Pager) Stats() PagerStats { return p.stats }
 // TranslationPages returns the flash pages currently occupied by group
 // records (the translation-block footprint charged against
 // over-provisioned capacity).
-func (p *Pager) TranslationPages() int {
-	if p.journal != nil {
-		return p.journal.pages()
-	}
-	return p.flashPages
-}
+func (p *Pager) TranslationPages() int { return p.journal.pages() }
 
 // FullSizeBytes returns the complete mapping size, resident or not.
-// Groups restored from images that were never decoded count 0 until
+// Groups restored from records that were never decoded count 0 until
 // first loaded.
 func (p *Pager) FullSizeBytes() int { return p.store.SizeBytes() + p.evictedBytes }
 
@@ -253,10 +216,10 @@ func (p *Pager) EnsureWrite(gid addr.GroupID) ftl.Cost {
 
 // load demand-loads an evicted group's record back into the store,
 // charging into cost the flash pages its entry says the record spans;
-// under the journal the open tail page is SRAM and free to read.
+// the journal's open tail page is SRAM and free to read.
 func (p *Pager) load(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
 	if _, err := p.store.InstallGroup(e.image); err != nil {
-		panic(fmt.Sprintf("core: GMD image for group %d does not install: %v", gid, err))
+		panic(fmt.Sprintf("core: GMD record for group %d does not install: %v", gid, err))
 	}
 	e.resident = true
 	e.dirty = false
@@ -267,7 +230,7 @@ func (p *Pager) load(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
 	p.stats.Faults++
 	p.fast = false // a fault implies pressure; Enforce will re-evaluate
 	last := e.last
-	if p.journal != nil && last == p.journal.tail() {
+	if last == p.journal.tail() {
 		last--
 	}
 	for id := e.first; id <= last; id++ {
@@ -335,10 +298,8 @@ func (p *Pager) evict(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
 // writeback persists the group's current record and charges it into
 // cost. The record is marshaled into the pager's scratch buffer and
 // copied into the entry's storage, reusing it when it is big enough
-// (keep). The image path writes it to translation pages of its own
-// (log-structured: a new virtual PPA each write); the journal appends
-// it into its shared translation pages, and a byte-identical record
-// costs nothing there.
+// (keep), and the journal appends it into its shared translation pages.
+// A byte-identical record costs nothing: the journal already holds it.
 func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
 	rec, err := appendGroupRecord(p.scratch[:0], gid, p.store.lookupGroup(gid))
 	if err != nil {
@@ -347,34 +308,13 @@ func (p *Pager) writeback(gid addr.GroupID, e *gmdEntry, cost *ftl.Cost) {
 	p.scratch = rec
 	e.dirty = false
 	p.stats.DirtyWritebacks++
-	if p.journal != nil {
-		if bytes.Equal(e.image, rec) {
-			return // clean rewrite: the journal already holds this state
-		}
-		p.keep(e, rec)
-		p.journal.place(e, cost)
-		p.journal.stats.Appends++
-		p.journal.maybeGC(cost)
+	if bytes.Equal(e.image, rec) {
 		return
 	}
-	if e.image != nil {
-		p.flashPages -= p.imagePages(len(e.image))
-	}
 	p.keep(e, rec)
-	p.placeImage(e)
-	for id := e.first; id <= e.last; id++ {
-		cost.AddWrite(id)
-	}
-}
-
-// placeImage gives e's record translation pages of its own at a fresh
-// virtual translation PPA (log-structured: a new one every write).
-func (p *Pager) placeImage(e *gmdEntry) {
-	p.nextPPA++
-	n := p.imagePages(len(e.image))
-	e.first = uint64(p.nextPPA) << 8
-	e.last = e.first + uint64(n-1)
-	p.flashPages += n
+	p.journal.place(e, cost)
+	p.journal.stats.Appends++
+	p.journal.maybeGC(cost)
 }
 
 // keep stores rec as e's record: in place when the entry's storage is
@@ -472,12 +412,12 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
 	for _, gid := range gids {
 		img := images[gid]
-		// Check the image now, on both paths: stored unread, a corrupt
-		// one would surface only when a later access loads it.
+		// Check the record now: stored unread, a corrupt one would
+		// surface only when a later access loads it.
 		if got, _, err := decodeGroupRecord(img); err != nil {
-			return fmt.Errorf("core: group %d restore image: %w", gid, err)
+			return fmt.Errorf("core: group %d restore record: %w", gid, err)
 		} else if got != gid {
-			return fmt.Errorf("core: group %d restore image claims group %d", gid, got)
+			return fmt.Errorf("core: group %d restore record claims group %d", gid, got)
 		}
 		if e := p.gmd[gid]; e != nil {
 			return fmt.Errorf("core: group %d already in the GMD", gid)
@@ -488,13 +428,9 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 		e := &gmdEntry{image: img}
 		p.gmd[gid] = e
 		p.evicted++
-		if p.journal != nil {
-			// Place the record uncharged: its pages already exist on
-			// flash, recovery only rebuilds the RAM directory.
-			p.journal.place(e, nil)
-		} else {
-			p.placeImage(e)
-		}
+		// Place the record uncharged: its pages already exist on flash,
+		// recovery only rebuilds the RAM directory.
+		p.journal.place(e, nil)
 	}
 	p.refresh()
 	return nil
@@ -502,8 +438,8 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 
 // Check audits the GMD against the store: residency bits, ring
 // membership, dirty bits (a group changed since its last rebuild has not
-// been written back), flash-page accounting (under the journal, every
-// record's block and every block's live count), and the budget cap. It
+// been written back), the journal's accounting (every record's block and
+// every block's live count), and the budget cap. It
 // is the mapping-side leg of the device's CheckInvariants.
 func (p *Pager) Check() error {
 	onRing := make(map[addr.GroupID]bool, len(p.ring))
@@ -513,18 +449,15 @@ func (p *Pager) Check() error {
 		}
 		onRing[gid] = true
 	}
-	evicted, evictedBytes, flashPages := 0, 0, 0
+	evicted, evictedBytes := 0, 0
 	live := make(map[*jblock]int)
 	for gid, e := range p.gmd {
 		if e.image != nil {
-			flashPages += p.imagePages(len(e.image))
 			if got, _, err := decodeGroupRecord(e.image); err != nil {
 				return fmt.Errorf("gmd: group %d record: %w", gid, err)
 			} else if got != gid {
 				return fmt.Errorf("gmd: group %d record claims group %d", gid, got)
 			}
-		}
-		if p.journal != nil && e.image != nil {
 			if e.block == nil {
 				return fmt.Errorf("gmd: group %d's journaled record has no translation block", gid)
 			}
@@ -542,7 +475,7 @@ func (p *Pager) Check() error {
 		case !e.resident && p.store.HasGroup(gid):
 			return fmt.Errorf("gmd: group %d marked evicted but present in the table", gid)
 		case !e.resident && e.image == nil:
-			return fmt.Errorf("gmd: evicted group %d has no translation-page image", gid)
+			return fmt.Errorf("gmd: evicted group %d has no persisted record", gid)
 		case !e.resident && e.dirty:
 			return fmt.Errorf("gmd: evicted group %d is dirty (evictions write back)", gid)
 		}
@@ -561,13 +494,9 @@ func (p *Pager) Check() error {
 		return fmt.Errorf("gmd: %d evicted entries, counter says %d", evicted, p.evicted)
 	case evictedBytes != p.evictedBytes:
 		return fmt.Errorf("gmd: %d evicted bytes, counter says %d", evictedBytes, p.evictedBytes)
-	case p.journal == nil && flashPages != p.flashPages:
-		return fmt.Errorf("gmd: %d image pages, counter says %d", flashPages, p.flashPages)
 	}
-	if p.journal != nil {
-		if err := p.journal.check(live); err != nil {
-			return err
-		}
+	if err := p.journal.check(live); err != nil {
+		return err
 	}
 	if p.budget > 0 && p.store.SizeBytes() > p.budget {
 		return fmt.Errorf("gmd: resident set %dB exceeds budget %dB", p.store.SizeBytes(), p.budget)

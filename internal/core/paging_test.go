@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -12,15 +11,24 @@ import (
 	"leaftl/internal/ftl"
 )
 
+// newPager returns a pager over tab on pageSize-byte translation pages
+// whose journal is configured as device wiring would, with one
+// translation block that holds every record a test here appends.
+func newPager(tab *Table, pageSize int) *Pager {
+	p := NewPager(tab, pageSize)
+	p.ConfigureJournal(1<<16, 1<<16)
+	return p
+}
+
 // buildMixedTable commits a mix of sequential, strided and irregular
 // batches so groups carry multiple levels, approximate segments and CRB
 // entries — the state a round trip must preserve exactly. Every batch
-// goes through a budget-0 pager, as a scheme's commits do, so the pager
-// knows every group.
-func buildMixedTable(t *testing.T, gamma int) (*Table, *Pager) {
+// goes through a budget-0 pager on pageSize-byte translation pages, as a
+// scheme's commits do, so the pager knows every group.
+func buildMixedTable(t *testing.T, gamma, pageSize int) (*Table, *Pager) {
 	t.Helper()
 	tab := NewTable(gamma)
-	p := NewPager(tab, 4096)
+	p := newPager(tab, pageSize)
 	commit := func(lpas []addr.LPA, base addr.PPA) {
 		pairs := make([]addr.Mapping, len(lpas))
 		for i, l := range lpas {
@@ -60,7 +68,7 @@ func lookupAll(tab *Table, pages int) map[addr.LPA]addr.PPA {
 // and reinstalls it, asserting translations and incremental statistics
 // come back bit-identical.
 func TestGroupRoundTrip(t *testing.T) {
-	tab, _ := buildMixedTable(t, 4)
+	tab, _ := buildMixedTable(t, 4, 4096)
 	want := lookupAll(tab, 8*256)
 	wantStats := tab.Stats()
 
@@ -108,7 +116,7 @@ func TestGroupRoundTrip(t *testing.T) {
 // TestInstallGroupRejectsResident pins the aliasing guard: installing an
 // image over live group state must fail, not silently fork the mapping.
 func TestInstallGroupRejectsResident(t *testing.T) {
-	tab, _ := buildMixedTable(t, 4)
+	tab, _ := buildMixedTable(t, 4, 4096)
 	img, err := tab.MarshalGroup(0)
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +134,11 @@ func TestInstallGroupRejectsResident(t *testing.T) {
 
 // TestPagerBudgetAndClock drives a pager over a table and asserts the
 // budget holds after every enforcement, faults demand-load evicted
-// groups, and recently used groups survive the CLOCK sweep.
+// groups, and recently used groups survive the CLOCK sweep. Its
+// translation pages are smaller than any group's record, so every record
+// fills a page the journal programs and a fault reads.
 func TestPagerBudgetAndClock(t *testing.T) {
-	tab, p := buildMixedTable(t, 4)
+	tab, p := buildMixedTable(t, 4, 16)
 	if err := p.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +224,10 @@ func TestPagerBudgetAndClock(t *testing.T) {
 // table persists for its paged-out groups, together with its resident
 // groups' records, equal the records of the never-evicted table.
 func TestPagedImagesMatchResident(t *testing.T) {
-	full, _ := buildMixedTable(t, 4)
+	full, _ := buildMixedTable(t, 4, 4096)
 	want := groupImages(t, full)
 
-	paged, p := buildMixedTable(t, 4)
+	paged, p := buildMixedTable(t, 4, 4096)
 	p.SetBudget(paged.SizeBytes() / 4)
 	p.Enforce()
 	if p.evicted == 0 {
@@ -261,7 +271,7 @@ func TestCheckFlagsUnregisteredGroup(t *testing.T) {
 // the change; a commit that skips EnsureWrite leaves it clean and fails
 // the audit.
 func TestCheckFlagsCleanTouchedGroup(t *testing.T) {
-	tab, p := buildMixedTable(t, 4)
+	tab, p := buildMixedTable(t, 4, 4096)
 	tab.Compact()
 	var cost ftl.Cost
 	p.FlushDirty(&cost)
@@ -276,53 +286,40 @@ func TestCheckFlagsCleanTouchedGroup(t *testing.T) {
 }
 
 // TestFlushDirtyZeroAllocs pins the allocation-lean writeback on a
-// resident table, on the image path and under the journal: once every
-// group has a record, writing back re-dirtied groups whose records fit
-// their storage allocates nothing. Each run first flips a byte of every
-// stored record, so the journal sees a changed record and appends it
-// instead of skipping it as unchanged.
+// resident table: once every group has a record, writing back re-dirtied
+// groups whose records fit their storage allocates nothing. Each run
+// first flips a byte of every stored record, so the journal sees a
+// changed record and appends it instead of skipping it as unchanged.
+// The journal's one block holds every record the runs append, so it
+// opens no block while allocations are counted.
 func TestFlushDirtyZeroAllocs(t *testing.T) {
-	for _, journal := range []bool{false, true} {
-		t.Run(fmt.Sprintf("journal=%v", journal), func(t *testing.T) {
-			tab, p := buildMixedTable(t, 4)
-			if journal {
-				// One block holds every record the runs append, so the
-				// journal opens no block while allocations are counted.
-				p.EnableJournal()
-				p.ConfigureJournal(1<<16, 1<<16)
-			}
-			tab.Compact()
-			var cost ftl.Cost
-			p.FlushDirty(&cost)
-			gids := tab.ResidentGroups()
-			const runs = 20
-			before := p.Stats().DirtyWritebacks
-			allocs := testing.AllocsPerRun(runs, func() {
-				for _, gid := range gids {
-					img := p.gmd[gid].image
-					img[len(img)-1] ^= 1
-					p.EnsureWrite(gid)
-				}
-				cost.MetaWrites, cost.WriteIDs = 0, cost.WriteIDs[:0]
-				p.FlushDirty(&cost)
-			})
-			if allocs != 0 {
-				t.Errorf("a second FlushDirty of %d groups allocated %.1f times", len(gids), allocs)
-			}
-			if got, want := p.Stats().DirtyWritebacks-before, uint64((runs+1)*len(gids)); got != want {
-				t.Errorf("%d writebacks, want %d", got, want)
-			}
-			if journal {
-				if got, want := p.JournalStats().Appends, uint64((runs+2)*len(gids)); got != want {
-					t.Errorf("%d journal appends, want %d: a changed record was skipped", got, want)
-				}
-			} else if cost.MetaWrites != len(gids) {
-				t.Errorf("the last flush wrote %d translation pages, want %d", cost.MetaWrites, len(gids))
-			}
-			if err := p.Check(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	tab, p := buildMixedTable(t, 4, 4096)
+	tab.Compact()
+	var cost ftl.Cost
+	p.FlushDirty(&cost)
+	gids := tab.ResidentGroups()
+	const runs = 20
+	before := p.Stats().DirtyWritebacks
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, gid := range gids {
+			img := p.gmd[gid].image
+			img[len(img)-1] ^= 1
+			p.EnsureWrite(gid)
+		}
+		cost.MetaWrites, cost.WriteIDs = 0, cost.WriteIDs[:0]
+		p.FlushDirty(&cost)
+	})
+	if allocs != 0 {
+		t.Errorf("a second FlushDirty of %d groups allocated %.1f times", len(gids), allocs)
+	}
+	if got, want := p.Stats().DirtyWritebacks-before, uint64((runs+1)*len(gids)); got != want {
+		t.Errorf("%d writebacks, want %d", got, want)
+	}
+	if got, want := p.JournalStats().Appends, uint64((runs+2)*len(gids)); got != want {
+		t.Errorf("%d journal appends, want %d: a changed record was skipped", got, want)
+	}
+	if err := p.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -333,7 +330,7 @@ func TestFlushDirtyZeroAllocs(t *testing.T) {
 func TestOutgrownRecordsShareASlab(t *testing.T) {
 	const groups = 64
 	tab := NewTable(4)
-	p := NewPager(tab, 4096)
+	p := newPager(tab, 4096)
 	commit := func(pairs []addr.Mapping) {
 		for _, m := range pairs {
 			p.EnsureWrite(addr.Group(m.LPA))

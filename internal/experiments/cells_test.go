@@ -192,9 +192,10 @@ func TestCellsBudgetRepeatable(t *testing.T) {
 }
 
 // TestCellsJournalReadBound holds full's translation-page reads to
-// paper's under a tight budget: a group's load reads its one journal
-// record, so the journal may cost at most a quarter more reads per
-// request than paper's image-per-page writeback on the same pool.
+// paper's under a tight budget. Both persist through the journal, where
+// a group's load reads its one record, and differ only by
+// verify-at-learn, whose exact fits may grow a record: they may cost at
+// most a quarter more reads per request on the same pool.
 func TestCellsJournalReadBound(t *testing.T) {
 	spec := CellsSpec{Schemes: []string{"full", "paper"}, Workloads: []string{"zipf-hot", "mixed-rw"},
 		Budgets: []float64{0.005}, Gamma: 4}

@@ -228,13 +228,14 @@ func budgeted(cfg ssd.Config, budget float64) (ssd.Config, error) {
 }
 
 // schemePresets builds every scheme the harness runs, keyed by the
-// benchmark's names: full is LeaFTL with the metadata journal and
-// verify-at-learn (the benchmark's scheme), paper the learned table
-// alone, dftl and sftl the baselines, whose budgets the device sets. A
-// LeaFTL preset applies opts before its own options.
+// benchmark's names: full is LeaFTL with verify-at-learn (the
+// benchmark's scheme), paper the learned table alone, dftl and sftl the
+// baselines, whose budgets the device sets. Both LeaFTL presets persist
+// their groups through the metadata journal. A LeaFTL preset applies
+// opts before its own options.
 var schemePresets = map[string]func(gamma, pageSize int, opts []leaftl.Option) ftl.Scheme{
 	"full": func(gamma, pageSize int, opts []leaftl.Option) ftl.Scheme {
-		return leaftl.New(gamma, pageSize, append(opts, leaftl.WithJournal(), leaftl.WithExactBitmap())...)
+		return leaftl.New(gamma, pageSize, append(opts, leaftl.WithExactBitmap())...)
 	},
 	"paper": func(gamma, pageSize int, opts []leaftl.Option) ftl.Scheme {
 		return leaftl.New(gamma, pageSize, opts...)

@@ -28,8 +28,8 @@ type TortureSpec struct {
 	// keeps the scale's pool.
 	Budgets []float64
 	// Schemes are schemePresets names: paper is the learned table
-	// alone, full adds the metadata journal and verify-at-learn (the
-	// benchmark's scheme); dftl and sftl also run.
+	// alone, full adds verify-at-learn (the benchmark's scheme); dftl
+	// and sftl also run.
 	Schemes []string
 	// CrashPoints is the number of seeded crashes injected per cell.
 	CrashPoints int

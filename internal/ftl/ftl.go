@@ -171,26 +171,22 @@ type GroupPaged interface {
 	CheckMapping() error
 }
 
-// Journaled is implemented by schemes whose pager can persist metadata
-// through a metadata journal: the journal allocates the translation
-// pages, and a dirty writeback appends the group's whole record into
-// dedicated translation blocks shared with other groups' records,
-// superseding its previous one. The scheme's directory records where
-// each record landed, so a demand load reads that one record, and the
-// journal reclaims its own blocks by re-appending a victim block's live
-// records. The device uses it to size the journal from flash geometry
-// and over-provisioning and to surface journal counters in benchmarks.
+// Journaled is implemented by schemes that persist metadata through a
+// metadata journal: the journal allocates the translation pages, and a
+// dirty writeback appends the group's whole record into dedicated
+// translation blocks shared with other groups' records, superseding its
+// previous one. The scheme's directory records where each record landed,
+// so a demand load reads that one record, and the journal reclaims its
+// own blocks by re-appending a victim block's live records. The device
+// uses it to size the journal from flash geometry and over-provisioning
+// and to surface journal counters in benchmarks.
 type Journaled interface {
 	GroupPaged
 
-	// JournalEnabled reports whether the metadata journal is on (off,
-	// the scheme is bit-identical to image-per-page writeback).
-	JournalEnabled() bool
-
 	// ConfigureJournal sets the journal's translation-block geometry
 	// (pages per block) and its flash-footprint cap in pages, the
-	// threshold that drives journal GC; both must be positive. A
-	// journaling scheme persists no record before this call.
+	// threshold that drives journal GC; both must be positive. The
+	// scheme persists no record before this call.
 	ConfigureJournal(pagesPerBlock, maxPages int)
 
 	// JournalStats snapshots the journal counters.

@@ -19,7 +19,7 @@ func TestBitmapFeedbackProperty(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(41 + trial)))
-			s := New(gamma, 4096, WithExactBitmap(), WithCompactEvery(512))
+			s := newScheme(gamma, 4096, WithExactBitmap(), WithCompactEvery(512))
 
 			logical := 24 * 256
 			truth := make(map[addr.LPA]addr.PPA)

@@ -4,21 +4,26 @@
 //
 // Every commit registers its 256-LPA segment groups in a Global Mapping
 // Directory (core.Pager), which holds each group's persisted record. The
-// learned table's whole point is being small (Figures 15/19), so it
-// usually stays fully DRAM-resident and translations cost no flash
-// accesses. When the byte budget binds (SetBudget > 0), the pager
-// demand-pages groups to flash translation pages: lookups and commits
-// touching a non-resident group charge translation-page reads, exactly
-// like DFTL's cached mapping table — which makes DRAM-budget comparisons
-// between the schemes honest.
+// records live in the metadata journal: log-structured translation
+// blocks where each writeback appends the group's whole record, packed
+// back to back with other groups' records, and journal GC re-appends a
+// victim block's live records. The device sizes the journal
+// (ConfigureJournal) before anything is persisted. The learned table's
+// whole point is being small (Figures 15/19), so it usually stays fully
+// DRAM-resident and translations cost no flash accesses. When the byte
+// budget binds (SetBudget > 0), the pager demand-pages groups to flash
+// translation pages: lookups and commits touching a non-resident group
+// charge the reads of the pages its record spans, exactly like DFTL's
+// cached mapping table — which makes DRAM-budget comparisons between the
+// schemes honest.
 //
 // The table compacts itself as it is written (core's per-group rebuild
 // triggers, §3.7). The scheme's periodic maintenance (every CompactEvery
 // host page writes) sweeps the groups still under their triggers as a
 // backstop and writes every dirty group back to flash translation blocks
 // (§3.8), at every budget: recovery restores those records and re-learns
-// only the rest. Dirty evictions write back too, and every writeback is
-// charged as translation-page writes.
+// only the rest. Dirty evictions write back too, and every translation
+// page a writeback fills is charged as a translation-page write.
 package leaftl
 
 import (
@@ -42,16 +47,10 @@ func WithCompactEvery(n uint64) Option {
 // bench/ passes it.
 func WithAutoTune(float64) Option { return func(*Scheme) {} }
 
-// WithJournal switches metadata persistence to the metadata journal:
-// dirty evictions append the group's whole record, packed back to back
-// with other groups' records into dedicated translation blocks; each
-// append supersedes the group's previous record, a demand load reads
-// that one record, and journal GC re-appends a victim block's live
-// records. Off, the scheme is bit-identical to the image-per-page
-// writeback path.
-func WithJournal() Option {
-	return func(s *Scheme) { s.journal = true }
-}
+// WithJournal does nothing: every scheme persists its groups through the
+// metadata journal. It stays because the benchmark under bench/ passes
+// it.
+func WithJournal() Option { return func(*Scheme) {} }
 
 // WithExactBitmap turns on verify-at-learn and GC-time relearning
 // (after LearnedFTL, arXiv:2303.13226, whose per-group accuracy bitmap
@@ -76,9 +75,6 @@ type Scheme struct {
 
 	// Verify-at-learn + GC relearning (WithExactBitmap).
 	verify bool
-
-	// Metadata journal persistence (WithJournal).
-	journal bool
 
 	// Stats accumulated for the evaluation figures.
 	lookups    uint64
@@ -111,9 +107,6 @@ func New(gamma, pageSize int, opts ...Option) *Scheme {
 	if s.verify {
 		s.table.EnableVerifyAtLearn()
 		s.name += "+bitmap"
-	}
-	if s.journal {
-		s.pager.EnableJournal()
 	}
 	return s
 }
@@ -315,9 +308,6 @@ func (s *Scheme) AuditExact(truth func(addr.LPA) (addr.PPA, bool)) error {
 	return s.table.AuditExact(truth)
 }
 
-// JournalEnabled implements ftl.Journaled.
-func (s *Scheme) JournalEnabled() bool { return s.journal }
-
 // ConfigureJournal implements ftl.Journaled: the device hands over its
 // flash geometry and the translation-footprint cap carved out of
 // over-provisioning.
@@ -343,7 +333,7 @@ func (s *Scheme) PersistedGroups() map[addr.GroupID][]byte {
 }
 
 // RestoreGroups implements ftl.GroupPaged: recovery seeds the GMD with
-// the images that survived on flash; the groups demand-load later.
+// the records that survived on flash; the groups demand-load later.
 func (s *Scheme) RestoreGroups(images map[addr.GroupID][]byte) error {
 	return s.pager.RestoreGroups(images)
 }

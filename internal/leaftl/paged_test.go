@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/ftl"
 )
 
 // TestBudgetPropertyRandomWorkloads is the budget-enforcement property
@@ -18,7 +19,7 @@ func TestBudgetPropertyRandomWorkloads(t *testing.T) {
 		t.Run(fmt.Sprintf("plain/trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial*10 + 5)))
 			gamma := rng.Intn(5)
-			ref, bud := New(gamma, 4096), New(gamma, 4096)
+			ref, bud := newScheme(gamma, 4096), newScheme(gamma, 4096)
 
 			logical := 48 * 256
 			var ppa addr.PPA
@@ -101,10 +102,12 @@ func TestBudgetPropertyRandomWorkloads(t *testing.T) {
 // are all loaded before the one table call, and the budget is enforced
 // once after it. A batch whose groups together exceed the budget still
 // commits, ends within the budget, and charges the same translation-page
-// reads as committing its groups one by one.
+// reads as committing its groups one by one. Its translation pages are
+// smaller than any group's record, so every paged-out group's record
+// fills a page its load reads.
 func TestCommitPagedBatch(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
-		ref, batched, single := New(4, 4096), New(4, 4096), New(4, 4096)
+		ref, batched, single := newScheme(4, 16), newScheme(4, 16), newScheme(4, 16)
 		commit := func(pairs []addr.Mapping) {
 			ref.Commit(pairs)
 			batched.Commit(pairs)
@@ -163,44 +166,49 @@ func TestCommitPagedBatch(t *testing.T) {
 }
 
 // TestPagedMaintainChargesDirtyGroupsOnly pins Maintain's one
-// persistence model: at any budget, bound or not, the first tick writes
-// every dirty group back, an immediately repeated tick writes nothing,
-// and a tick after touching one group rewrites only that group's
-// translation page.
+// persistence model: at any budget, bound or not, the first tick appends
+// every dirty group's record to the journal, an immediately repeated tick
+// appends and writes nothing, and a tick after touching one group
+// appends only that group's record.
 func TestPagedMaintainChargesDirtyGroupsOnly(t *testing.T) {
-	unbound := New(0, 4096, WithCompactEvery(1))
+	// appends runs one Maintain tick and returns the records it appended.
+	appends := func(s *Scheme, hostWrites uint64) (ftl.Cost, uint64) {
+		before := s.JournalStats().Appends
+		cost := s.Maintain(hostWrites)
+		return cost, s.JournalStats().Appends - before
+	}
+	unbound := newScheme(0, 4096, WithCompactEvery(1))
 	unbound.SetBudget(1 << 30)
 	for b := 0; b < 4; b++ {
 		unbound.Commit(seq(addr.LPA(b*256), addr.PPA(b*256), 256))
 	}
-	if first := unbound.Maintain(10); first.MetaWrites != 4 {
-		t.Fatalf("unbound budget: first tick wrote %d pages; want one per dirty group (4)", first.MetaWrites)
+	if _, n := appends(unbound, 10); n != 4 {
+		t.Fatalf("unbound budget: first tick appended %d records; want one per dirty group (4)", n)
 	}
-	if again := unbound.Maintain(20); again.MetaWrites != 0 {
-		t.Fatalf("unbound budget: idle tick rewrote %d pages", again.MetaWrites)
+	if again, n := appends(unbound, 20); again.MetaWrites != 0 || n != 0 {
+		t.Fatalf("unbound budget: idle tick rewrote %d pages, appended %d records", again.MetaWrites, n)
 	}
 	if unbound.TranslationPages() == 0 || len(unbound.PersistedGroups()) != 4 {
 		t.Fatalf("unbound budget: %d translation pages, %d persisted groups after the writeback",
 			unbound.TranslationPages(), len(unbound.PersistedGroups()))
 	}
 
-	s := New(0, 4096, WithCompactEvery(1))
+	s := newScheme(0, 4096, WithCompactEvery(1))
 	for b := 0; b < 8; b++ {
 		s.Commit(seq(addr.LPA(b*256), addr.PPA(b*256), 256))
 	}
 	s.SetBudget(s.MemoryBytes() / 2) // binds: evicts immediately, paging on
-	first := s.Maintain(10)
-	if first.MetaWrites < 2 {
-		t.Fatalf("first pressured tick persisted %d pages; want every dirty resident group", first.MetaWrites)
+	_, first := appends(s, 10)
+	if first < 2 {
+		t.Fatalf("first pressured tick appended %d records; want every dirty resident group", first)
 	}
-	if again := s.Maintain(20); again.MetaWrites != 0 {
-		t.Fatalf("idle maintenance tick rewrote %d pages", again.MetaWrites)
+	if again, n := appends(s, 20); again.MetaWrites != 0 || n != 0 {
+		t.Fatalf("idle maintenance tick rewrote %d pages, appended %d records", again.MetaWrites, n)
 	}
 	s.Commit(seq(3*256, 90000, 4))
-	after := s.Maintain(30)
-	if after.MetaWrites == 0 || after.MetaWrites >= first.MetaWrites {
-		t.Fatalf("dirty-group persistence wrote %d pages (first tick wrote %d)",
-			after.MetaWrites, first.MetaWrites)
+	if _, after := appends(s, 30); after != 1 {
+		t.Fatalf("dirty-group persistence appended %d records (first tick appended %d); want the one touched group's",
+			after, first)
 	}
 	if s.TranslationPages() == 0 {
 		t.Fatal("no translation pages after persistence")
@@ -213,7 +221,7 @@ func TestPagedMaintainChargesDirtyGroupsOnly(t *testing.T) {
 // exactly like the original, and one restored under a tighter budget
 // demand-loads within it.
 func TestPagedGroupsRestore(t *testing.T) {
-	s := New(4, 4096, WithCompactEvery(1))
+	s := newScheme(4, 4096, WithCompactEvery(1))
 	for b := 0; b < 8; b++ {
 		s.Commit(seq(addr.LPA(b*256), addr.PPA(b*256), 256))
 	}
@@ -230,11 +238,11 @@ func TestPagedGroupsRestore(t *testing.T) {
 		t.Fatalf("%d groups persisted, want 8", len(images))
 	}
 
-	fresh := New(4, 4096)
+	fresh := newScheme(4, 4096)
 	if err := fresh.RestoreGroups(images); err != nil {
 		t.Fatal(err)
 	}
-	budgeted := New(4, 4096)
+	budgeted := newScheme(4, 4096)
 	budgeted.SetBudget(full / 8)
 	if err := budgeted.RestoreGroups(s.PersistedGroups()); err != nil { // a pager owns what it restores
 		t.Fatal(err)
@@ -261,50 +269,39 @@ func TestPagedGroupsRestore(t *testing.T) {
 // with nothing written in between, a second and a third maintenance
 // round rewrite no translation page and append nothing to the journal —
 // even for groups that rest more than one level deep, which the sweep
-// used to report as changed every round (the full-image path rewrote
-// them every interval; the journal only hid it by dropping identical
-// images).
+// used to report as changed every round.
 func TestIdleMaintainPersistsNothing(t *testing.T) {
-	for _, journal := range []bool{false, true} {
-		t.Run(fmt.Sprintf("plain/journal=%v", journal), func(t *testing.T) {
-			opts := []Option{WithCompactEvery(1)}
-			if journal {
-				opts = append(opts, WithJournal())
-			}
-			s := New(4, 4096, opts...)
-			s.ConfigureJournal(64, 4096)
-			// Sequential groups under partial overwrites: every group
-			// ends up layered (a long run below, short runs above),
-			// which is exactly what a sweep leaves as it is.
-			ppa := addr.PPA(0)
-			for b := 0; b < 8; b++ {
-				s.Commit(seq(addr.LPA(b*256), ppa, 256))
-				ppa += 256
-			}
-			for b := 0; b < 8; b++ {
-				for _, off := range []int{10, 90, 170} {
-					s.Commit(seq(addr.LPA(b*256+off), ppa, 20))
-					ppa += 20
-				}
-			}
-			s.SetBudget(s.MemoryBytes() * 3 / 4) // binds: paging on
-			first := s.Maintain(10)
-			before := s.JournalStats()
-			if first.MetaWrites == 0 && before.Appends == 0 {
-				t.Fatal("first pressured round persisted nothing")
-			}
-			for round, writes := range []uint64{20, 30} {
-				cost := s.Maintain(writes)
-				after := s.JournalStats()
-				if cost.MetaWrites != 0 || after.Appends != before.Appends {
-					t.Fatalf("idle round %d: %d translation-page writes, journal appends %d -> %d",
-						round, cost.MetaWrites, before.Appends, after.Appends)
-				}
-			}
-			if err := s.CheckMapping(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	s := newScheme(4, 4096, WithCompactEvery(1))
+	// Sequential groups under partial overwrites: every group ends up
+	// layered (a long run below, short runs above), which is exactly what
+	// a sweep leaves as it is.
+	ppa := addr.PPA(0)
+	for b := 0; b < 8; b++ {
+		s.Commit(seq(addr.LPA(b*256), ppa, 256))
+		ppa += 256
+	}
+	for b := 0; b < 8; b++ {
+		for _, off := range []int{10, 90, 170} {
+			s.Commit(seq(addr.LPA(b*256+off), ppa, 20))
+			ppa += 20
+		}
+	}
+	s.SetBudget(s.MemoryBytes() * 3 / 4) // binds: paging on
+	first := s.Maintain(10)
+	before := s.JournalStats()
+	if first.MetaWrites == 0 && before.Appends == 0 {
+		t.Fatal("first pressured round persisted nothing")
+	}
+	for round, writes := range []uint64{20, 30} {
+		cost := s.Maintain(writes)
+		after := s.JournalStats()
+		if cost.MetaWrites != 0 || after.Appends != before.Appends {
+			t.Fatalf("idle round %d: %d translation-page writes, journal appends %d -> %d",
+				round, cost.MetaWrites, before.Appends, after.Appends)
+		}
+	}
+	if err := s.CheckMapping(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -314,44 +311,35 @@ func TestIdleMaintainPersistsNothing(t *testing.T) {
 // overwrite turns layered groups into one sequential run each, so every
 // new record fits the storage of the old one and lands in it.
 func TestPersistedGroupsAreCopies(t *testing.T) {
-	for _, journal := range []bool{false, true} {
-		t.Run(fmt.Sprintf("journal=%v", journal), func(t *testing.T) {
-			opts := []Option{WithCompactEvery(1)}
-			if journal {
-				opts = append(opts, WithJournal())
-			}
-			s := New(4, 4096, opts...)
-			s.ConfigureJournal(64, 4096)
-			ppa := addr.PPA(0)
-			for b := 0; b < 4; b++ {
-				for _, off := range []int{0, 40, 100, 170} {
-					s.Commit(seq(addr.LPA(b*256+off), ppa, 30))
-					ppa += 50
-				}
-			}
-			s.Maintain(10)
-			held := s.PersistedGroups()
-			want := make(map[addr.GroupID]string, len(held))
-			for gid, img := range held {
-				want[gid] = string(img)
-			}
-			if len(want) != 4 {
-				t.Fatalf("%d groups persisted, want 4", len(want))
-			}
-			for b := 0; b < 4; b++ {
-				s.Commit(seq(addr.LPA(b*256), 90000+addr.PPA(b*256), 256))
-			}
-			s.Maintain(20)
-			for gid, img := range s.PersistedGroups() {
-				if string(img) == want[gid] {
-					t.Fatalf("group %d: the overwrite left its record unchanged; nothing to pin", gid)
-				}
-			}
-			for gid, img := range held {
-				if string(img) != want[gid] {
-					t.Fatalf("group %d: a record taken before the writeback changed under its holder", gid)
-				}
-			}
-		})
+	s := newScheme(4, 4096, WithCompactEvery(1))
+	ppa := addr.PPA(0)
+	for b := 0; b < 4; b++ {
+		for _, off := range []int{0, 40, 100, 170} {
+			s.Commit(seq(addr.LPA(b*256+off), ppa, 30))
+			ppa += 50
+		}
+	}
+	s.Maintain(10)
+	held := s.PersistedGroups()
+	want := make(map[addr.GroupID]string, len(held))
+	for gid, img := range held {
+		want[gid] = string(img)
+	}
+	if len(want) != 4 {
+		t.Fatalf("%d groups persisted, want 4", len(want))
+	}
+	for b := 0; b < 4; b++ {
+		s.Commit(seq(addr.LPA(b*256), 90000+addr.PPA(b*256), 256))
+	}
+	s.Maintain(20)
+	for gid, img := range s.PersistedGroups() {
+		if string(img) == want[gid] {
+			t.Fatalf("group %d: the overwrite left its record unchanged; nothing to pin", gid)
+		}
+	}
+	for gid, img := range held {
+		if string(img) != want[gid] {
+			t.Fatalf("group %d: a record taken before the writeback changed under its holder", gid)
+		}
 	}
 }

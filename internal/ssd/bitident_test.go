@@ -73,16 +73,6 @@ type sansBitmap struct {
 	journalHook
 }
 
-// sansJournal is a LeaFTL scheme as the device saw it before the
-// mapping-delta journal existed: demand paging (ftl.GroupPaged) without
-// ftl.Journaled or the journal crash hook.
-type sansJournal struct {
-	ftl.GroupPaged // Scheme + paging
-	errorBound
-	ftl.GCRelearner
-	ftl.ExactAuditor
-}
-
 // requireSameDevice fails unless a and b ended in bit-identical state
 // with identical counters (simulated durations included: both runs share
 // one clock) and identical latency distributions.

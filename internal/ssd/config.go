@@ -87,11 +87,11 @@ type Config struct {
 	ScrubRetentionAge time.Duration
 
 	// JournalPages caps the metadata journal's flash footprint, in
-	// pages, when the scheme journals metadata (ftl.Journaled with the
-	// journal enabled). Crossing the cap triggers journal GC: the lowest-
-	// live-record translation block is reclaimed by re-appending its
-	// live records at the log head. 0 sizes the journal to half the
-	// over-provisioned capacity.
+	// pages, when the scheme journals metadata (ftl.Journaled; every
+	// LeaFTL scheme does). Crossing the cap triggers journal GC: the
+	// lowest-live-record translation block is reclaimed by re-appending
+	// its live records at the log head. 0 sizes the journal to half the
+	// over-provisioned capacity, but at least one translation block.
 	JournalPages int
 }
 

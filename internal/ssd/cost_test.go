@@ -81,7 +81,7 @@ func TestCostNamesEveryMetaOp(t *testing.T) {
 		"DFTL": func(a *costAudit) ftl.Scheme { return auditedDFTL{dftl.New(cfg.Flash.PageSize, 1<<20), a} },
 		"SFTL": func(a *costAudit) ftl.Scheme { return auditedSFTL{sftl.New(cfg.Flash.PageSize, 1<<20), a} },
 		"LeaFTL full": func(a *costAudit) ftl.Scheme {
-			return auditedLeaFTL{journalChurnScheme(cfg, leaftl.WithJournal(), leaftl.WithExactBitmap()), a}
+			return auditedLeaFTL{journalChurnScheme(cfg, leaftl.WithExactBitmap()), a}
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -196,19 +196,21 @@ func schemeCaps(scheme ftl.Scheme) (gamma int, runHint interface{ ExpectRun(addr
 
 // wireJournal sizes a journaling scheme's metadata journal from the
 // flash geometry — the footprint cap defaults to half the over-provisioned
-// capacity, matching where full-image translation pages live — and routes
-// its crash hooks through the device's crash-point machinery so torture
-// tests can kill the device mid-journal-GC.
+// capacity, where translation blocks live, but at least one block, so a
+// device with next to no over-provisioning still has a journal
+// (CheckInvariants reports a record persisted beyond that capacity) —
+// and routes its crash hooks through the device's crash-point machinery
+// so torture tests can kill the device mid-journal-GC.
 func (d *Device) wireJournal(scheme ftl.Scheme) {
 	j, ok := scheme.(ftl.Journaled)
-	if !ok || !j.JournalEnabled() {
+	if !ok {
 		return
 	}
-	maxPages := d.cfg.JournalPages
+	ppb, maxPages := d.cfg.Flash.PagesPerBlock, d.cfg.JournalPages
 	if maxPages <= 0 {
-		maxPages = (d.cfg.Flash.TotalPages() - d.logicalPages) / 2
+		maxPages = max((d.cfg.Flash.TotalPages()-d.logicalPages)/2, ppb)
 	}
-	j.ConfigureJournal(d.cfg.Flash.PagesPerBlock, maxPages)
+	j.ConfigureJournal(ppb, maxPages)
 	if h, ok := scheme.(interface{ SetJournalCrashHook(func(string)) }); ok {
 		h.SetJournalCrashHook(func(point string) { d.crashPoint(point) })
 	}

@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"leaftl/internal/addr"
+	"leaftl/internal/flash"
 	"leaftl/internal/ftl"
 	"leaftl/internal/leaftl"
 )
 
 // journalChurn ages a budgeted device (journalChurnConfig) into
 // steady-state demand paging: warm half the logical space, then churn a
-// hot region so dirty evictions — the metadata-persistence path the
-// journal replaces — run throughout. The op mix mirrors
+// hot region so dirty evictions — the journal's appends — run
+// throughout. The op mix mirrors
 // churnBitIdentity's but under a budget, so MetaWrites are dominated by
 // writebacks rather than maintenance sweeps.
 func journalChurn(t *testing.T, d *Device) {
@@ -65,9 +66,8 @@ func journalChurn(t *testing.T, d *Device) {
 	}
 }
 
-// journalChurnScheme builds the scheme of the journal bit-identity
-// tests: γ=8 LeaFTL, compaction every 400 commits, plus any caller
-// options (the journal toggle under test).
+// journalChurnScheme builds the scheme of the budgeted churn tests: γ=8
+// LeaFTL, compaction every 400 commits, plus any caller options.
 func journalChurnScheme(cfg Config, opts ...leaftl.Option) *leaftl.Scheme {
 	base := []leaftl.Option{leaftl.WithCompactEvery(400)}
 	return leaftl.New(8, cfg.Flash.PageSize, append(base, opts...)...)
@@ -84,59 +84,6 @@ func journalChurnDevice(t *testing.T, opts ...leaftl.Option) *Device {
 	return newTestDevice(t, cfg, journalChurnScheme(cfg, opts...))
 }
 
-// TestJournalOffBitIdentity pins the journal-off metadata path to the
-// pre-journal behavior: with the option absent the pager must write full
-// group images exactly as a scheme that has no journal capability at
-// all. The budgeted churn runs on the scheme as built and behind
-// sansJournal (demand paging without ftl.Journaled); the two devices
-// must match bit for bit, and the off run must really have paged.
-func TestJournalOffBitIdentity(t *testing.T) {
-	off := journalChurnDevice(t)
-	journalChurn(t, off)
-	cfg := journalChurnConfig()
-	s := journalChurnScheme(cfg)
-	absent := newTestDevice(t, cfg, sansJournal{s, s, s, s})
-	journalChurn(t, absent)
-	requireSameDevice(t, "journal off vs journal absent", off, absent)
-
-	st := off.Stats()
-	if st.MetaReads == 0 || st.MetaWrites == 0 || st.GCErases == 0 {
-		t.Fatalf("scenario too shallow to pin anything (no paging or no GC): %+v", st)
-	}
-	if js := off.Scheme().(ftl.Journaled).JournalStats(); js != (ftl.JournalStats{}) {
-		t.Errorf("journal off, yet its counters moved: %+v", js)
-	}
-}
-
-// TestJournalDigestEquality runs the budgeted churn with the journal on
-// and off and demands identical device state digests: journaling changes
-// how metadata persistence is charged (records packed into shared
-// translation pages instead of an image's own pages), never what any
-// mapping resolves to. The journaled run must also actually journal:
-// nonzero appends and a nonzero footprint.
-func TestJournalDigestEquality(t *testing.T) {
-	off := journalChurnDevice(t)
-	journalChurn(t, off)
-	on := journalChurnDevice(t, leaftl.WithJournal())
-	journalChurn(t, on)
-
-	if got, want := on.StateDigest(), off.StateDigest(); got != want {
-		t.Errorf("journal-on digest %#x != journal-off digest %#x", got, want)
-	}
-
-	j, ok := on.Scheme().(ftl.Journaled)
-	if !ok || !j.JournalEnabled() {
-		t.Fatal("journal option did not enable the journal")
-	}
-	js := j.JournalStats()
-	if js.Appends == 0 {
-		t.Error("journaled churn appended no records")
-	}
-	if js.Pages == 0 || js.Blocks == 0 {
-		t.Errorf("journal reports empty footprint (%d pages, %d blocks) after churn", js.Pages, js.Blocks)
-	}
-}
-
 // TestDeviceParallelCommitMatchesSerial runs the budgeted, journaled,
 // verify-at-learn churn — flushes, GC relocation and demand paging in a 48 B
 // pool — once with GOMAXPROCS = 1, where the learned table
@@ -146,7 +93,7 @@ func TestJournalDigestEquality(t *testing.T) {
 func TestDeviceParallelCommitMatchesSerial(t *testing.T) {
 	run := func(procs int) *Device {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		d := journalChurnDevice(t, leaftl.WithJournal(), leaftl.WithExactBitmap())
+		d := journalChurnDevice(t, leaftl.WithExactBitmap())
 		journalChurn(t, d)
 		return d
 	}
@@ -163,7 +110,7 @@ func TestDeviceParallelCommitMatchesSerial(t *testing.T) {
 
 // TestJournalGCCrashRecovery kills the device inside journal GC, as it
 // is about to re-append a victim block's live record and before the
-// block is erased, then recovers into a fresh journaled scheme and
+// block is erased, then recovers into a fresh scheme and
 // differentially verifies every surviving mapping. The
 // journal cap is squeezed to a single translation block so spilling into
 // a second block forces GC quickly.
@@ -171,7 +118,7 @@ func TestJournalGCCrashRecovery(t *testing.T) {
 	cfg := budgetedConfig(48)
 	cfg.JournalPages = cfg.Flash.PagesPerBlock
 	newScheme := func() ftl.Scheme {
-		return leaftl.New(8, cfg.Flash.PageSize, leaftl.WithCompactEvery(400), leaftl.WithJournal())
+		return leaftl.New(8, cfg.Flash.PageSize, leaftl.WithCompactEvery(400))
 	}
 	d := newTestDevice(t, cfg, newScheme())
 	rng := seededRand(t, 4477)
@@ -242,4 +189,56 @@ func TestJournalGCCrashRecovery(t *testing.T) {
 	}
 	t.Logf("crashed at %q, restored %d groups, re-learned %d mappings",
 		crashed, rep.GroupsRestored, rep.MappingsRebuilt)
+}
+
+// TestJournalSpreadsTranslationPages pins where LeaFTL's translation
+// pages land. The device routes a page to die id mod channels, and the
+// journal numbers its pages in log order, so the pages a scheme writes
+// back and demand-loads over many maintenance rounds spread over the
+// dies instead of queueing on one.
+func TestJournalSpreadsTranslationPages(t *testing.T) {
+	const groups, rounds = 64, 20
+	dies := uint64(flash.SimulatorDefaults().Channels)
+	s := leaftl.New(4, 4096, leaftl.WithCompactEvery(1))
+	s.ConfigureJournal(256, 1<<20)
+	rng := seededRand(t, 64)
+	ppa := addr.PPA(0)
+	// commit writes every stride-th LPA of group g from offset off.
+	commit := func(g, off, stride int) ftl.Cost {
+		var pairs []addr.Mapping
+		for l := off; l < addr.GroupSize; l += stride {
+			pairs = append(pairs, addr.Mapping{LPA: addr.LPA(g*addr.GroupSize + l), PPA: ppa})
+			ppa += addr.PPA(1 + rng.Intn(3))
+		}
+		return s.Commit(pairs)
+	}
+	for g := 0; g < groups; g++ {
+		commit(g, 0, 1)
+	}
+	s.SetBudget(s.MemoryBytes() / 2)
+
+	written, read := map[uint64]int{}, map[uint64]int{}
+	tally := func(c ftl.Cost) {
+		for _, id := range c.WriteIDs {
+			written[id%dies]++
+		}
+		for _, id := range c.ReadIDs {
+			read[id%dies]++
+		}
+	}
+	for round := 1; round <= rounds; round++ {
+		for i := 0; i < 16; i++ {
+			tally(commit(rng.Intn(groups), rng.Intn(16), 2+rng.Intn(14)))
+			tr, _ := s.Translate(addr.LPA(rng.Intn(groups * addr.GroupSize)))
+			tally(tr.Cost)
+		}
+		tally(s.Maintain(uint64(round)))
+	}
+	if len(written) < int(dies)/2 || len(read) < int(dies)/2 {
+		t.Errorf("translation-page writes fell on %d of %d dies (%v), reads on %d (%v); want at least %d each",
+			len(written), dies, written, len(read), read, dies/2)
+	}
+	if err := s.CheckMapping(); err != nil {
+		t.Fatal(err)
+	}
 }

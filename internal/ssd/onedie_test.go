@@ -132,11 +132,11 @@ func TestOneDieStatePinned(t *testing.T) {
 	}
 }
 
-const oneDieStatePin = `digest 2a8eb2f31dcb06d5 now 16.963906s
-device HostReadReqs=7680 HostWriteReqs=12320 HostPagesRead=7680 HostPagesWrite=55416 BufferHits=232 CacheHits=943 CacheMisses=6505 MetaWrites=324 Mispredictions=1364 ApproxReads=2164 OOBFallbacks=15 MissFallbacks=1363 DoubleReads=1363 FlushedBlocks=841 GCRuns=112 GCPagesMoved=82683 GCErases=2076 GCTime=7.65798s GCStall=6.22438s
-flash PageReads=90570 PageWrites=136815 BlockErases=2076
-read n=7680 mean=117.378µs p50=19.573µs p95=431.933µs p99=1.271061ms p999=2.673519ms peak=3.639ms
-write n=12320 mean=1.303769ms p50=1µs p95=11.828145ms p99=12.710617ms p999=86.596432ms peak=97.703ms
+const oneDieStatePin = `digest 2a8eb2f31dcb06d5 now 16.959786s
+device HostReadReqs=7680 HostWriteReqs=12320 HostPagesRead=7680 HostPagesWrite=55416 BufferHits=232 CacheHits=943 CacheMisses=6505 MetaWrites=47 Mispredictions=1364 ApproxReads=2164 OOBFallbacks=15 MissFallbacks=1363 DoubleReads=1363 FlushedBlocks=841 GCRuns=112 GCPagesMoved=82683 GCErases=2076 GCTime=7.65366s GCStall=6.21966s
+flash PageReads=90570 PageWrites=136538 BlockErases=2076
+read n=7680 mean=116.724µs p50=19.573µs p95=431.933µs p99=1.271061ms p999=2.673519ms peak=3.639ms
+write n=12320 mean=1.303842ms p50=1µs p95=11.828145ms p99=12.710617ms p999=86.596432ms peak=97.703ms
 `
 
 const oneDieTimingPin = `digest 0a4bde75b6cf9728 now 10.681733s

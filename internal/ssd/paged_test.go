@@ -187,8 +187,7 @@ func TestPagedRecoveryRestoresGMD(t *testing.T) {
 func TestAgedRandWriteMapBounded(t *testing.T) {
 	cfg := budgetedConfig(2856)
 	mk := func() *leaftl.Scheme {
-		return leaftl.New(4, cfg.Flash.PageSize, leaftl.WithJournal(), leaftl.WithExactBitmap(),
-			leaftl.WithCompactEvery(2000))
+		return leaftl.New(4, cfg.Flash.PageSize, leaftl.WithExactBitmap(), leaftl.WithCompactEvery(2000))
 	}
 	d := newTestDevice(t, cfg, mk())
 	logical := d.LogicalPages()
@@ -305,40 +304,34 @@ func (c corruptImages) PersistedGroups() map[addr.GroupID][]byte {
 }
 
 // TestRecoverRejectsCorruptGroupImage: recovery checks every persisted
-// group image it restores, with and without the journal, so an image
-// whose segment runs past its group fails Recover with an error instead
-// of a panic once a later commit rebuilds the group.
+// group record it restores, so a record whose segment runs past its
+// group fails Recover with an error instead of a panic once a later
+// commit rebuilds the group.
 func TestRecoverRejectsCorruptGroupImage(t *testing.T) {
-	for _, journal := range []bool{false, true} {
-		cfg := budgetedConfig(48)
-		mk := func() *leaftl.Scheme {
-			opts := []leaftl.Option{leaftl.WithCompactEvery(500)}
-			if journal {
-				opts = append(opts, leaftl.WithJournal())
-			}
-			return leaftl.New(4, cfg.Flash.PageSize, opts...)
-		}
-		d := newTestDevice(t, cfg, corruptImages{mk()})
-		logical := d.LogicalPages()
-		for lpa := 0; lpa+8 <= logical/2; lpa += 8 {
-			if _, err := d.Write(addr.LPA(lpa), 8); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rng := seededRand(t, 21)
-		for op := 0; op < 3000; op++ {
-			if _, err := d.Write(addr.LPA(rng.Intn(logical/2)), 1+rng.Intn(4)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := d.Flush(); err != nil {
+	cfg := budgetedConfig(48)
+	mk := func() *leaftl.Scheme {
+		return leaftl.New(4, cfg.Flash.PageSize, leaftl.WithCompactEvery(500))
+	}
+	d := newTestDevice(t, cfg, corruptImages{mk()})
+	logical := d.LogicalPages()
+	for lpa := 0; lpa+8 <= logical/2; lpa += 8 {
+		if _, err := d.Write(addr.LPA(lpa), 8); err != nil {
 			t.Fatal(err)
 		}
-		if len(d.Scheme().(ftl.GroupPaged).PersistedGroups()) == 0 {
-			t.Fatalf("journal=%v: no persisted groups before the crash", journal)
+	}
+	rng := seededRand(t, 21)
+	for op := 0; op < 3000; op++ {
+		if _, err := d.Write(addr.LPA(rng.Intn(logical/2)), 1+rng.Intn(4)); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := d.Recover(mk()); err == nil || !strings.Contains(err.Error(), "runs past its group") {
-			t.Errorf("journal=%v: Recover returned %v, want the corrupt image rejected", journal, err)
-		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Scheme().(ftl.GroupPaged).PersistedGroups()) == 0 {
+		t.Fatal("no persisted groups before the crash")
+	}
+	if _, err := d.Recover(mk()); err == nil || !strings.Contains(err.Error(), "runs past its group") {
+		t.Errorf("Recover returned %v, want the corrupt record rejected", err)
 	}
 }

@@ -107,7 +107,7 @@ func runHintChurn(t *testing.T, d *Device) (crossing int) {
 // mapping, counters and latency distributions.
 func TestRunHintChangesNothing(t *testing.T) {
 	presets := map[string][]leaftl.Option{
-		"full":  {leaftl.WithJournal(), leaftl.WithExactBitmap()},
+		"full":  {leaftl.WithExactBitmap()},
 		"paper": nil,
 	}
 	for _, name := range []string{"full", "paper"} {
