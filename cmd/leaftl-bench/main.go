@@ -41,7 +41,7 @@ func main() {
 	speedup := flag.String("speedup", "", "-cells mode: comma-separated divisors of recorded inter-arrival times (default 1)")
 	torture := flag.Bool("torture", false, "reliability mode: seeded crash-torture matrix + fault-injection sweep (skips figures)")
 	crashPoints := flag.Int("crash-points", 0, "-torture mode: crashes injected per matrix cell (0 = default 5)")
-	faultRBER := flag.String("fault-rber", "", "-torture mode: comma-separated base RBERs for the fault sweep (default: 1e-7,1e-5,5e-5,1e-4,5e-4)")
+	faultRBER := flag.String("fault-rber", "", "-torture mode: comma-separated base RBERs for the fault sweep (default: 1e-7,1e-5,5e-5,1e-4,3e-4,5e-4)")
 	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 

@@ -262,10 +262,10 @@ const (
 )
 
 func (s FaultSweepSpec) withDefaults() FaultSweepSpec {
-	// 1e-7 healthy, 1e-4 badly aged, 5e-4 end of life (retention
-	// pushes pages past soft-decode range; expect host UECCs and
-	// grown bad blocks).
-	s.RBERs = orDefault(s.RBERs, 1e-7, 1e-5, 5e-5, 1e-4, 5e-4)
+	// 1e-7 healthy, 1e-4 badly aged, 3e-4 failing (some reads fail to
+	// the host, most do not), 5e-4 end of life (retention pushes pages
+	// past soft-decode range; every read fails and blocks go bad).
+	s.RBERs = orDefault(s.RBERs, 1e-7, 1e-5, 5e-5, 1e-4, 3e-4, 5e-4)
 	if s.Gamma == 0 {
 		s.Gamma = 8
 	}
