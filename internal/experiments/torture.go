@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"leaftl/internal/flash"
@@ -362,7 +363,7 @@ func (s *Suite) FaultSweep(spec FaultSweepSpec) ([]FaultRun, Table, error) {
 	}
 	for _, r := range runs {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0e", r.RBER),
+			strconv.FormatFloat(r.RBER, 'e', -1, 64),
 			fmt.Sprintf("%d", r.Flash.CorrectedReads),
 			fmt.Sprintf("%d", r.Flash.ECCRetries),
 			fmt.Sprintf("%d", r.Flash.DataUECC),

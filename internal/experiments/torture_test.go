@@ -125,22 +125,28 @@ func TestCrashVerifyRejects(t *testing.T) {
 	}
 }
 
-// TestFaultSweep checks the aged-device reliability sweep end to end at
-// two RBER points: a healthy drive corrects nothing and loses nothing; a
-// dying one shows ECC/scrub/retirement activity without ever returning
-// an untyped error (the sweep itself fails on any).
+// TestFaultSweep checks the aged-device reliability sweep end to end: a
+// healthy drive corrects nothing and loses nothing; a dying one shows
+// ECC/scrub/retirement activity without ever returning an untyped error
+// (the sweep itself fails on any). A third rung close to the dying one
+// must keep a row label of its own.
 func TestFaultSweep(t *testing.T) {
 	const seed = 3
 	s := NewSuite(MicroScale(), seed)
 	// Micro traces advance the clock only ~14s at the default AgeStep;
 	// age faster so the retention-scrub threshold actually trips.
-	runs, table, err := s.FaultSweep(FaultSweepSpec{RBERs: []float64{1e-7, 1e-4}, AgeStep: 8 * time.Second})
+	runs, table, err := s.FaultSweep(FaultSweepSpec{RBERs: []float64{1e-7, 1e-4, 1.5e-4}, AgeStep: 8 * time.Second})
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	t.Logf("seed %d:\n%s", seed, table)
-	if len(runs) != 2 {
-		t.Fatalf("seed %d: %d runs, want 2", seed, len(runs))
+	if len(runs) != 3 {
+		t.Fatalf("seed %d: %d runs, want 3", seed, len(runs))
+	}
+	for i, want := range []string{"1e-07", "1e-04", "1.5e-04"} {
+		if got := table.Rows[i][0]; got != want {
+			t.Errorf("row %d labelled %q, want %q", i, got, want)
+		}
 	}
 	healthy, dying := runs[0], runs[1]
 	if healthy.HostUECCs != 0 {
