@@ -55,14 +55,6 @@ func newTimeline(limit int) timeline {
 	return timeline{buf: buf, spans: buf[:0], limit: limit}
 }
 
-// busyUntil returns the end of the last thing booked.
-func (tl *timeline) busyUntil() time.Duration {
-	if n := len(tl.spans); n > 0 {
-		return tl.spans[n-1].end
-	}
-	return tl.floor
-}
-
 // trim retires the oldest spans beyond the limit and leaves room for
 // the two spans an operation may add. Retiring slides the window along
 // buf; only when it reaches the end are the live spans moved back to the
@@ -145,7 +137,7 @@ func (tl *timeline) settle(i int) {
 
 // book places a program or erase in the earliest idle gap at or after
 // now that fits it whole. With nothing booked ahead that is the plain
-// queue: max(now, busyUntil) + latency.
+// queue: max(now, end of the last span) + latency.
 func (tl *timeline) book(now, latency time.Duration, kind spanKind) time.Duration {
 	tl.trim()
 	t := max(now, tl.floor)

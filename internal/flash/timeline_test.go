@@ -12,6 +12,14 @@ const (
 	tlE = 1500 * time.Microsecond
 )
 
+// busyUntil returns the end of the last thing booked.
+func (tl *timeline) busyUntil() time.Duration {
+	if n := len(tl.spans); n > 0 {
+		return tl.spans[n-1].end
+	}
+	return tl.floor
+}
+
 // TestTimelineBookFirstFit pins book: the earliest gap at or after now
 // that fits, the plain queue when nothing is booked ahead, and merging
 // of touching spans of one kind.

@@ -83,16 +83,6 @@ func (s Stats) WAF(flashPageWrites uint64) float64 {
 	return float64(flashPageWrites) / float64(s.HostPagesWrite)
 }
 
-// CacheHitRatio returns the fraction of host page reads served from
-// DRAM (buffer or data cache).
-func (s Stats) CacheHitRatio() float64 {
-	total := s.BufferHits + s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.BufferHits+s.CacheHits) / float64(total)
-}
-
 // MispredictionRatio returns mispredictions per host page read
 // (paper Figure 24).
 func (s Stats) MispredictionRatio() float64 {
