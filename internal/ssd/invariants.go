@@ -33,8 +33,8 @@ import (
 //     partially programmed block.
 //   - Write buffer: never exceeds its configured capacity.
 //   - Demand-paged mapping: the scheme's GMD bookkeeping is internally
-//     consistent (under the metadata journal this includes every
-//     block's live count and the journal's footprint cap), its resident
+//     consistent (every metadata-journal block's live count and the
+//     journal's footprint cap included), its resident
 //     state fits the mapping budget, and its translation-block footprint
 //     fits the over-provisioned capacity.
 //   - Learned-table shape (through the same CheckMapping hook): every

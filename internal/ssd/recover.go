@@ -23,13 +23,14 @@ type RecoveryReport struct {
 	// scan (pairs in groups the GMD could not restore).
 	MappingsRebuilt int
 	// GroupsRestored counts segment groups restored directly from their
-	// flash translation-page images via the GMD, skipping re-learning.
+	// persisted records via the GMD, skipping re-learning.
 	GroupsRestored int
 	// MappingsRestored counts live LPAs covered by restored groups.
 	MappingsRestored int
-	// TransPagesRestored counts the flash translation pages the restored
-	// GMD references. They are not read during recovery — restored
-	// groups demand-load on first access, where the reads are charged as
+	// TransPagesRestored is the restored journal's translation
+	// footprint in pages: whole translation blocks, the journal's unit
+	// of allocation. They are not read during recovery — restored groups
+	// demand-load on first access, where the reads are charged as
 	// MetaReads — so restart is O(directory), not O(mapping).
 	TransPagesRestored int
 	// OOBScanErrors counts pages whose own OOB failed to decode during
@@ -49,14 +50,14 @@ type RecoveryReport struct {
 // cache, mapping state, PVT/BVC bitmaps, free pool, victim index, GC
 // lanes and scrub queue — and the firmware rebuilds all of it from
 // what survives on flash: the pages themselves, their OOB reverse
-// mappings and write sequence numbers, the persisted translation-page
-// images the GMD references, and the bad-block table (a reserved flash
+// mappings and write sequence numbers, the group records the GMD places
+// in the metadata journal, and the bad-block table (a reserved flash
 // region on real parts). The crash may have hit mid-flush, mid-GC or
 // mid-metadata-write; the rebuild makes no assumption about where.
 //
 // When both schemes page groups through a Global Mapping Directory
 // (ftl.GroupPaged), recovery first restores the GMD: every group whose
-// translation-page image was current at the crash is revived verbatim
+// persisted record was current at the crash is revived verbatim
 // from flash. Only groups whose latest state existed solely in DRAM are
 // re-learned from the OOB scan. Each page's OOB carries its reverse LPA
 // and a write sequence number, so the newest copy of every LPA wins
@@ -88,9 +89,8 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	d.flushDone = d.now
 	d.gcHorizon = d.now
 
-	// GMD restore: surviving translation-page images short-circuit the
-	// re-learn for their groups. Under the metadata journal each group's
-	// image is its one live journal record.
+	// GMD restore: each surviving group's one live journal record
+	// short-circuits the re-learn for its group.
 	var restored map[addr.GroupID][]byte
 	if oldGP, ok := d.scheme.(ftl.GroupPaged); ok {
 		if freshGP, ok := fresh.(ftl.GroupPaged); ok {
