@@ -63,9 +63,8 @@ type gmdEntry struct {
 
 // Pager demand-pages a table's segment groups against a byte budget.
 type Pager struct {
-	store    *Table
-	pageSize int
-	budget   int // ≤ 0: unlimited (loads still happen for evicted groups)
+	store  *Table
+	budget int // ≤ 0: unlimited (loads still happen for evicted groups)
 
 	gmd  map[addr.GroupID]*gmdEntry
 	ring []addr.GroupID // CLOCK ring over resident groups, insertion order
@@ -112,11 +111,10 @@ func NewPager(store *Table, pageSize int) *Pager {
 	}
 	gmd := make(map[addr.GroupID]*gmdEntry)
 	return &Pager{
-		store:    store,
-		pageSize: pageSize,
-		gmd:      gmd,
-		fast:     true,
-		journal:  newJournal(pageSize, gmd),
+		store:   store,
+		gmd:     gmd,
+		fast:    true,
+		journal: newJournal(pageSize, gmd),
 	}
 }
 
@@ -439,8 +437,8 @@ func (p *Pager) RestoreGroups(images map[addr.GroupID][]byte) error {
 // Check audits the GMD against the store: residency bits, ring
 // membership, dirty bits (a group changed since its last rebuild has not
 // been written back), the journal's accounting (every record's block and
-// every block's live count), and the budget cap. It
-// is the mapping-side leg of the device's CheckInvariants.
+// every block's live count), and the budget cap. It is the mapping-side
+// leg of the device's CheckInvariants.
 func (p *Pager) Check() error {
 	onRing := make(map[addr.GroupID]bool, len(p.ring))
 	for _, gid := range p.ring {
