@@ -13,9 +13,9 @@ import (
 // journalChurn ages a budgeted device (journalChurnConfig) into
 // steady-state demand paging: warm half the logical space, then churn a
 // hot region so dirty evictions — the journal's appends — run
-// throughout. The op mix mirrors
-// churnBitIdentity's but under a budget, so MetaWrites are dominated by
-// writebacks rather than maintenance sweeps.
+// throughout. The op mix mirrors churnBitIdentity's but under a budget,
+// so MetaWrites are dominated by writebacks rather than maintenance
+// sweeps.
 func journalChurn(t *testing.T, d *Device) {
 	t.Helper()
 	rng := seededRand(t, 9021)
