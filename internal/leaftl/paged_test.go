@@ -271,38 +271,42 @@ func TestPagedGroupsRestore(t *testing.T) {
 // even for groups that rest more than one level deep, which the sweep
 // used to report as changed every round.
 func TestIdleMaintainPersistsNothing(t *testing.T) {
-	s := newScheme(4, 4096, WithCompactEvery(1))
-	// Sequential groups under partial overwrites: every group ends up
-	// layered (a long run below, short runs above), which is exactly what
-	// a sweep leaves as it is.
-	ppa := addr.PPA(0)
-	for b := 0; b < 8; b++ {
-		s.Commit(seq(addr.LPA(b*256), ppa, 256))
-		ppa += 256
-	}
-	for b := 0; b < 8; b++ {
-		for _, off := range []int{10, 90, 170} {
-			s.Commit(seq(addr.LPA(b*256+off), ppa, 20))
-			ppa += 20
+	// The journal is the only placement; the subtest keeps the name it had
+	// when the image path ran beside it.
+	t.Run("plain/journal=true", func(t *testing.T) {
+		s := newScheme(4, 4096, WithCompactEvery(1))
+		// Sequential groups under partial overwrites: every group ends up
+		// layered (a long run below, short runs above), which is exactly what
+		// a sweep leaves as it is.
+		ppa := addr.PPA(0)
+		for b := 0; b < 8; b++ {
+			s.Commit(seq(addr.LPA(b*256), ppa, 256))
+			ppa += 256
 		}
-	}
-	s.SetBudget(s.MemoryBytes() * 3 / 4) // binds: paging on
-	first := s.Maintain(10)
-	before := s.JournalStats()
-	if first.MetaWrites == 0 && before.Appends == 0 {
-		t.Fatal("first pressured round persisted nothing")
-	}
-	for round, writes := range []uint64{20, 30} {
-		cost := s.Maintain(writes)
-		after := s.JournalStats()
-		if cost.MetaWrites != 0 || after.Appends != before.Appends {
-			t.Fatalf("idle round %d: %d translation-page writes, journal appends %d -> %d",
-				round, cost.MetaWrites, before.Appends, after.Appends)
+		for b := 0; b < 8; b++ {
+			for _, off := range []int{10, 90, 170} {
+				s.Commit(seq(addr.LPA(b*256+off), ppa, 20))
+				ppa += 20
+			}
 		}
-	}
-	if err := s.CheckMapping(); err != nil {
-		t.Fatal(err)
-	}
+		s.SetBudget(s.MemoryBytes() * 3 / 4) // binds: paging on
+		first := s.Maintain(10)
+		before := s.JournalStats()
+		if first.MetaWrites == 0 && before.Appends == 0 {
+			t.Fatal("first pressured round persisted nothing")
+		}
+		for round, writes := range []uint64{20, 30} {
+			cost := s.Maintain(writes)
+			after := s.JournalStats()
+			if cost.MetaWrites != 0 || after.Appends != before.Appends {
+				t.Fatalf("idle round %d: %d translation-page writes, journal appends %d -> %d",
+					round, cost.MetaWrites, before.Appends, after.Appends)
+			}
+		}
+		if err := s.CheckMapping(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestPersistedGroupsAreCopies pins that PersistedGroups hands out
@@ -311,35 +315,39 @@ func TestIdleMaintainPersistsNothing(t *testing.T) {
 // overwrite turns layered groups into one sequential run each, so every
 // new record fits the storage of the old one and lands in it.
 func TestPersistedGroupsAreCopies(t *testing.T) {
-	s := newScheme(4, 4096, WithCompactEvery(1))
-	ppa := addr.PPA(0)
-	for b := 0; b < 4; b++ {
-		for _, off := range []int{0, 40, 100, 170} {
-			s.Commit(seq(addr.LPA(b*256+off), ppa, 30))
-			ppa += 50
+	// The journal is the only placement; the subtest keeps the name it had
+	// when the image path ran beside it.
+	t.Run("journal=true", func(t *testing.T) {
+		s := newScheme(4, 4096, WithCompactEvery(1))
+		ppa := addr.PPA(0)
+		for b := 0; b < 4; b++ {
+			for _, off := range []int{0, 40, 100, 170} {
+				s.Commit(seq(addr.LPA(b*256+off), ppa, 30))
+				ppa += 50
+			}
 		}
-	}
-	s.Maintain(10)
-	held := s.PersistedGroups()
-	want := make(map[addr.GroupID]string, len(held))
-	for gid, img := range held {
-		want[gid] = string(img)
-	}
-	if len(want) != 4 {
-		t.Fatalf("%d groups persisted, want 4", len(want))
-	}
-	for b := 0; b < 4; b++ {
-		s.Commit(seq(addr.LPA(b*256), 90000+addr.PPA(b*256), 256))
-	}
-	s.Maintain(20)
-	for gid, img := range s.PersistedGroups() {
-		if string(img) == want[gid] {
-			t.Fatalf("group %d: the overwrite left its record unchanged; nothing to pin", gid)
+		s.Maintain(10)
+		held := s.PersistedGroups()
+		want := make(map[addr.GroupID]string, len(held))
+		for gid, img := range held {
+			want[gid] = string(img)
 		}
-	}
-	for gid, img := range held {
-		if string(img) != want[gid] {
-			t.Fatalf("group %d: a record taken before the writeback changed under its holder", gid)
+		if len(want) != 4 {
+			t.Fatalf("%d groups persisted, want 4", len(want))
 		}
-	}
+		for b := 0; b < 4; b++ {
+			s.Commit(seq(addr.LPA(b*256), 90000+addr.PPA(b*256), 256))
+		}
+		s.Maintain(20)
+		for gid, img := range s.PersistedGroups() {
+			if string(img) == want[gid] {
+				t.Fatalf("group %d: the overwrite left its record unchanged; nothing to pin", gid)
+			}
+		}
+		for gid, img := range held {
+			if string(img) != want[gid] {
+				t.Fatalf("group %d: a record taken before the writeback changed under its holder", gid)
+			}
+		}
+	})
 }
