@@ -37,8 +37,10 @@ func BenchmarkLearn256(b *testing.B) {
 	}
 }
 
-// BenchmarkLookup measures one LPA translation — Table 3's "Lookup (per
-// LPA)" row (40.2–67.5ns on an ARM A72).
+// BenchmarkLookup measures one LPA translation by a walk of its group's
+// levels — Table 3's "Lookup (per LPA)" row (40.2–67.5ns on an ARM A72).
+// A read-hot group answers Lookup from its memo instead
+// (BenchmarkLookupAged).
 func BenchmarkLookup(b *testing.B) {
 	for _, gamma := range []int{0, 1, 4} {
 		b.Run(gammaName(gamma), func(b *testing.B) {
@@ -56,15 +58,16 @@ func BenchmarkLookup(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tb.Lookup(lpas[i%len(lpas)])
+				tb.Walk(lpas[i%len(lpas)])
 			}
 		})
 	}
 }
 
 // BenchmarkLookupRun measures translating a 32-LPA window with one
-// LookupRun on BenchmarkLookup's table, and reports the cost per LPA
-// (the window stops early at its group's end).
+// sweep of its group's levels, as LookupRun does in a group without a
+// memo, on BenchmarkLookup's table, and reports the cost per LPA (the
+// window stops early at its group's end).
 func BenchmarkLookupRun(b *testing.B) {
 	for _, gamma := range []int{0, 1, 4} {
 		b.Run(gammaName(gamma), func(b *testing.B) {
@@ -79,11 +82,14 @@ func BenchmarkLookupRun(b *testing.B) {
 			for i := range lpas {
 				lpas[i] = addr.LPA(rng.Intn(64 * 512))
 			}
-			var out [32]Answer
+			var out [32]uint64
 			n := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n += tb.LookupRun(lpas[i%len(lpas)], out[:])
+				l := lpas[i%len(lpas)]
+				w := out[:min(len(out), addr.GroupSize-int(addr.Offset(l)))]
+				tb.sweep(tb.lookupGroup(addr.Group(l)), l, w)
+				n += len(w)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/lpa")
 		})
@@ -239,16 +245,23 @@ func retainedSlots(tb *Table) int {
 	return n
 }
 
-// BenchmarkAgedCommit measures the write path of an aged, verifying γ=4
-// table of 400 groups: one round of 16 overwrite flushes plus a
-// relocation pass per op. It reports ns per committed pair and the host
-// bytes the groups' segment arrays retain per live segment.
-func BenchmarkAgedCommit(b *testing.B) {
+// agedTable returns the aged, verifying γ=4 table of 400 groups the
+// aged benchmarks run on, and its ager.
+func agedTable() (*Table, *ager) {
 	tb := NewTable(4)
 	tb.EnableVerifyAtLearn()
 	a := newAger(5, 400)
 	a.prefill(tb)
 	a.age(tb, 20)
+	return tb, a
+}
+
+// BenchmarkAgedCommit measures the write path of an aged, verifying γ=4
+// table of 400 groups: one round of 16 overwrite flushes plus a
+// relocation pass per op. It reports ns per committed pair and the host
+// bytes the groups' segment arrays retain per live segment.
+func BenchmarkAgedCommit(b *testing.B) {
+	tb, a := agedTable()
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := a.ppa
@@ -257,4 +270,46 @@ func BenchmarkAgedCommit(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(a.ppa-start), "ns/pair")
 	segs := tb.Stats().Segments
 	b.ReportMetric(float64(retainedSlots(tb)*int(unsafe.Sizeof(Segment{})+1))/float64(segs), "retainedB/seg")
+}
+
+// BenchmarkLookupAged measures translation on BenchmarkAgedCommit's aged
+// table, whose groups are far deeper and larger than BenchmarkLookup's
+// fresh ones: a cold walk of the levels (the group changed since its
+// last fill), an answer from a filled memo, and a whole-group memo fill
+// (memo.go). The fill trigger, memoFillLPAs, is about the fill's cost in
+// cold walks.
+func BenchmarkLookupAged(b *testing.B) {
+	tb, _ := agedTable()
+	rng := rand.New(rand.NewSource(9))
+	lpas := make([]addr.LPA, 4096)
+	for i := range lpas {
+		lpas[i] = addr.LPA(rng.Intn(400 * addr.GroupSize))
+	}
+	group := func(l addr.LPA) *group { return tb.lookupGroup(addr.Group(l)) }
+	b.Run("walk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			l := lpas[i%len(lpas)]
+			group(l).memo.changed()
+			tb.Lookup(l)
+		}
+	})
+	b.Run("memo", func(b *testing.B) {
+		for _, l := range lpas {
+			g := group(l)
+			g.memo.changed()
+			tb.fill(g, addr.GroupBase(addr.Group(l)))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tb.Lookup(lpas[i%len(lpas)])
+		}
+	})
+	b.Run("fill", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			l := lpas[i%len(lpas)]
+			g := group(l)
+			g.memo.changed()
+			tb.fill(g, addr.GroupBase(addr.Group(l)))
+		}
+	})
 }

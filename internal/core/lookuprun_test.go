@@ -102,6 +102,8 @@ type lrRun struct {
 
 	// Coverage of the checked windows, for TestLookupRunSeedsCover.
 	strided, redirectedApprox, endsAt255 bool
+	// memoRead: a window of a group that held a valid memo was checked.
+	memoRead bool
 }
 
 func (r *lrRun) next() byte {
@@ -184,10 +186,22 @@ func (r *lrRun) update() {
 }
 
 // check compares LookupRun over the n-slot window at lpa with a Lookup
-// of every slot, and requires both to leave Gen where it was.
+// of every slot and with a walk of the group's levels, and requires them
+// to leave Gen where it was. It reads the window twice, so a group that
+// had not filled its answer memo by the first pass may answer the second
+// from it (memo.go).
 func (r *lrRun) check(lpa addr.LPA, n int) {
+	r.t.Helper()
+	for pass := 0; pass < 2; pass++ {
+		r.checkOnce(lpa, n)
+	}
+}
+
+func (r *lrRun) checkOnce(lpa addr.LPA, n int) {
 	t := r.t
 	t.Helper()
+	g := r.tb.lookupGroup(addr.Group(lpa))
+	r.memoRead = r.memoRead || g != nil && g.memo.valid
 	sentinel := Answer{PPA: 12345, OK: true, Res: LookupResult{Levels: -1}}
 	for i := range r.out {
 		r.out[i] = sentinel
@@ -209,13 +223,19 @@ func (r *lrRun) check(lpa addr.LPA, n int) {
 		if oracle := (Answer{PPA: ppa, Res: res, OK: ok}); r.out[i] != oracle {
 			t.Fatalf("LookupRun(%d, %d slots) slot %d (LPA %d) = %+v, Lookup = %+v", lpa, n, i, l, r.out[i], oracle)
 		}
+		if g != nil {
+			wppa, wres, wok := r.tb.walk(g, l)
+			if walked := (Answer{PPA: wppa, Res: wres, OK: wok}); r.out[i] != walked {
+				t.Fatalf("LookupRun(%d, %d slots) slot %d (LPA %d) = %+v, the walk = %+v", lpa, n, i, l, r.out[i], walked)
+			}
+		}
 		r.redirectedApprox = r.redirectedApprox || ok && res.Approx && res.Redirected
 	}
 	if r.tb.Gen() != gen {
 		t.Fatalf("LookupRun or Lookup moved Gen from %d to %d", gen, r.tb.Gen())
 	}
 	r.endsAt255 = r.endsAt255 || int(addr.Offset(lpa))+got == addr.GroupSize
-	if g := r.tb.lookupGroup(addr.Group(lpa)); g != nil {
+	if g != nil {
 		lo, hi := lpa, lpa+addr.LPA(got-1)
 		for i := range g.segs {
 			s := &g.segs[i]
@@ -241,18 +261,20 @@ func FuzzLookupRun(f *testing.F) {
 // TestLookupRunSeedsCover runs FuzzLookupRun's seed corpus and requires
 // it to reach the cases the sweep must get right: a slot of a stride > 1
 // segment, an approximate slot whose lookup was redirected on the way
-// down, and a window that ends at the group's last slot.
+// down, a window that ends at the group's last slot, and a window read
+// from a filled answer memo.
 func TestLookupRunSeedsCover(t *testing.T) {
-	var strided, redirected, ends bool
+	var strided, redirected, ends, memo bool
 	for _, s := range lookupRunSeeds() {
 		r := runLookupRunProgram(t, s)
 		strided = strided || r.strided
 		redirected = redirected || r.redirectedApprox
 		ends = ends || r.endsAt255
+		memo = memo || r.memoRead
 	}
-	if !strided || !redirected || !ends {
-		t.Fatalf("seed corpus misses a case: stride > 1 %v, redirected approximate slot %v, window ending at 255 %v",
-			strided, redirected, ends)
+	if !strided || !redirected || !ends || !memo {
+		t.Fatalf("seed corpus misses a case: stride > 1 %v, redirected approximate slot %v, window ending at 255 %v, memo read %v",
+			strided, redirected, ends, memo)
 	}
 }
 
@@ -355,7 +377,10 @@ func TestGenCountsMutations(t *testing.T) {
 	}
 }
 
-// TestLookupRunZeroAllocs: translating a window allocates nothing.
+// TestLookupRunZeroAllocs: translating a window allocates nothing,
+// whether it sweeps the group's levels (every call drops the group's
+// answer memo first and reads fewer LPAs than fill one) or reads warm
+// memos.
 func TestLookupRunZeroAllocs(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		rng := rand.New(rand.NewSource(2))
@@ -365,13 +390,25 @@ func TestLookupRunZeroAllocs(t *testing.T) {
 			tb.Update(mixedBatch(rng, addr.LPA(g*512), ppa))
 			ppa += 256
 		}
-		var out [32]Answer
-		lpa := addr.LPA(0)
-		if avg := testing.AllocsPerRun(2000, func() {
-			tb.LookupRun(lpa, out[:])
-			lpa = (lpa + 37) % (16 * 512)
-		}); avg != 0 {
-			t.Errorf("gamma %d: LookupRun allocates %.2f objects per call, want 0", gamma, avg)
+		for _, warm := range []bool{false, true} {
+			if warm {
+				warmMemos(tb)
+			}
+			var buf [32]Answer
+			out := buf[:]
+			if !warm {
+				out = buf[:memoFillLPAs-1]
+			}
+			lpa := addr.LPA(0)
+			if avg := testing.AllocsPerRun(2000, func() {
+				if g := tb.lookupGroup(addr.Group(lpa)); g != nil && !warm {
+					g.memo.changed()
+				}
+				tb.LookupRun(lpa, out)
+				lpa = (lpa + 37) % (16 * 512)
+			}); avg != 0 {
+				t.Errorf("gamma %d, warm memos %v: LookupRun allocates %.2f objects per call, want 0", gamma, warm, avg)
+			}
 		}
 	}
 }

@@ -130,6 +130,7 @@ func (t *Table) compactGroup(id addr.GroupID, g *group) {
 		return
 	}
 	t.rebuildGroup(addr.GroupBase(id), g)
+	g.memo.changed()
 	g.touched = false
 	g.rebuildAt = max(rebuildMinSegments, rebuildGrowth*g.segmentCount())
 }
@@ -468,29 +469,33 @@ func (t *Table) install(g *group, claims []claim, levels int) {
 // CheckShape audits every resident group against the bounds the rebuild
 // triggers maintain (see the constants above): at most maxGroupLevels
 // levels, and a footprint of at most shapeBytesPerLPA per live LPA (or
-// the rebuildMinSegments floor, for sparsely written groups). The walk is
-// side-effect free and touches only resident groups.
+// the rebuildMinSegments floor, for sparsely written groups). It also
+// fails a group whose valid answer memo differs from what its levels
+// answer (memo.go). It sweeps the levels directly, so it neither reads
+// nor fills a memo; it changes no group and touches only resident ones.
 func (t *Table) CheckShape() error {
-	var err error
-	t.eachGroup(func(id addr.GroupID, g *group) {
-		if err != nil {
-			return
+	out := &t.sweepOut
+	for id, g := range t.groups {
+		if g == nil {
+			continue
 		}
 		if n := g.depth(); n > maxGroupLevels {
-			err = fmt.Errorf("group %d: %d levels, bound %d", id, n, maxGroupLevels)
-			return
+			return fmt.Errorf("group %d: %d levels, bound %d", id, n, maxGroupLevels)
 		}
+		t.sweep(g, addr.GroupBase(addr.GroupID(id)), out[:])
 		live := 0
-		base := addr.GroupBase(id)
-		for o := 0; o < addr.GroupSize; o++ {
-			if _, _, ok := t.Lookup(base + addr.LPA(o)); ok {
+		for _, v := range out {
+			if v&memoOK != 0 {
 				live++
 			}
 		}
 		bound := max(shapeBytesPerLPA*live, (SegmentBytes+1)*rebuildMinSegments+live)
 		if b := g.footprint(); b > bound {
-			err = fmt.Errorf("group %d: %d B for %d live LPAs, bound %d B", id, b, live, bound)
+			return fmt.Errorf("group %d: %d B for %d live LPAs, bound %d B", id, b, live, bound)
 		}
-	})
-	return err
+		if err := g.checkMemo(addr.GroupID(id), out[:]); err != nil {
+			return err
+		}
+	}
+	return nil
 }

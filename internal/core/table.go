@@ -91,6 +91,9 @@ type Table struct {
 	// gen counts the exported calls that may change what Lookup
 	// answers (Gen).
 	gen uint64
+
+	// sweepOut is the sweep's scratch for LookupRun and the audits.
+	sweepOut [addr.GroupSize]uint64
 }
 
 // group is the per-256-LPA-group state: the level stack and the group's
@@ -121,6 +124,10 @@ type group struct {
 	// when a group is installed from flash.
 	rebuildAt int
 	touched   bool
+
+	// memo answers the group's slots while its answers stay as they are
+	// (memo.go); host working state, not part of the wire record.
+	memo answerMemo
 }
 
 // minGroupSegs is the segment capacity a group's array starts at.
@@ -592,6 +599,7 @@ func (t *Table) stampLPAs(lpas []addr.LPA) {
 // group that has none.
 func (t *Table) openTop(g *group) {
 	g.touched = true
+	g.memo.changed()
 	t.topDepth = g.depth()
 	if t.topDepth == 0 {
 		g.openLevel()
@@ -903,17 +911,48 @@ func findApprox(g *group, start uint8) (p int, ok bool) {
 // 17–22). ok is false when no segment indexes the LPA (never written, or
 // its mapping lives only in flash-resident translation pages).
 //
+// A group that holds a valid memo answers from it (memo.go), and a
+// group that has translated its fill trigger's worth of LPAs since its
+// last change fills its memo first; otherwise Lookup walks the group's
+// levels. Lookup may write the group's memo and its read count, never
+// its answers, and every answer is the walk's.
+func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
+	id := addr.Group(lpa)
+	g := t.lookupGroup(id)
+	if g == nil {
+		return addr.InvalidPPA, LookupResult{}, false
+	}
+	switch {
+	case g.memo.valid:
+		g.memo.reads++
+	case !g.memo.note(1):
+		return t.walk(g, lpa)
+	default:
+		t.fill(g, addr.GroupBase(id))
+	}
+	return t.unpack(g.memo.slots[addr.Offset(lpa)])
+}
+
+// Walk answers lpa as Lookup does, but always from the group's levels:
+// it neither reads nor fills the group's answer memo. It is the
+// controller's lookup as the paper times it (Table 3).
+func (t *Table) Walk(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
+	g := t.lookupGroup(addr.Group(lpa))
+	if g == nil {
+		return addr.InvalidPPA, LookupResult{}, false
+	}
+	return t.walk(g, lpa)
+}
+
+// walk answers lpa from g's levels.
+//
 // The hot path is allocation-free and, for accurate segments, pure
 // integer arithmetic against the decoded cache: a search over the level's
 // 1-byte key window, one modulo for the stride membership test
 // (Algorithm 2 has_lpa), one divide for the anchored prediction. The
 // levels are visited top-down, walking the group's array from its tail.
-func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
+func (t *Table) walk(g *group, lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 	var res LookupResult
-	g := t.lookupGroup(addr.Group(lpa))
-	if g == nil {
-		return addr.InvalidPPA, res, false
-	}
 	off := addr.Offset(lpa)
 	hi := len(g.segs)
 	for d := len(g.ends) - 1; d >= 0; d-- {
@@ -978,27 +1017,58 @@ type Answer struct {
 // depth of the level that claimed the slot, or the group's depth when
 // none did.
 //
-// The window costs one top-down sweep instead of one per LPA: per level
-// one search finds the segment Lookup would pick for the window's first
-// slot, and the level's segments are then walked forward while they
-// start inside the window. Each gives the slots from its start to the
-// next segment's start (the ones Lookup would ask it about) to the
-// topmost level that claims them, by Lookup's rules: the stride for an
-// accurate segment, CRB ownership and the redirect for an approximate
-// one.
+// Like Lookup, it answers from the group's valid memo, or counts the
+// window's LPAs toward the group's fill trigger and fills the memo when
+// they reach it (memo.go); otherwise it sweeps the window.
 func (t *Table) LookupRun(lpa addr.LPA, out []Answer) int {
 	first := int(addr.Offset(lpa))
 	out = out[:min(len(out), addr.GroupSize-first)]
-	g := t.lookupGroup(addr.Group(lpa))
+	id := addr.Group(lpa)
+	g := t.lookupGroup(id)
+	slots := t.sweepOut[:len(out)]
+	switch {
+	case g == nil:
+		t.sweep(nil, lpa, slots)
+	case g.memo.valid:
+		g.memo.reads += len(out)
+		slots = g.memo.slots[first : first+len(out)]
+	case !g.memo.note(len(out)):
+		t.sweep(g, lpa, slots)
+	default:
+		t.fill(g, addr.GroupBase(id))
+		slots = g.memo.slots[first : first+len(out)]
+	}
+	for i := range out {
+		a := &out[i]
+		a.PPA, a.Res, a.OK = t.unpack(slots[i])
+	}
+	return len(out)
+}
+
+// sweep answers the window of slots from lpa on (len(out) of them, cut
+// at the group's end) from g's levels into out, packed as memo slots
+// (memo.go), or as unmapped when g is nil.
+//
+// The window costs one top-down sweep instead of one walk per LPA: per
+// level one search finds the segment the walk would pick for the
+// window's first slot, and the level's segments are then walked forward
+// while they start inside the window. Each gives the slots from its
+// start to the next segment's start (the ones the walk would ask it
+// about) to the topmost level that claims them, by the walk's rules: the
+// stride for an accurate segment, CRB ownership and the redirect for an
+// approximate one.
+func (t *Table) sweep(g *group, lpa addr.LPA, out []uint64) {
+	first := int(addr.Offset(lpa))
 	depth := 0
 	if g != nil {
 		depth = g.depth()
 	}
+	unmapped := uint64(addr.InvalidPPA) | uint64(depth)<<memoLevelsShift
 	for i := range out {
-		out[i] = Answer{PPA: addr.InvalidPPA, Res: LookupResult{Levels: depth}}
+		out[i] = unmapped
 	}
 	if depth == 0 || len(out) == 0 {
-		return len(out)
+		return
 	}
 	base := lpa - addr.LPA(first)
 	last := first + len(out) - 1
@@ -1024,25 +1094,25 @@ func (t *Table) LookupRun(lpa addr.LPA, out []Answer) int {
 			if seg.Accurate() {
 				open -= claimAccurate(seg, out[from-first:to-first+1], from-int(keys[i]), levels)
 			} else {
-				open -= t.claimApprox(g, seg, out, first, from, to, levels)
+				open -= claimApprox(g, seg, out, first, from, to, levels)
 			}
 		}
 	}
-	return len(out)
 }
 
 // claimAccurate gives the open slots of out that lie on seg's stride to
 // seg; out[0] is d LPAs past seg's start. It returns how many it claimed.
-func claimAccurate(seg *Segment, out []Answer, d, levels int) int {
+func claimAccurate(seg *Segment, out []uint64, d, levels int) int {
 	s, k, i := int(seg.stride), d, 0
 	if s > 1 {
 		k = (d + s - 1) / s // the first stride step at or after out[0]
 		i = k*s - d
 	}
+	claimed := uint64(levels)<<memoLevelsShift | memoOK
 	n := 0
 	for ; i < len(out); i, k = i+s, k+1 {
-		if a := &out[i]; !a.OK {
-			a.PPA, a.OK, a.Res.Levels = seg.p0+addr.PPA(k), true, levels
+		if v := &out[i]; *v&memoOK == 0 {
+			*v = *v&memoRedirected | uint64(seg.p0+addr.PPA(k)) | claimed
 			n++
 		}
 	}
@@ -1053,12 +1123,13 @@ func claimAccurate(seg *Segment, out []Answer, d, levels int) int {
 // says approximate seg owns to it, and marks those another approximate
 // segment owns as redirected. out[0] is the slot at offset first. It
 // returns how many it claimed.
-func (t *Table) claimApprox(g *group, seg *Segment, out []Answer, first, from, to, levels int) int {
+func claimApprox(g *group, seg *Segment, out []uint64, first, from, to, levels int) int {
 	n := 0
 	start := seg.Start()
+	claimed := uint64(levels)<<memoLevelsShift | memoOK | memoApprox
 	for off := from; off <= to; off++ {
-		a := &out[off-first]
-		if a.OK {
+		v := &out[off-first]
+		if *v&memoOK != 0 {
 			continue
 		}
 		owner, ok := g.crb.lookup(uint8(off))
@@ -1066,12 +1137,10 @@ func (t *Table) claimApprox(g *group, seg *Segment, out []Answer, first, from, t
 			continue
 		}
 		if owner != start {
-			a.Res.Redirected = true
+			*v |= memoRedirected
 			continue
 		}
-		a.PPA, a.OK = seg.predictApprox(uint8(off)), true
-		a.Res.Levels, a.Res.Approx = levels, true
-		a.Res.Exact = t.verifying
+		*v = *v&memoRedirected | uint64(seg.predictApprox(uint8(off))) | claimed
 		n++
 	}
 	return n

@@ -404,7 +404,9 @@ func TestIncrementalStatsMatchWalk(t *testing.T) {
 }
 
 // TestLookupZeroAllocs pins the acceptance criterion: the translation hot
-// path performs zero allocations.
+// path performs zero allocations, both walking a group's levels (every
+// call drops the group's answer memo first) and answering from warm
+// memos.
 func TestLookupZeroAllocs(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		rng := rand.New(rand.NewSource(2))
@@ -414,14 +416,28 @@ func TestLookupZeroAllocs(t *testing.T) {
 			tb.Update(mixedBatch(rng, addr.LPA(g*512), ppa))
 			ppa += 256
 		}
-		lpa := addr.LPA(0)
-		if avg := testing.AllocsPerRun(2000, func() {
-			tb.Lookup(lpa)
-			lpa = (lpa + 37) % (16 * 512)
-		}); avg != 0 {
-			t.Errorf("gamma %d: Lookup allocates %.2f objects per call, want 0", gamma, avg)
+		for _, warm := range []bool{false, true} {
+			if warm {
+				warmMemos(tb)
+			}
+			lpa := addr.LPA(0)
+			if avg := testing.AllocsPerRun(2000, func() {
+				if g := tb.lookupGroup(addr.Group(lpa)); g != nil && !warm {
+					g.memo.changed()
+				}
+				tb.Lookup(lpa)
+				lpa = (lpa + 37) % (16 * 512)
+			}); avg != 0 {
+				t.Errorf("gamma %d, warm memos %v: Lookup allocates %.2f objects per call, want 0", gamma, warm, avg)
+			}
 		}
 	}
+}
+
+// warmMemos fills every resident group's answer memo.
+func warmMemos(tb *Table) {
+	var out [addr.GroupSize]Answer
+	tb.eachGroup(func(id addr.GroupID, _ *group) { tb.LookupRun(addr.GroupBase(id), out[:]) })
 }
 
 // TestUpdateSteadyStateAllocs pins the amortized-O(1) property of the

@@ -560,7 +560,9 @@ func measureLearnUS(gamma, iters int) float64 {
 }
 
 // measureLookupNS times table lookups (ns per lookup) on a table holding
-// a mixed set of segments.
+// a mixed set of segments. Each one walks its group's levels, as the
+// paper's controller does (Table.Walk): the host-side answer memo that
+// serves read-hot groups would otherwise answer most of them.
 func measureLookupNS(gamma, iters int) float64 {
 	tb := core.NewTable(gamma)
 	rng := rand.New(rand.NewSource(1))
@@ -574,7 +576,7 @@ func measureLookupNS(gamma, iters int) float64 {
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		for _, l := range lpas {
-			tb.Lookup(l)
+			tb.Walk(l)
 		}
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(iters*len(lpas))
