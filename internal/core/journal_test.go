@@ -85,33 +85,59 @@ func TestJournalWritebackFold(t *testing.T) {
 	}
 }
 
-// TestJournalLoadReadsOneRecord writes one group back many times with
-// distinct records, on pages small enough that its history spans many of
-// them, and bounds its demand load by the pages its one record can span.
+// TestJournalLoadReadsOneRecord writes three groups back many times
+// with distinct records, on pages small enough that their histories span
+// many of them, evicts them and bounds every demand load by the pages
+// its one record can span: ⌈record/pageSize⌉, plus one for a record that
+// starts mid-page and straddles a page boundary (ROADMAP item 25 pads
+// that away). It runs without and with verify-at-learn, the record
+// shapes of the paper and full presets.
 func TestJournalLoadReadsOneRecord(t *testing.T) {
-	const pageSize = 16
-	tab, p := newJournalPager(pageSize)
-	for i := 0; i < 12; i++ {
-		commitAndFlush(tab, p, journalBatch(i))
-	}
-	want, err := tab.MarshalGroup(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetBudget(1)
-	if cost := p.Enforce(); cost.MetaWrites != 0 || tab.HasGroup(0) {
-		t.Fatalf("evicting the clean group charged %d page writes (resident %v)", cost.MetaWrites, tab.HasGroup(0))
-	}
-	cost, known := p.EnsureRead(0)
-	if !known {
-		t.Fatal("the evicted group is unknown")
-	}
-	if got, err := tab.MarshalGroup(0); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("load does not install the newest record (%v)", err)
-	}
-	bound := (len(want)+pageSize-1)/pageSize + 1
-	if cost.MetaReads == 0 || cost.MetaReads > bound {
-		t.Errorf("load of a %dB record charged %d page reads; want 1..%d", len(want), cost.MetaReads, bound)
+	const pageSize, groups = 16, 3
+	for _, verifying := range []bool{false, true} {
+		t.Run(fmt.Sprintf("verifying=%v", verifying), func(t *testing.T) {
+			tab := NewTable(4)
+			if verifying {
+				tab.EnableVerifyAtLearn()
+			}
+			p := newPager(tab, pageSize)
+			for i := 0; i < 12; i++ {
+				for g := 0; g < groups; g++ {
+					pairs := journalBatch(i)
+					for k := range pairs {
+						pairs[k].LPA += addr.GroupBase(addr.GroupID(g))
+						pairs[k].PPA += addr.PPA(g << 10)
+					}
+					commitAndFlush(tab, p, pairs)
+				}
+			}
+			var want [groups][]byte
+			for g := range want {
+				rec, err := tab.MarshalGroup(addr.GroupID(g))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[g] = rec
+			}
+			p.SetBudget(1)
+			if cost := p.Enforce(); cost.MetaWrites != 0 || tab.SizeBytes() != 0 {
+				t.Fatalf("evicting the clean groups charged %d page writes (%d B resident)", cost.MetaWrites, tab.SizeBytes())
+			}
+			for g, rec := range want {
+				gid := addr.GroupID(g)
+				cost, known := p.EnsureRead(gid)
+				if !known {
+					t.Fatalf("the evicted group %d is unknown", gid)
+				}
+				if got, err := tab.MarshalGroup(gid); err != nil || !bytes.Equal(got, rec) {
+					t.Fatalf("load of group %d does not install its newest record (%v)", gid, err)
+				}
+				bound := (len(rec)+pageSize-1)/pageSize + 1
+				if cost.MetaReads == 0 || cost.MetaReads > bound {
+					t.Errorf("load of group %d's %dB record charged %d page reads; want 1..%d", gid, len(rec), cost.MetaReads, bound)
+				}
+			}
+		})
 	}
 }
 

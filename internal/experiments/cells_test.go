@@ -191,31 +191,6 @@ func TestCellsBudgetRepeatable(t *testing.T) {
 	}
 }
 
-// TestCellsJournalReadBound holds full's translation-page reads to
-// paper's under a tight budget. Both persist through the journal, where
-// a group's load reads its one record, and differ only by
-// verify-at-learn, whose exact fits may grow a record: they may cost at
-// most a quarter more reads per request on the same pool.
-func TestCellsJournalReadBound(t *testing.T) {
-	spec := CellsSpec{Schemes: []string{"full", "paper"}, Workloads: []string{"zipf-hot", "mixed-rw"},
-		Budgets: []float64{0.005}, Gamma: 4}
-	runs, _, err := NewSuite(MicroScale(), 1).Cells(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readsPerReq := make(map[string]float64)
-	for _, r := range runs {
-		readsPerReq[r.Scheme+"/"+r.Workload] = float64(r.Device.MetaReads) / float64(r.Requests)
-	}
-	for _, wl := range spec.Workloads {
-		full, paper := readsPerReq["full/"+wl], readsPerReq["paper/"+wl]
-		if paper == 0 || full > 1.25*paper {
-			t.Errorf("%s: full reads %.4f translation pages per request, paper %.4f; want full ≤ 1.25 × paper, paper > 0",
-				wl, full, paper)
-		}
-	}
-}
-
 // TestCellsFullNeverMispredicts pins what verify-at-learn buys full:
 // on the micro cells, with and without the tight budget and at γ 0 and
 // 4, every approximate read is served as exact and none mispredicts or
