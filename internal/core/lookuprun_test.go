@@ -392,7 +392,7 @@ func TestLookupRunZeroAllocs(t *testing.T) {
 		}
 		for _, warm := range []bool{false, true} {
 			if warm {
-				warmMemos(tb)
+				fillMemos(t, tb)
 			}
 			var buf [32]Answer
 			out := buf[:]

@@ -418,7 +418,7 @@ func TestLookupZeroAllocs(t *testing.T) {
 		}
 		for _, warm := range []bool{false, true} {
 			if warm {
-				warmMemos(tb)
+				fillMemos(t, tb)
 			}
 			lpa := addr.LPA(0)
 			if avg := testing.AllocsPerRun(2000, func() {
@@ -432,12 +432,6 @@ func TestLookupZeroAllocs(t *testing.T) {
 			}
 		}
 	}
-}
-
-// warmMemos fills every resident group's answer memo.
-func warmMemos(tb *Table) {
-	var out [addr.GroupSize]Answer
-	tb.eachGroup(func(id addr.GroupID, _ *group) { tb.LookupRun(addr.GroupBase(id), out[:]) })
 }
 
 // TestUpdateSteadyStateAllocs pins the amortized-O(1) property of the
