@@ -6,21 +6,17 @@ import (
 	"leaftl/internal/addr"
 )
 
-// AuditExact verifies what a verifying table promises the read path
-// (LookupResult.Exact): every live slot of a resident group that it
-// answers from an approximate segment predicts the slot's true PPA.
+// AuditExact checks every answer of every resident group that the read
+// path trusts without OOB verification against the live PPA: every
+// accurate answer, and in a verifying table every approximate one too.
 // truth returns the live PPA of an LPA, or ok=false when the LPA is
 // unmapped or its page was lost (such slots are skipped). A wrong
-// approximate answer is a hard failure: the device would trust it
-// without OOB verification. A table that does not verify promises
-// nothing, so its audit is clean. It sweeps the levels directly, so it
-// neither reads nor fills a group's answer memo (memo.go); it changes no
-// group and touches only resident ones (auditing must not fault pages
-// in).
+// trusted answer is a hard failure: the device would read the wrong
+// page, and the read path would only catch it on the next read of that
+// LPA. It sweeps the levels directly, so it neither reads nor fills a
+// group's answer memo (memo.go); it changes no group and touches only
+// resident ones (auditing must not fault pages in).
 func (t *Table) AuditExact(truth func(addr.LPA) (addr.PPA, bool)) error {
-	if !t.verifying {
-		return nil
-	}
 	out := &t.sweepOut
 	for id, g := range t.groups {
 		if g == nil {
@@ -29,12 +25,12 @@ func (t *Table) AuditExact(truth func(addr.LPA) (addr.PPA, bool)) error {
 		base := addr.GroupBase(addr.GroupID(id))
 		t.sweep(g, base, out[:])
 		for off, v := range out {
-			if v&memoOK == 0 || v&memoApprox == 0 {
+			if v&memoOK == 0 || v&memoApprox != 0 && !t.verifying {
 				continue
 			}
 			lpa := base + addr.LPA(off)
 			if want, ok := truth(lpa); ok && addr.PPA(v) != want {
-				return fmt.Errorf("group %d: LPA %d answered approximately with PPA %d, true PPA %d",
+				return fmt.Errorf("group %d: LPA %d answered with PPA %d, live PPA %d",
 					id, lpa, addr.PPA(v), want)
 			}
 		}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -369,39 +371,40 @@ func TestRebuildKeepsUnverifiedApproximate(t *testing.T) {
 	}
 }
 
-// TestAuditExactCatchesWrongAnswer: AuditExact fails on a verifying
-// table one of whose approximate segments answers a live slot with the
-// wrong PPA, and holds a table that does not verify to no such promise.
+// TestAuditExactCatchesWrongAnswer: AuditExact holds every accurate
+// answer to the live PPA, for both presets' tables — paper's γ = 4 one
+// and full's, which learns at γ = 0. Shifting the accurate segments of
+// the group that answers a live LPA one page off must fail the audit.
 func TestAuditExactCatchesWrongAnswer(t *testing.T) {
-	for _, verifying := range []bool{true, false} {
-		c := newChurn(t, 5, 4, 4*addr.GroupSize, verifying)
+	for _, bitmap := range []bool{false, true} {
+		c := newChurn(t, 5, 4, 4*addr.GroupSize, bitmap)
 		oracle := func(l addr.LPA) (addr.PPA, bool) { p, ok := c.truth[l]; return p, ok }
-		var bad *Segment
-		for i := 0; i < 200 && bad == nil; i++ {
+		for i := 0; i < 50; i++ {
 			c.hostBatch()
-			c.tab.eachGroup(func(_ addr.GroupID, g *group) {
-				for k := range g.segs {
-					if bad == nil && !g.segs[k].Accurate() {
-						bad = &g.segs[k]
-					}
-				}
-			})
 		}
-		if bad == nil {
-			t.Fatal("200 batches learned no approximate segment")
+		if err := c.tab.AuditExact(oracle); err != nil {
+			t.Fatalf("bitmap=%v: audit of the intact table: %v", bitmap, err)
 		}
-		if err := c.tab.AuditExact(oracle); verifying && err != nil {
-			t.Fatalf("audit of the intact table: %v", err)
+		lpas := make([]addr.LPA, 0, len(c.truth))
+		for l := range c.truth {
+			lpas = append(lpas, l)
 		}
-		// Shift the segment's line by more than it can round away: every
-		// slot it answers now predicts the wrong page.
-		bad.I += 3
-		err := c.tab.AuditExact(oracle)
-		if verifying && err == nil {
-			t.Error("verifying table: AuditExact accepted an approximate answer off its true PPA")
+		slices.Sort(lpas)
+		k := slices.IndexFunc(lpas, func(l addr.LPA) bool {
+			_, res, ok := c.tab.Walk(l)
+			return ok && !res.Approx
+		})
+		if k < 0 {
+			t.Fatalf("bitmap=%v: no LPA answered accurately", bitmap)
 		}
-		if !verifying && err != nil {
-			t.Errorf("table without verification: AuditExact = %v, want nil", err)
+		g := c.tab.lookupGroup(addr.Group(lpas[k]))
+		for i := range g.segs {
+			if g.segs[i].Accurate() {
+				g.segs[i].p0++
+			}
+		}
+		if err := c.tab.AuditExact(oracle); err == nil || !strings.Contains(err.Error(), "live PPA") {
+			t.Errorf("bitmap=%v: AuditExact = %v on an accurate answer one page off its live PPA", bitmap, err)
 		}
 	}
 }

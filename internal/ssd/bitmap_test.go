@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -272,8 +273,10 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 }
 
 // TestBitmapAuditCatchesWrongAnswer proves the invariant sweep detects a
-// trusted answer gone wrong: move the ground truth of an LPA the scheme
-// answers as exact off its prediction and CheckInvariants must fail.
+// trusted answer gone wrong before any read does: move the ground truth
+// of an LPA the scheme answers accurately off its answer, and
+// CheckInvariants must fail in the scheme's audit (ftl.ExactAuditor),
+// which runs before the device's own page-table checks.
 func TestBitmapAuditCatchesWrongAnswer(t *testing.T) {
 	cfg := testConfig()
 	d := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
@@ -281,22 +284,21 @@ func TestBitmapAuditCatchesWrongAnswer(t *testing.T) {
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Find a mapped LPA translated approximately and marked exact, and
-	// corrupt the device's ground truth out from under it.
 	sch := d.Scheme().(*leaftl.Scheme)
 	for lpa := 0; lpa < d.LogicalPages()/2; lpa++ {
 		tr, ok := sch.Translate(addr.LPA(lpa))
-		if !ok || !tr.Exact {
+		if !ok || tr.Approx {
 			continue
 		}
 		d.truth[addr.LPA(lpa)] = tr.PPA + 1
-		if err := d.CheckInvariants(); err == nil {
-			t.Fatal("CheckInvariants accepted an exact answer pointing at the wrong page")
-		}
+		err := d.CheckInvariants()
 		d.truth[addr.LPA(lpa)] = tr.PPA
+		if err == nil || !strings.Contains(err.Error(), "live PPA") {
+			t.Fatalf("CheckInvariants = %v on an accurate answer pointing at the wrong page; want the audit's failure", err)
+		}
 		return
 	}
-	t.Fatal("no exact approximate translation found at this seed")
+	t.Fatal("no accurate translation found at this seed")
 }
 
 var _ ftl.GCRelearner = (*leaftl.Scheme)(nil)
