@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"leaftl/internal/leaftl"
 	"leaftl/internal/trace"
 	"leaftl/internal/workload"
 )
@@ -191,31 +192,42 @@ func TestCellsBudgetRepeatable(t *testing.T) {
 	}
 }
 
-// TestCellsFullNeverMispredicts pins what verify-at-learn buys full:
-// on the micro cells, with and without the tight budget and at γ 0 and
-// 4, every approximate read is served as exact and none mispredicts or
-// pays a double read. So the OOB window search and its block-edge probe
-// (ssd's readApprox and probeFallback) serve paper alone.
-func TestCellsFullNeverMispredicts(t *testing.T) {
-	approx := uint64(0)
-	for _, gamma := range []int{0, 4} {
-		spec := CellsSpec{Schemes: []string{"full"}, Workloads: []string{"zipf-hot", "mixed-rw"},
-			Budgets: []float64{0, 0.005}, Gamma: gamma}
-		runs, _, err := NewSuite(MicroScale(), 1).Cells(spec)
+// TestCellsFullIsPaperAtGammaZero pins what the full preset is: a
+// scheme built WithExactBitmap learns at γ = 0 whatever γ it is given,
+// so on the micro cells full at γ = 4 leaves the device and the mapping
+// exactly as paper at γ = 0 does (equal state and mapping digests), and
+// it never reads through an approximate segment because it holds none
+// and no CRB. So the OOB window search and its block-edge probe (ssd's
+// readApprox and probeFallback) serve paper alone.
+func TestCellsFullIsPaperAtGammaZero(t *testing.T) {
+	s := NewSuite(MicroScale(), 1)
+	for _, w := range []string{"zipf-hot", "mixed-rw"} {
+		reqs, err := s.cellWorkload(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range runs {
-			d := r.Device
-			if d.Mispredictions != 0 || d.DoubleReads != 0 || d.ExactBitHits != d.ApproxReads {
-				t.Errorf("γ=%d %s budget %v: %d mispredictions, %d double reads, %d of %d approximate reads exact; want 0, 0, all",
-					gamma, r.Workload, r.Budget, d.Mispredictions, d.DoubleReads, d.ExactBitHits, d.ApproxReads)
-			}
-			approx += d.ApproxReads
+		c := Cell{Scheme: "full", Workload: w, Budget: 0.005, Queues: 4, Speedup: 1}
+		full, dev, err := s.cell(c, reqs, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if approx == 0 {
-		t.Fatal("no cell read through an approximate segment; test is vacuous")
+		c.Scheme = "paper"
+		paper, _, err := s.cell(c, reqs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Digest != paper.Digest || full.MappingDigest != paper.MappingDigest {
+			t.Errorf("%s: full at γ=4 has state/mapping digests %s/%s, paper at γ=0 %s/%s; want equal",
+				w, full.Digest, full.MappingDigest, paper.Digest, paper.MappingDigest)
+		}
+		st := dev.Scheme().(*leaftl.Scheme).Table().Stats()
+		if full.Device.ApproxReads != 0 || st.Approximate != 0 || st.CRBBytes != 0 {
+			t.Errorf("%s: full made %d approximate reads and holds %d approximate segments and %d CRB bytes; want 0, 0, 0",
+				w, full.Device.ApproxReads, st.Approximate, st.CRBBytes)
+		}
+		if paper.Device.HostPagesRead == 0 || st.Segments == 0 {
+			t.Fatalf("%s: %d pages read, %d segments resident; the cell exercises nothing", w, paper.Device.HostPagesRead, st.Segments)
+		}
 	}
 }
 

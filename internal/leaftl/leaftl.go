@@ -94,19 +94,21 @@ type Scheme struct {
 // New returns a LeaFTL scheme with error bound gamma (pages) on a device
 // with the given flash page size.
 func New(gamma, pageSize int, opts ...Option) *Scheme {
-	table := core.NewTable(gamma)
 	s := &Scheme{
 		name:         "LeaFTL",
-		table:        table,
-		pager:        core.NewPager(table, pageSize),
 		compactEvery: 1_000_000,
 	}
 	for _, o := range opts {
 		o(s)
 	}
 	if s.verify {
-		s.table.EnableVerifyAtLearn()
+		gamma = 0
 		s.name += "+bitmap"
+	}
+	s.table = core.NewTable(gamma)
+	s.pager = core.NewPager(s.table, pageSize)
+	if s.verify {
+		s.table.EnableVerifyAtLearn()
 	}
 	return s
 }

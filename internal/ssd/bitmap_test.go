@@ -63,34 +63,22 @@ func requireMissIdentity(t *testing.T, st Stats) {
 	}
 }
 
-// TestBitmapDeviceEndToEnd drives the exact read path on a real device:
-// after churn, approximate reads are served as exact with no
-// verification budget, nothing mispredicts, and the audit in
-// CheckInvariants holds throughout.
+// TestBitmapDeviceEndToEnd drives the full preset's read path on a real
+// device: it learns at γ = 0, so after churn and after the sparse
+// irregular flushes that would lay down approximate segments at γ > 0,
+// every read is translated accurately, nothing mispredicts or pays a
+// double read, and the audit in CheckInvariants holds throughout.
 func TestBitmapDeviceEndToEnd(t *testing.T) {
 	cfg := testConfig()
 	// Starve the data cache so re-reads exercise translation, not DRAM.
 	cfg.DRAMBytes = cfg.BufferBytes() + 64<<10
 	d := newTestDevice(t, cfg, leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...))
 	churnApprox(t, d, 7, 4000)
-
-	st := d.Stats()
-	if st.ApproxReads == 0 {
-		t.Fatal("no approximate reads; the workload is not exercising the learned path")
-	}
-	if st.ExactBitHits != st.ApproxReads || st.Mispredictions != 0 {
-		t.Fatalf("%d approximate reads, %d served as exact, %d mispredictions; want all exact",
-			st.ApproxReads, st.ExactBitHits, st.Mispredictions)
-	}
+	requireAccurateReads(t, "churn", Stats{}, d.Stats())
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A depth-forced rebuild re-fits the verified approximate segments of
-	// these scattered-write groups into accurate ones, so churn alone may
-	// leave the read span no approximate translation. A few sparse
-	// irregular flushes — too small to trip a rebuild — lay down fresh
-	// approximate segments for the pass below to read through.
 	span := d.LogicalPages() / 4
 	for base := 0; base < span; base += 96 {
 		for _, o := range []int{0, 1, 3, 4, 7} {
@@ -102,28 +90,33 @@ func TestBitmapDeviceEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	// Verify-at-learn kills the double read outright: every approximate
-	// translation of a read pass over the span is served as exact, and
-	// none pays a double read.
 	before := d.Stats()
 	for lpa := 0; lpa < span; lpa++ {
 		if _, err := d.Read(addr.LPA(lpa), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := d.Stats()
-	dbl, approx := after.DoubleReads-before.DoubleReads, after.ApproxReads-before.ApproxReads
-	exact := after.ExactBitHits - before.ExactBitHits
-	if dbl != 0 {
-		t.Fatalf("read pass paid %d double reads", dbl)
-	}
-	if exact == 0 || exact != approx {
-		t.Fatalf("read pass: %d approximate translations, %d served as exact; want equal and nonzero",
-			approx, exact)
+	requireAccurateReads(t, "read pass", before, d.Stats())
+	if st := d.Scheme().(*leaftl.Scheme).Table().Stats(); st.Approximate != 0 || st.CRBBytes != 0 {
+		t.Fatalf("table holds %d approximate segments and %d CRB bytes; want none", st.Approximate, st.CRBBytes)
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// requireAccurateReads requires that the reads between two snapshots
+// translated pages through the scheme and that none of them was
+// approximate, mispredicted or paid a double read.
+func requireAccurateReads(t *testing.T, phase string, before, after Stats) {
+	t.Helper()
+	if after.CacheMisses == before.CacheMisses {
+		t.Fatalf("%s: no read was translated; the workload is not exercising the learned path", phase)
+	}
+	approx, miss := after.ApproxReads-before.ApproxReads, after.Mispredictions-before.Mispredictions
+	if dbl := after.DoubleReads - before.DoubleReads; approx != 0 || miss != 0 || dbl != 0 {
+		t.Fatalf("%s: %d approximate reads, %d mispredictions, %d double reads; want none",
+			phase, approx, miss, dbl)
 	}
 }
 
@@ -183,11 +176,11 @@ func TestBitmapRelearnUnderGC(t *testing.T) {
 }
 
 // TestBitmapSurvivesEvictionAndRecovery pins the wire property on the
-// full device: verified groups ride the persisted group images through
-// demand paging and crash recovery byte-identically, and once
-// post-recovery reads fault every group back in, their approximate
-// answers are still exact (the truth audit in CheckInvariants) and read
-// without a misprediction.
+// full device: its groups — accurate segments only, since it learns at
+// γ = 0 — ride the persisted group images through demand paging and
+// crash recovery byte-identically, and once post-recovery reads fault
+// every group back in, their answers still match flash ground truth (the
+// truth audit in CheckInvariants) and no read is approximate.
 func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 	cases := []struct {
 		name string
@@ -218,18 +211,16 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 			}
 
 			// What a crash survivor must reproduce: every persisted
-			// image, some of them holding approximate segments.
+			// image, none holding an approximate segment.
 			persisted := d.Scheme().(ftl.GroupPaged).PersistedGroups()
-			approx := 0
+			scratch := core.NewTable(8)
 			for gid, img := range persisted {
-				scratch := core.NewTable(8)
 				if got, err := scratch.InstallGroup(img); err != nil || got != gid {
 					t.Fatalf("persisted image of group %d does not decode: %v", gid, err)
 				}
-				approx += scratch.Stats().Approximate
 			}
-			if approx == 0 {
-				t.Fatal("no persisted group holds an approximate segment; test is vacuous")
+			if st := scratch.Stats(); st.Segments == 0 || st.Approximate != 0 {
+				t.Fatalf("persisted images hold %d segments, %d approximate; want some, none", st.Segments, st.Approximate)
 			}
 
 			rep, err := d.Recover(tc.mk(cfg))
@@ -262,9 +253,7 @@ func TestBitmapSurvivesEvictionAndRecovery(t *testing.T) {
 					t.Fatalf("post-recovery read %d: %v", lpa, err)
 				}
 			}
-			if st := d.Stats(); st.Mispredictions != before.Mispredictions {
-				t.Errorf("post-recovery reads mispredicted %d times", st.Mispredictions-before.Mispredictions)
-			}
+			requireAccurateReads(t, "post-recovery reads", before, d.Stats())
 			if err := d.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
@@ -304,18 +293,17 @@ func TestBitmapAuditCatchesWrongAnswer(t *testing.T) {
 var _ ftl.GCRelearner = (*leaftl.Scheme)(nil)
 
 // TestRecoverKeepsReadsExact: after Recover, reads go through the fresh
-// scheme, which marks every approximate answer exact and never
-// mispredicts, as the one the crash discarded did.
+// scheme, which learns at γ = 0 like the one the crash discarded, so
+// before and after the crash every read is translated accurately and
+// none mispredicts, even through the sparse irregular flushes that would
+// lay down approximate segments at γ > 0.
 func TestRecoverKeepsReadsExact(t *testing.T) {
 	cfg := testConfig()
 	cfg.DRAMBytes = cfg.BufferBytes() + 64<<10 // starve the data cache
 	mk := func() *leaftl.Scheme { return leaftl.New(8, cfg.Flash.PageSize, bitmapOpts()...) }
 	d := newTestDevice(t, cfg, mk())
 	churnApprox(t, d, 17, 2000)
-	if st := d.Stats(); st.ExactBitHits == 0 || st.Mispredictions != 0 {
-		t.Fatalf("before the crash: %d exact-bit hits, %d mispredictions; want some and none",
-			st.ExactBitHits, st.Mispredictions)
-	}
+	requireAccurateReads(t, "before the crash", Stats{}, d.Stats())
 	fresh := mk()
 	if _, err := d.Recover(fresh); err != nil {
 		t.Fatal(err)
@@ -323,8 +311,6 @@ func TestRecoverKeepsReadsExact(t *testing.T) {
 	if d.Scheme() != fresh {
 		t.Fatal("the device does not translate through the recovered scheme")
 	}
-	// Sparse irregular flushes lay down approximate segments in the
-	// fresh scheme for the reads to go through.
 	span := d.LogicalPages() / 4
 	for base := 0; base < span; base += 96 {
 		for _, o := range []int{0, 1, 3, 4, 7} {
@@ -342,15 +328,7 @@ func TestRecoverKeepsReadsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := d.Stats()
-	approx, hits := st.ApproxReads-before.ApproxReads, st.ExactBitHits-before.ExactBitHits
-	if hits == 0 || hits != approx {
-		t.Errorf("after Recover: %d approximate reads, %d exact-bit hits; want equal and nonzero", approx, hits)
-	}
-	if st.Mispredictions != before.Mispredictions || st.DoubleReads != before.DoubleReads {
-		t.Errorf("after Recover: %d mispredictions, %d double reads; want none",
-			st.Mispredictions-before.Mispredictions, st.DoubleReads-before.DoubleReads)
-	}
+	requireAccurateReads(t, "after Recover", before, d.Stats())
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

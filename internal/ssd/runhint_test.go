@@ -134,13 +134,17 @@ func TestRunHintChangesNothing(t *testing.T) {
 				if a, b := s.MappingDigest(), u.MappingDigest(); a != b {
 					t.Errorf("mapping digest %#x != %#x", a, b)
 				}
-				// full's reads never mispredict here: verify-at-learn
-				// leaves every approximate answer exact. paper's reads take
-				// the §3.5 recovery.
+				// paper's reads go through approximate segments and take
+				// the §3.5 recovery; full learns at γ = 0, so none of its
+				// reads is approximate.
 				st := hinted.Stats()
-				if crossing == 0 || st.ApproxReads == 0 || name == "paper" && st.Mispredictions == 0 {
+				if crossing == 0 || name == "paper" && (st.ApproxReads == 0 || st.Mispredictions == 0) {
 					t.Fatalf("churn too shallow: %d group-crossing reads, %d approximate reads, %d mispredictions",
 						crossing, st.ApproxReads, st.Mispredictions)
+				}
+				if name == "full" && (st.ApproxReads != 0 || st.Mispredictions != 0) {
+					t.Errorf("full: %d approximate reads, %d mispredictions; it learns at γ = 0, want none",
+						st.ApproxReads, st.Mispredictions)
 				}
 				if budget > 0 && st.MetaReads == 0 {
 					t.Fatal("budgeted churn never paged a group in")
