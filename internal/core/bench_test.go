@@ -245,19 +245,19 @@ func retainedSlots(tb *Table) int {
 	return n
 }
 
-// agedTable returns the aged, verifying γ=4 table of 400 groups the
-// aged benchmarks run on, and its ager.
+// agedTable returns the aged table of 400 groups the aged benchmarks run
+// on, learned at γ = 0 as the full preset (leaftl.WithExactBitmap)
+// learns, and its ager.
 func agedTable() (*Table, *ager) {
-	tb := NewTable(4)
-	tb.EnableVerifyAtLearn()
+	tb := NewTable(0)
 	a := newAger(5, 400)
 	a.prefill(tb)
 	a.age(tb, 20)
 	return tb, a
 }
 
-// BenchmarkAgedCommit measures the write path of an aged, verifying γ=4
-// table of 400 groups: one round of 16 overwrite flushes plus a
+// BenchmarkAgedCommit measures the write path of the full preset's aged
+// γ = 0 table of 400 groups: one round of 16 overwrite flushes plus a
 // relocation pass per op. It reports ns per committed pair and the host
 // bytes the groups' segment arrays retain per live segment.
 func BenchmarkAgedCommit(b *testing.B) {
