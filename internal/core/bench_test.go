@@ -211,14 +211,13 @@ func (a *ager) relocate(tb *Table) {
 	a.add(tb)
 }
 
-// repair reads n random LPAs: an unverified approximate answer is
-// checked against the truth, and a miss is pinned with a one-point
-// insert.
+// repair reads n random LPAs: an approximate answer is checked against
+// the truth, and a miss is pinned with a one-point insert.
 func (a *ager) repair(tb *Table, n int) {
 	for ; n > 0; n-- {
 		l := addr.LPA(a.rng.Intn(len(a.truth)))
 		got, res, ok := tb.Lookup(l)
-		if !ok || !res.Approx || res.Exact {
+		if !ok || !res.Approx {
 			continue
 		}
 		if want := a.truth[l]; got != want {
@@ -249,7 +248,7 @@ func retainedSlots(tb *Table) int {
 // on, learned at γ = 0 as the full preset (leaftl.WithExactBitmap)
 // learns, and its ager.
 func agedTable() (*Table, *ager) {
-	tb := NewTable(0)
+	tb := NewTable(presetGamma(4, true))
 	a := newAger(5, 400)
 	a.prefill(tb)
 	a.age(tb, 20)

@@ -7,8 +7,8 @@ import (
 )
 
 // AuditExact checks every answer of every resident group that the read
-// path trusts without OOB verification against the live PPA: every
-// accurate answer, and in a verifying table every approximate one too.
+// path trusts without OOB verification — every accurate answer — against
+// the live PPA.
 // truth returns the live PPA of an LPA, or ok=false when the LPA is
 // unmapped or its page was lost (such slots are skipped). A wrong
 // trusted answer is a hard failure: the device would read the wrong
@@ -25,7 +25,7 @@ func (t *Table) AuditExact(truth func(addr.LPA) (addr.PPA, bool)) error {
 		base := addr.GroupBase(addr.GroupID(id))
 		t.sweep(g, base, out[:])
 		for off, v := range out {
-			if v&memoOK == 0 || v&memoApprox != 0 && !t.verifying {
+			if v&memoOK == 0 || v&memoApprox != 0 {
 				continue
 			}
 			lpa := base + addr.LPA(off)

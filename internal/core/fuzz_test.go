@@ -9,19 +9,15 @@ import (
 
 // fuzzSeeds returns valid group records to seed the corpus: the groups of
 // the mixed table the paging tests use (multi-level groups, approximate
-// segments, CRBs), with verify-at-learn off and on.
+// segments, CRBs), learned as the paper preset learns them (γ = 4) and
+// as the full one does (γ = 0, presetGamma).
 func fuzzSeeds(t interface{ Helper() }) (groups [][]byte) {
 	seq := make([]addr.LPA, 256)
 	for i := range seq {
 		seq[i] = addr.LPA(i)
 	}
 	for _, bitmap := range []bool{false, true} {
-		tab := NewTable(4)
-		if bitmap {
-			// The same commits verified at learn time, so the records
-			// carry the γ=0 repairs of mispredicted pairs.
-			tab.EnableVerifyAtLearn()
-		}
+		tab := NewTable(presetGamma(4, bitmap))
 		commit := func(lpas []addr.LPA, base addr.PPA) {
 			pairs := make([]addr.Mapping, len(lpas))
 			for i, l := range lpas {

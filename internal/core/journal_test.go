@@ -30,11 +30,11 @@ func journalBatch(i int) []addr.Mapping {
 	return pairs
 }
 
-// newJournalPager returns a verifying γ = 4 table behind a pager
-// (newPager) on pageSize-byte translation pages.
+// newJournalPager returns a table of the full preset (γ = 0,
+// presetGamma) behind a pager (newPager) on pageSize-byte translation
+// pages.
 func newJournalPager(pageSize int) (*Table, *Pager) {
-	tab := NewTable(4)
-	tab.EnableVerifyAtLearn()
+	tab := NewTable(presetGamma(4, true))
 	return tab, newPager(tab, pageSize)
 }
 
@@ -90,16 +90,13 @@ func TestJournalWritebackFold(t *testing.T) {
 // many of them, evicts them and bounds every demand load by the pages
 // its one record can span: ⌈record/pageSize⌉, plus one for a record that
 // starts mid-page and straddles a page boundary (ROADMAP item 25 pads
-// that away). It runs without and with verify-at-learn, the record
-// shapes of the paper and full presets.
+// that away). It runs the record shapes of the paper (γ = 4) and full
+// (γ = 0) presets; verifying=true names the full one.
 func TestJournalLoadReadsOneRecord(t *testing.T) {
 	const pageSize, groups = 16, 3
-	for _, verifying := range []bool{false, true} {
-		t.Run(fmt.Sprintf("verifying=%v", verifying), func(t *testing.T) {
-			tab := NewTable(4)
-			if verifying {
-				tab.EnableVerifyAtLearn()
-			}
+	for _, full := range []bool{false, true} {
+		t.Run(fmt.Sprintf("verifying=%v", full), func(t *testing.T) {
+			tab := NewTable(presetGamma(4, full))
 			p := newPager(tab, pageSize)
 			for i := 0; i < 12; i++ {
 				for g := 0; g < groups; g++ {

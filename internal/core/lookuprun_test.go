@@ -22,8 +22,8 @@ const (
 )
 
 // lrProg builds LookupRun programs for the seed corpus. Its first byte
-// configures the table: bit 0 sets γ = 4 (else 0), bit 1 turns
-// verify-at-learn on.
+// configures the table: bit 0 sets γ = 4 (else 0), bit 1 builds the full
+// preset's table, which learns at γ = 0 (presetGamma).
 type lrProg []byte
 
 func newProg(gamma4, bitmap bool) lrProg {
@@ -130,10 +130,7 @@ func runLookupRunProgram(t *testing.T, prog []byte) *lrRun {
 	if cfg&1 != 0 {
 		gamma = 4
 	}
-	r.tb = NewTable(gamma)
-	if cfg&2 != 0 {
-		r.tb.EnableVerifyAtLearn()
-	}
+	r.tb = NewTable(presetGamma(gamma, cfg&2 != 0))
 	for len(r.prog) > 0 {
 		switch r.next() % numOps {
 		case opUpdate:
@@ -246,9 +243,9 @@ func (r *lrRun) checkOnce(lpa addr.LPA, n int) {
 
 // FuzzLookupRun checks LookupRun against a Lookup of every slot, on
 // tables built by a program of Update batches (strides, irregular gaps,
-// PPA jumps), one-point repairs and Compact calls, at γ 0 or 4
-// with verify-at-learn on or off. Every slot must agree in PPA, ok,
-// Levels, Approx, Exact and Redirected.
+// PPA jumps), one-point repairs and Compact calls, at γ 0 or 4 or as the
+// full preset learns (γ = 0). Every slot must agree in PPA, ok, Levels,
+// Approx and Redirected.
 func FuzzLookupRun(f *testing.F) {
 	for _, s := range lookupRunSeeds() {
 		f.Add(s)
@@ -278,12 +275,11 @@ func TestLookupRunSeedsCover(t *testing.T) {
 	}
 }
 
-// TestLookupRunAgedTable checks LookupRun against Lookup on an aged,
-// verifying γ = 4 table (the ager's overwrites, relocations and
-// repairs), over random windows.
+// TestLookupRunAgedTable checks LookupRun against Lookup on an aged
+// γ = 4 table (the ager's overwrites, relocations and repairs), over
+// random windows.
 func TestLookupRunAgedTable(t *testing.T) {
 	tb := NewTable(4)
-	tb.EnableVerifyAtLearn()
 	a := newAger(7, 8)
 	a.prefill(tb)
 	for r := 0; r < 6; r++ {
@@ -356,7 +352,6 @@ func TestGenCountsMutations(t *testing.T) {
 			return nil
 		}},
 		{"DropGroup", true, func(tb *Table, _ addr.LPA) error { tb.DropGroup(0); return nil }},
-		{"EnableVerifyAtLearn", true, func(tb *Table, _ addr.LPA) error { tb.EnableVerifyAtLearn(); return nil }},
 		{"Lookup", false, func(tb *Table, l addr.LPA) error { tb.Lookup(l); return nil }},
 		{"LookupRun", false, func(tb *Table, l addr.LPA) error { tb.LookupRun(l, out[:]); return nil }},
 		{"MarshalGroup", false, func(tb *Table, _ addr.LPA) error { _, err := tb.MarshalGroup(0); return err }},

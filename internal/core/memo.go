@@ -16,20 +16,18 @@ import (
 // copy:
 //
 //   - openTop, which every commit run passes through, including the
-//     close/open cycles around applyEdits and repairRun;
+//     close/open cycle around applyEdits;
 //   - compactGroup, after its rebuild (a rebuild keeps every PPA but may
 //     move the level that answers a slot);
 //   - the tests' insert helper, which opens the top level too.
 //
 // InstallGroup replaces the group, so a restored group starts with no
-// memo, and DropGroup frees the memo with the group. EnableVerifyAtLearn
-// changes only Exact, which is derived from the table at read time, not
-// stored.
+// memo, and DropGroup frees the memo with the group.
 //
 // The memo is host working state, like the CRB's owner index: the
-// simulated controller still walks the levels, so Levels, Approx,
-// Redirected and Exact are the walk's values and SizeBytes does not
-// count the memo.
+// simulated controller still walks the levels, so Levels, Approx and
+// Redirected are the walk's values and SizeBytes does not count the
+// memo.
 //
 // A fill is one whole-group sweep plus the packing, about as costly as
 // memoFillLPAs walks on an aged table, so a group fills its memo once it
@@ -46,8 +44,9 @@ import (
 // reads nor fills a memo.
 
 // memoFillLPAs is the fill trigger of a group whose fills pay. On
-// BenchmarkLookupAged's table (an aged, verifying γ = 4 table of 221
-// segments and 6.1 levels per group), a fill costs 6.2–7.4 µs, about 22
+// BenchmarkLookupAged's table (an aged γ = 0 table of 221 segments and
+// 6.1 levels per group; the verifying γ = 4 table it replaced had the
+// same shape), a fill costs 6.2–7.4 µs, about 22
 // cold walks of 300–320 ns, and a memo hit 10–11 ns.
 const memoFillLPAs = 24
 
@@ -96,14 +95,13 @@ func (m *answerMemo) note(n int) bool {
 	return m.reads >= memoFillLPAs<<m.backoff
 }
 
-// unpack decodes a memo slot, deriving Exact from the table.
-func (t *Table) unpack(v uint64) (addr.PPA, LookupResult, bool) {
+// unpack decodes a memo slot.
+func unpack(v uint64) (addr.PPA, LookupResult, bool) {
 	res := LookupResult{
 		Levels:     int(uint8(v >> memoLevelsShift)),
 		Approx:     v&memoApprox != 0,
 		Redirected: v&memoRedirected != 0,
 	}
-	res.Exact = res.Approx && t.verifying
 	return addr.PPA(v), res, v&memoOK != 0
 }
 

@@ -6,13 +6,12 @@ import (
 	"leaftl/internal/addr"
 )
 
-// memoTable returns a small aged γ = 4 table, verifying or not, with
-// several levels and approximate segments per group.
-func memoTable(verifying bool) (*Table, *ager) {
-	tb := NewTable(4)
-	if verifying {
-		tb.EnableVerifyAtLearn()
-	}
+// memoTable returns a small aged table with several levels per group: the
+// full preset's γ = 0 one (presetGamma), or the paper preset's γ = 4 one
+// with approximate segments. The cases that name a table "unverified"
+// run the paper preset's.
+func memoTable(full bool) (*Table, *ager) {
+	tb := NewTable(presetGamma(4, full))
 	a := newAger(11, 4)
 	a.prefill(tb)
 	a.age(tb, 3)
@@ -40,7 +39,7 @@ func swept(tb *Table, id addr.GroupID) (out [addr.GroupSize]Answer) {
 	var slots [addr.GroupSize]uint64
 	tb.sweep(tb.lookupGroup(id), addr.GroupBase(id), slots[:])
 	for o, v := range slots {
-		out[o].PPA, out[o].Res, out[o].OK = tb.unpack(v)
+		out[o].PPA, out[o].Res, out[o].OK = unpack(v)
 	}
 	return out
 }
@@ -52,9 +51,9 @@ func swept(tb *Table, id addr.GroupID) (out [addr.GroupSize]Answer) {
 // group), so a call that fails to drop the memo shows as a stale answer.
 func TestMemoInvalidation(t *testing.T) {
 	cases := []struct {
-		name      string
-		verifying bool
-		call      func(t *testing.T, tb *Table, a *ager)
+		name string
+		full bool
+		call func(t *testing.T, tb *Table, a *ager)
 	}{
 		{"Update", true, func(t *testing.T, tb *Table, _ *ager) {
 			tb.Update(mappings(addr.GroupBase(1)+3, 2, 1<<20, 40))
@@ -90,9 +89,6 @@ func TestMemoInvalidation(t *testing.T) {
 				t.Errorf("a restored group starts with a memo: %+v", g.memo)
 			}
 		}},
-		{"EnableVerifyAtLearn", false, func(t *testing.T, tb *Table, _ *ager) {
-			tb.EnableVerifyAtLearn()
-		}},
 		{"insert", false, func(t *testing.T, tb *Table, a *ager) {
 			for l, ppa := range a.truth {
 				if _, res, ok := tb.Lookup(addr.LPA(l)); ok && res.Levels > 1 {
@@ -105,7 +101,7 @@ func TestMemoInvalidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tb, a := memoTable(c.verifying)
+			tb, a := memoTable(c.full)
 			a.overwrite(tb)
 			ids := fillMemos(t, tb)
 			before := make(map[addr.GroupID][addr.GroupSize]Answer)

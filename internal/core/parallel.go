@@ -17,7 +17,7 @@ import (
 //
 //   - A worker is a Table that shares the committing table's group slice
 //     for the length of one batch. Its scratch (mark, offs, victims,
-//     edits, learner, refitter, missed, rb) is its own, and its counters
+//     edits, learner, rb) is its own, and its counters
 //     (nGroups, nSegments, nAccurate, crbBytes, totalLevels, levelFreq)
 //     start at zero and collect deltas.
 //   - The slice is grown to the batch's last group before fan-out, so
@@ -84,7 +84,7 @@ func (t *Table) commitParallel(pairs []addr.Mapping, helpers int) {
 	b := &t.batch
 	b.pairs, b.workers = pairs, t.workers[:helpers]
 	for _, w := range b.workers {
-		w.gamma, w.verifying, w.groups = t.gamma, t.verifying, t.groups
+		w.gamma, w.groups = t.gamma, t.groups
 	}
 	b.next.Store(0)
 	b.slot.Store(0)

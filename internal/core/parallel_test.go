@@ -29,17 +29,16 @@ type commitTwins struct {
 // batches hold several group runs.
 const twinSpace = 16 * addr.GroupSize
 
+// newCommitTwins returns twin tables of the paper preset at gamma, or of
+// the full preset (bitmap), which learns at γ = 0 (presetGamma).
 func newCommitTwins(t *testing.T, seed int64, gamma, workers int, bitmap bool) *commitTwins {
+	gamma = presetGamma(gamma, bitmap)
 	c := &commitTwins{
 		t: t, rng: rand.New(rand.NewSource(seed)),
 		serial: NewTable(gamma), parallel: NewTable(gamma),
 		truth: make(map[addr.LPA]addr.PPA),
 	}
 	c.serial.maxWorkers, c.parallel.maxWorkers = 1, workers
-	if bitmap {
-		c.serial.EnableVerifyAtLearn()
-		c.parallel.EnableVerifyAtLearn()
-	}
 	return c
 }
 
@@ -105,7 +104,7 @@ func (c *commitTwins) gcBatch() {
 	}
 }
 
-// repair checks unverified approximate answers against the oracle and
+// repair checks approximate answers against the oracle and
 // pins each miss with an exact point, on both tables.
 func (c *commitTwins) repair() {
 	for i := 0; i < 32; i++ {
@@ -115,7 +114,7 @@ func (c *commitTwins) repair() {
 			continue
 		}
 		got, res, _ := c.serial.Lookup(l)
-		if !res.Approx || res.Exact {
+		if !res.Approx {
 			continue
 		}
 		if got == want {
@@ -161,7 +160,8 @@ func helpersWorked(tb *Table) bool {
 // TestParallelCommitMatchesSerial: a table that spreads its batches over
 // helpers is the table that commits them one run at a time, after every
 // host, GC-relocation and repair batch, in group-record bytes,
-// statistics and shape, with every verified answer exact.
+// statistics and shape, with every accurate answer exact; bitmap=true
+// runs the full preset's γ = 0 table (presetGamma).
 func TestParallelCommitMatchesSerial(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		for _, bitmap := range []bool{false, true} {
@@ -255,7 +255,6 @@ func TestParallelCommitReleasesTable(t *testing.T) {
 func TestParallelCommitZeroAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	tb := NewTable(0)
-	tb.EnableVerifyAtLearn()
 	tb.maxWorkers = 2
 	ppa := addr.PPA(0)
 	next := func(i int) []addr.Mapping {

@@ -17,11 +17,9 @@ import (
 //
 //  1. resolve: sweep the levels top-down and give every one of the 256
 //     slots to the first segment that claims it — exactly the segment
-//     Lookup would answer from. A slot won by an accurate segment, or by
-//     an approximate one in a verifying table, is ground truth: its
-//     translation is known exactly. A slot won by an *unverified*
-//     approximate segment (a table that does not verify) is only a ±γ
-//     prediction.
+//     Lookup would answer from. A slot won by an accurate segment is
+//     ground truth: its translation is known exactly. A slot won by an
+//     approximate segment is only a ±γ prediction.
 //  2. shed: a segment that won no slot is dropped; every other one is cut
 //     to the span of the slots it won (an approximate one's CRB entry to
 //     exactly those slots) and sinks to the shallowest level at which it
@@ -34,19 +32,19 @@ import (
 //  3. re-fit, only when shedding leaves the group too deep (wide
 //     interleaved segments that all still answer something): the
 //     ground-truth slots, LPA-sorted, go through the same learnBuf/plr
-//     path as a committed batch, with the same verify-at-learn triage;
-//     what an approximate fit mispredicts is taken out of its claim and
-//     fitted exactly, so every ground-truth slot answers as before. A slot
-//     answered by an unverified approximate segment keeps that segment,
-//     cut to the slots it won: a prediction is never re-fitted (a fit of
-//     a fit would stack error past γ) and never promoted to accurate (the
-//     read path would stop probing it). Every claim now names its LPAs
-//     exactly and no two share one, so level order carries no meaning
-//     and the segments are packed first-fit by start offset into the
-//     fewest levels range disjointness allows. Should the kept
-//     segments interleave too deeply for that to fit in maxGroupLevels,
-//     they are cut into range-disjoint pieces, which stack in one level
-//     beside the fit and its exact patches. The flat encoding may be
+//     path as a committed batch at γ = 0, so every ground-truth slot
+//     answers as before: a ±γ fit would trade exact answers for
+//     predictions the read path has to probe. A slot answered by an
+//     approximate segment keeps that segment, cut to the slots it won: a
+//     prediction is never re-fitted (a fit of a fit would stack error
+//     past γ) and never promoted to accurate (the read path would stop
+//     probing it). Every claim now names its LPAs exactly and no two
+//     share one, so level order carries no meaning and the segments are
+//     packed first-fit by start offset into the fewest levels range
+//     disjointness allows. Should the kept segments interleave too
+//     deeply for that to fit in maxGroupLevels, they are cut into
+//     range-disjoint pieces, which stack in one level beside the fit.
+//     The flat encoding may be
 //     larger than the stack it replaces; it is taken because the stack
 //     broke the depth bound.
 //
@@ -83,7 +81,7 @@ const (
 const (
 	slotFree  = iota // no segment claims the slot
 	slotTruth        // the slot's translation is known exactly
-	slotKept         // the slot stays with its unverified approximate segment
+	slotKept         // the slot stays with its approximate segment
 )
 
 // claim is one segment of a rebuilt group, already cut to what it answers.
@@ -91,7 +89,6 @@ type claim struct {
 	seg    Segment
 	lo, hi int32 // approximate segments: rb.arena[lo:hi] holds the LPA offsets answered, ascending
 	level  int32 // assigned by the packers
-	must   bool  // unverified approximate: survives a re-fit as it is
 }
 
 // rebuildBuf is the scratch behind rebuildGroup, owned by the Table so
@@ -108,7 +105,6 @@ type rebuildBuf struct {
 	claims  []claim        // the re-fit candidate
 	byStart []int16        // candidate indices in start-offset order
 	truth   []addr.Mapping // the ground-truth run, LPA-sorted
-	patch   []addr.Mapping // truth pairs an approximate re-fit mispredicts
 	arena   []uint8        // the approximate claims' LPA offsets
 	lvlEnd  []int          // pack: last offset each level covers so far
 	next    []int32        // install: next free slot of each level's window
@@ -155,16 +151,12 @@ func (t *Table) rebuildGroup(base addr.LPA, g *group) {
 	t.install(g, rb.claims, levels)
 }
 
-// flatten builds rb.claims — a re-fit of the ground-truth slots plus the
-// segments that cannot be dissolved (unverified approximate) — and packs
-// it, returning the level count. A verifying table fits at its γ;
-// without verification a ±γ fit would trade exact answers for
-// predictions the read path has to probe, so the fit is at γ = 0.
-//
-// Every re-fitted slot is answered by the claim fitted from it, whatever
-// level the claim lands on: claims share no LPA, an accurate claim
-// answers only its stride points, and an approximate one only its CRB
-// slots. So a verified fit answers each slot as refit checked it.
+// flatten builds rb.claims — a γ = 0 re-fit of the ground-truth slots
+// plus the approximate segments, which cannot be dissolved — and packs
+// it, returning the level count. Every re-fitted slot is answered by the
+// accurate claim fitted from it, whatever level the claim lands on:
+// claims share no LPA, an accurate claim answers only its stride points,
+// and an approximate one only its CRB slots.
 func (t *Table) flatten(base addr.LPA) int {
 	rb := &t.rb
 	rb.truth = rb.truth[:0]
@@ -173,20 +165,20 @@ func (t *Table) flatten(base addr.LPA) int {
 			rb.truth = append(rb.truth, addr.Mapping{LPA: base + addr.LPA(o), PPA: rb.ppa[o]})
 		}
 	}
-	gamma := 0
-	if t.verifying {
-		gamma = t.gamma
+	rb.claims = rb.claims[:0]
+	learned := t.learner.learn(rb.truth, 0)
+	for i := range learned {
+		addClaim(&rb.claims, &learned[i].Seg)
 	}
-	t.refit(base, gamma)
 	nFit := len(rb.claims)
 	for i := range rb.live {
-		if rb.live[i].must {
+		if !rb.live[i].seg.Accurate() {
 			rb.claims = append(rb.claims, rb.live[i])
 		}
 	}
 	levels := rb.pack()
 	if levels > maxGroupLevels {
-		// The unverified segments interleave too deeply to stack as they
+		// The approximate segments interleave too deeply to stack as they
 		// are: cut them into range-disjoint pieces, which share a level.
 		rb.claims = rb.claims[:nFit]
 		rb.splitKept(base)
@@ -195,8 +187,8 @@ func (t *Table) flatten(base addr.LPA) int {
 	return levels
 }
 
-// resolve gives every slot of g to its topmost claim (rb.state, rb.ppa,
-// rb.owner) and lists the segments that won any, cut to what they won, in
+// resolve gives every slot of g to its topmost claim (rb.state, rb.owner,
+// and rb.ppa for accurate claims) and lists the segments that won any, cut to what they won, in
 // rb.live — top level first, each level in start order — sunk as they
 // come (sink). It returns the level count the sunk claims occupy and
 // counts the approximate ones in rb.approx.
@@ -234,22 +226,16 @@ func (t *Table) resolve(base addr.LPA, g *group) (levels int) {
 			if e == nil {
 				continue
 			}
-			// A verifying table's approximate answers are exact; without
-			// verification the segment keeps its slots as predictions.
-			state := uint8(slotTruth)
-			if !t.verifying {
-				state = slotKept
-			}
+			// The segment keeps its slots as predictions.
 			start := len(rb.arena)
 			for _, o := range e.lpas {
 				if rb.state[o] == slotFree {
-					rb.state[o], rb.ppa[o], rb.owner[o] = state, s.predictApprox(o), int16(len(rb.live))
+					rb.state[o], rb.owner[o] = slotKept, int16(len(rb.live))
 					rb.arena = append(rb.arena, o)
 				}
 			}
 			if len(rb.arena) > start {
 				c := addClaim(&rb.live, s)
-				c.must = state == slotKept
 				rb.own(c, base, start)
 				rb.approx++
 				levels = max(levels, rb.sink(c, int(rb.arena[start]), int(rb.arena[len(rb.arena)-1])))
@@ -299,59 +285,14 @@ func (rb *rebuildBuf) sink(c *claim, first, last int) int {
 	return int(li) + 1
 }
 
-// refit fits rb.truth at gamma into rb.claims. An approximate fit keeps
-// only the slots it predicts exactly (verify-at-learn); the rest are
-// fitted exactly. The learner's output walks the run in order, each
-// segment covering the next len(LPAs) pairs.
-func (t *Table) refit(base addr.LPA, gamma int) {
-	rb := &t.rb
-	rb.claims, rb.patch = rb.claims[:0], rb.patch[:0]
-	pos := 0
-	learned := t.learner.learn(rb.truth, gamma)
-	for i := range learned {
-		ls := &learned[i]
-		sub := rb.truth[pos : pos+len(ls.LPAs)]
-		pos += len(sub)
-		switch {
-		case ls.Seg.Accurate():
-			addClaim(&rb.claims, &ls.Seg)
-		case triage(ls, sub):
-			// Keep the fit for what it predicts exactly; the rest is
-			// patched with exact segments below.
-			start, skip := len(rb.arena), ls.miss
-			for _, m := range sub {
-				if len(skip) > 0 && skip[0].LPA == m.LPA {
-					skip = skip[1:]
-					continue
-				}
-				rb.arena = append(rb.arena, addr.Offset(m.LPA))
-			}
-			c := addClaim(&rb.claims, &ls.Seg)
-			rb.own(c, base, start)
-			rb.patch = append(rb.patch, ls.miss...)
-		default:
-			t.claimExact(sub)
-		}
-	}
-	t.claimExact(rb.patch)
-}
-
-// claimExact claims pairs through a γ=0 fit (on the spare learn buffer:
-// refit is mid-way through t.learner's output).
-func (t *Table) claimExact(pairs []addr.Mapping) {
-	for _, ex := range t.refitter.learn(pairs, 0) {
-		addClaim(&t.rb.claims, &ex.Seg)
-	}
-}
-
-// splitKept appends the unverified approximate segments to rb.claims cut
+// splitKept appends the approximate segments to rb.claims cut
 // at every change of owner among their slots, so no two pieces' ranges
 // overlap.
 func (rb *rebuildBuf) splitKept(base addr.LPA) {
 	cur, start := int16(-1), 0
 	flush := func() {
 		if cur >= 0 {
-			rb.claims = append(rb.claims, claim{seg: rb.live[cur].seg, must: true})
+			rb.claims = append(rb.claims, claim{seg: rb.live[cur].seg})
 			rb.own(&rb.claims[len(rb.claims)-1], base, start)
 		}
 	}

@@ -28,15 +28,25 @@ type churn struct {
 	written int // pages committed through host batches
 }
 
+// newChurn returns a churn over a table of the paper preset at gamma, or
+// of the full preset (bitmap), which learns at γ = 0 whatever gamma it
+// is given (leaftl.WithExactBitmap).
 func newChurn(t *testing.T, seed int64, gamma, space int, bitmap bool) *churn {
-	c := &churn{
+	gamma = presetGamma(gamma, bitmap)
+	return &churn{
 		t: t, rng: rand.New(rand.NewSource(seed)), gamma: gamma, space: space,
 		tab: NewTable(gamma), truth: make(map[addr.LPA]addr.PPA),
 	}
+}
+
+// presetGamma is the γ a table learns at under the preset a test names:
+// the full preset (bitmap, leaftl.WithExactBitmap) learns at γ = 0
+// whatever γ it is given, the paper preset at gamma.
+func presetGamma(gamma int, bitmap bool) int {
 	if bitmap {
-		c.tab.EnableVerifyAtLearn()
+		return 0
 	}
-	return c
+	return gamma
 }
 
 // place lays lpas (ascending, unique) on the next pages of the log.
@@ -97,8 +107,8 @@ func (c *churn) gcBatch() {
 	c.tab.Update(pairs)
 }
 
-// readBack checks a few random LPAs' unverified approximate answers
-// against the oracle and repairs each miss with an exact point.
+// readBack checks a few random LPAs' approximate answers against the
+// oracle and repairs each miss with an exact point.
 func (c *churn) readBack() {
 	for i := 0; i < 16; i++ {
 		l := addr.LPA(c.rng.Intn(c.space))
@@ -107,7 +117,7 @@ func (c *churn) readBack() {
 			continue
 		}
 		got, res, _ := c.tab.Lookup(l)
-		if !res.Approx || res.Exact {
+		if !res.Approx {
 			continue
 		}
 		if got != want {
@@ -126,8 +136,7 @@ func sortedLPAs(set map[addr.LPA]bool) []addr.LPA {
 	return out
 }
 
-// check holds the table to the oracle: ground-truth
-// answers (accurate, or approximate in a verifying table) are exact,
+// check holds the table to the oracle: accurate answers are exact,
 // approximate ones within γ, unwritten LPAs unmapped, every structural
 // invariant and incremental counter intact, and the shape within bounds.
 func (c *churn) check(when string) {
@@ -143,7 +152,7 @@ func (c *churn) check(when string) {
 			continue
 		}
 		slack := 0
-		if res.Approx && !res.Exact {
+		if res.Approx {
 			slack = c.gamma
 		}
 		if d := int64(got) - int64(want); d < -int64(slack) || d > int64(slack) {
@@ -319,10 +328,9 @@ func TestCompactReportsOnlyChanges(t *testing.T) {
 }
 
 // TestRebuildKeepsUnverifiedApproximate pins the rule the rebuild may
-// not bend: a slot answered by an unverified approximate segment answers
-// with the same prediction afterwards and is still reported approximate,
-// never exact. Unverified segments live only in a table that does not
-// verify.
+// not bend: a slot answered by an approximate segment, whose prediction
+// nothing verified, answers with the same prediction afterwards and is
+// still reported approximate, never promoted to accurate.
 func TestRebuildKeepsUnverifiedApproximate(t *testing.T) {
 	tb := NewTable(4)
 	// Wide, interleaved ranges stack one level each, past the depth
@@ -355,11 +363,11 @@ func TestRebuildKeepsUnverifiedApproximate(t *testing.T) {
 		}
 		for l, want := range before {
 			p, r, ok := tb.Lookup(l)
-			if !ok || p != want.ppa || r.Approx != want.res.Approx || r.Exact != want.res.Exact {
+			if !ok || p != want.ppa || r.Approx != want.res.Approx {
 				t.Fatalf("after insert %d: Lookup(%d) = %d/%+v, was %d/%+v", i, l, p, r, want.ppa, want.res)
 			}
-			if !r.Approx || r.Exact {
-				t.Fatalf("after insert %d: unverified LPA %d answered %+v", i, l, r)
+			if !r.Approx {
+				t.Fatalf("after insert %d: approximate LPA %d answered %+v", i, l, r)
 			}
 		}
 	}

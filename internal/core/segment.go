@@ -186,8 +186,7 @@ func (s Segment) String() string {
 // merge for both kinds; it is discarded after insertion.
 type Learned struct {
 	Seg  Segment
-	LPAs []addr.LPA     // sorted ascending
-	miss []addr.Mapping // the pairs a fitted approximate segment mispredicts, LPA-sorted
+	LPAs []addr.LPA // sorted ascending
 }
 
 // Learn fits error-bounded segments over a batch of LPA→PPA mappings
@@ -206,8 +205,8 @@ func Learn(pairs []addr.Mapping, gamma int) []Learned {
 }
 
 // learnBuf holds the reusable scratch behind Learn: the output slice, the
-// per-group point buffer, the fitted-segment buffer, and the arenas that
-// back every Learned.LPAs and Learned.miss of a batch. Table.Update owns
+// per-group point buffer, the fitted-segment buffer, and the arena that
+// backs every Learned.LPAs of a batch. Table.Update owns
 // one and reuses it across batches, so steady-state learning costs
 // amortized O(1) allocations; results of a learn call are valid until
 // the next call on the same buffer.
@@ -217,7 +216,6 @@ type learnBuf struct {
 	segs      []plr.Segment
 	refitSegs []plr.Segment
 	arena     []addr.LPA
-	miss      []addr.Mapping
 }
 
 func (b *learnBuf) learn(pairs []addr.Mapping, gamma int) []Learned {
@@ -225,7 +223,7 @@ func (b *learnBuf) learn(pairs []addr.Mapping, gamma int) []Learned {
 		return nil
 	}
 	b.out = b.out[:0]
-	b.arena, b.miss = b.arena[:0], b.miss[:0]
+	b.arena = b.arena[:0]
 	i := 0
 	for i < len(pairs) {
 		g := addr.Group(pairs[i].LPA)
@@ -326,7 +324,7 @@ func (b *learnBuf) buildVerified(g addr.GroupID, pts []plr.Point, fs plr.Segment
 		// cache is what prime derives from K = 0: stride 1 and the
 		// constant line I, a non-negative integer.
 		seg := Segment{L: 0, K: 0, I: float32(pts[0].Y), stride: 1}
-		b.finish(&seg, addr.PPA(float64(seg.I)), pts, base, nil)
+		b.finish(&seg, addr.PPA(float64(seg.I)), pts, base)
 		return
 	}
 
@@ -341,19 +339,19 @@ func (b *learnBuf) buildVerified(g addr.GroupID, pts []plr.Point, fs plr.Segment
 	if strideOK {
 		st := pts[1].X - pts[0].X
 		if cand, ok := quantize(pts, fs, false); ok && int64(strideOf(cand.kf)) == st {
-			if _, ok := b.withinGamma(&cand, pts, base, 0); ok {
+			if withinGamma(&cand, pts, 0) {
 				// Proved: the stride is st and the first point is hit.
 				cand.stride = uint32(st)
-				b.finish(&cand, addr.PPA(pts[0].Y), pts, base, nil)
+				b.finish(&cand, addr.PPA(pts[0].Y), pts, base)
 				return
 			}
 		}
 	}
 	if gamma > 0 {
 		if cand, ok := quantize(pts, fs, true); ok {
-			if miss, ok := b.withinGamma(&cand, pts, base, gamma); ok {
+			if withinGamma(&cand, pts, gamma) {
 				cand.stride = strideOf(cand.kf)
-				b.finish(&cand, predictAt(cand.kf, cand.I, pts[0].X), pts, base, miss)
+				b.finish(&cand, predictAt(cand.kf, cand.I, pts[0].X), pts, base)
 				return
 			}
 		}
@@ -463,33 +461,26 @@ func quantize(pts []plr.Point, fs plr.Segment, approx bool) (Segment, bool) {
 }
 
 // finish anchors a quantized, verified segment at its first point and
-// appends it with its LPAs and mispredicted pairs. The caller proved or
-// computed its decoded cache on the way, p0 included, so nothing in it
-// is derived twice.
-func (b *learnBuf) finish(seg *Segment, p0 addr.PPA, pts []plr.Point, base addr.LPA, miss []addr.Mapping) {
+// appends it with its LPAs. The caller proved or computed its decoded
+// cache on the way, p0 included, so nothing in it is derived twice.
+func (b *learnBuf) finish(seg *Segment, p0 addr.PPA, pts []plr.Point, base addr.LPA) {
 	seg.SLPA = base + addr.LPA(pts[0].X)
 	seg.p0, seg.primed = p0, true
 	b.out = slices.Grow(b.out, 1)[:len(b.out)+1]
 	ls := &b.out[len(b.out)-1]
-	ls.Seg, ls.LPAs, ls.miss = *seg, b.lpas(pts, base), miss
+	ls.Seg, ls.LPAs = *seg, b.lpas(pts, base)
 }
 
 // withinGamma reports whether seg's line ⌈k·x + i⌉ is within ±gamma of
-// every point (at gamma = 0: hits every one) and, if so, returns the
-// points it misses as pairs of the group at base, kept in b.miss.
-func (b *learnBuf) withinGamma(seg *Segment, pts []plr.Point, base addr.LPA, gamma int) ([]addr.Mapping, bool) {
-	start := len(b.miss)
+// every point (at gamma = 0: hits every one).
+func withinGamma(seg *Segment, pts []plr.Point, gamma int) bool {
 	for _, p := range pts {
 		d := int64(predictAt(seg.kf, seg.I, p.X)) - p.Y
 		if d < -int64(gamma) || d > int64(gamma) {
-			b.miss = b.miss[:start]
-			return nil, false
-		}
-		if d != 0 {
-			b.miss = append(b.miss, addr.Mapping{LPA: base + addr.LPA(p.X), PPA: addr.PPA(p.Y)})
+			return false
 		}
 	}
-	return b.miss[start:len(b.miss):len(b.miss)], true
+	return true
 }
 
 // predictAt evaluates ⌈k·x + i⌉, clamped at 0.

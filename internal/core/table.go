@@ -27,13 +27,6 @@ type Table struct {
 	groups  []*group // indexed by GroupID; nil = group never written
 	nGroups int
 
-	// verifying enables verify-at-learn (insertRun, repairRun, refit):
-	// every written LPA is checked against the prediction that will
-	// answer it, and what an approximate segment mispredicts is fitted
-	// exactly, so every approximate answer is exact and Lookup reports it
-	// Exact. Off (the default), approximate answers are ±γ predictions.
-	verifying bool
-
 	// Statistics are maintained incrementally at every point a segment
 	// enters or leaves a level, a level is added or removed, or a CRB
 	// mutates — Stats() and SizeBytes() are O(1) in the table size
@@ -67,16 +60,6 @@ type Table struct {
 	pk       int
 	winLo    int
 	topDepth int
-
-	// refitter is a second learn buffer for verify-at-learn's γ=0
-	// refits, which run while results of t.learner are still pending
-	// insertion (a learnBuf's output is only valid until its next learn
-	// call, so the nested fits need their own scratch).
-	refitter learnBuf
-
-	// missed collects a committed run's pairs that no placed piece
-	// predicts, for repairRun.
-	missed []addr.Mapping
 
 	// rb is the whole-group rebuild's scratch (rebuild.go).
 	rb rebuildBuf
@@ -267,11 +250,6 @@ type LookupResult struct {
 	// Redirected is true when the CRB redirected the lookup from the
 	// range-matching segment to the true owning segment (Figure 9).
 	Redirected bool
-	// Exact is true when the answering segment is approximate but the
-	// table verifies at learn time, so the returned PPA is the live page:
-	// the device may issue one flash read with no OOB verification probe
-	// budget. Always false without verification.
-	Exact bool
 }
 
 // NewTable returns an empty mapping table with the given error bound
@@ -289,18 +267,9 @@ func NewTable(gamma int) *Table {
 // Gamma returns the table's error bound.
 func (t *Table) Gamma() int { return t.gamma }
 
-// EnableVerifyAtLearn turns on verify-at-learn for the life of the
-// table. Lookup then reports every approximate answer Exact, so turn it
-// on before the table learns anything: segments learned without it, or
-// installed from a table without it, are not verified.
-func (t *Table) EnableVerifyAtLearn() {
-	t.verifying = true
-	t.gen++
-}
-
 // Gen returns the table's mutation count. Every exported call that may
-// change an answer of Lookup advances it: Update, Compact, InstallGroup,
-// DropGroup and EnableVerifyAtLearn. Read-only calls leave it alone, so
+// change an answer of Lookup advances it: Update, Compact, InstallGroup
+// and DropGroup. Read-only calls leave it alone, so
 // answers taken at one count (LookupRun's) stay valid while Gen returns
 // that count.
 func (t *Table) Gen() uint64 { return t.gen }
@@ -347,134 +316,17 @@ func (t *Table) Update(pairs []addr.Mapping) int {
 }
 
 // commitRun fits one group run, merges the fitted pieces into the
-// group's top level in one pass, fits what they mispredict exactly, then
-// rebuilds the group if it outgrew its trigger.
+// group's top level in one pass, then rebuilds the group if it outgrew
+// its trigger. The learner's output walks the run in order.
 func (t *Table) commitRun(run []addr.Mapping) {
 	g := t.group(addr.Group(run[0].LPA))
 	t.openTop(g)
-	t.insertRun(g, t.learner.learn(run, t.gamma), run)
-	t.repairRun(g)
+	learned := t.learner.learn(run, t.gamma)
+	for k := range learned {
+		t.mergePiece(g, &learned[k])
+	}
 	t.closeTop(g)
 	t.maybeRebuild(addr.Group(run[0].LPA))
-}
-
-// insertRun merges a freshly fitted run into g's open top level.
-// Without verification it is a plain merge. With it, each approximate
-// segment is triaged before it reaches the table (triage):
-// segments whose predictions match every committed pair are kept as-is
-// (the γ slack went unused, the compression is free); mispredicting ones
-// are kept only when keeping them is cheaper than replacing them with a
-// γ=0 refit of their pairs. Without the triage, verify-at-learn would pay
-// for both encodings on every badly fitted segment (the 17%-over-γ=16
-// table the first bench run measured); with only the all-or-nothing
-// version, near-miss fits lose their approximate compression entirely.
-//
-// Every committed pair is then answered by the piece fitted from it, so
-// it is checked against that piece's prediction as it is placed
-// (verify-at-learn); the pairs no piece predicts collect in t.missed for
-// repairRun.
-func (t *Table) insertRun(g *group, learned []Learned, run []addr.Mapping) {
-	t.missed = t.missed[:0]
-	pos := 0
-	for k := range learned {
-		ls := &learned[k]
-		// The learner's output walks the run in order, each segment
-		// covering the next len(LPAs) pairs.
-		sub := run[pos : pos+len(ls.LPAs)]
-		pos += len(sub)
-		if !t.verifying {
-			t.mergePiece(g, ls)
-			continue
-		}
-		if ls.Seg.Accurate() || triage(ls, sub) {
-			t.mergePiece(g, ls)
-			t.verifyPiece(&ls.Seg, sub)
-			continue
-		}
-		// The refit runs on the spare buffer: learned still aliases
-		// t.learner's scratch, and each refit is merged before the next
-		// one reuses the buffer.
-		at := 0
-		for _, r := range t.refitter.learn(sub, 0) {
-			t.mergePiece(g, &r)
-			t.verifyPiece(&r.Seg, sub[at:at+len(r.LPAs)])
-			at += len(r.LPAs)
-		}
-	}
-}
-
-// verifyPiece collects in t.missed every pair of sub that seg, the
-// learner's piece fitted from sub and now answering it, mispredicts.
-func (t *Table) verifyPiece(seg *Segment, sub []addr.Mapping) {
-	for _, m := range sub {
-		if !hits(seg, m) {
-			t.missed = append(t.missed, m)
-		}
-	}
-}
-
-// hits reports whether seg, a piece the learner fitted from pairs that
-// include m, predicts m exactly. buildVerified checked every pair against
-// an accurate multi-point segment's quantized line. A single point
-// answers its anchor p0, whose float32 intercept quantizes above 2^24,
-// and an approximate piece its line, within ±γ.
-func hits(seg *Segment, m addr.Mapping) bool {
-	if seg.Accurate() {
-		return seg.L > 0 || seg.p0 == m.PPA
-	}
-	return seg.predictApprox(addr.Offset(m.LPA)) == m.PPA
-}
-
-// triage decides whether a freshly fitted approximate segment is worth
-// keeping (sub is the LPA-sorted pair set it was fitted from, ls.miss
-// the pairs it mispredicts). The byte costs compared are keep = segment
-// + CRB claims + the accurate patches stacked over the failures, versus
-// replace = one accurate segment per stride-clean run of the whole point
-// set.
-func triage(ls *Learned, sub []addr.Mapping) (keep bool) {
-	if len(ls.miss) == 0 {
-		return true
-	}
-	costKeep := SegmentBytes + len(sub) + SegmentBytes*strideRuns(ls.miss)
-	return costKeep <= SegmentBytes*strideRuns(sub)
-}
-
-// strideRuns counts the maximal stride-clean runs of an LPA-sorted pair
-// set — arithmetic LPA progressions mapped to consecutive PPAs — which
-// is the number of accurate segments a γ=0 fit of those pairs produces.
-func strideRuns(pairs []addr.Mapping) int {
-	runs := 0
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		if j < len(pairs) && pairs[j].PPA == pairs[i].PPA+1 {
-			st := pairs[j].LPA - pairs[i].LPA
-			for j < len(pairs) && pairs[j].LPA-pairs[j-1].LPA == st && pairs[j].PPA == pairs[j-1].PPA+1 {
-				j++
-			}
-		}
-		runs++
-		i = j
-	}
-	return runs
-}
-
-// repairRun re-fits at γ=0 the committed pairs no placed piece predicts
-// (t.missed) and merges the fits over them: exact segments that shadow
-// the mispredicting approximate ones for exactly those LPAs, so no
-// approximate segment answers a slot it mispredicts. Fitting the
-// failures as a batch costs one accurate segment per linear run instead
-// of one pin per slot. Slots not in the run answer as before: newer
-// segments only answer LPAs they were learned from, and trims never move
-// a surviving prediction. No-op without verification.
-func (t *Table) repairRun(g *group) {
-	if len(t.missed) == 0 {
-		return
-	}
-	t.closeTop(g)
-	t.openTop(g)
-	for _, r := range t.learner.learn(t.missed, 0) {
-		t.mergePiece(g, &r)
-	}
 }
 
 func (t *Table) group(id addr.GroupID) *group {
@@ -567,10 +419,9 @@ func (t *Table) stampLPAs(lpas []addr.LPA) {
 	}
 }
 
-// The top level is the only level a commit inserts into, and every
-// insert path hands it pieces in ascending LPA order with pairwise
-// disjoint ranges: a learner's output, the γ=0 refits that replace
-// rejected fits, the repairs of a run. So a commit merges them into the
+// The top level is the only level a commit inserts into, and a commit
+// hands it pieces in ascending LPA order with pairwise disjoint ranges:
+// a learner's output. So a commit merges them into the
 // top level in one left-to-right pass instead of searching and shifting
 // the level once per piece, with the result of inserting them one at a
 // time (Algorithm 1 lines 1–16):
@@ -930,7 +781,7 @@ func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 	default:
 		t.fill(g, addr.GroupBase(id))
 	}
-	return t.unpack(g.memo.slots[addr.Offset(lpa)])
+	return unpack(g.memo.slots[addr.Offset(lpa)])
 }
 
 // Walk answers lpa as Lookup does, but always from the group's levels:
@@ -998,7 +849,6 @@ func (t *Table) walk(g *group, lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 			continue
 		}
 		res.Approx = true
-		res.Exact = t.verifying
 		return seg.predictApprox(off), res, true
 	}
 	return addr.InvalidPPA, res, false
@@ -1040,7 +890,7 @@ func (t *Table) LookupRun(lpa addr.LPA, out []Answer) int {
 	}
 	for i := range out {
 		a := &out[i]
-		a.PPA, a.Res, a.OK = t.unpack(slots[i])
+		a.PPA, a.Res, a.OK = unpack(slots[i])
 	}
 	return len(out)
 }

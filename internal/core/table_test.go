@@ -439,7 +439,8 @@ func TestLookupZeroAllocs(t *testing.T) {
 // constant number of allocations per 256-mapping batch (CRB entry copies
 // and occasional segment-array growth), nothing proportional to batch
 // size or victim count like the old per-victim bitmap and LPA slices,
-// and an aged verifying table's relocation batches must allocate nothing.
+// and the full preset's aged table's relocation batches must allocate
+// nothing.
 func TestUpdateSteadyStateAllocs(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		rng := rand.New(rand.NewSource(3))
@@ -471,13 +472,11 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 		}
 	}
 
-	// The bench's configuration: a verifying γ=4 table, aged, fed
-	// relocation-shaped batches (a few LPAs of every group). Their runs
-	// go through the merge scratch, the verification of the placed
-	// pieces and the rebuilds they trigger; once warm, none of it
-	// allocates.
-	tb := NewTable(4)
-	tb.EnableVerifyAtLearn()
+	// The bench's full configuration: a γ = 0 table (presetGamma), aged,
+	// fed relocation-shaped batches (a few LPAs of every group). Their
+	// runs go through the merge scratch and the rebuilds they trigger;
+	// once warm, none of it allocates.
+	tb := NewTable(presetGamma(4, true))
 	a := newAger(3, 64)
 	a.prefill(tb)
 	a.age(tb, 10)
@@ -485,7 +484,7 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 		a.relocate(tb)
 	}
 	if avg := testing.AllocsPerRun(100, func() { a.relocate(tb) }); avg != 0 {
-		t.Errorf("verifying gamma 4: a relocation pass allocates %.1f objects, want 0", avg)
+		t.Errorf("full preset: a relocation pass allocates %.1f objects, want 0", avg)
 	}
 }
 
@@ -520,8 +519,7 @@ func (t *Table) recomputeStats() {
 // retains several times more.
 func TestTableMemoryTracksLiveSegments(t *testing.T) {
 	const groups = 400
-	tb := NewTable(4)
-	tb.EnableVerifyAtLearn()
+	tb := NewTable(presetGamma(4, true)) // the full preset's table
 	a := newAger(11, groups)
 	a.prefill(tb)
 	for round := 0; round < 4; round++ {
@@ -594,10 +592,7 @@ func TestAgedCommitPinned(t *testing.T) {
 		for _, bitmap := range []bool{false, true} {
 			name := fmt.Sprintf("gamma%d/bitmap=%v", gamma, bitmap)
 			t.Run(name, func(t *testing.T) {
-				tb := NewTable(gamma)
-				if bitmap {
-					tb = NewTable(0)
-				}
+				tb := NewTable(presetGamma(gamma, bitmap))
 				h := fnv.New64a()
 				fold := func() {
 					for _, gid := range tb.ResidentGroups() {

@@ -29,8 +29,8 @@ type TortureSpec struct {
 	// keeps the scale's pool.
 	Budgets []float64
 	// Schemes are schemePresets names: paper is the learned table
-	// alone, full adds verify-at-learn (the benchmark's scheme); dftl
-	// and sftl also run.
+	// alone, full learns at γ = 0 with GC relearning (the benchmark's
+	// scheme); dftl and sftl also run.
 	Schemes []string
 	// CrashPoints is the number of seeded crashes injected per cell.
 	CrashPoints int

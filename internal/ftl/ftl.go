@@ -63,14 +63,10 @@ type Translation struct {
 	// (LeaFTL only; 1 for flat schemes). Feeds Figure 23.
 	Levels int
 	// Approx marks a prediction that may be off by up to ±gamma and must
-	// be verified against the OOB reverse mapping (LeaFTL only).
+	// be verified against the OOB reverse mapping (LeaFTL only). Every
+	// other translation is trusted: a wrong PPA there is an invariant
+	// violation, not a misprediction.
 	Approx bool
-	// Exact marks an approximate translation the scheme verified when it
-	// learned it, so its PPA lands on the live page: the device issues
-	// one flash read with no OOB verification probe budget, and a wrong
-	// PPA here is an invariant violation, not a misprediction (LeaFTL
-	// with verify-at-learn only; always false otherwise).
-	Exact bool
 }
 
 // Scheme is an address-translation scheme under test.
@@ -237,12 +233,13 @@ type GCRelearner interface {
 	CommitGC(pairs []addr.Mapping) (Cost, int)
 }
 
-// ExactAuditor is implemented by schemes that mark translations Exact.
-// The device's CheckInvariants hands it a ground-truth oracle (live PPA
-// per LPA; ok=false for unmapped or lost pages) and the scheme verifies
-// every translation it would mark Exact against it — one pointing at the
-// wrong page would make the device return wrong data without an OOB
-// check, so any disagreement is a hard invariant failure. The audit must
+// ExactAuditor is implemented by schemes that audit their accurate
+// translations. The device's CheckInvariants hands it a ground-truth
+// oracle (live PPA per LPA; ok=false for unmapped or lost pages) and the
+// scheme checks every resident translation it would not mark Approx
+// against it — one pointing at the wrong page would make the device read
+// the wrong page without an OOB check, so any disagreement is a hard
+// invariant failure, found before any read of that LPA. The audit must
 // be side-effect free and must not fault paged-out groups in.
 type ExactAuditor interface {
 	AuditExact(truth func(addr.LPA) (addr.PPA, bool)) error

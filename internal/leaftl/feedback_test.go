@@ -10,16 +10,20 @@ import (
 )
 
 // TestBitmapFeedbackProperty is the property that makes read feedback
-// unnecessary under verify-at-learn: across random workloads, with and
-// without a DRAM budget, every approximate translation is marked Exact
-// and lands on the true page, the scheme's audit agrees, and the GMD and
-// budget invariants hold after every Maintain.
+// unnecessary in the full preset: across random irregular workloads,
+// with and without a DRAM budget, a scheme built WithExactBitmap at
+// γ = 8 reports γ = 0, no translation is approximate and every one lands
+// on the true page, the scheme's audit agrees, and the GMD and budget
+// invariants hold after every Maintain.
 func TestBitmapFeedbackProperty(t *testing.T) {
 	const gamma = 8
 	for trial := 0; trial < 3; trial++ {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(41 + trial)))
 			s := newScheme(gamma, 4096, WithExactBitmap(), WithCompactEvery(512))
+			if s.Gamma() != 0 {
+				t.Fatalf("scheme built WithExactBitmap at γ=%d reports γ=%d, want 0", gamma, s.Gamma())
+			}
 
 			logical := 24 * 256
 			truth := make(map[addr.LPA]addr.PPA)
@@ -54,8 +58,8 @@ func TestBitmapFeedbackProperty(t *testing.T) {
 				if !ok {
 					return
 				}
-				if tr.Approx && !tr.Exact {
-					t.Fatalf("LPA %d: approximate answer not marked exact (%+v)", lpa, tr)
+				if tr.Approx {
+					t.Fatalf("LPA %d: approximate answer (%+v)", lpa, tr)
 				}
 				if tr.PPA != want {
 					t.Fatalf("answer %d for LPA %d, want %d (%+v)", tr.PPA, lpa, want, tr)

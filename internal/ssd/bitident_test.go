@@ -63,10 +63,10 @@ type (
 )
 
 // sansBitmap is a LeaFTL scheme as the device saw it before
-// verify-at-learn (WithExactBitmap) existed: every capability except the
-// two it added, GC-time relearning (ftl.GCRelearner) and the exactness
-// audit (ftl.ExactAuditor). The device type-asserts for those, so behind
-// this view it falls back to plain Commit and skips the audit.
+// WithExactBitmap existed: every capability except the two that came
+// with it, GC-time relearning (ftl.GCRelearner) and the exactness audit
+// (ftl.ExactAuditor). The device type-asserts for those, so behind this
+// view it falls back to plain Commit and skips the audit.
 type sansBitmap struct {
 	ftl.Journaled // Scheme + GroupPaged + the journal
 	errorBound
@@ -98,8 +98,7 @@ func requireSameDevice(t *testing.T, what string, a, b *Device) {
 	}
 }
 
-// TestBitmapOffBitIdentity: with verify-at-learn (WithExactBitmap) off
-// — the default — the learned read path and GC must behave as if the
+// TestBitmapOffBitIdentity: without WithExactBitmap — the default — the learned read path and GC must behave as if the
 // feature did not exist. The same churn runs on the scheme as built and
 // behind sansBitmap, which hides the feature's device-facing
 // capabilities; the two devices must match bit for bit, and the off run

@@ -121,7 +121,7 @@ func requireAccurateReads(t *testing.T, phase string, before, after Stats) {
 }
 
 // TestBitmapRelearnUnderGC: block reclaim routes LPA-sorted relocation
-// runs through CommitGC, so a verify-at-learn device under GC pressure
+// runs through CommitGC, so a full-preset device under GC pressure
 // re-fits groups (Stats.Relearns) and relearned groups still translate
 // every page correctly.
 func TestBitmapRelearnUnderGC(t *testing.T) {
@@ -344,8 +344,8 @@ func (f fixedAnswer) Translate(addr.LPA) (ftl.Translation, bool) { return f.tr, 
 
 // TestRestoredCoversTrustsOnlyExactAnswers: recovery skips relearning a
 // pair that a restored image answers within ±γ only when the read path
-// will verify that answer; an answer marked Exact is trusted unverified,
-// so it must be the pair's PPA.
+// will verify that answer (an approximate one); an accurate answer is
+// trusted unverified, so it must be the pair's PPA.
 func TestRestoredCoversTrustsOnlyExactAnswers(t *testing.T) {
 	const ppa, gamma = 100, 4
 	for _, c := range []struct {
@@ -353,8 +353,7 @@ func TestRestoredCoversTrustsOnlyExactAnswers(t *testing.T) {
 		want bool
 	}{
 		{ftl.Translation{PPA: ppa + 2, Approx: true}, true},
-		{ftl.Translation{PPA: ppa + 2, Approx: true, Exact: true}, false},
-		{ftl.Translation{PPA: ppa, Approx: true, Exact: true}, true},
+		{ftl.Translation{PPA: ppa + gamma + 1, Approx: true}, false},
 		{ftl.Translation{PPA: ppa + 2}, false},
 		{ftl.Translation{PPA: ppa}, true},
 	} {

@@ -72,8 +72,8 @@ func (s auditedLeaFTL) CommitGC(p []addr.Mapping) (ftl.Cost, int) {
 	return s.a.check(c), n
 }
 
-// TestCostNamesEveryMetaOp runs DFTL, SFTL and the journaled,
-// verify-at-learn LeaFTL through the budgeted churn and checks that every
+// TestCostNamesEveryMetaOp runs DFTL, SFTL and the journaled full-preset
+// LeaFTL through the budgeted churn and checks that every
 // Cost they return names one translation page per counted operation.
 func TestCostNamesEveryMetaOp(t *testing.T) {
 	cfg := journalChurnConfig()

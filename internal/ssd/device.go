@@ -395,22 +395,6 @@ func (d *Device) readPage(lpa addr.LPA, t time.Duration) (time.Duration, error) 
 
 	var tok uint64
 	switch {
-	case tr.Approx && tr.Exact:
-		// The scheme verified this approximate prediction when it learned
-		// it: one trusted flash read with no OOB verification probe
-		// budget reserved. That is a hard promise — a wrong PPA here
-		// would have returned wrong data, so it is an invariant failure,
-		// not a misprediction.
-		if tr.PPA != want {
-			return 0, fmt.Errorf("ssd: verified prediction wrong for LPA %d: scheme %s predicted PPA %d, true page %d",
-				lpa, d.scheme.Name(), tr.PPA, want)
-		}
-		d.stats.ExactBitHits++
-		var err error
-		tok, t, err = d.verifiedRead(want, lpa, true, t)
-		if err != nil {
-			return 0, err
-		}
 	case tr.PPA == want:
 		// Correct prediction: one flash read.
 		var err error

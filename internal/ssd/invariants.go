@@ -41,10 +41,10 @@ import (
 //     resident group is at most L levels deep and its footprint is
 //     bounded by its live LPAs, not by how often it was written — the
 //     constants live beside the rebuild triggers in internal/core.
-//   - Verified approximate answers: every approximate translation a
-//     verifying table gives lands on the LPA's live page — the read path
-//     trusts them without OOB verification, so a wrong one means silent
-//     wrong data.
+//   - Trusted answers (ftl.ExactAuditor): every accurate translation of
+//     a resident group lands on the LPA's live page — the read path
+//     trusts it without OOB verification, so a wrong one is found here
+//     before any read of that LPA.
 //   - Die timelines (flash.Array.CheckTimelines): busy spans sorted and
 //     disjoint, and no die time lost or booked twice.
 func (d *Device) CheckInvariants() error {
@@ -56,8 +56,8 @@ func (d *Device) CheckInvariants() error {
 
 	if ea, ok := d.scheme.(ftl.ExactAuditor); ok {
 		// Every translation the read path trusts with no OOB verification
-		// must point at the live page, or it would silently return wrong
-		// data. Unmapped and lost LPAs have no live page — the oracle
+		// must point at the live page; the read path fails a wrong one
+		// only once the LPA is read. Unmapped and lost LPAs have no live page — the oracle
 		// reports them absent and the audit skips them (the next read of
 		// such an LPA fails before flash).
 		truth := func(lpa addr.LPA) (addr.PPA, bool) {

@@ -85,7 +85,7 @@ func journalChurnDevice(t *testing.T, opts ...leaftl.Option) *Device {
 }
 
 // TestDeviceParallelCommitMatchesSerial runs the budgeted, journaled,
-// verify-at-learn churn — flushes, GC relocation and demand paging in a 48 B
+// full-preset churn — flushes, GC relocation and demand paging in a 48 B
 // pool — once with GOMAXPROCS = 1, where the learned table
 // commits every batch on the caller, and once with GOMAXPROCS = 2, where
 // it spreads a batch's group runs over a helper. The two devices must end

@@ -278,8 +278,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 // restoredCovers reports whether a restored group image already locates
 // lpa at ppa: exactly, or — for an approximate answer the read path
 // verifies — within the ±γ learning guarantee its window search
-// recovers from. An answer marked Exact is trusted unverified, so it
-// must be exact. The Translate side effects (demand-page LRU touches)
+// recovers from. The Translate side effects (demand-page LRU touches)
 // are part of the recovery validation pass; its flash cost is subsumed
 // by ScanTime.
 func restoredCovers(fresh ftl.Scheme, lpa addr.LPA, ppa addr.PPA, gamma int) bool {
@@ -287,7 +286,7 @@ func restoredCovers(fresh ftl.Scheme, lpa addr.LPA, ppa addr.PPA, gamma int) boo
 	if !ok {
 		return false
 	}
-	if !tr.Approx || tr.Exact {
+	if !tr.Approx {
 		return tr.PPA == ppa
 	}
 	diff := int64(tr.PPA) - int64(ppa)

@@ -33,9 +33,10 @@ type Stats struct {
 	MissFallbacks uint64
 	DoubleReads   uint64
 
-	// Verified read path (verify-at-learn LeaFTL). ExactBitHits counts
-	// approximate translations the scheme marked Exact — one trusted
-	// flash read, no OOB verification probe budget reserved.
+	// ExactBitHits is always 0: no scheme marks an approximate
+	// translation trusted (the full preset learns at γ = 0 and has no
+	// approximate segment). It stays because the benchmark under bench/
+	// reports ExactBitHitRatio and the cells' JSON prints it.
 	// Relearns counts segment groups re-fitted by GC-time relearning
 	// (Table.Update through CommitGC) from LPA-sorted relocation batches.
 	ExactBitHits uint64
@@ -93,7 +94,7 @@ func (s Stats) MispredictionRatio() float64 {
 }
 
 // DoubleReadRatio returns double reads per host page read — the §3.5
-// wasted-flash-read rate verify-at-learn removes.
+// wasted-flash-read rate.
 func (s Stats) DoubleReadRatio() float64 {
 	if s.HostPagesRead == 0 {
 		return 0
@@ -101,8 +102,8 @@ func (s Stats) DoubleReadRatio() float64 {
 	return float64(s.DoubleReads) / float64(s.HostPagesRead)
 }
 
-// ExactBitHitRatio returns the fraction of approximate reads served as
-// verified-exact (no verification budget).
+// ExactBitHitRatio returns ExactBitHits over ApproxReads: always 0 (see
+// ExactBitHits).
 func (s Stats) ExactBitHitRatio() float64 {
 	if s.ApproxReads == 0 {
 		return 0
