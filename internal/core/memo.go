@@ -44,10 +44,9 @@ import (
 // reads nor fills a memo.
 
 // memoFillLPAs is the fill trigger of a group whose fills pay. On
-// BenchmarkLookupAged's table (an aged γ = 0 table of 221 segments and
-// 6.1 levels per group; the verifying γ = 4 table it replaced had the
-// same shape), a fill costs 6.2–7.4 µs, about 22
-// cold walks of 300–320 ns, and a memo hit 10–11 ns.
+// BenchmarkLookupAged's aged table of 221 segments and 6.1 levels per
+// group, a fill costs 6.2–7.4 µs, about 22 cold walks of 300–320 ns, and
+// a memo hit 10–11 ns.
 const memoFillLPAs = 24
 
 // A packed slot, as the sweep writes it: the PPA in the low 32 bits,

@@ -44,9 +44,8 @@ import (
 //     disjointness allows. Should the kept segments interleave too
 //     deeply for that to fit in maxGroupLevels, they are cut into
 //     range-disjoint pieces, which stack in one level beside the fit.
-//     The flat encoding may be
-//     larger than the stack it replaces; it is taken because the stack
-//     broke the depth bound.
+//     The flat encoding may be larger than the stack it replaces; it is
+//     taken because the stack broke the depth bound.
 //
 // Rebuilds are triggered per group from the commit path. With L =
 // maxGroupLevels, F = rebuildGrowth and M = rebuildMinSegments, a group
@@ -188,9 +187,9 @@ func (t *Table) flatten(base addr.LPA) int {
 }
 
 // resolve gives every slot of g to its topmost claim (rb.state, rb.owner,
-// and rb.ppa for accurate claims) and lists the segments that won any, cut to what they won, in
-// rb.live — top level first, each level in start order — sunk as they
-// come (sink). It returns the level count the sunk claims occupy and
+// and rb.ppa for accurate claims) and lists the segments that won any,
+// cut to what they won, in rb.live — top level first, each level in
+// start order — sunk as they come (sink). It returns the level count the sunk claims occupy and
 // counts the approximate ones in rb.approx.
 func (t *Table) resolve(base addr.LPA, g *group) (levels int) {
 	rb := &t.rb

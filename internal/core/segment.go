@@ -206,10 +206,10 @@ func Learn(pairs []addr.Mapping, gamma int) []Learned {
 
 // learnBuf holds the reusable scratch behind Learn: the output slice, the
 // per-group point buffer, the fitted-segment buffer, and the arena that
-// backs every Learned.LPAs of a batch. Table.Update owns
-// one and reuses it across batches, so steady-state learning costs
-// amortized O(1) allocations; results of a learn call are valid until
-// the next call on the same buffer.
+// backs every Learned.LPAs of a batch. Table.Update owns one and reuses
+// it across batches, so steady-state learning costs amortized O(1)
+// allocations; results of a learn call are valid until the next call on
+// the same buffer.
 type learnBuf struct {
 	out       []Learned
 	pts       []plr.Point

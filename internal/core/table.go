@@ -269,9 +269,8 @@ func (t *Table) Gamma() int { return t.gamma }
 
 // Gen returns the table's mutation count. Every exported call that may
 // change an answer of Lookup advances it: Update, Compact, InstallGroup
-// and DropGroup. Read-only calls leave it alone, so
-// answers taken at one count (LookupRun's) stay valid while Gen returns
-// that count.
+// and DropGroup. Read-only calls leave it alone, so answers taken at one
+// count (LookupRun's) stay valid while Gen returns that count.
 func (t *Table) Gen() uint64 { return t.gen }
 
 // Update learns segments for a batch of new LPA→PPA mappings and inserts
@@ -317,7 +316,7 @@ func (t *Table) Update(pairs []addr.Mapping) int {
 
 // commitRun fits one group run, merges the fitted pieces into the
 // group's top level in one pass, then rebuilds the group if it outgrew
-// its trigger. The learner's output walks the run in order.
+// its trigger.
 func (t *Table) commitRun(run []addr.Mapping) {
 	g := t.group(addr.Group(run[0].LPA))
 	t.openTop(g)
@@ -420,11 +419,11 @@ func (t *Table) stampLPAs(lpas []addr.LPA) {
 }
 
 // The top level is the only level a commit inserts into, and a commit
-// hands it pieces in ascending LPA order with pairwise disjoint ranges:
-// a learner's output. So a commit merges them into the
-// top level in one left-to-right pass instead of searching and shifting
-// the level once per piece, with the result of inserting them one at a
-// time (Algorithm 1 lines 1–16):
+// hands it a learner's output: pieces in ascending LPA order with
+// pairwise disjoint ranges. So a commit merges them into the top level
+// in one left-to-right pass instead of searching and shifting the level
+// once per piece, with the result of inserting them one at a time
+// (Algorithm 1 lines 1–16):
 //
 //   - openTop opens the merge. The first piece starts the merge's window
 //     at the first top-level segment that does not end before it; what

@@ -229,12 +229,11 @@ func budgeted(cfg ssd.Config, budget float64) (ssd.Config, error) {
 
 // schemePresets builds every scheme the harness runs, keyed by the
 // benchmark's names: full is LeaFTL built WithExactBitmap (the
-// benchmark's scheme), which learns at γ = 0 whatever γ it is given and
-// relearns groups from GC relocation, so it is paper at γ = 0 plus GC
-// relearning; paper is the learned table alone at the given γ; dftl and
-// sftl are the baselines, whose budgets the device sets. Both LeaFTL presets persist
-// their groups through the metadata journal. A LeaFTL preset applies
-// opts before its own options.
+// benchmark's scheme), which learns at γ = 0 whatever γ it is given, so
+// it is paper at γ = 0 plus GC relearning; paper is the learned table
+// alone at the given γ; dftl and sftl are the baselines, whose budgets
+// the device sets. Both LeaFTL presets persist their groups through the
+// metadata journal. A LeaFTL preset applies opts before its own options.
 var schemePresets = map[string]func(gamma, pageSize int, opts []leaftl.Option) ftl.Scheme{
 	"full": func(gamma, pageSize int, opts []leaftl.Option) ftl.Scheme {
 		return leaftl.New(gamma, pageSize, append(opts, leaftl.WithExactBitmap())...)
