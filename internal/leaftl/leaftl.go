@@ -67,7 +67,7 @@ func WithJournal() Option { return func(*Scheme) {} }
 // same answers for less host work. The name stays because the benchmark
 // under bench/ passes it.
 func WithExactBitmap() Option {
-	return func(s *Scheme) { s.verify = true }
+	return func(s *Scheme) { s.exactBitmap = true }
 }
 
 // Scheme is LeaFTL as an ftl.Scheme.
@@ -79,7 +79,7 @@ type Scheme struct {
 	lastCompact  uint64
 
 	// Learn at γ = 0 with GC relearning (WithExactBitmap).
-	verify bool
+	exactBitmap bool
 
 	// Stats accumulated for the evaluation figures.
 	lookups    uint64
@@ -106,7 +106,7 @@ func New(gamma, pageSize int, opts ...Option) *Scheme {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.verify {
+	if s.exactBitmap {
 		gamma = 0
 		s.name += "+bitmap"
 	}
@@ -280,7 +280,7 @@ func (s *Scheme) MaxGroupGamma() int { return s.Gamma() }
 // FeedbackEnabled reports whether the scheme was built WithExactBitmap.
 // The device does not ask; it stays because the benchmark under bench/
 // names it.
-func (s *Scheme) FeedbackEnabled() bool { return s.verify }
+func (s *Scheme) FeedbackEnabled() bool { return s.exactBitmap }
 
 // NoteRead implements ftl.MissReporter, which the benchmark under bench/
 // forwards; the device never calls it, and the scheme learns nothing
@@ -298,7 +298,7 @@ func (s *Scheme) NoteExact(addr.LPA) ftl.Cost { return ftl.Cost{} }
 // scheme built WithExactBitmap also reports the groups it re-fitted
 // (the device's Relearns), the paper preset none.
 func (s *Scheme) CommitGC(pairs []addr.Mapping) (ftl.Cost, int) {
-	if !s.verify {
+	if !s.exactBitmap {
 		return s.Commit(pairs), 0
 	}
 	return s.commit(pairs)
