@@ -154,6 +154,7 @@ type ager struct {
 	pairs  []addr.Mapping
 	seen   []bool
 	truth  []addr.PPA // the PPA each LPA was last mapped to
+	check  func()     // when set, runs after every committed block
 }
 
 func newAger(seed int64, groups int) *ager {
@@ -165,6 +166,9 @@ func newAger(seed int64, groups int) *ager {
 func (a *ager) commit(tb *Table) {
 	for lo := 0; lo < len(a.pairs); lo += 256 {
 		tb.Update(a.pairs[lo:min(lo+256, len(a.pairs))])
+		if a.check != nil {
+			a.check()
+		}
 	}
 }
 
@@ -258,17 +262,36 @@ func agedTable() (*Table, *ager) {
 // BenchmarkAgedCommit measures the write path of the full preset's aged
 // γ = 0 table of 400 groups: one round of 16 overwrite flushes plus a
 // relocation pass per op. It reports ns per committed pair and the host
-// bytes the groups' segment arrays retain per live segment.
+// bytes the groups' segment arrays retain per live segment. "plain"
+// commits into groups without a memo; "memo" fills every group's answer
+// memo before each round, outside the timer, so its ns/pair adds the
+// cost of patching the memos the round's commits keep (memo.go).
 func BenchmarkAgedCommit(b *testing.B) {
-	tb, a := agedTable()
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := a.ppa
-	a.age(tb, b.N)
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(a.ppa-start), "ns/pair")
-	segs := tb.Stats().Segments
-	b.ReportMetric(float64(retainedSlots(tb)*int(unsafe.Sizeof(Segment{})+1))/float64(segs), "retainedB/seg")
+	for _, memo := range []bool{false, true} {
+		name := "plain"
+		if memo {
+			name = "memo"
+		}
+		b.Run(name, func(b *testing.B) {
+			tb, a := agedTable()
+			fill := func(id addr.GroupID, g *group) { tb.fill(g, addr.GroupBase(id)) }
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := a.ppa
+			for i := 0; i < b.N; i++ {
+				if memo {
+					b.StopTimer()
+					tb.eachGroup(fill)
+					b.StartTimer()
+				}
+				a.age(tb, 1)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(a.ppa-start), "ns/pair")
+			segs := tb.Stats().Segments
+			b.ReportMetric(float64(retainedSlots(tb)*int(unsafe.Sizeof(Segment{})+1))/float64(segs), "retainedB/seg")
+		})
+	}
 }
 
 // BenchmarkLookupAged measures translation on BenchmarkAgedCommit's aged

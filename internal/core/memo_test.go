@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"leaftl/internal/addr"
@@ -48,7 +50,8 @@ func swept(tb *Table, id addr.GroupID) (out [addr.GroupSize]Answer) {
 // of a group whose memo was filled answers, through Lookup and
 // LookupRun, exactly as a fresh sweep of its levels does. Each case must
 // change some answer of a filled group (or, for a restore, replace the
-// group), so a call that fails to drop the memo shows as a stale answer.
+// group), so a call that neither brings the memo up to date nor drops
+// it shows as a stale answer.
 func TestMemoInvalidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -140,84 +143,163 @@ func TestMemoInvalidation(t *testing.T) {
 }
 
 // TestMemoFillTrigger: a group answers from its levels until it has
-// translated its trigger's worth of LPAs since its last change (Lookup
-// counts one, LookupRun the window), then from its memo. A change
+// translated its trigger's worth of LPAs since its memo was last dropped
+// (Lookup counts one, LookupRun the window), then from its memo. A drop
 // restarts the count; a fill whose memo answered fewer than memoFillLPAs
-// LPAs before the change doubles the trigger, up to a whole group's
-// worth, and one that answered more halves it again.
+// LPAs before the drop doubles the trigger, up to a whole group's worth,
+// and one that answered more halves it again. The sequence runs on the
+// γ = 4 table, where every commit drops the memo. On the γ = 0 table a
+// commit patches the memo instead: it stays valid across Update and
+// equals a fresh sweep.
 func TestMemoFillTrigger(t *testing.T) {
-	tb, _ := memoTable(true)
-	g := tb.lookupGroup(0)
-	lookups := func(n int) {
-		for i := 0; i < n; i++ {
-			tb.Lookup(addr.LPA(i % addr.GroupSize))
-		}
-	}
 	var out [addr.GroupSize]Answer
 	ppa := addr.PPA(1 << 20)
-	change := func() {
-		tb.Update(mappings(5, 1, ppa, 3))
-		ppa += 3
-		if g.memo.valid {
-			t.Fatal("a commit into the group left its memo valid")
+	t.Run("gamma4", func(t *testing.T) {
+		tb, _ := memoTable(false)
+		g := tb.lookupGroup(0)
+		lookups := func(n int) {
+			for i := 0; i < n; i++ {
+				tb.Lookup(addr.LPA(i % addr.GroupSize))
+			}
 		}
-	}
-	// fillsAt requires the group to fill its memo at the trigger-th
-	// translated LPA, the last of them read by read.
-	fillsAt := func(trigger int, read func(n int)) {
-		t.Helper()
-		read(trigger - 1)
-		if g.memo.valid {
-			t.Fatalf("memo filled after %d LPAs, trigger %d", trigger-1, trigger)
+		change := func() {
+			tb.Update(mappings(5, 1, ppa, 3))
+			ppa += 3
+			if g.memo.valid {
+				t.Fatal("a γ = 4 commit into the group left its memo valid")
+			}
 		}
-		read(1)
-		if !g.memo.valid {
-			t.Fatalf("no memo after %d LPAs", trigger)
+		// fillsAt requires the group to fill its memo at the trigger-th
+		// translated LPA, the last of them read by read.
+		fillsAt := func(trigger int, read func(n int)) {
+			t.Helper()
+			read(trigger - 1)
+			if g.memo.valid {
+				t.Fatalf("memo filled after %d LPAs, trigger %d", trigger-1, trigger)
+			}
+			read(1)
+			if !g.memo.valid {
+				t.Fatalf("no memo after %d LPAs", trigger)
+			}
 		}
-	}
-	windows := func(n int) { tb.LookupRun(0, out[:n]) }
+		windows := func(n int) { tb.LookupRun(0, out[:n]) }
 
-	fillsAt(memoFillLPAs, lookups)
-	lookups(memoFillLPAs) // the fill pays
-	change()
-	fillsAt(memoFillLPAs, windows)
-	change() // the memo answered nothing: the trigger doubles
-	fillsAt(2*memoFillLPAs, lookups)
-	windows(memoFillLPAs) // pays: the trigger halves
-	change()
-	fillsAt(memoFillLPAs, lookups)
-	for i := 0; i < 8; i++ { // fills that answer nothing
+		fillsAt(memoFillLPAs, lookups)
+		lookups(memoFillLPAs) // the fill pays
 		change()
-		lookups(memoFillLPAs << g.memo.backoff)
+		fillsAt(memoFillLPAs, windows)
+		change() // the memo answered nothing: the trigger doubles
+		fillsAt(2*memoFillLPAs, lookups)
+		windows(memoFillLPAs) // pays: the trigger halves
+		change()
+		fillsAt(memoFillLPAs, lookups)
+		for i := 0; i < 8; i++ { // fills that answer nothing
+			change()
+			lookups(memoFillLPAs << g.memo.backoff)
+		}
+		if trigger := memoFillLPAs << g.memo.backoff; trigger > addr.GroupSize || 2*trigger <= addr.GroupSize {
+			t.Fatalf("after fills that never paid the trigger is %d, want the largest doubling within %d", trigger, addr.GroupSize)
+		}
+	})
+	t.Run("gamma0", func(t *testing.T) {
+		tb, _ := memoTable(true)
+		g := tb.lookupGroup(0)
+		tb.LookupRun(0, out[:])
+		for i := 0; i < 40; i++ {
+			// Short sequential and strided runs across the group, so
+			// commits push victims down and open levels.
+			n := 3 + i%5
+			tb.Update(mappings(addr.LPA(37*i%200), uint32(1+i%3), ppa, n))
+			ppa += addr.PPA(n)
+			if !g.memo.valid {
+				t.Fatalf("commit %d into the γ = 0 group dropped its memo", i)
+			}
+			tb.LookupRun(0, out[:])
+			if want := swept(tb, 0); out != want {
+				t.Fatalf("commit %d: the patched memo differs from a fresh sweep", i)
+			}
+		}
+	})
+}
+
+// memoCounts counts the cases of each kind that patches, rewrites and
+// kept memos took while it was installed as memoHook.
+type memoCounts [memoCases]atomic.Int64
+
+// hook installs c as memoHook until the test ends.
+func (c *memoCounts) hook(t *testing.T) {
+	memoHook = func(k memoCase, n int) { c[k].Add(int64(n)) }
+	t.Cleanup(func() { memoHook = nil })
+}
+
+// TestMemoSurvivesCommits: on the full preset's aged γ = 0 table with
+// every memo filled, every valid memo equals a fresh sweep of its
+// group's levels (CheckShape) after each commit of overwrite and
+// relocation rounds and after Compact, committed by one worker or spread
+// over four. The rounds must exercise every rule that brings a memo up
+// to date: committed slots, victims joining level 1 with and without a
+// fresh level above them, the shift pass of a commit that adds a level,
+// a shedding rebuild's rewrite and a no-op rebuild that keeps the memo.
+func TestMemoSurvivesCommits(t *testing.T) {
+	names := [memoCases]string{
+		memoCommitted: "committed slots", memoJoined: "victims joining level 1",
+		memoJoinedUnder: "victims joining level 1 under a fresh level", memoGrew: "commits adding a level",
+		memoRewritten: "shedding rebuilds", memoKept: "no-op rebuilds",
 	}
-	if trigger := memoFillLPAs << g.memo.backoff; trigger > addr.GroupSize || 2*trigger <= addr.GroupSize {
-		t.Fatalf("after fills that never paid the trigger is %d, want the largest doubling within %d", trigger, addr.GroupSize)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			var counts memoCounts
+			counts.hook(t)
+			tb, a := memoTable(true)
+			tb.maxWorkers = workers
+			check := func(when string) {
+				if err := tb.CheckShape(); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+			}
+			a.check = func() { check("Update") }
+			for round := 0; round < 6; round++ {
+				fillMemos(t, tb)
+				a.age(tb, 1)
+				tb.Compact()
+				check("Compact")
+			}
+			for k := range names {
+				t.Logf("%s: %d", names[k], counts[k].Load())
+				if counts[k].Load() == 0 {
+					t.Errorf("no %s", names[k])
+				}
+			}
+		})
 	}
 }
 
 // TestMemoAllocatesOnce: a group allocates its memo at its first fill
-// and refills it in place after every change.
+// and reuses it after that: a γ = 0 commit patches it in place, and the
+// refill after a γ = 4 commit dropped it writes the same array.
 func TestMemoAllocatesOnce(t *testing.T) {
-	tb, _ := memoTable(true)
-	var out [addr.GroupSize]Answer
-	tb.LookupRun(0, out[:])
-	g := tb.lookupGroup(0)
-	slots := g.memo.slots
-	if slots == nil {
-		t.Fatal("no memo after a whole-group read")
-	}
-	for i := 0; i < 20; i++ {
-		tb.Update(mappings(7, 1, addr.PPA(1<<20+4*i), 4))
+	for _, full := range []bool{true, false} {
+		tb, _ := memoTable(full)
+		var out [addr.GroupSize]Answer
 		tb.LookupRun(0, out[:])
-		if g.memo.slots != slots || !g.memo.valid {
-			t.Fatal("the refill after a commit did not reuse the group's memo")
+		g := tb.lookupGroup(0)
+		slots := g.memo.slots
+		if slots == nil {
+			t.Fatal("no memo after a whole-group read")
 		}
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		g.memo.changed()
-		tb.LookupRun(0, out[:])
-	}); avg != 0 {
-		t.Errorf("a refill allocates %.2f objects, want 0", avg)
+		for i := 0; i < 20; i++ {
+			tb.Update(mappings(7, 1, addr.PPA(1<<20+4*i), 4))
+			tb.LookupRun(0, out[:])
+			if g.memo.slots != slots || !g.memo.valid {
+				t.Fatalf("γ = %d: after a commit the group's memo is not the one it allocated", tb.Gamma())
+			}
+		}
+		if avg := testing.AllocsPerRun(50, func() {
+			g.memo.changed()
+			tb.LookupRun(0, out[:])
+		}); avg != 0 {
+			t.Errorf("γ = %d: a refill allocates %.2f objects, want 0", tb.Gamma(), avg)
+		}
 	}
 }
 

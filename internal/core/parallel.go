@@ -89,6 +89,13 @@ func (t *Table) commitParallel(pairs []addr.Mapping, helpers int) {
 	b.next.Store(0)
 	b.slot.Store(0)
 	pool.offer(b, helpers)
+	if t.awaitHelper && len(b.offered) > 0 {
+		// The test hook: an offered helper always takes its offer, so
+		// the first run it claims ends the wait.
+		for b.next.Load() == 0 {
+			runtime.Gosched()
+		}
+	}
 	b.work(t)
 	b.join()
 	for _, w := range b.workers {

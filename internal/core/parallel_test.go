@@ -39,6 +39,7 @@ func newCommitTwins(t *testing.T, seed int64, gamma, workers int, bitmap bool) *
 		truth: make(map[addr.LPA]addr.PPA),
 	}
 	c.serial.maxWorkers, c.parallel.maxWorkers = 1, workers
+	c.parallel.awaitHelper = true
 	return c
 }
 
@@ -147,7 +148,10 @@ func (c *commitTwins) check(when string) {
 }
 
 // helpersWorked reports whether any pool helper committed a run of tb:
-// a worker table's learn buffer grows on its first run.
+// a worker table's learn buffer grows on its first run. A table whose
+// awaitHelper hook is set lets a helper claim the first run of every
+// batch it offers, so on such a table the check does not race the
+// caller for the runs.
 func helpersWorked(tb *Table) bool {
 	for _, w := range tb.workers {
 		if cap(w.learner.out) > 0 {
@@ -161,7 +165,9 @@ func helpersWorked(tb *Table) bool {
 // helpers is the table that commits them one run at a time, after every
 // host, GC-relocation and repair batch, in group-record bytes,
 // statistics and shape, with every accurate answer exact; bitmap=true
-// runs the full preset's γ = 0 table (presetGamma).
+// runs the full preset's γ = 0 table (presetGamma). The parallel table
+// holds its caller back until a helper has claimed a run (awaitHelper),
+// so at any GOMAXPROCS and under any load helpers commit runs.
 func TestParallelCommitMatchesSerial(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		for _, bitmap := range []bool{false, true} {
@@ -183,7 +189,7 @@ func TestParallelCommitMatchesSerial(t *testing.T) {
 						t.Fatalf("worker tables: serial %d, parallel %d; want 0 and %d",
 							len(c.serial.workers), len(c.parallel.workers), workers-1)
 					}
-					if runtime.GOMAXPROCS(0) > 1 && !helpersWorked(c.parallel) {
+					if !helpersWorked(c.parallel) {
 						t.Error("no helper committed a run in 200 batches")
 					}
 					if err := checkStructure(c.parallel); err != nil {
@@ -255,7 +261,7 @@ func TestParallelCommitReleasesTable(t *testing.T) {
 func TestParallelCommitZeroAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	tb := NewTable(0)
-	tb.maxWorkers = 2
+	tb.maxWorkers, tb.awaitHelper = 2, true
 	ppa := addr.PPA(0)
 	next := func(i int) []addr.Mapping {
 		pairs := make([]addr.Mapping, 0, 8*addr.GroupSize)

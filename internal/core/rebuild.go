@@ -125,29 +125,34 @@ func (t *Table) compactGroup(id addr.GroupID, g *group) {
 		return
 	}
 	t.rebuildGroup(addr.GroupBase(id), g)
-	g.memo.changed()
 	g.touched = false
 	g.rebuildAt = max(rebuildMinSegments, rebuildGrowth*g.segmentCount())
 }
 
 // rebuildGroup resolves g, sheds what answers nothing and, if the group
-// is still too deep, re-fits it flat.
+// is still too deep, re-fits it flat. A no-op rebuild keeps g's answer
+// memo, a shedding one rewrites it and a flatten drops it (memo.go).
 func (t *Table) rebuildGroup(base addr.LPA, g *group) {
 	rb := &t.rb
 	if levels := t.resolve(base, g); levels <= maxGroupLevels {
 		// A CRB entry costs its offsets plus a separator.
 		bytes := len(rb.live)*SegmentBytes + len(rb.arena) + rb.approx
 		if bytes == g.footprint() && levels == g.depth() {
+			if g.memo.valid {
+				noteMemo(memoKept, 1)
+			}
 			return // every claim still answers, nothing can sink
 		}
 		rb.sortByStart(rb.live)
 		t.install(g, rb.live, levels)
+		t.rewriteMemo(g)
 		return
 	}
 
 	// Too deep even so: re-fit the group flat.
 	levels := t.flatten(base)
 	t.install(g, rb.claims, levels)
+	g.memo.changed()
 }
 
 // flatten builds rb.claims — a γ = 0 re-fit of the ground-truth slots

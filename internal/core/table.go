@@ -52,24 +52,28 @@ type Table struct {
 	// The merge into the top level (see openTop): top is merged,
 	// pend[pk:] still to merge, victims the segments pushed down so far,
 	// winLo the group slot where the merge's window starts (-1 before
-	// the first piece), and topDepth the group's level count when the
-	// merge opened.
+	// the first piece), topDepth the group's level count when the merge
+	// opened, and joined how many of the victims the last landing put in
+	// level 1 (the rest took a fresh level).
 	top      level
 	pend     level
 	victims  level
 	pk       int
 	winLo    int
 	topDepth int
+	joined   int
 
 	// rb is the whole-group rebuild's scratch (rebuild.go).
 	rb rebuildBuf
 
 	// Parallel group commit (parallel.go): the batch in flight, one
 	// worker table per pool helper it may enlist (grown on first use),
-	// and a test hook capping the worker count (0: GOMAXPROCS).
-	batch      commitBatch
-	workers    []*Table
-	maxWorkers int
+	// and two test hooks: one caps the worker count (0: GOMAXPROCS), the
+	// other holds the caller's claims until a helper has taken a run.
+	batch       commitBatch
+	workers     []*Table
+	maxWorkers  int
+	awaitHelper bool
 
 	// gen counts the exported calls that may change what Lookup
 	// answers (Gen).
@@ -316,16 +320,26 @@ func (t *Table) Update(pairs []addr.Mapping) int {
 
 // commitRun fits one group run, merges the fitted pieces into the
 // group's top level in one pass, then rebuilds the group if it outgrew
-// its trigger.
+// its trigger. A valid answer memo is patched with what the commit moved
+// when every piece is accurate and the group holds no approximate
+// segment; otherwise it is dropped (memo.go).
 func (t *Table) commitRun(run []addr.Mapping) {
-	g := t.group(addr.Group(run[0].LPA))
+	id := addr.Group(run[0].LPA)
+	g := t.group(id)
+	patch := g.memo.valid && t.gamma == 0 && g.crb.empty()
+	if !patch {
+		g.memo.changed()
+	}
 	t.openTop(g)
 	learned := t.learner.learn(run, t.gamma)
 	for k := range learned {
 		t.mergePiece(g, &learned[k])
 	}
 	t.closeTop(g)
-	t.maybeRebuild(addr.Group(run[0].LPA))
+	if patch {
+		t.patchMemo(g, run)
+	}
+	t.maybeRebuild(id)
 }
 
 func (t *Table) group(id addr.GroupID) *group {
@@ -449,7 +463,6 @@ func (t *Table) stampLPAs(lpas []addr.LPA) {
 // group that has none.
 func (t *Table) openTop(g *group) {
 	g.touched = true
-	g.memo.changed()
 	t.topDepth = g.depth()
 	if t.topDepth == 0 {
 		g.openLevel()
@@ -491,8 +504,9 @@ func (l level) firstEnding(lpa addr.LPA) int {
 
 // closeTop lands the merge in g.
 func (t *Table) closeTop(g *group) {
+	t.joined = 0
 	if t.winLo >= 0 {
-		g.land(t.winLo, t.pk, t.top, t.victims)
+		t.joined = g.land(t.winLo, t.pk, t.top, t.victims)
 	}
 	t.noteLevels(g, t.topDepth)
 }
@@ -505,8 +519,8 @@ func (t *Table) closeTop(g *group) {
 // fresh level between level 1 and the top, and every later victim joins
 // it there, since it overlaps no other victim. So level 1 takes a prefix
 // of down in one backward merge, the fresh level the rest, and the top
-// level shifts once.
-func (g *group) land(winLo, consumed int, win, down level) {
+// level shifts once. It returns the length of that prefix.
+func (g *group) land(winLo, consumed int, win, down level) (joined int) {
 	k := g.joinLevel1(down)
 	v := down.len()
 	l1lo, l1hi := 0, 0 // level 1's window, empty when there is none
@@ -549,6 +563,7 @@ func (g *group) land(winLo, consumed int, win, down level) {
 		g.ends = append(g.ends[:len(g.ends)-1], int32(l1hi+v), 0)
 	}
 	g.ends[len(g.ends)-1] = int32(size)
+	return k
 }
 
 // joinLevel1 counts the leading victims of down that overlap nothing in
@@ -763,9 +778,9 @@ func findApprox(g *group, start uint8) (p int, ok bool) {
 //
 // A group that holds a valid memo answers from it (memo.go), and a
 // group that has translated its fill trigger's worth of LPAs since its
-// last change fills its memo first; otherwise Lookup walks the group's
-// levels. Lookup may write the group's memo and its read count, never
-// its answers, and every answer is the walk's.
+// memo was last dropped fills it first; otherwise Lookup walks the
+// group's levels. Lookup may write the group's memo and its read count,
+// never its answers, and every answer is the walk's.
 func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 	id := addr.Group(lpa)
 	g := t.lookupGroup(id)
