@@ -64,11 +64,11 @@ func BenchmarkLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkLookupRun measures translating a 32-LPA window with one
-// sweep of its group's levels, as LookupRun does in a group without a
-// memo, on BenchmarkLookup's table, and reports the cost per LPA (the
-// window stops early at its group's end).
-func BenchmarkLookupRun(b *testing.B) {
+// BenchmarkSweep measures answering a 32-LPA window with one sweep of
+// its group's levels, the pass a memo fill and the audits make over a
+// whole group, on BenchmarkLookup's table, and reports the cost per LPA
+// (the window stops early at its group's end).
+func BenchmarkSweep(b *testing.B) {
 	for _, gamma := range []int{0, 1, 4} {
 		b.Run(gammaName(gamma), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(2))

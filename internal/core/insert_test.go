@@ -5,7 +5,6 @@ package core
 // and rebuilds the group if that pushed it past a trigger: a commit of
 // one hand-built piece. It drops the group's answer memo.
 func (t *Table) insert(ls Learned) {
-	t.gen++
 	ls.Seg.prime() // hand-built segments; resident ones are always primed
 	g := t.group(ls.Seg.Group())
 	g.memo.changed()

@@ -9,20 +9,19 @@ import (
 // The answer memo: a group that is read far more often than it changes
 // answers from a copy of its 256 slots' translations instead of walking
 // its levels again for each one (Algorithm 1 lines 17–22). The copy is
-// the output of one whole-group sweep, the one LookupRun makes for a
-// window, packed 8 B a slot. A valid memo equals what the levels answer
-// after every change to the group: each change either brings it up to
-// date or drops it (answerMemo.changed).
+// the output of one whole-group sweep, packed 8 B a slot. A valid memo
+// equals what the levels answer after every change to the group: each
+// change either brings it up to date or drops it (answerMemo.changed).
 //
 //   - A commit run into a group of a γ = 0 table (every full table),
 //     which learns only accurate pieces, patches the memo in place
 //     (Table.patchMemo) while the group holds no approximate segment:
-//     each committed LPA answers its new PPA at Levels 1; each victim
-//     the landing pushed down answers its remaining stride points at
-//     Levels 2, or at 3 when it joined the old level 1 while the same
-//     commit opened a fresh level above it; and a commit that added a
-//     level moves every answer below the top down one level and gives
-//     the unmapped slots the new depth, in one pass over the slots.
+//     each committed LPA answers its new PPA from the top level, and
+//     each victim the landing pushed down answers its remaining stride
+//     points from the level it landed in. A slot names the level that
+//     answers it by its index from the bottom of the stack, or as the
+//     top, and a commit opens a fresh level only right below the top, so
+//     a commit that adds a level leaves every other slot as it is.
 //   - A rebuild that sheds rewrites the memo from resolve's per-slot PPA
 //     and its claim's level (Table.rewriteMemo); a no-op rebuild keeps
 //     it; a flatten drops it.
@@ -36,9 +35,8 @@ import (
 //
 // On the benchmark's aged tables a read-hot group takes many commit runs
 // between reads, and patching keeps its memo through them: in one seed-1
-// zipf-read sat phase the memo answers 2 757 869 of the 2 761 719 LPAs
-// translated (2.06 M when every commit dropped it), and the rest cost
-// 1 030 window sweeps, 351 walks and 156 fills.
+// zipf-read sat phase the memo answers 2 586 183 of the 2 589 885 LPAs
+// translated, and the rest cost 3 546 walks and 156 fills.
 //
 // The memo is host working state, like the CRB's owner index: the
 // simulated controller still walks the levels, so Levels, Approx and
@@ -47,14 +45,14 @@ import (
 //
 // A fill is one whole-group sweep plus the packing, about as costly as
 // memoFillLPAs walks on an aged table, so a group fills its memo once it
-// has translated that many LPAs since its memo was last dropped (Lookup
-// counts one, LookupRun the window's length): a group whose memo is
-// dropped more often than that never fills and keeps paying only the
-// walk. A fill pays off when the memo answers at least as many LPAs
-// before it is dropped. A group whose fill did not pay doubles its
-// trigger, up to a whole group's worth of LPAs, and one whose fill paid
-// halves it again, down to memoFillLPAs: a group whose memo is dropped
-// about as often as it is read stops filling a memo it will not use.
+// has translated that many LPAs since its memo was last dropped: a group
+// whose memo is dropped more often than that never fills and keeps
+// paying only the walk. A fill pays off when the memo answers at least
+// as many LPAs before it is dropped. A group whose fill did not pay
+// doubles its trigger, up to a whole group's worth of LPAs, and one
+// whose fill paid halves it again, down to memoFillLPAs: a group whose
+// memo is dropped about as often as it is read stops filling a memo it
+// will not use.
 //
 // AuditExact and CheckShape sweep the levels directly: an audit neither
 // reads nor fills a memo, and CheckShape fails a valid memo that differs
@@ -67,12 +65,17 @@ import (
 const memoFillLPAs = 24
 
 // A packed slot, as the sweep writes it: the PPA in the low 32 bits,
-// Levels in the next 8, then the ok, approximate and redirected bits.
+// then 8 bits of the answering level's index from the bottom of the
+// stack (0 for an unmapped slot), then the ok, approximate and
+// redirected bits, and a bit set when the top level answers. The index
+// of a level below the top, and the top bit, hold while commits open
+// fresh levels beneath the top; unpack turns them into Levels.
 const (
-	memoLevelsShift = 32
-	memoOK          = 1 << 40
-	memoApprox      = 1 << 41
-	memoRedirected  = 1 << 42
+	memoLevelShift = 32
+	memoOK         = 1 << 40
+	memoApprox     = 1 << 41
+	memoRedirected = 1 << 42
+	memoTop        = 1 << 43
 )
 
 // answerMemo is one group's memo: the packed answers, allocated at the
@@ -106,19 +109,31 @@ func (m *answerMemo) changed() {
 	m.reads = 0
 }
 
-// note counts n LPAs translated without the memo and reports whether
+// note counts one LPA translated without the memo and reports whether
 // the group should fill it now.
-func (m *answerMemo) note(n int) bool {
-	m.reads += n
+func (m *answerMemo) note() bool {
+	m.reads++
 	return m.reads >= memoFillLPAs<<m.backoff
 }
 
-// unpack decodes a memo slot.
-func unpack(v uint64) (addr.PPA, LookupResult, bool) {
+// memoLevel packs the level at index d from the bottom of a stack of
+// depth levels.
+func memoLevel(d, depth int) uint64 {
+	if d == depth-1 {
+		return memoTop
+	}
+	return uint64(d) << memoLevelShift
+}
+
+// unpack decodes a memo slot of a group depth levels deep.
+func unpack(v uint64, depth int) (addr.PPA, LookupResult, bool) {
 	res := LookupResult{
-		Levels:     int(uint8(v >> memoLevelsShift)),
+		Levels:     depth - int(uint8(v>>memoLevelShift)),
 		Approx:     v&memoApprox != 0,
 		Redirected: v&memoRedirected != 0,
+	}
+	if v&memoTop != 0 {
+		res.Levels = 1
 	}
 	return addr.PPA(v), res, v&memoOK != 0
 }
@@ -135,33 +150,25 @@ func (t *Table) fill(g *group, base addr.LPA) {
 
 // patchMemo brings g's valid memo up to date with the commit of run that
 // closeTop has just landed, in a group that holds no approximate segment
-// and from pieces that are all accurate. Three passes, in this order, so
+// and from pieces that are all accurate. Two passes, in this order, so
 // that a victim's stride point the same run committed ends at the top:
 //
-//   - when the commit added a level (a fresh one below the top, or the
-//     group's first), every answer below the top moves down one level
-//     and the unmapped slots take the new depth;
 //   - each victim the landing pushed down answers its remaining stride
-//     points one level below the top, or two below when it joined level
-//     1 beneath a fresh level. Before the commit it answered them from
-//     the top, and nothing that now lies above it claims them: the
-//     pieces claim only committed LPAs, and the rest of the old top
-//     level never overlapped it;
-//   - each committed LPA answers its new PPA at the top.
+//     points from the level below the top, or from the one below that
+//     when it joined level 1 beneath a fresh level. Before the commit it
+//     answered them from the top, and nothing that now lies above it
+//     claims them: the pieces claim only committed LPAs, and the rest of
+//     the old top level never overlapped it;
+//   - each committed LPA answers its new PPA from the top.
+//
+// A commit that added a level (a fresh one below the top, or the
+// group's first) moves no other slot: the top stays the top and every
+// level beneath the fresh one keeps its index from the bottom.
 func (t *Table) patchMemo(g *group, run []addr.Mapping) {
 	m := g.memo.slots
-	const top = 1 << memoLevelsShift
-	grew := g.depth() > t.topDepth
+	depth := g.depth()
+	grew := depth > t.topDepth
 	if grew {
-		// An unmapped slot's Levels is the old depth, so every slot but
-		// the top's answers takes one level more. d is 0 exactly for the
-		// top's answers (Levels 1 and the ok bit), and the add is kept
-		// free of a data-dependent branch.
-		const topAnswer = (top | memoOK) >> memoLevelsShift
-		for o, v := range m {
-			d := v>>memoLevelsShift&(memoOK>>memoLevelsShift|0xff) ^ topAnswer
-			m[o] = v + (d|-d)>>63<<memoLevelsShift
-		}
 		noteMemo(memoGrew, 1)
 		noteMemo(memoJoinedUnder, t.joined)
 	} else {
@@ -169,36 +176,37 @@ func (t *Table) patchMemo(g *group, run []addr.Mapping) {
 	}
 	for i := range t.victims.segs {
 		seg := &t.victims.segs[i]
-		claimed := uint64(2*top) | memoOK
+		d := depth - 2
 		if grew && i < t.joined {
-			claimed += top
+			d--
 		}
+		claimed := memoLevel(d, depth) | memoOK
 		end, st := int(seg.Start())+int(seg.L), int(seg.stride)
 		for o, ppa := int(seg.Start()), seg.p0; o <= end; o, ppa = o+st, ppa+1 {
 			m[o] = uint64(ppa) | claimed
 		}
 	}
 	for _, p := range run {
-		m[addr.Offset(p.LPA)] = uint64(p.PPA) | top | memoOK
+		m[addr.Offset(p.LPA)] = uint64(p.PPA) | memoTop | memoOK
 	}
 	noteMemo(memoCommitted, len(run))
 }
 
 // rewriteMemo brings g's valid memo up to date with the shedding rebuild
-// that just installed rb.live: every slot answers resolve's PPA at its
-// claim's level, or is unmapped at the group's new depth. A memo of a
-// group that kept an approximate claim is dropped instead.
+// that just installed rb.live: every slot answers resolve's PPA from its
+// claim's level, or is unmapped. A memo of a group that kept an
+// approximate claim is dropped instead.
 func (t *Table) rewriteMemo(g *group) {
 	rb := &t.rb
 	if !g.memo.valid || rb.approx > 0 {
 		g.memo.changed()
 		return
 	}
-	unmapped := uint64(addr.InvalidPPA) | uint64(g.depth())<<memoLevelsShift
+	depth := g.depth()
 	for o, st := range rb.state {
-		v := unmapped
+		v := uint64(addr.InvalidPPA)
 		if st == slotTruth {
-			v = uint64(rb.ppa[o]) | uint64(rb.live[rb.owner[o]].level+1)<<memoLevelsShift | memoOK
+			v = uint64(rb.ppa[o]) | memoLevel(depth-1-int(rb.live[rb.owner[o]].level), depth) | memoOK
 		}
 		g.memo.slots[o] = v
 	}
@@ -213,7 +221,7 @@ const (
 	memoCommitted   memoCase = iota // committed LPAs set at the top
 	memoJoined                      // pushed-down victims that joined level 1
 	memoJoinedUnder                 // the same, beneath a fresh level
-	memoGrew                        // commits that added a level: the shift pass
+	memoGrew                        // commits that added a level
 	memoRewritten                   // shedding rebuilds' rewrites
 	memoKept                        // no-op rebuilds
 	memoCases

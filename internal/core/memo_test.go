@@ -20,14 +20,21 @@ func memoTable(full bool) (*Table, *ager) {
 	return tb, a
 }
 
+// readGroup looks up every slot of group id, in order.
+func readGroup(tb *Table, id addr.GroupID) (out [addr.GroupSize]answer) {
+	for o := range out {
+		out[o] = lookup(tb, addr.GroupBase(id)+addr.LPA(o))
+	}
+	return out
+}
+
 // fillMemos reads every resident group whole, which fills its memo, and
 // returns the groups it filled.
 func fillMemos(t *testing.T, tb *Table) []addr.GroupID {
 	t.Helper()
-	var out [addr.GroupSize]Answer
 	var ids []addr.GroupID
 	tb.eachGroup(func(id addr.GroupID, g *group) {
-		tb.LookupRun(addr.GroupBase(id), out[:])
+		readGroup(tb, id)
 		if !g.memo.valid {
 			t.Fatalf("group %d: a whole-group read left no valid memo", id)
 		}
@@ -37,18 +44,19 @@ func fillMemos(t *testing.T, tb *Table) []addr.GroupID {
 }
 
 // swept returns group id's answers from a fresh sweep of its levels.
-func swept(tb *Table, id addr.GroupID) (out [addr.GroupSize]Answer) {
+func swept(tb *Table, id addr.GroupID) (out [addr.GroupSize]answer) {
 	var slots [addr.GroupSize]uint64
-	tb.sweep(tb.lookupGroup(id), addr.GroupBase(id), slots[:])
+	g := tb.lookupGroup(id)
+	tb.sweep(g, addr.GroupBase(id), slots[:])
 	for o, v := range slots {
-		out[o].PPA, out[o].Res, out[o].OK = unpack(v)
+		out[o] = unpacked(v, g.depth())
 	}
 	return out
 }
 
 // TestMemoInvalidation: after every call that changes a group, each slot
-// of a group whose memo was filled answers, through Lookup and
-// LookupRun, exactly as a fresh sweep of its levels does. Each case must
+// of a group whose memo was filled answers through Lookup exactly as a
+// fresh sweep of its levels does. Each case must
 // change some answer of a filled group (or, for a restore, replace the
 // group), so a call that neither brings the memo up to date nor drops
 // it shows as a stale answer.
@@ -107,29 +115,23 @@ func TestMemoInvalidation(t *testing.T) {
 			tb, a := memoTable(c.full)
 			a.overwrite(tb)
 			ids := fillMemos(t, tb)
-			before := make(map[addr.GroupID][addr.GroupSize]Answer)
+			before := make(map[addr.GroupID][addr.GroupSize]answer)
 			for _, id := range ids {
 				before[id] = swept(tb, id)
 			}
 			c.call(t, tb, a)
 			changed := false
-			var out [addr.GroupSize]Answer
 			for _, id := range ids {
 				if !tb.HasGroup(id) {
 					continue
 				}
 				want := swept(tb, id)
 				changed = changed || want != before[id]
-				base := addr.GroupBase(id)
+				got := readGroup(tb, id)
 				for o := range want {
-					ppa, res, ok := tb.Lookup(base + addr.LPA(o))
-					if got := (Answer{PPA: ppa, Res: res, OK: ok}); got != want[o] {
-						t.Fatalf("group %d slot %d: Lookup = %+v, the levels answer %+v", id, o, got, want[o])
+					if got[o] != want[o] {
+						t.Fatalf("group %d slot %d: Lookup = %+v, the levels answer %+v", id, o, got[o], want[o])
 					}
-				}
-				tb.LookupRun(base, out[:])
-				if out != want {
-					t.Fatalf("group %d: LookupRun differs from the levels' answers", id)
 				}
 			}
 			if !changed && c.name != "DropGroup+InstallGroup" {
@@ -144,7 +146,7 @@ func TestMemoInvalidation(t *testing.T) {
 
 // TestMemoFillTrigger: a group answers from its levels until it has
 // translated its trigger's worth of LPAs since its memo was last dropped
-// (Lookup counts one, LookupRun the window), then from its memo. A drop
+// (each Lookup counts one), then from its memo. A drop
 // restarts the count; a fill whose memo answered fewer than memoFillLPAs
 // LPAs before the drop doubles the trigger, up to a whole group's worth,
 // and one that answered more halves it again. The sequence runs on the
@@ -152,7 +154,6 @@ func TestMemoInvalidation(t *testing.T) {
 // commit patches the memo instead: it stays valid across Update and
 // equals a fresh sweep.
 func TestMemoFillTrigger(t *testing.T) {
-	var out [addr.GroupSize]Answer
 	ppa := addr.PPA(1 << 20)
 	t.Run("gamma4", func(t *testing.T) {
 		tb, _ := memoTable(false)
@@ -170,29 +171,28 @@ func TestMemoFillTrigger(t *testing.T) {
 			}
 		}
 		// fillsAt requires the group to fill its memo at the trigger-th
-		// translated LPA, the last of them read by read.
-		fillsAt := func(trigger int, read func(n int)) {
+		// translated LPA.
+		fillsAt := func(trigger int) {
 			t.Helper()
-			read(trigger - 1)
+			lookups(trigger - 1)
 			if g.memo.valid {
 				t.Fatalf("memo filled after %d LPAs, trigger %d", trigger-1, trigger)
 			}
-			read(1)
+			lookups(1)
 			if !g.memo.valid {
 				t.Fatalf("no memo after %d LPAs", trigger)
 			}
 		}
-		windows := func(n int) { tb.LookupRun(0, out[:n]) }
 
-		fillsAt(memoFillLPAs, lookups)
+		fillsAt(memoFillLPAs)
 		lookups(memoFillLPAs) // the fill pays
 		change()
-		fillsAt(memoFillLPAs, windows)
+		fillsAt(memoFillLPAs)
 		change() // the memo answered nothing: the trigger doubles
-		fillsAt(2*memoFillLPAs, lookups)
-		windows(memoFillLPAs) // pays: the trigger halves
+		fillsAt(2 * memoFillLPAs)
+		lookups(memoFillLPAs) // pays: the trigger halves
 		change()
-		fillsAt(memoFillLPAs, lookups)
+		fillsAt(memoFillLPAs)
 		for i := 0; i < 8; i++ { // fills that answer nothing
 			change()
 			lookups(memoFillLPAs << g.memo.backoff)
@@ -204,7 +204,7 @@ func TestMemoFillTrigger(t *testing.T) {
 	t.Run("gamma0", func(t *testing.T) {
 		tb, _ := memoTable(true)
 		g := tb.lookupGroup(0)
-		tb.LookupRun(0, out[:])
+		readGroup(tb, 0)
 		for i := 0; i < 40; i++ {
 			// Short sequential and strided runs across the group, so
 			// commits push victims down and open levels.
@@ -214,8 +214,7 @@ func TestMemoFillTrigger(t *testing.T) {
 			if !g.memo.valid {
 				t.Fatalf("commit %d into the γ = 0 group dropped its memo", i)
 			}
-			tb.LookupRun(0, out[:])
-			if want := swept(tb, 0); out != want {
+			if got, want := readGroup(tb, 0), swept(tb, 0); got != want {
 				t.Fatalf("commit %d: the patched memo differs from a fresh sweep", i)
 			}
 		}
@@ -238,8 +237,9 @@ func (c *memoCounts) hook(t *testing.T) {
 // relocation rounds and after Compact, committed by one worker or spread
 // over four. The rounds must exercise every rule that brings a memo up
 // to date: committed slots, victims joining level 1 with and without a
-// fresh level above them, the shift pass of a commit that adds a level,
-// a shedding rebuild's rewrite and a no-op rebuild that keeps the memo.
+// fresh level above them, a commit that adds a level (and moves no other
+// slot), a shedding rebuild's rewrite and a no-op rebuild that keeps the
+// memo.
 func TestMemoSurvivesCommits(t *testing.T) {
 	names := [memoCases]string{
 		memoCommitted: "committed slots", memoJoined: "victims joining level 1",
@@ -280,8 +280,7 @@ func TestMemoSurvivesCommits(t *testing.T) {
 func TestMemoAllocatesOnce(t *testing.T) {
 	for _, full := range []bool{true, false} {
 		tb, _ := memoTable(full)
-		var out [addr.GroupSize]Answer
-		tb.LookupRun(0, out[:])
+		readGroup(tb, 0)
 		g := tb.lookupGroup(0)
 		slots := g.memo.slots
 		if slots == nil {
@@ -289,14 +288,14 @@ func TestMemoAllocatesOnce(t *testing.T) {
 		}
 		for i := 0; i < 20; i++ {
 			tb.Update(mappings(7, 1, addr.PPA(1<<20+4*i), 4))
-			tb.LookupRun(0, out[:])
+			readGroup(tb, 0)
 			if g.memo.slots != slots || !g.memo.valid {
 				t.Fatalf("γ = %d: after a commit the group's memo is not the one it allocated", tb.Gamma())
 			}
 		}
 		if avg := testing.AllocsPerRun(50, func() {
 			g.memo.changed()
-			tb.LookupRun(0, out[:])
+			readGroup(tb, 0)
 		}); avg != 0 {
 			t.Errorf("γ = %d: a refill allocates %.2f objects, want 0", tb.Gamma(), avg)
 		}

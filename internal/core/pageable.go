@@ -68,7 +68,6 @@ func (t *Table) InstallGroup(data []byte) (addr.GroupID, error) {
 	// group() creates (or finds) the empty counted group; adopting the
 	// decoded state then mirrors the incremental bookkeeping of the
 	// mutation path, so no recomputeStats sweep is needed.
-	t.gen++
 	dst := t.group(gid)
 	*dst = *g
 	t.noteLevels(dst, 0)
@@ -87,7 +86,6 @@ func (t *Table) DropGroup(id addr.GroupID) (freed int, ok bool) {
 	if g == nil {
 		return 0, false
 	}
-	t.gen++
 	freed = g.footprint()
 	for i := range g.segs {
 		t.noteRemove(g.segs[i])

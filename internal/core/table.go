@@ -75,11 +75,7 @@ type Table struct {
 	maxWorkers  int
 	awaitHelper bool
 
-	// gen counts the exported calls that may change what Lookup
-	// answers (Gen).
-	gen uint64
-
-	// sweepOut is the sweep's scratch for LookupRun and the audits.
+	// sweepOut is the audits' sweep scratch.
 	sweepOut [addr.GroupSize]uint64
 }
 
@@ -271,12 +267,6 @@ func NewTable(gamma int) *Table {
 // Gamma returns the table's error bound.
 func (t *Table) Gamma() int { return t.gamma }
 
-// Gen returns the table's mutation count. Every exported call that may
-// change an answer of Lookup advances it: Update, Compact, InstallGroup
-// and DropGroup. Read-only calls leave it alone, so answers taken at one
-// count (LookupRun's) stay valid while Gen returns that count.
-func (t *Table) Gen() uint64 { return t.gen }
-
 // Update learns segments for a batch of new LPA→PPA mappings and inserts
 // them at the top level (paper §3.7 "Creation" + "Insert/Update"). pairs
 // must be sorted by LPA with unique LPAs; the device's data buffer
@@ -294,7 +284,6 @@ func (t *Table) Gen() uint64 { return t.gen }
 // pool (parallel.go) with a result identical to committing them in order
 // on the caller.
 func (t *Table) Update(pairs []addr.Mapping) int {
-	t.gen++
 	b := &t.batch
 	b.ends = b.ends[:0]
 	for i := 0; i < len(pairs); {
@@ -790,12 +779,12 @@ func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 	switch {
 	case g.memo.valid:
 		g.memo.reads++
-	case !g.memo.note(1):
+	case !g.memo.note():
 		return t.walk(g, lpa)
 	default:
 		t.fill(g, addr.GroupBase(id))
 	}
-	return unpack(g.memo.slots[addr.Offset(lpa)])
+	return unpack(g.memo.slots[addr.Offset(lpa)], g.depth())
 }
 
 // Walk answers lpa as Lookup does, but always from the group's levels:
@@ -868,50 +857,9 @@ func (t *Table) walk(g *group, lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 	return addr.InvalidPPA, res, false
 }
 
-// Answer is one LPA's translation as Lookup returns it.
-type Answer struct {
-	PPA addr.PPA
-	Res LookupResult
-	OK  bool
-}
-
-// LookupRun translates the consecutive LPAs lpa, lpa+1, … into out, up
-// to len(out) or the end of lpa's group, and returns how many it
-// answered. Every answer equals Lookup's for its LPA; Levels is the
-// depth of the level that claimed the slot, or the group's depth when
-// none did.
-//
-// Like Lookup, it answers from the group's valid memo, or counts the
-// window's LPAs toward the group's fill trigger and fills the memo when
-// they reach it (memo.go); otherwise it sweeps the window.
-func (t *Table) LookupRun(lpa addr.LPA, out []Answer) int {
-	first := int(addr.Offset(lpa))
-	out = out[:min(len(out), addr.GroupSize-first)]
-	id := addr.Group(lpa)
-	g := t.lookupGroup(id)
-	slots := t.sweepOut[:len(out)]
-	switch {
-	case g == nil:
-		t.sweep(nil, lpa, slots)
-	case g.memo.valid:
-		g.memo.reads += len(out)
-		slots = g.memo.slots[first : first+len(out)]
-	case !g.memo.note(len(out)):
-		t.sweep(g, lpa, slots)
-	default:
-		t.fill(g, addr.GroupBase(id))
-		slots = g.memo.slots[first : first+len(out)]
-	}
-	for i := range out {
-		a := &out[i]
-		a.PPA, a.Res, a.OK = unpack(slots[i])
-	}
-	return len(out)
-}
-
 // sweep answers the window of slots from lpa on (len(out) of them, cut
 // at the group's end) from g's levels into out, packed as memo slots
-// (memo.go), or as unmapped when g is nil.
+// (memo.go).
 //
 // The window costs one top-down sweep instead of one walk per LPA: per
 // level one search finds the segment the walk would pick for the
@@ -922,18 +870,14 @@ func (t *Table) LookupRun(lpa addr.LPA, out []Answer) int {
 // stride for an accurate segment, CRB ownership and the redirect for an
 // approximate one.
 func (t *Table) sweep(g *group, lpa addr.LPA, out []uint64) {
-	first := int(addr.Offset(lpa))
-	depth := 0
-	if g != nil {
-		depth = g.depth()
-	}
-	unmapped := uint64(addr.InvalidPPA) | uint64(depth)<<memoLevelsShift
 	for i := range out {
-		out[i] = unmapped
+		out[i] = uint64(addr.InvalidPPA)
 	}
+	depth := g.depth()
 	if depth == 0 || len(out) == 0 {
 		return
 	}
+	first := int(addr.Offset(lpa))
 	base := lpa - addr.LPA(first)
 	last := first + len(out) - 1
 	open := len(out)
@@ -945,7 +889,7 @@ func (t *Table) sweep(g *group, lpa addr.LPA, out []uint64) {
 		}
 		keys, segs := g.keys[lo:hi], g.segs[lo:hi]
 		hi = lo
-		levels := depth - d
+		level := memoLevel(d, depth)
 		for i := max(searchKeys(keys, uint16(first)+1)-1, 0); i < len(keys) && int(keys[i]) <= last; i++ {
 			seg := &segs[i]
 			from, to := max(int(keys[i]), first), min(int(seg.End()-base), last)
@@ -956,23 +900,24 @@ func (t *Table) sweep(g *group, lpa addr.LPA, out []uint64) {
 				continue
 			}
 			if seg.Accurate() {
-				open -= claimAccurate(seg, out[from-first:to-first+1], from-int(keys[i]), levels)
+				open -= claimAccurate(seg, out[from-first:to-first+1], from-int(keys[i]), level)
 			} else {
-				open -= claimApprox(g, seg, out, first, from, to, levels)
+				open -= claimApprox(g, seg, out, first, from, to, level)
 			}
 		}
 	}
 }
 
 // claimAccurate gives the open slots of out that lie on seg's stride to
-// seg; out[0] is d LPAs past seg's start. It returns how many it claimed.
-func claimAccurate(seg *Segment, out []uint64, d, levels int) int {
+// seg, at the packed level; out[0] is d LPAs past seg's start. It returns
+// how many it claimed.
+func claimAccurate(seg *Segment, out []uint64, d int, level uint64) int {
 	s, k, i := int(seg.stride), d, 0
 	if s > 1 {
 		k = (d + s - 1) / s // the first stride step at or after out[0]
 		i = k*s - d
 	}
-	claimed := uint64(levels)<<memoLevelsShift | memoOK
+	claimed := level | memoOK
 	n := 0
 	for ; i < len(out); i, k = i+s, k+1 {
 		if v := &out[i]; *v&memoOK == 0 {
@@ -984,13 +929,13 @@ func claimAccurate(seg *Segment, out []uint64, d, levels int) int {
 }
 
 // claimApprox gives the open slots at offsets [from, to] that the CRB
-// says approximate seg owns to it, and marks those another approximate
-// segment owns as redirected. out[0] is the slot at offset first. It
-// returns how many it claimed.
-func claimApprox(g *group, seg *Segment, out []uint64, first, from, to, levels int) int {
+// says approximate seg owns to it, at the packed level, and marks those
+// another approximate segment owns as redirected. out[0] is the slot at
+// offset first. It returns how many it claimed.
+func claimApprox(g *group, seg *Segment, out []uint64, first, from, to int, level uint64) int {
 	n := 0
 	start := seg.Start()
-	claimed := uint64(levels)<<memoLevelsShift | memoOK | memoApprox
+	claimed := level | memoOK | memoApprox
 	for off := from; off <= to; off++ {
 		v := &out[off-first]
 		if *v&memoOK != 0 {
@@ -1021,7 +966,6 @@ func claimApprox(g *group, seg *Segment, out []uint64, first, from, to, levels i
 // its groups dirty first, and only a writeback cleans one), so the sweep
 // needs to tell the pager nothing.
 func (t *Table) Compact() {
-	t.gen++
 	t.eachGroup(t.compactGroup)
 }
 

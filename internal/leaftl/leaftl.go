@@ -85,15 +85,6 @@ type Scheme struct {
 	lookups    uint64
 	levelsSum  uint64
 	levelsHist []uint64 // lookups by levels visited
-
-	// The read run the device announced (ExpectRun), [runLo, runEnd),
-	// and the answers one LookupRun gave for the memoN LPAs from memoLo
-	// at table generation memoGen.
-	runLo, runEnd addr.LPA
-	memoLo        addr.LPA
-	memoN         int
-	memoGen       uint64
-	memo          [addr.GroupSize]core.Answer
 }
 
 // New returns a LeaFTL scheme with error bound gamma (pages; 0 under
@@ -161,7 +152,7 @@ func (s *Scheme) Translate(lpa addr.LPA) (ftl.Translation, bool) {
 		if cost, known = s.pager.EnsureRead(addr.Group(lpa)); !known {
 			return ftl.Translation{}, false
 		}
-		ppa, res, ok := s.lookup(lpa)
+		ppa, res, ok := s.table.Lookup(lpa)
 		cost.Add(s.pager.Enforce())
 		if !ok {
 			return ftl.Translation{Cost: cost}, false
@@ -169,43 +160,12 @@ func (s *Scheme) Translate(lpa addr.LPA) (ftl.Translation, bool) {
 		s.noteLookup(res)
 		return ftl.Translation{PPA: ppa, Cost: cost, Levels: res.Levels, Approx: res.Approx}, true
 	}
-	ppa, res, ok := s.lookup(lpa)
+	ppa, res, ok := s.table.Lookup(lpa)
 	if !ok {
 		return ftl.Translation{}, false
 	}
 	s.noteLookup(res)
 	return ftl.Translation{PPA: ppa, Cost: cost, Levels: res.Levels, Approx: res.Approx}, true
-}
-
-// ExpectRun tells the scheme that the next Translate calls ask for the
-// n LPAs from lpa in order (the device's multi-page reads). Translate
-// then answers them from one LookupRun per group instead of a Lookup
-// each. The hint only decides how far a sweep reaches: every answer is
-// Lookup's, so nothing the device sees depends on it.
-func (s *Scheme) ExpectRun(lpa addr.LPA, n int) {
-	s.runLo, s.runEnd = lpa, lpa+addr.LPA(n)
-}
-
-// lookup answers lpa as Table.Lookup does. An LPA inside the announced
-// run is served from the memo, which LookupRun refills from lpa to the
-// end of the run or of lpa's group when lpa is not in it or the table
-// has changed since (Gen). The run's last LPA is looked up alone when
-// the memo lacks it: a one-slot sweep costs more than a Lookup.
-func (s *Scheme) lookup(lpa addr.LPA) (addr.PPA, core.LookupResult, bool) {
-	if lpa < s.runLo || lpa >= s.runEnd {
-		return s.table.Lookup(lpa)
-	}
-	i := int(lpa - s.memoLo)
-	if lpa < s.memoLo || i >= s.memoN || s.memoGen != s.table.Gen() {
-		if lpa == s.runEnd-1 {
-			return s.table.Lookup(lpa)
-		}
-		n := min(s.runEnd-lpa, addr.GroupBase(addr.Group(lpa)+1)-lpa)
-		s.memoN = s.table.LookupRun(lpa, s.memo[:n])
-		s.memoLo, s.memoGen, i = lpa, s.table.Gen(), 0
-	}
-	a := &s.memo[i]
-	return a.PPA, a.Res, a.OK
 }
 
 func (s *Scheme) noteLookup(res core.LookupResult) {

@@ -18,9 +18,10 @@ const writeBurstAllocBound = 0.002
 // warmed device whose data cache is smaller than the read set, a read mix
 // of hits, misses and evictions, with 32-page scans among short reads,
 // allocates nothing: the data cache's node arena and eviction buffer are
-// reused, and a scan's translations share the scheme's answer buffer. A write burst that fills the
-// buffer, flushes and triggers GC stays under writeBurstAllocBound per
-// page: the flush and GC staging buffers are reused across calls.
+// reused, and every page translates through the table's Lookup. A write
+// burst that fills the buffer, flushes and triggers GC stays under
+// writeBurstAllocBound per page: the flush and GC staging buffers are
+// reused across calls.
 func TestDeviceSteadyStateAllocs(t *testing.T) {
 	cfg := testConfig()
 	d := newTestDevice(t, cfg, leaftl.New(0, cfg.Flash.PageSize))
@@ -37,7 +38,7 @@ func TestDeviceSteadyStateAllocs(t *testing.T) {
 	read := func() {
 		n := 1 + rng.Intn(4)
 		if rng.Intn(4) == 0 {
-			n = 32 // a scan: one translation sweep per group
+			n = 32 // a scan
 		}
 		if _, err := d.Read(addr.LPA(rng.Intn(logical-32)), n); err != nil {
 			t.Fatal(err)

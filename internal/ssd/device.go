@@ -32,11 +32,6 @@ type Device struct {
 	scheme ftl.Scheme
 	gamma  int // scheme's error bound (0 for exact schemes)
 
-	// runHint is told each read's LPA run before its pages are
-	// translated, when the scheme takes the hint (LeaFTL); nil
-	// otherwise.
-	runHint interface{ ExpectRun(addr.LPA, int) }
-
 	logicalPages int
 
 	// Simulator ground truth, used for bookkeeping (PVT/BVC updates, GC
@@ -133,7 +128,7 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	gamma, runHint := schemeCaps(scheme)
+	gamma := schemeGamma(scheme)
 	if 2*gamma+1 > cfg.Flash.OOBEntries() {
 		return nil, fmt.Errorf("ssd: gamma %d needs %d OOB entries, flash provides %d (§3.5)",
 			gamma, 2*gamma+1, cfg.Flash.OOBEntries())
@@ -144,7 +139,6 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 		arr:          arr,
 		scheme:       scheme,
 		gamma:        gamma,
-		runHint:      runHint,
 		logicalPages: cfg.LogicalPages(),
 		truth:        make([]addr.PPA, cfg.LogicalPages()),
 		token:        make([]uint64, cfg.LogicalPages()),
@@ -182,16 +176,14 @@ func New(cfg Config, scheme ftl.Scheme) (*Device, error) {
 	return d, nil
 }
 
-// schemeCaps probes the optional capabilities of a scheme the read
-// path uses: its error bound γ (ftl.Gamma; 0 without one) and its run
-// hint (ExpectRun). New and Recover both bind a scheme through it, so a
-// recovered device announces runs to the fresh scheme.
-func schemeCaps(scheme ftl.Scheme) (gamma int, runHint interface{ ExpectRun(addr.LPA, int) }) {
+// schemeGamma returns the error bound γ the read path verifies a
+// scheme's answers within (ftl.Gamma; 0 without one). New and Recover
+// both bind a scheme through it.
+func schemeGamma(scheme ftl.Scheme) int {
 	if g, ok := scheme.(ftl.Gamma); ok {
-		gamma = g.Gamma()
+		return g.Gamma()
 	}
-	runHint, _ = scheme.(interface{ ExpectRun(addr.LPA, int) })
-	return gamma, runHint
+	return 0
 }
 
 // wireJournal sizes a journaling scheme's metadata journal from the
@@ -298,9 +290,6 @@ func (d *Device) ReadAt(lpa addr.LPA, n int, start time.Duration) (time.Duration
 	}
 	d.stats.HostReadReqs++
 	metaBefore := d.stats.MetaReads + d.stats.MetaWrites
-	if d.runHint != nil {
-		d.runHint.ExpectRun(lpa, n)
-	}
 	end := start + cacheHitLatency
 	// An uncorrectable page fails the request, not its other pages: they
 	// are still served and counted, and the first such page's error is

@@ -241,7 +241,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	// those pages, and they must be re-learned from the scan (the
 	// journal-replay role the OOB sequence numbers play in real
 	// firmware).
-	freshGamma, freshHint := schemeCaps(fresh)
+	freshGamma := schemeGamma(fresh)
 	pairs := make([]addr.Mapping, 0, len(newest))
 	for lpa, ref := range newest {
 		if _, ok := restored[addr.Group(lpa)]; ok && restoredCovers(fresh, lpa, ref.ppa, freshGamma) {
@@ -270,7 +270,7 @@ func (d *Device) Recover(fresh ftl.Scheme) (RecoveryReport, error) {
 	}
 
 	fresh.SetBudget(d.mapBudget)
-	d.scheme, d.gamma, d.runHint = fresh, freshGamma, freshHint
+	d.scheme, d.gamma = fresh, freshGamma
 	d.resizeCache()
 	return rep, nil
 }
