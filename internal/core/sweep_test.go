@@ -282,6 +282,40 @@ func TestSweepAgedTable(t *testing.T) {
 	}
 }
 
+// TestSweepZeroAllocs: filling a memo the group has allocated before
+// allocates nothing. Every call drops the group's memo and looks up the
+// fill trigger's worth of LPAs, the last of which sweeps the whole group.
+func TestSweepZeroAllocs(t *testing.T) {
+	for _, gamma := range []int{0, 4} {
+		rng := rand.New(rand.NewSource(2))
+		tb := NewTable(gamma)
+		ppa := addr.PPA(0)
+		for g := 0; g < 16; g++ {
+			tb.Update(mixedBatch(rng, addr.LPA(g*512), ppa))
+			ppa += 256
+		}
+		lpa := addr.LPA(0)
+		if avg := testing.AllocsPerRun(2000, func() {
+			g := tb.lookupGroup(addr.Group(lpa))
+			if g == nil {
+				tb.Lookup(lpa)
+			} else {
+				g.memo.changed()
+				g.memo.backoff = 0
+				for i := 0; i < memoFillLPAs; i++ {
+					tb.Lookup(lpa)
+				}
+				if !g.memo.valid {
+					t.Fatal("no fill after the trigger's worth of lookups")
+				}
+			}
+			lpa = (lpa + 37) % (16 * 512)
+		}); avg != 0 {
+			t.Errorf("gamma %d: a memo fill allocates %.2f objects per call, want 0", gamma, avg)
+		}
+	}
+}
+
 // answer is one LPA's translation as Lookup returns it.
 type answer struct {
 	PPA addr.PPA

@@ -404,11 +404,9 @@ func TestIncrementalStatsMatchWalk(t *testing.T) {
 }
 
 // TestLookupZeroAllocs pins the acceptance criterion: the translation hot
-// path performs zero allocations, whether it walks a group's levels
-// (every call drops the group's answer memo first), answers from warm
-// memos, or fills a memo it has allocated before (every call drops the
-// memo and looks up the fill trigger's worth of LPAs, the last of which
-// sweeps the whole group).
+// path performs zero allocations, both walking a group's levels (every
+// call drops the group's answer memo first) and answering from warm
+// memos.
 func TestLookupZeroAllocs(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		rng := rand.New(rand.NewSource(2))
@@ -418,32 +416,19 @@ func TestLookupZeroAllocs(t *testing.T) {
 			tb.Update(mixedBatch(rng, addr.LPA(g*512), ppa))
 			ppa += 256
 		}
-		for _, mode := range []string{"walk", "memo", "fill"} {
-			if mode == "memo" {
+		for _, warm := range []bool{false, true} {
+			if warm {
 				fillMemos(t, tb)
 			}
 			lpa := addr.LPA(0)
 			if avg := testing.AllocsPerRun(2000, func() {
-				g := tb.lookupGroup(addr.Group(lpa))
-				switch {
-				case g == nil || mode == "memo":
-					tb.Lookup(lpa)
-				case mode == "walk":
+				if g := tb.lookupGroup(addr.Group(lpa)); g != nil && !warm {
 					g.memo.changed()
-					tb.Lookup(lpa)
-				default:
-					g.memo.changed()
-					g.memo.backoff = 0
-					for i := 0; i < memoFillLPAs; i++ {
-						tb.Lookup(lpa)
-					}
-					if !g.memo.valid {
-						t.Fatal("no fill after the trigger's worth of lookups")
-					}
 				}
+				tb.Lookup(lpa)
 				lpa = (lpa + 37) % (16 * 512)
 			}); avg != 0 {
-				t.Errorf("gamma %d, %s: Lookup allocates %.2f objects per call, want 0", gamma, mode, avg)
+				t.Errorf("gamma %d, warm memos %v: Lookup allocates %.2f objects per call, want 0", gamma, warm, avg)
 			}
 		}
 	}
