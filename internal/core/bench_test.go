@@ -64,38 +64,6 @@ func BenchmarkLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep measures answering a 32-LPA window with one sweep of
-// its group's levels, the pass a memo fill and the audits make over a
-// whole group, on BenchmarkLookup's table, and reports the cost per LPA
-// (the window stops early at its group's end).
-func BenchmarkSweep(b *testing.B) {
-	for _, gamma := range []int{0, 1, 4} {
-		b.Run(gammaName(gamma), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(2))
-			tb := NewTable(gamma)
-			ppa := addr.PPA(0)
-			for g := 0; g < 64; g++ {
-				tb.Update(mixedBatch(rng, addr.LPA(g*512), ppa))
-				ppa += 256
-			}
-			lpas := make([]addr.LPA, 4096)
-			for i := range lpas {
-				lpas[i] = addr.LPA(rng.Intn(64 * 512))
-			}
-			var out [32]uint64
-			n := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l := lpas[i%len(lpas)]
-				w := out[:min(len(out), addr.GroupSize-int(addr.Offset(l)))]
-				tb.sweep(tb.lookupGroup(addr.Group(l)), l, w)
-				n += len(w)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/lpa")
-		})
-	}
-}
-
 // BenchmarkUpdate measures inserting a learned batch into a table with
 // existing overlapping levels (the steady-state write path).
 func BenchmarkUpdate(b *testing.B) {

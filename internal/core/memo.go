@@ -9,9 +9,12 @@ import (
 // The answer memo: a group that is read far more often than it changes
 // answers from a copy of its 256 slots' translations instead of walking
 // its levels again for each one (Algorithm 1 lines 17–22). The copy is
-// the output of one whole-group sweep, packed 8 B a slot. A valid memo
-// equals what the levels answer after every change to the group: each
-// change either brings it up to date or drops it (answerMemo.changed).
+// what the rebuild's whole-group resolve finds for every slot, packed 8
+// B a slot (packMemo): a ground-truth slot answers resolve's PPA and a
+// slot an approximate claim keeps answers the claim's prediction. A
+// valid memo equals what the levels answer after every change to the
+// group: each change either brings it up to date or drops it
+// (answerMemo.changed).
 //
 //   - A commit run into a group of a γ = 0 table (every full table),
 //     which learns only accurate pieces, patches the memo in place
@@ -22,14 +25,15 @@ import (
 //     answers it by its index from the bottom of the stack, or as the
 //     top, and a commit opens a fresh level only right below the top, so
 //     a commit that adds a level leaves every other slot as it is.
-//   - A rebuild that sheds rewrites the memo from resolve's per-slot PPA
-//     and its claim's level (Table.rewriteMemo); a no-op rebuild keeps
-//     it; a flatten drops it.
-//   - Anything that touches an approximate segment drops it: a commit at
-//     γ > 0 (the paper preset, whose CRB edits may reshape approximate
-//     segments anywhere in the group), a commit into a group that holds
-//     an approximate segment, a rebuild that keeps an approximate claim,
-//     and the tests' insert helper.
+//   - A rebuild that sheds rewrites the memo with the same packing, each
+//     slot at the level its claim sank to (Table.rewriteMemo), an
+//     approximate claim's slots included: a cut leaves a segment's K and
+//     I alone, so its predictions do not change. A no-op rebuild keeps
+//     the memo; a flatten drops it.
+//   - Anything else that touches an approximate segment drops it: a
+//     commit at γ > 0 (the paper preset, whose CRB edits may reshape
+//     approximate segments anywhere in the group), a commit into a group
+//     that holds an approximate segment, and the tests' insert helper.
 //   - InstallGroup replaces the group, so a restored group starts with
 //     no memo, and DropGroup frees the memo with the group.
 //
@@ -39,11 +43,10 @@ import (
 // translated, and the rest cost 3 546 walks and 156 fills.
 //
 // The memo is host working state, like the CRB's owner index: the
-// simulated controller still walks the levels, so Levels, Approx and
-// Redirected are the walk's values and SizeBytes does not count the
-// memo.
+// simulated controller still walks the levels, so Levels and Approx are
+// the walk's values and SizeBytes does not count the memo.
 //
-// A fill is one whole-group sweep plus the packing, about as costly as
+// A fill is one resolve plus the packing, about as costly as
 // memoFillLPAs walks on an aged table, so a group fills its memo once it
 // has translated that many LPAs since its memo was last dropped: a group
 // whose memo is dropped more often than that never fills and keeps
@@ -54,28 +57,27 @@ import (
 // memo is dropped about as often as it is read stops filling a memo it
 // will not use.
 //
-// AuditExact and CheckShape sweep the levels directly: an audit neither
+// AuditExact and CheckShape run resolve themselves: an audit neither
 // reads nor fills a memo, and CheckShape fails a valid memo that differs
-// from its sweep.
+// from a fresh packing.
 
 // memoFillLPAs is the fill trigger of a group whose fills pay. On
 // BenchmarkLookupAged's aged table of 221 segments and 6.1 levels per
-// group, a fill costs 6.2–7.4 µs, about 22 cold walks of 300–320 ns, and
-// a memo hit 10–11 ns.
+// group, a fill costs 5.7–6.5 µs, about 25 cold walks of 230–245 ns, and
+// a memo hit 9–10 ns (-cpu 1, 2-CPU VM).
 const memoFillLPAs = 24
 
-// A packed slot, as the sweep writes it: the PPA in the low 32 bits,
-// then 8 bits of the answering level's index from the bottom of the
-// stack (0 for an unmapped slot), then the ok, approximate and
-// redirected bits, and a bit set when the top level answers. The index
-// of a level below the top, and the top bit, hold while commits open
-// fresh levels beneath the top; unpack turns them into Levels.
+// A packed slot (packMemo): the PPA in the low 32 bits, then 8 bits of
+// the answering level's index from the bottom of the stack (0 for an
+// unmapped slot), then the ok and approximate bits, and a bit set when
+// the top level answers. The index of a level below the top, and the top
+// bit, hold while commits open fresh levels beneath the top; unpack
+// turns them into Levels.
 const (
 	memoLevelShift = 32
 	memoOK         = 1 << 40
 	memoApprox     = 1 << 41
-	memoRedirected = 1 << 42
-	memoTop        = 1 << 43
+	memoTop        = 1 << 42
 )
 
 // answerMemo is one group's memo: the packed answers, allocated at the
@@ -128,9 +130,8 @@ func memoLevel(d, depth int) uint64 {
 // unpack decodes a memo slot of a group depth levels deep.
 func unpack(v uint64, depth int) (addr.PPA, LookupResult, bool) {
 	res := LookupResult{
-		Levels:     depth - int(uint8(v>>memoLevelShift)),
-		Approx:     v&memoApprox != 0,
-		Redirected: v&memoRedirected != 0,
+		Levels: depth - int(uint8(v>>memoLevelShift)),
+		Approx: v&memoApprox != 0,
 	}
 	if v&memoTop != 0 {
 		res.Levels = 1
@@ -138,14 +139,42 @@ func unpack(v uint64, depth int) (addr.PPA, LookupResult, bool) {
 	return addr.PPA(v), res, v&memoOK != 0
 }
 
-// fill sweeps group g, whose first LPA is base, into its memo.
+// fill resolves group g, whose first LPA is base, into its memo, each
+// slot at the level that answered it.
 func (t *Table) fill(g *group, base addr.LPA) {
 	if g.memo.slots == nil {
 		g.memo.slots = new([addr.GroupSize]uint64)
 	}
-	t.sweep(g, base, g.memo.slots[:])
+	t.resolve(base, g)
+	t.rb.packMemo(g.memo.slots, g.depth(), false)
 	g.memo.valid = true
 	g.memo.reads = 0
+}
+
+// packMemo writes resolve's answer for every slot into out, packed as the
+// memo slots of a group depth levels deep: a claimed slot at the level
+// its claim answered from or, when sunk, the level the rebuild sank it
+// to. A truth slot answers resolve's PPA and a kept one its claim's
+// prediction, which the claim's cut left as it was.
+func (rb *rebuildBuf) packMemo(out *[addr.GroupSize]uint64, depth int, sunk bool) {
+	for o, st := range rb.state {
+		if st == slotFree {
+			out[o] = uint64(addr.InvalidPPA)
+			continue
+		}
+		c := &rb.live[rb.owner[o]]
+		li := c.from
+		if sunk {
+			li = c.level
+		}
+		v := memoLevel(depth-1-int(li), depth) | memoOK
+		if st == slotTruth {
+			v |= uint64(rb.ppa[o])
+		} else {
+			v |= uint64(c.seg.predictApprox(uint8(o))) | memoApprox
+		}
+		out[o] = v
+	}
 }
 
 // patchMemo brings g's valid memo up to date with the commit of run that
@@ -193,23 +222,14 @@ func (t *Table) patchMemo(g *group, run []addr.Mapping) {
 }
 
 // rewriteMemo brings g's valid memo up to date with the shedding rebuild
-// that just installed rb.live: every slot answers resolve's PPA from its
-// claim's level, or is unmapped. A memo of a group that kept an
-// approximate claim is dropped instead.
+// that just installed rb.live: every slot answers as resolve found it,
+// from the level its claim sank to, or is unmapped.
 func (t *Table) rewriteMemo(g *group) {
-	rb := &t.rb
-	if !g.memo.valid || rb.approx > 0 {
+	if !g.memo.valid {
 		g.memo.changed()
 		return
 	}
-	depth := g.depth()
-	for o, st := range rb.state {
-		v := uint64(addr.InvalidPPA)
-		if st == slotTruth {
-			v = uint64(rb.ppa[o]) | memoLevel(depth-1-int(rb.live[rb.owner[o]].level), depth) | memoOK
-		}
-		g.memo.slots[o] = v
-	}
+	t.rb.packMemo(g.memo.slots, g.depth(), true)
 	noteMemo(memoRewritten, 1)
 }
 
@@ -238,13 +258,15 @@ func noteMemo(c memoCase, n int) {
 	}
 }
 
-// checkMemo fails when g holds a valid memo that differs from swept,
-// the group's slots from a fresh sweep.
-func (g *group) checkMemo(id addr.GroupID, swept []uint64) error {
+// checkMemo fails when g, group id, holds a valid memo that differs from
+// a fresh packing of the group's resolve, which t.rb holds.
+func (t *Table) checkMemo(id addr.GroupID, g *group) error {
 	if !g.memo.valid {
 		return nil
 	}
-	for o, want := range swept {
+	var fresh [addr.GroupSize]uint64
+	t.rb.packMemo(&fresh, g.depth(), false)
+	for o, want := range fresh {
 		if v := g.memo.slots[o]; v != want {
 			return fmt.Errorf("group %d: memo slot %d holds %#x, the levels answer %#x", id, o, v, want)
 		}

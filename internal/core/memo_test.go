@@ -43,21 +43,9 @@ func fillMemos(t *testing.T, tb *Table) []addr.GroupID {
 	return ids
 }
 
-// swept returns group id's answers from a fresh sweep of its levels.
-func swept(tb *Table, id addr.GroupID) (out [addr.GroupSize]answer) {
-	var slots [addr.GroupSize]uint64
-	g := tb.lookupGroup(id)
-	tb.sweep(g, addr.GroupBase(id), slots[:])
-	for o, v := range slots {
-		out[o] = unpacked(v, g.depth())
-	}
-	return out
-}
-
 // TestMemoInvalidation: after every call that changes a group, each slot
 // of a group whose memo was filled answers through Lookup exactly as a
-// fresh sweep of its levels does. Each case must
-// change some answer of a filled group (or, for a restore, replace the
+// fresh fill from its levels does. Each case must change some answer of a filled group (or, for a restore, replace the
 // group), so a call that neither brings the memo up to date nor drops
 // it shows as a stale answer.
 func TestMemoInvalidation(t *testing.T) {
@@ -84,7 +72,7 @@ func TestMemoInvalidation(t *testing.T) {
 		}},
 		{"Compact", true, func(t *testing.T, tb *Table, _ *ager) {
 			// The overwrite before the fill left the groups touched,
-			// so the sweep rebuilds them.
+			// so Compact rebuilds them.
 			tb.Compact()
 		}},
 		{"DropGroup+InstallGroup", true, func(t *testing.T, tb *Table, _ *ager) {
@@ -117,7 +105,7 @@ func TestMemoInvalidation(t *testing.T) {
 			ids := fillMemos(t, tb)
 			before := make(map[addr.GroupID][addr.GroupSize]answer)
 			for _, id := range ids {
-				before[id] = swept(tb, id)
+				before[id] = filled(tb, id)
 			}
 			c.call(t, tb, a)
 			changed := false
@@ -125,7 +113,7 @@ func TestMemoInvalidation(t *testing.T) {
 				if !tb.HasGroup(id) {
 					continue
 				}
-				want := swept(tb, id)
+				want := filled(tb, id)
 				changed = changed || want != before[id]
 				got := readGroup(tb, id)
 				for o := range want {
@@ -152,7 +140,7 @@ func TestMemoInvalidation(t *testing.T) {
 // and one that answered more halves it again. The sequence runs on the
 // γ = 4 table, where every commit drops the memo. On the γ = 0 table a
 // commit patches the memo instead: it stays valid across Update and
-// equals a fresh sweep.
+// equals a fresh fill.
 func TestMemoFillTrigger(t *testing.T) {
 	ppa := addr.PPA(1 << 20)
 	t.Run("gamma4", func(t *testing.T) {
@@ -214,8 +202,8 @@ func TestMemoFillTrigger(t *testing.T) {
 			if !g.memo.valid {
 				t.Fatalf("commit %d into the γ = 0 group dropped its memo", i)
 			}
-			if got, want := readGroup(tb, 0), swept(tb, 0); got != want {
-				t.Fatalf("commit %d: the patched memo differs from a fresh sweep", i)
+			if got, want := readGroup(tb, 0), filled(tb, 0); got != want {
+				t.Fatalf("commit %d: the patched memo differs from a fresh fill", i)
 			}
 		}
 	})
@@ -232,14 +220,16 @@ func (c *memoCounts) hook(t *testing.T) {
 }
 
 // TestMemoSurvivesCommits: on the full preset's aged γ = 0 table with
-// every memo filled, every valid memo equals a fresh sweep of its
+// every memo filled, every valid memo equals a fresh fill from its
 // group's levels (CheckShape) after each commit of overwrite and
 // relocation rounds and after Compact, committed by one worker or spread
 // over four. The rounds must exercise every rule that brings a memo up
 // to date: committed slots, victims joining level 1 with and without a
 // fresh level above them, a commit that adds a level (and moves no other
 // slot), a shedding rebuild's rewrite and a no-op rebuild that keeps the
-// memo.
+// memo. On the paper preset's γ = 4 table, whose commits drop the memo,
+// Compact's shedding rebuilds must keep the memos of groups that keep an
+// approximate claim.
 func TestMemoSurvivesCommits(t *testing.T) {
 	names := [memoCases]string{
 		memoCommitted: "committed slots", memoJoined: "victims joining level 1",
@@ -272,6 +262,38 @@ func TestMemoSurvivesCommits(t *testing.T) {
 			}
 		})
 	}
+	t.Run("gamma4", func(t *testing.T) {
+		tb, a := memoTable(false)
+		kept := 0
+		for round := 0; round < 6; round++ {
+			a.age(tb, 1)
+			type shape struct{ bytes, levels int }
+			before := make(map[addr.GroupID]shape)
+			for _, id := range fillMemos(t, tb) {
+				g := tb.lookupGroup(id)
+				before[id] = shape{g.footprint(), g.depth()}
+			}
+			tb.Compact()
+			if err := tb.CheckShape(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			for id, was := range before {
+				g := tb.lookupGroup(id)
+				if !g.memo.valid || g.crb.empty() || was == (shape{g.footprint(), g.depth()}) {
+					continue
+				}
+				// Compact shed the group, which kept an approximate claim.
+				kept++
+				if got, want := readGroup(tb, id), filled(tb, id); got != want {
+					t.Fatalf("round %d, group %d: the rewritten memo differs from a fresh fill", round, id)
+				}
+			}
+		}
+		t.Logf("shedding rebuilds that kept an approximate claim and the memo: %d", kept)
+		if kept == 0 {
+			t.Fatal("no shedding rebuild kept the memo of a group with an approximate claim")
+		}
+	})
 }
 
 // TestMemoAllocatesOnce: a group allocates its memo at its first fill
@@ -302,7 +324,7 @@ func TestMemoAllocatesOnce(t *testing.T) {
 	}
 }
 
-// TestAuditsLeaveMemosAlone: CheckShape and AuditExact sweep the levels
+// TestAuditsLeaveMemosAlone: CheckShape and AuditExact resolve the levels
 // themselves: they neither fill a memo nor answer from one. A corrupted
 // memo slot fails CheckShape.
 func TestAuditsLeaveMemosAlone(t *testing.T) {

@@ -15,11 +15,13 @@ import (
 // with how often it was written, not with what it holds. A rebuild
 // re-derives the encoding from what the group answers today:
 //
-//  1. resolve: sweep the levels top-down and give every one of the 256
+//  1. resolve: visit the levels top-down and give every one of the 256
 //     slots to the first segment that claims it — exactly the segment
-//     Lookup would answer from. A slot won by an accurate segment is
+//     the walk would answer from. A slot won by an accurate segment is
 //     ground truth: its translation is known exactly. A slot won by an
-//     approximate segment is only a ±γ prediction.
+//     approximate segment is only a ±γ prediction. resolve is the
+//     table's only whole-group pass: a memo fill packs its result
+//     (memo.go), and the audits (AuditExact, CheckShape) read it.
 //  2. shed: a segment that won no slot is dropped; every other one is cut
 //     to the span of the slots it won (an approximate one's CRB entry to
 //     exactly those slots) and sinks to the shallowest level at which it
@@ -76,7 +78,7 @@ const (
 	shapeBytesPerLPA = 20
 )
 
-// Slot states of the resolve sweep.
+// Slot states of the resolve pass.
 const (
 	slotFree  = iota // no segment claims the slot
 	slotTruth        // the slot's translation is known exactly
@@ -87,6 +89,7 @@ const (
 type claim struct {
 	seg    Segment
 	lo, hi int32 // approximate segments: rb.arena[lo:hi] holds the LPA offsets answered, ascending
+	from   int32 // resolve: the level (0 = top) that answered the claim's slots
 	level  int32 // assigned by the packers
 }
 
@@ -172,7 +175,7 @@ func (t *Table) flatten(base addr.LPA) int {
 	rb.claims = rb.claims[:0]
 	learned := t.learner.learn(rb.truth, 0)
 	for i := range learned {
-		addClaim(&rb.claims, &learned[i].Seg)
+		addClaim(&rb.claims, &learned[i].Seg, 0)
 	}
 	nFit := len(rb.claims)
 	for i := range rb.live {
@@ -194,8 +197,9 @@ func (t *Table) flatten(base addr.LPA) int {
 // resolve gives every slot of g to its topmost claim (rb.state, rb.owner,
 // and rb.ppa for accurate claims) and lists the segments that won any,
 // cut to what they won, in rb.live — top level first, each level in
-// start order — sunk as they come (sink). It returns the level count the sunk claims occupy and
-// counts the approximate ones in rb.approx.
+// start order, each with the level it answered from — sunk as they come
+// (sink). It returns the level count the sunk claims occupy and counts
+// the approximate ones in rb.approx.
 func (t *Table) resolve(base addr.LPA, g *group) (levels int) {
 	rb := &t.rb
 	rb.state = [addr.GroupSize]uint8{}
@@ -220,7 +224,7 @@ func (t *Table) resolve(base addr.LPA, g *group) (levels int) {
 					ppa++
 				}
 				if first >= 0 {
-					c := addClaim(&rb.live, s)
+					c := addClaim(&rb.live, s, li)
 					c.seg.SLPA, c.seg.L, c.seg.p0 = base+addr.LPA(first), uint8(last-first), p0
 					levels = max(levels, rb.sink(c, first, last))
 				}
@@ -239,7 +243,7 @@ func (t *Table) resolve(base addr.LPA, g *group) (levels int) {
 				}
 			}
 			if len(rb.arena) > start {
-				c := addClaim(&rb.live, s)
+				c := addClaim(&rb.live, s, li)
 				rb.own(c, base, start)
 				rb.approx++
 				levels = max(levels, rb.sink(c, int(rb.arena[start]), int(rb.arena[len(rb.arena)-1])))
@@ -249,16 +253,16 @@ func (t *Table) resolve(base addr.LPA, g *group) (levels int) {
 	return levels
 }
 
-// addClaim appends a claim of seg to *cs and returns it, growing the
-// slice only at capacity.
-func addClaim(cs *[]claim, seg *Segment) *claim {
+// addClaim appends a claim of seg, answered from level from, to *cs and
+// returns it, growing the slice only at capacity.
+func addClaim(cs *[]claim, seg *Segment, from int) *claim {
 	n := len(*cs)
 	if n == cap(*cs) {
 		*cs = append(*cs, claim{})
 	}
 	*cs = (*cs)[:n+1]
 	c := &(*cs)[n]
-	*c = claim{seg: *seg}
+	*c = claim{seg: *seg, from: int32(from)}
 	return c
 }
 
@@ -416,10 +420,10 @@ func (t *Table) install(g *group, claims []claim, levels int) {
 // levels, and a footprint of at most shapeBytesPerLPA per live LPA (or
 // the rebuildMinSegments floor, for sparsely written groups). It also
 // fails a group whose valid answer memo differs from what its levels
-// answer (memo.go). It sweeps the levels directly, so it neither reads
+// answer (memo.go). It resolves the levels directly, so it neither reads
 // nor fills a memo; it changes no group and touches only resident ones.
 func (t *Table) CheckShape() error {
-	out := &t.sweepOut
+	rb := &t.rb
 	for id, g := range t.groups {
 		if g == nil {
 			continue
@@ -427,10 +431,10 @@ func (t *Table) CheckShape() error {
 		if n := g.depth(); n > maxGroupLevels {
 			return fmt.Errorf("group %d: %d levels, bound %d", id, n, maxGroupLevels)
 		}
-		t.sweep(g, addr.GroupBase(addr.GroupID(id)), out[:])
+		t.resolve(addr.GroupBase(addr.GroupID(id)), g)
 		live := 0
-		for _, v := range out {
-			if v&memoOK != 0 {
+		for _, st := range rb.state {
+			if st != slotFree {
 				live++
 			}
 		}
@@ -438,7 +442,7 @@ func (t *Table) CheckShape() error {
 		if b := g.footprint(); b > bound {
 			return fmt.Errorf("group %d: %d B for %d live LPAs, bound %d B", id, b, live, bound)
 		}
-		if err := g.checkMemo(addr.GroupID(id), out[:]); err != nil {
+		if err := t.checkMemo(addr.GroupID(id), g); err != nil {
 			return err
 		}
 	}

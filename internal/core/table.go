@@ -74,9 +74,6 @@ type Table struct {
 	workers     []*Table
 	maxWorkers  int
 	awaitHelper bool
-
-	// sweepOut is the audits' sweep scratch.
-	sweepOut [addr.GroupSize]uint64
 }
 
 // group is the per-256-LPA-group state: the level stack and the group's
@@ -247,9 +244,6 @@ type LookupResult struct {
 	// returned PPA may be off by up to ±gamma and must be verified
 	// against the OOB reverse mapping (§3.5).
 	Approx bool
-	// Redirected is true when the CRB redirected the lookup from the
-	// range-matching segment to the true owning segment (Figure 9).
-	Redirected bool
 }
 
 // NewTable returns an empty mapping table with the given error bound
@@ -848,111 +842,12 @@ func (t *Table) walk(g *group, lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 			// (Figure 9 / example T6). That owner lives at a lower
 			// level; keep descending so that any newer accurate claim
 			// in between still wins.
-			res.Redirected = true
 			continue
 		}
 		res.Approx = true
 		return seg.predictApprox(off), res, true
 	}
 	return addr.InvalidPPA, res, false
-}
-
-// sweep answers the window of slots from lpa on (len(out) of them, cut
-// at the group's end) from g's levels into out, packed as memo slots
-// (memo.go).
-//
-// The window costs one top-down sweep instead of one walk per LPA: per
-// level one search finds the segment the walk would pick for the
-// window's first slot, and the level's segments are then walked forward
-// while they start inside the window. Each gives the slots from its
-// start to the next segment's start (the ones the walk would ask it
-// about) to the topmost level that claims them, by the walk's rules: the
-// stride for an accurate segment, CRB ownership and the redirect for an
-// approximate one.
-func (t *Table) sweep(g *group, lpa addr.LPA, out []uint64) {
-	for i := range out {
-		out[i] = uint64(addr.InvalidPPA)
-	}
-	depth := g.depth()
-	if depth == 0 || len(out) == 0 {
-		return
-	}
-	first := int(addr.Offset(lpa))
-	base := lpa - addr.LPA(first)
-	last := first + len(out) - 1
-	open := len(out)
-	hi := len(g.segs)
-	for d := depth - 1; d >= 0 && open > 0; d-- {
-		lo := 0
-		if d > 0 {
-			lo = int(g.ends[d-1])
-		}
-		keys, segs := g.keys[lo:hi], g.segs[lo:hi]
-		hi = lo
-		level := memoLevel(d, depth)
-		for i := max(searchKeys(keys, uint16(first)+1)-1, 0); i < len(keys) && int(keys[i]) <= last; i++ {
-			seg := &segs[i]
-			from, to := max(int(keys[i]), first), min(int(seg.End()-base), last)
-			if i+1 < len(keys) {
-				to = min(to, int(keys[i+1])-1)
-			}
-			if from > to {
-				continue
-			}
-			if seg.Accurate() {
-				open -= claimAccurate(seg, out[from-first:to-first+1], from-int(keys[i]), level)
-			} else {
-				open -= claimApprox(g, seg, out, first, from, to, level)
-			}
-		}
-	}
-}
-
-// claimAccurate gives the open slots of out that lie on seg's stride to
-// seg, at the packed level; out[0] is d LPAs past seg's start. It returns
-// how many it claimed.
-func claimAccurate(seg *Segment, out []uint64, d int, level uint64) int {
-	s, k, i := int(seg.stride), d, 0
-	if s > 1 {
-		k = (d + s - 1) / s // the first stride step at or after out[0]
-		i = k*s - d
-	}
-	claimed := level | memoOK
-	n := 0
-	for ; i < len(out); i, k = i+s, k+1 {
-		if v := &out[i]; *v&memoOK == 0 {
-			*v = *v&memoRedirected | uint64(seg.p0+addr.PPA(k)) | claimed
-			n++
-		}
-	}
-	return n
-}
-
-// claimApprox gives the open slots at offsets [from, to] that the CRB
-// says approximate seg owns to it, at the packed level, and marks those
-// another approximate segment owns as redirected. out[0] is the slot at
-// offset first. It returns how many it claimed.
-func claimApprox(g *group, seg *Segment, out []uint64, first, from, to int, level uint64) int {
-	n := 0
-	start := seg.Start()
-	claimed := level | memoOK | memoApprox
-	for off := from; off <= to; off++ {
-		v := &out[off-first]
-		if *v&memoOK != 0 {
-			continue
-		}
-		owner, ok := g.crb.lookup(uint8(off))
-		if !ok {
-			continue
-		}
-		if owner != start {
-			*v |= memoRedirected
-			continue
-		}
-		*v = *v&memoRedirected | uint64(seg.predictApprox(uint8(off))) | claimed
-		n++
-	}
-	return n
 }
 
 // Compact rebuilds every group mutated since its last rebuild (paper §3.7
