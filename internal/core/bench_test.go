@@ -218,30 +218,32 @@ func retainedSlots(tb *Table) int {
 
 // agedTable returns the aged table of 400 groups the aged benchmarks run
 // on, learned at γ = 0 as the full preset (leaftl.WithExactBitmap)
-// learns, and its ager.
-func agedTable() (*Table, *ager) {
-	tb := NewTable(presetGamma(4, true))
+// learns or, for the paper preset, at γ = 4, and its ager.
+func agedTable(full bool) (*Table, *ager) {
+	tb := NewTable(presetGamma(4, full))
 	a := newAger(5, 400)
 	a.prefill(tb)
 	a.age(tb, 20)
 	return tb, a
 }
 
-// BenchmarkAgedCommit measures the write path of the full preset's aged
-// γ = 0 table of 400 groups: one round of 16 overwrite flushes plus a
-// relocation pass per op. It reports ns per committed pair and the host
-// bytes the groups' segment arrays retain per live segment. "plain"
-// commits into groups without a memo; "memo" fills every group's answer
-// memo before each round, outside the timer, so its ns/pair adds the
-// cost of patching the memos the round's commits keep (memo.go).
+// BenchmarkAgedCommit measures the write path of the aged table of 400
+// groups, the full preset's γ = 0 one and the paper preset's γ = 4 one:
+// one round of 16 overwrite flushes plus a relocation pass per op. It
+// reports ns per committed pair and the host bytes the groups' segment
+// arrays retain per live segment. "plain" commits into groups without a
+// memo; "memo" fills every group's answer memo before each round,
+// outside the timer, so its ns/pair adds the cost of patching the memos
+// the round's commits keep (memo.go), approximate victims included on
+// the paper preset's table.
 func BenchmarkAgedCommit(b *testing.B) {
-	for _, memo := range []bool{false, true} {
-		name := "plain"
-		if memo {
-			name = "memo"
-		}
-		b.Run(name, func(b *testing.B) {
-			tb, a := agedTable()
+	for _, bc := range []struct {
+		name       string
+		full, memo bool
+	}{{"full/plain", true, false}, {"full/memo", true, true}, {"paper/plain", false, false}, {"paper/memo", false, true}} {
+		memo := bc.memo
+		b.Run(bc.name, func(b *testing.B) {
+			tb, a := agedTable(bc.full)
 			fill := func(id addr.GroupID, g *group) { tb.fill(g, addr.GroupBase(id)) }
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -269,7 +271,7 @@ func BenchmarkAgedCommit(b *testing.B) {
 // (memo.go). The fill trigger, memoFillLPAs, is about the fill's cost in
 // cold walks.
 func BenchmarkLookupAged(b *testing.B) {
-	tb, _ := agedTable()
+	tb, _ := agedTable(true)
 	rng := rand.New(rand.NewSource(9))
 	lpas := make([]addr.LPA, 4096)
 	for i := range lpas {

@@ -298,10 +298,6 @@ func (c *crb) add(lpas []uint8) {
 // incrementally; O(1).
 func (c *crb) sizeBytes() int { return c.bytes }
 
-// empty reports whether the CRB holds no entry, so that no approximate
-// segment of its group answers or redirects any LPA.
-func (c *crb) empty() bool { return len(c.entries) == 0 }
-
 // recompute rebuilds the size counter and the owner index from the
 // entries (group-record decode path).
 func (c *crb) recompute() {

@@ -62,8 +62,11 @@ func (p fillProg) check(id int) fillProg { return p.op(opCheck, byte(id)) }
 
 // fillSeeds returns the seed corpus of FuzzFill. Between them the seeds
 // build stride > 1 segments, approximate slots below a newer approximate
-// segment whose range covers them, and a check that reads a filled memo;
-// TestFillSeedsCover checks they do.
+// segment whose range covers them, a check that reads a filled memo, a
+// check of a group with a claim that resolve sinks to another level than
+// the one it answered from, and a check that reads a memo a γ = 4 commit
+// patched after pushing an approximate victim down; TestFillSeedsCover
+// checks they do.
 func fillSeeds() [][]byte {
 	var seeds [][]byte
 	for _, cfg := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
@@ -83,6 +86,21 @@ func fillSeeds() [][]byte {
 		p = p.check(0).op(opCompact).check(0).check(1)
 		seeds = append(seeds, p)
 	}
+	// Group 2: a run, an overwrite inside it that pushes it down, one
+	// inside that which pushes the overwrite under a fresh level, and the
+	// overwrite again, which removes the newest and shadows the middle
+	// one: the first run answers from the third level from the top but
+	// would sink to the second.
+	p := newProg(false, false)
+	p = p.update(512, 64, 1, 0, 0).update(532, 11, 1, 0, 0).update(537, 3, 1, 0, 0).update(532, 11, 1, 0, 0)
+	seeds = append(seeds, p.check(2))
+	// Group 3 at γ = 4: an irregular run learns an approximate segment, a
+	// check fills the memo, and a run inside the segment's range pushes
+	// it down, which the commit patches into the memo the next check
+	// reads.
+	p = newProg(true, false)
+	p = p.update(768, 20, 1, 0, 0, 2, 0, 1, 2, 2, 0, 1, 0, 2, 1, 2, 0, 0, 1, 2, 1, 0, 2, 1)
+	seeds = append(seeds, p.check(3).update(780, 3, 1, 0, 0).check(3))
 	return seeds
 }
 
@@ -99,6 +117,14 @@ type fillRun struct {
 	strided, redirectedApprox bool
 	// memoRead: a group that held a valid memo was checked.
 	memoRead bool
+	// sunk: a checked group held a claim that resolve sinks to another
+	// level than the one it answered from.
+	sunk bool
+	// pushed[id]: since group id's last check, a commit patched its valid
+	// memo after pushing an approximate victim down; pushedRead: a check
+	// read such a memo.
+	pushed     map[addr.GroupID]bool
+	pushedRead bool
 }
 
 func (r *fillRun) next() byte {
@@ -118,7 +144,7 @@ func (r *fillRun) nextLPA() addr.LPA {
 // runFillProgram interprets prog against a fresh table and checks every
 // group it names, and every group at the end, against the walk.
 func runFillProgram(t *testing.T, prog []byte) *fillRun {
-	r := &fillRun{t: t, prog: prog, ppa: 1}
+	r := &fillRun{t: t, prog: prog, ppa: 1, pushed: make(map[addr.GroupID]bool)}
 	cfg := r.next()
 	gamma := 0
 	if cfg&1 != 0 {
@@ -172,7 +198,13 @@ func (r *fillRun) update() {
 		r.truth[l] = r.ppa
 		r.ppa++
 	}
+	before := validMemos(r.tb)
 	r.tb.Update(r.pairs)
+	for id, was := range before {
+		if pushedApprox(r.tb.lookupGroup(id), &was) > 0 {
+			r.pushed[id] = true
+		}
+	}
 }
 
 // check fills group id's memo into a scratch array and compares every
@@ -187,7 +219,12 @@ func (r *fillRun) check(id addr.GroupID) {
 	var fresh [addr.GroupSize]answer
 	if g != nil {
 		fresh = filled(r.tb, id)
+		for _, c := range r.tb.rb.live {
+			r.sunk = r.sunk || c.level != c.from
+		}
+		r.pushedRead = r.pushedRead || g.memo.valid && r.pushed[id]
 	}
+	delete(r.pushed, id)
 	for pass := 0; pass < 2; pass++ {
 		r.memoRead = r.memoRead || g != nil && g.memo.valid
 		for o := range fresh {
@@ -243,20 +280,27 @@ func FuzzFill(f *testing.F) {
 }
 
 // TestFillSeedsCover runs FuzzFill's seed corpus and requires it to reach
-// the cases the fill must get right: a slot of a stride > 1 segment, an
-// approximate slot whose walk passed a newer approximate segment that
-// covers it, and a group looked up from a filled answer memo.
+// the cases the fill and the memo patches must get right: a slot of a
+// stride > 1 segment, an approximate slot whose walk passed a newer
+// approximate segment that covers it, a group looked up from a filled
+// answer memo, a fill of a group with a claim that resolve sinks to
+// another level than the one it answered from (a fill packs the latter),
+// and a lookup from a memo a γ = 4 commit patched after pushing an
+// approximate victim down.
 func TestFillSeedsCover(t *testing.T) {
-	var strided, redirected, memo bool
+	var strided, redirected, memo, sunk, pushed bool
 	for _, s := range fillSeeds() {
 		r := runFillProgram(t, s)
 		strided = strided || r.strided
 		redirected = redirected || r.redirectedApprox
 		memo = memo || r.memoRead
+		sunk = sunk || r.sunk
+		pushed = pushed || r.pushedRead
 	}
-	if !strided || !redirected || !memo {
-		t.Fatalf("seed corpus misses a case: stride > 1 %v, redirected approximate slot %v, memo read %v",
-			strided, redirected, memo)
+	if !strided || !redirected || !memo || !sunk || !pushed {
+		t.Fatalf("seed corpus misses a case: stride > 1 %v, redirected approximate slot %v, memo read %v, "+
+			"claim sunk elsewhere %v, memo patched for an approximate victim %v",
+			strided, redirected, memo, sunk, pushed)
 	}
 }
 
@@ -307,7 +351,6 @@ func TestFillZeroAllocs(t *testing.T) {
 				tb.Lookup(lpa)
 			} else {
 				g.memo.changed()
-				g.memo.backoff = 0
 				for i := 0; i < memoFillLPAs; i++ {
 					tb.Lookup(lpa)
 				}

@@ -13,29 +13,30 @@ import (
 // B a slot (packMemo): a ground-truth slot answers resolve's PPA and a
 // slot an approximate claim keeps answers the claim's prediction. A
 // valid memo equals what the levels answer after every change to the
-// group: each change either brings it up to date or drops it
-// (answerMemo.changed).
+// group: every change brings it up to date, and only a flatten drops it.
 //
-//   - A commit run into a group of a γ = 0 table (every full table),
-//     which learns only accurate pieces, patches the memo in place
-//     (Table.patchMemo) while the group holds no approximate segment:
-//     each committed LPA answers its new PPA from the top level, and
-//     each victim the landing pushed down answers its remaining stride
-//     points from the level it landed in. A slot names the level that
-//     answers it by its index from the bottom of the stack, or as the
-//     top, and a commit opens a fresh level only right below the top, so
-//     a commit that adds a level leaves every other slot as it is.
+//   - A commit run, at any γ, patches the memo in place. A lookup answers
+//     from the topmost segment that claims the LPA, with the CRB naming
+//     each approximate LPA's one owner, so a commit changes answers only
+//     at the LPAs it commits and at the remaining points of the victims
+//     it pushes down. Every closeTop sets its victims' points at the
+//     level they landed in (Table.patchVictims), and when the run is in,
+//     each committed LPA answers from the top (Table.patchMemo). A CRB
+//     edit only moves an approximate segment's bounds onto offsets it
+//     still owns, and a cut leaves K and I alone, so neither changes
+//     another answer. A slot names the level that answers it by its
+//     index from the bottom of the stack, or as the top, and a commit
+//     opens a fresh level only right below the top, so a commit that
+//     adds a level leaves every other slot as it is.
 //   - A rebuild that sheds rewrites the memo with the same packing, each
 //     slot at the level its claim sank to (Table.rewriteMemo), an
 //     approximate claim's slots included: a cut leaves a segment's K and
 //     I alone, so its predictions do not change. A no-op rebuild keeps
-//     the memo; a flatten drops it.
-//   - Anything else that touches an approximate segment drops it: a
-//     commit at γ > 0 (the paper preset, whose CRB edits may reshape
-//     approximate segments anywhere in the group), a commit into a group
-//     that holds an approximate segment, and the tests' insert helper.
-//   - InstallGroup replaces the group, so a restored group starts with
-//     no memo, and DropGroup frees the memo with the group.
+//     the memo.
+//   - A flatten drops it: the re-fit's levels follow no claim's old one.
+//     InstallGroup replaces the group, so a restored group starts with
+//     no memo, DropGroup frees the memo with the group, and the tests'
+//     insert helper drops it.
 //
 // On the benchmark's aged tables a read-hot group takes many commit runs
 // between reads, and patching keeps its memo through them: in one seed-1
@@ -47,24 +48,19 @@ import (
 // the walk's values and SizeBytes does not count the memo.
 //
 // A fill is one resolve plus the packing, about as costly as
-// memoFillLPAs walks on an aged table, so a group fills its memo once it
-// has translated that many LPAs since its memo was last dropped: a group
-// whose memo is dropped more often than that never fills and keeps
-// paying only the walk. A fill pays off when the memo answers at least
-// as many LPAs before it is dropped. A group whose fill did not pay
-// doubles its trigger, up to a whole group's worth of LPAs, and one
-// whose fill paid halves it again, down to memoFillLPAs: a group whose
-// memo is dropped about as often as it is read stops filling a memo it
-// will not use.
+// memoFillLPAs walks on an aged table, so a group with no memo fills it
+// once it has translated that many LPAs since its last commit or drop: a
+// group committed more often than that never fills and keeps paying
+// only the walk.
 //
 // AuditExact and CheckShape run resolve themselves: an audit neither
 // reads nor fills a memo, and CheckShape fails a valid memo that differs
 // from a fresh packing.
 
-// memoFillLPAs is the fill trigger of a group whose fills pay. On
-// BenchmarkLookupAged's aged table of 221 segments and 6.1 levels per
-// group, a fill costs 5.7–6.5 µs, about 25 cold walks of 230–245 ns, and
-// a memo hit 9–10 ns (-cpu 1, 2-CPU VM).
+// memoFillLPAs is the fill trigger. On BenchmarkLookupAged's aged table
+// of 221 segments and 6.1 levels per group, a fill costs 5.7–6.5 µs,
+// about 25 cold walks of 230–245 ns, and a memo hit 9–10 ns (-cpu 1,
+// 2-CPU VM).
 const memoFillLPAs = 24
 
 // A packed slot (packMemo): the PPA in the low 32 bits, then 8 bits of
@@ -81,32 +77,19 @@ const (
 )
 
 // answerMemo is one group's memo: the packed answers, allocated at the
-// group's first fill and reused after that, and whether they hold the
-// group's current answers. reads counts the LPAs the group translated
-// since its memo was last dropped or, while the memo is valid, the LPAs
-// the memo answered after the fill; the fill trigger is
-// memoFillLPAs << backoff.
+// group's first fill and reused after that, whether they hold the
+// group's current answers and, while they do not, how many LPAs the
+// group translated since its last commit or drop.
 type answerMemo struct {
-	slots   *[addr.GroupSize]uint64
-	valid   bool
-	reads   int
-	backoff uint8
+	slots *[addr.GroupSize]uint64
+	valid bool
+	reads int
 }
 
-// changed drops the memo, moves the trigger by whether the fill paid,
-// and restarts the read count: the group's answers are about to change
-// in a way the memo is not brought up to date with.
+// changed drops the memo and restarts the read count: the group's
+// answers are about to change in a way the memo is not brought up to
+// date with.
 func (m *answerMemo) changed() {
-	if m.valid {
-		switch {
-		case m.reads >= memoFillLPAs:
-			if m.backoff > 0 {
-				m.backoff--
-			}
-		case memoFillLPAs<<(m.backoff+1) <= addr.GroupSize:
-			m.backoff++
-		}
-	}
 	m.valid = false
 	m.reads = 0
 }
@@ -115,7 +98,7 @@ func (m *answerMemo) changed() {
 // the group should fill it now.
 func (m *answerMemo) note() bool {
 	m.reads++
-	return m.reads >= memoFillLPAs<<m.backoff
+	return m.reads >= memoFillLPAs
 }
 
 // memoLevel packs the level at index d from the bottom of a stack of
@@ -148,7 +131,6 @@ func (t *Table) fill(g *group, base addr.LPA) {
 	t.resolve(base, g)
 	t.rb.packMemo(g.memo.slots, g.depth(), false)
 	g.memo.valid = true
-	g.memo.reads = 0
 }
 
 // packMemo writes resolve's answer for every slot into out, packed as the
@@ -177,23 +159,19 @@ func (rb *rebuildBuf) packMemo(out *[addr.GroupSize]uint64, depth int, sunk bool
 	}
 }
 
-// patchMemo brings g's valid memo up to date with the commit of run that
-// closeTop has just landed, in a group that holds no approximate segment
-// and from pieces that are all accurate. Two passes, in this order, so
-// that a victim's stride point the same run committed ends at the top:
-//
-//   - each victim the landing pushed down answers its remaining stride
-//     points from the level below the top, or from the one below that
-//     when it joined level 1 beneath a fresh level. Before the commit it
-//     answered them from the top, and nothing that now lies above it
-//     claims them: the pieces claim only committed LPAs, and the rest of
-//     the old top level never overlapped it;
-//   - each committed LPA answers its new PPA from the top.
-//
-// A commit that added a level (a fresh one below the top, or the
-// group's first) moves no other slot: the top stays the top and every
-// level beneath the fresh one keeps its index from the bottom.
-func (t *Table) patchMemo(g *group, run []addr.Mapping) {
+// patchVictims brings g's valid memo up to date with the victims
+// closeTop has just landed. Each answers its remaining points from the
+// level below the top, or from the one below that when it joined level
+// 1 beneath a fresh level: an accurate victim its stride points, an
+// approximate one the offsets its CRB entry holds, at its prediction.
+// Before the commit it answered them from the top, and nothing that now
+// lies above it claims them: the pieces claim only committed LPAs, which
+// patchMemo sets when the run is in, and the rest of the old top level
+// never overlapped it. A commit that added a level (a fresh one below
+// the top, or the group's first) moves no other slot: the top stays the
+// top and every level beneath the fresh one keeps its index from the
+// bottom.
+func (t *Table) patchVictims(g *group) {
 	m := g.memo.slots
 	depth := g.depth()
 	grew := depth > t.topDepth
@@ -210,13 +188,34 @@ func (t *Table) patchMemo(g *group, run []addr.Mapping) {
 			d--
 		}
 		claimed := memoLevel(d, depth) | memoOK
+		if !seg.Accurate() {
+			for _, o := range g.crb.entryFor(seg.Start()).lpas {
+				m[o] = uint64(seg.predictApprox(o)) | claimed | memoApprox
+			}
+			continue
+		}
 		end, st := int(seg.Start())+int(seg.L), int(seg.stride)
 		for o, ppa := int(seg.Start()), seg.p0; o <= end; o, ppa = o+st, ppa+1 {
 			m[o] = uint64(ppa) | claimed
 		}
 	}
+}
+
+// patchMemo sets the LPAs run committed in g's valid memo once the last
+// closeTop has landed them: each answers from the top, its new PPA or,
+// in an approximate piece of learned, the piece's prediction.
+func (t *Table) patchMemo(g *group, run []addr.Mapping, learned []Learned) {
+	m := g.memo.slots
 	for _, p := range run {
 		m[addr.Offset(p.LPA)] = uint64(p.PPA) | memoTop | memoOK
+	}
+	for k := range learned {
+		if seg := &learned[k].Seg; !seg.Accurate() {
+			for _, l := range learned[k].LPAs {
+				o := addr.Offset(l)
+				m[o] = uint64(seg.predictApprox(o)) | memoTop | memoOK | memoApprox
+			}
+		}
 	}
 	noteMemo(memoCommitted, len(run))
 }
@@ -225,12 +224,10 @@ func (t *Table) patchMemo(g *group, run []addr.Mapping) {
 // that just installed rb.live: every slot answers as resolve found it,
 // from the level its claim sank to, or is unmapped.
 func (t *Table) rewriteMemo(g *group) {
-	if !g.memo.valid {
-		g.memo.changed()
-		return
+	if g.memo.valid {
+		t.rb.packMemo(g.memo.slots, g.depth(), true)
+		noteMemo(memoRewritten, 1)
 	}
-	t.rb.packMemo(g.memo.slots, g.depth(), true)
-	noteMemo(memoRewritten, 1)
 }
 
 // memoCase names one way a commit or a rebuild brings a valid memo up to

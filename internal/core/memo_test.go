@@ -132,81 +132,55 @@ func TestMemoInvalidation(t *testing.T) {
 	}
 }
 
-// TestMemoFillTrigger: a group answers from its levels until it has
-// translated its trigger's worth of LPAs since its memo was last dropped
-// (each Lookup counts one), then from its memo. A drop
-// restarts the count; a fill whose memo answered fewer than memoFillLPAs
-// LPAs before the drop doubles the trigger, up to a whole group's worth,
-// and one that answered more halves it again. The sequence runs on the
-// γ = 4 table, where every commit drops the memo. On the γ = 0 table a
-// commit patches the memo instead: it stays valid across Update and
-// equals a fresh fill.
+// TestMemoFillTrigger: on both presets' tables a group with no memo
+// answers from its levels until it has translated memoFillLPAs LPAs
+// since its last commit (each Lookup counts one), then from its memo; a
+// commit before then restarts the count. After that each commit keeps
+// the memo, patched to equal a fresh fill, at γ 0 and 4: short
+// sequential, strided and irregular runs across the group (irregular
+// ones learn approximate pieces at γ = 4) push victims down and open
+// levels.
 func TestMemoFillTrigger(t *testing.T) {
-	ppa := addr.PPA(1 << 20)
-	t.Run("gamma4", func(t *testing.T) {
-		tb, _ := memoTable(false)
-		g := tb.lookupGroup(0)
-		lookups := func(n int) {
-			for i := 0; i < n; i++ {
-				tb.Lookup(addr.LPA(i % addr.GroupSize))
+	for _, full := range []bool{true, false} {
+		tb, _ := memoTable(full)
+		t.Run(fmt.Sprintf("gamma%d", tb.Gamma()), func(t *testing.T) {
+			g := tb.lookupGroup(0)
+			ppa := addr.PPA(1 << 20)
+			commit := func(i int) {
+				n := 3 + i%5
+				run := mappings(addr.LPA(37*i%200), uint32(1+i%3), ppa, n)
+				for j := 1; i%2 == 1 && j < n; j++ {
+					run[j].LPA = run[j-1].LPA + addr.LPA(1+(i+j)%3)
+				}
+				tb.Update(run)
+				ppa += addr.PPA(n)
 			}
-		}
-		change := func() {
-			tb.Update(mappings(5, 1, ppa, 3))
-			ppa += 3
-			if g.memo.valid {
-				t.Fatal("a γ = 4 commit into the group left its memo valid")
+			lookups := func(n int) {
+				for i := 0; i < n; i++ {
+					tb.Lookup(addr.LPA(i % addr.GroupSize))
+				}
 			}
-		}
-		// fillsAt requires the group to fill its memo at the trigger-th
-		// translated LPA.
-		fillsAt := func(trigger int) {
-			t.Helper()
-			lookups(trigger - 1)
+			lookups(memoFillLPAs - 1)
+			commit(0)
+			lookups(memoFillLPAs - 1)
 			if g.memo.valid {
-				t.Fatalf("memo filled after %d LPAs, trigger %d", trigger-1, trigger)
+				t.Fatalf("memo filled %d LPAs after the last commit, trigger %d", memoFillLPAs-1, memoFillLPAs)
 			}
 			lookups(1)
 			if !g.memo.valid {
-				t.Fatalf("no memo after %d LPAs", trigger)
+				t.Fatalf("no memo %d LPAs after the last commit", memoFillLPAs)
 			}
-		}
-
-		fillsAt(memoFillLPAs)
-		lookups(memoFillLPAs) // the fill pays
-		change()
-		fillsAt(memoFillLPAs)
-		change() // the memo answered nothing: the trigger doubles
-		fillsAt(2 * memoFillLPAs)
-		lookups(memoFillLPAs) // pays: the trigger halves
-		change()
-		fillsAt(memoFillLPAs)
-		for i := 0; i < 8; i++ { // fills that answer nothing
-			change()
-			lookups(memoFillLPAs << g.memo.backoff)
-		}
-		if trigger := memoFillLPAs << g.memo.backoff; trigger > addr.GroupSize || 2*trigger <= addr.GroupSize {
-			t.Fatalf("after fills that never paid the trigger is %d, want the largest doubling within %d", trigger, addr.GroupSize)
-		}
-	})
-	t.Run("gamma0", func(t *testing.T) {
-		tb, _ := memoTable(true)
-		g := tb.lookupGroup(0)
-		readGroup(tb, 0)
-		for i := 0; i < 40; i++ {
-			// Short sequential and strided runs across the group, so
-			// commits push victims down and open levels.
-			n := 3 + i%5
-			tb.Update(mappings(addr.LPA(37*i%200), uint32(1+i%3), ppa, n))
-			ppa += addr.PPA(n)
-			if !g.memo.valid {
-				t.Fatalf("commit %d into the γ = 0 group dropped its memo", i)
+			for i := 1; i <= 40; i++ {
+				commit(i)
+				if !g.memo.valid {
+					t.Fatalf("commit %d dropped the group's memo", i)
+				}
+				if got, want := readGroup(tb, 0), filled(tb, 0); got != want {
+					t.Fatalf("commit %d: the patched memo differs from a fresh fill", i)
+				}
 			}
-			if got, want := readGroup(tb, 0), filled(tb, 0); got != want {
-				t.Fatalf("commit %d: the patched memo differs from a fresh fill", i)
-			}
-		}
-	})
+		})
+	}
 }
 
 // memoCounts counts the cases of each kind that patches, rewrites and
@@ -219,16 +193,19 @@ func (c *memoCounts) hook(t *testing.T) {
 	t.Cleanup(func() { memoHook = nil })
 }
 
-// TestMemoSurvivesCommits: on the full preset's aged γ = 0 table with
-// every memo filled, every valid memo equals a fresh fill from its
-// group's levels (CheckShape) after each commit of overwrite and
-// relocation rounds and after Compact, committed by one worker or spread
-// over four. The rounds must exercise every rule that brings a memo up
-// to date: committed slots, victims joining level 1 with and without a
-// fresh level above them, a commit that adds a level (and moves no other
-// slot), a shedding rebuild's rewrite and a no-op rebuild that keeps the
-// memo. On the paper preset's γ = 4 table, whose commits drop the memo,
-// Compact's shedding rebuilds must keep the memos of groups that keep an
+// TestMemoSurvivesCommits: on both presets' aged tables with every memo
+// filled, every valid memo equals a fresh fill from its group's levels
+// (CheckShape) after each commit of overwrite and relocation rounds and
+// after Compact, committed by one worker or spread over four. On the
+// full preset's γ = 0 table the rounds must exercise every rule that
+// brings a memo up to date: committed slots, victims joining level 1
+// with and without a fresh level above them, a commit that adds a level
+// (and moves no other slot), a shedding rebuild's rewrite and a no-op
+// rebuild that keeps the memo. On the paper preset's γ = 4 table some
+// Update must leave a valid memo answering an approximate slot from
+// below the top that it answered from the top before: an approximate
+// victim pushed down. The gamma4 case requires
+// Compact's shedding rebuilds to keep the memos of groups that keep an
 // approximate claim.
 func TestMemoSurvivesCommits(t *testing.T) {
 	names := [memoCases]string{
@@ -236,31 +213,45 @@ func TestMemoSurvivesCommits(t *testing.T) {
 		memoJoinedUnder: "victims joining level 1 under a fresh level", memoGrew: "commits adding a level",
 		memoRewritten: "shedding rebuilds", memoKept: "no-op rebuilds",
 	}
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			var counts memoCounts
-			counts.hook(t)
-			tb, a := memoTable(true)
-			tb.maxWorkers = workers
-			check := func(when string) {
-				if err := tb.CheckShape(); err != nil {
-					t.Fatalf("%s: %v", when, err)
+	for _, preset := range []string{"full", "paper"} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers%d", preset, workers), func(t *testing.T) {
+				var counts memoCounts
+				counts.hook(t)
+				tb, a := memoTable(preset == "full")
+				tb.maxWorkers = workers
+				check := func(when string) {
+					if err := tb.CheckShape(); err != nil {
+						t.Fatalf("%s: %v", when, err)
+					}
 				}
-			}
-			a.check = func() { check("Update") }
-			for round := 0; round < 6; round++ {
-				fillMemos(t, tb)
-				a.age(tb, 1)
-				tb.Compact()
-				check("Compact")
-			}
-			for k := range names {
-				t.Logf("%s: %d", names[k], counts[k].Load())
-				if counts[k].Load() == 0 {
-					t.Errorf("no %s", names[k])
+				pushed, before := 0, validMemos(tb)
+				a.check = func() {
+					check("Update")
+					for id, was := range before {
+						pushed += pushedApprox(tb.lookupGroup(id), &was)
+					}
+					before = validMemos(tb)
 				}
-			}
-		})
+				for round := 0; round < 6; round++ {
+					fillMemos(t, tb)
+					before = validMemos(tb)
+					a.age(tb, 1)
+					tb.Compact()
+					check("Compact")
+				}
+				for k := range names {
+					t.Logf("%s: %d", names[k], counts[k].Load())
+					if preset == "full" && counts[k].Load() == 0 {
+						t.Errorf("no %s", names[k])
+					}
+				}
+				t.Logf("approximate slots pushed below the top: %d", pushed)
+				if preset == "paper" && pushed == 0 {
+					t.Error("no Update left a valid memo answering an approximate slot from below the top that it answered from the top before")
+				}
+			})
+		}
 	}
 	t.Run("gamma4", func(t *testing.T) {
 		tb, a := memoTable(false)
@@ -279,7 +270,7 @@ func TestMemoSurvivesCommits(t *testing.T) {
 			}
 			for id, was := range before {
 				g := tb.lookupGroup(id)
-				if !g.memo.valid || g.crb.empty() || was == (shape{g.footprint(), g.depth()}) {
+				if !g.memo.valid || len(g.crb.entries) == 0 || was == (shape{g.footprint(), g.depth()}) {
 					continue
 				}
 				// Compact shed the group, which kept an approximate claim.
@@ -296,9 +287,36 @@ func TestMemoSurvivesCommits(t *testing.T) {
 	})
 }
 
+// validMemos copies the valid memos of tb's groups.
+func validMemos(tb *Table) map[addr.GroupID][addr.GroupSize]uint64 {
+	out := make(map[addr.GroupID][addr.GroupSize]uint64)
+	tb.eachGroup(func(id addr.GroupID, g *group) {
+		if g.memo.valid {
+			out[id] = *g.memo.slots
+		}
+	})
+	return out
+}
+
+// pushedApprox counts the slots of g's valid memo that answered an
+// approximate prediction from the top in was and answer one from below
+// the top now.
+func pushedApprox(g *group, was *[addr.GroupSize]uint64) (n int) {
+	const top = memoApprox | memoTop
+	if !g.memo.valid {
+		return 0
+	}
+	for o, v := range g.memo.slots {
+		if was[o]&top == top && v&top == memoApprox {
+			n++
+		}
+	}
+	return n
+}
+
 // TestMemoAllocatesOnce: a group allocates its memo at its first fill
-// and reuses it after that: a γ = 0 commit patches it in place, and the
-// refill after a γ = 4 commit dropped it writes the same array.
+// and reuses it after that: a commit patches it in place at γ 0 and 4,
+// and a refill after a drop writes the same array.
 func TestMemoAllocatesOnce(t *testing.T) {
 	for _, full := range []bool{true, false} {
 		tb, _ := memoTable(full)

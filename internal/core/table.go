@@ -303,24 +303,20 @@ func (t *Table) Update(pairs []addr.Mapping) int {
 
 // commitRun fits one group run, merges the fitted pieces into the
 // group's top level in one pass, then rebuilds the group if it outgrew
-// its trigger. A valid answer memo is patched with what the commit moved
-// when every piece is accurate and the group holds no approximate
-// segment; otherwise it is dropped (memo.go).
+// its trigger. A valid answer memo is patched with what the commit
+// moved, and a group with no memo restarts its fill count (memo.go).
 func (t *Table) commitRun(run []addr.Mapping) {
 	id := addr.Group(run[0].LPA)
 	g := t.group(id)
-	patch := g.memo.valid && t.gamma == 0 && g.crb.empty()
-	if !patch {
-		g.memo.changed()
-	}
+	g.memo.reads = 0
 	t.openTop(g)
 	learned := t.learner.learn(run, t.gamma)
 	for k := range learned {
 		t.mergePiece(g, &learned[k])
 	}
 	t.closeTop(g)
-	if patch {
-		t.patchMemo(g, run)
+	if g.memo.valid {
+		t.patchMemo(g, run, learned)
 	}
 	t.maybeRebuild(id)
 }
@@ -485,13 +481,17 @@ func (l level) firstEnding(lpa addr.LPA) int {
 	return i
 }
 
-// closeTop lands the merge in g.
+// closeTop lands the merge in g and sets the victims' slots in g's valid
+// answer memo.
 func (t *Table) closeTop(g *group) {
 	t.joined = 0
 	if t.winLo >= 0 {
 		t.joined = g.land(t.winLo, t.pk, t.top, t.victims)
 	}
 	t.noteLevels(g, t.topDepth)
+	if g.memo.valid {
+		t.patchVictims(g)
+	}
 }
 
 // land writes a merge back into g's top level: win replaces the consumed
@@ -760,22 +760,20 @@ func findApprox(g *group, start uint8) (p int, ok bool) {
 // its mapping lives only in flash-resident translation pages).
 //
 // A group that holds a valid memo answers from it (memo.go), and a
-// group that has translated its fill trigger's worth of LPAs since its
-// memo was last dropped fills it first; otherwise Lookup walks the
-// group's levels. Lookup may write the group's memo and its read count,
-// never its answers, and every answer is the walk's.
+// group that has translated memoFillLPAs LPAs since its last commit or
+// drop fills it first; otherwise Lookup walks the group's levels.
+// Lookup may write the group's memo and its read count, never its
+// answers, and every answer is the walk's.
 func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 	id := addr.Group(lpa)
 	g := t.lookupGroup(id)
 	if g == nil {
 		return addr.InvalidPPA, LookupResult{}, false
 	}
-	switch {
-	case g.memo.valid:
-		g.memo.reads++
-	case !g.memo.note():
-		return t.walk(g, lpa)
-	default:
+	if !g.memo.valid {
+		if !g.memo.note() {
+			return t.walk(g, lpa)
+		}
 		t.fill(g, addr.GroupBase(id))
 	}
 	return unpack(g.memo.slots[addr.Offset(lpa)], g.depth())
