@@ -215,7 +215,13 @@ func TestMemoSurvivesCommits(t *testing.T) {
 	}
 	for _, preset := range []string{"full", "paper"} {
 		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers%d", preset, workers), func(t *testing.T) {
+			// The full preset's subtests keep their names from before the
+			// paper preset joined: workers1 and workers4.
+			name := fmt.Sprintf("workers%d", workers)
+			if preset != "full" {
+				name = preset + "/" + name
+			}
+			t.Run(name, func(t *testing.T) {
 				var counts memoCounts
 				counts.hook(t)
 				tb, a := memoTable(preset == "full")
