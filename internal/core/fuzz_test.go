@@ -76,10 +76,10 @@ func FuzzPersist(f *testing.F) {
 		if gt.SizeBytes() != gt2.SizeBytes() || gt.Stats() != gt2.Stats() {
 			t.Fatalf("group record stats diverge: %+v vs %+v", gt.Stats(), gt2.Stats())
 		}
-		incr := gt2.Stats()
-		gt2.recomputeStats()
-		if incr != gt2.Stats() {
-			t.Fatalf("incremental stats diverge after decode: %+v vs %+v", incr, gt2.Stats())
+		incr := gt2.SizeBytes()
+		gt2.recomputeBytes()
+		if incr != gt2.SizeBytes() {
+			t.Fatalf("SizeBytes diverges after decode: %d vs %d", incr, gt2.SizeBytes())
 		}
 		// Commit into the group, so an accepted record also goes through
 		// the insert path and the rebuild: a sequential, a strided and a

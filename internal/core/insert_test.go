@@ -7,9 +7,11 @@ package core
 func (t *Table) insert(ls Learned) {
 	ls.Seg.prime() // hand-built segments; resident ones are always primed
 	g := t.group(ls.Seg.Group())
+	before := g.footprint()
 	g.memo.changed()
 	t.openTop(g)
 	t.mergePiece(g, &ls)
 	t.closeTop(g)
 	t.maybeRebuild(ls.Seg.Group())
+	t.bytes += g.footprint() - before
 }

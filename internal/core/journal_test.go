@@ -59,12 +59,12 @@ func commitAndFlush(tab *Table, p *Pager, pairs []addr.Mapping) ftl.Cost {
 func TestJournalWritebackFold(t *testing.T) {
 	const n = 12
 	tab, p := newJournalPager(256)
-	if cost := commitAndFlush(tab, p, journalBatch(0)); cost.MetaWrites != 0 {
-		t.Fatalf("first writeback charged %d page writes before the tail filled", cost.MetaWrites)
+	if cost := commitAndFlush(tab, p, journalBatch(0)); len(cost.WriteIDs) != 0 {
+		t.Fatalf("first writeback charged %d page writes before the tail filled", len(cost.WriteIDs))
 	}
 	p.EnsureWrite(0)
 	var again ftl.Cost
-	if p.FlushDirty(&again); again.MetaWrites != 0 || p.JournalStats().Appends != 1 {
+	if p.FlushDirty(&again); len(again.WriteIDs) != 0 || p.JournalStats().Appends != 1 {
 		t.Fatal("byte-identical rewrite was not free")
 	}
 	for i := 1; i < n; i++ {
@@ -117,8 +117,8 @@ func TestJournalLoadReadsOneRecord(t *testing.T) {
 				want[g] = rec
 			}
 			p.SetBudget(1)
-			if cost := p.Enforce(); cost.MetaWrites != 0 || tab.SizeBytes() != 0 {
-				t.Fatalf("evicting the clean groups charged %d page writes (%d B resident)", cost.MetaWrites, tab.SizeBytes())
+			if cost := p.Enforce(); len(cost.WriteIDs) != 0 || tab.SizeBytes() != 0 {
+				t.Fatalf("evicting the clean groups charged %d page writes (%d B resident)", len(cost.WriteIDs), tab.SizeBytes())
 			}
 			for g, rec := range want {
 				gid := addr.GroupID(g)
@@ -130,8 +130,8 @@ func TestJournalLoadReadsOneRecord(t *testing.T) {
 					t.Fatalf("load of group %d does not install its newest record (%v)", gid, err)
 				}
 				bound := (len(rec)+pageSize-1)/pageSize + 1
-				if cost.MetaReads == 0 || cost.MetaReads > bound {
-					t.Errorf("load of group %d's %dB record charged %d page reads; want 1..%d", gid, len(rec), cost.MetaReads, bound)
+				if len(cost.ReadIDs) == 0 || len(cost.ReadIDs) > bound {
+					t.Errorf("load of group %d's %dB record charged %d page reads; want 1..%d", gid, len(rec), len(cost.ReadIDs), bound)
 				}
 			}
 		})

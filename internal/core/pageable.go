@@ -11,7 +11,7 @@ import (
 // MarshalGroup/InstallGroup speak the per-group wire record (see
 // persist.go), so an evicted group's bytes are exactly the
 // translation-page payload §3.8 stores in flash translation blocks, and
-// DropGroup/InstallGroup keep every incremental statistic in step so
+// DropGroup/InstallGroup add and subtract the group's footprint, so
 // SizeBytes always reports only what is DRAM-resident.
 
 // HasGroup reports whether the group is resident in the table.
@@ -33,7 +33,7 @@ func (t *Table) GroupFootprint(id addr.GroupID) int {
 // ResidentGroups returns the IDs of every resident group in ascending
 // order.
 func (t *Table) ResidentGroups() []addr.GroupID {
-	out := make([]addr.GroupID, 0, t.nGroups)
+	var out []addr.GroupID
 	t.eachGroup(func(id addr.GroupID, _ *group) {
 		out = append(out, id)
 	})
@@ -65,16 +65,11 @@ func (t *Table) InstallGroup(data []byte) (addr.GroupID, error) {
 	if cur := t.lookupGroup(gid); cur != nil && (cur.depth() > 0 || len(cur.crb.entries) > 0) {
 		return 0, fmt.Errorf("core: group %d is already resident", gid)
 	}
-	// group() creates (or finds) the empty counted group; adopting the
-	// decoded state then mirrors the incremental bookkeeping of the
-	// mutation path, so no recomputeStats sweep is needed.
+	// group() creates (or finds) the empty group, whose footprint is 0;
+	// the decoded state it adopts adds its footprint to SizeBytes.
 	dst := t.group(gid)
 	*dst = *g
-	t.noteLevels(dst, 0)
-	for i := range dst.segs {
-		t.noteAdd(dst.segs[i])
-	}
-	t.crbBytes += dst.crb.sizeBytes()
+	t.bytes += dst.footprint()
 	return gid, nil
 }
 
@@ -87,13 +82,7 @@ func (t *Table) DropGroup(id addr.GroupID) (freed int, ok bool) {
 		return 0, false
 	}
 	freed = g.footprint()
-	for i := range g.segs {
-		t.noteRemove(g.segs[i])
-	}
-	t.crbBytes -= g.crb.sizeBytes()
-	t.totalLevels -= g.depth()
-	t.levelFreq[g.depth()]--
-	t.nGroups--
+	t.bytes -= freed
 	t.groups[id] = nil
 	return freed, true
 }

@@ -65,12 +65,12 @@ func lookupAll(tab *Table, pages int) map[addr.LPA]addr.PPA {
 }
 
 // TestGroupRoundTrip evicts every group through MarshalGroup/DropGroup
-// and reinstalls it, asserting translations and incremental statistics
-// come back bit-identical.
+// and reinstalls it, asserting translations, statistics and the byte
+// count come back bit-identical.
 func TestGroupRoundTrip(t *testing.T) {
 	tab, _ := buildMixedTable(t, 4, 4096)
 	want := lookupAll(tab, 8*256)
-	wantStats := tab.Stats()
+	wantStats, wantBytes := tab.Stats(), tab.SizeBytes()
 
 	images := make(map[addr.GroupID][]byte)
 	for _, gid := range tab.ResidentGroups() {
@@ -106,10 +106,13 @@ func TestGroupRoundTrip(t *testing.T) {
 	if got := tab.Stats(); got != wantStats {
 		t.Fatalf("round trip changed stats:\n got %+v\nwant %+v", got, wantStats)
 	}
-	// The incremental counters must agree with a from-scratch rebuild.
-	tab.recomputeStats()
-	if got := tab.Stats(); got != wantStats {
-		t.Fatalf("incremental stats diverge from recomputed:\n got %+v\nwant %+v", got, wantStats)
+	if got := tab.SizeBytes(); got != wantBytes {
+		t.Fatalf("round trip changed SizeBytes: %d, want %d", got, wantBytes)
+	}
+	// The incremental count must agree with a from-scratch one.
+	tab.recomputeBytes()
+	if got := tab.SizeBytes(); got != wantBytes {
+		t.Fatalf("SizeBytes %d diverges from recomputed %d", wantBytes, got)
 	}
 }
 
@@ -143,7 +146,7 @@ func TestPagerBudgetAndClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SetBudget(tab.SizeBytes() / 3)
-	if cost := p.Enforce(); cost.MetaWrites == 0 {
+	if cost := p.Enforce(); len(cost.WriteIDs) == 0 {
 		t.Fatal("shrinking below a full table wrote nothing back")
 	}
 	if err := p.Check(); err != nil {
@@ -170,7 +173,7 @@ func TestPagerBudgetAndClock(t *testing.T) {
 		t.Fatal("no evicted group to fault")
 	}
 	cost, known := p.EnsureRead(gid)
-	if !known || cost.MetaReads == 0 {
+	if !known || len(cost.ReadIDs) == 0 {
 		t.Fatalf("fault of group %d: known=%v cost=%+v", gid, known, cost)
 	}
 	if !tab.HasGroup(gid) {
@@ -215,7 +218,7 @@ func TestPagerBudgetAndClock(t *testing.T) {
 	}
 
 	// Unknown groups stay unknown (and free).
-	if cost, known := p.EnsureRead(9999); known || cost.MetaReads != 0 || cost.MetaWrites != 0 {
+	if cost, known := p.EnsureRead(9999); known || len(cost.ReadIDs) != 0 || len(cost.WriteIDs) != 0 {
 		t.Fatalf("unknown group: known=%v cost=%+v", known, cost)
 	}
 }
@@ -309,7 +312,7 @@ func TestFlushDirtyZeroAllocs(t *testing.T) {
 				img[len(img)-1] ^= 1
 				p.EnsureWrite(gid)
 			}
-			cost.MetaWrites, cost.WriteIDs = 0, cost.WriteIDs[:0]
+			cost.WriteIDs = cost.WriteIDs[:0]
 			p.FlushDirty(&cost)
 		})
 		if allocs != 0 {
@@ -355,7 +358,7 @@ func TestOutgrownRecordsShareASlab(t *testing.T) {
 		}
 	}
 	commit(pairs)
-	cost.MetaWrites, cost.WriteIDs = 0, cost.WriteIDs[:0]
+	cost.WriteIDs = cost.WriteIDs[:0]
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	p.FlushDirty(&cost)

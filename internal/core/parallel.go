@@ -10,22 +10,21 @@ import (
 )
 
 // Parallel group commit. A committed batch is a sequence of group runs,
-// and commitRun touches nothing but its own group, the table-wide
-// counters and the mutation scratch. So the runs of one batch may be
+// and commitRun touches nothing but its own group, the table's byte
+// count and the mutation scratch. So the runs of one batch may be
 // committed in any order and by several workers at once, provided each
-// worker brings its own scratch and its own copy of the counters:
+// worker brings its own scratch and its own byte count:
 //
 //   - A worker is a Table that shares the committing table's group slice
 //     for the length of one batch. Its scratch (mark, offs, victims,
-//     edits, learner, rb) is its own, and its counters
-//     (nGroups, nSegments, nAccurate, crbBytes, totalLevels, levelFreq)
-//     start at zero and collect deltas.
+//     edits, learner, rb) is its own, and its bytes start at zero and
+//     collect the footprint deltas of the runs it commits.
 //   - The slice is grown to the batch's last group before fan-out, so
 //     every worker writes its own slots and none reallocates it.
 //   - Runs are claimed one at a time through an atomic index. The caller
-//     claims too, with the table's own scratch and counters.
-//   - After the join the caller adds each worker's deltas to the table.
-//     Counters are sums, so the result does not depend on who committed
+//     claims too, with the table's own scratch and byte count.
+//   - After the join the caller adds each worker's delta to the table.
+//     The count is a sum, so the result does not depend on who committed
 //     which run: the table is bit-identical to the serial loop's.
 //
 // The workers run on a pool of helper goroutines shared by every table in
@@ -79,7 +78,7 @@ func (t *Table) commitHelpers(runs int) int {
 func (t *Table) commitParallel(pairs []addr.Mapping, helpers int) {
 	t.reserve(addr.Group(pairs[len(pairs)-1].LPA))
 	for len(t.workers) < helpers {
-		t.workers = append(t.workers, &Table{levelFreq: make([]int, 1)})
+		t.workers = append(t.workers, &Table{})
 	}
 	b := &t.batch
 	b.pairs, b.workers = pairs, t.workers[:helpers]
@@ -139,24 +138,10 @@ func (b *commitBatch) join() {
 	<-b.done
 }
 
-// absorb adds worker w's counter deltas to t and zeroes them.
+// absorb adds worker w's byte delta to t and zeroes it.
 func (t *Table) absorb(w *Table) {
-	t.nGroups += w.nGroups
-	t.nSegments += w.nSegments
-	t.nAccurate += w.nAccurate
-	t.crbBytes += w.crbBytes
-	t.totalLevels += w.totalLevels
-	w.nGroups, w.nSegments, w.nAccurate, w.crbBytes, w.totalLevels = 0, 0, 0, 0, 0
-	for n, d := range w.levelFreq {
-		if d == 0 {
-			continue
-		}
-		for len(t.levelFreq) <= n {
-			t.levelFreq = append(t.levelFreq, 0)
-		}
-		t.levelFreq[n] += d
-		w.levelFreq[n] = 0
-	}
+	t.bytes += w.bytes
+	w.bytes = 0
 }
 
 // helperPool is the package's set of commit helpers. It grows to the most

@@ -141,14 +141,13 @@ func readGroupRecord(r *reader) (addr.GroupID, *group, error) {
 	}
 	// Sort the entries, then rebuild the owner acceleration index and the
 	// flat byte footprint — the decoded group must be fully servable on
-	// its own (the demand-paging path installs it without the full-table
-	// recomputeStats sweep).
+	// its own (the demand-paging path installs it as it is).
 	g.crb.normalize()
 	g.crb.recompute()
 	// The wire record carries no trigger state. Re-arm with no growth
 	// allowance: the first commit that adds to a loaded group re-derives
 	// it, so allowances cannot compound across page-out/page-in cycles.
-	g.rebuildAt = max(rebuildMinSegments, g.segmentCount())
+	g.rebuildAt = max(rebuildMinSegs, g.segmentCount())
 	return addr.GroupID(gid), g, nil
 }
 

@@ -50,7 +50,7 @@ import (
 //     taken because the stack broke the depth bound.
 //
 // Rebuilds are triggered per group from the commit path. With L =
-// maxGroupLevels, F = rebuildGrowth and M = rebuildMinSegments, a group
+// maxGroupLevels, F = rebuildGrowth and M = rebuildMinSegs, a group
 // is rebuilt when a mutation leaves it
 //
 //   - deeper than L levels, or
@@ -69,9 +69,9 @@ import (
 // shapeBytesPerLPA × live, or 9 × M + live while the group is under the
 // M-segment floor.
 const (
-	maxGroupLevels     = 10
-	rebuildGrowth      = 2
-	rebuildMinSegments = 16
+	maxGroupLevels = 10
+	rebuildGrowth  = 2
+	rebuildMinSegs = 16
 
 	// shapeBytesPerLPA is the audited footprint bound c × 8 B per live
 	// LPA, c = 2.5.
@@ -129,7 +129,7 @@ func (t *Table) compactGroup(id addr.GroupID, g *group) {
 	}
 	t.rebuildGroup(addr.GroupBase(id), g)
 	g.touched = false
-	g.rebuildAt = max(rebuildMinSegments, rebuildGrowth*g.segmentCount())
+	g.rebuildAt = max(rebuildMinSegs, rebuildGrowth*g.segmentCount())
 }
 
 // rebuildGroup resolves g, sheds what answers nothing and, if the group
@@ -365,20 +365,12 @@ func (rb *rebuildBuf) pack() int {
 }
 
 // install replaces g's levels and CRB with claims (each assigned one of
-// levels levels, and rb.byStart their start order), keeping the table's
-// counters in step. The claims are written in start order straight into
-// their levels' windows of the group's array, which grows only if the
-// group now holds more segments than it ever did.
+// levels levels, and rb.byStart their start order). The claims are
+// written in start order straight into their levels' windows of the
+// group's array, which grows only if the group now holds more segments
+// than it ever did.
 func (t *Table) install(g *group, claims []claim, levels int) {
 	rb := &t.rb
-	accurate := 0
-	for i := range g.segs {
-		if g.segs[i].Accurate() {
-			accurate--
-		}
-	}
-	t.nSegments += len(claims) - len(g.segs)
-	oldLevels, oldCRB := g.depth(), g.crb.sizeBytes()
 
 	// Size each level's window, deepest first, then fill them.
 	if cap(rb.next) < levels {
@@ -404,21 +396,16 @@ func (t *Table) install(g *group, claims []claim, levels int) {
 		p := rb.next[d]
 		rb.next[d]++
 		g.segs[p], g.keys[p] = c.seg, c.seg.Start()
-		if c.seg.Accurate() {
-			accurate++
-		} else {
+		if !c.seg.Accurate() {
 			g.crb.add(rb.arena[c.lo:c.hi])
 		}
 	}
-	t.nAccurate += accurate
-	t.crbBytes += g.crb.sizeBytes() - oldCRB
-	t.noteLevels(g, oldLevels)
 }
 
 // CheckShape audits every resident group against the bounds the rebuild
 // triggers maintain (see the constants above): at most maxGroupLevels
 // levels, and a footprint of at most shapeBytesPerLPA per live LPA (or
-// the rebuildMinSegments floor, for sparsely written groups). It also
+// the rebuildMinSegs floor, for sparsely written groups). It also
 // fails a group whose valid answer memo differs from what its levels
 // answer (memo.go). It resolves the levels directly, so it neither reads
 // nor fills a memo; it changes no group and touches only resident ones.
@@ -438,7 +425,7 @@ func (t *Table) CheckShape() error {
 				live++
 			}
 		}
-		bound := max(shapeBytesPerLPA*live, (SegmentBytes+1)*rebuildMinSegments+live)
+		bound := max(shapeBytesPerLPA*live, (SegmentBytes+1)*rebuildMinSegs+live)
 		if b := g.footprint(); b > bound {
 			return fmt.Errorf("group %d: %d B for %d live LPAs, bound %d B", id, b, live, bound)
 		}

@@ -238,10 +238,10 @@ func checkStructure(tb *Table) error {
 	if err != nil {
 		return err
 	}
-	incr := tb.Stats()
-	tb.recomputeStats()
-	if again := tb.Stats(); incr != again {
-		return fmt.Errorf("incremental stats %+v, recomputed %+v", incr, again)
+	incr := tb.SizeBytes()
+	tb.recomputeBytes()
+	if again := tb.SizeBytes(); incr != again {
+		return fmt.Errorf("SizeBytes %d, recomputed %d", incr, again)
 	}
 	return nil
 }

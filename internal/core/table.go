@@ -23,20 +23,17 @@ import (
 // Update may spread one batch over helper goroutines (parallel.go), but
 // it returns only once every helper is done.
 type Table struct {
-	gamma   int
-	groups  []*group // indexed by GroupID; nil = group never written
-	nGroups int
+	gamma  int
+	groups []*group // indexed by GroupID; nil = group never written
 
-	// Statistics are maintained incrementally at every point a segment
-	// enters or leaves a level, a level is added or removed, or a CRB
-	// mutates — Stats() and SizeBytes() are O(1) in the table size
-	// (internal/experiments reads them per simulation step, and the SSD
-	// device resizes its data cache from SizeBytes after every flush).
-	nSegments   int
-	nAccurate   int
-	crbBytes    int
-	totalLevels int
-	levelFreq   []int // levelFreq[n] = number of groups with exactly n levels
+	// bytes is the sum of the resident groups' footprints, the one
+	// statistic kept as the table mutates: the device resizes its data
+	// cache from SizeBytes after every flush and the pager checks it
+	// after every eviction. Each group mutation — a commit run, a
+	// Compact rebuild, an install or a drop — adds the group's footprint
+	// after it minus the footprint before it. Stats counts the rest when
+	// asked.
+	bytes int
 
 	// Reusable scratch for the mutation path, so steady-state updates
 	// perform amortized O(1) allocations. mark is a generation-stamped
@@ -252,10 +249,7 @@ func NewTable(gamma int) *Table {
 	if gamma < 0 {
 		gamma = 0
 	}
-	return &Table{
-		gamma:     gamma,
-		levelFreq: make([]int, 1),
-	}
+	return &Table{gamma: gamma}
 }
 
 // Gamma returns the table's error bound.
@@ -305,9 +299,11 @@ func (t *Table) Update(pairs []addr.Mapping) int {
 // group's top level in one pass, then rebuilds the group if it outgrew
 // its trigger. A valid answer memo is patched with what the commit
 // moved, and a group with no memo restarts its fill count (memo.go).
+// t.bytes takes the group's change in footprint.
 func (t *Table) commitRun(run []addr.Mapping) {
 	id := addr.Group(run[0].LPA)
 	g := t.group(id)
+	before := g.footprint()
 	g.memo.reads = 0
 	t.openTop(g)
 	learned := t.learner.learn(run, t.gamma)
@@ -319,16 +315,15 @@ func (t *Table) commitRun(run []addr.Mapping) {
 		t.patchMemo(g, run, learned)
 	}
 	t.maybeRebuild(id)
+	t.bytes += g.footprint() - before
 }
 
 func (t *Table) group(id addr.GroupID) *group {
 	t.reserve(id)
 	g := t.groups[id]
 	if g == nil {
-		g = &group{rebuildAt: rebuildMinSegments}
+		g = &group{rebuildAt: rebuildMinSegs}
 		t.groups[id] = g
-		t.nGroups++
-		t.levelFreq[0]++
 	}
 	return g
 }
@@ -370,37 +365,6 @@ func (t *Table) eachGroup(f func(addr.GroupID, *group)) {
 	}
 }
 
-// noteAdd / noteRemove keep the segment counters in step with segments
-// entering and leaving levels.
-func (t *Table) noteAdd(s Segment) {
-	t.nSegments++
-	if s.Accurate() {
-		t.nAccurate++
-	}
-}
-
-func (t *Table) noteRemove(s Segment) {
-	t.nSegments--
-	if s.Accurate() {
-		t.nAccurate--
-	}
-}
-
-// noteLevels records that g went from old to g.depth() levels. A
-// commit worker's levelFreq holds deltas and may not yet reach old.
-func (t *Table) noteLevels(g *group, old int) {
-	n := g.depth()
-	if n == old {
-		return
-	}
-	t.totalLevels += n - old
-	for len(t.levelFreq) <= max(old, n) {
-		t.levelFreq = append(t.levelFreq, 0)
-	}
-	t.levelFreq[old]--
-	t.levelFreq[n]++
-}
-
 // stampLPAs records the incoming segment's exact LPA set in the mark
 // array under a fresh generation; segMerge and the CRB dedup test
 // membership against it.
@@ -430,8 +394,7 @@ func (t *Table) stampLPAs(lpas []addr.LPA) {
 //     it), or across it (queued in t.victims to be pushed down).
 //   - closeTop writes the merged window back over what it consumed and
 //     lands the queued victims below the top level (group.land), all in
-//     one shift of the top level, and accounts the level a push-down
-//     opened.
+//     one shift of the top level.
 //
 // A CRB dedup may reshape or remove approximate segments anywhere in
 // the group; mergePiece then lands the merge so far, applies the edits
@@ -488,7 +451,6 @@ func (t *Table) closeTop(g *group) {
 	if t.winLo >= 0 {
 		t.joined = g.land(t.winLo, t.pk, t.top, t.victims)
 	}
-	t.noteLevels(g, t.topDepth)
 	if g.memo.valid {
 		t.patchVictims(g)
 	}
@@ -606,9 +568,7 @@ func (t *Table) mergePiece(g *group, ls *Learned) {
 		for _, l := range ls.LPAs {
 			t.offs = append(t.offs, addr.Offset(l))
 		}
-		pre := g.crb.sizeBytes()
 		t.edits = g.crb.insertMarked(t.offs, &t.mark, t.markGen, t.edits[:0])
-		t.crbBytes += g.crb.sizeBytes() - pre
 		if len(t.edits) > 0 {
 			t.closeTop(g)
 			t.applyEdits(g, t.edits)
@@ -624,17 +584,14 @@ func (t *Table) mergePiece(g *group, ls *Learned) {
 	t.top.appendRange(level{keys: t.pend.keys[t.pk : t.pk+n], segs: t.pend.segs[t.pk : t.pk+n]})
 	t.pk += n
 
-	t.noteAdd(seg)
 	carry := false
 	for t.pk < len(t.pend.segs) && t.pend.segs[t.pk].SLPA <= seg.End() {
 		// The victim is trimmed in its slot, which the merge has consumed.
 		victim := &t.pend.segs[t.pk]
 		t.pk++
-		t.noteRemove(*victim)
 		if t.segMerge(g, victim) {
 			continue
 		}
-		t.noteAdd(*victim)
 		switch {
 		case victim.Overlaps(seg):
 			// Still overlapping: pop the victim to the next level; if it
@@ -667,9 +624,7 @@ func (t *Table) segMerge(g *group, victim *Segment) (removed bool) {
 	first, last, any := t.survivors(g, victim)
 
 	if !victim.Accurate() {
-		pre := g.crb.sizeBytes()
 		edit, ok := g.crb.removeMarked(victim.Start(), &t.mark, t.markGen)
-		t.crbBytes += g.crb.sizeBytes() - pre
 		if ok && edit.Removed {
 			return true
 		}
@@ -733,7 +688,6 @@ func (t *Table) applyEdits(g *group, edits []boundaryEdit) {
 			continue
 		}
 		if e.Removed {
-			t.noteRemove(g.segs[p])
 			g.remove(p)
 			continue
 		}
@@ -859,7 +813,11 @@ func (t *Table) walk(g *group, lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 // its groups dirty first, and only a writeback cleans one), so the sweep
 // needs to tell the pager nothing.
 func (t *Table) Compact() {
-	t.eachGroup(t.compactGroup)
+	t.eachGroup(func(id addr.GroupID, g *group) {
+		before := g.footprint()
+		t.compactGroup(id, g)
+		t.bytes += g.footprint() - before
+	})
 }
 
 func (g *group) segmentCount() int { return len(g.segs) }
@@ -885,35 +843,33 @@ type Stats struct {
 
 // SizeBytes reports the mapping table's DRAM footprint: encoded segments
 // plus CRB bytes. This is the quantity Figures 15 and 19 compare. O(1).
-func (t *Table) SizeBytes() int {
-	return t.nSegments*SegmentBytes + t.crbBytes
-}
+func (t *Table) SizeBytes() int { return t.bytes }
 
-// Stats returns the incrementally maintained summary statistics — O(1)
-// apart from the max-level scan over the (small) level-count histogram.
+// Stats counts the summary statistics by walking the resident groups.
+// It is O(segments); the figures read it once, at the end of a run.
 func (t *Table) Stats() Stats {
-	s := Stats{
-		Groups:       t.nGroups,
-		Segments:     t.nSegments,
-		Accurate:     t.nAccurate,
-		Approximate:  t.nSegments - t.nAccurate,
-		SegmentBytes: t.nSegments * SegmentBytes,
-		CRBBytes:     t.crbBytes,
-		TotalLevels:  t.totalLevels,
-	}
-	for n := len(t.levelFreq) - 1; n > 0; n-- {
-		if t.levelFreq[n] > 0 {
-			s.MaxLevels = n
-			break
+	var s Stats
+	t.eachGroup(func(_ addr.GroupID, g *group) {
+		s.Groups++
+		s.Segments += len(g.segs)
+		for i := range g.segs {
+			if g.segs[i].Accurate() {
+				s.Accurate++
+			}
 		}
-	}
+		s.CRBBytes += g.crb.sizeBytes()
+		s.TotalLevels += g.depth()
+		s.MaxLevels = max(s.MaxLevels, g.depth())
+	})
+	s.Approximate = s.Segments - s.Accurate
+	s.SegmentBytes = s.Segments * SegmentBytes
 	return s
 }
 
 // LevelCounts returns the number of levels of every group, for the
 // Figure 12 distribution.
 func (t *Table) LevelCounts() []int {
-	out := make([]int, 0, t.nGroups)
+	var out []int
 	t.eachGroup(func(_ addr.GroupID, g *group) {
 		out = append(out, g.depth())
 	})
@@ -922,7 +878,7 @@ func (t *Table) LevelCounts() []int {
 
 // CRBSizes returns every group's CRB byte size, for Figure 10.
 func (t *Table) CRBSizes() []int {
-	out := make([]int, 0, t.nGroups)
+	var out []int
 	t.eachGroup(func(_ addr.GroupID, g *group) {
 		out = append(out, g.crb.sizeBytes())
 	})

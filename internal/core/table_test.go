@@ -382,9 +382,10 @@ func traceBatches(seed int64, rounds, space int) [][]addr.Mapping {
 	return out
 }
 
-// TestIncrementalStatsMatchWalk cross-checks the incrementally maintained
-// counters against a from-scratch recomputation after heavy churn.
-func TestIncrementalStatsMatchWalk(t *testing.T) {
+// TestSizeBytesMatchesWalk cross-checks the incrementally maintained
+// byte count against a from-scratch recomputation after heavy churn
+// through commits and Compact.
+func TestSizeBytesMatchesWalk(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		tb := NewTable(gamma)
 		for _, b := range traceBatches(int64(31+gamma), 200, 12*addr.GroupSize) {
@@ -394,11 +395,10 @@ func TestIncrementalStatsMatchWalk(t *testing.T) {
 		for _, b := range traceBatches(int64(32+gamma), 50, 12*addr.GroupSize) {
 			tb.Update(b)
 		}
-		got := tb.Stats()
-		tb.recomputeStats()
-		want := tb.Stats()
-		if got != want {
-			t.Errorf("gamma %d: incremental stats %+v, recomputed %+v", gamma, got, want)
+		got := tb.SizeBytes()
+		tb.recomputeBytes()
+		if want := tb.SizeBytes(); got != want {
+			t.Errorf("gamma %d: SizeBytes %d, recomputed %d", gamma, got, want)
 		}
 	}
 }
@@ -488,26 +488,14 @@ func TestUpdateSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// recomputeStats rebuilds every incremental counter by walking the table:
-// the from-scratch oracle the incremental bookkeeping is checked against.
-func (t *Table) recomputeStats() {
-	t.nGroups, t.nSegments, t.nAccurate, t.crbBytes, t.totalLevels = 0, 0, 0, 0, 0
-	t.levelFreq = append(t.levelFreq[:0], 0)
+// recomputeBytes recomputes every group's CRB and sets the table's byte
+// count to the sum of the footprints: the from-scratch oracle the
+// incremental count is checked against.
+func (t *Table) recomputeBytes() {
+	t.bytes = 0
 	t.eachGroup(func(_ addr.GroupID, g *group) {
-		t.nGroups++
-		n := g.depth()
-		t.totalLevels += n
-		for len(t.levelFreq) <= n {
-			t.levelFreq = append(t.levelFreq, 0)
-		}
-		t.levelFreq[n]++
 		g.crb.recompute()
-		t.crbBytes += g.crb.sizeBytes()
-		for li := 0; li < n; li++ {
-			for _, s := range g.level(li).segs {
-				t.noteAdd(s)
-			}
-		}
+		t.bytes += g.footprint()
 	})
 }
 

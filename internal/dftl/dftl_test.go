@@ -20,7 +20,7 @@ func TestTranslateHitAndMiss(t *testing.T) {
 	commit(d, 0, 100, 4)
 	// Just-committed entries are cached.
 	tr, ok := d.Translate(2)
-	if !ok || tr.PPA != 102 || tr.Cost.MetaReads != 0 {
+	if !ok || tr.PPA != 102 || len(tr.Cost.ReadIDs) != 0 {
 		t.Fatalf("cached translate = %+v, %v", tr, ok)
 	}
 	// Push them out with other entries.
@@ -29,8 +29,8 @@ func TestTranslateHitAndMiss(t *testing.T) {
 	if !ok || tr.PPA != 102 {
 		t.Fatalf("translate after eviction = %+v, %v", tr, ok)
 	}
-	if tr.Cost.MetaReads != 1 {
-		t.Errorf("evicted entry cost %d meta reads, want 1", tr.Cost.MetaReads)
+	if len(tr.Cost.ReadIDs) != 1 {
+		t.Errorf("evicted entry cost %d meta reads, want 1", len(tr.Cost.ReadIDs))
 	}
 	if _, ok := d.Translate(99999); ok {
 		t.Error("unmapped LPA translated")
@@ -44,7 +44,7 @@ func TestDirtyEvictionBatches(t *testing.T) {
 	var cost int
 	pairs := []addr.Mapping{{LPA: 0, PPA: 10}, {LPA: 1, PPA: 11}, {LPA: 2, PPA: 12}}
 	c := d.Commit(pairs)
-	cost += c.MetaWrites
+	cost += len(c.WriteIDs)
 	if cost > 1 {
 		t.Errorf("same-page dirty evictions cost %d writes, want ≤ 1", cost)
 	}

@@ -22,36 +22,29 @@ import (
 // Cost counts flash operations a translation-layer action induced:
 // translation-page reads on mapping-cache misses and translation-page
 // writes for dirty evictions or periodic table persistence.
+//
+// ReadIDs/WriteIDs hold one ID per operation, in charge order: a
+// scheme-stable identity of the translation page (virtual translation
+// PPA, region or group number) the device maps onto the die actually
+// holding the page. Their lengths are the operation counts.
 type Cost struct {
-	MetaReads  int
-	MetaWrites int
-
-	// ReadIDs/WriteIDs hold one ID per counted operation, in charge
-	// order: a scheme-stable identity of the translation page (virtual
-	// translation PPA, region or group number) the device maps onto the
-	// die actually holding the page. len(ReadIDs) == MetaReads and
-	// len(WriteIDs) == MetaWrites.
 	ReadIDs  []uint64
 	WriteIDs []uint64
 }
 
 // Add accumulates o into c.
 func (c *Cost) Add(o Cost) {
-	c.MetaReads += o.MetaReads
-	c.MetaWrites += o.MetaWrites
 	c.ReadIDs = append(c.ReadIDs, o.ReadIDs...)
 	c.WriteIDs = append(c.WriteIDs, o.WriteIDs...)
 }
 
 // AddRead charges one translation-page read of page id.
 func (c *Cost) AddRead(id uint64) {
-	c.MetaReads++
 	c.ReadIDs = append(c.ReadIDs, id)
 }
 
 // AddWrite charges one translation-page write of page id.
 func (c *Cost) AddWrite(id uint64) {
-	c.MetaWrites++
 	c.WriteIDs = append(c.WriteIDs, id)
 }
 

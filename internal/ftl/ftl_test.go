@@ -1,11 +1,16 @@
 package ftl
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestCostAdd(t *testing.T) {
-	a := Cost{MetaReads: 1, MetaWrites: 2}
-	a.Add(Cost{MetaReads: 3, MetaWrites: 4})
-	if a.MetaReads != 4 || a.MetaWrites != 6 {
+	a := Cost{ReadIDs: []uint64{1}, WriteIDs: []uint64{2, 3}}
+	a.Add(Cost{ReadIDs: []uint64{4, 5}, WriteIDs: []uint64{6}})
+	a.AddRead(7)
+	a.AddWrite(8)
+	if !slices.Equal(a.ReadIDs, []uint64{1, 4, 5, 7}) || !slices.Equal(a.WriteIDs, []uint64{2, 3, 6, 8}) {
 		t.Errorf("Add gave %+v", a)
 	}
 }

@@ -143,26 +143,24 @@ func (s *Scheme) commit(pairs []addr.Mapping) (ftl.Cost, int) {
 }
 
 // Translate implements ftl.Scheme. Under a binding budget, a lookup in a
-// paged-out group first demand-loads its translation page (MetaReads),
-// possibly evicting colder groups (MetaWrites when dirty).
+// paged-out group first demand-loads its translation page (a read in
+// the Cost), and the lookup is followed by evicting colder groups past
+// the budget (a write for each dirty one).
 func (s *Scheme) Translate(lpa addr.LPA) (ftl.Translation, bool) {
 	var cost ftl.Cost
-	if !s.pager.FastPath() {
+	paged := !s.pager.FastPath()
+	if paged {
 		var known bool
 		if cost, known = s.pager.EnsureRead(addr.Group(lpa)); !known {
 			return ftl.Translation{}, false
 		}
-		ppa, res, ok := s.table.Lookup(lpa)
-		cost.Add(s.pager.Enforce())
-		if !ok {
-			return ftl.Translation{Cost: cost}, false
-		}
-		s.noteLookup(res)
-		return ftl.Translation{PPA: ppa, Cost: cost, Levels: res.Levels, Approx: res.Approx}, true
 	}
 	ppa, res, ok := s.table.Lookup(lpa)
+	if paged {
+		cost.Add(s.pager.Enforce())
+	}
 	if !ok {
-		return ftl.Translation{}, false
+		return ftl.Translation{Cost: cost}, false
 	}
 	s.noteLookup(res)
 	return ftl.Translation{PPA: ppa, Cost: cost, Levels: res.Levels, Approx: res.Approx}, true

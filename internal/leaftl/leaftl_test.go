@@ -63,7 +63,7 @@ func TestSchemeMaintainCompacts(t *testing.T) {
 	if appended == 0 {
 		t.Error("maintenance did not persist the table")
 	}
-	if c := s.Maintain(150); c.MetaWrites != 0 || s.JournalStats().Appends != appended {
+	if c := s.Maintain(150); len(c.WriteIDs) != 0 || s.JournalStats().Appends != appended {
 		t.Error("maintenance re-ran before the interval elapsed")
 	}
 	tr, ok := s.Translate(5)

@@ -146,10 +146,10 @@ func TestCommitPagedBatch(t *testing.T) {
 		got := batched.Commit(pairs)
 		want := 0
 		for g := 0; g < 8; g++ {
-			want += single.Commit(pairs[g*40 : (g+1)*40]).MetaReads
+			want += len(single.Commit(pairs[g*40 : (g+1)*40]).ReadIDs)
 		}
-		if got.MetaReads != want || want < 8 {
-			t.Fatalf("batch charged %d translation-page reads, one by one %d (want ≥ 8)", got.MetaReads, want)
+		if len(got.ReadIDs) != want || want < 8 {
+			t.Fatalf("batch charged %d translation-page reads, one by one %d (want ≥ 8)", len(got.ReadIDs), want)
 		}
 		if m := batched.MemoryBytes(); m > budget {
 			t.Fatalf("MemoryBytes %d > budget %d after the batch", m, budget)
@@ -185,8 +185,8 @@ func TestPagedMaintainChargesDirtyGroupsOnly(t *testing.T) {
 	if _, n := appends(unbound, 10); n != 4 {
 		t.Fatalf("unbound budget: first tick appended %d records; want one per dirty group (4)", n)
 	}
-	if again, n := appends(unbound, 20); again.MetaWrites != 0 || n != 0 {
-		t.Fatalf("unbound budget: idle tick rewrote %d pages, appended %d records", again.MetaWrites, n)
+	if again, n := appends(unbound, 20); len(again.WriteIDs) != 0 || n != 0 {
+		t.Fatalf("unbound budget: idle tick rewrote %d pages, appended %d records", len(again.WriteIDs), n)
 	}
 	if unbound.TranslationPages() == 0 || len(unbound.PersistedGroups()) != 4 {
 		t.Fatalf("unbound budget: %d translation pages, %d persisted groups after the writeback",
@@ -202,8 +202,8 @@ func TestPagedMaintainChargesDirtyGroupsOnly(t *testing.T) {
 	if first < 2 {
 		t.Fatalf("first pressured tick appended %d records; want every dirty resident group", first)
 	}
-	if again, n := appends(s, 20); again.MetaWrites != 0 || n != 0 {
-		t.Fatalf("idle maintenance tick rewrote %d pages, appended %d records", again.MetaWrites, n)
+	if again, n := appends(s, 20); len(again.WriteIDs) != 0 || n != 0 {
+		t.Fatalf("idle maintenance tick rewrote %d pages, appended %d records", len(again.WriteIDs), n)
 	}
 	s.Commit(seq(3*256, 90000, 4))
 	if _, after := appends(s, 30); after != 1 {
@@ -292,15 +292,15 @@ func TestIdleMaintainPersistsNothing(t *testing.T) {
 		s.SetBudget(s.MemoryBytes() * 3 / 4) // binds: paging on
 		first := s.Maintain(10)
 		before := s.JournalStats()
-		if first.MetaWrites == 0 && before.Appends == 0 {
+		if len(first.WriteIDs) == 0 && before.Appends == 0 {
 			t.Fatal("first pressured round persisted nothing")
 		}
 		for round, writes := range []uint64{20, 30} {
 			cost := s.Maintain(writes)
 			after := s.JournalStats()
-			if cost.MetaWrites != 0 || after.Appends != before.Appends {
+			if len(cost.WriteIDs) != 0 || after.Appends != before.Appends {
 				t.Fatalf("idle round %d: %d translation-page writes, journal appends %d -> %d",
-					round, cost.MetaWrites, before.Appends, after.Appends)
+					round, len(cost.WriteIDs), before.Appends, after.Appends)
 			}
 		}
 		if err := s.CheckMapping(); err != nil {

@@ -62,13 +62,13 @@ func TestMissCostsMetaRead(t *testing.T) {
 	commit(s, 0, 0, 512)
 	commit(s, 512, 1000, 512) // evicts region 0
 	tr, ok := s.Translate(0)
-	if !ok || tr.Cost.MetaReads != 1 {
+	if !ok || len(tr.Cost.ReadIDs) != 1 {
 		t.Fatalf("evicted region translate = %+v", tr)
 	}
 	// Now cached: the next lookup in the same region is free.
 	tr, _ = s.Translate(1)
-	if tr.Cost.MetaReads != 0 {
-		t.Errorf("cached region lookup cost %d reads", tr.Cost.MetaReads)
+	if len(tr.Cost.ReadIDs) != 0 {
+		t.Errorf("cached region lookup cost %d reads", len(tr.Cost.ReadIDs))
 	}
 }
 

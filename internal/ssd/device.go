@@ -857,13 +857,13 @@ func (d *Device) takeFree() (flash.BlockID, bool) {
 // to the die derived from its translation page's identity. Both reads
 // and writes serialize into the request's timeline.
 func (d *Device) chargeMeta(c ftl.Cost, t time.Duration) time.Duration {
-	for i := 0; i < c.MetaReads; i++ {
-		t = d.arr.MetaRead(c.ReadIDs[i], t)
+	for _, id := range c.ReadIDs {
+		t = d.arr.MetaRead(id, t)
 		d.stats.MetaReads++
 	}
-	for i := 0; i < c.MetaWrites; i++ {
+	for _, id := range c.WriteIDs {
 		d.crashPoint("meta.write")
-		t = d.arr.MetaWrite(c.WriteIDs[i], t)
+		t = d.arr.MetaWrite(id, t)
 		d.stats.MetaWrites++
 	}
 	return t
