@@ -123,6 +123,8 @@ type ager struct {
 	seen   []bool
 	truth  []addr.PPA // the PPA each LPA was last mapped to
 	check  func()     // when set, runs after every committed block
+	submit bool       // queue blocks with Submit instead of Update
+	work   int        // rounds of busyWork after every committed block
 }
 
 func newAger(seed int64, groups int) *ager {
@@ -133,7 +135,12 @@ func newAger(seed int64, groups int) *ager {
 // commit hands the collected LPA-sorted pairs to tb in 256-pair blocks.
 func (a *ager) commit(tb *Table) {
 	for lo := 0; lo < len(a.pairs); lo += 256 {
-		tb.Update(a.pairs[lo:min(lo+256, len(a.pairs))])
+		if a.submit {
+			tb.Submit(a.pairs[lo:min(lo+256, len(a.pairs))])
+		} else {
+			tb.Update(a.pairs[lo:min(lo+256, len(a.pairs))])
+		}
+		busyWork(a.work)
 		if a.check != nil {
 			a.check()
 		}
@@ -208,6 +215,19 @@ func (a *ager) age(tb *Table, rounds int) {
 	}
 }
 
+// busySink keeps busyWork's result live.
+var busySink uint64
+
+// busyWork stands in for the device's own work between two commits: n
+// rounds of a dependent multiply-add.
+func busyWork(n int) {
+	x := busySink
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	busySink = x
+}
+
 // retainedSlots counts the segment slots every group's array holds,
 // in use or not.
 func retainedSlots(tb *Table) int {
@@ -235,15 +255,30 @@ func agedTable(full bool) (*Table, *ager) {
 // memo; "memo" fills every group's answer memo before each round,
 // outside the timer, so its ns/pair adds the cost of patching the memos
 // the round's commits keep (memo.go), approximate victims included on
-// the paper preset's table.
+// the paper preset's table. The "overlap" cases put a fixed amount of
+// other work (busyWork) after every committed block, as the device does
+// its flash work between commits: "update" waits for each block, and
+// "submit" queues it for the pool's helpers to commit during that work,
+// so with two or more CPUs its ns/pair shows the overlap.
 func BenchmarkAgedCommit(b *testing.B) {
+	const overlapWork = 1 << 16
 	for _, bc := range []struct {
-		name       string
-		full, memo bool
-	}{{"full/plain", true, false}, {"full/memo", true, true}, {"paper/plain", false, false}, {"paper/memo", false, true}} {
+		name         string
+		full, memo   bool
+		submit, busy bool
+	}{
+		{name: "full/plain", full: true}, {name: "full/memo", full: true, memo: true},
+		{name: "paper/plain"}, {name: "paper/memo", memo: true},
+		{name: "full/overlap/update", full: true, busy: true},
+		{name: "full/overlap/submit", full: true, busy: true, submit: true},
+	} {
 		memo := bc.memo
 		b.Run(bc.name, func(b *testing.B) {
 			tb, a := agedTable(bc.full)
+			a.submit = bc.submit
+			if bc.busy {
+				a.work = overlapWork
+			}
 			fill := func(id addr.GroupID, g *group) { tb.fill(g, addr.GroupBase(id)) }
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -17,6 +17,7 @@ import (
 // group's answer memo (memo.go); it changes no group and touches only
 // resident ones (auditing must not fault pages in).
 func (t *Table) AuditExact(truth func(addr.LPA) (addr.PPA, bool)) error {
+	t.settle()
 	rb := &t.rb
 	for id, g := range t.groups {
 		if g == nil {

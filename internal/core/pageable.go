@@ -16,6 +16,7 @@ import (
 
 // HasGroup reports whether the group is resident in the table.
 func (t *Table) HasGroup(id addr.GroupID) bool {
+	t.settle()
 	return t.lookupGroup(id) != nil
 }
 
@@ -23,6 +24,7 @@ func (t *Table) HasGroup(id addr.GroupID) bool {
 // (encoded segments plus flat CRB footprint — the same quantities
 // SizeBytes sums). It returns 0 for non-resident groups.
 func (t *Table) GroupFootprint(id addr.GroupID) int {
+	t.settle()
 	g := t.lookupGroup(id)
 	if g == nil {
 		return 0
@@ -33,6 +35,7 @@ func (t *Table) GroupFootprint(id addr.GroupID) int {
 // ResidentGroups returns the IDs of every resident group in ascending
 // order.
 func (t *Table) ResidentGroups() []addr.GroupID {
+	t.settle()
 	var out []addr.GroupID
 	t.eachGroup(func(id addr.GroupID, _ *group) {
 		out = append(out, id)
@@ -44,6 +47,7 @@ func (t *Table) ResidentGroups() []addr.GroupID {
 // record. The group stays resident; callers pair this with DropGroup to
 // evict.
 func (t *Table) MarshalGroup(id addr.GroupID) ([]byte, error) {
+	t.settle()
 	g := t.lookupGroup(id)
 	if g == nil {
 		return nil, fmt.Errorf("core: group %d is not resident", id)
@@ -58,6 +62,7 @@ func (t *Table) MarshalGroup(id addr.GroupID) ([]byte, error) {
 // with state (losing the resident copy silently would corrupt the
 // mapping).
 func (t *Table) InstallGroup(data []byte) (addr.GroupID, error) {
+	t.settle()
 	gid, g, err := decodeGroupRecord(data)
 	if err != nil {
 		return 0, err
@@ -77,6 +82,7 @@ func (t *Table) InstallGroup(data []byte) (addr.GroupID, error) {
 // it freed. The caller owns keeping a serialized image (MarshalGroup)
 // if the group's state must survive.
 func (t *Table) DropGroup(id addr.GroupID) (freed int, ok bool) {
+	t.settle()
 	g := t.lookupGroup(id)
 	if g == nil {
 		return 0, false

@@ -212,6 +212,23 @@ func (p *Pager) EnsureWrite(gid addr.GroupID) ftl.Cost {
 	return cost
 }
 
+// Defer submits a batch whose groups EnsureWrite has made resident
+// without waiting for the table to commit it (Table.Submit), and reports
+// whether it did. It does so only when Enforce would provably evict
+// nothing once the batch lands: on the fast path, with no budget or with
+// the settled footprint plus the ceiling of every group the pending
+// batches touch (capped at the groups the GMD knows) within the budget.
+// Otherwise the caller commits as before: Update, then Enforce. The
+// table panics if a deferred batch breaks that bound when it settles.
+func (p *Pager) Defer(pairs []addr.Mapping, groups int) bool {
+	t := p.store
+	if !p.fast || p.budget > 0 && t.bytes+min(t.ring.queued+groups, len(p.gmd))*groupCeiling > p.budget {
+		return false
+	}
+	t.submit(pairs, max(p.budget, 0), false)
+	return true
+}
+
 // load demand-loads an evicted group's record back into the store,
 // charging into cost the flash pages its entry says the record spans;
 // the journal's open tail page is SRAM and free to read.

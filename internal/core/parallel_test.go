@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,16 +14,18 @@ import (
 )
 
 // commitTwins feeds one seeded stream of host, GC-relocation and repair
-// batches to a table held to one worker and to a table allowed several,
-// keeping a map oracle of every written LPA's true PPA. PPAs come from
-// one ascending log, like flash pages.
+// batches to a table held to one worker, to a table allowed several that
+// commits each batch before the next (Update), and to one allowed as
+// many that queues them (Submit), keeping a map oracle of every written
+// LPA's true PPA. PPAs come from one ascending log, like flash pages.
 type commitTwins struct {
-	t        *testing.T
-	rng      *rand.Rand
-	serial   *Table
-	parallel *Table
-	truth    map[addr.LPA]addr.PPA
-	log      addr.PPA
+	t         *testing.T
+	rng       *rand.Rand
+	serial    *Table
+	parallel  *Table
+	submitted *Table
+	truth     map[addr.LPA]addr.PPA
+	log       addr.PPA
 }
 
 // twinSpace is the LPA space the twins write: enough groups that most
@@ -35,11 +38,11 @@ func newCommitTwins(t *testing.T, seed int64, gamma, workers int, bitmap bool) *
 	gamma = presetGamma(gamma, bitmap)
 	c := &commitTwins{
 		t: t, rng: rand.New(rand.NewSource(seed)),
-		serial: NewTable(gamma), parallel: NewTable(gamma),
+		serial: NewTable(gamma), parallel: NewTable(gamma), submitted: NewTable(gamma),
 		truth: make(map[addr.LPA]addr.PPA),
 	}
-	c.serial.maxWorkers, c.parallel.maxWorkers = 1, workers
-	c.parallel.awaitHelper = true
+	c.serial.maxWorkers, c.parallel.maxWorkers, c.submitted.maxWorkers = 1, workers, workers
+	c.parallel.awaitHelper, c.submitted.awaitHelper = true, true
 	return c
 }
 
@@ -52,6 +55,19 @@ func (c *commitTwins) place(set map[addr.LPA]bool) []addr.Mapping {
 		c.log++
 	}
 	return pairs
+}
+
+// commit hands pairs to the three twins and requires them to count the
+// same groups. The submitted twin gets a buffer that is scribbled over
+// once Submit returns, as the device reuses its own.
+func (c *commitTwins) commit(what string, pairs []addr.Mapping) {
+	ga, gb := c.serial.Update(pairs), c.parallel.Update(pairs)
+	reused := slices.Clone(pairs)
+	gc := c.submitted.Submit(reused)
+	clear(reused)
+	if ga != gb || ga != gc {
+		c.t.Fatalf("%s batch: serial touched %d groups, parallel %d, submitted %d", what, ga, gb, gc)
+	}
 }
 
 // hostBatch is one sorted buffer flush of scattered pages, strided runs
@@ -76,9 +92,7 @@ func (c *commitTwins) hostBatch() {
 			}
 		}
 	}
-	pairs := c.place(set)
-	c.serial.Update(pairs)
-	c.parallel.Update(pairs)
+	c.commit("host", c.place(set))
 }
 
 // gcBatch relocates the live pages of a 1 024-page stretch of the log in
@@ -97,16 +111,14 @@ func (c *commitTwins) gcBatch() {
 	if len(set) == 0 {
 		return
 	}
-	pairs := c.place(set)
-	ga := c.serial.Update(pairs)
-	gb := c.parallel.Update(pairs)
-	if sa, sb := c.serial.Stats(), c.parallel.Stats(); sa != sb || ga != gb {
-		c.t.Fatalf("GC batch: serial touched %d groups to %+v, parallel %d to %+v", ga, sa, gb, sb)
+	c.commit("GC", c.place(set))
+	if sa, sb := c.serial.Stats(), c.parallel.Stats(); sa != sb {
+		c.t.Fatalf("GC batch: serial stats %+v, parallel %+v", sa, sb)
 	}
 }
 
 // repair checks approximate answers against the oracle and
-// pins each miss with an exact point, on both tables.
+// pins each miss with an exact point, on every twin.
 func (c *commitTwins) repair() {
 	for i := 0; i < 32; i++ {
 		l := addr.LPA(c.rng.Intn(twinSpace))
@@ -121,8 +133,47 @@ func (c *commitTwins) repair() {
 		if got == want {
 			continue
 		}
-		for _, tb := range []*Table{c.serial, c.parallel} {
+		for _, tb := range c.tables() {
+			tb.settle()
 			tb.insert(Learned{Seg: Segment{SLPA: l, I: float32(want)}, LPAs: []addr.LPA{l}})
+		}
+	}
+}
+
+func (c *commitTwins) tables() []*Table { return []*Table{c.serial, c.parallel, c.submitted} }
+
+// probe calls one of the exported methods that settle the submitted
+// twin's pending batches, or none, and requires every twin to answer
+// alike. Compact runs on every twin.
+func (c *commitTwins) probe() {
+	c.t.Helper()
+	s, q := c.serial, c.submitted
+	switch c.rng.Intn(6) {
+	case 0:
+		l := addr.LPA(c.rng.Intn(twinSpace))
+		pa, ra, oka := s.Lookup(l)
+		pb, rb, okb := q.Lookup(l)
+		if pa != pb || ra != rb || oka != okb {
+			c.t.Fatalf("Lookup(%d): serial %d %+v %v, submitted %d %+v %v", l, pa, ra, oka, pb, rb, okb)
+		}
+	case 1:
+		if a, b := s.SizeBytes(), q.SizeBytes(); a != b {
+			c.t.Fatalf("SizeBytes: serial %d, submitted %d", a, b)
+		}
+	case 2:
+		for _, tb := range c.tables() {
+			tb.Compact()
+		}
+	case 3:
+		id := addr.GroupID(c.rng.Intn(twinSpace / addr.GroupSize))
+		a, erra := s.MarshalGroup(id)
+		b, errb := q.MarshalGroup(id)
+		if !bytes.Equal(a, b) || (erra == nil) != (errb == nil) {
+			c.t.Fatalf("MarshalGroup(%d): serial %x %v, submitted %x %v", id, a, erra, b, errb)
+		}
+	case 4:
+		if a, b := s.Stats(), q.Stats(); a != b {
+			c.t.Fatalf("Stats: serial %+v, submitted %+v", a, b)
 		}
 	}
 }
@@ -130,14 +181,18 @@ func (c *commitTwins) repair() {
 // check requires the twins to be the same table.
 func (c *commitTwins) check(when string) {
 	c.t.Helper()
-	if !maps.EqualFunc(groupImages(c.t, c.serial), groupImages(c.t, c.parallel), bytes.Equal) {
-		c.t.Fatalf("%s: group images differ", when)
-	}
-	if sa, sb := c.serial.Stats(), c.parallel.Stats(); sa != sb {
-		c.t.Fatalf("%s: stats diverge: serial %+v, parallel %+v", when, sa, sb)
+	want := groupImages(c.t, c.serial)
+	stats := c.serial.Stats()
+	for _, tb := range c.tables()[1:] {
+		if !maps.EqualFunc(want, groupImages(c.t, tb), bytes.Equal) {
+			c.t.Fatalf("%s: group images differ", when)
+		}
+		if st := tb.Stats(); st != stats {
+			c.t.Fatalf("%s: stats diverge: serial %+v, twin %+v", when, stats, st)
+		}
 	}
 	oracle := func(l addr.LPA) (addr.PPA, bool) { p, ok := c.truth[l]; return p, ok }
-	for _, tb := range []*Table{c.serial, c.parallel} {
+	for _, tb := range c.tables() {
 		if err := tb.CheckShape(); err != nil {
 			c.t.Fatalf("%s: %v", when, err)
 		}
@@ -147,58 +202,83 @@ func (c *commitTwins) check(when string) {
 	}
 }
 
-// helpersWorked reports whether any pool helper committed a run of tb:
-// a worker table's learn buffer grows on its first run. A table whose
-// awaitHelper hook is set lets a helper claim the first run of every
-// batch it offers, so on such a table the check does not race the
-// caller for the runs.
-func helpersWorked(tb *Table) bool {
-	for _, w := range tb.workers {
-		if cap(w.learner.out) > 0 {
-			return true
-		}
-	}
-	return false
-}
+// helpersWorked reports whether a pool helper claimed a run of any batch
+// tb has settled. A table whose awaitHelper hook is set lets a helper
+// claim the first run of every batch it settles with a helper on its
+// ring, so on such a table the check does not race the caller for the
+// runs.
+func helpersWorked(tb *Table) bool { return tb.ring.helped > 0 }
 
 // TestParallelCommitMatchesSerial: a table that spreads its batches over
-// helpers is the table that commits them one run at a time, after every
-// host, GC-relocation and repair batch, in group-record bytes,
+// helpers, and one that queues them behind the caller (Submit), are the
+// table that commits them one run at a time, after every round of
+// host, GC-relocation and repair batches, in group-record bytes,
 // statistics and shape, with every accurate answer exact; bitmap=true
-// runs the full preset's γ = 0 table (presetGamma). The parallel table
-// holds its caller back until a helper has claimed a run (awaitHelper),
-// so at any GOMAXPROCS and under any load helpers commit runs.
+// runs the full preset's γ = 0 table (presetGamma). Between the batches
+// of a round, Lookup, SizeBytes, Compact, MarshalGroup and Stats settle
+// the queue at seeded points and must answer as the serial twin does.
+// The parallel twins hold a settling caller back until a helper has
+// claimed a run (awaitHelper), so at any GOMAXPROCS and under any load
+// helpers commit runs.
 func TestParallelCommitMatchesSerial(t *testing.T) {
 	for _, gamma := range []int{0, 4} {
 		for _, bitmap := range []bool{false, true} {
 			for _, workers := range []int{2, 4} {
 				t.Run(fmt.Sprintf("gamma%d/bitmap=%v/workers%d", gamma, bitmap, workers), func(t *testing.T) {
 					c := newCommitTwins(t, int64(10*gamma+workers), gamma, workers, bitmap)
-					for round := 0; round < 200; round++ {
-						switch r := c.rng.Intn(10); {
-						case r < 5:
-							c.hostBatch()
-						case r < 8:
-							c.gcBatch()
-						default:
-							c.repair()
+					for round := 0; round < 80; round++ {
+						for n := 1 + c.rng.Intn(6); n > 0; n-- {
+							switch r := c.rng.Intn(10); {
+							case r < 5:
+								c.hostBatch()
+							case r < 8:
+								c.gcBatch()
+							default:
+								c.repair()
+							}
+							if c.rng.Intn(3) == 0 {
+								c.probe()
+							}
 						}
 						c.check(fmt.Sprintf("round %d", round))
 					}
-					if len(c.serial.workers) != 0 || len(c.parallel.workers) != workers-1 {
-						t.Fatalf("worker tables: serial %d, parallel %d; want 0 and %d",
-							len(c.serial.workers), len(c.parallel.workers), workers-1)
+					if helpersWorked(c.serial) {
+						t.Fatal("a helper committed a run of the one-worker table")
 					}
-					if !helpersWorked(c.parallel) {
-						t.Error("no helper committed a run in 200 batches")
-					}
-					if err := checkStructure(c.parallel); err != nil {
-						t.Fatal(err)
+					for _, tb := range c.tables()[1:] {
+						if !helpersWorked(tb) {
+							t.Error("no helper committed a run in 80 rounds")
+						}
+						if err := checkStructure(tb); err != nil {
+							t.Fatal(err)
+						}
 					}
 				})
 			}
 		}
 	}
+}
+
+// TestParallelCommitRingOverflow: a table that is submitted more batches
+// than its ring has slots, with nothing settling them in between, settles
+// the oldest to make room and ends as the serial twin.
+func TestParallelCommitRingOverflow(t *testing.T) {
+	c := newCommitTwins(t, 7, 0, 2, true)
+	c.submitted.awaitHelper = false
+	full := false
+	for i := 0; i < 3*ringSlots+5; i++ {
+		if c.rng.Intn(4) == 0 {
+			c.gcBatch()
+		} else {
+			c.hostBatch()
+		}
+		r := &c.submitted.ring
+		full = full || r.tail-r.head == ringSlots
+	}
+	if !full {
+		t.Fatalf("the ring never held %d batches", ringSlots)
+	}
+	c.check("after the overflow")
 }
 
 // spreadBatch is one sequential run of per LPAs at the start of each of
@@ -214,91 +294,123 @@ func spreadBatch(groups, per int, ppa addr.PPA) []addr.Mapping {
 	return pairs
 }
 
+// commitModes are the two ways a batch reaches a table: committed
+// before the call returns, or queued for helpers to commit behind the
+// caller until the next settling call.
+var commitModes = []struct {
+	name   string
+	commit func(*Table, []addr.Mapping) int
+}{
+	{"update", (*Table).Update},
+	{"submit", (*Table).Submit},
+}
+
 // TestParallelCommitGoroutinesBounded: tables own no goroutines. A
 // thousand tables committing multi-group batches leave behind at most
-// the helpers the pool needed for them.
+// the helpers the pool needed for them, whether each batch was settled
+// or left in the table's ring.
 func TestParallelCommitGoroutinesBounded(t *testing.T) {
 	const workers = 4
 	batch := spreadBatch(8, 32, 0)
-	before := runtime.NumGoroutine()
-	for i := 0; i < 1000; i++ {
-		tb := NewTable(4)
-		tb.maxWorkers = workers
-		tb.Update(batch)
-	}
-	if grown := runtime.NumGoroutine() - before; grown > workers-1 {
-		t.Fatalf("1000 tables left %d more goroutines, pool bound %d", grown, workers-1)
+	for _, mode := range commitModes {
+		t.Run(mode.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for i := 0; i < 1000; i++ {
+				tb := NewTable(4)
+				tb.maxWorkers = workers
+				mode.commit(tb, batch)
+			}
+			if grown := runtime.NumGoroutine() - before; grown > workers-1 {
+				t.Fatalf("1000 tables left %d more goroutines, pool bound %d", grown, workers-1)
+			}
+		})
 	}
 }
 
-// TestParallelCommitReleasesTable: once a batch is done, no helper holds
-// its table, so a dropped table is collected.
+// TestParallelCommitReleasesTable: once a table's ring is empty, no
+// helper holds the table, so a dropped table is collected: after settled
+// commits, and after submitted ones once the helpers have drained the
+// ring and let it go.
 func TestParallelCommitReleasesTable(t *testing.T) {
-	freed := make(chan struct{})
-	func() {
-		tb := NewTable(4)
-		tb.maxWorkers = 2
-		for i := 0; i < 50; i++ {
-			tb.Update(spreadBatch(8, 64, addr.PPA(i*512)))
-		}
-		runtime.SetFinalizer(tb, func(*Table) { close(freed) })
-	}()
-	for i := 0; i < 20; i++ {
-		runtime.GC()
-		select {
-		case <-freed:
-			return
-		case <-time.After(5 * time.Millisecond):
-		}
+	for _, mode := range commitModes {
+		t.Run(mode.name, func(t *testing.T) {
+			freed := make(chan struct{})
+			func() {
+				tb := NewTable(4)
+				tb.maxWorkers = 2
+				for i := 0; i < 50; i++ {
+					mode.commit(tb, spreadBatch(8, 64, addr.PPA(i*512)))
+				}
+				for tb.ring.attached.Load() > 0 {
+					runtime.Gosched()
+				}
+				runtime.SetFinalizer(tb, func(*Table) { close(freed) })
+			}()
+			for i := 0; i < 20; i++ {
+				runtime.GC()
+				select {
+				case <-freed:
+					return
+				case <-time.After(5 * time.Millisecond):
+				}
+			}
+			t.Fatal("a dropped table stayed reachable after parallel commits")
+		})
 	}
-	t.Fatal("a dropped table stayed reachable after parallel commits")
 }
 
 // TestParallelCommitZeroAllocs: the fan-out, hand-off and join allocate
-// nothing. The batches rewrite the same groups in two alternating shapes,
-// so once scratch and levels have grown the serial commit allocates
-// nothing either.
+// nothing, and neither do queueing a batch in the ring (its pairs copied
+// into the slot's buffer) and settling it. The batches rewrite the same
+// groups in two alternating shapes, so once scratch and levels have
+// grown the serial commit allocates nothing either.
 func TestParallelCommitZeroAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	tb := NewTable(0)
-	tb.maxWorkers, tb.awaitHelper = 2, true
-	ppa := addr.PPA(0)
-	next := func(i int) []addr.Mapping {
-		pairs := make([]addr.Mapping, 0, 8*addr.GroupSize)
-		for g := 0; g < 8; g++ {
-			for o := i % 2; o < addr.GroupSize; o += 1 + i%2 {
-				pairs = append(pairs, addr.Mapping{LPA: addr.LPA(g*addr.GroupSize + o), PPA: ppa})
-				ppa++
+	for _, mode := range commitModes {
+		t.Run(mode.name, func(t *testing.T) {
+			tb := NewTable(0)
+			tb.maxWorkers, tb.awaitHelper = 2, true
+			ppa := addr.PPA(0)
+			next := func(i int) []addr.Mapping {
+				pairs := make([]addr.Mapping, 0, 8*addr.GroupSize)
+				for g := 0; g < 8; g++ {
+					for o := i % 2; o < addr.GroupSize; o += 1 + i%2 {
+						pairs = append(pairs, addr.Mapping{LPA: addr.LPA(g*addr.GroupSize + o), PPA: ppa})
+						ppa++
+					}
+				}
+				return pairs
 			}
-		}
-		return pairs
-	}
-	batches := make([][]addr.Mapping, 64)
-	for i := range batches {
-		batches[i] = next(i)
-	}
-	for i := 0; i < 4*len(batches); i++ {
-		tb.Update(batches[i%len(batches)])
-	}
-	// The runtime now and then refills a per-processor cache of the
-	// records a blocked channel operation uses, which counts as a malloc.
-	// Any allocation made per commit shows in every round; the best of
-	// five rounds must be clean.
-	best := uint64(1 << 63)
-	for round := 0; round < 5; round++ {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
-		for _, b := range batches {
-			tb.Update(b)
-		}
-		runtime.ReadMemStats(&ms)
-		best = min(best, ms.Mallocs-before)
-	}
-	if best != 0 {
-		t.Fatalf("%d warmed parallel commits allocated %d objects at best, want 0", len(batches), best)
-	}
-	if !helpersWorked(tb) {
-		t.Error("no helper committed a run")
+			batches := make([][]addr.Mapping, 64)
+			for i := range batches {
+				batches[i] = next(i)
+			}
+			for i := 0; i < 4*len(batches); i++ {
+				mode.commit(tb, batches[i%len(batches)])
+			}
+			tb.SizeBytes()
+			// The runtime now and then refills a per-processor cache of
+			// the records a blocked channel operation uses, which counts as
+			// a malloc. Any allocation made per commit shows in every
+			// round; the best of five rounds must be clean.
+			best := uint64(1 << 63)
+			for round := 0; round < 5; round++ {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				for _, b := range batches {
+					mode.commit(tb, b)
+				}
+				tb.SizeBytes()
+				runtime.ReadMemStats(&ms)
+				best = min(best, ms.Mallocs-before)
+			}
+			if best != 0 {
+				t.Fatalf("%d warmed parallel commits allocated %d objects at best, want 0", len(batches), best)
+			}
+			if !helpersWorked(tb) {
+				t.Error("no helper committed a run")
+			}
+		})
 	}
 }

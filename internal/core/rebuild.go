@@ -76,6 +76,9 @@ const (
 	// shapeBytesPerLPA is the audited footprint bound c × 8 B per live
 	// LPA, c = 2.5.
 	shapeBytesPerLPA = 20
+	// groupCeiling is the most a group's footprint reaches under that
+	// bound, every LPA of the group live: 5 120 B.
+	groupCeiling = shapeBytesPerLPA * addr.GroupSize
 )
 
 // Slot states of the resolve pass.
@@ -410,6 +413,7 @@ func (t *Table) install(g *group, claims []claim, levels int) {
 // answer (memo.go). It resolves the levels directly, so it neither reads
 // nor fills a memo; it changes no group and touches only resident ones.
 func (t *Table) CheckShape() error {
+	t.settle()
 	rb := &t.rb
 	for id, g := range t.groups {
 		if g == nil {

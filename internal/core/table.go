@@ -20,8 +20,9 @@ import (
 // a compact key array instead of striding across full Segment structs.
 //
 // Table is not safe for concurrent use; the device serializes every call.
-// Update may spread one batch over helper goroutines (parallel.go), but
-// it returns only once every helper is done.
+// Submit leaves a batch to helper goroutines (parallel.go), and every
+// other exported method but Gamma first settles the batches still
+// pending, so each call sees the table every earlier batch made.
 type Table struct {
 	gamma  int
 	groups []*group // indexed by GroupID; nil = group never written
@@ -63,12 +64,11 @@ type Table struct {
 	// rb is the whole-group rebuild's scratch (rebuild.go).
 	rb rebuildBuf
 
-	// Parallel group commit (parallel.go): the batch in flight, one
-	// worker table per pool helper it may enlist (grown on first use),
-	// and two test hooks: one caps the worker count (0: GOMAXPROCS), the
-	// other holds the caller's claims until a helper has taken a run.
-	batch       commitBatch
-	workers     []*Table
+	// Pipelined group commit (parallel.go): the ring of submitted
+	// batches, and two test hooks: one caps the worker count (0:
+	// GOMAXPROCS), the other holds a settling caller's claims until a
+	// helper has taken a run.
+	ring        commitRing
 	maxWorkers  int
 	awaitHelper bool
 }
@@ -267,32 +267,14 @@ func (t *Table) Gamma() int { return t.gamma }
 // group whose shape trigger fires (rebuild.go) is rebuilt before Update
 // moves on, so the table's depth and size stay bounded by the group, not
 // by how much has been written; the stale claims a GC relocation just
-// rewrote are shed then too, not on every batch. Runs touch disjoint
-// groups, so a batch of several runs is spread over the shared helper
-// pool (parallel.go) with a result identical to committing them in order
-// on the caller.
+// rewrote are shed then too, not on every batch. Update is Submit, then
+// settle: runs touch disjoint groups, so a batch of several runs is
+// spread over the shared helper pool (parallel.go) with a result
+// identical to committing them in order on the caller.
 func (t *Table) Update(pairs []addr.Mapping) int {
-	b := &t.batch
-	b.ends = b.ends[:0]
-	for i := 0; i < len(pairs); {
-		gid := addr.Group(pairs[i].LPA)
-		j := i + 1
-		for j < len(pairs) && addr.Group(pairs[j].LPA) == gid {
-			j++
-		}
-		b.ends = append(b.ends, j)
-		i = j
-	}
-	if helpers := t.commitHelpers(len(b.ends)); helpers > 0 {
-		t.commitParallel(pairs, helpers)
-		return len(b.ends)
-	}
-	start := 0
-	for _, end := range b.ends {
-		t.commitRun(pairs[start:end])
-		start = end
-	}
-	return len(b.ends)
+	groups := t.submit(pairs, 0, true)
+	t.settle()
+	return groups
 }
 
 // commitRun fits one group run, merges the fitted pieces into the
@@ -719,6 +701,7 @@ func findApprox(g *group, start uint8) (p int, ok bool) {
 // Lookup may write the group's memo and its read count, never its
 // answers, and every answer is the walk's.
 func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
+	t.settle()
 	id := addr.Group(lpa)
 	g := t.lookupGroup(id)
 	if g == nil {
@@ -737,6 +720,7 @@ func (t *Table) Lookup(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 // it neither reads nor fills the group's answer memo. It is the
 // controller's lookup as the paper times it (Table 3).
 func (t *Table) Walk(lpa addr.LPA) (addr.PPA, LookupResult, bool) {
+	t.settle()
 	g := t.lookupGroup(addr.Group(lpa))
 	if g == nil {
 		return addr.InvalidPPA, LookupResult{}, false
@@ -813,6 +797,7 @@ func (t *Table) walk(g *group, lpa addr.LPA) (addr.PPA, LookupResult, bool) {
 // its groups dirty first, and only a writeback cleans one), so the sweep
 // needs to tell the pager nothing.
 func (t *Table) Compact() {
+	t.settle()
 	t.eachGroup(func(id addr.GroupID, g *group) {
 		before := g.footprint()
 		t.compactGroup(id, g)
@@ -842,12 +827,17 @@ type Stats struct {
 }
 
 // SizeBytes reports the mapping table's DRAM footprint: encoded segments
-// plus CRB bytes. This is the quantity Figures 15 and 19 compare. O(1).
-func (t *Table) SizeBytes() int { return t.bytes }
+// plus CRB bytes. This is the quantity Figures 15 and 19 compare. O(1)
+// once the ring is settled.
+func (t *Table) SizeBytes() int {
+	t.settle()
+	return t.bytes
+}
 
 // Stats counts the summary statistics by walking the resident groups.
 // It is O(segments); the figures read it once, at the end of a run.
 func (t *Table) Stats() Stats {
+	t.settle()
 	var s Stats
 	t.eachGroup(func(_ addr.GroupID, g *group) {
 		s.Groups++
@@ -869,6 +859,7 @@ func (t *Table) Stats() Stats {
 // LevelCounts returns the number of levels of every group, for the
 // Figure 12 distribution.
 func (t *Table) LevelCounts() []int {
+	t.settle()
 	var out []int
 	t.eachGroup(func(_ addr.GroupID, g *group) {
 		out = append(out, g.depth())
@@ -878,6 +869,7 @@ func (t *Table) LevelCounts() []int {
 
 // CRBSizes returns every group's CRB byte size, for Figure 10.
 func (t *Table) CRBSizes() []int {
+	t.settle()
 	var out []int
 	t.eachGroup(func(_ addr.GroupID, g *group) {
 		out = append(out, g.crb.sizeBytes())
@@ -888,6 +880,7 @@ func (t *Table) CRBSizes() []int {
 // SegmentLengths returns the number of LPA-PPA mappings each segment
 // covers, for the Figure 5 distribution.
 func (t *Table) SegmentLengths() []int {
+	t.settle()
 	var out []int
 	t.eachGroup(func(_ addr.GroupID, g *group) {
 		for li := 0; li < g.depth(); li++ {

@@ -81,6 +81,10 @@ type Scheme struct {
 	// Learn at γ = 0 with GC relearning (WithExactBitmap).
 	exactBitmap bool
 
+	// commitHook, when set, is told whether each commit was deferred
+	// (test hook).
+	commitHook func(deferred bool)
+
 	// Stats accumulated for the evaluation figures.
 	lookups    uint64
 	levelsSum  uint64
@@ -117,12 +121,15 @@ func (s *Scheme) Gamma() int { return s.table.Gamma() }
 // only the resident groups.
 func (s *Scheme) Table() *core.Table { return s.table }
 
-// commit commits a sorted batch through the pager in three steps.
-// First every group the batch touches is made resident and dirtied, in
-// ascending group order, demand-loading the ones paged out. Then the
-// whole batch goes to the table in one Table.Update call, so the table
-// may commit its group runs in parallel. Last, the byte cap is enforced
-// once.
+// commit commits a sorted batch through the pager. First every group
+// the batch touches is made resident and dirtied, in ascending group
+// order, demand-loading the ones paged out. Then, when the pager can
+// prove Enforce would evict nothing once the batch lands (Pager.Defer),
+// the batch is queued on the table, which commits it in the background
+// and settles it before it next answers; the cost is EnsureWrite's.
+// Otherwise the whole batch goes to the table in one Table.Update call,
+// so the table may commit its group runs in parallel, and the byte cap
+// is enforced once.
 // While the batch commits, the resident set may exceed the budget by the
 // batch's own groups; when commit returns it is back within it. Each
 // group is loaded at most once per batch, so the batch charges the same
@@ -130,15 +137,22 @@ func (s *Scheme) Table() *core.Table { return s.table }
 // the cost and the number of groups the batch touched.
 func (s *Scheme) commit(pairs []addr.Mapping) (ftl.Cost, int) {
 	var cost ftl.Cost
-	for i := 0; i < len(pairs); {
+	groups := 0
+	for i := 0; i < len(pairs); groups++ {
 		gid := addr.Group(pairs[i].LPA)
 		cost.Add(s.pager.EnsureWrite(gid))
 		for i < len(pairs) && addr.Group(pairs[i].LPA) == gid {
 			i++
 		}
 	}
-	groups := s.table.Update(pairs)
-	cost.Add(s.pager.Enforce())
+	deferred := s.pager.Defer(pairs, groups)
+	if s.commitHook != nil {
+		s.commitHook(deferred)
+	}
+	if !deferred {
+		s.table.Update(pairs)
+		cost.Add(s.pager.Enforce())
+	}
 	return cost, groups
 }
 
